@@ -35,6 +35,7 @@ import (
 	"p2psize/internal/monitor"
 	"p2psize/internal/parallel"
 	"p2psize/internal/plot"
+	"p2psize/internal/prof"
 	"p2psize/internal/registry"
 	"p2psize/internal/trace"
 )
@@ -58,7 +59,14 @@ func main() {
 		cadences   = flag.String("cadences", "", "monitor cadence spec for the trace-* experiments: base tick and/or name=value overrides, e.g. \"agg=100\" or \"5,agg=50\"; part of the output")
 		faults     = flag.String("faults", "", "fault scenario every estimator runs under, e.g. \"drop=0.05,delay=2x,partition@40-60\" (empty = benign; the robustness-* experiments keep their own scenarios); part of the output")
 	)
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
+	stop, err := profiles.Start()
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = stop
+	defer stop()
 
 	if *list {
 		for _, id := range experiments.IDs() {
@@ -233,7 +241,12 @@ func writeSeries(outDir string, fig *experiments.Figure) {
 	}
 }
 
+// stopProfiles ends -cpuprofile/-memprofile; fatal calls it because
+// os.Exit skips main's deferred call.
+var stopProfiles = func() {}
+
 func fatal(err error) {
+	stopProfiles()
 	fmt.Fprintln(os.Stderr, "figures:", err)
 	os.Exit(1)
 }

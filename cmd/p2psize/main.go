@@ -48,6 +48,7 @@ import (
 	"p2psize"
 	"p2psize/internal/monitor"
 	"p2psize/internal/parallel"
+	"p2psize/internal/prof"
 	"p2psize/internal/registry"
 	"p2psize/internal/xrand"
 )
@@ -89,7 +90,14 @@ func main() {
 		restart   = flag.Float64("restart-jump", 0, "restart smoothing when a raw estimate jumps by this relative fraction (0 = off)")
 		saveTrace = flag.String("save-trace", "", "write the trace to this path (.json or .csv) before monitoring")
 	)
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
+	stop, err := profiles.Start()
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = stop
+	defer stop()
 
 	if strings.EqualFold(strings.TrimSpace(*estSel), "list") {
 		listEstimators()
@@ -455,7 +463,12 @@ func validateModes(clusterMode bool, traceSpec string, f p2psize.FaultOptions) e
 	return nil
 }
 
+// stopProfiles ends -cpuprofile/-memprofile; fatal calls it because
+// os.Exit skips main's deferred call.
+var stopProfiles = func() {}
+
 func fatal(err error) {
+	stopProfiles()
 	fmt.Fprintln(os.Stderr, "p2psize:", err)
 	os.Exit(1)
 }

@@ -154,6 +154,13 @@ func heapInUse() uint64 {
 	return m.HeapAlloc
 }
 
+// flatCopyBytes bounds what a clone can ever cost: one 64-byte record
+// per id, the alive list, and slack for page tables, partial pages and
+// spilled lists.
+func flatCopyBytes(g *Graph) uint64 {
+	return uint64(g.NumIDs())*(64+4) + 4*pageSize*64
+}
+
 func TestCloneCOWFootprint100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-node footprint measurement")
@@ -169,9 +176,8 @@ func TestCloneCOWFootprint100k(t *testing.T) {
 	cow := base.CloneCOW()
 	cowBytes := heapInUse() - before
 
-	// The deep clone duplicates every adjacency list; the COW clone pays
-	// only the flat bookkeeping arrays (~70% of a deep clone's bytes at
-	// degree ~7, and five allocations instead of one per node).
+	// The deep clone duplicates every record; the COW clone pays only
+	// the page tables, in a handful of allocations.
 	if cowBytes > deepBytes*7/10 {
 		t.Fatalf("COW clone costs %d bytes, deep clone %d; base not shared", cowBytes, deepBytes)
 	}
@@ -179,16 +185,16 @@ func TestCloneCOWFootprint100k(t *testing.T) {
 		t.Fatalf("CloneCOW made %.0f allocations; want O(1), not one per node", allocs)
 	}
 
-	// Touch 1% of the overlay; the delta must stay proportional to the
-	// churn, not the overlay: every untouched node keeps the shared list.
+	// Uniform churn on 1% of the overlay lands in every page, and that
+	// is the worst case: the clone never costs more than one flat copy.
 	rng := xrand.New(5)
 	for i := 0; i < n/100; i++ {
 		if id, ok := cow.RandomAlive(rng); ok {
 			cow.RemoveNode(id)
 		}
 	}
-	if shared := cow.SharedAdjacency(); shared < n*9/10 {
-		t.Fatalf("only %d of %d adjacency lists still shared after 1%% churn", shared, n)
+	if got := heapInUse() - before; got > flatCopyBytes(cow) {
+		t.Fatalf("clone holds %d bytes after 1%% churn; one flat copy is %d", got, flatCopyBytes(cow))
 	}
 	if err := cow.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -206,10 +212,9 @@ func TestCOWFootprint1M(t *testing.T) {
 	const n = 1000000
 	base := Heterogeneous(n, 10, xrand.New(6))
 
-	// Up-front clone cost is O(N/pageSize) page headers plus the packed
-	// per-list ownership bitset (N/8 bytes) — a constant number of
-	// allocations and well under a megabyte at 1M, where the flat copy
-	// it replaced cost ~33MB.
+	// Up-front clone cost is O(N/pageSize) page pointers — a constant
+	// number of allocations and well under a megabyte at 1M, where a
+	// flat copy costs 68MB.
 	if allocs := testing.AllocsPerRun(1, func() { base.CloneCOW() }); allocs > 10 {
 		t.Fatalf("CloneCOW made %.0f allocations; want O(1), not one per node", allocs)
 	}
@@ -217,7 +222,7 @@ func TestCOWFootprint1M(t *testing.T) {
 	cow := base.CloneCOW()
 	cowBytes := heapInUse() - before
 	if cowBytes > n {
-		t.Fatalf("1M-node CloneCOW costs %d bytes up front; want O(N/pageSize) headers (~%d)", cowBytes, n/8)
+		t.Fatalf("1M-node CloneCOW costs %d bytes up front; want O(N/pageSize) pointers (~%d)", cowBytes, 16*n/pageSize)
 	}
 
 	// Thereafter the cost is O(touched pages): a light touch owns only
@@ -230,21 +235,26 @@ func TestCOWFootprint1M(t *testing.T) {
 	}
 	total := cow.TotalPages()
 	if shared := cow.SharedPages(); shared < total*85/100 {
-		t.Fatalf("%d of %d bookkeeping pages shared after 4 removals; want >= 85%%", shared, total)
-	}
-
-	// 1% churn still leaves the overwhelming majority of adjacency lists
-	// shared, and the O(1) counter agrees with an explicit recount
-	// (CheckInvariants performs it).
-	for i := 0; i < n/100; i++ {
-		if id, ok := cow.RandomAlive(rng); ok {
-			cow.RemoveNode(id)
-		}
-	}
-	if shared := cow.SharedAdjacency(); shared < n*9/10 {
-		t.Fatalf("only %d of %d adjacency lists still shared after 1%% churn", shared, n)
+		t.Fatalf("%d of %d pages shared after 4 removals; want >= 85%%", shared, total)
 	}
 	if err := cow.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The page is the unit of sharing, so what a clone costs follows
+	// where the churn lands, not how much of it there is: 1% of the
+	// overlay leaving from one id range of a ring (their neighbours sit
+	// in the same pages) owns that range, the tail of the alive list
+	// swapped into it, and nothing else.
+	ring := Ring(n).CloneCOW()
+	for id := NodeID(n / 2); id < n/2+n/100; id++ {
+		ring.RemoveNode(id)
+	}
+	total = ring.TotalPages()
+	if shared := ring.SharedPages(); shared < total*90/100 {
+		t.Fatalf("%d of %d pages shared after clustered 1%% churn; want >= 90%%", shared, total)
+	}
+	if err := ring.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	runtime.KeepAlive(base)

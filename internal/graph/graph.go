@@ -5,19 +5,24 @@
 // plus the analysis routines (BFS, components, degree statistics) used to
 // validate inputs and explain results.
 //
-// Node identifiers are dense int32 indices; a million-node overlay with
-// average degree 7.2 fits in a few hundred megabytes. All mutation keeps
-// the undirected invariant: v appears in adj[u] exactly when u appears in
-// adj[v], and never twice.
+// Node identifiers are dense int32 indices. Everything the graph knows
+// about one node — its degree, its slot in the alive list and its first
+// inlineCap neighbours — sits in one pointer-free 64-byte record, so a
+// walk step, a liveness check or an edge insertion costs one cache line
+// per node touched, and a million-node overlay is one 64 MB array the
+// garbage collector never scans. All mutation keeps the undirected
+// invariant: v appears in u's list exactly when u appears in v's, and
+// never twice.
 //
-// The bookkeeping arrays live in fixed-size pages (paged.go) shared
-// between a graph and its CloneCOW clones until a page's first mutation,
-// so cloning costs O(N/pageSize) page headers instead of O(N) entries and
-// replayed churn pays only for the pages it touches.
+// The records and the alive list live in fixed-size pages (paged.go)
+// shared between a graph and its CloneCOW clones until a page's first
+// mutation, so cloning costs O(N/pageSize) page pointers instead of
+// O(N) entries and replayed churn pays only for the pages it touches.
 package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"p2psize/internal/xrand"
 )
@@ -29,36 +34,41 @@ type NodeID = int32
 // None is the sentinel returned when no node qualifies.
 const None NodeID = -1
 
+// inlineCap is the number of neighbours a record holds itself: with the
+// three int32 fields it makes the record exactly one 64-byte cache line.
+const inlineCap = 13
+
+// node is the per-node record. A node whose degree first exceeds
+// inlineCap moves its whole list to Graph.spill and keeps it there
+// until the node is removed; nb is then unused. deg always equals the
+// length of the list, wherever it lives.
+type node struct {
+	deg   int32 // number of neighbours
+	pos   int32 // index into the alive list, -1 when dead
+	spill int32 // index into Graph.spill, -1 while the list is inline
+	nb    [inlineCap]NodeID
+}
+
 // Graph is a mutable undirected graph with an explicit alive set.
 // It is not safe for concurrent mutation.
 type Graph struct {
-	adj      pages[[]NodeID]
+	nodes    pages[node]
 	aliveIDs pages[NodeID] // compact list of alive nodes for O(1) sampling
-	alivePos pages[int32]  // alivePos[id] = index into aliveIDs, -1 when dead
 	edges    int
 
-	// Copy-on-write state for the adjacency lists themselves (the paged
-	// arrays above handle their own chunk-level sharing; each node's
-	// list additionally needs per-node ownership so an untouched list is
-	// never copied): cow marks the graph a CloneCOW clone; ids >= cowBase
-	// were created after the clone and always own their list; ownedAdj
-	// is a packed bitset over ids < cowBase with a set bit once the list
-	// was copied (or dropped); sharedAdj counts the lists still shared
-	// with the base, kept up to date on every first mutation so the
-	// diagnostic is O(1).
-	cow       bool
-	cowBase   int
-	ownedAdj  []uint64
-	sharedAdj int
+	// spill holds the adjacency lists longer than inlineCap (scale-free
+	// hubs, exported CYCLON views, sybil-inflated peers). Slots are
+	// never reused; a removed node's slot is nil. A CloneCOW clone
+	// copies the slice headers and shares the lists: slots below
+	// spillBase still belong to the base and are copied to a fresh slot
+	// on their first write (0 for a graph that is not a clone).
+	spill     [][]NodeID
+	spillBase int
 }
 
 // New returns an empty graph with capacity hint n.
 func New(n int) *Graph {
-	return &Graph{
-		adj:      newPages[[]NodeID](n),
-		aliveIDs: newPages[NodeID](n),
-		alivePos: newPages[int32](n),
-	}
+	return &Graph{nodes: newPages[node](n), aliveIDs: newPages[NodeID](n)}
 }
 
 // NewWithNodes returns a graph with n alive, unconnected nodes 0..n-1.
@@ -72,34 +82,35 @@ func NewWithNodes(n int) *Graph {
 
 // AddNode creates a new alive node and returns its ID.
 func (g *Graph) AddNode() NodeID {
-	id := NodeID(g.adj.len())
-	g.adj.append(nil)
-	g.alivePos.append(int32(g.aliveIDs.len()))
+	id := NodeID(g.nodes.len())
+	g.nodes.append(node{pos: int32(g.aliveIDs.len()), spill: -1})
 	g.aliveIDs.append(id)
 	return id
 }
 
-// adjOwned reports whether id's adjacency list belongs to this graph.
-func (g *Graph) adjOwned(id NodeID) bool {
-	return !g.cow || int(id) >= g.cowBase ||
-		g.ownedAdj[id>>6]&(1<<uint(id&63)) != 0
-}
+// valid reports whether id was ever allocated (alive or dead).
+func (g *Graph) valid(id NodeID) bool { return uint(id) < uint(g.nodes.len()) }
 
-// markAdjOwned flips id's ownership bit and maintains the shared-list
-// counter. The caller guarantees the list was shared.
-func (g *Graph) markAdjOwned(id NodeID) {
-	g.ownedAdj[id>>6] |= 1 << uint(id&63)
-	g.sharedAdj--
-}
-
-// own makes id's adjacency list writable: lists still shared with a
-// CloneCOW base are copied on their first mutation.
-func (g *Graph) own(id NodeID) {
-	if g.adjOwned(id) {
-		return
+// list returns n's adjacency list as a view: into the record itself, or
+// into the spill table.
+func (g *Graph) list(n *node) []NodeID {
+	if n.spill >= 0 {
+		return g.spill[n.spill]
 	}
-	g.markAdjOwned(id)
-	g.adj.set(int(id), append([]NodeID(nil), g.adj.get(int(id))...))
+	return n.nb[:n.deg]
+}
+
+// writable returns id's record for mutation: its page is copied first
+// when still shared with the CloneCOW base, and so is its spilled list
+// (to a fresh slot).
+func (g *Graph) writable(id NodeID) *node {
+	n := g.nodes.slot(int(id))
+	if s := n.spill; s >= 0 && int(s) < g.spillBase {
+		n.spill = int32(len(g.spill))
+		g.spill = append(g.spill, slices.Clone(g.spill[s]))
+		g.spill[s] = nil
+	}
+	return n
 }
 
 // RemoveNode kills a node: all incident edges are removed and the node
@@ -108,41 +119,59 @@ func (g *Graph) own(id NodeID) {
 // create new links". Removing a dead node panics.
 func (g *Graph) RemoveNode(id NodeID) {
 	g.mustAlive(id)
-	for _, nb := range g.adj.get(int(id)) {
+	// The view stays readable throughout: removeHalfEdge writes only the
+	// neighbours' records, and a page copy leaves the old page intact.
+	for _, nb := range g.Neighbors(id) {
 		g.removeHalfEdge(nb, id)
 		g.edges--
 	}
-	if !g.adjOwned(id) {
-		// Shared list: drop the reference instead of truncating in place
-		// (a later append must not scribble over the base's array).
-		g.markAdjOwned(id)
-		g.adj.set(int(id), nil)
-	} else {
-		g.adj.set(int(id), g.adj.get(int(id))[:0])
+	n := g.nodes.slot(int(id))
+	if n.spill >= 0 {
+		g.spill[n.spill] = nil
+		n.spill = -1
 	}
+	n.deg = 0
 	// Swap-delete from the alive list.
-	pos := g.alivePos.get(int(id))
-	last := g.aliveIDs.get(g.aliveIDs.len() - 1)
-	g.aliveIDs.set(int(pos), last)
-	g.alivePos.set(int(last), pos)
+	pos := n.pos
+	last := g.AliveAt(g.aliveIDs.len() - 1)
+	*g.aliveIDs.slot(int(pos)) = last
+	g.nodes.slot(int(last)).pos = pos
 	g.aliveIDs.truncate(g.aliveIDs.len() - 1)
-	g.alivePos.set(int(id), -1)
+	n.pos = -1
 }
 
-// removeHalfEdge deletes v from adj[u] (swap-delete). The caller
+// removeHalfEdge deletes v from u's list (swap-delete). The caller
 // guarantees presence.
 func (g *Graph) removeHalfEdge(u, v NodeID) {
-	g.own(u)
-	au := g.adj.slot(int(u))
-	a := *au
+	n := g.writable(u)
+	a := g.list(n)
 	for i, w := range a {
 		if w == v {
 			a[i] = a[len(a)-1]
-			*au = a[:len(a)-1]
+			n.deg--
+			if n.spill >= 0 {
+				g.spill[n.spill] = a[:n.deg]
+			}
 			return
 		}
 	}
 	panic(fmt.Sprintf("graph: half-edge %d->%d missing", u, v))
+}
+
+// addHalfEdge appends v to u's list, moving the list to the spill table
+// when the record is full.
+func (g *Graph) addHalfEdge(u, v NodeID) {
+	n := g.writable(u)
+	switch {
+	case n.spill >= 0:
+		g.spill[n.spill] = append(g.spill[n.spill], v)
+	case n.deg < inlineCap:
+		n.nb[n.deg] = v
+	default:
+		n.spill = int32(len(g.spill))
+		g.spill = append(g.spill, append(n.nb[:inlineCap:inlineCap], v))
+	}
+	n.deg++
 }
 
 // AddEdge links u and v bidirectionally. It reports false (and does
@@ -153,12 +182,8 @@ func (g *Graph) AddEdge(u, v NodeID) bool {
 	if u == v || g.HasEdge(u, v) {
 		return false
 	}
-	g.own(u)
-	g.own(v)
-	au := g.adj.slot(int(u))
-	*au = append(*au, v)
-	av := g.adj.slot(int(v))
-	*av = append(*av, u)
+	g.addHalfEdge(u, v)
+	g.addHalfEdge(v, u)
 	g.edges++
 	return true
 }
@@ -176,17 +201,18 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	return true
 }
 
-// HasEdge reports whether u and v are linked. The scan runs over the
-// smaller adjacency list, which matters on scale-free hubs.
+// HasEdge reports whether u and v are linked (false for ids that were
+// never allocated). The scan runs over the smaller adjacency list, which
+// matters on scale-free hubs.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	if int(u) >= g.adj.len() || int(v) >= g.adj.len() {
+	if !g.valid(u) || !g.valid(v) {
 		return false
 	}
-	au, av := g.adj.get(int(u)), g.adj.get(int(v))
-	if len(au) > len(av) {
-		au, v = av, u
+	nu, nv := g.nodes.at(int(u)), g.nodes.at(int(v))
+	if nu.deg > nv.deg {
+		nu, v = nv, u
 	}
-	for _, w := range au {
+	for _, w := range g.list(nu) {
 		if w == v {
 			return true
 		}
@@ -194,21 +220,33 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	return false
 }
 
-// Degree returns the number of live links of id (0 for dead nodes).
-func (g *Graph) Degree(id NodeID) int { return len(g.adj.get(int(id))) }
+// Degree returns the number of live links of id (0 for dead nodes and
+// for ids that were never allocated).
+func (g *Graph) Degree(id NodeID) int {
+	if !g.valid(id) {
+		return 0
+	}
+	return int(g.nodes.at(int(id)).deg)
+}
 
-// Neighbors returns the adjacency list of id as a shared view; callers
-// must not modify it and must not hold it across mutations.
-func (g *Graph) Neighbors(id NodeID) []NodeID { return g.adj.get(int(id)) }
+// Neighbors returns the adjacency list of id as a shared view (nil for
+// ids that were never allocated); callers must not modify it and must
+// not hold it across mutations.
+func (g *Graph) Neighbors(id NodeID) []NodeID {
+	if !g.valid(id) {
+		return nil
+	}
+	return g.list(g.nodes.at(int(id)))
+}
 
 // RandomNeighbor returns a uniformly random neighbor of id, or (None,
 // false) for an isolated node.
 func (g *Graph) RandomNeighbor(id NodeID, rng *xrand.Rand) (NodeID, bool) {
-	a := g.adj.get(int(id))
-	if len(a) == 0 {
+	n := g.nodes.at(int(id))
+	if n.deg == 0 {
 		return None, false
 	}
-	return a[rng.Intn(len(a))], true
+	return g.list(n)[rng.Intn(int(n.deg))], true
 }
 
 // RandomAlive returns a uniformly random alive node, or (None, false) for
@@ -217,12 +255,12 @@ func (g *Graph) RandomAlive(rng *xrand.Rand) (NodeID, bool) {
 	if g.aliveIDs.len() == 0 {
 		return None, false
 	}
-	return g.aliveIDs.get(rng.Intn(g.aliveIDs.len())), true
+	return *g.aliveIDs.at(rng.Intn(g.aliveIDs.len())), true
 }
 
 // Alive reports whether id is a live node.
 func (g *Graph) Alive(id NodeID) bool {
-	return id >= 0 && int(id) < g.alivePos.len() && g.alivePos.get(int(id)) >= 0
+	return g.valid(id) && g.nodes.at(int(id)).pos >= 0
 }
 
 // NumAlive returns the number of live nodes — the quantity every
@@ -233,7 +271,7 @@ func (g *Graph) NumAlive() int { return g.aliveIDs.len() }
 func (g *Graph) NumEdges() int { return g.edges }
 
 // NumIDs returns the total number of IDs ever allocated (alive + dead).
-func (g *Graph) NumIDs() int { return g.adj.len() }
+func (g *Graph) NumIDs() int { return g.nodes.len() }
 
 // AliveIDs returns a copy of the live node list.
 func (g *Graph) AliveIDs() []NodeID {
@@ -259,72 +297,59 @@ func (g *Graph) ForEachAlive(fn func(id NodeID)) {
 // AliveAt returns the i-th entry of the internal alive list; together with
 // NumAlive it allows allocation-free sweeps. Order is unspecified and
 // changes across mutations.
-func (g *Graph) AliveAt(i int) NodeID { return g.aliveIDs.get(i) }
+func (g *Graph) AliveAt(i int) NodeID { return *g.aliveIDs.at(i) }
 
 // Clone returns a deep copy of g sharing no mutable state with it. The
 // parallel experiment engine clones one overlay per concurrent estimation
 // instance so identical churn replays stay independent across goroutines.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
-		adj:      g.adj.clone(),
+		nodes:    g.nodes.clone(),
 		aliveIDs: g.aliveIDs.clone(),
-		alivePos: g.alivePos.clone(),
 		edges:    g.edges,
+		spill:    make([][]NodeID, len(g.spill)),
 	}
-	for i := 0; i < ng.adj.len(); i++ {
-		if a := ng.adj.get(i); len(a) > 0 {
-			ng.adj.set(i, append([]NodeID(nil), a...))
-		}
+	for i, a := range g.spill {
+		ng.spill[i] = slices.Clone(a)
 	}
 	return ng
 }
 
-// CloneCOW returns a copy-on-write copy of g: the paged bookkeeping
-// arrays share every page with g until the clone first writes into it
-// (O(N/pageSize) page headers copied, nothing per node) and every
-// adjacency list is shared until its first mutation. Replaying churn on
-// a clone therefore costs memory proportional to the pages and lists
-// the churn touches, not to the whole overlay — the contract the
-// parallel run loops rely on when they fan one clone per estimation
-// instance at paper scale.
+// CloneCOW returns a copy-on-write copy of g: the node records and the
+// alive list share every page with g until the clone first writes into
+// it (O(N/pageSize) page pointers copied, nothing per node), and a
+// spilled adjacency list is shared until the clone first writes it.
+// Replaying churn on a clone therefore costs memory proportional to the
+// pages the churn touches — at most one flat copy, 64 bytes per node
+// plus the alive list, once churn has spread over the whole id range —
+// the contract the parallel run loops rely on when they fan one clone
+// per estimation instance at paper scale.
 //
 // The receiver acts as the immutable base: it must not be mutated while
 // any COW clone of it is alive (clones of clones extend the freeze to
 // every ancestor). Clones are independent of each other and safe to
 // mutate concurrently from different goroutines.
 func (g *Graph) CloneCOW() *Graph {
-	n := g.adj.len()
 	return &Graph{
-		adj:       g.adj.cloneCOW(),
+		nodes:     g.nodes.cloneCOW(),
 		aliveIDs:  g.aliveIDs.cloneCOW(),
-		alivePos:  g.alivePos.cloneCOW(),
 		edges:     g.edges,
-		cow:       true,
-		cowBase:   n,
-		ownedAdj:  make([]uint64, (n+63)/64),
-		sharedAdj: n,
+		spill:     append([][]NodeID(nil), g.spill...),
+		spillBase: len(g.spill),
 	}
 }
 
-// SharedAdjacency reports how many adjacency lists are still shared
-// with the CloneCOW base (0 for graphs that are not COW clones) — the
-// delta-size diagnostic the footprint tests assert on. O(1): the count
-// is maintained on every first-mutation copy.
-func (g *Graph) SharedAdjacency() int { return g.sharedAdj }
-
-// SharedPages reports how many fixed-size bookkeeping pages (adjacency
-// headers, alive list, alive positions) are still shared with the
-// CloneCOW base (0 for non-clones) — the chunk-level sibling of
-// SharedAdjacency: clone cost is proportional to TotalPages minus
-// SharedPages, not to N.
+// SharedPages reports how many fixed-size pages (node records, alive
+// list) are still shared with the CloneCOW base (0 for non-clones):
+// clone cost is proportional to TotalPages minus SharedPages, not to N.
 func (g *Graph) SharedPages() int {
-	return g.adj.sharedPages() + g.aliveIDs.sharedPages() + g.alivePos.sharedPages()
+	return g.nodes.sharedPages() + g.aliveIDs.sharedPages()
 }
 
-// TotalPages reports how many fixed-size bookkeeping pages the graph
-// spans, the denominator for SharedPages ratios.
+// TotalPages reports how many fixed-size pages the graph spans, the
+// denominator for SharedPages ratios.
 func (g *Graph) TotalPages() int {
-	return len(g.adj.tbl) + len(g.aliveIDs.tbl) + len(g.alivePos.tbl)
+	return len(g.nodes.tbl) + len(g.aliveIDs.tbl)
 }
 
 func (g *Graph) mustAlive(id NodeID) {
@@ -333,31 +358,37 @@ func (g *Graph) mustAlive(id NodeID) {
 	}
 }
 
-// CheckInvariants validates structural consistency (adjacency symmetry,
-// no self-loops or duplicates, alive bookkeeping, edge count, COW
-// ownership counters) and returns an error describing the first
-// violation. Intended for tests.
+// CheckInvariants validates structural consistency (record degree equal
+// to list length, spill indices in range, adjacency symmetry, no
+// self-loops or duplicates, alive bookkeeping, edge count) and returns
+// an error describing the first violation. Intended for tests.
 func (g *Graph) CheckInvariants() error {
-	if g.adj.len() != g.alivePos.len() {
-		return fmt.Errorf("graph: parallel slice lengths diverge")
-	}
 	halfEdges := 0
 	alive := 0
-	for u := 0; u < g.adj.len(); u++ {
+	for u := 0; u < g.nodes.len(); u++ {
 		uid := NodeID(u)
-		adjU := g.adj.get(u)
-		pos := g.alivePos.get(u)
-		if pos < 0 {
-			if len(adjU) != 0 {
+		n := g.nodes.at(u)
+		if n.spill < -1 || int(n.spill) >= len(g.spill) {
+			return fmt.Errorf("graph: node %d has spill index %d outside [0, %d)", u, n.spill, len(g.spill))
+		}
+		if n.spill < 0 && (n.deg < 0 || n.deg > inlineCap) {
+			return fmt.Errorf("graph: node %d has inline degree %d", u, n.deg)
+		}
+		adjU := g.list(n)
+		if int(n.deg) != len(adjU) {
+			return fmt.Errorf("graph: node %d records degree %d, list holds %d", u, n.deg, len(adjU))
+		}
+		if n.pos < 0 {
+			if len(adjU) != 0 || n.spill >= 0 {
 				return fmt.Errorf("graph: dead node %d has edges", u)
 			}
-			if pos != -1 {
-				return fmt.Errorf("graph: dead node %d has corrupt alive position %d", u, pos)
+			if n.pos != -1 {
+				return fmt.Errorf("graph: dead node %d has corrupt alive position %d", u, n.pos)
 			}
 			continue
 		}
 		alive++
-		if int(pos) >= g.aliveIDs.len() || g.aliveIDs.get(int(pos)) != uid {
+		if int(n.pos) >= g.aliveIDs.len() || g.AliveAt(int(n.pos)) != uid {
 			return fmt.Errorf("graph: alive bookkeeping broken for %d", u)
 		}
 		seen := make(map[NodeID]bool, len(adjU))
@@ -373,7 +404,7 @@ func (g *Graph) CheckInvariants() error {
 				return fmt.Errorf("graph: %d links to dead node %d", u, v)
 			}
 			found := false
-			for _, w := range g.adj.get(int(v)) {
+			for _, w := range g.Neighbors(v) {
 				if w == uid {
 					found = true
 					break
@@ -390,19 +421,6 @@ func (g *Graph) CheckInvariants() error {
 	}
 	if g.aliveIDs.len() != alive {
 		return fmt.Errorf("graph: alive list holds %d entries, %d nodes are alive", g.aliveIDs.len(), alive)
-	}
-	if g.cow {
-		shared := 0
-		for id := 0; id < g.cowBase; id++ {
-			if g.ownedAdj[id>>6]&(1<<uint(id&63)) == 0 {
-				shared++
-			}
-		}
-		if shared != g.sharedAdj {
-			return fmt.Errorf("graph: shared-adjacency counter %d, recount %d", g.sharedAdj, shared)
-		}
-	} else if g.sharedAdj != 0 {
-		return fmt.Errorf("graph: non-clone has shared-adjacency counter %d", g.sharedAdj)
 	}
 	return nil
 }

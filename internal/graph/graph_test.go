@@ -255,7 +255,7 @@ func TestCheckInvariantsDetectsAsymmetry(t *testing.T) {
 	g := NewWithNodes(2)
 	g.AddEdge(0, 1)
 	// Corrupt deliberately.
-	g.adj.set(0, g.adj.get(0)[:0])
+	g.nodes.slot(0).deg = 0
 	if err := g.CheckInvariants(); err == nil {
 		t.Fatal("asymmetric edge not detected")
 	}
@@ -263,7 +263,8 @@ func TestCheckInvariantsDetectsAsymmetry(t *testing.T) {
 
 func TestCheckInvariantsDetectsSelfLoop(t *testing.T) {
 	g := NewWithNodes(1)
-	g.adj.set(0, append(g.adj.get(0), 0))
+	n := g.nodes.slot(0)
+	n.nb[0], n.deg = 0, 1
 	if err := g.CheckInvariants(); err == nil {
 		t.Fatal("self-loop not detected")
 	}

@@ -54,7 +54,7 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 	for u := 0; u < g.NumIDs(); u++ {
-		for _, v := range g.adj.get(u) {
+		for _, v := range g.Neighbors(NodeID(u)) {
 			if NodeID(u) < v {
 				if err := write([2]uint32{uint32(u), uint32(v)}); err != nil {
 					return n, err

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -73,11 +74,43 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		}
 		t.Events[i] = Event{T: ev.T, Session: ev.Session, Op: op}
 	}
+	return t.loaded()
+}
+
+// loaded finishes a trace parsed from a file: canonical event order,
+// dense session ids, validation.
+func (t *Trace) loaded() (*Trace, error) {
 	t.Normalize()
+	t.densify()
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// densify renumbers the joining sessions by rank, Initial upward, so ids
+// index a table of Initial + Joins entries whatever integers the file
+// used (peer hashes, say). Rank keeps the canonical event order; a trace
+// already dense — every generated one — is left alone, and ids no join
+// names stay as they are for Validate to reject.
+func (t *Trace) densify() {
+	joins, top := t.span()
+	if top < t.Initial+joins {
+		return
+	}
+	ids := make([]int, 0, joins)
+	for _, ev := range t.Events {
+		if ev.Op == Join && ev.Session >= t.Initial {
+			ids = append(ids, ev.Session)
+		}
+	}
+	sort.Ints(ids)
+	for i := range t.Events {
+		s := t.Events[i].Session
+		if r := sort.SearchInts(ids, s); r < len(ids) && ids[r] == s {
+			t.Events[i].Session = t.Initial + r
+		}
+	}
 }
 
 // WriteCSV serializes the trace as CSV: metadata in "#key value" header
@@ -150,11 +183,7 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: read CSV: %w", err)
 	}
-	t.Normalize()
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return t.loaded()
 }
 
 // ReadFile loads a trace from path. Gzip compression is detected by

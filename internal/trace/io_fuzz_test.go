@@ -30,6 +30,9 @@ func fuzzSeed(f *testing.F, toWire func(*Trace) string) {
 	f.Add("Inf,0,join\n")
 	f.Add("1e309,0,j\n")
 	f.Add("1,-3,l\n")
+	f.Add(sparseCSV)
+	f.Add(`{"schema":"p2psize-trace/v1","initial":2,"horizon":10,"events":[` +
+		`{"t":1,"session":1099511627776,"op":"join"},{"t":2,"session":7,"op":"join"},{"t":3,"session":1099511627776,"op":"leave"}]}`)
 	f.Add(`{"schema":"p2psize-trace/v1","initial":1,"horizon":1e999}`)
 	f.Add(`{"schema":"p2psize-trace/v1","initial":-1,"horizon":5,"events":[{"t":"x"}]}`)
 }

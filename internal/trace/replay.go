@@ -23,7 +23,7 @@ import (
 type Player struct {
 	tr     *Trace
 	next   int
-	nodes  map[int]graph.NodeID
+	nodes  []graph.NodeID // by session; graph.None before the join and after the leave
 	joins  int
 	leaves int
 }
@@ -39,10 +39,15 @@ func NewPlayer(tr *Trace, net *overlay.Network) (*Player, error) {
 		return nil, fmt.Errorf("trace: overlay has %d peers, trace expects %d initial sessions",
 			net.Size(), tr.Initial)
 	}
-	p := &Player{tr: tr, nodes: make(map[int]graph.NodeID, tr.Initial)}
+	// Validate bounds every session id by Initial + Joins, so one flat
+	// table indexed by session replaces a map probe per event.
+	p := &Player{tr: tr, nodes: make([]graph.NodeID, tr.Initial+tr.Joins())}
 	g := net.Graph()
-	for s := 0; s < tr.Initial; s++ {
-		p.nodes[s] = g.AliveAt(s)
+	for s := range p.nodes {
+		p.nodes[s] = graph.None
+		if s < tr.Initial {
+			p.nodes[s] = g.AliveAt(s)
+		}
 	}
 	return p, nil
 }
@@ -60,12 +65,12 @@ func (p *Player) AdvanceTo(net *overlay.Network, t float64, rng *xrand.Rand) (jo
 			p.nodes[ev.Session] = net.JoinRandomDegree(rng)
 			joins++
 		case Leave:
-			id, ok := p.nodes[ev.Session]
-			if !ok || !net.Alive(id) || net.Size() <= 1 {
+			id := p.nodes[ev.Session]
+			if !net.Alive(id) || net.Size() <= 1 {
 				continue
 			}
 			net.Leave(id)
-			delete(p.nodes, ev.Session)
+			p.nodes[ev.Session] = graph.None
 			leaves++
 		}
 	}

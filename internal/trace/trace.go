@@ -84,7 +84,10 @@ func (t *Trace) Normalize() {
 
 // Validate checks the structural invariants: positive horizon, events
 // sorted and inside the horizon, every session joining before leaving
-// (initial sessions never join), each at most once.
+// (initial sessions never join), each at most once, and session ids
+// dense enough to index a table: below Initial + Joins. Every generator
+// and compositor numbers sessions that way, and the readers renumber
+// the arbitrary ids of a trace file by rank.
 func (t *Trace) Validate() error {
 	if t.Initial < 0 {
 		return errors.New("trace: negative Initial")
@@ -100,8 +103,19 @@ func (t *Trace) Validate() error {
 	if t.Horizon <= 0 {
 		return errors.New("trace: Horizon must be positive")
 	}
-	joined := make(map[int]bool)
-	left := make(map[int]bool)
+	// One flat byte per session. Ids are bounded by Initial + Joins and
+	// that by the overlay's int32 id space; the table stops at the
+	// largest id an event names, so no header or id can size it.
+	joins, top := t.span()
+	if t.Initial > math.MaxInt32-joins {
+		return fmt.Errorf("trace: Initial %d exceeds the overlay's id space", t.Initial)
+	}
+	if sessions := t.Initial + joins; top >= sessions {
+		return fmt.Errorf("trace: session %d out of range: Initial + Joins is %d (number sessions densely)",
+			top, sessions)
+	}
+	const joined, left = 1, 2
+	state := make([]uint8, top+1)
 	var prev Event
 	for i, ev := range t.Events {
 		if math.IsNaN(ev.T) || math.IsInf(ev.T, 0) {
@@ -122,18 +136,18 @@ func (t *Trace) Validate() error {
 			if ev.Session < t.Initial {
 				return fmt.Errorf("trace: initial session %d joins at t=%g", ev.Session, ev.T)
 			}
-			if joined[ev.Session] {
+			if state[ev.Session]&joined != 0 {
 				return fmt.Errorf("trace: session %d joins twice", ev.Session)
 			}
-			joined[ev.Session] = true
+			state[ev.Session] |= joined
 		case Leave:
-			if ev.Session >= t.Initial && !joined[ev.Session] {
+			if ev.Session >= t.Initial && state[ev.Session]&joined == 0 {
 				return fmt.Errorf("trace: session %d leaves before joining", ev.Session)
 			}
-			if left[ev.Session] {
+			if state[ev.Session]&left != 0 {
 				return fmt.Errorf("trace: session %d leaves twice", ev.Session)
 			}
-			left[ev.Session] = true
+			state[ev.Session] |= left
 		default:
 			return fmt.Errorf("trace: event %d has unknown op %d", i, ev.Op)
 		}
@@ -141,27 +155,30 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
+// span returns the number of Join events and the largest session id any
+// event names (-1 without events).
+func (t *Trace) span() (joins, top int) {
+	top = -1
+	for _, ev := range t.Events {
+		if ev.Op == Join {
+			joins++
+		}
+		top = max(top, ev.Session)
+	}
+	return joins, top
+}
+
 // Sessions returns the total number of distinct sessions referenced by
 // the trace (initial population plus arrivals).
 func (t *Trace) Sessions() int {
-	n := t.Initial
-	for _, ev := range t.Events {
-		if ev.Session >= n {
-			n = ev.Session + 1
-		}
-	}
-	return n
+	_, top := t.span()
+	return max(t.Initial, top+1)
 }
 
 // Joins returns the number of Join events.
 func (t *Trace) Joins() int {
-	n := 0
-	for _, ev := range t.Events {
-		if ev.Op == Join {
-			n++
-		}
-	}
-	return n
+	joins, _ := t.span()
+	return joins
 }
 
 // Leaves returns the number of Leave events.
@@ -194,7 +211,7 @@ func (t *Trace) SizeAt(at float64) int {
 
 // aliveAt returns the sorted session ids alive just after time at.
 func (t *Trace) aliveAt(at float64) []int {
-	alive := make(map[int]bool, t.Initial)
+	alive := make([]bool, t.Sessions())
 	for s := 0; s < t.Initial; s++ {
 		alive[s] = true
 	}
@@ -204,13 +221,12 @@ func (t *Trace) aliveAt(at float64) []int {
 		}
 		alive[ev.Session] = ev.Op == Join
 	}
-	out := make([]int, 0, len(alive))
+	out := make([]int, 0, max(0, t.SizeAt(at)))
 	for s, ok := range alive {
 		if ok {
 			out = append(out, s)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
