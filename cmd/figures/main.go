@@ -241,7 +241,7 @@ func writeSeries(outDir string, fig *experiments.Figure) {
 	}
 }
 
-// stopProfiles ends -cpuprofile/-memprofile; fatal calls it because
+// stopProfiles ends -cpuprofile/-memprofile/-exectrace; fatal calls it because
 // os.Exit skips main's deferred call.
 var stopProfiles = func() {}
 

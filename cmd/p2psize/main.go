@@ -463,7 +463,7 @@ func validateModes(clusterMode bool, traceSpec string, f p2psize.FaultOptions) e
 	return nil
 }
 
-// stopProfiles ends -cpuprofile/-memprofile; fatal calls it because
+// stopProfiles ends -cpuprofile/-memprofile/-exectrace; fatal calls it because
 // os.Exit skips main's deferred call.
 var stopProfiles = func() {}
 

@@ -157,10 +157,13 @@ func (p *Protocol) StartEpoch(net *overlay.Network) error {
 	return nil
 }
 
+// grow extends the per-node vectors to numIDs in one step each (an
+// append per node walks the 1.25x regrowth chain and allocates five
+// times the final size on a million-node overlay).
 func (p *Protocol) grow(numIDs int) {
-	for len(p.values) < numIDs {
-		p.values = append(p.values, 0)
-		p.epochOf = append(p.epochOf, 0)
+	if k := numIDs - len(p.values); k > 0 {
+		p.values = append(p.values, make([]float64, k)...)
+		p.epochOf = append(p.epochOf, make([]uint32, k)...)
 	}
 }
 
@@ -226,32 +229,29 @@ func (p *Protocol) RunRound(net *overlay.Network) {
 		}
 		return fate
 	}
-	// Asymmetric (NAT-limited) connectivity folds into the push fate: a
-	// push to a fated target is sent — and metered — but lost at the
-	// NAT, so the exchange never happens (the pull direction is exempt:
-	// it answers a contact the initiator opened, riding the established
-	// path). Pure salted-hash consultation: no draws, so benign and
-	// NAT-free streams are untouched.
-	natFate := func(v graph.NodeID, fate uint8) uint8 {
-		if p.pol != nil && p.pol.Unreachable(v) {
-			fate |= fatePushLost
-		}
-		return fate
-	}
-
 	sw := parallel.Sweep[pair]{
 		N:       n,
 		NumKeys: g.NumIDs(),
-		// Mutating churn never happens mid-round; the alive list is
-		// stable, so position->ID is a pure mapping all round.
-		Key: func(elem int32) int32 { return g.AliveAt(int(elem)) },
-		Visit: func(sh *parallel.Shard[pair], elem int32, rng *xrand.Rand) error {
-			u := g.AliveAt(int(elem))
+		Keys:    g.CopyAlive,
+		// Mutating churn never happens mid-round, so the records a block
+		// is about to draw its neighbours from can be fetched ahead.
+		Warm: func(keys []graph.NodeID) uint64 { return uint64(g.DegreeSum(keys)) },
+		Visit: func(sh *parallel.Shard[pair], u graph.NodeID, rng *xrand.Rand) error {
 			v, ok := g.RandomNeighbor(u, rng)
 			if !ok {
 				return nil
 			}
-			fate := natFate(v, drawFate(rng))
+			fate := drawFate(rng)
+			// Asymmetric (NAT-limited) connectivity folds into the push
+			// fate: a push to a fated target is sent — and metered — but
+			// lost at the NAT, so the exchange never happens (the pull
+			// direction is exempt: it answers a contact the initiator
+			// opened, riding the established path). Pure salted-hash
+			// consultation: no draws, so benign and NAT-free streams are
+			// untouched.
+			if p.pol != nil && p.pol.Unreachable(v) {
+				fate |= fatePushLost
+			}
 			sh.Meters[0]++ // push sent
 			if fate&fatePushLost == 0 {
 				sh.Meters[1]++ // pull answered

@@ -105,8 +105,7 @@ type Protocol struct {
 	count   int
 	counter *metrics.Counter
 
-	members []graph.NodeID                 // scratch: member ids in base order
-	engine  parallel.RoundEngine[deferred] // owns all sharded-sweep scratch
+	engine parallel.RoundEngine[deferred] // owns all sharded-sweep scratch
 }
 
 // deferred is one cross-shard shuffle: id initiated, q is its (live)
@@ -137,9 +136,9 @@ func (p *Protocol) Size() int { return p.count }
 
 // grow extends the dense view storage to cover ids [0, n).
 func (p *Protocol) grow(n int) {
-	for len(p.views) < n {
-		p.views = append(p.views, nil)
-		p.member = append(p.member, false)
+	if k := n - len(p.views); k > 0 {
+		p.views = append(p.views, make([][]entry, k)...)
+		p.member = append(p.member, make([]bool, k)...)
 	}
 }
 
@@ -250,19 +249,15 @@ func (p *Protocol) RunRound() {
 	if n == 0 {
 		return
 	}
-	// The engine permutes positions into this fixed ascending base
-	// order; shuffling positions and mapping through the base array is
-	// the same permutation the pre-engine code drew shuffling the IDs
-	// directly. Membership is frozen mid-round, so Alive reads race
-	// with nothing.
-	p.members = p.appendMemberIDs(p.members[:0])
-
 	sw := parallel.Sweep[deferred]{
 		N:       n,
 		NumKeys: len(p.views),
-		Key:     func(elem int32) int32 { return p.members[elem] },
-		Visit: func(sh *parallel.Shard[deferred], elem int32, rng *xrand.Rand) error {
-			id := p.members[elem]
+		// The engine shuffles the member ids from this fixed ascending
+		// base order, straight in its own scratch (dst holds exactly
+		// p.count ids). Membership is frozen mid-round, so Alive reads
+		// race with nothing.
+		Keys: func(dst []graph.NodeID) { p.appendMemberIDs(dst[:0]) },
+		Visit: func(sh *parallel.Shard[deferred], id graph.NodeID, rng *xrand.Rand) error {
 			q, ok := p.beginShuffle(id)
 			if !ok {
 				return nil

@@ -1,6 +1,9 @@
 package cyclon
 
 import (
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"p2psize/internal/graph"
@@ -278,5 +281,28 @@ func TestExportGraphRunToRunDeterminism(t *testing.T) {
 				t.Fatalf("adjacency order differs at node %d slot %d", id, i)
 			}
 		}
+	}
+}
+
+// TestGrowAllocatesOnce: extending the per-node view table to a million
+// ids allocates them once, not along append's 1.25x regrowth chain
+// (which cost five times the final size, resident until the next GC).
+func TestGrowAllocatesOnce(t *testing.T) {
+	const n = 1000000
+	p := New(Default(), xrand.New(1), nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p.grow(n)
+	runtime.ReadMemStats(&after)
+	final := uint64(n * (24 + 1))
+	budget := final * 11 / 10
+	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		budget *= 2 // the race detector keeps append's make([]T, k) temporary from being elided
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("growing to %d ids allocated %d bytes for %d bytes of state", n, got, final)
+	}
+	if p.grow(n + 3); len(p.views) != n+3 || len(p.member) != n+3 {
+		t.Fatalf("tables hold %d and %d ids, want %d", len(p.views), len(p.member), n+3)
 	}
 }

@@ -275,12 +275,31 @@ func (g *Graph) NumIDs() int { return g.nodes.len() }
 
 // AliveIDs returns a copy of the live node list.
 func (g *Graph) AliveIDs() []NodeID {
-	n := g.aliveIDs.len()
-	out := make([]NodeID, n)
-	for pg, off := 0, 0; off < n; pg, off = pg+1, off+pageSize {
-		copy(out[off:], g.aliveIDs.tbl[pg][:min(pageSize, n-off)])
-	}
+	out := make([]NodeID, g.aliveIDs.len())
+	g.CopyAlive(out)
 	return out
+}
+
+// CopyAlive copies the live node list, in AliveAt order, into dst, page
+// by page with no per-entry table lookup. Like copy it stops at the
+// shorter of the two: min(len(dst), NumAlive()) ids are written.
+func (g *Graph) CopyAlive(dst []NodeID) {
+	n := min(len(dst), g.aliveIDs.len())
+	for pg, off := 0, 0; off < n; pg, off = pg+1, off+pageSize {
+		copy(dst[off:n], g.aliveIDs.tbl[pg][:])
+	}
+}
+
+// DegreeSum returns the total degree of ids, reading each node's record
+// once. The loads are independent of each other, so a caller about to
+// visit ids one dependent step at a time (a round sweep) can run this
+// over a block first and find the records in cache.
+func (g *Graph) DegreeSum(ids []NodeID) int {
+	sum := 0
+	for _, id := range ids {
+		sum += int(g.nodes.at(int(id)).deg)
+	}
+	return sum
 }
 
 // ForEachAlive calls fn for every live node in unspecified (but

@@ -323,3 +323,46 @@ func TestCloneReplaysIdentically(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyAliveAndDegreeSum: the two block accessors a round sweep reads
+// the graph through agree with the per-entry ones — across page
+// boundaries, for short and over-long buffers, on a COW clone, and with
+// a spilled hub among the ids.
+func TestCopyAliveAndDegreeSum(t *testing.T) {
+	g := Heterogeneous(3*pageSize+17, 10, xrand.New(1))
+	rng := xrand.New(2)
+	for i := 0; i < 500; i++ {
+		id, _ := g.RandomAlive(rng)
+		g.RemoveNode(id)
+	}
+	hub := g.AliveAt(0)
+	for i := 1; g.Degree(hub) <= inlineCap+3; i++ {
+		g.AddEdge(hub, g.AliveAt(i))
+	}
+	clone := g.CloneCOW()
+	clone.RemoveNode(clone.AliveAt(pageSize + 3))
+	for _, gg := range []*Graph{g, clone} {
+		alive := gg.NumAlive()
+		for _, n := range []int{0, 1, pageSize - 1, pageSize, pageSize + 1, alive, alive + 5} {
+			dst := make([]NodeID, n)
+			for i := range dst {
+				dst[i] = None
+			}
+			want := min(n, alive)
+			gg.CopyAlive(dst)
+			for i, id := range dst {
+				if i < want && id != gg.AliveAt(i) || i >= want && id != None {
+					t.Fatalf("CopyAlive into %d slots: slot %d holds %d", n, i, id)
+				}
+			}
+		}
+		ids := gg.AliveIDs()
+		sum := 0
+		for _, id := range ids {
+			sum += gg.Degree(id)
+		}
+		if got := gg.DegreeSum(ids); got != sum || got != 2*gg.NumEdges() {
+			t.Fatalf("DegreeSum = %d, degrees add to %d, 2|E| = %d", got, sum, 2*gg.NumEdges())
+		}
+	}
+}

@@ -3,6 +3,9 @@ package latency
 import (
 	"errors"
 	"math"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"p2psize/internal/graph"
@@ -237,5 +240,29 @@ func TestSampleCollideLatencyGrowsWithL(t *testing.T) {
 	}
 	if l100 <= l10 {
 		t.Fatalf("latency did not grow with l: %g vs %g", l10, l100)
+	}
+}
+
+// TestGrowAllocatesOnce: extending the per-node coordinate tables to a million
+// ids allocates them once, not along append's 1.25x regrowth chain
+// (which cost five times the final size, resident until the next GC).
+func TestGrowAllocatesOnce(t *testing.T) {
+	const n = 1000000
+	rng := xrand.New(1)
+	m := NewEuclidean(5, 0.01, rng)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.Grow(n, rng)
+	runtime.ReadMemStats(&after)
+	final := uint64(n * (8 + 8))
+	budget := final * 11 / 10
+	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		budget *= 2 // the race detector keeps append's make([]T, k) temporary from being elided
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("growing to %d ids allocated %d bytes for %d bytes of state", n, got, final)
+	}
+	if len(m.x) != n || len(m.y) != n {
+		t.Fatalf("tables hold %d and %d ids, want %d", len(m.x), len(m.y), n)
 	}
 }

@@ -3,6 +3,8 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,6 +23,10 @@ type toyFamily struct {
 	vals   []float64
 	msgs   uint64
 	engine RoundEngine[toyPair]
+
+	base  []int32                              // sweep keys in base order; nil is the identity
+	warm  func(keys []int32)                   // when set, the sweep has a warm pass that reports its blocks here
+	trace func(sh *Shard[toyPair], u, v int32) // when set, sees every visit's key and draw
 }
 
 func newToy(n int) *toyFamily {
@@ -38,15 +44,24 @@ func (f *toyFamily) apply(u, v int32) {
 
 func (f *toyFamily) sweep(visited *[]int32) *Sweep[toyPair] {
 	n := len(f.vals)
-	return &Sweep[toyPair]{
+	sw := &Sweep[toyPair]{
 		N:       n,
 		NumKeys: n,
-		Key:     func(elem int32) int32 { return elem },
+		Keys: func(dst []int32) {
+			if copy(dst, f.base) == 0 {
+				for i := range dst {
+					dst[i] = int32(i)
+				}
+			}
+		},
 		Visit: func(sh *Shard[toyPair], elem int32, rng *xrand.Rand) error {
 			if visited != nil {
 				*visited = append(*visited, elem)
 			}
 			v := int32(rng.Intn(n))
+			if f.trace != nil {
+				f.trace(sh, elem, v)
+			}
 			sh.Meters[0]++
 			if t := sh.Owner(v); t == sh.Index {
 				f.apply(elem, v)
@@ -61,6 +76,19 @@ func (f *toyFamily) sweep(visited *[]int32) *Sweep[toyPair] {
 			return nil
 		},
 	}
+	if f.warm != nil {
+		// The one thing a warm pass may read besides frozen state: the
+		// values of the block's own keys, which only this shard writes.
+		sw.Warm = func(keys []int32) uint64 {
+			f.warm(keys)
+			var acc uint64
+			for _, k := range keys {
+				acc += math.Float64bits(f.vals[k])
+			}
+			return acc
+		}
+	}
+	return sw
 }
 
 func runToy(t *testing.T, n, rounds int, cfg EngineConfig, seed uint64) ([]float64, uint64) {
@@ -471,5 +499,259 @@ func TestMapPanicLowestIndex(t *testing.T) {
 			})
 			t.Fatalf("workers=%d: Map returned normally", workers)
 		}()
+	}
+}
+
+// roundLog is everything observable about one round of the toy family.
+type roundLog struct {
+	visits [][]int32     // per shard: keys in visit order
+	draws  [][]int32     // per shard: the partner each visit drew
+	def    [][][]toyPair // [from][to]: deferred payloads in deferral order
+	meters []uint64      // per shard: Meters[0] summed over its Merge calls
+	merges int           // Merge calls
+}
+
+func newRoundLog(shards int) *roundLog {
+	l := &roundLog{
+		visits: make([][]int32, shards),
+		draws:  make([][]int32, shards),
+		def:    make([][][]toyPair, shards),
+		meters: make([]uint64, shards),
+	}
+	for s := range l.def {
+		l.def[s] = make([][]toyPair, shards)
+	}
+	return l
+}
+
+// naiveRound is the reference the engine is held to: the round as first
+// written, with nothing resolved ahead and nothing staged. The sweep
+// order is a permutation of positions, every visit maps its position to
+// a key through base, and keys are visited strictly one at a time.
+// Shards run one after the other, which phase 1's ownership rule makes
+// equivalent to any interleaving.
+func naiveRound(rng *xrand.Rand, cfg EngineConfig, base []int32, vals []float64, msgs *uint64) *roundLog {
+	n := len(base)
+	shards := Shards(cfg.Shards, n)
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	if cfg.Shuffle == ShuffleGlobal {
+		rng.Shuffle(n, func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
+	}
+	roundSeed := rng.Uint64()
+	owner := make([]int, n)
+	for s := 0; s < shards; s++ {
+		for i := s * n / shards; i < (s+1)*n/shards; i++ {
+			owner[base[pos[i]]] = s
+		}
+	}
+	apply := func(u, v int32) {
+		m := (vals[u] + vals[v]) / 2
+		vals[u], vals[v] = m, m
+	}
+	l := newRoundLog(shards)
+	for s := 0; s < shards; s++ {
+		srng := xrand.NewStream(roundSeed, uint64(s))
+		seg := pos[s*n/shards : (s+1)*n/shards]
+		if cfg.Shuffle == ShuffleLocal {
+			srng.Shuffle(len(seg), func(i, j int) { seg[i], seg[j] = seg[j], seg[i] })
+		}
+		for _, at := range seg {
+			u, v := base[at], int32(srng.Intn(n))
+			l.visits[s] = append(l.visits[s], u)
+			l.draws[s] = append(l.draws[s], v)
+			l.meters[s]++
+			if shards == 1 {
+				l.merges++ // one message priced at a time
+			}
+			if owner[v] == s {
+				apply(u, v)
+			} else {
+				l.def[s][owner[v]] = append(l.def[s][owner[v]], toyPair{u: u, v: v})
+			}
+		}
+	}
+	if shards > 1 {
+		l.merges = shards
+	}
+	for _, m := range l.meters {
+		*msgs += m
+	}
+	for _, meetings := range RoundRobinPairs(shards) {
+		for _, m := range meetings {
+			for _, d := range l.def[m[0]][m[1]] {
+				apply(d.u, d.v)
+			}
+			for _, d := range l.def[m[1]][m[0]] {
+				apply(d.u, d.v)
+			}
+		}
+	}
+	return l
+}
+
+// engineRound runs one RoundEngine round of f and logs what naiveRound
+// logs. Each shard appends to its own slices only, so the log itself is
+// race-free at any worker count.
+func engineRound(t *testing.T, rng *xrand.Rand, cfg EngineConfig, f *toyFamily) *roundLog {
+	t.Helper()
+	shards := Shards(cfg.Shards, len(f.vals))
+	l := newRoundLog(shards)
+	f.trace = func(sh *Shard[toyPair], u, v int32) {
+		l.visits[sh.Index] = append(l.visits[sh.Index], u)
+		l.draws[sh.Index] = append(l.draws[sh.Index], v)
+	}
+	sw := f.sweep(nil)
+	merge := sw.Merge
+	sw.Merge = func(sh *Shard[toyPair]) {
+		l.meters[sh.Index] += sh.Meters[0]
+		l.merges++
+		merge(sh)
+	}
+	if err := f.engine.Round(rng, cfg, sw); err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < shards; a++ {
+		for b, bucket := range f.engine.shards[a].def {
+			if b < shards {
+				l.def[a][b] = slices.Clone(bucket)
+			}
+		}
+	}
+	return l
+}
+
+// permutedBase returns a fixed non-identity permutation of [0, n): the
+// alive list after churn, where position i does not hold node i.
+func permutedBase(n int) []int32 {
+	base := make([]int32, n)
+	for i := range base {
+		base[i] = int32(i)
+	}
+	xrand.New(uint64(n)+12345).Shuffle(n, func(i, j int) { base[i], base[j] = base[j], base[i] })
+	return base
+}
+
+// TestEngineMatchesNaiveReference holds the engine, element for element,
+// to the naive sweep: per-shard visit order and draws, every deferral
+// bucket, meters and Merge calls, the protocol rng's position and the
+// final state, over two consecutive rounds. Sizes straddle the block
+// size (63, 64, 65), span many blocks with a ragged tail (4097), and go
+// below the configured shard count (1 and 3: the count clamps to N and
+// the engine's remaining shard slots must stay idle).
+func TestEngineMatchesNaiveReference(t *testing.T) {
+	for _, n := range []int{1, 3, 63, 64, 65, 4097} {
+		base := permutedBase(n)
+		for _, shards := range []int{1, 2, 5, 16} {
+			for _, mode := range []ShuffleMode{ShuffleGlobal, ShuffleLocal} {
+				tag := fmt.Sprintf("n=%d shards=%d %v", n, shards, mode)
+				cfg := EngineConfig{Shards: shards, Workers: 4, Shuffle: mode}
+				f := newToy(n)
+				f.base = base
+				f.warm = func([]int32) {}
+				ref := newToy(n)
+				rng, refRng := xrand.New(77), xrand.New(77)
+				for round := 0; round < 2; round++ {
+					got := engineRound(t, rng, cfg, f)
+					want := naiveRound(refRng, cfg, base, ref.vals, &ref.msgs)
+					if !slices.EqualFunc(got.visits, want.visits, slices.Equal[[]int32]) {
+						t.Fatalf("%s round %d: visit order diverges from the reference", tag, round)
+					}
+					if !slices.EqualFunc(got.draws, want.draws, slices.Equal[[]int32]) {
+						t.Fatalf("%s round %d: draws diverge from the reference", tag, round)
+					}
+					for a := range want.def {
+						if !slices.EqualFunc(got.def[a], want.def[a], slices.Equal[[]toyPair]) {
+							t.Fatalf("%s round %d: shard %d deferred differently from the reference", tag, round, a)
+						}
+					}
+					if !slices.Equal(got.meters, want.meters) || got.merges != want.merges {
+						t.Fatalf("%s round %d: meters %v in %d merges, reference %v in %d",
+							tag, round, got.meters, got.merges, want.meters, want.merges)
+					}
+					if !slices.Equal(f.vals, ref.vals) || f.msgs != ref.msgs {
+						t.Fatalf("%s round %d: final state diverges from the reference", tag, round)
+					}
+				}
+				if rng.Uint64() != refRng.Uint64() {
+					t.Fatalf("%s: protocol rng advanced differently from the reference", tag)
+				}
+			}
+		}
+	}
+}
+
+// TestEngineWarmPassStaging pins what a warm pass gets to see: blocks of
+// at most visitBlock keys that tile each shard's segment in visit order,
+// each handed over before the first of its keys is visited.
+func TestEngineWarmPassStaging(t *testing.T) {
+	for _, mode := range []ShuffleMode{ShuffleGlobal, ShuffleLocal} {
+		f := newToy(4097)
+		f.base = permutedBase(4097)
+		var warmed []int32
+		visited := 0
+		f.warm = func(keys []int32) {
+			if len(keys) == 0 || len(keys) > visitBlock {
+				t.Errorf("%v: warm pass over %d keys", mode, len(keys))
+			}
+			if visited != len(warmed) {
+				t.Errorf("%v: block staged with %d earlier keys still unvisited", mode, len(warmed)-visited)
+			}
+			warmed = append(warmed, keys...)
+		}
+		f.trace = func(_ *Shard[toyPair], u, _ int32) {
+			if visited >= len(warmed) || warmed[visited] != u {
+				t.Errorf("%v: visit %d of key %d was not staged", mode, visited, u)
+			}
+			visited++
+		}
+		// Workers: 1 runs the shards in order on this goroutine.
+		if err := f.engine.Round(xrand.New(5), EngineConfig{Shards: 5, Workers: 1, Shuffle: mode}, f.sweep(nil)); err != nil {
+			t.Fatal(err)
+		}
+		if visited != 4097 || len(warmed) != 4097 {
+			t.Fatalf("%v: %d keys staged, %d visited", mode, len(warmed), visited)
+		}
+	}
+}
+
+// TestEngineWarmPassIsRaceFreeAndInert runs the toy family's warm pass —
+// which reads the values of its block's keys, state the visiting shard
+// owns — beside fifteen other shards' visits. Under -race this is the
+// proof that shard-owned reads never meet another shard's write; at any
+// build it checks that a sweep with the pass ends exactly where the same
+// sweep without it does.
+func TestEngineWarmPassIsRaceFreeAndInert(t *testing.T) {
+	const n, rounds = 20000, 3
+	for _, mode := range []ShuffleMode{ShuffleGlobal, ShuffleLocal} {
+		cfg := EngineConfig{Shards: 16, Workers: 8, Shuffle: mode}
+		run := func(warm bool) *toyFamily {
+			f := newToy(n)
+			f.base = permutedBase(n)
+			if warm {
+				f.warm = func([]int32) {}
+			}
+			rng := xrand.New(31)
+			sw := f.sweep(nil)
+			for r := 0; r < rounds; r++ {
+				if err := f.engine.Round(rng, cfg, sw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return f
+		}
+		cold, warm := run(false), run(true)
+		if !slices.Equal(cold.vals, warm.vals) || cold.msgs != warm.msgs {
+			t.Fatalf("%v: the warm pass changed the sweep's outcome", mode)
+		}
+		warmSum := uint64(0)
+		for s := range warm.engine.shards {
+			warmSum += warm.engine.shards[s].warm
+		}
+		if warmSum == 0 {
+			t.Fatalf("%v: the warm pass's loads never reached the shards", mode)
+		}
 	}
 }

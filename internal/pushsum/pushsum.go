@@ -32,6 +32,7 @@ package pushsum
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
@@ -151,11 +152,14 @@ func (p *Protocol) StartEpoch(net *overlay.Network) error {
 	return nil
 }
 
+// grow extends the per-node vectors to numIDs in one step each (an
+// append per node walks the 1.25x regrowth chain and allocates five
+// times the final size on a million-node overlay).
 func (p *Protocol) grow(numIDs int) {
-	for len(p.sums) < numIDs {
-		p.sums = append(p.sums, 0)
-		p.weights = append(p.weights, 0)
-		p.epochOf = append(p.epochOf, 0)
+	if k := numIDs - len(p.sums); k > 0 {
+		p.sums = append(p.sums, make([]float64, k)...)
+		p.weights = append(p.weights, make([]float64, k)...)
+		p.epochOf = append(p.epochOf, make([]uint32, k)...)
 	}
 }
 
@@ -222,27 +226,32 @@ func (p *Protocol) RunRound(net *overlay.Network) {
 	if pol != nil {
 		dropP = pol.DropProb()
 	}
-	// Asymmetric (NAT-limited) connectivity: a push to a fated target is
-	// sent — and metered — but lost at the NAT, the same evaporation as
-	// a dropped push. Pure salted-hash consultation: no draws, so benign
-	// and NAT-free streams are untouched.
-	natLost := func(v graph.NodeID) bool {
-		return pol != nil && pol.Unreachable(v)
-	}
-
 	sw := parallel.Sweep[push]{
 		N:       n,
 		NumKeys: g.NumIDs(),
-		// Mutating churn never happens mid-round; the alive list is
-		// stable, so position->ID is a pure mapping all round.
-		Key: func(elem int32) int32 { return g.AliveAt(int(elem)) },
-		Visit: func(sh *parallel.Shard[push], elem int32, rng *xrand.Rand) error {
-			u := g.AliveAt(int(elem))
+		Keys:    g.CopyAlive,
+		// Mutating churn never happens mid-round, so the records a block
+		// is about to draw its neighbours from can be fetched ahead —
+		// and with them the block's own pairs, which every visit reads
+		// and only the visiting shard writes.
+		Warm: func(keys []graph.NodeID) uint64 {
+			acc := uint64(g.DegreeSum(keys))
+			for _, u := range keys {
+				acc += uint64(p.epochOf[u]) + math.Float64bits(p.sums[u]) + math.Float64bits(p.weights[u])
+			}
+			return acc
+		},
+		Visit: func(sh *parallel.Shard[push], u graph.NodeID, rng *xrand.Rand) error {
 			v, ok := g.RandomNeighbor(u, rng)
 			if !ok {
 				return nil
 			}
-			lost := (dropP > 0 && rng.Bernoulli(dropP)) || natLost(v)
+			// Asymmetric (NAT-limited) connectivity: a push to a fated
+			// target is sent — and metered — but lost at the NAT, the
+			// same evaporation as a dropped push. Pure salted-hash
+			// consultation: no draws, so benign and NAT-free streams are
+			// untouched.
+			lost := (dropP > 0 && rng.Bernoulli(dropP)) || (pol != nil && pol.Unreachable(v))
 			sh.Meters[0]++ // push sent
 			if !p.participant(u) {
 				return nil

@@ -1,0 +1,128 @@
+package pushsum
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"testing"
+
+	"p2psize/internal/overlay"
+	"p2psize/internal/parallel"
+	"p2psize/internal/xrand"
+)
+
+// churnedNet is a heterogeneous overlay after 5% leaves and 5% joins:
+// the alive list is no longer in id order (every leave swap-deletes),
+// which is what a round sweep sees after any churn.
+func churnedNet(n int, seed uint64) *overlay.Network {
+	net := hetNet(n, seed)
+	rng := xrand.New(seed + 100)
+	for i := 0; i < n/20; i++ {
+		net.LeaveRandom(rng)
+	}
+	for i := 0; i < n/20; i++ {
+		net.JoinRandomDegree(rng)
+	}
+	return net
+}
+
+// pinnedRounds is long enough for the epoch to reach every node of the
+// 20k overlay, so every position of every sweep and every neighbour draw
+// lands in the hashed state (after three rounds a handful of nodes hold
+// mass and most of a wrong permutation would go unseen).
+const pinnedRounds = 20
+
+// TestRoundStatePinned pins twenty rounds on a churned 20k overlay bit for
+// bit — FNV-64a over (sums, weights, epoch tags) and the message total — to the
+// output of the engine that mapped positions to node IDs inside Visit
+// and visited one node at a time. Key resolution and block staging in
+// the round engine must move none of it, at any shard count or mode.
+func TestRoundStatePinned(t *testing.T) {
+	pins := []struct {
+		shards  int
+		shuffle parallel.ShuffleMode
+		hash    uint64
+		msgs    uint64
+	}{
+		{1, parallel.ShuffleGlobal, 0xda1313691e4cdbc5, 400000},
+		{1, parallel.ShuffleLocal, 0xfbef58e2f986b24c, 400000},
+		{4, parallel.ShuffleGlobal, 0x322415d9d98e57da, 400000},
+		{4, parallel.ShuffleLocal, 0x8d0fe51efcb29596, 400000},
+		{16, parallel.ShuffleGlobal, 0x880ebf4f51c86ea1, 400000},
+		{16, parallel.ShuffleLocal, 0x2ba76fe0770315ff, 400000},
+	}
+	for _, pin := range pins {
+		net := churnedNet(20000, 7)
+		p := New(Config{RoundsPerEpoch: 50, Shards: pin.shards, Shuffle: pin.shuffle}, xrand.New(8))
+		if err := p.StartEpoch(net); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < pinnedRounds; r++ {
+			p.RunRound(net)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		for i := range p.sums {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(p.sums[i]))
+			h.Write(b[:])
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(p.weights[i]))
+			h.Write(b[:])
+			binary.LittleEndian.PutUint32(b[:4], p.epochOf[i])
+			h.Write(b[:4])
+		}
+		if got, msgs := h.Sum64(), net.Counter().Total(); got != pin.hash || msgs != pin.msgs {
+			t.Errorf("shards=%d %v: state %#x msgs %d, pinned %#x and %d", pin.shards, pin.shuffle, got, msgs, pin.hash, pin.msgs)
+		}
+	}
+}
+
+// TestWarmShardedRoundAllocatesNoVector guards "keys are resolved into
+// the engine's own scratch": once warm, a sharded 100k round allocates
+// per-shard bookkeeping only, nothing proportional to N (a key vector
+// would be 400 KB).
+func TestWarmShardedRoundAllocatesNoVector(t *testing.T) {
+	net := hetNet(100000, 3)
+	p := New(Config{RoundsPerEpoch: 50, Workers: 2}, xrand.New(4))
+	if err := p.StartEpoch(net); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		p.RunRound(net)
+	}
+	const rounds = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < rounds; r++ {
+		p.RunRound(net)
+	}
+	runtime.ReadMemStats(&after)
+	if perRound := (after.TotalAlloc - before.TotalAlloc) / rounds; perRound > 64<<10 {
+		t.Fatalf("warm sharded round allocates %d bytes", perRound)
+	}
+}
+
+// TestGrowAllocatesOnce: extending the per-node vectors to a million
+// ids allocates them once, not along append's 1.25x regrowth chain
+// (which cost five times the final size, resident until the next GC).
+func TestGrowAllocatesOnce(t *testing.T) {
+	const n = 1000000
+	p := New(Default(), xrand.New(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p.grow(n)
+	runtime.ReadMemStats(&after)
+	final := uint64(n * (8 + 8 + 4))
+	budget := final * 11 / 10
+	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		budget *= 2 // the race detector keeps append's make([]T, k) temporary from being elided
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("growing to %d ids allocated %d bytes for %d bytes of state", n, got, final)
+	}
+	if p.grow(n + 3); len(p.sums) != n+3 || len(p.weights) != n+3 || len(p.epochOf) != n+3 {
+		t.Fatalf("vectors hold %d, %d and %d ids, want %d", len(p.sums), len(p.weights), len(p.epochOf), n+3)
+	}
+}
