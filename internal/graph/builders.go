@@ -24,7 +24,7 @@ func Heterogeneous(n, maxDeg int, rng *xrand.Rand) *Graph {
 	g := NewWithNodes(n)
 	for u := NodeID(0); int(u) < n; u++ {
 		target := rng.IntRange(1, maxDeg)
-		wireUpTo(g, u, target, maxDeg, rng)
+		g.WireUpTo(u, target, maxDeg, rng)
 	}
 	return g
 }
@@ -41,21 +41,41 @@ func Homogeneous(n, k int, rng *xrand.Rand) *Graph {
 	}
 	g := NewWithNodes(n)
 	for u := NodeID(0); int(u) < n; u++ {
-		wireUpTo(g, u, k, k, rng)
+		g.WireUpTo(u, k, k, rng)
 	}
 	return g
 }
 
-// wireUpTo adds random links to u until its degree reaches target,
-// choosing partners uniformly among nodes with degree < cap.
-func wireUpTo(g *Graph, u NodeID, target, cap int, rng *xrand.Rand) {
+// wirePeek caps how many of its own upcoming draws WireUpTo reads ahead:
+// the links it still needs plus half again, for the rejected draws.
+const wirePeek = 16
+
+// WireUpTo adds random links to u until its degree reaches target,
+// choosing partners uniformly among nodes with degree < maxDeg: the
+// wiring rule of §IV-A, for the builders and for overlay.Join. A draw is
+// two dependent loads (the alive-list entry, then that peer's record)
+// and is fixed by the generator's state, so the draws are first replayed
+// on a copy of the generator and both levels issued as independent
+// loads; the loop then draws for real and finds them in cache. Only the
+// loop advances rng, and the read-ahead goes through at, never slot, so
+// it owns no page of a COW clone.
+func (g *Graph) WireUpTo(u NodeID, target, maxDeg int, rng *xrand.Rand) {
+	if need := target - g.Degree(u); need > 0 && g.NumAlive() > 0 {
+		ahead := *rng
+		var peek [wirePeek]NodeID
+		ids := peek[:min(need+need/2+1, wirePeek)]
+		for i := range ids {
+			ids[i], _ = g.RandomAlive(&ahead)
+		}
+		g.warmed += g.DegreeSum(ids)
+	}
 	attempts := 0
 	for g.Degree(u) < target && attempts < maxWireAttempts {
 		v, ok := g.RandomAlive(rng)
 		if !ok {
 			return
 		}
-		if v == u || g.Degree(v) >= cap || g.HasEdge(u, v) {
+		if v == u || g.Degree(v) >= maxDeg || g.HasEdge(u, v) {
 			attempts++
 			continue
 		}

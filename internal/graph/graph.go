@@ -64,6 +64,10 @@ type Graph struct {
 	// on their first write (0 for a graph that is not a clone).
 	spill     [][]NodeID
 	spillBase int
+
+	// warmed accumulates what WireUpTo's read-ahead loaded, so that the
+	// compiler keeps the loads; nothing reads it.
+	warmed int
 }
 
 // New returns an empty graph with capacity hint n.
@@ -298,6 +302,19 @@ func (g *Graph) DegreeSum(ids []NodeID) int {
 	sum := 0
 	for _, id := range ids {
 		sum += int(g.nodes.at(int(id)).deg)
+	}
+	return sum
+}
+
+// NeighborhoodDegreeSum returns the total degree of ids and of all
+// their neighbours (dead ids count as isolated): the records RemoveNode
+// of each id will write, read as two levels of independent loads, for a
+// caller about to remove a block of ids one at a time. It only reads:
+// it owns no page of a COW clone and is safe beside concurrent readers.
+func (g *Graph) NeighborhoodDegreeSum(ids []NodeID) int {
+	sum := g.DegreeSum(ids)
+	for _, id := range ids {
+		sum += g.DegreeSum(g.Neighbors(id))
 	}
 	return sum
 }

@@ -206,8 +206,8 @@ func (n *Network) Alive(id NodeID) bool { return n.g.Alive(id) }
 
 // Join adds a new peer wired to up to target random live peers that are
 // below the degree cap, and returns its ID. Target is clamped to [1,
-// MaxDegree]. Wiring is best effort on a crowded overlay, like the
-// builders.
+// MaxDegree]. Wiring is best effort on a crowded overlay: it is the
+// builders' own loop (graph.WireUpTo).
 func (n *Network) Join(target int, rng *xrand.Rand) NodeID {
 	if target < 1 {
 		target = 1
@@ -216,19 +216,7 @@ func (n *Network) Join(target int, rng *xrand.Rand) NodeID {
 		target = n.maxDeg
 	}
 	id := n.g.AddNode()
-	attempts := 0
-	const maxAttempts = 200
-	for n.g.Degree(id) < target && attempts < maxAttempts {
-		v, ok := n.g.RandomAlive(rng)
-		if !ok {
-			break
-		}
-		if v == id || n.g.Degree(v) >= n.maxDeg || n.g.HasEdge(id, v) {
-			attempts++
-			continue
-		}
-		n.g.AddEdge(id, v)
-	}
+	n.g.WireUpTo(id, target, n.maxDeg, rng)
 	return id
 }
 

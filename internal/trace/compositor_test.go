@@ -1,0 +1,137 @@
+package trace
+
+import (
+	"math"
+	"runtime"
+	"slices"
+	"sort"
+	"testing"
+	"unsafe"
+
+	"p2psize/internal/xrand"
+)
+
+// fullSort is the canonical order the slow way: a stable sort of every
+// event, what the compositors did before they merged only their tail.
+func fullSort(evs []Event) []Event {
+	out := slices.Clone(evs)
+	sort.SliceStable(out, func(i, j int) bool { return eventLess(out[i], out[j]) })
+	return out
+}
+
+// tiedTrace generates a trace and rounds its times to a grid of 0.5, so
+// that most instants hold several events: joins and leaves of different
+// sessions, and sessions that join and leave at one instant.
+func tiedTrace(t *testing.T, seed uint64) *Trace {
+	t.Helper()
+	cfg := testConfig()
+	cfg.Horizon = 100
+	cfg.Session.Mean = 30
+	tr := mustGenerate(t, cfg, seed)
+	for i := range tr.Events {
+		tr.Events[i].T = math.Round(tr.Events[i].T*2) / 2
+	}
+	tr.Normalize()
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestCompositorMergeTail checks the in-place merge alone: a canonical
+// prefix and an arbitrary tail, ties between the two included, against
+// a full sort of the same events.
+func TestCompositorMergeTail(t *testing.T) {
+	rng := xrand.New(5)
+	for round := 0; round < 200; round++ {
+		prefix, tail := rng.Intn(40), rng.Intn(40)
+		tr := &Trace{}
+		for i := 0; i < prefix+tail; i++ {
+			tr.Events = append(tr.Events, Event{T: float64(rng.Intn(6)), Session: rng.Intn(8), Op: Op(rng.Intn(2))})
+		}
+		slices.SortFunc(tr.Events[:prefix], eventCmp)
+		want := fullSort(tr.Events)
+		tr.mergeTail(prefix)
+		if !slices.Equal(tr.Events, want) {
+			t.Fatalf("round %d (prefix %d, tail %d): merged %v, full sort gives %v", round, prefix, tail, tr.Events, want)
+		}
+	}
+}
+
+// TestCompositorCanonical composes a crowd, a failure and a partition at
+// instants that already hold events: each output must be what a full
+// sort of the same events gives, and valid.
+func TestCompositorCanonical(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		tr := tiedTrace(t, seed)
+		n := len(tr.Events)
+		split, crowd, fail := tr.Events[n/10].T, tr.Events[n/3].T, tr.Events[2*n/3].T
+		if !(split < crowd && crowd < fail) {
+			t.Fatalf("seed %d: fixture instants %g, %g, %g not increasing", seed, split, crowd, fail)
+		}
+		check := func(what string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, what, err)
+			}
+			if want := fullSort(tr.Events); !slices.Equal(tr.Events, want) {
+				t.Fatalf("seed %d: %s left the events out of canonical order", seed, what)
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("seed %d: after %s: %v", seed, what, err)
+			}
+		}
+		size := tr.SizeAt(crowd)
+		check("AddFlashCrowd", tr.AddFlashCrowd(crowd, 200, SessionDist{Kind: Exponential, Mean: 2}, xrand.New(seed+10)))
+		if got := tr.SizeAt(crowd); got != size+200 {
+			t.Fatalf("seed %d: size after the crowd %d, want %d", seed, got, size+200)
+		}
+		size = tr.SizeAt(fail)
+		check("AddMassFailure", tr.AddMassFailure(fail, 0.4, xrand.New(seed+11)))
+		if got, want := tr.SizeAt(fail), size-int(0.4*float64(size)); got != want {
+			t.Fatalf("seed %d: size after the failure %d, want %d", seed, got, want)
+		}
+		size = tr.SizeAt(split)
+		check("AddPartitionHeal", tr.AddPartitionHeal(split, crowd, 0.5, xrand.New(seed+12)))
+		if got, want := tr.SizeAt(split), size-int(0.5*float64(size)); got != want {
+			t.Fatalf("seed %d: size after the split %d, want %d", seed, got, want)
+		}
+	}
+}
+
+// TestCompositorMergesInPlace bounds what a crowd of 100k sessions on a
+// trace of a million events may allocate: the one growth of the event
+// slice (at most 1.2 times the events it ends up holding) and one copy
+// of the tail — two under the race detector, whose build materialises
+// the slice slices.Grow appends. A merge into a second slice would take
+// twice the events, not 1.2 times.
+func TestCompositorMergesInPlace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a million-event trace")
+	}
+	cfg := Config{Name: "big", Initial: 500_000, Horizon: 100, Session: SessionDist{Kind: Exponential, Mean: 100}}
+	tr, err := GenerateParallel(cfg, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events) < 900_000 {
+		t.Fatalf("fixture has only %d events", len(tr.Events))
+	}
+	before := len(tr.Events)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if err := tr.AddFlashCrowd(30, 100_000, SessionDist{Kind: Exponential, Mean: 5}, xrand.New(4)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	const eventBytes = uint64(unsafe.Sizeof(Event{}))
+	appended := uint64(len(tr.Events) - before)
+	budget := 12*uint64(len(tr.Events))*eventBytes/10 + 2*appended*eventBytes
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > budget {
+		t.Fatalf("AddFlashCrowd allocated %d bytes for %d appended events on %d; budget %d", got, appended, before, budget)
+	}
+	if !slices.IsSortedFunc(tr.Events, eventCmp) {
+		t.Fatal("events out of canonical order")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"p2psize/internal/xrand"
 )
@@ -197,8 +198,9 @@ func Generate(cfg Config, rng *xrand.Rand) (*Trace, error) {
 // AddFlashCrowd composes a flash crowd onto the trace: count sessions
 // join together at time at, with lifetimes drawn from d (flash-crowd
 // visitors typically stay briefly — pass a short-mean distribution).
-// New sessions are numbered after all existing ones; events are
-// re-normalized.
+// New sessions are numbered after all existing ones. Like the other
+// compositors it expects the events in canonical order (every generator
+// and reader leaves them so) and keeps them in it.
 func (t *Trace) AddFlashCrowd(at float64, count int, d SessionDist, rng *xrand.Rand) error {
 	if at < 0 || at > t.Horizon {
 		return fmt.Errorf("trace: flash crowd at t=%g outside [0, %g]", at, t.Horizon)
@@ -209,7 +211,8 @@ func (t *Trace) AddFlashCrowd(at float64, count int, d SessionDist, rng *xrand.R
 	if err := d.validate(); err != nil {
 		return err
 	}
-	next := t.Sessions()
+	next, from := t.Sessions(), len(t.Events)
+	t.Events = slices.Grow(t.Events, 2*count)
 	for i := 0; i < count; i++ {
 		t.Events = append(t.Events, Event{T: at, Session: next, Op: Join})
 		if end := at + d.Draw(rng); end < t.Horizon {
@@ -217,14 +220,14 @@ func (t *Trace) AddFlashCrowd(at float64, count int, d SessionDist, rng *xrand.R
 		}
 		next++
 	}
-	t.Normalize()
+	t.mergeTail(from)
 	return nil
 }
 
 // AddMassFailure composes a correlated failure onto the trace: the given
 // fraction of the sessions alive at time at leave at that instant
 // (their original departures, if any, are dropped). Victims are drawn
-// uniformly from the alive set via rng; events are re-normalized.
+// uniformly from the alive set via rng.
 func (t *Trace) AddMassFailure(at, fraction float64, rng *xrand.Rand) error {
 	if at < 0 || at > t.Horizon {
 		return fmt.Errorf("trace: mass failure at t=%g outside [0, %g]", at, t.Horizon)
@@ -250,13 +253,13 @@ func (t *Trace) AddMassFailure(at, fraction float64, rng *xrand.Rand) error {
 		}
 		kept = append(kept, ev)
 	}
-	t.Events = kept
+	t.Events = slices.Grow(kept, k)
 	for _, s := range alive {
 		if victims[s] {
 			t.Events = append(t.Events, Event{T: at, Session: s, Op: Leave})
 		}
 	}
-	t.Normalize()
+	t.mergeTail(len(kept))
 	return nil
 }
 
@@ -268,8 +271,7 @@ func (t *Trace) AddMassFailure(at, fraction float64, rng *xrand.Rand) error {
 // Sessions join at most once (Validate's rule), so each survivor
 // rejoins as a fresh session whose departure keeps the victim's original
 // schedule; victims that would have left during the window simply stay
-// gone. Victims are drawn uniformly from the alive set via rng; events
-// are re-normalized.
+// gone. Victims are drawn uniformly from the alive set via rng.
 func (t *Trace) AddPartitionHeal(splitAt, healAt, fraction float64, rng *xrand.Rand) error {
 	if splitAt < 0 || healAt > t.Horizon || splitAt >= healAt {
 		return fmt.Errorf("trace: partition window [%g, %g] outside [0, %g]", splitAt, healAt, t.Horizon)
@@ -297,7 +299,7 @@ func (t *Trace) AddPartitionHeal(splitAt, healAt, fraction float64, rng *xrand.R
 		}
 		kept = append(kept, ev)
 	}
-	t.Events = kept
+	t.Events = slices.Grow(kept, 3*k)
 	next := t.Sessions()
 	for _, s := range alive {
 		if !victims[s] {
@@ -314,6 +316,6 @@ func (t *Trace) AddPartitionHeal(splitAt, healAt, fraction float64, rng *xrand.R
 		}
 		next++
 	}
-	t.Normalize()
+	t.mergeTail(len(kept))
 	return nil
 }

@@ -22,7 +22,7 @@ package trace
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"p2psize/internal/parallel"
 	"p2psize/internal/xrand"
@@ -44,6 +44,18 @@ func eventLess(a, b Event) bool {
 		return a.Session < b.Session
 	}
 	return a.Op < b.Op
+}
+
+// eventCmp is eventLess three-way. Events that compare equal are the
+// same event, so an unstable sort by it has one possible result.
+func eventCmp(a, b Event) int {
+	switch {
+	case eventLess(a, b):
+		return -1
+	case eventLess(b, a):
+		return 1
+	}
+	return 0
 }
 
 // GenerateParallel builds a trace of the same workload model as
@@ -111,7 +123,7 @@ func GenerateParallel(cfg Config, seed uint64, workers int) (*Trace, error) {
 				out = append(out, Event{T: end, Session: s, Op: Leave})
 			}
 		}
-		sort.Slice(out, func(i, j int) bool { return eventLess(out[i], out[j]) })
+		slices.SortFunc(out, eventCmp)
 		return out, nil
 	})
 	if err != nil {

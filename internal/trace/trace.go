@@ -20,7 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"p2psize/internal/churn"
 )
@@ -74,12 +74,28 @@ type Trace struct {
 
 // Normalize sorts the events into the canonical (T, Session, Op) order
 // (eventLess — the same comparator the parallel generator's merge
-// uses). Generators and compositors call it before returning; callers
-// that build Events by hand should too.
-func (t *Trace) Normalize() {
-	sort.SliceStable(t.Events, func(i, j int) bool {
-		return eventLess(t.Events[i], t.Events[j])
-	})
+// uses). Generators and readers call it before returning; callers that
+// build Events by hand should too. Compositors keep the order with
+// mergeTail instead.
+func (t *Trace) Normalize() { slices.SortFunc(t.Events, eventCmp) }
+
+// mergeTail restores the canonical order after a compositor appended
+// Events[from:] to a prefix that already had it: the tail is sorted,
+// copied out and merged in from the back, in place — no sort of the
+// millions of events before it, no second slice of them.
+func (t *Trace) mergeTail(from int) {
+	tail := slices.Clone(t.Events[from:])
+	slices.SortFunc(tail, eventCmp)
+	i, j := from-1, len(tail)-1
+	for k := len(t.Events) - 1; j >= 0; k-- {
+		if i >= 0 && eventLess(tail[j], t.Events[i]) {
+			t.Events[k] = t.Events[i]
+			i--
+		} else {
+			t.Events[k] = tail[j]
+			j--
+		}
+	}
 }
 
 // Validate checks the structural invariants: positive horizon, events
