@@ -67,7 +67,7 @@ func main() {
 		runs     = flag.Int("runs", 5, "estimations per algorithm")
 		smooth   = flag.Bool("smooth", false, "apply the last10runs heuristic")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
-		workers  = flag.Int("workers", 0, "worker pool size for the estimation runs (0 = all CPUs, 1 = sequential); output is identical at any setting")
+		workers  = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential): estimation runs, or under -trace the replay groups and, inside each, the estimators due at a tick; output is identical at any setting")
 		shards   = flag.Int("shards", 0, "shard count for the sweep inside each Aggregation round (0 = auto-size; part of the output, unlike -workers)")
 		shuffle  = flag.String("shuffle", "global", "sweep-order randomization of the sharded rounds: \"global\" (frozen serial-shuffle draw order) or \"local\" (per-shard shuffles, no serial prefix); part of the output, like -shards")
 		replay   = flag.String("replay", "perinstance", "monitor replay layout: \"perinstance\" (one trace replay and clone per estimator) or \"shared\" (observe-only estimators on one cadence share a clone and replay); results are bit-identical either way, unlike -shards")

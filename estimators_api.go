@@ -242,6 +242,8 @@ func (w publicWrap) Estimate(o *overlay.Network) (float64, error) {
 // it makes one (a MutatesOverlay() bool method), and otherwise reports
 // true — an undeclared estimator is conservatively assumed to rewire
 // the overlay, which keeps it on a private clone in every replay mode.
+// Reporting false promises both that the overlay is only read and that
+// Estimate may run beside other observe-only estimators reading it.
 func (w publicWrap) MutatesOverlay() bool {
 	if w.observeOnly {
 		return false
@@ -282,11 +284,17 @@ type CustomEstimator struct {
 	SupportsMonitoring bool
 	// ObserveOnly declares that instances never rewire the overlay they
 	// estimate on, making them eligible for shared-replay grouping
-	// (MonitorOptions.Replay "shared"). The zero value is the safe
+	// (MonitorOptions.Replay "shared"). Members of a shared group
+	// estimate concurrently at each tick, each through its own *Network
+	// (own message meter) over the one overlay, so the promise includes
+	// being safe beside other observe-only estimators reading the same
+	// overlay: keep all mutable state on the instance, none in package
+	// variables shared between instances. The zero value is the safe
 	// conservative default: an undeclared family is assumed to mutate
 	// and always monitors on a private clone. Estimator types may
-	// equivalently implement MutatesOverlay() bool themselves, which
-	// also survives round trips through NewEstimatorByName.
+	// equivalently implement MutatesOverlay() bool themselves (returning
+	// false makes the same promise), which also survives round trips
+	// through NewEstimatorByName.
 	ObserveOnly bool
 	// New builds one instance; it must derive all randomness from seed
 	// (equal seeds, equal estimators) for the harness's determinism

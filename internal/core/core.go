@@ -34,7 +34,11 @@ type Estimator interface {
 // graph (rewire links, as a deployed cyclon-backed epidemic family
 // would) or only observe it (walks, polls, probes). Read-only
 // estimators can share one overlay clone — and one trace replay — per
-// cadence group in the monitor's shared-replay mode.
+// cadence group in the monitor's shared-replay mode, where the group's
+// members estimate concurrently at a tick, each on its own view. So
+// reporting false promises two things: Estimate only reads the graph,
+// and it is safe beside other read-only estimators reading the same
+// graph — all mutable state lives on the estimator instance.
 type OverlayMutator interface {
 	// MutatesOverlay reports whether Estimate mutates the overlay.
 	MutatesOverlay() bool
@@ -122,7 +126,7 @@ func RunStatic(e Estimator, net *overlay.Network, runs, lastK int) (*StaticResul
 		w.Add(est)
 		res.Estimates = append(res.Estimates, est)
 		res.Smoothed = append(res.Smoothed, w.Mean())
-		res.Overheads = append(res.Overheads, net.Counter().DiffTotal(snap))
+		res.Overheads = append(res.Overheads, net.Counter().Total()-snap.Total())
 	}
 	return res, nil
 }

@@ -128,6 +128,12 @@ type Estimator struct {
 	parent []graph.NodeID
 	stamp  []uint32
 	gen    uint32
+	// The spread's own scratch, indexed by node ID and cleared per poll
+	// (one byte per node), and its two round queues.
+	budget       []int8 // remaining gossip rounds
+	acts         []int8 // activations consumed
+	queued       []bool // already in next round's queue
+	active, next []graph.NodeID
 }
 
 // New builds an Estimator; it panics on invalid configuration.
@@ -181,9 +187,15 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 
 func (e *Estimator) resetScratch(numIDs int) {
 	if len(e.dist) < numIDs {
-		e.dist = make([]int32, numIDs)
-		e.parent = make([]graph.NodeID, numIDs)
-		e.stamp = make([]uint32, numIDs)
+		// Under churn every join adds an ID, so vectors sized to this
+		// poll would be re-made at the next one: leave a quarter spare.
+		n := numIDs + numIDs/4
+		e.dist = make([]int32, n)
+		e.parent = make([]graph.NodeID, n)
+		e.stamp = make([]uint32, n)
+		e.budget = make([]int8, n)
+		e.acts = make([]int8, n)
+		e.queued = make([]bool, n)
 		e.gen = 0
 	}
 	e.gen++
@@ -228,15 +240,14 @@ func (e *Estimator) spread(net *overlay.Network, initiator graph.NodeID) int {
 	// sender itself initiated, so it rides the established path. Benign
 	// policies answer false with zero extra draws.
 	pol := net.FaultPolicy()
-	numIDs := net.Graph().NumIDs()
-	budget := make([]int8, numIDs) // remaining gossip rounds
-	acts := make([]int8, numIDs)   // activations consumed
-	queued := make([]bool, numIDs) // already in next round's queue
+	budget, acts, queued := e.budget, e.acts, e.queued
+	clear(budget)
+	clear(acts)
+	clear(queued)
 	e.setDist(initiator, 0, graph.None)
 	budget[initiator] = int8(e.cfg.GossipFor)
 	acts[initiator] = 1
-	active := []graph.NodeID{initiator}
-	var next []graph.NodeID
+	active, next := append(e.active[:0], initiator), e.next
 	quiet := 0
 	rounds := 0
 	for len(active) > 0 && quiet < e.cfg.GossipUntil && rounds < e.cfg.maxRounds() {
@@ -307,6 +318,7 @@ func (e *Estimator) spread(net *overlay.Network, initiator graph.NodeID) int {
 			quiet = 0
 		}
 	}
+	e.active, e.next = active, next
 	return rounds
 }
 

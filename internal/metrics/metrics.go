@@ -87,12 +87,6 @@ func (c *Counter) Reset() { c.counts = [numKinds]uint64{} }
 // Snapshot returns a copy of the counter, for before/after deltas.
 func (c *Counter) Snapshot() Counter { return *c }
 
-// DiffTotal returns the total messages recorded since the snapshot was
-// taken.
-func (c *Counter) DiffTotal(snap Counter) uint64 {
-	return c.Total() - snap.Total()
-}
-
 // Diff returns per-kind messages recorded since the snapshot was taken.
 func (c *Counter) Diff(snap Counter) Counter {
 	var out Counter

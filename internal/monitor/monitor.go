@@ -22,8 +22,10 @@
 // under Config.Replay's shared mode — one per cadence group of
 // read-only estimators (see ReplayMode). Every group replays the
 // identical trace (the same contract as core.RunDynamicParallel) and
-// walks the same union grid, so results are byte-identical at every
-// worker count and in both replay modes.
+// walks the same union grid; inside a group the replay runs alone and
+// the members due at a tick then estimate concurrently on private
+// views of the clone. Results are byte-identical at every worker count
+// and in both replay modes.
 package monitor
 
 import (
@@ -396,6 +398,17 @@ func resolveSchedules(instances []Instance, cfg Config, horizon float64) (cadenc
 	return cadences, policies, schedules, nil
 }
 
+// splitWorkers divides the run's worker budget between the two levels
+// of RunScheduled: groups fan out on outer workers — one live clone
+// each — and every group forks its ticks on inner, so outer·inner never
+// exceeds the budget. The split is fixed for the run: a pure function
+// of (workers, groups), like everything else scheduling may depend on.
+func splitWorkers(workers, groups int) (outer, inner int) {
+	w := parallel.Resolve(workers)
+	outer = min(w, groups)
+	return outer, w / outer
+}
+
 // RunScheduled replays the trace on copy-on-write clones of net (net is
 // the shared immutable base; each clone pays only for the churn it
 // replays) and samples every instance on its own cadence. The result's
@@ -407,19 +420,34 @@ func resolveSchedules(instances []Instance, cfg Config, horizon float64) (cadenc
 // Instances map onto clones per Config.Replay: one clone and one
 // replay per instance by default, or — in shared mode — one per replay
 // group (read-only instances folded by cadence, mutating instances
-// alone; see replayGroups). Group members estimate sequentially at each
-// tick in instance order, and each member's traffic is metered as the
-// group counter's delta around its Estimate call, so Messages is
-// identical in both modes (the replay itself meters nothing).
+// alone; see replayGroups).
+//
+// A tick is a fork-join inside each group. player.AdvanceTo runs alone
+// on the clone — it is the only writer — and then every member due at
+// that tick estimates on its own clone.View(): the same paged graph, a
+// private metrics.Counter and a private fault-policy slot. A group has
+// two members only when all of them declare MutatesOverlay() == false,
+// which is what makes reading the one graph side by side safe; the
+// members run through parallel.Map and their results are folded into
+// smoothers and series serially in member order, so nothing depends on
+// which finished first. Messages[k] is the total of instance k's view
+// counter — identical in both replay modes, since the replay itself
+// meters nothing.
+//
+// The worker budget is split once (splitWorkers): groups fan out as
+// wide as the budget allows, so at most workers clones are alive at a
+// time, and each group's ticks fork on the share that is left. With
+// workers == 1, and in every singleton group, each Estimate runs inline
+// on the group's goroutine.
 //
 // newRNG must return a fresh, identically seeded generator on every
 // call (it drives the replay's join wiring), so all clones see the
 // identical membership trajectory; replay determinism makes the
 // trajectory independent of where an instance's schedule stops along
-// the way. The overlay itself is left unmutated and per-group message
-// counts are merged into its counter in group order (instance order in
-// the default mode). Output is byte-identical at every worker count and
-// in both replay modes.
+// the way. The overlay itself is left unmutated and the view counters
+// are merged into its counter in group order, members in instance
+// order. Output is byte-identical at every worker count and in both
+// replay modes.
 func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, cfg Config, newRNG func() *xrand.Rand, workers int) (*Result, error) {
 	cadences, policies, schedules, err := resolveSchedules(instances, cfg, tr.Horizon)
 	if err != nil {
@@ -427,6 +455,7 @@ func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, c
 	}
 	grid := unionGrid(schedules)
 	groups := replayGroups(instances, cadences, cfg.Replay)
+	groupWorkers, tickWorkers := splitWorkers(workers, len(groups))
 	type instOut struct {
 		raw       []float64
 		smoothed  []float64
@@ -434,14 +463,21 @@ func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, c
 		scheduled int
 		failures  int
 		restarts  int
-		messages  uint64
+		counter   *metrics.Counter
 	}
 	type groupOut struct {
 		trueSizes []float64
 		insts     []instOut // parallel to the group's member list
-		counter   *metrics.Counter
 	}
-	outs, err := parallel.Map(workers, len(groups), func(gi int) (groupOut, error) {
+	// estimate is one member's answer at one tick. An estimator's error
+	// is a counted failure of that member, not a failure of the run, so
+	// it travels as a value past parallel.Map's own error channel.
+	type estimate struct {
+		due   bool // the tick is on the member's own schedule
+		value float64
+		err   error
+	}
+	outs, err := parallel.Map(groupWorkers, len(groups), func(gi int) (groupOut, error) {
 		members := groups[gi]
 		clone := net.CloneCOW()
 		player, err := trace.NewPlayer(tr, clone)
@@ -449,35 +485,43 @@ func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, c
 			return groupOut{}, err
 		}
 		rng := newRNG()
-		counter := clone.Counter()
-		o := groupOut{counter: counter, insts: make([]instOut, len(members))}
+		o := groupOut{insts: make([]instOut, len(members))}
+		views := make([]*overlay.Network, len(members))
 		sms := make([]*smoother, len(members))
 		next := make([]int, len(members)) // cursors into each member's own schedule
 		for mi, k := range members {
+			views[mi] = clone.View()
+			o.insts[mi].counter = views[mi].Counter()
 			sms[mi] = newSmoother(policies[k])
 		}
 		for _, t := range grid {
 			player.AdvanceTo(clone, t, rng)
 			o.trueSizes = append(o.trueSizes, float64(clone.Size()))
-			for mi, k := range members {
+			// Fork: the clone is quiescent until the next AdvanceTo, and
+			// index mi touches only member mi's cursor, view and estimator.
+			ests, _ := parallel.Map(tickWorkers, len(members), func(mi int) (estimate, error) {
+				k := members[mi]
+				if sched := schedules[k]; next[mi] == len(sched) || sched[next[mi]] != t {
+					return estimate{}, nil
+				}
+				next[mi]++
+				v, err := instances[k].Estimator.Estimate(views[mi])
+				return estimate{due: true, value: v, err: err}, nil
+			})
+			// Join: fold in member order.
+			for mi, e := range ests {
 				m := &o.insts[mi]
-				sched := schedules[k]
-				due := next[mi] < len(sched) && sched[next[mi]] == t
-				if !due {
+				switch {
+				case !e.due:
 					m.raw = append(m.raw, math.NaN())
-				} else {
-					next[mi]++
+				case e.err != nil:
 					m.scheduled++
-					before := counter.Snapshot()
-					est, err := instances[k].Estimator.Estimate(clone)
-					m.messages += counter.DiffTotal(before)
-					if err != nil {
-						m.failures++
-						m.raw = append(m.raw, math.NaN())
-					} else {
-						sms[mi].add(est, t)
-						m.raw = append(m.raw, est)
-					}
+					m.failures++
+					m.raw = append(m.raw, math.NaN())
+				default:
+					m.scheduled++
+					sms[mi].add(e.value, t)
+					m.raw = append(m.raw, e.value)
 				}
 				served, stale := sms[mi].current(t)
 				m.smoothed = append(m.smoothed, served)
@@ -529,9 +573,9 @@ func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, c
 			res.Staleness[k] = m.staleness
 			res.Failures[k] = m.failures
 			res.Restarts[k] = m.restarts
-			res.Messages[k] = m.messages
+			res.Messages[k] = m.counter.Total()
+			net.Counter().Merge(m.counter)
 		}
-		net.Counter().Merge(o.counter)
 	}
 	return res, nil
 }

@@ -19,9 +19,11 @@ const (
 	// reports false) that sample on the same cadence onto one COW
 	// clone with one trace.Player — one replay per cadence group
 	// instead of per instance, cutting replay work and clone memory
-	// from O(instances) to O(groups). Observing estimators cannot
-	// perturb the overlay, so every series is bit-equal to
-	// ReplayPerInstance; mutating instances keep private clones in
+	// from O(instances) to O(groups). At a tick the group's members
+	// estimate side by side, each on its own view of the clone (its own
+	// counter and fault-policy slot); observing estimators can perturb
+	// neither the overlay nor each other, so every series is bit-equal
+	// to ReplayPerInstance. Mutating instances keep private clones in
 	// both modes.
 	ReplayShared
 )
@@ -58,9 +60,11 @@ func ParseReplayMode(s string) (ReplayMode, error) {
 // cadences produce bit-equal schedules, so every member is due at
 // exactly the same ticks); estimators that mutate the overlay — or do
 // not declare the core.OverlayMutator capability — stay in singleton
-// groups. Groups are ordered by first-member index and members keep
-// instance order, so the merge of per-group counters into the base
-// overlay's counter is deterministic.
+// groups. A group of two or more therefore holds read-only estimators
+// alone, which is what lets RunScheduled run its members concurrently
+// at a tick. Groups are ordered by first-member index and members keep
+// instance order, so the merge of the members' view counters into the
+// base overlay's counter is deterministic.
 func replayGroups(instances []Instance, cadences []float64, mode ReplayMode) [][]int {
 	groups := make([][]int, 0, len(instances))
 	if mode != ReplayShared {

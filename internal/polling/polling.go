@@ -51,6 +51,11 @@ func (c *Config) validate() error {
 type Estimator struct {
 	cfg Config
 	rng *xrand.Rand
+
+	// Flood scratch kept across estimations: hop distances by node ID
+	// and the BFS queue, both a million entries at paper scale.
+	dist  []int32
+	queue []graph.NodeID
 }
 
 // New builds an Estimator; it panics on invalid configuration.
@@ -106,15 +111,19 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	// the initiator's probe established. Benign policies answer false
 	// with zero extra draws.
 	pol := net.FaultPolicy()
-	dist := make([]int32, g.NumIDs())
+	if n := g.NumIDs(); len(e.dist) < n {
+		// Under churn every join adds an ID, so a vector sized to this
+		// poll would be re-made at the next one: leave a quarter spare.
+		e.dist = make([]int32, n+n/4)
+	}
+	dist := e.dist
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[initiator] = 0
-	queue := []graph.NodeID{initiator}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := append(e.queue[:0], initiator)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, v := range g.Neighbors(u) {
 			net.SendTo(v, metrics.KindGossipSpread)
 			if pol != nil && pol.Unreachable(v) {
@@ -126,6 +135,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 			}
 		}
 	}
+	e.queue = queue
 	// Probabilistic replies.
 	total := 1.0
 	p := e.cfg.ResponseProb

@@ -31,10 +31,30 @@ type Rand struct {
 	hi, lo uint64
 }
 
+// cacheLine is the granule at which cores invalidate each other's
+// writes on the machines the simulator runs on.
+const cacheLine = 64
+
+// alloc returns a heap generator that shares its cache line with no
+// other: the state heads an object one line long, so two generators
+// are never less than a line apart. A bare 16-byte Rand shares its
+// line with up to three neighbours — typically the generators of the
+// estimators built right after it — and once the owners draw on
+// different cores the line bounces between them at every draw, by an
+// amount that depends on where the heap happened to put them in that
+// process.
+func alloc(hi, lo uint64) *Rand {
+	p := &struct {
+		Rand
+		_ [cacheLine - 16]byte
+	}{Rand: Rand{hi: hi, lo: lo}}
+	return &p.Rand
+}
+
 // New returns a generator seeded with seed. Two generators built from the
 // same seed produce identical streams.
 func New(seed uint64) *Rand {
-	r := &Rand{}
+	r := alloc(0, 0)
 	r.Seed(seed)
 	return r
 }
@@ -57,10 +77,10 @@ func (r *Rand) Seed(seed uint64) {
 // one stream per run index this way: the draws of run i are fixed by
 // (seed, i) alone, independent of worker count and scheduling.
 func NewStream(seed, stream uint64) *Rand {
-	r := &Rand{
-		hi: splitmix64(seed ^ splitmix64(stream+0x632be59bd9b4e019)),
-		lo: splitmix64(seed + 0x9e3779b97f4a7c15 + splitmix64(stream)),
-	}
+	r := alloc(
+		splitmix64(seed^splitmix64(stream+0x632be59bd9b4e019)),
+		splitmix64(seed+0x9e3779b97f4a7c15+splitmix64(stream)),
+	)
 	r.Uint64()
 	r.Uint64()
 	return r
@@ -90,10 +110,8 @@ func (r *Rand) Uint64() uint64 {
 // Split returns a new generator whose stream is statistically independent
 // of r's. It draws entropy from r, so Split is itself deterministic.
 func (r *Rand) Split() *Rand {
-	s := &Rand{
-		hi: splitmix64(r.Uint64()),
-		lo: splitmix64(r.Uint64()),
-	}
+	hi := splitmix64(r.Uint64())
+	s := alloc(hi, splitmix64(r.Uint64()))
 	s.Uint64()
 	return s
 }

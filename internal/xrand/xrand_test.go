@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -66,6 +67,21 @@ func TestSplitDeterminism(t *testing.T) {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("Split is not deterministic")
 		}
+	}
+}
+
+// Generators built back to back are handed to estimators that draw on
+// different cores; none may share a cache line with another.
+func TestHeapGeneratorsOwnTheirCacheLine(t *testing.T) {
+	r := New(1)
+	gens := []*Rand{r, New(2), NewStream(3, 0), NewStream(3, 1), r.Split(), r.Split()}
+	lines := make(map[uintptr]int)
+	for i, g := range gens {
+		line := uintptr(unsafe.Pointer(g)) / cacheLine
+		if j, taken := lines[line]; taken {
+			t.Fatalf("generators %d and %d share cache line %#x", j, i, line*cacheLine)
+		}
+		lines[line] = i
 	}
 }
 

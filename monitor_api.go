@@ -64,8 +64,12 @@ type MonitorOptions struct {
 	// private clone. Both spellings produce bit-identical results; see
 	// Groups for the mapping the run actually used.
 	Replay string
-	// Workers caps the pool that fans estimator instances across cores
-	// (0 = all CPUs); output is identical at every setting.
+	// Workers is the run's goroutine budget (0 = all CPUs): replay
+	// groups fan out min(Workers, groups) wide, so at most Workers
+	// overlay clones are alive at a time, and the members of each group
+	// estimate concurrently at a tick on the share that is left. 1 runs
+	// everything inline on the caller's goroutine. Output is identical
+	// at every setting.
 	Workers int
 }
 
@@ -168,12 +172,14 @@ func (r *MonitorResult) String() string {
 	return b.String()
 }
 
-// RunMonitor replays the trace on a per-estimator clone of net and
-// samples every estimator each opts.Cadence time units under the chosen
-// smoothing policy. The network must hold exactly tr.InitialNodes()
-// peers. Instances fan out across a worker pool; equal seeds give
-// byte-identical results at every worker count. The network itself is
-// left unmutated, with all metered traffic merged into Messages().
+// RunMonitor replays the trace on a per-estimator clone of net (or,
+// under opts.Replay "shared", one clone per group of observe-only
+// estimators) and samples every estimator each opts.Cadence time units
+// under the chosen smoothing policy. The network must hold exactly
+// tr.InitialNodes() peers. Groups fan out across a worker pool and the
+// members of a group estimate concurrently at each tick; equal seeds
+// give byte-identical results at every worker count. The network itself
+// is left unmutated, with all metered traffic merged into Messages().
 func RunMonitor(net *Network, tr *Trace, estimators []Estimator, opts MonitorOptions) (*MonitorResult, error) {
 	if len(estimators) == 0 {
 		return nil, errors.New("p2psize: RunMonitor needs at least one estimator")
