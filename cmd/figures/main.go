@@ -32,7 +32,6 @@ import (
 
 	"p2psize/internal/experiments"
 	"p2psize/internal/fault"
-	"p2psize/internal/monitor"
 	"p2psize/internal/parallel"
 	"p2psize/internal/plot"
 	"p2psize/internal/prof"
@@ -50,8 +49,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential); output is identical at any setting")
 		shards     = flag.Int("shards", 0, "shard count for the intra-round Aggregation/CYCLON sweeps (0 = auto-size; part of the output, unlike -workers)")
 		shuffle    = flag.String("shuffle", "global", "sweep-order randomization of the sharded rounds: \"global\" (frozen serial-shuffle draw order) or \"local\" (per-shard shuffles, no serial prefix); part of the output, like -shards")
-		replay     = flag.String("replay", "perinstance", "replay layout of the trace-* monitoring experiments: \"perinstance\" (one trace replay and clone per estimator) or \"shared\" (observe-only estimators on one cadence share a clone and replay); results are bit-identical either way, unlike -shards")
-		costModel  = flag.String("costmodel", "BENCH_results.json", "suite report supplying measured wall times for longest-job-first scheduling (missing file = static fallback)")
 		ascii      = flag.Bool("ascii", true, "print ASCII previews")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		traceFile  = flag.String("tracefile", "", "also run the continuous monitor on this empirical churn trace (.json or .csv, optionally .gz), reported as experiment trace-file")
@@ -90,12 +87,6 @@ func main() {
 		fatal(fmt.Errorf("-shuffle: %w", err))
 	}
 	params.Shuffle = mode
-	rmode, err := monitor.ParseReplayMode(*replay)
-	if err != nil {
-		fatal(fmt.Errorf("-replay: %w", err))
-	}
-	params.Replay = rmode
-	params.CostModel = experiments.LoadCostModel(*costModel)
 	if *estimators != "" {
 		roster, err := registry.Parse(*estimators)
 		if err != nil {

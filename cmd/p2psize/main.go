@@ -46,7 +46,6 @@ import (
 	"strings"
 
 	"p2psize"
-	"p2psize/internal/monitor"
 	"p2psize/internal/parallel"
 	"p2psize/internal/prof"
 	"p2psize/internal/registry"
@@ -70,7 +69,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential): estimation runs, or under -trace the replay groups and, inside each, the estimators due at a tick; output is identical at any setting")
 		shards   = flag.Int("shards", 0, "shard count for the sweep inside each Aggregation round (0 = auto-size; part of the output, unlike -workers)")
 		shuffle  = flag.String("shuffle", "global", "sweep-order randomization of the sharded rounds: \"global\" (frozen serial-shuffle draw order) or \"local\" (per-shard shuffles, no serial prefix); part of the output, like -shards")
-		replay   = flag.String("replay", "perinstance", "monitor replay layout: \"perinstance\" (one trace replay and clone per estimator) or \"shared\" (observe-only estimators on one cadence share a clone and replay); results are bit-identical either way, unlike -shards")
 
 		estSel = flag.String("estimators", "", "select algorithms from the estimator registry (comma-separated names/aliases, \"all\", \"default\", or \"list\" to print the catalog); overrides -algo")
 
@@ -112,9 +110,6 @@ func main() {
 	}
 	if _, err := parallel.ParseShuffleMode(*shuffle); err != nil {
 		fatal(fmt.Errorf("-shuffle: %w", err))
-	}
-	if _, err := monitor.ParseReplayMode(*replay); err != nil {
-		fatal(fmt.Errorf("-replay: %w", err))
 	}
 	// Split the CPU budget between the run-level fan-out and the sweep
 	// inside each Aggregation round, mirroring the experiments layer:
@@ -165,7 +160,7 @@ func main() {
 			traceSpec: *traceSpec, topo: topo, maxDeg: *maxDeg, nodes: *nodes,
 			horizon: *horizon, cadence: baseCadence, cadences: perCadence,
 			policy: *policy, window: *window, alpha: *alpha, restart: *restart,
-			replay: *replay, saveTrace: *saveTrace, seed: *seed, workers: *workers,
+			saveTrace: *saveTrace, seed: *seed, workers: *workers,
 			faults: fopts,
 		}, specs); err != nil {
 			fatal(err)

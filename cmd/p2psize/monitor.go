@@ -25,14 +25,11 @@ type monitorOpts struct {
 	// cadences holds per-estimator overrides keyed by canonical
 	// registry family (from the -cadence name=value spec); families
 	// not listed sample every cadence time units.
-	cadences map[string]float64
-	policy   string
-	window   int
-	alpha    float64
-	restart  float64
-	// replay is the -replay layout ("perinstance"/"shared"); validated
-	// in main, bit-identical results either way.
-	replay    string
+	cadences  map[string]float64
+	policy    string
+	window    int
+	alpha     float64
+	restart   float64
 	saveTrace string
 	seed      uint64
 	workers   int
@@ -223,7 +220,6 @@ func runMonitor(o monitorOpts, specs []estimatorSpec) error {
 		Alpha:       o.alpha,
 		RestartJump: o.restart,
 		ReplaySeed:  o.seed + 1003,
-		Replay:      o.replay,
 		Workers:     o.workers,
 	})
 	if err != nil {

@@ -41,8 +41,8 @@ type EstimatorInfo struct {
 	SupportsTransport bool
 	// MutatesOverlay marks families whose instances may rewire the
 	// overlay while estimating (the cyclon-backed gossip families).
-	// Observe-only families (false) are eligible for shared-replay
-	// grouping under MonitorOptions.Replay "shared".
+	// Observe-only families (false) are eligible for RunMonitor's
+	// shared-replay grouping.
 	MutatesOverlay bool
 }
 
@@ -241,7 +241,7 @@ func (w publicWrap) Estimate(o *overlay.Network) (float64, error) {
 // MutatesOverlay forwards the public estimator's own declaration when
 // it makes one (a MutatesOverlay() bool method), and otherwise reports
 // true — an undeclared estimator is conservatively assumed to rewire
-// the overlay, which keeps it on a private clone in every replay mode.
+// the overlay, which keeps it on a private clone.
 // Reporting false promises both that the overlay is only read and that
 // Estimate may run beside other observe-only estimators reading it.
 func (w publicWrap) MutatesOverlay() bool {
@@ -283,8 +283,8 @@ type CustomEstimator struct {
 	SupportsDynamic    bool
 	SupportsMonitoring bool
 	// ObserveOnly declares that instances never rewire the overlay they
-	// estimate on, making them eligible for shared-replay grouping
-	// (MonitorOptions.Replay "shared"). Members of a shared group
+	// estimate on, making them eligible for RunMonitor's shared-replay
+	// grouping (see MonitorResult.Groups). Members of a shared group
 	// estimate concurrently at each tick, each through its own *Network
 	// (own message meter) over the one overlay, so the promise includes
 	// being safe beside other observe-only estimators reading the same

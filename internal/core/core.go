@@ -8,14 +8,11 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"p2psize/internal/churn"
 	"p2psize/internal/overlay"
 	"p2psize/internal/stats"
-	"p2psize/internal/xrand"
 )
 
 // Estimator is the contract shared by the three candidates: one call
@@ -100,37 +97,6 @@ func (r *StaticResult) MeanOverhead() float64 {
 	return sum / float64(len(r.Overheads))
 }
 
-// RunStatic performs runs consecutive estimations on the (unchanging)
-// overlay, recording raw estimates, lastK smoothing and per-run overhead.
-func RunStatic(e Estimator, net *overlay.Network, runs, lastK int) (*StaticResult, error) {
-	if runs < 1 {
-		return nil, errors.New("core: RunStatic needs runs >= 1")
-	}
-	if lastK < 1 {
-		lastK = LastK
-	}
-	res := &StaticResult{
-		Name:      e.Name(),
-		TrueSize:  net.Size(),
-		Estimates: make([]float64, 0, runs),
-		Smoothed:  make([]float64, 0, runs),
-		Overheads: make([]uint64, 0, runs),
-	}
-	w := stats.NewWindow(lastK)
-	for i := 0; i < runs; i++ {
-		snap := net.Counter().Snapshot()
-		est, err := e.Estimate(net)
-		if err != nil {
-			return nil, fmt.Errorf("core: run %d of %s: %w", i, e.Name(), err)
-		}
-		w.Add(est)
-		res.Estimates = append(res.Estimates, est)
-		res.Smoothed = append(res.Smoothed, w.Mean())
-		res.Overheads = append(res.Overheads, net.Counter().Total()-snap.Total())
-	}
-	return res, nil
-}
-
 // DynamicConfig drives estimators against a churning overlay.
 type DynamicConfig struct {
 	// Scenario is the churn workload; its TotalSteps set the horizon.
@@ -160,56 +126,6 @@ type DynamicResult struct {
 	Estimates [][]float64
 	// Failures[k] counts instance k's failed estimations.
 	Failures []int
-}
-
-// RunDynamic applies the scenario step by step and has every instance
-// produce an estimate each EstimateEvery steps. Instances run against the
-// same overlay trajectory, like the three "Estimation #" curves in the
-// paper's dynamic figures. Estimation failures record NaN and the run
-// continues — precisely the regime (fragmented, shrunken overlays) the
-// dynamic comparison is about.
-func RunDynamic(instances []Estimator, net *overlay.Network, cfg DynamicConfig, rng *xrand.Rand) (*DynamicResult, error) {
-	if len(instances) == 0 {
-		return nil, errors.New("core: RunDynamic needs at least one estimator")
-	}
-	if cfg.EstimateEvery < 1 {
-		cfg.EstimateEvery = 1
-	}
-	res := &DynamicResult{
-		Names:     make([]string, len(instances)),
-		Estimates: make([][]float64, len(instances)),
-		Failures:  make([]int, len(instances)),
-	}
-	windows := make([]*stats.Window, len(instances))
-	for k, e := range instances {
-		res.Names[k] = e.Name()
-		if cfg.SmoothLastK > 1 {
-			windows[k] = stats.NewWindow(cfg.SmoothLastK)
-		}
-	}
-	runner := churn.NewRunner(cfg.Scenario, rng)
-	for step := 0; step < cfg.Scenario.TotalSteps; step++ {
-		runner.Step(net, step)
-		if (step+1)%cfg.EstimateEvery != 0 {
-			continue
-		}
-		res.Steps = append(res.Steps, float64(step+1))
-		res.TrueSizes = append(res.TrueSizes, float64(net.Size()))
-		for k, e := range instances {
-			est, err := e.Estimate(net)
-			if err != nil {
-				res.Failures[k]++
-				res.Estimates[k] = append(res.Estimates[k], math.NaN())
-				continue
-			}
-			if windows[k] != nil {
-				windows[k].Add(est)
-				est = windows[k].Mean()
-			}
-			res.Estimates[k] = append(res.Estimates[k], est)
-		}
-	}
-	return res, nil
 }
 
 // TrackingError summarizes how well instance k tracked the true size:

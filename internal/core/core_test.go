@@ -38,10 +38,23 @@ func (f *fakeEstimator) Estimate(net *overlay.Network) (float64, error) {
 	return f.vals[idx%len(f.vals)], nil
 }
 
+// runStatic drives one stateful estimator through RunStaticParallel on a
+// single worker: the runs execute in index order, so a scripted
+// estimator sees them as consecutive calls.
+func runStatic(e Estimator, net *overlay.Network, runs, lastK int) (*StaticResult, error) {
+	return RunStaticParallel(func(int) Estimator { return e }, net, runs, lastK, 1)
+}
+
+// runDynamic is RunDynamicParallel on a single worker with a fixed
+// churn seed.
+func runDynamic(instances []Estimator, net *overlay.Network, cfg DynamicConfig, seed uint64) (*DynamicResult, error) {
+	return RunDynamicParallel(instances, net, cfg, func() *xrand.Rand { return xrand.New(seed) }, 1)
+}
+
 func TestRunStaticSmoothingAndOverhead(t *testing.T) {
 	net := hetNet(100, 1)
 	fe := &fakeEstimator{name: "fake", vals: []float64{80, 120, 100}, cost: 7}
-	res, err := RunStatic(fe, net, 6, 3)
+	res, err := runStatic(fe, net, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +84,7 @@ func TestRunStaticSmoothingAndOverhead(t *testing.T) {
 func TestRunStaticQualityPct(t *testing.T) {
 	net := hetNet(200, 2)
 	fe := &fakeEstimator{name: "fake", vals: []float64{100, 300}}
-	res, err := RunStatic(fe, net, 2, 10)
+	res, err := runStatic(fe, net, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +102,14 @@ func TestRunStaticPropagatesError(t *testing.T) {
 	net := hetNet(10, 3)
 	boom := errors.New("boom")
 	fe := &fakeEstimator{name: "fake", vals: []float64{1}, errs: []error{nil, boom}}
-	if _, err := RunStatic(fe, net, 5, 10); !errors.Is(err, boom) {
+	if _, err := runStatic(fe, net, 5, 10); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestRunStaticValidation(t *testing.T) {
 	net := hetNet(10, 4)
-	if _, err := RunStatic(&fakeEstimator{name: "f", vals: []float64{1}}, net, 0, 10); err == nil {
+	if _, err := runStatic(&fakeEstimator{name: "f", vals: []float64{1}}, net, 0, 10); err == nil {
 		t.Fatal("runs=0 accepted")
 	}
 }
@@ -105,7 +118,7 @@ func TestRunStaticWithRealEstimator(t *testing.T) {
 	const n = 1000
 	net := hetNet(n, 5)
 	e := samplecollide.New(samplecollide.Config{T: 10, L: 30}, xrand.New(6))
-	res, err := RunStatic(e, net, 15, LastK)
+	res, err := runStatic(e, net, 15, LastK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +141,7 @@ func TestRunDynamicTracksTrueSize(t *testing.T) {
 		Scenario:      churn.Growing(n, 50, 0.5),
 		EstimateEvery: 1,
 	}
-	res, err := RunDynamic([]Estimator{perfect}, net, cfg, xrand.New(8))
+	res, err := runDynamic([]Estimator{perfect}, net, cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +172,7 @@ func (perfectEstimator) Estimate(net *overlay.Network) (float64, error) {
 func TestRunDynamicEstimateEvery(t *testing.T) {
 	net := hetNet(100, 9)
 	cfg := DynamicConfig{Scenario: churn.Static(40), EstimateEvery: 10}
-	res, err := RunDynamic([]Estimator{perfectEstimator{}}, net, cfg, xrand.New(10))
+	res, err := runDynamic([]Estimator{perfectEstimator{}}, net, cfg, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +188,7 @@ func TestRunDynamicSmoothing(t *testing.T) {
 	net := hetNet(100, 11)
 	fe := &fakeEstimator{name: "alt", vals: []float64{50, 150}}
 	cfg := DynamicConfig{Scenario: churn.Static(6), EstimateEvery: 1, SmoothLastK: 2}
-	res, err := RunDynamic([]Estimator{fe}, net, cfg, xrand.New(12))
+	res, err := runDynamic([]Estimator{fe}, net, cfg, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +208,7 @@ func TestRunDynamicFailuresBecomeNaN(t *testing.T) {
 	boom := errors.New("fragmented")
 	fe := &fakeEstimator{name: "flaky", vals: []float64{100}, errs: []error{nil, boom}}
 	cfg := DynamicConfig{Scenario: churn.Static(4), EstimateEvery: 1}
-	res, err := RunDynamic([]Estimator{fe}, net, cfg, xrand.New(14))
+	res, err := runDynamic([]Estimator{fe}, net, cfg, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +226,7 @@ func TestRunDynamicFailuresBecomeNaN(t *testing.T) {
 
 func TestRunDynamicNoEstimators(t *testing.T) {
 	net := hetNet(10, 15)
-	if _, err := RunDynamic(nil, net, DynamicConfig{Scenario: churn.Static(1)}, xrand.New(16)); err == nil {
+	if _, err := runDynamic(nil, net, DynamicConfig{Scenario: churn.Static(1)}, 16); err == nil {
 		t.Fatal("empty instance list accepted")
 	}
 }

@@ -1,8 +1,11 @@
-// Parallel run loops: the deterministic fan-out counterparts of RunStatic
-// and RunDynamic. Both produce results that are byte-identical at every
-// worker count; RunDynamicParallel is additionally byte-identical to the
-// sequential RunDynamic it replaces (asserted in tests), because each
-// instance replays the same churn trajectory on its own overlay clone.
+// The run loops: repeated estimations on a static overlay and concurrent
+// estimation instances over a churn scenario, fanned out on the
+// deterministic worker pool. Both produce results that are
+// byte-identical at every worker count; RunDynamicParallel is
+// additionally byte-identical to a sequential loop that steps one
+// overlay and polls the instances in turn (the reference in
+// parallel_test.go), because each instance replays the same churn
+// trajectory on its own overlay clone.
 package core
 
 import (
@@ -24,8 +27,8 @@ import (
 // (e.g. via xrand.NewStream) — and its own metering view, so the result
 // depends only on (overlay, run index), never on scheduling.
 //
-// Unlike RunStatic, where one estimator's rng threads through all runs,
-// runs here are statistically independent streams; the lastK smoothing is
+// Runs are statistically independent streams rather than one
+// estimator's rng threading through all of them; the lastK smoothing is
 // applied to the collected estimates in run order, preserving the paper's
 // heuristic exactly. Per-run message counts are merged into the overlay's
 // counter in run order afterwards.
@@ -70,16 +73,20 @@ func RunStaticParallel(newEstimator func(run int) Estimator, net *overlay.Networ
 	return res, nil
 }
 
-// RunDynamicParallel is RunDynamic with the estimation instances fanned
-// out across workers. Each instance gets its own copy-on-write clone of
-// the overlay (the overlay is the shared immutable base; each clone
-// pays only for the churn it replays) and its own churn runner built
-// from newRNG — which must return a fresh, identically seeded generator
-// on every call — so all clones replay the exact same trajectory and
-// instance k's estimates are what it would have produced in the
-// sequential interleaving. Per-instance message counts are merged into
-// the overlay's counter in instance order; the overlay itself is left
-// unmutated.
+// RunDynamicParallel applies the scenario step by step and has every
+// instance produce an estimate each EstimateEvery steps, like the three
+// "Estimation #" curves in the paper's dynamic figures, with the
+// instances fanned out across workers. Estimation failures record NaN
+// and the run continues — precisely the regime (fragmented, shrunken
+// overlays) the dynamic comparison is about. Each instance gets its own
+// copy-on-write clone of the overlay (the overlay is the shared
+// immutable base; each clone pays only for the churn it replays) and
+// its own churn runner built from newRNG — which must return a fresh,
+// identically seeded generator on every call — so all clones replay the
+// exact same trajectory and instance k's estimates are what it would
+// have produced in the sequential interleaving. Per-instance message
+// counts are merged into the overlay's counter in instance order; the
+// overlay itself is left unmutated.
 func RunDynamicParallel(instances []Estimator, net *overlay.Network, cfg DynamicConfig, newRNG func() *xrand.Rand, workers int) (*DynamicResult, error) {
 	if len(instances) == 0 {
 		return nil, errors.New("core: RunDynamicParallel needs at least one estimator")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"p2psize/internal/hopssampling"
 	"p2psize/internal/overlay"
 	"p2psize/internal/samplecollide"
+	"p2psize/internal/stats"
 	"p2psize/internal/xrand"
 )
 
@@ -101,8 +103,55 @@ func TestRunStaticParallelPropagatesLowestRunError(t *testing.T) {
 	}
 }
 
+// runDynamicSequential is the reference RunDynamicParallel is compared
+// against: one overlay, mutated in place step by step, every instance
+// polled in turn on it each EstimateEvery steps.
+func runDynamicSequential(instances []Estimator, net *overlay.Network, cfg DynamicConfig, rng *xrand.Rand) (*DynamicResult, error) {
+	if len(instances) == 0 {
+		return nil, errors.New("core: needs at least one estimator")
+	}
+	if cfg.EstimateEvery < 1 {
+		cfg.EstimateEvery = 1
+	}
+	res := &DynamicResult{
+		Names:     make([]string, len(instances)),
+		Estimates: make([][]float64, len(instances)),
+		Failures:  make([]int, len(instances)),
+	}
+	windows := make([]*stats.Window, len(instances))
+	for k, e := range instances {
+		res.Names[k] = e.Name()
+		if cfg.SmoothLastK > 1 {
+			windows[k] = stats.NewWindow(cfg.SmoothLastK)
+		}
+	}
+	runner := churn.NewRunner(cfg.Scenario, rng)
+	for step := 0; step < cfg.Scenario.TotalSteps; step++ {
+		runner.Step(net, step)
+		if (step+1)%cfg.EstimateEvery != 0 {
+			continue
+		}
+		res.Steps = append(res.Steps, float64(step+1))
+		res.TrueSizes = append(res.TrueSizes, float64(net.Size()))
+		for k, e := range instances {
+			est, err := e.Estimate(net)
+			if err != nil {
+				res.Failures[k]++
+				res.Estimates[k] = append(res.Estimates[k], math.NaN())
+				continue
+			}
+			if windows[k] != nil {
+				windows[k].Add(est)
+				est = windows[k].Mean()
+			}
+			res.Estimates[k] = append(res.Estimates[k], est)
+		}
+	}
+	return res, nil
+}
+
 // TestRunDynamicParallelMatchesSequential pins the strongest guarantee:
-// the parallel clone-replay engine reproduces RunDynamic bit for bit,
+// the parallel clone-replay engine reproduces the sequential loop bit for bit,
 // because every instance sees the identical overlay trajectory and its
 // own rng consumes the same draws as in the sequential interleaving.
 func TestRunDynamicParallelMatchesSequential(t *testing.T) {
@@ -120,7 +169,7 @@ func TestRunDynamicParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	seqNet := parallelTestNet(n, 6)
-	seq, err := RunDynamic(build(), seqNet, cfg, xrand.New(55))
+	seq, err := runDynamicSequential(build(), seqNet, cfg, xrand.New(55))
 	if err != nil {
 		t.Fatal(err)
 	}

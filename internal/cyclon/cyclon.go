@@ -352,9 +352,8 @@ func (p *Protocol) completeShuffle(id, q graph.NodeID, rng *xrand.Rand) {
 // Membership is checked by scanning the view directly: views hold at
 // most ViewSize (~8) entries, where a linear pass over the live slice
 // beats building a map — the map was one allocation per exchange, the
-// dominant allocation of a shuffle round (visible in the
-// BenchmarkCyclonRound profiles), and scanning the mutating view needs
-// no bookkeeping to stay exact.
+// dominant allocation of a shuffle round, and scanning the mutating
+// view needs no bookkeeping to stay exact.
 func (p *Protocol) merge(owner graph.NodeID, view, received, sent []entry) []entry {
 	for _, e := range received {
 		if e.node == owner || containsNode(view, e.node) {

@@ -73,18 +73,18 @@ func figuresEqual(a, b *Figure) error {
 // fig03 Hops, fig05 Aggregation), every dynamic shape (fig09 S&C churn,
 // fig12 Hops churn, fig15 epoch-restarted Aggregation), Table I, and —
 // with Shards forced to 4 — the sharded Aggregation/CYCLON round paths
-// (perf-*-shard, ext-cyclon) including their cross-shard fix-up passes.
+// (fig05, ext-cyclon) including their cross-shard fix-up passes.
 func TestWorkerCountInvariance(t *testing.T) {
 	ids := []string{"fig01", "fig03", "fig05", "fig09", "fig12", "fig15", "table1",
 		"trace-weibull", "trace-diurnal", "trace-flashcrowd", "trace-ipfs",
-		"perf-agg-shard", "perf-cyclon-shard", "ext-cyclon",
+		"ext-cyclon",
 		// The PR-5 families: static-new covers their run-indexed static
 		// streams (including push-sum's sharded sweeps at Shards=4),
 		// trace-ipfs-all their per-instance monitoring streams.
 		"static-new", "trace-ipfs-all"}
 	if testing.Short() {
 		ids = []string{"fig01", "fig12", "table1", "trace-flashcrowd",
-			"perf-agg-shard", "perf-cyclon-shard", "static-new"}
+			"fig05", "ext-cyclon", "static-new"}
 	}
 	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {

@@ -19,7 +19,6 @@ import (
 	"p2psize/internal/fault"
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
-	"p2psize/internal/monitor"
 	"p2psize/internal/overlay"
 	"p2psize/internal/parallel"
 	"p2psize/internal/registry"
@@ -81,21 +80,8 @@ type Params struct {
 	// default parallel.ShuffleGlobal reproduces the frozen
 	// serial-shuffle draw order (every pre-engine checksum holds),
 	// parallel.ShuffleLocal shuffles per shard inside the parallel
-	// phase (the perf-engine-* experiments measure the difference).
-	// Part of the output, like Shards.
+	// phase. Part of the output, like Shards.
 	Shuffle parallel.ShuffleMode
-	// Replay selects the monitor's clone/replay strategy for the trace
-	// experiments: monitor.ReplayPerInstance (the default; one overlay
-	// clone and one trace replay per estimator instance) or
-	// monitor.ReplayShared (read-only instances sharing a cadence ride
-	// one clone and one replay). Both modes produce bit-equal series;
-	// recorded in the report like Shuffle.
-	Replay monitor.ReplayMode
-	// CostModel optionally maps experiment ids to measured wall times in
-	// milliseconds (from a previous suite report, see LoadCostModel);
-	// RunSuite schedules longest-first from it, falling back to the
-	// static costHint table when nil. Scheduling only — never output.
-	CostModel map[string]float64
 	// Estimators optionally restricts the monitored roster of the
 	// trace-* experiments to the named registry families (names or
 	// aliases; nil/empty = the registry's default head-to-head set:
@@ -177,12 +163,6 @@ type Figure struct {
 	// Messages is the total protocol traffic metered while producing the
 	// figure — the per-experiment cost reported by the suite runner.
 	Messages uint64
-	// AllocBytes is the heap the experiment allocated while producing
-	// the figure (runtime.MemStats.TotalAlloc delta; perf-monitor-*
-	// experiments only, 0 elsewhere). Process-wide, so approximate when
-	// the suite schedules experiments concurrently — the wall-time/
-	// memory pair in BENCH reports, not a checksum.
-	AllocBytes uint64
 	// Rankings order the compared estimator families by robustness for
 	// the experiment's scenario (robustness-* experiments only; nil
 	// elsewhere). Carried into the suite report next to the series.

@@ -41,9 +41,6 @@ func TestRegistryComplete(t *testing.T) {
 		"fig01", "fig02", "fig03", "fig04", "fig05", "fig06", "fig07",
 		"fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "fig14",
 		"fig15", "fig16", "fig17", "fig18",
-		"perf-agg-seq", "perf-agg-shard", "perf-cyclon-seq", "perf-cyclon-shard",
-		"perf-engine-global", "perf-engine-local",
-		"perf-monitor-perinstance", "perf-monitor-shared",
 		"robustness-adversary", "robustness-delay", "robustness-drop",
 		"robustness-dup", "robustness-nat", "robustness-partition",
 		"static-new", "table1",

@@ -31,15 +31,11 @@ type SeriesSummary struct {
 
 // ExperimentReport is the machine-readable record of one experiment run.
 type ExperimentReport struct {
-	ID       string  `json:"id"`
-	Title    string  `json:"title,omitempty"`
-	WallMS   float64 `json:"wall_ms"`
-	Messages uint64  `json:"messages"`
-	// AllocBytes pairs the wall time with the experiment's measured
-	// heap allocation (perf-monitor-* experiments only; see
-	// Figure.AllocBytes). Additive: other experiments omit the field.
-	AllocBytes uint64          `json:"alloc_bytes,omitempty"`
-	Series     []SeriesSummary `json:"series,omitempty"`
+	ID       string          `json:"id"`
+	Title    string          `json:"title,omitempty"`
+	WallMS   float64         `json:"wall_ms"`
+	Messages uint64          `json:"messages"`
+	Series   []SeriesSummary `json:"series,omitempty"`
 	// Rankings carry the robustness-* experiments' per-family summaries
 	// (MAE/MAPE and latency percentiles), most robust first. Additive:
 	// reports from other experiments omit the field, so the schema
@@ -50,9 +46,9 @@ type ExperimentReport struct {
 }
 
 // SuiteReport aggregates a whole suite execution. cmd/figures writes it
-// next to the figure data and the bench harness writes BENCH_results.json
-// in this same schema, so the perf trajectory (wall times, message
-// totals) and the output identity (checksums) are tracked PR-over-PR.
+// next to the figure data and bench/ reads it from RunSuite, so wall
+// times, message totals and the output identity (checksums) travel in
+// one shape.
 type SuiteReport struct {
 	Schema  string `json:"schema"`
 	Seed    uint64 `json:"seed"`
@@ -65,13 +61,7 @@ type SuiteReport struct {
 	// Shuffle records Params.Shuffle's spelling ("global"/"local"):
 	// like Shards it is part of the deterministic output. Older reports
 	// decode as "" (= global), which is what they ran with.
-	Shuffle string `json:"shuffle,omitempty"`
-	// Replay records Params.Replay's spelling ("perinstance"/"shared").
-	// Unlike Shards and Shuffle it is NOT part of the deterministic
-	// output — both replay modes produce bit-equal series — it records
-	// how the monitor mapped instances onto clones. Older reports
-	// decode as "" (= perinstance), which is what they ran with.
-	Replay      string             `json:"replay,omitempty"`
+	Shuffle     string             `json:"shuffle,omitempty"`
 	GoMaxProcs  int                `json:"gomaxprocs"`
 	N100k       int                `json:"n100k"`
 	N1M         int                `json:"n1m"`
@@ -101,12 +91,11 @@ func ChecksumSeries(s *metrics.Series) string {
 // is supplied by the caller (the suite measures it around the run).
 func Summarize(fig *Figure, wall time.Duration) ExperimentReport {
 	r := ExperimentReport{
-		ID:         fig.ID,
-		Title:      fig.Title,
-		WallMS:     float64(wall.Microseconds()) / 1000,
-		Messages:   fig.Messages,
-		AllocBytes: fig.AllocBytes,
-		Notes:      len(fig.Notes),
+		ID:       fig.ID,
+		Title:    fig.Title,
+		WallMS:   float64(wall.Microseconds()) / 1000,
+		Messages: fig.Messages,
+		Notes:    len(fig.Notes),
 	}
 	for _, s := range fig.Series {
 		r.Series = append(r.Series, SeriesSummary{
@@ -119,100 +108,49 @@ func Summarize(fig *Figure, wall time.Duration) ExperimentReport {
 	return r
 }
 
-// costHint is the static fallback ranking of experiments by expected
-// wall time, used when no measured cost model is available. The values
-// are coarse relative weights measured from bench runs — exactness does
-// not matter, only that the dominating experiments (the 10k-round
-// dynamic Aggregation figures, then the trace monitors and the 1M-node
+// costHint ranks experiments by expected wall time. The values are
+// coarse relative weights measured from bench runs — exactness does not
+// matter, only that the dominating experiments (the 10k-round dynamic
+// Aggregation figures, then the trace monitors and the 1M-node
 // workloads) start before the cheap ones, so they are not left to run
 // alone at the tail of the suite on an otherwise idle machine.
 var costHint = map[string]int{
 	"fig15": 100, "fig16": 100, "fig17": 100, // AggHorizon rounds × N100k sweeps
 	"trace-weibull": 60, "trace-diurnal": 60, "trace-flashcrowd": 60,
-	"perf-monitor-perinstance": 60, "perf-monitor-shared": 60, // 1M-node trace replays
-	"trace-ipfs":     25,                       // fixed 1,000-node empirical workload, 60 samples
-	"trace-ipfs-all": 45,                       // same workload, every monitoring-capable family
-	"static-new":     45,                       // 20 push-sum epochs at N100k dominate
-	"fig06":          40,                       // AggStaticRounds × N1M
-	"perf-agg-seq":   35, "perf-agg-shard": 35, // 1M-node round sweeps
-	"perf-cyclon-seq": 35, "perf-cyclon-shard": 35,
-	"fig02": 30, "fig04": 30, // 1M-node estimation runs
+	"trace-ipfs":     25,              // fixed 1,000-node empirical workload, 60 samples
+	"trace-ipfs-all": 45,              // same workload, every monitoring-capable family
+	"static-new":     45,              // 20 push-sum epochs at N100k dominate
+	"fig06":          40,              // AggStaticRounds × N1M
+	"fig02":          30, "fig04": 30, // 1M-node estimation runs
 	"robustness-drop": 30, "robustness-delay": 30, "robustness-dup": 30, // nine families × faulted runs
 	"robustness-partition": 30, "robustness-adversary": 30, "robustness-nat": 30,
 	"ext-cyclon": 25, "ext-walks": 20, "ext-delay": 20,
 	"table1": 15,
 }
 
-// CostModelFromReport extracts measured per-experiment wall times (ms)
-// from a prior suite report, for Params.CostModel. Errored entries are
-// skipped — their wall times measure the failure, not the work.
-func CostModelFromReport(r *SuiteReport) map[string]float64 {
-	model := make(map[string]float64, len(r.Experiments))
-	for _, e := range r.Experiments {
-		if e.Error == "" && e.WallMS > 0 {
-			model[e.ID] = e.WallMS
-		}
-	}
-	return model
-}
-
-// LoadCostModel reads a suite report (BENCH_results.json / REPORT.json)
-// and returns its measured cost model. Any failure — missing file,
-// unknown schema, empty report — returns nil, which makes RunSuite fall
-// back to the static costHint table; a stale or absent baseline must
-// never fail a run, it only degrades scheduling.
-func LoadCostModel(path string) map[string]float64 {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var r SuiteReport
-	if err := json.Unmarshal(data, &r); err != nil || r.Schema != ReportSchema {
-		return nil
-	}
-	model := CostModelFromReport(&r)
-	if len(model) == 0 {
-		return nil
-	}
-	return model
-}
-
 // scheduleOrder returns the indices of ids in execution order: highest
-// expected cost first, ties broken by submission order. With a measured
-// model, experiments it does not know (typically ones added since the
-// baseline was recorded) are scheduled first — assuming a new workload
-// is expensive costs nothing, assuming it is cheap can serialize the
-// tail. Report ordering is unaffected — results land back in their
-// submission slots.
-func scheduleOrder(ids []string, model map[string]float64) []int {
-	cost := func(id string) float64 {
-		if model != nil {
-			if ms, ok := model[id]; ok {
-				return ms
-			}
-			return math.Inf(1)
-		}
-		return float64(costHint[id])
-	}
+// costHint first (an id without a row counts as cheap), ties broken by
+// submission order. Report ordering is unaffected — results land back
+// in their submission slots.
+func scheduleOrder(ids []string) []int {
 	order := make([]int, len(ids))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return cost(ids[order[a]]) > cost(ids[order[b]])
+		return costHint[ids[order[a]]] > costHint[ids[order[b]]]
 	})
 	return order
 }
 
 // RunSuite executes the given experiments (all registered ones if ids is
 // empty) concurrently on the worker pool and returns the report plus the
-// produced figures by id. Experiments are scheduled longest-job-first —
-// from measured wall times when p.CostModel is set (see LoadCostModel),
-// from the static costHint table otherwise — to cut many-core makespan,
-// but the report keeps submission order — sorted by id when ids was
-// empty. Individual experiment failures are recorded in the report and
-// returned as one error (lowest submission index first) after every
-// experiment has run; figures that succeeded are still returned.
+// produced figures by id. Experiments are scheduled longest-job-first
+// from the costHint table to cut many-core makespan, but the report
+// keeps submission order — sorted by id when ids was empty. Individual
+// experiment failures are recorded in the report and returned as one
+// error (lowest submission index first) after every experiment has run;
+// figures that succeeded are still returned.
 //
 // Every deterministic field of the report — checksums, message counts,
 // series shapes — is byte-identical at any p.Workers setting; only the
@@ -227,7 +165,6 @@ func RunSuite(ids []string, p Params) (*SuiteReport, map[string]*Figure, error) 
 		Workers:    parallel.Resolve(p.Workers),
 		Shards:     p.Shards,
 		Shuffle:    p.Shuffle.String(),
-		Replay:     p.Replay.String(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		N100k:      p.N100k,
 		N1M:        p.N1M,
@@ -243,7 +180,7 @@ func RunSuite(ids []string, p Params) (*SuiteReport, map[string]*Figure, error) 
 	inner.Workers = max(1, parallel.Resolve(p.Workers)/outer)
 	figs := make([]*Figure, len(ids))
 	entries := make([]ExperimentReport, len(ids))
-	order := scheduleOrder(ids, p.CostModel)
+	order := scheduleOrder(ids)
 	start := time.Now()
 	var firstErr error
 	_ = parallel.ForEach(outer, len(ids), func(slot int) error {

@@ -1,14 +1,6 @@
 package experiments
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
-}
+import "testing"
 
 func assertOrder(t *testing.T, ids []string, order []int, want []string) {
 	t.Helper()
@@ -23,61 +15,22 @@ func assertOrder(t *testing.T, ids []string, order []int, want []string) {
 	}
 }
 
-// TestScheduleOrderLongestFirst checks the static fallback schedules
-// the dominating experiments first while ties keep submission order.
+// TestScheduleOrderLongestFirst checks the costHint table schedules
+// the dominating experiments first while ties — ids without a row
+// included — keep submission order.
 func TestScheduleOrderLongestFirst(t *testing.T) {
 	ids := []string{"fig01", "fig15", "fig03", "trace-weibull", "fig16"}
-	assertOrder(t, ids, scheduleOrder(ids, nil),
+	assertOrder(t, ids, scheduleOrder(ids),
 		[]string{"fig15", "fig16", "trace-weibull", "fig01", "fig03"})
 }
 
-// TestScheduleOrderMeasuredModel checks measured wall times override
-// the static table, and experiments the baseline has never seen run
-// first.
-func TestScheduleOrderMeasuredModel(t *testing.T) {
-	// Static hints would say fig15 > trace-weibull > fig01; the measured
-	// model says this machine disagrees.
-	model := map[string]float64{"fig01": 900, "fig15": 120, "trace-weibull": 450}
-	ids := []string{"fig15", "fig01", "trace-weibull"}
-	assertOrder(t, ids, scheduleOrder(ids, model),
-		[]string{"fig01", "trace-weibull", "fig15"})
-
-	// "ext-new" is unknown to the model: assumed expensive, runs first.
-	ids = []string{"fig01", "ext-new", "fig15"}
-	assertOrder(t, ids, scheduleOrder(ids, model),
-		[]string{"ext-new", "fig01", "fig15"})
-}
-
-// TestLoadCostModelRoundTrip writes a report, loads it back as a cost
-// model, and checks the failure paths degrade to nil (static fallback)
-// instead of erroring.
-func TestLoadCostModelRoundTrip(t *testing.T) {
-	rep := &SuiteReport{
-		Schema: ReportSchema,
-		Experiments: []ExperimentReport{
-			{ID: "fig01", WallMS: 12.5},
-			{ID: "fig15", WallMS: 800},
-			{ID: "broken", WallMS: 3, Error: "boom"}, // skipped: measured the failure
-			{ID: "empty"},                            // skipped: no wall time recorded
-		},
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_results.json")
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	model := LoadCostModel(path)
-	if len(model) != 2 || model["fig01"] != 12.5 || model["fig15"] != 800 {
-		t.Fatalf("model = %v", model)
-	}
-	if m := LoadCostModel(filepath.Join(t.TempDir(), "absent.json")); m != nil {
-		t.Fatalf("missing file gave model %v, want nil", m)
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := writeFile(bad, `{"schema":"something-else"}`); err != nil {
-		t.Fatal(err)
-	}
-	if m := LoadCostModel(bad); m != nil {
-		t.Fatalf("wrong schema gave model %v, want nil", m)
+// TestCostHintsNameRegisteredIDs keeps the table honest across
+// deletions: a row whose experiment is gone would rank nothing.
+func TestCostHintsNameRegisteredIDs(t *testing.T) {
+	for id := range costHint {
+		if _, ok := Get(id); !ok {
+			t.Errorf("costHint has a row for %q, which is not a registered experiment", id)
+		}
 	}
 }
 

@@ -109,7 +109,6 @@ func runTrace(id, title string, tr *trace.Trace, policy monitor.Policy, p Params
 	res, err := monitor.RunScheduled(ins, net, tr, monitor.Config{
 		Cadence: p.TraceCadence,
 		Policy:  policy,
-		Replay:  p.Replay,
 	}, func() *xrand.Rand { return xrand.New(p.Seed + stream + 1) }, p.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", id, err)

@@ -18,11 +18,11 @@ import (
 func TestLoopbackTransportIdentity(t *testing.T) {
 	ids := []string{"fig01", "fig03", "fig05", "fig09", "fig12", "fig15", "table1",
 		"trace-weibull", "trace-diurnal", "trace-flashcrowd", "trace-ipfs",
-		"perf-agg-shard", "perf-cyclon-shard", "ext-cyclon",
+		"ext-cyclon",
 		"static-new", "trace-ipfs-all"}
 	if testing.Short() {
 		ids = []string{"fig01", "fig12", "table1", "trace-flashcrowd",
-			"perf-agg-shard", "perf-cyclon-shard", "static-new"}
+			"fig05", "ext-cyclon", "static-new"}
 	}
 	lb := transport.NewLoopback()
 	defer lb.Close()

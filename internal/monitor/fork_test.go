@@ -3,10 +3,10 @@ package monitor
 // Tick-fork tests: inside a replay group the members due at a tick
 // estimate concurrently, each on a private view of the group's clone.
 // These pin what that must not change (every series and message count,
-// at every worker count, in both replay modes), that it happens at all
-// (two members inside Estimate at once), and what a view keeps private
-// (its counter and its fault-policy slot). CI runs them under
-// -race -count=10.
+// at every worker count, against the private-clone reference), that it
+// happens at all (two members inside Estimate at once), and what a view
+// keeps private (its counter and its fault-policy slot). CI runs them
+// under -race -count=10.
 
 import (
 	"errors"
@@ -27,7 +27,7 @@ import (
 )
 
 // observeOnlyRoster is monitorRoster without the families that rewire
-// the overlay — the class shared replay folds into one group and the
+// the overlay — the class replayGroups folds into one group and the
 // tick then forks.
 func observeOnlyRoster(t *testing.T, seed uint64) []Instance {
 	t.Helper()
@@ -47,9 +47,9 @@ func observeOnlyRoster(t *testing.T, seed uint64) []Instance {
 // family, run inline, is the reference; the shared group must reproduce
 // it bit for bit whether its ticks run on one worker, two or eight.
 func TestTickForkBitEqualObserveOnlyFamilies(t *testing.T) {
-	want, wantMsgs := runReplay(t, observeOnlyRoster(t, 500), ReplayPerInstance, 1)
+	want, wantMsgs := runReplay(t, alone(observeOnlyRoster(t, 500)), 1)
 	for _, workers := range []int{1, 2, 8} {
-		got, gotMsgs := runReplay(t, observeOnlyRoster(t, 500), ReplayShared, workers)
+		got, gotMsgs := runReplay(t, observeOnlyRoster(t, 500), workers)
 		if got.Groups != 1 {
 			t.Fatalf("workers=%d: %d groups, want the whole roster in one", workers, got.Groups)
 		}
@@ -131,7 +131,7 @@ func TestTickForkRunsMembersConcurrently(t *testing.T) {
 	} {
 		g := &gate{together: newBarrier(tc.party)}
 		res, _ := runReplay(t, []Instance{{Estimator: gated{"a", g}}, {Estimator: gated{"b", g}}},
-			ReplayShared, tc.workers)
+			tc.workers)
 		if res.Groups != 1 {
 			t.Fatalf("workers=%d: %d groups, want 1", tc.workers, res.Groups)
 		}
@@ -181,13 +181,13 @@ func faultRoster(faulty bool) []Instance {
 // beside an undecorated one.
 func TestTickForkFaultPolicyStaysOnItsView(t *testing.T) {
 	const decorated = 1
-	want, _ := runReplay(t, faultRoster(true), ReplayPerInstance, 1)
-	benign, _ := runReplay(t, faultRoster(false), ReplayShared, 1)
+	want, _ := runReplay(t, alone(faultRoster(true)), 1)
+	benign, _ := runReplay(t, faultRoster(false), 1)
 	if want.Messages[decorated] == benign.Messages[decorated] {
 		t.Fatalf("the injector changed nothing: %d messages with and without faults", want.Messages[decorated])
 	}
 	for _, workers := range []int{1, 2, 8} {
-		got, _ := runReplay(t, faultRoster(true), ReplayShared, workers)
+		got, _ := runReplay(t, faultRoster(true), workers)
 		if got.Groups != 1 {
 			t.Fatalf("workers=%d: %d groups, want 1", workers, got.Groups)
 		}
@@ -229,9 +229,9 @@ func TestTickForkMemberErrorIsItsOwnFailure(t *testing.T) {
 			{Estimator: polling.New(polling.Default(), xrand.New(82))},
 		}
 	}
-	want, _ := runReplay(t, roster(Instance{Estimator: roTruth{"never-fails"}}), ReplayShared, 1)
+	want, _ := runReplay(t, roster(Instance{Estimator: roTruth{"never-fails"}}), 1)
 	for _, workers := range []int{1, 2, 8} {
-		got, _ := runReplay(t, roster(Instance{Estimator: &failsAt{n: 2}}), ReplayShared, workers)
+		got, _ := runReplay(t, roster(Instance{Estimator: &failsAt{n: 2}}), workers)
 		if got.Failures[0] != 0 || got.Failures[1] != 1 || got.Failures[2] != 0 {
 			t.Fatalf("workers=%d: failures %v, want [0 1 0]", workers, got.Failures)
 		}
@@ -272,7 +272,7 @@ func TestTickForkMemberPanicFailsTheRun(t *testing.T) {
 			}()
 			const n = 400
 			_, _ = RunScheduled([]Instance{{Estimator: roTruth{"ro"}}, {Estimator: panics{}}},
-				testNet(n, 22), testTrace(t, n), Config{Cadence: 20, Replay: ReplayShared},
+				testNet(n, 22), testTrace(t, n), Config{Cadence: 20},
 				func() *xrand.Rand { return xrand.New(23) }, workers)
 		}()
 	}

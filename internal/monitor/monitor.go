@@ -18,14 +18,13 @@
 // aging visibly in the staleness series.
 //
 // Instances fan out on the deterministic worker pool in replay groups:
-// one overlay clone and one trace replay per instance by default, or —
-// under Config.Replay's shared mode — one per cadence group of
-// read-only estimators (see ReplayMode). Every group replays the
-// identical trace (the same contract as core.RunDynamicParallel) and
-// walks the same union grid; inside a group the replay runs alone and
-// the members due at a tick then estimate concurrently on private
-// views of the clone. Results are byte-identical at every worker count
-// and in both replay modes.
+// one overlay clone and one trace replay per cadence group of read-only
+// estimators, and one per estimator that mutates the overlay (see
+// replayGroups). Every group replays the identical trace (the same
+// contract as core.RunDynamicParallel) and walks the same union grid;
+// inside a group the replay runs alone and the members due at a tick
+// then estimate concurrently on private views of the clone. Results are
+// byte-identical at every worker count.
 package monitor
 
 import (
@@ -125,13 +124,6 @@ type Config struct {
 	// Policy is the smoothing policy applied to every instance that
 	// does not carry its own.
 	Policy Policy
-	// Replay selects the clone/replay strategy of RunScheduled:
-	// ReplayPerInstance (the default, one clone and one replay per
-	// instance) or ReplayShared (read-only instances sharing a cadence
-	// ride one clone and one replay). Like the shard count it is part
-	// of the run's description, never of its output: both modes
-	// produce bit-equal series.
-	Replay ReplayMode
 }
 
 // Instance pairs an estimator with its own sampling cadence and
@@ -184,13 +176,10 @@ type Result struct {
 	Restarts []int
 	// Messages[k] is instance k's total metered protocol traffic.
 	Messages []uint64
-	// Replay is the clone/replay strategy the run used (Config.Replay).
-	Replay ReplayMode
 	// Groups is the number of replay groups — overlay clones, trace
-	// replays — RunScheduled used: len(instances) in per-instance mode,
-	// the number of read-only cadence classes plus mutating instances
-	// in shared mode. RunLive samples the live overlay (no clones, no
-	// replay) and leaves it 0.
+	// replays — RunScheduled used: the number of read-only cadence
+	// classes plus one per mutating (or undeclared) instance. RunLive
+	// samples the live overlay (no clones, no replay) and leaves it 0.
 	Groups int
 }
 
@@ -417,10 +406,8 @@ func splitWorkers(workers, groups int) (outer, inner int) {
 // grid tick, but estimates only at its own scheduled times — so mixed
 // cadences stay directly comparable, point for point.
 //
-// Instances map onto clones per Config.Replay: one clone and one
-// replay per instance by default, or — in shared mode — one per replay
-// group (read-only instances folded by cadence, mutating instances
-// alone; see replayGroups).
+// Instances map onto clones by replay group: read-only instances
+// folded by cadence, mutating instances alone (see replayGroups).
 //
 // A tick is a fork-join inside each group. player.AdvanceTo runs alone
 // on the clone — it is the only writer — and then every member due at
@@ -431,7 +418,7 @@ func splitWorkers(workers, groups int) (outer, inner int) {
 // members run through parallel.Map and their results are folded into
 // smoothers and series serially in member order, so nothing depends on
 // which finished first. Messages[k] is the total of instance k's view
-// counter — identical in both replay modes, since the replay itself
+// counter — the same alone or in company, since the replay itself
 // meters nothing.
 //
 // The worker budget is split once (splitWorkers): groups fan out as
@@ -446,15 +433,14 @@ func splitWorkers(workers, groups int) (outer, inner int) {
 // trajectory independent of where an instance's schedule stops along
 // the way. The overlay itself is left unmutated and the view counters
 // are merged into its counter in group order, members in instance
-// order. Output is byte-identical at every worker count and in both
-// replay modes.
+// order. Output is byte-identical at every worker count.
 func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, cfg Config, newRNG func() *xrand.Rand, workers int) (*Result, error) {
 	cadences, policies, schedules, err := resolveSchedules(instances, cfg, tr.Horizon)
 	if err != nil {
 		return nil, err
 	}
 	grid := unionGrid(schedules)
-	groups := replayGroups(instances, cadences, cfg.Replay)
+	groups := replayGroups(instances, cadences)
 	groupWorkers, tickWorkers := splitWorkers(workers, len(groups))
 	type instOut struct {
 		raw       []float64
@@ -550,7 +536,6 @@ func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, c
 		Failures:  make([]int, len(instances)),
 		Restarts:  make([]int, len(instances)),
 		Messages:  make([]uint64, len(instances)),
-		Replay:    cfg.Replay,
 		Groups:    len(groups),
 	}
 	res.TrueSizes = outs[0].trueSizes

@@ -52,7 +52,7 @@ func TestTickForkPublicObserveOnlyMessages(t *testing.T) {
 		}
 		ests := []p2psize.Estimator{relays[0], hops, relays[1]}
 		res, err := p2psize.RunMonitor(net, tr, ests, p2psize.MonitorOptions{
-			Cadence: 10, ReplaySeed: 96, Replay: "shared", Workers: workers,
+			Cadence: 10, ReplaySeed: 96, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,10 +1,11 @@
 package monitor
 
-// Shared-replay tests: the ReplayShared mode must be a pure layout
-// change — byte-identical series, metrics and message attribution in
-// both modes, across worker counts and seeds — while actually folding
-// read-only cadence classes onto shared clones (group accounting and
-// allocation-footprint assertions).
+// Shared-replay tests: folding read-only cadence classes onto one clone
+// must be a pure layout change — series, metrics and message
+// attribution byte-identical to the same instances on private clones
+// (the alone reference below), across worker counts and seeds — while
+// actually sharing (group accounting and allocation-footprint
+// assertions).
 
 import (
 	"math"
@@ -32,10 +33,25 @@ func (e roTruth) Estimate(net *overlay.Network) (float64, error) {
 }
 func (roTruth) MutatesOverlay() bool { return false }
 
+// private is the test-only reference layout: it declares its estimator
+// mutating, so replayGroups gives it a clone and a replay of its own in
+// the same run, on the same grid.
+type private struct{ core.Estimator }
+
+func (private) MutatesOverlay() bool { return true }
+
+// alone puts every instance on a private clone.
+func alone(instances []Instance) []Instance {
+	for k := range instances {
+		instances[k].Estimator = private{instances[k].Estimator}
+	}
+	return instances
+}
+
 // monitorRoster builds one fresh instance of every monitoring-capable
 // registry family (both sharing classes: the observe-only walkers and
 // the cyclon-backed gossip families), each on the default cadence so
-// shared mode folds the whole read-only class into one group.
+// the whole read-only class folds into one group.
 func monitorRoster(t *testing.T, seed uint64) []Instance {
 	t.Helper()
 	var ins []Instance
@@ -56,13 +72,13 @@ func monitorRoster(t *testing.T, seed uint64) []Instance {
 }
 
 // runReplay runs instances against a fresh 400-node overlay and the
-// shared test trace under the given replay mode, returning the result
-// and the base overlay's merged message total.
-func runReplay(t *testing.T, instances []Instance, mode ReplayMode, workers int) (*Result, uint64) {
+// shared test trace, returning the result and the base overlay's merged
+// message total.
+func runReplay(t *testing.T, instances []Instance, workers int) (*Result, uint64) {
 	t.Helper()
 	const n = 400
 	net := testNet(n, 22)
-	res, err := RunScheduled(instances, net, testTrace(t, n), Config{Cadence: 20, Replay: mode},
+	res, err := RunScheduled(instances, net, testTrace(t, n), Config{Cadence: 20},
 		func() *xrand.Rand { return xrand.New(23) }, workers)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +105,7 @@ func sameSeries(a, b []float64) bool {
 func assertSameResult(t *testing.T, want, got *Result) {
 	t.Helper()
 	if !sameSeries(want.Times, got.Times) || !sameSeries(want.TrueSizes, got.TrueSizes) {
-		t.Fatal("time grid or true-size trajectory diverged between replay modes")
+		t.Fatal("time grid or true-size trajectory diverged between replay layouts")
 	}
 	for k := range want.Names {
 		if want.Names[k] != got.Names[k] {
@@ -117,22 +133,22 @@ func assertSameResult(t *testing.T, want, got *Result) {
 }
 
 // TestSharedReplayBitEqualAllFamilies is the tentpole's equivalence
-// proof over the real catalog: every monitoring-capable family runs in
-// both replay modes and every per-instance series, metric and message
+// proof over the real catalog: every monitoring-capable family runs
+// grouped and alone, and every per-instance series, metric and message
 // count must be bitwise identical — shared replay is a memory layout,
 // never an output change.
 func TestSharedReplayBitEqualAllFamilies(t *testing.T) {
-	perRes, perMsgs := runReplay(t, monitorRoster(t, 400), ReplayPerInstance, 4)
-	shRes, shMsgs := runReplay(t, monitorRoster(t, 400), ReplayShared, 4)
+	perRes, perMsgs := runReplay(t, alone(monitorRoster(t, 400)), 4)
+	shRes, shMsgs := runReplay(t, monitorRoster(t, 400), 4)
 	assertSameResult(t, perRes, shRes)
 	if perMsgs != shMsgs {
 		t.Fatalf("merged base-counter totals diverged: %d != %d", shMsgs, perMsgs)
 	}
 	if perRes.Groups != len(perRes.Names) {
-		t.Fatalf("per-instance mode used %d groups for %d instances", perRes.Groups, len(perRes.Names))
+		t.Fatalf("the alone reference used %d groups for %d instances", perRes.Groups, len(perRes.Names))
 	}
-	// Shared mode: all read-only families fold into ONE group (uniform
-	// cadence); each mutating family stays alone.
+	// All read-only families fold into ONE group (uniform cadence);
+	// each mutating family stays alone.
 	mutating := 0
 	for _, in := range monitorRoster(t, 400) {
 		if core.MutatesOverlay(in.Estimator) {
@@ -140,11 +156,8 @@ func TestSharedReplayBitEqualAllFamilies(t *testing.T) {
 		}
 	}
 	if want := mutating + 1; shRes.Groups != want {
-		t.Fatalf("shared mode used %d groups, want %d (%d mutating + 1 read-only class)",
+		t.Fatalf("grouped run used %d groups, want %d (%d mutating + 1 read-only class)",
 			shRes.Groups, want, mutating)
-	}
-	if shRes.Replay != ReplayShared || perRes.Replay != ReplayPerInstance {
-		t.Fatalf("Result.Replay not recorded: %v / %v", perRes.Replay, shRes.Replay)
 	}
 }
 
@@ -162,10 +175,10 @@ func TestSharedReplayGroupAccounting(t *testing.T) {
 			{Estimator: &mutatingTruth{}},                // declared mutating: singleton
 		}
 	}
-	perRes, _ := runReplay(t, instances(), ReplayPerInstance, 1)
-	shRes, _ := runReplay(t, instances(), ReplayShared, 1)
+	perRes, _ := runReplay(t, alone(instances()), 1)
+	shRes, _ := runReplay(t, instances(), 1)
 	if perRes.Groups != 6 {
-		t.Fatalf("per-instance groups = %d, want 6", perRes.Groups)
+		t.Fatalf("alone groups = %d, want 6", perRes.Groups)
 	}
 	// {ro-a, ro-b, ro-c}, {ro-slow}, {truth}, {mutating} = 4 groups.
 	if shRes.Groups != 4 {
@@ -186,7 +199,7 @@ func (*mutatingTruth) Estimate(net *overlay.Network) (float64, error) {
 func (*mutatingTruth) MutatesOverlay() bool { return true }
 
 // TestSharedReplayWorkerInvariance re-proves the monitor's worker
-// contract in shared mode: groups land on the pool in any order, output
+// contract over mixed groups: groups land on the pool in any order, output
 // never moves.
 func TestSharedReplayWorkerInvariance(t *testing.T) {
 	mk := func() []Instance {
@@ -197,9 +210,9 @@ func TestSharedReplayWorkerInvariance(t *testing.T) {
 			{Estimator: &mutatingTruth{}},
 		}
 	}
-	base, baseMsgs := runReplay(t, mk(), ReplayShared, 1)
+	base, baseMsgs := runReplay(t, mk(), 1)
 	for _, workers := range []int{2, 8} {
-		res, msgs := runReplay(t, mk(), ReplayShared, workers)
+		res, msgs := runReplay(t, mk(), workers)
 		assertSameResult(t, base, res)
 		if msgs != baseMsgs {
 			t.Fatalf("workers=%d merged totals diverged: %d != %d", workers, msgs, baseMsgs)
@@ -208,13 +221,13 @@ func TestSharedReplayWorkerInvariance(t *testing.T) {
 }
 
 // TestSharedReplayStatisticalEnvelope runs a real (noisy) estimator over
-// 30 seeds in both modes. Bit-equality per seed is the hard guarantee;
+// 30 seeds in both layouts. Bit-equality per seed is the hard guarantee;
 // the aggregated error envelope (mean/stddev of MAPE) is additionally
 // compared, which is what a statistics-level reviewer would check if
-// the modes were merely "equivalent" rather than identical.
+// the layouts were merely "equivalent" rather than identical.
 func TestSharedReplayStatisticalEnvelope(t *testing.T) {
 	const runs = 30
-	envelope := func(mode ReplayMode) (mean, std float64) {
+	envelope := func(layout func([]Instance) []Instance) (mean, std float64) {
 		mapes := make([]float64, 0, runs)
 		for seed := uint64(1); seed <= runs; seed++ {
 			net := testNet(300, seed)
@@ -227,14 +240,14 @@ func TestSharedReplayStatisticalEnvelope(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Three same-cadence Sample&Collide instances: in shared mode
-			// they ride one clone, per-instance three.
+			// Three same-cadence Sample&Collide instances: grouped they
+			// ride one clone, alone three.
 			ins := make([]Instance, 3)
 			for k := range ins {
 				ins[k] = Instance{Estimator: samplecollide.New(
 					samplecollide.Config{T: 5, L: 30}, xrand.New(seed+200+uint64(k)))}
 			}
-			res, err := RunScheduled(ins, net, tr, Config{Cadence: 25, Replay: mode},
+			res, err := RunScheduled(layout(ins), net, tr, Config{Cadence: 25},
 				func() *xrand.Rand { return xrand.New(seed + 300) }, 2)
 			if err != nil {
 				t.Fatal(err)
@@ -257,13 +270,13 @@ func TestSharedReplayStatisticalEnvelope(t *testing.T) {
 		}
 		return mean, math.Sqrt(std / float64(len(mapes)))
 	}
-	perMean, perStd := envelope(ReplayPerInstance)
-	shMean, shStd := envelope(ReplayShared)
-	// The modes are bit-equal run for run, so the envelopes must agree
+	perMean, perStd := envelope(alone)
+	shMean, shStd := envelope(func(ins []Instance) []Instance { return ins })
+	// The layouts are bit-equal run for run, so the envelopes must agree
 	// exactly — any drift means the grouping leaked into the estimates.
 	if math.Float64bits(perMean) != math.Float64bits(shMean) ||
 		math.Float64bits(perStd) != math.Float64bits(shStd) {
-		t.Fatalf("error envelopes diverged: perinstance %.6g±%.6g, shared %.6g±%.6g",
+		t.Fatalf("error envelopes diverged: alone %.6g±%.6g, shared %.6g±%.6g",
 			perMean, perStd, shMean, shStd)
 	}
 }
@@ -271,12 +284,12 @@ func TestSharedReplayStatisticalEnvelope(t *testing.T) {
 // monitorAllocDelta measures the process TotalAlloc growth of one
 // monitoring run. net and tr are built by the caller, outside the
 // measurement; workers=1 keeps the allocation sequence deterministic.
-func monitorAllocDelta(t *testing.T, net *overlay.Network, tr *trace.Trace, instances []Instance, mode ReplayMode) uint64 {
+func monitorAllocDelta(t *testing.T, net *overlay.Network, tr *trace.Trace, instances []Instance) uint64 {
 	t.Helper()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := RunScheduled(instances, net, tr, Config{Cadence: 20, Replay: mode},
+	if _, err := RunScheduled(instances, net, tr, Config{Cadence: 20},
 		func() *xrand.Rand { return xrand.New(61) }, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +298,9 @@ func monitorAllocDelta(t *testing.T, net *overlay.Network, tr *trace.Trace, inst
 }
 
 // TestMonitorFootprintSharedGroups asserts the memory claim directly:
-// with six read-only instances on one cadence, shared mode allocates a
-// small fraction of per-instance mode — one clone's replay churn
-// instead of six. Zero-cost truth estimators keep estimator allocations
+// six read-only instances on one cadence allocate a small fraction of
+// what they do on private clones — one clone's replay churn instead of
+// six. Zero-cost truth estimators keep estimator allocations
 // out of the measurement.
 func TestMonitorFootprintSharedGroups(t *testing.T) {
 	const n = 20000
@@ -308,10 +321,10 @@ func TestMonitorFootprintSharedGroups(t *testing.T) {
 		}
 		return ins
 	}
-	perAlloc := monitorAllocDelta(t, net, tr, mk(), ReplayPerInstance)
-	shAlloc := monitorAllocDelta(t, net, tr, mk(), ReplayShared)
+	perAlloc := monitorAllocDelta(t, net, tr, alone(mk()))
+	shAlloc := monitorAllocDelta(t, net, tr, mk())
 	if shAlloc*10 >= perAlloc*7 {
-		t.Fatalf("shared replay allocated %d bytes vs %d per-instance; want < 70%%", shAlloc, perAlloc)
+		t.Fatalf("shared replay allocated %d bytes vs %d alone; want < 70%%", shAlloc, perAlloc)
 	}
 }
 
@@ -344,17 +357,17 @@ func TestSharedCloneFootprint1M(t *testing.T) {
 		}
 		return ins
 	}
-	perAlloc := monitorAllocDelta(t, net, tr, mk(), ReplayPerInstance)
-	shAlloc := monitorAllocDelta(t, net, tr, mk(), ReplayShared)
+	perAlloc := monitorAllocDelta(t, net, tr, alone(mk()))
+	shAlloc := monitorAllocDelta(t, net, tr, mk())
 	// Four instances, one group: the shared run must land well under
-	// half the per-instance bill (the residue is the shared replay
+	// half the private-clone bill (the residue is the shared replay
 	// itself plus per-instance series bookkeeping).
 	if shAlloc*2 >= perAlloc {
-		t.Fatalf("1M shared replay allocated %d bytes vs %d per-instance; want < 50%%", shAlloc, perAlloc)
+		t.Fatalf("1M shared replay allocated %d bytes vs %d alone; want < 50%%", shAlloc, perAlloc)
 	}
 }
 
-// TestSharedReplay10M is the 10M-node shared-mode smoke, gated behind
+// TestSharedReplay10M is the 10M-node shared-replay smoke, gated behind
 // P2PSIZE_10M=1 (CI's bench job sets it; the default test tier does
 // not build 10M-node overlays). Two cheap read-only families share one
 // clone and one replay of a 10M-initial trace.
@@ -385,7 +398,7 @@ func TestSharedReplay10M(t *testing.T) {
 		}
 		ins = append(ins, Instance{Estimator: e})
 	}
-	res, err := RunScheduled(ins, net, tr, Config{Cadence: 10, Replay: ReplayShared},
+	res, err := RunScheduled(ins, net, tr, Config{Cadence: 10},
 		func() *xrand.Rand { return xrand.New(80) }, 0)
 	if err != nil {
 		t.Fatal(err)

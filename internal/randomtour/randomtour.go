@@ -4,7 +4,7 @@
 // (§II): Sample&Collide was chosen over it because "the overhead of the
 // Sample&Collide algorithm is much lower than the one of Random Tour".
 // This package exists so that claim is reproducible (see the
-// ablation benchmark BenchmarkExtRandomTourVsSampleCollide).
+// ext-walks experiment).
 //
 // The estimator uses the return time of a random walk: a walk started at
 // initiator i and absorbed on its first return to i visits node v an

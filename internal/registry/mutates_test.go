@@ -66,6 +66,6 @@ func TestDefaultRosterExercisesBothSharingClasses(t *testing.T) {
 		}
 	}
 	if readOnly == 0 || mutating == 0 {
-		t.Fatalf("default roster has %d read-only and %d mutating families; shared mode needs both exercised", readOnly, mutating)
+		t.Fatalf("default roster has %d read-only and %d mutating families; the grouping needs both exercised", readOnly, mutating)
 	}
 }

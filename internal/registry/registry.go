@@ -129,12 +129,11 @@ type Descriptor struct {
 	InDefaultSet bool
 	// MutatesOverlay marks families whose estimations rewire the
 	// overlay graph (the cyclon-backed epidemic class in deployment);
-	// families that only observe it can share one overlay clone — and
-	// one trace replay — per cadence group in the monitor's
-	// shared-replay mode. Catalog metadata: the monitor's grouping
-	// decision itself reads the estimator instance's
-	// core.OverlayMutator capability, and the registry test pins the
-	// two in sync.
+	// families that only observe it share one overlay clone — and one
+	// trace replay — per cadence group in the monitor. Catalog
+	// metadata: the monitor's grouping decision itself reads the
+	// estimator instance's core.OverlayMutator capability, and the
+	// registry test pins the two in sync.
 	MutatesOverlay bool
 	// StreamOffset is the family's fixed seed-stream offset: instance
 	// rngs derive from seed+StreamOffset, so a family's random stream —

@@ -54,15 +54,11 @@ type MonitorOptions struct {
 	// ReplaySeed drives the replay's join wiring (default: the zero
 	// stream). Equal seeds give byte-identical runs.
 	ReplaySeed uint64
-	// Replay selects how instances map onto overlay clones:
-	// "perinstance" (or "", the default) replays the trace once per
-	// estimator on a private clone; "shared" folds observe-only
-	// estimators with equal cadences onto one clone and one replay each,
-	// cutting replay work and clone memory from O(estimators) to
-	// O(groups). Estimators that may rewire the overlay — including any
-	// custom estimator that does not declare otherwise — always keep a
-	// private clone. Both spellings produce bit-identical results; see
-	// Groups for the mapping the run actually used.
+	// Replay has no effect.
+	//
+	// Deprecated: it used to choose between one clone per estimator and
+	// the grouping RunMonitor now always applies (see Groups); both
+	// produced bit-identical results.
 	Replay string
 	// Workers is the run's goroutine budget (0 = all CPUs): replay
 	// groups fan out min(Workers, groups) wide, so at most Workers
@@ -113,10 +109,11 @@ func (r *MonitorResult) TrueSizes() []float64 { return r.res.TrueSizes }
 func (r *MonitorResult) Names() []string { return r.res.Names }
 
 // Groups returns how many replay groups the run used: one clone and
-// one trace replay per group. Equal to the estimator count under
-// per-instance replay; at most that under MonitorOptions.Replay
-// "shared", where observe-only estimators sharing a cadence share a
-// group.
+// one trace replay per group. Observe-only estimators sharing a cadence
+// share a group, so replay work and clone memory are O(groups), not
+// O(estimators); an estimator that may rewire the overlay — including
+// any custom estimator that does not declare otherwise — is a group of
+// its own.
 func (r *MonitorResult) Groups() int { return r.res.Groups }
 
 // check validates an instance index before it reaches the internal
@@ -172,15 +169,22 @@ func (r *MonitorResult) String() string {
 	return b.String()
 }
 
-// RunMonitor replays the trace on a per-estimator clone of net (or,
-// under opts.Replay "shared", one clone per group of observe-only
-// estimators) and samples every estimator each opts.Cadence time units
-// under the chosen smoothing policy. The network must hold exactly
-// tr.InitialNodes() peers. Groups fan out across a worker pool and the
-// members of a group estimate concurrently at each tick; equal seeds
-// give byte-identical results at every worker count. The network itself
-// is left unmutated, with all metered traffic merged into Messages().
+// RunMonitor replays the trace on clones of net — one per group of
+// observe-only estimators on a common cadence, one per estimator that
+// may rewire the overlay (see Groups) — and samples every estimator
+// each opts.Cadence time units under the chosen smoothing policy. The
+// network must hold exactly tr.InitialNodes() peers. Groups fan out
+// across a worker pool and the members of a group estimate concurrently
+// at each tick; equal seeds give byte-identical results at every worker
+// count. The network itself is left unmutated, with all metered traffic
+// merged into Messages().
 func RunMonitor(net *Network, tr *Trace, estimators []Estimator, opts MonitorOptions) (*MonitorResult, error) {
+	if net == nil {
+		return nil, errors.New("p2psize: RunMonitor needs a network")
+	}
+	if tr == nil {
+		return nil, errors.New("p2psize: RunMonitor needs a trace")
+	}
 	if len(estimators) == 0 {
 		return nil, errors.New("p2psize: RunMonitor needs at least one estimator")
 	}
@@ -199,12 +203,11 @@ func RunMonitor(net *Network, tr *Trace, estimators []Estimator, opts MonitorOpt
 		return nil, fmt.Errorf("p2psize: MonitorOptions.Cadences has %d entries for %d estimators",
 			len(opts.Cadences), len(estimators))
 	}
-	replay, err := monitor.ParseReplayMode(opts.Replay)
-	if err != nil {
-		return nil, fmt.Errorf("p2psize: %w", err)
-	}
 	instances := make([]monitor.Instance, len(estimators))
 	for k, e := range estimators {
+		if e == nil {
+			return nil, fmt.Errorf("p2psize: estimator %d is nil", k)
+		}
 		instances[k] = monitor.Instance{Estimator: toCore(e)}
 		if len(opts.Cadences) != 0 {
 			instances[k].Cadence = opts.Cadences[k]
@@ -218,7 +221,6 @@ func RunMonitor(net *Network, tr *Trace, estimators []Estimator, opts MonitorOpt
 			Alpha:       opts.Alpha,
 			RestartJump: opts.RestartJump,
 		},
-		Replay: replay,
 	}, func() *xrand.Rand { return xrand.New(opts.ReplaySeed) }, opts.Workers)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package p2psize
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -105,6 +106,96 @@ func TestMonitorWorkerInvariance(t *testing.T) {
 				t.Fatalf("instance %d sample %d differs: %g vs %g", k, i, ea[i], eb[i])
 			}
 		}
+	}
+}
+
+// undeclared hides an estimator's MutatesOverlay declaration, so
+// RunMonitor conservatively gives it a clone of its own: the reference
+// layout the default grouping must reproduce bit for bit.
+type undeclared struct{ Estimator }
+
+// TestRunMonitorGroupsByDefault: with no option set, three observe-only
+// families on one cadence share a replay group, aggregation (which
+// rewires the overlay) keeps its own, and every series equals the one
+// the same estimator produces on a private clone.
+func TestRunMonitorGroupsByDefault(t *testing.T) {
+	const n = 400
+	run := func(private bool) *MonitorResult {
+		tr, err := GenerateTrace(TraceOptions{Nodes: n, Horizon: 100, Sessions: WeibullSessions, Seed: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := NewNetwork(NetworkOptions{Nodes: n, Seed: 21})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ests []Estimator
+		for i, name := range []string{"samplecollide", "hopssampling", "dht", "aggregation"} {
+			e, err := NewEstimatorByName(name, EstimatorConfig{Seed: 22 + uint64(i)}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if private {
+				e = undeclared{e}
+			}
+			ests = append(ests, e)
+		}
+		res, err := RunMonitor(net, tr, ests, MonitorOptions{Cadence: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want, got := run(true), run(false)
+	if want.Groups() != 4 || got.Groups() != 2 {
+		t.Fatalf("groups: %d with every estimator undeclared, %d by default; want 4 and 2", want.Groups(), got.Groups())
+	}
+	for k, name := range want.Names() {
+		for _, series := range [][2][]float64{
+			{want.RawEstimates(k), got.RawEstimates(k)},
+			{want.Estimates(k), got.Estimates(k)},
+		} {
+			for i := range series[0] {
+				if math.Float64bits(series[0][i]) != math.Float64bits(series[1][i]) {
+					t.Fatalf("%s sample %d: %g on a private clone, %g in its group", name, i, series[0][i], series[1][i])
+				}
+			}
+		}
+		if w, g := want.Tracking(k), got.Tracking(k); w.MsgsPerTimeUnit != g.MsgsPerTimeUnit || w.Failures != g.Failures {
+			t.Fatalf("%s: %g msgs/time and %d failures on a private clone, %g and %d in its group",
+				name, w.MsgsPerTimeUnit, w.Failures, g.MsgsPerTimeUnit, g.Failures)
+		}
+	}
+}
+
+// TestRunMonitorRejectsNilArguments: a missing network, trace or
+// estimator is the caller's input, so it comes back as an error.
+func TestRunMonitorRejectsNilArguments(t *testing.T) {
+	tr, err := GenerateTrace(TraceOptions{Nodes: 100, Horizon: 50, Seed: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := NewNetwork(NetworkOptions{Nodes: 100, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewSampleCollide(SampleCollideOptions{L: 20, Seed: 32})
+	for _, tc := range []struct {
+		name string
+		net  *Network
+		tr   *Trace
+		ests []Estimator
+	}{
+		{"nil network", nil, tr, []Estimator{sc}},
+		{"nil trace", net, nil, []Estimator{sc}},
+		{"nil estimator", net, tr, []Estimator{sc, nil}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RunMonitor(tc.net, tc.tr, tc.ests, MonitorOptions{Cadence: 10})
+			if err == nil || !strings.HasPrefix(err.Error(), "p2psize:") {
+				t.Fatalf("err = %v, want a p2psize: error", err)
+			}
+		})
 	}
 }
 
