@@ -22,10 +22,6 @@ type Event struct {
 	Step int
 	// RemoveFraction of the *current* live peers to remove, in [0, 1].
 	RemoveFraction float64
-	// RemoveCount peers to remove (applied after RemoveFraction). An
-	// absolute count is what trace down-conversion produces: a replayed
-	// trace knows exactly how many peers left in a step.
-	RemoveCount int
 	// AddCount peers to add.
 	AddCount int
 }
@@ -43,9 +39,6 @@ type Scenario struct {
 	DeparturesPerStep float64
 	// Events are discrete shocks, applied in Step order.
 	Events []Event
-	// Repair, when true, uses LeaveWithRepair instead of the paper's
-	// non-repairing Leave (ablation only).
-	Repair bool
 }
 
 // Static returns the no-churn scenario.
@@ -110,6 +103,7 @@ type Runner struct {
 	S Scenario
 
 	rng        *xrand.Rand
+	nextStep   int // AdvanceTo's cursor
 	arriveAcc  float64
 	departAcc  float64
 	nextEvent  int
@@ -137,9 +131,6 @@ func (r *Runner) Step(net *overlay.Network, step int) int {
 		if ev.RemoveFraction > 0 {
 			r.removeN(net, int(ev.RemoveFraction*float64(net.Size())))
 		}
-		if ev.RemoveCount > 0 {
-			r.removeN(net, ev.RemoveCount)
-		}
 		for i := 0; i < ev.AddCount; i++ {
 			net.JoinRandomDegree(r.rng)
 			r.totalJoins++
@@ -161,17 +152,23 @@ func (r *Runner) Step(net *overlay.Network, step int) int {
 	return net.Size() - before
 }
 
+// AdvanceTo applies Step for every whole step below t that it has not
+// applied yet — a sampling loop's view of the runner (monitor.Timeline),
+// where an estimation at time t sees steps 0..t-1 done. It never fails.
+func (r *Runner) AdvanceTo(net *overlay.Network, t float64) error {
+	for ; float64(r.nextStep) < t; r.nextStep++ {
+		r.Step(net, r.nextStep)
+	}
+	return nil
+}
+
 func (r *Runner) removeN(net *overlay.Network, n int) {
 	for i := 0; i < n && net.Size() > 1; i++ {
 		id, ok := net.Graph().RandomAlive(r.rng)
 		if !ok {
 			return
 		}
-		if r.S.Repair {
-			net.LeaveWithRepair(id, r.rng)
-		} else {
-			net.Leave(id)
-		}
+		net.Leave(id)
 		r.totalDrops++
 	}
 }

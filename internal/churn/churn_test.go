@@ -156,24 +156,6 @@ func TestShrinkNeverBelowOne(t *testing.T) {
 	}
 }
 
-func TestRepairFlagUsesRepairingLeave(t *testing.T) {
-	// With repair, average degree should stay near its starting value even
-	// after heavy departures; without, it must drop.
-	const n0 = 2000
-	deg := func(repair bool) float64 {
-		net := newNet(n0, 17)
-		s := Shrinking(n0, 100, 0.5)
-		s.Repair = repair
-		runAll(s, net, 18)
-		return graph.AvgDegree(net.Graph())
-	}
-	without := deg(false)
-	with := deg(true)
-	if with <= without {
-		t.Fatalf("repair did not help: avg degree %g (repair) vs %g (none)", with, without)
-	}
-}
-
 func TestFractionalRatesNonDividing(t *testing.T) {
 	// Rates that don't divide the step count must carry their remainder
 	// in the accumulator, not round per step: 0.3 × 7 = 2.1 → exactly 2
@@ -235,26 +217,6 @@ func TestRemoveToEmptyFloorsAtOne(t *testing.T) {
 	}
 	if r.TotalDrops() != 49 {
 		t.Fatalf("drops = %d, want 49", r.TotalDrops())
-	}
-}
-
-func TestRemoveCountEvent(t *testing.T) {
-	// RemoveCount removes an absolute number of peers (after any
-	// RemoveFraction) — the form trace down-conversion produces.
-	net := newNet(100, 29)
-	s := Scenario{TotalSteps: 2, Events: []Event{
-		{Step: 0, RemoveCount: 10, AddCount: 3},
-		{Step: 1, RemoveFraction: 0.5, RemoveCount: 6},
-	}}
-	r := NewRunner(s, xrand.New(30))
-	r.Step(net, 0)
-	if net.Size() != 93 {
-		t.Fatalf("size after step 0 = %d, want 93", net.Size())
-	}
-	r.Step(net, 1)
-	// 0.5 × 93 → 46 removed, then 6 more.
-	if net.Size() != 41 {
-		t.Fatalf("size after step 1 = %d, want 41", net.Size())
 	}
 }
 

@@ -83,16 +83,17 @@ type Report struct {
 	Transport transport.Stats
 }
 
-// pingSource is the coordinator's LiveSource: every grid tick it pings
-// the daemons still considered alive and Leaves the ones that exhausted
-// the retransmission budget, so the overlay mirror tracks real liveness.
+// pingSource is the coordinator's monitor.Timeline: every grid tick it
+// pings the daemons still considered alive and Leaves the ones that
+// exhausted the retransmission budget, so the overlay mirror tracks
+// real liveness.
 type pingSource struct {
 	tr       transport.Transport
 	departed []transport.NodeID
 	logf     func(string, ...any)
 }
 
-func (s *pingSource) Refresh(net *overlay.Network, t float64) error {
+func (s *pingSource) AdvanceTo(net *overlay.Network, t float64) error {
 	for _, id := range append([]transport.NodeID(nil), net.Graph().AliveIDs()...) {
 		//detlint:allow meterseam — liveness probes are control-plane RPC, not metered protocol traffic
 		if _, err := s.tr.Request(id, "ping", nil); err != nil {
@@ -244,11 +245,13 @@ func Run(cfg Config) (*Report, error) {
 	// Two overlays on the identical assembled topology: the live one
 	// hands every metered send to the coordinator transport, the
 	// simulated oracle keeps everything in-process. Same seeds, same
-	// adjacency order (the sim graph is a clone of the assembled one), so
-	// benign estimates are bit-equal.
-	liveNet := overlay.New(live, maxDeg, nil)
+	// adjacency order, so benign estimates are bit-equal. Both are
+	// copy-on-write clones of the assembled graph: the ping source
+	// Leaves on the live overlay, and a base must not be written while a
+	// clone of it is alive.
+	liveNet := overlay.New(live.CloneCOW(), maxDeg, nil)
 	liveNet.SetTransport(coord)
-	simNet := overlay.New(live.Clone(), maxDeg, nil)
+	simNet := overlay.New(live.CloneCOW(), maxDeg, nil)
 	liveIns, err := roster(cfg, liveNet)
 	if err != nil {
 		return nil, err

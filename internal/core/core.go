@@ -1,16 +1,13 @@
 // Package core is the comparative-study harness — the paper's actual
-// contribution. It defines the common contract the three candidate
-// algorithms are measured against and the run loops that produce every
-// figure's data: repeated estimations on a static overlay (with the
-// oneShot and lastKruns heuristics) and concurrent estimation processes
-// on an overlay under churn, all against the same inputs and the same
-// message meter.
+// contribution. It defines the common contract the candidate algorithms
+// are measured against and the static run loop: repeated estimations on
+// one overlay (with the oneShot and lastKruns heuristics), all against
+// the same inputs and the same message meter. Concurrent estimation
+// processes on an overlay under churn are sampled by internal/monitor,
+// on the same contract.
 package core
 
 import (
-	"math"
-
-	"p2psize/internal/churn"
 	"p2psize/internal/overlay"
 	"p2psize/internal/stats"
 )
@@ -95,55 +92,4 @@ func (r *StaticResult) MeanOverhead() float64 {
 		sum += float64(o)
 	}
 	return sum / float64(len(r.Overheads))
-}
-
-// DynamicConfig drives estimators against a churning overlay.
-type DynamicConfig struct {
-	// Scenario is the churn workload; its TotalSteps set the horizon.
-	Scenario churn.Scenario
-	// EstimateEvery is the number of churn steps between consecutive
-	// estimations (>= 1). The paper's dynamic HopsSampling figures span
-	// 1000 time units with periodic restarts; its Sample&Collide figures
-	// estimate at every step.
-	EstimateEvery int
-	// SmoothLastK > 1 applies lastK smoothing to each instance's curve
-	// (HopsSampling dynamic figures use last10runs; Sample&Collide ones
-	// use the raw oneShot values).
-	SmoothLastK int
-}
-
-// DynamicResult holds concurrent estimation traces over a churn run.
-type DynamicResult struct {
-	// Names of the estimator instances.
-	Names []string
-	// Steps at which estimations happened.
-	Steps []float64
-	// TrueSizes[i] is the real overlay size at Steps[i].
-	TrueSizes []float64
-	// Estimates[k][i] is instance k's (possibly smoothed) estimate at
-	// Steps[i]; NaN when the instance failed at that point (for example,
-	// the overlay fragmented under it).
-	Estimates [][]float64
-	// Failures[k] counts instance k's failed estimations.
-	Failures []int
-}
-
-// TrackingError summarizes how well instance k tracked the true size:
-// mean |est/true - 1|·100 over its successful estimations.
-func (r *DynamicResult) TrackingError(k int) float64 {
-	if k < 0 || k >= len(r.Estimates) {
-		panic("core: TrackingError index out of range")
-	}
-	sum, n := 0.0, 0
-	for i, est := range r.Estimates[k] {
-		if math.IsNaN(est) || r.TrueSizes[i] == 0 {
-			continue
-		}
-		sum += math.Abs(est/r.TrueSizes[i]-1) * 100
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
 }

@@ -1,17 +1,14 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
-	"p2psize/internal/churn"
 	"p2psize/internal/graph"
-	"p2psize/internal/hopssampling"
 	"p2psize/internal/overlay"
 	"p2psize/internal/samplecollide"
-	"p2psize/internal/stats"
 	"p2psize/internal/xrand"
 )
 
@@ -103,117 +100,26 @@ func TestRunStaticParallelPropagatesLowestRunError(t *testing.T) {
 	}
 }
 
-// runDynamicSequential is the reference RunDynamicParallel is compared
-// against: one overlay, mutated in place step by step, every instance
-// polled in turn on it each EstimateEvery steps.
-func runDynamicSequential(instances []Estimator, net *overlay.Network, cfg DynamicConfig, rng *xrand.Rand) (*DynamicResult, error) {
-	if len(instances) == 0 {
-		return nil, errors.New("core: needs at least one estimator")
-	}
-	if cfg.EstimateEvery < 1 {
-		cfg.EstimateEvery = 1
-	}
-	res := &DynamicResult{
-		Names:     make([]string, len(instances)),
-		Estimates: make([][]float64, len(instances)),
-		Failures:  make([]int, len(instances)),
-	}
-	windows := make([]*stats.Window, len(instances))
-	for k, e := range instances {
-		res.Names[k] = e.Name()
-		if cfg.SmoothLastK > 1 {
-			windows[k] = stats.NewWindow(cfg.SmoothLastK)
-		}
-	}
-	runner := churn.NewRunner(cfg.Scenario, rng)
-	for step := 0; step < cfg.Scenario.TotalSteps; step++ {
-		runner.Step(net, step)
-		if (step+1)%cfg.EstimateEvery != 0 {
-			continue
-		}
-		res.Steps = append(res.Steps, float64(step+1))
-		res.TrueSizes = append(res.TrueSizes, float64(net.Size()))
-		for k, e := range instances {
-			est, err := e.Estimate(net)
-			if err != nil {
-				res.Failures[k]++
-				res.Estimates[k] = append(res.Estimates[k], math.NaN())
-				continue
-			}
-			if windows[k] != nil {
-				windows[k].Add(est)
-				est = windows[k].Mean()
-			}
-			res.Estimates[k] = append(res.Estimates[k], est)
-		}
-	}
-	return res, nil
-}
-
-// TestRunDynamicParallelMatchesSequential pins the strongest guarantee:
-// the parallel clone-replay engine reproduces the sequential loop bit for bit,
-// because every instance sees the identical overlay trajectory and its
-// own rng consumes the same draws as in the sequential interleaving.
-func TestRunDynamicParallelMatchesSequential(t *testing.T) {
-	const n = 800
-	cfg := DynamicConfig{
-		Scenario:      churn.Catastrophic(n, 60),
-		EstimateEvery: 2,
-		SmoothLastK:   5,
-	}
-	build := func() []Estimator {
-		return []Estimator{
-			samplecollide.New(samplecollide.Config{T: 10, L: 20}, xrand.New(100)),
-			hopssampling.New(hopssampling.Default(), xrand.New(101)),
-			samplecollide.New(samplecollide.Config{T: 10, L: 10}, xrand.New(102)),
-		}
-	}
-	seqNet := parallelTestNet(n, 6)
-	seq, err := runDynamicSequential(build(), seqNet, cfg, xrand.New(55))
-	if err != nil {
-		t.Fatal(err)
-	}
+// A factory may hand out per-run state (an injector, a recorder) that
+// the caller reads back afterwards, so it is called once per run and
+// never again for the result's name.
+func TestRunStaticParallelCallsFactoryOncePerRun(t *testing.T) {
+	const runs = 6
 	for _, workers := range []int{1, 4} {
-		parNet := parallelTestNet(n, 6)
-		par, err := RunDynamicParallel(build(), parNet, cfg,
-			func() *xrand.Rand { return xrand.New(55) }, workers)
+		var calls atomic.Int64
+		inner := scFactory(3)
+		res, err := RunStaticParallel(func(run int) Estimator {
+			calls.Add(1)
+			return inner(run)
+		}, parallelTestNet(300, 4), runs, LastK, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(par.Steps) != len(seq.Steps) {
-			t.Fatalf("workers=%d: %d steps vs %d", workers, len(par.Steps), len(seq.Steps))
+		if calls.Load() != runs {
+			t.Fatalf("workers=%d: factory called %d times for %d runs", workers, calls.Load(), runs)
 		}
-		for i := range seq.Steps {
-			if par.Steps[i] != seq.Steps[i] || par.TrueSizes[i] != seq.TrueSizes[i] {
-				t.Fatalf("workers=%d: trajectory diverges at %d", workers, i)
-			}
+		if res.Name != inner(0).Name() {
+			t.Fatalf("workers=%d: Name = %q, want run 0's %q", workers, res.Name, inner(0).Name())
 		}
-		for k := range seq.Estimates {
-			if par.Names[k] != seq.Names[k] || par.Failures[k] != seq.Failures[k] {
-				t.Fatalf("workers=%d: instance %d metadata differs", workers, k)
-			}
-			for i := range seq.Estimates[k] {
-				if math.Float64bits(par.Estimates[k][i]) != math.Float64bits(seq.Estimates[k][i]) {
-					t.Fatalf("workers=%d: instance %d diverges at %d: %v vs %v",
-						workers, k, i, par.Estimates[k][i], seq.Estimates[k][i])
-				}
-			}
-		}
-		// The sequential run mutates its overlay; the parallel run must
-		// leave the input overlay untouched and merge the same traffic.
-		if parNet.Size() != n {
-			t.Fatalf("workers=%d: input overlay mutated to %d nodes", workers, parNet.Size())
-		}
-		if parNet.Counter().Total() != seqNet.Counter().Total() {
-			t.Fatalf("workers=%d: merged traffic %d vs sequential %d",
-				workers, parNet.Counter().Total(), seqNet.Counter().Total())
-		}
-	}
-}
-
-func TestRunDynamicParallelArgErrors(t *testing.T) {
-	net := parallelTestNet(500, 8)
-	if _, err := RunDynamicParallel(nil, net, DynamicConfig{}, nil, 1); err == nil {
-		t.Fatal("empty instance list must error")
 	}
 }

@@ -8,8 +8,10 @@ import (
 	"p2psize/internal/churn"
 	"p2psize/internal/core"
 	"p2psize/internal/metrics"
+	"p2psize/internal/monitor"
 	"p2psize/internal/parallel"
 	"p2psize/internal/registry"
+	"p2psize/internal/stats"
 	"p2psize/internal/xrand"
 )
 
@@ -25,59 +27,82 @@ func init() {
 	register("fig17", fig17)
 }
 
-// dynamicSeries converts a DynamicResult into the paper's dynamic-figure
-// layout: the real size curve plus one curve per estimation instance.
-func dynamicSeries(res *core.DynamicResult) []*metrics.Series {
-	real := &metrics.Series{Name: "Real network size"}
-	for i := range res.Steps {
-		real.Append(res.Steps[i], res.TrueSizes[i])
-	}
-	out := []*metrics.Series{real}
-	for k := range res.Estimates {
-		s := &metrics.Series{Name: fmt.Sprintf("Estimation #%d", k+1)}
-		for i := range res.Steps {
-			s.Append(res.Steps[i], res.Estimates[k][i])
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-func noteTracking(fig *Figure, res *core.DynamicResult) {
-	for k := range res.Estimates {
-		te := res.TrackingError(k)
-		if math.IsNaN(te) {
-			fig.AddNote("estimation #%d produced no usable estimates", k+1)
-			continue
-		}
-		fig.AddNote("estimation #%d mean tracking error %.1f%% (%d failures)",
-			k+1, te, res.Failures[k])
-	}
-}
-
-// scDynamic is the shared body of Figs 9-11: three concurrent
-// Sample&Collide processes (oneShot, l=200) with one estimate per churn
-// step. Each instance runs on its own overlay clone replaying the same
-// churn trajectory, so the three fan out across workers with results
-// identical to the sequential interleaving.
-func scDynamic(id, title string, scenario churn.Scenario, p Params, stream uint64) (*Figure, error) {
+// sampleDynamic is the shared body of Figs 9-14: three concurrent
+// processes of one family sampled every `every` churn steps on the
+// monitor's step clock — observe-only and on one cadence, so they share
+// one overlay clone and one replay of the scenario — laid out as the
+// paper's dynamic figures: the real size curve plus one "Estimation #k"
+// curve per process, its lastKruns mean (lastK = 1 is the raw oneShot
+// curve). The tracking notes are computed from the curves as drawn.
+//
+// lastKruns is folded here with stats.Window rather than by the
+// monitor's Window policy: the monitor sums its window oldest-first,
+// stats.Window.Mean in slot order, and the last ulp that separates them
+// is in the figures' frozen checksums.
+func sampleDynamic(fig *Figure, family string, scenario churn.Scenario, every, lastK int, p Params, stream uint64) (*Figure, error) {
 	net := hetNet(p.N100k, p, stream)
-	ins, err := instances(id, "samplecollide", 3, p, stream, registry.Options{})
+	ins, err := instances(fig.ID, family, 3, p, stream, registry.Options{})
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.RunDynamicParallel(ins, net, core.DynamicConfig{
-		Scenario:      scenario,
-		EstimateEvery: 1,
-	}, func() *xrand.Rand { return xrand.New(p.Seed + stream + 1) }, p.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
+	sched := make([]monitor.Instance, len(ins))
+	for k, e := range ins {
+		sched[k] = monitor.Instance{Estimator: e}
 	}
-	fig := &Figure{ID: id, Title: title, XLabel: "Number of estimations", YLabel: "Estimated size"}
-	fig.Series = dynamicSeries(res)
-	noteTracking(fig, res)
+	res, err := monitor.RunScenario(sched, net, scenario, monitor.Config{Cadence: float64(every)},
+		func() *xrand.Rand { return xrand.New(p.Seed + stream + 1) }, p.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", fig.ID, err)
+	}
+	real := &metrics.Series{Name: "Real network size"}
+	for i, t := range res.Times {
+		real.Append(t, res.TrueSizes[i])
+	}
+	fig.Series = []*metrics.Series{real}
+	for k, raw := range res.Raw {
+		curve := &metrics.Series{Name: fmt.Sprintf("Estimation #%d", k+1)}
+		window := stats.NewWindow(lastK)
+		for i, est := range raw {
+			if !math.IsNaN(est) { // a failed estimation stays a gap
+				window.Add(est)
+				est = window.Mean()
+			}
+			curve.Append(res.Times[i], est)
+		}
+		fig.Series = append(fig.Series, curve)
+		if te := trackingError(curve.Y, res.TrueSizes); math.IsNaN(te) {
+			fig.AddNote("estimation #%d produced no usable estimates", k+1)
+		} else {
+			fig.AddNote("estimation #%d mean tracking error %.1f%% (%d failures)",
+				k+1, te, res.Failures[k])
+		}
+	}
 	fig.Messages = net.Counter().Total()
 	return fig, nil
+}
+
+// trackingError summarizes how well a curve tracked the true size: mean
+// |est/true - 1|·100 over its usable points (NaN when there are none).
+func trackingError(estimates, trueSizes []float64) float64 {
+	sum, n := 0.0, 0
+	for i, est := range estimates {
+		if math.IsNaN(est) || trueSizes[i] == 0 {
+			continue
+		}
+		sum += math.Abs(est/trueSizes[i]-1) * 100
+		n++
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return sum / float64(n)
+}
+
+// scDynamic is Figs 9-11: Sample&Collide (oneShot, l=200) with one
+// estimate per churn step.
+func scDynamic(id, title string, scenario churn.Scenario, p Params, stream uint64) (*Figure, error) {
+	fig := &Figure{ID: id, Title: title, XLabel: "Number of estimations", YLabel: "Estimated size"}
+	return sampleDynamic(fig, "samplecollide", scenario, 1, 1, p, stream)
 }
 
 func fig09(p Params) (*Figure, error) {
@@ -98,28 +123,11 @@ func fig11(p Params) (*Figure, error) {
 		churn.Shrinking(p.N100k, p.SCRuns, 0.5), p, 0x0b00)
 }
 
-// hopsDynamic is the shared body of Figs 12-14: three concurrent
-// HopsSampling processes restarted every few time units, each smoothed
-// with last10runs.
+// hopsDynamic is Figs 12-14: HopsSampling restarted every few time
+// units, each process smoothed with last10runs.
 func hopsDynamic(id, title string, scenario churn.Scenario, p Params, stream uint64) (*Figure, error) {
-	net := hetNet(p.N100k, p, stream)
-	ins, err := instances(id, "hopssampling", 3, p, stream, registry.Options{})
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.RunDynamicParallel(ins, net, core.DynamicConfig{
-		Scenario:      scenario,
-		EstimateEvery: max(1, p.HopsHorizon/100),
-		SmoothLastK:   core.LastK,
-	}, func() *xrand.Rand { return xrand.New(p.Seed + stream + 1) }, p.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
-	}
 	fig := &Figure{ID: id, Title: title, XLabel: "Time", YLabel: "Size"}
-	fig.Series = dynamicSeries(res)
-	noteTracking(fig, res)
-	fig.Messages = net.Counter().Total()
-	return fig, nil
+	return sampleDynamic(fig, "hopssampling", scenario, max(1, p.HopsHorizon/100), core.LastK, p, stream)
 }
 
 func fig12(p Params) (*Figure, error) {
@@ -142,9 +150,12 @@ func fig14(p Params) (*Figure, error) {
 
 // aggDynamic is the shared body of Figs 15-17: three concurrent epoch-
 // restarted Aggregation processes; churn advances every round; estimates
-// are read at each epoch boundary (every EpochLen rounds). Like the other
-// dynamic figures, each process runs on its own overlay clone replaying
-// the identical churn trajectory, so the three fan out across workers.
+// are read at each epoch boundary (every EpochLen rounds). Each process
+// runs on its own overlay clone replaying the identical churn
+// trajectory, so the three fan out across workers. This is a
+// protocol-stepping loop — one churn step, one round, the real size
+// drawn per round — not a sampling loop, which is why it does not ride
+// monitor.RunScenario.
 func aggDynamic(id, title string, scenario churn.Scenario, p Params, stream uint64) (*Figure, error) {
 	net := hetNet(p.N100k, p, stream)
 	const instances = 3
@@ -212,8 +223,8 @@ func aggDynamic(id, title string, scenario churn.Scenario, p Params, stream uint
 	for k, o := range outs {
 		// The figure pairs instance 0's real-size curve with every
 		// instance's estimates, which is only sound if all clones replayed
-		// the identical trajectory (same defensive check as
-		// core.RunDynamicParallel).
+		// the identical trajectory (the monitor's loop makes the same
+		// defensive check).
 		if o.real.Len() != outs[0].real.Len() {
 			return nil, fmt.Errorf("%s: churn replay diverged at instance %d (%d vs %d rounds)",
 				id, k, o.real.Len(), outs[0].real.Len())

@@ -262,6 +262,16 @@ func TestFig12HopsDynamic(t *testing.T) {
 	}
 }
 
+func TestTrackingErrorAllFailed(t *testing.T) {
+	if te := trackingError([]float64{math.NaN()}, []float64{100}); !math.IsNaN(te) {
+		t.Fatalf("trackingError = %g, want NaN", te)
+	}
+	// Gaps and an empty overlay are skipped, not averaged in.
+	if te := trackingError([]float64{110, math.NaN(), 5}, []float64{100, 100, 0}); math.Abs(te-10) > 1e-9 {
+		t.Fatalf("trackingError = %g, want 10", te)
+	}
+}
+
 func TestFig15AggCatastrophic(t *testing.T) {
 	fig, err := fig15(testParams())
 	if err != nil {

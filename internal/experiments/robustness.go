@@ -108,17 +108,18 @@ func runRobustness(id, title string, spec fault.Spec, p Params) (*Figure, error)
 	outer, inner := splitWorkers(p, len(candidates))
 	outs, err := parallel.Map(outer, len(candidates), func(ci int) (candOut, error) {
 		c := candidates[ci]
-		// The injectors are created up front, one per run: the run
-		// harness calls the factory twice for run 0 (once to estimate,
-		// once for the name), and a fresh-injector-per-call factory
-		// would lose run 0's recorded latency to the throwaway.
+		// The injectors are created up front, one per run: each run's
+		// recorded latency is read back from its injector after the
+		// harness has returned.
 		injs := make([]*fault.Injector, runs)
 		for run := range injs {
 			injs[run] = fault.NewInjector(spec, xrand.NewStream(p.Seed+c.seed+0x10000, uint64(run)))
 		}
 		var net *overlay.Network
 		if spec.PartitionFrac > 0 {
-			net = baseNet.Clone() // partition surgery mutates the graph
+			// Partition surgery mutates the graph. Every candidate clones,
+			// so baseNet stays the never-written copy-on-write base.
+			net = baseNet.CloneCOW()
 		} else {
 			net = baseNet.View()
 		}

@@ -335,9 +335,9 @@ func (g *Graph) ForEachAlive(fn func(id NodeID)) {
 // changes across mutations.
 func (g *Graph) AliveAt(i int) NodeID { return *g.aliveIDs.at(i) }
 
-// Clone returns a deep copy of g sharing no mutable state with it. The
-// parallel experiment engine clones one overlay per concurrent estimation
-// instance so identical churn replays stay independent across goroutines.
+// Clone returns a deep copy of g sharing no mutable state with it. No
+// run loop calls it — they all clone with CloneCOW; it survives as the
+// reference cow_test.go compares CloneCOW against.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
 		nodes:    g.nodes.clone(),

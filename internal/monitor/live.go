@@ -1,17 +1,17 @@
 package monitor
 
-// Live-cluster monitoring: the same schedule/union-grid/smoothing
-// machinery as RunScheduled, but driven against ONE shared overlay whose
-// membership is owned by real node daemons rather than a replayed trace.
-// There is no churn player and no per-instance clone — the overlay
+// Live-cluster monitoring: the same loop as RunScheduled, but driven
+// against ONE shared overlay whose membership is owned by real node
+// daemons rather than a replayed trace. There is no clone — the overlay
 // mirrors the cluster, so all instances must observe the same membership
-// at the same tick, which forces a sequential walk of the grid. A
-// LiveSource reconciles daemon liveness into the overlay ahead of every
-// tick; with a nil source the membership is static and RunLive on a
-// transport-free overlay is the simulated oracle the coordinator
-// cross-validates the live run against (identical estimator seeds then
-// give bit-equal raw estimates, because the transport seam never feeds
-// back into estimator arithmetic).
+// at the same tick and interleave on a single timeline. The Timeline
+// reconciles daemon liveness into the overlay ahead of every tick (the
+// coordinator's pings every daemon and Leaves the ones that stopped
+// answering; tests can script departures); with a nil one the
+// membership is static and RunLive on a transport-free overlay is the
+// simulated oracle the coordinator cross-validates the live run against
+// (identical estimator seeds then give bit-equal raw estimates, because
+// the transport seam never feeds back into estimator arithmetic).
 
 import (
 	"fmt"
@@ -20,87 +20,32 @@ import (
 	"p2psize/internal/overlay"
 )
 
-// LiveSource reconciles live-cluster membership into the overlay. The
-// coordinator's implementation pings every daemon and Leaves the ones
-// that stopped answering; tests can script departures.
-type LiveSource interface {
-	// Refresh is called once per grid tick, before any instance samples,
-	// with the shared overlay and the simulated time of the tick. It may
-	// mutate the overlay's membership; an error aborts the run.
-	Refresh(net *overlay.Network, t float64) error
+// liveGroup puts every instance in one group: a live overlay is one
+// real deployment, not a replayable simulation.
+func liveGroup(instances []Instance, _ []float64) [][]int {
+	all := make([]int, len(instances))
+	for k := range all {
+		all[k] = k
+	}
+	return [][]int{all}
 }
 
 // RunLive samples every instance on its own cadence against the shared
-// live overlay up to the horizon. Unlike RunScheduled it runs
-// sequentially — the overlay is one real deployment, not a replayable
-// simulation, so instances interleave on a single timeline and meter on
-// the overlay's own counter (per-instance messages are attributed by
-// counter deltas around each estimation). The overlay's transport, if
-// any, carries every metered send to the daemons.
-func RunLive(instances []Instance, net *overlay.Network, src LiveSource, horizon float64, cfg Config) (*Result, error) {
+// live overlay up to the horizon, on one goroutine: src (nil = static
+// membership) advances net itself, and the instances due at a tick then
+// estimate in instance order, each on its own net.View() — which
+// inherits the overlay's transport, if any, so every metered send still
+// reaches the daemons, and whose counter is the instance's Messages.
+func RunLive(instances []Instance, net *overlay.Network, src Timeline, horizon float64, cfg Config) (*Result, error) {
 	if !(horizon > 0) || math.IsInf(horizon, 1) {
 		return nil, fmt.Errorf("monitor: live horizon %g must be positive and finite", horizon)
 	}
-	cadences, policies, schedules, err := resolveSchedules(instances, cfg, horizon)
+	res, err := sample(instances, cfg, horizon, net, liveGroup, func() (*overlay.Network, Timeline, error) {
+		return net, src, nil
+	}, 1)
 	if err != nil {
 		return nil, err
 	}
-	grid := unionGrid(schedules)
-	res := &Result{
-		Names:     make([]string, len(instances)),
-		Policy:    cfg.Policy.normalized(),
-		Policies:  make([]Policy, len(instances)),
-		Cadences:  cadences,
-		Scheduled: make([]int, len(instances)),
-		Horizon:   horizon,
-		Times:     grid,
-		Raw:       make([][]float64, len(instances)),
-		Smoothed:  make([][]float64, len(instances)),
-		Staleness: make([][]float64, len(instances)),
-		Failures:  make([]int, len(instances)),
-		Restarts:  make([]int, len(instances)),
-		Messages:  make([]uint64, len(instances)),
-	}
-	smoothers := make([]*smoother, len(instances))
-	next := make([]int, len(instances)) // cursor into each instance's own schedule
-	for k := range instances {
-		res.Names[k] = instances[k].Estimator.Name()
-		res.Policies[k] = policies[k].normalized()
-		smoothers[k] = newSmoother(policies[k])
-	}
-	for _, t := range grid {
-		if src != nil {
-			if err := src.Refresh(net, t); err != nil {
-				return nil, fmt.Errorf("monitor: live refresh at t=%g: %w", t, err)
-			}
-		}
-		res.TrueSizes = append(res.TrueSizes, float64(net.Size()))
-		for k := range instances {
-			sm := smoothers[k]
-			due := next[k] < len(schedules[k]) && schedules[k][next[k]] == t
-			if !due {
-				res.Raw[k] = append(res.Raw[k], math.NaN())
-			} else {
-				next[k]++
-				res.Scheduled[k]++
-				before := net.Counter().Total()
-				est, err := instances[k].Estimator.Estimate(net)
-				res.Messages[k] += net.Counter().Total() - before
-				if err != nil {
-					res.Failures[k]++
-					res.Raw[k] = append(res.Raw[k], math.NaN())
-				} else {
-					sm.add(est, t)
-					res.Raw[k] = append(res.Raw[k], est)
-				}
-			}
-			served, stale := sm.current(t)
-			res.Smoothed[k] = append(res.Smoothed[k], served)
-			res.Staleness[k] = append(res.Staleness[k], stale)
-		}
-	}
-	for k := range instances {
-		res.Restarts[k] = smoothers[k].restarts
-	}
+	res.Groups = 0 // no clone, no replay
 	return res, nil
 }

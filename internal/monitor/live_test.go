@@ -3,6 +3,7 @@ package monitor
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"p2psize/internal/graph"
@@ -24,14 +25,14 @@ func (e sizeEcho) Estimate(n *overlay.Network) (float64, error) {
 	return float64(n.Size()), nil
 }
 
-// leaveAt is a scripted LiveSource: it removes one node when the grid
+// leaveAt is a scripted Timeline: it removes one node when the grid
 // reaches the trigger time.
 type leaveAt struct {
 	t     float64
 	fired bool
 }
 
-func (s *leaveAt) Refresh(net *overlay.Network, t float64) error {
+func (s *leaveAt) AdvanceTo(net *overlay.Network, t float64) error {
 	if !s.fired && t >= s.t {
 		s.fired = true
 		net.Leave(net.Graph().AliveAt(0))
@@ -119,6 +120,29 @@ func TestRunLiveFailuresAndErrors(t *testing.T) {
 	}
 }
 
+// A Timeline error aborts the run and names the tick it struck at.
+func TestRunLiveTimelineErrorNamesTheTick(t *testing.T) {
+	res, err := RunLive([]Instance{{Estimator: sizeEcho{}}}, liveNet(10), &failAt{t: 20}, 30, Config{Cadence: 10})
+	if err == nil || res != nil {
+		t.Fatalf("timeline error at tick 2 did not abort the run: res %v, err %v", res, err)
+	}
+	if !strings.Contains(err.Error(), "t=20") || !errors.Is(err, errLostCluster) {
+		t.Fatalf("err = %q, want the tick's time and the timeline's error", err)
+	}
+}
+
+var errLostCluster = errors.New("lost cluster")
+
+// failAt is a Timeline that fails once the grid reaches t.
+type failAt struct{ t float64 }
+
+func (s *failAt) AdvanceTo(_ *overlay.Network, t float64) error {
+	if t >= s.t {
+		return errLostCluster
+	}
+	return nil
+}
+
 type refreshErr struct{}
 
-func (refreshErr) Refresh(*overlay.Network, float64) error { return errors.New("lost cluster") }
+func (refreshErr) AdvanceTo(*overlay.Network, float64) error { return errors.New("lost cluster") }

@@ -18,13 +18,18 @@
 // aging visibly in the staleness series.
 //
 // Instances fan out on the deterministic worker pool in replay groups:
-// one overlay clone and one trace replay per cadence group of read-only
+// one overlay clone and one replay per cadence group of read-only
 // estimators, and one per estimator that mutates the overlay (see
-// replayGroups). Every group replays the identical trace (the same
-// contract as core.RunDynamicParallel) and walks the same union grid;
-// inside a group the replay runs alone and the members due at a tick
-// then estimate concurrently on private views of the clone. Results are
-// byte-identical at every worker count.
+// replayGroups). Every group replays the identical membership
+// trajectory and walks the same union grid; inside a group the replay
+// runs alone and the members due at a tick then estimate concurrently
+// on private views of the clone. Results are byte-identical at every
+// worker count.
+//
+// The package owns the only sampling loop in the tree (sample). What
+// moves the membership between ticks is a Timeline, and the three entry
+// points differ in nothing else: RunScheduled replays a trace.Trace,
+// RunScenario steps a churn.Scenario, RunLive follows a live cluster.
 package monitor
 
 import (
@@ -33,6 +38,7 @@ import (
 	"math"
 	"sort"
 
+	"p2psize/internal/churn"
 	"p2psize/internal/core"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
@@ -153,7 +159,8 @@ type Result struct {
 	// Scheduled[k] is the number of estimations instance k made (its
 	// own schedule; Times spans the union of all schedules).
 	Scheduled []int
-	// Horizon of the replayed trace.
+	// Horizon of the run: the trace's, the scenario's TotalSteps, or
+	// the one RunLive was given.
 	Horizon float64
 	// Times is the merged union of every instance's sample schedule.
 	Times []float64
@@ -176,8 +183,8 @@ type Result struct {
 	Restarts []int
 	// Messages[k] is instance k's total metered protocol traffic.
 	Messages []uint64
-	// Groups is the number of replay groups — overlay clones, trace
-	// replays — RunScheduled used: the number of read-only cadence
+	// Groups is the number of replay groups — overlay clones, replays —
+	// RunScheduled or RunScenario used: the number of read-only cadence
 	// classes plus one per mutating (or undeclared) instance. RunLive
 	// samples the live overlay (no clones, no replay) and leaves it 0.
 	Groups int
@@ -285,17 +292,6 @@ func (s *smoother) add(est, t float64) {
 	}
 }
 
-// Run replays the trace for every estimator on the shared Config
-// cadence and policy — the single-cadence entry point, equivalent to
-// RunScheduled with all-zero Instance overrides.
-func Run(instances []core.Estimator, net *overlay.Network, tr *trace.Trace, cfg Config, newRNG func() *xrand.Rand, workers int) (*Result, error) {
-	sched := make([]Instance, len(instances))
-	for k, e := range instances {
-		sched[k] = Instance{Estimator: e}
-	}
-	return RunScheduled(sched, net, tr, cfg, newRNG, workers)
-}
-
 // maxSamples bounds one instance's schedule length. A pathologically
 // tiny (but positive and finite) cadence would otherwise overflow the
 // float→int conversion below — int(1e300) is undefined and lands on
@@ -343,8 +339,7 @@ func unionGrid(schedules [][]float64) []float64 {
 }
 
 // resolveSchedules validates the instances and resolves each one's
-// cadence, smoothing policy and sample schedule over the horizon — the
-// shared front half of RunScheduled and RunLive.
+// cadence, smoothing policy and sample schedule over the horizon.
 func resolveSchedules(instances []Instance, cfg Config, horizon float64) (cadences []float64, policies []Policy, schedules [][]float64, err error) {
 	if len(instances) == 0 {
 		return nil, nil, nil, errors.New("monitor: Run needs at least one estimator")
@@ -388,8 +383,8 @@ func resolveSchedules(instances []Instance, cfg Config, horizon float64) (cadenc
 }
 
 // splitWorkers divides the run's worker budget between the two levels
-// of RunScheduled: groups fan out on outer workers — one live clone
-// each — and every group forks its ticks on inner, so outer·inner never
+// of sample: groups fan out on outer workers — one live clone each —
+// and every group forks its ticks on inner, so outer·inner never
 // exceeds the budget. The split is fixed for the run: a pure function
 // of (workers, groups), like everything else scheduling may depend on.
 func splitWorkers(workers, groups int) (outer, inner int) {
@@ -398,49 +393,49 @@ func splitWorkers(workers, groups int) (outer, inner int) {
 	return outer, w / outer
 }
 
-// RunScheduled replays the trace on copy-on-write clones of net (net is
-// the shared immutable base; each clone pays only for the churn it
-// replays) and samples every instance on its own cadence. The result's
-// time grid is the union of all instance schedules: every instance
-// records the true size, its served value and its staleness at every
-// grid tick, but estimates only at its own scheduled times — so mixed
-// cadences stay directly comparable, point for point.
+// Timeline is the single writer of a sampling run: whatever moves the
+// overlay's membership between two ticks — a trace replay, a churn
+// scenario's steps, a live cluster's liveness probes.
+type Timeline interface {
+	// AdvanceTo brings net's membership up to simulated time t. It is
+	// called once per grid tick, in ascending order, alone on the
+	// overlay before any instance samples; an error aborts the run.
+	AdvanceTo(net *overlay.Network, t float64) error
+}
+
+// sample is the sampling loop under RunScheduled, RunScenario and
+// RunLive. group partitions the instances (by index, given their
+// resolved cadences) and open supplies each group's overlay with the
+// Timeline that writes it; every instance then records the true size,
+// its served value and its staleness at every tick of the union grid,
+// but estimates only at its own scheduled times — so mixed cadences
+// stay directly comparable, point for point.
 //
-// Instances map onto clones by replay group: read-only instances
-// folded by cadence, mutating instances alone (see replayGroups).
-//
-// A tick is a fork-join inside each group. player.AdvanceTo runs alone
-// on the clone — it is the only writer — and then every member due at
-// that tick estimates on its own clone.View(): the same paged graph, a
-// private metrics.Counter and a private fault-policy slot. A group has
-// two members only when all of them declare MutatesOverlay() == false,
-// which is what makes reading the one graph side by side safe; the
-// members run through parallel.Map and their results are folded into
-// smoothers and series serially in member order, so nothing depends on
-// which finished first. Messages[k] is the total of instance k's view
-// counter — the same alone or in company, since the replay itself
-// meters nothing.
+// A tick is a fork-join inside each group. The timeline advances alone
+// — it is the only writer — and then every member due at that tick
+// estimates on its own View() of the group's overlay: the same paged
+// graph, a private metrics.Counter and a private fault-policy slot.
+// The members run through parallel.Map and their results are folded
+// into smoothers and series serially in member order, so nothing
+// depends on which finished first. Messages[k] is the total of instance
+// k's view counter — the same alone or in company, since the timeline
+// itself meters nothing — and the view counters are merged into net's
+// counter in group order, members in instance order.
 //
 // The worker budget is split once (splitWorkers): groups fan out as
-// wide as the budget allows, so at most workers clones are alive at a
-// time, and each group's ticks fork on the share that is left. With
-// workers == 1, and in every singleton group, each Estimate runs inline
-// on the group's goroutine.
-//
-// newRNG must return a fresh, identically seeded generator on every
-// call (it drives the replay's join wiring), so all clones see the
-// identical membership trajectory; replay determinism makes the
-// trajectory independent of where an instance's schedule stops along
-// the way. The overlay itself is left unmutated and the view counters
-// are merged into its counter in group order, members in instance
-// order. Output is byte-identical at every worker count.
-func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, cfg Config, newRNG func() *xrand.Rand, workers int) (*Result, error) {
-	cadences, policies, schedules, err := resolveSchedules(instances, cfg, tr.Horizon)
+// wide as the budget allows, so at most workers group overlays are
+// alive at a time, and each group's ticks fork on the share that is
+// left. With workers == 1, and in every singleton group, each Estimate
+// runs inline on the group's goroutine, in member order.
+func sample(instances []Instance, cfg Config, horizon float64, net *overlay.Network,
+	group func([]Instance, []float64) [][]int,
+	open func() (*overlay.Network, Timeline, error), workers int) (*Result, error) {
+	cadences, policies, schedules, err := resolveSchedules(instances, cfg, horizon)
 	if err != nil {
 		return nil, err
 	}
 	grid := unionGrid(schedules)
-	groups := replayGroups(instances, cadences)
+	groups := group(instances, cadences)
 	groupWorkers, tickWorkers := splitWorkers(workers, len(groups))
 	type instOut struct {
 		raw       []float64
@@ -465,25 +460,27 @@ func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, c
 	}
 	outs, err := parallel.Map(groupWorkers, len(groups), func(gi int) (groupOut, error) {
 		members := groups[gi]
-		clone := net.CloneCOW()
-		player, err := trace.NewPlayer(tr, clone)
+		own, timeline, err := open()
 		if err != nil {
 			return groupOut{}, err
 		}
-		rng := newRNG()
 		o := groupOut{insts: make([]instOut, len(members))}
 		views := make([]*overlay.Network, len(members))
 		sms := make([]*smoother, len(members))
 		next := make([]int, len(members)) // cursors into each member's own schedule
 		for mi, k := range members {
-			views[mi] = clone.View()
+			views[mi] = own.View()
 			o.insts[mi].counter = views[mi].Counter()
 			sms[mi] = newSmoother(policies[k])
 		}
 		for _, t := range grid {
-			player.AdvanceTo(clone, t, rng)
-			o.trueSizes = append(o.trueSizes, float64(clone.Size()))
-			// Fork: the clone is quiescent until the next AdvanceTo, and
+			if timeline != nil {
+				if err := timeline.AdvanceTo(own, t); err != nil {
+					return groupOut{}, fmt.Errorf("monitor: timeline at t=%g: %w", t, err)
+				}
+			}
+			o.trueSizes = append(o.trueSizes, float64(own.Size()))
+			// Fork: the overlay is quiescent until the next AdvanceTo, and
 			// index mi touches only member mi's cursor, view and estimator.
 			ests, _ := parallel.Map(tickWorkers, len(members), func(mi int) (estimate, error) {
 				k := members[mi]
@@ -528,7 +525,7 @@ func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, c
 		Policies:  make([]Policy, len(instances)),
 		Cadences:  cadences,
 		Scheduled: make([]int, len(instances)),
-		Horizon:   tr.Horizon,
+		Horizon:   horizon,
 		Times:     grid,
 		Raw:       make([][]float64, len(instances)),
 		Smoothed:  make([][]float64, len(instances)),
@@ -540,11 +537,13 @@ func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, c
 	}
 	res.TrueSizes = outs[0].trueSizes
 	for gi, o := range outs {
-		// Every group's clone must have replayed the identical
-		// trajectory; a divergence means newRNG violated its contract.
+		// Every group must have replayed the identical trajectory; a
+		// divergence means newRNG violated its contract. (Best-effort:
+		// the check sees sizes, which a scenario's rates fix in most
+		// cases even under a divergent rng.)
 		for i := range o.trueSizes {
 			if o.trueSizes[i] != outs[0].trueSizes[i] {
-				return nil, fmt.Errorf("monitor: trace replay diverged at group %d (instance %d), t=%g (%g != %g); newRNG must return identically seeded generators",
+				return nil, fmt.Errorf("monitor: replay diverged at group %d (instance %d), t=%g (%g != %g); newRNG must return identically seeded generators",
 					gi, groups[gi][0], res.Times[i], o.trueSizes[i], outs[0].trueSizes[i])
 			}
 		}
@@ -563,6 +562,57 @@ func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, c
 		}
 	}
 	return res, nil
+}
+
+// tracePlayer is a trace.Player bound to the generator that wires its
+// joins.
+type tracePlayer struct {
+	player *trace.Player
+	rng    *xrand.Rand
+}
+
+func (p tracePlayer) AdvanceTo(net *overlay.Network, t float64) error {
+	p.player.AdvanceTo(net, t, p.rng)
+	return nil
+}
+
+// RunScheduled replays the trace on copy-on-write clones of net (net is
+// the shared immutable base; each clone pays only for the churn it
+// replays) and samples every instance on its own cadence (see sample
+// for the tick). The result's time grid is the union of all instance
+// schedules.
+//
+// Instances map onto clones by replay group: read-only instances
+// folded by cadence, mutating instances alone (see replayGroups) — a
+// group has two members only when all of them declare
+// MutatesOverlay() == false, which is what makes reading the one graph
+// side by side safe.
+//
+// newRNG must return a fresh, identically seeded generator on every
+// call (it drives the replay's join wiring), so all clones see the
+// identical membership trajectory; replay determinism makes the
+// trajectory independent of where an instance's schedule stops along
+// the way. The overlay itself is left unmutated. Output is
+// byte-identical at every worker count.
+func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, cfg Config, newRNG func() *xrand.Rand, workers int) (*Result, error) {
+	return sample(instances, cfg, tr.Horizon, net, replayGroups, func() (*overlay.Network, Timeline, error) {
+		clone := net.CloneCOW()
+		player, err := trace.NewPlayer(tr, clone)
+		return clone, tracePlayer{player, newRNG()}, err
+	}, workers)
+}
+
+// RunScenario is RunScheduled on a step clock: the scenario's churn is
+// applied step by step (churn.Runner, built on newRNG() under the same
+// contract) and the horizon is its TotalSteps, so an instance on cadence
+// c estimates after steps c, 2c, ... — the "Estimation #" curves of the
+// paper's dynamic figures. Estimation failures record NaN and the run
+// continues: fragmented, shrunken overlays are precisely the regime the
+// dynamic comparison is about.
+func RunScenario(instances []Instance, net *overlay.Network, sc churn.Scenario, cfg Config, newRNG func() *xrand.Rand, workers int) (*Result, error) {
+	return sample(instances, cfg, float64(sc.TotalSteps), net, replayGroups, func() (*overlay.Network, Timeline, error) {
+		return net.CloneCOW(), churn.NewRunner(sc, newRNG()), nil
+	}, workers)
 }
 
 // MAE returns instance k's mean absolute tracking error |served − true|

@@ -62,6 +62,16 @@ func (meteredTruth) Estimate(net *overlay.Network) (float64, error) {
 	return float64(net.Size()), nil
 }
 
+// Run is RunScheduled with every estimator on the shared Config cadence
+// and policy (all-zero Instance overrides).
+func Run(instances []core.Estimator, net *overlay.Network, tr *trace.Trace, cfg Config, newRNG func() *xrand.Rand, workers int) (*Result, error) {
+	sched := make([]Instance, len(instances))
+	for k, e := range instances {
+		sched[k] = Instance{Estimator: e}
+	}
+	return RunScheduled(sched, net, tr, cfg, newRNG, workers)
+}
+
 func run(t *testing.T, instances []core.Estimator, cfg Config, workers int) *Result {
 	t.Helper()
 	const n = 400

@@ -3,17 +3,19 @@ package monitor
 import "p2psize/internal/core"
 
 // replayGroups partitions instance indices into replay groups, each of
-// which gets one clone, one trace.Player and one newRNG() generator —
-// replay work and clone memory are O(groups), not O(instances).
+// which gets one clone, one replay (a trace.Player or a churn.Runner)
+// and one newRNG() generator — replay work and clone memory are
+// O(groups), not O(instances).
 // Read-only instances (core.MutatesOverlay reports false) with equal
 // cadences fold into one group (bit-equal cadences produce bit-equal
 // schedules, so every member is due at exactly the same ticks);
 // estimators that mutate the overlay — or do not declare the
 // core.OverlayMutator capability — stay in singleton groups. A group of
 // two or more therefore holds read-only estimators alone, which is what
-// lets RunScheduled run its members concurrently at a tick: observing
-// estimators can perturb neither the overlay nor each other, so every
-// series is bit-equal to what the instance produces on a private clone.
+// lets the sampling loop run its members concurrently at a tick:
+// observing estimators can perturb neither the overlay nor each other,
+// so every series is bit-equal to what the instance produces on a
+// private clone.
 // Groups are ordered by first-member index and members keep instance
 // order, so the merge of the members' view counters into the base
 // overlay's counter is deterministic.

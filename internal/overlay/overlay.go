@@ -7,8 +7,7 @@
 // random set of neighbors under the degree cap, and departures do NOT
 // trigger re-linking ("nodes that have lost one or several neighbors do
 // not create new links"), which is what degrades connectivity in the
-// shrinking experiments. A repairing leave is provided as an extension
-// for the ablation study.
+// shrinking experiments.
 package overlay
 
 import (
@@ -91,9 +90,8 @@ func New(g *graph.Graph, maxDeg int, counter *metrics.Counter) *Network {
 func (n *Network) Graph() *graph.Graph { return n.g }
 
 // Clone returns a deep copy of the overlay with a fresh message counter.
-// The parallel experiment engine gives each concurrent estimation
-// instance its own clone so identical churn replays neither share graph
-// mutations nor race on the meter.
+// Every run loop clones with CloneCOW; the deep copy survives as the
+// reference TestCloneCOWMatchesCloneUnderChurn compares it against.
 func (n *Network) Clone() *Network {
 	return &Network{g: n.g.Clone(), counter: &metrics.Counter{}, maxDeg: n.maxDeg, trans: n.trans}
 }
@@ -244,32 +242,4 @@ func (n *Network) LeaveRandom(rng *xrand.Rand) (NodeID, bool) {
 	}
 	n.Leave(id)
 	return id, true
-}
-
-// LeaveWithRepair removes a peer and then gives each bereaved neighbor one
-// replacement link to a random live peer under the cap. This is NOT the
-// paper's behaviour; it exists for the churn-repair ablation, which shows
-// how much of Aggregation's shrinking-scenario failure is due to
-// connectivity loss.
-func (n *Network) LeaveWithRepair(id NodeID, rng *xrand.Rand) {
-	if !n.g.Alive(id) {
-		panic(fmt.Sprintf("overlay: LeaveWithRepair of dead peer %d", id))
-	}
-	bereaved := append([]NodeID(nil), n.g.Neighbors(id)...)
-	n.g.RemoveNode(id)
-	for _, b := range bereaved {
-		attempts := 0
-		for attempts < 50 {
-			v, ok := n.g.RandomAlive(rng)
-			if !ok {
-				return
-			}
-			if v == b || n.g.Degree(v) >= n.maxDeg || n.g.HasEdge(b, v) {
-				attempts++
-				continue
-			}
-			n.g.AddEdge(b, v)
-			break
-		}
-	}
 }

@@ -181,57 +181,13 @@ func TestLeaveRandom(t *testing.T) {
 	}
 }
 
-func TestLeaveWithRepairRestoresDegrees(t *testing.T) {
-	net, rng := newTestNet(500, 7)
-	// Find a peer whose neighbors are all below cap so repair can always
-	// succeed.
-	var victim NodeID = graph.None
-	net.Graph().ForEachAlive(func(id NodeID) {
-		if victim != graph.None {
-			return
-		}
-		ok := net.Degree(id) > 0
-		for _, b := range net.Graph().Neighbors(id) {
-			if net.Degree(b) >= net.MaxDegree() {
-				ok = false
-			}
-		}
-		if ok {
-			victim = id
-		}
-	})
-	if victim == graph.None {
-		t.Skip("no suitable victim")
-	}
-	nbrs := append([]NodeID(nil), net.Graph().Neighbors(victim)...)
-	degBefore := make(map[NodeID]int, len(nbrs))
-	for _, b := range nbrs {
-		degBefore[b] = net.Degree(b)
-	}
-	net.LeaveWithRepair(victim, rng)
-	for _, b := range nbrs {
-		if net.Degree(b) < degBefore[b] {
-			t.Fatalf("neighbor %d degree dropped from %d to %d despite repair",
-				b, degBefore[b], net.Degree(b))
-		}
-	}
-	if err := net.Graph().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestChurnPreservesInvariants(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		net, _ := newTestNet(100, seed)
 		for op := 0; op < 200; op++ {
 			if rng.Bool() && net.Size() > 2 {
-				if rng.Bool() {
-					net.LeaveRandom(rng)
-				} else {
-					id, _ := net.RandomPeer(rng)
-					net.LeaveWithRepair(id, rng)
-				}
+				net.LeaveRandom(rng)
 			} else {
 				net.JoinRandomDegree(rng)
 			}

@@ -7,8 +7,8 @@
 // arrives when and how long they stay — so the same workload can be
 // generated synthetically (Poisson arrivals × Weibull/lognormal/
 // exponential/Pareto sessions, diurnal modulation, flash crowds, mass
-// failures), loaded from an empirical measurement, replayed onto an
-// overlay, or down-converted to a churn.Scenario.
+// failures), loaded from an empirical measurement, or replayed onto an
+// overlay.
 //
 // Determinism contract: a Trace is plain data; generation and all
 // compositors draw exclusively from the caller's *xrand.Rand, so equal
@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"p2psize/internal/churn"
 )
 
 // Op is the type of a trace event.
@@ -111,8 +109,8 @@ func (t *Trace) Validate() error {
 	// NaN compares false against everything, so an explicit finiteness
 	// check is required: a "#horizon NaN" header (a seed-corpus case of
 	// FuzzReadTraceCSV) would otherwise slip through every range test
-	// below and corrupt downstream arithmetic (replay cursors,
-	// ToScenario bucket indices).
+	// below and corrupt downstream arithmetic (replay cursors, the
+	// monitor's sample schedules).
 	if math.IsNaN(t.Horizon) || math.IsInf(t.Horizon, 0) {
 		return fmt.Errorf("trace: Horizon %g is not finite", t.Horizon)
 	}
@@ -244,46 +242,4 @@ func (t *Trace) aliveAt(at float64) []int {
 		}
 	}
 	return out
-}
-
-// ToScenario down-converts the trace to a churn.Scenario over the given
-// number of steps: step s covers the time window (s·dt, (s+1)·dt] with
-// dt = Horizon/steps, and receives one discrete churn.Event carrying the
-// exact join and leave counts of that window. The conversion preserves
-// aggregate volume per step but drops session identity — which peer
-// leaves is re-drawn by the churn runner — so it suits harnesses built
-// on churn.Scenario, while Player preserves the trace exactly.
-func (t *Trace) ToScenario(steps int) (churn.Scenario, error) {
-	if steps < 1 {
-		return churn.Scenario{}, errors.New("trace: ToScenario needs steps >= 1")
-	}
-	if err := t.Validate(); err != nil {
-		return churn.Scenario{}, err
-	}
-	dt := t.Horizon / float64(steps)
-	adds := make([]int, steps)
-	drops := make([]int, steps)
-	for _, ev := range t.Events {
-		s := int(ev.T / dt)
-		if s >= steps {
-			s = steps - 1
-		}
-		if ev.Op == Join {
-			adds[s]++
-		} else {
-			drops[s]++
-		}
-	}
-	sc := churn.Scenario{Name: t.Name + "-scenario", TotalSteps: steps}
-	for s := 0; s < steps; s++ {
-		if adds[s] == 0 && drops[s] == 0 {
-			continue
-		}
-		sc.Events = append(sc.Events, churn.Event{
-			Step:        s,
-			AddCount:    adds[s],
-			RemoveCount: drops[s],
-		})
-	}
-	return sc, nil
 }

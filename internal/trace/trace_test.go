@@ -284,23 +284,3 @@ func TestPlayerRejectsSizeMismatch(t *testing.T) {
 		t.Fatal("player accepted an overlay smaller than the initial population")
 	}
 }
-
-func TestToScenarioPreservesVolume(t *testing.T) {
-	tr := mustGenerate(t, testConfig(), 20)
-	sc, err := tr.ToScenario(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adds, drops := 0, 0
-	for _, ev := range sc.Events {
-		adds += ev.AddCount
-		drops += ev.RemoveCount
-	}
-	if adds != tr.Joins() || drops != tr.Leaves() {
-		t.Fatalf("scenario volume %d joins / %d leaves, trace has %d / %d",
-			adds, drops, tr.Joins(), tr.Leaves())
-	}
-	if sc.TotalSteps != 50 {
-		t.Fatalf("TotalSteps = %d", sc.TotalSteps)
-	}
-}

@@ -36,6 +36,7 @@ import (
 	"io"
 
 	"p2psize/internal/aggregation"
+	"p2psize/internal/core"
 	"p2psize/internal/graph"
 	"p2psize/internal/hopssampling"
 	"p2psize/internal/metrics"
@@ -298,13 +299,6 @@ type SampleCollideOptions struct {
 	Seed uint64
 }
 
-type scAdapter struct{ e *samplecollide.Estimator }
-
-func (a scAdapter) Name() string { return a.e.Name() }
-func (a scAdapter) Estimate(n *Network) (float64, error) {
-	return a.e.Estimate(n.net)
-}
-
 // NewSampleCollide builds the random-walk estimator (§III-A).
 func NewSampleCollide(opts SampleCollideOptions) Estimator {
 	cfg := samplecollide.Default()
@@ -317,7 +311,7 @@ func NewSampleCollide(opts SampleCollideOptions) Estimator {
 	if opts.UseMLE {
 		cfg.Kind = samplecollide.MLE
 	}
-	return scAdapter{samplecollide.New(cfg, xrand.New(opts.Seed))}
+	return toPublic(samplecollide.New(cfg, xrand.New(opts.Seed)))
 }
 
 // HopsSamplingOptions configures NewHopsSampling. Zero values take the
@@ -335,13 +329,6 @@ type HopsSamplingOptions struct {
 	Seed uint64
 }
 
-type hopsAdapter struct{ e *hopssampling.Estimator }
-
-func (a hopsAdapter) Name() string { return a.e.Name() }
-func (a hopsAdapter) Estimate(n *Network) (float64, error) {
-	return a.e.Estimate(n.net)
-}
-
 // NewHopsSampling builds the probabilistic-polling estimator (§III-B).
 func NewHopsSampling(opts HopsSamplingOptions) Estimator {
 	cfg := hopssampling.Default()
@@ -354,7 +341,7 @@ func NewHopsSampling(opts HopsSamplingOptions) Estimator {
 	if opts.DirectReplies {
 		cfg.RoutedReplies = false
 	}
-	return hopsAdapter{hopssampling.New(cfg, xrand.New(opts.Seed))}
+	return toPublic(hopssampling.New(cfg, xrand.New(opts.Seed)))
 }
 
 // AggregationOptions configures NewAggregation. Zero values take the
@@ -381,13 +368,6 @@ type AggregationOptions struct {
 	Seed uint64
 }
 
-type aggAdapter struct{ e *aggregation.Estimator }
-
-func (a aggAdapter) Name() string { return a.e.Name() }
-func (a aggAdapter) Estimate(n *Network) (float64, error) {
-	return a.e.Estimate(n.net)
-}
-
 // NewAggregation builds the epidemic averaging estimator (§III-C).
 func NewAggregation(opts AggregationOptions) Estimator {
 	cfg := aggregation.Default()
@@ -403,7 +383,7 @@ func NewAggregation(opts AggregationOptions) Estimator {
 	if mode, err := parallel.ParseShuffleMode(opts.Shuffle); err == nil {
 		cfg.Shuffle = mode
 	}
-	return aggAdapter{aggregation.NewEstimator(cfg, xrand.New(opts.Seed))}
+	return toPublic(aggregation.NewEstimator(cfg, xrand.New(opts.Seed)))
 }
 
 // RandomTourOptions configures NewRandomTour. Zero values take single-
@@ -415,13 +395,6 @@ type RandomTourOptions struct {
 	Seed uint64
 }
 
-type tourAdapter struct{ e *randomtour.Estimator }
-
-func (a tourAdapter) Name() string { return a.e.Name() }
-func (a tourAdapter) Estimate(n *Network) (float64, error) {
-	return a.e.Estimate(n.net)
-}
-
 // NewRandomTour builds the return-time random-walk estimator from the
 // study's background section (§II) — the method Sample&Collide was
 // chosen over. One tour costs Θ(N·d̄/deg) messages, so it mainly serves
@@ -431,7 +404,7 @@ func NewRandomTour(opts RandomTourOptions) Estimator {
 	if opts.Tours > 0 {
 		cfg.Tours = opts.Tours
 	}
-	return tourAdapter{randomtour.New(cfg, xrand.New(opts.Seed))}
+	return toPublic(randomtour.New(cfg, xrand.New(opts.Seed)))
 }
 
 // PollingOptions configures NewPolling. Zero values take the defaults
@@ -446,13 +419,6 @@ type PollingOptions struct {
 	Seed uint64
 }
 
-type pollAdapter struct{ e *polling.Estimator }
-
-func (a pollAdapter) Name() string { return a.e.Name() }
-func (a pollAdapter) Estimate(n *Network) (float64, error) {
-	return a.e.Estimate(n.net)
-}
-
 // NewPolling builds the plain probabilistic-polling baseline (§II):
 // flood a probe, count replies sent with a fixed probability.
 func NewPolling(opts PollingOptions) Estimator {
@@ -463,7 +429,7 @@ func NewPolling(opts PollingOptions) Estimator {
 	if opts.DirectReplies {
 		cfg.RoutedReplies = false
 	}
-	return pollAdapter{polling.New(cfg, xrand.New(opts.Seed))}
+	return toPublic(polling.New(cfg, xrand.New(opts.Seed)))
 }
 
 // Smoothed wraps an estimator with the paper's lastKruns heuristic: each
@@ -523,30 +489,12 @@ func RunRepeated(e Estimator, n *Network, runs int) ([]float64, error) {
 // in run order before returning, so Messages() sees the same totals a
 // sequential execution would.
 func RunParallel(newEstimator func(run int) Estimator, n *Network, runs, workers int) ([]float64, error) {
-	if runs < 1 {
-		return nil, errors.New("p2psize: RunParallel needs runs >= 1")
-	}
-	type runOut struct {
-		val     float64
-		counter metrics.Counter
-	}
-	outs, err := parallel.Map(workers, runs, func(i int) (runOut, error) {
-		view := &Network{net: n.net.View()}
-		v, err := newEstimator(i).Estimate(view)
-		if err != nil {
-			return runOut{}, fmt.Errorf("p2psize: run %d: %w", i, err)
-		}
-		return runOut{val: v, counter: view.net.Counter().Snapshot()}, nil
-	})
+	res, err := core.RunStaticParallel(func(run int) core.Estimator { return toCore(newEstimator(run)) },
+		n.net, runs, core.LastK, workers)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("p2psize: RunParallel: %w", err)
 	}
-	vals := make([]float64, runs)
-	for i, o := range outs {
-		vals[i] = o.val
-		n.net.Counter().Merge(&o.counter)
-	}
-	return vals, nil
+	return res.Estimates, nil
 }
 
 // SmoothLastK applies the paper's lastKruns heuristic to a raw estimate

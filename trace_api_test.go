@@ -117,8 +117,35 @@ type undeclared struct{ Estimator }
 // TestRunMonitorGroupsByDefault: with no option set, three observe-only
 // families on one cadence share a replay group, aggregation (which
 // rewires the overlay) keeps its own, and every series equals the one
-// the same estimator produces on a private clone.
+// the same estimator produces on a private clone — whether the roster
+// was built by name or by the typed constructors.
 func TestRunMonitorGroupsByDefault(t *testing.T) {
+	t.Run("by-name", func(t *testing.T) {
+		testGroupsByDefault(t, func() []Estimator {
+			var ests []Estimator
+			for i, name := range []string{"samplecollide", "hopssampling", "dht", "aggregation"} {
+				e, err := NewEstimatorByName(name, EstimatorConfig{Seed: 22 + uint64(i)}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ests = append(ests, e)
+			}
+			return ests
+		})
+	})
+	t.Run("constructors", func(t *testing.T) {
+		testGroupsByDefault(t, func() []Estimator {
+			return []Estimator{
+				NewSampleCollide(SampleCollideOptions{L: 30, Seed: 22}),
+				NewHopsSampling(HopsSamplingOptions{Seed: 23}),
+				NewPolling(PollingOptions{Seed: 24}),
+				NewAggregation(AggregationOptions{Rounds: 20, Seed: 25}),
+			}
+		})
+	})
+}
+
+func testGroupsByDefault(t *testing.T, roster func() []Estimator) {
 	const n = 400
 	run := func(private bool) *MonitorResult {
 		tr, err := GenerateTrace(TraceOptions{Nodes: n, Horizon: 100, Sessions: WeibullSessions, Seed: 20})
@@ -129,16 +156,11 @@ func TestRunMonitorGroupsByDefault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ests []Estimator
-		for i, name := range []string{"samplecollide", "hopssampling", "dht", "aggregation"} {
-			e, err := NewEstimatorByName(name, EstimatorConfig{Seed: 22 + uint64(i)}, nil)
-			if err != nil {
-				t.Fatal(err)
+		ests := roster()
+		if private {
+			for k, e := range ests {
+				ests[k] = undeclared{e}
 			}
-			if private {
-				e = undeclared{e}
-			}
-			ests = append(ests, e)
 		}
 		res, err := RunMonitor(net, tr, ests, MonitorOptions{Cadence: 20})
 		if err != nil {
