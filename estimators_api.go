@@ -73,10 +73,8 @@ func DefaultEstimators() []string { return registry.DefaultSet() }
 
 // EstimatorConfig carries the tunable knobs NewEstimatorByName honors;
 // zero values select each family's paper defaults, and fields that do
-// not concern the named family are ignored. The canonical field names
-// match the internal registry's option names one-for-one; the original
-// public names (T, L, UseMLE, MinHopsReporting) remain as deprecated
-// aliases, honored when their canonical counterpart is zero.
+// not concern the named family are ignored. The field names match the
+// internal registry's option names one-for-one.
 type EstimatorConfig struct {
 	// SCTimer is the Sample&Collide walk timer (0 = 10).
 	SCTimer float64
@@ -86,23 +84,6 @@ type EstimatorConfig struct {
 	SCMLE bool
 	// MinHops is HopsSampling's always-reply threshold (0 = 5).
 	MinHops int
-
-	// T is a deprecated alias of SCTimer.
-	//
-	// Deprecated: set SCTimer.
-	T float64
-	// L is a deprecated alias of SCL.
-	//
-	// Deprecated: set SCL.
-	L int
-	// UseMLE is a deprecated alias of SCMLE.
-	//
-	// Deprecated: set SCMLE.
-	UseMLE bool
-	// MinHopsReporting is a deprecated alias of MinHops.
-	//
-	// Deprecated: set MinHops.
-	MinHopsReporting int
 
 	// Tours is the Random Tour count per estimation (0 = 1).
 	Tours int
@@ -141,19 +122,18 @@ type EstimatorConfig struct {
 }
 
 // registryOptions is the single conversion point from the public
-// configuration to the internal registry's options: canonical fields
-// pass through one-for-one, deprecated aliases fill in wherever the
-// canonical field holds its zero value.
+// configuration to the internal registry's options; the fields pass
+// through one-for-one.
 func (c EstimatorConfig) registryOptions() (registry.Options, error) {
 	shuffle, err := parallel.ParseShuffleMode(c.Shuffle)
 	if err != nil {
 		return registry.Options{}, fmt.Errorf("p2psize: Shuffle: %w", err)
 	}
-	o := registry.Options{
+	return registry.Options{
 		Shuffle:      shuffle,
 		SCTimer:      c.SCTimer,
 		SCL:          c.SCL,
-		SCMLE:        c.SCMLE || c.UseMLE,
+		SCMLE:        c.SCMLE,
 		Tours:        c.Tours,
 		MinHops:      c.MinHops,
 		Rounds:       c.Rounds,
@@ -166,17 +146,7 @@ func (c EstimatorConfig) registryOptions() (registry.Options, error) {
 		DHTK:         c.DHTK,
 		DHTProbes:    c.DHTProbes,
 		Faults:       c.Faults.spec(),
-	}
-	if o.SCTimer == 0 {
-		o.SCTimer = c.T
-	}
-	if o.SCL == 0 {
-		o.SCL = c.L
-	}
-	if o.MinHops == 0 {
-		o.MinHops = c.MinHopsReporting
-	}
-	return o, nil
+	}, nil
 }
 
 // NewEstimatorByName builds an estimator by registry name or alias.

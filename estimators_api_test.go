@@ -32,7 +32,7 @@ func TestNewEstimatorByName(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"sc", "hops", "agg", "tour", "poll", "idspace"} {
-		e, err := NewEstimatorByName(name, EstimatorConfig{L: 50, Seed: 7}, net)
+		e, err := NewEstimatorByName(name, EstimatorConfig{SCL: 50, Seed: 7}, net)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

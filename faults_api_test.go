@@ -84,49 +84,12 @@ func TestApplyFaultsDeterministic(t *testing.T) {
 	}
 }
 
-// TestEstimatorConfigAliases pins the deprecated alias contract: the
-// original public names keep working, and the canonical field wins when
-// both are set.
+// TestEstimatorConfigAliases pins what is left of the conversion's
+// validation now that the deprecated alias fields are gone: an unknown
+// Shuffle spelling is an error, not a silent default.
 func TestEstimatorConfigAliases(t *testing.T) {
-	alias := EstimatorConfig{T: 5, L: 50, UseMLE: true, MinHopsReporting: 7}
-	canon := EstimatorConfig{SCTimer: 5, SCL: 50, SCMLE: true, MinHops: 7}
-	both := EstimatorConfig{SCTimer: 5, T: 99, SCL: 50, L: 9999, SCMLE: true, MinHops: 7, MinHopsReporting: 99}
-	want, err := canon.registryOptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := alias.registryOptions(); err != nil || got != want {
-		t.Fatalf("alias conversion (err %v):\n  %+v\nwant\n  %+v", err, got, want)
-	}
-	if got, err := both.registryOptions(); err != nil || got != want {
-		t.Fatalf("canonical fields did not win (err %v):\n  %+v\nwant\n  %+v", err, got, want)
-	}
 	if _, err := (EstimatorConfig{Shuffle: "bogus"}).registryOptions(); err == nil {
 		t.Fatal("unknown shuffle spelling accepted")
-	}
-
-	net, err := NewNetwork(NetworkOptions{Nodes: 2000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ea, err := NewEstimatorByName("sc", EstimatorConfig{L: 50, Seed: 7}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ec, err := NewEstimatorByName("sc", EstimatorConfig{SCL: 50, Seed: 7}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	va, err := ea.Estimate(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vc, err := ec.Estimate(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if va != vc {
-		t.Fatalf("alias and canonical configs disagree: %g vs %g", va, vc)
 	}
 }
 

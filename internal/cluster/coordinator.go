@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"p2psize/internal/graph"
@@ -311,11 +312,7 @@ func Run(cfg Config) (*Report, error) {
 // ID (graph adjacency order is insertion order, not sorted).
 func planNeighbors(plan *graph.Graph, id graph.NodeID, addrs []string) []NeighborInfo {
 	nbs := append([]graph.NodeID(nil), plan.Neighbors(id)...)
-	for i := 1; i < len(nbs); i++ {
-		for j := i; j > 0 && nbs[j] < nbs[j-1]; j-- {
-			nbs[j], nbs[j-1] = nbs[j-1], nbs[j]
-		}
-	}
+	slices.Sort(nbs)
 	out := make([]NeighborInfo, len(nbs))
 	for i, nb := range nbs {
 		out[i] = NeighborInfo{ID: nb, Addr: addrs[nb]}

@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"p2psize/internal/core"
+	"p2psize/internal/overlay"
+	"p2psize/internal/registry"
 )
 
 // determinismParams shrinks every workload far enough that one experiment
@@ -81,7 +85,11 @@ func TestWorkerCountInvariance(t *testing.T) {
 		// The PR-5 families: static-new covers their run-indexed static
 		// streams (including push-sum's sharded sweeps at Shards=4),
 		// trace-ipfs-all their per-instance monitoring streams.
-		"static-new", "trace-ipfs-all"}
+		"static-new", "trace-ipfs-all",
+		// The other shapes of compare: three fresh scale-free builds
+		// (fig08), five views of one overlay (ext-classes), eight
+		// candidates over four sizes (ext-walks).
+		"fig08", "ext-classes", "ext-walks"}
 	if testing.Short() {
 		ids = []string{"fig01", "fig12", "table1", "trace-flashcrowd",
 			"fig05", "ext-cyclon", "static-new"}
@@ -100,6 +108,64 @@ func TestWorkerCountInvariance(t *testing.T) {
 				t.Fatalf("workers=1 vs workers=8: %v", err)
 			}
 		})
+	}
+}
+
+// TestCompareMatchesHandRolledLoop pins compare against the loop every
+// static head-to-head used to write out by hand — perRun, then
+// core.RunStaticParallel, per candidate, sequentially — on both overlay
+// shapes callers hand it: a fresh build and a metering View() of a
+// shared one. Estimates, per-run overheads and each overlay's counter
+// are bit-equal at every worker count, and a view's traffic stays off
+// the overlay it views.
+func TestCompareMatchesHandRolledLoop(t *testing.T) {
+	p := determinismParams(1)
+	cands := []candidate{
+		{"s&c", "samplecollide", p.Seed + 0x7701, 6, registry.Options{SCL: 20}},
+		{"agg", "aggregation", p.Seed + 0x7702, 3, epochOpts(p)},
+	}
+	build := func() *overlay.Network { return hetNet(p.N100k, p, 0x7700) }
+	wantNets := []*overlay.Network{build(), build().View()}
+	want := make([]*core.StaticResult, len(cands))
+	for ci, c := range cands {
+		mk, err := perRun("by hand", c.family, wantNets[ci], p, c.seed, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[ci], err = core.RunStaticParallel(mk, wantNets[ci], c.runs, core.LastK, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		p.Workers = workers
+		shared := build()
+		got, nets, err := compare("test", cands, func(ci int) *overlay.Network {
+			if ci == 0 {
+				return build()
+			}
+			return shared.View()
+		}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, c := range cands {
+			if len(got[ci].Estimates) != c.runs {
+				t.Fatalf("workers=%d %s: %d estimates, want %d", workers, c.name, len(got[ci].Estimates), c.runs)
+			}
+			for i := range want[ci].Estimates {
+				if math.Float64bits(got[ci].Estimates[i]) != math.Float64bits(want[ci].Estimates[i]) ||
+					got[ci].Overheads[i] != want[ci].Overheads[i] {
+					t.Fatalf("workers=%d %s run %d: (%v, %d msgs), by hand (%v, %d msgs)", workers, c.name, i,
+						got[ci].Estimates[i], got[ci].Overheads[i], want[ci].Estimates[i], want[ci].Overheads[i])
+				}
+			}
+			if g, w := nets[ci].Counter().Total(), wantNets[ci].Counter().Total(); g != w || g == 0 {
+				t.Fatalf("workers=%d %s: overlay metered %d messages, by hand %d", workers, c.name, g, w)
+			}
+		}
+		if n := shared.Counter().Total(); n != 0 {
+			t.Fatalf("workers=%d: the viewed overlay's own counter moved by %d", workers, n)
+		}
 	}
 }
 

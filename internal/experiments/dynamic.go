@@ -167,7 +167,7 @@ func aggDynamic(id, title string, scenario churn.Scenario, p Params, stream uint
 		trackN   int
 		counter  *metrics.Counter
 	}
-	outer, inner := splitWorkers(p, instances)
+	outer, inner := parallel.Split(p.Workers, instances)
 	outs, err := parallel.Map(outer, instances, func(k int) (instOut, error) {
 		clone := net.CloneCOW()
 		proto := aggregation.New(aggConfig(p, inner),

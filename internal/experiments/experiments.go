@@ -170,8 +170,9 @@ type Figure struct {
 }
 
 // Ranking is one family's robustness summary under one fault scenario:
-// accuracy (MAE in absolute peers, MAPE in percent of the true size)
-// and the p50/p95/p99 percentiles of the modeled estimate latency.
+// accuracy (MAE in absolute peers, MAPE in percent of the true size),
+// the p50/p95/p99 percentiles of the modeled estimate latency and the
+// number of estimations that failed outright.
 type Ranking struct {
 	// Name is the family's canonical registry name.
 	Name string `json:"name"`
@@ -184,6 +185,10 @@ type Ranking struct {
 	P50 float64 `json:"p50"`
 	P95 float64 `json:"p95"`
 	P99 float64 `json:"p99"`
+	// Failures counts the runs whose estimation returned an error (an
+	// isolated initiator, say); MAE and MAPE are over the others, and
+	// are zero when every run failed.
+	Failures int `json:"failures,omitempty"`
 }
 
 // AddNote appends a formatted note line.
@@ -278,6 +283,53 @@ func perRun(id, name string, net *overlay.Network, p Params, seed uint64, opts r
 	return mk, nil
 }
 
+// epochOpts is the registry configuration of the epidemic families
+// (Aggregation, push-sum) wherever they are one candidate among several:
+// the paper's epoch length plus the sharded-sweep settings, and Workers 1
+// because the estimator already sits two fan-out levels deep.
+func epochOpts(p Params) registry.Options {
+	return registry.Options{Rounds: p.EpochLen, Shards: p.Shards, Workers: 1, Shuffle: p.Shuffle}
+}
+
+// candidate is one row of a static head-to-head: a registry family
+// under its display name, the seed of its per-run streams, how many
+// estimations it makes and the options it is built with.
+type candidate struct {
+	name   string
+	family string
+	seed   uint64
+	runs   int
+	opts   registry.Options
+}
+
+// compare is the static comparison loop — the act behind Figs 1-4, 8
+// and 18, Table I and the static ext-*/new-family studies: every
+// candidate makes its runs independent estimations on the overlay
+// on(ci) hands it (a fresh build, or a metering View() of a shared
+// one). Candidates fan out on the outer share of Params.Workers and each
+// one's runs on the inner share; run i of candidate ci draws from the
+// stream (seed, i) whatever the split, so the results are byte-identical
+// at every worker count. The overlays are returned beside the results:
+// each one's counter holds exactly its candidate's traffic.
+func compare(id string, cands []candidate, on func(ci int) *overlay.Network, p Params) ([]*core.StaticResult, []*overlay.Network, error) {
+	outer, inner := parallel.Split(p.Workers, len(cands))
+	nets := make([]*overlay.Network, len(cands))
+	results, err := parallel.Map(outer, len(cands), func(ci int) (*core.StaticResult, error) {
+		c := cands[ci]
+		nets[ci] = on(ci)
+		mk, err := perRun(id+" "+c.name, c.family, nets[ci], p, c.seed, c.opts)
+		if err != nil {
+			return nil, err
+		}
+		res, err := core.RunStaticParallel(mk, nets[ci], c.runs, core.LastK, inner)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", id, c.name, err)
+		}
+		return res, nil
+	})
+	return results, nets, err
+}
+
 // instances builds count concurrent instances of one registry family on
 // the streams seed+stream+10+k — the layout every dynamic figure uses
 // for its three side-by-side estimation processes. Params.Faults is
@@ -305,17 +357,6 @@ func instances(id, name string, count int, p Params, stream uint64, opts registr
 // 1 where the estimator already sits under a wide run-level fan-out.
 func aggConfig(p Params, workers int) aggregation.Config {
 	return aggregation.Config{RoundsPerEpoch: p.EpochLen, Shards: p.Shards, Workers: workers, Shuffle: p.Shuffle}
-}
-
-// splitWorkers divides the Params.Workers budget between an outer
-// fan-out of the given width and the inner parallelism each lane gets
-// (sharded rounds, nested run pools). Like RunSuite's split this only
-// shapes load: output is invariant to any split.
-func splitWorkers(p Params, width int) (outer, inner int) {
-	w := parallel.Resolve(p.Workers)
-	outer = min(w, width)
-	inner = max(1, w/outer)
-	return outer, inner
 }
 
 // scaleFreeNet builds the Fig 7/8 topology: Barabási–Albert with m = 3.

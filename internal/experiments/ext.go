@@ -10,12 +10,12 @@ import (
 	"fmt"
 	"math"
 
-	"p2psize/internal/core"
 	"p2psize/internal/cyclon"
 	"p2psize/internal/graph"
 	"p2psize/internal/idspace"
 	"p2psize/internal/latency"
 	"p2psize/internal/metrics"
+	"p2psize/internal/overlay"
 	"p2psize/internal/parallel"
 	"p2psize/internal/registry"
 	"p2psize/internal/xrand"
@@ -49,43 +49,27 @@ func extWalks(p Params) (*Figure, error) {
 	// so costs are averaged over several estimations per size.
 	const runs = 8
 	sizes := []int{base, 2 * base, 4 * base, 8 * base}
-	type sizeOut struct {
-		rtCost, scCost float64
-		msgs           uint64
+	// Two candidates per sweep point, each on its own build of that
+	// size's overlay (same seed, so the pair measures one topology).
+	var cands []candidate
+	for range sizes {
+		cands = append(cands,
+			candidate{"random tour", "randomtour", p.Seed + 0x3001, runs, registry.Options{Tours: 10}},
+			candidate{"sample&collide", "samplecollide", p.Seed + 0x3002, runs, registry.Options{}})
 	}
-	// The sweep points are independent overlays; fan them out, and fan the
-	// per-size estimation runs out below them.
-	outs, err := parallel.Map(p.Workers, len(sizes), func(si int) (sizeOut, error) {
-		n := sizes[si]
-		net := hetNet(n, p, 0x3000+uint64(n))
-		mkRT, err := perRun("ext-walks random tour", "randomtour", net, p, p.Seed+0x3001, registry.Options{Tours: 10})
-		if err != nil {
-			return sizeOut{}, err
-		}
-		rtRes, err := core.RunStaticParallel(mkRT, net, runs, core.LastK, p.Workers)
-		if err != nil {
-			return sizeOut{}, fmt.Errorf("ext-walks random tour: %w", err)
-		}
-		mkSC, err := perRun("ext-walks sample&collide", "samplecollide", net, p, p.Seed+0x3002, registry.Options{})
-		if err != nil {
-			return sizeOut{}, err
-		}
-		scRes, err := core.RunStaticParallel(mkSC, net, runs, core.LastK, p.Workers)
-		if err != nil {
-			return sizeOut{}, fmt.Errorf("ext-walks sample&collide: %w", err)
-		}
-		return sizeOut{rtCost: rtRes.MeanOverhead(), scCost: scRes.MeanOverhead(), msgs: net.Counter().Total()}, nil
-	})
+	res, nets, err := compare("ext-walks", cands, func(ci int) *overlay.Network {
+		return hetNet(sizes[ci/2], p, 0x3000+uint64(sizes[ci/2]))
+	}, p)
 	if err != nil {
 		return nil, err
 	}
-	for si, o := range outs {
-		n := sizes[si]
-		rt.Append(float64(n), o.rtCost)
-		sc.Append(float64(n), o.scCost)
+	for si, n := range sizes {
+		rtCost, scCost := res[2*si].MeanOverhead(), res[2*si+1].MeanOverhead()
+		rt.Append(float64(n), rtCost)
+		sc.Append(float64(n), scCost)
 		fig.AddNote("N=%d: random tour %.0f msgs/est, sample&collide %.0f msgs/est, ratio %.1fx",
-			n, o.rtCost, o.scCost, o.rtCost/o.scCost)
-		fig.Messages += o.msgs
+			n, rtCost, scCost, rtCost/scCost)
+		fig.Messages += nets[2*si].Counter().Total() + nets[2*si+1].Counter().Total()
 	}
 	fig.Series = []*metrics.Series{rt, sc}
 	return fig, nil
@@ -105,73 +89,37 @@ func extClasses(p Params) (*Figure, error) {
 	}
 	n := p.N100k
 	runs := min(10, p.TableRuns)
-	type candidate struct {
-		name   string
-		family string
-		seed   uint64
-		opts   registry.Options
-	}
 	baseNet := hetNet(n, p, 0x3100)
 	// One identifier ring, built once on its own stream and shared by
 	// every id-density instance — real deployments amortize ring
 	// construction the same way.
 	ring := idspace.NewRing(baseNet, xrand.New(p.Seed+0x3101))
-	aggOpts := registry.Options{Rounds: p.EpochLen, Shards: p.Shards, Workers: 1, Shuffle: p.Shuffle}
-	candidates := []candidate{
-		{"sample&collide(l=200)", "samplecollide", 0x3102, registry.Options{}},
-		{"hops-sampling", "hopssampling", 0x3103, registry.Options{}},
-		{"aggregation(50)", "aggregation", 0x3104, aggOpts},
-		{"polling(p=0.01)", "polling", 0x3105, registry.Options{}},
-		{"id-density(k=200)", "idspace", 0x3106, registry.Options{Ring: ring}},
+	cands := []candidate{
+		{"sample&collide(l=200)", "samplecollide", p.Seed + 0x3102, runs, registry.Options{}},
+		{"hops-sampling", "hopssampling", p.Seed + 0x3103, runs, registry.Options{}},
+		{"aggregation(50)", "aggregation", p.Seed + 0x3104, runs, epochOpts(p)},
+		{"polling(p=0.01)", "polling", p.Seed + 0x3105, runs, registry.Options{}},
+		{"id-density(k=200)", "idspace", p.Seed + 0x3106, runs, registry.Options{Ring: ring}},
 	}
 	// Candidates share the topology (and the id ring) read-only, each on
-	// its own metering view; within a candidate the runs fan out through
-	// RunStaticParallel on per-run streams, so both nesting levels are
-	// parallel and the output depends only on (candidate, run) indices —
-	// worker-count-invariant at every setting.
-	type candOut struct {
-		series  *metrics.Series
-		note    string
-		counter metrics.Counter
+	// its own metering view.
+	res, views, err := compare("ext-classes", cands,
+		func(int) *overlay.Network { return baseNet.View() }, p)
+	if err != nil {
+		return nil, err
 	}
-	// Split the worker budget across the two nesting levels like
-	// RunSuite does, instead of letting both fan out with the full
-	// budget (which would multiply goroutine count by the candidate
-	// width). The output is worker-count-invariant either way.
-	outer := min(parallel.Resolve(p.Workers), len(candidates))
-	inner := max(1, parallel.Resolve(p.Workers)/outer)
-	outs, err := parallel.Map(outer, len(candidates), func(ci int) (candOut, error) {
-		c := candidates[ci]
-		view := baseNet.View()
-		mk, err := perRun("ext-classes "+c.name, c.family, view, p, p.Seed+c.seed, c.opts)
-		if err != nil {
-			return candOut{}, err
-		}
-		res, err := core.RunStaticParallel(mk, view, runs, core.LastK, inner)
-		if err != nil {
-			return candOut{}, fmt.Errorf("ext-classes %s: %w", c.name, err)
-		}
+	for ci, c := range cands {
 		s := &metrics.Series{Name: c.name}
 		var absErr float64
-		for i, est := range res.Estimates {
+		for i, est := range res[ci].Estimates {
 			q := 100 * est / float64(n)
 			s.Append(float64(i+1), q)
 			absErr += math.Abs(q - 100)
 		}
-		cost := float64(view.Counter().Total()) / float64(runs)
-		return candOut{
-			series:  s,
-			note:    fmt.Sprintf("%s: mean |error| %.1f%%, %.0f msgs/estimation", c.name, absErr/float64(runs), cost),
-			counter: view.Counter().Snapshot(),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range outs {
-		fig.Series = append(fig.Series, o.series)
-		fig.AddNote("%s", o.note)
-		baseNet.Counter().Merge(&o.counter)
+		fig.Series = append(fig.Series, s)
+		fig.AddNote("%s: mean |error| %.1f%%, %.0f msgs/estimation", c.name, absErr/float64(runs),
+			float64(views[ci].Counter().Total())/float64(runs))
+		baseNet.Counter().Merge(views[ci].Counter())
 	}
 	fig.Messages = baseNet.Counter().Total()
 	return fig, nil

@@ -22,14 +22,10 @@ package experiments
 // unchanged.
 
 import (
-	"fmt"
-
 	"p2psize/internal/core"
-	"p2psize/internal/metrics"
 	"p2psize/internal/monitor"
-	"p2psize/internal/parallel"
+	"p2psize/internal/overlay"
 	"p2psize/internal/registry"
-	"p2psize/internal/stats"
 )
 
 func init() {
@@ -53,76 +49,32 @@ func staticNew(p Params) (*Figure, error) {
 		XLabel: "Number of estimations",
 		YLabel: "Quality %",
 	}
-	runs := p.SCRuns
-	type cand struct {
-		name   string
-		family string
-		seed   uint64
-		opts   registry.Options
-	}
-	// Fresh per-candidate seeds in the 0x19xx block; Workers 1 on the
-	// epidemic because it already sits two fan-out levels deep.
-	candidates := []cand{
-		{"Sample&collide", "samplecollide", p.Seed + 0x1901, registry.Options{}},
-		{"Push-sum", "pushsum", p.Seed + 0x1902,
-			registry.Options{Rounds: p.EpochLen, Shards: p.Shards, Workers: 1, Shuffle: p.Shuffle}},
-		{"Capture-recapture", "capturerecapture", p.Seed + 0x1903, registry.Options{}},
-		{"DHT density", "dht", p.Seed + 0x1904, registry.Options{}},
-	}
-	type candOut struct {
-		series   *metrics.Series
-		notes    []string
-		messages uint64
+	// Fresh per-candidate seeds in the 0x19xx block. An epidemic estimate
+	// costs a full epoch (N·rounds messages) and the curve is flat after
+	// convergence, so push-sum's points are capped like fig08 caps
+	// Aggregation's — noted below.
+	cands := []candidate{
+		{"Sample&collide", "samplecollide", p.Seed + 0x1901, p.SCRuns, registry.Options{}},
+		{"Push-sum", "pushsum", p.Seed + 0x1902, min(20, p.SCRuns), epochOpts(p)},
+		{"Capture-recapture", "capturerecapture", p.Seed + 0x1903, p.SCRuns, registry.Options{}},
+		{"DHT density", "dht", p.Seed + 0x1904, p.SCRuns, registry.Options{}},
 	}
 	// Fresh topology per candidate (same stream), so one candidate's
-	// meter and rng use cannot perturb another; candidates run
-	// concurrently and each one's estimations fan out below them.
-	outs, err := parallel.Map(p.Workers, len(candidates), func(ci int) (candOut, error) {
-		c := candidates[ci]
-		net := hetNet(p.N100k, p, 0x1900)
-		var out candOut
-		candidateRuns := runs
-		if c.family == "pushsum" && candidateRuns > 20 {
-			// An epidemic estimate costs a full epoch (N·rounds
-			// messages); the curve is flat after convergence, so cap
-			// the points like fig08 does for Aggregation. Noted below.
-			candidateRuns = 20
-			out.notes = append(out.notes, fmt.Sprintf(
-				"Push-sum plotted for %d estimations (flat curve, epoch cost N·%d)", candidateRuns, p.EpochLen))
-		}
-		mk, err := perRun("static-new", c.family, net, p, c.seed, c.opts)
-		if err != nil {
-			return candOut{}, err
-		}
-		res, err := core.RunStaticParallel(mk, net, candidateRuns, core.LastK, p.Workers)
-		if err != nil {
-			return candOut{}, fmt.Errorf("static-new %s: %w", c.name, err)
-		}
-		q := res.QualityPct(false)
-		s := &metrics.Series{Name: c.name}
-		for i := range q {
-			s.Append(float64(i+1), q[i])
-		}
-		out.series = s
-		var e stats.Running
-		for _, v := range q {
-			e.Add(v - 100)
-		}
-		out.notes = append(out.notes, fmt.Sprintf(
-			"%s mean signed error %.1f%%, mean overhead %.0f msgs/estimation",
-			c.name, e.Mean(), res.MeanOverhead()))
-		out.messages = net.Counter().Total()
-		return out, nil
-	})
+	// meter and rng use cannot perturb another.
+	res, nets, err := compare("static-new", cands,
+		func(int) *overlay.Network { return hetNet(p.N100k, p, 0x1900) }, p)
 	if err != nil {
 		return nil, err
 	}
-	for _, o := range outs {
-		fig.Series = append(fig.Series, o.series)
-		for _, n := range o.notes {
-			fig.AddNote("%s", n)
+	for ci, c := range cands {
+		if c.runs < p.SCRuns {
+			fig.AddNote("%s plotted for %d estimations (flat curve, epoch cost N·%d)", c.name, c.runs, p.EpochLen)
 		}
-		fig.Messages += o.messages
+		s, signed := qualityCurve(c.name, res[ci].QualityPct(false))
+		fig.Series = append(fig.Series, s)
+		fig.AddNote("%s mean signed error %.1f%%, mean overhead %.0f msgs/estimation",
+			c.name, signed, res[ci].MeanOverhead())
+		fig.Messages += nets[ci].Counter().Total()
 	}
 	return fig, nil
 }

@@ -16,8 +16,11 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"p2psize/internal/core"
 	"p2psize/internal/fault"
@@ -86,15 +89,14 @@ func runRobustness(id, title string, spec fault.Spec, p Params) (*Figure, error)
 	// The ring snapshots the overlay after the adversary moved in —
 	// sybils registered identifiers, silent peers' records linger.
 	ring := idspace.NewRing(baseNet, xrand.New(p.Seed+0x5203))
-	aggOpts := registry.Options{Rounds: p.EpochLen, Shards: p.Shards, Workers: 1, Shuffle: p.Shuffle}
 	candidates := []robustCandidate{
 		{"samplecollide", 0x5210, registry.Options{}},
 		{"randomtour", 0x5211, registry.Options{Tours: 3}},
 		{"hopssampling", 0x5212, registry.Options{}},
-		{"aggregation", 0x5213, aggOpts},
+		{"aggregation", 0x5213, epochOpts(p)},
 		{"idspace", 0x5214, registry.Options{Ring: ring}},
 		{"polling", 0x5215, registry.Options{}},
-		{"pushsum", 0x5216, aggOpts},
+		{"pushsum", 0x5216, epochOpts(p)},
 		{"capturerecapture", 0x5217, registry.Options{}},
 		{"dht", 0x5218, registry.Options{}},
 	}
@@ -105,7 +107,7 @@ func runRobustness(id, title string, spec fault.Spec, p Params) (*Figure, error)
 		note    string
 		counter metrics.Counter
 	}
-	outer, inner := splitWorkers(p, len(candidates))
+	outer, inner := parallel.Split(p.Workers, len(candidates))
 	outs, err := parallel.Map(outer, len(candidates), func(ci int) (candOut, error) {
 		c := candidates[ci]
 		// The injectors are created up front, one per run: each run's
@@ -127,7 +129,7 @@ func runRobustness(id, title string, spec fault.Spec, p Params) (*Figure, error)
 		if err != nil {
 			return candOut{}, err
 		}
-		mk := func(run int) core.Estimator { return fault.Decorate(mkInner(run), injs[run]) }
+		mk := func(run int) core.Estimator { return tolerant{fault.Decorate(mkInner(run), injs[run])} }
 		estimates, err := robustEstimates(mk, net, runs, spec, salt, inner)
 		if err != nil {
 			return candOut{}, fmt.Errorf("%s %s: %w", id, c.family, err)
@@ -135,29 +137,38 @@ func runRobustness(id, title string, spec fault.Spec, p Params) (*Figure, error)
 		quality := &metrics.Series{Name: c.family}
 		latency := &metrics.Series{Name: c.family + " latency"}
 		lats := make([]float64, runs)
-		var mae, mape float64
+		r := Ranking{Name: c.family}
 		for i, est := range estimates {
 			quality.Append(float64(i+1), 100*est/trueN)
 			lats[i] = injs[i].LastLatency()
 			latency.Append(float64(i+1), lats[i])
-			mae += math.Abs(est - trueN)
-			mape += 100 * math.Abs(est-trueN) / trueN
+			if math.IsNaN(est) {
+				r.Failures++
+				continue
+			}
+			r.MAE += math.Abs(est - trueN)
+			r.MAPE += 100 * math.Abs(est-trueN) / trueN
 		}
-		r := Ranking{
-			Name: c.family,
-			MAE:  mae / float64(runs),
-			MAPE: mape / float64(runs),
-			P50:  stats.Quantile(lats, 0.50),
-			P95:  stats.Quantile(lats, 0.95),
-			P99:  stats.Quantile(lats, 0.99),
+		// Accuracy is over the successful runs; a family with none keeps
+		// the zero values (JSON has no NaN) and is ranked last.
+		if ok := runs - r.Failures; ok > 0 {
+			r.MAE /= float64(ok)
+			r.MAPE /= float64(ok)
+		}
+		r.P50 = stats.Quantile(lats, 0.50)
+		r.P95 = stats.Quantile(lats, 0.95)
+		r.P99 = stats.Quantile(lats, 0.99)
+		note := fmt.Sprintf("%s: MAE %.0f, MAPE %.1f%%, latency p50/p95/p99 %.1f/%.1f/%.1f, %.0f msgs/estimation",
+			c.family, r.MAE, r.MAPE, r.P50, r.P95, r.P99,
+			float64(net.Counter().Total())/float64(runs))
+		if r.Failures > 0 {
+			note += fmt.Sprintf(" (%d failures)", r.Failures)
 		}
 		return candOut{
 			quality: quality,
 			latency: latency,
 			ranking: r,
-			note: fmt.Sprintf("%s: MAE %.0f, MAPE %.1f%%, latency p50/p95/p99 %.1f/%.1f/%.1f, %.0f msgs/estimation",
-				c.family, r.MAE, r.MAPE, r.P50, r.P95, r.P99,
-				float64(net.Counter().Total())/float64(runs)),
+			note:    note,
 			counter: net.Counter().Snapshot(),
 		}, nil
 	})
@@ -170,11 +181,26 @@ func runRobustness(id, title string, spec fault.Spec, p Params) (*Figure, error)
 		fig.AddNote("%s", o.note)
 		baseNet.Counter().Merge(&o.counter)
 	}
-	sortRankings(fig.Rankings)
+	sortRankings(fig.Rankings, runs)
 	fig.AddNote("scenario %q on %d honest peers, most robust first: %s",
 		spec.String(), n, rankingOrder(fig.Rankings))
 	fig.Messages = baseNet.Counter().Total()
 	return fig, nil
+}
+
+// tolerant makes an estimator's error a value: the run yields NaN
+// instead of aborting the sequence. Under a fault scenario a failed
+// estimation — an initiator the adversary or the partition isolated —
+// is a measurement, counted per family in the ranking; the strict
+// core.RunStaticParallel underneath never sees it.
+type tolerant struct{ core.Estimator }
+
+func (t tolerant) Estimate(net *overlay.Network) (float64, error) {
+	est, err := t.Estimator.Estimate(net)
+	if err != nil {
+		return math.NaN(), nil
+	}
+	return est, nil
 }
 
 // robustEstimates runs the estimation sequence for one candidate. Under
@@ -219,29 +245,24 @@ func robustEstimates(mk func(run int) core.Estimator, net *overlay.Network, runs
 	return estimates, nil
 }
 
-// sortRankings orders most-robust-first: by MAPE, ties by name.
-func sortRankings(rs []Ranking) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rankLess(rs[j], rs[j-1]); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
+// sortRankings orders most-robust-first: by MAPE, a family with no
+// successful run (of runs) after every family that has one; ties by name.
+func sortRankings(rs []Ranking, runs int) {
+	key := func(r Ranking) float64 {
+		if r.Failures == runs {
+			return math.Inf(1)
 		}
+		return r.MAPE
 	}
-}
-
-func rankLess(a, b Ranking) bool {
-	if a.MAPE != b.MAPE {
-		return a.MAPE < b.MAPE
-	}
-	return a.Name < b.Name
+	slices.SortFunc(rs, func(a, b Ranking) int {
+		return cmp.Or(cmp.Compare(key(a), key(b)), strings.Compare(a.Name, b.Name))
+	})
 }
 
 func rankingOrder(rs []Ranking) string {
-	s := ""
+	names := make([]string, len(rs))
 	for i, r := range rs {
-		if i > 0 {
-			s += " > "
-		}
-		s += r.Name
+		names[i] = r.Name
 	}
-	return s
+	return strings.Join(names, " > ")
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 )
 
@@ -136,5 +137,74 @@ func TestDropEnvelope(t *testing.T) {
 	if ps.MAPE < 2*cr.MAPE {
 		t.Fatalf("push-sum MAPE %.1f%% vs capture-recapture %.1f%%: drop did not degrade the epidemic class",
 			ps.MAPE, cr.MAPE)
+	}
+}
+
+// TestRobustnessCountsIsolatedInitiator pins that an estimator error
+// under a fault scenario is a counted failure of that family, not a
+// failed experiment: on these seeds the partition and the adversary
+// isolate a Random Tour initiator (the parent aborted with
+// "randomtour: initiator is isolated"). The failure shows up in the
+// ranking and as a NaN point, identically at every worker count.
+func TestRobustnessCountsIsolatedInitiator(t *testing.T) {
+	for _, tc := range []struct {
+		id   string
+		seed uint64
+	}{{"robustness-partition", 5}, {"robustness-adversary", 4}} {
+		t.Run(tc.id, func(t *testing.T) {
+			p := determinismParams(1)
+			p.Seed = tc.seed
+			fig, err := Run(tc.id, p)
+			if err != nil {
+				t.Fatalf("an isolated initiator failed the experiment: %v", err)
+			}
+			var rt *Ranking
+			for i := range fig.Rankings {
+				if fig.Rankings[i].Name == "randomtour" {
+					rt = &fig.Rankings[i]
+				}
+			}
+			if rt == nil || rt.Failures == 0 {
+				t.Fatalf("randomtour ranking %+v, want Failures > 0", rt)
+			}
+			nans := 0
+			for _, s := range fig.Series {
+				if s.Name == "randomtour" {
+					for _, y := range s.Y {
+						if math.IsNaN(y) {
+							nans++
+						}
+					}
+				}
+			}
+			if nans != rt.Failures {
+				t.Fatalf("%d NaN quality points for %d counted failures", nans, rt.Failures)
+			}
+			p.Workers = 8
+			par, err := Run(tc.id, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := figuresEqual(fig, par); err != nil {
+				t.Fatalf("workers=1 vs workers=8: %v", err)
+			}
+			rankingsEqual(t, fig, par)
+		})
+	}
+}
+
+// TestSortRankingsNoSuccessLast pins the order's tail: a family whose
+// every run failed carries zero MAE/MAPE (JSON has no NaN) and must not
+// rank first for it.
+func TestSortRankingsNoSuccessLast(t *testing.T) {
+	rs := []Ranking{
+		{Name: "b-none", Failures: 4},
+		{Name: "worse", MAPE: 30, Failures: 3},
+		{Name: "a-none", Failures: 4},
+		{Name: "better", MAPE: 10},
+	}
+	sortRankings(rs, 4)
+	if got := rankingOrder(rs); got != "better > worse > a-none > b-none" {
+		t.Fatalf("order = %s", got)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"p2psize/internal/aggregation"
 	"p2psize/internal/core"
@@ -45,36 +46,24 @@ func noteAccuracy(fig *Figure, res *core.StaticResult) {
 	smooth := res.QualityPct(true)
 	var rawErr, smoothErr stats.Running
 	for i := range raw {
-		rawErr.Add(abs(raw[i] - 100))
-		smoothErr.Add(abs(smooth[i] - 100))
+		rawErr.Add(math.Abs(raw[i] - 100))
+		smoothErr.Add(math.Abs(smooth[i] - 100))
 	}
 	fig.AddNote("oneShot mean |error| = %.1f%% (max %.1f%%)", rawErr.Mean(), rawErr.Max())
 	fig.AddNote("last10runs mean |error| = %.1f%% (max %.1f%%)", smoothErr.Mean(), smoothErr.Max())
 	fig.AddNote("mean overhead per estimation = %.0f messages", res.MeanOverhead())
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // staticQuality is the shared body of the single-family static figures:
-// repeated estimations of one registry family on a fresh heterogeneous
-// overlay. The runs are independent estimations, so they fan out across
-// the worker pool: run i draws from the stream (Seed+stream+1, i)
-// regardless of worker count. The overlay is returned so callers can
-// add family-specific notes and read the meter.
+// compare with one candidate, a registry family on a fresh heterogeneous
+// overlay, whose runs draw from the streams (Seed+stream+1, i). The
+// overlay is returned so callers can add family-specific notes and read
+// the meter.
 func staticQuality(id, title, family string, opts registry.Options, n, runs int, p Params, stream uint64) (*Figure, *overlay.Network, error) {
-	net := hetNet(n, p, stream)
-	mk, err := perRun(id, family, net, p, p.Seed+stream+1, opts)
+	res, nets, err := compare(id, []candidate{{family, family, p.Seed + stream + 1, runs, opts}},
+		func(int) *overlay.Network { return hetNet(n, p, stream) }, p)
 	if err != nil {
 		return nil, nil, err
-	}
-	res, err := core.RunStaticParallel(mk, net, runs, core.LastK, p.Workers)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", id, err)
 	}
 	fig := &Figure{
 		ID:     id,
@@ -82,10 +71,10 @@ func staticQuality(id, title, family string, opts registry.Options, n, runs int,
 		XLabel: "Number of estimations",
 		YLabel: "Quality %",
 	}
-	oneShot, lastK := qualitySeries(res)
+	oneShot, lastK := qualitySeries(res[0])
 	fig.Series = []*metrics.Series{lastK, oneShot}
-	noteAccuracy(fig, res)
-	return fig, net, nil
+	noteAccuracy(fig, res[0])
+	return fig, nets[0], nil
 }
 
 // scStatic is the shared body of Figs 1, 2 and 18.
@@ -165,9 +154,8 @@ func aggStatic(id, title string, n int, p Params, stream uint64) (*Figure, error
 		converged int
 		counter   metrics.Counter
 	}
-	// Three instances outside, sharded round sweeps inside: split the
-	// budget between the levels like RunSuite does.
-	outer, inner := splitWorkers(p, 3)
+	// Three instances outside, sharded round sweeps inside.
+	outer, inner := parallel.Split(p.Workers, 3)
 	outs, err := parallel.Map(outer, 3, func(k int) (estOut, error) {
 		view := net.View()
 		proto := aggregation.New(aggConfig(p, inner),
@@ -248,78 +236,47 @@ func fig08(p Params) (*Figure, error) {
 		XLabel: "Number of estimations",
 		YLabel: "Quality %",
 	}
-	runs := p.SCRuns
-	// The three head-to-head families from the registry. Display names
-	// and stream seeds are frozen (they predate the registry); Workers 1
-	// on Aggregation because the estimator already sits two fan-out
-	// levels deep.
-	type cand struct {
-		name     string
-		family   string
-		seed     uint64
-		opts     registry.Options
-		smoothed bool
+	// The three head-to-head families from the registry; display names
+	// and stream seeds are frozen (they predate the registry). Each
+	// Aggregation estimate costs a full epoch (N·50·2 messages) and the
+	// curve is flat after convergence, so its points are capped at paper
+	// scale — noted on the figure.
+	cands := []candidate{
+		{"Aggregation", "aggregation", p.Seed + 0x0801, min(20, p.SCRuns), epochOpts(p)},
+		{"Sample&collide", "samplecollide", p.Seed + 0x0802, p.SCRuns, registry.Options{}},
+		{"HopsSampling", "hopssampling", p.Seed + 0x0803, p.SCRuns, registry.Options{}},
 	}
-	candidates := []cand{
-		{"Aggregation", "aggregation", p.Seed + 0x0801,
-			registry.Options{Rounds: p.EpochLen, Shards: p.Shards, Workers: 1, Shuffle: p.Shuffle}, false},
-		{"Sample&collide", "samplecollide", p.Seed + 0x0802, registry.Options{}, false},
-		{"HopsSampling", "hopssampling", p.Seed + 0x0803, registry.Options{}, true},
-	}
-	type candOut struct {
-		series   *metrics.Series
-		notes    []string
-		messages uint64
-	}
+	smoothed := []bool{false, false, true}
 	// Fresh topology per candidate (same seed), so one candidate's meter
-	// and rng use cannot perturb another; the three candidates run
-	// concurrently, and each one's estimations fan out below them.
-	outs, err := parallel.Map(p.Workers, len(candidates), func(ci int) (candOut, error) {
-		c := candidates[ci]
-		net := scaleFreeNet(p.N100k, p, 0x0800)
-		var out candOut
-		candidateRuns := runs
-		if c.name == "Aggregation" && candidateRuns > 20 {
-			// Each Aggregation estimate costs a full epoch (N·50·2
-			// messages); the curve is flat after convergence, so cap the
-			// points at paper scale. Noted on the figure.
-			candidateRuns = 20
-			out.notes = append(out.notes, fmt.Sprintf(
-				"Aggregation plotted for %d estimations (flat curve, epoch cost N·%d·2)", candidateRuns, p.EpochLen))
-		}
-		mk, err := perRun("fig08", c.family, net, p, c.seed, c.opts)
-		if err != nil {
-			return candOut{}, err
-		}
-		res, err := core.RunStaticParallel(mk, net, candidateRuns, core.LastK, p.Workers)
-		if err != nil {
-			return candOut{}, fmt.Errorf("fig08 %s: %w", c.name, err)
-		}
-		q := res.QualityPct(c.smoothed)
-		s := &metrics.Series{Name: c.name}
-		for i := range q {
-			s.Append(float64(i+1), q[i])
-		}
-		out.series = s
-		var e stats.Running
-		for _, v := range q {
-			e.Add(v - 100)
-		}
-		out.notes = append(out.notes, fmt.Sprintf("%s mean signed error %.1f%%", c.name, e.Mean()))
-		out.messages = net.Counter().Total()
-		return out, nil
-	})
+	// and rng use cannot perturb another.
+	res, nets, err := compare("fig08", cands,
+		func(int) *overlay.Network { return scaleFreeNet(p.N100k, p, 0x0800) }, p)
 	if err != nil {
 		return nil, err
 	}
-	for _, o := range outs {
-		fig.Series = append(fig.Series, o.series)
-		for _, n := range o.notes {
-			fig.AddNote("%s", n)
+	for ci, c := range cands {
+		if c.runs < p.SCRuns {
+			fig.AddNote("%s plotted for %d estimations (flat curve, epoch cost N·%d·2)", c.name, c.runs, p.EpochLen)
 		}
-		fig.Messages += o.messages
+		s, signed := qualityCurve(c.name, res[ci].QualityPct(smoothed[ci]))
+		fig.Series = append(fig.Series, s)
+		fig.AddNote("%s mean signed error %.1f%%", c.name, signed)
+		fig.Messages += nets[ci].Counter().Total()
 	}
 	return fig, nil
+}
+
+// qualityCurve plots one candidate's quality-% values against the
+// estimation number and returns their mean signed error beside the
+// series (negative = systematic under-estimation).
+func qualityCurve(name string, q []float64) (*metrics.Series, float64) {
+	s := &metrics.Series{Name: name}
+	var e stats.Running
+	for i, v := range q {
+		s.Append(float64(i+1), v)
+		e.Add(v - 100)
+	}
+	return s, e.Mean()
 }
 
 // ScaleFreeOverlay is exported for the scalefree example and tests.

@@ -175,9 +175,9 @@ func RunSuite(ids []string, p Params) (*SuiteReport, map[string]*Figure, error) 
 	// by the suite width). A few experiments run concurrently, each with
 	// the remaining budget for its internal fan-out; results are
 	// worker-count-invariant either way, so the split only shapes load.
-	outer := min(4, parallel.Resolve(p.Workers), len(ids))
+	outer, innerWorkers := parallel.Split(p.Workers, min(4, len(ids)))
 	inner := p
-	inner.Workers = max(1, parallel.Resolve(p.Workers)/outer)
+	inner.Workers = innerWorkers
 	figs := make([]*Figure, len(ids))
 	entries := make([]ExperimentReport, len(ids))
 	order := scheduleOrder(ids)

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"p2psize/internal/core"
-	"p2psize/internal/parallel"
+	"p2psize/internal/overlay"
 	"p2psize/internal/plot"
 	"p2psize/internal/registry"
 	"p2psize/internal/stats"
@@ -29,53 +31,28 @@ type TableIRow struct {
 // TableIRows measures the four Table I configurations on a fresh
 // heterogeneous overlay of p.N100k nodes, in the paper's column order:
 // S&C oneShot, HopsSampling last10runs, S&C last10runs, Aggregation.
-// The three measurement groups (S&C feeds two rows) are independent —
-// each builds its own overlay — so they run concurrently, and every
-// group's trials fan out across the pool below them. The second return
-// value is the total metered traffic. The per-row trial index alone
-// fixes each trial's random stream, so the rows are byte-identical at
-// any worker count.
+// The three measurement groups (S&C feeds two rows) are compare's
+// candidates, each on its own overlay. The second return value is the
+// total metered traffic. The per-row trial index alone fixes each
+// trial's random stream, so the rows are byte-identical at any worker
+// count.
 func TableIRows(p Params) ([]TableIRow, uint64, error) {
-	type group struct {
-		label   string
-		family  string
-		stream  uint64
-		runSeed uint64
-		runs    int
-		opts    registry.Options
+	// Group ci builds its overlay on stream 0x2000+0x100·ci and seeds its
+	// runs one above. Aggregation epochs are expensive (N·rounds·2) and
+	// the estimator is near-deterministic at convergence, so a few runs
+	// suffice.
+	cands := []candidate{
+		{"sample&collide", "samplecollide", p.Seed + 0x2001, p.TableRuns, registry.Options{}},
+		{"hops-sampling", "hopssampling", p.Seed + 0x2101, p.TableRuns, registry.Options{}},
+		{"aggregation", "aggregation", p.Seed + 0x2201, min(3, p.TableRuns), epochOpts(p)},
 	}
-	groups := []group{
-		{"sample&collide", "samplecollide", 0x2000, 0x2001, p.TableRuns, registry.Options{}},
-		{"hops-sampling", "hopssampling", 0x2100, 0x2101, p.TableRuns, registry.Options{}},
-		// Aggregation, one epoch of EpochLen rounds per estimation. Epochs
-		// are expensive (N·rounds·2), so a few runs suffice: the estimator
-		// is near-deterministic at convergence. Workers 1: trials already
-		// fan out through RunStaticParallel.
-		{"aggregation", "aggregation", 0x2200, 0x2201, min(3, p.TableRuns),
-			registry.Options{Rounds: p.EpochLen, Shards: p.Shards, Workers: 1, Shuffle: p.Shuffle}},
-	}
-	type groupOut struct {
-		res  *core.StaticResult
-		msgs uint64
-	}
-	outs, err := parallel.Map(p.Workers, len(groups), func(i int) (groupOut, error) {
-		g := groups[i]
-		net := hetNet(p.N100k, p, g.stream)
-		mk, err := perRun("table1 "+g.label, g.family, net, p, p.Seed+g.runSeed, g.opts)
-		if err != nil {
-			return groupOut{}, err
-		}
-		res, err := core.RunStaticParallel(mk, net, g.runs, core.LastK, p.Workers)
-		if err != nil {
-			return groupOut{}, fmt.Errorf("table1 %s: %w", g.label, err)
-		}
-		return groupOut{res: res, msgs: net.Counter().Total()}, nil
-	})
+	res, nets, err := compare("table1", cands,
+		func(ci int) *overlay.Network { return hetNet(p.N100k, p, 0x2000+0x100*uint64(ci)) }, p)
 	if err != nil {
 		return nil, 0, err
 	}
-	scRes, hopsRes, aggRes := outs[0].res, outs[1].res, outs[2].res
-	msgs := outs[0].msgs + outs[1].msgs + outs[2].msgs
+	scRes, hopsRes, aggRes := res[0], res[1], res[2]
+	msgs := nets[0].Counter().Total() + nets[1].Counter().Total() + nets[2].Counter().Total()
 	rows := []TableIRow{
 		makeRow("Sample&Collide (l=200)", "oneShot",
 			scRes.QualityPct(false), scRes.MeanOverhead()),
@@ -104,7 +81,7 @@ func makeRow(alg, heur string, qualities []float64, overhead float64) TableIRow 
 	var signed, absErr stats.Running
 	for _, q := range qualities {
 		signed.Add(q - 100)
-		absErr.Add(abs(q - 100))
+		absErr.Add(math.Abs(q - 100))
 	}
 	return TableIRow{
 		Algorithm:           alg,
@@ -155,26 +132,9 @@ func init() {
 			Title:    tbl.Title,
 			Messages: msgs,
 		}
-		for _, line := range splitLines(tbl.Text()) {
+		for _, line := range strings.FieldsFunc(tbl.Text(), func(r rune) bool { return r == '\n' }) {
 			fig.AddNote("%s", line)
 		}
 		return fig, nil
 	})
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
 }

@@ -19,6 +19,7 @@ import (
 	"p2psize/internal/core"
 	"p2psize/internal/metrics"
 	"p2psize/internal/monitor"
+	"p2psize/internal/parallel"
 	"p2psize/internal/registry"
 	"p2psize/internal/trace"
 	"p2psize/internal/xrand"
@@ -45,7 +46,7 @@ func traceInstances(p Params, stream uint64) ([]monitor.Instance, error) {
 	}
 	// The instances fan out inside the monitor; the Aggregation epochs
 	// shard their sweeps with the leftover budget.
-	_, inner := splitWorkers(p, len(roster))
+	_, inner := parallel.Split(p.Workers, len(roster))
 	opts := registry.Options{
 		Tours:   3, // Random Tour's monitoring setting: one tour is far too noisy to track with
 		Rounds:  p.EpochLen,

@@ -382,17 +382,6 @@ func resolveSchedules(instances []Instance, cfg Config, horizon float64) (cadenc
 	return cadences, policies, schedules, nil
 }
 
-// splitWorkers divides the run's worker budget between the two levels
-// of sample: groups fan out on outer workers — one live clone each —
-// and every group forks its ticks on inner, so outer·inner never
-// exceeds the budget. The split is fixed for the run: a pure function
-// of (workers, groups), like everything else scheduling may depend on.
-func splitWorkers(workers, groups int) (outer, inner int) {
-	w := parallel.Resolve(workers)
-	outer = min(w, groups)
-	return outer, w / outer
-}
-
 // Timeline is the single writer of a sampling run: whatever moves the
 // overlay's membership between two ticks — a trace replay, a churn
 // scenario's steps, a live cluster's liveness probes.
@@ -422,7 +411,7 @@ type Timeline interface {
 // itself meters nothing — and the view counters are merged into net's
 // counter in group order, members in instance order.
 //
-// The worker budget is split once (splitWorkers): groups fan out as
+// The worker budget is split once (parallel.Split): groups fan out as
 // wide as the budget allows, so at most workers group overlays are
 // alive at a time, and each group's ticks fork on the share that is
 // left. With workers == 1, and in every singleton group, each Estimate
@@ -436,7 +425,7 @@ func sample(instances []Instance, cfg Config, horizon float64, net *overlay.Netw
 	}
 	grid := unionGrid(schedules)
 	groups := group(instances, cadences)
-	groupWorkers, tickWorkers := splitWorkers(workers, len(groups))
+	groupWorkers, tickWorkers := parallel.Split(workers, len(groups))
 	type instOut struct {
 		raw       []float64
 		smoothed  []float64

@@ -40,6 +40,18 @@ func Resolve(workers int) int {
 	return workers
 }
 
+// Split divides a workers budget between two nesting levels: an outer
+// fan-out over width lanes and the inner parallelism each lane gets
+// (nested run pools, sharded rounds, a tick's fork), so outer·inner
+// never exceeds the budget. A pure function of (workers, width), and it
+// only shapes load: the output of everything built on Map is invariant
+// to any split.
+func Split(workers, width int) (outer, inner int) {
+	w := Resolve(workers)
+	outer = max(1, min(w, width))
+	return outer, w / outer
+}
+
 // Shard sizing for intra-round sweeps: below MinShardNodes per shard
 // the per-node work is too cheap to amortize a goroutine, and past
 // MaxShards the ordered cross-shard fix-up passes start to dominate.

@@ -21,6 +21,31 @@ func TestResolve(t *testing.T) {
 	}
 }
 
+// TestSplit pins the budget split's contract: the two levels together
+// never exceed the budget, the outer level never exceeds the fan-out
+// width, every lane keeps at least one worker, and a single lane gets
+// the whole budget.
+func TestSplit(t *testing.T) {
+	for _, workers := range []int{-1, 0, 1, 2, 3, 7, 8, 64} {
+		w := Resolve(workers)
+		for _, width := range []int{1, 2, 3, 5, 9, 100} {
+			outer, inner := Split(workers, width)
+			if outer < 1 || outer > width || inner < 1 || outer*inner > w {
+				t.Fatalf("Split(%d, %d) = (%d, %d) on a budget of %d", workers, width, outer, inner, w)
+			}
+		}
+		if outer, inner := Split(workers, 1); outer != 1 || inner != w {
+			t.Fatalf("Split(%d, 1) = (%d, %d), want (1, %d)", workers, outer, inner, w)
+		}
+	}
+	if outer, inner := Split(8, 3); outer != 3 || inner != 2 {
+		t.Fatalf("Split(8, 3) = (%d, %d), want (3, 2)", outer, inner)
+	}
+	if outer, inner := Split(4, 0); outer != 1 || inner != 4 {
+		t.Fatalf("Split(4, 0) = (%d, %d), want (1, 4): an empty fan-out must not divide by zero", outer, inner)
+	}
+}
+
 func TestMapOrdersResultsByIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		out, err := Map(workers, 50, func(i int) (int, error) {
