@@ -19,10 +19,14 @@
 //	p2psize -algo all -trace measured.csv -cadence 5
 //
 // -estimators selects algorithms from the estimator registry by name or
-// alias ("sc,hops,agg", "all", "default") and overrides -algo; -cadence
-// accepts a per-estimator spec in monitoring mode, a base tick plus
-// name=value overrides, so cheap estimators can sample often while
-// expensive ones sample rarely in the same run:
+// alias ("sc,hops,agg", "all", "default"). -algo is shorthand for such a
+// spec — any registry name or alias, "all" for the paper's three
+// candidates (sc,hops,agg), "everything" for sc,hops,agg,tour,poll — and
+// prints exactly what the equivalent -estimators spec prints; -estimators
+// wins when both are given. -cadence accepts a per-estimator spec in
+// monitoring mode, a base tick plus name=value overrides, so cheap
+// estimators can sample often while expensive ones sample rarely in the
+// same run:
 //
 //	p2psize -estimators sc,poll,agg -trace weibull -cadence 5,agg=50
 //	p2psize -estimators list
@@ -57,7 +61,7 @@ func main() {
 		nodes    = flag.Int("nodes", 10000, "overlay size")
 		topology = flag.String("topology", "heterogeneous", "heterogeneous | homogeneous | scalefree | ring")
 		maxDeg   = flag.Int("maxdeg", 0, "degree cap (0 = paper default)")
-		algo     = flag.String("algo", "all", "sc | hops | agg | tour | poll | all | everything")
+		algo     = flag.String("algo", "all", "shorthand for an -estimators spec: a registry name or alias (sc | hops | agg | tour | poll | ...), all (= sc,hops,agg) or everything (= sc,hops,agg,tour,poll)")
 		l        = flag.Int("l", 200, "Sample&Collide collision target")
 		timer    = flag.Float64("T", 10, "Sample&Collide walk timer")
 		mle      = flag.Bool("mle", false, "use the MLE refinement for Sample&Collide")
@@ -70,7 +74,7 @@ func main() {
 		shards   = flag.Int("shards", 0, "shard count for the sweep inside each Aggregation round (0 = auto-size; part of the output, unlike -workers)")
 		shuffle  = flag.String("shuffle", "global", "sweep-order randomization of the sharded rounds: \"global\" (frozen serial-shuffle draw order) or \"local\" (per-shard shuffles, no serial prefix); part of the output, like -shards")
 
-		estSel = flag.String("estimators", "", "select algorithms from the estimator registry (comma-separated names/aliases, \"all\", \"default\", or \"list\" to print the catalog); overrides -algo")
+		estSel = flag.String("estimators", "", "select algorithms from the estimator registry (comma-separated names/aliases, \"all\", \"default\", or \"list\" to print the catalog); wins over -algo")
 
 		faults = flag.String("faults", "", "fault scenario every selected algorithm runs under, e.g. \"drop=0.05,delay=2x,lie=10@0.05\"; silent=/sybil= reshape the overlay, partition@lo-hi folds onto the -trace timeline")
 
@@ -122,16 +126,26 @@ func main() {
 	} else if *traceSpec != "" {
 		aggWorkers = max(1, aggWorkers/4)
 	}
-	opts := estOpts{
-		l: *l, timer: *timer, mle: *mle, rounds: *rounds, shards: *shards,
-		shuffle: *shuffle, aggWorkers: aggWorkers, minHops: *minHops, seed: *seed,
+	cfg := p2psize.EstimatorConfig{
+		SCTimer: *timer, SCL: *l, SCMLE: *mle,
+		// Random Tour cost is Θ(N) per tour: average 10 in one-shot runs,
+		// but 3 per sample when monitoring.
+		Tours:   10,
+		MinHops: *minHops,
+		Rounds:  *rounds, Shards: *shards, Workers: aggWorkers,
+		Shuffle: *shuffle,
+	}
+	if *traceSpec != "" {
+		cfg.Tours = 3
 	}
 	fopts, err := p2psize.ParseFaults(*faults)
 	if err != nil {
 		fatal(err)
 	}
 	clusterMode := *clusterN > 0 || *clusterAddrs != ""
-	if err := validateModes(clusterMode, *traceSpec, fopts); err != nil {
+	algoSet := false
+	flag.Visit(func(f *flag.Flag) { algoSet = algoSet || f.Name == "algo" })
+	if err := validateModes(clusterMode, algoSet, *traceSpec, fopts); err != nil {
 		fatalUsage(err)
 	}
 
@@ -146,19 +160,28 @@ func main() {
 		return
 	}
 
+	roster, err := registry.Parse(rosterSpec(*estSel, *algo))
+	if err != nil {
+		fatal(err)
+	}
+
 	if *traceSpec != "" {
 		baseCadence, perCadence, err := registry.ParseCadenceSpec(*cadence, 10)
 		if err != nil {
 			fatal(err)
 		}
-		specs, err := selectEstimators(*estSel, *algo, opts, nil, true)
+		cadences, err := registry.MonitoringCadences(roster, perCadence)
+		if err != nil {
+			fatal(err)
+		}
+		specs, err := selectEstimators(roster, cfg, nil, *seed)
 		if err != nil {
 			fatal(err)
 		}
 		specs = withFaultSpecs(specs, fopts, *seed)
 		if err := runMonitor(monitorOpts{
 			traceSpec: *traceSpec, topo: topo, maxDeg: *maxDeg, nodes: *nodes,
-			horizon: *horizon, cadence: baseCadence, cadences: perCadence,
+			horizon: *horizon, cadence: baseCadence, cadences: cadences,
 			policy: *policy, window: *window, alpha: *alpha, restart: *restart,
 			saveTrace: *saveTrace, seed: *seed, workers: *workers,
 			faults: fopts,
@@ -195,7 +218,7 @@ func main() {
 
 	// The registry path hands the overlay to the factories so snapshot-
 	// based families (id-density) can derive their state from it.
-	specs, err := selectEstimators(*estSel, *algo, opts, net, false)
+	specs, err := selectEstimators(roster, cfg, net, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -244,18 +267,6 @@ func withFaultSpecs(specs []estimatorSpec, f p2psize.FaultOptions, seed uint64) 
 	return out
 }
 
-type estOpts struct {
-	l          int
-	timer      float64
-	mle        bool
-	rounds     int
-	shards     int
-	shuffle    string
-	aggWorkers int
-	minHops    int
-	seed       uint64
-}
-
 func parseTopology(s string) (p2psize.Topology, error) {
 	switch strings.ToLower(s) {
 	case "heterogeneous", "het":
@@ -275,12 +286,10 @@ func parseTopology(s string) (p2psize.Topology, error) {
 // per run index; run i's seed is drawn from the (base+offset, i) xrand
 // stream, so runs never share a random stream regardless of worker
 // scheduling and no (seed, run) pair collides with another invocation's
-// (the additive base+offset+f(i) scheme would). family is the canonical
-// registry name, which per-estimator cadence overrides key on.
+// (the additive base+offset+f(i) scheme would).
 type estimatorSpec struct {
-	name   string
-	family string
-	make   func(run int) p2psize.Estimator
+	name string
+	make func(run int) p2psize.Estimator
 }
 
 // listEstimators prints the registry catalog (-estimators list).
@@ -296,35 +305,30 @@ func listEstimators() {
 	fmt.Printf("\ndefault roster: %s\n", strings.Join(p2psize.DefaultEstimators(), ", "))
 }
 
-// selectEstimators resolves the roster: the -estimators registry spec
-// when given (net lets snapshot-based families build their state;
-// monitoring mode rejects them instead), the legacy -algo selector
-// otherwise.
-func selectEstimators(sel, algo string, o estOpts, net *p2psize.Network, monitoring bool) ([]estimatorSpec, error) {
-	if strings.TrimSpace(sel) == "" {
-		return buildEstimators(algo, o)
+// rosterSpec turns the two roster flags into one registry spec:
+// -estimators wins when set; otherwise -algo is shorthand — "all" is the
+// paper's three candidates, "everything" adds the two baselines, and
+// any other value is a registry name or alias.
+func rosterSpec(estSel, algo string) string {
+	if sel := strings.TrimSpace(estSel); sel != "" {
+		return sel
 	}
-	ds, err := registry.Parse(sel)
-	if err != nil {
-		return nil, err
+	switch strings.ToLower(strings.TrimSpace(algo)) {
+	case "all":
+		return "sc,hops,agg"
+	case "everything":
+		return "sc,hops,agg,tour,poll"
 	}
-	specs := make([]estimatorSpec, 0, len(ds))
-	for _, d := range ds {
-		if monitoring && !d.SupportsMonitoring {
-			return nil, fmt.Errorf("estimator %q does not support continuous monitoring (snapshot-based); drop it from -estimators", d.Name)
-		}
-		cfg := p2psize.EstimatorConfig{
-			SCTimer: o.timer, SCL: o.l, SCMLE: o.mle,
-			// Random Tour cost is Θ(N) per tour: average 10 in one-shot
-			// runs like -algo tour, but 3 per sample when monitoring.
-			Tours:   10,
-			MinHops: o.minHops,
-			Rounds:  o.rounds, Shards: o.shards, Workers: o.aggWorkers,
-			Shuffle: o.shuffle,
-		}
-		if monitoring {
-			cfg.Tours = 3
-		}
+	return algo
+}
+
+// selectEstimators builds the roster's per-run factories through the
+// registry (net lets snapshot-based families build their state). Run i
+// of a family draws its seed from the (seed+1000+StreamOffset, i)
+// stream.
+func selectEstimators(roster []registry.Descriptor, cfg p2psize.EstimatorConfig, net *p2psize.Network, seed uint64) ([]estimatorSpec, error) {
+	specs := make([]estimatorSpec, 0, len(roster))
+	for _, d := range roster {
 		// Validate the configuration once, eagerly — a bad option or a
 		// family that needs an overlay must fail here, not mid-run. The
 		// probe instance also supplies the display name: construction can
@@ -334,7 +338,7 @@ func selectEstimators(sel, algo string, o estOpts, net *p2psize.Network, monitor
 		if err != nil {
 			return nil, err
 		}
-		seedBase := o.seed + 1000 + d.StreamOffset
+		seedBase := seed + 1000 + d.StreamOffset
 		name := d.Name
 		mk := func(run int) p2psize.Estimator {
 			c := cfg
@@ -345,64 +349,9 @@ func selectEstimators(sel, algo string, o estOpts, net *p2psize.Network, monitor
 			}
 			return e
 		}
-		specs = append(specs, estimatorSpec{name: probe.Name(), family: d.Name, make: mk})
+		specs = append(specs, estimatorSpec{name: probe.Name(), make: mk})
 	}
 	return specs, nil
-}
-
-func buildEstimators(algo string, o estOpts) ([]estimatorSpec, error) {
-	runSeed := func(offset uint64) func(run int) uint64 {
-		return func(run int) uint64 { return xrand.NewStream(o.seed+offset, uint64(run)).Uint64() }
-	}
-	scSeed, hopsSeed, aggSeed := runSeed(100), runSeed(200), runSeed(300)
-	tourSeed, pollSeed := runSeed(400), runSeed(500)
-	sc := estimatorSpec{family: "samplecollide", make: func(run int) p2psize.Estimator {
-		return p2psize.NewSampleCollide(p2psize.SampleCollideOptions{
-			T: o.timer, L: o.l, UseMLE: o.mle, Seed: scSeed(run),
-		})
-	}}
-	hops := estimatorSpec{family: "hopssampling", make: func(run int) p2psize.Estimator {
-		return p2psize.NewHopsSampling(p2psize.HopsSamplingOptions{
-			MinHopsReporting: o.minHops, Seed: hopsSeed(run),
-		})
-	}}
-	agg := estimatorSpec{family: "aggregation", make: func(run int) p2psize.Estimator {
-		return p2psize.NewAggregation(p2psize.AggregationOptions{
-			Rounds: o.rounds, Shards: o.shards, Workers: o.aggWorkers,
-			Shuffle: o.shuffle, Seed: aggSeed(run),
-		})
-	}}
-	tour := estimatorSpec{family: "randomtour", make: func(run int) p2psize.Estimator {
-		return p2psize.NewRandomTour(p2psize.RandomTourOptions{
-			Tours: 10, Seed: tourSeed(run),
-		})
-	}}
-	poll := estimatorSpec{family: "polling", make: func(run int) p2psize.Estimator {
-		return p2psize.NewPolling(p2psize.PollingOptions{
-			Seed: pollSeed(run),
-		})
-	}}
-	for _, s := range []*estimatorSpec{&sc, &hops, &agg, &tour, &poll} {
-		s.name = s.make(0).Name()
-	}
-	switch strings.ToLower(algo) {
-	case "sc", "samplecollide", "sample-collide":
-		return []estimatorSpec{sc}, nil
-	case "hops", "hopssampling":
-		return []estimatorSpec{hops}, nil
-	case "agg", "aggregation":
-		return []estimatorSpec{agg}, nil
-	case "tour", "randomtour":
-		return []estimatorSpec{tour}, nil
-	case "poll", "polling":
-		return []estimatorSpec{poll}, nil
-	case "all":
-		return []estimatorSpec{sc, hops, agg}, nil
-	case "everything":
-		return []estimatorSpec{sc, hops, agg, tour, poll}, nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q (want sc, hops, agg, tour, poll, all or everything)", algo)
-	}
 }
 
 func reportRun(name string, vals []float64, truth float64, net *p2psize.Network) {
@@ -444,8 +393,10 @@ func formatVals(vals []float64) string {
 // validateModes is the single chokepoint for mutually exclusive mode
 // combinations: every flag pairing the command cannot honor is rejected
 // here, before any work starts, through one usage-error path.
-func validateModes(clusterMode bool, traceSpec string, f p2psize.FaultOptions) error {
+func validateModes(clusterMode, algoSet bool, traceSpec string, f p2psize.FaultOptions) error {
 	switch {
+	case clusterMode && algoSet:
+		return fmt.Errorf("-cluster reads its roster from -estimators; -algo would be silently ignored (name the families with -estimators, or drop -algo for the default live roster)")
 	case clusterMode && traceSpec != "":
 		return fmt.Errorf("-cluster and -trace are mutually exclusive: a live cluster's membership is owned by the daemons, not a replayed churn trace")
 	case clusterMode && f.Enabled():

@@ -1,0 +1,161 @@
+package main
+
+import (
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"p2psize"
+	"p2psize/internal/registry"
+)
+
+// TestRosterSpec: the two roster flags resolve to one registry spec, and
+// every spelling the pre-registry -algo accepted is a registry selector.
+func TestRosterSpec(t *testing.T) {
+	for _, c := range []struct {
+		estSel, algo string
+		want         []string
+	}{
+		{"", "all", []string{"samplecollide", "hopssampling", "aggregation"}},
+		{"", "everything", []string{"samplecollide", "hopssampling", "aggregation", "randomtour", "polling"}},
+		{"", "Everything", []string{"samplecollide", "hopssampling", "aggregation", "randomtour", "polling"}},
+		{"", "sc", []string{"samplecollide"}},
+		{"", "samplecollide", []string{"samplecollide"}},
+		{"", "sample-collide", []string{"samplecollide"}},
+		{"", "hops", []string{"hopssampling"}},
+		{"", "hopssampling", []string{"hopssampling"}},
+		{"", "agg", []string{"aggregation"}},
+		{"", "aggregation", []string{"aggregation"}},
+		{"", "tour", []string{"randomtour"}},
+		{"", "randomtour", []string{"randomtour"}},
+		{"", "poll", []string{"polling"}},
+		{"", "polling", []string{"polling"}},
+		{"", "dht", []string{"dht"}}, // any registry name passes through
+		{"poll,sc", "agg", []string{"polling", "samplecollide"}},
+		{" default ", "everything", registry.DefaultSet()},
+		{"all", "sc", registry.Names()}, // -estimators all is the whole catalog, unlike -algo all
+	} {
+		ds, err := registry.Parse(rosterSpec(c.estSel, c.algo))
+		if err != nil {
+			t.Fatalf("-estimators %q -algo %q: %v", c.estSel, c.algo, err)
+		}
+		var got []string
+		for _, d := range ds {
+			got = append(got, d.Name)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("-estimators %q -algo %q = %v, want %v", c.estSel, c.algo, got, c.want)
+		}
+	}
+	_, err := registry.Parse(rosterSpec("", "bogus"))
+	if err == nil || !strings.Contains(err.Error(), `"bogus"`) ||
+		!strings.Contains(err.Error(), strings.Join(registry.Names(), ", ")) {
+		t.Fatalf("unknown -algo: err = %v, want the catalog listed", err)
+	}
+}
+
+// TestAlgoMatchesEstimators: one request, one answer — -algo X builds
+// the very estimators the equivalent -estimators spec builds.
+func TestAlgoMatchesEstimators(t *testing.T) {
+	net, err := p2psize.NewNetwork(p2psize.NetworkOptions{Nodes: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := p2psize.EstimatorConfig{SCL: 50, Tours: 10, Rounds: 20, Workers: 1}
+	build := func(estSel, algo string) []estimatorSpec {
+		roster, err := registry.Parse(rosterSpec(estSel, algo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs, err := selectEstimators(roster, cfg, net, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return specs
+	}
+	byAlgo, byEst := build("", "all"), build("sc,hops,agg", "")
+	if len(byAlgo) != 3 || len(byEst) != 3 {
+		t.Fatalf("rosters of %d and %d specs, want 3 and 3", len(byAlgo), len(byEst))
+	}
+	for i := range byAlgo {
+		if byAlgo[i].name != byEst[i].name {
+			t.Fatalf("slot %d: -algo builds %q, -estimators %q", i, byAlgo[i].name, byEst[i].name)
+		}
+		for run := 0; run < 2; run++ {
+			a, err := byAlgo[i].make(run).Estimate(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := byEst[i].make(run).Estimate(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(a) != math.Float64bits(e) {
+				t.Fatalf("%s run %d: -algo estimates %v, -estimators %v", byAlgo[i].name, run, a, e)
+			}
+		}
+	}
+}
+
+func TestValidateModes(t *testing.T) {
+	parse := func(spec string) p2psize.FaultOptions {
+		f, err := p2psize.ParseFaults(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for _, c := range []struct {
+		name             string
+		cluster, algoSet bool
+		trace, faults    string
+		want             string // substring of the error; "" = accepted
+	}{
+		{name: "static", algoSet: true},
+		{name: "monitoring", algoSet: true, trace: "weibull", faults: "drop=0.05,silent=0.1"},
+		{name: "cluster, default roster", cluster: true},
+		{name: "cluster with -algo", cluster: true, algoSet: true, want: "-algo would be silently ignored"},
+		{name: "cluster with -trace", cluster: true, trace: "weibull", want: "mutually exclusive"},
+		{name: "cluster with -faults", cluster: true, faults: "drop=0.05", want: "simulation-only"},
+		{name: "partition without -trace", faults: "partition=0.5@0.4-0.6", want: "needs a timeline"},
+		{name: "partition on a trace", trace: "weibull", faults: "partition=0.5@0.4-0.6"},
+		{name: "sybils while monitoring", trace: "weibull", faults: "sybil=0.1", want: "sybil inflation conflicts"},
+		{name: "sybils, static", faults: "sybil=0.1"},
+	} {
+		err := validateModes(c.cluster, c.algoSet, c.trace, parse(c.faults))
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+func TestParseAddrSpec(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "addrs")
+	if err := os.WriteFile(file, []byte("127.0.0.1:7001\n\n 127.0.0.1:7002 \n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		spec string
+		want []string
+	}{
+		{"", nil},
+		{"a:1, b:2,,", []string{"a:1", "b:2"}},
+		{"@" + file, []string{"127.0.0.1:7001", "127.0.0.1:7002"}},
+	} {
+		got, err := parseAddrSpec(c.spec)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("parseAddrSpec(%q) = %v, err %v; want %v", c.spec, got, err, c.want)
+		}
+	}
+	for _, bad := range []string{" , ,", "@" + file + ".missing"} {
+		if got, err := parseAddrSpec(bad); err == nil || !strings.Contains(err.Error(), "-cluster-addrs") {
+			t.Errorf("parseAddrSpec(%q) = %v, err %v; want a -cluster-addrs error", bad, got, err)
+		}
+	}
+}

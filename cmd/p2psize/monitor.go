@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"p2psize"
@@ -22,10 +21,9 @@ type monitorOpts struct {
 	nodes     int
 	horizon   float64
 	cadence   float64
-	// cadences holds per-estimator overrides keyed by canonical
-	// registry family (from the -cadence name=value spec); families
-	// not listed sample every cadence time units.
-	cadences  map[string]float64
+	// cadences holds the -cadence name=value overrides per roster slot
+	// (registry.MonitoringCadences); 0 samples every cadence time units.
+	cadences  []float64
 	policy    string
 	window    int
 	alpha     float64
@@ -183,38 +181,12 @@ func runMonitor(o monitorOpts, specs []estimatorSpec) error {
 		tr.Name(), tr.Joins(), tr.Leaves(), tr.Horizon(), o.cadence)
 
 	ests := make([]p2psize.Estimator, len(specs))
-	var cadences []float64
 	for k, spec := range specs {
 		ests[k] = spec.make(k)
-		if c, ok := o.cadences[spec.family]; ok {
-			if cadences == nil {
-				cadences = make([]float64, len(specs))
-			}
-			cadences[k] = c
-		}
-	}
-	// Sorted, so the error is deterministic regardless of map order —
-	// the same shape as the experiments layer's orphan check.
-	var orphans []string
-	for family := range o.cadences {
-		known := false
-		for _, spec := range specs {
-			if spec.family == family {
-				known = true
-				break
-			}
-		}
-		if !known {
-			orphans = append(orphans, family)
-		}
-	}
-	if len(orphans) > 0 {
-		sort.Strings(orphans)
-		return fmt.Errorf("-cadence names %v, not in the monitored roster", orphans)
 	}
 	res, err := p2psize.RunMonitor(net, tr, ests, p2psize.MonitorOptions{
 		Cadence:     o.cadence,
-		Cadences:    cadences,
+		Cadences:    o.cadences,
 		Policy:      pol,
 		Window:      o.window,
 		Alpha:       o.alpha,

@@ -232,8 +232,13 @@ func toPublic(e core.Estimator) Estimator {
 	return coreWrap{e}
 }
 
-// toCore lowers a public estimator onto the internal contract.
+// toCore lowers a public estimator onto the internal contract; nil
+// stays nil, so the run loops can report it instead of dereferencing
+// a wrapper around nothing.
 func toCore(e Estimator) core.Estimator {
+	if e == nil {
+		return nil
+	}
 	if w, ok := e.(coreWrap); ok {
 		return w.e
 	}

@@ -42,6 +42,9 @@ func RunStaticParallel(newEstimator func(run int) Estimator, net *overlay.Networ
 	outs, err := parallel.Map(workers, runs, func(i int) (runOut, error) {
 		view := net.View()
 		e := newEstimator(i)
+		if e == nil {
+			return runOut{}, fmt.Errorf("core: run %d: the estimator factory returned nil", i)
+		}
 		est, err := e.Estimate(view)
 		if err != nil {
 			return runOut{}, fmt.Errorf("core: run %d of %s: %w", i, e.Name(), err)

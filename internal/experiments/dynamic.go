@@ -9,6 +9,7 @@ import (
 	"p2psize/internal/core"
 	"p2psize/internal/metrics"
 	"p2psize/internal/monitor"
+	"p2psize/internal/overlay"
 	"p2psize/internal/parallel"
 	"p2psize/internal/registry"
 	"p2psize/internal/stats"
@@ -150,53 +151,53 @@ func fig14(p Params) (*Figure, error) {
 
 // aggDynamic is the shared body of Figs 15-17: three concurrent epoch-
 // restarted Aggregation processes; churn advances every round; estimates
-// are read at each epoch boundary (every EpochLen rounds). Each process
-// runs on its own overlay clone replaying the identical churn
-// trajectory, so the three fan out across workers. This is a
-// protocol-stepping loop — one churn step, one round, the real size
-// drawn per round — not a sampling loop, which is why it does not ride
-// monitor.RunScenario.
+// are read at each epoch boundary (every EpochLen rounds). One overlay,
+// one churn trajectory: the processes only read the topology, so they
+// run on three metering views of one COW clone that a single runner
+// steps alone, and fork within each round (the rule of fig05/06's views
+// and fig09-14's shared replay). This is a protocol-stepping loop — one
+// churn step, one round, the real size drawn per round — not a sampling
+// loop, which is why it does not ride monitor.RunScenario.
 func aggDynamic(id, title string, scenario churn.Scenario, p Params, stream uint64) (*Figure, error) {
 	net := hetNet(p.N100k, p, stream)
 	const instances = 3
-	type instOut struct {
-		real     *metrics.Series
+	type process struct {
+		view     *overlay.Network
+		proto    *aggregation.Protocol
 		est      *metrics.Series
 		failures int
 		trackSum float64
 		trackN   int
-		counter  *metrics.Counter
 	}
+	clone := net.CloneCOW()
+	runner := churn.NewRunner(scenario, xrand.New(p.Seed+stream+1))
 	outer, inner := parallel.Split(p.Workers, instances)
-	outs, err := parallel.Map(outer, instances, func(k int) (instOut, error) {
-		clone := net.CloneCOW()
-		proto := aggregation.New(aggConfig(p, inner),
-			xrand.New(p.Seed+stream+10+uint64(k)))
-		if err := proto.StartEpoch(clone); err != nil {
-			return instOut{}, fmt.Errorf("%s: %w", id, err)
+	procs := make([]process, instances)
+	for k := range procs {
+		procs[k] = process{
+			view:  clone.View(),
+			proto: aggregation.New(aggConfig(p, inner), xrand.New(p.Seed+stream+10+uint64(k))),
+			est:   &metrics.Series{Name: fmt.Sprintf("Estimation #%d", k+1)},
 		}
-		runner := churn.NewRunner(scenario, xrand.New(p.Seed+stream+1))
-		o := instOut{
-			real:    &metrics.Series{Name: "Real size"},
-			est:     &metrics.Series{Name: fmt.Sprintf("Estimation #%d", k+1)},
-			counter: clone.Counter(),
+		if err := procs[k].proto.StartEpoch(procs[k].view); err != nil {
+			return nil, fmt.Errorf("%s: %w", id, err)
 		}
-		for round := 0; round < scenario.TotalSteps; round++ {
-			runner.Step(clone, round)
-			if clone.Size() == 0 {
-				break
+	}
+	real := &metrics.Series{Name: "Real size"}
+	for round := 0; round < scenario.TotalSteps; round++ {
+		runner.Step(clone, round)
+		if clone.Size() == 0 {
+			break
+		}
+		x, truth := float64(round+1), float64(clone.Size())
+		boundary := (round+1)%p.EpochLen == 0
+		err := parallel.ForEach(outer, instances, func(k int) error {
+			o := &procs[k]
+			o.proto.RunRound(o.view)
+			if !boundary {
+				return nil
 			}
-			proto.RunRound(clone)
-			// The paper's figures draw the real size continuously but read
-			// estimates only at epoch boundaries; shocks between epochs must
-			// stay visible in the real curve.
-			o.real.Append(float64(round+1), float64(clone.Size()))
-			if (round+1)%p.EpochLen != 0 {
-				continue
-			}
-			x := float64(round + 1)
-			truth := float64(clone.Size())
-			est, ok := proto.Estimate(clone)
+			est, ok := o.proto.Estimate(o.view)
 			if !ok {
 				o.failures++
 				o.est.Append(x, math.NaN())
@@ -209,32 +210,20 @@ func aggDynamic(id, title string, scenario churn.Scenario, p Params, stream uint
 			}
 			// Restart: new tag, values reset, estimate of the finished
 			// epoch was just read.
-			if err := proto.StartEpoch(clone); err != nil {
-				return instOut{}, fmt.Errorf("%s: %w", id, err)
-			}
+			return o.proto.StartEpoch(o.view)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", id, err)
 		}
-		return o, nil
-	})
-	if err != nil {
-		return nil, err
+		// The paper's figures draw the real size continuously but read
+		// estimates only at epoch boundaries; shocks between epochs must
+		// stay visible in the real curve.
+		real.Append(x, truth)
 	}
 	fig := &Figure{ID: id, Title: title, XLabel: "#Round", YLabel: "Estimated Size"}
-	fig.Series = []*metrics.Series{outs[0].real}
-	for k, o := range outs {
-		// The figure pairs instance 0's real-size curve with every
-		// instance's estimates, which is only sound if all clones replayed
-		// the identical trajectory (the monitor's loop makes the same
-		// defensive check).
-		if o.real.Len() != outs[0].real.Len() {
-			return nil, fmt.Errorf("%s: churn replay diverged at instance %d (%d vs %d rounds)",
-				id, k, o.real.Len(), outs[0].real.Len())
-		}
-		for i := range o.real.Y {
-			if o.real.Y[i] != outs[0].real.Y[i] {
-				return nil, fmt.Errorf("%s: churn replay diverged at instance %d, round %g",
-					id, k, o.real.X[i])
-			}
-		}
+	fig.Series = []*metrics.Series{real}
+	for k := range procs {
+		o := &procs[k]
 		fig.Series = append(fig.Series, o.est)
 		if o.trackN == 0 {
 			fig.AddNote("estimation #%d produced no usable estimates", k+1)
@@ -242,7 +231,7 @@ func aggDynamic(id, title string, scenario churn.Scenario, p Params, stream uint
 			fig.AddNote("estimation #%d mean tracking error %.1f%% (%d lost epochs)",
 				k+1, o.trackSum/float64(o.trackN), o.failures)
 		}
-		net.Counter().Merge(o.counter)
+		net.Counter().Merge(o.view.Counter())
 	}
 	fig.Messages = net.Counter().Total()
 	return fig, nil

@@ -278,10 +278,3 @@ func qualityCurve(name string, q []float64) (*metrics.Series, float64) {
 	}
 	return s, e.Mean()
 }
-
-// ScaleFreeOverlay is exported for the scalefree example and tests.
-func ScaleFreeOverlay(n int, seed uint64) *overlay.Network {
-	p := Defaults()
-	p.Seed = seed
-	return scaleFreeNet(n, p, 0)
-}

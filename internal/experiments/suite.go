@@ -208,14 +208,6 @@ func RunSuite(ids []string, p Params) (*SuiteReport, map[string]*Figure, error) 
 	return report, out, firstErr
 }
 
-// Sorted returns the report's experiments ordered by id (the suite
-// preserves submission order, which is already sorted when ids was nil).
-func (r *SuiteReport) Sorted() []ExperimentReport {
-	out := append([]ExperimentReport(nil), r.Experiments...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // WriteFile marshals the report as indented JSON at path.
 func (r *SuiteReport) WriteFile(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")

@@ -14,7 +14,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"p2psize/internal/core"
 	"p2psize/internal/metrics"
@@ -44,6 +43,10 @@ func traceInstances(p Params, stream uint64) ([]monitor.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
+	cadences, err := registry.MonitoringCadences(roster, p.Cadences)
+	if err != nil {
+		return nil, err
+	}
 	// The instances fan out inside the monitor; the Aggregation epochs
 	// shard their sweeps with the leftover budget.
 	_, inner := parallel.Split(p.Workers, len(roster))
@@ -55,30 +58,12 @@ func traceInstances(p Params, stream uint64) ([]monitor.Instance, error) {
 		Shuffle: p.Shuffle,
 	}
 	out := make([]monitor.Instance, len(roster))
-	selected := make(map[string]bool, len(roster))
 	for i, d := range roster {
-		if !d.SupportsMonitoring {
-			return nil, fmt.Errorf("estimator %q does not support continuous monitoring (snapshot-based)", d.Name)
-		}
-		selected[d.Name] = true
 		e, err := d.Build(nil, xrand.New(p.Seed+stream+d.StreamOffset), withFaults(p, opts))
 		if err != nil {
 			return nil, fmt.Errorf("estimator %q: %w", d.Name, err)
 		}
-		out[i] = monitor.Instance{Estimator: e, Cadence: p.Cadences[d.Name]}
-	}
-	// A cadence override targeting nothing would silently measure the
-	// wrong configuration; reject it instead (sorted, so the error is
-	// deterministic regardless of map order).
-	var orphans []string
-	for name := range p.Cadences {
-		if !selected[name] {
-			orphans = append(orphans, name)
-		}
-	}
-	if len(orphans) > 0 {
-		sort.Strings(orphans)
-		return nil, fmt.Errorf("cadence override names %v, not in the monitored roster", orphans)
+		out[i] = monitor.Instance{Estimator: e, Cadence: cadences[i]}
 	}
 	return out, nil
 }

@@ -178,16 +178,3 @@ func localClustering(g *Graph, id NodeID) float64 {
 	}
 	return 2 * float64(links) / float64(d*(d-1))
 }
-
-// DistanceHistogram returns a histogram of hop distances from src over
-// reachable alive nodes (src itself excluded). Used to validate the
-// HopsSampling extrapolation weights.
-func DistanceHistogram(g *Graph, src NodeID) *stats.IntHistogram {
-	var h stats.IntHistogram
-	for id, d := range BFSDistances(g, src) {
-		if d > 0 && NodeID(id) != src {
-			h.Add(int(d))
-		}
-	}
-	return &h
-}

@@ -139,14 +139,6 @@ func TestClusteringSampled(t *testing.T) {
 	}
 }
 
-func TestDistanceHistogram(t *testing.T) {
-	g := pathGraph(4)
-	h := DistanceHistogram(g, 0)
-	if h.Total() != 3 || h.Count(1) != 1 || h.Count(2) != 1 || h.Count(3) != 1 {
-		t.Fatalf("distance histogram wrong: total=%d", h.Total())
-	}
-}
-
 func TestRandomGraphSmallDiameter(t *testing.T) {
 	// A heterogeneous graph with average degree ~7 over 10k nodes should
 	// have diameter around log(n)/log(avgDeg) ≈ 5, certainly under 12.

@@ -136,44 +136,6 @@ func contains(s []NodeID, v NodeID) bool {
 	return false
 }
 
-// ErdosRenyi builds G(n, p) using geometric skipping, so the cost is
-// proportional to the number of edges rather than n². Used as a reference
-// topology in tests and ablations.
-func ErdosRenyi(n int, p float64, rng *xrand.Rand) *Graph {
-	if n <= 0 {
-		panic("graph: ErdosRenyi with n <= 0")
-	}
-	if p < 0 || p > 1 {
-		panic("graph: ErdosRenyi with p outside [0,1]")
-	}
-	g := NewWithNodes(n)
-	if p == 0 {
-		return g
-	}
-	if p == 1 {
-		for u := NodeID(0); int(u) < n; u++ {
-			for v := u + 1; int(v) < n; v++ {
-				g.AddEdge(u, v)
-			}
-		}
-		return g
-	}
-	// Batagelj–Brandes: iterate candidate pairs (w, v) with w < v and jump
-	// ahead by geometrically distributed gaps, so cost is O(edges).
-	v, w := 1, -1
-	for v < n {
-		w += 1 + rng.Geometric(p)
-		for w >= v && v < n {
-			w -= v
-			v++
-		}
-		if v < n {
-			g.AddEdge(NodeID(w), NodeID(v))
-		}
-	}
-	return g
-}
-
 // Ring builds a cycle of n nodes — the worst-case expander used in the
 // random-walk mixing tests. Panics for n < 3.
 func Ring(n int) *Graph {

@@ -182,31 +182,6 @@ func TestBarabasiAlbertPanics(t *testing.T) {
 	}
 }
 
-func TestErdosRenyi(t *testing.T) {
-	rng := xrand.New(11)
-	const n = 3000
-	p := 0.003
-	g := ErdosRenyi(n, p, rng)
-	if err := g.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	wantEdges := p * float64(n) * float64(n-1) / 2
-	got := float64(g.NumEdges())
-	if math.Abs(got-wantEdges) > 0.15*wantEdges {
-		t.Fatalf("G(n,p) edges = %.0f, want ≈%.0f", got, wantEdges)
-	}
-}
-
-func TestErdosRenyiExtremes(t *testing.T) {
-	if g := ErdosRenyi(50, 0, xrand.New(1)); g.NumEdges() != 0 {
-		t.Fatal("p=0 produced edges")
-	}
-	g := ErdosRenyi(20, 1, xrand.New(1))
-	if g.NumEdges() != 20*19/2 {
-		t.Fatalf("p=1 edges = %d", g.NumEdges())
-	}
-}
-
 func TestRing(t *testing.T) {
 	g := Ring(10)
 	if g.NumEdges() != 10 {

@@ -7,7 +7,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -87,15 +86,6 @@ func (c *Counter) Reset() { c.counts = [numKinds]uint64{} }
 // Snapshot returns a copy of the counter, for before/after deltas.
 func (c *Counter) Snapshot() Counter { return *c }
 
-// Diff returns per-kind messages recorded since the snapshot was taken.
-func (c *Counter) Diff(snap Counter) Counter {
-	var out Counter
-	for k := range c.counts {
-		out.counts[k] = c.counts[k] - snap.counts[k]
-	}
-	return out
-}
-
 // Merge adds the counts of o into c.
 func (c *Counter) Merge(o *Counter) {
 	for k := range c.counts {
@@ -149,47 +139,4 @@ func (s *Series) YRange() (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// Recorder collects named series produced during an experiment.
-// The zero value is ready to use.
-type Recorder struct {
-	series map[string]*Series
-	order  []string
-}
-
-// Series returns (creating if necessary) the series with the given name.
-func (r *Recorder) Series(name string) *Series {
-	if r.series == nil {
-		r.series = make(map[string]*Series)
-	}
-	s, ok := r.series[name]
-	if !ok {
-		s = &Series{Name: name}
-		r.series[name] = s
-		r.order = append(r.order, name)
-	}
-	return s
-}
-
-// Record appends an (x, y) point to the named series.
-func (r *Recorder) Record(name string, x, y float64) {
-	r.Series(name).Append(x, y)
-}
-
-// All returns the recorded series in first-recorded order.
-func (r *Recorder) All() []*Series {
-	out := make([]*Series, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, r.series[name])
-	}
-	return out
-}
-
-// Names returns the recorded series names in sorted order.
-func (r *Recorder) Names() []string {
-	names := make([]string, len(r.order))
-	copy(names, r.order)
-	sort.Strings(names)
-	return names
 }

@@ -26,16 +26,12 @@ func TestCounterBasics(t *testing.T) {
 	}
 }
 
-func TestCounterSnapshotDiff(t *testing.T) {
+func TestCounterSnapshot(t *testing.T) {
 	var c Counter
 	c.Add(KindPush, 10)
 	snap := c.Snapshot()
 	c.Add(KindPush, 3)
 	c.Add(KindPull, 4)
-	d := c.Diff(snap)
-	if d.Count(KindPush) != 3 || d.Count(KindPull) != 4 || d.Total() != 7 {
-		t.Fatalf("Diff = %v", d.String())
-	}
 	// Snapshot must be unaffected by later increments.
 	if snap.Total() != 10 {
 		t.Fatalf("snapshot mutated: %d", snap.Total())
@@ -109,31 +105,5 @@ func TestSeriesAppendAndRange(t *testing.T) {
 	lo, hi = s.YRange()
 	if lo != -2 || hi != 9 {
 		t.Fatalf("YRange = %g, %g", lo, hi)
-	}
-}
-
-func TestRecorder(t *testing.T) {
-	var r Recorder
-	r.Record("b", 0, 1)
-	r.Record("a", 0, 2)
-	r.Record("b", 1, 3)
-	all := r.All()
-	if len(all) != 2 {
-		t.Fatalf("All len = %d", len(all))
-	}
-	// First-recorded order.
-	if all[0].Name != "b" || all[1].Name != "a" {
-		t.Fatalf("order = %q, %q", all[0].Name, all[1].Name)
-	}
-	if all[0].Len() != 2 || all[0].Y[1] != 3 {
-		t.Fatal("series b contents wrong")
-	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Names = %v", names)
-	}
-	// Series() on existing name returns the same instance.
-	if r.Series("b") != all[0] {
-		t.Fatal("Series returned a new instance for existing name")
 	}
 }

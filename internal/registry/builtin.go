@@ -1,11 +1,12 @@
 package registry
 
-// Built-in descriptors: the six estimator families the repo implements,
-// registered in the paper's presentation order. StreamOffsets are part
-// of the output-identity contract — the trace experiments seed instance
-// rngs at seed+offset, and these values reproduce the pre-registry
-// hand-rolled rosters bit for bit — so they are frozen: new families
-// take fresh offsets, existing ones never move.
+// Built-in descriptors: the nine estimator families the repo implements
+// — the paper's candidates and baselines in its presentation order, then
+// push-sum, capture-recapture and the DHT extrapolator. StreamOffsets
+// are part of the output-identity contract — the trace experiments seed
+// instance rngs at seed+offset, and these values reproduce the
+// pre-registry hand-rolled rosters bit for bit — so they are frozen: new
+// families take fresh offsets, existing ones never move.
 
 import (
 	"errors"

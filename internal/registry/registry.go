@@ -347,6 +347,36 @@ func ParseCadenceSpec(spec string, base float64) (float64, map[string]float64, e
 	return base, overrides, nil
 }
 
+// MonitoringCadences is the monitoring-roster rule, applied by every
+// layer that hands a roster to the monitor: each family must support
+// continuous monitoring, ParseCadenceSpec's per-family overrides are
+// laid out per roster slot (0 = the base cadence), and an override
+// naming a family outside the roster is rejected — it would silently
+// measure a configuration the caller never asked for. Orphans are
+// reported sorted, so the error does not depend on map order.
+func MonitoringCadences(roster []Descriptor, overrides map[string]float64) ([]float64, error) {
+	cadences := make([]float64, len(roster))
+	selected := make(map[string]bool, len(roster))
+	for i, d := range roster {
+		if !d.SupportsMonitoring {
+			return nil, fmt.Errorf("registry: estimator %q does not support continuous monitoring (snapshot-based)", d.Name)
+		}
+		selected[d.Name] = true
+		cadences[i] = overrides[d.Name]
+	}
+	var orphans []string
+	for name := range overrides {
+		if !selected[name] {
+			orphans = append(orphans, name)
+		}
+	}
+	if len(orphans) > 0 {
+		sort.Strings(orphans)
+		return nil, fmt.Errorf("registry: cadence override names %v, not in the monitored roster", orphans)
+	}
+	return cadences, nil
+}
+
 // Build constructs one estimator instance, honoring every option the
 // factories do not see themselves: when opts.Faults is enabled the
 // estimator is wrapped in the fault layer's decorator, with an injector
@@ -384,13 +414,4 @@ func (d Descriptor) PerRun(net *overlay.Network, seed uint64, opts Options) (fun
 		}
 		return e
 	}, nil
-}
-
-// SortedByCost returns the descriptors ordered cheapest-first by
-// CostHint (ties by registration order) — the order listings and
-// budget-conscious rosters want.
-func SortedByCost(ds []Descriptor) []Descriptor {
-	out := append([]Descriptor(nil), ds...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].CostHint < out[j].CostHint })
-	return out
 }

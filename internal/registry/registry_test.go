@@ -269,6 +269,39 @@ func TestParseCadenceSpecRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestMonitoringCadences pins the one monitoring-roster rule both the
+// experiments layer and cmd/p2psize apply.
+func TestMonitoringCadences(t *testing.T) {
+	roster, err := Parse("sc,agg,hops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "ps" is not in the roster; "agg" reaches its slot through the alias.
+	_, per, err := ParseCadenceSpec("5,agg=50", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MonitoringCadences(roster, per)
+	if err != nil || len(got) != 3 || got[0] != 0 || got[1] != 50 || got[2] != 0 {
+		t.Fatalf("slot layout = %v, err %v; want [0 50 0]", got, err)
+	}
+	if got, err := MonitoringCadences(roster, nil); err != nil || len(got) != 3 || got[0]+got[1]+got[2] != 0 {
+		t.Fatalf("no overrides = %v, err %v; want three base-cadence slots", got, err)
+	}
+	snapshot, err := Parse("sc,idspace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MonitoringCadences(snapshot, nil); err == nil ||
+		!strings.Contains(err.Error(), `"idspace" does not support continuous monitoring`) {
+		t.Fatalf("snapshot family err = %v", err)
+	}
+	_, err = MonitoringCadences(roster, map[string]float64{"randomtour": 2, "aggregation": 50, "polling": 3})
+	if err == nil || !strings.Contains(err.Error(), "[polling randomtour], not in the monitored roster") {
+		t.Fatalf("orphan err = %v, want both orphans, sorted", err)
+	}
+}
+
 func TestPerRunIsRunIndexed(t *testing.T) {
 	net := testNet(500, 3)
 	d := mustGet(t, "samplecollide")

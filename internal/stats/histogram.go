@@ -1,7 +1,5 @@
 package stats
 
-import "sort"
-
 // IntHistogram counts occurrences of small non-negative integers, such as
 // node degrees. The zero value is ready to use.
 type IntHistogram struct {
@@ -81,44 +79,3 @@ func (h *IntHistogram) CCDF() (values []int, frac []float64) {
 	}
 	return values, frac
 }
-
-// Bucketed is a fixed-boundary histogram over float64 observations.
-type Bucketed struct {
-	bounds []float64 // sorted upper bounds; last bucket is unbounded
-	counts []int
-	total  int
-}
-
-// NewBucketed builds a histogram whose bucket i holds values <= bounds[i]
-// (and greater than bounds[i-1]); one extra overflow bucket holds the rest.
-// Bounds must be strictly increasing and nonempty.
-func NewBucketed(bounds []float64) *Bucketed {
-	if len(bounds) == 0 {
-		panic("stats: NewBucketed with no bounds")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: NewBucketed bounds not strictly increasing")
-		}
-	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Bucketed{bounds: b, counts: make([]int, len(bounds)+1)}
-}
-
-// Add folds an observation into the histogram.
-func (b *Bucketed) Add(x float64) {
-	i := sort.SearchFloat64s(b.bounds, x)
-	b.counts[i]++
-	b.total++
-}
-
-// Counts returns a copy of the per-bucket counts, overflow bucket last.
-func (b *Bucketed) Counts() []int {
-	out := make([]int, len(b.counts))
-	copy(out, b.counts)
-	return out
-}
-
-// Total returns the number of observations.
-func (b *Bucketed) Total() int { return b.total }

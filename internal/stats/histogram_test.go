@@ -94,56 +94,3 @@ func TestIntHistogramCCDFMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBucketed(t *testing.T) {
-	b := NewBucketed([]float64{1, 2, 5})
-	for _, x := range []float64{0.5, 1, 1.5, 3, 10} {
-		b.Add(x)
-	}
-	counts := b.Counts()
-	// <=1: {0.5, 1}; <=2: {1.5}; <=5: {3}; overflow: {10}
-	want := []int{2, 1, 1, 1}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("bucket %d = %d, want %d (all %v)", i, counts[i], want[i], counts)
-		}
-	}
-	if b.Total() != 5 {
-		t.Fatalf("Total = %d", b.Total())
-	}
-}
-
-func TestBucketedPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"empty":        func() { NewBucketed(nil) },
-		"nonmonotonic": func() { NewBucketed([]float64{1, 1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestBucketedTotalInvariant(t *testing.T) {
-	check := func(seed uint64, nRaw uint8) bool {
-		rng := xrand.New(seed)
-		b := NewBucketed([]float64{0.25, 0.5, 0.75})
-		n := int(nRaw)
-		for i := 0; i < n; i++ {
-			b.Add(rng.Float64())
-		}
-		sum := 0
-		for _, c := range b.Counts() {
-			sum += c
-		}
-		return sum == n && b.Total() == n
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

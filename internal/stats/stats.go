@@ -124,9 +124,6 @@ func (w *Window) Len() int {
 	return w.next
 }
 
-// Cap returns the window capacity K.
-func (w *Window) Cap() int { return len(w.buf) }
-
 // Mean returns the mean of the held observations (0 if empty).
 func (w *Window) Mean() float64 {
 	n := w.Len()
@@ -214,33 +211,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(sum / float64(len(xs)-1))
 }
 
-// RMSE returns the root-mean-square error between the estimate series and
-// the truth series; the two must have equal nonzero length.
-func RMSE(estimates, truth []float64) float64 {
-	if len(estimates) != len(truth) || len(estimates) == 0 {
-		panic("stats: RMSE needs equal-length nonempty slices")
-	}
-	sum := 0.0
-	for i := range estimates {
-		d := estimates[i] - truth[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(estimates)))
-}
-
-// MeanAbsPctError returns the mean of |est/truth - 1|·100 over the series;
-// truth entries must be nonzero.
-func MeanAbsPctError(estimates, truth []float64) float64 {
-	if len(estimates) != len(truth) || len(estimates) == 0 {
-		panic("stats: MeanAbsPctError needs equal-length nonempty slices")
-	}
-	sum := 0.0
-	for i := range estimates {
-		sum += math.Abs(estimates[i]/truth[i]-1) * 100
-	}
-	return sum / float64(len(estimates))
-}
-
 // QualityPct expresses an estimate as a percentage of the true size, the
 // normalization used on every static-setting figure of the paper
 // ("the system size is normalized to 100").
@@ -249,27 +219,4 @@ func QualityPct(estimate, trueSize float64) float64 {
 		return 0
 	}
 	return 100 * estimate / trueSize
-}
-
-// LinearFit returns the least-squares slope and intercept of y on x.
-// It panics if the lengths differ or fewer than two points are given.
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	if len(x) != len(y) || len(x) < 2 {
-		panic("stats: LinearFit needs >= 2 equal-length points")
-	}
-	n := float64(len(x))
-	var sx, sy, sxx, sxy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, sy / n
-	}
-	slope = (n*sxy - sx*sy) / den
-	intercept = (sy - slope*sx) / n
-	return slope, intercept
 }

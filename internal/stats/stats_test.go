@@ -171,37 +171,12 @@ func TestMedianMeanStdDev(t *testing.T) {
 	}
 }
 
-func TestRMSEAndPctError(t *testing.T) {
-	est := []float64{110, 90}
-	truth := []float64{100, 100}
-	if got := RMSE(est, truth); !almostEqual(got, 10, 1e-12) {
-		t.Fatalf("RMSE = %g", got)
-	}
-	if got := MeanAbsPctError(est, truth); !almostEqual(got, 10, 1e-12) {
-		t.Fatalf("MeanAbsPctError = %g", got)
-	}
-}
-
 func TestQualityPct(t *testing.T) {
 	if got := QualityPct(95000, 100000); !almostEqual(got, 95, 1e-12) {
 		t.Fatalf("QualityPct = %g", got)
 	}
 	if QualityPct(5, 0) != 0 {
 		t.Fatal("QualityPct with zero truth should be 0")
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := []float64{1, 3, 5, 7} // y = 2x + 1
-	slope, intercept := LinearFit(x, y)
-	if !almostEqual(slope, 2, 1e-12) || !almostEqual(intercept, 1, 1e-12) {
-		t.Fatalf("fit = %g, %g", slope, intercept)
-	}
-	// Degenerate vertical data: zero denominator path.
-	s, b := LinearFit([]float64{2, 2}, []float64{1, 3})
-	if s != 0 || !almostEqual(b, 2, 1e-12) {
-		t.Fatalf("vertical fit = %g, %g", s, b)
 	}
 }
 

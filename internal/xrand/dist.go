@@ -73,111 +73,6 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 	}
 }
 
-// Poisson returns a Poisson-distributed value with the given mean,
-// using Knuth's method for small means and normal approximation with
-// rejection for large means.
-func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// For large means, a rounded normal approximation is adequate for the
-	// churn workloads in this simulator.
-	for {
-		v := r.Norm(mean, math.Sqrt(mean))
-		if v >= 0 {
-			return int(v + 0.5)
-		}
-	}
-}
-
-// Zipf draws values in [1, n] with probability proportional to 1/k^s,
-// via inverse-CDF on a precomputed table. Use NewZipf for repeated draws.
-type Zipf struct {
-	cdf []float64 // cdf[k-1] = P(X <= k)
-}
-
-// NewZipf builds a Zipf(s) sampler over the support [1, n].
-// It panics if n <= 0 or s < 0.
-func NewZipf(n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("xrand: NewZipf with n <= 0")
-	}
-	if s < 0 {
-		panic("xrand: NewZipf with s < 0")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for k := 1; k <= n; k++ {
-		sum += 1 / math.Pow(float64(k), s)
-		cdf[k-1] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf}
-}
-
-// Draw returns the next Zipf variate using r as the entropy source.
-func (z *Zipf) Draw(r *Rand) int {
-	u := r.Float64()
-	// Binary search for the first index with cdf >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
-}
-
-// WeightedChoice returns an index in [0, len(weights)) drawn with
-// probability proportional to weights[i]. Negative weights are treated as
-// zero. It panics if the total weight is not positive.
-func (r *Rand) WeightedChoice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		panic("xrand: WeightedChoice with non-positive total weight")
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	// Floating-point slack: return the last positive-weight index.
-	for i := len(weights) - 1; i >= 0; i-- {
-		if weights[i] > 0 {
-			return i
-		}
-	}
-	panic("xrand: unreachable")
-}
-
 // SampleK fills out with k distinct values drawn uniformly from [0, n)
 // using Floyd's algorithm, and returns out[:k]. It panics if k > n or k < 0.
 // The order of the returned sample is itself uniformly shuffled.

@@ -82,86 +82,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := New(109)
-	for _, mean := range []float64{0.5, 3, 20, 100} {
-		sum := 0.0
-		const draws = 50000
-		for i := 0; i < draws; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / draws
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Fatalf("Poisson(%g) mean = %g", mean, got)
-		}
-	}
-	if v := New(1).Poisson(0); v != 0 {
-		t.Fatalf("Poisson(0) = %d", v)
-	}
-}
-
-func TestZipfSupport(t *testing.T) {
-	r := New(111)
-	z := NewZipf(100, 1.2)
-	counts := make([]int, 101)
-	for i := 0; i < 50000; i++ {
-		v := z.Draw(r)
-		if v < 1 || v > 100 {
-			t.Fatalf("Zipf draw %d out of [1,100]", v)
-		}
-		counts[v]++
-	}
-	// Rank 1 must dominate rank 10 which must dominate rank 100.
-	if !(counts[1] > counts[10] && counts[10] > counts[100]) {
-		t.Fatalf("Zipf not monotone: c1=%d c10=%d c100=%d", counts[1], counts[10], counts[100])
-	}
-}
-
-func TestZipfUniformWhenSZero(t *testing.T) {
-	r := New(113)
-	z := NewZipf(10, 0)
-	counts := make([]int, 11)
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		counts[z.Draw(r)]++
-	}
-	for k := 1; k <= 10; k++ {
-		f := float64(counts[k]) / draws
-		if math.Abs(f-0.1) > 0.01 {
-			t.Fatalf("Zipf(s=0) rank %d frequency %g, want ~0.1", k, f)
-		}
-	}
-}
-
-func TestWeightedChoice(t *testing.T) {
-	r := New(115)
-	w := []float64{1, 0, 3, -2, 6}
-	counts := make([]int, len(w))
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		counts[r.WeightedChoice(w)]++
-	}
-	if counts[1] != 0 || counts[3] != 0 {
-		t.Fatalf("zero/negative weights were drawn: %v", counts)
-	}
-	// Expected proportions 1:3:6 over total 10.
-	for i, want := range map[int]float64{0: 0.1, 2: 0.3, 4: 0.6} {
-		f := float64(counts[i]) / draws
-		if math.Abs(f-want) > 0.02 {
-			t.Fatalf("weight %d frequency %g, want ~%g", i, f, want)
-		}
-	}
-}
-
-func TestWeightedChoicePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WeightedChoice with zero total did not panic")
-		}
-	}()
-	New(1).WeightedChoice([]float64{0, 0})
-}
-
 func TestSampleKDistinct(t *testing.T) {
 	check := func(seed uint64, nRaw, kRaw uint8) bool {
 		n := int(nRaw)%50 + 1

@@ -5,27 +5,6 @@ import (
 	"testing"
 )
 
-func TestInt31n(t *testing.T) {
-	r := New(201)
-	seen := map[int32]bool{}
-	for i := 0; i < 5000; i++ {
-		v := r.Int31n(7)
-		if v < 0 || v >= 7 {
-			t.Fatalf("Int31n(7) = %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 7 {
-		t.Fatalf("Int31n covered %d of 7 values", len(seen))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Int31n(0) did not panic")
-		}
-	}()
-	r.Int31n(0)
-}
-
 func TestIntnPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -90,22 +69,6 @@ func TestGeometricPanics(t *testing.T) {
 	}
 }
 
-func TestNewZipfPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"n=0": func() { NewZipf(0, 1) },
-		"s<0": func() { NewZipf(10, -1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestSampleKPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"k<0": func() { New(1).SampleK(5, -1) },
@@ -122,14 +85,5 @@ func TestSampleKPanics(t *testing.T) {
 	}
 	if got := New(2).SampleK(5, 0); len(got) != 0 {
 		t.Fatalf("SampleK(5,0) = %v", got)
-	}
-}
-
-func TestWeightedChoiceSingle(t *testing.T) {
-	r := New(207)
-	for i := 0; i < 100; i++ {
-		if got := r.WeightedChoice([]float64{0, 5, 0}); got != 1 {
-			t.Fatalf("WeightedChoice = %d", got)
-		}
 	}
 }

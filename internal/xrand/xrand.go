@@ -143,14 +143,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int31n returns a uniform int32 in [0, n). It panics if n <= 0.
-func (r *Rand) Int31n(n int32) int32 {
-	if n <= 0 {
-		panic("xrand: Int31n with n <= 0")
-	}
-	return int32(r.Uint64n(uint64(n)))
-}
-
 // IntRange returns a uniform int in [lo, hi] inclusive. It panics if hi < lo.
 func (r *Rand) IntRange(lo, hi int) int {
 	if hi < lo {
@@ -202,13 +194,4 @@ func (r *Rand) Perm(n int) []int {
 	}
 	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
-}
-
-// PermInto fills p (reused across calls to avoid allocation) with a random
-// permutation of [0, len(p)).
-func (r *Rand) PermInto(p []int) {
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
 }

@@ -222,19 +222,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestPermInto(t *testing.T) {
-	r := New(31)
-	buf := make([]int, 50)
-	r.PermInto(buf)
-	seen := make([]bool, 50)
-	for _, v := range buf {
-		if seen[v] {
-			t.Fatalf("PermInto produced duplicate %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestShuffleFairness(t *testing.T) {
 	// Over many shuffles of [0,1,2], each of the 6 permutations should
 	// appear with frequency ~1/6.

@@ -18,6 +18,12 @@
 // metered so accuracy/overhead trade-offs can be compared — the paper's
 // methodology, packaged as a library.
 //
+// The three candidates sit in an estimator registry beside six more
+// families (Random Tour, polling, id-density, push-sum, capture-
+// recapture, a DHT extrapolator): Estimators lists the catalog,
+// NewEstimatorByName builds any family by name or alias from one
+// EstimatorConfig, and RegisterEstimator adds a custom one.
+//
 // # Quick start
 //
 //	net, _ := p2psize.NewNetwork(p2psize.NetworkOptions{Nodes: 10000, Seed: 1})
@@ -464,6 +470,9 @@ func (s *smoothed) Estimate(n *Network) (float64, error) {
 // RunRepeated performs runs consecutive estimations and returns the raw
 // values. Overhead accumulates on the network meter.
 func RunRepeated(e Estimator, n *Network, runs int) ([]float64, error) {
+	if e == nil || n == nil {
+		return nil, errors.New("p2psize: RunRepeated needs an estimator and a network")
+	}
 	if runs < 1 {
 		return nil, errors.New("p2psize: RunRepeated needs runs >= 1")
 	}
@@ -489,6 +498,9 @@ func RunRepeated(e Estimator, n *Network, runs int) ([]float64, error) {
 // in run order before returning, so Messages() sees the same totals a
 // sequential execution would.
 func RunParallel(newEstimator func(run int) Estimator, n *Network, runs, workers int) ([]float64, error) {
+	if newEstimator == nil || n == nil {
+		return nil, errors.New("p2psize: RunParallel needs an estimator factory and a network")
+	}
 	res, err := core.RunStaticParallel(func(run int) core.Estimator { return toCore(newEstimator(run)) },
 		n.net, runs, core.LastK, workers)
 	if err != nil {

@@ -207,6 +207,39 @@ func TestRunRepeatedValidation(t *testing.T) {
 	}
 }
 
+// TestRunRepeatedRejectsNil / TestRunParallelRejectsNil: public input
+// yields an error, not a nil dereference (inside the worker pool, in
+// the factory case).
+func TestRunRepeatedRejectsNil(t *testing.T) {
+	n := mustNet(t, NetworkOptions{Nodes: 100, Seed: 9})
+	if _, err := RunRepeated(nil, n, 1); err == nil || !strings.HasPrefix(err.Error(), "p2psize:") {
+		t.Fatalf("nil estimator: err = %v", err)
+	}
+	if _, err := RunRepeated(NewPolling(PollingOptions{Seed: 1}), nil, 1); err == nil || !strings.HasPrefix(err.Error(), "p2psize:") {
+		t.Fatalf("nil network: err = %v", err)
+	}
+}
+
+func TestRunParallelRejectsNil(t *testing.T) {
+	n := mustNet(t, NetworkOptions{Nodes: 100, Seed: 9})
+	mk := func(run int) Estimator { return NewPolling(PollingOptions{Seed: uint64(run)}) }
+	if _, err := RunParallel(mk, nil, 2, 2); err == nil || !strings.HasPrefix(err.Error(), "p2psize:") {
+		t.Fatalf("nil network: err = %v", err)
+	}
+	if _, err := RunParallel(nil, n, 2, 2); err == nil || !strings.HasPrefix(err.Error(), "p2psize:") {
+		t.Fatalf("nil factory: err = %v", err)
+	}
+	for _, workers := range []int{1, 2} {
+		_, err := RunParallel(func(int) Estimator { return nil }, n, 2, workers)
+		if err == nil || !strings.HasPrefix(err.Error(), "p2psize:") || !strings.Contains(err.Error(), "factory returned nil") {
+			t.Fatalf("workers=%d, factory returning nil: err = %v", workers, err)
+		}
+	}
+	if vals, err := RunParallel(mk, n, 2, 2); err != nil || len(vals) != 2 {
+		t.Fatalf("valid call: %v, err %v", vals, err)
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	n := mustNet(t, NetworkOptions{Nodes: 800, Seed: 10})
 	var buf bytes.Buffer
