@@ -72,6 +72,12 @@ type ClusterReport struct {
 	WithinTolerance bool
 	// Departed counts daemons that stopped answering during the run.
 	Departed int
+	// Delivered is how many protocol messages the coordinator's
+	// transport wrote, Datagrams how many UDP datagrams carried them
+	// (oneway frames are coalesced per daemon), and Received how many
+	// the surviving daemons report having absorbed. Received below
+	// Delivered means a socket buffer overflowed or a daemon departed.
+	Delivered, Datagrams, Received uint64
 }
 
 // RunCluster wires a cluster of real node daemons into the requested
@@ -129,6 +135,9 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 		Tolerance:       rep.Tolerance,
 		WithinTolerance: rep.Within,
 		Departed:        len(rep.Departed),
+		Delivered:       rep.Transport.Delivered,
+		Datagrams:       rep.Transport.Datagrams,
+		Received:        rep.Received,
 	}
 	for _, f := range rep.Families {
 		out.Families = append(out.Families, ClusterFamily{

@@ -84,6 +84,12 @@ func runCluster(o clusterOpts) error {
 		fmt.Printf("%-18s %14.1f %14.1f %12.3g %10d\n",
 			f.Name, mean(f.Live), mean(f.Sim), f.MaxDivergence, f.Messages)
 	}
+	perDatagram := 0.0
+	if rep.Datagrams > 0 {
+		perDatagram = float64(rep.Delivered) / float64(rep.Datagrams)
+	}
+	fmt.Printf("transport: %d messages in %d datagrams (%.1f per datagram); daemons absorbed %d\n",
+		rep.Delivered, rep.Datagrams, perDatagram, rep.Received)
 	if rep.Departed > 0 {
 		fmt.Printf("%d daemons departed during the run\n", rep.Departed)
 	}

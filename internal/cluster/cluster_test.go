@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"p2psize/internal/graph"
+	"p2psize/internal/metrics"
 	"p2psize/internal/registry"
 	"p2psize/internal/transport"
 	"p2psize/internal/xrand"
@@ -83,6 +87,45 @@ func TestLiveVsSimulatedAgreement(t *testing.T) {
 	}
 }
 
+// TestClusterConservesMessages makes the wire falsifiable: what the
+// coordinator's transport wrote is what the daemons counted. A few
+// thousand messages sit far below one socket buffer, so nothing is lost
+// by construction; the equality fails if a flush is skipped, the decoder
+// drops a coalesced frame, or Count is mis-encoded.
+func TestClusterConservesMessages(t *testing.T) {
+	ds, err := registry.Resolve([]string{"hopssampling", "aggregation"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	rep, err := Run(Config{
+		Plan:       graph.Heterogeneous(8, 4, xrand.New(7)),
+		MaxDeg:     4,
+		Estimators: ds,
+		Seed:       11,
+		Samples:    3,
+		Logf:       func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metered uint64
+	for _, f := range rep.Families {
+		metered += f.Messages
+	}
+	if rep.Received == 0 || rep.Received != rep.Transport.Delivered || rep.Received != metered {
+		t.Fatalf("daemons absorbed %d, the transport delivered %d, the families metered %d",
+			rep.Received, rep.Transport.Delivered, metered)
+	}
+	if rep.Transport.Datagrams == 0 || rep.Transport.Datagrams > rep.Transport.Delivered {
+		t.Fatalf("transport stats = %+v", rep.Transport)
+	}
+	want := fmt.Sprintf("daemons absorbed %d of %d delivered protocol messages", metered, metered)
+	if !slices.Contains(lines, want) {
+		t.Fatalf("no progress line %q in %q", want, lines)
+	}
+}
+
 func TestRunRejectsBadConfigs(t *testing.T) {
 	plan := graph.Heterogeneous(4, 3, xrand.New(1))
 	roster := roster8(t)
@@ -125,8 +168,12 @@ func TestNodeControlPlane(t *testing.T) {
 	}
 	defer cl.Close()
 
-	if resp, err := cl.Request(0, "ping", nil); err != nil || string(resp) != "pong" {
-		t.Fatalf("ping = %q, %v", resp, err)
+	// The ping reply is the daemon's Received counter, 8 bytes big-endian.
+	if err := cl.Deliver(0, metrics.KindPush, 7); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := cl.Request(0, "ping", nil); err != nil || len(resp) != 8 || binary.BigEndian.Uint64(resp) != 7 {
+		t.Fatalf("ping = %x, %v; want the counter at 7", resp, err)
 	}
 	if _, err := cl.Request(0, "bogus", nil); err == nil {
 		t.Fatal("unknown op accepted")

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -82,6 +83,11 @@ type Report struct {
 	Departed []transport.NodeID
 	// Transport is the coordinator transport's delivery accounting.
 	Transport transport.Stats
+	// Received is how many protocol messages the surviving daemons
+	// report having absorbed, read off their ping replies after the
+	// final flush. It equals Transport.Delivered unless a socket buffer
+	// overflowed or a daemon departed with its count.
+	Received uint64
 }
 
 // pingSource is the coordinator's monitor.Timeline: every grid tick it
@@ -295,6 +301,20 @@ func Run(cfg Config) (*Report, error) {
 		logf("%s: live %v vs sim %v (max divergence %.3g, %d msgs)",
 			f.Name, f.Live, f.Sim, f.MaxDivergence, f.Messages)
 	}
+
+	// Conservation across the wire: everything delivered is flushed (the
+	// pings do it, like every request), the daemons serve their sockets
+	// in order, so each reply counts all that reached its daemon. A
+	// daemon that stops answering now keeps its count to itself; the
+	// shortfall shows in the line below.
+	for _, id := range liveNet.Graph().AliveIDs() {
+		//detlint:allow meterseam — the counter readback is control-plane RPC, not metered protocol traffic
+		resp, err := coord.Request(id, "ping", nil)
+		if err == nil && len(resp) == 8 {
+			report.Received += binary.BigEndian.Uint64(resp)
+		}
+	}
+	logf("daemons absorbed %d of %d delivered protocol messages", report.Received, coord.Stats().Delivered)
 
 	if cfg.Teardown {
 		for i := 0; i < n; i++ {

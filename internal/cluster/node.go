@@ -15,6 +15,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -34,7 +35,8 @@ type NeighborInfo struct {
 }
 
 // RPC payloads (JSON-encoded in Frame.Payload). The coordinator speaks
-// these ops; ping and shutdown carry no payload.
+// these ops; ping and shutdown carry no request payload, and the ping
+// reply is the daemon's Received counter, 8 bytes big-endian.
 type assignPayload struct {
 	// ID is the overlay ID the coordinator assigns to the daemon.
 	ID transport.NodeID `json:"id"`
@@ -140,7 +142,7 @@ func (n *Node) ServeOneway(from transport.NodeID, kind metrics.Kind, count uint6
 func (n *Node) ServeRequest(from transport.NodeID, op string, payload []byte) ([]byte, error) {
 	switch op {
 	case "ping":
-		return []byte("pong"), nil
+		return binary.BigEndian.AppendUint64(nil, n.Received()), nil
 	case "assign":
 		var req assignPayload
 		if err := json.Unmarshal(payload, &req); err != nil {

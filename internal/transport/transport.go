@@ -16,10 +16,13 @@
 //     handlers synchronously; with no handler registered it is a metered
 //     null device. Safe for concurrent use, so the parallel experiment
 //     harnesses can share one.
-//   - UDP: real sockets. Length-prefixed JSON frames (frame.go),
-//     request/response matching by sequence number, retransmission on a
-//     timeout mirroring the fault layer's RTO pricing model, and
-//     liveness events when a peer stops answering.
+//   - UDP: real sockets. Length-prefixed binary frames (frame.go),
+//     coalesced per peer into datagrams of at most 1200 bytes — sent at
+//     once when the sender is idle, in full datagrams under load, always
+//     before a Request or Close — request/response matching by sequence
+//     number, retransmission on a timeout mirroring the fault layer's
+//     RTO pricing model, and liveness events when a peer stops
+//     answering.
 package transport
 
 import (
@@ -72,8 +75,12 @@ type Transport interface {
 // both implementations for tests and diagnostics.
 type Stats struct {
 	// Delivered counts protocol messages handed over successfully
-	// (frames for UDP, dispatches for loopback).
+	// (written to the socket for UDP, dispatched for loopback).
 	Delivered uint64
+	// Datagrams counts the datagrams that carried them (UDP only): the
+	// coalesced writes of oneway frames, not the request/response
+	// exchanges.
+	Datagrams uint64
 	// Requests counts completed request/response exchanges.
 	Requests uint64
 	// Retransmits counts frames resent after an RTO expiry (UDP only).

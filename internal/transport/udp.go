@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,10 +23,18 @@ const (
 	defaultRetries = 4
 )
 
+// maxDatagram caps a coalesced datagram of oneway frames. It sits under
+// the 1280-byte IPv6 minimum MTU, so a datagram never fragments on any
+// conforming path.
+const maxDatagram = 1200
+
 // ErrPeerUnreachable is returned when a request exhausts its
 // retransmission budget; the peer is signalled down on the liveness
 // channel at the same time.
 var ErrPeerUnreachable = errors.New("transport: peer unreachable")
+
+// errClosed is returned by sends on a closed transport.
+var errClosed = errors.New("transport: udp transport is closed")
 
 // UDPConfig parameterizes a UDP transport.
 type UDPConfig struct {
@@ -44,10 +53,20 @@ type UDPConfig struct {
 	Retries int
 }
 
-// UDP is the real-socket transport: length-prefixed JSON frames over a
-// single UDP socket, per-peer addressing, sequence-matched
+// UDP is the real-socket transport: length-prefixed binary frames over
+// a single UDP socket, oneway frames coalesced per peer into datagrams
+// of at most 1200 bytes, per-peer addressing, sequence-matched
 // request/response with RTO retransmission, and liveness events when a
 // peer stops answering. Safe for concurrent use.
+//
+// Delivery rule: a oneway frame is sent at once when the sender is
+// idle, in full datagrams under load, and always before a Request or
+// Close. Deliver appends to the destination's pending datagram and
+// wakes the flusher goroutine, which writes whatever is pending: a lone
+// frame leaves immediately, and a sender that outruns sendto finds the
+// datagram full and writes it itself — that backpressure bounds memory
+// at one datagram per peer, and the batch size clocks itself without a
+// timer or a threshold.
 type UDP struct {
 	conn    *net.UDPConn
 	rto     time.Duration
@@ -56,25 +75,42 @@ type UDP struct {
 	mu      sync.Mutex
 	self    NodeID
 	handler Handler
-	peers   map[NodeID]*net.UDPAddr
-	order   []NodeID // bound peers in bind order, for round-robin
-	next    int      // round-robin cursor for unaddressed sends
+	peers   map[NodeID]*peer
+	order   []*peer // bound peers in bind order: round-robin and flush sweep
+	next    int     // round-robin cursor for unaddressed sends
 	down    map[NodeID]bool
-	pending map[uint64]chan *Frame
+	pending map[uint64]chan Frame
 	closed  bool
 
+	// wmu serializes the flush writes: datagrams to one peer leave in
+	// the order they filled, and flush returns only once everything
+	// delivered before it is written. It owns out, the buffer a flush
+	// swaps for the peer's (lock order: wmu, then mu).
+	wmu sync.Mutex
+	out []byte
+
 	seq    atomic.Uint64
+	kick   chan struct{} // wakes the flusher; one token is enough
 	events chan Event
 	done   chan struct{}
 	wg     sync.WaitGroup
 
 	delivered   atomic.Uint64
+	datagrams   atomic.Uint64
 	requests    atomic.Uint64
 	retransmits atomic.Uint64
 	errOutcomes atomic.Uint64
 }
 
-// NewUDP opens the socket and starts the receive loop.
+// peer is one bound destination. Fields are guarded by UDP.mu.
+type peer struct {
+	id   NodeID
+	addr netip.AddrPort
+	buf  []byte // pending datagram: whole oneway frames, at most maxDatagram bytes
+	msgs uint64 // protocol messages those frames carry
+}
+
+// NewUDP opens the socket and starts the receive loop and the flusher.
 func NewUDP(cfg UDPConfig) (*UDP, error) {
 	laddr, err := net.ResolveUDPAddr("udp", cfg.Addr)
 	if err != nil {
@@ -90,9 +126,10 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		retries: cfg.Retries,
 		self:    cfg.Self,
 		handler: cfg.Handler,
-		peers:   make(map[NodeID]*net.UDPAddr),
+		peers:   make(map[NodeID]*peer),
 		down:    make(map[NodeID]bool),
-		pending: make(map[uint64]chan *Frame),
+		pending: make(map[uint64]chan Frame),
+		kick:    make(chan struct{}, 1),
 		events:  make(chan Event, 64),
 		done:    make(chan struct{}),
 	}
@@ -102,8 +139,9 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 	if u.retries <= 0 {
 		u.retries = defaultRetries
 	}
-	u.wg.Add(1)
+	u.wg.Add(2)
 	go u.readLoop()
+	go u.flushLoop()
 	return u, nil
 }
 
@@ -140,85 +178,180 @@ func (u *UDP) SetPeer(id NodeID, addr string) error {
 		return fmt.Errorf("transport: resolve peer %d addr %q: %w", id, addr, err)
 	}
 	u.mu.Lock()
-	if _, known := u.peers[id]; !known {
-		u.order = append(u.order, id)
-	}
-	u.peers[id] = a
+	u.bind(id, unmap(a.AddrPort()))
 	u.mu.Unlock()
 	return nil
+}
+
+// unmap strips the IPv4-in-IPv6 form a resolver or a dual-stack socket
+// may hand over: an IPv4 socket refuses to write to it, and learned
+// addresses must compare equal to bound ones.
+func unmap(addr netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(addr.Addr().Unmap(), addr.Port())
+}
+
+// bind points a peer ID at an (unmapped) address, creating the peer on
+// first sight. Callers hold u.mu.
+func (u *UDP) bind(id NodeID, addr netip.AddrPort) {
+	p := u.peers[id]
+	if p == nil {
+		p = &peer{id: id}
+		u.peers[id] = p
+		u.order = append(u.order, p)
+	}
+	p.addr = addr
 }
 
 // PeerAddr returns the bound address of a peer.
 func (u *UDP) PeerAddr(id NodeID) (string, bool) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	a, ok := u.peers[id]
-	if !ok {
+	p := u.peers[id]
+	if p == nil {
 		return "", false
 	}
-	return a.String(), true
+	return p.addr.String(), true
 }
 
-// resolve picks the wire address for a destination: the bound address
-// for an addressed send, the next bound peer round-robin for an
-// unaddressed one (batch metering does not expose destinations, but the
-// traffic still has to cross a wire somewhere).
-func (u *UDP) resolve(to NodeID) (NodeID, *net.UDPAddr) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
+// resolve picks the destination of a send: the bound peer for an
+// addressed one, the next bound peer round-robin for an unaddressed one
+// (batch metering does not expose destinations, but the traffic still
+// has to cross a wire somewhere). Callers hold u.mu.
+func (u *UDP) resolve(to NodeID) *peer {
 	if to != noneID {
-		return to, u.peers[to]
+		return u.peers[to]
 	}
 	if len(u.order) == 0 {
-		return noneID, nil
+		return nil
 	}
-	id := u.order[u.next%len(u.order)]
+	p := u.order[u.next%len(u.order)]
 	u.next++
-	return id, u.peers[id]
+	return p
 }
 
-// Deliver implements Transport: one datagram carrying the whole batch
-// (Count = count), fire-and-forget like the epidemic traffic it mostly
-// carries. An unknown or unaddressed destination with no bound peers is
-// a metered no-op, which keeps the null-deployment path (no daemons yet)
-// identical to the simulation.
+// Deliver implements Transport: one frame carrying the whole batch
+// (Count = count), appended to the destination's pending datagram —
+// fire-and-forget like the epidemic traffic it mostly carries; the type
+// comment states when the datagram leaves. An unknown or unaddressed
+// destination with no bound peers is a metered no-op, which keeps the
+// null-deployment path (no daemons yet) identical to the simulation.
 func (u *UDP) Deliver(to NodeID, kind metrics.Kind, count uint64) error {
 	if count == 0 {
 		return nil
 	}
-	id, addr := u.resolve(to)
-	if addr == nil {
+	u.mu.Lock()
+	p := u.resolve(to)
+	for p != nil && !u.closed && len(p.buf)+onewayLen > maxDatagram {
+		u.mu.Unlock()
+		u.flushPeer(p)
+		u.mu.Lock()
+	}
+	if u.closed {
+		u.mu.Unlock()
+		u.errOutcomes.Add(1)
+		return errClosed
+	}
+	if p == nil {
+		u.mu.Unlock()
 		u.delivered.Add(count)
 		return nil
 	}
-	f := onewayFrame(u.Self(), id, kind, count, u.seq.Add(1))
-	if err := u.write(f, addr); err != nil {
-		u.errOutcomes.Add(1)
-		return err
+	if p.buf == nil {
+		p.buf = make([]byte, 0, maxDatagram)
 	}
-	u.delivered.Add(count)
+	idle := len(p.buf) == 0
+	// A oneway frame has no variable part, so it cannot fail to encode.
+	p.buf, _ = appendFrame(p.buf, onewayFrame(u.self, p.id, kind, count, u.seq.Add(1)))
+	p.msgs += count
+	u.mu.Unlock()
+	if idle {
+		// Every empty-to-pending transition leaves a token, so pending
+		// frames always have a flush ahead of them.
+		select {
+		case u.kick <- struct{}{}:
+		default:
+		}
+	}
 	return nil
 }
 
-// Request implements Transport: send, wait for the matching response,
-// retransmit on RTO expiry, give up (and signal the peer down) after the
-// retry budget.
+// flushLoop is the flusher: it writes whatever is pending each time a
+// Deliver wakes it.
+func (u *UDP) flushLoop() {
+	defer u.wg.Done()
+	for {
+		select {
+		case <-u.kick:
+			u.flush()
+		case <-u.done:
+			return
+		}
+	}
+}
+
+// flush writes every peer's pending datagram. When it returns, every
+// frame delivered before the call is on the wire.
+func (u *UDP) flush() {
+	for i := 0; ; i++ {
+		u.mu.Lock()
+		if i >= len(u.order) {
+			u.mu.Unlock()
+			return
+		}
+		p := u.order[i]
+		u.mu.Unlock()
+		u.flushPeer(p)
+	}
+}
+
+// flushPeer writes the peer's pending datagram, if any: it swaps the
+// peer's buffer for the spare one and writes outside u.mu, so senders
+// keep filling while the datagram is in sendto.
+func (u *UDP) flushPeer(p *peer) {
+	u.wmu.Lock()
+	defer u.wmu.Unlock()
+	u.mu.Lock()
+	if len(p.buf) == 0 {
+		u.mu.Unlock()
+		return
+	}
+	p.buf, u.out = u.out[:0], p.buf
+	addr, msgs := p.addr, p.msgs
+	p.msgs = 0
+	u.mu.Unlock()
+	if _, err := u.conn.WriteToUDPAddrPort(u.out, addr); err != nil {
+		u.errOutcomes.Add(1)
+		return
+	}
+	u.datagrams.Add(1)
+	u.delivered.Add(msgs)
+}
+
+// Request implements Transport: flush, send, wait for the matching
+// response, retransmit on RTO expiry, give up (and signal the peer
+// down) after the retry budget.
 func (u *UDP) Request(to NodeID, op string, payload []byte) ([]byte, error) {
 	u.mu.Lock()
-	addr := u.peers[to]
+	p := u.peers[to]
 	closed := u.closed
+	self := u.self
 	u.mu.Unlock()
 	if closed {
-		return nil, errors.New("transport: udp transport is closed")
+		return nil, errClosed
 	}
-	if addr == nil {
+	if p == nil {
 		u.errOutcomes.Add(1)
 		return nil, fmt.Errorf("transport: no address bound for peer %d", to)
 	}
 	seq := u.seq.Add(1)
-	f := requestFrame(u.Self(), to, op, payload, seq)
-	ch := make(chan *Frame, 1)
+	wire, err := EncodeFrame(requestFrame(self, to, op, payload, seq))
+	if err != nil {
+		u.errOutcomes.Add(1)
+		return nil, err
+	}
+	ch := make(chan Frame, 1)
 	u.mu.Lock()
+	addr := p.addr
 	u.pending[seq] = ch
 	u.mu.Unlock()
 	defer func() {
@@ -226,6 +359,8 @@ func (u *UDP) Request(to NodeID, op string, payload []byte) ([]byte, error) {
 		delete(u.pending, seq)
 		u.mu.Unlock()
 	}()
+	// Frames delivered before the request reach the peer before it.
+	u.flush()
 
 	timer := time.NewTimer(u.rto)
 	defer timer.Stop()
@@ -233,7 +368,7 @@ func (u *UDP) Request(to NodeID, op string, payload []byte) ([]byte, error) {
 		if attempt > 0 {
 			u.retransmits.Add(1)
 		}
-		if err := u.write(f, addr); err != nil {
+		if _, err := u.conn.WriteToUDPAddrPort(wire, addr); err != nil {
 			u.errOutcomes.Add(1)
 			return nil, err
 		}
@@ -255,22 +390,12 @@ func (u *UDP) Request(to NodeID, op string, payload []byte) ([]byte, error) {
 		case <-timer.C:
 			// fall through to retransmit
 		case <-u.done:
-			return nil, errors.New("transport: udp transport is closed")
+			return nil, errClosed
 		}
 	}
 	u.errOutcomes.Add(1)
 	u.markDown(to, addr.String())
 	return nil, fmt.Errorf("%w: peer %d (%s) after %d attempts", ErrPeerUnreachable, to, addr, u.retries+1)
-}
-
-// write encodes and sends one frame.
-func (u *UDP) write(f *Frame, addr *net.UDPAddr) error {
-	buf, err := EncodeFrame(f)
-	if err != nil {
-		return err
-	}
-	_, err = u.conn.WriteToUDP(buf, addr)
-	return err
 }
 
 // markDown signals a peer's transition to unreachable (once per
@@ -309,14 +434,16 @@ func (u *UDP) signal(ev Event) {
 // Liveness implements Transport.
 func (u *UDP) Liveness() <-chan Event { return u.events }
 
-// readLoop receives and dispatches frames until the socket closes. A
-// malformed datagram increments the error counter and is dropped; it
-// must never take the loop down.
+// readLoop receives datagrams until the socket closes and dispatches
+// each frame by frame. A malformed datagram costs one error and
+// nothing else: the frames decoded before its corrupt or truncated tail
+// are served, and the loop goes on.
 func (u *UDP) readLoop() {
 	defer u.wg.Done()
 	buf := make([]byte, headerLen+MaxFrame+1)
+	var f Frame // decoded into again and again: a oneway frame allocates nothing
 	for {
-		n, raddr, err := u.conn.ReadFromUDP(buf)
+		n, raddr, err := u.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-u.done:
@@ -329,43 +456,45 @@ func (u *UDP) readLoop() {
 			u.errOutcomes.Add(1)
 			continue
 		}
-		f, _, err := DecodeFrame(buf[:n])
-		if err != nil {
-			u.errOutcomes.Add(1)
-			continue
+		raddr = unmap(raddr)
+		for rest := buf[:n]; ; {
+			used, err := decodeFrame(&f, rest)
+			if err != nil {
+				u.errOutcomes.Add(1)
+				break
+			}
+			u.dispatch(&f, raddr)
+			if rest = rest[used:]; len(rest) == 0 {
+				break
+			}
 		}
-		u.dispatch(f, raddr)
 	}
 }
 
-// dispatch routes one received frame.
-func (u *UDP) dispatch(f *Frame, raddr *net.UDPAddr) {
-	// Learn (or refresh) the sender's address: daemons behind ephemeral
-	// ports become addressable the moment they first speak.
+// dispatch routes one received frame. f is the read loop's and is
+// overwritten by the next frame; what outlives the call is copied.
+func (u *UDP) dispatch(f *Frame, raddr netip.AddrPort) {
+	u.mu.Lock()
+	// Learn the sender's address when it is new or has changed: daemons
+	// behind ephemeral ports become addressable the moment they first
+	// speak.
 	if f.From != noneID {
-		u.mu.Lock()
-		if _, known := u.peers[f.From]; !known {
-			u.order = append(u.order, f.From)
+		if p := u.peers[f.From]; p == nil || p.addr != raddr {
+			u.bind(f.From, raddr)
 		}
-		u.peers[f.From] = raddr
-		u.mu.Unlock()
 	}
+	h, self := u.handler, u.self
+	var ch chan Frame
+	if f.Type == TypeResponse {
+		ch = u.pending[f.Seq]
+	}
+	u.mu.Unlock()
 	switch f.Type {
 	case TypeOneway:
-		count := f.Count
-		if count == 0 {
-			count = 1
-		}
-		u.mu.Lock()
-		h := u.handler
-		u.mu.Unlock()
 		if h != nil {
-			h.ServeOneway(f.From, f.Kind, count)
+			h.ServeOneway(f.From, f.Kind, max(f.Count, 1))
 		}
 	case TypeRequest:
-		u.mu.Lock()
-		h := u.handler
-		u.mu.Unlock()
 		var payload []byte
 		var err error
 		if h == nil {
@@ -373,24 +502,25 @@ func (u *UDP) dispatch(f *Frame, raddr *net.UDPAddr) {
 		} else {
 			payload, err = h.ServeRequest(f.From, f.Op, f.Payload)
 		}
-		resp := responseFrame(f, u.Self(), payload, err)
-		if werr := u.write(resp, raddr); werr != nil {
+		wire, err := EncodeFrame(responseFrame(f, self, payload, err))
+		if err == nil {
+			_, err = u.conn.WriteToUDPAddrPort(wire, raddr)
+		}
+		if err != nil {
 			u.errOutcomes.Add(1)
 		}
 	case TypeResponse:
-		u.mu.Lock()
-		ch := u.pending[f.Seq]
-		u.mu.Unlock()
 		if ch != nil {
 			select {
-			case ch <- f:
+			case ch <- *f:
 			default:
 			}
 		}
 	}
 }
 
-// Close implements Transport; it is idempotent.
+// Close implements Transport; it is idempotent. Frames delivered before
+// it are written first.
 func (u *UDP) Close() error {
 	u.mu.Lock()
 	if u.closed {
@@ -399,6 +529,7 @@ func (u *UDP) Close() error {
 	}
 	u.closed = true
 	u.mu.Unlock()
+	u.flush()
 	close(u.done)
 	err := u.conn.Close()
 	u.wg.Wait()
@@ -406,10 +537,12 @@ func (u *UDP) Close() error {
 	return err
 }
 
-// Stats returns a snapshot of the delivery accounting.
+// Stats flushes and returns a snapshot of the delivery accounting.
 func (u *UDP) Stats() Stats {
+	u.flush()
 	return Stats{
 		Delivered:   u.delivered.Load(),
+		Datagrams:   u.datagrams.Load(),
 		Requests:    u.requests.Load(),
 		Retransmits: u.retransmits.Load(),
 		Errors:      u.errOutcomes.Load(),

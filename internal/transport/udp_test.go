@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -211,6 +213,218 @@ func TestUDPAddressLearning(t *testing.T) {
 			t.Fatalf("a received %d of 2", ha.oneway.Load())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// notifyHandler reports each oneway frame's count on a channel.
+type notifyHandler struct{ oneway chan uint64 }
+
+func (h notifyHandler) ServeOneway(_ NodeID, _ metrics.Kind, count uint64) { h.oneway <- count }
+
+func (h notifyHandler) ServeRequest(NodeID, string, []byte) ([]byte, error) { return nil, nil }
+
+// await receives n oneway counts within the deadline.
+func (h notifyHandler) await(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.After(2 * time.Second)
+	for i := 0; i < n; i++ {
+		select {
+		case <-h.oneway:
+		case <-deadline:
+			t.Fatalf("handler saw %d of %d oneway frames", i, n)
+		}
+	}
+}
+
+func TestUDPLoneOnewayArrives(t *testing.T) {
+	// One Deliver and no later call of any kind: the flusher alone must
+	// put the frame on the wire.
+	hb := notifyHandler{make(chan uint64, 1)}
+	a, _ := newUDPPair(t, nil, hb)
+	if err := a.Deliver(1, metrics.KindWalk, 1); err != nil {
+		t.Fatal(err)
+	}
+	hb.await(t, 1)
+}
+
+func TestUDPCoalescesOneway(t *testing.T) {
+	const sends = 2000
+	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// Room for every frame even if each travelled alone, so the kernel
+	// cannot drop what the reader has not got to yet.
+	if err := raw.SetReadBuffer(4 << 20); err != nil {
+		t.Fatal(err)
+	}
+	type tally struct {
+		datagrams, frames int
+		messages          uint64
+		err               error
+	}
+	done := make(chan tally, 1)
+	go func() {
+		var got tally
+		defer func() { done <- got }()
+		buf := make([]byte, headerLen+MaxFrame)
+		raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for got.messages < sends {
+			n, _, err := raw.ReadFromUDP(buf)
+			if err != nil {
+				got.err = err
+				return
+			}
+			if n > maxDatagram {
+				got.err = fmt.Errorf("a datagram of %d bytes, the cap is %d", n, maxDatagram)
+				return
+			}
+			got.datagrams++
+			for rest := buf[:n]; len(rest) > 0; {
+				f, used, err := DecodeFrame(rest)
+				if err != nil {
+					got.err = err
+					return
+				}
+				got.frames++
+				got.messages += f.Count
+				rest = rest[used:]
+			}
+		}
+	}()
+
+	a, err := NewUDP(UDPConfig{Addr: "127.0.0.1:0", Self: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.SetPeer(1, raw.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < sends; i++ {
+		if err := a.Deliver(1, metrics.KindWalk, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := a.Stats() // flushes what is still pending
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("after %d messages in %d datagrams: %v", got.messages, got.datagrams, got.err)
+	}
+	if got.messages != sends || got.frames != sends {
+		t.Fatalf("read %d messages in %d frames, want %d each", got.messages, got.frames, sends)
+	}
+	if got.datagrams >= got.frames {
+		t.Fatalf("%d datagrams for %d frames: nothing was coalesced", got.datagrams, got.frames)
+	}
+	if st.Datagrams != uint64(got.datagrams) || st.Delivered != sends || st.Errors != 0 {
+		t.Fatalf("stats = %+v, the socket read %d datagrams", st, got.datagrams)
+	}
+}
+
+func TestUDPCorruptTail(t *testing.T) {
+	// A datagram is a sequence of frames: the ones before a corrupt or
+	// truncated tail are served, the tail costs exactly one error, and
+	// the receive loop goes on to the next datagram.
+	hb := notifyHandler{make(chan uint64, 8)}
+	b, err := NewUDP(UDPConfig{Addr: "127.0.0.1:0", Self: 1, Handler: hb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	raw, err := net.Dial("udp", b.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+
+	var good []byte
+	for seq := uint64(1); seq <= 2; seq++ {
+		good, _ = appendFrame(good, onewayFrame(0, 1, metrics.KindWalk, 1, seq))
+	}
+	one := good[:onewayLen]
+	for i, tail := range [][]byte{
+		[]byte("\x00\x00\x00\x09{not json"), // a whole frame, of garbage
+		one[:onewayLen-5],                   // a frame cut short
+	} {
+		if _, err := raw.Write(append(bytes.Clone(good), tail...)); err != nil {
+			t.Fatal(err)
+		}
+		hb.await(t, 2)
+		// The loop is sequential: once a following datagram is served,
+		// the tail before it has been judged.
+		if _, err := raw.Write(one); err != nil {
+			t.Fatal(err)
+		}
+		hb.await(t, 1)
+		if got := b.Stats().Errors; got != uint64(i+1) {
+			t.Fatalf("after %d corrupt tails: %d errors", i+1, got)
+		}
+	}
+	select {
+	case <-hb.oneway:
+		t.Fatal("a frame was served from a corrupt tail")
+	default:
+	}
+}
+
+func TestUDPDeliverAfterClose(t *testing.T) {
+	a, _ := newUDPPair(t, nil, &testHandler{})
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Nobody will ever flush: the send must be refused, not buffered.
+	if err := a.Deliver(1, metrics.KindWalk, 1); err == nil {
+		t.Fatal("deliver on a closed transport succeeded")
+	}
+	if _, err := a.Request(1, "ping", nil); err == nil {
+		t.Fatal("request on a closed transport succeeded")
+	}
+	if st := a.Stats(); st.Delivered != 0 || st.Datagrams != 0 || st.Errors != 1 {
+		t.Fatalf("stats = %+v, want nothing delivered and one error", st)
+	}
+}
+
+func TestUDPCloseFlushes(t *testing.T) {
+	hb := notifyHandler{make(chan uint64, 1)}
+	a, _ := newUDPPair(t, nil, hb)
+	if err := a.Deliver(1, metrics.KindPush, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hb.await(t, 1)
+}
+
+func TestUDPRequestFlushesFirst(t *testing.T) {
+	// Frames delivered before a Request to the same peer are served
+	// before its handler runs, whether they are still pending or already
+	// in the flusher's hands.
+	const sends = 300 // several datagrams' worth
+	hb := &testHandler{}
+	seen := make(chan uint64, 1)
+	hb.request = func(NodeID, string, []byte) ([]byte, error) {
+		select {
+		case seen <- hb.oneway.Load():
+		default: // a retransmitted request: the first answer is the one read
+		}
+		return nil, nil
+	}
+	a, _ := newUDPPair(t, nil, hb)
+	for round := 1; round <= 20; round++ {
+		for i := 0; i < sends; i++ {
+			if err := a.Deliver(1, metrics.KindWalk, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := a.Request(1, "sync", nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := <-seen, uint64(round*sends); got != want {
+			t.Fatalf("round %d: the request overtook oneway frames: handler had seen %d of %d", round, got, want)
+		}
 	}
 }
 
