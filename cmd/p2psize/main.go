@@ -59,7 +59,7 @@ import (
 func main() {
 	var (
 		nodes    = flag.Int("nodes", 10000, "overlay size")
-		topology = flag.String("topology", "heterogeneous", "heterogeneous | homogeneous | scalefree | ring")
+		topology = flag.String("topology", "heterogeneous", "heterogeneous (het) | homogeneous (hom) | scale-free (scalefree, ba) | ring | small-world")
 		maxDeg   = flag.Int("maxdeg", 0, "degree cap (0 = paper default)")
 		algo     = flag.String("algo", "all", "shorthand for an -estimators spec: a registry name or alias (sc | hops | agg | tour | poll | ...), all (= sc,hops,agg) or everything (= sc,hops,agg,tour,poll)")
 		l        = flag.Int("l", 200, "Sample&Collide collision target")
@@ -267,19 +267,24 @@ func withFaultSpecs(specs []estimatorSpec, f p2psize.FaultOptions, seed uint64) 
 	return out
 }
 
+// topologyAliases are the short spellings -topology accepts beside each
+// topology's String() name.
+var topologyAliases = map[string]p2psize.Topology{
+	"het": p2psize.Heterogeneous, "hom": p2psize.Homogeneous,
+	"scalefree": p2psize.ScaleFree, "ba": p2psize.ScaleFree,
+}
+
 func parseTopology(s string) (p2psize.Topology, error) {
-	switch strings.ToLower(s) {
-	case "heterogeneous", "het":
-		return p2psize.Heterogeneous, nil
-	case "homogeneous", "hom":
-		return p2psize.Homogeneous, nil
-	case "scalefree", "scale-free", "ba":
-		return p2psize.ScaleFree, nil
-	case "ring":
-		return p2psize.Ring, nil
-	default:
-		return 0, fmt.Errorf("unknown topology %q", s)
+	name := strings.ToLower(s)
+	for t := p2psize.Heterogeneous; t <= p2psize.SmallWorld; t++ {
+		if name == t.String() {
+			return t, nil
+		}
 	}
+	if t, ok := topologyAliases[name]; ok {
+		return t, nil
+	}
+	return 0, fmt.Errorf("unknown topology %q", s)
 }
 
 // estimatorSpec names an algorithm and builds one independent estimator

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"math"
 	"os"
 	"path/filepath"
@@ -158,4 +159,39 @@ func TestParseAddrSpec(t *testing.T) {
 			t.Errorf("parseAddrSpec(%q) = %v, err %v; want a -cluster-addrs error", bad, got, err)
 		}
 	}
+}
+
+// TestParseTopology: every topology the library prints parses back, the
+// short aliases still work, and a small-world run exits 0.
+func TestParseTopology(t *testing.T) {
+	for topo := p2psize.Heterogeneous; topo <= p2psize.SmallWorld; topo++ {
+		if got, err := parseTopology(topo.String()); err != nil || got != topo {
+			t.Errorf("parseTopology(%q) = %v, err %v; want %v", topo.String(), got, err, topo)
+		}
+	}
+	for alias, want := range map[string]p2psize.Topology{
+		"het": p2psize.Heterogeneous, "HOM": p2psize.Homogeneous,
+		"scalefree": p2psize.ScaleFree, "ba": p2psize.ScaleFree,
+	} {
+		if got, err := parseTopology(alias); err != nil || got != want {
+			t.Errorf("parseTopology(%q) = %v, err %v; want %v", alias, got, err, want)
+		}
+	}
+	if _, err := parseTopology("mesh"); err == nil || !strings.Contains(err.Error(), `"mesh"`) {
+		t.Errorf("parseTopology(\"mesh\"): err = %v", err)
+	}
+
+	// main exits through os.Exit on any error, which fails this test
+	// binary; returning is exit status 0.
+	args, cmdLine, stdout := os.Args, flag.CommandLine, os.Stdout
+	defer func() { os.Args, flag.CommandLine, os.Stdout = args, cmdLine, stdout }()
+	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devNull.Close()
+	os.Args = []string{"p2psize", "-topology", "small-world", "-nodes", "1000", "-runs", "1"}
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	os.Stdout = devNull
+	main()
 }

@@ -73,8 +73,10 @@ func DefaultEstimators() []string { return registry.DefaultSet() }
 
 // EstimatorConfig carries the tunable knobs NewEstimatorByName honors;
 // zero values select each family's paper defaults, and fields that do
-// not concern the named family are ignored. The field names match the
-// internal registry's option names one-for-one.
+// not concern the named family are ignored. Polling, id-density,
+// capture–recapture and dht have no knobs here and always run their
+// defaults. The field names match the internal registry's option names
+// one-for-one.
 type EstimatorConfig struct {
 	// SCTimer is the Sample&Collide walk timer (0 = 10).
 	SCTimer float64
@@ -100,18 +102,6 @@ type EstimatorConfig struct {
 	// inside the parallel phase — same estimator statistically, no
 	// serial O(N) prefix. Part of the output, like Shards.
 	Shuffle string
-	// ResponseProb is the polling reply probability (0 = 0.01).
-	ResponseProb float64
-	// IDSamples is the id-density probe count (0 = 200).
-	IDSamples int
-	// Marks is the capture–recapture capture-phase draw count (0 = 300).
-	Marks int
-	// Recaptures is the capture–recapture recapture draw count (0 = 300).
-	Recaptures int
-	// DHTK is the DHT extrapolator's k-closest set size (0 = 20).
-	DHTK int
-	// DHTProbes is the DHT extrapolator's lookups per estimate (0 = 16).
-	DHTProbes int
 	// Faults runs the estimator under a fault scenario: the built
 	// instance is decorated so every Estimate call enforces the
 	// scenario's message-level faults (see ApplyFaults). The zero value
@@ -130,22 +120,16 @@ func (c EstimatorConfig) registryOptions() (registry.Options, error) {
 		return registry.Options{}, fmt.Errorf("p2psize: Shuffle: %w", err)
 	}
 	return registry.Options{
-		Shuffle:      shuffle,
-		SCTimer:      c.SCTimer,
-		SCL:          c.SCL,
-		SCMLE:        c.SCMLE,
-		Tours:        c.Tours,
-		MinHops:      c.MinHops,
-		Rounds:       c.Rounds,
-		Shards:       c.Shards,
-		Workers:      c.Workers,
-		ResponseProb: c.ResponseProb,
-		IDSamples:    c.IDSamples,
-		Marks:        c.Marks,
-		Recaptures:   c.Recaptures,
-		DHTK:         c.DHTK,
-		DHTProbes:    c.DHTProbes,
-		Faults:       c.Faults.spec(),
+		Shuffle: shuffle,
+		SCTimer: c.SCTimer,
+		SCL:     c.SCL,
+		SCMLE:   c.SCMLE,
+		Tours:   c.Tours,
+		MinHops: c.MinHops,
+		Rounds:  c.Rounds,
+		Shards:  c.Shards,
+		Workers: c.Workers,
+		Faults:  c.Faults.spec(),
 	}, nil
 }
 
@@ -179,10 +163,11 @@ func NewEstimatorByName(name string, cfg EstimatorConfig, net *Network) (Estimat
 
 // coreWrap and publicWrap are the two halves of the package's single
 // adapter pair: coreWrap lifts an internal estimator onto the public
-// contract, publicWrap the reverse. All crossings go through toPublic /
-// toCore, which unwrap instead of stacking — an estimator that round-
-// trips across the boundary (a custom family inside the monitor, say)
-// comes back as itself, not as wrapper lasagna.
+// contract, publicWrap the reverse. Crossings that may meet a wrapper go
+// through toPublic / toCore, which unwrap instead of stacking — an
+// estimator that round-trips across the boundary (a custom family
+// built by NewEstimatorByName, say) comes back as itself, not as
+// wrapper lasagna.
 type coreWrap struct{ e core.Estimator }
 
 func (w coreWrap) Name() string { return w.e.Name() }

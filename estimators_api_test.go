@@ -120,8 +120,8 @@ func TestRunMonitorPerEstimatorCadences(t *testing.T) {
 			t.Fatal(err)
 		}
 		ests := []Estimator{
-			NewHopsSampling(HopsSamplingOptions{Seed: 5}),
-			NewHopsSampling(HopsSamplingOptions{Seed: 6}),
+			mustEstimator(t, "hopssampling", EstimatorConfig{Seed: 5}),
+			mustEstimator(t, "hopssampling", EstimatorConfig{Seed: 6}),
 		}
 		return net, tr, ests
 	}

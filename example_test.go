@@ -3,6 +3,7 @@ package p2psize_test
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"p2psize"
 )
@@ -20,13 +21,17 @@ func ExampleNewNetwork() {
 	// connected: true
 }
 
-// Aggregation converges to the exact size, at N·rounds·2 message cost.
-func ExampleNewAggregation() {
+// Estimators are built from the registry by name. Aggregation converges
+// to the exact size, at N·rounds·2 message cost.
+func ExampleNewEstimatorByName() {
 	net, err := p2psize.NewNetwork(p2psize.NetworkOptions{Nodes: 2000, Seed: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
-	est := p2psize.NewAggregation(p2psize.AggregationOptions{Rounds: 50, Seed: 5})
+	est, err := p2psize.NewEstimatorByName("aggregation", p2psize.EstimatorConfig{Rounds: 50, Seed: 5}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	size, err := est.Estimate(net)
 	if err != nil {
 		log.Fatal(err)
@@ -39,19 +44,25 @@ func ExampleNewAggregation() {
 }
 
 // The lastKruns heuristic smooths noisy one-shot estimators.
-func ExampleSmoothed() {
+func ExampleSmoothLastK() {
 	net, err := p2psize.NewNetwork(p2psize.NetworkOptions{Nodes: 3000, Seed: 6})
 	if err != nil {
 		log.Fatal(err)
 	}
-	raw := p2psize.NewSampleCollide(p2psize.SampleCollideOptions{L: 50, Seed: 7})
-	smooth := p2psize.Smoothed(raw, 10)
-	fmt.Println(smooth.Name())
-	if _, err := p2psize.RunRepeated(smooth, net, 10); err != nil {
+	est, err := p2psize.NewEstimatorByName("samplecollide", p2psize.EstimatorConfig{SCL: 50, Seed: 7}, nil)
+	if err != nil {
 		log.Fatal(err)
 	}
+	raw, err := p2psize.RunRepeated(est, net, 10)
+	if err != nil {
+		log.Fatal(err)
+	}
+	smooth := p2psize.SmoothLastK(raw, 10)
+	fmt.Printf("raw estimates: %.0f to %.0f\n", slices.Min(raw), slices.Max(raw))
+	fmt.Printf("last10runs: %.0f of %d peers\n", smooth[len(smooth)-1], net.Size())
 	// Output:
-	// sample&collide(l=50)/last10runs
+	// raw estimates: 2905 to 4007
+	// last10runs: 3264 of 3000 peers
 }
 
 // Churn operations model the paper's dynamic scenarios.

@@ -53,11 +53,15 @@ func main() {
 	}
 
 	run := func(restartJump float64) *p2psize.MonitorResult {
-		res, err := p2psize.RunMonitor(net, tr,
-			[]p2psize.Estimator{
-				p2psize.NewSampleCollide(p2psize.SampleCollideOptions{L: 200, Seed: 11}),
-				p2psize.NewHopsSampling(p2psize.HopsSamplingOptions{Seed: 12}),
-			},
+		sc, err := p2psize.NewEstimatorByName("samplecollide", p2psize.EstimatorConfig{SCL: 200, Seed: 11}, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		hops, err := p2psize.NewEstimatorByName("hopssampling", p2psize.EstimatorConfig{Seed: 12}, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := p2psize.RunMonitor(net, tr, []p2psize.Estimator{sc, hops},
 			p2psize.MonitorOptions{
 				Cadence:     10,
 				Policy:      p2psize.WindowSmoothing,

@@ -1,6 +1,5 @@
 // Quickstart: build an overlay, run all three size estimators once, and
-// compare their accuracy and message cost — the library's core loop in
-// thirty lines.
+// compare their accuracy and message cost — the library's core loop.
 package main
 
 import (
@@ -20,16 +19,23 @@ func main() {
 	}
 	fmt.Printf("overlay: %d peers, avg degree %.1f\n\n", net.Size(), net.AvgDegree())
 
-	estimators := []p2psize.Estimator{
+	// Every estimator is built from the registry by name, from one
+	// configuration type.
+	for _, c := range []struct {
+		name string
+		cfg  p2psize.EstimatorConfig
+	}{
 		// Random walks + inverted birthday paradox: cheap, tunable via l.
-		p2psize.NewSampleCollide(p2psize.SampleCollideOptions{L: 200, Seed: 1}),
+		{"samplecollide", p2psize.EstimatorConfig{SCL: 200, Seed: 1}},
 		// Gossip a poll, count distance-weighted probabilistic replies.
-		p2psize.NewHopsSampling(p2psize.HopsSamplingOptions{Seed: 2}),
+		{"hopssampling", p2psize.EstimatorConfig{Seed: 2}},
 		// Epidemic push-pull averaging: near exact after ~50 rounds.
-		p2psize.NewAggregation(p2psize.AggregationOptions{Rounds: 50, Seed: 3}),
-	}
-
-	for _, est := range estimators {
+		{"aggregation", p2psize.EstimatorConfig{Rounds: 50, Seed: 3}},
+	} {
+		est, err := p2psize.NewEstimatorByName(c.name, c.cfg, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
 		net.ResetMessages()
 		size, err := est.Estimate(net)
 		if err != nil {

@@ -42,11 +42,18 @@ func main() {
 	}
 
 	fmt.Println("\nestimators on the scale-free topology:")
-	for _, est := range []p2psize.Estimator{
-		p2psize.NewSampleCollide(p2psize.SampleCollideOptions{L: 200, Seed: 12}),
-		p2psize.NewHopsSampling(p2psize.HopsSamplingOptions{Seed: 13}),
-		p2psize.NewAggregation(p2psize.AggregationOptions{Rounds: 50, Seed: 14}),
+	for _, c := range []struct {
+		name string
+		cfg  p2psize.EstimatorConfig
+	}{
+		{"samplecollide", p2psize.EstimatorConfig{SCL: 200, Seed: 12}},
+		{"hopssampling", p2psize.EstimatorConfig{Seed: 13}},
+		{"aggregation", p2psize.EstimatorConfig{Rounds: 50, Seed: 14}},
 	} {
+		est, err := p2psize.NewEstimatorByName(c.name, c.cfg, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
 		net.ResetMessages()
 		size, err := est.Estimate(net)
 		if err != nil {

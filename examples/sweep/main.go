@@ -33,9 +33,12 @@ func main() {
 		// estimator reads a few percent high, so the sweep switches to
 		// the exact-likelihood (MLE) refinement there.
 		useMLE := l >= 1000
-		est := p2psize.NewSampleCollide(p2psize.SampleCollideOptions{
-			L: l, UseMLE: useMLE, Seed: uint64(l),
-		})
+		est, err := p2psize.NewEstimatorByName("samplecollide", p2psize.EstimatorConfig{
+			SCL: l, SCMLE: useMLE, Seed: uint64(l),
+		}, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
 		vals, err := p2psize.RunRepeated(est, net, runsPerL)
 		if err != nil {
 			log.Fatal(err)
@@ -58,10 +61,17 @@ func main() {
 	fmt.Println("     (* = MLE refinement; the basic X²/2l estimator saturates when l is large relative to N)")
 
 	fmt.Println("\nreference: the other two algorithms at their paper settings")
-	for _, est := range []p2psize.Estimator{
-		p2psize.NewHopsSampling(p2psize.HopsSamplingOptions{Seed: 31}),
-		p2psize.NewAggregation(p2psize.AggregationOptions{Rounds: 50, Seed: 32}),
+	for _, c := range []struct {
+		name string
+		cfg  p2psize.EstimatorConfig
+	}{
+		{"hopssampling", p2psize.EstimatorConfig{Seed: 31}},
+		{"aggregation", p2psize.EstimatorConfig{Rounds: 50, Seed: 32}},
 	} {
+		est, err := p2psize.NewEstimatorByName(c.name, c.cfg, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
 		net, err := p2psize.NewNetwork(p2psize.NetworkOptions{Nodes: nodes, Seed: 21})
 		if err != nil {
 			log.Fatal(err)

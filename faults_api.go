@@ -145,7 +145,9 @@ func ApplyFaults(e Estimator, f FaultOptions, seed uint64) (Estimator, error) {
 	if !spec.Enabled() {
 		return e, nil
 	}
-	return toPublic(fault.Decorate(toCore(e), fault.NewInjector(spec, xrand.New(seed)))), nil
+	// A fresh decorator is never a publicWrap, so it lifts without
+	// toPublic's unwrap.
+	return coreWrap{fault.Decorate(toCore(e), fault.NewInjector(spec, xrand.New(seed)))}, nil
 }
 
 // ApplyAdversary reshapes the overlay per the scenario's node-

@@ -42,9 +42,13 @@ func TestTickForkPublicObserveOnlyMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		relays := []*relay{
-			{inner: p2psize.NewSampleCollide(p2psize.SampleCollideOptions{L: 20, Seed: 93})},
-			{inner: p2psize.NewSampleCollide(p2psize.SampleCollideOptions{L: 30, Seed: 94})},
+		var relays []*relay
+		for _, c := range []p2psize.EstimatorConfig{{SCL: 20, Seed: 93}, {SCL: 30, Seed: 94}} {
+			sc, err := p2psize.NewEstimatorByName("samplecollide", c, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			relays = append(relays, &relay{inner: sc})
 		}
 		hops, err := p2psize.NewEstimatorByName("hopssampling", p2psize.EstimatorConfig{Seed: 95}, nil)
 		if err != nil {

@@ -150,11 +150,7 @@ func init() {
 				}
 				ring = idspace.NewRing(net, rng)
 			}
-			k := o.IDSamples
-			if k == 0 {
-				k = 200
-			}
-			return idspace.New(ring, k, rng), nil
+			return idspace.New(ring, 200, rng), nil
 		},
 	})
 	MustRegister(Descriptor{
@@ -169,12 +165,8 @@ func init() {
 		SupportsMonitoring: true,
 		SupportsTransport:  true,
 		StreamOffset:       15,
-		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
-			cfg := polling.Default()
-			if o.ResponseProb > 0 {
-				cfg.ResponseProb = o.ResponseProb
-			}
-			return polling.New(cfg, rng), nil
+		New: func(_ *overlay.Network, rng *xrand.Rand, _ Options) (core.Estimator, error) {
+			return polling.New(polling.Default(), rng), nil
 		},
 	})
 	MustRegister(Descriptor{
@@ -212,23 +204,16 @@ func init() {
 		Aliases: []string{"capture-recapture", "cr", "lincoln-petersen"},
 		Class:   "random-walk",
 		Summary: "mark a walk-sampled set, re-sample, extrapolate from the overlap (Lincoln–Petersen, Chapman-corrected)",
-		// (Marks+Recaptures)·T·d̄ walk hops per estimation — fixed cost,
-		// accuracy degrades (instead of cost growing) with N.
+		// (capture + recapture draws)·T·d̄ walk hops per estimation —
+		// fixed cost, accuracy degrades (instead of cost growing) with N.
 		CostHint:           25,
 		CadenceHint:        1,
 		SupportsDynamic:    true,
 		SupportsMonitoring: true,
 		SupportsTransport:  true,
 		StreamOffset:       17,
-		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
-			cfg := capturerecapture.Default()
-			if o.Marks > 0 {
-				cfg.Marks = o.Marks
-			}
-			if o.Recaptures > 0 {
-				cfg.Recaptures = o.Recaptures
-			}
-			return capturerecapture.New(cfg, rng), nil
+		New: func(_ *overlay.Network, rng *xrand.Rand, _ Options) (core.Estimator, error) {
+			return capturerecapture.New(capturerecapture.Default(), rng), nil
 		},
 	})
 	MustRegister(Descriptor{
@@ -245,18 +230,8 @@ func init() {
 		SupportsMonitoring: true,
 		SupportsTransport:  true,
 		StreamOffset:       18,
-		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
-			cfg := dhtext.Default()
-			if o.DHTK > 0 {
-				if o.DHTK < 2 {
-					return nil, errors.New("dht k-closest set size must be >= 2")
-				}
-				cfg.K = o.DHTK
-			}
-			if o.DHTProbes > 0 {
-				cfg.Probes = o.DHTProbes
-			}
-			return dhtext.New(cfg, rng), nil
+		New: func(_ *overlay.Network, rng *xrand.Rand, _ Options) (core.Estimator, error) {
+			return dhtext.New(dhtext.Default(), rng), nil
 		},
 	})
 }

@@ -60,22 +60,10 @@ type Options struct {
 	// order, parallel.ShuffleLocal shuffles per shard inside the
 	// parallel phase). Part of the output, like Shards.
 	Shuffle parallel.ShuffleMode
-	// ResponseProb is the polling reply probability (0 = 0.01).
-	ResponseProb float64
-	// IDSamples is the id-density probe count k (0 = 200).
-	IDSamples int
 	// Ring optionally shares a pre-built identifier ring across
 	// id-density instances; nil builds one from the overlay and rng the
 	// factory is handed.
 	Ring *idspace.Ring
-	// Marks is the capture–recapture capture-phase draw count (0 = 300).
-	Marks int
-	// Recaptures is the capture–recapture recapture draw count (0 = 300).
-	Recaptures int
-	// DHTK is the DHT extrapolator's k-closest set size (0 = 20).
-	DHTK int
-	// DHTProbes is the DHT extrapolator's lookups per estimate (0 = 16).
-	DHTProbes int
 	// Faults selects the fault scenario every built estimator runs
 	// under (the zero Spec is benign). Honored by Descriptor.Build, not
 	// by the factories themselves: the estimator is wrapped in the fault

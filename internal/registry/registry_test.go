@@ -122,24 +122,22 @@ func TestNewFamilyDescriptors(t *testing.T) {
 			t.Fatalf("%s class = %q, want %q", name, d.Class, class)
 		}
 	}
-	// The new knobs reach the factories.
+	// Capture-recapture and dht run their family defaults; push-sum
+	// honors the gossip knobs.
 	net := testNet(400, 9)
-	e, err := mustGet(t, "capturerecapture").New(net, xrand.New(1), Options{Marks: 40, Recaptures: 60})
+	e, err := mustGet(t, "capturerecapture").New(net, xrand.New(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Name(); !strings.Contains(got, "marks=40") || !strings.Contains(got, "recaptures=60") {
-		t.Fatalf("capture-recapture options ignored: %s", got)
+	if got := e.Name(); !strings.Contains(got, "marks=300") || !strings.Contains(got, "recaptures=300") {
+		t.Fatalf("capture-recapture defaults not applied: %s", got)
 	}
-	e, err = mustGet(t, "dht").New(net, xrand.New(1), Options{DHTK: 8, DHTProbes: 3})
+	e, err = mustGet(t, "dht").New(net, xrand.New(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Name(); !strings.Contains(got, "k=8") || !strings.Contains(got, "probes=3") {
-		t.Fatalf("dht options ignored: %s", got)
-	}
-	if _, err := mustGet(t, "dht").New(net, xrand.New(1), Options{DHTK: 1}); err == nil {
-		t.Fatal("dht k=1 accepted; the order-statistic estimator needs k >= 2")
+	if got := e.Name(); !strings.Contains(got, "k=20") || !strings.Contains(got, "probes=16") {
+		t.Fatalf("dht defaults not applied: %s", got)
 	}
 	e, err = mustGet(t, "pushsum").New(net, xrand.New(1), Options{Rounds: 7})
 	if err != nil {

@@ -46,20 +46,6 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 	return xm / math.Pow(r.Float64Open(), 1/alpha)
 }
 
-// Geometric returns the number of independent Bernoulli(p) failures before
-// the first success, i.e. a value in {0, 1, 2, ...} with
-// P(k) = (1-p)^k * p. It panics unless 0 < p <= 1.
-func (r *Rand) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("xrand: Geometric with p outside (0, 1]")
-	}
-	if p == 1 {
-		return 0
-	}
-	// Inversion: floor(log(U) / log(1-p)).
-	return int(math.Floor(math.Log(r.Float64Open()) / math.Log(1-p)))
-}
-
 // Norm returns a normally distributed value with the given mean and
 // standard deviation, via the Marsaglia polar method.
 func (r *Rand) Norm(mean, stddev float64) float64 {

@@ -35,34 +35,6 @@ func TestExpPanics(t *testing.T) {
 	New(1).Exp(0)
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(103)
-	p := 0.25
-	sum := 0.0
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		v := r.Geometric(p)
-		if v < 0 {
-			t.Fatalf("Geometric returned negative %d", v)
-		}
-		sum += float64(v)
-	}
-	mean := sum / draws
-	want := (1 - p) / p // mean of the failures-before-success geometric
-	if math.Abs(mean-want) > 0.1*want {
-		t.Fatalf("Geometric(%g) mean = %g, want ~%g", p, mean, want)
-	}
-}
-
-func TestGeometricOne(t *testing.T) {
-	r := New(105)
-	for i := 0; i < 100; i++ {
-		if v := r.Geometric(1); v != 0 {
-			t.Fatalf("Geometric(1) = %d, want 0", v)
-		}
-	}
-}
-
 func TestNormMoments(t *testing.T) {
 	r := New(107)
 	const draws = 200000

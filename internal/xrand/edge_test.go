@@ -56,19 +56,6 @@ func TestUint64nPowerOfTwoPath(t *testing.T) {
 	}
 }
 
-func TestGeometricPanics(t *testing.T) {
-	for _, p := range []float64{0, -0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("Geometric(%g) did not panic", p)
-				}
-			}()
-			New(1).Geometric(p)
-		}()
-	}
-}
-
 func TestSampleKPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"k<0": func() { New(1).SampleK(5, -1) },

@@ -3,31 +3,32 @@
 // comparative study of Le Merrer, Kermarrec & Massoulié (HPDC 2006),
 // "Peer to peer size estimation in large and dynamic networks".
 //
-// Three candidate algorithms are provided, one per family of generic
-// (topology-agnostic) counting approaches:
+// The paper's three candidate algorithms, one per family of generic
+// (topology-agnostic) counting approaches, sit in an estimator registry:
 //
-//   - Sample&Collide (random-walk class): uniform sampling by
+//   - "samplecollide" (random-walk class): uniform sampling by
 //     continuous-time random walk plus the inverted birthday paradox.
-//   - HopsSampling (probabilistic-polling class): gossip a poll, count
+//   - "hopssampling" (probabilistic-polling class): gossip a poll, count
 //     probabilistic replies weighted by hop distance.
-//   - Aggregation (epidemic class): push-pull averaging of a one-hot
+//   - "aggregation" (epidemic class): push-pull averaging of a one-hot
 //     value; converges to 1/N at every node.
 //
-// All three run on a simulated overlay (Network) built over random
+// Six more families sit beside them (Random Tour, polling, id-density,
+// push-sum, capture-recapture, a DHT extrapolator). Estimators lists the
+// catalog, NewEstimatorByName builds any family by name or alias from
+// one EstimatorConfig — the only way to build one, so every candidate in
+// a comparison is built the same way — and RegisterEstimator adds a
+// custom family.
+//
+// Every family runs on a simulated overlay (Network) built over random
 // graphs, driven by a deterministic seed, with every protocol message
 // metered so accuracy/overhead trade-offs can be compared — the paper's
 // methodology, packaged as a library.
 //
-// The three candidates sit in an estimator registry beside six more
-// families (Random Tour, polling, id-density, push-sum, capture-
-// recapture, a DHT extrapolator): Estimators lists the catalog,
-// NewEstimatorByName builds any family by name or alias from one
-// EstimatorConfig, and RegisterEstimator adds a custom one.
-//
 // # Quick start
 //
 //	net, _ := p2psize.NewNetwork(p2psize.NetworkOptions{Nodes: 10000, Seed: 1})
-//	est := p2psize.NewSampleCollide(p2psize.SampleCollideOptions{L: 200, Seed: 2})
+//	est, _ := p2psize.NewEstimatorByName("samplecollide", p2psize.EstimatorConfig{SCL: 200, Seed: 2}, nil)
 //	size, _ := est.Estimate(net)
 //	fmt.Printf("≈%.0f peers, %d messages\n", size, net.Messages())
 //
@@ -41,16 +42,10 @@ import (
 	"fmt"
 	"io"
 
-	"p2psize/internal/aggregation"
 	"p2psize/internal/core"
 	"p2psize/internal/graph"
-	"p2psize/internal/hopssampling"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
-	"p2psize/internal/parallel"
-	"p2psize/internal/polling"
-	"p2psize/internal/randomtour"
-	"p2psize/internal/samplecollide"
 	"p2psize/internal/stats"
 	"p2psize/internal/xrand"
 )
@@ -289,184 +284,6 @@ type Estimator interface {
 	Estimate(n *Network) (float64, error)
 }
 
-// SampleCollideOptions configures NewSampleCollide. Zero values take the
-// paper's defaults (T=10, L=200).
-type SampleCollideOptions struct {
-	// T is the random-walk timer; larger T means less sampling bias and
-	// longer walks.
-	T float64
-	// L is the collision count to stop at; accuracy ~ 1/sqrt(L), cost ~
-	// sqrt(L).
-	L int
-	// UseMLE selects the maximum-likelihood estimate refinement instead
-	// of the paper's X²/(2L).
-	UseMLE bool
-	// Seed drives the estimator's randomness.
-	Seed uint64
-}
-
-// NewSampleCollide builds the random-walk estimator (§III-A).
-func NewSampleCollide(opts SampleCollideOptions) Estimator {
-	cfg := samplecollide.Default()
-	if opts.T > 0 {
-		cfg.T = opts.T
-	}
-	if opts.L > 0 {
-		cfg.L = opts.L
-	}
-	if opts.UseMLE {
-		cfg.Kind = samplecollide.MLE
-	}
-	return toPublic(samplecollide.New(cfg, xrand.New(opts.Seed)))
-}
-
-// HopsSamplingOptions configures NewHopsSampling. Zero values take the
-// paper's defaults (gossipTo=2, gossipFor=1, gossipUntil=1,
-// minHopsReporting=5, routed replies).
-type HopsSamplingOptions struct {
-	// GossipTo is the per-round gossip fan-out.
-	GossipTo int
-	// MinHopsReporting is the always-reply distance threshold.
-	MinHopsReporting int
-	// DirectReplies sends responses straight to the initiator (1 message)
-	// instead of routing them back hop-by-hop.
-	DirectReplies bool
-	// Seed drives the estimator's randomness.
-	Seed uint64
-}
-
-// NewHopsSampling builds the probabilistic-polling estimator (§III-B).
-func NewHopsSampling(opts HopsSamplingOptions) Estimator {
-	cfg := hopssampling.Default()
-	if opts.GossipTo > 0 {
-		cfg.GossipTo = opts.GossipTo
-	}
-	if opts.MinHopsReporting > 0 {
-		cfg.MinHopsReporting = opts.MinHopsReporting
-	}
-	if opts.DirectReplies {
-		cfg.RoutedReplies = false
-	}
-	return toPublic(hopssampling.New(cfg, xrand.New(opts.Seed)))
-}
-
-// AggregationOptions configures NewAggregation. Zero values take the
-// paper's defaults (50 rounds per estimation, auto-sized sharding).
-type AggregationOptions struct {
-	// Rounds is the push-pull rounds run per estimation.
-	Rounds int
-	// Shards splits each round's node sweep into per-stream segments.
-	// The shard count is part of the estimator's output (equal options
-	// and seeds give equal estimates only at equal shard counts);
-	// 0 auto-sizes from the overlay, and out-of-range values (negative
-	// or beyond the internal cap) fall back to auto-sizing.
-	Shards int
-	// Workers caps the goroutines sweeping one round's shards (0 = all
-	// CPUs, 1 = sequential). Workers never changes the output.
-	Workers int
-	// Shuffle selects the sweep-order randomization: "" or "global"
-	// reproduces the frozen serial-shuffle draw order, "local" (alias
-	// "localshuffle") shuffles each shard's segment inside the parallel
-	// phase. Part of the output, like Shards; unknown spellings fall
-	// back to global.
-	Shuffle string
-	// Seed drives the estimator's randomness.
-	Seed uint64
-}
-
-// NewAggregation builds the epidemic averaging estimator (§III-C).
-func NewAggregation(opts AggregationOptions) Estimator {
-	cfg := aggregation.Default()
-	if opts.Rounds > 0 {
-		cfg.RoundsPerEpoch = opts.Rounds
-	}
-	// Facade contract: bad option values fall back to defaults instead
-	// of reaching the internal config's panicking validation.
-	if opts.Shards > 0 && opts.Shards <= parallel.MaxConfigShards {
-		cfg.Shards = opts.Shards
-	}
-	cfg.Workers = opts.Workers
-	if mode, err := parallel.ParseShuffleMode(opts.Shuffle); err == nil {
-		cfg.Shuffle = mode
-	}
-	return toPublic(aggregation.NewEstimator(cfg, xrand.New(opts.Seed)))
-}
-
-// RandomTourOptions configures NewRandomTour. Zero values take single-
-// tour defaults.
-type RandomTourOptions struct {
-	// Tours is the number of independent tours averaged per estimation.
-	Tours int
-	// Seed drives the estimator's randomness.
-	Seed uint64
-}
-
-// NewRandomTour builds the return-time random-walk estimator from the
-// study's background section (§II) — the method Sample&Collide was
-// chosen over. One tour costs Θ(N·d̄/deg) messages, so it mainly serves
-// as a comparison baseline.
-func NewRandomTour(opts RandomTourOptions) Estimator {
-	cfg := randomtour.Default()
-	if opts.Tours > 0 {
-		cfg.Tours = opts.Tours
-	}
-	return toPublic(randomtour.New(cfg, xrand.New(opts.Seed)))
-}
-
-// PollingOptions configures NewPolling. Zero values take the defaults
-// (p = 0.01, routed replies).
-type PollingOptions struct {
-	// ResponseProb is the probability each probed node replies with.
-	ResponseProb float64
-	// DirectReplies prices replies at one message instead of their hop
-	// distance.
-	DirectReplies bool
-	// Seed drives the estimator's randomness.
-	Seed uint64
-}
-
-// NewPolling builds the plain probabilistic-polling baseline (§II):
-// flood a probe, count replies sent with a fixed probability.
-func NewPolling(opts PollingOptions) Estimator {
-	cfg := polling.Default()
-	if opts.ResponseProb > 0 {
-		cfg.ResponseProb = opts.ResponseProb
-	}
-	if opts.DirectReplies {
-		cfg.RoutedReplies = false
-	}
-	return toPublic(polling.New(cfg, xrand.New(opts.Seed)))
-}
-
-// Smoothed wraps an estimator with the paper's lastKruns heuristic: each
-// Estimate reports the mean of the last k raw estimates (k = 10 is the
-// paper's "last10runs").
-func Smoothed(e Estimator, k int) Estimator {
-	if k < 1 {
-		k = 10
-	}
-	return &smoothed{inner: e, win: stats.NewWindow(k), k: k}
-}
-
-type smoothed struct {
-	inner Estimator
-	win   *stats.Window
-	k     int
-}
-
-func (s *smoothed) Name() string {
-	return fmt.Sprintf("%s/last%druns", s.inner.Name(), s.k)
-}
-
-func (s *smoothed) Estimate(n *Network) (float64, error) {
-	raw, err := s.inner.Estimate(n)
-	if err != nil {
-		return 0, err
-	}
-	s.win.Add(raw)
-	return s.win.Mean(), nil
-}
-
 // RunRepeated performs runs consecutive estimations and returns the raw
 // values. Overhead accumulates on the network meter.
 func RunRepeated(e Estimator, n *Network, runs int) ([]float64, error) {
@@ -511,8 +328,8 @@ func RunParallel(newEstimator func(run int) Estimator, n *Network, runs, workers
 
 // SmoothLastK applies the paper's lastKruns heuristic to a raw estimate
 // sequence after the fact: out[i] is the mean of vals[max(0,i-k+1) .. i].
-// It is the post-hoc equivalent of wrapping an estimator in Smoothed,
-// usable with RunParallel where runs complete out of order.
+// Applied to the values of RunRepeated or RunParallel (where runs
+// complete out of order), it gives the lastKruns series.
 func SmoothLastK(vals []float64, k int) []float64 {
 	if k < 1 {
 		k = 10

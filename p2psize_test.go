@@ -3,6 +3,7 @@ package p2psize
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,6 +15,15 @@ func mustNet(t *testing.T, opts NetworkOptions) *Network {
 		t.Fatal(err)
 	}
 	return n
+}
+
+func mustEstimator(t testing.TB, name string, cfg EstimatorConfig) Estimator {
+	t.Helper()
+	e, err := NewEstimatorByName(name, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func TestNewNetworkDefaults(t *testing.T) {
@@ -120,9 +130,9 @@ func TestAllEstimatorsOnStaticNetwork(t *testing.T) {
 		est Estimator
 		tol float64
 	}{
-		{NewSampleCollide(SampleCollideOptions{L: 100, Seed: 11}), 0.3},
-		{NewHopsSampling(HopsSamplingOptions{Seed: 12}), 0.45},
-		{NewAggregation(AggregationOptions{Seed: 13}), 0.05},
+		{mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 100, Seed: 11}), 0.3},
+		{mustEstimator(t, "hopssampling", EstimatorConfig{Seed: 12}), 0.45},
+		{mustEstimator(t, "aggregation", EstimatorConfig{Seed: 13}), 0.05},
 	}
 	for _, c := range cases {
 		n := mustNet(t, NetworkOptions{Nodes: size, Seed: 4})
@@ -140,20 +150,24 @@ func TestAllEstimatorsOnStaticNetwork(t *testing.T) {
 }
 
 func TestEstimatorNamesAndOptions(t *testing.T) {
-	if name := NewSampleCollide(SampleCollideOptions{L: 10}).Name(); !strings.Contains(name, "l=10") {
-		t.Fatalf("name = %q", name)
-	}
-	if name := NewHopsSampling(HopsSamplingOptions{MinHopsReporting: 3}).Name(); !strings.Contains(name, "minHops=3") {
-		t.Fatalf("name = %q", name)
-	}
-	if name := NewAggregation(AggregationOptions{Rounds: 40}).Name(); !strings.Contains(name, "rounds=40") {
-		t.Fatalf("name = %q", name)
+	for _, c := range []struct {
+		name string
+		cfg  EstimatorConfig
+		want string
+	}{
+		{"samplecollide", EstimatorConfig{SCL: 10}, "l=10"},
+		{"hopssampling", EstimatorConfig{MinHops: 3}, "minHops=3"},
+		{"aggregation", EstimatorConfig{Rounds: 40}, "rounds=40"},
+	} {
+		if name := mustEstimator(t, c.name, c.cfg).Name(); !strings.Contains(name, c.want) {
+			t.Fatalf("name = %q", name)
+		}
 	}
 }
 
 func TestMLEOption(t *testing.T) {
 	n := mustNet(t, NetworkOptions{Nodes: 2000, Seed: 5})
-	est := NewSampleCollide(SampleCollideOptions{L: 100, UseMLE: true, Seed: 14})
+	est := mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 100, SCMLE: true, Seed: 14})
 	got, err := est.Estimate(n)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +179,7 @@ func TestMLEOption(t *testing.T) {
 
 func TestMessagesByKind(t *testing.T) {
 	n := mustNet(t, NetworkOptions{Nodes: 500, Seed: 6})
-	if _, err := NewSampleCollide(SampleCollideOptions{L: 20, Seed: 15}).Estimate(n); err != nil {
+	if _, err := mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 20, Seed: 15}).Estimate(n); err != nil {
 		t.Fatal(err)
 	}
 	byKind := n.MessagesByKind()
@@ -180,29 +194,32 @@ func TestMessagesByKind(t *testing.T) {
 
 func TestSmoothedEstimator(t *testing.T) {
 	n := mustNet(t, NetworkOptions{Nodes: 2000, Seed: 8})
-	raw := NewSampleCollide(SampleCollideOptions{L: 20, Seed: 16})
-	sm := Smoothed(raw, 10)
-	if !strings.Contains(sm.Name(), "last10runs") {
-		t.Fatalf("name = %q", sm.Name())
-	}
-	vals, err := RunRepeated(sm, n, 20)
+	raw, err := RunRepeated(mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 20, Seed: 16}), n, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Smoothed tail must be closer to truth than the worst raw run
+	vals := SmoothLastK(raw, 10)
+	// The smoothed tail must be closer to truth than the worst raw run
 	// typically is; just check it is plausible.
 	last := vals[len(vals)-1]
 	if math.Abs(last-2000)/2000 > 0.25 {
 		t.Fatalf("smoothed estimate %.0f", last)
 	}
-	if def := Smoothed(raw, 0); !strings.Contains(def.Name(), "last10runs") {
-		t.Fatal("Smoothed default k != 10")
+	sum := 0.0
+	for _, v := range raw[10:] {
+		sum += v
+	}
+	if want := sum / 10; math.Abs(last-want) > 1e-9*want {
+		t.Fatalf("last value %g is not the mean %g of the last 10 raw runs", last, want)
+	}
+	if def := SmoothLastK(raw, 0); !slices.Equal(def, vals) {
+		t.Fatal("SmoothLastK default k != 10")
 	}
 }
 
 func TestRunRepeatedValidation(t *testing.T) {
 	n := mustNet(t, NetworkOptions{Nodes: 100, Seed: 9})
-	if _, err := RunRepeated(NewSampleCollide(SampleCollideOptions{L: 5, Seed: 17}), n, 0); err == nil {
+	if _, err := RunRepeated(mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 5, Seed: 17}), n, 0); err == nil {
 		t.Fatal("runs=0 accepted")
 	}
 }
@@ -215,14 +232,21 @@ func TestRunRepeatedRejectsNil(t *testing.T) {
 	if _, err := RunRepeated(nil, n, 1); err == nil || !strings.HasPrefix(err.Error(), "p2psize:") {
 		t.Fatalf("nil estimator: err = %v", err)
 	}
-	if _, err := RunRepeated(NewPolling(PollingOptions{Seed: 1}), nil, 1); err == nil || !strings.HasPrefix(err.Error(), "p2psize:") {
+	if _, err := RunRepeated(mustEstimator(t, "polling", EstimatorConfig{Seed: 1}), nil, 1); err == nil || !strings.HasPrefix(err.Error(), "p2psize:") {
 		t.Fatalf("nil network: err = %v", err)
 	}
 }
 
 func TestRunParallelRejectsNil(t *testing.T) {
 	n := mustNet(t, NetworkOptions{Nodes: 100, Seed: 9})
-	mk := func(run int) Estimator { return NewPolling(PollingOptions{Seed: uint64(run)}) }
+	// mk runs on RunParallel's workers, where t.Fatal must not be called.
+	mk := func(run int) Estimator {
+		e, err := NewEstimatorByName("polling", EstimatorConfig{Seed: uint64(run)}, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		return e
+	}
 	if _, err := RunParallel(mk, nil, 2, 2); err == nil || !strings.HasPrefix(err.Error(), "p2psize:") {
 		t.Fatalf("nil network: err = %v", err)
 	}
@@ -270,7 +294,7 @@ func TestRingTopology(t *testing.T) {
 	}
 	// Sampling on a ring needs a huge T to mix; with the default T the
 	// estimate is biased but the call must still work.
-	if _, err := NewSampleCollide(SampleCollideOptions{L: 5, Seed: 18}).Estimate(n); err != nil {
+	if _, err := mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 5, Seed: 18}).Estimate(n); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -295,7 +319,7 @@ func TestSmallWorldTopology(t *testing.T) {
 		t.Fatalf("String = %q", SmallWorld.String())
 	}
 	// Estimators work on it (the generally-applicable claim).
-	est := NewSampleCollide(SampleCollideOptions{L: 100, Seed: 22})
+	est := mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 100, Seed: 22})
 	got, err := est.Estimate(n)
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +339,7 @@ func TestSmallWorldTopology(t *testing.T) {
 func TestRandomTourEstimator(t *testing.T) {
 	const size = 500
 	n := mustNet(t, NetworkOptions{Nodes: size, Seed: 13})
-	est := NewRandomTour(RandomTourOptions{Tours: 200, Seed: 19})
+	est := mustEstimator(t, "randomtour", EstimatorConfig{Tours: 200, Seed: 19})
 	if !strings.Contains(est.Name(), "tours=200") {
 		t.Fatalf("name = %q", est.Name())
 	}
@@ -334,8 +358,8 @@ func TestRandomTourEstimator(t *testing.T) {
 func TestPollingEstimator(t *testing.T) {
 	const size = 4000
 	n := mustNet(t, NetworkOptions{Nodes: size, Seed: 14})
-	est := NewPolling(PollingOptions{ResponseProb: 0.1, Seed: 20})
-	if !strings.Contains(est.Name(), "p=0.1") {
+	est := mustEstimator(t, "polling", EstimatorConfig{Seed: 20})
+	if !strings.Contains(est.Name(), "p=0.01") {
 		t.Fatalf("name = %q", est.Name())
 	}
 	sum := 0.0
@@ -348,20 +372,5 @@ func TestPollingEstimator(t *testing.T) {
 	}
 	if mean := sum / 5; math.Abs(mean-size)/size > 0.1 {
 		t.Fatalf("polling mean estimate %.0f, truth %d", mean, size)
-	}
-	// Direct replies must meter fewer messages than routed.
-	n.ResetMessages()
-	direct := NewPolling(PollingOptions{ResponseProb: 0.1, DirectReplies: true, Seed: 21})
-	if _, err := direct.Estimate(n); err != nil {
-		t.Fatal(err)
-	}
-	directCost := n.Messages()
-	n.ResetMessages()
-	routed := NewPolling(PollingOptions{ResponseProb: 0.1, Seed: 21})
-	if _, err := routed.Estimate(n); err != nil {
-		t.Fatal(err)
-	}
-	if n.Messages() <= directCost {
-		t.Fatalf("routed cost %d not above direct %d", n.Messages(), directCost)
 	}
 }

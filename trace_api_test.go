@@ -33,8 +33,8 @@ func TestGenerateTraceAndMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	ests := []Estimator{
-		NewSampleCollide(SampleCollideOptions{L: 50, Seed: 5}),
-		NewHopsSampling(HopsSamplingOptions{Seed: 6}),
+		mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 50, Seed: 5}),
+		mustEstimator(t, "hopssampling", EstimatorConfig{Seed: 6}),
 	}
 	res, err := RunMonitor(net, tr, ests, MonitorOptions{
 		Cadence:     20,
@@ -86,9 +86,9 @@ func TestMonitorWorkerInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		ests := []Estimator{
-			NewSampleCollide(SampleCollideOptions{L: 30, Seed: 10}),
-			NewSampleCollide(SampleCollideOptions{L: 30, Seed: 11}),
-			NewSampleCollide(SampleCollideOptions{L: 30, Seed: 12}),
+			mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 30, Seed: 10}),
+			mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 30, Seed: 11}),
+			mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 30, Seed: 12}),
 		}
 		res, err := RunMonitor(net, tr, ests, MonitorOptions{
 			Cadence: 10, ReplaySeed: 13, Workers: workers,
@@ -117,8 +117,8 @@ type undeclared struct{ Estimator }
 // TestRunMonitorGroupsByDefault: with no option set, three observe-only
 // families on one cadence share a replay group, aggregation (which
 // rewires the overlay) keeps its own, and every series equals the one
-// the same estimator produces on a private clone — whether the roster
-// was built by name or by the typed constructors.
+// the same estimator produces on a private clone — for a roster of
+// default configurations and for one with tuned knobs.
 func TestRunMonitorGroupsByDefault(t *testing.T) {
 	t.Run("by-name", func(t *testing.T) {
 		testGroupsByDefault(t, func() []Estimator {
@@ -133,13 +133,13 @@ func TestRunMonitorGroupsByDefault(t *testing.T) {
 			return ests
 		})
 	})
-	t.Run("constructors", func(t *testing.T) {
+	t.Run("configured", func(t *testing.T) {
 		testGroupsByDefault(t, func() []Estimator {
 			return []Estimator{
-				NewSampleCollide(SampleCollideOptions{L: 30, Seed: 22}),
-				NewHopsSampling(HopsSamplingOptions{Seed: 23}),
-				NewPolling(PollingOptions{Seed: 24}),
-				NewAggregation(AggregationOptions{Rounds: 20, Seed: 25}),
+				mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 30, Seed: 22}),
+				mustEstimator(t, "hopssampling", EstimatorConfig{Seed: 23}),
+				mustEstimator(t, "polling", EstimatorConfig{Seed: 24}),
+				mustEstimator(t, "aggregation", EstimatorConfig{Rounds: 20, Seed: 25}),
 			}
 		})
 	})
@@ -201,7 +201,7 @@ func TestRunMonitorRejectsNilArguments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := NewSampleCollide(SampleCollideOptions{L: 20, Seed: 32})
+	sc := mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 20, Seed: 32})
 	for _, tc := range []struct {
 		name string
 		net  *Network
