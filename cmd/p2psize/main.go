@@ -230,7 +230,7 @@ func main() {
 		// the values are byte-identical at any -workers setting.
 		vals, err := p2psize.RunParallel(spec.make, net, *runs, *workers)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", spec.name, err))
+			fatal(err) // the run loop's error already names the estimator
 		}
 		name := spec.name
 		if *smooth {
@@ -420,12 +420,18 @@ var stopProfiles = func() {}
 
 func fatal(err error) {
 	stopProfiles()
-	fmt.Fprintln(os.Stderr, "p2psize:", err)
+	fmt.Fprintln(os.Stderr, errLine(err))
 	os.Exit(1)
 }
 
 func fatalUsage(err error) {
-	fmt.Fprintln(os.Stderr, "p2psize:", err)
+	fmt.Fprintln(os.Stderr, errLine(err))
 	fmt.Fprintln(os.Stderr, "run p2psize -h for usage")
 	os.Exit(2)
+}
+
+// errLine is the line fatal and fatalUsage print for err: the command's
+// prefix once, also for the library's errors, which carry it already.
+func errLine(err error) string {
+	return "p2psize: " + strings.TrimPrefix(err.Error(), "p2psize: ")
 }

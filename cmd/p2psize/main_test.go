@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -98,6 +100,47 @@ func TestAlgoMatchesEstimators(t *testing.T) {
 				t.Fatalf("%s run %d: -algo estimates %v, -estimators %v", byAlgo[i].name, run, a, e)
 			}
 		}
+	}
+}
+
+// TestErrLine: an error line carries the command's prefix exactly once,
+// and the static loop's run error names its estimator exactly once.
+func TestErrLine(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{errors.New(`unknown topology "mesh"`), `p2psize: unknown topology "mesh"`},
+		{errors.New("p2psize: NewNetwork: need at least 1 node"), "p2psize: NewNetwork: need at least 1 node"},
+		{fmt.Errorf("-shuffle: %w", errors.New("p2psize: bad mode")), "p2psize: -shuffle: p2psize: bad mode"},
+		{errors.New("registry: p2psize: x"), "p2psize: registry: p2psize: x"},
+	} {
+		if got := errLine(c.err); got != c.want {
+			t.Errorf("errLine(%q) = %q, want %q", c.err, got, c.want)
+		}
+	}
+
+	// The failure -nodes 1 -estimators tour hits: a lone peer has no
+	// neighbour to tour through.
+	net, err := p2psize.NewNetwork(p2psize.NetworkOptions{Nodes: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roster, err := registry.Parse("tour")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := selectEstimators(roster, p2psize.EstimatorConfig{Tours: 10, Workers: 1}, net, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = p2psize.RunParallel(specs[0].make, net, 1, 1)
+	if err == nil {
+		t.Fatal("a tour on a lone peer succeeded")
+	}
+	line := errLine(err)
+	if strings.Count(line, "p2psize:") != 1 || strings.Count(line, specs[0].name) != 1 {
+		t.Fatalf("error line %q: want one %q prefix and one %q", line, "p2psize:", specs[0].name)
 	}
 }
 

@@ -79,8 +79,12 @@ func (c *Config) validate() error {
 type Estimator struct {
 	cfg  Config
 	rng  *xrand.Rand
-	salt uint64   // per-instance identifier-space salt
-	dist []uint64 // scratch: max-heap of the k smallest distances
+	salt uint64 // per-instance identifier-space salt
+
+	// Per-estimate scratch: the probes' targets, and for probe p a
+	// max-heap of the k smallest distances at heaps[p*k:(p+1)*k].
+	targets []uint64
+	heaps   []uint64
 }
 
 // New builds an Estimator; it panics on invalid configuration. The
@@ -141,13 +145,18 @@ func (e *Estimator) Estimate(net *overlay.Network) (float64, error) {
 		net.Send(metrics.KindWalk)
 		return float64(n), nil
 	}
-	sum := 0.0
+	// The targets are the only rng draws; each lookup's initiator is
+	// derived from its target, not drawn, so routing costs never perturb
+	// the estimate stream. Drawing them all first lets one sweep of the
+	// alive list serve every probe.
+	e.targets = e.targets[:0]
 	for p := 0; p < e.cfg.Probes; p++ {
-		// The target is the probe's only rng draw; the lookup initiator
-		// is derived from it, not drawn, so routing costs never perturb
-		// the estimate stream.
-		target := e.rng.Uint64()
-		dk := e.kthClosest(g, target, k)
+		e.targets = append(e.targets, e.rng.Uint64())
+	}
+	e.kthClosest(g, k)
+	sum := 0.0
+	for p, target := range e.targets {
+		dk := e.heaps[p*k]
 		// Iterative routing: each hop lands on a peer whose XOR distance
 		// to the target is half the previous one (Kademlia's per-hop
 		// guarantee) and costs one routed message, until the distance
@@ -179,26 +188,37 @@ func start(g *graph.Graph, target uint64, n int) graph.NodeID {
 	return g.AliveAt(int(target % uint64(n)))
 }
 
-// kthClosest returns the k-th smallest XOR distance from target to any
-// alive identifier, maintaining a size-k max-heap over one deterministic
-// sweep of the alive list.
-func (e *Estimator) kthClosest(g *graph.Graph, target uint64, k int) uint64 {
-	if cap(e.dist) < k {
-		e.dist = make([]uint64, 0, k)
+// kthClosest leaves, for every target in e.targets, a size-k max-heap
+// of the k smallest XOR distances from it to any alive identifier at
+// e.heaps[p*k:(p+1)*k], whose root is the k-th smallest. One
+// deterministic sweep of the alive list hashes each identifier once and
+// offers it to every probe's heap. The caller guarantees k <= NumAlive.
+func (e *Estimator) kthClosest(g *graph.Graph, k int) {
+	probes := len(e.targets)
+	if cap(e.heaps) < probes*k {
+		e.heaps = make([]uint64, probes*k)
 	}
-	h := e.dist[:0]
-	for i := 0; i < g.NumAlive(); i++ {
-		d := e.id64(g.AliveAt(i)) ^ target
-		if len(h) < k {
-			h = append(h, d)
-			siftUp(h, len(h)-1)
-		} else if d < h[0] {
-			h[0] = d
-			siftDown(h, 0)
+	heaps := e.heaps[:probes*k]
+	// The first k identifiers fill every heap; every later one replaces
+	// a root it undercuts.
+	for i := 0; i < k; i++ {
+		x := e.id64(g.AliveAt(i))
+		for p, target := range e.targets {
+			h := heaps[p*k : p*k+i+1]
+			h[i] = x ^ target
+			siftUp(h, i)
 		}
 	}
-	e.dist = h
-	return h[0]
+	for i, n := k, g.NumAlive(); i < n; i++ {
+		x := e.id64(g.AliveAt(i))
+		for p, target := range e.targets {
+			if d := x ^ target; d < heaps[p*k] {
+				h := heaps[p*k : (p+1)*k]
+				h[0] = d
+				siftDown(h, 0)
+			}
+		}
+	}
 }
 
 func siftUp(h []uint64, i int) {

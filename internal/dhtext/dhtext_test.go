@@ -164,7 +164,9 @@ func TestKthClosestMatchesSort(t *testing.T) {
 			all[j], all[j-1] = all[j-1], all[j]
 		}
 	}
-	if got := e.kthClosest(g, target, 7); got != all[6] {
+	e.targets = []uint64{target}
+	e.kthClosest(g, 7)
+	if got := e.heaps[0]; got != all[6] {
 		t.Fatalf("kthClosest = %d, want %d", got, all[6])
 	}
 }

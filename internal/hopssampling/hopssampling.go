@@ -9,8 +9,7 @@
 //     hop counter (gossipTo targets per gossiping node, each infected
 //     node gossips for gossipFor rounds). Every node remembers the
 //     lowest hop count it received — its estimated distance from the
-//     initiator — and the neighbor that delivered it (its parent for
-//     routed replies).
+//     initiator.
 //
 //  2. Probabilistic reporting. A node at distance h replies with
 //     probability 1 when h < minHopsReporting, else with probability
@@ -31,7 +30,10 @@
 // while Table I's 5M figure and the "message flood towards the
 // initiator ... may overload the initiator's neighbors" remark imply
 // replies routed hop-by-hop through the overlay. RoutedReplies selects
-// the Table I behaviour and is the default in the experiments.
+// the Table I behaviour and is the default in the experiments. Nothing
+// records the gossip path and no reply walks one: a routed reply from a
+// node at recorded distance h is priced at h messages, metered in one
+// batch.
 package hopssampling
 
 import (
@@ -57,8 +59,9 @@ type Config struct {
 	// MinHopsReporting is the distance below which nodes always reply
 	// (paper: 5).
 	MinHopsReporting int
-	// RoutedReplies routes responses hop-by-hop along gossip parents
-	// (costing distance messages each) instead of directly (1 message).
+	// RoutedReplies prices each response at its hop distance h — the h
+	// messages a reply relayed back toward the initiator costs — instead
+	// of one direct message. No path is recorded or walked.
 	RoutedReplies bool
 	// MaxRounds bounds the spread phase (safety valve; 0 means 10000).
 	MaxRounds int
@@ -122,18 +125,28 @@ type Estimator struct {
 	rng *xrand.Rand
 
 	// Per-run scratch, reused across estimations to avoid re-allocating
-	// million-entry slices: dist and parent are indexed by node ID and
-	// versioned by stamp so clearing is O(1).
-	dist   []int32
-	parent []graph.NodeID
-	stamp  []uint32
-	gen    uint32
-	// The spread's own scratch, indexed by node ID and cleared per poll
-	// (one byte per node), and its two round queues.
-	budget       []int8 // remaining gossip rounds
-	acts         []int8 // activations consumed
-	queued       []bool // already in next round's queue
+	// million-entry slices: one slot per node ID, versioned by gen so
+	// clearing is O(1), and the spread's two round queues.
+	slots        []slot
+	gen          uint32
 	active, next []graph.NodeID
+	// pow memoizes inversePow(GossipTo, x) by exponent x.
+	pow []float64
+	// warmed accumulates what the read-aheads loaded, so that the
+	// compiler keeps the loads; nothing reads it.
+	warmed uint64
+}
+
+// slot is everything a poll keeps about one node, in one 12-byte record
+// so that a visit costs one cache miss, not one per field. A slot whose
+// stamp is not the current gen is unseen and its other fields are
+// stale: the poll's first write to it overwrites the whole slot.
+type slot struct {
+	dist   int32  // lowest hop count received
+	stamp  uint32 // gen of the poll that reached the node
+	budget int8   // remaining gossip rounds
+	acts   int8   // activations consumed
+	queued bool   // already in next round's queue
 }
 
 // New builds an Estimator; it panics on invalid configuration.
@@ -186,28 +199,18 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 }
 
 func (e *Estimator) resetScratch(numIDs int) {
-	if len(e.dist) < numIDs {
-		// Under churn every join adds an ID, so vectors sized to this
+	if len(e.slots) < numIDs {
+		// Under churn every join adds an ID, so a vector sized to this
 		// poll would be re-made at the next one: leave a quarter spare.
-		n := numIDs + numIDs/4
-		e.dist = make([]int32, n)
-		e.parent = make([]graph.NodeID, n)
-		e.stamp = make([]uint32, n)
-		e.budget = make([]int8, n)
-		e.acts = make([]int8, n)
-		e.queued = make([]bool, n)
+		e.slots = make([]slot, numIDs+numIDs/4)
 		e.gen = 0
 	}
 	e.gen++
-}
-
-// seen reports whether id has a distance in the current run.
-func (e *Estimator) seen(id graph.NodeID) bool { return e.stamp[id] == e.gen }
-
-func (e *Estimator) setDist(id graph.NodeID, d int32, parent graph.NodeID) {
-	e.dist[id] = d
-	e.parent[id] = parent
-	e.stamp[id] = e.gen
+	if e.gen == 0 {
+		// The stamps wrapped: every old stamp could now read as seen.
+		clear(e.slots)
+		e.gen = 1
+	}
 }
 
 // maxActivations bounds how many times one node is re-armed to gossip
@@ -218,6 +221,11 @@ func (e *Estimator) setDist(id graph.NodeID, d int32, parent graph.NodeID) {
 // re-arming floods the overlay until reach is ≈100% and the estimate is
 // unbiased, which is NOT the algorithm the paper measured.
 const maxActivations = 2
+
+// stageBlock is how many nodes spread and collect stage at a time: each
+// block's slots (and, in spread, records and targets' slots) are first
+// read as independent loads, then visited one dependent step at a time.
+const stageBlock = 64
 
 // spread runs the bounded gossip dissemination and returns the number of
 // rounds executed. A node gossips for GossipFor rounds after its first
@@ -240,74 +248,74 @@ func (e *Estimator) spread(net *overlay.Network, initiator graph.NodeID) int {
 	// sender itself initiated, so it rides the established path. Benign
 	// policies answer false with zero extra draws.
 	pol := net.FaultPolicy()
-	budget, acts, queued := e.budget, e.acts, e.queued
-	clear(budget)
-	clear(acts)
-	clear(queued)
-	e.setDist(initiator, 0, graph.None)
-	budget[initiator] = int8(e.cfg.GossipFor)
-	acts[initiator] = 1
+	g := net.Graph()
+	slots, gen, gossipFor := e.slots, e.gen, int8(e.cfg.GossipFor)
+	slots[initiator] = slot{dist: 0, stamp: gen, budget: gossipFor, acts: 1}
 	active, next := append(e.active[:0], initiator), e.next
+	enqueue := func(id graph.NodeID, s *slot) {
+		if !s.queued {
+			s.queued = true
+			next = append(next, id)
+		}
+	}
+	arm := func(id graph.NodeID, s *slot) {
+		if s.acts >= maxActivations {
+			return
+		}
+		s.acts++
+		s.budget = gossipFor
+		enqueue(id, s)
+	}
 	quiet := 0
 	rounds := 0
 	for len(active) > 0 && quiet < e.cfg.GossipUntil && rounds < e.cfg.maxRounds() {
 		rounds++
 		next = next[:0]
 		infected := 0
-		enqueue := func(id graph.NodeID) {
-			if !queued[id] {
-				queued[id] = true
-				next = append(next, id)
-			}
-		}
-		arm := func(id graph.NodeID) {
-			if acts[id] >= maxActivations {
-				return
-			}
-			acts[id]++
-			budget[id] = int8(e.cfg.GossipFor)
-			enqueue(id)
-		}
-		for _, id := range active {
-			for k := 0; k < e.cfg.GossipTo; k++ {
-				h := e.dist[id]
-				target, ok := net.RandomNeighbor(id, e.rng)
-				if !ok {
-					break
+		for lo := 0; lo < len(active); lo += stageBlock {
+			blk := active[lo:min(lo+stageBlock, len(active))]
+			e.stage(g, blk)
+			for _, id := range blk {
+				src := &slots[id]
+				for k := 0; k < e.cfg.GossipTo; k++ {
+					h := src.dist
+					target, ok := g.RandomNeighbor(id, e.rng)
+					if !ok {
+						break
+					}
+					net.SendTo(target, metrics.KindGossipSpread)
+					if pol != nil && pol.Unreachable(target) {
+						continue // sent, lost at the target's NAT
+					}
+					nd := h + 1
+					dst := &slots[target]
+					switch {
+					case dst.stamp != gen:
+						*dst = slot{dist: nd, stamp: gen, budget: gossipFor, acts: 1, queued: true}
+						next = append(next, target)
+						infected++
+					case nd < dst.dist:
+						// Better distance: remember it and re-arm the target
+						// so the improvement propagates.
+						dst.dist = nd
+						arm(target, dst)
+					case dst.dist+1 < h:
+						// Bidirectional link: the target corrects the sender
+						// with its better distance (one response message).
+						net.SendTo(id, metrics.KindGossipSpread)
+						src.dist = dst.dist + 1
+						arm(id, src)
+					}
 				}
-				net.SendTo(target, metrics.KindGossipSpread)
-				if pol != nil && pol.Unreachable(target) {
-					continue // sent, lost at the target's NAT
+				src.budget--
+				if src.budget > 0 {
+					enqueue(id, src)
 				}
-				nd := h + 1
-				switch {
-				case !e.seen(target):
-					e.setDist(target, nd, id)
-					infected++
-					acts[target] = 1
-					budget[target] = int8(e.cfg.GossipFor)
-					enqueue(target)
-				case nd < e.dist[target]:
-					// Better distance: remember it and re-arm the target
-					// so the improvement propagates.
-					e.setDist(target, nd, id)
-					arm(target)
-				case e.dist[target]+1 < h:
-					// Bidirectional link: the target corrects the sender
-					// with its better distance (one response message).
-					net.SendTo(id, metrics.KindGossipSpread)
-					e.setDist(id, e.dist[target]+1, target)
-					arm(id)
-				}
-			}
-			budget[id]--
-			if budget[id] > 0 {
-				enqueue(id)
 			}
 		}
 		active, next = next, active
 		for _, id := range active {
-			queued[id] = false
+			slots[id].queued = false
 		}
 		// Quiescence counts only new infections: once no fresh node was
 		// reached for GossipUntil rounds the poll stops, even though
@@ -322,40 +330,83 @@ func (e *Estimator) spread(net *overlay.Network, initiator graph.NodeID) int {
 	return rounds
 }
 
+// stage reads, as independent loads, what the block's senders are about
+// to touch one dependent miss at a time: their graph records and slots,
+// then the slots of the targets they will draw. The draws are fixed by
+// the generator's state, so they are replayed on a copy of it, as
+// graph.WireUpTo does; only spread's own loop advances e.rng.
+func (e *Estimator) stage(g *graph.Graph, blk []graph.NodeID) {
+	acc := uint64(g.DegreeSum(blk))
+	for _, id := range blk {
+		acc += uint64(e.slots[id].stamp)
+	}
+	ahead := *e.rng
+	for _, id := range blk {
+		for k := 0; k < e.cfg.GossipTo; k++ {
+			target, ok := g.RandomNeighbor(id, &ahead)
+			if !ok {
+				break
+			}
+			acc += uint64(e.slots[target].stamp)
+		}
+	}
+	e.warmed += acc
+}
+
 // collect runs the probabilistic reporting phase and extrapolates the
-// size estimate.
+// size estimate. The alive list is swept in blocks whose slots are read
+// ahead as independent loads.
 func (e *Estimator) collect(net *overlay.Network, initiator graph.NodeID) (est float64, reached, replies int) {
 	g := net.Graph()
 	total := 1.0 // the initiator counts itself
-	reached = 0
 	minHops := int32(e.cfg.MinHopsReporting)
-	for i := 0; i < g.NumAlive(); i++ {
-		id := g.AliveAt(i)
-		if !e.seen(id) {
-			continue
+	var ids [stageBlock]graph.NodeID
+	for lo, n := 0, g.NumAlive(); lo < n; lo += stageBlock {
+		blk := ids[:min(stageBlock, n-lo)]
+		var acc uint64
+		for j := range blk {
+			blk[j] = g.AliveAt(lo + j)
+			acc += uint64(e.slots[blk[j]].stamp)
 		}
-		reached++
-		if id == initiator {
-			continue
+		e.warmed += acc
+		for _, id := range blk {
+			s := &e.slots[id]
+			if s.stamp != e.gen {
+				continue
+			}
+			reached++
+			if id == initiator {
+				continue
+			}
+			h := s.dist
+			p := 1.0
+			if h >= minHops {
+				p = e.reportProb(int(h - minHops))
+			}
+			if !e.rng.Bernoulli(p) {
+				continue
+			}
+			replies++
+			if e.cfg.RoutedReplies {
+				// A routed reply costs one message per hop back.
+				net.SendN(metrics.KindReply, uint64(h))
+			} else {
+				net.Send(metrics.KindReply)
+			}
+			total += 1 / p
 		}
-		h := e.dist[id]
-		p := 1.0
-		if h >= minHops {
-			p = inversePow(e.cfg.GossipTo, int(h-minHops))
-		}
-		if !e.rng.Bernoulli(p) {
-			continue
-		}
-		replies++
-		if e.cfg.RoutedReplies {
-			// The response retraces the gossip path: h hops.
-			net.SendN(metrics.KindReply, uint64(h))
-		} else {
-			net.Send(metrics.KindReply)
-		}
-		total += 1 / p
 	}
 	return total, reached, replies
+}
+
+// reportProb returns the reporting probability GossipTo^-x of a node x
+// hops past MinHopsReporting, memoized by x; the table is filled by
+// inversePow itself, so the values are bit-equal to calling it.
+func (e *Estimator) reportProb(x int) float64 {
+	for len(e.pow) <= x {
+		e.pow = append(e.pow, inversePow(e.cfg.GossipTo, len(e.pow)))
+	}
+	return e.pow[x]
 }
 
 // inversePow returns base^-exp for small non-negative integer exponents.
@@ -379,7 +430,7 @@ func (e *Estimator) ReachedFraction(net *overlay.Network, initiator graph.NodeID
 	g := net.Graph()
 	reached := 0
 	for i := 0; i < g.NumAlive(); i++ {
-		if e.seen(g.AliveAt(i)) {
+		if e.slots[g.AliveAt(i)].stamp == e.gen {
 			reached++
 		}
 	}
@@ -400,7 +451,7 @@ func (e *Estimator) EstimateWithOracleDistances(net *overlay.Network, initiator 
 	dist := graph.BFSDistances(net.Graph(), initiator)
 	for id, d := range dist {
 		if d >= 0 {
-			e.setDist(graph.NodeID(id), d, graph.None)
+			e.slots[id] = slot{dist: d, stamp: e.gen}
 		}
 	}
 	est, _, _ := e.collect(net, initiator)
