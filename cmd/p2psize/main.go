@@ -145,7 +145,7 @@ func main() {
 	clusterMode := *clusterN > 0 || *clusterAddrs != ""
 	algoSet := false
 	flag.Visit(func(f *flag.Flag) { algoSet = algoSet || f.Name == "algo" })
-	if err := validateModes(clusterMode, algoSet, *traceSpec, fopts); err != nil {
+	if err := validateModes(clusterMode, algoSet, *traceSpec, *horizon, fopts); err != nil {
 		fatalUsage(err)
 	}
 
@@ -398,8 +398,10 @@ func formatVals(vals []float64) string {
 // validateModes is the single chokepoint for mutually exclusive mode
 // combinations: every flag pairing the command cannot honor is rejected
 // here, before any work starts, through one usage-error path.
-func validateModes(clusterMode, algoSet bool, traceSpec string, f p2psize.FaultOptions) error {
+func validateModes(clusterMode, algoSet bool, traceSpec string, horizon float64, f p2psize.FaultOptions) error {
 	switch {
+	case traceSpec != "" && (!(horizon > 0) || math.IsInf(horizon, 1)):
+		return fmt.Errorf("-horizon %g must be positive and finite", horizon)
 	case clusterMode && algoSet:
 		return fmt.Errorf("-cluster reads its roster from -estimators; -algo would be silently ignored (name the families with -estimators, or drop -algo for the default live roster)")
 	case clusterMode && traceSpec != "":

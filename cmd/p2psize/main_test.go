@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -156,7 +158,8 @@ func TestValidateModes(t *testing.T) {
 		name             string
 		cluster, algoSet bool
 		trace, faults    string
-		want             string // substring of the error; "" = accepted
+		horizon          float64 // 0 = the flag's default
+		want             string  // substring of the error; "" = accepted
 	}{
 		{name: "static", algoSet: true},
 		{name: "monitoring", algoSet: true, trace: "weibull", faults: "drop=0.05,silent=0.1"},
@@ -168,8 +171,16 @@ func TestValidateModes(t *testing.T) {
 		{name: "partition on a trace", trace: "weibull", faults: "partition=0.5@0.4-0.6"},
 		{name: "sybils while monitoring", trace: "weibull", faults: "sybil=0.1", want: "sybil inflation conflicts"},
 		{name: "sybils, static", faults: "sybil=0.1"},
+		{name: "NaN horizon", trace: "weibull", horizon: math.NaN(), want: "-horizon NaN must be positive and finite"},
+		{name: "infinite horizon", trace: "flashcrowd", horizon: math.Inf(1), want: "-horizon +Inf"},
+		{name: "negative horizon", trace: "weibull", horizon: -5, want: "-horizon -5"},
+		{name: "NaN horizon, static", horizon: math.NaN()},
 	} {
-		err := validateModes(c.cluster, c.algoSet, c.trace, parse(c.faults))
+		horizon := c.horizon
+		if horizon == 0 {
+			horizon = 1000
+		}
+		err := validateModes(c.cluster, c.algoSet, c.trace, horizon, parse(c.faults))
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", c.name, err)
@@ -238,3 +249,32 @@ func TestParseTopology(t *testing.T) {
 	os.Stdout = devNull
 	main()
 }
+
+// TestNonFiniteHorizonExits2: -horizon NaN under -trace is a usage
+// error — exit status 2 and one "p2psize:" line — not the panic a NaN
+// schedule used to end in. The test binary re-runs itself as the
+// command (mainArgsEnv carries the arguments).
+func TestNonFiniteHorizonExits2(t *testing.T) {
+	if args := os.Getenv(mainArgsEnv); args != "" {
+		os.Args = append([]string{"p2psize"}, strings.Fields(args)...)
+		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNonFiniteHorizonExits2$")
+	cmd.Env = append(os.Environ(), mainArgsEnv+"=-nodes 200 -estimators sc -trace weibull -horizon NaN")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit: %v, want status 2; stderr:\n%s", err, stderr.String())
+	}
+	if got := stderr.String(); strings.Count(got, "p2psize:") != 1 || !strings.Contains(got, "-horizon NaN") {
+		t.Fatalf("stderr %q: want one p2psize: error naming -horizon NaN", got)
+	}
+}
+
+// mainArgsEnv names the variable through which TestNonFiniteHorizonExits2
+// hands its child process the command line to run.
+const mainArgsEnv = "P2PSIZE_TEST_MAIN_ARGS"

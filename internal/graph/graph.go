@@ -254,12 +254,18 @@ func (g *Graph) RandomNeighbor(id NodeID, rng *xrand.Rand) (NodeID, bool) {
 }
 
 // RandomAlive returns a uniformly random alive node, or (None, false) for
-// an empty graph.
+// an empty graph. Until a node is removed (ids are never reused) the
+// alive list is the identity, and the draw is the node: one load fewer.
 func (g *Graph) RandomAlive(rng *xrand.Rand) (NodeID, bool) {
-	if g.aliveIDs.len() == 0 {
+	n := g.aliveIDs.len()
+	if n == 0 {
 		return None, false
 	}
-	return *g.aliveIDs.at(rng.Intn(g.aliveIDs.len())), true
+	i := rng.Intn(n)
+	if n == g.nodes.len() {
+		return NodeID(i), true
+	}
+	return *g.aliveIDs.at(i), true
 }
 
 // Alive reports whether id is a live node.

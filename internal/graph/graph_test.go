@@ -148,6 +148,45 @@ func TestRandomAliveEmpty(t *testing.T) {
 	}
 }
 
+// TestRandomAliveIdentity holds RandomAlive to the table read it skips
+// while no node was removed: the same node and the same generator state
+// as AliveAt(Intn(NumAlive())), on a graph and a COW clone before any
+// removal, and after a RemoveNode (and a later AddNode), once the swap-
+// delete has moved an id off its own index.
+func TestRandomAliveIdentity(t *testing.T) {
+	check := func(name string, g *Graph, wantMoved bool) {
+		t.Helper()
+		got, want := xrand.New(3), xrand.New(3)
+		moved := false
+		for i := 0; i < 2000; i++ {
+			id, ok := g.RandomAlive(got)
+			idx := want.Intn(g.NumAlive())
+			if !ok || id != g.AliveAt(idx) || *got != *want {
+				t.Fatalf("%s: draw %d: RandomAlive = %d, %v; AliveAt(%d) = %d (generator states equal: %v)",
+					name, i, id, ok, idx, g.AliveAt(idx), *got == *want)
+			}
+			moved = moved || int(id) != idx
+		}
+		if moved != wantMoved {
+			t.Fatalf("%s: some draw left its index: %v, want %v", name, moved, wantMoved)
+		}
+	}
+	g := Heterogeneous(50, 10, xrand.New(1))
+	check("fresh", g, false)
+	c := g.CloneCOW()
+	check("clone", c, false)
+	c.AddNode()
+	check("clone after AddNode", c, false)
+	c.RemoveNode(5)
+	check("clone after RemoveNode", c, true)
+	c.AddNode()
+	check("clone after RemoveNode and AddNode", c, true)
+	g.RemoveNode(17)
+	check("after RemoveNode", g, true)
+	g.AddNode()
+	check("after RemoveNode and AddNode", g, true)
+}
+
 func TestRandomNeighbor(t *testing.T) {
 	rng := xrand.New(2)
 	g := NewWithNodes(4)

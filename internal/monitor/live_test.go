@@ -115,6 +115,11 @@ func TestRunLiveFailuresAndErrors(t *testing.T) {
 	if _, err := RunLive([]Instance{{Estimator: sizeEcho{}}}, net, nil, 0, Config{Cadence: 10}); err == nil {
 		t.Fatal("zero horizon accepted")
 	}
+	for _, h := range []float64{math.NaN(), math.Inf(1), -100} {
+		if _, err := RunLive([]Instance{{Estimator: sizeEcho{}}}, net, nil, h, Config{Cadence: 10}); err == nil || !strings.Contains(err.Error(), "horizon") {
+			t.Fatalf("horizon %g: err %v, want a horizon error", h, err)
+		}
+	}
 	if _, err := RunLive([]Instance{{Estimator: sizeEcho{}}}, net, refreshErr{}, 20, Config{Cadence: 10}); err == nil {
 		t.Fatal("refresh error not propagated")
 	}

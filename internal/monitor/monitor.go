@@ -303,6 +303,11 @@ const maxSamples = 1 << 30
 // horizon. The epsilon absorbs float division error (0.3/0.1 < 3) so an
 // exact-multiple horizon never loses its final sample.
 func schedule(cadence, horizon float64) ([]float64, error) {
+	// RunLive takes its horizon from the caller, so it is checked here:
+	// a NaN or infinite one would reach the conversion below.
+	if !(horizon >= 0) || math.IsInf(horizon, 1) {
+		return nil, fmt.Errorf("monitor: horizon %g must be finite and >= 0", horizon)
+	}
 	f := horizon/cadence + 1e-9
 	if f > maxSamples {
 		return nil, fmt.Errorf("monitor: cadence %g yields %.3g samples over horizon %g (max %d)",

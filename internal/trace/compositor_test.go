@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -39,8 +40,8 @@ func tiedTrace(t *testing.T, seed uint64) *Trace {
 }
 
 // TestCompositorMergeTail checks the in-place merge alone: a canonical
-// prefix and an arbitrary tail, ties between the two included, against
-// a full sort of the same events.
+// prefix and a sorted tail, ties between the two included, against a
+// full sort of the same events.
 func TestCompositorMergeTail(t *testing.T) {
 	rng := xrand.New(5)
 	for round := 0; round < 200; round++ {
@@ -50,6 +51,7 @@ func TestCompositorMergeTail(t *testing.T) {
 			tr.Events = append(tr.Events, Event{T: float64(rng.Intn(6)), Session: rng.Intn(8), Op: Op(rng.Intn(2))})
 		}
 		slices.SortFunc(tr.Events[:prefix], eventCmp)
+		slices.SortFunc(tr.Events[prefix:], eventCmp)
 		want := fullSort(tr.Events)
 		tr.mergeTail(prefix)
 		if !slices.Equal(tr.Events, want) {
@@ -133,5 +135,81 @@ func TestCompositorMergesInPlace(t *testing.T) {
 	}
 	if !slices.IsSortedFunc(tr.Events, eventCmp) {
 		t.Fatal("events out of canonical order")
+	}
+}
+
+// composeBoth applies one composition to got (the current code) and to
+// want (its reference), each with a generator seeded alike, and requires
+// the same error, the same events and the same generator state after.
+func composeBoth(t *testing.T, what string, got, want *Trace, seed uint64,
+	cur func(*Trace, *xrand.Rand) error, ref func(*Trace, *xrand.Rand) error) {
+	t.Helper()
+	gr, wr := xrand.New(seed), xrand.New(seed)
+	gerr, werr := cur(got, gr), ref(want, wr)
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("%s: error %v, reference %v", what, gerr, werr)
+	}
+	if err := sameEvents(got.Events, want.Events); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if *gr != *wr {
+		t.Fatalf("%s: generator state differs from the reference's", what)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+}
+
+// TestCompositorReference holds the three compositors to the map-based
+// versions they replaced: the same events and the same generator
+// position, on traces whose composition instants already hold events
+// (times rounded to a grid, and a crowd whose departures mostly round
+// onto its own instant), for victim counts k of 0, 1, n/2 and n.
+func TestCompositorReference(t *testing.T) {
+	clone := func(tr *Trace) *Trace {
+		c := *tr
+		c.Events = slices.Clone(tr.Events)
+		return &c
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		base := tiedTrace(t, seed)
+		if seed%2 == 0 {
+			tr, err := GenerateParallel(Config{Initial: genChunk + 5, Horizon: 100, Session: SessionDist{Kind: Exponential, Mean: 50}}, seed, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base = tr
+		}
+		n := len(base.Events)
+		split, crowd, fail := base.Events[n/10].T, base.Events[n/3].T, base.Events[2*n/3].T
+		for _, kFrac := range []func(alive int) float64{
+			func(int) float64 { return 0 },
+			func(alive int) float64 { return 1.5 / float64(alive) },
+			func(int) float64 { return 0.5 },
+			func(int) float64 { return 1 },
+		} {
+			got, want := clone(base), clone(base)
+			for _, c := range []struct {
+				count int
+				d     SessionDist
+			}{
+				{0, SessionDist{Kind: Exponential, Mean: 2}},
+				{1, SessionDist{Kind: Exponential, Mean: 2}},
+				{300, SessionDist{Kind: Pareto, Mean: 3, Shape: 1.5}},
+				{200, SessionDist{Kind: Exponential, Mean: 1e-15}}, // departures tie with the joins
+			} {
+				composeBoth(t, fmt.Sprintf("seed %d: AddFlashCrowd(%g, %d, %s)", seed, crowd, c.count, c.d), got, want, seed+10,
+					func(tr *Trace, rng *xrand.Rand) error { return tr.AddFlashCrowd(crowd, c.count, c.d, rng) },
+					func(tr *Trace, rng *xrand.Rand) error { return refAddFlashCrowd(tr, crowd, c.count, c.d, rng) })
+			}
+			frac := kFrac(got.SizeAt(fail))
+			composeBoth(t, fmt.Sprintf("seed %d: AddMassFailure(%g, %g)", seed, fail, frac), got, want, seed+11,
+				func(tr *Trace, rng *xrand.Rand) error { return tr.AddMassFailure(fail, frac, rng) },
+				func(tr *Trace, rng *xrand.Rand) error { return refAddMassFailure(tr, fail, frac, rng) })
+			frac = kFrac(got.SizeAt(split))
+			composeBoth(t, fmt.Sprintf("seed %d: AddPartitionHeal(%g, %g, %g)", seed, split, crowd, frac), got, want, seed+12,
+				func(tr *Trace, rng *xrand.Rand) error { return tr.AddPartitionHeal(split, crowd, frac, rng) },
+				func(tr *Trace, rng *xrand.Rand) error { return refAddPartitionHeal(tr, split, crowd, frac, rng) })
+		}
 	}
 }

@@ -54,8 +54,8 @@ type SessionDist struct {
 }
 
 func (d SessionDist) validate() error {
-	if d.Mean <= 0 {
-		return errors.New("trace: SessionDist.Mean must be positive")
+	if !(d.Mean > 0) || math.IsInf(d.Mean, 1) || math.IsNaN(d.Shape) || math.IsInf(d.Shape, 0) {
+		return fmt.Errorf("trace: SessionDist.Mean %g and Shape %g must be finite, Mean positive", d.Mean, d.Shape)
 	}
 	switch d.Kind {
 	case Exponential:
@@ -70,23 +70,43 @@ func (d SessionDist) validate() error {
 	default:
 		return fmt.Errorf("trace: unknown session kind %d", int(d.Kind))
 	}
+	// Finite Mean and Shape can still round the family's own parameter
+	// to 0 or ∞ (a subnormal mean, a vanishing Weibull shape), which the
+	// samplers reject with a panic.
+	if p := d.param(); math.IsNaN(p) || math.IsInf(p, 0) || (d.Kind != LogNormal && p <= 0) {
+		return fmt.Errorf("trace: %s has no usable parameter (%g)", d, p)
+	}
 	return nil
+}
+
+// param derives the family's own parameter from Mean and Shape: the
+// Exponential rate, the Weibull scale, the LogNormal mu or the Pareto
+// minimum.
+func (d SessionDist) param() float64 {
+	switch d.Kind {
+	case Weibull:
+		return d.Mean / math.Gamma(1+1/d.Shape)
+	case LogNormal:
+		return math.Log(d.Mean) - d.Shape*d.Shape/2
+	case Pareto:
+		return d.Mean * (d.Shape - 1) / d.Shape
+	default: // Exponential
+		return 1 / d.Mean
+	}
 }
 
 // Draw samples one session length.
 func (d SessionDist) Draw(rng *xrand.Rand) float64 {
+	p := d.param()
 	switch d.Kind {
 	case Weibull:
-		scale := d.Mean / math.Gamma(1+1/d.Shape)
-		return rng.Weibull(d.Shape, scale)
+		return rng.Weibull(d.Shape, p)
 	case LogNormal:
-		mu := math.Log(d.Mean) - d.Shape*d.Shape/2
-		return rng.LogNormal(mu, d.Shape)
+		return rng.LogNormal(p, d.Shape)
 	case Pareto:
-		xm := d.Mean * (d.Shape - 1) / d.Shape
-		return rng.Pareto(xm, d.Shape)
+		return rng.Pareto(p, d.Shape)
 	default: // Exponential
-		return rng.Exp(1 / d.Mean)
+		return rng.Exp(p)
 	}
 }
 
@@ -130,19 +150,50 @@ func (c Config) validate() error {
 	if c.Initial < 0 {
 		return errors.New("trace: Config.Initial must be >= 0")
 	}
-	if c.Horizon <= 0 {
-		return errors.New("trace: Config.Horizon must be positive")
+	// Each range test is written to fail on NaN too.
+	if !(c.Horizon > 0) || math.IsInf(c.Horizon, 1) {
+		return fmt.Errorf("trace: Config.Horizon %g must be positive and finite", c.Horizon)
 	}
-	if c.ArrivalRate < 0 {
-		return errors.New("trace: Config.ArrivalRate must be >= 0")
+	if !(c.ArrivalRate >= 0) || math.IsInf(c.ArrivalRate, 1) {
+		return fmt.Errorf("trace: Config.ArrivalRate %g must be finite and >= 0", c.ArrivalRate)
 	}
-	if c.DiurnalAmplitude < 0 || c.DiurnalAmplitude >= 1 {
-		return errors.New("trace: Config.DiurnalAmplitude must be in [0, 1)")
+	if !(c.DiurnalAmplitude >= 0 && c.DiurnalAmplitude < 1) {
+		return fmt.Errorf("trace: Config.DiurnalAmplitude %g must be in [0, 1)", c.DiurnalAmplitude)
 	}
-	if c.DiurnalPeriod < 0 {
-		return errors.New("trace: Config.DiurnalPeriod must be >= 0")
+	if !(c.DiurnalPeriod >= 0) || math.IsInf(c.DiurnalPeriod, 1) {
+		return fmt.Errorf("trace: Config.DiurnalPeriod %g must be finite and >= 0", c.DiurnalPeriod)
 	}
-	return c.Session.validate()
+	if err := c.Session.validate(); err != nil {
+		return err
+	}
+	// Each session takes an id of the overlay's int32 space: refuse a
+	// workload whose expected count overflows it before the chain runs.
+	if n := float64(c.Initial) + c.arrivalRate()*c.Horizon; !(n <= math.MaxInt32) {
+		return fmt.Errorf("trace: Initial + rate·Horizon = %.4g sessions exceed the overlay's id space (%d)", n, math.MaxInt32)
+	}
+	return nil
+}
+
+// arrivalRate is the configured arrival rate, or the stationary rate
+// Initial/Session.Mean when none is set.
+func (c Config) arrivalRate() float64 {
+	if c.ArrivalRate != 0 {
+		return c.ArrivalRate
+	}
+	return float64(c.Initial) / c.Session.Mean
+}
+
+// start returns the empty trace a generator fills, the arrival rate and
+// the diurnal period (Horizon/2 when unset).
+func (c Config) start() (tr *Trace, rate, period float64) {
+	tr = &Trace{Name: c.Name, Initial: c.Initial, Horizon: c.Horizon}
+	if tr.Name == "" {
+		tr.Name = c.Session.Kind.String()
+	}
+	if period = c.DiurnalPeriod; period == 0 {
+		period = c.Horizon / 2
+	}
+	return tr, c.arrivalRate(), period
 }
 
 // Generate builds a trace from the config, drawing all randomness from
@@ -156,23 +207,12 @@ func Generate(cfg Config, rng *xrand.Rand) (*Trace, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	tr := &Trace{Name: cfg.Name, Initial: cfg.Initial, Horizon: cfg.Horizon}
-	if tr.Name == "" {
-		tr.Name = cfg.Session.Kind.String()
-	}
+	tr, rate, period := cfg.start()
 	// Initial population: residual lifetimes.
 	for s := 0; s < cfg.Initial; s++ {
 		if d := cfg.Session.Draw(rng); d < cfg.Horizon {
 			tr.Events = append(tr.Events, Event{T: d, Session: s, Op: Leave})
 		}
-	}
-	rate := cfg.ArrivalRate
-	if rate == 0 {
-		rate = float64(cfg.Initial) / cfg.Session.Mean
-	}
-	period := cfg.DiurnalPeriod
-	if period == 0 {
-		period = cfg.Horizon / 2
 	}
 	next := cfg.Initial
 	if rate > 0 {
@@ -202,26 +242,61 @@ func Generate(cfg Config, rng *xrand.Rand) (*Trace, error) {
 // compositors it expects the events in canonical order (every generator
 // and reader leaves them so) and keeps them in it.
 func (t *Trace) AddFlashCrowd(at float64, count int, d SessionDist, rng *xrand.Rand) error {
-	if at < 0 || at > t.Horizon {
-		return fmt.Errorf("trace: flash crowd at t=%g outside [0, %g]", at, t.Horizon)
+	if !(at >= 0 && at <= t.Horizon) {
+		return fmt.Errorf("trace: flash crowd at=%g outside [0, %g]", at, t.Horizon)
 	}
-	if count < 0 {
-		return errors.New("trace: flash crowd count must be >= 0")
+	first := t.Sessions()
+	if count < 0 || count > math.MaxInt32-first {
+		return fmt.Errorf("trace: flash crowd count=%d outside [0, %d]: the overlay's id space holds %d sessions already",
+			count, max(0, math.MaxInt32-first), first)
 	}
 	if err := d.validate(); err != nil {
 		return err
 	}
-	next, from := t.Sessions(), len(t.Events)
-	t.Events = slices.Grow(t.Events, 2*count)
+	// Room for the joins first, then the departures, in draw order.
+	from := len(t.Events)
+	t.Events = slices.Grow(t.Events, 2*count)[:from+count]
 	for i := 0; i < count; i++ {
-		t.Events = append(t.Events, Event{T: at, Session: next, Op: Join})
 		if end := at + d.Draw(rng); end < t.Horizon {
-			t.Events = append(t.Events, Event{T: end, Session: next, Op: Leave})
+			t.Events = append(t.Events, Event{T: end, Session: first + i, Op: Leave})
 		}
-		next++
+	}
+	// The joins (one instant, ascending sessions) are in order already:
+	// sort the departures alone and merge the two runs forward into the
+	// room; the write index k never passes the next departure's, l.
+	tail, j, l := t.Events[from:], 0, count
+	slices.SortFunc(tail[count:], eventCmp)
+	for k := range tail {
+		join := Event{T: at, Session: first + j, Op: Join}
+		if j < count && (l == len(tail) || eventCmp(join, tail[l]) < 0) {
+			tail[k] = join
+			j++
+		} else {
+			tail[k] = tail[l]
+			l++
+		}
 	}
 	t.mergeTail(from)
 	return nil
+}
+
+// victims rejects a fraction outside [0, 1] (NaN included) for the named
+// compositor, then draws k = fraction·|alive| of the sessions alive just
+// after at, uniformly via rng, into a flat table indexed by session
+// (sized to every session the trace references).
+func (t *Trace) victims(what string, at, fraction float64, rng *xrand.Rand) (victim []bool, k int, err error) {
+	if !(fraction >= 0 && fraction <= 1) {
+		return nil, 0, fmt.Errorf("trace: %s fraction=%g outside [0, 1]", what, fraction)
+	}
+	alive, sessions := t.aliveAt(at)
+	if k = int(fraction * float64(len(alive))); k == 0 {
+		return nil, 0, nil
+	}
+	victim = make([]bool, sessions)
+	for _, idx := range rng.SampleK(len(alive), k) {
+		victim[alive[idx]] = true
+	}
+	return victim, k, nil
 }
 
 // AddMassFailure composes a correlated failure onto the trace: the given
@@ -229,33 +304,25 @@ func (t *Trace) AddFlashCrowd(at float64, count int, d SessionDist, rng *xrand.R
 // (their original departures, if any, are dropped). Victims are drawn
 // uniformly from the alive set via rng.
 func (t *Trace) AddMassFailure(at, fraction float64, rng *xrand.Rand) error {
-	if at < 0 || at > t.Horizon {
-		return fmt.Errorf("trace: mass failure at t=%g outside [0, %g]", at, t.Horizon)
+	if !(at >= 0 && at <= t.Horizon) {
+		return fmt.Errorf("trace: mass failure at=%g outside [0, %g]", at, t.Horizon)
 	}
-	if fraction < 0 || fraction > 1 {
-		return errors.New("trace: mass failure fraction must be in [0, 1]")
-	}
-	alive := t.aliveAt(at)
-	k := int(fraction * float64(len(alive)))
+	victim, k, err := t.victims("mass failure", at, fraction, rng)
 	if k == 0 {
-		return nil
-	}
-	victims := make(map[int]bool, k)
-	for _, idx := range rng.SampleK(len(alive), k) {
-		victims[alive[idx]] = true
+		return err
 	}
 	// Drop the victims' scheduled departures after the failure instant,
-	// then fail them at it.
+	// then fail them at it: one instant, ascending sessions, a sorted run.
 	kept := t.Events[:0]
 	for _, ev := range t.Events {
-		if ev.Op == Leave && ev.T > at && victims[ev.Session] {
+		if ev.Op == Leave && ev.T > at && victim[ev.Session] {
 			continue
 		}
 		kept = append(kept, ev)
 	}
 	t.Events = slices.Grow(kept, k)
-	for _, s := range alive {
-		if victims[s] {
+	for s, v := range victim {
+		if v {
 			t.Events = append(t.Events, Event{T: at, Session: s, Op: Leave})
 		}
 	}
@@ -273,49 +340,46 @@ func (t *Trace) AddMassFailure(at, fraction float64, rng *xrand.Rand) error {
 // schedule; victims that would have left during the window simply stay
 // gone. Victims are drawn uniformly from the alive set via rng.
 func (t *Trace) AddPartitionHeal(splitAt, healAt, fraction float64, rng *xrand.Rand) error {
-	if splitAt < 0 || healAt > t.Horizon || splitAt >= healAt {
-		return fmt.Errorf("trace: partition window [%g, %g] outside [0, %g]", splitAt, healAt, t.Horizon)
+	if !(splitAt >= 0 && splitAt < t.Horizon) {
+		return fmt.Errorf("trace: partition window: splitAt=%g outside [0, %g)", splitAt, t.Horizon)
 	}
-	if fraction < 0 || fraction > 1 {
-		return errors.New("trace: partition fraction must be in [0, 1]")
+	if !(healAt > splitAt && healAt <= t.Horizon) {
+		return fmt.Errorf("trace: partition window: healAt=%g outside (%g, %g]", healAt, splitAt, t.Horizon)
 	}
-	alive := t.aliveAt(splitAt)
-	k := int(fraction * float64(len(alive)))
+	victim, k, err := t.victims("partition", splitAt, fraction, rng)
 	if k == 0 {
-		return nil
-	}
-	victims := make(map[int]bool, k)
-	for _, idx := range rng.SampleK(len(alive), k) {
-		victims[alive[idx]] = true
+		return err
 	}
 	// Each victim's scheduled departure, if any, decides its fate: gone
-	// for good when it falls inside the window, a survivor otherwise.
-	leaveOf := make(map[int]float64, k)
+	// for good when it falls inside the window, a survivor otherwise. It
+	// lies after the split, so 0 means none is scheduled.
+	leaveOf := make([]float64, len(victim))
 	kept := t.Events[:0]
 	for _, ev := range t.Events {
-		if ev.Op == Leave && ev.T > splitAt && victims[ev.Session] {
+		if ev.Op == Leave && ev.T > splitAt && victim[ev.Session] {
 			leaveOf[ev.Session] = ev.T
 			continue
 		}
 		kept = append(kept, ev)
 	}
 	t.Events = slices.Grow(kept, 3*k)
-	next := t.Sessions()
-	for _, s := range alive {
-		if !victims[s] {
+	next := len(victim)
+	for s, v := range victim {
+		if !v {
 			continue
 		}
 		t.Events = append(t.Events, Event{T: splitAt, Session: s, Op: Leave})
-		end, scheduled := leaveOf[s]
-		if scheduled && end <= healAt {
+		end := leaveOf[s]
+		if end != 0 && end <= healAt {
 			continue // departed behind the partition; never comes back
 		}
 		t.Events = append(t.Events, Event{T: healAt, Session: next, Op: Join})
-		if scheduled {
+		if end != 0 {
 			t.Events = append(t.Events, Event{T: end, Session: next, Op: Leave})
 		}
 		next++
 	}
+	slices.SortFunc(t.Events[len(kept):], eventCmp)
 	t.mergeTail(len(kept))
 	return nil
 }

@@ -7,20 +7,24 @@ package trace
 // sequential Poisson chain (one Exp draw per candidate — cheap), but
 // every session's lifetime comes from its own (seed, session) stream,
 // so the expensive part — drawing lifetimes and materializing events —
-// fans out over fixed-size session chunks on the worker pool. Each
-// chunk sorts its events locally and the chunks are merged
-// deterministically by (time, session, op), the same canonical order
-// Normalize produces.
+// fans out over fixed-size session chunks on the worker pool.
 //
-// Determinism contract: chunk boundaries are a pure function of the
-// session count, per-session streams are a pure function of (seed,
-// session id), and the merge order is fixed — so equal (Config, seed)
-// give byte-identical traces at every workers setting. The draw scheme
-// differs from Generate's single-stream sequence, so the two generators
-// produce different (equally distributed) traces for the same seed;
-// callers pick one and stay with it.
+// One bucketed counting sort orders the events. An event's time bucket,
+// floor(T·genBuckets/Horizon), never decreases as T grows, so buckets
+// sorted one by one and laid end to end are the canonical order. Chunks
+// draw their sessions' end times into a flat table (8 bytes per session)
+// and count their events per bucket; a prefix sum gives each chunk a
+// private range in every bucket; the chunks write their events straight
+// into the one output slice, and the buckets are sorted in place.
+//
+// Determinism contract: per-session streams are a pure function of
+// (seed, session id), and no two events compare equal, so the output
+// has one possible value at every workers setting. It differs from
+// Generate's single-stream draws (the traces are equally distributed);
+// callers pick one generator and stay with it.
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -28,34 +32,31 @@ import (
 	"p2psize/internal/xrand"
 )
 
-// genChunk is the fixed session-chunk size of the parallel generator —
-// part of nothing: since the merged output is fully sorted, the chunk
-// size only shapes scheduling granularity. It is a constant anyway so
-// the per-chunk sort/merge pattern never depends on the machine.
-const genChunk = 8192
+// genChunk (sessions per chunk) and genBuckets (time buckets) shape the
+// parallel generator's work and nothing else, since the output is fully
+// sorted; they are constants anyway so the work pattern never depends on
+// the machine. A chunk's bucket counts cost 4 bytes per session, and a
+// million-event trace leaves a few hundred events per bucket to sort.
+const (
+	genChunk   = 8192
+	genBuckets = 4096
+)
 
-// eventLess is the canonical (T, Session, Op) order; Normalize sorts by
-// it and the parallel generator's merge depends on sharing exactly it.
-func eventLess(a, b Event) bool {
-	if a.T != b.T {
-		return a.T < b.T
-	}
-	if a.Session != b.Session {
-		return a.Session < b.Session
-	}
-	return a.Op < b.Op
-}
-
-// eventCmp is eventLess three-way. Events that compare equal are the
-// same event, so an unstable sort by it has one possible result.
+// eventCmp is the canonical (T, Session, Op) order, three-way. Events
+// that compare equal are the same event, so an unstable sort by it has
+// one possible result.
 func eventCmp(a, b Event) int {
 	switch {
-	case eventLess(a, b):
+	case a.T < b.T:
 		return -1
-	case eventLess(b, a):
+	case a.T > b.T:
 		return 1
+	case a.T != b.T: // a NaN time (only Validate's input holds one)
+		return 0
+	case a.Session != b.Session:
+		return cmp.Compare(a.Session, b.Session)
 	}
-	return 0
+	return int(a.Op) - int(b.Op)
 }
 
 // GenerateParallel builds a trace of the same workload model as
@@ -66,21 +67,10 @@ func GenerateParallel(cfg Config, seed uint64, workers int) (*Trace, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	tr := &Trace{Name: cfg.Name, Initial: cfg.Initial, Horizon: cfg.Horizon}
-	if tr.Name == "" {
-		tr.Name = cfg.Session.Kind.String()
-	}
+	tr, rate, period := cfg.start()
 	// Phase 1, sequential: the Poisson arrival chain (inhomogeneous
 	// arrivals by thinning, like Generate). One Exp draw plus at most
 	// one Float64 per candidate — microseconds per million arrivals.
-	rate := cfg.ArrivalRate
-	if rate == 0 {
-		rate = float64(cfg.Initial) / cfg.Session.Mean
-	}
-	period := cfg.DiurnalPeriod
-	if period == 0 {
-		period = cfg.Horizon / 2
-	}
 	var arrivals []float64
 	if rate > 0 {
 		rng := xrand.NewStream(seed, 0)
@@ -95,74 +85,81 @@ func GenerateParallel(cfg Config, seed uint64, workers int) (*Trace, error) {
 			arrivals = append(arrivals, t)
 		}
 	}
-	// Phase 2, parallel: session lifetimes and events, chunked by
-	// session id. Sessions 0..Initial-1 are the steady-state residuals
-	// (a Leave if the residual lifetime ends inside the horizon);
-	// session Initial+i joins at arrivals[i].
+	// Sessions 0..Initial-1 are the steady-state residuals (a Leave if
+	// the residual lifetime ends inside the horizon); session Initial+i
+	// joins at arrivals[i] (and leaves at its end time, if inside).
 	sessions := cfg.Initial + len(arrivals)
 	chunks := (sessions + genChunk - 1) / genChunk
 	if chunks == 0 {
-		tr.Normalize()
 		return tr, nil
 	}
-	sorted, err := parallel.Map(workers, chunks, func(c int) ([]Event, error) {
-		lo, hi := c*genChunk, min((c+1)*genChunk, sessions)
-		out := make([]Event, 0, 2*(hi-lo))
-		for s := lo; s < hi; s++ {
-			rng := xrand.NewStream(seed+1, uint64(s))
-			d := cfg.Session.Draw(rng)
-			if s < cfg.Initial {
-				if d < cfg.Horizon {
-					out = append(out, Event{T: d, Session: s, Op: Leave})
-				}
-				continue
+	bucket := func(t float64) int { return min(int(t/cfg.Horizon*genBuckets), genBuckets-1) }
+	ends := make([]float64, sessions)
+	// counts[c*genBuckets+b] is chunk c's event count in bucket b, then
+	// (phase 3 on) its next write index in the output.
+	counts := make([]int, chunks*genBuckets)
+	// Phase 2, parallel: one lifetime draw per session, events counted.
+	_ = parallel.ForEach(workers, chunks, func(c int) error {
+		cnt := counts[c*genBuckets : (c+1)*genBuckets]
+		var rng xrand.Rand
+		for s := c * genChunk; s < min((c+1)*genChunk, sessions); s++ {
+			rng.SeedStream(seed+1, uint64(s))
+			end := cfg.Session.Draw(&rng)
+			if s >= cfg.Initial {
+				t := arrivals[s-cfg.Initial]
+				cnt[bucket(t)]++
+				end += t
 			}
-			t := arrivals[s-cfg.Initial]
-			out = append(out, Event{T: t, Session: s, Op: Join})
-			if end := t + d; end < cfg.Horizon {
-				out = append(out, Event{T: end, Session: s, Op: Leave})
+			if end < cfg.Horizon {
+				cnt[bucket(end)]++
 			}
+			ends[s] = end
 		}
-		slices.SortFunc(out, eventCmp)
-		return out, nil
+		return nil
 	})
-	if err != nil {
-		return nil, err // unreachable: chunk fns never fail
-	}
-	// Phase 3: merge the sorted runs pairwise, rounds of disjoint pairs
-	// running on the pool, until one canonical run remains. The pairing
-	// is fixed by run count alone, so the merge tree — and the output —
-	// never depends on workers.
-	for len(sorted) > 1 {
-		half := (len(sorted) + 1) / 2
-		next := make([][]Event, half)
-		_ = parallel.ForEach(workers, half, func(i int) error {
-			if 2*i+1 == len(sorted) {
-				next[i] = sorted[2*i]
-				return nil
-			}
-			next[i] = mergeEvents(sorted[2*i], sorted[2*i+1])
-			return nil
-		})
-		sorted = next
-	}
-	tr.Events = sorted[0]
-	return tr, nil
-}
-
-// mergeEvents merges two canonically sorted event runs.
-func mergeEvents(a, b []Event) []Event {
-	out := make([]Event, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if eventLess(b[j], a[i]) {
-			out = append(out, b[j])
-			j++
-		} else {
-			out = append(out, a[i])
-			i++
+	// Phase 3, sequential: bucket b starts where buckets 0..b-1 end, and
+	// in it chunk c writes after chunks 0..c-1 (two passes in table order).
+	starts := make([]int, genBuckets+1)
+	for c := 0; c < len(counts); c += genBuckets {
+		for b, n := range counts[c : c+genBuckets] {
+			starts[b+1] += n
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	for b := range genBuckets {
+		starts[b+1] += starts[b]
+	}
+	next := slices.Clone(starts[:genBuckets])
+	for c := 0; c < len(counts); c += genBuckets {
+		cnt := counts[c : c+genBuckets]
+		for b, n := range cnt {
+			cnt[b] = next[b]
+			next[b] += n
+		}
+	}
+	// Phase 4, parallel: every chunk writes its events into its ranges.
+	events := make([]Event, starts[genBuckets])
+	_ = parallel.ForEach(workers, chunks, func(c int) error {
+		pos := counts[c*genBuckets : (c+1)*genBuckets]
+		put := func(ev Event) {
+			b := bucket(ev.T)
+			events[pos[b]] = ev
+			pos[b]++
+		}
+		for s := c * genChunk; s < min((c+1)*genChunk, sessions); s++ {
+			if s >= cfg.Initial {
+				put(Event{T: arrivals[s-cfg.Initial], Session: s, Op: Join})
+			}
+			if end := ends[s]; end < cfg.Horizon {
+				put(Event{T: end, Session: s, Op: Leave})
+			}
+		}
+		return nil
+	})
+	// Phase 5, parallel: sort each bucket in place.
+	_ = parallel.ForEach(workers, genBuckets, func(b int) error {
+		slices.SortFunc(events[starts[b]:starts[b+1]], eventCmp)
+		return nil
+	})
+	tr.Events = events
+	return tr, nil
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -23,8 +24,7 @@ func trSessionDist() SessionDist {
 
 // TestGenerateParallelWorkerInvariance is the generator's determinism
 // contract: equal (Config, seed) give byte-identical traces at every
-// workers setting, across enough sessions to span several chunks (and
-// therefore several merge rounds).
+// workers setting, across enough sessions to span several chunks.
 func TestGenerateParallelWorkerInvariance(t *testing.T) {
 	cfg := parallelCfg(3 * genChunk) // ~6 chunks incl. arrivals
 	ref, err := GenerateParallel(cfg, 7, 1)
@@ -62,7 +62,7 @@ func TestGenerateParallelCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(tr.Events); i++ {
-		if eventLess(tr.Events[i], tr.Events[i-1]) {
+		if eventCmp(tr.Events[i], tr.Events[i-1]) < 0 {
 			t.Fatalf("events %d and %d out of canonical order", i-1, i)
 		}
 	}
@@ -96,6 +96,76 @@ func TestGenerateParallelMatchesSequentialStatistically(t *testing.T) {
 		if d := relDiff(seqTr.SizeAt(at), parTr.SizeAt(at)); d > 0.10 {
 			t.Fatalf("population at t=%g diverges %.1f%%: seq %d, par %d",
 				at, 100*d, seqTr.SizeAt(at), parTr.SizeAt(at))
+		}
+	}
+}
+
+// sameEvents reports the first difference between two event lists, time
+// compared bit for bit.
+func sameEvents(got, want []Event) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d events, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float64bits(g.T) != math.Float64bits(w.T) || g.Session != w.Session || g.Op != w.Op {
+			return fmt.Errorf("event %d is %+v, reference %+v", i, g, w)
+		}
+	}
+	return nil
+}
+
+// TestGenerateParallelReference holds the bucketed generator to the
+// merge tree it replaced, event for event: every session family, with
+// and without diurnal modulation, at the stationary and at an explicit
+// arrival rate (zero arrivals when Initial is 0 too), on populations
+// around one chunk and across three, at several worker counts.
+func TestGenerateParallelReference(t *testing.T) {
+	dists := []SessionDist{
+		{Kind: Exponential, Mean: 60},
+		{Kind: Weibull, Mean: 60, Shape: 0.5},
+		{Kind: LogNormal, Mean: 60, Shape: 1.5},
+		{Kind: Pareto, Mean: 60, Shape: 1.5},
+	}
+	for _, d := range dists {
+		for _, amp := range []float64{0, 0.7} {
+			for _, rate := range []float64{0, 40} {
+				for _, initial := range []int{0, 1, genChunk - 1, genChunk, genChunk + 1, 3 * genChunk} {
+					cfg := Config{Initial: initial, Horizon: 100, ArrivalRate: rate, Session: d, DiurnalAmplitude: amp}
+					seed := uint64(initial) + 7
+					want, err := refGenerateParallel(cfg, seed, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, workers := range []int{1, 2, 8} {
+						got, err := GenerateParallel(cfg, seed, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := sameEvents(got.Events, want.Events); err != nil {
+							t.Fatalf("%s, amplitude %g, rate %g, initial %d, workers %d: %v", d, amp, rate, initial, workers, err)
+						}
+						if got.Name != want.Name || got.Initial != want.Initial || got.Horizon != want.Horizon {
+							t.Fatalf("%s: header %q/%d/%g, reference %q/%d/%g", d, got.Name, got.Initial, got.Horizon, want.Name, want.Initial, want.Horizon)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEventCmp: the one three-way comparison orders every pair as the
+// two eventLess calls it replaced did, ties on T and on Session, signed
+// zeros and NaN times included.
+func TestEventCmp(t *testing.T) {
+	times := []float64{math.Copysign(0, -1), 0, 0.5, 1, math.NaN(), math.Inf(1)}
+	rng := xrand.New(9)
+	for i := 0; i < 20000; i++ {
+		a := Event{T: times[rng.Intn(len(times))], Session: rng.Intn(4) - 1, Op: Op(rng.Intn(2))}
+		b := Event{T: times[rng.Intn(len(times))], Session: rng.Intn(4) - 1, Op: Op(rng.Intn(2))}
+		if got, want := eventCmp(a, b), refEventCmp(a, b); (got > 0) != (want > 0) || (got < 0) != (want < 0) {
+			t.Fatalf("eventCmp(%+v, %+v) = %d, reference %d", a, b, got, want)
 		}
 	}
 }

@@ -71,22 +71,21 @@ type Trace struct {
 }
 
 // Normalize sorts the events into the canonical (T, Session, Op) order
-// (eventLess — the same comparator the parallel generator's merge
+// (eventCmp — the same comparator the parallel generator's bucket sort
 // uses). Generators and readers call it before returning; callers that
 // build Events by hand should too. Compositors keep the order with
 // mergeTail instead.
 func (t *Trace) Normalize() { slices.SortFunc(t.Events, eventCmp) }
 
-// mergeTail restores the canonical order after a compositor appended
-// Events[from:] to a prefix that already had it: the tail is sorted,
+// mergeTail restores the canonical order after a compositor appended a
+// sorted run Events[from:] to a prefix that already had it: the run is
 // copied out and merged in from the back, in place — no sort of the
 // millions of events before it, no second slice of them.
 func (t *Trace) mergeTail(from int) {
 	tail := slices.Clone(t.Events[from:])
-	slices.SortFunc(tail, eventCmp)
 	i, j := from-1, len(tail)-1
 	for k := len(t.Events) - 1; j >= 0; k-- {
-		if i >= 0 && eventLess(tail[j], t.Events[i]) {
+		if i >= 0 && eventCmp(tail[j], t.Events[i]) < 0 {
 			t.Events[k] = t.Events[i]
 			i--
 		} else {
@@ -223,23 +222,35 @@ func (t *Trace) SizeAt(at float64) int {
 	return n
 }
 
-// aliveAt returns the sorted session ids alive just after time at.
-func (t *Trace) aliveAt(at float64) []int {
-	alive := make([]bool, t.Sessions())
-	for s := 0; s < t.Initial; s++ {
-		alive[s] = true
+// aliveAt returns the sorted session ids alive just after time at and
+// the number of sessions the trace references (Sessions), from one pass
+// over the events.
+func (t *Trace) aliveAt(at float64) (alive []int, sessions int) {
+	state := make([]bool, t.Initial)
+	for s := range state {
+		state[s] = true
 	}
+	n, top := t.Initial, -1
 	for _, ev := range t.Events {
+		top = max(top, ev.Session)
 		if ev.T > at {
-			break
+			continue
 		}
-		alive[ev.Session] = ev.Op == Join
+		if ev.Session >= len(state) {
+			state = slices.Grow(state, ev.Session+1-len(state))[:ev.Session+1]
+		}
+		state[ev.Session] = ev.Op == Join
+		if ev.Op == Join {
+			n++
+		} else {
+			n--
+		}
 	}
-	out := make([]int, 0, max(0, t.SizeAt(at)))
-	for s, ok := range alive {
+	alive = make([]int, 0, max(0, n))
+	for s, ok := range state {
 		if ok {
-			out = append(out, s)
+			alive = append(alive, s)
 		}
 	}
-	return out
+	return alive, max(t.Initial, top+1)
 }

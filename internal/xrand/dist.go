@@ -59,21 +59,21 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 	}
 }
 
-// SampleK fills out with k distinct values drawn uniformly from [0, n)
-// using Floyd's algorithm, and returns out[:k]. It panics if k > n or k < 0.
-// The order of the returned sample is itself uniformly shuffled.
+// SampleK returns k distinct values drawn uniformly from [0, n), in
+// uniformly shuffled order, by Floyd's algorithm over a flat bitset of
+// the values seen (n/8 bytes). It panics if k > n or k < 0.
 func (r *Rand) SampleK(n, k int) []int {
 	if k < 0 || k > n {
 		panic("xrand: SampleK with k outside [0, n]")
 	}
-	seen := make(map[int]struct{}, k)
+	seen := make([]uint64, (n+63)/64)
 	out := make([]int, 0, k)
 	for j := n - k; j < n; j++ {
 		t := r.Intn(j + 1)
-		if _, dup := seen[t]; dup {
+		if seen[t>>6]&(1<<(t&63)) != 0 {
 			t = j
 		}
-		seen[t] = struct{}{}
+		seen[t>>6] |= 1 << (t & 63)
 		out = append(out, t)
 	}
 	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })

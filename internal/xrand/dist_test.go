@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -73,6 +74,42 @@ func TestSampleKDistinct(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refSampleK is SampleK with the map-based seen set it had before the
+// flat bitset.
+func refSampleK(r *Rand, n, k int) []int {
+	seen := make(map[int]struct{}, k)
+	out := make([]int, 0, k)
+	for j := n - k; j < n; j++ {
+		t := r.Intn(j + 1)
+		if _, dup := seen[t]; dup {
+			t = j
+		}
+		seen[t] = struct{}{}
+		out = append(out, t)
+	}
+	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// TestSampleKReference: the bitset draws the sample the map drew, in
+// the same order, and leaves the generator where the map left it, for
+// k of 0, 1, n/2 and n on either side of a bitset word.
+func TestSampleKReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 63, 64, 65, 1000, 4097} {
+		for _, k := range []int{0, min(1, n), n / 2, n} {
+			for seed := uint64(1); seed <= 5; seed++ {
+				got, want := New(seed), New(seed)
+				if g, w := got.SampleK(n, k), refSampleK(want, n, k); !slices.Equal(g, w) {
+					t.Fatalf("SampleK(%d, %d) seed %d = %v, reference %v", n, k, seed, g, w)
+				}
+				if *got != *want {
+					t.Fatalf("SampleK(%d, %d) seed %d: generator state differs from the reference's", n, k, seed)
+				}
+			}
+		}
 	}
 }
 

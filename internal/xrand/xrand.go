@@ -77,13 +77,18 @@ func (r *Rand) Seed(seed uint64) {
 // one stream per run index this way: the draws of run i are fixed by
 // (seed, i) alone, independent of worker count and scheduling.
 func NewStream(seed, stream uint64) *Rand {
-	r := alloc(
-		splitmix64(seed^splitmix64(stream+0x632be59bd9b4e019)),
-		splitmix64(seed+0x9e3779b97f4a7c15+splitmix64(stream)),
-	)
-	r.Uint64()
-	r.Uint64()
+	r := alloc(0, 0)
+	r.SeedStream(seed, stream)
 	return r
+}
+
+// SeedStream resets r to NewStream(seed, stream)'s state in place, so a
+// generator on the stack costs no allocation per stream.
+func (r *Rand) SeedStream(seed, stream uint64) {
+	r.hi = splitmix64(seed ^ splitmix64(stream+0x632be59bd9b4e019))
+	r.lo = splitmix64(seed + 0x9e3779b97f4a7c15 + splitmix64(stream))
+	r.Uint64()
+	r.Uint64()
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator; it is used only

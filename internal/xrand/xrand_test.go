@@ -265,6 +265,19 @@ func TestUint64BitBalance(t *testing.T) {
 	}
 }
 
+// TestSeedStream: seeding a generator in place gives NewStream's state,
+// whatever state the generator held before.
+func TestSeedStream(t *testing.T) {
+	r := New(99)
+	for s := uint64(0); s < 100; s++ {
+		r.SeedStream(s/3, s)
+		if *r != *NewStream(s/3, s) {
+			t.Fatalf("SeedStream(%d, %d) differs from NewStream", s/3, s)
+		}
+		r.Uint64()
+	}
+}
+
 func TestNewStreamDeterministicAndDistinct(t *testing.T) {
 	a := NewStream(1, 7)
 	b := NewStream(1, 7)

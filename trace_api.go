@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"p2psize/internal/trace"
 	"p2psize/internal/xrand"
@@ -72,7 +73,7 @@ type TraceOptions struct {
 	// Name labels the trace in reports (default: the session family).
 	Name string
 	// Workers selects the parallel generator: per-session random
-	// streams fanned across up to Workers goroutines and merged
+	// streams fanned across up to Workers goroutines and sorted
 	// deterministically, ~3x faster on million-session traces and
 	// byte-identical at every positive setting. 0 keeps the sequential
 	// reference generator — a different (equally distributed) draw
@@ -140,6 +141,9 @@ func GenerateTrace(opts TraceOptions) (*Trace, error) {
 // horizon); lifetimes are drawn Pareto with tail index 1.5, the typical
 // flash-crowd profile. Seed makes the composition deterministic.
 func (t *Trace) AddFlashCrowd(at float64, count int, meanStay float64, seed uint64) error {
+	if !(meanStay >= 0) || math.IsInf(meanStay, 1) {
+		return fmt.Errorf("p2psize: flash crowd meanStay=%g must be finite and >= 0", meanStay)
+	}
 	if meanStay == 0 {
 		meanStay = t.tr.Horizon / 20
 	}

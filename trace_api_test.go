@@ -262,3 +262,82 @@ func TestGenerateTraceRejectsBadOptions(t *testing.T) {
 		t.Fatal("unknown session model accepted")
 	}
 }
+
+// TestGenerateTraceRejectsNonFinite: a non-finite or runaway parameter
+// is an error that names it, from either generator, where it used to
+// hang (an infinite or huge rate), panic (an infinite mean) or return
+// an empty trace (a NaN mean or horizon).
+func TestGenerateTraceRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		opts TraceOptions
+		want string
+	}{
+		{"NaN horizon", TraceOptions{Horizon: nan}, "Horizon"},
+		{"infinite horizon", TraceOptions{Horizon: inf}, "Horizon"},
+		{"infinite rate", TraceOptions{ArrivalRate: inf}, "ArrivalRate"},
+		{"NaN rate", TraceOptions{ArrivalRate: nan}, "ArrivalRate"},
+		{"huge rate", TraceOptions{ArrivalRate: 1e300}, "id space"},
+		{"infinite mean", TraceOptions{MeanSession: inf}, "Mean"},
+		{"NaN mean", TraceOptions{MeanSession: nan}, "Mean"},
+		{"subnormal mean", TraceOptions{MeanSession: 5e-324}, "parameter"},
+		{"tiny mean", TraceOptions{MeanSession: 1e-300}, "id space"},
+		{"NaN shape", TraceOptions{Sessions: WeibullSessions, Shape: nan}, "Shape"},
+		{"vanishing shape", TraceOptions{Sessions: WeibullSessions, Shape: 1e-300}, "parameter"},
+		{"NaN amplitude", TraceOptions{DiurnalAmplitude: nan}, "DiurnalAmplitude"},
+		{"infinite period", TraceOptions{DiurnalPeriod: inf}, "DiurnalPeriod"},
+	} {
+		for _, workers := range []int{0, 2} {
+			opts := tc.opts
+			opts.Nodes, opts.Seed, opts.Workers = 100, 1, workers
+			if opts.Horizon == 0 {
+				opts.Horizon = 100
+			}
+			tr, err := GenerateTrace(opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, workers %d: trace %v, err %v; want an error naming %q", tc.name, workers, tr, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestTraceComposeRejectsBadArguments: every compositor names the
+// argument it refuses — NaN instants and fractions, a non-finite stay,
+// counts the id space cannot hold — and leaves the trace as it was.
+func TestTraceComposeRejectsBadArguments(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name    string
+		compose func(*Trace) error
+		want    string
+	}{
+		{"failure at NaN", func(tr *Trace) error { return tr.AddMassFailure(nan, 0.5, 1) }, "at=NaN"},
+		{"failure fraction NaN", func(tr *Trace) error { return tr.AddMassFailure(10, nan, 1) }, "fraction=NaN"},
+		{"failure fraction above 1", func(tr *Trace) error { return tr.AddMassFailure(10, 1.5, 1) }, "fraction=1.5"},
+		{"split at NaN", func(tr *Trace) error { return tr.AddPartitionHeal(nan, 50, 0.5, 1) }, "splitAt=NaN"},
+		{"heal at NaN", func(tr *Trace) error { return tr.AddPartitionHeal(10, nan, 0.5, 1) }, "healAt=NaN"},
+		{"heal before split", func(tr *Trace) error { return tr.AddPartitionHeal(50, 10, 0.5, 1) }, "healAt=10"},
+		{"partition fraction NaN", func(tr *Trace) error { return tr.AddPartitionHeal(10, 50, nan, 1) }, "fraction=NaN"},
+		{"crowd at NaN", func(tr *Trace) error { return tr.AddFlashCrowd(nan, 10, 0, 1) }, "at=NaN"},
+		{"crowd at infinity", func(tr *Trace) error { return tr.AddFlashCrowd(inf, 10, 0, 1) }, "at=+Inf"},
+		{"crowd stay NaN", func(tr *Trace) error { return tr.AddFlashCrowd(10, 10, nan, 1) }, "meanStay=NaN"},
+		{"crowd stay infinite", func(tr *Trace) error { return tr.AddFlashCrowd(10, 10, inf, 1) }, "meanStay=+Inf"},
+		{"crowd stay negative", func(tr *Trace) error { return tr.AddFlashCrowd(10, 10, -1, 1) }, "meanStay=-1"},
+		{"crowd count negative", func(tr *Trace) error { return tr.AddFlashCrowd(10, -1, 0, 1) }, "count=-1"},
+		{"crowd count overflowing", func(tr *Trace) error { return tr.AddFlashCrowd(10, math.MaxInt, 0, 1) }, "count="},
+		{"crowd count past the id space", func(tr *Trace) error { return tr.AddFlashCrowd(10, math.MaxInt32, 0, 1) }, "count="},
+	} {
+		tr, err := GenerateTrace(TraceOptions{Nodes: 100, Horizon: 100, Seed: 2, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		joins, leaves := tr.Joins(), tr.Leaves()
+		if err := tc.compose(tr); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		if tr.Joins() != joins || tr.Leaves() != leaves {
+			t.Errorf("%s: the rejected composition changed the trace", tc.name)
+		}
+	}
+}
