@@ -172,7 +172,8 @@ func (p *Protocol) participant(id graph.NodeID) bool {
 	return int(id) < len(p.epochOf) && p.epochOf[id] == p.epoch
 }
 
-// value returns id's current-epoch value, joining it with 0 if needed.
+// join enrolls id in the current epoch with initial value 0, unless it
+// already participates.
 func (p *Protocol) join(id graph.NodeID) {
 	if !p.participant(id) {
 		p.values[id] = 0

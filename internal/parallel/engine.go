@@ -27,6 +27,8 @@ package parallel
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"p2psize/internal/xrand"
 )
@@ -150,6 +152,29 @@ func (sh *Shard[D]) DeferredTotal() int {
 	return total
 }
 
+// resetBuckets empties the shard's deferral buckets for a round of the
+// given shard count and makes room in each foreign bucket for its share
+// of a segLen-key segment. A visit defers at most one payload, to a
+// partner's shard, so a bucket expects m = segLen/shards payloads with a
+// spread of about √m; room for m + 2√m lets a fresh bucket take the
+// round in one allocation instead of append's chain of regrowths (about
+// twice the final bytes). slices.Grow keeps the later growth geometric:
+// room that creeps up by a few keys per round, as on a growing overlay,
+// re-makes a bucket only when a step's headroom is used up.
+func (sh *Shard[D]) resetBuckets(shards, segLen int) {
+	for len(sh.def) < shards {
+		sh.def = append(sh.def, nil)
+	}
+	m := segLen / shards
+	room := m + 2*int(math.Sqrt(float64(m)))
+	for t := range sh.def {
+		sh.def[t] = sh.def[t][:0]
+		if t != sh.Index && t < shards {
+			sh.def[t] = slices.Grow(sh.def[t], room)
+		}
+	}
+}
+
 // Sweep describes one family's round to the engine: the sweep's keys and
 // the protocol callbacks. All randomness inside the callbacks must come
 // from the *xrand.Rand they are handed — never from shared state — for
@@ -194,8 +219,13 @@ type Sweep[D any] struct {
 
 // RoundEngine drives a family's sharded rounds. The zero value is ready
 // to use; the engine owns the scratch buffers (sweep order, ownership
-// table, shard states, tournament schedule) and keeps them at their
-// high-water size, so a warm engine allocates nothing per round.
+// table, shard states, deferral buckets, tournament schedule) and keeps
+// them at their high-water size. A buffer that must grow grows with
+// spare room — a quarter for the sweep order and the ownership table, a
+// segment's expected share and then geometric steps for the buckets
+// (resetBuckets) — so a round on a warm engine of unchanged size
+// allocates no scratch, and an overlay that grows between rounds
+// re-makes a buffer only once that room is used up.
 //
 // An engine is not safe for concurrent rounds; each protocol instance
 // owns one.
@@ -225,7 +255,9 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		return nil
 	}
 	if cap(e.order) < n {
-		e.order = make([]int32, n)
+		// Under a growing overlay every round adds keys, so a buffer sized
+		// to this round would be re-made at the next: leave a quarter spare.
+		e.order = make([]int32, n+n/4)
 	}
 	e.order = e.order[:n]
 	sw.Keys(e.order)
@@ -258,8 +290,8 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		return sw.visit(sh, e.order, srng, true)
 	}
 
-	if cap(e.ownerOf) < sw.NumKeys {
-		e.ownerOf = make([]uint16, sw.NumKeys)
+	if k := sw.NumKeys; cap(e.ownerOf) < k {
+		e.ownerOf = make([]uint16, k+k/4)
 	}
 	e.ownerOf = e.ownerOf[:sw.NumKeys]
 	// Ownership prepass, parallel: each shard stamps the keys of its own
@@ -284,13 +316,8 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		sh := &e.shards[s]
 		sh.Index = s
 		sh.ownerOf = e.ownerOf
-		for len(sh.def) < shards {
-			sh.def = append(sh.def, nil)
-		}
-		for t := range sh.def {
-			sh.def[t] = sh.def[t][:0]
-		}
 		seg := e.order[s*n/shards : (s+1)*n/shards]
+		sh.resetBuckets(shards, len(seg))
 		if cfg.Shuffle == ShuffleLocal {
 			srng.Shuffle(len(seg), func(i, j int) { seg[i], seg[j] = seg[j], seg[i] })
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"p2psize/internal/xrand"
@@ -328,6 +329,63 @@ func TestEngineWarmBuffersStable(t *testing.T) {
 	}
 }
 
+// TestEngineGrowingSweepAmortizes: on an overlay that gains a key every
+// round, the sweep order and the ownership table are re-made only when
+// their spare room runs out — a handful of times in 300 rounds, where
+// buffers sized exactly to each round would be re-made in every one.
+func TestEngineGrowingSweepAmortizes(t *testing.T) {
+	const start, rounds = 1000, 300
+	f := newToy(start)
+	rng := xrand.New(13)
+	cfg := EngineConfig{Shards: 4, Workers: 1}
+	var order *int32
+	var owner *uint16
+	orderRemakes, ownerRemakes := 0, 0
+	for r := 0; r < rounds; r++ {
+		f.vals = append(f.vals, float64(len(f.vals)))
+		if err := f.engine.Round(rng, cfg, f.sweep(nil)); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		e := &f.engine
+		if &e.order[0] != order {
+			order = &e.order[0]
+			orderRemakes++
+		}
+		if &e.ownerOf[0] != owner {
+			owner = &e.ownerOf[0]
+			ownerRemakes++
+		}
+	}
+	if orderRemakes > rounds/10 || ownerRemakes > rounds/10 {
+		t.Fatalf("over %d growing rounds the sweep order was made %d times and the ownership table %d times",
+			rounds, orderRemakes, ownerRemakes)
+	}
+}
+
+// TestEngineDeferralBucketsFitFirstRound: a fresh engine's first sharded
+// round sizes each foreign deferral bucket from its segment, so the
+// buckets hold their payloads with little spare room. Grown through
+// append's regrowth chain they would end up to twice the payload.
+func TestEngineDeferralBucketsFitFirstRound(t *testing.T) {
+	const n, shards = 100_000, 16
+	f := newToy(n)
+	if err := f.engine.Round(xrand.New(19), EngineConfig{Shards: shards, Workers: 1}, f.sweep(nil)); err != nil {
+		t.Fatal(err)
+	}
+	held, room := 0, 0
+	for s := range f.engine.shards {
+		for b, bucket := range f.engine.shards[s].def {
+			if b != s {
+				held += len(bucket)
+				room += cap(bucket)
+			}
+		}
+	}
+	if held == 0 || float64(room) > 1.25*float64(held) {
+		t.Fatalf("deferral buckets hold %d payloads in room for %d", held, room)
+	}
+}
+
 // TestEngineDegenerateGeometry pins the edge cases all three families
 // now share: n=0 is a no-op that leaves the protocol rng untouched,
 // n=1 runs one visit, and Shards > n clamps to n shards — each
@@ -401,12 +459,13 @@ func TestEnginePairStreams(t *testing.T) {
 	const n, shards = 1000, 4
 	f := newToy(n)
 	sw := f.sweep(nil)
-	sawNil, sawStream := false, false
+	// Meetings of one tournament round resolve concurrently.
+	var sawNil, sawStream atomic.Bool
 	sw.Resolve = func(d toyPair, rng *xrand.Rand) error {
 		if rng == nil {
-			sawNil = true
+			sawNil.Store(true)
 		} else {
-			sawStream = true
+			sawStream.Store(true)
 		}
 		f.apply(d.u, d.v)
 		return nil
@@ -414,26 +473,27 @@ func TestEnginePairStreams(t *testing.T) {
 	if err := f.engine.Round(xrand.New(23), EngineConfig{Shards: shards}, sw); err != nil {
 		t.Fatal(err)
 	}
-	if !sawNil || sawStream {
+	if !sawNil.Load() || sawStream.Load() {
 		t.Fatal("PairStreams=false must hand Resolve a nil rng")
 	}
 	f = newToy(n)
 	sw = f.sweep(nil)
-	sawNil, sawStream = false, false
+	sawNil.Store(false)
+	sawStream.Store(false)
 	sw.PairStreams = true
 	base := sw.Resolve
 	sw.Resolve = func(d toyPair, rng *xrand.Rand) error {
 		if rng == nil {
-			sawNil = true
+			sawNil.Store(true)
 		} else {
-			sawStream = true
+			sawStream.Store(true)
 		}
 		return base(d, nil)
 	}
 	if err := f.engine.Round(xrand.New(23), EngineConfig{Shards: shards}, sw); err != nil {
 		t.Fatal(err)
 	}
-	if sawNil || !sawStream {
+	if sawNil.Load() || !sawStream.Load() {
 		t.Fatal("PairStreams=true must hand Resolve the meeting stream")
 	}
 }

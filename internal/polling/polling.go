@@ -19,6 +19,7 @@ package polling
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
@@ -127,7 +128,10 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 		dist[i] = -1
 	}
 	dist[initiator] = 0
-	queue := append(e.queue[:0], initiator)
+	// The queue ends up holding every reached node: reserve the live
+	// count up front rather than walk append's regrowth chain, and let
+	// slices.Grow keep later growth under churn geometric.
+	queue := append(slices.Grow(e.queue[:0], g.NumAlive()), initiator)
 	for head := 0; head < len(queue); {
 		// A block is what is queued when it starts (the visit only
 		// appends behind it). Its records, then its neighbours' dist

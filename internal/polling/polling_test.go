@@ -171,3 +171,48 @@ func TestIsolatedInitiator(t *testing.T) {
 		t.Fatalf("isolated initiator estimate %.0f, want 1", est)
 	}
 }
+
+// TestScratchReuseMatchesFreshEstimators: one estimator reused for a run
+// of polls on a churning overlay that outgrows its scratch returns what
+// a fresh estimator handed a by-value copy of its generator returns at
+// each step: the same estimate, the same messages by kind and the same
+// final generator position. A stale dist entry or queue tail left by
+// the last poll would change who is reached and at what distance.
+func TestScratchReuseMatchesFreshEstimators(t *testing.T) {
+	for _, routed := range []bool{true, false} {
+		net := hetNet(2000, 21).CloneCOW()
+		churn := xrand.New(22)
+		cfg := Config{ResponseProb: 0.3, RoutedReplies: routed}
+		reused := New(cfg, xrand.New(23))
+		for call := 0; call < 5; call++ {
+			rng := *reused.rng
+			fresh := New(cfg, &rng)
+			a, b := net.View(), net.View()
+			got, err := reused.Estimate(a)
+			if err != nil {
+				t.Fatalf("routed=%v call=%d: %v", routed, call, err)
+			}
+			want, err := fresh.Estimate(b)
+			if err != nil {
+				t.Fatalf("routed=%v call=%d: fresh: %v", routed, call, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("routed=%v call=%d: reused estimator %v, fresh %v", routed, call, got, want)
+			}
+			if a.Counter().Snapshot() != b.Counter().Snapshot() {
+				t.Fatalf("routed=%v call=%d: messages %v, fresh %v", routed, call, a.Counter(), b.Counter())
+			}
+			if *reused.rng != rng {
+				t.Fatalf("routed=%v call=%d: generators diverged", routed, call)
+			}
+			// Leave some, then join past the scratch's headroom.
+			ids := net.Graph().NumIDs()
+			for i := 0; i < ids/10; i++ {
+				net.LeaveRandom(churn)
+			}
+			for i := 0; i < ids/2+1; i++ {
+				net.JoinRandomDegree(churn)
+			}
+		}
+	}
+}

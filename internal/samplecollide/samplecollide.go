@@ -85,6 +85,12 @@ func (c *Config) maxSamples() int {
 type Estimator struct {
 	cfg Config
 	rng *xrand.Rand
+
+	// Estimation scratch kept across estimations at its high-water size
+	// and cleared per estimate: the distinct nodes sampled so far and,
+	// for MLE, how many were known at each draw.
+	seen              map[graph.NodeID]struct{}
+	distinctWhenDrawn []int32
 }
 
 // New builds an Estimator; it panics on invalid configuration (programmer
@@ -134,12 +140,14 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	if !net.Alive(initiator) {
 		return 0, fmt.Errorf("samplecollide: initiator %d is not alive", initiator)
 	}
-	seen := make(map[graph.NodeID]struct{}, 4*e.cfg.L)
+	if e.seen == nil {
+		e.seen = make(map[graph.NodeID]struct{}, 4*e.cfg.L)
+	}
+	seen := e.seen
+	clear(seen)
+	e.distinctWhenDrawn = e.distinctWhenDrawn[:0]
 	collisions := 0
 	samples := 0
-	// collisionAt[k] is how many collisions happened while k distinct
-	// nodes were known; kept for the MLE refinement.
-	var distinctWhenDrawn []int32
 	budget := e.cfg.maxSamples()
 	for collisions < e.cfg.L {
 		if samples >= budget {
@@ -148,7 +156,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 		s := e.sample(net, initiator)
 		samples++
 		if e.cfg.Kind == MLE {
-			distinctWhenDrawn = append(distinctWhenDrawn, int32(len(seen)))
+			e.distinctWhenDrawn = append(e.distinctWhenDrawn, int32(len(seen)))
 		}
 		if _, dup := seen[s]; dup {
 			collisions++
@@ -158,7 +166,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	}
 	switch e.cfg.Kind {
 	case MLE:
-		return mleEstimate(distinctWhenDrawn, len(seen)), nil
+		return mleEstimate(e.distinctWhenDrawn, len(seen)), nil
 	default:
 		x := float64(samples)
 		return x * x / (2 * float64(e.cfg.L)), nil

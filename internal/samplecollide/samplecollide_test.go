@@ -286,3 +286,47 @@ func TestDeterministicGivenSeeds(t *testing.T) {
 		t.Fatalf("estimates differ across identical runs: %g vs %g", a, b)
 	}
 }
+
+// TestScratchReuseMatchesFreshEstimators: one estimator reused for a run
+// of estimates on a churning overlay, its seen set and draw record kept
+// across them, returns what a fresh estimator handed a by-value copy of
+// its generator returns at each step: the same estimate, the same
+// messages by kind and the same final generator position. A seen set
+// not cleared between estimates would collide on the last estimate's
+// nodes; a stale draw record would skew the MLE.
+func TestScratchReuseMatchesFreshEstimators(t *testing.T) {
+	for _, kind := range []EstimatorKind{Basic, MLE} {
+		net := hetNet(3000, 31).CloneCOW()
+		churn := xrand.New(32)
+		cfg := Config{T: 10, L: 20, Kind: kind}
+		reused := New(cfg, xrand.New(33))
+		for call := 0; call < 6; call++ {
+			rng := *reused.rng
+			fresh := New(cfg, &rng)
+			a, b := net.View(), net.View()
+			got, err := reused.Estimate(a)
+			if err != nil {
+				t.Fatalf("kind=%d call=%d: %v", kind, call, err)
+			}
+			want, err := fresh.Estimate(b)
+			if err != nil {
+				t.Fatalf("kind=%d call=%d: fresh: %v", kind, call, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("kind=%d call=%d: reused estimator %v, fresh %v", kind, call, got, want)
+			}
+			if a.Counter().Snapshot() != b.Counter().Snapshot() {
+				t.Fatalf("kind=%d call=%d: messages %v, fresh %v", kind, call, a.Counter(), b.Counter())
+			}
+			if *reused.rng != rng {
+				t.Fatalf("kind=%d call=%d: generators diverged", kind, call)
+			}
+			for i := 0; i < 300; i++ {
+				net.LeaveRandom(churn)
+			}
+			for i := 0; i < 600; i++ {
+				net.JoinRandomDegree(churn)
+			}
+		}
+	}
+}
