@@ -39,11 +39,6 @@ type EstimatorInfo struct {
 	// the overlay's sends are carried by a real transport — the families
 	// RunCluster may drive.
 	SupportsTransport bool
-	// MutatesOverlay marks families whose instances may rewire the
-	// overlay while estimating (the cyclon-backed gossip families).
-	// Observe-only families (false) are eligible for RunMonitor's
-	// shared-replay grouping.
-	MutatesOverlay bool
 }
 
 // Estimators returns every registered estimator family, built-ins and
@@ -61,7 +56,6 @@ func Estimators() []EstimatorInfo {
 			SupportsDynamic:    d.SupportsDynamic,
 			SupportsMonitoring: d.SupportsMonitoring,
 			SupportsTransport:  d.SupportsTransport,
-			MutatesOverlay:     d.MutatesOverlay,
 		}
 	}
 	return out
@@ -180,13 +174,7 @@ func (w coreWrap) Estimate(n *Network) (float64, error) {
 // shared-replay eligibility when it comes back through RunMonitor.
 func (w coreWrap) MutatesOverlay() bool { return core.MutatesOverlay(w.e) }
 
-type publicWrap struct {
-	e Estimator
-	// observeOnly forces the read-only capability on behalf of a
-	// registration that declared it (CustomEstimator.ObserveOnly); the
-	// public type itself need not implement the method.
-	observeOnly bool
-}
+type publicWrap struct{ e Estimator }
 
 func (w publicWrap) Name() string { return w.e.Name() }
 func (w publicWrap) Estimate(o *overlay.Network) (float64, error) {
@@ -200,9 +188,6 @@ func (w publicWrap) Estimate(o *overlay.Network) (float64, error) {
 // Reporting false promises both that the overlay is only read and that
 // Estimate may run beside other observe-only estimators reading it.
 func (w publicWrap) MutatesOverlay() bool {
-	if w.observeOnly {
-		return false
-	}
 	if m, ok := w.e.(interface{ MutatesOverlay() bool }); ok {
 		return m.MutatesOverlay()
 	}
@@ -231,6 +216,17 @@ func toCore(e Estimator) core.Estimator {
 }
 
 // CustomEstimator registers a user-supplied estimator family.
+//
+// An estimator type declares that it never rewires the overlay by
+// implementing MutatesOverlay() bool and returning false, which makes
+// it eligible for RunMonitor's shared-replay grouping (see
+// MonitorResult.Groups). Members of a shared group estimate
+// concurrently at each tick, each through its own *Network (own message
+// meter) over the one overlay, so the promise includes being safe
+// beside other observe-only estimators reading the same overlay: keep
+// all mutable state on the instance, none in package variables shared
+// between instances. A type without the method is assumed to mutate
+// and always monitors on a private clone.
 type CustomEstimator struct {
 	// Name is the canonical selector. Required, unique.
 	Name string
@@ -242,20 +238,6 @@ type CustomEstimator struct {
 	// be scheduled; see EstimatorInfo.
 	SupportsDynamic    bool
 	SupportsMonitoring bool
-	// ObserveOnly declares that instances never rewire the overlay they
-	// estimate on, making them eligible for RunMonitor's shared-replay
-	// grouping (see MonitorResult.Groups). Members of a shared group
-	// estimate concurrently at each tick, each through its own *Network
-	// (own message meter) over the one overlay, so the promise includes
-	// being safe beside other observe-only estimators reading the same
-	// overlay: keep all mutable state on the instance, none in package
-	// variables shared between instances. The zero value is the safe
-	// conservative default: an undeclared family is assumed to mutate
-	// and always monitors on a private clone. Estimator types may
-	// equivalently implement MutatesOverlay() bool themselves (returning
-	// false makes the same promise), which also survives round trips
-	// through NewEstimatorByName.
-	ObserveOnly bool
 	// New builds one instance; it must derive all randomness from seed
 	// (equal seeds, equal estimators) for the harness's determinism
 	// guarantees to hold.
@@ -279,17 +261,14 @@ func RegisterEstimator(c CustomEstimator) error {
 		return errors.New("p2psize: CustomEstimator.New must not be nil")
 	}
 	mk := c.New
-	observeOnly := c.ObserveOnly
 	return registry.Register(registry.Descriptor{
 		Name:               c.Name,
 		Aliases:            append([]string(nil), c.Aliases...),
 		Class:              "custom",
 		Summary:            c.Summary,
 		CostHint:           50, // unknown: schedule mid-pack
-		CadenceHint:        1,
 		SupportsDynamic:    c.SupportsDynamic,
 		SupportsMonitoring: c.SupportsMonitoring,
-		MutatesOverlay:     !c.ObserveOnly,
 		// Custom families draw offsets from an atomic counter far above
 		// the built-ins' frozen block (1<<20), so a static collision with
 		// a literal offset is impossible; the cost is that reproducible
@@ -301,18 +280,7 @@ func RegisterEstimator(c CustomEstimator) error {
 			if err != nil {
 				return nil, err
 			}
-			ce := toCore(e)
-			if observeOnly {
-				// Stamp the declared capability onto the adapter so the
-				// monitor's grouping sees it even when the estimator type
-				// itself does not implement OverlayMutator.
-				if w, ok := ce.(publicWrap); ok {
-					w.observeOnly = true
-					return w, nil
-				}
-				return publicWrap{e: e, observeOnly: true}, nil
-			}
-			return ce, nil
+			return toCore(e), nil
 		},
 	})
 }

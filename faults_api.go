@@ -8,6 +8,7 @@ package p2psize
 // traffic loses its payload).
 
 import (
+	"errors"
 	"fmt"
 
 	"p2psize/internal/fault"
@@ -138,6 +139,9 @@ func ParseFaults(spec string) (FaultOptions, error) {
 // Population-level fields (PartitionFrac, SilentFrac, SybilFrac) are
 // not message faults and are ignored here; see FaultOptions.
 func ApplyFaults(e Estimator, f FaultOptions, seed uint64) (Estimator, error) {
+	if e == nil {
+		return nil, errors.New("p2psize: ApplyFaults needs an estimator, got nil")
+	}
 	spec := f.spec()
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("p2psize: %w", err)

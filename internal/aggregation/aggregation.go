@@ -29,7 +29,6 @@ import (
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
 	"p2psize/internal/parallel"
-	"p2psize/internal/stats"
 	"p2psize/internal/xrand"
 )
 
@@ -125,18 +124,8 @@ func (p *Protocol) Name() string {
 	return fmt.Sprintf("aggregation(rounds=%d)", p.cfg.RoundsPerEpoch)
 }
 
-// Config returns the protocol configuration.
-func (p *Protocol) Config() Config { return p.cfg }
-
 // ErrEmptyOverlay is returned when no live peer can initiate.
 var ErrEmptyOverlay = errors.New("aggregation: empty overlay")
-
-// Initiator returns the current epoch's initiator (graph.None before the
-// first epoch).
-func (p *Protocol) Initiator() graph.NodeID { return p.initiator }
-
-// Epoch returns the current epoch tag (0 before the first epoch).
-func (p *Protocol) Epoch() uint32 { return p.epoch }
 
 // StartEpoch begins a new counting process: the epoch tag is bumped, the
 // initiator (kept from the previous epoch when still alive, otherwise
@@ -330,35 +319,6 @@ func (p *Protocol) Estimate(net *overlay.Network) (float64, bool) {
 	return p.EstimateAt(net, p.initiator)
 }
 
-// MassInEpoch returns the total value held by live participants. In a
-// static network this is exactly 1 (averaging conserves mass); under
-// churn the deficit measures the mass lost to departures.
-func (p *Protocol) MassInEpoch(net *overlay.Network) float64 {
-	g := net.Graph()
-	sum := 0.0
-	for i := 0; i < g.NumAlive(); i++ {
-		id := g.AliveAt(i)
-		if p.participant(id) {
-			sum += p.values[id]
-		}
-	}
-	return sum
-}
-
-// ParticipantStats returns count, mean and standard deviation of the
-// participant values — the convergence diagnostics (stddev/mean → 0).
-func (p *Protocol) ParticipantStats(net *overlay.Network) (int, float64, float64) {
-	g := net.Graph()
-	var r stats.Running
-	for i := 0; i < g.NumAlive(); i++ {
-		id := g.AliveAt(i)
-		if p.participant(id) {
-			r.Add(p.values[id])
-		}
-	}
-	return r.N(), r.Mean(), r.StdDev()
-}
-
 // Estimator adapts Protocol to the one-shot core.Estimator contract: each
 // Estimate call runs a full epoch (StartEpoch + RoundsPerEpoch rounds)
 // and reads the initiator's value.
@@ -380,9 +340,6 @@ func (e *Estimator) Name() string { return e.p.Name() }
 // simulated rounds here leave the graph untouched.
 func (e *Estimator) MutatesOverlay() bool { return true }
 
-// Protocol exposes the underlying protocol instance.
-func (e *Estimator) Protocol() *Protocol { return e.p }
-
 // Estimate runs one full epoch and returns the initiator's estimate.
 func (e *Estimator) Estimate(net *overlay.Network) (float64, error) {
 	if err := e.p.StartEpoch(net); err != nil {
@@ -396,24 +353,4 @@ func (e *Estimator) Estimate(net *overlay.Network) (float64, error) {
 		return 0, errors.New("aggregation: initiator lost during epoch")
 	}
 	return est, nil
-}
-
-// ConvergenceRound runs rounds until the relative dispersion of
-// participant values (stddev/mean) drops below eps, and returns the
-// number of rounds needed (capped at maxRounds). Used by the convergence
-// experiments and the epoch-length discussion in §IV-D.
-func ConvergenceRound(net *overlay.Network, cfg Config, rng *xrand.Rand, eps float64, maxRounds int) (int, error) {
-	p := New(cfg, rng)
-	if err := p.StartEpoch(net); err != nil {
-		return 0, err
-	}
-	for r := 1; r <= maxRounds; r++ {
-		p.RunRound(net)
-		n, mean, sd := p.ParticipantStats(net)
-		// All alive nodes participating and dispersion small: converged.
-		if n == net.Size() && mean > 0 && sd/mean < eps {
-			return r, nil
-		}
-	}
-	return maxRounds, fmt.Errorf("aggregation: no convergence within %d rounds", maxRounds)
 }

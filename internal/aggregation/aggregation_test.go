@@ -2,12 +2,14 @@ package aggregation
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
+	"p2psize/internal/stats"
 	"p2psize/internal/xrand"
 )
 
@@ -39,7 +41,7 @@ func TestName(t *testing.T) {
 	if p.Name() != "aggregation(rounds=50)" {
 		t.Fatalf("Name = %q", p.Name())
 	}
-	if p.Config().RoundsPerEpoch != 50 {
+	if p.cfg.RoundsPerEpoch != 50 {
 		t.Fatal("Config not returned")
 	}
 }
@@ -196,8 +198,8 @@ func TestEpochRestartResetsValues(t *testing.T) {
 			t.Fatalf("epoch %d estimate %.0f, truth %d", epoch, est, n)
 		}
 	}
-	if p.Epoch() != 3 {
-		t.Fatalf("epoch counter = %d", p.Epoch())
+	if p.epoch != 3 {
+		t.Fatalf("epoch counter = %d", p.epoch)
 	}
 }
 
@@ -207,13 +209,13 @@ func TestInitiatorReplacedWhenDead(t *testing.T) {
 	if err := p.StartEpoch(net); err != nil {
 		t.Fatal(err)
 	}
-	old := p.Initiator()
+	old := p.initiator
 	net.Leave(old)
 	if err := p.StartEpoch(net); err != nil {
 		t.Fatal(err)
 	}
-	if p.Initiator() == old || !net.Alive(p.Initiator()) {
-		t.Fatalf("initiator not replaced: old=%d new=%d", old, p.Initiator())
+	if p.initiator == old || !net.Alive(p.initiator) {
+		t.Fatalf("initiator not replaced: old=%d new=%d", old, p.initiator)
 	}
 }
 
@@ -274,7 +276,7 @@ func TestDeparturesLoseMass(t *testing.T) {
 		p.RunRound(net)
 	}
 	for i := 0; i < n/4; i++ {
-		if id, ok := net.Graph().RandomAlive(rng); ok && id != p.Initiator() {
+		if id, ok := net.Graph().RandomAlive(rng); ok && id != p.initiator {
 			net.Leave(id)
 		}
 	}
@@ -303,7 +305,7 @@ func TestOneShotEstimatorAdapter(t *testing.T) {
 	if math.Abs(est-n)/n > 0.05 {
 		t.Fatalf("estimate %.0f, truth %d", est, n)
 	}
-	if e.Protocol().Epoch() != 1 {
+	if e.p.epoch != 1 {
 		t.Fatal("adapter did not run an epoch")
 	}
 }
@@ -352,4 +354,55 @@ func TestDisconnectedOverlayDoesNotConverge(t *testing.T) {
 	if _, err := ConvergenceRound(net, Default(), xrand.New(31), 0.001, 50); err == nil {
 		t.Fatal("disconnected overlay reported converged")
 	}
+}
+
+// MassInEpoch returns the total value held by live participants. In a
+// static network this is exactly 1 (averaging conserves mass); under
+// churn the deficit measures the mass lost to departures.
+func (p *Protocol) MassInEpoch(net *overlay.Network) float64 {
+	g := net.Graph()
+	sum := 0.0
+	for i := 0; i < g.NumAlive(); i++ {
+		id := g.AliveAt(i)
+		if p.participant(id) {
+			sum += p.values[id]
+		}
+	}
+	return sum
+}
+
+// ConvergenceRound runs rounds until the relative dispersion of
+// participant values (stddev/mean) drops below eps, and returns the
+// number of rounds needed (capped at maxRounds). Used by the convergence
+// experiments and the epoch-length discussion in §IV-D.
+func ConvergenceRound(net *overlay.Network, cfg Config, rng *xrand.Rand, eps float64, maxRounds int) (int, error) {
+	p := New(cfg, rng)
+	if err := p.StartEpoch(net); err != nil {
+		return 0, err
+	}
+	for r := 1; r <= maxRounds; r++ {
+		p.RunRound(net)
+		n, mean, sd := p.ParticipantStats(net)
+		// All alive nodes participating and dispersion small: converged.
+		if n == net.Size() && mean > 0 && sd/mean < eps {
+			return r, nil
+		}
+	}
+	return maxRounds, fmt.Errorf("aggregation: no convergence within %d rounds", maxRounds)
+}
+
+// ParticipantStats returns count, mean and standard deviation of the
+// participant values — the convergence diagnostics (stddev/mean → 0).
+func (p *Protocol) ParticipantStats(net *overlay.Network) (int, float64, float64) {
+	g := net.Graph()
+	var r stats.Running
+	n := 0
+	for i := 0; i < g.NumAlive(); i++ {
+		id := g.AliveAt(i)
+		if p.participant(id) {
+			r.Add(p.values[id])
+			n++
+		}
+	}
+	return n, r.Mean(), r.StdDev()
 }

@@ -41,11 +41,6 @@ type Scenario struct {
 	Events []Event
 }
 
-// Static returns the no-churn scenario.
-func Static(totalSteps int) Scenario {
-	return Scenario{Name: "static", TotalSteps: totalSteps}
-}
-
 // Growing returns the paper's growing scenario: the overlay gains
 // fraction×n0 peers spread uniformly over totalSteps (the figures use
 // +50%: fraction = 0.5).
@@ -172,9 +167,3 @@ func (r *Runner) removeN(net *overlay.Network, n int) {
 		r.totalDrops++
 	}
 }
-
-// TotalJoins returns the number of peers added so far.
-func (r *Runner) TotalJoins() int { return r.totalJoins }
-
-// TotalDrops returns the number of peers removed so far.
-func (r *Runner) TotalDrops() int { return r.totalDrops }

@@ -23,7 +23,7 @@ func runAll(s Scenario, net *overlay.Network, seed uint64) *Runner {
 
 func TestStaticScenario(t *testing.T) {
 	net := newNet(200, 1)
-	runAll(Static(100), net, 2)
+	runAll(Scenario{Name: "static", TotalSteps: 100}, net, 2)
 	if net.Size() != 200 {
 		t.Fatalf("static scenario changed size to %d", net.Size())
 	}
@@ -37,8 +37,8 @@ func TestGrowingReachesTarget(t *testing.T) {
 	if math.Abs(float64(net.Size()-want)) > 0.02*float64(want) {
 		t.Fatalf("grew to %d, want ≈%d", net.Size(), want)
 	}
-	if r.TotalDrops() != 0 {
-		t.Fatalf("growing scenario dropped %d peers", r.TotalDrops())
+	if r.totalDrops != 0 {
+		t.Fatalf("growing scenario dropped %d peers", r.totalDrops)
 	}
 	if err := net.Graph().CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -53,8 +53,8 @@ func TestShrinkingReachesTarget(t *testing.T) {
 	if math.Abs(float64(net.Size()-want)) > 0.02*float64(want) {
 		t.Fatalf("shrank to %d, want ≈%d", net.Size(), want)
 	}
-	if r.TotalJoins() != 0 {
-		t.Fatalf("shrinking scenario joined %d peers", r.TotalJoins())
+	if r.totalJoins != 0 {
+		t.Fatalf("shrinking scenario joined %d peers", r.totalJoins)
 	}
 }
 
@@ -177,8 +177,8 @@ func TestFractionalRatesNonDividing(t *testing.T) {
 	for step := 0; step < 11; step++ {
 		r2.Step(net2, step)
 	}
-	if r2.TotalJoins() != 7 || r2.TotalDrops() != 4 {
-		t.Fatalf("joins/drops = %d/%d, want 7/4", r2.TotalJoins(), r2.TotalDrops())
+	if r2.totalJoins != 7 || r2.totalDrops != 4 {
+		t.Fatalf("joins/drops = %d/%d, want 7/4", r2.totalJoins, r2.totalDrops)
 	}
 	if net2.Size() != 103 {
 		t.Fatalf("size = %d, want 103", net2.Size())
@@ -215,8 +215,8 @@ func TestRemoveToEmptyFloorsAtOne(t *testing.T) {
 	if net.Size() != 1 {
 		t.Fatalf("size = %d, want exactly 1 after remove-to-empty", net.Size())
 	}
-	if r.TotalDrops() != 49 {
-		t.Fatalf("drops = %d, want 49", r.TotalDrops())
+	if r.totalDrops != 49 {
+		t.Fatalf("drops = %d, want 49", r.totalDrops)
 	}
 }
 

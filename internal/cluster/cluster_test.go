@@ -204,3 +204,10 @@ func TestNodeControlPlane(t *testing.T) {
 		t.Fatal("shutdown RPC did not close Done")
 	}
 }
+
+// Neighbors returns the current neighbor table, sorted by ID.
+func (n *Node) Neighbors() []NeighborInfo {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.neighborList()
+}

@@ -101,13 +101,6 @@ func (n *Node) ID() transport.NodeID {
 	return n.id
 }
 
-// Neighbors returns the current neighbor table, sorted by ID.
-func (n *Node) Neighbors() []NeighborInfo {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.neighborList()
-}
-
 // neighborList snapshots the table sorted by ID; callers hold n.mu.
 func (n *Node) neighborList() []NeighborInfo {
 	out := make([]NeighborInfo, 0, len(n.neighbors))

@@ -80,7 +80,7 @@ func TestRunDynamicTracksTrueSize(t *testing.T) {
 }
 
 func TestRunDynamicEstimateEvery(t *testing.T) {
-	res, err := runDynamic([]core.Estimator{perfect{}}, 100, churn.Static(40), monitor.Config{Cadence: 10}, 9)
+	res, err := runDynamic([]core.Estimator{perfect{}}, 100, churn.Scenario{Name: "static", TotalSteps: 40}, monitor.Config{Cadence: 10}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRunDynamicEstimateEvery(t *testing.T) {
 
 func TestRunDynamicSmoothing(t *testing.T) {
 	alt := &scripted{vals: []float64{50, 150}}
-	res, err := runDynamic([]core.Estimator{alt}, 100, churn.Static(6), monitor.Config{
+	res, err := runDynamic([]core.Estimator{alt}, 100, churn.Scenario{Name: "static", TotalSteps: 6}, monitor.Config{
 		Cadence: 1,
 		Policy:  monitor.Policy{Smoothing: monitor.Window, Window: 2},
 	}, 11)
@@ -114,7 +114,7 @@ func TestRunDynamicSmoothing(t *testing.T) {
 
 func TestRunDynamicFailuresBecomeNaN(t *testing.T) {
 	flaky := &scripted{vals: []float64{100}, errs: []error{nil, errors.New("fragmented")}}
-	res, err := runDynamic([]core.Estimator{flaky}, 100, churn.Static(4), monitor.Config{Cadence: 1}, 13)
+	res, err := runDynamic([]core.Estimator{flaky}, 100, churn.Scenario{Name: "static", TotalSteps: 4}, monitor.Config{Cadence: 1}, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRunDynamicFailuresBecomeNaN(t *testing.T) {
 }
 
 func TestRunDynamicNoEstimators(t *testing.T) {
-	if _, err := runDynamic(nil, 10, churn.Static(1), monitor.Config{Cadence: 1}, 15); err == nil {
+	if _, err := runDynamic(nil, 10, churn.Scenario{Name: "static", TotalSteps: 1}, monitor.Config{Cadence: 1}, 15); err == nil {
 		t.Fatal("empty instance list accepted")
 	}
 }

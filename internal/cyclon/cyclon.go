@@ -176,30 +176,6 @@ func (p *Protocol) Bootstrap(g *graph.Graph) {
 	})
 }
 
-// Join adds a fresh peer whose view is seeded with up to ViewSize random
-// existing participants (the introducer mechanism). Joining twice
-// panics.
-func (p *Protocol) Join(id graph.NodeID) {
-	p.grow(int(id) + 1)
-	if p.member[id] {
-		panic(fmt.Sprintf("cyclon: node %d already participates", id))
-	}
-	// A seeded random sample of participants in a fixed base order, so
-	// identical runs seed identical views.
-	ids := p.appendMemberIDs(nil)
-	p.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	view := make([]entry, 0, p.cfg.ViewSize)
-	for _, other := range ids {
-		if len(view) == p.cfg.ViewSize {
-			break
-		}
-		view = append(view, entry{node: other})
-	}
-	p.member[id] = true
-	p.count++
-	p.views[id] = view
-}
-
 // Leave removes a peer silently — exactly how real churn behaves; other
 // views still hold stale pointers that shuffling will discover and drop.
 func (p *Protocol) Leave(id graph.NodeID) {
@@ -214,19 +190,6 @@ func (p *Protocol) Leave(id graph.NodeID) {
 // Alive reports whether the peer participates.
 func (p *Protocol) Alive(id graph.NodeID) bool {
 	return id >= 0 && int(id) < len(p.member) && p.member[id]
-}
-
-// View returns a copy of a peer's current neighbor list.
-func (p *Protocol) View(id graph.NodeID) []graph.NodeID {
-	if !p.Alive(id) {
-		return nil
-	}
-	view := p.views[id]
-	out := make([]graph.NodeID, len(view))
-	for i, e := range view {
-		out[i] = e.node
-	}
-	return out
 }
 
 // RunRound performs one shuffle per participating peer, in random order.
@@ -458,18 +421,4 @@ func (p *Protocol) StaleFraction() float64 {
 		return 0
 	}
 	return float64(stale) / float64(total)
-}
-
-// AvgViewSize returns the mean view occupancy.
-func (p *Protocol) AvgViewSize() float64 {
-	if p.count == 0 {
-		return 0
-	}
-	total := 0
-	for id, view := range p.views {
-		if p.member[id] {
-			total += len(view)
-		}
-	}
-	return float64(total) / float64(p.count)
 }

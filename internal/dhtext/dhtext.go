@@ -109,9 +109,6 @@ func (e *Estimator) Name() string {
 // (core.OverlayMutator), so the monitor may run them on a shared clone.
 func (e *Estimator) MutatesOverlay() bool { return false }
 
-// Config returns the estimator's configuration.
-func (e *Estimator) Config() Config { return e.cfg }
-
 // ErrEmptyOverlay is returned when no live peer can be looked up.
 var ErrEmptyOverlay = errors.New("dhtext: empty overlay")
 

@@ -158,7 +158,8 @@ type Figure struct {
 	LogLog bool
 	// Series are the plotted curves.
 	Series []*metrics.Series
-	// Notes carry measured summaries for EXPERIMENTS.md.
+	// Notes carry measured summaries for the NOTES.md that cmd/figures
+	// writes.
 	Notes []string
 	// Messages is the total protocol traffic metered while producing the
 	// figure — the per-experiment cost reported by the suite runner.

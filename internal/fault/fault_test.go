@@ -1,12 +1,23 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"p2psize/internal/aggregation"
+	"p2psize/internal/capturerecapture"
+	"p2psize/internal/core"
+	"p2psize/internal/dhtext"
 	"p2psize/internal/graph"
+	"p2psize/internal/hopssampling"
+	"p2psize/internal/idspace"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
+	"p2psize/internal/polling"
+	"p2psize/internal/pushsum"
+	"p2psize/internal/randomtour"
+	"p2psize/internal/samplecollide"
 	"p2psize/internal/xrand"
 )
 
@@ -54,6 +65,43 @@ func TestParseSpecErrors(t *testing.T) {
 			t.Fatalf("ParseSpec(%q) accepted", tc.in)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("ParseSpec(%q) = %v, want mention of %q", tc.in, err, tc.want)
+		}
+	}
+}
+
+// specFields lists every numeric field of a spec, by name.
+func specFields(s *Spec) map[string]*float64 {
+	return map[string]*float64{
+		"Drop": &s.Drop, "DelayFactor": &s.DelayFactor, "Dup": &s.Dup,
+		"PartitionFrac": &s.PartitionFrac, "PartitionLo": &s.PartitionLo, "PartitionHi": &s.PartitionHi,
+		"LieScale": &s.LieScale, "LieFrac": &s.LieFrac,
+		"SilentFrac": &s.SilentFrac, "SybilFrac": &s.SybilFrac, "NATFrac": &s.NATFrac,
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN passes every test written x < 0 ||
+// x > 1, and an infinite delay or liar scale is no scenario at all.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	valid := Spec{Drop: 0.1, DelayFactor: 2, PartitionFrac: 0.5, PartitionLo: 0.4, PartitionHi: 0.6, LieScale: 2, LieFrac: 0.1}
+	if err := valid.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for name := range specFields(&valid) {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := valid
+			*specFields(&s)[name] = v
+			if err := s.Validate(); err == nil {
+				t.Errorf("Validate accepted %s = %g", name, v)
+			}
+		}
+	}
+	for _, in := range []string{
+		"drop=NaN", "dup=+Inf", "silent=NaN", "sybil=Inf", "nat=NaN", "nat=-Inf",
+		"delay=+Inf", "delay=NaN", "lie=Inf@0.1", "lie=NaN", "lie=-Inf@0.1", "lie=2@NaN",
+		"partition=NaN@40-60", "partition@NaN-60", "partition@40-Inf", "partition@-Inf-60",
+	} {
+		if s, err := ParseSpec(in); err == nil {
+			t.Errorf("ParseSpec(%q) accepted %+v", in, s)
 		}
 	}
 }
@@ -277,11 +325,46 @@ func TestDecorate(t *testing.T) {
 		if net.FaultPolicy() != nil {
 			t.Fatal("policy still installed after the estimate")
 		}
-		if len(inj.Latencies()) != i {
-			t.Fatalf("%d latencies after %d estimates", len(inj.Latencies()), i)
+		if len(inj.latencies) != i {
+			t.Fatalf("%d latencies after %d estimates", len(inj.latencies), i)
 		}
 	}
-	if inj.LastLatency() != inj.Latencies()[2] {
-		t.Fatal("LastLatency disagrees with Latencies")
+	if inj.LastLatency() != inj.latencies[2] {
+		t.Fatal("LastLatency disagrees with the recorded latencies")
+	}
+}
+
+// TestDecorateForwardsOverlayCapability: the fault decorator wraps
+// every estimator the registry builds, so it must forward each family's
+// MutatesOverlay declaration, not reset it to the conservative
+// mutating default that would cost an observe-only family its shared
+// replay group.
+func TestDecorateForwardsOverlayCapability(t *testing.T) {
+	net := overlay.New(graph.Heterogeneous(300, 10, xrand.New(3)), 10, nil)
+	rng := xrand.New(4)
+	for _, tc := range []struct {
+		name    string
+		e       core.Estimator
+		mutates bool
+	}{
+		{"samplecollide", samplecollide.New(samplecollide.Default(), rng), false},
+		{"randomtour", randomtour.New(randomtour.Default(), rng), false},
+		{"hopssampling", hopssampling.New(hopssampling.Default(), rng), false},
+		{"aggregation", aggregation.NewEstimator(aggregation.Default(), rng), true},
+		{"idspace", idspace.New(idspace.NewRing(net, rng), 200, rng), false},
+		{"polling", polling.New(polling.Default(), rng), false},
+		{"pushsum", pushsum.NewEstimator(pushsum.Default(), rng), true},
+		{"capturerecapture", capturerecapture.New(capturerecapture.Default(), rng), false},
+		{"dht", dhtext.New(dhtext.Default(), rng), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := core.MutatesOverlay(tc.e); got != tc.mutates {
+				t.Fatalf("core.MutatesOverlay(%s) = %v, want %v", tc.name, got, tc.mutates)
+			}
+			dec := Decorate(tc.e, NewInjector(Spec{Drop: 0.01}, xrand.New(5)))
+			if got := core.MutatesOverlay(dec); got != tc.mutates {
+				t.Fatalf("fault-decorated core.MutatesOverlay(%s) = %v, want %v", tc.name, got, tc.mutates)
+			}
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package fault
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzParseSpec: whatever ParseSpec accepts is a valid Spec whose
 // String() parses back to a spec with the same String().
@@ -11,6 +14,7 @@ func FuzzParseSpec(f *testing.F) {
 		"lie=10@0.05", "silent=0.1", "sybil=0.2", "nat=0.2",
 		"drop=0.05,delay=2x", "sybil=0.2,silent=0.1", "drop=0.05,silent=0.1",
 		"", " , ", "delay=2", "lie=3", "partition=0.5@0.4-0.6",
+		"drop=NaN", "lie=Inf@0.1", "delay=+Inf", "partition@NaN-60",
 	} {
 		f.Add(s)
 	}
@@ -21,6 +25,11 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("ParseSpec(%q) accepted an invalid spec: %v", spec, err)
+		}
+		for name, v := range specFields(&s) {
+			if math.IsNaN(*v) || math.IsInf(*v, 0) {
+				t.Fatalf("ParseSpec(%q) accepted %s = %g", spec, name, *v)
+			}
 		}
 		again, err := ParseSpec(s.String())
 		if err != nil {

@@ -84,9 +84,6 @@ func NewInjector(spec Spec, rng *xrand.Rand) *Injector {
 	return inj
 }
 
-// Spec returns the scenario the injector enforces.
-func (inj *Injector) Spec() Spec { return inj.spec }
-
 // drawDelay draws one modeled one-way delay between two virtual peers.
 func (inj *Injector) drawDelay() float64 {
 	u := inj.rng.Intn(virtualPeers)
@@ -228,9 +225,6 @@ func (inj *Injector) EndEstimate() float64 {
 	return lat
 }
 
-// Latencies returns the recorded per-estimate latencies, in order.
-func (inj *Injector) Latencies() []float64 { return inj.latencies }
-
 // LastLatency returns the most recent estimate's latency (0 before the
 // first EndEstimate).
 func (inj *Injector) LastLatency() float64 {
@@ -271,9 +265,6 @@ func (f *Estimator) Name() string { return f.inner.Name() }
 // fates, not the graph, so decoration must not demote a read-only
 // estimator to the conservative mutating default.
 func (f *Estimator) MutatesOverlay() bool { return core.MutatesOverlay(f.inner) }
-
-// Injector returns the injector bracketing this estimator.
-func (f *Estimator) Injector() *Injector { return f.inj }
 
 // Estimate runs the inner estimation under the fault policy.
 func (f *Estimator) Estimate(net *overlay.Network) (float64, error) {

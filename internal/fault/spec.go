@@ -29,6 +29,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -82,28 +83,31 @@ func (s Spec) MessageFaults() bool {
 
 // Validate checks field ranges; the zero value is valid.
 func (s Spec) Validate() error {
+	// Every range test is written so that NaN fails it.
 	switch {
-	case s.Drop < 0 || s.Drop >= 1:
+	case !(s.Drop >= 0 && s.Drop < 1):
 		return fmt.Errorf("fault: drop probability %g outside [0, 1)", s.Drop)
-	case s.DelayFactor < 0:
-		return fmt.Errorf("fault: delay factor %g is negative", s.DelayFactor)
-	case s.Dup < 0 || s.Dup > 1:
+	case !(s.DelayFactor >= 0 && s.DelayFactor <= math.MaxFloat64):
+		return fmt.Errorf("fault: delay factor %g is not a finite non-negative number", s.DelayFactor)
+	case !(s.Dup >= 0 && s.Dup <= 1):
 		return fmt.Errorf("fault: duplicate probability %g outside [0, 1]", s.Dup)
-	case s.PartitionFrac < 0 || s.PartitionFrac >= 1:
+	case !(s.PartitionFrac >= 0 && s.PartitionFrac < 1):
 		return fmt.Errorf("fault: partition fraction %g outside [0, 1)", s.PartitionFrac)
-	case s.PartitionLo < 0 || s.PartitionHi > 1 || s.PartitionLo > s.PartitionHi:
+	case !(s.PartitionLo >= 0 && s.PartitionHi <= 1 && s.PartitionLo <= s.PartitionHi):
 		return fmt.Errorf("fault: partition window [%g, %g] not inside [0, 1]", s.PartitionLo, s.PartitionHi)
 	case s.PartitionFrac > 0 && s.PartitionLo == s.PartitionHi:
 		return errors.New("fault: partition window is empty")
-	case s.LieFrac < 0 || s.LieFrac > 1:
+	case !(s.LieFrac >= 0 && s.LieFrac <= 1):
 		return fmt.Errorf("fault: liar fraction %g outside [0, 1]", s.LieFrac)
+	case math.IsNaN(s.LieScale) || math.IsInf(s.LieScale, 0):
+		return fmt.Errorf("fault: liar scale %g is not finite", s.LieScale)
 	case s.LieFrac > 0 && s.LieScale <= 0:
 		return fmt.Errorf("fault: liar scale %g must be positive", s.LieScale)
-	case s.SilentFrac < 0 || s.SilentFrac > 1:
+	case !(s.SilentFrac >= 0 && s.SilentFrac <= 1):
 		return fmt.Errorf("fault: silent fraction %g outside [0, 1]", s.SilentFrac)
-	case s.SybilFrac < 0 || s.SybilFrac > 1:
+	case !(s.SybilFrac >= 0 && s.SybilFrac <= 1):
 		return fmt.Errorf("fault: sybil fraction %g outside [0, 1]", s.SybilFrac)
-	case s.NATFrac < 0 || s.NATFrac >= 1:
+	case !(s.NATFrac >= 0 && s.NATFrac < 1):
 		return fmt.Errorf("fault: nat fraction %g outside [0, 1)", s.NATFrac)
 	}
 	return nil
@@ -253,7 +257,7 @@ func parseProb(key, val string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("fault: bad %s %q: %w", key, val, err)
 	}
-	if v < 0 || v > 1 {
+	if !(v >= 0 && v <= 1) {
 		return 0, fmt.Errorf("fault: %s %g outside [0, 1]", key, v)
 	}
 	return v, nil

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"p2psize/internal/stats"
-	"p2psize/internal/xrand"
-)
+import "p2psize/internal/stats"
 
 // Unreachable marks nodes with no path from the BFS source.
 const Unreachable int32 = -1
@@ -110,71 +107,4 @@ func MaxDegree(g *Graph) int {
 		}
 	})
 	return best
-}
-
-// ApproxDiameter estimates the diameter of the largest component with a
-// double BFS sweep: BFS from a random alive node, then BFS again from the
-// farthest node found. The result lower-bounds the true diameter and is
-// exact on trees.
-func ApproxDiameter(g *Graph, rng *xrand.Rand) int {
-	src, ok := g.RandomAlive(rng)
-	if !ok {
-		return 0
-	}
-	far, _ := farthest(g, src)
-	_, d := farthest(g, far)
-	return int(d)
-}
-
-func farthest(g *Graph, src NodeID) (NodeID, int32) {
-	dist := BFSDistances(g, src)
-	best, bestD := src, int32(0)
-	for id, d := range dist {
-		if d > bestD {
-			best, bestD = NodeID(id), d
-		}
-	}
-	return best, bestD
-}
-
-// ClusteringCoefficient estimates the average local clustering coefficient
-// by sampling up to sampleCap alive nodes (all of them if the graph is
-// smaller). Nodes of degree < 2 contribute 0, as is conventional.
-func ClusteringCoefficient(g *Graph, sampleCap int, rng *xrand.Rand) float64 {
-	n := g.NumAlive()
-	if n == 0 {
-		return 0
-	}
-	var ids []NodeID
-	if n <= sampleCap {
-		ids = g.AliveIDs()
-	} else {
-		ids = make([]NodeID, sampleCap)
-		for i := range ids {
-			id, _ := g.RandomAlive(rng)
-			ids[i] = id
-		}
-	}
-	total := 0.0
-	for _, id := range ids {
-		total += localClustering(g, id)
-	}
-	return total / float64(len(ids))
-}
-
-func localClustering(g *Graph, id NodeID) float64 {
-	nbrs := g.Neighbors(id)
-	d := len(nbrs)
-	if d < 2 {
-		return 0
-	}
-	links := 0
-	for i := 0; i < d; i++ {
-		for j := i + 1; j < d; j++ {
-			if g.HasEdge(nbrs[i], nbrs[j]) {
-				links++
-			}
-		}
-	}
-	return 2 * float64(links) / float64(d*(d-1))
 }

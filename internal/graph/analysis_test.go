@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"p2psize/internal/xrand"
@@ -86,9 +87,9 @@ func TestDegreeHistogramAndAvg(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	g.AddEdge(0, 3)
-	h := DegreeHistogram(g)
-	if h.Count(3) != 1 || h.Count(1) != 3 {
-		t.Fatalf("degree histogram wrong: deg3=%d deg1=%d", h.Count(3), h.Count(1))
+	values, counts := DegreeHistogram(g).NonZero()
+	if !slices.Equal(values, []int{1, 3}) || !slices.Equal(counts, []int{3, 1}) {
+		t.Fatalf("degree histogram wrong: values %v counts %v", values, counts)
 	}
 	if got := AvgDegree(g); math.Abs(got-1.5) > 1e-12 {
 		t.Fatalf("AvgDegree = %g", got)
@@ -146,4 +147,71 @@ func TestRandomGraphSmallDiameter(t *testing.T) {
 	if d := ApproxDiameter(g, xrand.New(14)); d > 12 {
 		t.Fatalf("diameter = %d, expected small-world", d)
 	}
+}
+
+// ApproxDiameter estimates the diameter of the largest component with a
+// double BFS sweep: BFS from a random alive node, then BFS again from the
+// farthest node found. The result lower-bounds the true diameter and is
+// exact on trees.
+func ApproxDiameter(g *Graph, rng *xrand.Rand) int {
+	src, ok := g.RandomAlive(rng)
+	if !ok {
+		return 0
+	}
+	far, _ := farthest(g, src)
+	_, d := farthest(g, far)
+	return int(d)
+}
+
+func farthest(g *Graph, src NodeID) (NodeID, int32) {
+	dist := BFSDistances(g, src)
+	best, bestD := src, int32(0)
+	for id, d := range dist {
+		if d > bestD {
+			best, bestD = NodeID(id), d
+		}
+	}
+	return best, bestD
+}
+
+// ClusteringCoefficient estimates the average local clustering coefficient
+// by sampling up to sampleCap alive nodes (all of them if the graph is
+// smaller). Nodes of degree < 2 contribute 0, as is conventional.
+func ClusteringCoefficient(g *Graph, sampleCap int, rng *xrand.Rand) float64 {
+	n := g.NumAlive()
+	if n == 0 {
+		return 0
+	}
+	var ids []NodeID
+	if n <= sampleCap {
+		ids = g.AliveIDs()
+	} else {
+		ids = make([]NodeID, sampleCap)
+		for i := range ids {
+			id, _ := g.RandomAlive(rng)
+			ids[i] = id
+		}
+	}
+	total := 0.0
+	for _, id := range ids {
+		total += localClustering(g, id)
+	}
+	return total / float64(len(ids))
+}
+
+func localClustering(g *Graph, id NodeID) float64 {
+	nbrs := g.Neighbors(id)
+	d := len(nbrs)
+	if d < 2 {
+		return 0
+	}
+	links := 0
+	for i := 0; i < d; i++ {
+		for j := i + 1; j < d; j++ {
+			if g.HasEdge(nbrs[i], nbrs[j]) {
+				links++
+			}
+		}
+	}
+	return 2 * float64(links) / float64(d*(d-1))
 }

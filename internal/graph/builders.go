@@ -149,7 +149,10 @@ func Ring(n int) *Graph {
 	return g
 }
 
-// Clique builds the complete graph on n nodes (tests only; quadratic).
+// Clique builds the complete graph on n nodes (quadratic). No run
+// builds one; it ships for the tests whose closed forms assume it.
+//
+//detlint:allow testonly used by the graph, hopssampling and randomtour tests
 func Clique(n int) *Graph {
 	if n < 1 {
 		panic("graph: Clique needs n >= 1")

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -66,6 +67,31 @@ func graphsEqual(a, b *Graph) error {
 		}
 	}
 	return nil
+}
+
+// Clone returns a deep copy of g sharing no mutable state with it: the
+// reference the tests hold CloneCOW against.
+func (g *Graph) Clone() *Graph {
+	ng := &Graph{
+		nodes:    g.nodes.clone(),
+		aliveIDs: g.aliveIDs.clone(),
+		edges:    g.edges,
+		spill:    make([][]NodeID, len(g.spill)),
+	}
+	for i, a := range g.spill {
+		ng.spill[i] = slices.Clone(a)
+	}
+	return ng
+}
+
+// clone returns a deep, fully owned copy.
+func (p *pages[T]) clone() pages[T] {
+	tbl := make([]*[pageSize]T, len(p.tbl))
+	for i, page := range p.tbl {
+		np := *page
+		tbl[i] = &np
+	}
+	return pages[T]{tbl: tbl, n: p.n}
 }
 
 func TestCloneCOWEquivalentToClone(t *testing.T) {

@@ -341,22 +341,6 @@ func (g *Graph) ForEachAlive(fn func(id NodeID)) {
 // changes across mutations.
 func (g *Graph) AliveAt(i int) NodeID { return *g.aliveIDs.at(i) }
 
-// Clone returns a deep copy of g sharing no mutable state with it. No
-// run loop calls it — they all clone with CloneCOW; it survives as the
-// reference cow_test.go compares CloneCOW against.
-func (g *Graph) Clone() *Graph {
-	ng := &Graph{
-		nodes:    g.nodes.clone(),
-		aliveIDs: g.aliveIDs.clone(),
-		edges:    g.edges,
-		spill:    make([][]NodeID, len(g.spill)),
-	}
-	for i, a := range g.spill {
-		ng.spill[i] = slices.Clone(a)
-	}
-	return ng
-}
-
 // CloneCOW returns a copy-on-write copy of g: the node records and the
 // alive list share every page with g until the clone first writes into
 // it (O(N/pageSize) page pointers copied, nothing per node), and a
@@ -403,7 +387,10 @@ func (g *Graph) mustAlive(id NodeID) {
 // CheckInvariants validates structural consistency (record degree equal
 // to list length, spill indices in range, adjacency symmetry, no
 // self-loops or duplicates, alive bookkeeping, edge count) and returns
-// an error describing the first violation. Intended for tests.
+// an error describing the first violation. No run calls it: it reads
+// the unexported records, so it ships for the tests that check graphs.
+//
+//detlint:allow testonly used by the graph, overlay, churn, cyclon, fault and trace tests
 func (g *Graph) CheckInvariants() error {
 	halfEdges := 0
 	alive := 0

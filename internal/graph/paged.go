@@ -100,16 +100,6 @@ func (p *pages[T]) cloneCOW() pages[T] {
 	}
 }
 
-// clone returns a deep, fully owned copy.
-func (p *pages[T]) clone() pages[T] {
-	tbl := make([]*[pageSize]T, len(p.tbl))
-	for i, page := range p.tbl {
-		np := *page
-		tbl[i] = &np
-	}
-	return pages[T]{tbl: tbl, n: p.n}
-}
-
 // sharedPages reports how many pages are still shared with the base
 // (0 for values that are not clones) — the footprint diagnostic,
 // O(pages/64).

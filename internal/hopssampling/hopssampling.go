@@ -169,9 +169,6 @@ func (e *Estimator) Name() string {
 // (core.OverlayMutator), so the monitor may run it on a shared clone.
 func (e *Estimator) MutatesOverlay() bool { return false }
 
-// Config returns the estimator's configuration.
-func (e *Estimator) Config() Config { return e.cfg }
-
 // ErrEmptyOverlay is returned when no live peer can initiate.
 var ErrEmptyOverlay = errors.New("hopssampling: empty overlay")
 
@@ -435,25 +432,4 @@ func (e *Estimator) ReachedFraction(net *overlay.Network, initiator graph.NodeID
 		}
 	}
 	return float64(reached) / float64(g.NumAlive()), nil
-}
-
-// EstimateWithOracleDistances runs the reporting phase against exact BFS
-// distances instead of gossip-derived ones. §V uses exactly this probe
-// ("we verified our intuition by giving the accurate distance from the
-// initiator to all nodes in the overlay, and the resulting size
-// estimation was correct") to show the polling extrapolation itself is
-// unbiased.
-func (e *Estimator) EstimateWithOracleDistances(net *overlay.Network, initiator graph.NodeID) (float64, error) {
-	if !net.Alive(initiator) {
-		return 0, fmt.Errorf("hopssampling: initiator %d is not alive", initiator)
-	}
-	e.resetScratch(net.Graph().NumIDs())
-	dist := graph.BFSDistances(net.Graph(), initiator)
-	for id, d := range dist {
-		if d >= 0 {
-			e.slots[id] = slot{dist: d, stamp: e.gen}
-		}
-	}
-	est, _, _ := e.collect(net, initiator)
-	return est, nil
 }

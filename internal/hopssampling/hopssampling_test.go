@@ -2,6 +2,7 @@ package hopssampling
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestName(t *testing.T) {
 	if e.Name() != "hops-sampling(minHops=5)" {
 		t.Fatalf("Name = %q", e.Name())
 	}
-	if e.Config().GossipTo != 2 {
+	if e.cfg.GossipTo != 2 {
 		t.Fatal("Config not returned")
 	}
 }
@@ -313,4 +314,25 @@ func TestHigherFanoutReachesMore(t *testing.T) {
 	if f2, f4 := frac(2), frac(4); f4 <= f2 {
 		t.Fatalf("fanout 4 reached %.2f, not above fanout 2's %.2f", f4, f2)
 	}
+}
+
+// EstimateWithOracleDistances runs the reporting phase against exact BFS
+// distances instead of gossip-derived ones. §V uses exactly this probe
+// ("we verified our intuition by giving the accurate distance from the
+// initiator to all nodes in the overlay, and the resulting size
+// estimation was correct") to show the polling extrapolation itself is
+// unbiased.
+func (e *Estimator) EstimateWithOracleDistances(net *overlay.Network, initiator graph.NodeID) (float64, error) {
+	if !net.Alive(initiator) {
+		return 0, fmt.Errorf("hopssampling: initiator %d is not alive", initiator)
+	}
+	e.resetScratch(net.Graph().NumIDs())
+	dist := graph.BFSDistances(net.Graph(), initiator)
+	for id, d := range dist {
+		if d >= 0 {
+			e.slots[id] = slot{dist: d, stamp: e.gen}
+		}
+	}
+	est, _, _ := e.collect(net, initiator)
+	return est, nil
 }

@@ -83,17 +83,6 @@ func (r *Ring) Join(node graph.NodeID, rng *xrand.Rand) uint64 {
 	return id
 }
 
-// Leave removes node from the ring. Removing an absent node panics.
-func (r *Ring) Leave(node graph.NodeID) {
-	id, ok := r.ids[node]
-	if !ok {
-		panic(fmt.Sprintf("idspace: node %d not on the ring", node))
-	}
-	delete(r.ids, node)
-	i, _ := r.lookup(id)
-	r.sorted = append(r.sorted[:i], r.sorted[i+1:]...)
-}
-
 // lookup returns the index of id in the sorted ring and whether it is
 // present (otherwise the index is the insertion point).
 func (r *Ring) lookup(id uint64) (int, bool) {

@@ -2,6 +2,7 @@ package idspace
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -241,4 +242,15 @@ func TestEmptyOverlay(t *testing.T) {
 	if _, err := e.Estimate(net); !errors.Is(err, ErrEmptyOverlay) {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// Leave removes node from the ring. Removing an absent node panics.
+func (r *Ring) Leave(node graph.NodeID) {
+	id, ok := r.ids[node]
+	if !ok {
+		panic(fmt.Sprintf("idspace: node %d not on the ring", node))
+	}
+	delete(r.ids, node)
+	i, _ := r.lookup(id)
+	r.sorted = append(r.sorted[:i], r.sorted[i+1:]...)
 }

@@ -29,7 +29,6 @@ import (
 	"container/heap"
 	"errors"
 	"math"
-	"slices"
 
 	"p2psize/internal/graph"
 	"p2psize/internal/overlay"
@@ -70,18 +69,6 @@ func NewEuclidean(numIDs int, base float64, rng *xrand.Rand) *Euclidean {
 		m.y[i] = rng.Float64()
 	}
 	return m
-}
-
-// Grow extends the coordinate table for peers that joined after
-// construction.
-func (m *Euclidean) Grow(numIDs int, rng *xrand.Rand) {
-	// One allocation per table; the draws below still interleave x, y.
-	k := max(0, numIDs-len(m.x))
-	m.x, m.y = slices.Grow(m.x, k), slices.Grow(m.y, k)
-	for len(m.x) < numIDs {
-		m.x = append(m.x, rng.Float64())
-		m.y = append(m.y, rng.Float64())
-	}
 }
 
 // Delay returns base + Euclidean distance between u and v.

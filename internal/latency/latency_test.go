@@ -266,3 +266,15 @@ func TestGrowAllocatesOnce(t *testing.T) {
 		t.Fatalf("tables hold %d and %d ids, want %d", len(m.x), len(m.y), n)
 	}
 }
+
+// Grow extends the coordinate table for peers that joined after
+// construction.
+func (m *Euclidean) Grow(numIDs int, rng *xrand.Rand) {
+	// One allocation per table; the draws below still interleave x, y.
+	k := max(0, numIDs-len(m.x))
+	m.x, m.y = slices.Grow(m.x, k), slices.Grow(m.y, k)
+	for len(m.x) < numIDs {
+		m.x = append(m.x, rng.Float64())
+		m.y = append(m.y, rng.Float64())
+	}
+}

@@ -1,4 +1,4 @@
-// Shared plumbing for the five analyzers: the repo package paths the
+// Shared plumbing for the six analyzers: the repo package paths the
 // invariants are phrased in, and small go/types helpers. The paths are
 // spelled as constants (not derived from the module path) because the
 // invariants are about THESE packages — the xrand streams, the overlay

@@ -14,6 +14,9 @@ package lint
 import (
 	"bufio"
 	"fmt"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -42,7 +45,7 @@ func runFixture(t *testing.T, analyzers []*Analyzer, importPaths ...string) {
 	var wants []*expectation
 	for _, importPath := range importPaths {
 		dir := filepath.Join("testdata", "src", filepath.FromSlash(importPath))
-		pkg, err := loader.LoadDir(dir, importPath)
+		pkg, err := loader.LoadDir(dir, importPath, pkgs...)
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", importPath, err)
 		}
@@ -122,4 +125,67 @@ func writeFile(t *testing.T, dir, name, content string) {
 // them as in scope.
 func fixturePath(name string) string {
 	return fmt.Sprintf("p2psize/internal/%s", strings.TrimPrefix(name, "/"))
+}
+
+// LoadDir loads one directory of Go files as a package under the given
+// import path, without requiring it to be part of the build — this is
+// how the analysistest fixtures under testdata/src (which mirror the
+// import path they claim) are brought up. Test files are skipped, as
+// Load skips them. Imports of the given fixture packages resolve to
+// them; every other import resolves against the real module and
+// standard library.
+func (l *Loader) LoadDir(dir, importPath string, deps ...*Package) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
+			files = append(files, e.Name())
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("detlint: no Go files in %s", dir)
+	}
+	fixtures := fixtureImporter{next: l.imp, pkgs: map[string]*types.Package{}}
+	for _, dep := range deps {
+		fixtures.pkgs[dep.ImportPath] = dep.Types
+	}
+	// Pre-resolve the fixture's other imports so the export-data table
+	// covers them (the fixture itself is outside the module graph).
+	var imports []string
+	for _, f := range files {
+		af, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, f), nil, parser.ImportsOnly)
+		if err != nil {
+			return nil, err
+		}
+		for _, spec := range af.Imports {
+			if path := strings.Trim(spec.Path.Value, `"`); fixtures.pkgs[path] == nil {
+				imports = append(imports, path)
+			}
+		}
+	}
+	if len(imports) > 0 {
+		if _, err := l.list(imports); err != nil {
+			return nil, err
+		}
+	}
+	l.imp = fixtures
+	defer func() { l.imp = fixtures.next }()
+	return l.check(importPath, dir, files)
+}
+
+// fixtureImporter resolves imports of already loaded fixture packages
+// before falling back to export data.
+type fixtureImporter struct {
+	next types.Importer
+	pkgs map[string]*types.Package
+}
+
+func (f fixtureImporter) Import(path string) (*types.Package, error) {
+	if pkg := f.pkgs[path]; pkg != nil {
+		return pkg, nil
+	}
+	return f.next.Import(path)
 }

@@ -7,7 +7,8 @@
 // cyclon.ExportGraph, cyclon.Join) are the canonical failure class.
 // These analyzers flag that class (and its cousins: wall-clock reads,
 // stray rng sources, seed-stream offset collisions, metering-seam
-// bypasses) while the diff is still on screen.
+// bypasses) while the diff is still on screen. A sixth, testonly, keeps
+// code that only tests call out of the build.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis shape —
 // one Analyzer value per invariant, a Pass carrying one type-checked
@@ -115,8 +116,8 @@ type Suite struct {
 	allows map[string]map[int]map[string]bool
 	// offsetSites accumulates streamoffset facts across packages.
 	offsetSites []offsetSite
-	// finishPkg lets Finish hooks report without a Pass.
-	finish *Pass
+	// testonly accumulates declarations and uses across packages.
+	testonly *testonlyFacts
 }
 
 func (s *Suite) report(d Diagnostic) { s.diags = append(s.diags, d) }
@@ -128,6 +129,7 @@ func (s *Suite) Run(pkgs []*Package) []Diagnostic {
 	s.diags = nil
 	s.allows = map[string]map[int]map[string]bool{}
 	s.offsetSites = nil
+	s.testonly = newTestonlyFacts()
 	for _, pkg := range pkgs {
 		s.scanDirectives(pkg)
 	}
@@ -171,11 +173,10 @@ func (s *Suite) Run(pkgs []*Package) []Diagnostic {
 // package level. File-level allowlist entries are applied later, per
 // diagnostic.
 func (s *Suite) inScope(a *Analyzer, importPath string) bool {
-	if s.ModulePath == "" || (importPath != s.ModulePath && !strings.HasPrefix(importPath, s.ModulePath+"/")) {
-		return false // outside the module entirely
+	if !inModule(s.ModulePath, importPath) {
+		return false
 	}
-	if a.InternalOnly && !strings.Contains("/"+strings.TrimPrefix(importPath, s.ModulePath), "/internal/") &&
-		!strings.HasSuffix(importPath, "/internal") {
+	if a.InternalOnly && !isInternal(s.ModulePath, importPath) {
 		return false
 	}
 	for _, entry := range a.Allowlist {
@@ -191,6 +192,18 @@ func (s *Suite) inScope(a *Analyzer, importPath string) bool {
 		}
 	}
 	return true
+}
+
+// inModule reports whether the import path lies in the module.
+func inModule(module, importPath string) bool {
+	return module != "" && (importPath == module || strings.HasPrefix(importPath, module+"/"))
+}
+
+// isInternal reports whether the module's import path lies under an
+// internal/ directory.
+func isInternal(module, importPath string) bool {
+	return inModule(module, importPath) &&
+		(strings.Contains("/"+strings.TrimPrefix(importPath, module), "/internal/") || strings.HasSuffix(importPath, "/internal"))
 }
 
 // fileAllowlisted reports whether the diagnostic's file is exempted by
@@ -270,9 +283,9 @@ func NewSuite(modulePath string, analyzers []*Analyzer) *Suite {
 	return &Suite{Analyzers: analyzers, ModulePath: modulePath}
 }
 
-// All returns the five shipped analyzers in stable order.
+// All returns the six shipped analyzers in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{MapRange, WallTime, RNGSource, StreamOffset, MeterSeam}
+	return []*Analyzer{MapRange, WallTime, RNGSource, StreamOffset, MeterSeam, TestOnly}
 }
 
 // ByName resolves analyzer names (comma-separated, case-insensitive)

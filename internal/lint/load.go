@@ -80,21 +80,6 @@ func (l *Loader) Module() (string, error) {
 	return l.module, nil
 }
 
-// ModuleDir returns the enclosing module's root directory; the
-// repo-self-check test anchors its ./... pattern there rather than at
-// the test's own package directory.
-func (l *Loader) ModuleDir() (string, error) {
-	out, err := l.goList("-m", "-f", "{{.Dir}}")
-	if err != nil {
-		return "", err
-	}
-	dir := strings.TrimSpace(string(out))
-	if dir == "" {
-		return "", fmt.Errorf("detlint: no module found at %q", l.Dir)
-	}
-	return dir, nil
-}
-
 // Load resolves the patterns and returns the matched module packages,
 // parsed and type-checked. Test files are not loaded: the invariants
 // guard shipped code, and tests read wall clocks and build colliding
@@ -119,45 +104,6 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// LoadDir loads one directory of Go files as a package under the given
-// import path, without requiring it to be part of the build — this is
-// how the analysistest fixtures under testdata/src (which mirror the
-// import path they claim) are brought up. Imports are resolved against
-// the real module and standard library.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, e.Name())
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("detlint: no Go files in %s", dir)
-	}
-	// Pre-resolve the fixture's imports so the export-data table covers
-	// them (the fixture itself is outside the module graph).
-	var imports []string
-	for _, f := range files {
-		af, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, f), nil, parser.ImportsOnly)
-		if err != nil {
-			return nil, err
-		}
-		for _, spec := range af.Imports {
-			imports = append(imports, strings.Trim(spec.Path.Value, `"`))
-		}
-	}
-	if len(imports) > 0 {
-		if _, err := l.list(imports); err != nil {
-			return nil, err
-		}
-	}
-	return l.check(importPath, dir, files)
 }
 
 // list runs go list over the patterns, records every export data file

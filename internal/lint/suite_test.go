@@ -6,6 +6,7 @@ package lint
 
 import (
 	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -125,7 +126,40 @@ func TestByName(t *testing.T) {
 	if _, err := ByName(" , "); err == nil {
 		t.Fatal("expected error on empty selection")
 	}
-	if len(Names()) != 5 {
-		t.Fatalf("expected 5 analyzers, have %v", Names())
+	if len(Names()) != 6 {
+		t.Fatalf("expected 6 analyzers, have %v", Names())
+	}
+}
+
+// TestTestOnlyFixtures loads the fixture as a whole module: the
+// declaring package, the root package and a command.
+func TestTestOnlyFixtures(t *testing.T) {
+	runFixture(t, []*Analyzer{TestOnly}, fixturePath("tofix"), "p2psize", "p2psize/cmd/tocmd")
+}
+
+// TestTestOnlyPartialPattern: without the root package or a command
+// every export would look unused, so testonly reports nothing.
+func TestTestOnlyPartialPattern(t *testing.T) {
+	loader := NewLoader("")
+	tofix, err := loader.LoadDir(filepath.Join("testdata", "src", "p2psize", "internal", "tofix"), fixturePath("tofix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := loader.LoadDir(filepath.Join("testdata", "src", "p2psize"), "p2psize", tofix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd, err := loader.LoadDir(filepath.Join("testdata", "src", "p2psize", "cmd", "tocmd"), "p2psize/cmd/tocmd", tofix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pkgs := range map[string][]*Package{
+		"declaring package only": {tofix},
+		"no command":             {tofix, root},
+		"no root package":        {tofix, cmd},
+	} {
+		if diags := NewSuite("p2psize", []*Analyzer{TestOnly}).Run(pkgs); len(diags) != 0 {
+			t.Errorf("%s: got %v, want no findings", name, diags)
+		}
 	}
 }

@@ -123,20 +123,3 @@ func (s *Series) Append(x, y float64) {
 
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.X) }
-
-// YRange returns the minimum and maximum Y values (0, 0 if empty).
-func (s *Series) YRange() (lo, hi float64) {
-	if len(s.Y) == 0 {
-		return 0, 0
-	}
-	lo, hi = s.Y[0], s.Y[0]
-	for _, y := range s.Y[1:] {
-		if y < lo {
-			lo = y
-		}
-		if y > hi {
-			hi = y
-		}
-	}
-	return lo, hi
-}

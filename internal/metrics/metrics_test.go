@@ -90,20 +90,15 @@ func TestCounterTotalIsSumProperty(t *testing.T) {
 	}
 }
 
-func TestSeriesAppendAndRange(t *testing.T) {
+func TestSeriesAppend(t *testing.T) {
 	var s Series
-	lo, hi := s.YRange()
-	if lo != 0 || hi != 0 || s.Len() != 0 {
+	if s.Len() != 0 {
 		t.Fatal("empty series degenerate values")
 	}
 	s.Append(0, 5)
 	s.Append(1, -2)
 	s.Append(2, 9)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	lo, hi = s.YRange()
-	if lo != -2 || hi != 9 {
-		t.Fatalf("YRange = %g, %g", lo, hi)
+	if s.Len() != 3 || s.X[2] != 2 || s.Y[1] != -2 {
+		t.Fatalf("Len = %d, points %v %v", s.Len(), s.X, s.Y)
 	}
 }

@@ -97,7 +97,7 @@ func (p Policy) normalized() Policy {
 	if p.Window < 1 {
 		p.Window = core.LastK
 	}
-	if p.Alpha <= 0 || p.Alpha > 1 {
+	if !(p.Alpha > 0 && p.Alpha <= 1) {
 		p.Alpha = 0.3
 	}
 	return p

@@ -48,7 +48,7 @@ func netsEqual(t *testing.T, a, b *Network) {
 
 func TestCloneCOWMatchesCloneUnderChurn(t *testing.T) {
 	base, _ := newTestNet(1500, 31)
-	deep := base.Clone()
+	deep, _ := newTestNet(1500, 31) // an independent, fully owned copy of base
 	cow := base.CloneCOW()
 	replayChurn(deep, 99, 1200)
 	replayChurn(cow, 99, 1200)

@@ -89,13 +89,6 @@ func New(g *graph.Graph, maxDeg int, counter *metrics.Counter) *Network {
 // mutation reserved to Join/Leave and test setup).
 func (n *Network) Graph() *graph.Graph { return n.g }
 
-// Clone returns a deep copy of the overlay with a fresh message counter.
-// Every run loop clones with CloneCOW; the deep copy survives as the
-// reference TestCloneCOWMatchesCloneUnderChurn compares it against.
-func (n *Network) Clone() *Network {
-	return &Network{g: n.g.Clone(), counter: &metrics.Counter{}, maxDeg: n.maxDeg, trans: n.trans}
-}
-
 // CloneCOW returns a copy-on-write copy of the overlay with a fresh
 // message counter: the topology is shared with the receiver until the
 // clone mutates it (graph.CloneCOW), so fanning one clone per
@@ -141,10 +134,6 @@ func (n *Network) FaultPolicy() FaultPolicy { return n.policy }
 // DO inherit it: the parallel harnesses fan instances over the same
 // wire.
 func (n *Network) SetTransport(t Transport) { n.trans = t }
-
-// Transport returns the installed transport, or nil on a pure
-// simulation.
-func (n *Network) Transport() Transport { return n.trans }
 
 // Send meters one message of the given kind, plus whatever faults the
 // installed policy charges for it, then hands it to the transport (if

@@ -186,7 +186,7 @@ func TestChurnPreservesInvariants(t *testing.T) {
 		rng := xrand.New(seed)
 		net, _ := newTestNet(100, seed)
 		for op := 0; op < 200; op++ {
-			if rng.Bool() && net.Size() > 2 {
+			if rng.Uint64()&1 == 1 && net.Size() > 2 {
 				net.LeaveRandom(rng)
 			} else {
 				net.JoinRandomDegree(rng)
@@ -203,7 +203,7 @@ func TestCloneAndView(t *testing.T) {
 	net, rng := newTestNet(400, 3)
 	net.Send(metrics.KindWalk)
 
-	clone := net.Clone()
+	clone := net.CloneCOW()
 	if clone.Size() != net.Size() || clone.MaxDegree() != net.MaxDegree() {
 		t.Fatalf("clone shape differs")
 	}

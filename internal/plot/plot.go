@@ -2,7 +2,7 @@
 // repository uses: gnuplot-compatible .dat files (one block per curve,
 // the layout the paper's figures were plotted from), CSV for spreadsheet
 // work, terminal ASCII charts for quick inspection, and markdown tables
-// for EXPERIMENTS.md.
+// for the NOTES.md that cmd/figures writes.
 package plot
 
 import (

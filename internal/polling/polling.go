@@ -85,9 +85,6 @@ func (e *Estimator) Name() string {
 // (core.OverlayMutator), so the monitor may run it on a shared clone.
 func (e *Estimator) MutatesOverlay() bool { return false }
 
-// Config returns the estimator's configuration.
-func (e *Estimator) Config() Config { return e.cfg }
-
 // ErrEmptyOverlay is returned when no live peer can initiate.
 var ErrEmptyOverlay = errors.New("polling: empty overlay")
 

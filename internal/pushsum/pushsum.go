@@ -119,18 +119,8 @@ func (p *Protocol) Name() string {
 	return fmt.Sprintf("push-sum(rounds=%d)", p.cfg.RoundsPerEpoch)
 }
 
-// Config returns the protocol configuration.
-func (p *Protocol) Config() Config { return p.cfg }
-
 // ErrEmptyOverlay is returned when no live peer can initiate.
 var ErrEmptyOverlay = errors.New("pushsum: empty overlay")
-
-// Initiator returns the current epoch's initiator (graph.None before
-// the first epoch).
-func (p *Protocol) Initiator() graph.NodeID { return p.initiator }
-
-// Epoch returns the current epoch tag (0 before the first epoch).
-func (p *Protocol) Epoch() uint32 { return p.epoch }
 
 // StartEpoch begins a new counting process: the epoch tag is bumped and
 // the initiator (kept from the previous epoch when still alive,
@@ -306,21 +296,6 @@ func (p *Protocol) Estimate(net *overlay.Network) (float64, bool) {
 	return p.EstimateAt(net, p.initiator)
 }
 
-// MassInEpoch returns the totals held by live participants: the sum
-// mass (one per participant in a static network) and the weight mass
-// (exactly 1; under churn the deficit measures departures).
-func (p *Protocol) MassInEpoch(net *overlay.Network) (sum, weight float64) {
-	g := net.Graph()
-	for i := 0; i < g.NumAlive(); i++ {
-		id := g.AliveAt(i)
-		if p.participant(id) {
-			sum += p.sums[id]
-			weight += p.weights[id]
-		}
-	}
-	return sum, weight
-}
-
 // Estimator adapts Protocol to the one-shot core.Estimator contract:
 // each Estimate call runs a full epoch (StartEpoch + RoundsPerEpoch
 // rounds) and reads the initiator's ratio.
@@ -340,9 +315,6 @@ func (e *Estimator) Name() string { return e.p.Name() }
 // push-sum belongs to the cyclon-backed epidemic class whose deployed
 // exchanges rewire views, so it keeps a private overlay clone.
 func (e *Estimator) MutatesOverlay() bool { return true }
-
-// Protocol exposes the underlying protocol instance.
-func (e *Estimator) Protocol() *Protocol { return e.p }
 
 // Estimate runs one full epoch and returns the initiator's estimate.
 func (e *Estimator) Estimate(net *overlay.Network) (float64, error) {

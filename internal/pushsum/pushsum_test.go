@@ -224,7 +224,7 @@ func TestInitiatorSurvivesRedraw(t *testing.T) {
 	if _, err := e.Estimate(net); err != nil {
 		t.Fatal(err)
 	}
-	net.Leave(e.Protocol().Initiator())
+	net.Leave(e.p.initiator)
 	est, err := e.Estimate(net)
 	if err != nil {
 		t.Fatal(err)
@@ -249,4 +249,19 @@ func TestConfigValidation(t *testing.T) {
 			New(cfg, xrand.New(1))
 		}()
 	}
+}
+
+// MassInEpoch returns the totals held by live participants: the sum
+// mass (one per participant in a static network) and the weight mass
+// (exactly 1; under churn the deficit measures departures).
+func (p *Protocol) MassInEpoch(net *overlay.Network) (sum, weight float64) {
+	g := net.Graph()
+	for i := 0; i < g.NumAlive(); i++ {
+		id := g.AliveAt(i)
+		if p.participant(id) {
+			sum += p.sums[id]
+			weight += p.weights[id]
+		}
+	}
+	return sum, weight
 }

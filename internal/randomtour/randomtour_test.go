@@ -41,7 +41,7 @@ func TestName(t *testing.T) {
 	if e.Name() != "random-tour(tours=4)" {
 		t.Fatalf("Name = %q", e.Name())
 	}
-	if e.Config().Tours != 4 {
+	if e.cfg.Tours != 4 {
 		t.Fatal("Config not returned")
 	}
 }

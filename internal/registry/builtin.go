@@ -35,7 +35,6 @@ func init() {
 		Summary: "uniform sampling by continuous-time random walk + inverted birthday paradox (§III-A)",
 		// Θ(√(2lN)·T·d̄) messages per estimation.
 		CostHint:           30,
-		CadenceHint:        1,
 		SupportsDynamic:    true,
 		SupportsMonitoring: true,
 		SupportsTransport:  true,
@@ -62,7 +61,6 @@ func init() {
 		Summary: "return-time random walk (§II) — the baseline Sample&Collide was chosen over",
 		// Θ(N·d̄/deg) messages per tour: the costliest family by far.
 		CostHint:           100,
-		CadenceHint:        1,
 		SupportsDynamic:    true,
 		SupportsMonitoring: true,
 		SupportsTransport:  true,
@@ -83,7 +81,6 @@ func init() {
 		Summary: "gossip a poll, count replies weighted by hop distance (§III-B)",
 		// One gossip spread plus routed replies: ~4N messages.
 		CostHint:           20,
-		CadenceHint:        1,
 		SupportsDynamic:    true,
 		SupportsMonitoring: true,
 		SupportsTransport:  true,
@@ -106,15 +103,13 @@ func init() {
 		// estimate, which is why its suggested monitoring cadence is 10x
 		// the base tick.
 		CostHint:           200,
-		CadenceHint:        10,
 		SupportsDynamic:    true,
 		SupportsMonitoring: true,
 		SupportsTransport:  true,
 		InDefaultSet:       true,
 		// Cyclon-backed in deployment: exchanges rewire views, so the
 		// shared-replay monitor keeps it on a private clone.
-		MutatesOverlay: true,
-		StreamOffset:   13,
+		StreamOffset: 13,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
 			if o.Shards < 0 || o.Shards > parallel.MaxConfigShards {
 				return nil, fmt.Errorf("aggregation shards %d out of range [0, %d]", o.Shards, parallel.MaxConfigShards)
@@ -138,7 +133,6 @@ func init() {
 		// the ring is a membership snapshot, so it is unsound the moment
 		// the overlay churns — hence no dynamic/monitoring support.
 		CostHint:           5,
-		CadenceHint:        1,
 		SupportsDynamic:    false,
 		SupportsMonitoring: false,
 		StreamOffset:       14,
@@ -160,7 +154,6 @@ func init() {
 		Summary: "flood a probe, count replies sent with fixed probability (§II's plain polling)",
 		// One flood plus ~pN routed replies.
 		CostHint:           15,
-		CadenceHint:        1,
 		SupportsDynamic:    true,
 		SupportsMonitoring: true,
 		SupportsTransport:  true,
@@ -178,13 +171,11 @@ func init() {
 		// still an epoch per estimate, so it shares Aggregation's slow
 		// suggested monitoring cadence.
 		CostHint:           150,
-		CadenceHint:        10,
 		SupportsDynamic:    true,
 		SupportsMonitoring: true,
 		SupportsTransport:  true,
 		// Same cyclon-backed epidemic class as aggregation: private clone.
-		MutatesOverlay: true,
-		StreamOffset:   16,
+		StreamOffset: 16,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
 			if o.Shards < 0 || o.Shards > parallel.MaxConfigShards {
 				return nil, fmt.Errorf("pushsum shards %d out of range [0, %d]", o.Shards, parallel.MaxConfigShards)
@@ -207,7 +198,6 @@ func init() {
 		// (capture + recapture draws)·T·d̄ walk hops per estimation —
 		// fixed cost, accuracy degrades (instead of cost growing) with N.
 		CostHint:           25,
-		CadenceHint:        1,
 		SupportsDynamic:    true,
 		SupportsMonitoring: true,
 		SupportsTransport:  true,
@@ -225,7 +215,6 @@ func init() {
 		// unlike idspace's snapshot ring — sound under churn, because
 		// identifiers are hashed from stable node IDs.
 		CostHint:           10,
-		CadenceHint:        1,
 		SupportsDynamic:    true,
 		SupportsMonitoring: true,
 		SupportsTransport:  true,

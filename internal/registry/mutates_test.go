@@ -4,37 +4,9 @@ import (
 	"testing"
 
 	"p2psize/internal/core"
-	"p2psize/internal/fault"
 	"p2psize/internal/overlay"
 	"p2psize/internal/xrand"
 )
-
-// TestMutatesOverlayFlagMatchesCapability pins the catalog's
-// MutatesOverlay metadata to the runtime capability the monitor's
-// shared-replay grouping actually reads (core.MutatesOverlay on the
-// built instance): a descriptor must never advertise a sharing class
-// its estimator does not implement, in either direction. The fault
-// decorator wraps every estimator the Build chokepoint produces, so it
-// is checked too — decoration must forward the capability, not reset
-// it to the conservative mutating default.
-func TestMutatesOverlayFlagMatchesCapability(t *testing.T) {
-	for _, d := range All() {
-		t.Run(d.Name, func(t *testing.T) {
-			net := testNet(300, 3)
-			e, err := d.New(net, xrand.New(4), Options{})
-			if err != nil {
-				t.Fatalf("factory: %v", err)
-			}
-			if got := core.MutatesOverlay(e); got != d.MutatesOverlay {
-				t.Fatalf("core.MutatesOverlay(%s) = %v, descriptor says %v", d.Name, got, d.MutatesOverlay)
-			}
-			dec := fault.Decorate(e, fault.NewInjector(fault.Spec{Drop: 0.01}, xrand.New(5)))
-			if got := core.MutatesOverlay(dec); got != d.MutatesOverlay {
-				t.Fatalf("fault-decorated core.MutatesOverlay(%s) = %v, descriptor says %v", d.Name, got, d.MutatesOverlay)
-			}
-		})
-	}
-}
 
 // plainEstimator implements only the bare core.Estimator contract.
 type plainEstimator struct{}
@@ -59,7 +31,11 @@ func TestDefaultRosterExercisesBothSharingClasses(t *testing.T) {
 		if !ok {
 			t.Fatalf("default-set name %q does not resolve", name)
 		}
-		if d.MutatesOverlay {
+		e, err := d.New(testNet(300, 3), xrand.New(4), Options{})
+		if err != nil {
+			t.Fatalf("%s factory: %v", name, err)
+		}
+		if core.MutatesOverlay(e) {
 			mutating++
 		} else {
 			readOnly++

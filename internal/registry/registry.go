@@ -92,11 +92,6 @@ type Descriptor struct {
 	// CostHint ranks families by relative message cost per estimation
 	// (1 = cheapest). Scheduling and documentation only — never output.
 	CostHint int
-	// CadenceHint is the suggested monitoring cadence multiplier on the
-	// base tick: cheap families sample every tick (1), expensive ones
-	// every CadenceHint ticks (Aggregation: 10). Applied only when the
-	// caller opts in — default rosters keep one shared cadence.
-	CadenceHint float64
 	// SupportsDynamic marks families that stay sound on a churning
 	// overlay (snapshot-based families like id-density do not: their
 	// precomputed state goes stale the moment membership changes).
@@ -115,14 +110,6 @@ type Descriptor struct {
 	// InDefaultSet marks the paper's head-to-head monitoring roster
 	// (Sample&Collide, Random Tour, HopsSampling, Aggregation).
 	InDefaultSet bool
-	// MutatesOverlay marks families whose estimations rewire the
-	// overlay graph (the cyclon-backed epidemic class in deployment);
-	// families that only observe it share one overlay clone — and one
-	// trace replay — per cadence group in the monitor. Catalog
-	// metadata: the monitor's grouping decision itself reads the
-	// estimator instance's core.OverlayMutator capability, and the
-	// registry test pins the two in sync.
-	MutatesOverlay bool
 	// StreamOffset is the family's fixed seed-stream offset: instance
 	// rngs derive from seed+StreamOffset, so a family's random stream —
 	// and therefore its per-run message accounting — never depends on

@@ -47,7 +47,7 @@ func TestName(t *testing.T) {
 	if e.Name() != "sample&collide(l=42)" {
 		t.Fatalf("Name = %q", e.Name())
 	}
-	if e.Config().L != 42 {
+	if e.cfg.L != 42 {
 		t.Fatal("Config not returned")
 	}
 }

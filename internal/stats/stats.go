@@ -12,34 +12,23 @@ import (
 	"sort"
 )
 
-// Running accumulates count, mean, variance (Welford), min and max of a
+// Running accumulates count, mean, variance (Welford) and max of a
 // stream of float64 observations in O(1) memory.
 type Running struct {
-	n        int
-	mean, m2 float64
-	min, max float64
+	n             int
+	mean, m2, max float64
 }
 
 // Add folds one observation into the accumulator.
 func (r *Running) Add(x float64) {
-	if r.n == 0 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
+	if r.n == 0 || x > r.max {
+		r.max = x
 	}
 	r.n++
 	d := x - r.mean
 	r.mean += d / float64(r.n)
 	r.m2 += d * (x - r.mean)
 }
-
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
 
 // Mean returns the sample mean (0 if empty).
 func (r *Running) Mean() float64 { return r.mean }
@@ -53,40 +42,17 @@ func (r *Running) Variance() float64 {
 	return r.m2 / float64(r.n-1)
 }
 
-// StdDev returns the sample standard deviation.
+// StdDev returns the sample standard deviation. No run reads it; it
+// ships for the tests that bound an estimator's spread.
+//
+//detlint:allow testonly used by the stats, aggregation, capturerecapture, cyclon, dhtext and pushsum tests
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Min returns the smallest observation (0 if empty).
-func (r *Running) Min() float64 { return r.min }
 
 // Max returns the largest observation (0 if empty).
 func (r *Running) Max() float64 { return r.max }
 
 // Reset clears the accumulator.
 func (r *Running) Reset() { *r = Running{} }
-
-// Merge combines another accumulator into r (parallel-friendly reduction).
-func (r *Running) Merge(o *Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *o
-		return
-	}
-	n := r.n + o.n
-	d := o.mean - r.mean
-	mean := r.mean + d*float64(o.n)/float64(n)
-	m2 := r.m2 + o.m2 + d*d*float64(r.n)*float64(o.n)/float64(n)
-	min, max := r.min, r.max
-	if o.min < min {
-		min = o.min
-	}
-	if o.max > max {
-		max = o.max
-	}
-	*r = Running{n: n, mean: mean, m2: m2, min: min, max: max}
-}
 
 // Window is a fixed-capacity sliding window over the most recent K
 // observations. It implements the paper's lastKruns smoothing
@@ -137,18 +103,6 @@ func (w *Window) Mean() float64 {
 	return sum / float64(n)
 }
 
-// Values returns a copy of the held observations in insertion order
-// (oldest first).
-func (w *Window) Values() []float64 {
-	n := w.Len()
-	out := make([]float64, 0, n)
-	if w.full {
-		out = append(out, w.buf[w.next:]...)
-	}
-	out = append(out, w.buf[:w.next]...)
-	return out
-}
-
 // Reset empties the window.
 func (w *Window) Reset() {
 	w.next = 0
@@ -183,33 +137,6 @@ func Quantile(xs []float64, q float64) float64 {
 
 // Median returns the 0.5-quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Mean returns the arithmetic mean of xs (0 if empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the unbiased sample standard deviation of xs
-// (0 if fewer than two elements).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)-1))
-}
 
 // QualityPct expresses an estimate as a percentage of the true size, the
 // normalization used on every static-setting figure of the paper

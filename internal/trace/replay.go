@@ -22,11 +22,9 @@ import (
 // overlay states at every point in time, which is what lets concurrent
 // monitoring instances replay one trace on per-instance clones.
 type Player struct {
-	tr     *Trace
-	next   int
-	nodes  []graph.NodeID // by session; graph.None before the join and after the leave
-	joins  int
-	leaves int
+	tr    *Trace
+	next  int
+	nodes []graph.NodeID // by session; graph.None before the join and after the leave
 	// staged accumulates what AdvanceTo's read-ahead loaded, so that the
 	// compiler keeps the loads; nothing reads it.
 	staged int
@@ -98,21 +96,5 @@ func (p *Player) AdvanceTo(net *overlay.Network, t float64, rng *xrand.Rand) (jo
 			}
 		}
 	}
-	p.joins += joins
-	p.leaves += leaves
 	return joins, leaves
 }
-
-// Finish applies all remaining events (AdvanceTo the horizon).
-func (p *Player) Finish(net *overlay.Network, rng *xrand.Rand) (joins, leaves int) {
-	return p.AdvanceTo(net, p.tr.Horizon, rng)
-}
-
-// Done reports whether every event has been applied.
-func (p *Player) Done() bool { return p.next >= len(p.tr.Events) }
-
-// TotalJoins returns the number of peers added so far.
-func (p *Player) TotalJoins() int { return p.joins }
-
-// TotalLeaves returns the number of peers removed so far.
-func (p *Player) TotalLeaves() int { return p.leaves }

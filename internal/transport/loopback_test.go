@@ -95,3 +95,46 @@ func TestLoopbackClose(t *testing.T) {
 	for range l.Liveness() {
 	}
 }
+
+// Bind registers the handler for a peer's inbound traffic (replacing any
+// previous binding) and signals the peer up.
+func (l *Loopback) Bind(id NodeID, h Handler) {
+	l.mu.Lock()
+	if !l.closed {
+		l.handlers[id] = h
+	}
+	closed := l.closed
+	l.mu.Unlock()
+	if !closed {
+		l.signal(Event{Peer: id, Up: true})
+	}
+}
+
+// Unbind removes a peer's handler and signals the peer down.
+func (l *Loopback) Unbind(id NodeID) {
+	l.mu.Lock()
+	_, had := l.handlers[id]
+	delete(l.handlers, id)
+	closed := l.closed
+	l.mu.Unlock()
+	if had && !closed {
+		l.signal(Event{Peer: id, Up: false})
+	}
+}
+
+// Stats returns a snapshot of the delivery accounting.
+func (l *Loopback) Stats() Stats {
+	return Stats{
+		Delivered: l.delivered.Load(),
+		Requests:  l.requests.Load(),
+		Errors:    l.errOutcomes.Load(),
+	}
+}
+
+// signal pushes a liveness event without ever blocking the caller.
+func (l *Loopback) signal(ev Event) {
+	select {
+	case l.events <- ev:
+	default:
+	}
+}

@@ -156,13 +156,6 @@ func (u *UDP) SetSelf(id NodeID) {
 	u.mu.Unlock()
 }
 
-// Self returns the local overlay ID.
-func (u *UDP) Self() NodeID {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.self
-}
-
 // SetHandler installs the inbound dispatch target.
 func (u *UDP) SetHandler(h Handler) {
 	u.mu.Lock()
@@ -200,17 +193,6 @@ func (u *UDP) bind(id NodeID, addr netip.AddrPort) {
 		u.order = append(u.order, p)
 	}
 	p.addr = addr
-}
-
-// PeerAddr returns the bound address of a peer.
-func (u *UDP) PeerAddr(id NodeID) (string, bool) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	p := u.peers[id]
-	if p == nil {
-		return "", false
-	}
-	return p.addr.String(), true
 }
 
 // resolve picks the destination of a send: the bound peer for an

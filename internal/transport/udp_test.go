@@ -451,3 +451,14 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+// PeerAddr returns the bound address of a peer.
+func (u *UDP) PeerAddr(id NodeID) (string, bool) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	p := u.peers[id]
+	if p == nil {
+		return "", false
+	}
+	return p.addr.String(), true
+}

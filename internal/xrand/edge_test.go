@@ -23,20 +23,6 @@ func TestIntRangePanics(t *testing.T) {
 	New(1).IntRange(5, 4)
 }
 
-func TestBool(t *testing.T) {
-	r := New(203)
-	trues := 0
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		if r.Bool() {
-			trues++
-		}
-	}
-	if f := float64(trues) / draws; math.Abs(f-0.5) > 0.01 {
-		t.Fatalf("Bool true-rate = %g", f)
-	}
-}
-
 func TestUint64nPowerOfTwoPath(t *testing.T) {
 	r := New(205)
 	for i := 0; i < 10000; i++ {

@@ -167,11 +167,6 @@ func (r *Rand) Float64Open() float64 {
 	return (float64(r.Uint64()>>11) + 1) / (1 << 53)
 }
 
-// Bool returns true with probability 1/2.
-func (r *Rand) Bool() bool {
-	return r.Uint64()&1 == 1
-}
-
 // Bernoulli returns true with probability p (clamped to [0, 1]).
 func (r *Rand) Bernoulli(p float64) bool {
 	if p <= 0 {

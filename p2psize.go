@@ -162,8 +162,8 @@ func NewNetwork(opts NetworkOptions) (*Network, error) {
 		if beta == 0 {
 			beta = 0.1
 		}
-		if beta < 0 || beta > 1 {
-			return nil, errors.New("p2psize: RewireProb must be in [0,1]")
+		if !(beta >= 0 && beta <= 1) {
+			return nil, fmt.Errorf("p2psize: RewireProb %g must be in [0,1]", beta)
 		}
 		g = graph.WattsStrogatz(opts.Nodes, maxDeg, beta, rng)
 		maxDeg = 2 * maxDeg
@@ -271,6 +271,9 @@ func LoadNetwork(r io.Reader, maxDegree int, seed uint64) (*Network, error) {
 	}
 	if maxDegree == 0 {
 		maxDegree = 10
+	}
+	if maxDegree < 0 {
+		return nil, fmt.Errorf("p2psize: LoadNetwork maxDegree %d is negative (0 selects 10)", maxDegree)
 	}
 	return &Network{net: overlay.New(g, maxDegree, nil), rng: xrand.New(seed)}, nil
 }

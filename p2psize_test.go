@@ -374,3 +374,49 @@ func TestPollingEstimator(t *testing.T) {
 		t.Fatalf("polling mean estimate %.0f, truth %d", mean, size)
 	}
 }
+
+func TestLoadNetworkRejectsNegativeMaxDegree(t *testing.T) {
+	var buf bytes.Buffer
+	if err := mustNet(t, NetworkOptions{Nodes: 50, Seed: 1}).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadNetwork(&buf, -5, 1); err == nil || !strings.Contains(err.Error(), "maxDegree") {
+		t.Fatalf("LoadNetwork(maxDegree -5) = %v, want an error naming maxDegree", err)
+	}
+}
+
+func TestApplyFaultsRejectsNilEstimator(t *testing.T) {
+	if _, err := ApplyFaults(nil, FaultOptions{Drop: 0.1}, 1); err == nil || !strings.Contains(err.Error(), "estimator") {
+		t.Fatalf("ApplyFaults(nil) = %v, want an error naming the estimator", err)
+	}
+}
+
+func TestSmallWorldRejectsNaNRewireProb(t *testing.T) {
+	_, err := NewNetwork(NetworkOptions{Nodes: 100, Topology: SmallWorld, RewireProb: math.NaN()})
+	if err == nil || !strings.Contains(err.Error(), "RewireProb") {
+		t.Fatalf("RewireProb NaN: %v, want an error naming RewireProb", err)
+	}
+}
+
+// TestEWMANaNAlphaFallsBack: a NaN alpha is out of range like any other
+// and selects the default 0.3, instead of turning every smoothed
+// estimate after the first into NaN.
+func TestEWMANaNAlphaFallsBack(t *testing.T) {
+	tr, err := GenerateTrace(TraceOptions{Nodes: 300, Horizon: 100, Sessions: WeibullSessions, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(alpha float64) []float64 {
+		net := mustNet(t, NetworkOptions{Nodes: 300, Seed: 2})
+		ests := []Estimator{mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 20, Seed: 3})}
+		res, err := RunMonitor(net, tr, ests, MonitorOptions{Cadence: 20, Policy: EWMASmoothing, Alpha: alpha, ReplaySeed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Estimates(0)
+	}
+	got, want := run(math.NaN()), run(0.3)
+	if len(got) < 2 || !slices.Equal(got, want) {
+		t.Fatalf("Alpha NaN smoothed to %v, the default 0.3 to %v", got, want)
+	}
+}
