@@ -13,7 +13,8 @@ const maxWireAttempts = 200
 // by one; each draws a target degree uniformly in [1, maxDeg] and fills
 // its view with uniformly random partners that are not yet at maxDeg.
 // Links are bidirectional. With maxDeg = 10 the resulting average degree
-// is ≈ 7.2, matching the paper.
+// is ≈ 7.2, matching the paper. The wiring is WireUpTo's rule, draw for
+// draw, run by wireFresh.
 func Heterogeneous(n, maxDeg int, rng *xrand.Rand) *Graph {
 	if n <= 0 {
 		panic("graph: Heterogeneous with n <= 0")
@@ -21,17 +22,12 @@ func Heterogeneous(n, maxDeg int, rng *xrand.Rand) *Graph {
 	if maxDeg < 1 {
 		panic("graph: Heterogeneous with maxDeg < 1")
 	}
-	g := NewWithNodes(n)
-	for u := NodeID(0); int(u) < n; u++ {
-		target := rng.IntRange(1, maxDeg)
-		g.WireUpTo(u, target, maxDeg, rng)
-	}
-	return g
+	return wireFresh(n, 0, maxDeg, rng)
 }
 
 // Homogeneous builds the homogeneous variant mentioned in §IV-A, in which
 // every node aims for exactly degree k (subject to feasibility at the end
-// of the process).
+// of the process). Like Heterogeneous it is wired by wireFresh.
 func Homogeneous(n, k int, rng *xrand.Rand) *Graph {
 	if n <= 0 {
 		panic("graph: Homogeneous with n <= 0")
@@ -39,11 +35,61 @@ func Homogeneous(n, k int, rng *xrand.Rand) *Graph {
 	if k < 1 || k >= n {
 		panic("graph: Homogeneous needs 1 <= k < n")
 	}
+	return wireFresh(n, k, k, rng)
+}
+
+// wireFresh builds n unconnected nodes and wires them in id order, each
+// up to target links (target <= 0: each first draws its own uniformly
+// in [1, maxDeg]) by the rule and the draws of WireUpTo(u, target,
+// maxDeg, rng): the adjacency order, the edge count and the generator's
+// position are that loop's. It is written for a graph nobody else holds,
+// in which no node has left:
+//
+//   - Every degree sits in one flat table, 4 bytes a node, and each draw
+//     is decided on that table and on u's own list (HasEdge is
+//     symmetric). u advances in id order, so its record is in cache.
+//   - An accepted partner's record is written, never read: its inline
+//     slot and its degree. Only a list about to leave its record, or
+//     already spilled, goes through addHalfEdge.
+//   - No read-ahead: a partner costs a store, not a load the loop waits
+//     for.
+func wireFresh(n, target, maxDeg int, rng *xrand.Rand) *Graph {
 	g := NewWithNodes(n)
+	deg := make([]int32, n)
 	for u := NodeID(0); int(u) < n; u++ {
-		g.WireUpTo(u, k, k, rng)
+		want := target
+		if want <= 0 {
+			want = rng.IntRange(1, maxDeg)
+		}
+		own := g.nodes.slot(int(u))
+		for attempts := 0; int(deg[u]) < want && attempts < maxWireAttempts; {
+			v := NodeID(rng.Intn(n))
+			if v == u || int(deg[v]) >= maxDeg || contains(g.list(own), v) {
+				attempts++
+				continue
+			}
+			g.appendBlind(u, deg[u], v)
+			g.appendBlind(v, deg[v], u)
+			deg[u]++
+			deg[v]++
+			g.edges++
+		}
 	}
 	return g
+}
+
+// appendBlind appends v to the list of id, whose degree is d, on a graph
+// that owns all its pages and never lost an edge (so a list shorter
+// than inlineCap is inline): while the list fits in the record it
+// writes the slot and the degree without reading the record.
+func (g *Graph) appendBlind(id NodeID, d int32, v NodeID) {
+	if d >= inlineCap {
+		g.addHalfEdge(id, v)
+		return
+	}
+	n := g.nodes.slot(int(id))
+	n.nb[d] = v
+	n.deg = d + 1
 }
 
 // wirePeek caps how many of its own upcoming draws WireUpTo reads ahead:
@@ -52,13 +98,15 @@ const wirePeek = 16
 
 // WireUpTo adds random links to u until its degree reaches target,
 // choosing partners uniformly among nodes with degree < maxDeg: the
-// wiring rule of §IV-A, for the builders and for overlay.Join. A draw is
-// two dependent loads (the alive-list entry, then that peer's record)
-// and is fixed by the generator's state, so the draws are first replayed
-// on a copy of the generator and both levels issued as independent
-// loads; the loop then draws for real and finds them in cache. Only the
-// loop advances rng, and the read-ahead goes through at, never slot, so
-// it owns no page of a COW clone.
+// wiring rule of §IV-A, as overlay.Join applies it to a live overlay
+// (churned, possibly a COW clone). The builders run the same rule, draw
+// for draw, in wireFresh. A draw is two dependent loads (the alive-list
+// entry, then that peer's record) and is fixed by the generator's
+// state, so the draws are first replayed on a copy of the generator and
+// both levels issued as independent loads; the loop then draws for real
+// and finds them in cache. Only the loop advances rng, and the
+// read-ahead goes through at, never slot, so it owns no page of a COW
+// clone.
 func (g *Graph) WireUpTo(u NodeID, target, maxDeg int, rng *xrand.Rand) {
 	if need := target - g.Degree(u); need > 0 && g.NumAlive() > 0 {
 		ahead := *rng

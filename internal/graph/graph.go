@@ -78,9 +78,16 @@ func New(n int) *Graph {
 // NewWithNodes returns a graph with n alive, unconnected nodes 0..n-1.
 func NewWithNodes(n int) *Graph {
 	g := New(n)
-	for i := 0; i < n; i++ {
-		g.AddNode()
+	for off := 0; off < n; off += pageSize {
+		recs, ids := new([pageSize]node), new([pageSize]NodeID)
+		for i := range min(pageSize, n-off) {
+			recs[i] = node{pos: int32(off + i), spill: -1}
+			ids[i] = NodeID(off + i)
+		}
+		g.nodes.tbl = append(g.nodes.tbl, recs)
+		g.aliveIDs.tbl = append(g.aliveIDs.tbl, ids)
 	}
+	g.nodes.n, g.aliveIDs.n = n, n
 	return g
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary snapshot format:
@@ -85,11 +86,21 @@ func Read(r io.Reader) (*Graph, error) {
 	if err := binary.Read(br, binary.LittleEndian, &numIDs); err != nil {
 		return nil, fmt.Errorf("graph: reading node count: %w", err)
 	}
-	g := NewWithNodes(int(numIDs))
-	bitmap := make([]byte, (numIDs+7)/8)
-	if _, err := io.ReadFull(br, bitmap); err != nil {
+	if numIDs > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: node count %d exceeds the int32 id space", numIDs)
+	}
+	// The header's count is a claim: the bitmap is read into a buffer
+	// that grows with the bytes actually present, and no record is built
+	// before all of it has arrived.
+	size := int64(numIDs+7) / 8
+	bitmap, err := io.ReadAll(io.LimitReader(br, size))
+	if err != nil {
 		return nil, fmt.Errorf("graph: reading alive bitmap: %w", err)
 	}
+	if int64(len(bitmap)) < size {
+		return nil, fmt.Errorf("graph: reading alive bitmap: %w", io.ErrUnexpectedEOF)
+	}
+	g := NewWithNodes(int(numIDs))
 	var edges uint32
 	if err := binary.Read(br, binary.LittleEndian, &edges); err != nil {
 		return nil, fmt.Errorf("graph: reading edge count: %w", err)

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -121,4 +124,70 @@ func TestReadEmptyGraph(t *testing.T) {
 	if got.NumIDs() != 0 || got.NumAlive() != 0 {
 		t.Fatal("empty graph round trip wrong")
 	}
+}
+
+// snapshotHeader is a snapshot's first 12 bytes: magic, version and a
+// node count, with nothing after them.
+func snapshotHeader(numIDs uint32) []byte {
+	b := append([]byte(nil), magic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, formatVersion)
+	return binary.LittleEndian.AppendUint32(b, numIDs)
+}
+
+// TestReadHostileHeader feeds headers whose node count no bitmap backs:
+// each must be an error, and Read must not allocate for the claim.
+func TestReadHostileHeader(t *testing.T) {
+	for _, numIDs := range []uint32{5_000_000, math.MaxInt32, math.MaxInt32 + 1, math.MaxUint32} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := Read(bytes.NewReader(snapshotHeader(numIDs)))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("numIDs %d: accepted a %d-node graph", numIDs, g.NumIDs())
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("numIDs %d: Read allocated %d bytes before failing (%v)", numIDs, d, err)
+		}
+	}
+}
+
+// FuzzRead: no snapshot makes Read panic; an accepted graph is
+// consistent, and its serialization is a fixed point (Read accepts
+// edges in any order, WriteTo writes them in id order, so it is the
+// second write that must repeat the first).
+func FuzzRead(f *testing.F) {
+	for _, g := range []*Graph{New(0), NewWithNodes(1), Ring(10), Heterogeneous(60, 6, xrand.New(1))} {
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(snapshotHeader(5_000_000))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		var first, second bytes.Buffer
+		if _, err := g.WriteTo(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Read rejects what WriteTo wrote: %v", err)
+		}
+		if !sameGraph(g, back) {
+			t.Fatal("round trip lost structure")
+		}
+		if _, err := back.WriteTo(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("WriteTo(Read(WriteTo(g))) differs from WriteTo(g)")
+		}
+	})
 }

@@ -240,3 +240,92 @@ func TestWirePinned(t *testing.T) {
 		}
 	}
 }
+
+// refBuild is Heterogeneous (target 0: each node draws its own in
+// [1, maxDeg]) or Homogeneous (target = maxDeg = k) as they stood
+// before wireFresh: nodes added one at a time, then refWireUpTo per
+// node in id order.
+func refBuild(n, target, maxDeg int, rng *xrand.Rand) *Graph {
+	g := New(n)
+	for range n {
+		g.AddNode()
+	}
+	for u := NodeID(0); int(u) < n; u++ {
+		want := target
+		if want <= 0 {
+			want = rng.IntRange(1, maxDeg)
+		}
+		refWireUpTo(g, u, want, maxDeg, rng)
+	}
+	return g
+}
+
+// buildersMatchReference builds Heterogeneous(n, maxDeg), and
+// Homogeneous(n, maxDeg) where k < n allows it, beside refBuild from
+// equal generators, and reports the first difference: adjacency lists
+// in order, edge count, invariants, or the generator's next draw.
+func buildersMatchReference(n, maxDeg int, seed uint64) error {
+	for _, homogeneous := range []bool{false, true} {
+		name, target, build := "Heterogeneous", 0, Heterogeneous
+		if homogeneous {
+			if maxDeg >= n {
+				continue
+			}
+			name, target, build = "Homogeneous", maxDeg, Homogeneous
+		}
+		wantRng, gotRng := xrand.New(seed), xrand.New(seed)
+		want, got := refBuild(n, target, maxDeg, wantRng), build(n, maxDeg, gotRng)
+		err := graphsEqual(want, got)
+		if err == nil {
+			err = got.CheckInvariants()
+		}
+		if w, g := wantRng.Uint64(), gotRng.Uint64(); err == nil && w != g {
+			err = fmt.Errorf("next draw %#x, reference %#x", g, w)
+		}
+		if err != nil {
+			return fmt.Errorf("%s(%d, %d) seed %d: %w", name, n, maxDeg, seed, err)
+		}
+	}
+	return nil
+}
+
+// TestBuildersMatchReference holds both random-graph builders to
+// refBuild on degree caps either side of the inline/spill boundary
+// (13 fits a record, 14 spills), down to graphs too small to wire.
+func TestBuildersMatchReference(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, n := range []int{1, 2, 3, 50, 5000} {
+			for _, maxDeg := range []int{1, 2, 10, 13, 14, 20} {
+				if err := buildersMatchReference(n, maxDeg, seed); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+}
+
+// FuzzBuilders holds both builders to refBuild for any seed, n <= 4096
+// and degree caps up to 40.
+func FuzzBuilders(f *testing.F) {
+	f.Add(uint64(1), uint16(5000), uint8(10))
+	f.Add(uint64(42), uint16(3), uint8(14))
+	f.Add(uint64(7), uint16(40), uint8(39))
+	f.Fuzz(func(t *testing.T, seed uint64, n16 uint16, deg8 uint8) {
+		if err := buildersMatchReference(1+int(n16)%4096, 1+int(deg8)%40, seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkBuild times the paper's 1M-scale input, Heterogeneous(n, 10),
+// reported per node.
+func BenchmarkBuild(b *testing.B) {
+	for _, n := range []int{100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; b.Loop(); i++ {
+				Heterogeneous(n, 10, xrand.New(uint64(i+1)))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
+		})
+	}
+}

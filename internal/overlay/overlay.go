@@ -194,7 +194,7 @@ func (n *Network) Alive(id NodeID) bool { return n.g.Alive(id) }
 // Join adds a new peer wired to up to target random live peers that are
 // below the degree cap, and returns its ID. Target is clamped to [1,
 // MaxDegree]. Wiring is best effort on a crowded overlay: it is the
-// builders' own loop (graph.WireUpTo).
+// builders' rule, draw for draw (graph.WireUpTo).
 func (n *Network) Join(target int, rng *xrand.Rand) NodeID {
 	if target < 1 {
 		target = 1

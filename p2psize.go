@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"p2psize/internal/core"
 	"p2psize/internal/graph"
@@ -118,6 +119,9 @@ type Network struct {
 func NewNetwork(opts NetworkOptions) (*Network, error) {
 	if opts.Nodes < 1 {
 		return nil, errors.New("p2psize: NetworkOptions.Nodes must be >= 1")
+	}
+	if int64(opts.Nodes) > math.MaxInt32 {
+		return nil, fmt.Errorf("p2psize: NetworkOptions.Nodes must be at most %d (node ids are int32)", math.MaxInt32)
 	}
 	maxDeg := opts.MaxDegree
 	if maxDeg == 0 {

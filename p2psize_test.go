@@ -62,6 +62,17 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 }
 
+// TestNewNetworkRejectsNodesBeyondInt32 asks for more nodes than node
+// ids can number; the error must name the option and come before the
+// build allocates anything.
+func TestNewNetworkRejectsNodesBeyondInt32(t *testing.T) {
+	nodes := int64(math.MaxInt32) + 1
+	_, err := NewNetwork(NetworkOptions{Nodes: int(nodes)})
+	if err == nil || !strings.Contains(err.Error(), "NetworkOptions.Nodes") {
+		t.Fatalf("Nodes %d: err = %v", nodes, err)
+	}
+}
+
 func TestTopologyString(t *testing.T) {
 	for topo, want := range map[Topology]string{
 		Heterogeneous: "heterogeneous",
