@@ -3,6 +3,7 @@ package p2psize
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"p2psize/internal/cluster"
@@ -29,16 +30,19 @@ type ClusterOptions struct {
 	// Estimators selects families by registry name/alias; empty means
 	// every transport-capable family of the default monitoring roster.
 	Estimators []string
-	// Samples is the estimations per family (0 = 3).
+	// Samples is the estimations per family (0 = 3; negative is
+	// rejected).
 	Samples int
-	// Cadence is the simulated time between samples (0 = 10).
+	// Cadence is the simulated time between samples (0 = 10; negative
+	// and non-finite values are rejected).
 	Cadence float64
 	// Tolerance is the accepted relative live-vs-simulated divergence
-	// (0 = 0.05). A benign run is bit-equal, i.e. divergence 0; the
-	// tolerance absorbs liveness-driven membership changes.
+	// (0 = 0.05; negative and non-finite values are rejected). A benign
+	// run is bit-equal, i.e. divergence 0; the tolerance absorbs
+	// liveness-driven membership changes.
 	Tolerance float64
 	// RTO and Retries tune the coordinator transport's retransmission
-	// (0 = defaults: 250ms, 4 retries).
+	// (0 = defaults: 250ms, 4 retries; negative is rejected).
 	RTO     time.Duration
 	Retries int
 	// Teardown sends a shutdown RPC to every daemon when the run ends.
@@ -74,10 +78,39 @@ type ClusterReport struct {
 	Departed int
 	// Delivered is how many protocol messages the coordinator's
 	// transport wrote, Datagrams how many UDP datagrams carried them
-	// (oneway frames are coalesced per daemon), and Received how many
-	// the surviving daemons report having absorbed. Received below
+	// (pending messages are counted per daemon and kind, and each
+	// datagram carries one frame per kind), and Received how many the
+	// surviving daemons report having absorbed. Received below
 	// Delivered means a socket buffer overflowed or a daemon departed.
 	Delivered, Datagrams, Received uint64
+}
+
+// Validate checks the options' ranges; RunCluster calls it before any
+// daemon starts. The error names the offending field.
+func (o ClusterOptions) Validate() error {
+	switch {
+	case o.size() < 2:
+		return errors.New("p2psize: ClusterOptions needs Nodes >= 2 (or Addrs)")
+	case o.Samples < 0:
+		return fmt.Errorf("p2psize: ClusterOptions.Samples %d is negative (0 = 3)", o.Samples)
+	case !(o.Cadence >= 0) || math.IsInf(o.Cadence, 1):
+		return fmt.Errorf("p2psize: ClusterOptions.Cadence %g must be finite and >= 0 (0 = 10)", o.Cadence)
+	case !(o.Tolerance >= 0) || math.IsInf(o.Tolerance, 1):
+		return fmt.Errorf("p2psize: ClusterOptions.Tolerance %g must be finite and >= 0 (0 = 0.05)", o.Tolerance)
+	case o.RTO < 0:
+		return fmt.Errorf("p2psize: ClusterOptions.RTO %v is negative (0 = 250ms)", o.RTO)
+	case o.Retries < 0:
+		return fmt.Errorf("p2psize: ClusterOptions.Retries %d is negative (0 = 4)", o.Retries)
+	}
+	return nil
+}
+
+// size is the cluster size the options ask for.
+func (o ClusterOptions) size() int {
+	if len(o.Addrs) > 0 {
+		return len(o.Addrs)
+	}
+	return o.Nodes
 }
 
 // RunCluster wires a cluster of real node daemons into the requested
@@ -87,12 +120,8 @@ type ClusterReport struct {
 // over a live transport are rejected when named explicitly and skipped
 // when implied by a roster selector.
 func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
-	n := opts.Nodes
-	if len(opts.Addrs) > 0 {
-		n = len(opts.Addrs)
-	}
-	if n < 2 {
-		return nil, errors.New("p2psize: ClusterOptions needs Nodes >= 2 (or Addrs)")
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 
 	descs, err := clusterRoster(opts.Estimators)
@@ -103,7 +132,7 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 	// The plan topology is a plain NewNetwork build: same generators,
 	// same seed discipline as every simulated experiment.
 	plan, err := NewNetwork(NetworkOptions{
-		Nodes:     n,
+		Nodes:     opts.size(),
 		Topology:  opts.Topology,
 		MaxDegree: opts.MaxDegree,
 		Seed:      opts.Seed,

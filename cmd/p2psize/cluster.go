@@ -52,15 +52,16 @@ func parseAddrSpec(spec string) ([]string, error) {
 	return addrs, nil
 }
 
-func runCluster(o clusterOpts) error {
+// clusterOptions turns the flags into the library's options.
+func clusterOptions(o clusterOpts) (p2psize.ClusterOptions, error) {
 	addrs, err := parseAddrSpec(o.addrSpec)
 	if err != nil {
-		return err
+		return p2psize.ClusterOptions{}, err
 	}
 	if len(addrs) > 0 && o.nodes > 0 && o.nodes != len(addrs) {
-		return fmt.Errorf("-cluster %d contradicts the %d addresses in -cluster-addrs; drop one flag", o.nodes, len(addrs))
+		return p2psize.ClusterOptions{}, fmt.Errorf("-cluster %d contradicts the %d addresses in -cluster-addrs; drop one flag", o.nodes, len(addrs))
 	}
-	rep, err := p2psize.RunCluster(p2psize.ClusterOptions{
+	return p2psize.ClusterOptions{
 		Nodes:      o.nodes,
 		Addrs:      addrs,
 		Topology:   o.topo,
@@ -73,7 +74,11 @@ func runCluster(o clusterOpts) error {
 		Logf: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},
-	})
+	}, nil
+}
+
+func runCluster(opts p2psize.ClusterOptions) error {
+	rep, err := p2psize.RunCluster(opts)
 	if err != nil {
 		return err
 	}

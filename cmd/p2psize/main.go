@@ -150,11 +150,18 @@ func main() {
 	}
 
 	if clusterMode {
-		if err := runCluster(clusterOpts{
+		opts, err := clusterOptions(clusterOpts{
 			nodes: *clusterN, addrSpec: *clusterAddrs, topo: topo, maxDeg: *maxDeg,
 			estSel: *estSel, runs: *runs, seed: *seed,
 			tolerance: *tolerance, teardown: *teardown,
-		}); err != nil {
+		})
+		if err != nil {
+			fatal(err)
+		}
+		if err := opts.Validate(); err != nil {
+			fatalUsage(err)
+		}
+		if err := runCluster(opts); err != nil {
 			fatal(err)
 		}
 		return

@@ -250,31 +250,73 @@ func TestParseTopology(t *testing.T) {
 	main()
 }
 
-// TestNonFiniteHorizonExits2: -horizon NaN under -trace is a usage
-// error — exit status 2 and one "p2psize:" line — not the panic a NaN
-// schedule used to end in. The test binary re-runs itself as the
-// command (mainArgsEnv carries the arguments).
-func TestNonFiniteHorizonExits2(t *testing.T) {
+// TestMain runs the command itself, not the tests, when mainArgsEnv
+// carries a command line: how a test sees the exit status and stderr of
+// a real run.
+func TestMain(m *testing.M) {
 	if args := os.Getenv(mainArgsEnv); args != "" {
 		os.Args = append([]string{"p2psize"}, strings.Fields(args)...)
 		flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 		main()
 		os.Exit(0)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestNonFiniteHorizonExits2$")
-	cmd.Env = append(os.Environ(), mainArgsEnv+"=-nodes 200 -estimators sc -trace weibull -horizon NaN")
+	os.Exit(m.Run())
+}
+
+// mainArgsEnv names the variable through which a test hands the child
+// process it starts the command line to run.
+const mainArgsEnv = "P2PSIZE_TEST_MAIN_ARGS"
+
+// runMain runs the command with args in a child process and returns its
+// exit status and stderr.
+func runMain(t *testing.T, args string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), mainArgsEnv+"="+args)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("exit: %v, want status 2; stderr:\n%s", err, stderr.String())
+	switch {
+	case err == nil:
+		return 0, stderr.String()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stderr.String()
 	}
-	if got := stderr.String(); strings.Count(got, "p2psize:") != 1 || !strings.Contains(got, "-horizon NaN") {
-		t.Fatalf("stderr %q: want one p2psize: error naming -horizon NaN", got)
+	t.Fatal(err)
+	return 0, ""
+}
+
+// TestNonFiniteHorizonExits2: -horizon NaN under -trace is a usage
+// error — exit status 2 and one "p2psize:" line — not the panic a NaN
+// schedule used to end in.
+func TestNonFiniteHorizonExits2(t *testing.T) {
+	code, stderr := runMain(t, "-nodes 200 -estimators sc -trace weibull -horizon NaN")
+	if code != 2 {
+		t.Fatalf("exit status %d, want 2; stderr:\n%s", code, stderr)
+	}
+	if strings.Count(stderr, "p2psize:") != 1 || !strings.Contains(stderr, "-horizon NaN") {
+		t.Fatalf("stderr %q: want one p2psize: error naming -horizon NaN", stderr)
 	}
 }
 
-// mainArgsEnv names the variable through which TestNonFiniteHorizonExits2
-// hands its child process the command line to run.
-const mainArgsEnv = "P2PSIZE_TEST_MAIN_ARGS"
+// TestClusterOptionsExit2: a live-cluster option out of range is a usage
+// error, found before any daemon starts — not a whole cluster run that
+// ends in a failed tolerance check or a monitor error.
+func TestClusterOptionsExit2(t *testing.T) {
+	for _, c := range []struct{ args, field string }{
+		{"-tolerance NaN", "ClusterOptions.Tolerance NaN"},
+		{"-tolerance -1", "ClusterOptions.Tolerance -1"},
+		{"-tolerance +Inf", "ClusterOptions.Tolerance +Inf"},
+		{"-runs -1", "ClusterOptions.Samples -1"},
+	} {
+		code, stderr := runMain(t, "-cluster 4 -estimators sc "+c.args)
+		if code != 2 {
+			t.Errorf("%s: exit status %d, want 2; stderr:\n%s", c.args, code, stderr)
+			continue
+		}
+		if strings.Count(stderr, "p2psize:") != 1 || !strings.Contains(stderr, c.field) {
+			t.Errorf("%s: stderr %q: want one p2psize: error naming %s", c.args, stderr, c.field)
+		}
+	}
+}

@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"net"
 	"slices"
 	"strings"
 	"testing"
@@ -210,4 +214,73 @@ func (n *Node) Neighbors() []NeighborInfo {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.neighborList()
+}
+
+// FuzzServeRequest holds the control plane to its contract under any
+// op and payload: no panic, the neighbors table always comes back
+// sorted by ID without duplicates, and after an accepted assign it
+// answers with the assigned ID and exactly the assigned neighbor IDs.
+// Hostnames in a payload resolve through a resolver whose Dial fails,
+// so no lookup leaves the process.
+func FuzzServeRequest(f *testing.F) {
+	saved := net.DefaultResolver
+	net.DefaultResolver = &net.Resolver{PreferGo: true, Dial: func(context.Context, string, string) (net.Conn, error) {
+		return nil, errors.New("fuzz: name lookups are disabled")
+	}}
+	f.Cleanup(func() { net.DefaultResolver = saved })
+	ops := []string{"assign", "join", "leave", "neighbors", "ping", "shutdown", "no-such-op"}
+	f.Add(uint8(0), []byte(`{"id":3,"neighbors":[{"id":5,"addr":"127.0.0.1:9"},{"id":1,"addr":"127.0.0.1:10"},{"id":5,"addr":"127.0.0.1:11"}]}`))
+	f.Add(uint8(0), []byte(`{"id":2,"neighbors":[{"id":0,"addr":"peer.invalid:9"}]}`))
+	f.Add(uint8(0), []byte(`{"id":-1,"neighbors":[]}`))
+	f.Add(uint8(1), []byte(`{"id":4,"addr":"127.0.0.1:12"}`))
+	f.Add(uint8(2), []byte(`{"id":4}`))
+	f.Add(uint8(3), []byte(nil))
+	f.Add(uint8(4), []byte(nil))
+	f.Add(uint8(5), []byte(nil))
+	f.Add(uint8(6), []byte("{"))
+	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
+		nd, err := NewNode("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nd.Close()
+		op := ops[int(sel)%len(ops)]
+		resp, err := nd.ServeRequest(0, op, payload)
+		if op == "ping" && (err != nil || len(resp) != 8) {
+			t.Fatalf("ping = %x, %v; want the 8-byte counter", resp, err)
+		}
+		raw, nerr := nd.ServeRequest(0, "neighbors", nil)
+		if nerr != nil {
+			t.Fatalf("neighbors after %s: %v", op, nerr)
+		}
+		var tab neighborsPayload
+		if err := json.Unmarshal(raw, &tab); err != nil {
+			t.Fatalf("neighbors after %s: %v", op, err)
+		}
+		for i := 1; i < len(tab.Neighbors); i++ {
+			if tab.Neighbors[i-1].ID >= tab.Neighbors[i].ID {
+				t.Fatalf("neighbors after %s are not sorted and distinct: %+v", op, tab.Neighbors)
+			}
+		}
+		if op != "assign" || err != nil {
+			return
+		}
+		var req assignPayload
+		if err := json.Unmarshal(payload, &req); err != nil {
+			t.Fatalf("an assign was accepted from a payload that does not decode: %v", err)
+		}
+		var want []transport.NodeID
+		for _, nb := range req.Neighbors {
+			want = append(want, nb.ID)
+		}
+		slices.Sort(want)
+		want = slices.Compact(want)
+		got := make([]transport.NodeID, len(tab.Neighbors))
+		for i, nb := range tab.Neighbors {
+			got[i] = nb.ID
+		}
+		if tab.ID != req.ID || !slices.Equal(got, want) {
+			t.Fatalf("after assigning %d with neighbors %v: answers as %d with %v", req.ID, want, tab.ID, got)
+		}
+	})
 }

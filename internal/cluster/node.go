@@ -61,7 +61,7 @@ type neighborsPayload struct {
 // Node is one daemon: a UDP transport endpoint plus the neighbor
 // bookkeeping the coordinator's RPCs maintain. It serves the cluster
 // control plane (assign/join/leave/neighbors/ping/shutdown) and absorbs
-// the estimators' one-way protocol traffic, counting it per kind.
+// the estimators' one-way protocol traffic, keeping one total of it.
 type Node struct {
 	tr *transport.UDP
 

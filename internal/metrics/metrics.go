@@ -30,16 +30,18 @@ const (
 	KindPull
 	// KindControl is protocol control traffic (epoch restarts, probes).
 	KindControl
-	numKinds
+	// NumKinds is the number of defined kinds: every valid Kind is below
+	// it, so a [NumKinds] array holds one slot per kind.
+	NumKinds
 )
 
-var kindNames = [numKinds]string{
+var kindNames = [NumKinds]string{
 	"walk", "sample-return", "gossip-spread", "reply", "push", "pull", "control",
 }
 
 // AllKinds returns every defined message kind.
 func AllKinds() []Kind {
-	out := make([]Kind, numKinds)
+	out := make([]Kind, NumKinds)
 	for i := range out {
 		out[i] = Kind(i)
 	}
@@ -58,7 +60,7 @@ func (k Kind) String() string {
 // It is not safe for concurrent use; simulations are single-threaded per
 // experiment and parallel experiments own separate counters.
 type Counter struct {
-	counts [numKinds]uint64
+	counts [NumKinds]uint64
 }
 
 // Inc records one message of the given kind.
@@ -81,7 +83,7 @@ func (c *Counter) Total() uint64 {
 }
 
 // Reset zeroes all counts.
-func (c *Counter) Reset() { c.counts = [numKinds]uint64{} }
+func (c *Counter) Reset() { c.counts = [NumKinds]uint64{} }
 
 // Snapshot returns a copy of the counter, for before/after deltas.
 func (c *Counter) Snapshot() Counter { return *c }
@@ -97,7 +99,7 @@ func (c *Counter) Merge(o *Counter) {
 // "walk=480000 sample-return=6300 (total 486300)".
 func (c *Counter) String() string {
 	var parts []string
-	for k := Kind(0); k < numKinds; k++ {
+	for k := Kind(0); k < NumKinds; k++ {
 		if c.counts[k] > 0 {
 			parts = append(parts, fmt.Sprintf("%s=%d", k, c.counts[k]))
 		}

@@ -78,7 +78,7 @@ func TestCounterTotalIsSumProperty(t *testing.T) {
 		var c Counter
 		var want uint64
 		for _, raw := range incs {
-			k := Kind(raw % uint8(numKinds))
+			k := Kind(raw % uint8(NumKinds))
 			n := uint64(raw)
 			c.Add(k, n)
 			want += n

@@ -29,11 +29,11 @@ import (
 //	    32     2  errlen
 //	    34     …  op (oplen bytes), err (errlen bytes), payload (the rest of n)
 //
-// All integers are big-endian. A oneway frame — every metered protocol
-// message is one — has no op, err or payload and costs 34 bytes and no
-// heap object on either side. The control-plane payloads (assign,
-// neighbors, join, leave: tens of frames per run) stay JSON inside
-// Payload; they are not the traffic.
+// All integers are big-endian. A oneway frame — Count metered protocol
+// messages of one kind to one peer — has no op, err or payload and
+// costs 34 bytes and no heap object on either side. The control-plane
+// payloads (assign, neighbors, join, leave: tens of frames per run)
+// stay JSON inside Payload; they are not the traffic.
 //
 // The body was JSON until PR 24, on the guess that codec throughput is
 // irrelevant at this protocol's sizes. The ledger disproved it: on
@@ -87,16 +87,16 @@ type Frame struct {
 	// Kind is the metered message kind of oneway traffic.
 	Kind metrics.Kind
 	// Seq matches a response to its request; oneway frames carry the
-	// sender's running sequence for duplicate suppression.
+	// sender's running sequence, which no receiver reads.
 	Seq uint64
 	// From and To are overlay node IDs (graph.None when unaddressed or
 	// not yet assigned).
 	From NodeID
 	// To is the destination overlay ID.
 	To NodeID
-	// Count is how many protocol messages this frame carries: SendN
-	// batches coalesce into one frame with Count > 1 instead of flooding
-	// the wire with N frames.
+	// Count is how many protocol messages this frame carries, at least
+	// one in a oneway frame: the UDP transport sends a peer all pending
+	// messages of a kind as one frame.
 	Count uint64
 	// Payload is the op-specific request or response body.
 	Payload []byte

@@ -16,13 +16,13 @@
 //     handlers synchronously; with no handler registered it is a metered
 //     null device. Safe for concurrent use, so the parallel experiment
 //     harnesses can share one.
-//   - UDP: real sockets. Length-prefixed binary frames (frame.go),
-//     coalesced per peer into datagrams of at most 1200 bytes — sent at
-//     once when the sender is idle, in full datagrams under load, always
-//     before a Request or Close — request/response matching by sequence
-//     number, retransmission on a timeout mirroring the fault layer's
-//     RTO pricing model, and liveness events when a peer stops
-//     answering.
+//   - UDP: real sockets. Length-prefixed binary frames (frame.go);
+//     pending oneway traffic is a count per (peer, kind), written as one
+//     frame per kind in a single datagram — at once when the sender is
+//     idle, folded into the next datagram under load, always before a
+//     Request or Close — request/response matching by sequence number,
+//     retransmission on a timeout mirroring the fault layer's RTO
+//     pricing model, and liveness events when a peer stops answering.
 package transport
 
 import (
@@ -78,7 +78,7 @@ type Stats struct {
 	// (written to the socket for UDP, dispatched for loopback).
 	Delivered uint64
 	// Datagrams counts the datagrams that carried them (UDP only): the
-	// coalesced writes of oneway frames, not the request/response
+	// flusher's writes of oneway frames, not the request/response
 	// exchanges.
 	Datagrams uint64
 	// Requests counts completed request/response exchanges.

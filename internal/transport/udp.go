@@ -23,10 +23,12 @@ const (
 	defaultRetries = 4
 )
 
-// maxDatagram caps a coalesced datagram of oneway frames. It sits under
-// the 1280-byte IPv6 minimum MTU, so a datagram never fragments on any
-// conforming path.
+// maxDatagram caps a datagram of oneway frames, at most one per kind
+// (else the array below fails to compile). It sits under the 1280-byte
+// IPv6 minimum MTU, so a datagram never fragments on any conforming path.
 const maxDatagram = 1200
+
+var _ [maxDatagram - int(metrics.NumKinds)*onewayLen]struct{}
 
 // ErrPeerUnreachable is returned when a request exhausts its
 // retransmission budget; the peer is signalled down on the liveness
@@ -54,19 +56,17 @@ type UDPConfig struct {
 }
 
 // UDP is the real-socket transport: length-prefixed binary frames over
-// a single UDP socket, oneway frames coalesced per peer into datagrams
-// of at most 1200 bytes, per-peer addressing, sequence-matched
+// a single UDP socket, per-peer addressing, sequence-matched
 // request/response with RTO retransmission, and liveness events when a
 // peer stops answering. Safe for concurrent use.
 //
-// Delivery rule: a oneway frame is sent at once when the sender is
-// idle, in full datagrams under load, and always before a Request or
-// Close. Deliver appends to the destination's pending datagram and
-// wakes the flusher goroutine, which writes whatever is pending: a lone
-// frame leaves immediately, and a sender that outruns sendto finds the
-// datagram full and writes it itself — that backpressure bounds memory
-// at one datagram per peer, and the batch size clocks itself without a
-// timer or a threshold.
+// Delivery rule: a peer's pending oneway traffic is a count per message
+// kind. Deliver adds to it and, when the peer had nothing pending, wakes
+// the flusher goroutine, which writes one datagram of one frame per
+// nonzero kind. A lone message leaves at once, messages that arrive
+// while a datagram is in sendto ride the next one, and all leave before
+// a Request or Close. Memory per peer is fixed, and the batch size
+// clocks itself without a timer or a threshold.
 type UDP struct {
 	conn    *net.UDPConn
 	rto     time.Duration
@@ -82,10 +82,9 @@ type UDP struct {
 	pending map[uint64]chan Frame
 	closed  bool
 
-	// wmu serializes the flush writes: datagrams to one peer leave in
-	// the order they filled, and flush returns only once everything
-	// delivered before it is written. It owns out, the buffer a flush
-	// swaps for the peer's (lock order: wmu, then mu).
+	// wmu serializes the flush writes, so flush returns only once
+	// everything delivered before it is written. It owns out, the buffer
+	// a flush encodes into (lock order: wmu, then mu).
 	wmu sync.Mutex
 	out []byte
 
@@ -104,10 +103,10 @@ type UDP struct {
 
 // peer is one bound destination. Fields are guarded by UDP.mu.
 type peer struct {
-	id   NodeID
-	addr netip.AddrPort
-	buf  []byte // pending datagram: whole oneway frames, at most maxDatagram bytes
-	msgs uint64 // protocol messages those frames carry
+	id     NodeID
+	addr   netip.AddrPort
+	counts [metrics.NumKinds]uint64 // pending oneway messages by kind
+	total  uint64                   // their sum; nonzero means a flush is due
 }
 
 // NewUDP opens the socket and starts the receive loop and the flusher.
@@ -211,23 +210,21 @@ func (u *UDP) resolve(to NodeID) *peer {
 	return p
 }
 
-// Deliver implements Transport: one frame carrying the whole batch
-// (Count = count), appended to the destination's pending datagram —
-// fire-and-forget like the epidemic traffic it mostly carries; the type
-// comment states when the datagram leaves. An unknown or unaddressed
-// destination with no bound peers is a metered no-op, which keeps the
-// null-deployment path (no daemons yet) identical to the simulation.
+// Deliver implements Transport: it adds count to the destination's
+// pending count for the kind. An unknown or unaddressed destination
+// with no bound peers is a metered no-op, which keeps the
+// null-deployment path (no daemons yet) identical to the simulation; a
+// kind outside metrics.NumKinds is an error outcome.
 func (u *UDP) Deliver(to NodeID, kind metrics.Kind, count uint64) error {
 	if count == 0 {
 		return nil
 	}
+	if kind >= metrics.NumKinds {
+		u.errOutcomes.Add(1)
+		return fmt.Errorf("transport: message kind %d is not below %d", kind, metrics.NumKinds)
+	}
 	u.mu.Lock()
 	p := u.resolve(to)
-	for p != nil && !u.closed && len(p.buf)+onewayLen > maxDatagram {
-		u.mu.Unlock()
-		u.flushPeer(p)
-		u.mu.Lock()
-	}
 	if u.closed {
 		u.mu.Unlock()
 		u.errOutcomes.Add(1)
@@ -238,17 +235,12 @@ func (u *UDP) Deliver(to NodeID, kind metrics.Kind, count uint64) error {
 		u.delivered.Add(count)
 		return nil
 	}
-	if p.buf == nil {
-		p.buf = make([]byte, 0, maxDatagram)
-	}
-	idle := len(p.buf) == 0
-	// A oneway frame has no variable part, so it cannot fail to encode.
-	p.buf, _ = appendFrame(p.buf, onewayFrame(u.self, p.id, kind, count, u.seq.Add(1)))
-	p.msgs += count
+	idle := p.total == 0
+	p.counts[kind] += count
+	p.total += count
 	u.mu.Unlock()
 	if idle {
-		// Every empty-to-pending transition leaves a token, so pending
-		// frames always have a flush ahead of them.
+		// Each idle-to-pending transition leaves a token: no count waits unflushed.
 		select {
 		case u.kick <- struct{}{}:
 		default:
@@ -271,8 +263,8 @@ func (u *UDP) flushLoop() {
 	}
 }
 
-// flush writes every peer's pending datagram. When it returns, every
-// frame delivered before the call is on the wire.
+// flush writes every peer's pending messages. When it returns, every
+// message delivered before the call is on the wire.
 func (u *UDP) flush() {
 	for i := 0; ; i++ {
 		u.mu.Lock()
@@ -286,21 +278,27 @@ func (u *UDP) flush() {
 	}
 }
 
-// flushPeer writes the peer's pending datagram, if any: it swaps the
-// peer's buffer for the spare one and writes outside u.mu, so senders
-// keep filling while the datagram is in sendto.
+// flushPeer writes the peer's pending messages, if any: it takes the
+// counts under u.mu, then encodes one frame per nonzero kind and writes
+// the datagram outside it, so senders keep counting meanwhile.
 func (u *UDP) flushPeer(p *peer) {
 	u.wmu.Lock()
 	defer u.wmu.Unlock()
 	u.mu.Lock()
-	if len(p.buf) == 0 {
+	if p.total == 0 {
 		u.mu.Unlock()
 		return
 	}
-	p.buf, u.out = u.out[:0], p.buf
-	addr, msgs := p.addr, p.msgs
-	p.msgs = 0
+	counts, msgs, addr, self := p.counts, p.total, p.addr, u.self
+	p.counts, p.total = [metrics.NumKinds]uint64{}, 0
 	u.mu.Unlock()
+	u.out = u.out[:0]
+	for k, c := range counts {
+		if c > 0 {
+			// A oneway frame has no variable part, so it cannot fail to encode.
+			u.out, _ = appendFrame(u.out, onewayFrame(self, p.id, metrics.Kind(k), c, u.seq.Add(1)))
+		}
+	}
 	if _, err := u.conn.WriteToUDPAddrPort(u.out, addr); err != nil {
 		u.errOutcomes.Add(1)
 		return
@@ -473,8 +471,10 @@ func (u *UDP) dispatch(f *Frame, raddr netip.AddrPort) {
 	u.mu.Unlock()
 	switch f.Type {
 	case TypeOneway:
-		if h != nil {
-			h.ServeOneway(f.From, f.Kind, max(f.Count, 1))
+		if f.Count == 0 {
+			u.errOutcomes.Add(1) // serving it would absorb a message nobody sent
+		} else if h != nil {
+			h.ServeOneway(f.From, f.Kind, f.Count)
 		}
 	case TypeRequest:
 		var payload []byte

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -247,52 +248,86 @@ func TestUDPLoneOnewayArrives(t *testing.T) {
 	hb.await(t, 1)
 }
 
-func TestUDPCoalescesOneway(t *testing.T) {
-	const sends = 2000
+// rawTally is what a raw socket read of oneway traffic saw.
+type rawTally struct {
+	datagrams, frames int
+	messages          uint64
+	byKind            [metrics.NumKinds]uint64
+	err               error
+}
+
+// listenRaw opens a raw socket to play a peer, with room for every
+// datagram a test sends, so the kernel cannot drop what the reader has
+// not got to yet.
+func listenRaw(t *testing.T) *net.UDPConn {
+	t.Helper()
 	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer raw.Close()
-	// Room for every frame even if each travelled alone, so the kernel
-	// cannot drop what the reader has not got to yet.
+	t.Cleanup(func() { raw.Close() })
 	if err := raw.SetReadBuffer(4 << 20); err != nil {
 		t.Fatal(err)
 	}
-	type tally struct {
-		datagrams, frames int
-		messages          uint64
-		err               error
-	}
-	done := make(chan tally, 1)
-	go func() {
-		var got tally
-		defer func() { done <- got }()
-		buf := make([]byte, headerLen+MaxFrame)
-		raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-		for got.messages < sends {
-			n, _, err := raw.ReadFromUDP(buf)
-			if err != nil {
-				got.err = err
-				return
-			}
-			if n > maxDatagram {
-				got.err = fmt.Errorf("a datagram of %d bytes, the cap is %d", n, maxDatagram)
-				return
-			}
-			got.datagrams++
-			for rest := buf[:n]; len(rest) > 0; {
-				f, used, err := DecodeFrame(rest)
-				if err != nil {
-					got.err = err
-					return
-				}
-				got.frames++
-				got.messages += f.Count
-				rest = rest[used:]
-			}
+	return raw
+}
+
+// readOneway reads datagrams off raw until want messages have arrived,
+// then waits a moment more to see that nothing follows. Every datagram
+// must keep the flusher's contract: at most maxDatagram bytes of whole
+// oneway frames, each of a known kind and carrying at least one
+// message, and at most one frame per kind.
+func readOneway(raw *net.UDPConn, want uint64) (got rawTally) {
+	buf := make([]byte, headerLen+MaxFrame)
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		if got.messages >= want {
+			raw.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
 		}
-	}()
+		n, _, err := raw.ReadFromUDP(buf)
+		if err != nil {
+			if !errors.Is(err, os.ErrDeadlineExceeded) || got.messages < want {
+				got.err = err
+			}
+			return got
+		}
+		if n > maxDatagram {
+			got.err = fmt.Errorf("a datagram of %d bytes, the cap is %d", n, maxDatagram)
+			return got
+		}
+		got.datagrams++
+		var seen [metrics.NumKinds]bool
+		for rest := buf[:n]; len(rest) > 0; {
+			f, used, err := DecodeFrame(rest)
+			switch {
+			case err != nil:
+				got.err = err
+			case f.Type != TypeOneway || f.Kind >= metrics.NumKinds || f.Count == 0:
+				got.err = fmt.Errorf("datagram %d carries the frame %+v", got.datagrams, f)
+			case seen[f.Kind]:
+				got.err = fmt.Errorf("datagram %d carries two %s frames", got.datagrams, f.Kind)
+			}
+			if got.err != nil {
+				return got
+			}
+			seen[f.Kind] = true
+			got.frames++
+			got.messages += f.Count
+			got.byKind[f.Kind] += f.Count
+			rest = rest[used:]
+		}
+	}
+}
+
+// TestUDPCoalescesOneway: pending traffic to a peer is a count per kind,
+// so a burst of single messages crosses the wire as a handful of
+// datagrams, each with at most one frame per kind, and the transport's
+// accounting is exactly what the socket read.
+func TestUDPCoalescesOneway(t *testing.T) {
+	const sends = 2000
+	raw := listenRaw(t)
+	done := make(chan rawTally, 1)
+	go func() { done <- readOneway(raw, sends) }()
 
 	a, err := NewUDP(UDPConfig{Addr: "127.0.0.1:0", Self: 0})
 	if err != nil {
@@ -302,8 +337,11 @@ func TestUDPCoalescesOneway(t *testing.T) {
 	if err := a.SetPeer(1, raw.LocalAddr().String()); err != nil {
 		t.Fatal(err)
 	}
+	var want [metrics.NumKinds]uint64
 	for i := 0; i < sends; i++ {
-		if err := a.Deliver(1, metrics.KindWalk, 1); err != nil {
+		kind := metrics.Kind(i % int(metrics.NumKinds))
+		want[kind]++
+		if err := a.Deliver(1, kind, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,14 +350,134 @@ func TestUDPCoalescesOneway(t *testing.T) {
 	if got.err != nil {
 		t.Fatalf("after %d messages in %d datagrams: %v", got.messages, got.datagrams, got.err)
 	}
-	if got.messages != sends || got.frames != sends {
-		t.Fatalf("read %d messages in %d frames, want %d each", got.messages, got.frames, sends)
+	if got.messages != sends || got.byKind != want {
+		t.Fatalf("read %d messages %v by kind, want %d %v", got.messages, got.byKind, sends, want)
 	}
-	if got.datagrams >= got.frames {
-		t.Fatalf("%d datagrams for %d frames: nothing was coalesced", got.datagrams, got.frames)
+	if got.datagrams >= sends {
+		t.Fatalf("%d datagrams for %d sends: nothing was coalesced", got.datagrams, sends)
 	}
 	if st.Datagrams != uint64(got.datagrams) || st.Delivered != sends || st.Errors != 0 {
-		t.Fatalf("stats = %+v, the socket read %d datagrams", st, got.datagrams)
+		t.Fatalf("stats = %+v, the socket read %d messages in %d datagrams", st, got.messages, got.datagrams)
+	}
+}
+
+// TestUDPConcurrentSendersExactTotals: senders racing each other and
+// the flusher, interleaving kinds across several peers, lose and invent
+// nothing — every peer reads exactly what was sent to it, kind by kind.
+func TestUDPConcurrentSendersExactTotals(t *testing.T) {
+	const peers, senders, sends = 3, 4, 600
+	a, err := NewUDP(UDPConfig{Addr: "127.0.0.1:0", Self: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	raws := make([]*net.UDPConn, peers)
+	for p := range raws {
+		raws[p] = listenRaw(t)
+		if err := a.SetPeer(NodeID(p+1), raws[p].LocalAddr().String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// send is sender g's i-th Deliver: its peer, kind and count.
+	send := func(g, i int) (int, metrics.Kind, uint64) {
+		return (g + i) % peers, metrics.Kind((3*g + i) % int(metrics.NumKinds)), uint64(1 + i%4)
+	}
+	var want [peers][metrics.NumKinds]uint64
+	var total [peers]uint64
+	for g := 0; g < senders; g++ {
+		for i := 0; i < sends; i++ {
+			p, kind, count := send(g, i)
+			want[p][kind] += count
+			total[p] += count
+		}
+	}
+	done := make([]chan rawTally, peers)
+	for p := range done {
+		done[p] = make(chan rawTally, 1)
+		go func() { done[p] <- readOneway(raws[p], total[p]) }()
+	}
+	errs := make(chan error, senders)
+	for g := 0; g < senders; g++ {
+		go func() {
+			for i := 0; i < sends; i++ {
+				p, kind, count := send(g, i)
+				if err := a.Deliver(NodeID(p+1), kind, count); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < senders; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := a.Stats()
+	var datagrams int
+	var delivered uint64
+	for p := range done {
+		got := <-done[p]
+		if got.err != nil {
+			t.Fatalf("peer %d, after %d messages in %d datagrams: %v", p+1, got.messages, got.datagrams, got.err)
+		}
+		if got.byKind != want[p] {
+			t.Fatalf("peer %d read %v by kind, want %v", p+1, got.byKind, want[p])
+		}
+		datagrams += got.datagrams
+		delivered += got.messages
+	}
+	if st.Datagrams != uint64(datagrams) || st.Delivered != delivered || st.Errors != 0 {
+		t.Fatalf("stats = %+v, the sockets read %d messages in %d datagrams", st, delivered, datagrams)
+	}
+}
+
+func TestUDPDeliverRejectsUnknownKind(t *testing.T) {
+	a, _ := newUDPPair(t, nil, &testHandler{})
+	if err := a.Deliver(1, metrics.NumKinds, 1); err == nil {
+		t.Fatal("a message of an undefined kind was accepted")
+	}
+	if st := a.Stats(); st.Delivered != 0 || st.Datagrams != 0 || st.Errors != 1 {
+		t.Fatalf("stats = %+v, want nothing delivered and one error", st)
+	}
+}
+
+// TestUDPZeroCountOnewayIsMalformed: a oneway frame that claims no
+// messages costs one error and is not served; the frame after it in the
+// same datagram is.
+func TestUDPZeroCountOnewayIsMalformed(t *testing.T) {
+	hb := notifyHandler{make(chan uint64, 8)}
+	b, err := NewUDP(UDPConfig{Addr: "127.0.0.1:0", Self: 1, Handler: hb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	raw, err := net.Dial("udp", b.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	dgram, _ := appendFrame(nil, onewayFrame(0, 1, metrics.KindWalk, 0, 1))
+	dgram, _ = appendFrame(dgram, onewayFrame(0, 1, metrics.KindPush, 5, 2))
+	if _, err := raw.Write(dgram); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case got := <-hb.oneway:
+		if got != 5 {
+			t.Fatalf("served a oneway frame of %d messages, want the 5 after the empty one", got)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the frame after the empty one was not served")
+	}
+	if st := b.Stats(); st.Errors != 1 {
+		t.Fatalf("stats = %+v, want one error for the empty frame", st)
+	}
+	select {
+	case got := <-hb.oneway:
+		t.Fatalf("a second oneway frame of %d messages was served", got)
+	default:
 	}
 }
 
