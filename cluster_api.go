@@ -47,7 +47,8 @@ type ClusterOptions struct {
 	Retries int
 	// Teardown sends a shutdown RPC to every daemon when the run ends.
 	Teardown bool
-	// Logf, when set, receives progress lines.
+	// Logf, when set, receives progress lines. It is called from one
+	// goroutine at a time, so it needs no lock of its own.
 	Logf func(format string, args ...any)
 }
 

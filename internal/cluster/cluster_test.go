@@ -8,12 +8,17 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"p2psize/internal/core"
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
+	"p2psize/internal/overlay"
 	"p2psize/internal/registry"
 	"p2psize/internal/transport"
 	"p2psize/internal/xrand"
@@ -127,6 +132,86 @@ func TestClusterConservesMessages(t *testing.T) {
 	want := fmt.Sprintf("daemons absorbed %d of %d delivered protocol messages", metered, metered)
 	if !slices.Contains(lines, want) {
 		t.Fatalf("no progress line %q in %q", want, lines)
+	}
+	// The bench reads the phases off the first three lines by index, and
+	// the sink above is unsynchronized: under -race, a line logged from
+	// the simulated oracle's goroutine fails here too.
+	if len(lines) < 3 || !strings.HasPrefix(lines[0], "bootstrapped ") ||
+		!strings.Contains(lines[1], " wired and verified ") || !strings.HasPrefix(lines[2], "hopssampling: ") {
+		t.Fatalf("progress lines %q: want bootstrapped, wired and verified, then the first family", lines)
+	}
+}
+
+// slowFamily is a transport-capable test family whose estimates take a
+// few milliseconds each and are counted in done.
+func slowFamily(done *atomic.Int64) registry.Descriptor {
+	return registry.Descriptor{
+		Name:              "slow",
+		SupportsTransport: true,
+		New: func(*overlay.Network, *xrand.Rand, registry.Options) (core.Estimator, error) {
+			return slowEstimator{done}, nil
+		},
+	}
+}
+
+type slowEstimator struct{ done *atomic.Int64 }
+
+func (slowEstimator) Name() string { return "slow" }
+
+func (e slowEstimator) Estimate(net *overlay.Network) (float64, error) {
+	time.Sleep(10 * time.Millisecond)
+	e.done.Add(1)
+	return float64(net.Size()), nil
+}
+
+// TestRunJoinsOracleOnLiveError: when every daemon dies as the cluster
+// is wired, Run returns the live run's error, and only once the
+// simulated oracle has finished: no estimate runs after Run returns and
+// no goroutine is left behind.
+func TestRunJoinsOracleOnLiveError(t *testing.T) {
+	const n, samples = 8, 20
+	before := runtime.NumGoroutine()
+	nodes := make([]*Node, n)
+	addrs := make([]string, n)
+	for i := range nodes {
+		nd, err := NewNode("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nd.Close()
+		nodes[i], addrs[i] = nd, nd.Addr()
+	}
+	var done atomic.Int64
+	_, err := Run(Config{
+		Plan:       graph.Heterogeneous(n, 4, xrand.New(7)),
+		MaxDeg:     4,
+		Addrs:      addrs,
+		Estimators: []registry.Descriptor{slowFamily(&done)},
+		Seed:       11,
+		Samples:    samples,
+		RTO:        5 * time.Millisecond,
+		Retries:    1,
+		Logf: func(format string, _ ...any) {
+			if strings.Contains(format, "wired and verified") {
+				for _, nd := range nodes {
+					nd.Close()
+				}
+			}
+		},
+	})
+	atReturn := done.Load()
+	if err == nil || !strings.Contains(err.Error(), "cluster: live run: ") {
+		t.Fatalf("err = %v, want the live run's error", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run returned, %d before it started", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
+	}
+	if after := done.Load(); after != atReturn {
+		t.Fatalf("the oracle had made %d estimates when Run returned and %d after", atReturn, after)
 	}
 }
 

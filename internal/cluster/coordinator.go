@@ -12,6 +12,7 @@ import (
 	"p2psize/internal/graph"
 	"p2psize/internal/monitor"
 	"p2psize/internal/overlay"
+	"p2psize/internal/parallel"
 	"p2psize/internal/registry"
 	"p2psize/internal/transport"
 	"p2psize/internal/xrand"
@@ -51,7 +52,8 @@ type Config struct {
 	// Teardown sends a shutdown RPC to every daemon when the run ends —
 	// how the smoke script gets externally started daemons to exit.
 	Teardown bool
-	// Logf, when set, receives progress lines.
+	// Logf, when set, receives progress lines. It is called from one
+	// goroutine at a time, so it needs no lock of its own.
 	Logf func(format string, args ...any)
 }
 
@@ -101,7 +103,7 @@ type pingSource struct {
 }
 
 func (s *pingSource) AdvanceTo(net *overlay.Network, t float64) error {
-	for _, id := range append([]transport.NodeID(nil), net.Graph().AliveIDs()...) {
+	for _, id := range net.Graph().AliveIDs() { // a copy: Leave below does not disturb it
 		//detlint:allow meterseam — liveness probes are control-plane RPC, not metered protocol traffic
 		if _, err := s.tr.Request(id, "ping", nil); err != nil {
 			if !errors.Is(err, transport.ErrPeerUnreachable) {
@@ -268,17 +270,32 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
+	// The oracle runs beside the live run. The two share only the
+	// assembled graph, which neither writes; the oracle owns its clone,
+	// roster and streams, installs no transport and logs nothing, so logf
+	// keeps one caller at a time. Map joins both on every path and returns
+	// the live run's error ahead of the oracle's.
 	horizon := cadence * float64(samples)
 	mcfg := monitor.Config{Cadence: cadence}
 	src := &pingSource{tr: coord, logf: logf}
-	liveRes, err := monitor.RunLive(liveIns, liveNet, src, horizon, mcfg)
+	res, err := parallel.Map(2, 2, func(i int) (*monitor.Result, error) {
+		if i == 0 {
+			r, err := monitor.RunLive(liveIns, liveNet, src, horizon, mcfg)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: live run: %w", err)
+			}
+			return r, nil
+		}
+		r, err := monitor.RunLive(simIns, simNet, nil, horizon, mcfg)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: simulated run: %w", err)
+		}
+		return r, nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("cluster: live run: %w", err)
+		return nil, err
 	}
-	simRes, err := monitor.RunLive(simIns, simNet, nil, horizon, mcfg)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: simulated run: %w", err)
-	}
+	liveRes, simRes := res[0], res[1]
 
 	report := &Report{
 		Nodes:     n,

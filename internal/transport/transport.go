@@ -17,12 +17,13 @@
 //     null device. Safe for concurrent use, so the parallel experiment
 //     harnesses can share one.
 //   - UDP: real sockets. Length-prefixed binary frames (frame.go);
-//     pending oneway traffic is a count per (peer, kind), written as one
-//     frame per kind in a single datagram — at once when the sender is
-//     idle, folded into the next datagram under load, always before a
-//     Request or Close — request/response matching by sequence number,
-//     retransmission on a timeout mirroring the fault layer's RTO
-//     pricing model, and liveness events when a peer stops answering.
+//     pending oneway traffic is an atomic count per (peer, kind) that a
+//     send adds to without a lock, written as one frame per kind in a
+//     single datagram — at once when the sender is idle, folded into
+//     the next datagram under load, always before a Request or Close —
+//     request/response matching by sequence number, retransmission on a
+//     timeout mirroring the fault layer's RTO pricing model, and
+//     liveness events when a peer stops answering.
 package transport
 
 import (

@@ -3,8 +3,10 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,6 +40,12 @@ var ErrPeerUnreachable = errors.New("transport: peer unreachable")
 // errClosed is returned by sends on a closed transport.
 var errClosed = errors.New("transport: udp transport is closed")
 
+// sealed is the top bit of a pending count: Close's last sweep leaves
+// it in every count it takes, and a peer bound after Close starts with
+// it. An add whose result carries it came too late to be written and
+// is refused.
+const sealed = uint64(1) << 63
+
 // UDPConfig parameterizes a UDP transport.
 type UDPConfig struct {
 	// Addr is the local listen address ("127.0.0.1:0" for an ephemeral
@@ -60,27 +68,32 @@ type UDPConfig struct {
 // request/response with RTO retransmission, and liveness events when a
 // peer stops answering. Safe for concurrent use.
 //
-// Delivery rule: a peer's pending oneway traffic is a count per message
-// kind. Deliver adds to it and, when the peer had nothing pending, wakes
-// the flusher goroutine, which writes one datagram of one frame per
-// nonzero kind. A lone message leaves at once, messages that arrive
-// while a datagram is in sendto ride the next one, and all leave before
-// a Request or Close. Memory per peer is fixed, and the batch size
-// clocks itself without a timer or a threshold.
+// Delivery rule: a peer's pending oneway traffic is an atomic count per
+// message kind. Deliver takes no lock: it finds the peer in a
+// copy-on-write table, adds to the count and, when it is the one to set
+// the peer's scheduled flag, wakes the flusher goroutine, which writes
+// one datagram of one frame per nonzero kind. A lone message leaves at
+// once, messages that arrive while a datagram is in sendto ride the
+// next one, and all leave before a Request or Close. Memory per peer is
+// fixed, and the batch size clocks itself without a timer or a
+// threshold.
 type UDP struct {
 	conn    *net.UDPConn
 	rto     time.Duration
 	retries int
 
+	// peers is the table of bound peers. It is replaced, never changed,
+	// under mu when an ID is bound for the first time, so the send path
+	// and the flusher read it without a lock.
+	peers  atomic.Pointer[peerTable]
+	next   atomic.Uint64 // round-robin cursor for unaddressed sends
+	closed atomic.Bool   // set under mu, so a bind sees it or precedes Close's sweep
+
 	mu      sync.Mutex
 	self    NodeID
 	handler Handler
-	peers   map[NodeID]*peer
-	order   []*peer // bound peers in bind order: round-robin and flush sweep
-	next    int     // round-robin cursor for unaddressed sends
 	down    map[NodeID]bool
 	pending map[uint64]chan Frame
-	closed  bool
 
 	// wmu serializes the flush writes, so flush returns only once
 	// everything delivered before it is written. It owns out, the buffer
@@ -101,12 +114,18 @@ type UDP struct {
 	errOutcomes atomic.Uint64
 }
 
-// peer is one bound destination. Fields are guarded by UDP.mu.
+// peerTable is a snapshot of the bound peers.
+type peerTable struct {
+	byID  map[NodeID]*peer
+	order []*peer // bind order: round-robin and flush sweep
+}
+
+// peer is one bound destination.
 type peer struct {
-	id     NodeID
-	addr   netip.AddrPort
-	counts [metrics.NumKinds]uint64 // pending oneway messages by kind
-	total  uint64                   // their sum; nonzero means a flush is due
+	id        NodeID
+	addr      netip.AddrPort                  // guarded by UDP.mu
+	counts    [metrics.NumKinds]atomic.Uint64 // pending oneway messages by kind
+	scheduled atomic.Bool                     // a flush of this peer is due
 }
 
 // NewUDP opens the socket and starts the receive loop and the flusher.
@@ -125,7 +144,6 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 		retries: cfg.Retries,
 		self:    cfg.Self,
 		handler: cfg.Handler,
-		peers:   make(map[NodeID]*peer),
 		down:    make(map[NodeID]bool),
 		pending: make(map[uint64]chan Frame),
 		kick:    make(chan struct{}, 1),
@@ -138,6 +156,7 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 	if u.retries <= 0 {
 		u.retries = defaultRetries
 	}
+	u.peers.Store(&peerTable{})
 	u.wg.Add(2)
 	go u.readLoop()
 	go u.flushLoop()
@@ -182,65 +201,75 @@ func unmap(addr netip.AddrPort) netip.AddrPort {
 	return netip.AddrPortFrom(addr.Addr().Unmap(), addr.Port())
 }
 
-// bind points a peer ID at an (unmapped) address, creating the peer on
-// first sight. Callers hold u.mu.
+// bind points a peer ID at an (unmapped) address. A first sight of the
+// ID publishes a new table with the peer added; a peer bound after
+// Close starts sealed. Callers hold u.mu.
 func (u *UDP) bind(id NodeID, addr netip.AddrPort) {
-	p := u.peers[id]
-	if p == nil {
-		p = &peer{id: id}
-		u.peers[id] = p
-		u.order = append(u.order, p)
+	t := u.peers.Load()
+	if p := t.byID[id]; p != nil {
+		p.addr = addr
+		return
 	}
-	p.addr = addr
+	p := &peer{id: id, addr: addr}
+	if u.closed.Load() {
+		for k := range p.counts {
+			p.counts[k].Store(sealed)
+		}
+	}
+	byID := make(map[NodeID]*peer, len(t.byID)+1)
+	maps.Copy(byID, t.byID)
+	byID[id] = p
+	u.peers.Store(&peerTable{byID: byID, order: append(slices.Clip(t.order), p)})
 }
 
 // resolve picks the destination of a send: the bound peer for an
 // addressed one, the next bound peer round-robin for an unaddressed one
 // (batch metering does not expose destinations, but the traffic still
-// has to cross a wire somewhere). Callers hold u.mu.
+// has to cross a wire somewhere).
 func (u *UDP) resolve(to NodeID) *peer {
+	t := u.peers.Load()
 	if to != noneID {
-		return u.peers[to]
+		return t.byID[to]
 	}
-	if len(u.order) == 0 {
+	if len(t.order) == 0 {
 		return nil
 	}
-	p := u.order[u.next%len(u.order)]
-	u.next++
-	return p
+	return t.order[(u.next.Add(1)-1)%uint64(len(t.order))]
 }
 
 // Deliver implements Transport: it adds count to the destination's
-// pending count for the kind. An unknown or unaddressed destination
-// with no bound peers is a metered no-op, which keeps the
-// null-deployment path (no daemons yet) identical to the simulation; a
-// kind outside metrics.NumKinds is an error outcome.
+// pending count for the kind, without a lock, and wakes the flusher if
+// it is the one to set the peer's scheduled flag. An add that finds the
+// count sealed came after Close's last sweep and is refused. An unknown
+// or unaddressed destination with no bound peers is a metered no-op,
+// which keeps the null-deployment path (no daemons yet) identical to
+// the simulation; a kind outside metrics.NumKinds, or a count with the
+// sealed bit, is an error outcome.
 func (u *UDP) Deliver(to NodeID, kind metrics.Kind, count uint64) error {
 	if count == 0 {
 		return nil
 	}
-	if kind >= metrics.NumKinds {
+	if kind >= metrics.NumKinds || count >= sealed {
 		u.errOutcomes.Add(1)
-		return fmt.Errorf("transport: message kind %d is not below %d", kind, metrics.NumKinds)
+		return fmt.Errorf("transport: %d messages of kind %d: the kind must be below %d and the count below 2^63", count, kind, metrics.NumKinds)
 	}
-	u.mu.Lock()
 	p := u.resolve(to)
-	if u.closed {
-		u.mu.Unlock()
-		u.errOutcomes.Add(1)
-		return errClosed
-	}
 	if p == nil {
-		u.mu.Unlock()
+		if u.closed.Load() {
+			u.errOutcomes.Add(1)
+			return errClosed
+		}
 		u.delivered.Add(count)
 		return nil
 	}
-	idle := p.total == 0
-	p.counts[kind] += count
-	p.total += count
-	u.mu.Unlock()
-	if idle {
-		// Each idle-to-pending transition leaves a token: no count waits unflushed.
+	if p.counts[kind].Add(count)&sealed != 0 {
+		u.errOutcomes.Add(1)
+		return errClosed
+	}
+	// flushPeer clears the flag before it takes the counts: the add above
+	// is taken by a sweep that is still to come, or it finds the flag
+	// clear here and wakes one.
+	if !p.scheduled.Load() && !p.scheduled.Swap(true) {
 		select {
 		case u.kick <- struct{}{}:
 		default:
@@ -266,31 +295,40 @@ func (u *UDP) flushLoop() {
 // flush writes every peer's pending messages. When it returns, every
 // message delivered before the call is on the wire.
 func (u *UDP) flush() {
-	for i := 0; ; i++ {
-		u.mu.Lock()
-		if i >= len(u.order) {
-			u.mu.Unlock()
-			return
-		}
-		p := u.order[i]
-		u.mu.Unlock()
+	for _, p := range u.peers.Load().order {
 		u.flushPeer(p)
 	}
 }
 
-// flushPeer writes the peer's pending messages, if any: it takes the
-// counts under u.mu, then encodes one frame per nonzero kind and writes
-// the datagram outside it, so senders keep counting meanwhile.
+// flushPeer writes the peer's pending messages, if any, as one frame per
+// nonzero kind. It clears the scheduled flag before it swaps the counts
+// out, so a Deliver whose add the swap misses finds the flag clear and
+// wakes the flusher again: no count waits for a wake-up that never
+// comes. Once the transport is closed it sweeps every peer whatever its
+// flag, and seals the counts it takes.
 func (u *UDP) flushPeer(p *peer) {
 	u.wmu.Lock()
 	defer u.wmu.Unlock()
-	u.mu.Lock()
-	if p.total == 0 {
-		u.mu.Unlock()
+	var seal uint64
+	if u.closed.Load() {
+		seal = sealed
+	}
+	if !p.scheduled.Swap(false) && seal == 0 {
 		return
 	}
-	counts, msgs, addr, self := p.counts, p.total, p.addr, u.self
-	p.counts, p.total = [metrics.NumKinds]uint64{}, 0
+	var counts [metrics.NumKinds]uint64
+	var msgs uint64
+	for k := range p.counts {
+		if c := p.counts[k].Swap(seal); c&sealed == 0 {
+			counts[k] = c
+			msgs += c
+		}
+	}
+	if msgs == 0 {
+		return
+	}
+	u.mu.Lock()
+	addr, self := p.addr, u.self
 	u.mu.Unlock()
 	u.out = u.out[:0]
 	for k, c := range counts {
@@ -311,14 +349,13 @@ func (u *UDP) flushPeer(p *peer) {
 // response, retransmit on RTO expiry, give up (and signal the peer
 // down) after the retry budget.
 func (u *UDP) Request(to NodeID, op string, payload []byte) ([]byte, error) {
-	u.mu.Lock()
-	p := u.peers[to]
-	closed := u.closed
-	self := u.self
-	u.mu.Unlock()
-	if closed {
+	if u.closed.Load() {
 		return nil, errClosed
 	}
+	p := u.peers.Load().byID[to]
+	u.mu.Lock()
+	self := u.self
+	u.mu.Unlock()
 	if p == nil {
 		u.errOutcomes.Add(1)
 		return nil, fmt.Errorf("transport: no address bound for peer %d", to)
@@ -384,9 +421,8 @@ func (u *UDP) markDown(id NodeID, addr string) {
 	u.mu.Lock()
 	was := u.down[id]
 	u.down[id] = true
-	closed := u.closed
 	u.mu.Unlock()
-	if !was && !closed {
+	if !was && !u.closed.Load() {
 		u.signal(Event{Peer: id, Up: false, Addr: addr})
 	}
 }
@@ -396,9 +432,8 @@ func (u *UDP) markUp(id NodeID, addr string) {
 	u.mu.Lock()
 	was := u.down[id]
 	delete(u.down, id)
-	closed := u.closed
 	u.mu.Unlock()
-	if was && !closed {
+	if was && !u.closed.Load() {
 		u.signal(Event{Peer: id, Up: true, Addr: addr})
 	}
 }
@@ -459,7 +494,7 @@ func (u *UDP) dispatch(f *Frame, raddr netip.AddrPort) {
 	// behind ephemeral ports become addressable the moment they first
 	// speak.
 	if f.From != noneID {
-		if p := u.peers[f.From]; p == nil || p.addr != raddr {
+		if p := u.peers.Load().byID[f.From]; p == nil || p.addr != raddr {
 			u.bind(f.From, raddr)
 		}
 	}
@@ -502,14 +537,14 @@ func (u *UDP) dispatch(f *Frame, raddr netip.AddrPort) {
 }
 
 // Close implements Transport; it is idempotent. Frames delivered before
-// it are written first.
+// it are written first: its sweep seals every count it takes, so a
+// racing Deliver is either in that sweep or refused.
 func (u *UDP) Close() error {
 	u.mu.Lock()
-	if u.closed {
+	if u.closed.Swap(true) {
 		u.mu.Unlock()
 		return nil
 	}
-	u.closed = true
 	u.mu.Unlock()
 	u.flush()
 	close(u.done)

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,9 +364,10 @@ func TestUDPCoalescesOneway(t *testing.T) {
 	}
 }
 
-// TestUDPConcurrentSendersExactTotals: senders racing each other and
-// the flusher, interleaving kinds across several peers, lose and invent
-// nothing — every peer reads exactly what was sent to it, kind by kind.
+// TestUDPConcurrentSendersExactTotals: senders racing each other, the
+// flusher and a Stats loop, interleaving kinds across several peers,
+// lose and invent nothing — every peer reads exactly what was sent to
+// it, kind by kind, and Stats reports exactly what the sockets read.
 func TestUDPConcurrentSendersExactTotals(t *testing.T) {
 	const peers, senders, sends = 3, 4, 600
 	a, err := NewUDP(UDPConfig{Addr: "127.0.0.1:0", Self: 0})
@@ -396,6 +400,20 @@ func TestUDPConcurrentSendersExactTotals(t *testing.T) {
 		done[p] = make(chan rawTally, 1)
 		go func() { done[p] <- readOneway(raws[p], total[p]) }()
 	}
+	// A fifth goroutine flushes through Stats the whole time, racing the
+	// flusher for every peer.
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				a.Stats()
+			}
+		}
+	}()
 	errs := make(chan error, senders)
 	for g := 0; g < senders; g++ {
 		go func() {
@@ -409,10 +427,16 @@ func TestUDPConcurrentSendersExactTotals(t *testing.T) {
 			errs <- nil
 		}()
 	}
+	var sendErr error
 	for g := 0; g < senders; g++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
+		if err := <-errs; err != nil && sendErr == nil {
+			sendErr = err
 		}
+	}
+	close(stop)
+	<-polled
+	if sendErr != nil {
+		t.Fatal(sendErr)
 	}
 	st := a.Stats()
 	var datagrams int
@@ -430,6 +454,108 @@ func TestUDPConcurrentSendersExactTotals(t *testing.T) {
 	}
 	if st.Datagrams != uint64(datagrams) || st.Delivered != delivered || st.Errors != 0 {
 		t.Fatalf("stats = %+v, the sockets read %d messages in %d datagrams", st, delivered, datagrams)
+	}
+}
+
+// TestUDPBurstTailArrives: a burst of concurrent senders followed by no
+// call of any kind — no Stats, Request or Close — still arrives in full.
+// The last Deliver of each burst races the flusher's sweep, so a count
+// added while the flusher takes the peer's pending traffic must still
+// wake it.
+func TestUDPBurstTailArrives(t *testing.T) {
+	const rounds, senders, sends = 50000, 2, 2
+	hb := notifyHandler{make(chan uint64, senders*sends)} // room for a round of one-message frames
+	a, _ := newUDPPair(t, nil, hb)
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < sends; i++ {
+					if err := a.Deliver(1, metrics.Kind((g+i)%int(metrics.NumKinds)), 1); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		deadline := time.After(2 * time.Second)
+		for got := uint64(0); got < senders*sends; {
+			select {
+			case c := <-hb.oneway:
+				got += c
+			case <-deadline:
+				t.Fatalf("round %d: %d of %d messages arrived; the rest wait for a flush nobody asked for", r, got, senders*sends)
+			}
+		}
+	}
+}
+
+// TestUDPDeliverRacingClose: every Deliver that races Close is either
+// refused with an error or on the wire before the socket closes. None
+// is accepted and then dropped, so what the senders had accepted is
+// exactly what the peer reads and what Stats reports, and each refusal
+// is one error.
+func TestUDPDeliverRacingClose(t *testing.T) {
+	const rounds, senders, sends = 5, 4, 20000
+	for r := 0; r < rounds; r++ {
+		raw := listenRaw(t)
+		a, err := NewUDP(UDPConfig{Addr: "127.0.0.1:0", Self: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.SetPeer(1, raw.LocalAddr().String()); err != nil {
+			t.Fatal(err)
+		}
+		var sent, running atomic.Int64
+		running.Store(senders)
+		accepted := make([][metrics.NumKinds]uint64, senders)
+		refused := make([]uint64, senders)
+		var wg sync.WaitGroup
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer running.Add(-1)
+				for i := 0; i < sends; i++ {
+					kind, count := metrics.Kind((g+i)%int(metrics.NumKinds)), uint64(1+i%3)
+					if a.Deliver(1, kind, count) != nil {
+						refused[g]++
+						return
+					}
+					accepted[g][kind] += count
+					sent.Add(1)
+				}
+			}()
+		}
+		for sent.Load() < 1000 && running.Load() > 0 {
+			runtime.Gosched()
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		var want [metrics.NumKinds]uint64
+		var total, errs uint64
+		for g := range accepted {
+			for k, c := range accepted[g] {
+				want[k] += c
+				total += c
+			}
+			errs += refused[g]
+		}
+		got := readOneway(raw, total)
+		if got.err != nil {
+			t.Fatalf("round %d, after %d of %d accepted messages in %d datagrams: %v", r, got.messages, total, got.datagrams, got.err)
+		}
+		if got.byKind != want {
+			t.Fatalf("round %d: read %v by kind, the senders had %v accepted", r, got.byKind, want)
+		}
+		if st := a.Stats(); st.Delivered != total || st.Datagrams != uint64(got.datagrams) || st.Errors != errs {
+			t.Fatalf("round %d: stats = %+v; %d messages accepted, %d datagrams read, %d sends refused", r, st, total, got.datagrams, errs)
+		}
 	}
 }
 
@@ -614,9 +740,45 @@ func contains(s, sub string) bool {
 func (u *UDP) PeerAddr(id NodeID) (string, bool) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	p := u.peers[id]
+	p := u.peers.Load().byID[id]
 	if p == nil {
 		return "", false
 	}
 	return p.addr.String(), true
+}
+
+// BenchmarkUDPDeliver prices the send path: one Deliver of one message
+// to a bound peer (a raw socket that reads nothing, so the kernel drops
+// what overflows it), from one goroutine and from GOMAXPROCS at once.
+func BenchmarkUDPDeliver(b *testing.B) {
+	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer raw.Close()
+	u, err := NewUDP(UDPConfig{Addr: "127.0.0.1:0", Self: 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer u.Close()
+	if err := u.SetPeer(1, raw.LocalAddr().String()); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := u.Deliver(1, metrics.KindWalk, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := u.Deliver(1, metrics.KindWalk, 1); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }
