@@ -206,19 +206,6 @@ func (p *Protocol) RunRound(net *overlay.Network) {
 	if p.pol != nil {
 		dropP = p.pol.DropProb()
 	}
-	drawFate := func(rng *xrand.Rand) uint8 {
-		if dropP <= 0 {
-			return 0
-		}
-		var fate uint8
-		if rng.Bernoulli(dropP) {
-			fate |= fatePushLost
-		}
-		if rng.Bernoulli(dropP) {
-			fate |= fatePullLost
-		}
-		return fate
-	}
 	sw := parallel.Sweep[pair]{
 		N:       n,
 		NumKeys: g.NumIDs(),
@@ -231,7 +218,10 @@ func (p *Protocol) RunRound(net *overlay.Network) {
 			if !ok {
 				return nil
 			}
-			fate := drawFate(rng)
+			var fate uint8
+			if dropP > 0 {
+				fate = drawFate(rng, dropP)
+			}
 			// Asymmetric (NAT-limited) connectivity folds into the push
 			// fate: a push to a fated target is sent — and metered — but
 			// lost at the NAT, so the exchange never happens (the pull
@@ -257,6 +247,7 @@ func (p *Protocol) RunRound(net *overlay.Network) {
 			net.SendN(metrics.KindPush, sh.Meters[0])
 			net.SendN(metrics.KindPull, sh.Meters[1])
 		},
+		MergeEach: net.PerMessage(),
 		Resolve: func(pr pair, _ *xrand.Rand) error {
 			p.exchange(pr.u, pr.v, pr.fate)
 			return nil
@@ -265,6 +256,19 @@ func (p *Protocol) RunRound(net *overlay.Network) {
 	if err := p.engine.Round(p.rng, p.cfg.engine(), &sw); err != nil {
 		panic(fmt.Sprintf("aggregation: round sweep failed: %v", err))
 	}
+}
+
+// drawFate draws a pair's message fates under drop probability dropP:
+// the push and then the pull are each lost with probability dropP.
+func drawFate(rng *xrand.Rand, dropP float64) uint8 {
+	var fate uint8
+	if rng.Bernoulli(dropP) {
+		fate |= fatePushLost
+	}
+	if rng.Bernoulli(dropP) {
+		fate |= fatePullLost
+	}
+	return fate
 }
 
 // exchange performs one push-pull averaging between u and v: when either

@@ -100,7 +100,7 @@ func TestChurnFlushesStaleEntries(t *testing.T) {
 	rng := xrand.New(5)
 	// Kill 30% of peers silently.
 	ids := p.appendMemberIDs(nil)
-	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	xrand.Shuffle(rng, ids)
 	for _, id := range ids[:300] {
 		p.Leave(id)
 	}
@@ -215,7 +215,7 @@ func TestEstimationOnCyclonOverlayUnderChurn(t *testing.T) {
 	p := bootstrapped(2000, 11)
 	rng := xrand.New(12)
 	ids := p.appendMemberIDs(nil)
-	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	xrand.Shuffle(rng, ids)
 	for _, id := range ids[:800] { // -40%
 		p.Leave(id)
 	}
@@ -319,7 +319,7 @@ func (p *Protocol) Join(id graph.NodeID) {
 	// A seeded random sample of participants in a fixed base order, so
 	// identical runs seed identical views.
 	ids := p.appendMemberIDs(nil)
-	p.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	xrand.Shuffle(p.rng, ids)
 	view := make([]entry, 0, p.cfg.ViewSize)
 	for _, other := range ids {
 		if len(view) == p.cfg.ViewSize {

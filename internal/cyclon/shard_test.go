@@ -20,7 +20,7 @@ func roundState(t *testing.T, n int, cfg Config, seed uint64, rounds int) ([][]e
 	p.Bootstrap(g)
 	rng := xrand.New(seed + 2)
 	ids := p.appendMemberIDs(nil)
-	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	xrand.Shuffle(rng, ids)
 	for _, id := range ids[:n*3/10] {
 		p.Leave(id)
 	}
@@ -113,7 +113,7 @@ func TestShardedDegreeDistribution(t *testing.T) {
 		p.Bootstrap(g)
 		rng := xrand.New(304)
 		ids := p.appendMemberIDs(nil)
-		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		xrand.Shuffle(rng, ids)
 		for _, id := range ids[:n*3/10] {
 			p.Leave(id)
 		}
@@ -192,7 +192,7 @@ func TestLocalShuffleOverlayHealth(t *testing.T) {
 		p.Bootstrap(g)
 		rng := xrand.New(313)
 		ids := p.appendMemberIDs(nil)
-		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		xrand.Shuffle(rng, ids)
 		for _, id := range ids[:n*3/10] {
 			p.Leave(id)
 		}

@@ -197,7 +197,7 @@ func extCyclon(p Params) (*Figure, error) {
 	rng := xrand.New(p.Seed + 0x3302)
 	victims := make([]graph.NodeID, 0, n*4/10)
 	alive := g.AliveIDs()
-	rng.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
+	xrand.Shuffle(rng, alive)
 	victims = append(victims, alive[:n*4/10]...)
 	for _, id := range victims {
 		g.RemoveNode(id)

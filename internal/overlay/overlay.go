@@ -135,6 +135,13 @@ func (n *Network) FaultPolicy() FaultPolicy { return n.policy }
 // wire.
 func (n *Network) SetTransport(t Transport) { n.trans = t }
 
+// PerMessage reports whether anything on this overlay sees sends one
+// message at a time: an installed fault policy (which prices each
+// batch it is handed) or a transport (which delivers each one). Without
+// either, SendN(kind, a) then SendN(kind, b) meters exactly what
+// SendN(kind, a+b) does, so a sweep may batch its sends.
+func (n *Network) PerMessage() bool { return n.policy != nil || n.trans != nil }
+
 // Send meters one message of the given kind, plus whatever faults the
 // installed policy charges for it, then hands it to the transport (if
 // any) as an unaddressed delivery.

@@ -116,8 +116,9 @@ type Shard[D any] struct {
 	// Meters are two protocol-defined counters a Visit callback may
 	// accumulate into (message counts, typically). The engine zeroes
 	// them before a shard's sweep and hands them to Merge afterwards —
-	// per shard in the parallel path, per item in the serial path, so
-	// per-message fault pricing is preserved where it exists today.
+	// once per shard, or per item in the single-shard path under
+	// Sweep.MergeEach, so per-message pricing holds where something
+	// listens.
 	Meters [2]uint64
 	def    [][]D
 	// warm accumulates what Sweep.Warm returns, so the compiler cannot
@@ -204,10 +205,17 @@ type Sweep[D any] struct {
 	// Round; a panic is re-raised on Round's caller.
 	Visit func(sh *Shard[D], key int32, rng *xrand.Rand) error
 	// Merge flushes a shard's meters into the protocol's counters. The
-	// engine calls it serially in shard order after the parallel phase;
-	// in the single-shard path it is called after every item instead,
-	// preserving per-message fault pricing (SendN(kind, 1) ≡ Send(kind)).
+	// engine calls it serially in shard order after the parallel phase,
+	// and once after the sweep in the single-shard path — or after every
+	// item there when MergeEach is set.
 	Merge func(sh *Shard[D])
+	// MergeEach makes the single-shard path flush the meters after every
+	// item, so whatever listens to single messages — a fault policy
+	// pricing each send, a transport delivering it — sees one message at
+	// a time (SendN(kind, 1) ≡ Send(kind)). Families set it from
+	// overlay.Network.PerMessage; without a listener, one flush per
+	// round meters the same totals by kind.
+	MergeEach bool
 	// Resolve applies one deferred payload during the tournament. rng is
 	// the meeting's pair stream when PairStreams is set, nil otherwise.
 	Resolve func(d D, rng *xrand.Rand) error
@@ -266,7 +274,7 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		// The serial prefix: every per-shard draw below comes from
 		// streams of the one roundSeed draw that follows, so the
 		// protocol rng advances identically at every shard count.
-		rng.Shuffle(n, func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
+		xrand.Shuffle(rng, e.order)
 	}
 	roundSeed := rng.Uint64()
 
@@ -285,9 +293,15 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		}
 		srng := xrand.NewStream(roundSeed, 0)
 		if cfg.Shuffle == ShuffleLocal {
-			srng.Shuffle(n, func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
+			xrand.Shuffle(srng, e.order)
 		}
-		return sw.visit(sh, e.order, srng, true)
+		if err := sw.visit(sh, e.order, srng, sw.MergeEach); err != nil {
+			return err
+		}
+		if !sw.MergeEach && sw.Merge != nil {
+			sw.Merge(sh)
+		}
+		return nil
 	}
 
 	if k := sw.NumKeys; cap(e.ownerOf) < k {
@@ -319,7 +333,7 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		seg := e.order[s*n/shards : (s+1)*n/shards]
 		sh.resetBuckets(shards, len(seg))
 		if cfg.Shuffle == ShuffleLocal {
-			srng.Shuffle(len(seg), func(i, j int) { seg[i], seg[j] = seg[j], seg[i] })
+			xrand.Shuffle(srng, seg)
 		}
 		return sw.visit(sh, seg, srng, false)
 	}); err != nil {
@@ -373,9 +387,10 @@ const visitBlock = 64
 
 // visit is the engine's one visit loop: it walks a shard's segment in
 // blocks, warming each block and then visiting its keys in order on the
-// shard's stream. With mergeEach (the single-shard path) the meters are
-// flushed after every key, which is what prices one message at a time
-// where a fault policy or a transport listens.
+// shard's stream. With mergeEach (the single-shard path under
+// Sweep.MergeEach) the meters are flushed after every key, which is
+// what prices one message at a time where a fault policy or a
+// transport listens.
 func (sw *Sweep[D]) visit(sh *Shard[D], keys []int32, rng *xrand.Rand, mergeEach bool) error {
 	sh.Meters = [2]uint64{}
 	for len(keys) > 0 {

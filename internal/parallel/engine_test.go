@@ -21,9 +21,10 @@ type toyPair struct{ u, v int32 }
 // ownership, deferral, resolution — with arithmetic simple enough that
 // divergence is unambiguous.
 type toyFamily struct {
-	vals   []float64
-	msgs   uint64
-	engine RoundEngine[toyPair]
+	vals      []float64
+	msgs      uint64
+	engine    RoundEngine[toyPair]
+	mergeEach bool // the sweep's MergeEach
 
 	base  []int32                              // sweep keys in base order; nil is the identity
 	warm  func(keys []int32)                   // when set, the sweep has a warm pass that reports its blocks here
@@ -71,7 +72,8 @@ func (f *toyFamily) sweep(visited *[]int32) *Sweep[toyPair] {
 			}
 			return nil
 		},
-		Merge: func(sh *Shard[toyPair]) { f.msgs += sh.Meters[0] },
+		Merge:     func(sh *Shard[toyPair]) { f.msgs += sh.Meters[0] },
+		MergeEach: f.mergeEach,
 		Resolve: func(d toyPair, _ *xrand.Rand) error {
 			f.apply(d.u, d.v)
 			return nil
@@ -148,7 +150,10 @@ func TestEngineGlobalShuffleIsLegacyDrawOrder(t *testing.T) {
 	for i := range want {
 		want[i] = int32(i)
 	}
-	legacy.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+	for i := n - 1; i > 0; i-- { // the serial Fisher–Yates, spelled out
+		j := legacy.Intn(i + 1)
+		want[i], want[j] = want[j], want[i]
+	}
 	_ = legacy.Uint64() // the round seed
 	for i := range want {
 		if visited[i] != want[i] {
@@ -589,8 +594,9 @@ func newRoundLog(shards int) *roundLog {
 // order is a permutation of positions, every visit maps its position to
 // a key through base, and keys are visited strictly one at a time.
 // Shards run one after the other, which phase 1's ownership rule makes
-// equivalent to any interleaving.
-func naiveRound(rng *xrand.Rand, cfg EngineConfig, base []int32, vals []float64, msgs *uint64) *roundLog {
+// equivalent to any interleaving. Meters are merged once per shard, or
+// after every visit on a single shard with mergeEach.
+func naiveRound(rng *xrand.Rand, cfg EngineConfig, mergeEach bool, base []int32, vals []float64, msgs *uint64) *roundLog {
 	n := len(base)
 	shards := Shards(cfg.Shards, n)
 	pos := make([]int32, n)
@@ -598,7 +604,7 @@ func naiveRound(rng *xrand.Rand, cfg EngineConfig, base []int32, vals []float64,
 		pos[i] = int32(i)
 	}
 	if cfg.Shuffle == ShuffleGlobal {
-		rng.Shuffle(n, func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
+		xrand.Shuffle(rng, pos)
 	}
 	roundSeed := rng.Uint64()
 	owner := make([]int, n)
@@ -616,14 +622,14 @@ func naiveRound(rng *xrand.Rand, cfg EngineConfig, base []int32, vals []float64,
 		srng := xrand.NewStream(roundSeed, uint64(s))
 		seg := pos[s*n/shards : (s+1)*n/shards]
 		if cfg.Shuffle == ShuffleLocal {
-			srng.Shuffle(len(seg), func(i, j int) { seg[i], seg[j] = seg[j], seg[i] })
+			xrand.Shuffle(srng, seg)
 		}
 		for _, at := range seg {
 			u, v := base[at], int32(srng.Intn(n))
 			l.visits[s] = append(l.visits[s], u)
 			l.draws[s] = append(l.draws[s], v)
 			l.meters[s]++
-			if shards == 1 {
+			if shards == 1 && mergeEach {
 				l.merges++ // one message priced at a time
 			}
 			if owner[v] == s {
@@ -633,7 +639,7 @@ func naiveRound(rng *xrand.Rand, cfg EngineConfig, base []int32, vals []float64,
 			}
 		}
 	}
-	if shards > 1 {
+	if shards > 1 || !mergeEach {
 		l.merges = shards
 	}
 	for _, m := range l.meters {
@@ -690,7 +696,7 @@ func permutedBase(n int) []int32 {
 	for i := range base {
 		base[i] = int32(i)
 	}
-	xrand.New(uint64(n)+12345).Shuffle(n, func(i, j int) { base[i], base[j] = base[j], base[i] })
+	xrand.Shuffle(xrand.New(uint64(n)+12345), base)
 	return base
 }
 
@@ -700,22 +706,27 @@ func permutedBase(n int) []int32 {
 // final state, over two consecutive rounds. Sizes straddle the block
 // size (63, 64, 65), span many blocks with a ragged tail (4097), and go
 // below the configured shard count (1 and 3: the count clamps to N and
-// the engine's remaining shard slots must stay idle).
+// the engine's remaining shard slots must stay idle). Every case runs
+// with and without MergeEach.
 func TestEngineMatchesNaiveReference(t *testing.T) {
 	for _, n := range []int{1, 3, 63, 64, 65, 4097} {
 		base := permutedBase(n)
 		for _, shards := range []int{1, 2, 5, 16} {
-			for _, mode := range []ShuffleMode{ShuffleGlobal, ShuffleLocal} {
-				tag := fmt.Sprintf("n=%d shards=%d %v", n, shards, mode)
-				cfg := EngineConfig{Shards: shards, Workers: 4, Shuffle: mode}
+			for _, c := range []struct {
+				mode      ShuffleMode
+				mergeEach bool
+			}{{ShuffleGlobal, false}, {ShuffleLocal, false}, {ShuffleGlobal, true}, {ShuffleLocal, true}} {
+				tag := fmt.Sprintf("n=%d shards=%d %v mergeEach=%v", n, shards, c.mode, c.mergeEach)
+				cfg := EngineConfig{Shards: shards, Workers: 4, Shuffle: c.mode}
 				f := newToy(n)
 				f.base = base
 				f.warm = func([]int32) {}
+				f.mergeEach = c.mergeEach
 				ref := newToy(n)
 				rng, refRng := xrand.New(77), xrand.New(77)
 				for round := 0; round < 2; round++ {
 					got := engineRound(t, rng, cfg, f)
-					want := naiveRound(refRng, cfg, base, ref.vals, &ref.msgs)
+					want := naiveRound(refRng, cfg, c.mergeEach, base, ref.vals, &ref.msgs)
 					if !slices.EqualFunc(got.visits, want.visits, slices.Equal[[]int32]) {
 						t.Fatalf("%s round %d: visit order diverges from the reference", tag, round)
 					}

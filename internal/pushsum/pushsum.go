@@ -263,6 +263,7 @@ func (p *Protocol) RunRound(net *overlay.Network) {
 		Merge: func(sh *parallel.Shard[push]) {
 			net.SendN(metrics.KindPush, sh.Meters[0])
 		},
+		MergeEach: net.PerMessage(),
 		Resolve: func(pr push, _ *xrand.Rand) error {
 			p.deliver(pr.v, pr.s, pr.w)
 			return nil

@@ -132,7 +132,9 @@ func (e *Estimator) tour(net *overlay.Network, initiator graph.NodeID) (float64,
 	// The tour's Φ counts the initiator's own visit once (the start).
 	phi := 1 / degI
 	cur, _ := net.RandomNeighbor(initiator, e.rng)
-	cur = e.natHop(net, pol, initiator, initiator, cur)
+	if pol != nil {
+		cur = e.natHop(net, pol, initiator, initiator, cur)
+	}
 	net.SendTo(cur, metrics.KindWalk)
 	hops := 1
 	for cur != initiator {
@@ -147,7 +149,9 @@ func (e *Estimator) tour(net *overlay.Network, initiator graph.NodeID) (float64,
 			// may leave stale state; fail loudly rather than loop.
 			return 0, fmt.Errorf("randomtour: walk stranded at isolated node %d", cur)
 		}
-		next = e.natHop(net, pol, initiator, cur, next)
+		if pol != nil {
+			next = e.natHop(net, pol, initiator, cur, next)
+		}
 		net.SendTo(next, metrics.KindWalk)
 		cur = next
 		hops++
@@ -166,9 +170,10 @@ const natAttempts = 4
 // initiator is exempt — the tour is the initiator's own request, so its
 // departure punched the hole the absorption message rides back through;
 // without the exemption a NAT-fated initiator could never absorb its
-// tour. Benign policies take the first branch with zero extra draws.
+// tour. The tour calls it only under a fault policy; benign policies
+// take the first branch with zero extra draws.
 func (e *Estimator) natHop(net *overlay.Network, pol overlay.FaultPolicy, initiator, from, to graph.NodeID) graph.NodeID {
-	if pol == nil || to == initiator || !pol.Unreachable(to) {
+	if to == initiator || !pol.Unreachable(to) {
 		return to
 	}
 	for i := 0; i < natAttempts; i++ {

@@ -183,7 +183,9 @@ func (e *Estimator) sample(net *overlay.Network, initiator graph.NodeID) graph.N
 		net.SendTo(initiator, metrics.KindSampleReturn)
 		return initiator
 	}
-	cur = natHop(net, pol, initiator, cur, e.rng)
+	if pol != nil {
+		cur = natHop(net, pol, initiator, cur, e.rng)
+	}
 	net.SendTo(cur, metrics.KindWalk)
 	t := e.cfg.T
 	for {
@@ -193,7 +195,9 @@ func (e *Estimator) sample(net *overlay.Network, initiator graph.NodeID) graph.N
 			break
 		}
 		next, _ := net.RandomNeighbor(cur, e.rng)
-		next = natHop(net, pol, cur, next, e.rng)
+		if pol != nil {
+			next = natHop(net, pol, cur, next, e.rng)
+		}
 		net.SendTo(next, metrics.KindWalk)
 		cur = next
 	}
@@ -211,11 +215,11 @@ const natAttempts = 4
 // neighbor. After natAttempts fated picks in a row the walk proceeds to
 // the last pick anyway, modeling relayed delivery through an already-
 // established connection (the standard NAT-traversal fallback), which
-// bounds the perturbation and guarantees termination. Under a benign
-// policy (or none) this is a no-op with zero extra draws, so fault-free
-// streams are untouched.
+// bounds the perturbation and guarantees termination. The walk calls it
+// only under a fault policy; under a benign one it is a no-op with zero
+// extra draws, so fault-free streams are untouched.
 func natHop(net *overlay.Network, pol overlay.FaultPolicy, from, to graph.NodeID, rng *xrand.Rand) graph.NodeID {
-	if pol == nil || !pol.Unreachable(to) {
+	if !pol.Unreachable(to) {
 		return to
 	}
 	for i := 0; i < natAttempts; i++ {

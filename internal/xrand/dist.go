@@ -3,14 +3,15 @@ package xrand
 import "math"
 
 // Exp returns an exponentially distributed value with rate lambda
-// (mean 1/lambda). It panics if lambda <= 0.
+// (mean 1/lambda). It panics unless lambda > 0, so a NaN panics
+// too.
 //
 // The Sample&Collide walker decrements its timer by Exp(deg) at every
 // hop, which is what makes the continuous-time random walk's stationary
 // distribution uniform over nodes.
 func (r *Rand) Exp(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("xrand: Exp with lambda <= 0")
+	if !(lambda > 0) {
+		panic("xrand: Exp with non-positive lambda")
 	}
 	return -math.Log(r.Float64Open()) / lambda
 }
@@ -19,28 +20,30 @@ func (r *Rand) Exp(lambda float64) float64 {
 // scale lambda, via inverse-transform sampling. Shapes below 1 give the
 // heavy-tailed session lengths measured in deployed peer-to-peer systems
 // (many very short sessions, a few very long ones). It panics unless both
-// parameters are positive.
+// parameters are positive (a NaN is not).
 func (r *Rand) Weibull(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
+	if !(shape > 0) || !(scale > 0) {
 		panic("xrand: Weibull with non-positive shape or scale")
 	}
 	return scale * math.Pow(-math.Log(r.Float64Open()), 1/shape)
 }
 
 // LogNormal returns exp(Norm(mu, sigma)): a log-normally distributed
-// value with log-mean mu and log-stddev sigma. It panics if sigma <= 0.
+// value with log-mean mu and log-stddev sigma. It panics unless sigma > 0,
+// so a NaN panics too.
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	if sigma <= 0 {
-		panic("xrand: LogNormal with sigma <= 0")
+	if !(sigma > 0) {
+		panic("xrand: LogNormal with non-positive sigma")
 	}
 	return math.Exp(r.Norm(mu, sigma))
 }
 
 // Pareto returns a Pareto-distributed value with minimum xm and tail
 // index alpha (P(X > x) = (xm/x)^alpha for x >= xm), via inverse-
-// transform sampling. It panics unless both parameters are positive.
+// transform sampling. It panics unless both parameters are positive (a
+// NaN is not).
 func (r *Rand) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
+	if !(xm > 0) || !(alpha > 0) {
 		panic("xrand: Pareto with non-positive xm or alpha")
 	}
 	return xm / math.Pow(r.Float64Open(), 1/alpha)
@@ -76,6 +79,6 @@ func (r *Rand) SampleK(n, k int) []int {
 		seen[t>>6] |= 1 << (t & 63)
 		out = append(out, t)
 	}
-	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	Shuffle(r, out)
 	return out
 }

@@ -90,7 +90,7 @@ func refSampleK(r *Rand, n, k int) []int {
 		seen[t] = struct{}{}
 		out = append(out, t)
 	}
-	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	refShuffle(r, out)
 	return out
 }
 
@@ -237,6 +237,39 @@ func BenchmarkIntn(b *testing.B) {
 		sink = r.Intn(1000003)
 	}
 	_ = sink
+}
+
+// BenchmarkUint64nMixed draws under the degree mix of the walks and
+// the gossip rounds: bounds 1–10, four of them powers of two, drawn in
+// advance in a table too long for a branch predictor to learn.
+func BenchmarkUint64nMixed(b *testing.B) {
+	pre := New(2)
+	bounds := make([]uint8, 1<<16)
+	for i := range bounds {
+		bounds[i] = uint8(1 + pre.Intn(10))
+	}
+	r := New(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drawSink += r.Uint64n(uint64(bounds[i&(len(bounds)-1)]))
+	}
+}
+
+// drawSink keeps the benchmarked draws live.
+var drawSink uint64
+
+// BenchmarkShuffleInt32 shuffles a million-key sweep order, the engine's
+// per-round ShuffleGlobal prefix at 1M nodes.
+func BenchmarkShuffleInt32(b *testing.B) {
+	s := make([]int32, 1<<20)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	r := New(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Shuffle(r, s)
+	}
 }
 
 func BenchmarkExp(b *testing.B) {

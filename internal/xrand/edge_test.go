@@ -60,3 +60,33 @@ func TestSampleKPanics(t *testing.T) {
 		t.Fatalf("SampleK(5,0) = %v", got)
 	}
 }
+
+// A NaN parameter is not positive, so each distribution panics on it
+// as it does on zero, instead of returning NaN draws.
+func TestExpRejectsNaN(t *testing.T) {
+	mustPanic(t, "Exp(NaN)", func() { New(1).Exp(math.NaN()) })
+}
+
+func TestWeibullRejectsNaN(t *testing.T) {
+	mustPanic(t, "Weibull(NaN, 1)", func() { New(1).Weibull(math.NaN(), 1) })
+	mustPanic(t, "Weibull(1, NaN)", func() { New(1).Weibull(1, math.NaN()) })
+}
+
+func TestParetoRejectsNaN(t *testing.T) {
+	mustPanic(t, "Pareto(NaN, 1)", func() { New(1).Pareto(math.NaN(), 1) })
+	mustPanic(t, "Pareto(1, NaN)", func() { New(1).Pareto(1, math.NaN()) })
+}
+
+func TestLogNormalRejectsNaN(t *testing.T) {
+	mustPanic(t, "LogNormal(0, NaN)", func() { New(1).LogNormal(0, math.NaN()) })
+}
+
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", name)
+		}
+	}()
+	fn()
+}

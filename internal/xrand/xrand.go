@@ -122,20 +122,39 @@ func (r *Rand) Split() *Rand {
 }
 
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
-// Lemire's multiply-shift rejection method avoids modulo bias.
+//
+// A power-of-two n keeps the low bits of one Uint64; any other n takes
+// the high word of that draw times n (Lemire's multiply-shift), redrawn
+// while the low word falls under (2⁶⁴ − n) mod n to avoid modulo bias.
+// Both candidates come from the same draw and the power-of-two one is
+// selected without a data-dependent branch (a conditional move), so a
+// loop over mixed small bounds — node degrees — pays no misprediction;
+// the values are the ones a test-and-branch on n would return.
+// The redraw is out of line: it needs a low word under n, which happens
+// with probability n/2⁶⁴ — next to never at the bounds the simulator
+// draws.
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n with n == 0")
 	}
-	if n&(n-1) == 0 { // power of two: mask
-		return r.Uint64() & (n - 1)
+	x := r.Uint64()
+	hi, lo := bits.Mul64(x, n)
+	pow2 := n&(n-1) == 0
+	if lo < n && !pow2 {
+		return r.redraw(hi, lo, n)
 	}
-	hi, lo := bits.Mul64(r.Uint64(), n)
-	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), n)
-		}
+	if pow2 {
+		hi = x & (n - 1)
+	}
+	return hi
+}
+
+// redraw finishes Uint64n's rejection step for a bound n that is not a
+// power of two, given the first draw's product words.
+func (r *Rand) redraw(hi, lo, n uint64) uint64 {
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(r.Uint64(), n)
 	}
 	return hi
 }
@@ -178,11 +197,14 @@ func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Shuffle permutes the n elements addressed by swap using Fisher-Yates.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
+// Shuffle permutes s in place by Fisher–Yates: for i = len(s)−1 down
+// to 1 it swaps s[i] with s[r.Intn(i+1)]. It is the one shuffle in the
+// simulator — the round engine's sweep orders, SampleK and Perm all use
+// it — and it swaps the elements itself, with no call per element.
+func Shuffle[T any](r *Rand, s []T) {
+	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
-		swap(i, j)
+		s[i], s[j] = s[j], s[i]
 	}
 }
 
@@ -192,6 +214,6 @@ func (r *Rand) Perm(n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	Shuffle(r, p)
 	return p
 }

@@ -230,7 +230,7 @@ func TestShuffleFairness(t *testing.T) {
 	const draws = 60000
 	for i := 0; i < draws; i++ {
 		a := [3]int{0, 1, 2}
-		r.Shuffle(3, func(i, j int) { a[i], a[j] = a[j], a[i] })
+		Shuffle(r, a[:])
 		counts[a]++
 	}
 	if len(counts) != 6 {
