@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"p2psize"
 	"p2psize/internal/registry"
@@ -268,16 +270,21 @@ func TestMain(m *testing.M) {
 const mainArgsEnv = "P2PSIZE_TEST_MAIN_ARGS"
 
 // runMain runs the command with args in a child process and returns its
-// exit status and stderr.
+// exit status and stderr. A child still running after a minute is
+// killed and fails the test: a command line that never returns.
 func runMain(t *testing.T, args string) (int, string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0])
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0])
 	cmd.Env = append(os.Environ(), mainArgsEnv+"="+args)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
+	case ctx.Err() != nil:
+		t.Fatalf("p2psize %s did not return within a minute", args)
 	case err == nil:
 		return 0, stderr.String()
 	case errors.As(err, &exit):
@@ -297,6 +304,22 @@ func TestNonFiniteHorizonExits2(t *testing.T) {
 	}
 	if strings.Count(stderr, "p2psize:") != 1 || !strings.Contains(stderr, "-horizon NaN") {
 		t.Fatalf("stderr %q: want one p2psize: error naming -horizon NaN", stderr)
+	}
+}
+
+// TestBadTimerFails: a Sample&Collide timer that is negative, NaN or
+// infinite is an error naming SCTimer. -T +Inf used to walk forever,
+// and -T NaN or -T -3 ran silently with the default T = 10.
+func TestBadTimerFails(t *testing.T) {
+	for _, T := range []string{"+Inf", "NaN", "-3"} {
+		code, stderr := runMain(t, "-nodes 1000 -algo sc -runs 1 -T "+T)
+		if code == 0 {
+			t.Errorf("-T %s: exit status 0; stderr:\n%s", T, stderr)
+			continue
+		}
+		if strings.Count(stderr, "p2psize:") != 1 || !strings.Contains(stderr, "SCTimer "+T) {
+			t.Errorf("-T %s: stderr %q: want one p2psize: error naming SCTimer %s", T, stderr, T)
+		}
 	}
 }
 

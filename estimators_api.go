@@ -72,7 +72,8 @@ func DefaultEstimators() []string { return registry.DefaultSet() }
 // defaults. The field names match the internal registry's option names
 // one-for-one.
 type EstimatorConfig struct {
-	// SCTimer is the Sample&Collide walk timer (0 = 10).
+	// SCTimer is the Sample&Collide walk timer (0 = 10). A negative,
+	// NaN or infinite timer is an error.
 	SCTimer float64
 	// SCL is the Sample&Collide collision target (0 = 200).
 	SCL int

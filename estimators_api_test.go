@@ -53,6 +53,37 @@ func TestNewEstimatorByName(t *testing.T) {
 	}
 }
 
+// TestNewEstimatorByNameRejectsBadTimer: a negative, NaN or infinite
+// SCTimer is an error naming the field, not a walk that never ends
+// (+Inf) or a silent fallback to the default (NaN, −3); 0 still selects
+// the paper's T = 10.
+func TestNewEstimatorByNameRejectsBadTimer(t *testing.T) {
+	net, err := NewNetwork(NetworkOptions{Nodes: 500, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, T := range []float64{-3, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := NewEstimatorByName("sc", EstimatorConfig{SCTimer: T}, net)
+		if err == nil || !strings.Contains(err.Error(), "SCTimer") {
+			t.Errorf("SCTimer %g: err = %v, want an error naming SCTimer", T, err)
+		}
+	}
+	estimate := func(T float64) float64 {
+		e, err := NewEstimatorByName("sc", EstimatorConfig{SCTimer: T, SCL: 20, Seed: 3}, net)
+		if err != nil {
+			t.Fatalf("SCTimer %g: %v", T, err)
+		}
+		v, err := e.Estimate(net)
+		if err != nil {
+			t.Fatalf("SCTimer %g estimate: %v", T, err)
+		}
+		return v
+	}
+	if a, b := estimate(0), estimate(10); a != b {
+		t.Fatalf("SCTimer 0 estimated %g, SCTimer 10 %g: 0 must mean 10", a, b)
+	}
+}
+
 // truthByNameEstimator is the custom family registered below.
 type truthByNameEstimator struct{}
 

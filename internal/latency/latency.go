@@ -28,6 +28,7 @@ package latency
 import (
 	"container/heap"
 	"errors"
+	"fmt"
 	"math"
 
 	"p2psize/internal/graph"
@@ -134,6 +135,9 @@ var ErrEmptyOverlay = errors.New("latency: empty overlay")
 // run one after another, each ending with a direct report whose cost is
 // the straight-line delay back to the initiator.
 func SampleCollide(net *overlay.Network, m Model, T float64, l int, rng *xrand.Rand) (float64, error) {
+	if !(T > 0) || math.IsInf(T, 1) {
+		return 0, fmt.Errorf("latency: Sample&Collide timer T %g must be positive and finite", T)
+	}
 	initiator, ok := net.RandomPeer(rng)
 	if !ok {
 		return 0, ErrEmptyOverlay
@@ -141,8 +145,9 @@ func SampleCollide(net *overlay.Network, m Model, T float64, l int, rng *xrand.R
 	seen := make(map[graph.NodeID]struct{}, 4*l)
 	collisions := 0
 	elapsed := 0.0
+	var timer xrand.Countdown
 	for collisions < l {
-		sample, walkDelay := timedWalk(net, m, initiator, T, rng)
+		sample, walkDelay := timedWalk(net, m, initiator, T, rng, &timer)
 		elapsed += walkDelay + m.Delay(sample, initiator)
 		if _, dup := seen[sample]; dup {
 			collisions++
@@ -154,23 +159,20 @@ func SampleCollide(net *overlay.Network, m Model, T float64, l int, rng *xrand.R
 }
 
 // timedWalk mirrors the Sample&Collide CTRW but accumulates per-hop
-// delays instead of metering messages.
-func timedWalk(net *overlay.Network, m Model, initiator graph.NodeID, T float64, rng *xrand.Rand) (graph.NodeID, float64) {
+// delays instead of metering messages; timer is the walk's clock.
+func timedWalk(net *overlay.Network, m Model, initiator graph.NodeID, T float64, rng *xrand.Rand, timer *xrand.Countdown) (graph.NodeID, float64) {
 	cur, ok := net.RandomNeighbor(initiator, rng)
 	if !ok {
 		return initiator, 0
 	}
 	delay := m.Delay(initiator, cur)
-	t := T
-	for {
-		t -= rng.Exp(float64(net.Degree(cur)))
-		if t <= 0 {
-			return cur, delay
-		}
+	timer.Reset(T)
+	for !timer.Step(rng, float64(net.Degree(cur))) {
 		next, _ := net.RandomNeighbor(cur, rng)
 		delay += m.Delay(cur, next)
 		cur = next
 	}
+	return cur, delay
 }
 
 // HopsSampling returns the wall-clock latency of one HopsSampling poll

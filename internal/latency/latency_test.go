@@ -218,6 +218,59 @@ func TestEmptyOverlayErrors(t *testing.T) {
 	}
 }
 
+// TestSampleCollideRejectsBadTimer: a timer that is not positive and
+// finite is an error, not a walk that never ends.
+func TestSampleCollideRejectsBadTimer(t *testing.T) {
+	net := hetNet(100, 17)
+	m := NewEuclidean(net.Graph().NumIDs(), 0.01, xrand.New(18))
+	for _, T := range []float64{0, -3, math.NaN(), math.Inf(1)} {
+		if _, err := SampleCollide(net, m, T, 5, xrand.New(19)); err == nil {
+			t.Errorf("T = %g accepted", T)
+		}
+	}
+}
+
+// refTimedWalk is timedWalk with the timer spelled out as the literal
+// t -= rng.Exp(degree) loop.
+func refTimedWalk(net *overlay.Network, m Model, initiator graph.NodeID, T float64, rng *xrand.Rand) (graph.NodeID, float64) {
+	cur, ok := net.RandomNeighbor(initiator, rng)
+	if !ok {
+		return initiator, 0
+	}
+	delay := m.Delay(initiator, cur)
+	t := T
+	for {
+		t -= rng.Exp(float64(net.Degree(cur)))
+		if t <= 0 {
+			return cur, delay
+		}
+		next, _ := net.RandomNeighbor(cur, rng)
+		delay += m.Delay(cur, next)
+		cur = next
+	}
+}
+
+// TestTimedWalkMatchesLiteralTimer: the countdown-driven walk returns
+// the literal loop's sample and delay and leaves the generator where it
+// does, at the paper's T and at a T short enough to end most walks on
+// their first hop.
+func TestTimedWalkMatchesLiteralTimer(t *testing.T) {
+	net := hetNet(500, 20)
+	m := NewEuclidean(net.Graph().NumIDs(), 0.01, xrand.New(21))
+	var timer xrand.Countdown
+	for _, T := range []float64{10, 0.05} {
+		rng, ref := xrand.New(22), xrand.New(22)
+		for i := 0; i < 2000; i++ {
+			from := graph.NodeID(i % 500)
+			s, d := timedWalk(net, m, from, T, rng, &timer)
+			ws, wd := refTimedWalk(net, m, from, T, ref)
+			if s != ws || d != wd || *rng != *ref {
+				t.Fatalf("T=%g walk %d: got (%d, %g), literal timer (%d, %g), same generator state %v", T, i, s, d, ws, wd, *rng == *ref)
+			}
+		}
+	}
+}
+
 func TestAggregationNoLinks(t *testing.T) {
 	g := graph.NewWithNodes(3)
 	net := overlay.New(g, 10, nil)

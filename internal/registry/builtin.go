@@ -11,6 +11,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"p2psize/internal/aggregation"
 	"p2psize/internal/capturerecapture"
@@ -42,8 +43,11 @@ func init() {
 		StreamOffset:       10,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
 			cfg := samplecollide.Default()
-			if o.SCTimer > 0 {
+			switch {
+			case o.SCTimer > 0 && !math.IsInf(o.SCTimer, 1):
 				cfg.T = o.SCTimer
+			case o.SCTimer != 0:
+				return nil, fmt.Errorf("SCTimer %g must be positive and finite (0 = %g)", o.SCTimer, cfg.T)
 			}
 			if o.SCL > 0 {
 				cfg.L = o.SCL

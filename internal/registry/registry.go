@@ -37,7 +37,8 @@ import (
 // factories ignore fields that do not concern them, which lets one
 // Options value configure a whole roster.
 type Options struct {
-	// SCTimer is the Sample&Collide walk timer T (0 = the paper's 10).
+	// SCTimer is the Sample&Collide walk timer T (0 = the paper's 10;
+	// negative, NaN and infinite values are an error).
 	SCTimer float64
 	// SCL is the Sample&Collide collision target l (0 = the paper's 200).
 	SCL int

@@ -4,14 +4,19 @@
 //
 // It has two parts:
 //
-//  1. A uniform peer sampler. The initiator sets a timer T > 0 and sends
-//     it on a random walk; each node decrements the timer by an
-//     exponential variate -log(U)/degree and forwards the message to a
-//     uniformly random neighbor while T > 0. The node at which the timer
+//  1. A uniform peer sampler. The initiator sets a finite timer T > 0
+//     and sends it on a random walk; each node decrements the timer by
+//     an exponential variate -log(U)/degree and forwards the message to
+//     a uniformly random neighbor while T > 0. The node at which the timer
 //     expires reports itself to the initiator. Because the decrement rate
 //     is proportional to degree, this emulates a continuous-time random
 //     walk whose stationary distribution is uniform on arbitrary graphs,
-//     removing the degree bias of plain random-walk sampling.
+//     removing the degree bias of plain random-walk sampling. The walk
+//     only ever asks whether the timer has run out, so it keeps the
+//     timer in an xrand.Countdown: the same draws and the same
+//     decisions as subtracting Exp(degree) at every hop, without a
+//     math.Log per hop (the estimate carries an error bound, and the
+//     rare step the bound cannot decide is replayed exactly).
 //
 //  2. The inverted-birthday-paradox estimator. Samples are drawn until l
 //     of them hit already-seen nodes ("collisions"); if X samples were
@@ -61,8 +66,8 @@ type Config struct {
 func Default() Config { return Config{T: 10, L: 200} }
 
 func (c *Config) validate() error {
-	if c.T <= 0 {
-		return errors.New("samplecollide: T must be > 0")
+	if !(c.T > 0) || math.IsInf(c.T, 1) {
+		return fmt.Errorf("samplecollide: T %g must be positive and finite", c.T)
 	}
 	if c.L < 1 {
 		return errors.New("samplecollide: L must be >= 1")
@@ -91,6 +96,8 @@ type Estimator struct {
 	// for MLE, how many were known at each draw.
 	seen              map[graph.NodeID]struct{}
 	distinctWhenDrawn []int32
+	// timer is the walk's clock, kept for its draw history.
+	timer xrand.Countdown
 }
 
 // New builds an Estimator; it panics on invalid configuration (programmer
@@ -187,13 +194,9 @@ func (e *Estimator) sample(net *overlay.Network, initiator graph.NodeID) graph.N
 		cur = natHop(net, pol, initiator, cur, e.rng)
 	}
 	net.SendTo(cur, metrics.KindWalk)
-	t := e.cfg.T
-	for {
-		// Arriving via an edge guarantees degree >= 1 here.
-		t -= e.rng.Exp(float64(net.Degree(cur)))
-		if t <= 0 {
-			break
-		}
+	e.timer.Reset(e.cfg.T)
+	// Arriving via an edge guarantees degree >= 1 here.
+	for !e.timer.Step(e.rng, float64(net.Degree(cur))) {
 		next, _ := net.RandomNeighbor(cur, e.rng)
 		if pol != nil {
 			next = natHop(net, pol, cur, next, e.rng)

@@ -19,6 +19,9 @@ func TestConfigValidation(t *testing.T) {
 	cases := []Config{
 		{T: 0, L: 10},
 		{T: -1, L: 10},
+		{T: math.NaN(), L: 10},
+		{T: math.Inf(1), L: 10},
+		{T: math.Inf(-1), L: 10},
 		{T: 10, L: 0},
 		{T: 10, L: 10, MaxSamples: -1},
 	}

@@ -3,17 +3,23 @@ package xrand
 import "math"
 
 // Exp returns an exponentially distributed value with rate lambda
-// (mean 1/lambda). It panics unless lambda > 0, so a NaN panics
-// too.
+// (mean 1/lambda), −ln(U)/lambda for one U = Float64Open() draw. It
+// panics unless lambda > 0, so a NaN panics too.
 //
-// The Sample&Collide walker decrements its timer by Exp(deg) at every
-// hop, which is what makes the continuous-time random walk's stationary
-// distribution uniform over nodes.
+// The churn-trace generators draw inter-arrival times and session
+// lengths with it. A loop that only asks when a sum of Exp draws runs
+// past a bound — the Sample&Collide walk timer — uses Countdown, which
+// makes the same draws and decisions without a math.Log per draw.
 func (r *Rand) Exp(lambda float64) float64 {
 	if !(lambda > 0) {
 		panic("xrand: Exp with non-positive lambda")
 	}
-	return -math.Log(r.Float64Open()) / lambda
+	return exp(r.Uint64(), lambda)
+}
+
+// exp is Exp's value for the draw x.
+func exp(x uint64, lambda float64) float64 {
+	return -math.Log(openUnit(x)) / lambda
 }
 
 // Weibull returns a Weibull-distributed value with the given shape k and

@@ -183,7 +183,12 @@ func (r *Rand) Float64() float64 {
 // Float64Open returns a uniform value in the open interval (0, 1],
 // suitable for passing to math.Log without a zero-argument hazard.
 func (r *Rand) Float64Open() float64 {
-	return (float64(r.Uint64()>>11) + 1) / (1 << 53)
+	return openUnit(r.Uint64())
+}
+
+// openUnit maps a draw onto (0, 1] the way Float64Open does.
+func openUnit(x uint64) float64 {
+	return (float64(x>>11) + 1) / (1 << 53)
 }
 
 // Bernoulli returns true with probability p (clamped to [0, 1]).
