@@ -29,6 +29,7 @@ import (
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
 	"p2psize/internal/parallel"
+	"p2psize/internal/prefetch"
 	"p2psize/internal/xrand"
 )
 
@@ -90,6 +91,7 @@ type Protocol struct {
 	initiator graph.NodeID
 	engine    parallel.RoundEngine[pair]
 	pol       overlay.FaultPolicy // scratch: this round's fault policy
+	g         *graph.Graph        // scratch: this round's graph, for the hint callback
 }
 
 // Message fates under an installed fault policy. Push/pull traffic is
@@ -126,6 +128,9 @@ func (p *Protocol) Name() string {
 
 // ErrEmptyOverlay is returned when no live peer can initiate.
 var ErrEmptyOverlay = errors.New("aggregation: empty overlay")
+
+// ErrNoEpoch is returned by RunRound before the first StartEpoch.
+var ErrNoEpoch = errors.New("aggregation: RunRound before StartEpoch")
 
 // StartEpoch begins a new counting process: the epoch tag is bumped, the
 // initiator (kept from the previous epoch when still alive, otherwise
@@ -176,8 +181,8 @@ func (p *Protocol) join(id graph.NodeID) {
 // exactly 2 messages per node). When either endpoint participates in the
 // current epoch, the other joins with initial value 0 ("a node which is
 // reached by a counting message with a new tag will create a 0 initial
-// value") and the pair averages its values. It panics if called before
-// StartEpoch.
+// value") and the pair averages its values. It returns ErrNoEpoch if
+// called before StartEpoch.
 //
 // The sweep runs on the shared sharded-round engine
 // (parallel.RoundEngine): the sweep order is cut into Config.Shards
@@ -189,19 +194,19 @@ func (p *Protocol) join(id graph.NodeID) {
 // with probability (S-1)/S) are applied in the engine's fixed
 // round-robin tournament of shard pairs, so the result depends only on
 // (seed, config, overlay), never on Config.Workers or scheduling.
-func (p *Protocol) RunRound(net *overlay.Network) {
+func (p *Protocol) RunRound(net *overlay.Network) error {
 	if p.epoch == 0 {
-		panic("aggregation: RunRound before StartEpoch")
+		return ErrNoEpoch
 	}
 	g := net.Graph()
 	p.grow(g.NumIDs())
 	n := g.NumAlive()
 	if n == 0 {
-		return
+		return nil
 	}
 	// Fate draws happen only under a positive drop probability, so the
 	// benign draw sequence is untouched by the fault layer's existence.
-	p.pol = net.FaultPolicy()
+	p.pol, p.g = net.FaultPolicy(), g
 	dropP := 0.0
 	if p.pol != nil {
 		dropP = p.pol.DropProb()
@@ -210,9 +215,23 @@ func (p *Protocol) RunRound(net *overlay.Network) {
 		N:       n,
 		NumKeys: g.NumIDs(),
 		Keys:    g.CopyAlive,
-		// Mutating churn never happens mid-round, so the records a block
-		// is about to draw its neighbours from can be fetched ahead.
-		Warm: func(keys []graph.NodeID) uint64 { return uint64(g.DegreeSum(keys)) },
+		// Mutating churn never happens mid-round, so the record a visit
+		// draws its neighbour from can be fetched ahead; an exchange
+		// reads both endpoints' value and epoch tag. The graph comes
+		// from p.g rather than a capture, so that the closure holds one
+		// pointer and allocates 16 bytes a round.
+		Hint: func(b *prefetch.Batch, keys []graph.NodeID, prs []pair) {
+			g := p.g
+			for _, u := range keys {
+				b.Add(g.RecordAddr(u))
+			}
+			for _, pr := range prs {
+				b.Add(prefetch.Addr(p.values, int(pr.u)))
+				b.Add(prefetch.Addr(p.values, int(pr.v)))
+				b.Add(prefetch.Addr(p.epochOf, int(pr.u)))
+				b.Add(prefetch.Addr(p.epochOf, int(pr.v)))
+			}
+		},
 		Visit: func(sh *parallel.Shard[pair], u graph.NodeID, rng *xrand.Rand) error {
 			v, ok := g.RandomNeighbor(u, rng)
 			if !ok {
@@ -254,8 +273,9 @@ func (p *Protocol) RunRound(net *overlay.Network) {
 		},
 	}
 	if err := p.engine.Round(p.rng, p.cfg.engine(), &sw); err != nil {
-		panic(fmt.Sprintf("aggregation: round sweep failed: %v", err))
+		return fmt.Errorf("aggregation: round sweep failed: %w", err)
 	}
+	return nil
 }
 
 // drawFate draws a pair's message fates under drop probability dropP:
@@ -350,7 +370,9 @@ func (e *Estimator) Estimate(net *overlay.Network) (float64, error) {
 		return 0, err
 	}
 	for r := 0; r < e.p.cfg.RoundsPerEpoch; r++ {
-		e.p.RunRound(net)
+		if err := e.p.RunRound(net); err != nil {
+			return 0, err
+		}
 	}
 	est, ok := e.p.Estimate(net)
 	if !ok {

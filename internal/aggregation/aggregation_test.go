@@ -46,14 +46,24 @@ func TestName(t *testing.T) {
 	}
 }
 
-func TestRunRoundBeforeStartPanics(t *testing.T) {
+// TestRunRoundBeforeStartErrors: a round before the first epoch is a
+// caller's mistake reported as ErrNoEpoch, not a panic, and it leaves
+// the protocol usable.
+func TestRunRoundBeforeStartErrors(t *testing.T) {
+	net := hetNet(10, 2)
 	p := New(Default(), xrand.New(1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunRound before StartEpoch did not panic")
-		}
-	}()
-	p.RunRound(hetNet(10, 2))
+	if err := p.RunRound(net); !errors.Is(err, ErrNoEpoch) {
+		t.Fatalf("RunRound before StartEpoch returned %v, want ErrNoEpoch", err)
+	}
+	if net.Counter().Total() != 0 {
+		t.Fatal("a refused round metered messages")
+	}
+	if err := p.StartEpoch(net); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RunRound(net); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestMassConservationStatic(t *testing.T) {

@@ -193,7 +193,9 @@ func aggDynamic(id, title string, scenario churn.Scenario, p Params, stream uint
 		boundary := (round+1)%p.EpochLen == 0
 		err := parallel.ForEach(outer, instances, func(k int) error {
 			o := &procs[k]
-			o.proto.RunRound(o.view)
+			if err := o.proto.RunRound(o.view); err != nil {
+				return err
+			}
 			if !boundary {
 				return nil
 			}

@@ -167,7 +167,9 @@ func aggStatic(id, title string, n int, p Params, stream uint64) (*Figure, error
 		s.Append(0, stats.QualityPct(1, trueSize)) // initiator starts at 1/1
 		converged := -1
 		for round := 1; round <= p.AggStaticRounds; round++ {
-			proto.RunRound(view)
+			if err := proto.RunRound(view); err != nil {
+				return estOut{}, fmt.Errorf("%s: %w", id, err)
+			}
 			est, ok := proto.Estimate(view)
 			q := 0.0
 			if ok {

@@ -319,6 +319,12 @@ func (g *Graph) DegreeSum(ids []NodeID) int {
 	return sum
 }
 
+// RecordAddr returns the address of id's record — its degree and its
+// inline neighbours, the line RandomNeighbor reads first — for a caller
+// to hint ahead of a visit (internal/prefetch). It reads only the page
+// table, never the record.
+func (g *Graph) RecordAddr(id NodeID) uintptr { return g.nodes.addr(int(id)) }
+
 // NeighborhoodDegreeSum returns the total degree of ids and of all
 // their neighbours (dead ids count as isolated): the records RemoveNode
 // of each id will write, read as two levels of independent loads, for a

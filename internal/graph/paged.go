@@ -1,6 +1,9 @@
 package graph
 
-import "math/bits"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // A Graph's two arrays (the node records and the compact alive list)
 // are stored in fixed-size chunks ("pages") so that CloneCOW can share
@@ -39,6 +42,14 @@ func (p *pages[T]) len() int { return p.n }
 // at returns a read-only pointer to entry i. It is stale after the next
 // slot/append on the same page (which may copy the page).
 func (p *pages[T]) at(i int) *T { return &p.tbl[i>>pageShift][i&pageMask] }
+
+// addr returns the address of entry i without reading the entry (only
+// its page pointer): something to hint, never to dereference, since the
+// page may be copied on the next write.
+func (p *pages[T]) addr(i int) uintptr {
+	var zero T
+	return uintptr(unsafe.Pointer(p.tbl[i>>pageShift])) + uintptr(i&pageMask)*unsafe.Sizeof(zero)
+}
 
 // slot returns a writable pointer to entry i, copying the page first
 // when it is still shared with the base. Once returned, the pointer

@@ -14,11 +14,13 @@
 // Workers or goroutine scheduling.
 //
 // The sweep order holds the round's keys themselves (node IDs), written
-// once per round by Sweep.Keys, and a shard walks its segment in blocks:
-// the sweep's read-only Warm runs over a block, then the block's keys
-// are visited in order. At a million nodes a visit is a chain of
-// dependent cache misses; staging lets a block's misses overlap without
-// moving a single draw (README, "How a round touches memory").
+// once per round by Sweep.Keys, and a shard walks its segment in groups
+// of hintGroup keys, hinting the cache lines of the keys hintDistance
+// ahead (Sweep.Hint) before visiting a group; a tournament meeting does
+// the same over its payloads. At a million nodes a visit is a chain of
+// dependent cache misses; hints let the misses of upcoming keys overlap
+// with the current visit without moving a single draw (README, "How a
+// round touches memory").
 //
 // The shard count is part of the algorithm — changing it changes the
 // draws — while Workers only shapes wall time. Both invariants, plus the
@@ -30,6 +32,7 @@ import (
 	"math"
 	"slices"
 
+	"p2psize/internal/prefetch"
 	"p2psize/internal/xrand"
 )
 
@@ -121,9 +124,6 @@ type Shard[D any] struct {
 	// listens.
 	Meters [2]uint64
 	def    [][]D
-	// warm accumulates what Sweep.Warm returns, so the compiler cannot
-	// drop the warm pass's loads as dead.
-	warm uint64
 	// ownerOf is the round's shared ownership table (nil when the round
 	// runs on a single shard and every key is trivially owned).
 	ownerOf []uint16
@@ -191,13 +191,17 @@ type Sweep[D any] struct {
 	// permute. A key's owner is the shard whose segment it lands in,
 	// which decides immediate versus deferred application.
 	Keys func(dst []int32)
-	// Warm, when set, is run over each block of keys just before the
-	// block is visited, to pull what Visit will read into cache with
-	// loads that do not wait on each other. It must write nothing, draw
-	// nothing, and read only what Visit of those same keys may read:
-	// state frozen for the round and state of the keys themselves (their
-	// shard owns them). It returns any value derived from every load.
-	Warm func(keys []int32) uint64
+	// Hint, when set, adds to b the addresses of the cache lines the
+	// round is about to read: those Visit of keys reads, or — called
+	// with nil keys — those Resolve of ds reads. The engine calls it a
+	// few items ahead (hintDistance), once for every key of every
+	// segment before the key's visit and once for every deferred
+	// payload before its resolution, on sweeps of at least hintMinKeys
+	// items. It only computes addresses — from its arguments and from
+	// state frozen for the round, like the graph's page table — and
+	// loads no protocol state, draws nothing and writes nothing but b;
+	// a wrong address costs time, never a result.
+	Hint func(b *prefetch.Batch, keys []int32, ds []D)
 	// Visit processes one key on the owning shard's stream: draw, meter
 	// into sh.Meters, then either apply immediately (when
 	// sh.Owner(k) == sh.Index for every touched key k) or sh.Defer the
@@ -238,9 +242,11 @@ type Sweep[D any] struct {
 // An engine is not safe for concurrent rounds; each protocol instance
 // owns one.
 type RoundEngine[D any] struct {
-	order   []int32    // scratch: the round's keys in sweep order
-	ownerOf []uint16   // scratch: shard owning each key this round
-	shards  []Shard[D] // scratch: per-shard state
+	order   []int32          // scratch: the round's keys in sweep order
+	ownerOf []uint16         // scratch: shard owning each key this round
+	shards  []Shard[D]       // scratch: per-shard state
+	hints   []prefetch.Batch // scratch: per-shard hint batches, made by the first hinted round
+	hinting bool             // this round calls Sweep.Hint (set, and N ≥ hintMinKeys)
 
 	schedN   int        // shard count the memoized schedule was built for
 	schedule [][][2]int // memoized RoundRobinPairs(schedN)
@@ -281,6 +287,10 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	for len(e.shards) < shards {
 		e.shards = append(e.shards, Shard[D]{})
 	}
+	e.hinting = sw.Hint != nil && n >= hintMinKeys
+	if e.hinting && len(e.hints) < shards {
+		e.hints = make([]prefetch.Batch, shards)
+	}
 
 	if shards == 1 {
 		sh := &e.shards[0]
@@ -295,7 +305,7 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		if cfg.Shuffle == ShuffleLocal {
 			xrand.Shuffle(srng, e.order)
 		}
-		if err := sw.visit(sh, e.order, srng, sw.MergeEach); err != nil {
+		if err := sw.visit(sh, e.order, srng, sw.MergeEach, e.batch(0)); err != nil {
 			return err
 		}
 		if !sw.MergeEach && sw.Merge != nil {
@@ -335,7 +345,7 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		if cfg.Shuffle == ShuffleLocal {
 			xrand.Shuffle(srng, seg)
 		}
-		return sw.visit(sh, seg, srng, false)
+		return sw.visit(sh, seg, srng, false, e.batch(s))
 	}); err != nil {
 		return err
 	}
@@ -361,17 +371,12 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 			if sw.PairStreams {
 				prng = xrand.NewStream(roundSeed, uint64(shards+a*shards+b))
 			}
-			for _, d := range e.shards[a].def[b] {
-				if err := sw.Resolve(d, prng); err != nil {
-					return err
-				}
+			// The meeting hints into a's batch: no two meetings of one
+			// tournament round share a shard.
+			if err := sw.resolve(e.shards[a].def[b], prng, e.batch(a)); err != nil {
+				return err
 			}
-			for _, d := range e.shards[b].def[a] {
-				if err := sw.Resolve(d, prng); err != nil {
-					return err
-				}
-			}
-			return nil
+			return sw.resolve(e.shards[b].def[a], prng, e.batch(a))
 		}); err != nil {
 			return err
 		}
@@ -379,33 +384,94 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	return nil
 }
 
-// visitBlock is how many keys a shard stages at a time: Warm runs over a
-// block, then Visit over the same keys, so a visit's cache misses were
-// started a block ago instead of one dependent load at a time. 16, 64
-// and 256 measured alike at 1M nodes.
-const visitBlock = 64
+// Hints run hintDistance items ahead of the visits, hintGroup items to
+// a call: far enough that an item's lines arrive while the items before
+// it are processed, in groups large enough that one call into the hint
+// assembly serves several of them. On 1M-node rounds (BenchmarkEngineRound,
+// 2 vCPUs) distances 8, 24 and 32 and groups of 4 measured no better.
+const (
+	hintDistance = 16
+	hintGroup    = 8
+)
+
+// hintMinKeys is the smallest sweep the engine hints. The figure suite
+// sweeps 8.3k and 83k nodes. At 8.3k a round's state sits in L2, where a
+// hint is pure overhead (single-shard rounds about 5 % slower). 83k is
+// the crossover: single-shard rounds with and without hints differ by
+// less than the noise (Aggregation 15.5 → 14.2 ns a node, push-sum
+// 10.7 → 11.4). At 262k hints cut them by a third to a half, and at 1M
+// they take a single-shard Aggregation round from 88 to 25 ns a node
+// (BenchmarkEngineRound, 2 vCPUs). In the suite itself a gate of 2^15,
+// between its two sizes, ran within noise of a blocking warm pass,
+// and 2^17, which leaves the 83k sweeps unhinted, ran no faster
+// (suite-figures-s8 medians 4.19 against 4.40 s over six runs, 3.84
+// against 3.86 s over ten).
+const hintMinKeys = 1 << 15
+
+// batch returns shard s's hint batch, or nil when the round is not
+// hinted.
+func (e *RoundEngine[D]) batch(s int) *prefetch.Batch {
+	if !e.hinting {
+		return nil
+	}
+	return &e.hints[s]
+}
+
+// hintSpan returns the items [from, to) to hint before a loop over
+// n items processes those from lo to lo+hintGroup: the group
+// hintDistance further on, and at lo = 0 everything before it too, so
+// that every item is hinted exactly once, before its turn.
+func hintSpan(lo, n int) (from, to int) {
+	from = lo + hintDistance
+	if lo == 0 {
+		from = 0
+	}
+	return from, min(lo+hintDistance+hintGroup, n)
+}
 
 // visit is the engine's one visit loop: it walks a shard's segment in
-// blocks, warming each block and then visiting its keys in order on the
-// shard's stream. With mergeEach (the single-shard path under
+// groups of hintGroup keys, hinting into b (unless nil) the lines of the
+// keys hintDistance ahead and then visiting the group's keys in order on
+// the shard's stream. With mergeEach (the single-shard path under
 // Sweep.MergeEach) the meters are flushed after every key, which is
-// what prices one message at a time where a fault policy or a
-// transport listens.
-func (sw *Sweep[D]) visit(sh *Shard[D], keys []int32, rng *xrand.Rand, mergeEach bool) error {
+// what prices one message at a time where a fault policy or a transport
+// listens.
+func (sw *Sweep[D]) visit(sh *Shard[D], keys []int32, rng *xrand.Rand, mergeEach bool, b *prefetch.Batch) error {
 	sh.Meters = [2]uint64{}
-	for len(keys) > 0 {
-		blk := keys[:min(visitBlock, len(keys))]
-		keys = keys[len(blk):]
-		if sw.Warm != nil {
-			sh.warm += sw.Warm(blk)
+	for lo := 0; lo < len(keys); lo += hintGroup {
+		if b != nil {
+			for from, to := hintSpan(lo, len(keys)); from < to; from += hintGroup {
+				sw.Hint(b, keys[from:min(from+hintGroup, to)], nil)
+				b.Flush()
+			}
 		}
-		for _, key := range blk {
+		for _, key := range keys[lo:min(lo+hintGroup, len(keys))] {
 			if err := sw.Visit(sh, key, rng); err != nil {
 				return err
 			}
 			if mergeEach && sw.Merge != nil {
 				sw.Merge(sh)
 				sh.Meters = [2]uint64{}
+			}
+		}
+	}
+	return nil
+}
+
+// resolve applies one meeting's share of deferred payloads in order,
+// hinting into b (unless nil) the payloads hintDistance ahead the way
+// visit hints keys.
+func (sw *Sweep[D]) resolve(ds []D, rng *xrand.Rand, b *prefetch.Batch) error {
+	for lo := 0; lo < len(ds); lo += hintGroup {
+		if b != nil {
+			for from, to := hintSpan(lo, len(ds)); from < to; from += hintGroup {
+				sw.Hint(b, nil, ds[from:min(from+hintGroup, to)])
+				b.Flush()
+			}
+		}
+		for _, d := range ds[lo:min(lo+hintGroup, len(ds))] {
+			if err := sw.Resolve(d, rng); err != nil {
+				return err
 			}
 		}
 	}

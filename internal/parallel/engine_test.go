@@ -3,12 +3,13 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"p2psize/internal/prefetch"
 	"p2psize/internal/xrand"
 )
 
@@ -27,8 +28,14 @@ type toyFamily struct {
 	mergeEach bool // the sweep's MergeEach
 
 	base  []int32                              // sweep keys in base order; nil is the identity
-	warm  func(keys []int32)                   // when set, the sweep has a warm pass that reports its blocks here
 	trace func(sh *Shard[toyPair], u, v int32) // when set, sees every visit's key and draw
+
+	// When either is set, the sweep hints what a visit and a resolution
+	// read — the values of the endpoints — and reports each group of
+	// keys to hint (with the hinting shard) and of payloads to
+	// hintDeferred.
+	hint         func(sh int, keys []int32)
+	hintDeferred func(ds []toyPair)
 }
 
 func newToy(n int) *toyFamily {
@@ -79,19 +86,34 @@ func (f *toyFamily) sweep(visited *[]int32) *Sweep[toyPair] {
 			return nil
 		},
 	}
-	if f.warm != nil {
-		// The one thing a warm pass may read besides frozen state: the
-		// values of the block's own keys, which only this shard writes.
-		sw.Warm = func(keys []int32) uint64 {
-			f.warm(keys)
-			var acc uint64
-			for _, k := range keys {
-				acc += math.Float64bits(f.vals[k])
+	if f.hint != nil || f.hintDeferred != nil {
+		sw.Hint = func(b *prefetch.Batch, keys []int32, ds []toyPair) {
+			if len(keys) > 0 && f.hint != nil {
+				f.hint(shardOf(b, f.engine.hints), keys)
 			}
-			return acc
+			if len(ds) > 0 && f.hintDeferred != nil {
+				f.hintDeferred(ds)
+			}
+			for _, k := range keys {
+				b.Add(prefetch.Addr(f.vals, int(k)))
+			}
+			for _, d := range ds {
+				b.Add(prefetch.Addr(f.vals, int(d.u)))
+				b.Add(prefetch.Addr(f.vals, int(d.v)))
+			}
 		}
 	}
 	return sw
+}
+
+// shardOf returns the index of the shard whose hint batch b is.
+func shardOf(b *prefetch.Batch, hints []prefetch.Batch) int {
+	for s := range hints {
+		if b == &hints[s] {
+			return s
+		}
+	}
+	return -1
 }
 
 func runToy(t *testing.T, n, rounds int, cfg EngineConfig, seed uint64) ([]float64, uint64) {
@@ -703,13 +725,14 @@ func permutedBase(n int) []int32 {
 // TestEngineMatchesNaiveReference holds the engine, element for element,
 // to the naive sweep: per-shard visit order and draws, every deferral
 // bucket, meters and Merge calls, the protocol rng's position and the
-// final state, over two consecutive rounds. Sizes straddle the block
-// size (63, 64, 65), span many blocks with a ragged tail (4097), and go
-// below the configured shard count (1 and 3: the count clamps to N and
-// the engine's remaining shard slots must stay idle). Every case runs
-// with and without MergeEach.
+// final state, over two consecutive rounds. Sizes straddle a multiple
+// of the hint group (63, 64, 65), span many groups with a ragged tail
+// (4097), go below the configured shard count (1 and 3: the count
+// clamps to N and the engine's remaining shard slots must stay idle),
+// and reach hintedN, where keys and payloads are hinted. Every case
+// runs with and without MergeEach.
 func TestEngineMatchesNaiveReference(t *testing.T) {
-	for _, n := range []int{1, 3, 63, 64, 65, 4097} {
+	for _, n := range []int{1, 3, 63, 64, 65, 4097, hintedN} {
 		base := permutedBase(n)
 		for _, shards := range []int{1, 2, 5, 16} {
 			for _, c := range []struct {
@@ -720,7 +743,8 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 				cfg := EngineConfig{Shards: shards, Workers: 4, Shuffle: c.mode}
 				f := newToy(n)
 				f.base = base
-				f.warm = func([]int32) {}
+				f.hint = func(int, []int32) {}
+				f.hintDeferred = func([]toyPair) {}
 				f.mergeEach = c.mergeEach
 				ref := newToy(n)
 				rng, refRng := xrand.New(77), xrand.New(77)
@@ -754,58 +778,145 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 	}
 }
 
-// TestEngineWarmPassStaging pins what a warm pass gets to see: blocks of
-// at most visitBlock keys that tile each shard's segment in visit order,
-// each handed over before the first of its keys is visited.
-func TestEngineWarmPassStaging(t *testing.T) {
-	for _, mode := range []ShuffleMode{ShuffleGlobal, ShuffleLocal} {
-		f := newToy(4097)
-		f.base = permutedBase(4097)
-		var warmed []int32
-		visited := 0
-		f.warm = func(keys []int32) {
-			if len(keys) == 0 || len(keys) > visitBlock {
-				t.Errorf("%v: warm pass over %d keys", mode, len(keys))
-			}
-			if visited != len(warmed) {
-				t.Errorf("%v: block staged with %d earlier keys still unvisited", mode, len(warmed)-visited)
-			}
-			warmed = append(warmed, keys...)
+// hintedN is a toy sweep the engine hints, with a ragged last group.
+const hintedN = max(hintMinKeys, 4096) + 2*hintGroup + 3
+
+// TestEngineHintsEveryKeyOnceBeforeItsVisit pins the key-hint contract:
+// every key of every segment is handed to Hint exactly once, by its own
+// shard, in groups of at most hintGroup keys, before it is visited and
+// at most hintDistance+hintGroup keys ahead of the visit; and a sweep
+// below hintMinKeys is not hinted at all.
+func TestEngineHintsEveryKeyOnceBeforeItsVisit(t *testing.T) {
+	for _, n := range []int{hintedN, hintMinKeys - 1} {
+		if n < 1 {
+			continue
 		}
-		f.trace = func(_ *Shard[toyPair], u, _ int32) {
-			if visited >= len(warmed) || warmed[visited] != u {
-				t.Errorf("%v: visit %d of key %d was not staged", mode, visited, u)
+		for _, shards := range []int{1, 5, 16} {
+			for _, mode := range []ShuffleMode{ShuffleGlobal, ShuffleLocal} {
+				tag := fmt.Sprintf("n=%d shards=%d %v", n, shards, mode)
+				f := newToy(n)
+				f.base = permutedBase(n)
+				hinted := make([]int, n)       // hints per key
+				hinter := make([]int, n)       // shard that hinted the key
+				pending := make([]int, shards) // hinted, not yet visited, per shard
+				var seen, visited int
+				f.hint = func(sh int, keys []int32) {
+					if len(keys) == 0 || len(keys) > hintGroup {
+						t.Errorf("%s: hint group of %d keys", tag, len(keys))
+					}
+					for _, k := range keys {
+						hinted[k]++
+						hinter[k] = sh
+						seen++
+					}
+					pending[sh] += len(keys)
+				}
+				f.trace = func(sh *Shard[toyPair], u, _ int32) {
+					visited++
+					if n < hintMinKeys {
+						return
+					}
+					if hinted[u] != 1 {
+						t.Errorf("%s: key %d visited after %d hints", tag, u, hinted[u])
+					}
+					if hinter[u] != sh.Index {
+						t.Errorf("%s: key %d hinted by shard %d, visited by %d", tag, u, hinter[u], sh.Index)
+					}
+					if pending[sh.Index] > hintDistance+hintGroup {
+						t.Errorf("%s: %d keys hinted ahead of a visit", tag, pending[sh.Index])
+					}
+					pending[sh.Index]--
+				}
+				// Workers: 1 runs the shards in order on this goroutine.
+				cfg := EngineConfig{Shards: shards, Workers: 1, Shuffle: mode}
+				if err := f.engine.Round(xrand.New(5), cfg, f.sweep(nil)); err != nil {
+					t.Fatal(err)
+				}
+				if n < hintMinKeys {
+					if seen != 0 {
+						t.Fatalf("%s: %d keys hinted below hintMinKeys", tag, seen)
+					}
+					continue
+				}
+				if visited != n || seen != n {
+					t.Fatalf("%s: %d keys hinted, %d visited", tag, seen, visited)
+				}
 			}
-			visited++
-		}
-		// Workers: 1 runs the shards in order on this goroutine.
-		if err := f.engine.Round(xrand.New(5), EngineConfig{Shards: 5, Workers: 1, Shuffle: mode}, f.sweep(nil)); err != nil {
-			t.Fatal(err)
-		}
-		if visited != 4097 || len(warmed) != 4097 {
-			t.Fatalf("%v: %d keys staged, %d visited", mode, len(warmed), visited)
 		}
 	}
 }
 
-// TestEngineWarmPassIsRaceFreeAndInert runs the toy family's warm pass —
-// which reads the values of its block's keys, state the visiting shard
-// owns — beside fifteen other shards' visits. Under -race this is the
-// proof that shard-owned reads never meet another shard's write; at any
-// build it checks that a sweep with the pass ends exactly where the same
-// sweep without it does.
-func TestEngineWarmPassIsRaceFreeAndInert(t *testing.T) {
-	const n, rounds = 20000, 3
+// TestEngineHintsEveryPayloadBeforeItsResolve pins the payload-hint
+// contract: every deferred payload is handed to Hint exactly once, in
+// groups of at most hintGroup, before Resolve applies it.
+func TestEngineHintsEveryPayloadBeforeItsResolve(t *testing.T) {
+	for _, shards := range []int{2, 5, 16} {
+		for _, workers := range []int{1, 8} {
+			tag := fmt.Sprintf("shards=%d workers=%d", shards, workers)
+			f := newToy(hintedN)
+			var mu sync.Mutex
+			hinted := map[toyPair]int{}
+			f.hintDeferred = func(ds []toyPair) {
+				if len(ds) == 0 || len(ds) > hintGroup {
+					t.Errorf("%s: hint group of %d payloads", tag, len(ds))
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				for _, d := range ds {
+					hinted[d]++
+				}
+			}
+			sw := f.sweep(nil)
+			resolved := 0
+			resolve := sw.Resolve
+			sw.Resolve = func(d toyPair, rng *xrand.Rand) error {
+				mu.Lock()
+				if hinted[d] != 1 {
+					t.Errorf("%s: payload %v resolved after %d hints", tag, d, hinted[d])
+				}
+				resolved++
+				mu.Unlock()
+				return resolve(d, rng)
+			}
+			if err := f.engine.Round(xrand.New(9), EngineConfig{Shards: shards, Workers: workers}, sw); err != nil {
+				t.Fatal(err)
+			}
+			// Every key is visited once, so a round's payloads are distinct.
+			if resolved == 0 || len(hinted) != resolved {
+				t.Fatalf("%s: %d payloads hinted, %d resolved", tag, len(hinted), resolved)
+			}
+		}
+	}
+}
+
+// TestEngineGarbageHintsAreInert hints addresses no visit reads — nil,
+// one past the end of the values, the top of the address space, and
+// other shards' values while they are written — beside sixteen shards'
+// visits and tournaments. Under -race this is the proof that a hint is
+// no access; at any build it checks that the rounds end exactly where
+// the same rounds without hints do.
+func TestEngineGarbageHintsAreInert(t *testing.T) {
+	const rounds = 3
 	for _, mode := range []ShuffleMode{ShuffleGlobal, ShuffleLocal} {
 		cfg := EngineConfig{Shards: 16, Workers: 8, Shuffle: mode}
-		run := func(warm bool) *toyFamily {
-			f := newToy(n)
-			f.base = permutedBase(n)
-			if warm {
-				f.warm = func([]int32) {}
+		var calls atomic.Int64
+		run := func(hint bool) *toyFamily {
+			f := newToy(hintedN)
+			f.base = permutedBase(hintedN)
+			sw := f.sweep(nil)
+			if hint {
+				garbage := func(b *prefetch.Batch, n int) {
+					calls.Add(1)
+					for i := 0; i < n; i++ {
+						b.Add(0)
+						b.Add(prefetch.Addr(f.vals, len(f.vals)))
+						b.Add(^uintptr(0))
+						b.Add(prefetch.Addr(f.vals, (i*7919)%len(f.vals)))
+					}
+				}
+				sw.Hint = func(b *prefetch.Batch, keys []int32, ds []toyPair) { garbage(b, len(keys)+len(ds)) }
 			}
 			rng := xrand.New(31)
-			sw := f.sweep(nil)
 			for r := 0; r < rounds; r++ {
 				if err := f.engine.Round(rng, cfg, sw); err != nil {
 					t.Fatal(err)
@@ -813,16 +924,12 @@ func TestEngineWarmPassIsRaceFreeAndInert(t *testing.T) {
 			}
 			return f
 		}
-		cold, warm := run(false), run(true)
-		if !slices.Equal(cold.vals, warm.vals) || cold.msgs != warm.msgs {
-			t.Fatalf("%v: the warm pass changed the sweep's outcome", mode)
+		bare, hinted := run(false), run(true)
+		if calls.Load() == 0 {
+			t.Fatalf("%v: no hint callback ran", mode)
 		}
-		warmSum := uint64(0)
-		for s := range warm.engine.shards {
-			warmSum += warm.engine.shards[s].warm
-		}
-		if warmSum == 0 {
-			t.Fatalf("%v: the warm pass's loads never reached the shards", mode)
+		if !slices.Equal(bare.vals, hinted.vals) || bare.msgs != hinted.msgs {
+			t.Fatalf("%v: garbage hints changed the sweep's outcome", mode)
 		}
 	}
 }

@@ -1,61 +1,93 @@
 package parallel_test
 
 import (
+	"fmt"
 	"testing"
 
 	"p2psize/internal/aggregation"
 	"p2psize/internal/cyclon"
 	"p2psize/internal/graph"
 	"p2psize/internal/overlay"
+	"p2psize/internal/parallel"
 	"p2psize/internal/pushsum"
 	"p2psize/internal/xrand"
 )
 
-// BenchmarkEngineRound times one round of each engine family on a
-// single shard at 8192 nodes — the suite's scale, where the draws and
-// the visit loop set the time rather than DRAM — and reports it per
-// node, like the bench ledger's parallel.<family>.round_ns_per_node.seq
-// rows do at 100k and 1M.
+// BenchmarkEngineRound times one round of each engine family and
+// reports it per node, like the bench ledger's
+// parallel.<family>.round_ns_per_node.{seq,shard} rows: seq is one
+// shard on one worker, shard is the default shard count on two workers.
+// The sizes bracket the engine's hint gate (hintMinKeys): 8192 fits the
+// round's state in L2, the suite's 83k and 262k do not, and 1M is the
+// gossip workload's scale, where a visit waits on DRAM (skipped under
+// -short).
 func BenchmarkEngineRound(b *testing.B) {
-	const n, maxDegree = 8192, 10
-	g := graph.Heterogeneous(n, maxDegree, xrand.New(1))
+	const maxDegree = 10
 	families := []struct {
 		name  string
-		start func() func()
+		start func(g *graph.Graph, cfg parallel.EngineConfig) func()
 	}{
-		{"aggregation", func() func() {
+		{"aggregation", func(g *graph.Graph, cfg parallel.EngineConfig) func() {
 			net := overlay.New(g, maxDegree, nil)
-			p := aggregation.New(aggregation.Config{RoundsPerEpoch: 1 << 20, Shards: 1, Workers: 1}, xrand.New(2))
+			p := aggregation.New(aggregation.Config{RoundsPerEpoch: 1 << 20, Shards: cfg.Shards, Workers: cfg.Workers}, xrand.New(2))
 			if err := p.StartEpoch(net); err != nil {
 				b.Fatal(err)
 			}
-			return func() { p.RunRound(net) }
+			return func() {
+				if err := p.RunRound(net); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}},
-		{"pushsum", func() func() {
+		{"pushsum", func(g *graph.Graph, cfg parallel.EngineConfig) func() {
 			net := overlay.New(g, maxDegree, nil)
-			p := pushsum.New(pushsum.Config{RoundsPerEpoch: 1 << 20, Shards: 1, Workers: 1}, xrand.New(2))
+			p := pushsum.New(pushsum.Config{RoundsPerEpoch: 1 << 20, Shards: cfg.Shards, Workers: cfg.Workers}, xrand.New(2))
 			if err := p.StartEpoch(net); err != nil {
 				b.Fatal(err)
 			}
-			return func() { p.RunRound(net) }
+			return func() {
+				if err := p.RunRound(net); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}},
-		{"cyclon", func() func() {
+		{"cyclon", func(g *graph.Graph, cfg parallel.EngineConfig) func() {
 			c := cyclon.Default()
-			c.Shards, c.Workers = 1, 1
+			c.Shards, c.Workers = cfg.Shards, cfg.Workers
 			p := cyclon.New(c, xrand.New(2), nil)
 			p.Bootstrap(g)
 			return p.RunRound
 		}},
 	}
-	for _, f := range families {
-		b.Run(f.name, func(b *testing.B) {
-			round := f.start()
-			round() // sizes the engine's buffers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				round()
+	modes := []struct {
+		name string
+		cfg  parallel.EngineConfig
+	}{
+		{"seq", parallel.EngineConfig{Shards: 1, Workers: 1}},
+		{"shard", parallel.EngineConfig{Workers: 2}},
+	}
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"8k", 8192}, {"83k", 83333}, {"262k", 262144}, {"1m", 1000000}} {
+		b.Run(size.name, func(b *testing.B) {
+			if size.n > 300000 && testing.Short() {
+				b.Skip("1M-node rounds are skipped under -short")
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
+			g := graph.Heterogeneous(size.n, maxDegree, xrand.New(1))
+			for _, f := range families {
+				for _, m := range modes {
+					b.Run(fmt.Sprintf("%s/%s", f.name, m.name), func(b *testing.B) {
+						round := f.start(g, m.cfg)
+						round() // sizes the engine's buffers
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							round()
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size.n), "ns/node")
+					})
+				}
+			}
 		})
 	}
 }

@@ -32,12 +32,12 @@ package pushsum
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
 	"p2psize/internal/parallel"
+	"p2psize/internal/prefetch"
 	"p2psize/internal/xrand"
 )
 
@@ -122,6 +122,9 @@ func (p *Protocol) Name() string {
 // ErrEmptyOverlay is returned when no live peer can initiate.
 var ErrEmptyOverlay = errors.New("pushsum: empty overlay")
 
+// ErrNoEpoch is returned by RunRound before the first StartEpoch.
+var ErrNoEpoch = errors.New("pushsum: RunRound before StartEpoch")
+
 // StartEpoch begins a new counting process: the epoch tag is bumped and
 // the initiator (kept from the previous epoch when still alive,
 // otherwise re-drawn uniformly) joins with sum 1 and the epoch's entire
@@ -186,7 +189,7 @@ func (p *Protocol) halve(u graph.NodeID) (s, w float64) {
 // substrate runs on all nodes — a round is priced at exactly one push
 // message per node); participants of the current epoch send half of
 // their pair to the drawn neighbor, which joins the epoch on first
-// contact. It panics if called before StartEpoch.
+// contact. It returns ErrNoEpoch if called before StartEpoch.
 //
 // The sweep runs on the shared sharded-round engine, like
 // aggregation.RunRound: a shard debits and delivers immediately when
@@ -195,15 +198,15 @@ func (p *Protocol) halve(u graph.NodeID) (s, w float64) {
 // engine's fixed round-robin tournament of shard pairs, so the result
 // depends only on (seed, config, overlay), never on Config.Workers or
 // scheduling.
-func (p *Protocol) RunRound(net *overlay.Network) {
+func (p *Protocol) RunRound(net *overlay.Network) error {
 	if p.epoch == 0 {
-		panic("pushsum: RunRound before StartEpoch")
+		return ErrNoEpoch
 	}
 	g := net.Graph()
 	p.grow(g.NumIDs())
 	n := g.NumAlive()
 	if n == 0 {
-		return
+		return nil
 	}
 	// Pushes are fire-and-forget: under a fault policy a lost push is
 	// still metered and the sender still halves, but the half-pair
@@ -220,16 +223,22 @@ func (p *Protocol) RunRound(net *overlay.Network) {
 		N:       n,
 		NumKeys: g.NumIDs(),
 		Keys:    g.CopyAlive,
-		// Mutating churn never happens mid-round, so the records a block
-		// is about to draw its neighbours from can be fetched ahead —
-		// and with them the block's own pairs, which every visit reads
-		// and only the visiting shard writes.
-		Warm: func(keys []graph.NodeID) uint64 {
-			acc := uint64(g.DegreeSum(keys))
+		// Mutating churn never happens mid-round, so the record a visit
+		// draws its neighbour from can be fetched ahead — and with it
+		// the visitor's own pair, which every visit reads. A delivery
+		// reads the target's pair.
+		Hint: func(b *prefetch.Batch, keys []graph.NodeID, prs []push) {
 			for _, u := range keys {
-				acc += uint64(p.epochOf[u]) + math.Float64bits(p.sums[u]) + math.Float64bits(p.weights[u])
+				b.Add(g.RecordAddr(u))
+				b.Add(prefetch.Addr(p.epochOf, int(u)))
+				b.Add(prefetch.Addr(p.sums, int(u)))
+				b.Add(prefetch.Addr(p.weights, int(u)))
 			}
-			return acc
+			for _, pr := range prs {
+				b.Add(prefetch.Addr(p.epochOf, int(pr.v)))
+				b.Add(prefetch.Addr(p.sums, int(pr.v)))
+				b.Add(prefetch.Addr(p.weights, int(pr.v)))
+			}
 		},
 		Visit: func(sh *parallel.Shard[push], u graph.NodeID, rng *xrand.Rand) error {
 			v, ok := g.RandomNeighbor(u, rng)
@@ -270,8 +279,9 @@ func (p *Protocol) RunRound(net *overlay.Network) {
 		},
 	}
 	if err := p.engine.Round(p.rng, p.cfg.engine(), &sw); err != nil {
-		panic(fmt.Sprintf("pushsum: round sweep failed: %v", err))
+		return fmt.Errorf("pushsum: round sweep failed: %w", err)
 	}
+	return nil
 }
 
 // EstimateAt returns the size estimate sum/weight held at the given
@@ -323,7 +333,9 @@ func (e *Estimator) Estimate(net *overlay.Network) (float64, error) {
 		return 0, err
 	}
 	for r := 0; r < e.p.cfg.RoundsPerEpoch; r++ {
-		e.p.RunRound(net)
+		if err := e.p.RunRound(net); err != nil {
+			return 0, err
+		}
 	}
 	est, ok := e.p.Estimate(net)
 	if !ok {

@@ -1,6 +1,7 @@
 package pushsum
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -205,6 +206,26 @@ func TestLocalShuffleStatisticalEquivalence(t *testing.T) {
 	}
 	if gSD/gMean > 0.10 || lSD/lMean > 0.10 {
 		t.Fatalf("spread too wide: global sd %.1f, local sd %.1f", gSD, lSD)
+	}
+}
+
+// TestRunRoundBeforeStartErrors: a round before the first epoch is a
+// caller's mistake reported as ErrNoEpoch, not a panic, and it leaves
+// the protocol usable.
+func TestRunRoundBeforeStartErrors(t *testing.T) {
+	net := hetNet(10, 2)
+	p := New(Default(), xrand.New(1))
+	if err := p.RunRound(net); !errors.Is(err, ErrNoEpoch) {
+		t.Fatalf("RunRound before StartEpoch returned %v, want ErrNoEpoch", err)
+	}
+	if net.Counter().Total() != 0 {
+		t.Fatal("a refused round metered messages")
+	}
+	if err := p.StartEpoch(net); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RunRound(net); err != nil {
+		t.Fatal(err)
 	}
 }
 
