@@ -1,6 +1,9 @@
 package graph
 
-import "p2psize/internal/xrand"
+import (
+	"p2psize/internal/prefetch"
+	"p2psize/internal/xrand"
+)
 
 // maxWireAttempts bounds the rejection sampling in the random-graph
 // builders; a node that cannot find an eligible partner after this many
@@ -92,31 +95,32 @@ func (g *Graph) appendBlind(id NodeID, d int32, v NodeID) {
 	n.deg = d + 1
 }
 
-// wirePeek caps how many of its own upcoming draws WireUpTo reads ahead:
-// the links it still needs plus half again, for the rejected draws.
-const wirePeek = 16
+// The join hints run over the next hintRecords+hintSlots draws of the
+// generator's stream (see hintDraws): the first hintRecords have their
+// alive-list entry read and their record hinted, the rest only their
+// alive-list slot. Below hintMinAlive live nodes the records sit in
+// cache anyway and the 32 draws cost more than they save, so no join is
+// hinted. All three were chosen with BenchmarkPlayerAdvance
+// (internal/trace): on 2 vCPUs (1 MB L2 a core, 32 MB L3) the hints
+// cost 10–20 % a replayed event at 16k nodes and 5–10 % at 32k, break
+// even at 64k, and save 10–20 % at 96k, 40 % at 192k and 55 % at 384k
+// against no join read-ahead at all.
+const (
+	hintRecords  = 16
+	hintSlots    = 16
+	hintMinAlive = 1 << 16
+)
 
 // WireUpTo adds random links to u until its degree reaches target,
 // choosing partners uniformly among nodes with degree < maxDeg: the
 // wiring rule of §IV-A, as overlay.Join applies it to a live overlay
 // (churned, possibly a COW clone). The builders run the same rule, draw
-// for draw, in wireFresh. A draw is two dependent loads (the alive-list
-// entry, then that peer's record) and is fixed by the generator's
-// state, so the draws are first replayed on a copy of the generator and
-// both levels issued as independent loads; the loop then draws for real
-// and finds them in cache. Only the loop advances rng, and the
-// read-ahead goes through at, never slot, so it owns no page of a COW
-// clone.
+// for draw, in wireFresh. A draw is two dependent misses (the
+// alive-list entry, then that peer's record), so before looping it
+// hints the draws ahead of it in the generator's stream (hintDraws) on
+// a copy of the generator; only the loop advances rng.
 func (g *Graph) WireUpTo(u NodeID, target, maxDeg int, rng *xrand.Rand) {
-	if need := target - g.Degree(u); need > 0 && g.NumAlive() > 0 {
-		ahead := *rng
-		var peek [wirePeek]NodeID
-		ids := peek[:min(need+need/2+1, wirePeek)]
-		for i := range ids {
-			ids[i], _ = g.RandomAlive(&ahead)
-		}
-		g.warmed += g.DegreeSum(ids)
-	}
+	g.hintDraws(rng)
 	attempts := 0
 	for g.Degree(u) < target && attempts < maxWireAttempts {
 		v, ok := g.RandomAlive(rng)
@@ -129,6 +133,36 @@ func (g *Graph) WireUpTo(u NodeID, target, maxDeg int, rng *xrand.Rand) {
 		}
 		g.AddEdge(u, v)
 	}
+}
+
+// hintDraws hints what the next hintRecords+hintSlots RandomAlive draws
+// from rng will read, drawing them from a copy of rng (nothing below
+// hintMinAlive live nodes). Whatever a join rejects, the generator's
+// stream is the same: a rejection only moves the boundary between one
+// join's draws and the next join's, so the window serves this join and
+// the ones after it. The first hintRecords positions read their
+// alive-list entry (hinted as a slot by an earlier join) and hint that
+// peer's record; the rest hint the alive-list slot alone. NumAlive
+// moves by a few between a hint and the draw it serves, which moves a
+// multiply-shift draw by at most as many entries: the same line or the
+// next. (A power-of-two bound masks instead, and its hint may be wrong,
+// which costs time, never a result.) It reads through at, never slot,
+// and writes nothing, so it owns no page of a COW clone and cannot
+// change a draw.
+func (g *Graph) hintDraws(rng *xrand.Rand) {
+	n := g.aliveIDs.len()
+	if n < hintMinAlive {
+		return
+	}
+	ahead := *rng
+	var b prefetch.Batch
+	for range hintRecords {
+		b.Add(g.nodes.addr(int(*g.aliveIDs.at(ahead.Intn(n)))))
+	}
+	for range hintSlots {
+		b.Add(g.aliveIDs.addr(ahead.Intn(n)))
+	}
+	b.Flush()
 }
 
 // BarabasiAlbert builds a scale-free graph by growth and preferential

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"slices"
 
+	"p2psize/internal/prefetch"
 	"p2psize/internal/xrand"
 )
 
@@ -64,10 +65,6 @@ type Graph struct {
 	// on their first write (0 for a graph that is not a clone).
 	spill     [][]NodeID
 	spillBase int
-
-	// warmed accumulates what WireUpTo's read-ahead loaded, so that the
-	// compiler keeps the loads; nothing reads it.
-	warmed int
 }
 
 // New returns an empty graph with capacity hint n.
@@ -325,17 +322,28 @@ func (g *Graph) DegreeSum(ids []NodeID) int {
 // table, never the record.
 func (g *Graph) RecordAddr(id NodeID) uintptr { return g.nodes.addr(int(id)) }
 
-// NeighborhoodDegreeSum returns the total degree of ids and of all
-// their neighbours (dead ids count as isolated): the records RemoveNode
-// of each id will write, read as two levels of independent loads, for a
-// caller about to remove a block of ids one at a time. It only reads:
-// it owns no page of a COW clone and is safe beside concurrent readers.
-func (g *Graph) NeighborhoodDegreeSum(ids []NodeID) int {
-	sum := g.DegreeSum(ids)
-	for _, id := range ids {
-		sum += g.DegreeSum(g.Neighbors(id))
+// HintRemove hints the lines RemoveNode(id) will write — each
+// neighbour's record, where removeHalfEdge deletes id, and id's slot in
+// the alive list, where the swap-delete lands — for a caller about to
+// remove id (internal/prefetch). It reads id's record and list through
+// at, so the caller should have hinted RecordAddr(id) a little earlier.
+// It draws nothing and writes nothing: it owns no page of a COW clone
+// and is safe beside concurrent readers. A dead or unallocated id
+// hints nothing.
+func (g *Graph) HintRemove(id NodeID) {
+	if !g.valid(id) {
+		return
 	}
-	return sum
+	n := g.nodes.at(int(id))
+	if n.pos < 0 {
+		return
+	}
+	var b prefetch.Batch
+	b.Add(g.aliveIDs.addr(int(n.pos)))
+	for _, nb := range g.list(n) {
+		b.Add(g.nodes.addr(int(nb)))
+	}
+	b.Flush()
 }
 
 // ForEachAlive calls fn for every live node in unspecified (but

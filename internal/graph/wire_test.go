@@ -110,7 +110,7 @@ var wireCases = []wireCase{
 // clones, where it must also own exactly the pages the reference owns.
 func TestWireDifferential(t *testing.T) {
 	for _, tc := range wireCases {
-		for _, n := range []int{1, 2, 50, 5000} {
+		for _, n := range []int{1, 2, 50, 5000, hintMinAlive + 1} { // the last one hinted
 			for seed := uint64(1); seed <= 3; seed++ {
 				for _, cow := range []bool{false, true} {
 					t.Run(fmt.Sprintf("%s/n=%d/seed=%d/cow=%v", tc.name, n, seed, cow), func(t *testing.T) {
@@ -149,22 +149,17 @@ func TestWireDifferential(t *testing.T) {
 	}
 }
 
-// TestWireReadAheadOwnsNoPage runs the two read-aheads where nothing is
-// written after them — a wiring call whose every draw is rejected, and
-// the departure accessor — on a fresh COW clone: every page must still
-// be the base's.
+// TestWireReadAheadOwnsNoPage runs a wiring call whose every draw is
+// rejected — its hints, and nothing written after them — on a fresh COW
+// clone large enough to be hinted: every page must still be the base's.
 func TestWireReadAheadOwnsNoPage(t *testing.T) {
-	base := Ring(5 * pageSize)
+	base := Ring(hintMinAlive + 5*pageSize)
 	c := base.CloneCOW()
 	rng := xrand.New(7)
 	before := *rng
 	c.WireUpTo(3, 5, 2, rng) // everyone has degree 2: 200 rejections
 	if *rng == before {
 		t.Fatal("the wiring loop drew nothing")
-	}
-	ids := []NodeID{0, 1, pageSize, 3*pageSize + 5}
-	if got, want := c.NeighborhoodDegreeSum(ids), len(ids)*2*3; got != want {
-		t.Fatalf("NeighborhoodDegreeSum = %d, want %d", got, want)
 	}
 	if c.SharedPages() != c.TotalPages() {
 		t.Fatalf("read-ahead owns pages: %d of %d still shared", c.SharedPages(), c.TotalPages())
@@ -174,25 +169,62 @@ func TestWireReadAheadOwnsNoPage(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodDegreeSum(t *testing.T) {
-	g := Heterogeneous(400, 10, xrand.New(3))
+// TestHintsAreInert holds the two replay hints — a join's (hintDraws)
+// and a departure's (HintRemove) — to their contract on a fresh COW
+// clone of each fixture: they return without fault, own no page, leave
+// the caller's generator bit-identical and the graph equal to the base.
+// HintRemove is handed every id, the dead ones, None and one past the
+// last. The identity and churned fixtures are large enough for the join
+// hints to run.
+func TestHintsAreInert(t *testing.T) {
+	emptied := NewWithNodes(3)
+	for id := NodeID(0); id < 3; id++ {
+		emptied.RemoveNode(id)
+	}
+	churned := Heterogeneous(hintMinAlive+3*pageSize, 10, xrand.New(3))
 	for v := 1; v < 3*inlineCap; v++ {
-		g.AddEdge(0, NodeID(v)) // a spilled list among the ids
+		churned.AddEdge(0, NodeID(v)) // a spilled list
 	}
-	g.RemoveNode(17)
-	ids := []NodeID{0, 5, 17, 399, 5}
-	want := 0
-	for _, id := range ids {
-		want += g.Degree(id)
-		for _, nb := range g.Neighbors(id) {
-			want += g.Degree(nb)
-		}
+	for id := NodeID(5); int(id) < churned.NumIDs(); id += 97 {
+		churned.RemoveNode(id)
 	}
-	if got := g.NeighborhoodDegreeSum(ids); got != want {
-		t.Fatalf("NeighborhoodDegreeSum = %d, want %d", got, want)
-	}
-	if got := g.NeighborhoodDegreeSum(nil); got != 0 {
-		t.Fatalf("NeighborhoodDegreeSum(nil) = %d", got)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"no-ids", New(0)},
+		{"none-alive", emptied},
+		{"single", NewWithNodes(1)},
+		{"identity", Ring(hintMinAlive + 5*pageSize)},
+		{"churned-spilled", churned},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.name == "identity" && tc.g.NumAlive() != tc.g.NumIDs() {
+				t.Fatal("fixture is not the identity")
+			}
+			if tc.name == "churned-spilled" && (tc.g.Alive(5) || tc.g.Degree(0) <= inlineCap || tc.g.NumAlive() < hintMinAlive) {
+				t.Fatal("fixture lacks a dead or a spilled leaver, or is not hinted")
+			}
+			c := tc.g.CloneCOW()
+			rng := xrand.New(11)
+			for range 50 {
+				before := *rng
+				c.hintDraws(rng)
+				if *rng != before {
+					t.Fatal("hintDraws advanced the caller's generator")
+				}
+				rng.Uint64()
+			}
+			for id := None; int(id) <= c.NumIDs(); id++ {
+				c.HintRemove(id)
+			}
+			if c.SharedPages() != c.TotalPages() {
+				t.Fatalf("hints own pages: %d of %d still shared", c.SharedPages(), c.TotalPages())
+			}
+			if err := graphsEqual(tc.g, c); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

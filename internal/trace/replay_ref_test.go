@@ -94,63 +94,155 @@ func composed(t *testing.T, initial int, seed uint64) *Trace {
 
 // handBuilt covers what a generator rarely produces: sessions that join
 // and leave inside one block (their peer does not exist yet when the
-// block's departures are staged), in-block joins and leaves at one T,
-// and more departures than the Size() <= 1 floor lets through.
+// block's departures are hinted), in-block joins and leaves at one T,
+// a leaver whose list is spilled, leavers that are neighbours within
+// one block, sessions bound in the block just before their departure
+// (the session entry changes between the hint and the apply), and more
+// departures than the Size() <= 1 floor lets through. It is replayed on
+// handNet.
 func handBuilt() *Trace {
-	tr := &Trace{Name: "hand", Initial: 4, Horizon: 100}
+	tr := &Trace{Name: "hand", Initial: handInitial, Horizon: 100}
 	ev := func(t float64, s int, op Op) { tr.Events = append(tr.Events, Event{T: t, Session: s, Op: op}) }
-	ev(1, 4, Join)
-	ev(1, 4, Leave) // same instant, same block
-	ev(2, 5, Join)
-	ev(3, 0, Leave)
-	ev(3, 6, Join)
-	ev(4, 5, Leave)
-	ev(4, 6, Leave)
-	for s := 7; s < 30; s++ { // a burst longer than one block, each gone at once
+	ev(1, 20, Join)
+	ev(1, 20, Leave) // same instant, same block
+	ev(2, 21, Join)
+	ev(3, 5, Leave)
+	ev(3, 22, Join)
+	ev(4, 21, Leave)
+	ev(4, 22, Leave)
+	ev(5, 0, Leave) // the hub: a spilled list
+	ev(6, 2, Leave) // three ring neighbours at one instant: two share a block
+	ev(6, 3, Leave)
+	ev(6, 4, Leave)
+	for s := 23; s < 46; s++ { // a burst longer than one block, each gone at once
 		ev(10, s, Join)
 		ev(10+float64(s)/100, s, Leave)
 	}
-	ev(50, 1, Leave)
-	ev(51, 2, Leave)
-	ev(52, 3, Leave) // the last peer: skipped by the floor
-	ev(60, 30, Join)
-	ev(61, 30, Leave) // applied: two peers are alive again
+	// Sixteen joins, then their sixteen departures: under any block
+	// alignment each departure sits in the block after its join.
+	for s := 46; s < 46+stageBlock; s++ {
+		ev(20, s, Join)
+		ev(20.5, s, Leave)
+	}
+	// Every remaining peer leaves; the last one is skipped by the floor.
+	for i, s := range []int{1, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19} {
+		ev(50+float64(i)/10, s, Leave)
+	}
+	s := 46 + stageBlock
+	ev(60, s, Join)
+	ev(61, s, Leave) // applied: two peers are alive again
 	tr.Normalize()
 	return tr
+}
+
+// handInitial is handBuilt's initial session count.
+const handInitial = 20
+
+// handNet is handBuilt's overlay: node 0 is a hub linked to every other
+// node, so its list is spilled out of its record, and nodes 1..19 form
+// a ring.
+func handNet() *overlay.Network {
+	g := graph.NewWithNodes(handInitial)
+	for v := graph.NodeID(1); v < handInitial; v++ {
+		g.AddEdge(0, v)
+		g.AddEdge(v, 1+v%(handInitial-1))
+	}
+	return overlay.New(g, 10, nil)
+}
+
+// replayCase is a trace of the reference tests and the overlay it is
+// replayed on.
+type replayCase struct {
+	tr  *Trace
+	net func() *overlay.Network
+	// long marks the trace every "per-48" advance of which spans three
+	// blocks or more, so that each runs the whole hint pipeline.
+	long bool
+	// big marks an overlay large enough for the join hints to run (the
+	// graph package skips them below 1<<16 live nodes); it is stopped
+	// per 48 events and once only, for time.
+	big bool
+}
+
+// replayCases returns the reference tests' traces by name.
+func replayCases(t *testing.T) map[string]replayCase {
+	generated := func(tr *Trace) replayCase {
+		return replayCase{tr: tr, net: func() *overlay.Network { return newNet(tr.Initial, 31) }}
+	}
+	long := generated(mustGenerate(t, func() Config { c := testConfig(); c.Initial = 2000; return c }(), 24))
+	long.long = true
+	big := generated(crowd(t, 80_000, 25))
+	big.big = true
+	return map[string]replayCase{
+		"hand":          {tr: handBuilt(), net: handNet},
+		"weibull-300":   generated(mustGenerate(t, func() Config { c := testConfig(); c.Initial = 300; return c }(), 21)),
+		"composed-400":  generated(composed(t, 400, 22)),
+		"composed-3000": generated(composed(t, 3000, 23)),
+		"weibull-2000":  long,
+		"crowd-80000":   big,
+	}
+}
+
+// crowd is a short trace on a large overlay: exponential sessions (mean
+// 200) over a horizon of 20, 2000 visitors at T=5 and a twentieth of the
+// peers failing together at T=15, so that the overlay never shrinks by
+// more than about a tenth.
+func crowd(t *testing.T, initial int, seed uint64) *Trace {
+	t.Helper()
+	cfg := testConfig()
+	cfg.Initial, cfg.Horizon = initial, 20
+	cfg.Session = SessionDist{Kind: Exponential, Mean: 200}
+	tr := mustGenerate(t, cfg, seed)
+	if err := tr.AddFlashCrowd(5, 2000, SessionDist{Kind: Exponential, Mean: 2}, xrand.New(seed+1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.AddMassFailure(15, 0.05, xrand.New(seed+2)); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// ticks returns the times a reference test stops the replay at, by
+// scheme. They cut the Player's blocks at every offset: one advance per
+// event time, one per seven events (neither on a big trace), one per 48
+// (three blocks; the last advance takes up to twice that), one for all.
+func (rc replayCase) ticks() map[string][]float64 {
+	tr := rc.tr
+	perEvent := make([]float64, len(tr.Events))
+	var perSeven, per48 []float64
+	for i, ev := range tr.Events {
+		perEvent[i] = ev.T
+		if i%7 == 6 {
+			perSeven = append(perSeven, ev.T)
+		}
+		if i%48 == 47 && len(tr.Events)-i > 48 {
+			per48 = append(per48, ev.T)
+		}
+	}
+	ticks := map[string][]float64{
+		"per-48": append(per48, tr.Horizon),
+		"whole":  {tr.Horizon},
+	}
+	if !rc.big {
+		ticks["per-event"], ticks["per-seven"] = perEvent, append(perSeven, tr.Horizon)
+	}
+	return ticks
 }
 
 // TestPlayerReference replays each trace twice on equal overlays — the
 // Player and the event-at-a-time reference — stopping at the same ticks,
 // and demands identical counts, session tables and generator states at
 // every tick and identical graphs (on COW clones: identical owned page
-// counts) at the end. The tick sets cut the Player's blocks at every
-// offset: one advance per event time, one per seven events, one for all.
+// counts) at the end.
 func TestPlayerReference(t *testing.T) {
-	traces := map[string]*Trace{
-		"hand":          handBuilt(),
-		"weibull-300":   mustGenerate(t, func() Config { c := testConfig(); c.Initial = 300; return c }(), 21),
-		"composed-400":  composed(t, 400, 22),
-		"composed-3000": composed(t, 3000, 23),
-	}
-	for name, tr := range traces {
+	for name, rc := range replayCases(t) {
+		tr := rc.tr
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		perEvent := make([]float64, len(tr.Events))
-		var perSeven []float64
-		for i, ev := range tr.Events {
-			perEvent[i] = ev.T
-			if i%7 == 6 {
-				perSeven = append(perSeven, ev.T)
-			}
-		}
-		for tickName, ticks := range map[string][]float64{
-			"per-event": perEvent,
-			"per-seven": append(perSeven, tr.Horizon),
-			"whole":     {tr.Horizon},
-		} {
+		for tickName, ticks := range rc.ticks() {
 			t.Run(name+"/"+tickName, func(t *testing.T) {
-				base := newNet(tr.Initial, 31)
+				base := rc.net()
 				want, got := base.CloneCOW(), base.CloneCOW()
 				ref := newRefPlayer(tr, want)
 				p, err := NewPlayer(tr, got)
@@ -161,6 +253,7 @@ func TestPlayerReference(t *testing.T) {
 				small := tr.Initial <= 400
 				joins, leaves := 0, 0
 				for _, tick := range ticks {
+					from := p.next
 					wj, wl := ref.advanceTo(want, tick, wantRng)
 					gj, gl := p.AdvanceTo(got, tick, gotRng)
 					joins, leaves = joins+gj, leaves+gl
@@ -172,6 +265,9 @@ func TestPlayerReference(t *testing.T) {
 					}
 					if p.next != ref.next || !slices.Equal(p.nodes, ref.nodes) {
 						t.Fatalf("advance to %g: cursor or session table differs", tick)
+					}
+					if rc.long && tickName == "per-48" && p.next-from < 3*stageBlock {
+						t.Fatalf("advance to %g spans %d events, fewer than three blocks", tick, p.next-from)
 					}
 					if small {
 						if err := got.Graph().CheckInvariants(); err != nil {
@@ -198,11 +294,75 @@ func TestPlayerReference(t *testing.T) {
 	}
 }
 
+// TestPlayerHintsEachDepartureBeforeItsLeave pins the departure hints'
+// schedule: the peer of every Leave whose session is bound when its
+// block is hinted (an initial session, or one whose Join sits in an
+// earlier block) is handed to HintRemove exactly once, by that block's
+// hint pass, while alive; no other peer is. A hint pass run after its
+// block's events would find those sessions unbound and hint nothing.
+func TestPlayerHintsEachDepartureBeforeItsLeave(t *testing.T) {
+	for name, rc := range replayCases(t) {
+		evs := rc.tr.Events
+		joinAt := map[int]int{} // session -> index of its Join
+		for i, ev := range evs {
+			if ev.Op == Join {
+				joinAt[ev.Session] = i
+			}
+		}
+		for tickName, ticks := range rc.ticks() {
+			t.Run(name+"/"+tickName, func(t *testing.T) {
+				net := rc.net().CloneCOW()
+				p, err := NewPlayer(rc.tr, net)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hinted := map[int]int{} // session -> hints of its peer
+				p.hintRemove = func(g *graph.Graph, id graph.NodeID) {
+					s := -1
+					for _, ev := range evs[p.next:min(p.next+stageBlock, len(evs))] {
+						if ev.Op == Leave && p.nodes[ev.Session] == id {
+							s = ev.Session
+						}
+					}
+					if s < 0 || g != net.Graph() || !g.Alive(id) {
+						t.Fatalf("at event %d: peer %d hinted outside its block, dead or unbound", p.next, id)
+					}
+					hinted[s]++
+					g.HintRemove(id)
+				}
+				rng := xrand.New(32)
+				want := 0
+				for _, tick := range ticks {
+					from := p.next
+					p.AdvanceTo(net, tick, rng)
+					for i := from; i < p.next; i++ {
+						ev := evs[i]
+						if ev.Op != Leave {
+							continue
+						}
+						j, joined := joinAt[ev.Session]
+						bound := !joined || j < from+(i-from)/stageBlock*stageBlock
+						if n := hinted[ev.Session]; bound && n != 1 || !bound && n != 0 {
+							t.Fatalf("leave at event %d (session %d, bound %v) hinted %d times", i, ev.Session, bound, n)
+						}
+						if bound {
+							want++
+						}
+					}
+				}
+				if want == 0 || len(hinted) != want {
+					t.Fatalf("%d sessions hinted, %d bound departures", len(hinted), want)
+				}
+			})
+		}
+	}
+}
+
 // TestPlayerFloorSkipsLeaves pins what the hand-built trace is for: the
 // replay reaches the Size() <= 1 floor and a departure is refused.
 func TestPlayerFloorSkipsLeaves(t *testing.T) {
 	tr := handBuilt()
-	net := newNet(tr.Initial, 31)
+	net := handNet()
 	p, err := NewPlayer(tr, net)
 	if err != nil {
 		t.Fatal(err)
