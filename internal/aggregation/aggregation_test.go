@@ -1,11 +1,11 @@
 package aggregation
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"testing"
 
+	"p2psize/internal/epidemic"
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
@@ -17,52 +17,12 @@ func hetNet(n int, seed uint64) *overlay.Network {
 	return overlay.New(graph.Heterogeneous(n, 10, xrand.New(seed)), 10, nil)
 }
 
-func TestConfigValidation(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("RoundsPerEpoch=0 did not panic")
-			}
-		}()
-		New(Config{}, xrand.New(1))
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("nil rng did not panic")
-			}
-		}()
-		New(Default(), nil)
-	}()
-}
-
 func TestName(t *testing.T) {
-	p := New(Default(), xrand.New(1))
-	if p.Name() != "aggregation(rounds=50)" {
-		t.Fatalf("Name = %q", p.Name())
+	if name := NewEstimator(Default(), xrand.New(1)).Name(); name != "aggregation(rounds=50)" {
+		t.Fatalf("Name = %q", name)
 	}
-	if p.cfg.RoundsPerEpoch != 50 {
-		t.Fatal("Config not returned")
-	}
-}
-
-// TestRunRoundBeforeStartErrors: a round before the first epoch is a
-// caller's mistake reported as ErrNoEpoch, not a panic, and it leaves
-// the protocol usable.
-func TestRunRoundBeforeStartErrors(t *testing.T) {
-	net := hetNet(10, 2)
-	p := New(Default(), xrand.New(1))
-	if err := p.RunRound(net); !errors.Is(err, ErrNoEpoch) {
-		t.Fatalf("RunRound before StartEpoch returned %v, want ErrNoEpoch", err)
-	}
-	if net.Counter().Total() != 0 {
-		t.Fatal("a refused round metered messages")
-	}
-	if err := p.StartEpoch(net); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.RunRound(net); err != nil {
-		t.Fatal(err)
+	if name := NewEstimator(Config{RoundsPerEpoch: 7}, xrand.New(1)).Name(); name != "aggregation(rounds=7)" {
+		t.Fatalf("Name = %q: Config not used", name)
 	}
 }
 
@@ -208,8 +168,8 @@ func TestEpochRestartResetsValues(t *testing.T) {
 			t.Fatalf("epoch %d estimate %.0f, truth %d", epoch, est, n)
 		}
 	}
-	if p.epoch != 3 {
-		t.Fatalf("epoch counter = %d", p.epoch)
+	if p.Tag != 3 {
+		t.Fatalf("epoch counter = %d", p.Tag)
 	}
 }
 
@@ -219,26 +179,13 @@ func TestInitiatorReplacedWhenDead(t *testing.T) {
 	if err := p.StartEpoch(net); err != nil {
 		t.Fatal(err)
 	}
-	old := p.initiator
+	old := p.Initiator
 	net.Leave(old)
 	if err := p.StartEpoch(net); err != nil {
 		t.Fatal(err)
 	}
-	if p.initiator == old || !net.Alive(p.initiator) {
-		t.Fatalf("initiator not replaced: old=%d new=%d", old, p.initiator)
-	}
-}
-
-func TestEmptyOverlay(t *testing.T) {
-	g := graph.NewWithNodes(1)
-	g.RemoveNode(0)
-	net := overlay.New(g, 10, nil)
-	p := New(Default(), xrand.New(17))
-	if err := p.StartEpoch(net); !errors.Is(err, ErrEmptyOverlay) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, ok := p.Estimate(net); ok {
-		t.Fatal("estimate available before any epoch")
+	if p.Initiator == old || !net.Alive(p.Initiator) {
+		t.Fatalf("initiator not replaced: old=%d new=%d", old, p.Initiator)
 	}
 }
 
@@ -286,7 +233,7 @@ func TestDeparturesLoseMass(t *testing.T) {
 		p.RunRound(net)
 	}
 	for i := 0; i < n/4; i++ {
-		if id, ok := net.Graph().RandomAlive(rng); ok && id != p.initiator {
+		if id, ok := net.Graph().RandomAlive(rng); ok && id != p.Initiator {
 			net.Leave(id)
 		}
 	}
@@ -304,7 +251,8 @@ func TestDeparturesLoseMass(t *testing.T) {
 func TestOneShotEstimatorAdapter(t *testing.T) {
 	const n = 2000
 	net := hetNet(n, 24)
-	e := NewEstimator(Config{RoundsPerEpoch: 50}, xrand.New(25))
+	p := New(Config{RoundsPerEpoch: 50}, xrand.New(25))
+	e := epidemic.NewEstimator(&p.Epoch)
 	if e.Name() != "aggregation(rounds=50)" {
 		t.Fatalf("Name = %q", e.Name())
 	}
@@ -315,7 +263,7 @@ func TestOneShotEstimatorAdapter(t *testing.T) {
 	if math.Abs(est-n)/n > 0.05 {
 		t.Fatalf("estimate %.0f, truth %d", est, n)
 	}
-	if e.p.epoch != 1 {
+	if p.Tag != 1 {
 		t.Fatal("adapter did not run an epoch")
 	}
 }
@@ -374,8 +322,8 @@ func (p *Protocol) MassInEpoch(net *overlay.Network) float64 {
 	sum := 0.0
 	for i := 0; i < g.NumAlive(); i++ {
 		id := g.AliveAt(i)
-		if p.participant(id) {
-			sum += p.values[id]
+		if p.Participant(id) {
+			sum += p.State[id]
 		}
 	}
 	return sum
@@ -409,8 +357,8 @@ func (p *Protocol) ParticipantStats(net *overlay.Network) (int, float64, float64
 	n := 0
 	for i := 0; i < g.NumAlive(); i++ {
 		id := g.AliveAt(i)
-		if p.participant(id) {
-			r.Add(p.values[id])
+		if p.Participant(id) {
+			r.Add(p.State[id])
 			n++
 		}
 	}

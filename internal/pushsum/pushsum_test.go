@@ -1,10 +1,10 @@
 package pushsum
 
 import (
-	"errors"
 	"math"
 	"testing"
 
+	"p2psize/internal/epidemic"
 	"p2psize/internal/graph"
 	"p2psize/internal/overlay"
 	"p2psize/internal/parallel"
@@ -77,95 +77,12 @@ func TestMassConservation(t *testing.T) {
 		participants := 0.0
 		g := net.Graph()
 		for i := 0; i < g.NumAlive(); i++ {
-			if p.participant(g.AliveAt(i)) {
+			if p.Participant(g.AliveAt(i)) {
 				participants++
 			}
 		}
 		if math.Abs(sum-participants) > 1e-6 {
 			t.Fatalf("round %d: sum mass %g, participants %g", r, sum, participants)
-		}
-	}
-}
-
-// epochState runs one epoch and returns the full (sums, weights)
-// vectors plus the metered message total — the complete observable
-// state a round sweep produces.
-func epochState(t *testing.T, n int, cfg Config, seed uint64, rounds int) ([]float64, []float64, uint64) {
-	t.Helper()
-	net := hetNet(n, seed)
-	p := New(cfg, xrand.New(seed+1))
-	if err := p.StartEpoch(net); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < rounds; r++ {
-		p.RunRound(net)
-	}
-	return append([]float64(nil), p.sums...), append([]float64(nil), p.weights...), net.Counter().Total()
-}
-
-// TestShardedRoundWorkerCountInvariance mirrors the Aggregation shard
-// tests: at a fixed shard count the full state vectors and the message
-// total are byte-identical at workers 1, 2 and 8. Run under -race in CI
-// this also proves the parallel phase writes no pair from two
-// goroutines.
-func TestShardedRoundWorkerCountInvariance(t *testing.T) {
-	const n, rounds = 3000, 12
-	for _, shardsCfg := range []int{2, 4, 7} {
-		cfg := Config{RoundsPerEpoch: rounds, Shards: shardsCfg, Workers: 1}
-		refS, refW, refMsgs := epochState(t, n, cfg, 91, rounds)
-		for _, workers := range []int{2, 8} {
-			cfg.Workers = workers
-			gotS, gotW, gotMsgs := epochState(t, n, cfg, 91, rounds)
-			if gotMsgs != refMsgs {
-				t.Fatalf("shards=%d: messages differ at workers=%d: %d vs %d",
-					shardsCfg, workers, gotMsgs, refMsgs)
-			}
-			for id := range refS {
-				if math.Float64bits(refS[id]) != math.Float64bits(gotS[id]) ||
-					math.Float64bits(refW[id]) != math.Float64bits(gotW[id]) {
-					t.Fatalf("shards=%d: state of node %d differs at workers=%d",
-						shardsCfg, id, workers)
-				}
-			}
-		}
-	}
-}
-
-func TestShardCountIsPartOfTheAlgorithm(t *testing.T) {
-	// Guard against the opposite failure: a sweep that ignored its
-	// shard streams entirely would also pass the invariance test.
-	aS, _, _ := epochState(t, 3000, Config{RoundsPerEpoch: 10, Shards: 1, Workers: 1}, 92, 10)
-	bS, _, _ := epochState(t, 3000, Config{RoundsPerEpoch: 10, Shards: 4, Workers: 1}, 92, 10)
-	same := true
-	for id := range aS {
-		if aS[id] != bS[id] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("1-shard and 4-shard sweeps produced identical state")
-	}
-}
-
-// TestLocalShuffleWorkerCountInvariance extends the invariance to the
-// engine's ShuffleLocal mode: different draws from the global shuffle,
-// same worker-count independence.
-func TestLocalShuffleWorkerCountInvariance(t *testing.T) {
-	const n, rounds = 3000, 12
-	cfg := Config{RoundsPerEpoch: rounds, Shards: 4, Workers: 1, Shuffle: parallel.ShuffleLocal}
-	refS, refW, refMsgs := epochState(t, n, cfg, 93, rounds)
-	for _, workers := range []int{2, 8} {
-		cfg.Workers = workers
-		gotS, gotW, gotMsgs := epochState(t, n, cfg, 93, rounds)
-		if gotMsgs != refMsgs {
-			t.Fatalf("messages differ at workers=%d: %d vs %d", workers, gotMsgs, refMsgs)
-		}
-		for id := range refS {
-			if math.Float64bits(refS[id]) != math.Float64bits(gotS[id]) ||
-				math.Float64bits(refW[id]) != math.Float64bits(gotW[id]) {
-				t.Fatalf("state of node %d differs at workers=%d", id, workers)
-			}
 		}
 	}
 }
@@ -209,66 +126,22 @@ func TestLocalShuffleStatisticalEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunRoundBeforeStartErrors: a round before the first epoch is a
-// caller's mistake reported as ErrNoEpoch, not a panic, and it leaves
-// the protocol usable.
-func TestRunRoundBeforeStartErrors(t *testing.T) {
-	net := hetNet(10, 2)
-	p := New(Default(), xrand.New(1))
-	if err := p.RunRound(net); !errors.Is(err, ErrNoEpoch) {
-		t.Fatalf("RunRound before StartEpoch returned %v, want ErrNoEpoch", err)
-	}
-	if net.Counter().Total() != 0 {
-		t.Fatal("a refused round metered messages")
-	}
-	if err := p.StartEpoch(net); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.RunRound(net); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEmptyOverlayErrors(t *testing.T) {
-	net := overlay.New(graph.New(0), 10, nil)
-	e := NewEstimator(Default(), xrand.New(1))
-	if _, err := e.Estimate(net); err != ErrEmptyOverlay {
-		t.Fatalf("err = %v, want ErrEmptyOverlay", err)
-	}
-}
-
 func TestInitiatorSurvivesRedraw(t *testing.T) {
 	// When the initiator departs between epochs, the next StartEpoch
 	// redraws one instead of failing — the monitoring contract.
 	net := hetNet(200, 7)
-	e := NewEstimator(Config{RoundsPerEpoch: 30}, xrand.New(8))
+	p := New(Config{RoundsPerEpoch: 30}, xrand.New(8))
+	e := epidemic.NewEstimator(&p.Epoch)
 	if _, err := e.Estimate(net); err != nil {
 		t.Fatal(err)
 	}
-	net.Leave(e.p.initiator)
+	net.Leave(p.Initiator)
 	est, err := e.Estimate(net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est <= 0 {
 		t.Fatalf("estimate %g after initiator redraw", est)
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	for _, cfg := range []Config{
-		{RoundsPerEpoch: 0},
-		{RoundsPerEpoch: 1, Shards: -1},
-		{RoundsPerEpoch: 1, Shards: parallel.MaxConfigShards + 1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("config %+v did not panic", cfg)
-				}
-			}()
-			New(cfg, xrand.New(1))
-		}()
 	}
 }
 
@@ -279,9 +152,9 @@ func (p *Protocol) MassInEpoch(net *overlay.Network) (sum, weight float64) {
 	g := net.Graph()
 	for i := 0; i < g.NumAlive(); i++ {
 		id := g.AliveAt(i)
-		if p.participant(id) {
-			sum += p.sums[id]
-			weight += p.weights[id]
+		if p.Participant(id) {
+			sum += p.State[id].sum
+			weight += p.State[id].weight
 		}
 	}
 	return sum, weight
