@@ -48,7 +48,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "simulation seed")
 		workers    = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential); output is identical at any setting")
 		shards     = flag.Int("shards", 0, "shard count for the intra-round Aggregation/CYCLON sweeps (0 = auto-size; part of the output, unlike -workers)")
-		shuffle    = flag.String("shuffle", "global", "sweep-order randomization of the sharded rounds: \"global\" (frozen serial-shuffle draw order) or \"local\" (per-shard shuffles, no serial prefix); part of the output, like -shards")
 		ascii      = flag.Bool("ascii", true, "print ASCII previews")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		traceFile  = flag.String("tracefile", "", "also run the continuous monitor on this empirical churn trace (.json or .csv, optionally .gz), reported as experiment trace-file")
@@ -72,8 +71,8 @@ func main() {
 		return
 	}
 
-	if *shards < 0 || *shards > parallel.MaxConfigShards {
-		fatal(fmt.Errorf("-shards %d out of range [0, %d] (0 = auto-size)", *shards, parallel.MaxConfigShards))
+	if err := (parallel.EngineConfig{Shards: *shards}).Validate(); err != nil {
+		fatal(fmt.Errorf("-shards: %w", err))
 	}
 	params := experiments.Scaled(*scale)
 	if *full {
@@ -82,11 +81,6 @@ func main() {
 	params.Seed = *seed
 	params.Workers = *workers
 	params.Shards = *shards
-	mode, err := parallel.ParseShuffleMode(*shuffle)
-	if err != nil {
-		fatal(fmt.Errorf("-shuffle: %w", err))
-	}
-	params.Shuffle = mode
 	if *estimators != "" {
 		roster, err := registry.Parse(*estimators)
 		if err != nil {

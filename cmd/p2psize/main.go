@@ -72,7 +72,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential): estimation runs, or under -trace the replay groups and, inside each, the estimators due at a tick; output is identical at any setting")
 		shards   = flag.Int("shards", 0, "shard count for the sweep inside each Aggregation round (0 = auto-size; part of the output, unlike -workers)")
-		shuffle  = flag.String("shuffle", "global", "sweep-order randomization of the sharded rounds: \"global\" (frozen serial-shuffle draw order) or \"local\" (per-shard shuffles, no serial prefix); part of the output, like -shards")
 
 		estSel = flag.String("estimators", "", "select algorithms from the estimator registry (comma-separated names/aliases, \"all\", \"default\", or \"list\" to print the catalog); wins over -algo")
 
@@ -109,11 +108,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *shards < 0 || *shards > parallel.MaxConfigShards {
-		fatal(fmt.Errorf("-shards %d out of range [0, %d] (0 = auto-size)", *shards, parallel.MaxConfigShards))
-	}
-	if _, err := parallel.ParseShuffleMode(*shuffle); err != nil {
-		fatal(fmt.Errorf("-shuffle: %w", err))
+	if err := (parallel.EngineConfig{Shards: *shards}).Validate(); err != nil {
+		fatal(fmt.Errorf("-shards: %w", err))
 	}
 	// Split the CPU budget between the run-level fan-out and the sweep
 	// inside each Aggregation round, mirroring the experiments layer:
@@ -133,7 +129,6 @@ func main() {
 		Tours:   10,
 		MinHops: *minHops,
 		Rounds:  *rounds, Shards: *shards, Workers: aggWorkers,
-		Shuffle: *shuffle,
 	}
 	if *traceSpec != "" {
 		cfg.Tours = 3

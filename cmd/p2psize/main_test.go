@@ -116,7 +116,7 @@ func TestErrLine(t *testing.T) {
 	}{
 		{errors.New(`unknown topology "mesh"`), `p2psize: unknown topology "mesh"`},
 		{errors.New("p2psize: NewNetwork: need at least 1 node"), "p2psize: NewNetwork: need at least 1 node"},
-		{fmt.Errorf("-shuffle: %w", errors.New("p2psize: bad mode")), "p2psize: -shuffle: p2psize: bad mode"},
+		{fmt.Errorf("-shards: %w", errors.New("p2psize: bad count")), "p2psize: -shards: p2psize: bad count"},
 		{errors.New("registry: p2psize: x"), "p2psize: registry: p2psize: x"},
 	} {
 		if got := errLine(c.err); got != c.want {
@@ -320,6 +320,18 @@ func TestBadTimerFails(t *testing.T) {
 		if strings.Count(stderr, "p2psize:") != 1 || !strings.Contains(stderr, "SCTimer "+T) {
 			t.Errorf("-T %s: stderr %q: want one p2psize: error naming SCTimer %s", T, stderr, T)
 		}
+	}
+}
+
+// TestNegativeKnobFails: a negative integer knob is an error naming
+// its option. -rounds -5 used to run silently with the paper's 50.
+func TestNegativeKnobFails(t *testing.T) {
+	code, stderr := runMain(t, "-nodes 500 -algo agg -rounds -5 -runs 1")
+	if code == 0 {
+		t.Fatalf("exit status 0; stderr:\n%s", stderr)
+	}
+	if strings.Count(stderr, "p2psize:") != 1 || !strings.Contains(stderr, "Rounds -5") {
+		t.Fatalf("stderr %q: want one p2psize: error naming Rounds -5", stderr)
 	}
 }
 

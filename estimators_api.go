@@ -13,7 +13,6 @@ import (
 
 	"p2psize/internal/core"
 	"p2psize/internal/overlay"
-	"p2psize/internal/parallel"
 	"p2psize/internal/registry"
 	"p2psize/internal/xrand"
 )
@@ -75,7 +74,8 @@ type EstimatorConfig struct {
 	// SCTimer is the Sample&Collide walk timer (0 = 10). A negative,
 	// NaN or infinite timer is an error.
 	SCTimer float64
-	// SCL is the Sample&Collide collision target (0 = 200).
+	// SCL is the Sample&Collide collision target (0 = 200). SCL,
+	// MinHops, Tours and Rounds reject negative values.
 	SCL int
 	// SCMLE selects Sample&Collide's maximum-likelihood refinement.
 	SCMLE bool
@@ -91,12 +91,6 @@ type EstimatorConfig struct {
 	Shards int
 	// Workers caps the goroutines sweeping one Aggregation round.
 	Workers int
-	// Shuffle selects the sharded sweeps' order randomization:
-	// "" or "global" reproduces the frozen serial-shuffle draw order,
-	// "local" (alias "localshuffle") shuffles each shard's segment
-	// inside the parallel phase — same estimator statistically, no
-	// serial O(N) prefix. Part of the output, like Shards.
-	Shuffle string
 	// Faults runs the estimator under a fault scenario: the built
 	// instance is decorated so every Estimate call enforces the
 	// scenario's message-level faults (see ApplyFaults). The zero value
@@ -109,13 +103,8 @@ type EstimatorConfig struct {
 // registryOptions is the single conversion point from the public
 // configuration to the internal registry's options; the fields pass
 // through one-for-one.
-func (c EstimatorConfig) registryOptions() (registry.Options, error) {
-	shuffle, err := parallel.ParseShuffleMode(c.Shuffle)
-	if err != nil {
-		return registry.Options{}, fmt.Errorf("p2psize: Shuffle: %w", err)
-	}
+func (c EstimatorConfig) registryOptions() registry.Options {
 	return registry.Options{
-		Shuffle: shuffle,
 		SCTimer: c.SCTimer,
 		SCL:     c.SCL,
 		SCMLE:   c.SCMLE,
@@ -124,8 +113,8 @@ func (c EstimatorConfig) registryOptions() (registry.Options, error) {
 		Rounds:  c.Rounds,
 		Shards:  c.Shards,
 		Workers: c.Workers,
-		Faults:  c.Faults.spec(),
-	}, nil
+		Faults:  c.Faults,
+	}
 }
 
 // NewEstimatorByName builds an estimator by registry name or alias.
@@ -145,11 +134,7 @@ func NewEstimatorByName(name string, cfg EstimatorConfig, net *Network) (Estimat
 	if net != nil {
 		inner = net.net
 	}
-	opts, err := cfg.registryOptions()
-	if err != nil {
-		return nil, err
-	}
-	e, err := d.Build(inner, xrand.New(cfg.Seed), opts)
+	e, err := d.Build(inner, xrand.New(cfg.Seed), cfg.registryOptions())
 	if err != nil {
 		return nil, fmt.Errorf("p2psize: %s: %w", d.Name, err)
 	}

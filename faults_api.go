@@ -15,94 +15,19 @@ import (
 	"p2psize/internal/xrand"
 )
 
-// FaultOptions describes one fault scenario. The zero value is the
-// benign no-fault scenario; fields compose freely.
+// FaultOptions describes one fault scenario: an alias of the fault
+// layer's Spec, whose field comments give each knob's range and whose
+// Enabled, MessageFaults, Validate and String methods it shares. The
+// zero value is the benign no-fault scenario; fields compose freely.
 //
-// Drop, DelayFactor, Dup, LieScale and LieFrac are message-level faults,
-// enforced by the injector ApplyFaults (or EstimatorConfig.Faults)
-// installs: they apply to any estimator on any overlay. SilentFrac and
-// SybilFrac reshape the overlay itself — apply them with
-// Network.ApplyAdversary. PartitionFrac and its window need a run
-// timeline to split and heal across; the robustness-* experiments and
-// the "partition" trace workload realize them.
-type FaultOptions struct {
-	// Drop is the per-message loss probability in [0, 1).
-	Drop float64
-	// DelayFactor multiplies every message delay (latency pricing only;
-	// 0 means the neutral 1x).
-	DelayFactor float64
-	// Dup is the per-message duplication probability in [0, 1]:
-	// duplicated messages are metered again but carry no new payload.
-	Dup float64
-	// PartitionFrac is the fraction of peers split into the minority
-	// component during the partition window (0 = no partition).
-	PartitionFrac float64
-	// PartitionLo and PartitionHi bound the partition window as
-	// fractions of the run sequence (or trace horizon) in [0, 1].
-	PartitionLo, PartitionHi float64
-	// LieScale is the factor by which lying aggregators scale the sums
-	// they report (0 = no liars; honest is 1).
-	LieScale float64
-	// LieFrac is the fraction of peers that lie.
-	LieFrac float64
-	// SilentFrac is the fraction of peers that silently stop responding
-	// without leaving, so they still count toward the true size.
-	SilentFrac float64
-	// SybilFrac inflates the overlay with SybilFrac × N phantom peers.
-	SybilFrac float64
-	// NATFrac is the fraction of peers behind asymmetric (NAT-limited)
-	// connectivity: inbound requests to them fail while their own
-	// outbound sends still work. A message-level fault, enforced by the
-	// same injector as Drop (the protocols consult the fated set for the
-	// peers they target).
-	NATFrac float64
-}
-
-func (f FaultOptions) spec() fault.Spec {
-	return fault.Spec{
-		Drop:          f.Drop,
-		DelayFactor:   f.DelayFactor,
-		Dup:           f.Dup,
-		PartitionFrac: f.PartitionFrac,
-		PartitionLo:   f.PartitionLo,
-		PartitionHi:   f.PartitionHi,
-		LieScale:      f.LieScale,
-		LieFrac:       f.LieFrac,
-		SilentFrac:    f.SilentFrac,
-		SybilFrac:     f.SybilFrac,
-		NATFrac:       f.NATFrac,
-	}
-}
-
-func faultOptions(s fault.Spec) FaultOptions {
-	return FaultOptions{
-		Drop:          s.Drop,
-		DelayFactor:   s.DelayFactor,
-		Dup:           s.Dup,
-		PartitionFrac: s.PartitionFrac,
-		PartitionLo:   s.PartitionLo,
-		PartitionHi:   s.PartitionHi,
-		LieScale:      s.LieScale,
-		LieFrac:       s.LieFrac,
-		SilentFrac:    s.SilentFrac,
-		SybilFrac:     s.SybilFrac,
-		NATFrac:       s.NATFrac,
-	}
-}
-
-// Enabled reports whether the options request any fault at all.
-func (f FaultOptions) Enabled() bool { return f != FaultOptions{} }
-
-// MessageFaults reports whether the options carry message-level faults
-// ApplyFaults enforces (drop, delay, duplicate, lying).
-func (f FaultOptions) MessageFaults() bool { return f.spec().MessageFaults() }
-
-// Validate checks field ranges; the zero value is valid.
-func (f FaultOptions) Validate() error { return f.spec().Validate() }
-
-// String renders the options in the ParseFaults grammar (empty for the
-// benign scenario). ParseFaults(f.String()) round-trips.
-func (f FaultOptions) String() string { return f.spec().String() }
+// Drop, DelayFactor, Dup, LieScale, LieFrac and NATFrac are
+// message-level faults, enforced by the injector ApplyFaults (or
+// EstimatorConfig.Faults) installs: they apply to any estimator on any
+// overlay. SilentFrac and SybilFrac reshape the overlay itself — apply
+// them with Network.ApplyAdversary. PartitionFrac and its window need a
+// run timeline to split and heal across; the robustness-* experiments
+// and the "partition" trace workload realize them.
+type FaultOptions = fault.Spec
 
 // ParseFaults parses the comma-separated fault scenario grammar both
 // CLIs accept:
@@ -124,7 +49,7 @@ func ParseFaults(spec string) (FaultOptions, error) {
 	if err != nil {
 		return FaultOptions{}, fmt.Errorf("p2psize: %w", err)
 	}
-	return faultOptions(s), nil
+	return s, nil
 }
 
 // ApplyFaults wraps an estimator so every Estimate call runs under the
@@ -142,16 +67,15 @@ func ApplyFaults(e Estimator, f FaultOptions, seed uint64) (Estimator, error) {
 	if e == nil {
 		return nil, errors.New("p2psize: ApplyFaults needs an estimator, got nil")
 	}
-	spec := f.spec()
-	if err := spec.Validate(); err != nil {
+	if err := f.Validate(); err != nil {
 		return nil, fmt.Errorf("p2psize: %w", err)
 	}
-	if !spec.Enabled() {
+	if !f.Enabled() {
 		return e, nil
 	}
 	// A fresh decorator is never a publicWrap, so it lifts without
 	// toPublic's unwrap.
-	return coreWrap{fault.Decorate(toCore(e), fault.NewInjector(spec, xrand.New(seed)))}, nil
+	return coreWrap{fault.Decorate(toCore(e), fault.NewInjector(f, xrand.New(seed)))}, nil
 }
 
 // ApplyAdversary reshapes the overlay per the scenario's node-
@@ -163,15 +87,14 @@ func ApplyFaults(e Estimator, f FaultOptions, seed uint64) (Estimator, error) {
 // apply it once, before estimating; message-level fields are ignored
 // here (see ApplyFaults).
 func (n *Network) ApplyAdversary(f FaultOptions, seed uint64) (silenced, sybils int, err error) {
-	spec := f.spec()
-	if err := spec.Validate(); err != nil {
+	if err := f.Validate(); err != nil {
 		return 0, 0, fmt.Errorf("p2psize: %w", err)
 	}
-	if spec.SilentFrac > 0 {
-		silenced = len(fault.Silence(n.net, spec.SilentFrac, seed))
+	if f.SilentFrac > 0 {
+		silenced = len(fault.Silence(n.net, f.SilentFrac, seed))
 	}
-	if spec.SybilFrac > 0 {
-		sybils = fault.InflateSybils(n.net, spec.SybilFrac, xrand.New(seed+1))
+	if f.SybilFrac > 0 {
+		sybils = fault.InflateSybils(n.net, f.SybilFrac, xrand.New(seed+1))
 	}
 	return silenced, sybils, nil
 }

@@ -84,15 +84,6 @@ func TestApplyFaultsDeterministic(t *testing.T) {
 	}
 }
 
-// TestEstimatorConfigAliases pins what is left of the conversion's
-// validation now that the deprecated alias fields are gone: an unknown
-// Shuffle spelling is an error, not a silent default.
-func TestEstimatorConfigAliases(t *testing.T) {
-	if _, err := (EstimatorConfig{Shuffle: "bogus"}).registryOptions(); err == nil {
-		t.Fatal("unknown shuffle spelling accepted")
-	}
-}
-
 func TestApplyAdversary(t *testing.T) {
 	net, err := NewNetwork(NetworkOptions{Nodes: 1000, Seed: 1})
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"p2psize/internal/overlay"
-	"p2psize/internal/parallel"
 	"p2psize/internal/xrand"
 )
 
@@ -36,24 +35,20 @@ const pinnedRounds = 20
 // bit — FNV-64a over (values, epoch tags) and the message total — to the
 // output of the engine that mapped positions to node IDs inside Visit
 // and visited one node at a time. Key resolution and block staging in
-// the round engine must move none of it, at any shard count or mode.
+// the round engine must move none of it, at any shard count.
 func TestRoundStatePinned(t *testing.T) {
 	pins := []struct {
-		shards  int
-		shuffle parallel.ShuffleMode
-		hash    uint64
-		msgs    uint64
+		shards int
+		hash   uint64
+		msgs   uint64
 	}{
-		{1, parallel.ShuffleGlobal, 0xdec8a5c05076aecb, 800000},
-		{1, parallel.ShuffleLocal, 0x1d21eb2472b9db5c, 800000},
-		{4, parallel.ShuffleGlobal, 0x94aa8d2cc09c2674, 800000},
-		{4, parallel.ShuffleLocal, 0xc13c8e6046646e55, 800000},
-		{16, parallel.ShuffleGlobal, 0x230bd1376183766b, 800000},
-		{16, parallel.ShuffleLocal, 0x030e194bbb9e72ce, 800000},
+		{1, 0xdec8a5c05076aecb, 800000},
+		{4, 0x94aa8d2cc09c2674, 800000},
+		{16, 0x230bd1376183766b, 800000},
 	}
 	for _, pin := range pins {
 		net := churnedNet(20000, 7)
-		p := New(Config{RoundsPerEpoch: 50, Shards: pin.shards, Shuffle: pin.shuffle}, xrand.New(8))
+		p := New(Config{RoundsPerEpoch: 50, Shards: pin.shards}, xrand.New(8))
 		if err := p.StartEpoch(net); err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +64,7 @@ func TestRoundStatePinned(t *testing.T) {
 			h.Write(b[:4])
 		}
 		if got, msgs := h.Sum64(), net.Counter().Total(); got != pin.hash || msgs != pin.msgs {
-			t.Errorf("shards=%d %v: state %#x msgs %d, pinned %#x and %d", pin.shards, pin.shuffle, got, msgs, pin.hash, pin.msgs)
+			t.Errorf("shards=%d: state %#x msgs %d, pinned %#x and %d", pin.shards, got, msgs, pin.hash, pin.msgs)
 		}
 	}
 }

@@ -9,23 +9,6 @@ import (
 	"p2psize/internal/xrand"
 )
 
-// epochValues runs one epoch of rounds and returns the full value
-// vector plus the metered message total — the complete observable state
-// a round sweep produces.
-func epochValues(t *testing.T, n int, cfg Config, seed uint64, rounds int) ([]float64, uint64) {
-	t.Helper()
-	net := hetNet(n, seed)
-	p := New(cfg, xrand.New(seed+1))
-	if err := p.StartEpoch(net); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < rounds; r++ {
-		p.RunRound(net)
-	}
-	out := append([]float64(nil), p.State...)
-	return out, net.Counter().Total()
-}
-
 func TestShardedRoundConservesMass(t *testing.T) {
 	// Cross-shard pairs are deferred, not dropped: averaging still
 	// conserves the epoch's total mass of 1.
@@ -51,64 +34,6 @@ func TestShardsBeyondCapPanics(t *testing.T) {
 		}
 	}()
 	New(Config{RoundsPerEpoch: 1, Shards: parallel.MaxConfigShards + 1}, xrand.New(1))
-}
-
-// TestShuffleModeIsPartOfTheAlgorithm: the local-shuffle mode draws a
-// different (equally valid) trajectory — a mode knob that silently fell
-// back to the global shuffle would pass every other test.
-func TestShuffleModeIsPartOfTheAlgorithm(t *testing.T) {
-	a, _ := epochValues(t, 3000, Config{RoundsPerEpoch: 10, Shards: 4, Workers: 1}, 82, 10)
-	b, _ := epochValues(t, 3000, Config{RoundsPerEpoch: 10, Shards: 4, Workers: 1, Shuffle: parallel.ShuffleLocal}, 82, 10)
-	same := true
-	for id := range a {
-		if a[id] != b[id] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("global and local shuffle produced identical values")
-	}
-}
-
-// TestLocalShuffleStatisticalEquivalence is the acceptance gate for the
-// localshuffle knob: over 30 seeded one-epoch estimations, the
-// local-shuffle estimator's mean and spread match the frozen
-// global-shuffle estimator's within the same envelopes the sharded
-// sweep itself had to meet.
-func TestLocalShuffleStatisticalEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("30 full epochs at n=2000")
-	}
-	const n, runs = 2000, 30
-	distribution := func(mode parallel.ShuffleMode) (mean, sd float64) {
-		var r stats.Running
-		for i := 0; i < runs; i++ {
-			net := hetNet(n, uint64(600+i))
-			e := NewEstimator(Config{RoundsPerEpoch: 50, Shards: 8, Workers: 1, Shuffle: mode},
-				xrand.New(uint64(1000+i)))
-			est, err := e.Estimate(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Add(est)
-		}
-		return r.Mean(), r.StdDev()
-	}
-	gMean, gSD := distribution(parallel.ShuffleGlobal)
-	lMean, lSD := distribution(parallel.ShuffleLocal)
-	if math.Abs(gMean-n)/n > 0.02 || math.Abs(lMean-n)/n > 0.02 {
-		t.Fatalf("means off truth: global %.1f, local %.1f (n=%d)", gMean, lMean, n)
-	}
-	if math.Abs(lMean-gMean)/n > 0.02 {
-		t.Fatalf("means diverge: global %.1f vs local %.1f", gMean, lMean)
-	}
-	if gSD/n > 0.05 || lSD/n > 0.05 {
-		t.Fatalf("spread too wide: global sd %.1f, local sd %.1f", gSD, lSD)
-	}
-	if math.Abs(lSD-gSD)/n > 0.03 {
-		t.Fatalf("spreads diverge: global sd %.1f vs local sd %.1f", gSD, lSD)
-	}
 }
 
 // TestShardedStatisticalEquivalence checks the sharded sweep is the

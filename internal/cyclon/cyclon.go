@@ -61,16 +61,11 @@ type Config struct {
 	// 0 means runtime.NumCPU(), 1 forces sequential execution. Workers
 	// only changes wall time, never output.
 	Workers int
-	// Shuffle selects the sweep-order randomization: the default
-	// ShuffleGlobal reproduces the frozen serial-shuffle draw order,
-	// ShuffleLocal shuffles per shard inside the parallel phase. Part of
-	// the output, like Shards.
-	Shuffle parallel.ShuffleMode
 }
 
 // engine projects the sharded-round knobs onto the engine's config.
 func (c Config) engine() parallel.EngineConfig {
-	return parallel.EngineConfig{Shards: c.Shards, Workers: c.Workers, Shuffle: c.Shuffle}
+	return parallel.EngineConfig{Shards: c.Shards, Workers: c.Workers}
 }
 
 // Default returns ViewSize 8, ShuffleLen 4.
@@ -249,7 +244,6 @@ func (p *Protocol) RunRound() {
 			p.completeShuffle(d.id, d.q, rng)
 			return nil
 		},
-		PairStreams: true,
 	}
 	if err := p.engine.Round(p.rng, p.cfg.engine(), &sw); err != nil {
 		panic(fmt.Sprintf("cyclon: round sweep failed: %v", err))

@@ -152,85 +152,6 @@ func TestShardedDegreeDistribution(t *testing.T) {
 	}
 }
 
-// TestLocalShuffleWorkerCountInvariance extends the invariance to the
-// engine's ShuffleLocal mode: different draws from the global shuffle,
-// same worker-count independence of every view and the message total.
-func TestLocalShuffleWorkerCountInvariance(t *testing.T) {
-	const n, rounds = 2000, 8
-	cfg := Default()
-	cfg.Shards = 5
-	cfg.Workers = 1
-	cfg.Shuffle = parallel.ShuffleLocal
-	ref, refMsgs := roundState(t, n, cfg, 310, rounds)
-	for _, workers := range []int{2, 8} {
-		cfg.Workers = workers
-		got, gotMsgs := roundState(t, n, cfg, 310, rounds)
-		if gotMsgs != refMsgs {
-			t.Fatalf("messages differ at workers=%d: %d vs %d", workers, gotMsgs, refMsgs)
-		}
-		if id, ok := viewsEqual(ref, got); !ok {
-			t.Fatalf("view of node %d differs at workers=%d", id, workers)
-		}
-	}
-}
-
-// TestLocalShuffleOverlayHealth is the statistical-equivalence gate for
-// the localshuffle knob on the membership family: after identical churn
-// and round counts, the local-shuffle overlay matches the
-// global-shuffle one on degree distribution, stale-entry flushing, and
-// connectivity — the same health envelope the sharded sweep had to
-// meet against the sequential one.
-func TestLocalShuffleOverlayHealth(t *testing.T) {
-	const n, rounds = 2000, 30
-	measure := func(mode parallel.ShuffleMode) (mean, sd float64, max int, stale float64, comp int) {
-		g := graph.Heterogeneous(n, 10, xrand.New(311))
-		cfg := Default()
-		cfg.Shards = 8
-		cfg.Workers = 1
-		cfg.Shuffle = mode
-		p := New(cfg, xrand.New(312), nil)
-		p.Bootstrap(g)
-		rng := xrand.New(313)
-		ids := p.appendMemberIDs(nil)
-		xrand.Shuffle(rng, ids)
-		for _, id := range ids[:n*3/10] {
-			p.Leave(id)
-		}
-		for r := 0; r < rounds; r++ {
-			p.RunRound()
-		}
-		eg := p.ExportGraph(n)
-		var deg stats.Running
-		eg.ForEachAlive(func(id graph.NodeID) {
-			d := eg.Degree(id)
-			deg.Add(float64(d))
-			if d > max {
-				max = d
-			}
-		})
-		return deg.Mean(), deg.StdDev(), max, p.StaleFraction(), graph.LargestComponent(eg)
-	}
-	gMean, gSD, gMax, gStale, gComp := measure(parallel.ShuffleGlobal)
-	lMean, lSD, lMax, lStale, lComp := measure(parallel.ShuffleLocal)
-	if math.Abs(lMean-gMean) > 0.1*gMean {
-		t.Fatalf("mean degree diverged: global %.2f vs local %.2f", gMean, lMean)
-	}
-	if math.Abs(lSD-gSD) > 0.25*gSD {
-		t.Fatalf("degree spread diverged: global %.2f vs local %.2f", gSD, lSD)
-	}
-	if lMax > 4*Default().ViewSize || gMax > 4*Default().ViewSize {
-		t.Fatalf("in-degree balance lost: max degree global %d, local %d", gMax, lMax)
-	}
-	if gStale > 0.02 != (lStale > 0.02) {
-		t.Fatalf("stale flushing diverged: global %.3f vs local %.3f", gStale, lStale)
-	}
-	survivors := n - n*3/10
-	if gComp < survivors*98/100 || lComp < survivors*98/100 {
-		t.Fatalf("connectivity diverged: largest component global %d, local %d of %d survivors",
-			gComp, lComp, survivors)
-	}
-}
-
 // TestShardedViewInvariants: capacity, no self-pointers, no duplicates
 // — the merge invariants hold when shuffles complete out of the
 // initiator order via the fix-up pass.

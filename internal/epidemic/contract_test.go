@@ -171,7 +171,6 @@ func TestConfigValidation(t *testing.T) {
 			mustPanic("RoundsPerEpoch=0", epidemic.Config{}, xrand.New(1))
 			mustPanic("Shards=-1", epidemic.Config{RoundsPerEpoch: 1, Shards: -1}, xrand.New(1))
 			mustPanic("Shards beyond the cap", epidemic.Config{RoundsPerEpoch: 1, Shards: parallel.MaxConfigShards + 1}, xrand.New(1))
-			mustPanic("an unknown shuffle mode", epidemic.Config{RoundsPerEpoch: 1, Shuffle: parallel.ShuffleLocal + 1}, xrand.New(1))
 			mustPanic("a nil rng", epidemic.Default(), nil)
 		})
 	}
@@ -419,29 +418,6 @@ func TestShardCountIsPartOfTheAlgorithm(t *testing.T) {
 			b, _ := epoch(t, f, 3000, epidemic.Config{RoundsPerEpoch: 10, Shards: 4, Workers: 1}, 78, 10)
 			if firstDiff(a, b) < 0 {
 				t.Fatal("1-shard and 4-shard sweeps produced identical state")
-			}
-		})
-	}
-}
-
-// TestLocalShuffleWorkerCountInvariance extends the invariance to the
-// engine's ShuffleLocal mode: different draws from the global shuffle,
-// same worker-count independence.
-func TestLocalShuffleWorkerCountInvariance(t *testing.T) {
-	const n, rounds = 3000, 12
-	for _, f := range families {
-		t.Run(f.name, func(t *testing.T) {
-			cfg := epidemic.Config{RoundsPerEpoch: rounds, Shards: 4, Workers: 1, Shuffle: parallel.ShuffleLocal}
-			ref, refMsgs := epoch(t, f, n, cfg, 81, rounds)
-			for _, workers := range []int{2, 8} {
-				cfg.Workers = workers
-				got, gotMsgs := epoch(t, f, n, cfg, 81, rounds)
-				if gotMsgs != refMsgs {
-					t.Fatalf("messages differ at workers=%d: %d vs %d", workers, gotMsgs, refMsgs)
-				}
-				if id := firstDiff(ref, got); id >= 0 {
-					t.Fatalf("state of node %d differs at workers=%d", id, workers)
-				}
 			}
 		})
 	}

@@ -49,11 +49,6 @@ type Config struct {
 	// 0 means runtime.NumCPU(), 1 forces sequential execution. Workers
 	// only changes wall time, never output.
 	Workers int
-	// Shuffle selects the round engine's sweep-order randomization:
-	// ShuffleGlobal (the default) reproduces the serial full-sweep
-	// shuffle bit for bit, ShuffleLocal shuffles per shard to remove
-	// the serial O(N) prefix. Part of the output, like Shards.
-	Shuffle parallel.ShuffleMode
 }
 
 // Default returns the paper's dynamic-setting configuration (50 rounds).
@@ -61,7 +56,7 @@ func Default() Config { return Config{RoundsPerEpoch: 50} }
 
 // engine projects the sharded-round knobs onto the engine's config.
 func (c Config) engine() parallel.EngineConfig {
-	return parallel.EngineConfig{Shards: c.Shards, Workers: c.Workers, Shuffle: c.Shuffle}
+	return parallel.EngineConfig{Shards: c.Shards, Workers: c.Workers}
 }
 
 // Family names a family to the driver: its package (the prefix of its

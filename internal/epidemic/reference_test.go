@@ -10,14 +10,13 @@ import (
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
-	"p2psize/internal/parallel"
 	"p2psize/internal/xrand"
 )
 
-// reference is a map-and-slice model of one epoch at Shards=1,
-// Workers=1 and ShuffleGlobal: per-node state and tags in maps, the
-// round's sweep order in a slice, every draw spelled out in the order
-// the skeleton makes it.
+// reference is a map-and-slice model of one epoch at Shards=1 and
+// Workers=1: per-node state and tags in maps, the round's sweep order
+// in a slice, every draw spelled out in the order the skeleton makes
+// it.
 type reference struct {
 	rng   *xrand.Rand
 	epoch uint32
@@ -166,7 +165,7 @@ func TestRoundMatchesReference(t *testing.T) {
 				if faulty {
 					net.SetFaultPolicy(fault.NewInjector(fault.Spec{Drop: 0.1, LieFrac: 0.2, LieScale: 3}, xrand.New(43)))
 				}
-				cfg := epidemic.Config{RoundsPerEpoch: rounds, Shards: 1, Workers: 1, Shuffle: parallel.ShuffleGlobal}
+				cfg := epidemic.Config{RoundsPerEpoch: rounds, Shards: 1, Workers: 1}
 				p := f.new(cfg, xrand.New(44))
 				ref := &reference{rng: xrand.New(44)}
 				if err := p.StartEpoch(net); err != nil {

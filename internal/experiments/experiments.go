@@ -76,12 +76,6 @@ type Params struct {
 	// At any fixed value the output stays byte-identical at every
 	// Workers setting.
 	Shards int
-	// Shuffle selects the sharded sweeps' order randomization: the
-	// default parallel.ShuffleGlobal reproduces the frozen
-	// serial-shuffle draw order (every pre-engine checksum holds),
-	// parallel.ShuffleLocal shuffles per shard inside the parallel
-	// phase. Part of the output, like Shards.
-	Shuffle parallel.ShuffleMode
 	// Estimators optionally restricts the monitored roster of the
 	// trace-* experiments to the named registry families (names or
 	// aliases; nil/empty = the registry's default head-to-head set:
@@ -289,7 +283,7 @@ func perRun(id, name string, net *overlay.Network, p Params, seed uint64, opts r
 // the paper's epoch length plus the sharded-sweep settings, and Workers 1
 // because the estimator already sits two fan-out levels deep.
 func epochOpts(p Params) registry.Options {
-	return registry.Options{Rounds: p.EpochLen, Shards: p.Shards, Workers: 1, Shuffle: p.Shuffle}
+	return registry.Options{Rounds: p.EpochLen, Shards: p.Shards, Workers: 1}
 }
 
 // candidate is one row of a static head-to-head: a registry family
@@ -357,7 +351,7 @@ func instances(id, name string, count int, p Params, stream uint64, opts registr
 // workers is the intra-round goroutine budget for this call site — pass
 // 1 where the estimator already sits under a wide run-level fan-out.
 func aggConfig(p Params, workers int) aggregation.Config {
-	return aggregation.Config{RoundsPerEpoch: p.EpochLen, Shards: p.Shards, Workers: workers, Shuffle: p.Shuffle}
+	return aggregation.Config{RoundsPerEpoch: p.EpochLen, Shards: p.Shards, Workers: workers}
 }
 
 // scaleFreeNet builds the Fig 7/8 topology: Barabási–Albert with m = 3.

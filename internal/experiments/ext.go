@@ -189,7 +189,6 @@ func extCyclon(p Params) (*Figure, error) {
 	ccfg := cyclon.Default()
 	ccfg.Shards = p.Shards
 	ccfg.Workers = p.Workers
-	ccfg.Shuffle = p.Shuffle
 	proto := cyclon.New(ccfg, xrand.New(p.Seed+0x3301), nil)
 	proto.Bootstrap(g)
 

@@ -57,11 +57,7 @@ type SuiteReport struct {
 	// deterministic output, so two reports with equal seeds but
 	// different shard settings legitimately differ in checksums. Older
 	// reports decode as 0 (= auto), which is what they ran with.
-	Shards int `json:"shards"`
-	// Shuffle records Params.Shuffle's spelling ("global"/"local"):
-	// like Shards it is part of the deterministic output. Older reports
-	// decode as "" (= global), which is what they ran with.
-	Shuffle     string             `json:"shuffle,omitempty"`
+	Shards      int                `json:"shards"`
 	GoMaxProcs  int                `json:"gomaxprocs"`
 	N100k       int                `json:"n100k"`
 	N1M         int                `json:"n1m"`
@@ -164,7 +160,6 @@ func RunSuite(ids []string, p Params) (*SuiteReport, map[string]*Figure, error) 
 		Seed:       p.Seed,
 		Workers:    parallel.Resolve(p.Workers),
 		Shards:     p.Shards,
-		Shuffle:    p.Shuffle.String(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		N100k:      p.N100k,
 		N1M:        p.N1M,

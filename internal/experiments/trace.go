@@ -55,7 +55,6 @@ func traceInstances(p Params, stream uint64) ([]monitor.Instance, error) {
 		Rounds:  p.EpochLen,
 		Shards:  p.Shards,
 		Workers: inner,
-		Shuffle: p.Shuffle,
 	}
 	out := make([]monitor.Instance, len(roster))
 	for i, d := range roster {

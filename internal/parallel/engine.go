@@ -36,56 +36,9 @@ import (
 	"p2psize/internal/xrand"
 )
 
-// ShuffleMode selects how the engine randomizes each round's sweep order.
-type ShuffleMode uint8
-
-const (
-	// ShuffleGlobal is the compatibility mode: the protocol rng
-	// Fisher–Yates-shuffles the full sweep order serially before the
-	// shards fan out, reproducing the pre-engine draw order bit for bit
-	// (every frozen experiment checksum holds). The O(N) serial prefix is
-	// the sweep's Amdahl residue: it caps shard speedup no matter how
-	// many cores the parallel phases get.
-	ShuffleGlobal ShuffleMode = iota
-	// ShuffleLocal removes the serial prefix: the sweep order is
-	// partitioned deterministically (segment s owns positions
-	// [s·n/S, (s+1)·n/S) of the ascending base order) and each shard
-	// Fisher–Yates-shuffles its own segment on its per-round stream,
-	// inside the parallel phase. The protocol rng pays one draw (the
-	// round seed) instead of N−1 swaps. Draws differ from ShuffleGlobal —
-	// the mode is part of the algorithm, like the shard count — but the
-	// estimator is statistically equivalent (asserted by the families'
-	// 30-run envelope tests).
-	ShuffleLocal
-)
-
-// String returns the mode's selector spelling.
-func (m ShuffleMode) String() string {
-	switch m {
-	case ShuffleGlobal:
-		return "global"
-	case ShuffleLocal:
-		return "local"
-	}
-	return fmt.Sprintf("ShuffleMode(%d)", uint8(m))
-}
-
-// ParseShuffleMode resolves a selector spelling: "" and "global" give
-// the compatibility mode, "local" and "localshuffle" the per-shard
-// local-shuffle mode.
-func ParseShuffleMode(s string) (ShuffleMode, error) {
-	switch s {
-	case "", "global":
-		return ShuffleGlobal, nil
-	case "local", "localshuffle":
-		return ShuffleLocal, nil
-	}
-	return 0, fmt.Errorf("parallel: unknown shuffle mode %q (have global, local)", s)
-}
-
 // EngineConfig is the sharded-round knob set every engine-driven family
-// embeds in its own Config: the shard count (part of the output), the
-// worker cap (never part of the output), and the shuffle mode.
+// embeds in its own Config: the shard count (part of the output) and the
+// worker cap (never part of the output).
 type EngineConfig struct {
 	// Shards splits the sweep into this many segments; 0 auto-sizes
 	// (one shard per MinShardNodes items, at most MaxShards).
@@ -93,19 +46,15 @@ type EngineConfig struct {
 	// Workers caps the goroutines executing one round's shards: 0 means
 	// runtime.NumCPU(), 1 forces sequential execution.
 	Workers int
-	// Shuffle selects the sweep-order randomization (see ShuffleMode).
-	Shuffle ShuffleMode
 }
 
-// Validate rejects out-of-range shard counts (the engine stamps
-// ownership into uint16 tags, so an unbounded count would overflow them)
-// and unknown shuffle modes.
+// Validate rejects out-of-range shard counts: the engine stamps
+// ownership into uint16 tags, so an unbounded count would overflow them.
+// It is the one home of the bound; the families and both CLIs wrap its
+// error with their own option name.
 func (c EngineConfig) Validate() error {
 	if c.Shards < 0 || c.Shards > MaxConfigShards {
-		return fmt.Errorf("Shards must be in [0, %d]", MaxConfigShards)
-	}
-	if c.Shuffle > ShuffleLocal {
-		return fmt.Errorf("unknown shuffle mode %d", uint8(c.Shuffle))
+		return fmt.Errorf("shards %d out of range [0, %d] (0 = auto-size)", c.Shards, MaxConfigShards)
 	}
 	return nil
 }
@@ -127,6 +76,9 @@ type Shard[D any] struct {
 	// ownerOf is the round's shared ownership table (nil when the round
 	// runs on a single shard and every key is trivially owned).
 	ownerOf []uint16
+	// pair is the stream of the tournament meetings this shard hosts as
+	// their lower-numbered side, re-seeded in place for each meeting.
+	pair *xrand.Rand
 }
 
 // Owner returns the shard owning the given dense key this round.
@@ -187,8 +139,8 @@ type Sweep[D any] struct {
 	// in [0, NumKeys).
 	NumKeys int
 	// Keys fills dst (length N) with the round's dense keys — node IDs,
-	// typically, N distinct ones — in the base order the shuffles
-	// permute. A key's owner is the shard whose segment it lands in,
+	// typically, N distinct ones — in the base order the shuffle
+	// permutes. A key's owner is the shard whose segment it lands in,
 	// which decides immediate versus deferred application.
 	Keys func(dst []int32)
 	// Hint, when set, adds to b the addresses of the cache lines the
@@ -221,12 +173,10 @@ type Sweep[D any] struct {
 	// round meters the same totals by kind.
 	MergeEach bool
 	// Resolve applies one deferred payload during the tournament. rng is
-	// the meeting's pair stream when PairStreams is set, nil otherwise.
+	// the meeting {a, b}'s own deterministic stream (stream index
+	// Shards + a·Shards + b), shared by both directions of the meeting;
+	// families whose deferred work draws nothing ignore it.
 	Resolve func(d D, rng *xrand.Rand) error
-	// PairStreams gives each tournament meeting {a, b} its own
-	// deterministic stream (stream index Shards + a·Shards + b) for
-	// families whose deferred work draws randomness (CYCLON).
-	PairStreams bool
 }
 
 // RoundEngine drives a family's sharded rounds. The zero value is ready
@@ -254,9 +204,9 @@ type RoundEngine[D any] struct {
 
 // Round executes one sharded round: deterministic partition of the
 // sweep, ownership prepass, parallel in-shard sweep, ordered meter
-// merge, and the cross-shard tournament. rng is the protocol rng; it
-// advances identically at every shard count (ShuffleGlobal: one full
-// shuffle plus one seed draw; ShuffleLocal: one seed draw), and
+// merge, and the cross-shard tournament. rng is the protocol rng: it
+// Fisher–Yates-shuffles the full sweep order serially, then draws one
+// round seed, so it advances identically at every shard count, and
 // everything downstream derives from per-(seed, shard) streams, so the
 // output is byte-identical at every cfg.Workers setting.
 //
@@ -276,16 +226,14 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	e.order = e.order[:n]
 	sw.Keys(e.order)
 	shards := Shards(cfg.Shards, n)
-	if cfg.Shuffle == ShuffleGlobal {
-		// The serial prefix: every per-shard draw below comes from
-		// streams of the one roundSeed draw that follows, so the
-		// protocol rng advances identically at every shard count.
-		xrand.Shuffle(rng, e.order)
-	}
+	// The serial prefix: every per-shard draw below comes from streams
+	// of the one roundSeed draw that follows, so the protocol rng
+	// advances identically at every shard count.
+	xrand.Shuffle(rng, e.order)
 	roundSeed := rng.Uint64()
 
 	for len(e.shards) < shards {
-		e.shards = append(e.shards, Shard[D]{})
+		e.shards = append(e.shards, Shard[D]{pair: xrand.New(0)})
 	}
 	e.hinting = sw.Hint != nil && n >= hintMinKeys
 	if e.hinting && len(e.hints) < shards {
@@ -302,9 +250,6 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 			sh.def[t] = sh.def[t][:0]
 		}
 		srng := xrand.NewStream(roundSeed, 0)
-		if cfg.Shuffle == ShuffleLocal {
-			xrand.Shuffle(srng, e.order)
-		}
 		if err := sw.visit(sh, e.order, srng, sw.MergeEach, e.batch(0)); err != nil {
 			return err
 		}
@@ -319,9 +264,7 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	}
 	e.ownerOf = e.ownerOf[:sw.NumKeys]
 	// Ownership prepass, parallel: each shard stamps the keys of its own
-	// segment (distinct entries, so no write is shared). Segment bounds
-	// are fixed by (n, shards) alone, and an intra-segment shuffle keeps
-	// membership intact, so the stamps stay valid in ShuffleLocal mode.
+	// segment (distinct entries, so no write is shared).
 	if err := ForEach(cfg.Workers, shards, func(s int) error {
 		for _, key := range e.order[s*n/shards : (s+1)*n/shards] {
 			e.ownerOf[key] = uint16(s)
@@ -342,9 +285,6 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		sh.ownerOf = e.ownerOf
 		seg := e.order[s*n/shards : (s+1)*n/shards]
 		sh.resetBuckets(shards, len(seg))
-		if cfg.Shuffle == ShuffleLocal {
-			xrand.Shuffle(srng, seg)
-		}
 		return sw.visit(sh, seg, srng, false, e.batch(s))
 	}); err != nil {
 		return err
@@ -367,12 +307,11 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	for _, round := range e.schedule {
 		if err := ForEach(cfg.Workers, len(round), func(i int) error {
 			a, b := round[i][0], round[i][1]
-			var prng *xrand.Rand
-			if sw.PairStreams {
-				prng = xrand.NewStream(roundSeed, uint64(shards+a*shards+b))
-			}
-			// The meeting hints into a's batch: no two meetings of one
-			// tournament round share a shard.
+			// The meeting draws from a's pair stream and hints into a's
+			// batch: no two meetings of one tournament round share a
+			// shard.
+			prng := e.shards[a].pair
+			prng.SeedStream(roundSeed, uint64(shards+a*shards+b))
 			if err := sw.resolve(e.shards[a].def[b], prng, e.batch(a)); err != nil {
 				return err
 			}

@@ -130,32 +130,30 @@ func runToy(t *testing.T, n, rounds int, cfg EngineConfig, seed uint64) ([]float
 }
 
 // TestEngineDeterministicAcrossWorkers is the engine-level determinism
-// suite: for both shuffle modes and shard counts 1/4/7, the output at
-// workers 2 and 8 must be byte-identical to workers 1. It replaces the
-// three per-family copies of this invariant as the first line of
-// defense (the families keep their own end-to-end versions).
+// suite: for shard counts 1/4/7, the output at workers 2 and 8 must be
+// byte-identical to workers 1. It replaces the three per-family copies
+// of this invariant as the first line of defense (the families keep
+// their own end-to-end versions).
 func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	const n, rounds, seed = 1000, 3, 42
-	for _, mode := range []ShuffleMode{ShuffleGlobal, ShuffleLocal} {
-		for _, shards := range []int{1, 4, 7} {
-			base, baseMsgs := runToy(t, n, rounds, EngineConfig{Shards: shards, Workers: 1, Shuffle: mode}, seed)
-			for _, workers := range []int{2, 8} {
-				got, gotMsgs := runToy(t, n, rounds, EngineConfig{Shards: shards, Workers: workers, Shuffle: mode}, seed)
-				if gotMsgs != baseMsgs {
-					t.Fatalf("%v shards=%d workers=%d: msgs %d != %d", mode, shards, workers, gotMsgs, baseMsgs)
-				}
-				for i := range base {
-					if got[i] != base[i] {
-						t.Fatalf("%v shards=%d workers=%d: vals diverge at %d", mode, shards, workers, i)
-					}
+	for _, shards := range []int{1, 4, 7} {
+		base, baseMsgs := runToy(t, n, rounds, EngineConfig{Shards: shards, Workers: 1}, seed)
+		for _, workers := range []int{2, 8} {
+			got, gotMsgs := runToy(t, n, rounds, EngineConfig{Shards: shards, Workers: workers}, seed)
+			if gotMsgs != baseMsgs {
+				t.Fatalf("shards=%d workers=%d: msgs %d != %d", shards, workers, gotMsgs, baseMsgs)
+			}
+			for i := range base {
+				if got[i] != base[i] {
+					t.Fatalf("shards=%d workers=%d: vals diverge at %d", shards, workers, i)
 				}
 			}
 		}
 	}
 }
 
-// TestEngineGlobalShuffleIsLegacyDrawOrder pins the compatibility mode
-// bit for bit: the sweep visits elements in exactly the order a manual
+// TestEngineGlobalShuffleIsLegacyDrawOrder pins the sweep order bit
+// for bit: the sweep visits elements in exactly the order a manual
 // Fisher–Yates shuffle on the protocol rng produces, and the protocol
 // rng advances by exactly that shuffle plus one round-seed draw — the
 // contract every frozen experiment checksum depends on.
@@ -184,56 +182,6 @@ func TestEngineGlobalShuffleIsLegacyDrawOrder(t *testing.T) {
 	}
 	if rng.Uint64() != legacy.Uint64() {
 		t.Fatal("protocol rng advanced differently from the legacy shuffle+seed sequence")
-	}
-}
-
-// TestEngineLocalShuffleRngCost pins the Amdahl fix: in ShuffleLocal
-// mode the protocol rng pays exactly one draw per round — the round
-// seed — regardless of n, instead of the N-1 swap draws of the global
-// shuffle.
-func TestEngineLocalShuffleRngCost(t *testing.T) {
-	const n, seed = 5000, 7
-	f := newToy(n)
-	rng := xrand.New(seed)
-	if err := f.engine.Round(rng, EngineConfig{Shards: 4, Workers: 2, Shuffle: ShuffleLocal}, f.sweep(nil)); err != nil {
-		t.Fatal(err)
-	}
-	ref := xrand.New(seed)
-	_ = ref.Uint64() // the round seed
-	if rng.Uint64() != ref.Uint64() {
-		t.Fatal("ShuffleLocal must cost exactly one protocol-rng draw per round")
-	}
-}
-
-// TestEngineLocalShuffleCoversEverySegment checks that ShuffleLocal
-// still sweeps every element exactly once, permuted within its own
-// segment: positions [s·n/S, (s+1)·n/S) hold exactly the elements of
-// that slice of the ascending base order.
-func TestEngineLocalShuffleCoversEverySegment(t *testing.T) {
-	const n, shards, seed = 1003, 4, 5
-	f := newToy(n)
-	var visited []int32
-	rng := xrand.New(seed)
-	cfg := EngineConfig{Shards: shards, Workers: 1, Shuffle: ShuffleLocal}
-	if err := f.engine.Round(rng, cfg, f.sweep(&visited)); err != nil {
-		t.Fatal(err)
-	}
-	if len(visited) != n {
-		t.Fatalf("visited %d of %d elements", len(visited), n)
-	}
-	// Workers=1 sweeps shards in order, so visited is segment-major.
-	for s := 0; s < shards; s++ {
-		lo, hi := s*n/shards, (s+1)*n/shards
-		seen := make(map[int32]bool, hi-lo)
-		for _, e := range visited[lo:hi] {
-			if e < int32(lo) || e >= int32(hi) {
-				t.Fatalf("shard %d visited element %d outside its segment [%d,%d)", s, e, lo, hi)
-			}
-			if seen[e] {
-				t.Fatalf("shard %d visited element %d twice", s, e)
-			}
-			seen[e] = true
-		}
 	}
 }
 
@@ -416,39 +364,36 @@ func TestEngineDeferralBucketsFitFirstRound(t *testing.T) {
 // TestEngineDegenerateGeometry pins the edge cases all three families
 // now share: n=0 is a no-op that leaves the protocol rng untouched,
 // n=1 runs one visit, and Shards > n clamps to n shards — each
-// deterministic across worker counts and identical in both modes'
-// contract (mode only changes draws, never legality).
+// deterministic across worker counts.
 func TestEngineDegenerateGeometry(t *testing.T) {
-	for _, mode := range []ShuffleMode{ShuffleGlobal, ShuffleLocal} {
-		// n = 0: nothing runs, no draw is consumed.
-		f := newToy(0)
-		rng := xrand.New(11)
-		if err := f.engine.Round(rng, EngineConfig{Shards: 4, Shuffle: mode}, f.sweep(nil)); err != nil {
-			t.Fatalf("%v n=0: %v", mode, err)
-		}
-		if got, want := rng.Uint64(), xrand.New(11).Uint64(); got != want {
-			t.Fatalf("%v n=0: protocol rng was advanced", mode)
-		}
-		// n = 1: exactly one visit.
-		var visited []int32
-		f = newToy(1)
-		if err := f.engine.Round(xrand.New(11), EngineConfig{Shards: 4, Shuffle: mode}, f.sweep(&visited)); err != nil {
-			t.Fatalf("%v n=1: %v", mode, err)
-		}
-		if len(visited) != 1 || visited[0] != 0 {
-			t.Fatalf("%v n=1: visited %v, want [0]", mode, visited)
-		}
-		// n < Shards: clamps, still visits everyone exactly once, and
-		// stays worker-invariant.
-		const n = 3
-		base, baseMsgs := runToy(t, n, 2, EngineConfig{Shards: 7, Workers: 1, Shuffle: mode}, 11)
-		got, gotMsgs := runToy(t, n, 2, EngineConfig{Shards: 7, Workers: 8, Shuffle: mode}, 11)
-		if gotMsgs != baseMsgs || fmt.Sprint(got) != fmt.Sprint(base) {
-			t.Fatalf("%v n<Shards: workers changed output", mode)
-		}
-		if baseMsgs != 2*n {
-			t.Fatalf("%v n<Shards: %d visits metered, want %d", mode, baseMsgs, 2*n)
-		}
+	// n = 0: nothing runs, no draw is consumed.
+	f := newToy(0)
+	rng := xrand.New(11)
+	if err := f.engine.Round(rng, EngineConfig{Shards: 4}, f.sweep(nil)); err != nil {
+		t.Fatalf("n=0: %v", err)
+	}
+	if got, want := rng.Uint64(), xrand.New(11).Uint64(); got != want {
+		t.Fatal("n=0: protocol rng was advanced")
+	}
+	// n = 1: exactly one visit.
+	var visited []int32
+	f = newToy(1)
+	if err := f.engine.Round(xrand.New(11), EngineConfig{Shards: 4}, f.sweep(&visited)); err != nil {
+		t.Fatalf("n=1: %v", err)
+	}
+	if len(visited) != 1 || visited[0] != 0 {
+		t.Fatalf("n=1: visited %v, want [0]", visited)
+	}
+	// n < Shards: clamps, still visits everyone exactly once, and stays
+	// worker-invariant.
+	const n = 3
+	base, baseMsgs := runToy(t, n, 2, EngineConfig{Shards: 7, Workers: 1}, 11)
+	got, gotMsgs := runToy(t, n, 2, EngineConfig{Shards: 7, Workers: 8}, 11)
+	if gotMsgs != baseMsgs || fmt.Sprint(got) != fmt.Sprint(base) {
+		t.Fatal("n<Shards: workers changed output")
+	}
+	if baseMsgs != 2*n {
+		t.Fatalf("n<Shards: %d visits metered, want %d", baseMsgs, 2*n)
 	}
 }
 
@@ -479,75 +424,39 @@ func TestEngineSingleShardDrainsStaleDeferrals(t *testing.T) {
 	}
 }
 
-// TestEnginePairStreams checks the tournament stream plumbing: with
-// PairStreams set, every meeting's Resolve calls share one non-nil
-// stream per meeting; without it, Resolve receives nil.
+// TestEnginePairStreams checks the tournament stream plumbing: every
+// meeting {a, b}'s Resolve calls share one non-nil stream, seeded as
+// NewStream(roundSeed, Shards + a·Shards + b).
 func TestEnginePairStreams(t *testing.T) {
-	const n, shards = 1000, 4
+	const n, shards, seed = 1000, 4, 23
 	f := newToy(n)
 	sw := f.sweep(nil)
+	// The round seed: the protocol rng's draw after the sweep shuffle.
+	ref := xrand.New(seed)
+	xrand.Shuffle(ref, make([]int32, n))
+	roundSeed := ref.Uint64()
 	// Meetings of one tournament round resolve concurrently.
-	var sawNil, sawStream atomic.Bool
-	sw.Resolve = func(d toyPair, rng *xrand.Rand) error {
-		if rng == nil {
-			sawNil.Store(true)
-		} else {
-			sawStream.Store(true)
-		}
-		f.apply(d.u, d.v)
-		return nil
-	}
-	if err := f.engine.Round(xrand.New(23), EngineConfig{Shards: shards}, sw); err != nil {
-		t.Fatal(err)
-	}
-	if !sawNil.Load() || sawStream.Load() {
-		t.Fatal("PairStreams=false must hand Resolve a nil rng")
-	}
-	f = newToy(n)
-	sw = f.sweep(nil)
-	sawNil.Store(false)
-	sawStream.Store(false)
-	sw.PairStreams = true
+	var mu sync.Mutex
+	streams := map[[2]int]*xrand.Rand{}
 	base := sw.Resolve
 	sw.Resolve = func(d toyPair, rng *xrand.Rand) error {
-		if rng == nil {
-			sawNil.Store(true)
-		} else {
-			sawStream.Store(true)
+		a, b := int(f.engine.ownerOf[d.u]), int(f.engine.ownerOf[d.v])
+		a, b = min(a, b), max(a, b)
+		mu.Lock()
+		defer mu.Unlock()
+		if rng == nil || *rng != *xrand.NewStream(roundSeed, uint64(shards+a*shards+b)) {
+			t.Errorf("meeting {%d, %d}: Resolve got %p, not the meeting's stream", a, b, rng)
+		} else if first, ok := streams[[2]int{a, b}]; ok && first != rng {
+			t.Errorf("meeting {%d, %d}: Resolve calls got two streams", a, b)
 		}
-		return base(d, nil)
+		streams[[2]int{a, b}] = rng
+		return base(d, rng)
 	}
-	if err := f.engine.Round(xrand.New(23), EngineConfig{Shards: shards}, sw); err != nil {
+	if err := f.engine.Round(xrand.New(seed), EngineConfig{Shards: shards, Workers: 2}, sw); err != nil {
 		t.Fatal(err)
 	}
-	if sawNil.Load() || !sawStream.Load() {
-		t.Fatal("PairStreams=true must hand Resolve the meeting stream")
-	}
-}
-
-func TestParseShuffleMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		want ShuffleMode
-		ok   bool
-	}{
-		{"", ShuffleGlobal, true},
-		{"global", ShuffleGlobal, true},
-		{"local", ShuffleLocal, true},
-		{"localshuffle", ShuffleLocal, true},
-		{"bogus", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseShuffleMode(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Fatalf("ParseShuffleMode(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-		if !c.ok && err == nil {
-			t.Fatalf("ParseShuffleMode(%q) accepted", c.in)
-		}
-	}
-	if ShuffleGlobal.String() != "global" || ShuffleLocal.String() != "local" {
-		t.Fatal("ShuffleMode.String spellings drifted from the parser")
+	if len(streams) != shards*(shards-1)/2 {
+		t.Fatalf("%d meetings resolved payloads, want %d", len(streams), shards*(shards-1)/2)
 	}
 }
 
@@ -560,9 +469,6 @@ func TestEngineConfigValidate(t *testing.T) {
 	}
 	if err := (EngineConfig{Shards: -1}).Validate(); err == nil {
 		t.Fatal("negative shard count accepted")
-	}
-	if err := (EngineConfig{Shuffle: ShuffleLocal + 1}).Validate(); err == nil {
-		t.Fatal("unknown shuffle mode accepted")
 	}
 }
 
@@ -625,9 +531,7 @@ func naiveRound(rng *xrand.Rand, cfg EngineConfig, mergeEach bool, base []int32,
 	for i := range pos {
 		pos[i] = int32(i)
 	}
-	if cfg.Shuffle == ShuffleGlobal {
-		xrand.Shuffle(rng, pos)
-	}
+	xrand.Shuffle(rng, pos)
 	roundSeed := rng.Uint64()
 	owner := make([]int, n)
 	for s := 0; s < shards; s++ {
@@ -642,11 +546,7 @@ func naiveRound(rng *xrand.Rand, cfg EngineConfig, mergeEach bool, base []int32,
 	l := newRoundLog(shards)
 	for s := 0; s < shards; s++ {
 		srng := xrand.NewStream(roundSeed, uint64(s))
-		seg := pos[s*n/shards : (s+1)*n/shards]
-		if cfg.Shuffle == ShuffleLocal {
-			xrand.Shuffle(srng, seg)
-		}
-		for _, at := range seg {
+		for _, at := range pos[s*n/shards : (s+1)*n/shards] {
 			u, v := base[at], int32(srng.Intn(n))
 			l.visits[s] = append(l.visits[s], u)
 			l.draws[s] = append(l.draws[s], v)
@@ -735,22 +635,19 @@ func TestEngineMatchesNaiveReference(t *testing.T) {
 	for _, n := range []int{1, 3, 63, 64, 65, 4097, hintedN} {
 		base := permutedBase(n)
 		for _, shards := range []int{1, 2, 5, 16} {
-			for _, c := range []struct {
-				mode      ShuffleMode
-				mergeEach bool
-			}{{ShuffleGlobal, false}, {ShuffleLocal, false}, {ShuffleGlobal, true}, {ShuffleLocal, true}} {
-				tag := fmt.Sprintf("n=%d shards=%d %v mergeEach=%v", n, shards, c.mode, c.mergeEach)
-				cfg := EngineConfig{Shards: shards, Workers: 4, Shuffle: c.mode}
+			for _, mergeEach := range []bool{false, true} {
+				tag := fmt.Sprintf("n=%d shards=%d mergeEach=%v", n, shards, mergeEach)
+				cfg := EngineConfig{Shards: shards, Workers: 4}
 				f := newToy(n)
 				f.base = base
 				f.hint = func(int, []int32) {}
 				f.hintDeferred = func([]toyPair) {}
-				f.mergeEach = c.mergeEach
+				f.mergeEach = mergeEach
 				ref := newToy(n)
 				rng, refRng := xrand.New(77), xrand.New(77)
 				for round := 0; round < 2; round++ {
 					got := engineRound(t, rng, cfg, f)
-					want := naiveRound(refRng, cfg, c.mergeEach, base, ref.vals, &ref.msgs)
+					want := naiveRound(refRng, cfg, mergeEach, base, ref.vals, &ref.msgs)
 					if !slices.EqualFunc(got.visits, want.visits, slices.Equal[[]int32]) {
 						t.Fatalf("%s round %d: visit order diverges from the reference", tag, round)
 					}
@@ -792,55 +689,53 @@ func TestEngineHintsEveryKeyOnceBeforeItsVisit(t *testing.T) {
 			continue
 		}
 		for _, shards := range []int{1, 5, 16} {
-			for _, mode := range []ShuffleMode{ShuffleGlobal, ShuffleLocal} {
-				tag := fmt.Sprintf("n=%d shards=%d %v", n, shards, mode)
-				f := newToy(n)
-				f.base = permutedBase(n)
-				hinted := make([]int, n)       // hints per key
-				hinter := make([]int, n)       // shard that hinted the key
-				pending := make([]int, shards) // hinted, not yet visited, per shard
-				var seen, visited int
-				f.hint = func(sh int, keys []int32) {
-					if len(keys) == 0 || len(keys) > hintGroup {
-						t.Errorf("%s: hint group of %d keys", tag, len(keys))
-					}
-					for _, k := range keys {
-						hinted[k]++
-						hinter[k] = sh
-						seen++
-					}
-					pending[sh] += len(keys)
+			tag := fmt.Sprintf("n=%d shards=%d", n, shards)
+			f := newToy(n)
+			f.base = permutedBase(n)
+			hinted := make([]int, n)       // hints per key
+			hinter := make([]int, n)       // shard that hinted the key
+			pending := make([]int, shards) // hinted, not yet visited, per shard
+			var seen, visited int
+			f.hint = func(sh int, keys []int32) {
+				if len(keys) == 0 || len(keys) > hintGroup {
+					t.Errorf("%s: hint group of %d keys", tag, len(keys))
 				}
-				f.trace = func(sh *Shard[toyPair], u, _ int32) {
-					visited++
-					if n < hintMinKeys {
-						return
-					}
-					if hinted[u] != 1 {
-						t.Errorf("%s: key %d visited after %d hints", tag, u, hinted[u])
-					}
-					if hinter[u] != sh.Index {
-						t.Errorf("%s: key %d hinted by shard %d, visited by %d", tag, u, hinter[u], sh.Index)
-					}
-					if pending[sh.Index] > hintDistance+hintGroup {
-						t.Errorf("%s: %d keys hinted ahead of a visit", tag, pending[sh.Index])
-					}
-					pending[sh.Index]--
+				for _, k := range keys {
+					hinted[k]++
+					hinter[k] = sh
+					seen++
 				}
-				// Workers: 1 runs the shards in order on this goroutine.
-				cfg := EngineConfig{Shards: shards, Workers: 1, Shuffle: mode}
-				if err := f.engine.Round(xrand.New(5), cfg, f.sweep(nil)); err != nil {
-					t.Fatal(err)
-				}
+				pending[sh] += len(keys)
+			}
+			f.trace = func(sh *Shard[toyPair], u, _ int32) {
+				visited++
 				if n < hintMinKeys {
-					if seen != 0 {
-						t.Fatalf("%s: %d keys hinted below hintMinKeys", tag, seen)
-					}
-					continue
+					return
 				}
-				if visited != n || seen != n {
-					t.Fatalf("%s: %d keys hinted, %d visited", tag, seen, visited)
+				if hinted[u] != 1 {
+					t.Errorf("%s: key %d visited after %d hints", tag, u, hinted[u])
 				}
+				if hinter[u] != sh.Index {
+					t.Errorf("%s: key %d hinted by shard %d, visited by %d", tag, u, hinter[u], sh.Index)
+				}
+				if pending[sh.Index] > hintDistance+hintGroup {
+					t.Errorf("%s: %d keys hinted ahead of a visit", tag, pending[sh.Index])
+				}
+				pending[sh.Index]--
+			}
+			// Workers: 1 runs the shards in order on this goroutine.
+			cfg := EngineConfig{Shards: shards, Workers: 1}
+			if err := f.engine.Round(xrand.New(5), cfg, f.sweep(nil)); err != nil {
+				t.Fatal(err)
+			}
+			if n < hintMinKeys {
+				if seen != 0 {
+					t.Fatalf("%s: %d keys hinted below hintMinKeys", tag, seen)
+				}
+				continue
+			}
+			if visited != n || seen != n {
+				t.Fatalf("%s: %d keys hinted, %d visited", tag, seen, visited)
 			}
 		}
 	}
@@ -897,39 +792,37 @@ func TestEngineHintsEveryPayloadBeforeItsResolve(t *testing.T) {
 // the same rounds without hints do.
 func TestEngineGarbageHintsAreInert(t *testing.T) {
 	const rounds = 3
-	for _, mode := range []ShuffleMode{ShuffleGlobal, ShuffleLocal} {
-		cfg := EngineConfig{Shards: 16, Workers: 8, Shuffle: mode}
-		var calls atomic.Int64
-		run := func(hint bool) *toyFamily {
-			f := newToy(hintedN)
-			f.base = permutedBase(hintedN)
-			sw := f.sweep(nil)
-			if hint {
-				garbage := func(b *prefetch.Batch, n int) {
-					calls.Add(1)
-					for i := 0; i < n; i++ {
-						b.Add(0)
-						b.Add(prefetch.Addr(f.vals, len(f.vals)))
-						b.Add(^uintptr(0))
-						b.Add(prefetch.Addr(f.vals, (i*7919)%len(f.vals)))
-					}
-				}
-				sw.Hint = func(b *prefetch.Batch, keys []int32, ds []toyPair) { garbage(b, len(keys)+len(ds)) }
-			}
-			rng := xrand.New(31)
-			for r := 0; r < rounds; r++ {
-				if err := f.engine.Round(rng, cfg, sw); err != nil {
-					t.Fatal(err)
+	cfg := EngineConfig{Shards: 16, Workers: 8}
+	var calls atomic.Int64
+	run := func(hint bool) *toyFamily {
+		f := newToy(hintedN)
+		f.base = permutedBase(hintedN)
+		sw := f.sweep(nil)
+		if hint {
+			garbage := func(b *prefetch.Batch, n int) {
+				calls.Add(1)
+				for i := 0; i < n; i++ {
+					b.Add(0)
+					b.Add(prefetch.Addr(f.vals, len(f.vals)))
+					b.Add(^uintptr(0))
+					b.Add(prefetch.Addr(f.vals, (i*7919)%len(f.vals)))
 				}
 			}
-			return f
+			sw.Hint = func(b *prefetch.Batch, keys []int32, ds []toyPair) { garbage(b, len(keys)+len(ds)) }
 		}
-		bare, hinted := run(false), run(true)
-		if calls.Load() == 0 {
-			t.Fatalf("%v: no hint callback ran", mode)
+		rng := xrand.New(31)
+		for r := 0; r < rounds; r++ {
+			if err := f.engine.Round(rng, cfg, sw); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if !slices.Equal(bare.vals, hinted.vals) || bare.msgs != hinted.msgs {
-			t.Fatalf("%v: garbage hints changed the sweep's outcome", mode)
-		}
+		return f
+	}
+	bare, hinted := run(false), run(true)
+	if calls.Load() == 0 {
+		t.Fatal("no hint callback ran")
+	}
+	if !slices.Equal(bare.vals, hinted.vals) || bare.msgs != hinted.msgs {
+		t.Fatal("garbage hints changed the sweep's outcome")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"p2psize/internal/epidemic"
 	"p2psize/internal/graph"
 	"p2psize/internal/overlay"
-	"p2psize/internal/parallel"
 	"p2psize/internal/stats"
 	"p2psize/internal/xrand"
 )
@@ -84,45 +83,6 @@ func TestMassConservation(t *testing.T) {
 		if math.Abs(sum-participants) > 1e-6 {
 			t.Fatalf("round %d: sum mass %g, participants %g", r, sum, participants)
 		}
-	}
-}
-
-// TestLocalShuffleStatisticalEquivalence is the acceptance gate for the
-// localshuffle knob: over 30 seeded one-epoch estimations the
-// local-shuffle estimator matches the global-shuffle one's mean and
-// spread within the family's statistical envelopes.
-func TestLocalShuffleStatisticalEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("30 full epochs at n=2000")
-	}
-	const n, runs = 2000, 30
-	distribution := func(mode parallel.ShuffleMode) (mean, sd float64) {
-		var r stats.Running
-		for i := 0; i < runs; i++ {
-			net := hetNet(n, uint64(400+i))
-			cfg := Default()
-			cfg.Shards = 8
-			cfg.Workers = 1
-			cfg.Shuffle = mode
-			e := NewEstimator(cfg, xrand.New(uint64(800+i)))
-			est, err := e.Estimate(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Add(est)
-		}
-		return r.Mean(), r.StdDev()
-	}
-	gMean, gSD := distribution(parallel.ShuffleGlobal)
-	lMean, lSD := distribution(parallel.ShuffleLocal)
-	if math.Abs(gMean/n-1) > 0.03 || math.Abs(lMean/n-1) > 0.03 {
-		t.Fatalf("means off truth: global %.1f, local %.1f (n=%d)", gMean, lMean, n)
-	}
-	if math.Abs(lMean-gMean)/n > 0.03 {
-		t.Fatalf("means diverge: global %.1f vs local %.1f", gMean, lMean)
-	}
-	if gSD/gMean > 0.10 || lSD/lMean > 0.10 {
-		t.Fatalf("spread too wide: global sd %.1f, local sd %.1f", gSD, lSD)
 	}
 }
 

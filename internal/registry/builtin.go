@@ -49,8 +49,8 @@ func init() {
 			case o.SCTimer != 0:
 				return nil, fmt.Errorf("SCTimer %g must be positive and finite (0 = %g)", o.SCTimer, cfg.T)
 			}
-			if o.SCL > 0 {
-				cfg.L = o.SCL
+			if err := knob(&cfg.L, "SCL", o.SCL); err != nil {
+				return nil, err
 			}
 			if o.SCMLE {
 				cfg.Kind = samplecollide.MLE
@@ -72,8 +72,8 @@ func init() {
 		StreamOffset:       11,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
 			cfg := randomtour.Default()
-			if o.Tours > 0 {
-				cfg.Tours = o.Tours
+			if err := knob(&cfg.Tours, "Tours", o.Tours); err != nil {
+				return nil, err
 			}
 			return randomtour.New(cfg, rng), nil
 		},
@@ -92,8 +92,8 @@ func init() {
 		StreamOffset:       12,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
 			cfg := hopssampling.Default()
-			if o.MinHops > 0 {
-				cfg.MinHopsReporting = o.MinHops
+			if err := knob(&cfg.MinHopsReporting, "MinHops", o.MinHops); err != nil {
+				return nil, err
 			}
 			return hopssampling.New(cfg, rng), nil
 		},
@@ -115,16 +115,15 @@ func init() {
 		// shared-replay monitor keeps it on a private clone.
 		StreamOffset: 13,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
-			if o.Shards < 0 || o.Shards > parallel.MaxConfigShards {
-				return nil, fmt.Errorf("aggregation shards %d out of range [0, %d]", o.Shards, parallel.MaxConfigShards)
+			if err := (parallel.EngineConfig{Shards: o.Shards}).Validate(); err != nil {
+				return nil, fmt.Errorf("aggregation: %w", err)
 			}
 			cfg := aggregation.Default()
-			if o.Rounds > 0 {
-				cfg.RoundsPerEpoch = o.Rounds
+			if err := knob(&cfg.RoundsPerEpoch, "Rounds", o.Rounds); err != nil {
+				return nil, err
 			}
 			cfg.Shards = o.Shards
 			cfg.Workers = o.Workers
-			cfg.Shuffle = o.Shuffle
 			return aggregation.NewEstimator(cfg, rng), nil
 		},
 	})
@@ -181,16 +180,15 @@ func init() {
 		// Same cyclon-backed epidemic class as aggregation: private clone.
 		StreamOffset: 16,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
-			if o.Shards < 0 || o.Shards > parallel.MaxConfigShards {
-				return nil, fmt.Errorf("pushsum shards %d out of range [0, %d]", o.Shards, parallel.MaxConfigShards)
+			if err := (parallel.EngineConfig{Shards: o.Shards}).Validate(); err != nil {
+				return nil, fmt.Errorf("pushsum: %w", err)
 			}
 			cfg := pushsum.Default()
-			if o.Rounds > 0 {
-				cfg.RoundsPerEpoch = o.Rounds
+			if err := knob(&cfg.RoundsPerEpoch, "Rounds", o.Rounds); err != nil {
+				return nil, err
 			}
 			cfg.Shards = o.Shards
 			cfg.Workers = o.Workers
-			cfg.Shuffle = o.Shuffle
 			return pushsum.NewEstimator(cfg, rng), nil
 		},
 	})
@@ -227,4 +225,18 @@ func init() {
 			return dhtext.New(dhtext.Default(), rng), nil
 		},
 	})
+}
+
+// knob applies an integer option to *dst, which holds the family's
+// default: 0 keeps the default, a positive value overrides it, and a
+// negative value is an error naming the option rather than a silent
+// fall-back to the default.
+func knob(dst *int, name string, v int) error {
+	if v < 0 {
+		return fmt.Errorf("%s %d must not be negative (0 = %d)", name, v, *dst)
+	}
+	if v > 0 {
+		*dst = v
+	}
+	return nil
 }

@@ -28,7 +28,6 @@ import (
 	"p2psize/internal/fault"
 	"p2psize/internal/idspace"
 	"p2psize/internal/overlay"
-	"p2psize/internal/parallel"
 	"p2psize/internal/xrand"
 )
 
@@ -41,6 +40,7 @@ type Options struct {
 	// negative, NaN and infinite values are an error).
 	SCTimer float64
 	// SCL is the Sample&Collide collision target l (0 = the paper's 200).
+	// SCL, Tours, MinHops and Rounds reject negative values.
 	SCL int
 	// SCMLE selects the maximum-likelihood refinement over X²/(2l).
 	SCMLE bool
@@ -56,11 +56,6 @@ type Options struct {
 	// Workers caps the goroutines sweeping one Aggregation round's
 	// shards (0 = all CPUs); never part of the output.
 	Workers int
-	// Shuffle selects the sharded sweeps' order randomization
-	// (parallel.ShuffleGlobal reproduces the frozen serial-shuffle draw
-	// order, parallel.ShuffleLocal shuffles per shard inside the
-	// parallel phase). Part of the output, like Shards.
-	Shuffle parallel.ShuffleMode
 	// Ring optionally shares a pre-built identifier ring across
 	// id-density instances; nil builds one from the overlay and rng the
 	// factory is handed.

@@ -6,6 +6,7 @@ import (
 
 	"p2psize/internal/graph"
 	"p2psize/internal/overlay"
+	"p2psize/internal/parallel"
 	"p2psize/internal/xrand"
 )
 
@@ -48,6 +49,31 @@ func TestEveryDescriptorRoundTrips(t *testing.T) {
 				t.Fatalf("%s metered no messages; per-run accounting would be blind", name)
 			}
 		})
+	}
+}
+
+// TestBadKnobsRejected: a negative integer knob is an error naming the
+// option, not a silent fall-back to the paper default, and an
+// out-of-range shard count is the engine's own error under the
+// family's name.
+func TestBadKnobsRejected(t *testing.T) {
+	for _, c := range []struct {
+		family string
+		opts   Options
+		want   string
+	}{
+		{"samplecollide", Options{SCL: -7}, "SCL -7"},
+		{"randomtour", Options{Tours: -1}, "Tours -1"},
+		{"hopssampling", Options{MinHops: -2}, "MinHops -2"},
+		{"aggregation", Options{Rounds: -5}, "Rounds -5"},
+		{"pushsum", Options{Rounds: -1}, "Rounds -1"},
+		{"aggregation", Options{Shards: -1}, "aggregation: shards -1"},
+		{"pushsum", Options{Shards: parallel.MaxConfigShards + 1}, "pushsum: shards"},
+	} {
+		d, _ := Get(c.family)
+		if _, err := d.Build(nil, xrand.New(1), c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s %+v: err = %v, want one naming %q", c.family, c.opts, err, c.want)
+		}
 	}
 }
 

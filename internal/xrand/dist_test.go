@@ -259,7 +259,7 @@ func BenchmarkUint64nMixed(b *testing.B) {
 var drawSink uint64
 
 // BenchmarkShuffleInt32 shuffles a million-key sweep order, the engine's
-// per-round ShuffleGlobal prefix at 1M nodes.
+// per-round serial shuffle at 1M nodes.
 func BenchmarkShuffleInt32(b *testing.B) {
 	s := make([]int32, 1<<20)
 	for i := range s {
