@@ -32,7 +32,6 @@ import (
 
 	"p2psize/internal/experiments"
 	"p2psize/internal/fault"
-	"p2psize/internal/parallel"
 	"p2psize/internal/plot"
 	"p2psize/internal/prof"
 	"p2psize/internal/registry"
@@ -47,7 +46,6 @@ func main() {
 		only       = flag.String("only", "", "comma-separated experiment ids (default: all)")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
 		workers    = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential); output is identical at any setting")
-		shards     = flag.Int("shards", 0, "shard count for the intra-round Aggregation/CYCLON sweeps (0 = auto-size; part of the output, unlike -workers)")
 		ascii      = flag.Bool("ascii", true, "print ASCII previews")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		traceFile  = flag.String("tracefile", "", "also run the continuous monitor on this empirical churn trace (.json or .csv, optionally .gz), reported as experiment trace-file")
@@ -71,16 +69,12 @@ func main() {
 		return
 	}
 
-	if err := (parallel.EngineConfig{Shards: *shards}).Validate(); err != nil {
-		fatal(fmt.Errorf("-shards: %w", err))
-	}
 	params := experiments.Scaled(*scale)
 	if *full {
 		params = experiments.Defaults()
 	}
 	params.Seed = *seed
 	params.Workers = *workers
-	params.Shards = *shards
 	if *estimators != "" {
 		roster, err := registry.Parse(*estimators)
 		if err != nil {

@@ -71,7 +71,6 @@ func main() {
 		smooth   = flag.Bool("smooth", false, "apply the last10runs heuristic")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential): estimation runs, or under -trace the replay groups and, inside each, the estimators due at a tick; output is identical at any setting")
-		shards   = flag.Int("shards", 0, "shard count for the sweep inside each Aggregation round (0 = auto-size; part of the output, unlike -workers)")
 
 		estSel = flag.String("estimators", "", "select algorithms from the estimator registry (comma-separated names/aliases, \"all\", \"default\", or \"list\" to print the catalog); wins over -algo")
 
@@ -108,9 +107,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := (parallel.EngineConfig{Shards: *shards}).Validate(); err != nil {
-		fatal(fmt.Errorf("-shards: %w", err))
-	}
 	// Split the CPU budget between the run-level fan-out and the sweep
 	// inside each Aggregation round, mirroring the experiments layer:
 	// repeated static runs saturate the pool themselves, so their epochs
@@ -128,7 +124,7 @@ func main() {
 		// but 3 per sample when monitoring.
 		Tours:   10,
 		MinHops: *minHops,
-		Rounds:  *rounds, Shards: *shards, Workers: aggWorkers,
+		Rounds:  *rounds, Workers: aggWorkers,
 	}
 	if *traceSpec != "" {
 		cfg.Tours = 3

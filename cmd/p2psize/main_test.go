@@ -116,7 +116,7 @@ func TestErrLine(t *testing.T) {
 	}{
 		{errors.New(`unknown topology "mesh"`), `p2psize: unknown topology "mesh"`},
 		{errors.New("p2psize: NewNetwork: need at least 1 node"), "p2psize: NewNetwork: need at least 1 node"},
-		{fmt.Errorf("-shards: %w", errors.New("p2psize: bad count")), "p2psize: -shards: p2psize: bad count"},
+		{fmt.Errorf("-cluster-addrs: %w", errors.New("p2psize: bad address")), "p2psize: -cluster-addrs: p2psize: bad address"},
 		{errors.New("registry: p2psize: x"), "p2psize: registry: p2psize: x"},
 	} {
 		if got := errLine(c.err); got != c.want {
@@ -332,6 +332,17 @@ func TestNegativeKnobFails(t *testing.T) {
 	}
 	if strings.Count(stderr, "p2psize:") != 1 || !strings.Contains(stderr, "Rounds -5") {
 		t.Fatalf("stderr %q: want one p2psize: error naming Rounds -5", stderr)
+	}
+}
+
+// TestRemovedFlagsExit2: the shard count and the shuffle mode are the
+// engine's to derive, not options; naming either is an unknown flag.
+func TestRemovedFlagsExit2(t *testing.T) {
+	for _, args := range []string{"-shards 4", "-shuffle global"} {
+		code, stderr := runMain(t, "-nodes 200 -algo agg -runs 1 "+args)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
+			t.Errorf("%s: exit status %d, want 2 with an unknown-flag error; stderr:\n%s", args, code, stderr)
+		}
 	}
 }
 

@@ -86,9 +86,6 @@ type EstimatorConfig struct {
 	Tours int
 	// Rounds is the Aggregation rounds-per-epoch (0 = 50).
 	Rounds int
-	// Shards splits each Aggregation round's sweep (0 = auto; part of
-	// the estimator's output, unlike Workers).
-	Shards int
 	// Workers caps the goroutines sweeping one Aggregation round.
 	Workers int
 	// Faults runs the estimator under a fault scenario: the built
@@ -111,7 +108,6 @@ func (c EstimatorConfig) registryOptions() registry.Options {
 		Tours:   c.Tours,
 		MinHops: c.MinHops,
 		Rounds:  c.Rounds,
-		Shards:  c.Shards,
 		Workers: c.Workers,
 		Faults:  c.Faults,
 	}
@@ -138,13 +134,18 @@ func NewEstimatorByName(name string, cfg EstimatorConfig, net *Network) (Estimat
 	if err != nil {
 		return nil, fmt.Errorf("p2psize: %s: %w", d.Name, err)
 	}
-	return toPublic(e), nil
+	// A custom family registered through CustomEstimator comes back as
+	// itself, not wrapped twice.
+	if w, ok := e.(publicWrap); ok {
+		return w.e, nil
+	}
+	return coreWrap{e}, nil
 }
 
 // coreWrap and publicWrap are the two halves of the package's single
 // adapter pair: coreWrap lifts an internal estimator onto the public
-// contract, publicWrap the reverse. Crossings that may meet a wrapper go
-// through toPublic / toCore, which unwrap instead of stacking — an
+// contract, publicWrap the reverse. Crossings that may meet a wrapper
+// (NewEstimatorByName, toCore) unwrap instead of stacking — an
 // estimator that round-trips across the boundary (a custom family
 // built by NewEstimatorByName, say) comes back as itself, not as
 // wrapper lasagna.
@@ -178,14 +179,6 @@ func (w publicWrap) MutatesOverlay() bool {
 		return m.MutatesOverlay()
 	}
 	return true
-}
-
-// toPublic lifts an internal estimator onto the public contract.
-func toPublic(e core.Estimator) Estimator {
-	if w, ok := e.(publicWrap); ok {
-		return w.e
-	}
-	return coreWrap{e}
 }
 
 // toCore lowers a public estimator onto the internal contract; nil

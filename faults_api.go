@@ -73,8 +73,8 @@ func ApplyFaults(e Estimator, f FaultOptions, seed uint64) (Estimator, error) {
 	if !f.Enabled() {
 		return e, nil
 	}
-	// A fresh decorator is never a publicWrap, so it lifts without
-	// toPublic's unwrap.
+	// A fresh decorator is never a publicWrap, so it lifts without an
+	// unwrap.
 	return coreWrap{fault.Decorate(toCore(e), fault.NewInjector(f, xrand.New(seed)))}, nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"p2psize/internal/aggregation"
 	"p2psize/internal/core"
 	"p2psize/internal/epidemic"
+	"p2psize/internal/fault"
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
@@ -120,7 +121,15 @@ func hetNet(n int, seed uint64) *overlay.Network {
 // and tag, and the metered message total.
 func epoch(t *testing.T, f family, n int, cfg epidemic.Config, seed uint64, rounds int) (snapshot, uint64) {
 	t.Helper()
+	return epochOn(t, f, n, cfg, seed, rounds, func(*overlay.Network) {})
+}
+
+// epochOn is epoch with setup applied to the fresh overlay first (a
+// fault policy or a transport to install).
+func epochOn(t *testing.T, f family, n int, cfg epidemic.Config, seed uint64, rounds int, setup func(*overlay.Network)) (snapshot, uint64) {
+	t.Helper()
 	net := hetNet(n, seed)
+	setup(net)
 	p := f.new(cfg, xrand.New(seed+1))
 	if err := p.StartEpoch(net); err != nil {
 		t.Fatal(err)
@@ -383,24 +392,46 @@ func TestEngineFlushPerRoundMatchesPerKey(t *testing.T) {
 
 // TestShardedRoundWorkerCountInvariance is the engine's invariant on
 // both families: at a fixed shard count every node's state and tag and
-// the message total are byte-identical at workers 1, 2 and 8. Run under
-// -race in CI this also proves the parallel phase writes no state from
-// two goroutines.
+// the message total are byte-identical at workers 1, 2 and 8 — on a
+// bare overlay, under a real fault injector (drop fates, liars and NAT
+// in the parallel phase, OnSend pricing in the shard-order merge) and
+// under a transport. Run under -race in CI this also proves the
+// parallel phase writes no state from two goroutines.
 func TestShardedRoundWorkerCountInvariance(t *testing.T) {
 	const n, rounds = 3000, 12
+	spec := fault.Spec{Drop: 0.05, LieFrac: 0.1, LieScale: 2, NATFrac: 0.2}
+	// faulted: the setup changes the epoch (so the injector is really
+	// consulted); a transport must leave it as on the bare overlay.
+	setups := []struct {
+		name    string
+		setup   func(*overlay.Network)
+		faulted bool
+	}{
+		{"bare", func(*overlay.Network) {}, false},
+		// A fresh injector per run: its OnSend draws are part of the output.
+		{"faults", func(net *overlay.Network) { net.SetFaultPolicy(fault.NewInjector(spec, xrand.New(79))) }, true},
+		{"transport", func(net *overlay.Network) { net.SetTransport(&countingTransport{}) }, false},
+	}
 	for _, f := range families {
 		t.Run(f.name, func(t *testing.T) {
 			for _, shards := range []int{2, 4, 7} {
 				cfg := epidemic.Config{RoundsPerEpoch: rounds, Shards: shards, Workers: 1}
-				ref, refMsgs := epoch(t, f, n, cfg, 77, rounds)
-				for _, workers := range []int{2, 8} {
-					cfg.Workers = workers
-					got, gotMsgs := epoch(t, f, n, cfg, 77, rounds)
-					if gotMsgs != refMsgs {
-						t.Fatalf("shards=%d: messages differ at workers=%d: %d vs %d", shards, workers, gotMsgs, refMsgs)
+				bare, _ := epoch(t, f, n, cfg, 77, rounds)
+				for _, s := range setups {
+					cfg.Workers = 1
+					ref, refMsgs := epochOn(t, f, n, cfg, 77, rounds, s.setup)
+					if (firstDiff(ref, bare) >= 0) != s.faulted {
+						t.Fatalf("%s, shards=%d: differs from the bare overlay: %v, want %v", s.name, shards, !s.faulted, s.faulted)
 					}
-					if id := firstDiff(ref, got); id >= 0 {
-						t.Fatalf("shards=%d: state of node %d differs at workers=%d", shards, id, workers)
+					for _, workers := range []int{2, 8} {
+						cfg.Workers = workers
+						got, gotMsgs := epochOn(t, f, n, cfg, 77, rounds, s.setup)
+						if gotMsgs != refMsgs {
+							t.Fatalf("%s, shards=%d: messages differ at workers=%d: %d vs %d", s.name, shards, workers, gotMsgs, refMsgs)
+						}
+						if id := firstDiff(ref, got); id >= 0 {
+							t.Fatalf("%s, shards=%d: state of node %d differs at workers=%d", s.name, shards, id, workers)
+						}
 					}
 				}
 			}

@@ -7,6 +7,7 @@ import (
 
 	"p2psize/internal/core"
 	"p2psize/internal/overlay"
+	"p2psize/internal/parallel"
 	"p2psize/internal/registry"
 )
 
@@ -25,9 +26,34 @@ func determinismParams(workers int) Params {
 	p.TableRuns = 8
 	p.TraceHorizon = 100 // 10 monitor samples at the default cadence
 	p.Workers = workers
-	// Auto-sharding would pick one shard at this scale; force several so
-	// the invariance assertions cover the cross-shard fix-up passes.
-	p.Shards = 4
+	return p
+}
+
+// shardedIDs are the experiments whose round sweeps run on
+// parallel.RoundEngine. Auto-sizing picks one shard at
+// determinismParams' scale, so idParams runs these at shardedN100k,
+// where it picks four, and two for ext-cyclon's 60% survivors,
+// covering the cross-shard fix-up passes.
+var shardedIDs = map[string]bool{"fig05": true, "ext-cyclon": true, "static-new": true}
+
+const shardedN100k = 4 * parallel.MinShardNodes
+
+// idParams is determinismParams for experiment id, at shardedN100k for
+// shardedIDs. It fails t when that size no longer auto-sizes to several
+// shards, for the 100k workloads or for ext-cyclon's survivors, so the
+// sharded path cannot drop out of the coverage unnoticed.
+func idParams(t *testing.T, id string, workers int) Params {
+	t.Helper()
+	p := determinismParams(workers)
+	if !shardedIDs[id] {
+		return p
+	}
+	survivors := shardedN100k - shardedN100k*4/10
+	if parallel.Shards(0, shardedN100k) < 2 || parallel.Shards(0, survivors) < 2 {
+		t.Fatalf("N100k=%d auto-sizes to %d shards (%d for %d survivors); the sharded path needs at least 2",
+			shardedN100k, parallel.Shards(0, shardedN100k), parallel.Shards(0, survivors), survivors)
+	}
+	p.N100k = shardedN100k
 	return p
 }
 
@@ -76,14 +102,15 @@ func figuresEqual(a, b *Figure) error {
 // workers=8, covering a static experiment per estimator (fig01 S&C,
 // fig03 Hops, fig05 Aggregation), every dynamic shape (fig09 S&C churn,
 // fig12 Hops churn, fig15 epoch-restarted Aggregation), Table I, and —
-// with Shards forced to 4 — the sharded Aggregation/CYCLON round paths
-// (fig05, ext-cyclon) including their cross-shard fix-up passes.
+// at a size that auto-sizes to several shards — the sharded
+// Aggregation/CYCLON/push-sum round paths (fig05, ext-cyclon,
+// static-new) including their cross-shard fix-up passes.
 func TestWorkerCountInvariance(t *testing.T) {
 	ids := []string{"fig01", "fig03", "fig05", "fig09", "fig12", "fig15", "table1",
 		"trace-weibull", "trace-diurnal", "trace-flashcrowd", "trace-ipfs",
 		"ext-cyclon",
 		// The PR-5 families: static-new covers their run-indexed static
-		// streams (including push-sum's sharded sweeps at Shards=4),
+		// streams (including push-sum's sharded sweeps),
 		// trace-ipfs-all their per-instance monitoring streams.
 		"static-new", "trace-ipfs-all",
 		// The other shapes of compare: three fresh scale-free builds
@@ -96,11 +123,11 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {
-			seq, err := Run(id, determinismParams(1))
+			seq, err := Run(id, idParams(t, id, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Run(id, determinismParams(8))
+			par, err := Run(id, idParams(t, id, 8))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,9 +277,6 @@ func TestRunSuiteReportShape(t *testing.T) {
 	}
 	if report.Schema != ReportSchema {
 		t.Fatalf("schema = %q", report.Schema)
-	}
-	if report.Shards != 4 {
-		t.Fatalf("report.Shards = %d, want the Params setting (4); shard count is part of the output identity", report.Shards)
 	}
 	if len(report.Experiments) != 1 || report.Experiments[0].ID != "fig01" {
 		t.Fatalf("experiments = %+v", report.Experiments)

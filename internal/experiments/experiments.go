@@ -69,13 +69,6 @@ type Params struct {
 	// runtime.NumCPU(), 1 forces sequential execution. Output is
 	// byte-identical at every setting; Workers only changes wall time.
 	Workers int
-	// Shards splits the round sweeps *inside* one Aggregation estimation
-	// and one CYCLON shuffle round into this many per-stream segments
-	// (0 = auto-size from the overlay). Unlike Workers, the shard count
-	// is part of the algorithms' output: equal Params must keep it equal.
-	// At any fixed value the output stays byte-identical at every
-	// Workers setting.
-	Shards int
 	// Estimators optionally restricts the monitored roster of the
 	// trace-* experiments to the named registry families (names or
 	// aliases; nil/empty = the registry's default head-to-head set:
@@ -86,13 +79,13 @@ type Params struct {
 	// Cadences optionally gives trace-* estimators their own monitor
 	// sampling cadence, keyed by canonical registry name (e.g.
 	// {"aggregation": 100}); families not listed sample every
-	// TraceCadence time units. Like the shard count this is part of the
+	// TraceCadence time units. Unlike Workers this is part of the
 	// output, not a scheduling knob.
 	Cadences map[string]float64
 	// Faults selects the fault scenario every registry-built estimator
 	// runs under (zero Spec = benign; see fault.ParseSpec for the CLI
 	// grammar). The robustness-* experiments carry their own scenarios
-	// and ignore this. Part of the output, like Shards.
+	// and ignore this. Part of the output, like Cadences.
 	Faults fault.Spec
 	// Transport, when non-nil, carries every overlay's metered sends
 	// (see overlay.SetTransport). The seam is one-way — metering happens
@@ -280,10 +273,10 @@ func perRun(id, name string, net *overlay.Network, p Params, seed uint64, opts r
 
 // epochOpts is the registry configuration of the epidemic families
 // (Aggregation, push-sum) wherever they are one candidate among several:
-// the paper's epoch length plus the sharded-sweep settings, and Workers 1
-// because the estimator already sits two fan-out levels deep.
+// the paper's epoch length, and Workers 1 because the estimator already
+// sits two fan-out levels deep.
 func epochOpts(p Params) registry.Options {
-	return registry.Options{Rounds: p.EpochLen, Shards: p.Shards, Workers: 1}
+	return registry.Options{Rounds: p.EpochLen, Workers: 1}
 }
 
 // candidate is one row of a static head-to-head: a registry family
@@ -347,11 +340,12 @@ func instances(id, name string, count int, p Params, stream uint64, opts registr
 }
 
 // aggConfig assembles the Aggregation configuration used across the
-// experiments: the paper's epoch length plus the sharded-sweep settings.
-// workers is the intra-round goroutine budget for this call site — pass
-// 1 where the estimator already sits under a wide run-level fan-out.
+// experiments: the paper's epoch length, with the shard count auto-sized
+// from the overlay. workers is the intra-round goroutine budget for this
+// call site — pass 1 where the estimator already sits under a wide
+// run-level fan-out.
 func aggConfig(p Params, workers int) aggregation.Config {
-	return aggregation.Config{RoundsPerEpoch: p.EpochLen, Shards: p.Shards, Workers: workers}
+	return aggregation.Config{RoundsPerEpoch: p.EpochLen, Workers: workers}
 }
 
 // scaleFreeNet builds the Fig 7/8 topology: Barabási–Albert with m = 3.

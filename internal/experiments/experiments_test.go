@@ -95,8 +95,17 @@ func TestFig02Scales(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testParams()
-	if fig.Series[0].Len() != p.SCRuns1M {
-		t.Fatalf("points = %d", fig.Series[0].Len())
+	lastK := fig.Series[0]
+	if lastK.Len() != p.SCRuns1M {
+		t.Fatalf("points = %d", lastK.Len())
+	}
+	// Paper: Sample&Collide stays unbiased at the large size, its
+	// last10runs within a few percent of the truth. Seeds 1–5 keep
+	// every point in 96–108 %.
+	for i, q := range lastK.Y {
+		if q < 85 || q > 115 {
+			t.Fatalf("lastK quality %.1f%% at estimation %d, want 85–115%%", q, i+1)
+		}
 	}
 }
 
@@ -258,8 +267,32 @@ func TestFig12HopsDynamic(t *testing.T) {
 		t.Fatalf("series = %d", len(fig.Series))
 	}
 	// ~100 estimation points over the horizon.
-	if n := fig.Series[0].Len(); n < 50 {
+	real := fig.Series[0]
+	n := real.Len()
+	if n < 50 {
 		t.Fatalf("only %d points", n)
+	}
+	// The recovery wave at 80% of the horizon adds n0/4 peers to the
+	// 0.5625·n0 the two failures left: the true size grows by +44%.
+	// Each curve's last10runs window holds only trough samples just
+	// before the wave and only recovered ones at the end.
+	trough, end := n*8/10-1, n-1
+	if g := real.Y[end] / real.Y[trough]; g < 1.35 || g > 1.55 {
+		t.Fatalf("true size %v -> %v (x%.2f), want the wave's +44%%", real.Y[trough], real.Y[end], g)
+	}
+	// The estimates rise with it. Seeds 1–5 lift every curve (by x1.15
+	// or more) and the three curves' mean by x1.48–2.22.
+	var before, after float64
+	for k, est := range fig.Series[1:] {
+		if est.Y[end] <= est.Y[trough] {
+			t.Errorf("estimation #%d fell across the recovery wave: %.0f -> %.0f", k+1, est.Y[trough], est.Y[end])
+		}
+		before += est.Y[trough]
+		after += est.Y[end]
+	}
+	if after < 1.25*before {
+		t.Fatalf("mean last10runs estimate %.0f -> %.0f (x%.2f), want it to rise at least x1.25 with the true size",
+			before/3, after/3, after/before)
 	}
 }
 

@@ -187,7 +187,6 @@ func extCyclon(p Params) (*Figure, error) {
 	// The shuffle rounds are this experiment's hot loop: shard them on
 	// the full worker budget (CYCLON runs alone here, no outer fan-out).
 	ccfg := cyclon.Default()
-	ccfg.Shards = p.Shards
 	ccfg.Workers = p.Workers
 	proto := cyclon.New(ccfg, xrand.New(p.Seed+0x3301), nil)
 	proto.Bootstrap(g)

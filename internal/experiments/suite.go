@@ -50,14 +50,9 @@ type ExperimentReport struct {
 // times, message totals and the output identity (checksums) travel in
 // one shape.
 type SuiteReport struct {
-	Schema  string `json:"schema"`
-	Seed    uint64 `json:"seed"`
-	Workers int    `json:"workers"`
-	// Shards records Params.Shards: unlike Workers it is part of the
-	// deterministic output, so two reports with equal seeds but
-	// different shard settings legitimately differ in checksums. Older
-	// reports decode as 0 (= auto), which is what they ran with.
-	Shards      int                `json:"shards"`
+	Schema      string             `json:"schema"`
+	Seed        uint64             `json:"seed"`
+	Workers     int                `json:"workers"`
 	GoMaxProcs  int                `json:"gomaxprocs"`
 	N100k       int                `json:"n100k"`
 	N1M         int                `json:"n1m"`
@@ -159,7 +154,6 @@ func RunSuite(ids []string, p Params) (*SuiteReport, map[string]*Figure, error) 
 		Schema:     ReportSchema,
 		Seed:       p.Seed,
 		Workers:    parallel.Resolve(p.Workers),
-		Shards:     p.Shards,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		N100k:      p.N100k,
 		N1M:        p.N1M,

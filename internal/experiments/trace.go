@@ -53,7 +53,6 @@ func traceInstances(p Params, stream uint64) ([]monitor.Instance, error) {
 	opts := registry.Options{
 		Tours:   3, // Random Tour's monitoring setting: one tour is far too noisy to track with
 		Rounds:  p.EpochLen,
-		Shards:  p.Shards,
 		Workers: inner,
 	}
 	out := make([]monitor.Instance, len(roster))

@@ -30,11 +30,11 @@ func TestLoopbackTransportIdentity(t *testing.T) {
 	defer lb.Close()
 	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {
-			base, err := Run(id, determinismParams(8))
+			base, err := Run(id, idParams(t, id, 8))
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := determinismParams(8)
+			p := idParams(t, id, 8)
 			p.Transport = lb
 			wired, err := Run(id, p)
 			if err != nil {

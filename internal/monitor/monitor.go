@@ -383,6 +383,10 @@ func resolveSchedules(instances []Instance, cfg Config, horizon float64) (cadenc
 		} else {
 			policies[k] = cfg.Policy
 		}
+		if sm := policies[k].Smoothing; sm < None || sm > EWMA {
+			return nil, nil, nil, fmt.Errorf("monitor: instance %d (%s) has unknown smoothing %d",
+				k, in.Estimator.Name(), int(sm))
+		}
 	}
 	return cadences, policies, schedules, nil
 }

@@ -192,6 +192,46 @@ func (n *Network) RandomNeighbor(id NodeID, rng *xrand.Rand) (NodeID, bool) {
 	return n.g.RandomNeighbor(id, rng)
 }
 
+// natAttempts bounds the forwarding retries a walk holder spends on
+// NAT-unreachable neighbors before falling back to relayed delivery.
+const natAttempts = 4
+
+// NATHop resolves one forward walk hop from `from` to its pick `to`
+// under the fault policy's asymmetric (NAT-limited) connectivity: a hop
+// addressed to an unreachable peer is still sent — and metered as a
+// walk message — but times out at the NAT, so the holder redraws
+// another neighbor. After natAttempts fated picks in a row the walk
+// proceeds to the last pick anyway, modeling relayed delivery through an
+// already-established connection (the standard NAT-traversal fallback),
+// which bounds the perturbation and guarantees termination. exempt is
+// never fated (graph.None exempts no one): a Random Tour's initiator
+// sent the tour out, which punched the hole its return rides back
+// through. Without a fault policy it returns to with zero extra draws,
+// so fault-free streams are untouched.
+func (n *Network) NATHop(exempt, from, to NodeID, rng *xrand.Rand) NodeID {
+	if n.policy == nil {
+		return to
+	}
+	return n.natHop(exempt, from, to, rng)
+}
+
+// natHop is NATHop's fated path, kept out of line so NATHop inlines
+// into the walk loops and a benign hop costs one nil check.
+func (n *Network) natHop(exempt, from, to NodeID, rng *xrand.Rand) NodeID {
+	for i := 0; to != exempt && n.policy.Unreachable(to); i++ {
+		if i == natAttempts {
+			return to
+		}
+		n.SendTo(to, metrics.KindWalk) // sent, lost at the NAT
+		alt, ok := n.RandomNeighbor(from, rng)
+		if !ok {
+			return to
+		}
+		to = alt
+	}
+	return to
+}
+
 // Degree returns the current degree of a live peer.
 func (n *Network) Degree(id NodeID) int { return n.g.Degree(id) }
 

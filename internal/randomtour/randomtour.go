@@ -128,13 +128,11 @@ func (e *Estimator) tour(net *overlay.Network, initiator graph.NodeID) (float64,
 		budget = 500 * net.Size()
 	}
 	degI := float64(net.Degree(initiator))
-	pol := net.FaultPolicy()
 	// The tour's Φ counts the initiator's own visit once (the start).
 	phi := 1 / degI
 	cur, _ := net.RandomNeighbor(initiator, e.rng)
-	if pol != nil {
-		cur = e.natHop(net, pol, initiator, initiator, cur)
-	}
+	// The initiator is exempt from NAT: the tour is its own request.
+	cur = net.NATHop(initiator, initiator, cur, e.rng)
 	net.SendTo(cur, metrics.KindWalk)
 	hops := 1
 	for cur != initiator {
@@ -149,43 +147,10 @@ func (e *Estimator) tour(net *overlay.Network, initiator graph.NodeID) (float64,
 			// may leave stale state; fail loudly rather than loop.
 			return 0, fmt.Errorf("randomtour: walk stranded at isolated node %d", cur)
 		}
-		if pol != nil {
-			next = e.natHop(net, pol, initiator, cur, next)
-		}
+		next = net.NATHop(initiator, cur, next, e.rng)
 		net.SendTo(next, metrics.KindWalk)
 		cur = next
 		hops++
 	}
 	return degI * phi, nil
-}
-
-// natAttempts bounds the forwarding retries a tour holder spends on
-// NAT-unreachable neighbors before falling back to relayed delivery.
-const natAttempts = 4
-
-// natHop resolves one forward hop under asymmetric (NAT-limited)
-// connectivity, like the Sample&Collide walk does: a hop to an
-// unreachable peer is sent (and metered), lost at the NAT, and redrawn,
-// with relayed delivery as the bounded fallback. The return hop to the
-// initiator is exempt — the tour is the initiator's own request, so its
-// departure punched the hole the absorption message rides back through;
-// without the exemption a NAT-fated initiator could never absorb its
-// tour. The tour calls it only under a fault policy; benign policies
-// take the first branch with zero extra draws.
-func (e *Estimator) natHop(net *overlay.Network, pol overlay.FaultPolicy, initiator, from, to graph.NodeID) graph.NodeID {
-	if to == initiator || !pol.Unreachable(to) {
-		return to
-	}
-	for i := 0; i < natAttempts; i++ {
-		net.SendTo(to, metrics.KindWalk) // sent, lost at the NAT
-		alt, ok := net.RandomNeighbor(from, e.rng)
-		if !ok {
-			return to
-		}
-		to = alt
-		if to == initiator || !pol.Unreachable(to) {
-			return to
-		}
-	}
-	return to
 }

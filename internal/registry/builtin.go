@@ -20,7 +20,6 @@ import (
 	"p2psize/internal/hopssampling"
 	"p2psize/internal/idspace"
 	"p2psize/internal/overlay"
-	"p2psize/internal/parallel"
 	"p2psize/internal/polling"
 	"p2psize/internal/pushsum"
 	"p2psize/internal/randomtour"
@@ -115,14 +114,10 @@ func init() {
 		// shared-replay monitor keeps it on a private clone.
 		StreamOffset: 13,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
-			if err := (parallel.EngineConfig{Shards: o.Shards}).Validate(); err != nil {
-				return nil, fmt.Errorf("aggregation: %w", err)
-			}
 			cfg := aggregation.Default()
 			if err := knob(&cfg.RoundsPerEpoch, "Rounds", o.Rounds); err != nil {
 				return nil, err
 			}
-			cfg.Shards = o.Shards
 			cfg.Workers = o.Workers
 			return aggregation.NewEstimator(cfg, rng), nil
 		},
@@ -180,14 +175,10 @@ func init() {
 		// Same cyclon-backed epidemic class as aggregation: private clone.
 		StreamOffset: 16,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
-			if err := (parallel.EngineConfig{Shards: o.Shards}).Validate(); err != nil {
-				return nil, fmt.Errorf("pushsum: %w", err)
-			}
 			cfg := pushsum.Default()
 			if err := knob(&cfg.RoundsPerEpoch, "Rounds", o.Rounds); err != nil {
 				return nil, err
 			}
-			cfg.Shards = o.Shards
 			cfg.Workers = o.Workers
 			return pushsum.NewEstimator(cfg, rng), nil
 		},

@@ -50,9 +50,6 @@ type Options struct {
 	MinHops int
 	// Rounds is the Aggregation rounds-per-epoch (0 = the paper's 50).
 	Rounds int
-	// Shards splits each Aggregation round's sweep into per-stream
-	// segments (0 = auto-size; part of the output, unlike Workers).
-	Shards int
 	// Workers caps the goroutines sweeping one Aggregation round's
 	// shards (0 = all CPUs); never part of the output.
 	Workers int

@@ -6,7 +6,6 @@ import (
 
 	"p2psize/internal/graph"
 	"p2psize/internal/overlay"
-	"p2psize/internal/parallel"
 	"p2psize/internal/xrand"
 )
 
@@ -53,9 +52,7 @@ func TestEveryDescriptorRoundTrips(t *testing.T) {
 }
 
 // TestBadKnobsRejected: a negative integer knob is an error naming the
-// option, not a silent fall-back to the paper default, and an
-// out-of-range shard count is the engine's own error under the
-// family's name.
+// option, not a silent fall-back to the paper default.
 func TestBadKnobsRejected(t *testing.T) {
 	for _, c := range []struct {
 		family string
@@ -67,8 +64,6 @@ func TestBadKnobsRejected(t *testing.T) {
 		{"hopssampling", Options{MinHops: -2}, "MinHops -2"},
 		{"aggregation", Options{Rounds: -5}, "Rounds -5"},
 		{"pushsum", Options{Rounds: -1}, "Rounds -1"},
-		{"aggregation", Options{Shards: -1}, "aggregation: shards -1"},
-		{"pushsum", Options{Shards: parallel.MaxConfigShards + 1}, "pushsum: shards"},
 	} {
 		d, _ := Get(c.family)
 		if _, err := d.Build(nil, xrand.New(1), c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -171,9 +166,6 @@ func TestNewFamilyDescriptors(t *testing.T) {
 	}
 	if got := e.Name(); !strings.Contains(got, "rounds=7") {
 		t.Fatalf("pushsum rounds option ignored: %s", got)
-	}
-	if _, err := mustGet(t, "pushsum").New(net, xrand.New(1), Options{Shards: 1 << 20}); err == nil {
-		t.Fatal("pushsum out-of-range shards accepted")
 	}
 }
 
@@ -352,8 +344,8 @@ func TestPerRunIsRunIndexed(t *testing.T) {
 		t.Fatal("distinct run indices shared a stream")
 	}
 	// Configuration errors surface at PerRun time, not mid-run.
-	if _, err := mustGet(t, "aggregation").PerRun(net, 1, Options{Shards: 1 << 20}); err == nil {
-		t.Fatal("out-of-range shards accepted")
+	if _, err := mustGet(t, "aggregation").PerRun(net, 1, Options{Rounds: -1}); err == nil {
+		t.Fatal("negative rounds accepted")
 	}
 }
 

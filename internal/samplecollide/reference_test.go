@@ -13,15 +13,12 @@ import (
 // t -= rng.Exp(degree) loop, as it read before the walk took
 // xrand.Countdown.
 func refSample(net *overlay.Network, initiator graph.NodeID, T float64, rng *xrand.Rand) graph.NodeID {
-	pol := net.FaultPolicy()
 	cur, ok := net.RandomNeighbor(initiator, rng)
 	if !ok {
 		net.SendTo(initiator, metrics.KindSampleReturn)
 		return initiator
 	}
-	if pol != nil {
-		cur = natHop(net, pol, initiator, cur, rng)
-	}
+	cur = net.NATHop(graph.None, initiator, cur, rng)
 	net.SendTo(cur, metrics.KindWalk)
 	t := T
 	for {
@@ -30,9 +27,7 @@ func refSample(net *overlay.Network, initiator graph.NodeID, T float64, rng *xra
 			break
 		}
 		next, _ := net.RandomNeighbor(cur, rng)
-		if pol != nil {
-			next = natHop(net, pol, cur, next, rng)
-		}
+		next = net.NATHop(graph.None, cur, next, rng)
 		net.SendTo(next, metrics.KindWalk)
 		cur = next
 	}

@@ -184,59 +184,23 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 // next peer's real socket; the sample return rides the walk's reverse
 // path back to the initiator.
 func (e *Estimator) sample(net *overlay.Network, initiator graph.NodeID) graph.NodeID {
-	pol := net.FaultPolicy()
 	cur, ok := net.RandomNeighbor(initiator, e.rng)
 	if !ok {
 		net.SendTo(initiator, metrics.KindSampleReturn)
 		return initiator
 	}
-	if pol != nil {
-		cur = natHop(net, pol, initiator, cur, e.rng)
-	}
+	cur = net.NATHop(graph.None, initiator, cur, e.rng)
 	net.SendTo(cur, metrics.KindWalk)
 	e.timer.Reset(e.cfg.T)
 	// Arriving via an edge guarantees degree >= 1 here.
 	for !e.timer.Step(e.rng, float64(net.Degree(cur))) {
 		next, _ := net.RandomNeighbor(cur, e.rng)
-		if pol != nil {
-			next = natHop(net, pol, cur, next, e.rng)
-		}
+		next = net.NATHop(graph.None, cur, next, e.rng)
 		net.SendTo(next, metrics.KindWalk)
 		cur = next
 	}
 	net.SendTo(initiator, metrics.KindSampleReturn)
 	return cur
-}
-
-// natAttempts bounds the forwarding retries a walk holder spends on
-// NAT-unreachable neighbors before falling back to relayed delivery.
-const natAttempts = 4
-
-// natHop resolves one forward hop under asymmetric (NAT-limited)
-// connectivity: a hop addressed to an unreachable peer is still sent —
-// and metered — but times out at the NAT, so the holder redraws another
-// neighbor. After natAttempts fated picks in a row the walk proceeds to
-// the last pick anyway, modeling relayed delivery through an already-
-// established connection (the standard NAT-traversal fallback), which
-// bounds the perturbation and guarantees termination. The walk calls it
-// only under a fault policy; under a benign one it is a no-op with zero
-// extra draws, so fault-free streams are untouched.
-func natHop(net *overlay.Network, pol overlay.FaultPolicy, from, to graph.NodeID, rng *xrand.Rand) graph.NodeID {
-	if !pol.Unreachable(to) {
-		return to
-	}
-	for i := 0; i < natAttempts; i++ {
-		net.SendTo(to, metrics.KindWalk) // sent, lost at the NAT
-		alt, ok := net.RandomNeighbor(from, rng)
-		if !ok {
-			return to
-		}
-		to = alt
-		if !pol.Unreachable(to) {
-			return to
-		}
-	}
-	return to
 }
 
 // Sample exposes one uniform sample draw (used by the sampling-uniformity

@@ -16,16 +16,16 @@ import (
 
 // SmoothingPolicy selects how a monitor folds raw estimates into the
 // value it serves.
-type SmoothingPolicy int
+type SmoothingPolicy = monitor.Smoothing
 
 const (
 	// NoSmoothing serves each raw estimate as-is (the paper's oneShot).
-	NoSmoothing SmoothingPolicy = iota
+	NoSmoothing = monitor.None
 	// WindowSmoothing serves the mean of the last Window raw estimates
 	// (the paper's lastKruns).
-	WindowSmoothing
+	WindowSmoothing = monitor.Window
 	// EWMASmoothing serves an exponentially weighted moving average.
-	EWMASmoothing
+	EWMASmoothing = monitor.EWMA
 )
 
 // MonitorOptions configures RunMonitor.
@@ -188,17 +188,6 @@ func RunMonitor(net *Network, tr *Trace, estimators []Estimator, opts MonitorOpt
 	if len(estimators) == 0 {
 		return nil, errors.New("p2psize: RunMonitor needs at least one estimator")
 	}
-	var smoothing monitor.Smoothing
-	switch opts.Policy {
-	case NoSmoothing:
-		smoothing = monitor.None
-	case WindowSmoothing:
-		smoothing = monitor.Window
-	case EWMASmoothing:
-		smoothing = monitor.EWMA
-	default:
-		return nil, fmt.Errorf("p2psize: unknown smoothing policy %d", int(opts.Policy))
-	}
 	if len(opts.Cadences) != 0 && len(opts.Cadences) != len(estimators) {
 		return nil, fmt.Errorf("p2psize: MonitorOptions.Cadences has %d entries for %d estimators",
 			len(opts.Cadences), len(estimators))
@@ -216,7 +205,7 @@ func RunMonitor(net *Network, tr *Trace, estimators []Estimator, opts MonitorOpt
 	res, err := monitor.RunScheduled(instances, net.net, tr.tr, monitor.Config{
 		Cadence: opts.Cadence,
 		Policy: monitor.Policy{
-			Smoothing:   smoothing,
+			Smoothing:   opts.Policy,
 			Window:      opts.Window,
 			Alpha:       opts.Alpha,
 			RestartJump: opts.RestartJump,

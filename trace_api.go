@@ -17,35 +17,20 @@ import (
 
 // SessionModel selects the session-length distribution family of a
 // generated trace.
-type SessionModel int
+type SessionModel = trace.SessionKind
 
 const (
 	// ExponentialSessions is the memoryless baseline.
-	ExponentialSessions SessionModel = iota
+	ExponentialSessions = trace.Exponential
 	// WeibullSessions with Shape < 1 match the heavy-tailed session
 	// lengths measured in deployed peer-to-peer systems.
-	WeibullSessions
+	WeibullSessions = trace.Weibull
 	// LogNormalSessions are the other common empirical fit.
-	LogNormalSessions
+	LogNormalSessions = trace.LogNormal
 	// ParetoSessions have a power-law tail; Shape (the tail index) must
 	// exceed 1.
-	ParetoSessions
+	ParetoSessions = trace.Pareto
 )
-
-func (m SessionModel) kind() (trace.SessionKind, error) {
-	switch m {
-	case ExponentialSessions:
-		return trace.Exponential, nil
-	case WeibullSessions:
-		return trace.Weibull, nil
-	case LogNormalSessions:
-		return trace.LogNormal, nil
-	case ParetoSessions:
-		return trace.Pareto, nil
-	default:
-		return 0, fmt.Errorf("p2psize: unknown session model %d", int(m))
-	}
-}
 
 // TraceOptions configures GenerateTrace.
 type TraceOptions struct {
@@ -96,17 +81,13 @@ func GenerateTrace(opts TraceOptions) (*Trace, error) {
 	if opts.Horizon <= 0 {
 		return nil, errors.New("p2psize: TraceOptions.Horizon must be positive")
 	}
-	kind, err := opts.Sessions.kind()
-	if err != nil {
-		return nil, err
-	}
 	mean := opts.MeanSession
 	if mean == 0 {
 		mean = opts.Horizon
 	}
 	shape := opts.Shape
 	if shape == 0 {
-		switch kind {
+		switch opts.Sessions {
 		case trace.Weibull:
 			shape = 0.5
 		case trace.LogNormal:
@@ -120,11 +101,14 @@ func GenerateTrace(opts TraceOptions) (*Trace, error) {
 		Initial:          opts.Nodes,
 		Horizon:          opts.Horizon,
 		ArrivalRate:      opts.ArrivalRate,
-		Session:          trace.SessionDist{Kind: kind, Mean: mean, Shape: shape},
+		Session:          trace.SessionDist{Kind: opts.Sessions, Mean: mean, Shape: shape},
 		DiurnalAmplitude: opts.DiurnalAmplitude,
 		DiurnalPeriod:    opts.DiurnalPeriod,
 	}
-	var tr *trace.Trace
+	var (
+		tr  *trace.Trace
+		err error
+	)
 	if opts.Workers != 0 {
 		tr, err = trace.GenerateParallel(cfg, opts.Seed, opts.Workers)
 	} else {

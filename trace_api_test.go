@@ -258,8 +258,10 @@ func TestGenerateTraceRejectsBadOptions(t *testing.T) {
 	if _, err := GenerateTrace(TraceOptions{Nodes: 10}); err == nil {
 		t.Fatal("zero horizon accepted")
 	}
-	if _, err := GenerateTrace(TraceOptions{Nodes: 10, Horizon: 10, Sessions: SessionModel(99)}); err == nil {
-		t.Fatal("unknown session model accepted")
+	for _, w := range []int{0, 2} {
+		if _, err := GenerateTrace(TraceOptions{Nodes: 10, Horizon: 10, Sessions: SessionModel(99), Workers: w}); err == nil {
+			t.Fatalf("workers %d: unknown session model accepted", w)
+		}
 	}
 }
 
