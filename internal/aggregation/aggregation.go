@@ -23,6 +23,7 @@ package aggregation
 
 import (
 	"errors"
+	"math"
 
 	"p2psize/internal/epidemic"
 	"p2psize/internal/graph"
@@ -71,7 +72,11 @@ var (
 	ErrNoEpoch = errors.New("aggregation: RunRound before StartEpoch")
 	// family names Aggregation to the epoch driver: the initiator starts
 	// an epoch with value 1, everyone else joins with 0 on first contact.
-	family = epidemic.Family[float64]{Pkg: "aggregation", Name: "aggregation", ErrNoEpoch: ErrNoEpoch, ErrEmptyOverlay: ErrEmptyOverlay, Start: 1}
+	// A node outside the epoch holds -0, which no member holds: members
+	// average non-negative values, and a sum of two is -0 only when both
+	// addends are.
+	family = epidemic.Family[float64]{Pkg: "aggregation", Name: "aggregation", ErrNoEpoch: ErrNoEpoch, ErrEmptyOverlay: ErrEmptyOverlay,
+		Start: 1, Absent: math.Copysign(0, -1), In: func(x float64) bool { return !epidemic.IsNegZero(x) }}
 )
 
 // New builds a Protocol; it panics on invalid configuration.
@@ -99,9 +104,9 @@ func NewEstimator(cfg Config, rng *xrand.Rand) *epidemic.Estimator[float64, pair
 func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.FaultPolicy, dropP float64) parallel.Sweep[pair] {
 	p.pol, p.g = pol, g
 	return parallel.Sweep[pair]{
-		// An exchange reads both endpoints' value and epoch tag. The
-		// graph comes from p.g rather than a capture, so that the
-		// closure holds one pointer and allocates 16 bytes a round.
+		// An exchange reads both endpoints' values. The graph comes
+		// from p.g rather than a capture, so that the closure holds one
+		// pointer and allocates 16 bytes a round.
 		Hint: func(b *prefetch.Batch, keys []graph.NodeID, prs []pair) {
 			g := p.g
 			for _, u := range keys {
@@ -110,8 +115,6 @@ func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.Fault
 			for _, pr := range prs {
 				b.Add(prefetch.Addr(p.State, int(pr.u)))
 				b.Add(prefetch.Addr(p.State, int(pr.v)))
-				b.Add(prefetch.Addr(p.Tags, int(pr.u)))
-				b.Add(prefetch.Addr(p.Tags, int(pr.v)))
 			}
 		},
 		Visit: func(sh *parallel.Shard[pair], u graph.NodeID, rng *xrand.Rand) error {
@@ -170,30 +173,32 @@ func drawFate(rng *xrand.Rand, dropP float64) uint8 {
 
 // exchange performs one push-pull averaging between u and v: when either
 // endpoint participates in the current epoch the other joins with value
-// 0 and the pair averages. Under a fault policy, a lost push aborts the
-// exchange, a lost pull leaves u with its old value after v already
-// averaged (breaking mass conservation), and a lying endpoint's value is
-// scaled as seen by its peer while its own copy stays honest.
+// 0 and the pair averages. With no fault policy that is one branch-free
+// average: an absent endpoint's -0 adds as 0 (x + -0 = x for every x,
+// +0 included), and two absent endpoints average to -0 and stay absent.
+// Under a fault policy, a lost push aborts the exchange, an absent
+// endpoint joins with +0 explicitly, a lost pull leaves u with its old
+// value after v already averaged (breaking mass conservation), and a
+// lying endpoint's value is scaled as seen by its peer while its own
+// copy stays honest.
 func (p *Protocol) exchange(u, v graph.NodeID, fate uint8) {
-	if fate&fatePushLost != 0 {
-		return
-	}
-	if p.Tags[u] != p.Tag && p.Tags[v] != p.Tag {
-		return
-	}
-	// A new endpoint joins with value 0.
-	if p.Tags[u] != p.Tag {
-		p.State[u], p.Tags[u] = 0, p.Tag
-	}
-	if p.Tags[v] != p.Tag {
-		p.State[v], p.Tags[v] = 0, p.Tag
-	}
 	vu, vv := p.State[u], p.State[v]
 	if p.pol == nil {
 		avg := (vu + vv) / 2
 		p.State[u] = avg
 		p.State[v] = avg
 		return
+	}
+	absentU, absentV := epidemic.IsNegZero(vu), epidemic.IsNegZero(vv)
+	if fate&fatePushLost != 0 || absentU && absentV {
+		return
+	}
+	// A new endpoint joins with value 0.
+	if absentU {
+		vu, p.State[u] = 0, 0
+	}
+	if absentV {
+		vv, p.State[v] = 0, 0
 	}
 	p.State[v] = (p.pol.ReportScale(u)*vu + vv) / 2
 	if fate&fatePullLost == 0 {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"p2psize/internal/graph"
 	"p2psize/internal/overlay"
 	"p2psize/internal/xrand"
 )
@@ -32,19 +33,22 @@ func churnedNet(n int, seed uint64) *overlay.Network {
 const pinnedRounds = 20
 
 // TestRoundStatePinned pins twenty rounds on a churned 20k overlay bit for
-// bit — FNV-64a over (values, epoch tags) and the message total — to the
-// output of the engine that mapped positions to node IDs inside Visit
-// and visited one node at a time. Key resolution and block staging in
-// the round engine must move none of it, at any shard count.
+// bit — FNV-64a over what a run can observe of each node, whether it is
+// a member of the epoch and, for a member, its value, plus the message
+// total — to the output of the engine that mapped positions to node IDs
+// inside Visit and visited one node at a time. Key resolution, block
+// staging and the representation of membership must move none of it, at
+// any shard count. The pins were taken with this hash from the epoch
+// driver that still kept a separate epoch-tag vector.
 func TestRoundStatePinned(t *testing.T) {
 	pins := []struct {
 		shards int
 		hash   uint64
 		msgs   uint64
 	}{
-		{1, 0xdec8a5c05076aecb, 800000},
-		{4, 0x94aa8d2cc09c2674, 800000},
-		{16, 0x230bd1376183766b, 800000},
+		{1, 0x73f8c3e8010c72ad, 800000},
+		{4, 0xd03b47a4060624ba, 800000},
+		{16, 0x3ff84036eb965a61, 800000},
 	}
 	for _, pin := range pins {
 		net := churnedNet(20000, 7)
@@ -58,10 +62,13 @@ func TestRoundStatePinned(t *testing.T) {
 		h := fnv.New64a()
 		var b [8]byte
 		for i, v := range p.State {
+			if !p.Participant(graph.NodeID(i)) {
+				h.Write([]byte{0})
+				continue
+			}
+			h.Write([]byte{1})
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 			h.Write(b[:])
-			binary.LittleEndian.PutUint32(b[:4], p.Tags[i])
-			h.Write(b[:4])
 		}
 		if got, msgs := h.Sum64(), net.Counter().Total(); got != pin.hash || msgs != pin.msgs {
 			t.Errorf("shards=%d: state %#x msgs %d, pinned %#x and %d", pin.shards, got, msgs, pin.hash, pin.msgs)

@@ -26,8 +26,8 @@ func TestShardedRoundConservesMass(t *testing.T) {
 }
 
 func TestShardsBeyondCapPanics(t *testing.T) {
-	// The sweeps stamp ownership into uint16 tags; an uncapped explicit
-	// shard count would wrap them and race the parallel phase.
+	// The engine stamps ownership into one byte per key; an uncapped
+	// explicit shard count would wrap it and race the parallel phase.
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Shards beyond parallel.MaxConfigShards did not panic")

@@ -34,16 +34,17 @@ type instance struct {
 	// oneShot is the one-shot adapter over the same epoch.
 	oneShot core.Estimator
 	grow    func(numIDs int)
-	// snap copies the per-node state and epoch tags.
+	// snap copies the per-node state and membership.
 	snap func() snapshot
 }
 
 // snapshot is the complete per-node state of an epoch: words holds each
-// node's state as perNode float64s, bit for bit.
+// node's state as perNode float64s, bit for bit, and member whether the
+// node participates in the current epoch (Epoch.Participant).
 type snapshot struct {
 	words   []float64
 	perNode int
-	tags    []uint32
+	member  []bool
 }
 
 // node returns the state words of node id.
@@ -55,7 +56,8 @@ type family struct {
 	new  func(cfg epidemic.Config, rng *xrand.Rand) instance
 	// errNoEpoch and errEmptyOverlay are the family's sentinels.
 	errNoEpoch, errEmptyOverlay error
-	// nodeBytes is the state a node costs: its state S and its tag.
+	// nodeBytes is the state a node costs: its state S, which also
+	// carries its membership.
 	nodeBytes uint64
 	// kinds are the messages one visit meters with nothing dropped.
 	kinds []metrics.Kind
@@ -69,7 +71,7 @@ var families = []family{
 			return wrap(p.StartEpoch, p.RunRound, p.Estimate, &p.Epoch)
 		},
 		errNoEpoch: aggregation.ErrNoEpoch, errEmptyOverlay: aggregation.ErrEmptyOverlay,
-		nodeBytes: 8 + 4,
+		nodeBytes: 8,
 		kinds:     []metrics.Kind{metrics.KindPush, metrics.KindPull},
 	},
 	{
@@ -79,7 +81,7 @@ var families = []family{
 			return wrap(p.StartEpoch, p.RunRound, p.Estimate, &p.Epoch)
 		},
 		errNoEpoch: pushsum.ErrNoEpoch, errEmptyOverlay: pushsum.ErrEmptyOverlay,
-		nodeBytes: 8 + 8 + 4,
+		nodeBytes: 8 + 8,
 		kinds:     []metrics.Kind{metrics.KindPush},
 	},
 }
@@ -90,7 +92,11 @@ func wrap[S, D any](start, round func(*overlay.Network) error, estimate func(*ov
 		oneShot: epidemic.NewEstimator(e),
 		grow:    e.Grow,
 		snap: func() snapshot {
-			return snapshot{words: words(e.State), perNode: len(words(make([]S, 1))), tags: slices.Clone(e.Tags)}
+			member := make([]bool, len(e.State))
+			for id := range member {
+				member[id] = e.Participant(graph.NodeID(id))
+			}
+			return snapshot{words: words(e.State), perNode: len(words(make([]S, 1))), member: member}
 		},
 	}
 }
@@ -118,7 +124,7 @@ func hetNet(n int, seed uint64) *overlay.Network {
 
 // epoch runs one epoch of rounds on a fresh overlay and returns the
 // complete observable state a round sweep produces: every node's state
-// and tag, and the metered message total.
+// and membership, and the metered message total.
 func epoch(t *testing.T, f family, n int, cfg epidemic.Config, seed uint64, rounds int) (snapshot, uint64) {
 	t.Helper()
 	return epochOn(t, f, n, cfg, seed, rounds, func(*overlay.Network) {})
@@ -142,15 +148,18 @@ func epochOn(t *testing.T, f family, n int, cfg epidemic.Config, seed uint64, ro
 	return p.snap(), net.Counter().Total()
 }
 
-// firstDiff returns the first node whose state or tag differs between
-// a and b, or -1 when they are bit-equal.
+// firstDiff returns the first node whose membership or, for a member,
+// state differs between a and b, or -1 when they are bit-equal.
 func firstDiff(a, b snapshot) int {
-	if len(a.tags) != len(b.tags) {
-		return min(len(a.tags), len(b.tags))
+	if len(a.member) != len(b.member) {
+		return min(len(a.member), len(b.member))
 	}
-	for id := range a.tags {
-		if a.tags[id] != b.tags[id] {
+	for id := range a.member {
+		if a.member[id] != b.member[id] {
 			return id
+		}
+		if !a.member[id] {
+			continue
 		}
 		for i, w := range a.node(id) {
 			if math.Float64bits(w) != math.Float64bits(b.node(id)[i]) {
@@ -235,9 +244,10 @@ func TestEmptyOverlay(t *testing.T) {
 	}
 }
 
-// TestGrowAllocatesOnce: extending the per-node vectors to a million
-// ids allocates them once, not along append's 1.25x regrowth chain
-// (which cost five times the final size, resident until the next GC).
+// TestGrowAllocatesOnce: extending the one per-node vector to a million
+// ids allocates it once, not along append's 1.25x regrowth chain (which
+// cost five times the final size, resident until the next GC), and the
+// new ids start outside the epoch.
 func TestGrowAllocatesOnce(t *testing.T) {
 	const n = 1000000
 	for _, f := range families {
@@ -256,8 +266,12 @@ func TestGrowAllocatesOnce(t *testing.T) {
 				t.Fatalf("growing to %d ids allocated %d bytes for %d bytes of state", n, got, final)
 			}
 			p.grow(n + 3)
-			if s := p.snap(); len(s.words) != (n+3)*s.perNode || len(s.tags) != n+3 {
-				t.Fatalf("vectors hold %d states and %d tags, want %d", len(s.words)/s.perNode, len(s.tags), n+3)
+			s := p.snap()
+			if len(s.words) != (n+3)*s.perNode {
+				t.Fatalf("the vector holds %d states, want %d", len(s.words)/s.perNode, n+3)
+			}
+			if id := slices.Index(s.member, true); id >= 0 {
+				t.Fatalf("grown id %d is a member before any epoch", id)
 			}
 		})
 	}
@@ -391,12 +405,12 @@ func TestEngineFlushPerRoundMatchesPerKey(t *testing.T) {
 }
 
 // TestShardedRoundWorkerCountInvariance is the engine's invariant on
-// both families: at a fixed shard count every node's state and tag and
-// the message total are byte-identical at workers 1, 2 and 8 — on a
-// bare overlay, under a real fault injector (drop fates, liars and NAT
-// in the parallel phase, OnSend pricing in the shard-order merge) and
-// under a transport. Run under -race in CI this also proves the
-// parallel phase writes no state from two goroutines.
+// both families: at a fixed shard count every node's membership, every
+// member's state and the message total are byte-identical at workers 1,
+// 2 and 8 — on a bare overlay, under a real fault injector (drop fates,
+// liars and NAT in the parallel phase, OnSend pricing in the
+// shard-order merge) and under a transport. Run under -race in CI this
+// also proves the parallel phase writes no state from two goroutines.
 func TestShardedRoundWorkerCountInvariance(t *testing.T) {
 	const n, rounds = 3000, 12
 	spec := fault.Spec{Drop: 0.05, LieFrac: 0.1, LieScale: 2, NATFrac: 0.2}

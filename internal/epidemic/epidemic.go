@@ -2,7 +2,14 @@
 // estimators (§III-C of the comparative study), Aggregation's push-pull
 // averaging and push-sum. A family supplies its per-node state, a
 // round's engine callbacks and EstimateAt; the driver owns the config,
-// state and epoch-tag vectors, initiator, round prelude and one-shot adapter.
+// the one state vector, initiator, round prelude and one-shot adapter.
+//
+// Membership of the current epoch lives in the state itself: a node
+// outside the epoch holds the family's Absent state, one a member never
+// holds (a -0 in a field a member keeps at +0 or above), and StartEpoch
+// resets every node to it. A join is then plain arithmetic — x + (-0)
+// is x for every x — so a visit reads no line beside the state it
+// updates.
 //
 // Every round sweeps the live nodes on the shared sharded-round engine
 // (parallel.RoundEngine): the sweep order is cut into Config.Shards
@@ -60,24 +67,30 @@ func (c Config) engine() parallel.EngineConfig {
 }
 
 // Family names a family to the driver: its package (the prefix of its
-// errors), report name, sentinel errors and the initiator's start state.
+// errors), report name, sentinel errors, the initiator's start state,
+// the state of a node outside the current epoch, and the test that
+// tells a member's state from Absent.
 type Family[S any] struct {
 	Pkg, Name                   string
 	ErrNoEpoch, ErrEmptyOverlay error
-	Start                       S
+	Start, Absent               S
+	In                          func(S) bool
 }
+
+// IsNegZero reports whether x is -0.0 (math.Copysign(0, -1)), the value
+// that marks a family's state Absent, bit for bit (+0 is not).
+func IsNegZero(x float64) bool { return math.Float64bits(x) == 1<<63 }
 
 // Epoch is a running instance of a family, generic over the per-node
 // state S and the engine's deferred payload D; a family's Protocol
 // embeds it. Several instances can share an overlay; each owns its state.
 type Epoch[S, D any] struct {
-	// State and Tags are indexed by node ID. Tags[id] == Tag marks a
-	// participant of the current epoch; a node with any other tag holds
-	// an old epoch's leftovers, which the family's visit overwrites with
-	// its join state on first contact.
+	// State is indexed by node ID. A node outside the current epoch
+	// holds the family's Absent state, which the family's visit turns
+	// into its join state on first contact.
 	State []S
-	Tags  []uint32
-	Tag   uint32
+	// Tag counts the epochs started; 0 means RunRound has none to run.
+	Tag uint32
 	// Initiator started the current epoch (graph.None before the first).
 	Initiator graph.NodeID
 
@@ -108,10 +121,10 @@ func (e *Epoch[S, D]) Init(fam *Family[S], cfg Config, rng *xrand.Rand, sweep fu
 	e.fam, e.cfg, e.rng, e.sweep, e.estimateAt, e.Initiator = fam, cfg, rng, sweep, estimateAt, graph.None
 }
 
-// StartEpoch begins a new counting process: the epoch tag is bumped and
-// the initiator (kept from the previous epoch when still alive,
-// otherwise re-drawn uniformly) takes the family's start state; everyone
-// else joins on first contact.
+// StartEpoch begins a new counting process: every node's state is reset
+// to Absent and the initiator (kept from the previous epoch when still
+// alive, otherwise re-drawn uniformly) takes the family's start state;
+// everyone else joins on first contact.
 func (e *Epoch[S, D]) StartEpoch(net *overlay.Network) error {
 	if e.Initiator == graph.None || !net.Alive(e.Initiator) {
 		id, ok := net.RandomPeer(e.rng)
@@ -122,24 +135,31 @@ func (e *Epoch[S, D]) StartEpoch(net *overlay.Network) error {
 	}
 	e.grow(net.Graph().NumIDs())
 	e.Tag++
+	fill(e.State, e.fam.Absent)
 	e.State[e.Initiator] = e.fam.Start
-	e.Tags[e.Initiator] = e.Tag
 	return nil
 }
 
-// grow extends the per-node vectors to numIDs in one step each (an
-// append per node walks the 1.25x regrowth chain and allocates five
-// times the final size on a million-node overlay).
+// grow extends the state vector to numIDs in one step (an append per
+// node walks the 1.25x regrowth chain and allocates five times the
+// final size on a million-node overlay). New IDs start Absent.
 func (e *Epoch[S, D]) grow(numIDs int) {
 	if k := numIDs - len(e.State); k > 0 {
 		e.State = append(e.State, make([]S, k)...)
-		e.Tags = append(e.Tags, make([]uint32, k)...)
+		fill(e.State[numIDs-k:], e.fam.Absent)
+	}
+}
+
+// fill sets every element of s to x.
+func fill[S any](s []S, x S) {
+	for i := range s {
+		s[i] = x
 	}
 }
 
 // Participant reports whether id has joined the current epoch.
 func (e *Epoch[S, D]) Participant(id graph.NodeID) bool {
-	return int(id) < len(e.Tags) && e.Tags[id] == e.Tag
+	return int(id) < len(e.State) && e.Tag != 0 && e.fam.In(e.State[id])
 }
 
 // RunRound executes one round of the family's protocol over the live

@@ -131,11 +131,12 @@ func (r *reference) pushSumRound(net *overlay.Network) {
 }
 
 // TestRoundMatchesReference holds each family's skeleton round to its
-// reference model bit for bit — every node's state and tag, and the
-// messages by kind — after every round, on a static overlay and on a
-// churned COW clone, each with and without a drop+lie fault policy. The
-// pinned hashes (TestRoundStatePinned) only say that a round moved;
-// this names the first node that differs.
+// reference model bit for bit — every node's membership (Participant
+// against the model's tag), every member's state, and the messages by
+// kind — after every round, on a static overlay and on a churned COW
+// clone, each with and without a drop+lie+NAT fault policy. The pinned
+// hashes (TestRoundStatePinned) only say that a round moved; this names
+// the first node that differs.
 func TestRoundMatchesReference(t *testing.T) {
 	const n, rounds = 2000, 20
 	models := map[string]struct {
@@ -163,7 +164,7 @@ func TestRoundMatchesReference(t *testing.T) {
 			for _, faulty := range []bool{false, true} {
 				net := mk()
 				if faulty {
-					net.SetFaultPolicy(fault.NewInjector(fault.Spec{Drop: 0.1, LieFrac: 0.2, LieScale: 3}, xrand.New(43)))
+					net.SetFaultPolicy(fault.NewInjector(fault.Spec{Drop: 0.1, LieFrac: 0.2, LieScale: 3, NATFrac: 0.2}, xrand.New(43)))
 				}
 				cfg := epidemic.Config{RoundsPerEpoch: rounds, Shards: 1, Workers: 1}
 				p := f.new(cfg, xrand.New(44))
@@ -179,18 +180,32 @@ func TestRoundMatchesReference(t *testing.T) {
 					model.round(ref, net)
 					where := f.name + ", " + oname
 					if faulty {
-						where += ", drop+lie"
+						where += ", drop+lie+NAT"
 					}
 					s := p.snap()
-					if len(s.tags) != net.Graph().NumIDs() {
-						t.Fatalf("%s, round %d: %d tags for %d ids", where, r, len(s.tags), net.Graph().NumIDs())
+					if len(s.member) != net.Graph().NumIDs() {
+						t.Fatalf("%s, round %d: %d states for %d ids", where, r, len(s.member), net.Graph().NumIDs())
 					}
-					for id := range s.tags {
+					for id, member := range s.member {
+						refMember := ref.tag[graph.NodeID(id)] == ref.epoch
+						if member != refMember {
+							t.Fatalf("%s, round %d: node %d member %v, reference %v", where, r, id, member, refMember)
+						}
+						if !member {
+							continue
+						}
 						want := ref.state[graph.NodeID(id)]
 						got := s.node(id)
-						if s.tags[id] != ref.tag[graph.NodeID(id)] || !sameBits(got, want[:s.perNode]) {
-							t.Fatalf("%s, round %d: node %d holds %v (tag %d), reference %v (tag %d)",
-								where, r, id, got, s.tags[id], want[:s.perNode], ref.tag[graph.NodeID(id)])
+						if !sameBits(got, want[:s.perNode]) {
+							t.Fatalf("%s, round %d: node %d holds %v, reference %v", where, r, id, got, want[:s.perNode])
+						}
+						// -0 marks a node outside the epoch; a member
+						// holding it anywhere is one sign flip from
+						// leaving.
+						for _, w := range got {
+							if epidemic.IsNegZero(w) {
+								t.Fatalf("%s, round %d: member %d holds -0: %v", where, r, id, got)
+							}
 						}
 					}
 					for _, kind := range []metrics.Kind{metrics.KindPush, metrics.KindPull} {

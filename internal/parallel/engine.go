@@ -49,7 +49,7 @@ type EngineConfig struct {
 }
 
 // Validate rejects out-of-range shard counts: the engine stamps
-// ownership into uint16 tags, so an unbounded count would overflow them.
+// ownership into one byte per key, so a larger count would overflow it.
 // It is the one home of the bound; the families and both CLIs wrap its
 // error with their own option name.
 func (c EngineConfig) Validate() error {
@@ -75,7 +75,7 @@ type Shard[D any] struct {
 	def    [][]D
 	// ownerOf is the round's shared ownership table (nil when the round
 	// runs on a single shard and every key is trivially owned).
-	ownerOf []uint16
+	ownerOf []uint8
 	// pair is the stream of the tournament meetings this shard hosts as
 	// their lower-numbered side, re-seeded in place for each meeting.
 	pair *xrand.Rand
@@ -193,7 +193,7 @@ type Sweep[D any] struct {
 // owns one.
 type RoundEngine[D any] struct {
 	order   []int32          // scratch: the round's keys in sweep order
-	ownerOf []uint16         // scratch: shard owning each key this round
+	ownerOf []uint8          // scratch: shard owning each key this round (one byte: MaxConfigShards)
 	shards  []Shard[D]       // scratch: per-shard state
 	hints   []prefetch.Batch // scratch: per-shard hint batches, made by the first hinted round
 	hinting bool             // this round calls Sweep.Hint (set, and N ≥ hintMinKeys)
@@ -260,14 +260,14 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	}
 
 	if k := sw.NumKeys; cap(e.ownerOf) < k {
-		e.ownerOf = make([]uint16, k+k/4)
+		e.ownerOf = make([]uint8, k+k/4)
 	}
 	e.ownerOf = e.ownerOf[:sw.NumKeys]
 	// Ownership prepass, parallel: each shard stamps the keys of its own
 	// segment (distinct entries, so no write is shared).
 	if err := ForEach(cfg.Workers, shards, func(s int) error {
 		for _, key := range e.order[s*n/shards : (s+1)*n/shards] {
-			e.ownerOf[key] = uint16(s)
+			e.ownerOf[key] = uint8(s)
 		}
 		return nil
 	}); err != nil {

@@ -314,7 +314,7 @@ func TestEngineGrowingSweepAmortizes(t *testing.T) {
 	rng := xrand.New(13)
 	cfg := EngineConfig{Shards: 4, Workers: 1}
 	var order *int32
-	var owner *uint16
+	var owner *uint8
 	orderRemakes, ownerRemakes := 0, 0
 	for r := 0; r < rounds; r++ {
 		f.vals = append(f.vals, float64(len(f.vals)))
@@ -629,12 +629,13 @@ func permutedBase(n int) []int32 {
 // of the hint group (63, 64, 65), span many groups with a ragged tail
 // (4097), go below the configured shard count (1 and 3: the count
 // clamps to N and the engine's remaining shard slots must stay idle),
-// and reach hintedN, where keys and payloads are hinted. Every case
-// runs with and without MergeEach.
+// and reach hintedN, where keys and payloads are hinted. MaxConfigShards
+// stamps the largest owner the one-byte ownership table holds (255).
+// Every case runs with and without MergeEach.
 func TestEngineMatchesNaiveReference(t *testing.T) {
 	for _, n := range []int{1, 3, 63, 64, 65, 4097, hintedN} {
 		base := permutedBase(n)
-		for _, shards := range []int{1, 2, 5, 16} {
+		for _, shards := range []int{1, 2, 5, 16, MaxConfigShards} {
 			for _, mergeEach := range []bool{false, true} {
 				tag := fmt.Sprintf("n=%d shards=%d mergeEach=%v", n, shards, mergeEach)
 				cfg := EngineConfig{Shards: shards, Workers: 4}

@@ -55,14 +55,16 @@ func Split(workers, width int) (outer, inner int) {
 // Shard sizing for intra-round sweeps: below MinShardNodes per shard
 // the per-node work is too cheap to amortize a goroutine, and past
 // MaxShards the ordered cross-shard fix-up passes start to dominate.
-// MaxConfigShards bounds even explicit settings: the sweeps stamp
-// ownership into uint16 tags and keep S×S deferral buckets, so an
-// unbounded shard count would overflow the tags (racing the sweep) long
-// after the buckets stopped making sense.
+// MaxConfigShards bounds even explicit settings: the engine stamps
+// ownership into one byte per key (a 1M-node table is 1 MB, so the
+// dependent load behind a visit's Owner lookup hits the cache more
+// often), so a larger count would overflow the byte and race the sweep. S×S
+// deferral buckets stopped making sense long before that; auto-sizing
+// stops at MaxShards.
 const (
 	MinShardNodes   = 4096
 	MaxShards       = 16
-	MaxConfigShards = 1024
+	MaxConfigShards = 256
 )
 
 // Shards resolves a protocol's Shards setting for a sweep over n items:

@@ -22,6 +22,7 @@ package pushsum
 
 import (
 	"errors"
+	"math"
 
 	"p2psize/internal/epidemic"
 	"p2psize/internal/graph"
@@ -60,8 +61,11 @@ var (
 	// ErrNoEpoch is returned by RunRound before the first StartEpoch.
 	ErrNoEpoch = errors.New("pushsum: RunRound before StartEpoch")
 	// family names push-sum to the epoch driver: the initiator starts an
-	// epoch with sum 1 and the epoch's entire weight mass of 1.
-	family = epidemic.Family[state]{Pkg: "pushsum", Name: "push-sum", ErrNoEpoch: ErrNoEpoch, ErrEmptyOverlay: ErrEmptyOverlay, Start: state{1, 1}}
+	// epoch with sum 1 and the epoch's entire weight mass of 1. A node
+	// outside the epoch holds (1, -0): the sum it joins with and a weight
+	// no member holds (members halve and add non-negative weights).
+	family = epidemic.Family[state]{Pkg: "pushsum", Name: "push-sum", ErrNoEpoch: ErrNoEpoch, ErrEmptyOverlay: ErrEmptyOverlay,
+		Start: state{1, 1}, Absent: state{1, math.Copysign(0, -1)}, In: in}
 )
 
 // New builds a Protocol; it panics on invalid configuration.
@@ -76,13 +80,15 @@ func NewEstimator(cfg Config, rng *xrand.Rand) *epidemic.Estimator[state, push] 
 	return epidemic.NewEstimator(&New(cfg, rng).Epoch)
 }
 
-// deliver credits a pushed half-pair to v, joining it first when it is
-// new to the epoch ("a node reached by a counting message with a new
-// tag" contributes its own sum of 1).
+// in reports whether a node's pair belongs to a member of the epoch.
+func in(st state) bool { return !epidemic.IsNegZero(st.weight) }
+
+// deliver credits a pushed half-pair to v. A node new to the epoch joins
+// by the same two adds ("a node reached by a counting message with a new
+// tag" contributes its own sum of 1): its Absent pair (1, -0) becomes
+// (1 + s, w), since -0 + w = w, and w, half a member's weight, is never
+// -0.
 func (p *Protocol) deliver(v graph.NodeID, s, w float64) {
-	if p.Tags[v] != p.Tag {
-		p.State[v], p.Tags[v] = state{sum: 1}, p.Tag
-	}
 	p.State[v].sum += s
 	p.State[v].weight += w
 }
@@ -113,15 +119,14 @@ func (p *Protocol) halve(u graph.NodeID) (s, w float64) {
 func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.FaultPolicy, dropP float64) parallel.Sweep[push] {
 	return parallel.Sweep[push]{
 		// The visitor's record comes with its own pair, which every
-		// visit reads. A delivery reads the target's pair.
+		// visit reads (its weight says whether it is a member). A
+		// delivery reads the target's pair.
 		Hint: func(b *prefetch.Batch, keys []graph.NodeID, prs []push) {
 			for _, u := range keys {
 				b.Add(g.RecordAddr(u))
-				b.Add(prefetch.Addr(p.Tags, int(u)))
 				b.Add(prefetch.Addr(p.State, int(u)))
 			}
 			for _, pr := range prs {
-				b.Add(prefetch.Addr(p.Tags, int(pr.v)))
 				b.Add(prefetch.Addr(p.State, int(pr.v)))
 			}
 		},
@@ -137,7 +142,7 @@ func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.Fault
 			// untouched.
 			lost := (dropP > 0 && rng.Bernoulli(dropP)) || (pol != nil && pol.Unreachable(v))
 			sh.Meters[0]++ // push sent
-			if p.Tags[u] != p.Tag {
+			if !in(p.State[u]) {
 				return nil
 			}
 			ds, dw := p.halve(u)
