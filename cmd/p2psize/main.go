@@ -70,7 +70,7 @@ func main() {
 		runs     = flag.Int("runs", 5, "estimations per algorithm")
 		smooth   = flag.Bool("smooth", false, "apply the last10runs heuristic")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential): estimation runs, or under -trace the replay groups and, inside each, the estimators due at a tick; output is identical at any setting")
+		workers  = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential): estimation runs, or under -trace the estimators due at a tick, after the one replay has advanced; output is identical at any setting")
 
 		estSel = flag.String("estimators", "", "select algorithms from the estimator registry (comma-separated names/aliases, \"all\", \"default\", or \"list\" to print the catalog); wins over -algo")
 

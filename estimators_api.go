@@ -171,7 +171,7 @@ func (w publicWrap) Estimate(o *overlay.Network) (float64, error) {
 // MutatesOverlay forwards the public estimator's own declaration when
 // it makes one (a MutatesOverlay() bool method), and otherwise reports
 // true — an undeclared estimator is conservatively assumed to rewire
-// the overlay, which keeps it on a private clone.
+// the overlay, which keeps it on a clone of its own.
 // Reporting false promises both that the overlay is only read and that
 // Estimate may run beside other observe-only estimators reading it.
 func (w publicWrap) MutatesOverlay() bool {
@@ -199,13 +199,18 @@ func toCore(e Estimator) core.Estimator {
 // An estimator type declares that it never rewires the overlay by
 // implementing MutatesOverlay() bool and returning false, which makes
 // it eligible for RunMonitor's shared-replay grouping (see
-// MonitorResult.Groups). Members of a shared group estimate
-// concurrently at each tick, each through its own *Network (own message
-// meter) over the one overlay, so the promise includes being safe
-// beside other observe-only estimators reading the same overlay: keep
-// all mutable state on the instance, none in package variables shared
-// between instances. A type without the method is assumed to mutate
-// and always monitors on a private clone.
+// MonitorResult.Groups). Observe-only estimators estimate concurrently
+// at each tick, each through its own *Network (own message meter) over
+// the one replayed overlay, so the promise includes being safe beside
+// other observe-only estimators reading the same overlay: keep all
+// mutable state on the instance, none in package variables shared
+// between instances. A type without the method is assumed to mutate:
+// RunMonitor replays the trace once whatever the roster, and hands such
+// an estimator a copy-on-write clone of the replayed overlay at each of
+// its ticks, which costs page pointers only and is dropped afterwards.
+// An estimate that writes that clone (through ApplyAdversary, say)
+// fails the run with an error, because every estimator of a run reads
+// the one replayed trajectory.
 type CustomEstimator struct {
 	// Name is the canonical selector. Required, unique.
 	Name string

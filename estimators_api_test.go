@@ -200,6 +200,58 @@ func TestRunMonitorPerEstimatorCadences(t *testing.T) {
 	}
 }
 
+// silencer writes the overlay it is handed through the public API:
+// every estimate silences a tenth of the peers (ApplyAdversary severs
+// their links) and reports the size. It declares nothing, so RunMonitor
+// treats it as a mutator.
+type silencer struct{}
+
+func (silencer) Name() string { return "silencer" }
+func (silencer) Estimate(n *Network) (float64, error) {
+	if _, _, err := n.ApplyAdversary(FaultOptions{SilentFrac: 0.1}, 9); err != nil {
+		return 0, err
+	}
+	return float64(n.Size()), nil
+}
+
+// TestRunMonitorRejectsAnOverlayWriter: an undeclared custom estimator
+// that only reads runs on its per-tick clones, while one that writes
+// them fails the run with an error naming it, at every worker count,
+// and leaves the network as it was.
+func TestRunMonitorRejectsAnOverlayWriter(t *testing.T) {
+	build := func() (*Network, *Trace) {
+		net, err := NewNetwork(NetworkOptions{Nodes: 600, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := GenerateTrace(TraceOptions{Nodes: 600, Horizon: 100, Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net, tr
+	}
+	net, tr := build()
+	res, err := RunMonitor(net, tr, []Estimator{truthByNameEstimator{}}, MonitorOptions{Cadence: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Groups() != 1 || res.Tracking(0).MAE != 0 {
+		t.Fatalf("an undeclared reader: %d groups, MAE %g", res.Groups(), res.Tracking(0).MAE)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		net, tr := build()
+		ests := []Estimator{mustEstimator(t, "hopssampling", EstimatorConfig{Seed: 5}), silencer{}, truthByNameEstimator{}}
+		_, err := RunMonitor(net, tr, ests, MonitorOptions{Cadence: 10, Workers: workers})
+		if err == nil || !strings.Contains(err.Error(), "silencer wrote the overlay at t=10") {
+			t.Fatalf("workers %d: err = %v, want the silencer's write at t=10", workers, err)
+		}
+		if net.Size() != 600 || net.LargestComponent() != 600 {
+			t.Fatalf("workers %d: the network changed: size %d, largest component %d",
+				workers, net.Size(), net.LargestComponent())
+		}
+	}
+}
+
 // TestGenerateTraceParallelWorkers pins the public parallel-generation
 // contract: any positive Workers value gives byte-identical traces.
 func TestGenerateTraceParallelWorkers(t *testing.T) {

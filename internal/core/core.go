@@ -26,10 +26,12 @@ type Estimator interface {
 // OverlayMutator is the optional capability interface an Estimator
 // implements to declare whether its Estimate calls mutate the overlay
 // graph (rewire links, as a deployed cyclon-backed epidemic family
-// would) or only observe it (walks, polls, probes). Read-only
-// estimators can share one overlay clone — and one trace replay — per
-// cadence group in the monitor's shared-replay mode, where the group's
-// members estimate concurrently at a tick, each on its own view. So
+// would) or only observe it (walks, polls, probes). A monitoring run
+// replays its trace once, on one overlay: read-only estimators estimate
+// concurrently at a tick, each on its own view of it, while a mutator
+// estimates on a copy-on-write clone of it taken at that tick and
+// dropped afterwards; an estimate that actually writes that clone
+// fails the run, since every estimator reads the one trajectory. So
 // reporting false promises two things: Estimate only reads the graph,
 // and it is safe beside other read-only estimators reading the same
 // graph — all mutable state lives on the estimator instance.

@@ -216,8 +216,8 @@ func (o *Estimator[S, D]) Name() string {
 
 // MutatesOverlay reports true (core.OverlayMutator): the epidemic class
 // is cyclon-backed in deployment, where every exchange rewires views —
-// the monitor must give it a private overlay clone even though the
-// simulated rounds here leave the graph untouched.
+// the monitor gives it a clone of the replayed overlay at each estimate,
+// which the simulated rounds here leave untouched.
 func (o *Estimator[S, D]) MutatesOverlay() bool { return true }
 
 // Estimate runs one full epoch and returns the initiator's estimate. An

@@ -173,6 +173,75 @@ func TestCloneCOWRemovedNodeCannotScribbleBase(t *testing.T) {
 	}
 }
 
+// TestCloneCOWUnwrittenPredicate holds Unwritten to what the monitor
+// rests its write check on: every mutator, from a fresh clone, flips
+// it, and no reader does. The base gives node 0 a full record (inlineCap
+// neighbours, so one more spills the list) and node 1 an already
+// spilled list.
+func TestCloneCOWUnwrittenPredicate(t *testing.T) {
+	base := Heterogeneous(3000, 10, xrand.New(4))
+	for _, hub := range []NodeID{0, 1} {
+		for v := NodeID(2000); base.Degree(hub) < inlineCap+int(hub); v++ {
+			base.AddEdge(hub, v)
+		}
+	}
+	if base.Degree(0) != inlineCap || base.Degree(1) <= inlineCap {
+		t.Fatalf("hub degrees %d, %d", base.Degree(0), base.Degree(1))
+	}
+	if base.Unwritten() {
+		t.Fatal("a graph that is not a clone reports itself unwritten")
+	}
+	edge := func(g *Graph) (NodeID, NodeID) { return 5, g.Neighbors(5)[0] }
+	nonEdge := func(g *Graph) (NodeID, NodeID) {
+		for v := NodeID(2500); ; v++ {
+			if !g.HasEdge(6, v) {
+				return 6, v
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		writes bool
+		op     func(g *Graph)
+	}{
+		{"AddNode", true, func(g *Graph) { g.AddNode() }},
+		{"AddEdge", true, func(g *Graph) { g.AddEdge(nonEdge(g)) }},
+		{"AddEdge spilling past inlineCap", true, func(g *Graph) {
+			u, v := NodeID(0), NodeID(2999)
+			if !g.AddEdge(u, v) || g.Degree(u) != inlineCap+1 {
+				t.Fatal("the edge did not spill the full record")
+			}
+		}},
+		{"AddEdge on a spilled list", true, func(g *Graph) { g.AddEdge(1, 2998) }},
+		{"RemoveEdge", true, func(g *Graph) { g.RemoveEdge(edge(g)) }},
+		{"RemoveNode", true, func(g *Graph) { g.RemoveNode(7) }},
+		{"WireUpTo", true, func(g *Graph) {
+			u := NodeID(8)
+			g.WireUpTo(u, g.Degree(u)+1, 20, xrand.New(5))
+		}},
+		{"RandomNeighbor", false, func(g *Graph) { g.RandomNeighbor(1, xrand.New(6)) }},
+		{"CopyAlive", false, func(g *Graph) { g.CopyAlive(make([]NodeID, g.NumAlive())) }},
+		{"DegreeSum", false, func(g *Graph) { g.DegreeSum([]NodeID{0, 1, 2}) }},
+		{"HasEdge", false, func(g *Graph) { g.HasEdge(edge(g)) }},
+		{"Neighbors", false, func(g *Graph) { g.Neighbors(1) }},
+		{"AliveAt", false, func(g *Graph) { g.AliveAt(g.NumAlive() - 1) }},
+		{"RecordAddr", false, func(g *Graph) { g.RecordAddr(9) }},
+		{"HintRemove", false, func(g *Graph) { g.HintRemove(1) }},
+	} {
+		c := base.CloneCOW()
+		if !c.Unwritten() {
+			t.Fatalf("%s: a fresh clone reports itself written", tc.name)
+		}
+		tc.op(c)
+		if got := !c.Unwritten(); got != tc.writes {
+			t.Errorf("%s: written = %v, want %v", tc.name, got, tc.writes)
+		}
+	}
+	if !base.CloneCOW().CloneCOW().Unwritten() {
+		t.Fatal("a fresh clone of a clone reports itself written")
+	}
+}
+
 func heapInUse() uint64 {
 	runtime.GC()
 	var m runtime.MemStats

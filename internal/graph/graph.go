@@ -393,6 +393,14 @@ func (g *Graph) SharedPages() int {
 	return g.nodes.sharedPages() + g.aliveIDs.sharedPages()
 }
 
+// Unwritten reports whether g is a CloneCOW clone that nothing has
+// written since it was cloned, so that it still holds exactly its base's
+// state. The answer is exact: every write owns its page first
+// (pages.slot, pages.append, and a spilled list only after its node's
+// record), so a clone that still shares every page has not been
+// written. A graph that is not a clone reports true only while empty.
+func (g *Graph) Unwritten() bool { return g.SharedPages() == g.TotalPages() }
+
 // TotalPages reports how many fixed-size pages the graph spans, the
 // denominator for SharedPages ratios.
 func (g *Graph) TotalPages() int {

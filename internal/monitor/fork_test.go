@@ -1,12 +1,12 @@
 package monitor
 
-// Tick-fork tests: inside a replay group the members due at a tick
-// estimate concurrently, each on a private view of the group's clone.
-// These pin what that must not change (every series and message count,
-// at every worker count, against the private-clone reference), that it
-// happens at all (two members inside Estimate at once), and what a view
-// keeps private (its counter and its fault-policy slot). CI runs them
-// under -race -count=10.
+// Tick-fork tests: the instances due at a tick estimate concurrently,
+// the read-only ones each on a private view of the trunk. These pin
+// what that must not change (every series and message count, at every
+// worker count, against the alone layout, where each instance reads a
+// clone of its own), that it happens at all (two members inside
+// Estimate at once), and what a view keeps private (its counter and its
+// fault-policy slot). CI runs them under -race -count=10.
 
 import (
 	"errors"
@@ -27,8 +27,8 @@ import (
 )
 
 // observeOnlyRoster is monitorRoster without the families that rewire
-// the overlay — the class replayGroups folds into one group and the
-// tick then forks.
+// the overlay — the class replayGroups counts as one group, all of it
+// on views of the trunk.
 func observeOnlyRoster(t *testing.T, seed uint64) []Instance {
 	t.Helper()
 	var ins []Instance
@@ -43,9 +43,9 @@ func observeOnlyRoster(t *testing.T, seed uint64) []Instance {
 	return ins
 }
 
-// TestTickForkBitEqualObserveOnlyFamilies: one private clone per
-// family, run inline, is the reference; the shared group must reproduce
-// it bit for bit whether its ticks run on one worker, two or eight.
+// TestTickForkBitEqualObserveOnlyFamilies: one clone per family, run
+// inline, is the reference; the shared group must reproduce it bit for
+// bit whether its ticks run on one worker, two or eight.
 func TestTickForkBitEqualObserveOnlyFamilies(t *testing.T) {
 	want, wantMsgs := runReplay(t, alone(observeOnlyRoster(t, 500)), 1)
 	for _, workers := range []int{1, 2, 8} {
@@ -176,7 +176,7 @@ func faultRoster(faulty bool) []Instance {
 }
 
 // TestTickForkFaultPolicyStaysOnItsView: a fault.Decorate'd member of a
-// shared group meters and estimates exactly as on a private clone, at
+// shared group meters and estimates exactly as on a clone of its own, at
 // every worker count, and its neighbours read exactly what they read
 // beside an undecorated one.
 func TestTickForkFaultPolicyStaysOnItsView(t *testing.T) {

@@ -20,16 +20,6 @@ import (
 	"p2psize/internal/overlay"
 )
 
-// liveGroup puts every instance in one group: a live overlay is one
-// real deployment, not a replayable simulation.
-func liveGroup(instances []Instance, _ []float64) [][]int {
-	all := make([]int, len(instances))
-	for k := range all {
-		all[k] = k
-	}
-	return [][]int{all}
-}
-
 // RunLive samples every instance on its own cadence against the shared
 // live overlay up to the horizon, on one goroutine: src (nil = static
 // membership) advances net itself, and the instances due at a tick then
@@ -40,12 +30,9 @@ func RunLive(instances []Instance, net *overlay.Network, src Timeline, horizon f
 	if !(horizon > 0) || math.IsInf(horizon, 1) {
 		return nil, fmt.Errorf("monitor: live horizon %g must be positive and finite", horizon)
 	}
-	res, err := sample(instances, cfg, horizon, net, liveGroup, func() (*overlay.Network, Timeline, error) {
+	// Not replayed: a live overlay is one real deployment, not a
+	// replayable simulation, so there is no clone and no replay.
+	return sample(instances, cfg, horizon, net, func() (*overlay.Network, Timeline, error) {
 		return net, src, nil
-	}, 1)
-	if err != nil {
-		return nil, err
-	}
-	res.Groups = 0 // no clone, no replay
-	return res, nil
+	}, false, 1)
 }

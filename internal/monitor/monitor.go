@@ -17,13 +17,18 @@
 // between its own samples an instance holds its last smoothed value,
 // aging visibly in the staleness series.
 //
-// Instances fan out on the deterministic worker pool in replay groups:
-// one overlay clone and one replay per cadence group of read-only
-// estimators, and one per estimator that mutates the overlay (see
-// replayGroups). Every group replays the identical membership
-// trajectory and walks the same union grid; inside a group the replay
-// runs alone and the members due at a tick then estimate concurrently
-// on private views of the clone. Results are byte-identical at every
+// A run replays its membership trajectory once, on one trunk: a
+// copy-on-write clone of the base overlay that the Timeline alone
+// writes, one grid tick at a time. The instances due at a tick then
+// estimate concurrently on the deterministic worker pool: read-only
+// ones on private views of the trunk, and each estimator that may
+// mutate the overlay on a COW clone of the trunk taken at that tick (a
+// copy of the page pointers), dropped after the estimate. An estimate
+// that writes its clone fails the run: one trajectory serves every
+// instance, so an estimator that changes the membership it measures
+// has no place in it. Runs still report replay groups (see
+// replayGroups): a cadence class of read-only estimators, or one
+// estimator that may mutate. Results are byte-identical at every
 // worker count.
 //
 // The package owns the only sampling loop in the tree (sample). What
@@ -164,7 +169,8 @@ type Result struct {
 	Horizon float64
 	// Times is the merged union of every instance's sample schedule.
 	Times []float64
-	// TrueSizes[i] is the real overlay size at Times[i].
+	// TrueSizes[i] is the real overlay size at Times[i]: the trunk's,
+	// which the timeline alone writes.
 	TrueSizes []float64
 	// Raw[k][i] is instance k's raw estimate at Times[i]: NaN both on
 	// failure and on grid ticks outside its own schedule.
@@ -183,10 +189,11 @@ type Result struct {
 	Restarts []int
 	// Messages[k] is instance k's total metered protocol traffic.
 	Messages []uint64
-	// Groups is the number of replay groups — overlay clones, replays —
-	// RunScheduled or RunScenario used: the number of read-only cadence
-	// classes plus one per mutating (or undeclared) instance. RunLive
-	// samples the live overlay (no clones, no replay) and leaves it 0.
+	// Groups is the number of replay groups RunScheduled or RunScenario
+	// counted (replayGroups): the number of read-only cadence classes
+	// plus one per mutating (or undeclared) instance. Every group reads
+	// the run's one replay. RunLive samples the live overlay (no clones,
+	// no replay) and leaves it 0.
 	Groups int
 }
 
@@ -401,121 +408,141 @@ type Timeline interface {
 	AdvanceTo(net *overlay.Network, t float64) error
 }
 
+// member is one instance's state across a sampling run.
+type member struct {
+	sched []float64 // its own sample times
+	next  int       // cursor into sched
+	sm    *smoother
+	// view is the instance's own view of the trunk, and its counter
+	// the instance's traffic there. It is nil for an instance that may
+	// mutate a replayed overlay, which estimates on a COW clone of the
+	// trunk taken at each due tick.
+	view *overlay.Network
+	// msgs totals the traffic metered on those per-tick clones; the
+	// view's counter is added at the end of the run.
+	msgs                     metrics.Counter
+	raw, smoothed, staleness []float64
+	scheduled, failures      int
+}
+
+// estimate is one member's answer at one tick. An estimator's error is
+// a counted failure of that member, not a failure of the run, so it
+// travels as a value past parallel.Map's own error channel.
+type estimate struct {
+	due   bool // the tick is on the member's own schedule
+	value float64
+	err   error
+}
+
+// estimateAt runs m's estimation at tick t if t is on its schedule. An
+// instance that may mutate the overlay estimates on a fresh COW clone
+// of the trunk (page pointers only), which is dropped afterwards; an
+// estimate that wrote it (graph.Unwritten, exact) is an error of the
+// run, not a failure of the instance.
+func (m *member) estimateAt(e core.Estimator, trunk *overlay.Network, t float64) (estimate, error) {
+	if m.next == len(m.sched) || m.sched[m.next] != t {
+		return estimate{}, nil
+	}
+	m.next++
+	if m.view != nil {
+		v, err := e.Estimate(m.view)
+		return estimate{due: true, value: v, err: err}, nil
+	}
+	clone := trunk.CloneCOW()
+	v, err := e.Estimate(clone)
+	m.msgs.Merge(clone.Counter())
+	if !clone.Graph().Unwritten() {
+		return estimate{}, fmt.Errorf("monitor: %s wrote the overlay at t=%g: every instance of a run reads one replayed trajectory, so an estimator may not change it",
+			e.Name(), t)
+	}
+	return estimate{due: true, value: v, err: err}, nil
+}
+
+// fold records m's outcome at tick t: its raw estimate (NaN off its
+// schedule and on failure), the value it serves and the age behind it.
+func (m *member) fold(e estimate, t float64) {
+	switch {
+	case !e.due:
+		m.raw = append(m.raw, math.NaN())
+	case e.err != nil:
+		m.scheduled++
+		m.failures++
+		m.raw = append(m.raw, math.NaN())
+	default:
+		m.scheduled++
+		m.sm.add(e.value, t)
+		m.raw = append(m.raw, e.value)
+	}
+	served, stale := m.sm.current(t)
+	m.smoothed = append(m.smoothed, served)
+	m.staleness = append(m.staleness, stale)
+}
+
 // sample is the sampling loop under RunScheduled, RunScenario and
-// RunLive. group partitions the instances (by index, given their
-// resolved cadences) and open supplies each group's overlay with the
-// Timeline that writes it; every instance then records the true size,
-// its served value and its staleness at every tick of the union grid,
-// but estimates only at its own scheduled times — so mixed cadences
-// stay directly comparable, point for point.
+// RunLive. open supplies the trunk — the one overlay the run's Timeline
+// writes — with that Timeline. replayed says the trunk is a clone the
+// run replays on; a live overlay (RunLive) is not, so every instance
+// reads and writes it through a view, and the run counts no replay
+// groups. Every instance records the true size, its served value and
+// its staleness at every tick of the union grid, but estimates only at
+// its own scheduled times — so mixed cadences stay directly comparable,
+// point for point.
 //
-// A tick is a fork-join inside each group. The timeline advances alone
-// — it is the only writer — and then every member due at that tick
-// estimates on its own View() of the group's overlay: the same paged
-// graph, a private metrics.Counter and a private fault-policy slot.
-// The members run through parallel.Map and their results are folded
-// into smoothers and series serially in member order, so nothing
-// depends on which finished first. Messages[k] is the total of instance
-// k's view counter — the same alone or in company, since the timeline
-// itself meters nothing — and the view counters are merged into net's
-// counter in group order, members in instance order.
-//
-// The worker budget is split once (parallel.Split): groups fan out as
-// wide as the budget allows, so at most workers group overlays are
-// alive at a time, and each group's ticks fork on the share that is
-// left. With workers == 1, and in every singleton group, each Estimate
-// runs inline on the group's goroutine, in member order.
+// A tick is one fork-join over every instance. The timeline advances
+// the trunk alone — it is the only writer, and it replays the trace
+// once per run — and then one parallel.Map runs the instances due at
+// that tick (member.estimateAt): read-only ones on views of the trunk
+// (the same paged graph, a private metrics.Counter and a private
+// fault-policy slot), and declared mutators on a COW clone of the
+// trunk. Their results are folded into smoothers and series serially
+// in instance order, so nothing depends on which finished first.
+// Messages[k] is the total of instance k's counters — the same alone
+// or in company, since the timeline itself meters nothing — and the
+// totals are merged into net's counter. With workers == 1 each
+// Estimate runs inline, in instance order.
 func sample(instances []Instance, cfg Config, horizon float64, net *overlay.Network,
-	group func([]Instance, []float64) [][]int,
-	open func() (*overlay.Network, Timeline, error), workers int) (*Result, error) {
+	open func() (trunk *overlay.Network, timeline Timeline, err error), replayed bool, workers int) (*Result, error) {
 	cadences, policies, schedules, err := resolveSchedules(instances, cfg, horizon)
 	if err != nil {
 		return nil, err
 	}
 	grid := unionGrid(schedules)
-	groups := group(instances, cadences)
-	groupWorkers, tickWorkers := parallel.Split(workers, len(groups))
-	type instOut struct {
-		raw       []float64
-		smoothed  []float64
-		staleness []float64
-		scheduled int
-		failures  int
-		restarts  int
-		counter   *metrics.Counter
-	}
-	type groupOut struct {
-		trueSizes []float64
-		insts     []instOut // parallel to the group's member list
-	}
-	// estimate is one member's answer at one tick. An estimator's error
-	// is a counted failure of that member, not a failure of the run, so
-	// it travels as a value past parallel.Map's own error channel.
-	type estimate struct {
-		due   bool // the tick is on the member's own schedule
-		value float64
-		err   error
-	}
-	outs, err := parallel.Map(groupWorkers, len(groups), func(gi int) (groupOut, error) {
-		members := groups[gi]
-		own, timeline, err := open()
-		if err != nil {
-			return groupOut{}, err
-		}
-		o := groupOut{insts: make([]instOut, len(members))}
-		views := make([]*overlay.Network, len(members))
-		sms := make([]*smoother, len(members))
-		next := make([]int, len(members)) // cursors into each member's own schedule
-		for mi, k := range members {
-			views[mi] = own.View()
-			o.insts[mi].counter = views[mi].Counter()
-			sms[mi] = newSmoother(policies[k])
-		}
-		for _, t := range grid {
-			if timeline != nil {
-				if err := timeline.AdvanceTo(own, t); err != nil {
-					return groupOut{}, fmt.Errorf("monitor: timeline at t=%g: %w", t, err)
-				}
-			}
-			o.trueSizes = append(o.trueSizes, float64(own.Size()))
-			// Fork: the overlay is quiescent until the next AdvanceTo, and
-			// index mi touches only member mi's cursor, view and estimator.
-			ests, _ := parallel.Map(tickWorkers, len(members), func(mi int) (estimate, error) {
-				k := members[mi]
-				if sched := schedules[k]; next[mi] == len(sched) || sched[next[mi]] != t {
-					return estimate{}, nil
-				}
-				next[mi]++
-				v, err := instances[k].Estimator.Estimate(views[mi])
-				return estimate{due: true, value: v, err: err}, nil
-			})
-			// Join: fold in member order.
-			for mi, e := range ests {
-				m := &o.insts[mi]
-				switch {
-				case !e.due:
-					m.raw = append(m.raw, math.NaN())
-				case e.err != nil:
-					m.scheduled++
-					m.failures++
-					m.raw = append(m.raw, math.NaN())
-				default:
-					m.scheduled++
-					sms[mi].add(e.value, t)
-					m.raw = append(m.raw, e.value)
-				}
-				served, stale := sms[mi].current(t)
-				m.smoothed = append(m.smoothed, served)
-				m.staleness = append(m.staleness, stale)
-			}
-		}
-		for mi := range members {
-			o.insts[mi].restarts = sms[mi].restarts
-		}
-		return o, nil
-	})
+	trunk, timeline, err := open()
 	if err != nil {
 		return nil, err
+	}
+	members := make([]member, len(instances))
+	for k, in := range instances {
+		members[k] = member{sched: schedules[k], sm: newSmoother(policies[k]),
+			raw:       make([]float64, 0, len(grid)),
+			smoothed:  make([]float64, 0, len(grid)),
+			staleness: make([]float64, 0, len(grid))}
+		// On a live overlay every instance estimates on a view of the
+		// trunk itself.
+		if !replayed || !core.MutatesOverlay(in.Estimator) {
+			members[k].view = trunk.View()
+		}
+	}
+	trueSizes := make([]float64, 0, len(grid))
+	for _, t := range grid {
+		if timeline != nil {
+			if err := timeline.AdvanceTo(trunk, t); err != nil {
+				return nil, fmt.Errorf("monitor: timeline at t=%g: %w", t, err)
+			}
+		}
+		trueSizes = append(trueSizes, float64(trunk.Size()))
+		// Fan out: the trunk is quiescent until the next AdvanceTo, and
+		// index k touches only member k's cursor, clone and estimator.
+		ests, err := parallel.Map(workers, len(members), func(k int) (estimate, error) {
+			return members[k].estimateAt(instances[k].Estimator, trunk, t)
+		})
+		if err != nil {
+			return nil, err
+		}
+		// Join: fold in instance order.
+		for k := range members {
+			members[k].fold(ests[k], t)
+		}
 	}
 	res := &Result{
 		Names:     make([]string, len(instances)),
@@ -525,39 +552,32 @@ func sample(instances []Instance, cfg Config, horizon float64, net *overlay.Netw
 		Scheduled: make([]int, len(instances)),
 		Horizon:   horizon,
 		Times:     grid,
+		TrueSizes: trueSizes,
 		Raw:       make([][]float64, len(instances)),
 		Smoothed:  make([][]float64, len(instances)),
 		Staleness: make([][]float64, len(instances)),
 		Failures:  make([]int, len(instances)),
 		Restarts:  make([]int, len(instances)),
 		Messages:  make([]uint64, len(instances)),
-		Groups:    len(groups),
 	}
-	res.TrueSizes = outs[0].trueSizes
-	for gi, o := range outs {
-		// Every group must have replayed the identical trajectory; a
-		// divergence means newRNG violated its contract. (Best-effort:
-		// the check sees sizes, which a scenario's rates fix in most
-		// cases even under a divergent rng.)
-		for i := range o.trueSizes {
-			if o.trueSizes[i] != outs[0].trueSizes[i] {
-				return nil, fmt.Errorf("monitor: replay diverged at group %d (instance %d), t=%g (%g != %g); newRNG must return identically seeded generators",
-					gi, groups[gi][0], res.Times[i], o.trueSizes[i], outs[0].trueSizes[i])
-			}
+	if replayed {
+		res.Groups = replayGroups(instances, cadences)
+	}
+	for k := range members {
+		m := &members[k]
+		res.Names[k] = instances[k].Estimator.Name()
+		res.Policies[k] = policies[k].normalized()
+		res.Scheduled[k] = m.scheduled
+		res.Raw[k] = m.raw
+		res.Smoothed[k] = m.smoothed
+		res.Staleness[k] = m.staleness
+		res.Failures[k] = m.failures
+		res.Restarts[k] = m.sm.restarts
+		if m.view != nil {
+			m.msgs.Merge(m.view.Counter())
 		}
-		for mi, k := range groups[gi] {
-			m := o.insts[mi]
-			res.Names[k] = instances[k].Estimator.Name()
-			res.Policies[k] = policies[k].normalized()
-			res.Scheduled[k] = m.scheduled
-			res.Raw[k] = m.raw
-			res.Smoothed[k] = m.smoothed
-			res.Staleness[k] = m.staleness
-			res.Failures[k] = m.failures
-			res.Restarts[k] = m.restarts
-			res.Messages[k] = m.counter.Total()
-			net.Counter().Merge(m.counter)
-		}
+		res.Messages[k] = m.msgs.Total()
+		net.Counter().Merge(&m.msgs)
 	}
 	return res, nil
 }
@@ -574,43 +594,42 @@ func (p tracePlayer) AdvanceTo(net *overlay.Network, t float64) error {
 	return nil
 }
 
-// RunScheduled replays the trace on copy-on-write clones of net (net is
-// the shared immutable base; each clone pays only for the churn it
-// replays) and samples every instance on its own cadence (see sample
-// for the tick). The result's time grid is the union of all instance
-// schedules.
+// RunScheduled replays the trace once, on a copy-on-write clone of net
+// (the trunk; net is the immutable base and is left unmutated, and the
+// trunk pays only for the churn it replays), and samples every instance
+// on its own cadence (see sample for the tick). The result's time grid
+// is the union of all instance schedules.
 //
-// Instances map onto clones by replay group: read-only instances
-// folded by cadence, mutating instances alone (see replayGroups) — a
-// group has two members only when all of them declare
-// MutatesOverlay() == false, which is what makes reading the one graph
-// side by side safe.
+// Instances are counted in replay groups — read-only instances folded
+// by cadence, mutating ones alone (see replayGroups) — but every group
+// reads the one replay: read-only instances estimate on views of the
+// trunk, side by side, which is safe because they all declare
+// MutatesOverlay() == false. An instance that mutates, or does not say,
+// estimates on a COW clone of the trunk taken at its tick, which costs
+// page pointers only; if its estimate wrote the clone the run fails.
 //
-// newRNG must return a fresh, identically seeded generator on every
-// call (it drives the replay's join wiring), so all clones see the
-// identical membership trajectory; replay determinism makes the
-// trajectory independent of where an instance's schedule stops along
-// the way. The overlay itself is left unmutated. Output is
-// byte-identical at every worker count.
+// newRNG is called once, for the generator that wires the replay's
+// joins. Output is byte-identical at every worker count, and to what
+// every instance produces in a run of its own.
 func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, cfg Config, newRNG func() *xrand.Rand, workers int) (*Result, error) {
-	return sample(instances, cfg, tr.Horizon, net, replayGroups, func() (*overlay.Network, Timeline, error) {
-		clone := net.CloneCOW()
-		player, err := trace.NewPlayer(tr, clone)
-		return clone, tracePlayer{player, newRNG()}, err
-	}, workers)
+	return sample(instances, cfg, tr.Horizon, net, func() (*overlay.Network, Timeline, error) {
+		trunk := net.CloneCOW()
+		player, err := trace.NewPlayer(tr, trunk)
+		return trunk, tracePlayer{player, newRNG()}, err
+	}, true, workers)
 }
 
 // RunScenario is RunScheduled on a step clock: the scenario's churn is
-// applied step by step (churn.Runner, built on newRNG() under the same
-// contract) and the horizon is its TotalSteps, so an instance on cadence
-// c estimates after steps c, 2c, ... — the "Estimation #" curves of the
+// applied step by step by one churn.Runner, built on newRNG() (called
+// once), and the horizon is its TotalSteps, so an instance on cadence c
+// estimates after steps c, 2c, ... — the "Estimation #" curves of the
 // paper's dynamic figures. Estimation failures record NaN and the run
 // continues: fragmented, shrunken overlays are precisely the regime the
 // dynamic comparison is about.
 func RunScenario(instances []Instance, net *overlay.Network, sc churn.Scenario, cfg Config, newRNG func() *xrand.Rand, workers int) (*Result, error) {
-	return sample(instances, cfg, float64(sc.TotalSteps), net, replayGroups, func() (*overlay.Network, Timeline, error) {
+	return sample(instances, cfg, float64(sc.TotalSteps), net, func() (*overlay.Network, Timeline, error) {
 		return net.CloneCOW(), churn.NewRunner(sc, newRNG()), nil
-	}, workers)
+	}, true, workers)
 }
 
 // MAE returns instance k's mean absolute tracking error |served − true|

@@ -1,11 +1,11 @@
 package monitor
 
-// Shared-replay tests: folding read-only cadence classes onto one clone
-// must be a pure layout change — series, metrics and message
-// attribution byte-identical to the same instances on private clones
-// (the alone reference below), across worker counts and seeds — while
-// actually sharing (group accounting and allocation-footprint
-// assertions).
+// Shared-replay tests: folding read-only cadence classes onto views of
+// the trunk must be a pure layout change — series, metrics and message
+// attribution byte-identical to the same instances each on a COW clone
+// of its own (the alone layout below), across worker counts and seeds —
+// while actually sharing (group accounting and allocation-footprint
+// assertions against solo runs, which replay once per instance).
 
 import (
 	"math"
@@ -33,14 +33,15 @@ func (e roTruth) Estimate(net *overlay.Network) (float64, error) {
 }
 func (roTruth) MutatesOverlay() bool { return false }
 
-// private is the test-only reference layout: it declares its estimator
-// mutating, so replayGroups gives it a clone and a replay of its own in
-// the same run, on the same grid.
+// private is the test-only second layout: it declares its estimator
+// mutating, so replayGroups gives it a group of its own and the tick a
+// COW clone of the trunk to estimate on, in the same run, on the same
+// grid. No estimator below writes its clone.
 type private struct{ core.Estimator }
 
 func (private) MutatesOverlay() bool { return true }
 
-// alone puts every instance on a private clone.
+// alone puts every instance on a clone of its own.
 func alone(instances []Instance) []Instance {
 	for k := range instances {
 		instances[k].Estimator = private{instances[k].Estimator}
@@ -132,17 +133,23 @@ func assertSameResult(t *testing.T, want, got *Result) {
 	}
 }
 
-// TestSharedReplayBitEqualAllFamilies is the tentpole's equivalence
-// proof over the real catalog: every monitoring-capable family runs
-// grouped and alone, and every per-instance series, metric and message
-// count must be bitwise identical — shared replay is a memory layout,
-// never an output change.
+// TestSharedReplayBitEqualAllFamilies is the equivalence proof over the
+// real catalog: every monitoring-capable family runs grouped, alone and
+// in solo runs, and every per-instance series, metric and message count
+// must be bitwise identical — shared replay is a memory layout, never
+// an output change.
 func TestSharedReplayBitEqualAllFamilies(t *testing.T) {
 	perRes, perMsgs := runReplay(t, alone(monitorRoster(t, 400)), 4)
 	shRes, shMsgs := runReplay(t, monitorRoster(t, 400), 4)
 	assertSameResult(t, perRes, shRes)
 	if perMsgs != shMsgs {
 		t.Fatalf("merged base-counter totals diverged: %d != %d", shMsgs, perMsgs)
+	}
+	solo, soloMsgs := soloRuns(t, func() []Instance { return monitorRoster(t, 400) },
+		func(ins []Instance) (*Result, uint64) { return runReplay(t, ins, 1) })
+	assertSameResult(t, solo, shRes)
+	if soloMsgs != shMsgs {
+		t.Fatalf("merged totals %d vs %d over solo runs", shMsgs, soloMsgs)
 	}
 	if perRes.Groups != len(perRes.Names) {
 		t.Fatalf("the alone reference used %d groups for %d instances", perRes.Groups, len(perRes.Names))
@@ -297,11 +304,24 @@ func monitorAllocDelta(t *testing.T, net *overlay.Network, tr *trace.Trace, inst
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// soloAllocDelta is the expensive arm of the footprint tests: every
+// instance in a run of its own, so a replay and a trunk per instance.
+func soloAllocDelta(t *testing.T, net *overlay.Network, tr *trace.Trace, instances []Instance) uint64 {
+	t.Helper()
+	var sum uint64
+	for k := range instances {
+		sum += monitorAllocDelta(t, net, tr, instances[k:k+1])
+	}
+	return sum
+}
+
 // TestMonitorFootprintSharedGroups asserts the memory claim directly:
-// six read-only instances on one cadence allocate a small fraction of
-// what they do on private clones — one clone's replay churn instead of
-// six. Zero-cost truth estimators keep estimator allocations
-// out of the measurement.
+// six read-only instances in one run allocate a small fraction of what
+// they do in six solo runs — one replay's churn instead of six. A
+// declared mutator that never writes costs its tick clones' page
+// pointers and nothing more: beside a read-only instance it allocates
+// within 10 % of a second read-only one. Zero-cost truth estimators
+// keep estimator allocations out of the measurement.
 func TestMonitorFootprintSharedGroups(t *testing.T) {
 	const n = 20000
 	net := testNet(n, 60)
@@ -321,18 +341,24 @@ func TestMonitorFootprintSharedGroups(t *testing.T) {
 		}
 		return ins
 	}
-	perAlloc := monitorAllocDelta(t, net, tr, alone(mk()))
+	soloAlloc := soloAllocDelta(t, net, tr, mk())
 	shAlloc := monitorAllocDelta(t, net, tr, mk())
-	if shAlloc*10 >= perAlloc*7 {
-		t.Fatalf("shared replay allocated %d bytes vs %d alone; want < 70%%", shAlloc, perAlloc)
+	if shAlloc*10 >= soloAlloc*7 {
+		t.Fatalf("shared replay allocated %d bytes vs %d in solo runs; want < 70%%", shAlloc, soloAlloc)
+	}
+	twoRO := monitorAllocDelta(t, net, tr, []Instance{{Estimator: roTruth{"ro"}}, {Estimator: roTruth{"ro"}}})
+	withMut := monitorAllocDelta(t, net, tr, []Instance{{Estimator: roTruth{"ro"}}, {Estimator: &mutatingTruth{}}})
+	if withMut*10 > twoRO*11 {
+		t.Fatalf("a declared, non-writing mutator beside a read-only instance allocated %d bytes vs %d for two read-only; want within 10%%",
+			withMut, twoRO)
 	}
 }
 
 // TestSharedCloneFootprint1M is the paper-scale version of the
-// footprint claim: at one million nodes, clone memory must scale with
-// replay groups, not instances. Named outside the targeted -race
-// patterns on purpose — a million-node replay under the race detector
-// buys nothing the 20k test does not already prove.
+// footprint claim: at one million nodes, replay memory must scale with
+// runs, not instances. Named outside the targeted -race patterns on
+// purpose — a million-node replay under the race detector buys nothing
+// the 20k test does not already prove.
 func TestSharedCloneFootprint1M(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-node footprint test skipped in -short mode")
@@ -357,13 +383,13 @@ func TestSharedCloneFootprint1M(t *testing.T) {
 		}
 		return ins
 	}
-	perAlloc := monitorAllocDelta(t, net, tr, alone(mk()))
+	soloAlloc := soloAllocDelta(t, net, tr, mk())
 	shAlloc := monitorAllocDelta(t, net, tr, mk())
-	// Four instances, one group: the shared run must land well under
-	// half the private-clone bill (the residue is the shared replay
+	// Four instances, one replay: the shared run must land well under
+	// half the bill of four solo runs (the residue is the one replay
 	// itself plus per-instance series bookkeeping).
-	if shAlloc*2 >= perAlloc {
-		t.Fatalf("1M shared replay allocated %d bytes vs %d alone; want < 50%%", shAlloc, perAlloc)
+	if shAlloc*2 >= soloAlloc {
+		t.Fatalf("1M shared replay allocated %d bytes vs %d in solo runs; want < 50%%", shAlloc, soloAlloc)
 	}
 }
 

@@ -111,7 +111,7 @@ func init() {
 		SupportsTransport:  true,
 		InDefaultSet:       true,
 		// Cyclon-backed in deployment: exchanges rewire views, so the
-		// shared-replay monitor keeps it on a private clone.
+		// shared-replay monitor keeps it on a clone of its own.
 		StreamOffset: 13,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
 			cfg := aggregation.Default()
@@ -172,7 +172,7 @@ func init() {
 		SupportsDynamic:    true,
 		SupportsMonitoring: true,
 		SupportsTransport:  true,
-		// Same cyclon-backed epidemic class as aggregation: private clone.
+		// Same cyclon-backed epidemic class as aggregation: a clone of its own.
 		StreamOffset: 16,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
 			cfg := pushsum.Default()

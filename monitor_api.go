@@ -60,12 +60,11 @@ type MonitorOptions struct {
 	// the grouping RunMonitor now always applies (see Groups); both
 	// produced bit-identical results.
 	Replay string
-	// Workers is the run's goroutine budget (0 = all CPUs): replay
-	// groups fan out min(Workers, groups) wide, so at most Workers
-	// overlay clones are alive at a time, and the members of each group
-	// estimate concurrently at a tick on the share that is left. 1 runs
-	// everything inline on the caller's goroutine. Output is identical
-	// at every setting.
+	// Workers is the run's goroutine budget (0 = all CPUs): the
+	// estimators due at a tick estimate concurrently on up to Workers
+	// goroutines, after the replay has advanced alone. 1 runs everything
+	// inline on the caller's goroutine. Output is identical at every
+	// setting.
 	Workers int
 }
 
@@ -108,12 +107,15 @@ func (r *MonitorResult) TrueSizes() []float64 { return r.res.TrueSizes }
 // Names returns the estimator names, in instance order.
 func (r *MonitorResult) Names() []string { return r.res.Names }
 
-// Groups returns how many replay groups the run used: one clone and
-// one trace replay per group. Observe-only estimators sharing a cadence
-// share a group, so replay work and clone memory are O(groups), not
-// O(estimators); an estimator that may rewire the overlay — including
-// any custom estimator that does not declare otherwise — is a group of
-// its own.
+// Groups returns how many replay groups the run counted: observe-only
+// estimators sharing a cadence share a group, and an estimator that may
+// rewire the overlay — including any custom estimator that does not
+// declare otherwise — is a group of its own. The run replays the trace
+// once whatever the count: observe-only estimators read views of the
+// one replayed overlay, and an estimator that may rewire it estimates
+// on a per-tick copy-on-write clone of it (page pointers only). An
+// estimate that actually writes its clone fails the run: every
+// estimator of a run reads the one replayed trajectory.
 func (r *MonitorResult) Groups() int { return r.res.Groups }
 
 // check validates an instance index before it reaches the internal
@@ -169,15 +171,14 @@ func (r *MonitorResult) String() string {
 	return b.String()
 }
 
-// RunMonitor replays the trace on clones of net — one per group of
-// observe-only estimators on a common cadence, one per estimator that
-// may rewire the overlay (see Groups) — and samples every estimator
-// each opts.Cadence time units under the chosen smoothing policy. The
-// network must hold exactly tr.InitialNodes() peers. Groups fan out
-// across a worker pool and the members of a group estimate concurrently
-// at each tick; equal seeds give byte-identical results at every worker
-// count. The network itself is left unmutated, with all metered traffic
-// merged into Messages().
+// RunMonitor replays the trace once, on a copy-on-write clone of net,
+// and samples every estimator each opts.Cadence time units under the
+// chosen smoothing policy (see Groups for how estimators that may
+// rewire the overlay are kept apart). The network must hold exactly
+// tr.InitialNodes() peers. The estimators due at a tick estimate
+// concurrently on a worker pool; equal seeds give byte-identical
+// results at every worker count. The network itself is left unmutated,
+// with all metered traffic merged into Messages().
 func RunMonitor(net *Network, tr *Trace, estimators []Estimator, opts MonitorOptions) (*MonitorResult, error) {
 	if net == nil {
 		return nil, errors.New("p2psize: RunMonitor needs a network")
