@@ -164,7 +164,20 @@ func (w coreWrap) MutatesOverlay() bool { return core.MutatesOverlay(w.e) }
 type publicWrap struct{ e Estimator }
 
 func (w publicWrap) Name() string { return w.e.Name() }
-func (w publicWrap) Estimate(o *overlay.Network) (float64, error) {
+
+// Estimate hands the estimator a read-only Network over o: a churn
+// method called on it writes nothing and comes back as this estimate's
+// error, which wraps core.ErrReadOnly (a monitoring run fails on it).
+func (w publicWrap) Estimate(o *overlay.Network) (est float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			method, ok := r.(readOnlyWrite)
+			if !ok {
+				panic(r)
+			}
+			est, err = 0, fmt.Errorf("%s called Network.%s inside Estimate: %w", w.e.Name(), string(method), core.ErrReadOnly)
+		}
+	}()
 	return w.e.Estimate(&Network{net: o})
 }
 
@@ -210,7 +223,11 @@ func toCore(e Estimator) core.Estimator {
 // its ticks, which costs page pointers only and is dropped afterwards.
 // An estimate that writes that clone (through ApplyAdversary, say)
 // fails the run with an error, because every estimator of a run reads
-// the one replayed trajectory.
+// the one replayed trajectory. The Network an Estimate is handed is
+// read-only besides: its churn methods (Join, JoinMany, LeaveRandom,
+// LeaveFraction) change nothing and fail the estimate with an error
+// wrapping the refusal, which fails a RunMonitor run and a RunParallel
+// call alike.
 type CustomEstimator struct {
 	// Name is the canonical selector. Required, unique.
 	Name string

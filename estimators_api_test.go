@@ -214,10 +214,32 @@ func (silencer) Estimate(n *Network) (float64, error) {
 	return float64(n.Size()), nil
 }
 
+// churner calls one of the Network's churn methods inside Estimate,
+// where the Network is read-only. It declares itself observe-only, so
+// RunMonitor hands it a view of the one replayed overlay.
+type churner struct{ method string }
+
+func (churner) Name() string         { return "churner" }
+func (churner) MutatesOverlay() bool { return false }
+func (c churner) Estimate(n *Network) (float64, error) {
+	switch c.method {
+	case "Join":
+		n.Join()
+	case "JoinMany":
+		n.JoinMany(3)
+	case "LeaveRandom":
+		n.LeaveRandom()
+	default:
+		n.LeaveFraction(0.5)
+	}
+	return float64(n.Size()), nil
+}
+
 // TestRunMonitorRejectsAnOverlayWriter: an undeclared custom estimator
 // that only reads runs on its per-tick clones, while one that writes
 // them fails the run with an error naming it, at every worker count,
-// and leaves the network as it was.
+// and leaves the network as it was. So does one that calls a churn
+// method of its read-only Network, through RunMonitor and RunParallel.
 func TestRunMonitorRejectsAnOverlayWriter(t *testing.T) {
 	build := func() (*Network, *Trace) {
 		net, err := NewNetwork(NetworkOptions{Nodes: 600, Seed: 3})
@@ -248,6 +270,21 @@ func TestRunMonitorRejectsAnOverlayWriter(t *testing.T) {
 		if net.Size() != 600 || net.LargestComponent() != 600 {
 			t.Fatalf("workers %d: the network changed: size %d, largest component %d",
 				workers, net.Size(), net.LargestComponent())
+		}
+		for _, method := range []string{"Join", "JoinMany", "LeaveRandom", "LeaveFraction"} {
+			want := "churner called Network." + method + " inside Estimate"
+			net, tr := build()
+			_, err := RunMonitor(net, tr, []Estimator{truthByNameEstimator{}, churner{method}}, MonitorOptions{Cadence: 10, Workers: workers})
+			if err == nil || !strings.Contains(err.Error(), "at t=10: "+want) {
+				t.Fatalf("workers %d: RunMonitor err = %v, want %q at t=10", workers, err, want)
+			}
+			_, err = RunParallel(func(int) Estimator { return churner{method} }, net, 4, workers)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("workers %d: RunParallel err = %v, want %q", workers, err, want)
+			}
+			if net.Size() != 600 || net.LargestComponent() != 600 {
+				t.Fatalf("workers %d, %s: the network changed", workers, method)
+			}
 		}
 	}
 }

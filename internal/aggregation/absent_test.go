@@ -6,46 +6,10 @@ import (
 
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
+	"p2psize/internal/model"
 	"p2psize/internal/overlay"
 	"p2psize/internal/xrand"
 )
-
-// tagged is a node as the tagged rule held it: a value, and whether the
-// node's epoch tag was the current epoch's.
-type tagged struct {
-	v  float64
-	in bool
-}
-
-// taggedExchange is exchange as it was written over a separate epoch-tag
-// vector, kept verbatim as the reference: nothing happens unless an
-// endpoint participates, a new endpoint joins with 0, and under a
-// policy the averages are scaled by the liars' factors.
-func taggedExchange(x []tagged, u, v graph.NodeID, pol overlay.FaultPolicy, fate uint8) {
-	if fate&fatePushLost != 0 {
-		return
-	}
-	if !x[u].in && !x[v].in {
-		return
-	}
-	if !x[u].in {
-		x[u] = tagged{0, true}
-	}
-	if !x[v].in {
-		x[v] = tagged{0, true}
-	}
-	vu, vv := x[u].v, x[v].v
-	if pol == nil {
-		avg := (vu + vv) / 2
-		x[u].v = avg
-		x[v].v = avg
-		return
-	}
-	x[v].v = (pol.ReportScale(u)*vu + vv) / 2
-	if fate&fatePullLost == 0 {
-		x[u].v = (vu + pol.ReportScale(v)*vv) / 2
-	}
-}
 
 // lyingPolicy is a fault policy under which liar scales the values it
 // reports by scale; it drops nothing and reaches everyone (drops and
@@ -72,15 +36,15 @@ func twoNodes() *overlay.Network {
 	return overlay.New(g, 10, nil)
 }
 
-// TestAbsentArithmetic holds the sign-bit membership rule to the tagged
-// rule it replaced, bit for bit. The absent state is what the epoch
+// TestAbsentArithmetic holds the sign-bit membership rule to the
+// model's exchange (internal/model), membership in a map, bit for bit. The absent state is what the epoch
 // driver gives a node outside a fresh epoch after a first epoch made
 // every node a member. Every pair of states from {+0, absent (-0), the
 // smallest subnormal, 0.5, 1, 1e308} is exchanged on the benign path,
 // and under a policy with every fate (a drop loses the push or the
 // pull; a NAT'd target loses the push) and no liar, u lying x3 or v
 // lying x3. After each exchange both nodes' membership must agree with
-// the reference, and so must a member's value.
+// the model, and so must a member's value.
 func TestAbsentArithmetic(t *testing.T) {
 	net := twoNodes()
 	p := New(Default(), xrand.New(1))
@@ -104,13 +68,14 @@ func TestAbsentArithmetic(t *testing.T) {
 	if math.Float64bits(absent) != math.Float64bits(math.Copysign(0, -1)) {
 		t.Fatalf("a node outside the epoch holds %v, want -0", absent)
 	}
-	// The reference's absent node holds an old epoch's leftovers, which
-	// the tagged rule never read.
-	toTagged := func(x float64) tagged {
-		if math.Float64bits(x) == math.Float64bits(absent) {
-			return tagged{0.75, false}
+	toModel := func(a, b float64) *model.Epoch {
+		e := &model.Epoch{State: map[graph.NodeID][2]float64{}}
+		for id, x := range []float64{a, b} {
+			if math.Float64bits(x) != math.Float64bits(absent) {
+				e.State[graph.NodeID(id)] = [2]float64{x}
+			}
 		}
-		return tagged{x, true}
+		return e
 	}
 	table := []float64{0, absent, math.SmallestNonzeroFloat64, 0.5, 1, 1e308}
 	allFates := []uint8{0, fatePullLost, fatePushLost, fatePushLost | fatePullLost}
@@ -130,14 +95,16 @@ func TestAbsentArithmetic(t *testing.T) {
 				for _, b := range table {
 					p.pol = path.pol
 					p.State[0], p.State[1] = a, b
-					ref := []tagged{toTagged(a), toTagged(b)}
+					ref := toModel(a, b)
 					p.exchange(0, 1, fate)
-					taggedExchange(ref, 0, 1, path.pol, fate)
+					if fate&fatePushLost == 0 {
+						ref.Exchange(path.pol, 0, 1, fate&fatePullLost != 0)
+					}
 					for id := graph.NodeID(0); id < 2; id++ {
-						got, want := p.State[id], ref[id]
-						if p.Participant(id) != want.in || want.in && math.Float64bits(got) != math.Float64bits(want.v) {
-							t.Fatalf("%s, fate %b, (%v, %v): node %d holds %v (member %v), reference %v (member %v)",
-								path.name, fate, a, b, id, got, p.Participant(id), want.v, want.in)
+						want, in := ref.State[id]
+						if got := p.State[id]; p.Participant(id) != in || in && math.Float64bits(got) != math.Float64bits(want[0]) {
+							t.Fatalf("%s, fate %b, (%v, %v): node %d holds %v (member %v), model %v (member %v)",
+								path.name, fate, a, b, id, got, p.Participant(id), want[0], in)
 						}
 					}
 				}

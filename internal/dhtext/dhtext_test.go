@@ -183,3 +183,25 @@ func TestConfigValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestDegenerateInputs: a clone all but one peer left, and one emptied,
+// give a finite estimate or an error — never a panic or a NaN.
+func TestDegenerateInputs(t *testing.T) {
+	net := hetNet(300, 43).CloneCOW()
+	rng := xrand.New(44)
+	e := New(Default(), xrand.New(45))
+	for net.Size() > 0 {
+		est, err := e.Estimate(net)
+		if err != nil || math.IsNaN(est) || math.IsInf(est, 0) || est <= 0 {
+			t.Fatalf("n=%d: estimate %v err %v", net.Size(), est, err)
+		}
+		if net.Size() == 1 {
+			net.Leave(net.Graph().AliveAt(0))
+		} else {
+			net.LeaveRandom(rng)
+		}
+	}
+	if _, err := e.Estimate(net); err != ErrEmptyOverlay {
+		t.Fatalf("emptied clone: err %v, want ErrEmptyOverlay", err)
+	}
+}

@@ -336,3 +336,45 @@ func (e *Estimator) EstimateWithOracleDistances(net *overlay.Network, initiator 
 	est, _, _ := e.collect(net, initiator)
 	return est, nil
 }
+
+// TestDegenerateInputs: the staged loops on overlays smaller than one
+// block, an isolated initiator, and a clone all but one peer left give a
+// finite estimate or an error — never a panic or a NaN.
+func TestDegenerateInputs(t *testing.T) {
+	check := func(label string, net *overlay.Network) {
+		t.Helper()
+		e := New(Default(), xrand.New(41))
+		for call := 0; call < 3; call++ {
+			est, err := e.Estimate(net)
+			if err == nil && (math.IsNaN(est) || math.IsInf(est, 0) || est < 1) {
+				t.Fatalf("%s: estimate %v", label, est)
+			}
+		}
+	}
+	check("n=1", hetNet(1, 1))
+	check("n=2", hetNet(2, 1))
+	check(fmt.Sprintf("n=%d", stageBlock-1), hetNet(stageBlock-1, 1))
+	check(fmt.Sprintf("n=%d", stageBlock+1), hetNet(stageBlock+1, 1))
+
+	g := graph.NewWithNodes(stageBlock + 3)
+	g.AddEdge(1, 2)
+	iso := overlay.New(g, 10, nil)
+	if est, d, err := New(Default(), xrand.New(42)).EstimateFrom(iso, 0); err != nil || est != 1 || d.Reached != 1 {
+		t.Fatalf("isolated initiator: est %v reached %d err %v, want 1/1", est, d.Reached, err)
+	}
+
+	lone := hetNet(300, 43).CloneCOW()
+	rng := xrand.New(44)
+	for lone.Size() > 1 {
+		lone.LeaveRandom(rng)
+	}
+	check("all but one left", lone)
+	if est, err := New(Default(), xrand.New(45)).Estimate(lone); err != nil || est != 1 {
+		t.Fatalf("lone survivor: est %v err %v, want 1", est, err)
+	}
+	none := hetNet(1, 1).CloneCOW()
+	none.Leave(0)
+	if _, err := New(Default(), xrand.New(46)).Estimate(none); err == nil {
+		t.Fatal("empty clone: no error")
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"p2psize/internal/graph"
+	"p2psize/internal/model"
 	"p2psize/internal/overlay"
 	"p2psize/internal/xrand"
 )
@@ -230,30 +231,11 @@ func TestSampleCollideRejectsBadTimer(t *testing.T) {
 	}
 }
 
-// refTimedWalk is timedWalk with the timer spelled out as the literal
-// t -= rng.Exp(degree) loop.
-func refTimedWalk(net *overlay.Network, m Model, initiator graph.NodeID, T float64, rng *xrand.Rand) (graph.NodeID, float64) {
-	cur, ok := net.RandomNeighbor(initiator, rng)
-	if !ok {
-		return initiator, 0
-	}
-	delay := m.Delay(initiator, cur)
-	t := T
-	for {
-		t -= rng.Exp(float64(net.Degree(cur)))
-		if t <= 0 {
-			return cur, delay
-		}
-		next, _ := net.RandomNeighbor(cur, rng)
-		delay += m.Delay(cur, next)
-		cur = next
-	}
-}
-
 // TestTimedWalkMatchesLiteralTimer: the countdown-driven walk returns
-// the literal loop's sample and delay and leaves the generator where it
-// does, at the paper's T and at a T short enough to end most walks on
-// their first hop.
+// the sample and delay of the model's walk with the literal
+// t -= Exp(degree) timer and leaves the generator where it does, at the
+// paper's T and at a T short enough to end most walks on their first
+// hop.
 func TestTimedWalkMatchesLiteralTimer(t *testing.T) {
 	net := hetNet(500, 20)
 	m := NewEuclidean(net.Graph().NumIDs(), 0.01, xrand.New(21))
@@ -263,7 +245,11 @@ func TestTimedWalkMatchesLiteralTimer(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			from := graph.NodeID(i % 500)
 			s, d := timedWalk(net, m, from, T, rng, &timer)
-			ws, wd := refTimedWalk(net, m, from, T, ref)
+			wd := 0.0
+			ws, _ := model.Walk(net, from, T, ref, func(cur, next graph.NodeID) graph.NodeID {
+				wd += m.Delay(cur, next)
+				return next
+			})
 			if s != ws || d != wd || *rng != *ref {
 				t.Fatalf("T=%g walk %d: got (%d, %g), literal timer (%d, %g), same generator state %v", T, i, s, d, ws, wd, *rng == *ref)
 			}

@@ -436,24 +436,29 @@ type estimate struct {
 
 // estimateAt runs m's estimation at tick t if t is on its schedule. An
 // instance that may mutate the overlay estimates on a fresh COW clone
-// of the trunk (page pointers only), which is dropped afterwards; an
-// estimate that wrote it (graph.Unwritten, exact) is an error of the
-// run, not a failure of the instance.
+// of the trunk (page pointers only), which is dropped afterwards. An
+// estimate that wrote it (graph.Unwritten, exact), or that a read-only
+// public Network refused a churn call (core.ErrReadOnly), is an error
+// of the run, not a failure of the instance.
 func (m *member) estimateAt(e core.Estimator, trunk *overlay.Network, t float64) (estimate, error) {
 	if m.next == len(m.sched) || m.sched[m.next] != t {
 		return estimate{}, nil
 	}
 	m.next++
-	if m.view != nil {
-		v, err := e.Estimate(m.view)
-		return estimate{due: true, value: v, err: err}, nil
+	net := m.view
+	if net == nil {
+		net = trunk.CloneCOW()
 	}
-	clone := trunk.CloneCOW()
-	v, err := e.Estimate(clone)
-	m.msgs.Merge(clone.Counter())
-	if !clone.Graph().Unwritten() {
-		return estimate{}, fmt.Errorf("monitor: %s wrote the overlay at t=%g: every instance of a run reads one replayed trajectory, so an estimator may not change it",
-			e.Name(), t)
+	v, err := e.Estimate(net)
+	if m.view == nil {
+		m.msgs.Merge(net.Counter())
+		if !net.Graph().Unwritten() {
+			return estimate{}, fmt.Errorf("monitor: %s wrote the overlay at t=%g: every instance of a run reads one replayed trajectory, so an estimator may not change it",
+				e.Name(), t)
+		}
+	}
+	if errors.Is(err, core.ErrReadOnly) {
+		return estimate{}, fmt.Errorf("monitor: at t=%g: %w", t, err)
 	}
 	return estimate{due: true, value: v, err: err}, nil
 }

@@ -2,6 +2,7 @@ package polling
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -214,5 +215,38 @@ func TestScratchReuseMatchesFreshEstimators(t *testing.T) {
 				net.JoinRandomDegree(churn)
 			}
 		}
+	}
+}
+
+// TestDegenerateInputs: overlays smaller than one block, an isolated
+// initiator and a clone all but one peer left give a finite estimate or
+// an error — never a panic or a NaN.
+func TestDegenerateInputs(t *testing.T) {
+	finite := func(label string, net *overlay.Network) {
+		t.Helper()
+		e := New(Config{ResponseProb: 0.5, RoutedReplies: true}, xrand.New(41))
+		for call := 0; call < 3; call++ {
+			est, err := e.Estimate(net)
+			if err == nil && (math.IsNaN(est) || math.IsInf(est, 0) || est < 1) {
+				t.Fatalf("%s: estimate %v", label, est)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, stageBlock - 1, stageBlock + 1} {
+		finite(fmt.Sprintf("n=%d", n), hetNet(n, 1))
+	}
+	g := graph.NewWithNodes(stageBlock + 3)
+	g.AddEdge(1, 2)
+	if est, err := New(Config{ResponseProb: 1}, xrand.New(42)).EstimateFrom(overlay.New(g, 10, nil), 0); err != nil || est != 1 {
+		t.Fatalf("isolated initiator: est %v err %v, want 1", est, err)
+	}
+	lone := hetNet(300, 43).CloneCOW()
+	rng := xrand.New(44)
+	for lone.Size() > 1 {
+		lone.LeaveRandom(rng)
+	}
+	finite("all but one left", lone)
+	if est, err := New(Config{ResponseProb: 1}, xrand.New(45)).Estimate(lone); err != nil || est != 1 {
+		t.Fatalf("lone survivor: est %v err %v, want 1", est, err)
 	}
 }

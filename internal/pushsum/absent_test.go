@@ -6,46 +6,11 @@ import (
 
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
+	"p2psize/internal/model"
 	"p2psize/internal/overlay"
 	"p2psize/internal/parallel"
 	"p2psize/internal/xrand"
 )
-
-// tagged is a node as the tagged rule held it: a (sum, weight) pair, and
-// whether the node's epoch tag was the current epoch's.
-type tagged struct {
-	st state
-	in bool
-}
-
-// taggedDeliver is deliver as it was written over a separate epoch-tag
-// vector, kept verbatim as the reference: a node new to the epoch joins
-// with (1, 0), then takes the pushed half.
-func taggedDeliver(x []tagged, v graph.NodeID, s, w float64) {
-	if !x[v].in {
-		x[v] = tagged{state{sum: 1}, true}
-	}
-	x[v].st.sum += s
-	x[v].st.weight += w
-}
-
-// taggedVisit is the visit's arithmetic as it was written over the tag
-// vector: a participant halves its pair and, unless the push is lost,
-// delivers the half, its sum scaled by a lying sender.
-func taggedVisit(x []tagged, u, v graph.NodeID, pol overlay.FaultPolicy, lost bool) {
-	if !x[u].in {
-		return
-	}
-	ds, dw := x[u].st.sum/2, x[u].st.weight/2
-	x[u].st = state{ds, dw}
-	if lost {
-		return
-	}
-	if pol != nil {
-		ds *= pol.ReportScale(u)
-	}
-	taggedDeliver(x, v, ds, dw)
-}
 
 // policy is a fault policy with one liar, one unreachable node and a
 // drop probability.
@@ -73,8 +38,8 @@ func twoNodes() *overlay.Network {
 	return overlay.New(g, 10, nil)
 }
 
-// TestAbsentArithmetic holds the sign-bit membership rule to the tagged
-// rule it replaced, bit for bit. The absent pair is what the epoch
+// TestAbsentArithmetic holds the sign-bit membership rule to the
+// model's push (internal/model), membership in a map, bit for bit. The absent pair is what the epoch
 // driver gives a node outside a fresh epoch after a first epoch made
 // every node a member. A member's sum and weight range over {+0, -0,
 // the smallest subnormal, 0.5, 1, 1e308} (a weight of -0 is the absent
@@ -107,13 +72,14 @@ func TestAbsentArithmetic(t *testing.T) {
 	if absent.sum != 1 || math.Float64bits(absent.weight) != math.Float64bits(negZero) {
 		t.Fatalf("a node outside the epoch holds %v, want (1, -0)", absent)
 	}
-	// The reference's absent node holds an old epoch's leftovers, which
-	// the tagged rule never read.
-	toTagged := func(st state) tagged {
-		if sameBits(st, absent) {
-			return tagged{state{0.75, 0.25}, false}
+	toModel := func(a, b state) *model.Epoch {
+		e := &model.Epoch{PushSum: true, State: map[graph.NodeID][2]float64{}}
+		for id, st := range []state{a, b} {
+			if !sameBits(st, absent) {
+				e.State[graph.NodeID(id)] = [2]float64{st.sum, st.weight}
+			}
 		}
-		return tagged{st, true}
+		return e
 	}
 	table := []float64{0, negZero, math.SmallestNonzeroFloat64, 0.5, 1, 1e308}
 	states := []state{absent}
@@ -124,12 +90,12 @@ func TestAbsentArithmetic(t *testing.T) {
 			}
 		}
 	}
-	check := func(what string, ref []tagged) {
+	check := func(what string, ref *model.Epoch) {
 		t.Helper()
 		for id := graph.NodeID(0); id < 2; id++ {
-			got, want := p.State[id], ref[id]
-			if p.Participant(id) != want.in || want.in && !sameBits(got, want.st) {
-				t.Fatalf("%s: node %d holds %v (member %v), reference %v (member %v)", what, id, got, p.Participant(id), want.st, want.in)
+			want, in := ref.State[id]
+			if got := p.State[id]; p.Participant(id) != in || in && !sameBits(got, state{want[0], want[1]}) {
+				t.Fatalf("%s: node %d holds %v (member %v), model %v (member %v)", what, id, got, p.Participant(id), want, in)
 			}
 		}
 	}
@@ -138,9 +104,11 @@ func TestAbsentArithmetic(t *testing.T) {
 		for _, s := range halves {
 			for _, w := range halves {
 				p.State[0], p.State[1] = absent, st
-				ref := []tagged{toTagged(absent), toTagged(st)}
+				ref := toModel(absent, st)
+				ref.State[2] = [2]float64{2 * s, 2 * w} // a third node pushes (s, w)
+				ref.Push(nil, 2, 1, false)()
+				delete(ref.State, 2)
 				p.deliver(1, s, w)
-				taggedDeliver(ref, 1, s, w)
 				check("deliver", ref)
 			}
 		}
@@ -164,11 +132,13 @@ func TestAbsentArithmetic(t *testing.T) {
 		for _, a := range states {
 			for _, b := range states {
 				p.State[0], p.State[1] = a, b
-				ref := []tagged{toTagged(a), toTagged(b)}
+				ref := toModel(a, b)
 				if err := sw.Visit(&parallel.Shard[push]{}, 0, xrand.New(2)); err != nil {
 					t.Fatal(err)
 				}
-				taggedVisit(ref, 0, 1, path.pol, path.lost)
+				if deliver := ref.Push(path.pol, 0, 1, path.lost); deliver != nil {
+					deliver()
+				}
 				check(path.name+" visit", ref)
 			}
 		}

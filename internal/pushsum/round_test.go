@@ -1,13 +1,15 @@
 package pushsum
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"testing"
 
+	"p2psize/internal/epidemic"
 	"p2psize/internal/graph"
+	"p2psize/internal/metrics"
+	"p2psize/internal/model"
 	"p2psize/internal/overlay"
+	"p2psize/internal/parallel"
 	"p2psize/internal/xrand"
 )
 
@@ -17,10 +19,10 @@ import (
 func churnedNet(n int, seed uint64) *overlay.Network {
 	net := hetNet(n, seed)
 	rng := xrand.New(seed + 100)
-	for i := 0; i < n/20; i++ {
+	for range n / 20 {
 		net.LeaveRandom(rng)
 	}
-	for i := 0; i < n/20; i++ {
+	for range n / 20 {
 		net.JoinRandomDegree(rng)
 	}
 	return net
@@ -28,52 +30,45 @@ func churnedNet(n int, seed uint64) *overlay.Network {
 
 // pinnedRounds is long enough for the epoch to reach every node of the
 // 20k overlay, so every position of every sweep and every neighbour draw
-// lands in the hashed state (after three rounds a handful of nodes hold
-// mass and most of a wrong permutation would go unseen).
+// lands in the compared state.
 const pinnedRounds = 20
 
-// TestRoundStatePinned pins twenty rounds on a churned 20k overlay bit for
-// bit — FNV-64a over what a run can observe of each node, whether it is
-// a member of the epoch and, for a member, its sum and weight, plus the
-// message total — to the output of the engine that mapped positions to
-// node IDs inside Visit and visited one node at a time. Key resolution,
-// block staging and the representation of membership must move none of
-// it, at any shard count. The pins were taken with this hash from the
-// epoch driver that still kept a separate epoch-tag vector.
+// TestRoundStatePinned pins twenty rounds on a churned 20k overlay
+// (overlay seed 7, generator 8) to the model's round (internal/model)
+// bit for bit at 1, 4 and 16 shards: after every round, each node's
+// membership, each member's sum and weight (never the absent weight -0)
+// and the push and pull totals.
 func TestRoundStatePinned(t *testing.T) {
-	pins := []struct {
-		shards int
-		hash   uint64
-		msgs   uint64
-	}{
-		{1, 0x9a139307a4ed61ff, 400000},
-		{4, 0x385fb3ac13f0833a, 400000},
-		{16, 0x195116046789af05, 400000},
-	}
-	for _, pin := range pins {
+	for _, shards := range []int{1, 4, 16} {
 		net := churnedNet(20000, 7)
-		p := New(Config{RoundsPerEpoch: 50, Shards: pin.shards}, xrand.New(8))
+		p := New(Config{RoundsPerEpoch: 50, Shards: shards}, xrand.New(8))
+		ref := &model.Epoch{PushSum: true, Rng: xrand.New(8)}
 		if err := p.StartEpoch(net); err != nil {
 			t.Fatal(err)
 		}
-		for r := 0; r < pinnedRounds; r++ {
-			p.RunRound(net)
-		}
-		h := fnv.New64a()
-		var b [8]byte
-		for i, st := range p.State {
-			if !p.Participant(graph.NodeID(i)) {
-				h.Write([]byte{0})
-				continue
+		ref.Start(net)
+		for r := 1; r <= pinnedRounds; r++ {
+			if err := p.RunRound(net); err != nil {
+				t.Fatal(err)
 			}
-			h.Write([]byte{1})
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(st.sum))
-			h.Write(b[:])
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(st.weight))
-			h.Write(b[:])
-		}
-		if got, msgs := h.Sum64(), net.Counter().Total(); got != pin.hash || msgs != pin.msgs {
-			t.Errorf("shards=%d: state %#x msgs %d, pinned %#x and %d", pin.shards, got, msgs, pin.hash, pin.msgs)
+			ref.Round(net, shards, parallel.RoundRobinPairs(shards))
+			for i, st := range p.State {
+				id := graph.NodeID(i)
+				want, member := ref.State[id]
+				if p.Participant(id) != member {
+					t.Fatalf("shards=%d round %d: node %d member %v, model %v", shards, r, id, !member, member)
+				}
+				for k, v := range [2]float64{st.sum, st.weight} {
+					if member && (math.Float64bits(v) != math.Float64bits(want[k]) || epidemic.IsNegZero(v)) {
+						t.Fatalf("shards=%d round %d: node %d holds (%v, %v), model %v", shards, r, id, st.sum, st.weight, want)
+					}
+				}
+			}
+			for _, kind := range []metrics.Kind{metrics.KindPush, metrics.KindPull} {
+				if got := net.Counter().Count(kind); got != ref.Sent[kind] {
+					t.Fatalf("shards=%d round %d: %d %v messages, model %d", shards, r, got, kind, ref.Sent[kind])
+				}
+			}
 		}
 	}
 }

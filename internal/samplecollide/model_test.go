@@ -5,35 +5,10 @@ import (
 
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
+	"p2psize/internal/model"
 	"p2psize/internal/overlay"
 	"p2psize/internal/xrand"
 )
-
-// refSample is the sampler with its timer spelled out as the literal
-// t -= rng.Exp(degree) loop, as it read before the walk took
-// xrand.Countdown.
-func refSample(net *overlay.Network, initiator graph.NodeID, T float64, rng *xrand.Rand) graph.NodeID {
-	cur, ok := net.RandomNeighbor(initiator, rng)
-	if !ok {
-		net.SendTo(initiator, metrics.KindSampleReturn)
-		return initiator
-	}
-	cur = net.NATHop(graph.None, initiator, cur, rng)
-	net.SendTo(cur, metrics.KindWalk)
-	t := T
-	for {
-		t -= rng.Exp(float64(net.Degree(cur)))
-		if t <= 0 {
-			break
-		}
-		next, _ := net.RandomNeighbor(cur, rng)
-		next = net.NATHop(graph.None, cur, next, rng)
-		net.SendTo(next, metrics.KindWalk)
-		cur = next
-	}
-	net.SendTo(initiator, metrics.KindSampleReturn)
-	return cur
-}
 
 // natPolicy puts every fifth peer behind a NAT and is otherwise benign.
 type natPolicy struct{}
@@ -45,9 +20,10 @@ func (natPolicy) Unreachable(id graph.NodeID) bool   { return id%5 == 0 }
 
 // TestSampleMatchesReference: on heterogeneous, ring and scale-free
 // overlays, each with and without NAT-limited peers, Sample returns the
-// reference walk's node, meters the same messages by kind, and leaves
-// the generator where the reference does — at the paper's T and at a
-// T short enough that most walks end on their first hop.
+// node of the model's walk with the literal t -= Exp(degree) timer,
+// meters the same messages by kind, and leaves the generator where the
+// model does — at the paper's T and at a T short enough that most walks
+// end on their first hop.
 func TestSampleMatchesReference(t *testing.T) {
 	overlays := []struct {
 		name string
@@ -66,6 +42,11 @@ func TestSampleMatchesReference(t *testing.T) {
 			}
 			for _, T := range []float64{10, 0.05} {
 				rng, ref := xrand.New(33), xrand.New(33)
+				hop := func(cur, next graph.NodeID) graph.NodeID {
+					next = b.NATHop(graph.None, cur, next, ref)
+					b.SendTo(next, metrics.KindWalk)
+					return next
+				}
 				e := New(Config{T: T, L: 1}, rng)
 				g := o.net.Graph()
 				for i := 0; i < 1000; i++ {
@@ -74,15 +55,17 @@ func TestSampleMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := refSample(b, from, T, ref); got != want {
-						t.Fatalf("%s nat=%v T=%g sample %d: got node %d, reference %d", o.name, nat, T, i, got, want)
+					want, _ := model.Walk(b, from, T, ref, hop)
+					b.SendTo(from, metrics.KindSampleReturn)
+					if got != want {
+						t.Fatalf("%s nat=%v T=%g sample %d: got node %d, model %d", o.name, nat, T, i, got, want)
 					}
 					if *rng != *ref {
-						t.Fatalf("%s nat=%v T=%g sample %d: generator left elsewhere than the reference's", o.name, nat, T, i)
+						t.Fatalf("%s nat=%v T=%g sample %d: generator left elsewhere than the model's", o.name, nat, T, i)
 					}
 				}
 				if *a.Counter() != *b.Counter() {
-					t.Fatalf("%s nat=%v T=%g: metered %v, reference %v", o.name, nat, T, a.Counter(), b.Counter())
+					t.Fatalf("%s nat=%v T=%g: metered %v, model %v", o.name, nat, T, a.Counter(), b.Counter())
 				}
 			}
 		}

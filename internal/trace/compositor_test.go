@@ -9,6 +9,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"p2psize/internal/model"
 	"p2psize/internal/xrand"
 )
 
@@ -16,7 +17,7 @@ import (
 // event, what the compositors did before they merged only their tail.
 func fullSort(evs []Event) []Event {
 	out := slices.Clone(evs)
-	sort.SliceStable(out, func(i, j int) bool { return eventLess(out[i], out[j]) })
+	sort.SliceStable(out, func(i, j int) bool { return eventCmp(out[i], out[j]) < 0 })
 	return out
 }
 
@@ -138,39 +139,36 @@ func TestCompositorMergesInPlace(t *testing.T) {
 	}
 }
 
-// composeBoth applies one composition to got (the current code) and to
-// want (its reference), each with a generator seeded alike, and requires
-// the same error, the same events and the same generator state after.
-func composeBoth(t *testing.T, what string, got, want *Trace, seed uint64,
-	cur func(*Trace, *xrand.Rand) error, ref func(*Trace, *xrand.Rand) error) {
+// composeBoth applies one composition to got and the model's to want,
+// each with a generator seeded alike. A composition got accepts must
+// leave the model's events and generator state, and a valid trace; its
+// error is returned, and want is left alone when there is one.
+func composeBoth(t *testing.T, what string, got *Trace, want *model.Trace, seed uint64,
+	cur func(*Trace, *xrand.Rand) error, ref func(*model.Trace, *xrand.Rand)) error {
 	t.Helper()
 	gr, wr := xrand.New(seed), xrand.New(seed)
-	gerr, werr := cur(got, gr), ref(want, wr)
-	if (gerr == nil) != (werr == nil) {
-		t.Fatalf("%s: error %v, reference %v", what, gerr, werr)
+	if err := cur(got, gr); err != nil {
+		return err
 	}
+	ref(want, wr)
 	if err := sameEvents(got.Events, want.Events); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 	if *gr != *wr {
-		t.Fatalf("%s: generator state differs from the reference's", what)
+		t.Fatalf("%s: generator state differs from the model's", what)
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
+	return nil
 }
 
-// TestCompositorReference holds the three compositors to the map-based
-// versions they replaced: the same events and the same generator
-// position, on traces whose composition instants already hold events
-// (times rounded to a grid, and a crowd whose departures mostly round
-// onto its own instant), for victim counts k of 0, 1, n/2 and n.
+// TestCompositorReference holds the three compositors to the model's
+// sort-based ones: the same events and the same generator position, on
+// traces whose composition instants already hold events (times rounded
+// to a grid, and a crowd whose departures mostly round onto its own
+// instant), for victim counts k of 0, 1, n/2 and n.
 func TestCompositorReference(t *testing.T) {
-	clone := func(tr *Trace) *Trace {
-		c := *tr
-		c.Events = slices.Clone(tr.Events)
-		return &c
-	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		base := tiedTrace(t, seed)
 		if seed%2 == 0 {
@@ -188,7 +186,13 @@ func TestCompositorReference(t *testing.T) {
 			func(int) float64 { return 0.5 },
 			func(int) float64 { return 1 },
 		} {
-			got, want := clone(base), clone(base)
+			got := &Trace{Initial: base.Initial, Horizon: base.Horizon, Events: slices.Clone(base.Events)}
+			want := toModel(got)
+			must := func(err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
 			for _, c := range []struct {
 				count int
 				d     SessionDist
@@ -198,18 +202,20 @@ func TestCompositorReference(t *testing.T) {
 				{300, SessionDist{Kind: Pareto, Mean: 3, Shape: 1.5}},
 				{200, SessionDist{Kind: Exponential, Mean: 1e-15}}, // departures tie with the joins
 			} {
-				composeBoth(t, fmt.Sprintf("seed %d: AddFlashCrowd(%g, %d, %s)", seed, crowd, c.count, c.d), got, want, seed+10,
+				must(composeBoth(t, fmt.Sprintf("seed %d: AddFlashCrowd(%g, %d, %s)", seed, crowd, c.count, c.d), got, want, seed+10,
 					func(tr *Trace, rng *xrand.Rand) error { return tr.AddFlashCrowd(crowd, c.count, c.d, rng) },
-					func(tr *Trace, rng *xrand.Rand) error { return refAddFlashCrowd(tr, crowd, c.count, c.d, rng) })
+					func(tr *model.Trace, rng *xrand.Rand) {
+						tr.FlashCrowd(crowd, c.count, int(c.d.Kind), c.d.Mean, c.d.Shape, rng)
+					}))
 			}
 			frac := kFrac(got.SizeAt(fail))
-			composeBoth(t, fmt.Sprintf("seed %d: AddMassFailure(%g, %g)", seed, fail, frac), got, want, seed+11,
+			must(composeBoth(t, fmt.Sprintf("seed %d: AddMassFailure(%g, %g)", seed, fail, frac), got, want, seed+11,
 				func(tr *Trace, rng *xrand.Rand) error { return tr.AddMassFailure(fail, frac, rng) },
-				func(tr *Trace, rng *xrand.Rand) error { return refAddMassFailure(tr, fail, frac, rng) })
+				func(tr *model.Trace, rng *xrand.Rand) { tr.MassFailure(fail, frac, rng) }))
 			frac = kFrac(got.SizeAt(split))
-			composeBoth(t, fmt.Sprintf("seed %d: AddPartitionHeal(%g, %g, %g)", seed, split, crowd, frac), got, want, seed+12,
+			must(composeBoth(t, fmt.Sprintf("seed %d: AddPartitionHeal(%g, %g, %g)", seed, split, crowd, frac), got, want, seed+12,
 				func(tr *Trace, rng *xrand.Rand) error { return tr.AddPartitionHeal(split, crowd, frac, rng) },
-				func(tr *Trace, rng *xrand.Rand) error { return refAddPartitionHeal(tr, split, crowd, frac, rng) })
+				func(tr *model.Trace, rng *xrand.Rand) { tr.PartitionHeal(split, crowd, frac, rng) }))
 		}
 	}
 }

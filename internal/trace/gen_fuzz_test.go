@@ -4,14 +4,16 @@ import (
 	"math"
 	"testing"
 
+	"p2psize/internal/model"
 	"p2psize/internal/xrand"
 )
 
 // FuzzGenerate draws small workload configs and compositor arguments,
 // non-finite values included. Nothing may panic or hang; a config or an
 // argument is either an error or accepted, and an accepted trace must
-// be valid and equal to the reference generator followed by the
-// reference compositors, generator position included.
+// be valid and equal to the model's generator followed by the model's
+// compositors, generator position included (a rejected composition
+// leaves the trace alone and is skipped).
 func FuzzGenerate(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
 	f.Add(uint16(300), uint8(1), 100.0, 0.0, 60.0, 0.5, 0.0, 0.0, uint64(1), uint8(1),
@@ -47,10 +49,7 @@ func FuzzGenerate(f *testing.F) {
 		if err != nil {
 			return
 		}
-		want, err := refGenerateParallel(cfg, seed, 1)
-		if err != nil {
-			t.Fatalf("the reference rejects an accepted config: %v", err)
-		}
+		want := model.Generate(workload(cfg), seed)
 		if err := sameEvents(got.Events, want.Events); err != nil {
 			t.Fatalf("generated: %v", err)
 		}
@@ -58,35 +57,17 @@ func FuzzGenerate(f *testing.F) {
 			count %= 5000
 		}
 		crowd := SessionDist{Kind: Pareto, Mean: crowdMean, Shape: 1.5}
-		steps := []struct {
-			name     string
-			cur, ref func(*Trace, *xrand.Rand) error
-		}{
-			{"AddFlashCrowd",
-				func(tr *Trace, rng *xrand.Rand) error { return tr.AddFlashCrowd(crowdAt, count, crowd, rng) },
-				func(tr *Trace, rng *xrand.Rand) error { return refAddFlashCrowd(tr, crowdAt, count, crowd, rng) }},
-			{"AddMassFailure",
-				func(tr *Trace, rng *xrand.Rand) error { return tr.AddMassFailure(failAt, failFrac, rng) },
-				func(tr *Trace, rng *xrand.Rand) error { return refAddMassFailure(tr, failAt, failFrac, rng) }},
-			{"AddPartitionHeal",
-				func(tr *Trace, rng *xrand.Rand) error { return tr.AddPartitionHeal(splitAt, healAt, partFrac, rng) },
-				func(tr *Trace, rng *xrand.Rand) error { return refAddPartitionHeal(tr, splitAt, healAt, partFrac, rng) }},
-		}
-		for i, st := range steps {
-			gr, wr := xrand.New(seed+uint64(i)), xrand.New(seed+uint64(i))
-			if err := st.cur(got, gr); err != nil {
-				continue // rejected: the trace is untouched, the reference skips it too
-			}
-			if err := st.ref(want, wr); err != nil {
-				t.Fatalf("%s: the reference rejects accepted arguments: %v", st.name, err)
-			}
-			if err := sameEvents(got.Events, want.Events); err != nil {
-				t.Fatalf("%s: %v", st.name, err)
-			}
-			if *gr != *wr {
-				t.Fatalf("%s: generator state differs from the reference's", st.name)
-			}
-		}
+		composeBoth(t, "AddFlashCrowd", got, want, seed,
+			func(tr *Trace, rng *xrand.Rand) error { return tr.AddFlashCrowd(crowdAt, count, crowd, rng) },
+			func(tr *model.Trace, rng *xrand.Rand) {
+				tr.FlashCrowd(crowdAt, count, int(Pareto), crowdMean, 1.5, rng)
+			})
+		composeBoth(t, "AddMassFailure", got, want, seed+1,
+			func(tr *Trace, rng *xrand.Rand) error { return tr.AddMassFailure(failAt, failFrac, rng) },
+			func(tr *model.Trace, rng *xrand.Rand) { tr.MassFailure(failAt, failFrac, rng) })
+		composeBoth(t, "AddPartitionHeal", got, want, seed+2,
+			func(tr *Trace, rng *xrand.Rand) error { return tr.AddPartitionHeal(splitAt, healAt, partFrac, rng) },
+			func(tr *model.Trace, rng *xrand.Rand) { tr.PartitionHeal(splitAt, healAt, partFrac, rng) })
 		if err := got.Validate(); err != nil {
 			t.Fatalf("accepted trace is invalid: %v", err)
 		}

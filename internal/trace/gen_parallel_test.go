@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"p2psize/internal/model"
 	"p2psize/internal/xrand"
 )
 
@@ -100,23 +101,37 @@ func TestGenerateParallelMatchesSequentialStatistically(t *testing.T) {
 	}
 }
 
-// sameEvents reports the first difference between two event lists, time
-// compared bit for bit.
-func sameEvents(got, want []Event) error {
+// sameEvents reports the first difference from the model's events,
+// time compared bit for bit.
+func sameEvents(got []Event, want []model.Event) error {
 	if len(got) != len(want) {
-		return fmt.Errorf("%d events, reference %d", len(got), len(want))
+		return fmt.Errorf("%d events, model %d", len(got), len(want))
 	}
-	for i := range want {
-		g, w := got[i], want[i]
-		if math.Float64bits(g.T) != math.Float64bits(w.T) || g.Session != w.Session || g.Op != w.Op {
-			return fmt.Errorf("event %d is %+v, reference %+v", i, g, w)
+	for i, w := range want {
+		if g := got[i]; math.Float64bits(g.T) != math.Float64bits(w.T) || g.Session != w.Session || (g.Op == Leave) != w.Leave {
+			return fmt.Errorf("event %d is %+v, model %+v", i, g, w)
 		}
 	}
 	return nil
 }
 
+// toModel is tr in the model's plain form.
+func toModel(tr *Trace) *model.Trace {
+	m := &model.Trace{Initial: tr.Initial, Horizon: tr.Horizon}
+	for _, ev := range tr.Events {
+		m.Events = append(m.Events, model.Event{T: ev.T, Session: ev.Session, Leave: ev.Op == Leave})
+	}
+	return m
+}
+
+// workload is cfg in the model's plain form.
+func workload(cfg Config) model.Workload {
+	return model.Workload{Initial: cfg.Initial, Kind: int(cfg.Session.Kind), Horizon: cfg.Horizon, Rate: cfg.ArrivalRate,
+		Mean: cfg.Session.Mean, Shape: cfg.Session.Shape, Amplitude: cfg.DiurnalAmplitude, Period: cfg.DiurnalPeriod}
+}
+
 // TestGenerateParallelReference holds the bucketed generator to the
-// merge tree it replaced, event for event: every session family, with
+// model's sort-based one, event for event: every session family, with
 // and without diurnal modulation, at the stationary and at an explicit
 // arrival rate (zero arrivals when Initial is 0 too), on populations
 // around one chunk and across three, at several worker counts.
@@ -133,10 +148,7 @@ func TestGenerateParallelReference(t *testing.T) {
 				for _, initial := range []int{0, 1, genChunk - 1, genChunk, genChunk + 1, 3 * genChunk} {
 					cfg := Config{Initial: initial, Horizon: 100, ArrivalRate: rate, Session: d, DiurnalAmplitude: amp}
 					seed := uint64(initial) + 7
-					want, err := refGenerateParallel(cfg, seed, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := model.Generate(workload(cfg), seed)
 					for _, workers := range []int{1, 2, 8} {
 						got, err := GenerateParallel(cfg, seed, workers)
 						if err != nil {
@@ -145,8 +157,8 @@ func TestGenerateParallelReference(t *testing.T) {
 						if err := sameEvents(got.Events, want.Events); err != nil {
 							t.Fatalf("%s, amplitude %g, rate %g, initial %d, workers %d: %v", d, amp, rate, initial, workers, err)
 						}
-						if got.Name != want.Name || got.Initial != want.Initial || got.Horizon != want.Horizon {
-							t.Fatalf("%s: header %q/%d/%g, reference %q/%d/%g", d, got.Name, got.Initial, got.Horizon, want.Name, want.Initial, want.Horizon)
+						if got.Name != d.Kind.String() || got.Initial != initial || got.Horizon != 100 {
+							t.Fatalf("%s: header %q/%d/%g", d, got.Name, got.Initial, got.Horizon)
 						}
 					}
 				}
@@ -156,16 +168,26 @@ func TestGenerateParallelReference(t *testing.T) {
 }
 
 // TestEventCmp: the one three-way comparison orders every pair as the
-// two eventLess calls it replaced did, ties on T and on Session, signed
-// zeros and NaN times included.
+// canonical (T, Session, Op) order does, spelled out as a strict "less"
+// — ties on T and on Session, signed zeros and NaN times (which order
+// neither way) included.
 func TestEventCmp(t *testing.T) {
+	less := func(a, b Event) bool {
+		if a.T != b.T {
+			return a.T < b.T
+		}
+		if a.Session != b.Session {
+			return a.Session < b.Session
+		}
+		return a.Op < b.Op
+	}
 	times := []float64{math.Copysign(0, -1), 0, 0.5, 1, math.NaN(), math.Inf(1)}
 	rng := xrand.New(9)
 	for i := 0; i < 20000; i++ {
 		a := Event{T: times[rng.Intn(len(times))], Session: rng.Intn(4) - 1, Op: Op(rng.Intn(2))}
 		b := Event{T: times[rng.Intn(len(times))], Session: rng.Intn(4) - 1, Op: Op(rng.Intn(2))}
-		if got, want := eventCmp(a, b), refEventCmp(a, b); (got > 0) != (want > 0) || (got < 0) != (want < 0) {
-			t.Fatalf("eventCmp(%+v, %+v) = %d, reference %d", a, b, got, want)
+		if got := eventCmp(a, b); (got < 0) != less(a, b) || (got > 0) != less(b, a) {
+			t.Fatalf("eventCmp(%+v, %+v) = %d", a, b, got)
 		}
 	}
 }

@@ -1,80 +1,14 @@
 package trace
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
 	"p2psize/internal/graph"
+	"p2psize/internal/model"
 	"p2psize/internal/overlay"
 	"p2psize/internal/xrand"
 )
-
-// refPlayer is the replay one event at a time: no blocks, no read-ahead.
-// It is the reference Player.AdvanceTo must match at every tick.
-type refPlayer struct {
-	tr            *Trace
-	next          int
-	nodes         []graph.NodeID
-	joins, leaves int
-}
-
-func newRefPlayer(tr *Trace, net *overlay.Network) *refPlayer {
-	p := &refPlayer{tr: tr, nodes: make([]graph.NodeID, tr.Initial+tr.Joins())}
-	for s := range p.nodes {
-		p.nodes[s] = graph.None
-		if s < tr.Initial {
-			p.nodes[s] = net.Graph().AliveAt(s)
-		}
-	}
-	return p
-}
-
-func (p *refPlayer) advanceTo(net *overlay.Network, t float64, rng *xrand.Rand) (joins, leaves int) {
-	for p.next < len(p.tr.Events) && p.tr.Events[p.next].T <= t {
-		ev := p.tr.Events[p.next]
-		p.next++
-		switch ev.Op {
-		case Join:
-			p.nodes[ev.Session] = net.JoinRandomDegree(rng)
-			joins++
-		case Leave:
-			id := p.nodes[ev.Session]
-			if !net.Alive(id) || net.Size() <= 1 {
-				continue
-			}
-			net.Leave(id)
-			p.nodes[ev.Session] = graph.None
-			leaves++
-		}
-	}
-	p.joins += joins
-	p.leaves += leaves
-	return joins, leaves
-}
-
-// sameGraph compares two graphs element for element: alive sets, alive
-// list order, adjacency lists in order.
-func sameGraph(a, b *graph.Graph) error {
-	if a.NumIDs() != b.NumIDs() || a.NumAlive() != b.NumAlive() || a.NumEdges() != b.NumEdges() {
-		return fmt.Errorf("shape differs: ids %d/%d alive %d/%d edges %d/%d",
-			a.NumIDs(), b.NumIDs(), a.NumAlive(), b.NumAlive(), a.NumEdges(), b.NumEdges())
-	}
-	for id := graph.NodeID(0); int(id) < a.NumIDs(); id++ {
-		if a.Alive(id) != b.Alive(id) {
-			return fmt.Errorf("alive state differs at %d", id)
-		}
-		if !slices.Equal(a.Neighbors(id), b.Neighbors(id)) {
-			return fmt.Errorf("adjacency differs at %d: %v vs %v", id, a.Neighbors(id), b.Neighbors(id))
-		}
-	}
-	for i := 0; i < a.NumAlive(); i++ {
-		if a.AliveAt(i) != b.AliveAt(i) {
-			return fmt.Errorf("alive list differs at slot %d", i)
-		}
-	}
-	return nil
-}
 
 // composed is the flash-crowd workload in small: a crowd joining at one
 // instant, a mass failure (hundreds of leaves at one T) at another.
@@ -229,69 +163,99 @@ func (rc replayCase) ticks() map[string][]float64 {
 	return ticks
 }
 
-// TestPlayerReference replays each trace twice on equal overlays — the
-// Player and the event-at-a-time reference — stopping at the same ticks,
-// and demands identical counts, session tables and generator states at
-// every tick and identical graphs (on COW clones: identical owned page
-// counts) at the end.
+// replayBoth replays tr on a COW clone of base with the Player and on
+// the model's copy of base with the model's event-at-a-time player
+// (internal/model), stopping at the same ticks, and demands identical
+// counts, cursors, session tables and generator states at every tick
+// and identical graphs — alive list and adjacency lists in order — at
+// the end, where no event may be left. Every advance must span at
+// least minSpan events.
+func replayBoth(t *testing.T, tr *Trace, base *overlay.Network, ticks []float64, minSpan int) {
+	t.Helper()
+	got, want := base.CloneCOW(), model.FromGraph(base.Graph())
+	ref := model.NewPlayer(toModel(tr), want)
+	p, err := NewPlayer(tr, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRng, gotRng := xrand.New(32), xrand.New(32)
+	for _, tick := range ticks {
+		from := p.next
+		wj, wl := ref.AdvanceTo(want, got.MaxDegree(), tick, wantRng)
+		gj, gl := p.AdvanceTo(got, tick, gotRng)
+		if gj != wj || gl != wl {
+			t.Fatalf("advance to %g: %d joins %d leaves, model %d and %d", tick, gj, gl, wj, wl)
+		}
+		if *gotRng != *wantRng {
+			t.Fatalf("advance to %g: generator state differs", tick)
+		}
+		if p.next != ref.Next || !slices.Equal(p.nodes, ref.Nodes) {
+			t.Fatalf("advance to %g: cursor or session table differs", tick)
+		}
+		if p.next-from < minSpan {
+			t.Fatalf("advance to %g spans %d events, fewer than %d", tick, p.next-from, minSpan)
+		}
+		if tr.Initial <= 400 {
+			if err := got.Graph().CheckInvariants(); err != nil {
+				t.Fatalf("advance to %g: %v", tick, err)
+			}
+		}
+	}
+	if !p.Done() {
+		t.Fatal("events left after the last tick")
+	}
+	if err := want.Diff(got.Graph()); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Graph().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPlayerReference holds the Player to the model's player on every
+// trace of replayCases at every tick scheme; on the long trace each
+// per-48 advance spans three blocks or more, so each runs the whole
+// hint pipeline.
 func TestPlayerReference(t *testing.T) {
 	for name, rc := range replayCases(t) {
-		tr := rc.tr
-		if err := tr.Validate(); err != nil {
+		if err := rc.tr.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for tickName, ticks := range rc.ticks() {
 			t.Run(name+"/"+tickName, func(t *testing.T) {
-				base := rc.net()
-				want, got := base.CloneCOW(), base.CloneCOW()
-				ref := newRefPlayer(tr, want)
-				p, err := NewPlayer(tr, got)
-				if err != nil {
-					t.Fatal(err)
+				minSpan := 0
+				if rc.long && tickName == "per-48" {
+					minSpan = 3 * stageBlock
 				}
-				wantRng, gotRng := xrand.New(32), xrand.New(32)
-				small := tr.Initial <= 400
-				joins, leaves := 0, 0
-				for _, tick := range ticks {
-					from := p.next
-					wj, wl := ref.advanceTo(want, tick, wantRng)
-					gj, gl := p.AdvanceTo(got, tick, gotRng)
-					joins, leaves = joins+gj, leaves+gl
-					if gj != wj || gl != wl {
-						t.Fatalf("advance to %g: %d joins %d leaves, reference %d and %d", tick, gj, gl, wj, wl)
-					}
-					if *gotRng != *wantRng {
-						t.Fatalf("advance to %g: generator state differs", tick)
-					}
-					if p.next != ref.next || !slices.Equal(p.nodes, ref.nodes) {
-						t.Fatalf("advance to %g: cursor or session table differs", tick)
-					}
-					if rc.long && tickName == "per-48" && p.next-from < 3*stageBlock {
-						t.Fatalf("advance to %g spans %d events, fewer than three blocks", tick, p.next-from)
-					}
-					if small {
-						if err := got.Graph().CheckInvariants(); err != nil {
-							t.Fatalf("advance to %g: %v", tick, err)
-						}
-					}
-				}
-				if !p.Done() || joins != ref.joins || leaves != ref.leaves {
-					t.Fatalf("totals: done %v, %d joins %d leaves, reference %d and %d",
-						p.Done(), joins, leaves, ref.joins, ref.leaves)
-				}
-				if err := sameGraph(want.Graph(), got.Graph()); err != nil {
-					t.Fatal(err)
-				}
-				if err := got.Graph().CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				wg, gg := want.Graph(), got.Graph()
-				if w, g := wg.TotalPages()-wg.SharedPages(), gg.TotalPages()-gg.SharedPages(); w != g {
-					t.Fatalf("Player owns %d pages, the reference %d", g, w)
-				}
+				replayBoth(t, rc.tr, rc.net(), ticks, minSpan)
 			})
 		}
 	}
+}
+
+// FuzzPlayer holds the Player to the model's player on fuzzed
+// compositions: a generated trace of up to 2000 initial sessions, a
+// flash crowd, a mass failure and a partition at fuzzed instants and
+// fractions (a composition the trace rejects is skipped), replayed in
+// advances of a fuzzed number of events.
+func FuzzPlayer(f *testing.F) {
+	f.Add(uint64(1), uint16(300), 0.3, 0.2, 0.5, 0.4, 0.25, uint8(7))
+	f.Add(uint64(2), uint16(20), 0.9, 1.0, 0.1, 1.0, 0.0, uint8(0))
+	f.Add(uint64(3), uint16(1500), 0.5, 0.5, 0.05, 0.6, 0.9, uint8(47))
+	f.Fuzz(func(t *testing.T, seed uint64, initial uint16, at, crowd, fail, split, part float64, every uint8) {
+		cfg := testConfig()
+		cfg.Initial = 1 + int(initial%2000)
+		tr := mustGenerate(t, cfg, seed)
+		h := cfg.Horizon
+		_ = tr.AddFlashCrowd(at*h, int(crowd*float64(cfg.Initial)), SessionDist{Kind: Exponential, Mean: 50}, xrand.New(seed+1))
+		_ = tr.AddMassFailure(at*h/2, fail, xrand.New(seed+2))
+		_ = tr.AddPartitionHeal(split*h/2, split*h/2+(1-split/2)*h/2, part, xrand.New(seed+3))
+		var ticks []float64
+		for i := int(every); i < len(tr.Events); i += 1 + int(every) {
+			ticks = append(ticks, tr.Events[i].T)
+		}
+		replayBoth(t, tr, newNet(tr.Initial, seed), append(ticks, h), 0)
+	})
 }
 
 // TestPlayerHintsEachDepartureBeforeItsLeave pins the departure hints'

@@ -112,7 +112,23 @@ type NetworkOptions struct {
 // It is not safe for concurrent use.
 type Network struct {
 	net *overlay.Network
-	rng *xrand.Rand // churn randomness
+	// rng is the churn randomness. The Network an estimator's Estimate
+	// is handed has none: it is read-only, and its churn methods refuse.
+	rng *xrand.Rand
+}
+
+// readOnlyWrite is the panic a churn method raises on a read-only
+// Network, naming the method; the estimator wrapper (publicWrap)
+// returns it as the estimate's error.
+type readOnlyWrite string
+
+// churn returns n's churn randomness, or refuses the named churn method
+// on a read-only Network before it writes anything.
+func (n *Network) churn(method string) *xrand.Rand {
+	if n.rng == nil {
+		panic(readOnlyWrite(method))
+	}
+	return n.rng
 }
 
 // NewNetwork builds an overlay per the options.
@@ -219,30 +235,36 @@ func (n *Network) DegreeCounts() (degrees, counts []int) {
 
 // Join adds one peer with a random target degree (uniform in
 // [1, MaxDegree], as in the paper's construction) and returns the new
-// overlay size.
+// overlay size. Like the other churn methods (JoinMany, LeaveRandom,
+// LeaveFraction) it is unavailable inside an Estimator's Estimate,
+// whose Network is read-only: the call changes nothing and fails that
+// estimate with an error naming the estimator and the method.
 func (n *Network) Join() int {
-	n.net.JoinRandomDegree(n.rng)
+	n.net.JoinRandomDegree(n.churn("Join"))
 	return n.Size()
 }
 
-// JoinMany adds k peers.
+// JoinMany adds k peers. It is unavailable inside Estimate (see Join).
 func (n *Network) JoinMany(k int) {
+	rng := n.churn("JoinMany")
 	for i := 0; i < k; i++ {
-		n.net.JoinRandomDegree(n.rng)
+		n.net.JoinRandomDegree(rng)
 	}
 }
 
 // LeaveRandom removes one uniformly random peer (no neighbor rewiring,
 // per the paper's churn rule) and reports whether a peer was removed.
+// It is unavailable inside Estimate (see Join).
 func (n *Network) LeaveRandom() bool {
-	_, ok := n.net.LeaveRandom(n.rng)
+	_, ok := n.net.LeaveRandom(n.churn("LeaveRandom"))
 	return ok
 }
 
 // LeaveFraction removes the given fraction of current peers (0..1),
 // uniformly at random — a catastrophic failure. Returns the number
-// removed.
+// removed. It is unavailable inside Estimate (see Join).
 func (n *Network) LeaveFraction(f float64) int {
+	n.churn("LeaveFraction")
 	if f < 0 {
 		f = 0
 	}
