@@ -33,6 +33,7 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		"silent=0.1",
 		"sybil=0.2",
 		"drop=0.05,delay=2x,partition@40-60",
+		"drop=0.999", // MaxDrop itself
 		"drop=0.1,dup=0.1,lie=10@0.05,silent=0.1,sybil=0.15",
 	} {
 		s, err := ParseSpec(in)
@@ -52,6 +53,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 func TestParseSpecErrors(t *testing.T) {
 	for _, tc := range []struct{ in, want string }{
 		{"drop=1.5", "outside"},
+		{"drop=0.9999999999999999", "outside"}, // no bound on the retransmit rounds
+		{"drop=0.9991", "outside"},
 		{"drop=x", "bad drop"},
 		{"drop=0.1,drop=0.2", "duplicate"},
 		{"partition=0.5", "window"},
@@ -66,6 +69,32 @@ func TestParseSpecErrors(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("ParseSpec(%q) = %v, want mention of %q", tc.in, err, tc.want)
 		}
+	}
+}
+
+// TestRetransmitRoundsAtMaxDrop holds MaxDrop's documented cost: a
+// reliable batch of n messages at the ceiling retransmits for about
+// H_n / -ln(MaxDrop) rounds (one timeout each on a concurrent kind), so
+// OnSend returns for one message and for a million.
+func TestRetransmitRoundsAtMaxDrop(t *testing.T) {
+	inj := NewInjector(Spec{Drop: MaxDrop}, xrand.New(1))
+	rounds := func(n uint64) float64 {
+		before := inj.clock
+		inj.OnSend(metrics.KindReply, n)
+		return (inj.clock - before) / inj.rto
+	}
+	const trials = 400
+	var sum float64
+	for range trials {
+		sum += rounds(1)
+	}
+	want := 1 / -math.Log(MaxDrop) // H_1 = 1: about 1000
+	if mean := sum / trials; math.Abs(mean-want) > 0.2*want {
+		t.Fatalf("one message: %.0f rounds on average, want about %.0f", mean, want)
+	}
+	want = (math.Log(1e6) + 0.5772) / -math.Log(MaxDrop) // H_n ≈ ln n + γ: about 14 400
+	if got := rounds(1e6); math.Abs(got-want) > 0.5*want {
+		t.Fatalf("a million messages: %.0f rounds, want about %.0f", got, want)
 	}
 }
 

@@ -34,10 +34,18 @@ import (
 	"strings"
 )
 
+// MaxDrop is the largest loss probability a Spec accepts. A reliable
+// message is retransmitted round by round until it arrives, so a batch
+// of n takes about H_n / -ln(Drop) retransmit rounds, H_n the n-th
+// harmonic number: at the ceiling about 1000 rounds for one message and
+// 14 400 for a million. Closer to 1 the count has no useful bound
+// (drop=0.9999999999999999 would need some 10^16 rounds).
+const MaxDrop = 0.999
+
 // Spec describes one fault scenario. The zero value is the benign
 // no-fault scenario; fields compose freely.
 type Spec struct {
-	// Drop is the per-message loss probability in [0, 1).
+	// Drop is the per-message loss probability in [0, MaxDrop].
 	Drop float64
 	// DelayFactor multiplies every message delay (latency pricing only;
 	// 0 means the neutral 1x).
@@ -85,8 +93,8 @@ func (s Spec) MessageFaults() bool {
 func (s Spec) Validate() error {
 	// Every range test is written so that NaN fails it.
 	switch {
-	case !(s.Drop >= 0 && s.Drop < 1):
-		return fmt.Errorf("fault: drop probability %g outside [0, 1)", s.Drop)
+	case !(s.Drop >= 0 && s.Drop <= MaxDrop):
+		return fmt.Errorf("fault: drop probability %g outside [0, %g]", s.Drop, MaxDrop)
 	case !(s.DelayFactor >= 0 && s.DelayFactor <= math.MaxFloat64):
 		return fmt.Errorf("fault: delay factor %g is not a finite non-negative number", s.DelayFactor)
 	case !(s.Dup >= 0 && s.Dup <= 1):

@@ -14,10 +14,12 @@ import (
 // TestDegenerateInputs runs every family on the overlays a run can
 // degenerate to — none, one peer, two isolated peers, 50 peers that all
 // left — under benign faults and under each fault taken to its limit:
-// every message dropped (an error of the spec itself: drop stops short
-// of 1), 99 % dropped, every peer silent, every peer lying by 1e308.
-// Every estimate returns an error or a finite size >= 0, and never
-// panics.
+// every message dropped, or all but 1e-16 of them (errors of the spec
+// itself: drop stops at fault.MaxDrop), 99 % dropped, every peer
+// silent, every peer lying by 1e308. The specs are set directly, as a
+// library caller may, so an invalid one must make Build return its
+// error; ParseSpec of each row's name must agree. Every estimate
+// returns an error or a finite size >= 0, and never panics.
 func TestDegenerateInputs(t *testing.T) {
 	emptied := testNet(50, 3).CloneCOW()
 	for emptied.Size() > 0 {
@@ -31,14 +33,27 @@ func TestDegenerateInputs(t *testing.T) {
 	}
 	for _, d := range All() {
 		for name, mk := range overlays {
-			for _, spec := range []string{"", "drop=1", "drop=0.99", "silent=1", "lie=1e308@1"} {
-				t.Run(fmt.Sprintf("%s/%s/%s", d.Name, name, spec), func(t *testing.T) {
-					faults, err := fault.ParseSpec(spec)
-					if err != nil {
-						return // the spec itself is the error (drop=1)
+			for _, row := range []struct {
+				name string
+				spec fault.Spec
+			}{
+				{"", fault.Spec{}},
+				{"drop=1", fault.Spec{Drop: 1}},
+				{"drop=0.9999999999999999", fault.Spec{Drop: 0.9999999999999999}},
+				{"drop=0.99", fault.Spec{Drop: 0.99}},
+				{"silent=1", fault.Spec{SilentFrac: 1}},
+				{"lie=1e308@1", fault.Spec{LieScale: 1e308, LieFrac: 1}},
+			} {
+				t.Run(fmt.Sprintf("%s/%s/%s", d.Name, name, row.name), func(t *testing.T) {
+					invalid := row.spec.Validate()
+					if parsed, err := fault.ParseSpec(row.name); (err == nil) != (invalid == nil) || err == nil && parsed != row.spec {
+						t.Fatalf("ParseSpec(%q) = %+v, %v; the row sets %+v", row.name, parsed, err, row.spec)
 					}
 					net := mk()
-					e, err := d.Build(net, xrand.New(1), Options{SCL: 20, Rounds: 10, Faults: faults})
+					e, err := d.Build(net, xrand.New(1), Options{SCL: 20, Rounds: 10, Faults: row.spec})
+					if invalid != nil && (err == nil || err.Error() != invalid.Error()) {
+						t.Fatalf("Build returned %v, want the spec's error %v", err, invalid)
+					}
 					if err != nil {
 						return
 					}

@@ -353,8 +353,11 @@ func MonitoringCadences(roster []Descriptor, overrides map[string]float64) ([]fl
 // it (the experiment harness, the monitor, both CLIs, the public API)
 // runs every family under faults unmodified. The benign path takes no
 // rng draw, so fault-free streams are untouched by the layer's
-// existence.
+// existence. An out-of-range opts.Faults is an error.
 func (d Descriptor) Build(net *overlay.Network, rng *xrand.Rand, opts Options) (core.Estimator, error) {
+	if err := opts.Faults.Validate(); err != nil {
+		return nil, err
+	}
 	e, err := d.New(net, rng, opts)
 	if err != nil || !opts.Faults.Enabled() {
 		return e, err

@@ -49,7 +49,7 @@ func TestCompositorMergeTail(t *testing.T) {
 		prefix, tail := rng.Intn(40), rng.Intn(40)
 		tr := &Trace{}
 		for i := 0; i < prefix+tail; i++ {
-			tr.Events = append(tr.Events, Event{T: float64(rng.Intn(6)), Session: rng.Intn(8), Op: Op(rng.Intn(2))})
+			tr.Events = append(tr.Events, Event{T: float64(rng.Intn(6)), Session: int32(rng.Intn(8)), Op: Op(rng.Intn(2))})
 		}
 		slices.SortFunc(tr.Events[:prefix], eventCmp)
 		slices.SortFunc(tr.Events[prefix:], eventCmp)

@@ -208,8 +208,9 @@ func Generate(cfg Config, rng *xrand.Rand) (*Trace, error) {
 		return nil, err
 	}
 	tr, rate, period := cfg.start()
-	// Initial population: residual lifetimes.
-	for s := 0; s < cfg.Initial; s++ {
+	// Initial population: residual lifetimes. validate bounds Initial by
+	// the id space.
+	for s := range int32(cfg.Initial) {
 		if d := cfg.Session.Draw(rng); d < cfg.Horizon {
 			tr.Events = append(tr.Events, Event{T: d, Session: s, Op: Leave})
 		}
@@ -224,9 +225,15 @@ func Generate(cfg Config, rng *xrand.Rand) (*Trace, error) {
 					continue
 				}
 			}
-			tr.Events = append(tr.Events, Event{T: t, Session: next, Op: Join})
+			// validate bounds the expected count; the realised one may
+			// overshoot it.
+			id, err := sessionID(next)
+			if err != nil {
+				return nil, fmt.Errorf("trace: arrivals: %w", err)
+			}
+			tr.Events = append(tr.Events, Event{T: t, Session: id, Op: Join})
 			if end := t + cfg.Session.Draw(rng); end < cfg.Horizon {
-				tr.Events = append(tr.Events, Event{T: end, Session: next, Op: Leave})
+				tr.Events = append(tr.Events, Event{T: end, Session: id, Op: Leave})
 			}
 			next++
 		}
@@ -245,10 +252,15 @@ func (t *Trace) AddFlashCrowd(at float64, count int, d SessionDist, rng *xrand.R
 	if !(at >= 0 && at <= t.Horizon) {
 		return fmt.Errorf("trace: flash crowd at=%g outside [0, %g]", at, t.Horizon)
 	}
+	if count < 0 {
+		return fmt.Errorf("trace: flash crowd count=%d is negative", count)
+	}
+	// The crowd takes the ids after every existing session's.
 	first := t.Sessions()
-	if count < 0 || count > math.MaxInt32-first {
-		return fmt.Errorf("trace: flash crowd count=%d outside [0, %d]: the overlay's id space holds %d sessions already",
-			count, max(0, math.MaxInt32-first), first)
+	if count > 0 {
+		if _, err := sessionID(first + count - 1); err != nil {
+			return fmt.Errorf("trace: flash crowd count=%d: %w", count, err)
+		}
 	}
 	if err := d.validate(); err != nil {
 		return err
@@ -258,7 +270,7 @@ func (t *Trace) AddFlashCrowd(at float64, count int, d SessionDist, rng *xrand.R
 	t.Events = slices.Grow(t.Events, 2*count)[:from+count]
 	for i := 0; i < count; i++ {
 		if end := at + d.Draw(rng); end < t.Horizon {
-			t.Events = append(t.Events, Event{T: end, Session: first + i, Op: Leave})
+			t.Events = append(t.Events, Event{T: end, Session: int32(first + i), Op: Leave})
 		}
 	}
 	// The joins (one instant, ascending sessions) are in order already:
@@ -267,7 +279,7 @@ func (t *Trace) AddFlashCrowd(at float64, count int, d SessionDist, rng *xrand.R
 	tail, j, l := t.Events[from:], 0, count
 	slices.SortFunc(tail[count:], eventCmp)
 	for k := range tail {
-		join := Event{T: at, Session: first + j, Op: Join}
+		join := Event{T: at, Session: int32(first + j), Op: Join}
 		if j < count && (l == len(tail) || eventCmp(join, tail[l]) < 0) {
 			tail[k] = join
 			j++
@@ -323,7 +335,7 @@ func (t *Trace) AddMassFailure(at, fraction float64, rng *xrand.Rand) error {
 	t.Events = slices.Grow(kept, k)
 	for s, v := range victim {
 		if v {
-			t.Events = append(t.Events, Event{T: at, Session: s, Op: Leave})
+			t.Events = append(t.Events, Event{T: at, Session: int32(s), Op: Leave})
 		}
 	}
 	t.mergeTail(len(kept))
@@ -350,6 +362,11 @@ func (t *Trace) AddPartitionHeal(splitAt, healAt, fraction float64, rng *xrand.R
 	if k == 0 {
 		return err
 	}
+	// The survivors rejoin under fresh ids after every existing
+	// session's; there are at most k of them.
+	if _, err := sessionID(len(victim) + k - 1); err != nil {
+		return fmt.Errorf("trace: partition of %d sessions: %w", k, err)
+	}
 	// Each victim's scheduled departure, if any, decides its fate: gone
 	// for good when it falls inside the window, a survivor otherwise. It
 	// lies after the split, so 0 means none is scheduled.
@@ -363,12 +380,12 @@ func (t *Trace) AddPartitionHeal(splitAt, healAt, fraction float64, rng *xrand.R
 		kept = append(kept, ev)
 	}
 	t.Events = slices.Grow(kept, 3*k)
-	next := len(victim)
+	next := int32(len(victim))
 	for s, v := range victim {
 		if !v {
 			continue
 		}
-		t.Events = append(t.Events, Event{T: splitAt, Session: s, Op: Leave})
+		t.Events = append(t.Events, Event{T: splitAt, Session: int32(s), Op: Leave})
 		end := leaveOf[s]
 		if end != 0 && end <= healAt {
 			continue // departed behind the partition; never comes back

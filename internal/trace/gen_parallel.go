@@ -25,6 +25,7 @@ package trace
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 
@@ -81,6 +82,11 @@ func GenerateParallel(cfg Config, seed uint64, workers int) (*Trace, error) {
 				if rng.Float64() >= cur/peak {
 					continue
 				}
+			}
+			// validate bounds the expected count; the realised one may
+			// overshoot it.
+			if _, err := sessionID(cfg.Initial + len(arrivals)); err != nil {
+				return nil, fmt.Errorf("trace: arrivals: %w", err)
 			}
 			arrivals = append(arrivals, t)
 		}
@@ -147,10 +153,10 @@ func GenerateParallel(cfg Config, seed uint64, workers int) (*Trace, error) {
 		}
 		for s := c * genChunk; s < min((c+1)*genChunk, sessions); s++ {
 			if s >= cfg.Initial {
-				put(Event{T: arrivals[s-cfg.Initial], Session: s, Op: Join})
+				put(Event{T: arrivals[s-cfg.Initial], Session: int32(s), Op: Join})
 			}
 			if end := ends[s]; end < cfg.Horizon {
-				put(Event{T: end, Session: s, Op: Leave})
+				put(Event{T: end, Session: int32(s), Op: Leave})
 			}
 		}
 		return nil

@@ -108,7 +108,7 @@ func sameEvents(got []Event, want []model.Event) error {
 		return fmt.Errorf("%d events, model %d", len(got), len(want))
 	}
 	for i, w := range want {
-		if g := got[i]; math.Float64bits(g.T) != math.Float64bits(w.T) || g.Session != w.Session || (g.Op == Leave) != w.Leave {
+		if g := got[i]; math.Float64bits(g.T) != math.Float64bits(w.T) || int(g.Session) != w.Session || (g.Op == Leave) != w.Leave {
 			return fmt.Errorf("event %d is %+v, model %+v", i, g, w)
 		}
 	}
@@ -119,7 +119,7 @@ func sameEvents(got []Event, want []model.Event) error {
 func toModel(tr *Trace) *model.Trace {
 	m := &model.Trace{Initial: tr.Initial, Horizon: tr.Horizon}
 	for _, ev := range tr.Events {
-		m.Events = append(m.Events, model.Event{T: ev.T, Session: ev.Session, Leave: ev.Op == Leave})
+		m.Events = append(m.Events, model.Event{T: ev.T, Session: int(ev.Session), Leave: ev.Op == Leave})
 	}
 	return m
 }
@@ -184,8 +184,8 @@ func TestEventCmp(t *testing.T) {
 	times := []float64{math.Copysign(0, -1), 0, 0.5, 1, math.NaN(), math.Inf(1)}
 	rng := xrand.New(9)
 	for i := 0; i < 20000; i++ {
-		a := Event{T: times[rng.Intn(len(times))], Session: rng.Intn(4) - 1, Op: Op(rng.Intn(2))}
-		b := Event{T: times[rng.Intn(len(times))], Session: rng.Intn(4) - 1, Op: Op(rng.Intn(2))}
+		a := Event{T: times[rng.Intn(len(times))], Session: int32(rng.Intn(4) - 1), Op: Op(rng.Intn(2))}
+		b := Event{T: times[rng.Intn(len(times))], Session: int32(rng.Intn(4) - 1), Op: Op(rng.Intn(2))}
 		if got := eventCmp(a, b); (got < 0) != less(a, b) || (got > 0) != less(b, a) {
 			t.Fatalf("eventCmp(%+v, %+v) = %d", a, b, got)
 		}

@@ -2,13 +2,14 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -23,6 +24,15 @@ type jsonEvent struct {
 	T       float64 `json:"t"`
 	Session int     `json:"session"`
 	Op      string  `json:"op"`
+}
+
+// fileEvent is an event as a trace file names it: Session is the file's
+// own id, any integer (a 64-bit peer hash, say), until densify renumbers
+// it into the overlay's id space.
+type fileEvent struct {
+	T       float64
+	Session int
+	Op      Op
 }
 
 // jsonTrace is the on-disk trace form.
@@ -44,7 +54,7 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 		Events:  make([]jsonEvent, len(t.Events)),
 	}
 	for i, ev := range t.Events {
-		out.Events[i] = jsonEvent{T: ev.T, Session: ev.Session, Op: ev.Op.String()}
+		out.Events[i] = jsonEvent{T: ev.T, Session: int(ev.Session), Op: ev.Op.String()}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -61,56 +71,73 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	if in.Schema != JSONSchema {
 		return nil, fmt.Errorf("trace: unknown schema %q (want %q)", in.Schema, JSONSchema)
 	}
-	t := &Trace{
-		Name:    in.Name,
-		Initial: in.Initial,
-		Horizon: in.Horizon,
-		Events:  make([]Event, len(in.Events)),
-	}
+	t := &Trace{Name: in.Name, Initial: in.Initial, Horizon: in.Horizon}
+	evs := make([]fileEvent, len(in.Events))
 	for i, ev := range in.Events {
 		op, err := parseOp(ev.Op)
 		if err != nil {
 			return nil, fmt.Errorf("trace: event %d: %w", i, err)
 		}
-		t.Events[i] = Event{T: ev.T, Session: ev.Session, Op: op}
+		evs[i] = fileEvent{T: ev.T, Session: ev.Session, Op: op}
 	}
-	return t.loaded()
+	return t.load(evs)
 }
 
-// loaded finishes a trace parsed from a file: canonical event order,
-// dense session ids, validation.
-func (t *Trace) loaded() (*Trace, error) {
-	t.Normalize()
-	t.densify()
+// load finishes a trace parsed from a file: canonical event order, dense
+// session ids narrowed into Events, validation. The ids stay wide until
+// densify has renumbered them, so a peer hash is ranked, never
+// truncated.
+func (t *Trace) load(evs []fileEvent) (*Trace, error) {
+	// The canonical (T, Session, Op) order of eventCmp, on the file's ids
+	// (only a NaN time, which Validate rejects, sorts otherwise).
+	slices.SortFunc(evs, func(a, b fileEvent) int {
+		return cmp.Or(cmp.Compare(a.T, b.T), cmp.Compare(a.Session, b.Session), cmp.Compare(a.Op, b.Op))
+	})
+	var err error
+	if t.Events, err = densify(t.Initial, evs); err != nil {
+		return nil, err
+	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// densify renumbers the joining sessions by rank, Initial upward, so ids
+// densify renumbers the joining sessions by rank, initial upward, so ids
 // index a table of Initial + Joins entries whatever integers the file
-// used (peer hashes, say). Rank keeps the canonical event order; a trace
-// already dense — every generated one — is left alone, and ids no join
-// names stay as they are for Validate to reject.
-func (t *Trace) densify() {
-	joins, top := t.span()
-	if top < t.Initial+joins {
-		return
-	}
-	ids := make([]int, 0, joins)
-	for _, ev := range t.Events {
-		if ev.Op == Join && ev.Session >= t.Initial {
+// used, and narrows every id into the overlay's id space. Rank keeps the
+// canonical event order; a file already dense — every written one — keeps
+// its ids. Where ids are renumbered, one at or above initial that no join
+// names is an error here: it could alias a renumbered session, which
+// Validate would then accept.
+func densify(initial int, evs []fileEvent) ([]Event, error) {
+	var ids []int
+	top := -1
+	for _, ev := range evs {
+		if ev.Op == Join && ev.Session >= initial {
 			ids = append(ids, ev.Session)
 		}
+		top = max(top, ev.Session)
 	}
-	sort.Ints(ids)
-	for i := range t.Events {
-		s := t.Events[i].Session
-		if r := sort.SearchInts(ids, s); r < len(ids) && ids[r] == s {
-			t.Events[i].Session = t.Initial + r
+	if top < initial+len(ids) {
+		ids = nil // dense already
+	}
+	slices.Sort(ids)
+	out := make([]Event, len(evs))
+	for i, ev := range evs {
+		s := ev.Session
+		if r, ok := slices.BinarySearch(ids, s); ok {
+			s = initial + r
+		} else if ids != nil && s >= initial {
+			return nil, fmt.Errorf("trace: event %d: session %d leaves but never joins", i, s)
 		}
+		id, err := sessionID(s)
+		if err != nil {
+			return nil, fmt.Errorf("trace: event %d: %w", i, err)
+		}
+		out[i] = Event{T: ev.T, Session: id, Op: ev.Op}
 	}
+	return out, nil
 }
 
 // WriteCSV serializes the trace as CSV: metadata in "#key value" header
@@ -137,6 +164,7 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 // files freely.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	t := &Trace{}
+	var evs []fileEvent
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
@@ -178,12 +206,12 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
-		t.Events = append(t.Events, Event{T: ts, Session: session, Op: op})
+		evs = append(evs, fileEvent{T: ts, Session: session, Op: op})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: read CSV: %w", err)
 	}
-	return t.loaded()
+	return t.load(evs)
 }
 
 // ReadFile loads a trace from path. Gzip compression is detected by

@@ -33,6 +33,14 @@ func fuzzSeed(f *testing.F, toWire func(*Trace) string) {
 	f.Add(sparseCSV)
 	f.Add(`{"schema":"p2psize-trace/v1","initial":2,"horizon":10,"events":[` +
 		`{"t":1,"session":1099511627776,"op":"join"},{"t":2,"session":7,"op":"join"},{"t":3,"session":1099511627776,"op":"leave"}]}`)
+	// 64-bit peer hashes, which the readers rank before narrowing to
+	// int32 ids; 2^32 would wrap onto session 0.
+	f.Add("#initial 1\n#horizon 10\n1,9223372036854775807,join\n2,0,leave\n" +
+		"3,4611686018427387904,join\n4,9223372036854775807,leave\n5,4294967296,leave\n")
+	f.Add("#initial 1\n#horizon 10\n1,4294967296,leave\n")
+	f.Add(`{"schema":"p2psize-trace/v1","initial":1,"horizon":10,"events":[` +
+		`{"t":1,"session":9223372036854775807,"op":"join"},{"t":1,"session":4294967296,"op":"join"},` +
+		`{"t":2,"session":9223372036854775807,"op":"leave"}]}`)
 	f.Add(`{"schema":"p2psize-trace/v1","initial":1,"horizon":1e999}`)
 	f.Add(`{"schema":"p2psize-trace/v1","initial":-1,"horizon":5,"events":[{"t":"x"}]}`)
 }

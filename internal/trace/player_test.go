@@ -36,7 +36,7 @@ func composed(t *testing.T, initial int, seed uint64) *Trace {
 // handNet.
 func handBuilt() *Trace {
 	tr := &Trace{Name: "hand", Initial: handInitial, Horizon: 100}
-	ev := func(t float64, s int, op Op) { tr.Events = append(tr.Events, Event{T: t, Session: s, Op: op}) }
+	ev := func(t float64, s int, op Op) { tr.Events = append(tr.Events, Event{T: t, Session: int32(s), Op: op}) }
 	ev(1, 20, Join)
 	ev(1, 20, Leave) // same instant, same block
 	ev(2, 21, Join)
@@ -267,7 +267,7 @@ func FuzzPlayer(f *testing.F) {
 func TestPlayerHintsEachDepartureBeforeItsLeave(t *testing.T) {
 	for name, rc := range replayCases(t) {
 		evs := rc.tr.Events
-		joinAt := map[int]int{} // session -> index of its Join
+		joinAt := map[int32]int{} // session -> index of its Join
 		for i, ev := range evs {
 			if ev.Op == Join {
 				joinAt[ev.Session] = i
@@ -280,9 +280,9 @@ func TestPlayerHintsEachDepartureBeforeItsLeave(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				hinted := map[int]int{} // session -> hints of its peer
+				hinted := map[int32]int{} // session -> hints of its peer
 				p.hintRemove = func(g *graph.Graph, id graph.NodeID) {
-					s := -1
+					s := int32(-1)
 					for _, ev := range evs[p.next:min(p.next+stageBlock, len(evs))] {
 						if ev.Op == Leave && p.nodes[ev.Session] == id {
 							s = ev.Session

@@ -104,7 +104,7 @@ func (p *Player) hint(g *graph.Graph, evs []Event) {
 	var b prefetch.Batch
 	for _, ev := range evs[b2:b3] {
 		if ev.Op == Leave {
-			b.Add(prefetch.Addr(p.nodes, ev.Session))
+			b.Add(prefetch.Addr(p.nodes, int(ev.Session)))
 		}
 	}
 	for _, ev := range evs[b1:b2] {

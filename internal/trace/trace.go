@@ -45,17 +45,31 @@ func (o Op) String() string {
 	}
 }
 
-// Event is one timestamped membership change. Session identifies which
-// peer the event concerns: a session joins at most once, leaves at most
-// once, and leaves only after it joined. Sessions 0..Initial-1 are
-// present from time 0 and have no Join event.
+// Event is one timestamped membership change, 16 bytes. Session
+// identifies which peer the event concerns: a session joins at most
+// once, leaves at most once, and leaves only after it joined. Sessions
+// 0..Initial-1 are present from time 0 and have no Join event.
 type Event struct {
 	// T is the simulated time of the event, in [0, Horizon].
 	T float64
-	// Session is the session (peer lifetime) the event belongs to.
-	Session int
+	// Session is the session (peer lifetime) the event belongs to. Ids
+	// live in the overlay's int32 id space; every place that makes one
+	// narrows it through sessionID, and the readers renumber a file's
+	// own ids (peer hashes, say) before they narrow them.
+	Session int32
 	// Op is Join or Leave.
 	Op Op
+}
+
+// sessionID narrows a new session id to the overlay's int32 id space.
+// Ids run below Initial + Joins, a count Validate bounds by MaxInt32, so
+// the largest id is MaxInt32-1; a trace that outgrows the space is an
+// error, never a wrapped id.
+func sessionID(s int) (int32, error) {
+	if s < 0 || s >= math.MaxInt32 {
+		return 0, fmt.Errorf("session %d outside the overlay's id space [0, %d)", s, math.MaxInt32)
+	}
+	return int32(s), nil
 }
 
 // Trace is a churn workload over a fixed horizon of simulated time.
@@ -146,7 +160,7 @@ func (t *Trace) Validate() error {
 		}
 		switch ev.Op {
 		case Join:
-			if ev.Session < t.Initial {
+			if int(ev.Session) < t.Initial {
 				return fmt.Errorf("trace: initial session %d joins at t=%g", ev.Session, ev.T)
 			}
 			if state[ev.Session]&joined != 0 {
@@ -154,7 +168,7 @@ func (t *Trace) Validate() error {
 			}
 			state[ev.Session] |= joined
 		case Leave:
-			if ev.Session >= t.Initial && state[ev.Session]&joined == 0 {
+			if int(ev.Session) >= t.Initial && state[ev.Session]&joined == 0 {
 				return fmt.Errorf("trace: session %d leaves before joining", ev.Session)
 			}
 			if state[ev.Session]&left != 0 {
@@ -176,7 +190,7 @@ func (t *Trace) span() (joins, top int) {
 		if ev.Op == Join {
 			joins++
 		}
-		top = max(top, ev.Session)
+		top = max(top, int(ev.Session))
 	}
 	return joins, top
 }
@@ -232,14 +246,15 @@ func (t *Trace) aliveAt(at float64) (alive []int, sessions int) {
 	}
 	n, top := t.Initial, -1
 	for _, ev := range t.Events {
-		top = max(top, ev.Session)
+		s := int(ev.Session)
+		top = max(top, s)
 		if ev.T > at {
 			continue
 		}
-		if ev.Session >= len(state) {
-			state = slices.Grow(state, ev.Session+1-len(state))[:ev.Session+1]
+		if s >= len(state) {
+			state = slices.Grow(state, s+1-len(state))[:s+1]
 		}
-		state[ev.Session] = ev.Op == Join
+		state[s] = ev.Op == Join
 		if ev.Op == Join {
 			n++
 		} else {

@@ -210,6 +210,10 @@ func TestReadRejectsBadInput(t *testing.T) {
 	if _, err := ReadCSV(bytes.NewBufferString("#initial 1\n#horizon 10\n5,0,join\n")); err == nil {
 		t.Fatal("initial session joining accepted")
 	}
+	// Renumbered, joining session 5 becomes 0, the id the leave names.
+	if _, err := ReadCSV(bytes.NewBufferString("#initial 0\n#horizon 10\n1,5,join\n2,0,leave\n")); err == nil {
+		t.Fatal("a leave of a session that never joined accepted")
+	}
 }
 
 func TestValidateCatchesStructureErrors(t *testing.T) {
