@@ -3,25 +3,20 @@ package p2psize
 import (
 	"errors"
 	"fmt"
-	"math"
-	"time"
 
 	"p2psize/internal/cluster"
 	"p2psize/internal/registry"
 )
 
 // ClusterOptions configures RunCluster, the live-cluster runtime: real
-// node daemons on UDP sockets, wired into the requested topology, with
-// the estimator families running over actual packets and every live
-// estimate cross-validated against a simulated run on the identical
-// topology.
+// node daemons on UDP sockets, started in this process and wired into
+// the requested topology, with the estimator families running over
+// actual packets and every live estimate cross-validated against a
+// simulated run on the identical topology.
 type ClusterOptions struct {
-	// Nodes is the cluster size when bootstrapping in-process daemons.
-	// Ignored when Addrs is set. Required otherwise (>= 2).
+	// Nodes is the cluster size, one in-process daemon per node.
+	// Required (>= 2).
 	Nodes int
-	// Addrs lists pre-started p2pnode daemons to drive instead of
-	// bootstrapping; the cluster size is len(Addrs).
-	Addrs []string
 	// Topology and MaxDegree shape the plan topology, as in NewNetwork.
 	Topology  Topology
 	MaxDegree int
@@ -33,20 +28,6 @@ type ClusterOptions struct {
 	// Samples is the estimations per family (0 = 3; negative is
 	// rejected).
 	Samples int
-	// Cadence is the simulated time between samples (0 = 10; negative
-	// and non-finite values are rejected).
-	Cadence float64
-	// Tolerance is the accepted relative live-vs-simulated divergence
-	// (0 = 0.05; negative and non-finite values are rejected). A benign
-	// run is bit-equal, i.e. divergence 0; the tolerance absorbs
-	// liveness-driven membership changes.
-	Tolerance float64
-	// RTO and Retries tune the coordinator transport's retransmission
-	// (0 = defaults: 250ms, 4 retries; negative is rejected).
-	RTO     time.Duration
-	Retries int
-	// Teardown sends a shutdown RPC to every daemon when the run ends.
-	Teardown bool
 	// Logf, when set, receives progress lines. It is called from one
 	// goroutine at a time, so it needs no lock of its own.
 	Logf func(format string, args ...any)
@@ -59,8 +40,6 @@ type ClusterFamily struct {
 	// Live and Sim are the per-sample raw estimates from the live
 	// cluster and the simulated oracle.
 	Live, Sim []float64
-	// MaxDivergence is max |live/sim - 1| over the samples.
-	MaxDivergence float64
 	// Messages is the live run's metered protocol traffic.
 	Messages uint64
 }
@@ -71,47 +50,22 @@ type ClusterReport struct {
 	Nodes int
 	// Families holds the per-family cross-validation, roster order.
 	Families []ClusterFamily
-	// Tolerance is the applied divergence bound; WithinTolerance is
-	// whether every family respected it.
-	Tolerance       float64
-	WithinTolerance bool
-	// Departed counts daemons that stopped answering during the run.
-	Departed int
-	// Delivered is how many protocol messages the coordinator's
-	// transport wrote, Datagrams how many UDP datagrams carried them
-	// (pending messages are counted per daemon and kind, and each
-	// datagram carries one frame per kind), and Received how many the
-	// surviving daemons report having absorbed. Received below
-	// Delivered means a socket buffer overflowed or a daemon departed.
-	Delivered, Datagrams, Received uint64
+	// Tolerance is the accepted relative live-vs-simulated divergence
+	// of a sample (0.05). A benign run is bit-equal, i.e. divergence 0;
+	// the tolerance absorbs liveness-driven membership changes.
+	Tolerance float64
 }
 
 // Validate checks the options' ranges; RunCluster calls it before any
 // daemon starts. The error names the offending field.
 func (o ClusterOptions) Validate() error {
 	switch {
-	case o.size() < 2:
-		return errors.New("p2psize: ClusterOptions needs Nodes >= 2 (or Addrs)")
+	case o.Nodes < 2:
+		return errors.New("p2psize: ClusterOptions needs Nodes >= 2")
 	case o.Samples < 0:
 		return fmt.Errorf("p2psize: ClusterOptions.Samples %d is negative (0 = 3)", o.Samples)
-	case !(o.Cadence >= 0) || math.IsInf(o.Cadence, 1):
-		return fmt.Errorf("p2psize: ClusterOptions.Cadence %g must be finite and >= 0 (0 = 10)", o.Cadence)
-	case !(o.Tolerance >= 0) || math.IsInf(o.Tolerance, 1):
-		return fmt.Errorf("p2psize: ClusterOptions.Tolerance %g must be finite and >= 0 (0 = 0.05)", o.Tolerance)
-	case o.RTO < 0:
-		return fmt.Errorf("p2psize: ClusterOptions.RTO %v is negative (0 = 250ms)", o.RTO)
-	case o.Retries < 0:
-		return fmt.Errorf("p2psize: ClusterOptions.Retries %d is negative (0 = 4)", o.Retries)
 	}
 	return nil
-}
-
-// size is the cluster size the options ask for.
-func (o ClusterOptions) size() int {
-	if len(o.Addrs) > 0 {
-		return len(o.Addrs)
-	}
-	return o.Nodes
 }
 
 // RunCluster wires a cluster of real node daemons into the requested
@@ -133,7 +87,7 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 	// The plan topology is a plain NewNetwork build: same generators,
 	// same seed discipline as every simulated experiment.
 	plan, err := NewNetwork(NetworkOptions{
-		Nodes:     opts.size(),
+		Nodes:     opts.Nodes,
 		Topology:  opts.Topology,
 		MaxDegree: opts.MaxDegree,
 		Seed:      opts.Seed,
@@ -145,37 +99,22 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 	rep, err := cluster.Run(cluster.Config{
 		Plan:       plan.net.Graph(),
 		MaxDeg:     plan.net.MaxDegree(),
-		Addrs:      opts.Addrs,
 		Estimators: descs,
 		Seed:       opts.Seed,
 		Samples:    opts.Samples,
-		Cadence:    opts.Cadence,
-		Tolerance:  opts.Tolerance,
-		RTO:        opts.RTO,
-		Retries:    opts.Retries,
-		Teardown:   opts.Teardown,
 		Logf:       opts.Logf,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	out := &ClusterReport{
-		Nodes:           rep.Nodes,
-		Tolerance:       rep.Tolerance,
-		WithinTolerance: rep.Within,
-		Departed:        len(rep.Departed),
-		Delivered:       rep.Transport.Delivered,
-		Datagrams:       rep.Transport.Datagrams,
-		Received:        rep.Received,
-	}
+	out := &ClusterReport{Nodes: rep.Nodes, Tolerance: rep.Tolerance}
 	for _, f := range rep.Families {
 		out.Families = append(out.Families, ClusterFamily{
-			Name:          f.Name,
-			Live:          f.Live,
-			Sim:           f.Sim,
-			MaxDivergence: f.MaxDivergence,
-			Messages:      f.Messages,
+			Name:     f.Name,
+			Live:     f.Live,
+			Sim:      f.Sim,
+			Messages: f.Messages,
 		})
 	}
 	return out, nil

@@ -76,11 +76,6 @@ func main() {
 
 		faults = flag.String("faults", "", "fault scenario every selected algorithm runs under, e.g. \"drop=0.05,delay=2x,lie=10@0.05\"; silent=/sybil= reshape the overlay, partition@lo-hi folds onto the -trace timeline")
 
-		clusterN     = flag.Int("cluster", 0, "live-cluster mode: bootstrap this many in-process node daemons on 127.0.0.1 and run the estimators over real UDP sockets")
-		clusterAddrs = flag.String("cluster-addrs", "", "live-cluster mode against pre-started p2pnode daemons: comma-separated addresses, or @FILE with one address per line")
-		tolerance    = flag.Float64("tolerance", 0, "live-cluster accepted relative live-vs-simulated divergence (0 = 0.05)")
-		teardown     = flag.Bool("teardown", false, "send a shutdown RPC to every daemon when the live-cluster run ends")
-
 		traceSpec = flag.String("trace", "", "monitor under churn: weibull | lognormal | exponential | pareto | diurnal | flashcrowd | partition, or a trace file (.json/.csv, optionally .gz)")
 		horizon   = flag.Float64("horizon", 1000, "trace duration in simulated time units (generated traces)")
 		cadence   = flag.String("cadence", "10", "monitor sampling spec: a base tick and/or per-estimator name=value overrides, e.g. \"10\", \"5,agg=50\", \"hops=1,agg=10\"")
@@ -133,29 +128,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	clusterMode := *clusterN > 0 || *clusterAddrs != ""
-	algoSet := false
-	flag.Visit(func(f *flag.Flag) { algoSet = algoSet || f.Name == "algo" })
-	if err := validateModes(clusterMode, algoSet, *traceSpec, *horizon, fopts); err != nil {
+	if err := validateModes(*traceSpec, *horizon, fopts); err != nil {
 		fatalUsage(err)
-	}
-
-	if clusterMode {
-		opts, err := clusterOptions(clusterOpts{
-			nodes: *clusterN, addrSpec: *clusterAddrs, topo: topo, maxDeg: *maxDeg,
-			estSel: *estSel, runs: *runs, seed: *seed,
-			tolerance: *tolerance, teardown: *teardown,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if err := opts.Validate(); err != nil {
-			fatalUsage(err)
-		}
-		if err := runCluster(opts); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	roster, err := registry.Parse(rosterSpec(*estSel, *algo))
@@ -396,16 +370,10 @@ func formatVals(vals []float64) string {
 // validateModes is the single chokepoint for mutually exclusive mode
 // combinations: every flag pairing the command cannot honor is rejected
 // here, before any work starts, through one usage-error path.
-func validateModes(clusterMode, algoSet bool, traceSpec string, horizon float64, f p2psize.FaultOptions) error {
+func validateModes(traceSpec string, horizon float64, f p2psize.FaultOptions) error {
 	switch {
 	case traceSpec != "" && (!(horizon > 0) || math.IsInf(horizon, 1)):
 		return fmt.Errorf("-horizon %g must be positive and finite", horizon)
-	case clusterMode && algoSet:
-		return fmt.Errorf("-cluster reads its roster from -estimators; -algo would be silently ignored (name the families with -estimators, or drop -algo for the default live roster)")
-	case clusterMode && traceSpec != "":
-		return fmt.Errorf("-cluster and -trace are mutually exclusive: a live cluster's membership is owned by the daemons, not a replayed churn trace")
-	case clusterMode && f.Enabled():
-		return fmt.Errorf("-cluster runs the benign live protocol; fault scenarios are simulation-only (use -faults without -cluster, or cmd/figures -only robustness-*)")
 	case traceSpec == "" && f.PartitionFrac > 0:
 		return fmt.Errorf("-faults: a partition needs a timeline to split and heal across; add -trace (the partition@lo-hi window folds onto any trace workload)")
 	case traceSpec != "" && f.SybilFrac > 0:

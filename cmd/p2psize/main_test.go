@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -116,7 +115,7 @@ func TestErrLine(t *testing.T) {
 	}{
 		{errors.New(`unknown topology "mesh"`), `p2psize: unknown topology "mesh"`},
 		{errors.New("p2psize: NewNetwork: need at least 1 node"), "p2psize: NewNetwork: need at least 1 node"},
-		{fmt.Errorf("-cluster-addrs: %w", errors.New("p2psize: bad address")), "p2psize: -cluster-addrs: p2psize: bad address"},
+		{fmt.Errorf("-trace: %w", errors.New("p2psize: bad file")), "p2psize: -trace: p2psize: bad file"},
 		{errors.New("registry: p2psize: x"), "p2psize: registry: p2psize: x"},
 	} {
 		if got := errLine(c.err); got != c.want {
@@ -157,18 +156,13 @@ func TestValidateModes(t *testing.T) {
 		return f
 	}
 	for _, c := range []struct {
-		name             string
-		cluster, algoSet bool
-		trace, faults    string
-		horizon          float64 // 0 = the flag's default
-		want             string  // substring of the error; "" = accepted
+		name          string
+		trace, faults string
+		horizon       float64 // 0 = the flag's default
+		want          string  // substring of the error; "" = accepted
 	}{
-		{name: "static", algoSet: true},
-		{name: "monitoring", algoSet: true, trace: "weibull", faults: "drop=0.05,silent=0.1"},
-		{name: "cluster, default roster", cluster: true},
-		{name: "cluster with -algo", cluster: true, algoSet: true, want: "-algo would be silently ignored"},
-		{name: "cluster with -trace", cluster: true, trace: "weibull", want: "mutually exclusive"},
-		{name: "cluster with -faults", cluster: true, faults: "drop=0.05", want: "simulation-only"},
+		{name: "static"},
+		{name: "monitoring", trace: "weibull", faults: "drop=0.05,silent=0.1"},
 		{name: "partition without -trace", faults: "partition=0.5@0.4-0.6", want: "needs a timeline"},
 		{name: "partition on a trace", trace: "weibull", faults: "partition=0.5@0.4-0.6"},
 		{name: "sybils while monitoring", trace: "weibull", faults: "sybil=0.1", want: "sybil inflation conflicts"},
@@ -182,37 +176,12 @@ func TestValidateModes(t *testing.T) {
 		if horizon == 0 {
 			horizon = 1000
 		}
-		err := validateModes(c.cluster, c.algoSet, c.trace, horizon, parse(c.faults))
+		err := validateModes(c.trace, horizon, parse(c.faults))
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", c.name, err)
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
-		}
-	}
-}
-
-func TestParseAddrSpec(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "addrs")
-	if err := os.WriteFile(file, []byte("127.0.0.1:7001\n\n 127.0.0.1:7002 \n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		spec string
-		want []string
-	}{
-		{"", nil},
-		{"a:1, b:2,,", []string{"a:1", "b:2"}},
-		{"@" + file, []string{"127.0.0.1:7001", "127.0.0.1:7002"}},
-	} {
-		got, err := parseAddrSpec(c.spec)
-		if err != nil || !reflect.DeepEqual(got, c.want) {
-			t.Errorf("parseAddrSpec(%q) = %v, err %v; want %v", c.spec, got, err, c.want)
-		}
-	}
-	for _, bad := range []string{" , ,", "@" + file + ".missing"} {
-		if got, err := parseAddrSpec(bad); err == nil || !strings.Contains(err.Error(), "-cluster-addrs") {
-			t.Errorf("parseAddrSpec(%q) = %v, err %v; want a -cluster-addrs error", bad, got, err)
 		}
 	}
 }
@@ -336,33 +305,17 @@ func TestNegativeKnobFails(t *testing.T) {
 }
 
 // TestRemovedFlagsExit2: the shard count and the shuffle mode are the
-// engine's to derive, not options; naming either is an unknown flag.
+// engine's to derive, not options, and the live-cluster mode is a
+// library call (p2psize.RunCluster), not a mode of the command; naming
+// any of their flags is an unknown flag.
 func TestRemovedFlagsExit2(t *testing.T) {
-	for _, args := range []string{"-shards 4", "-shuffle global"} {
+	for _, args := range []string{
+		"-shards 4", "-shuffle global",
+		"-cluster 4", "-cluster-addrs a:1", "-tolerance 0.1", "-teardown",
+	} {
 		code, stderr := runMain(t, "-nodes 200 -algo agg -runs 1 "+args)
 		if code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
 			t.Errorf("%s: exit status %d, want 2 with an unknown-flag error; stderr:\n%s", args, code, stderr)
-		}
-	}
-}
-
-// TestClusterOptionsExit2: a live-cluster option out of range is a usage
-// error, found before any daemon starts — not a whole cluster run that
-// ends in a failed tolerance check or a monitor error.
-func TestClusterOptionsExit2(t *testing.T) {
-	for _, c := range []struct{ args, field string }{
-		{"-tolerance NaN", "ClusterOptions.Tolerance NaN"},
-		{"-tolerance -1", "ClusterOptions.Tolerance -1"},
-		{"-tolerance +Inf", "ClusterOptions.Tolerance +Inf"},
-		{"-runs -1", "ClusterOptions.Samples -1"},
-	} {
-		code, stderr := runMain(t, "-cluster 4 -estimators sc "+c.args)
-		if code != 2 {
-			t.Errorf("%s: exit status %d, want 2; stderr:\n%s", c.args, code, stderr)
-			continue
-		}
-		if strings.Count(stderr, "p2psize:") != 1 || !strings.Contains(stderr, c.field) {
-			t.Errorf("%s: stderr %q: want one p2psize: error naming %s", c.args, stderr, c.field)
 		}
 	}
 }

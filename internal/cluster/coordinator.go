@@ -18,17 +18,22 @@ import (
 	"p2psize/internal/xrand"
 )
 
+// The monitor grid's spacing and the accepted live-vs-simulated
+// divergence. The cadence is simulated time between samples; wall time
+// is however long the estimations take. A benign run is bit-equal, so
+// the tolerance only absorbs liveness-driven membership changes.
+const (
+	cadence   = 10
+	tolerance = 0.05
+)
+
 // Config drives one coordinator run.
 type Config struct {
 	// Plan is the target topology; its alive nodes must be exactly
-	// 0..N-1, one per daemon. Required.
+	// 0..N-1, one per in-process daemon. Required.
 	Plan *graph.Graph
 	// MaxDeg is the overlay degree cap for joins (0 = 10).
 	MaxDeg int
-	// Addrs lists pre-started daemons to drive, one address per plan
-	// node. Empty bootstraps len(plan) in-process daemons on ephemeral
-	// 127.0.0.1 ports instead.
-	Addrs []string
 	// Estimators is the roster; every descriptor must have
 	// SupportsTransport. Required.
 	Estimators []registry.Descriptor
@@ -40,21 +45,18 @@ type Config struct {
 	Seed uint64
 	// Samples is the estimations per family (0 = 3).
 	Samples int
-	// Cadence is the simulated time between samples (0 = 10). It spaces
-	// the monitor grid; wall time is however long the estimations take.
-	Cadence float64
-	// Tolerance is the accepted relative live-vs-simulated divergence
-	// (0 = 0.05).
-	Tolerance float64
-	// RTO and Retries tune the control-plane transport (0 = defaults).
-	RTO     time.Duration
-	Retries int
-	// Teardown sends a shutdown RPC to every daemon when the run ends —
-	// how the smoke script gets externally started daemons to exit.
-	Teardown bool
 	// Logf, when set, receives progress lines. It is called from one
 	// goroutine at a time, so it needs no lock of its own.
 	Logf func(format string, args ...any)
+
+	// started, when set, is handed the daemons once they are
+	// bootstrapped, and rto and retries tune the coordinator's
+	// retransmission (0 = the transport's defaults): the package's tests
+	// close daemons in the middle of a run and need them to go
+	// unreachable fast.
+	started func([]*Node)
+	rto     time.Duration
+	retries int
 }
 
 // Family is one estimator family's cross-validation outcome.
@@ -122,10 +124,10 @@ func (s *pingSource) AdvanceTo(net *overlay.Network, t float64) error {
 	return nil
 }
 
-// Run bootstraps (or adopts) the daemons, wires them to the plan
-// topology, runs the roster over the live cluster and over a simulated
-// overlay on the identical topology, and reports the per-family
-// divergence against the tolerance.
+// Run bootstraps one in-process daemon per plan node, wires them to
+// the plan topology, runs the roster over the live cluster and over a
+// simulated overlay on the identical topology, and reports the
+// per-family divergence against the tolerance.
 func Run(cfg Config) (*Report, error) {
 	if cfg.Plan == nil {
 		return nil, errors.New("cluster: Config.Plan is required")
@@ -155,45 +157,36 @@ func Run(cfg Config) (*Report, error) {
 	if samples == 0 {
 		samples = 3
 	}
-	cadence := cfg.Cadence
-	if cadence == 0 {
-		cadence = 10
-	}
-	tolerance := cfg.Tolerance
-	if tolerance == 0 {
-		tolerance = 0.05
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 
-	// Daemons: adopt the given addresses or bootstrap in-process.
-	addrs := cfg.Addrs
-	if len(addrs) == 0 {
-		nodes := make([]*Node, 0, n)
-		defer func() {
-			for _, nd := range nodes {
-				nd.Close()
-			}
-		}()
-		for i := 0; i < n; i++ {
-			nd, err := NewNode("127.0.0.1:0")
-			if err != nil {
-				return nil, fmt.Errorf("cluster: bootstrap daemon %d: %w", i, err)
-			}
-			nodes = append(nodes, nd)
-			addrs = append(addrs, nd.Addr())
+	// One daemon per plan node, in this process, on an ephemeral port.
+	nodes := make([]*Node, 0, n)
+	defer func() {
+		for _, nd := range nodes {
+			nd.Close()
 		}
-		logf("bootstrapped %d in-process daemons on 127.0.0.1", n)
-	} else if len(addrs) != n {
-		return nil, fmt.Errorf("cluster: %d daemon addresses for a %d-node plan", len(addrs), n)
+	}()
+	addrs := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		nd, err := NewNode("127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("cluster: bootstrap daemon %d: %w", i, err)
+		}
+		nodes = append(nodes, nd)
+		addrs = append(addrs, nd.Addr())
 	}
+	if cfg.started != nil {
+		cfg.started(nodes)
+	}
+	logf("bootstrapped %d in-process daemons on 127.0.0.1", n)
 
 	// The coordinator's own transport: control-plane RPCs plus the live
 	// overlay's protocol traffic.
 	coord, err := transport.NewUDP(transport.UDPConfig{
-		Addr: "127.0.0.1:0", Self: graph.None, RTO: cfg.RTO, Retries: cfg.Retries,
+		Addr: "127.0.0.1:0", Self: graph.None, RTO: cfg.rto, Retries: cfg.retries,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: coordinator socket: %w", err)
@@ -333,14 +326,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 	logf("daemons absorbed %d of %d delivered protocol messages", report.Received, coord.Stats().Delivered)
 
-	if cfg.Teardown {
-		for i := 0; i < n; i++ {
-			// Best effort: a daemon that already died is what Departed is for.
-			//detlint:allow meterseam — teardown is control-plane RPC, not metered protocol traffic
-			_, _ = coord.Request(graph.NodeID(i), "shutdown", nil)
-		}
-		logf("shutdown sent to %d daemons", n)
-	}
 	report.Transport = coord.Stats()
 	return report, nil
 }

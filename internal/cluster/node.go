@@ -1,12 +1,15 @@
-// Package cluster is the real-network runtime: node daemons that hold a
-// live overlay membership over UDP sockets, and a coordinator that
-// bootstraps a cluster, drives the registry's transport-capable
-// estimator families against it through internal/monitor, and
-// cross-validates every live estimate against a simulated run on the
-// identical topology.
+// Package cluster is the live runtime behind p2psize.RunCluster: node
+// daemons started in this process, each on its own loopback UDP socket,
+// and a coordinator that wires them into a plan topology, drives the
+// registry's transport-capable estimator families against them through
+// internal/monitor, and cross-validates every live estimate against a
+// simulated run on the identical topology.
 //
-// The paper's evaluation is simulation-only; this package is the step
-// from reproduction to deployment. The correctness argument is the
+// The paper's evaluation is simulation-only, and so is this runtime's
+// arithmetic: the daemons hold a neighbor table and count the protocol
+// messages they receive, while the estimators run in the coordinator.
+// What the live run exercises is the wire (frame codec, sockets,
+// retransmission, the control plane). The correctness argument is the
 // transport seam's: metering happens before delivery and delivery
 // errors never reach estimator arithmetic, so a benign live run is
 // bit-equal to the simulated oracle under equal seeds — divergence can
@@ -35,22 +38,13 @@ type NeighborInfo struct {
 }
 
 // RPC payloads (JSON-encoded in Frame.Payload). The coordinator speaks
-// these ops; ping and shutdown carry no request payload, and the ping
+// these ops; ping and neighbors carry no request payload, and the ping
 // reply is the daemon's Received counter, 8 bytes big-endian.
 type assignPayload struct {
 	// ID is the overlay ID the coordinator assigns to the daemon.
 	ID transport.NodeID `json:"id"`
 	// Neighbors is the daemon's full neighbor table per the plan topology.
 	Neighbors []NeighborInfo `json:"neighbors"`
-}
-
-type joinPayload struct {
-	ID   transport.NodeID `json:"id"`
-	Addr string           `json:"addr"`
-}
-
-type leavePayload struct {
-	ID transport.NodeID `json:"id"`
 }
 
 type neighborsPayload struct {
@@ -60,8 +54,8 @@ type neighborsPayload struct {
 
 // Node is one daemon: a UDP transport endpoint plus the neighbor
 // bookkeeping the coordinator's RPCs maintain. It serves the cluster
-// control plane (assign/join/leave/neighbors/ping/shutdown) and absorbs
-// the estimators' one-way protocol traffic, keeping one total of it.
+// control plane (assign/neighbors/ping) and absorbs the estimators'
+// one-way protocol traffic, keeping one total of it.
 type Node struct {
 	tr *transport.UDP
 
@@ -70,8 +64,6 @@ type Node struct {
 	neighbors map[transport.NodeID]string
 
 	received atomic.Uint64
-	done     chan struct{}
-	stopOnce sync.Once
 }
 
 // NewNode opens a daemon on addr ("127.0.0.1:0" for an ephemeral port)
@@ -80,7 +72,6 @@ func NewNode(addr string) (*Node, error) {
 	n := &Node{
 		id:        graph.None,
 		neighbors: make(map[transport.NodeID]string),
-		done:      make(chan struct{}),
 	}
 	tr, err := transport.NewUDP(transport.UDPConfig{Addr: addr, Self: graph.None})
 	if err != nil {
@@ -93,13 +84,6 @@ func NewNode(addr string) (*Node, error) {
 
 // Addr returns the daemon's bound socket address.
 func (n *Node) Addr() string { return n.tr.LocalAddr() }
-
-// ID returns the assigned overlay ID (graph.None before assignment).
-func (n *Node) ID() transport.NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.id
-}
 
 // neighborList snapshots the table sorted by ID; callers hold n.mu.
 func (n *Node) neighborList() []NeighborInfo {
@@ -114,15 +98,8 @@ func (n *Node) neighborList() []NeighborInfo {
 // Received returns how many one-way protocol messages landed here.
 func (n *Node) Received() uint64 { return n.received.Load() }
 
-// Done is closed when a shutdown RPC arrives, so a daemon process can
-// wait on it for graceful termination.
-func (n *Node) Done() <-chan struct{} { return n.done }
-
 // Close releases the daemon's socket. Idempotent.
-func (n *Node) Close() error {
-	n.stopOnce.Do(func() { close(n.done) })
-	return n.tr.Close()
-}
+func (n *Node) Close() error { return n.tr.Close() }
 
 // ServeOneway implements transport.Handler: protocol traffic is counted
 // and absorbed (the estimator arithmetic runs at the coordinator; the
@@ -155,35 +132,11 @@ func (n *Node) ServeRequest(from transport.NodeID, op string, payload []byte) ([
 			}
 		}
 		return nil, nil
-	case "join":
-		var req joinPayload
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("join: %w", err)
-		}
-		if err := n.tr.SetPeer(req.ID, req.Addr); err != nil {
-			return nil, fmt.Errorf("join: %w", err)
-		}
-		n.mu.Lock()
-		n.neighbors[req.ID] = req.Addr
-		n.mu.Unlock()
-		return nil, nil
-	case "leave":
-		var req leavePayload
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("leave: %w", err)
-		}
-		n.mu.Lock()
-		delete(n.neighbors, req.ID)
-		n.mu.Unlock()
-		return nil, nil
 	case "neighbors":
 		n.mu.Lock()
 		resp := neighborsPayload{ID: n.id, Neighbors: n.neighborList()}
 		n.mu.Unlock()
 		return json.Marshal(resp)
-	case "shutdown":
-		n.stopOnce.Do(func() { close(n.done) })
-		return nil, nil
 	default:
 		return nil, fmt.Errorf("unknown op %q", op)
 	}

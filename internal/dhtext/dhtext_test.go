@@ -147,30 +147,6 @@ func TestTinyOverlays(t *testing.T) {
 	}
 }
 
-func TestKthClosestMatchesSort(t *testing.T) {
-	// The heap-based selection must agree with a full sort for the
-	// k-th order statistic.
-	net := hetNet(300, 11)
-	e := New(Config{K: 7, Probes: 1}, xrand.New(12))
-	g := net.Graph()
-	target := uint64(0xdeadbeefcafef00d)
-	var all []uint64
-	for i := 0; i < g.NumAlive(); i++ {
-		all = append(all, e.id64(g.AliveAt(i))^target)
-	}
-	// Insertion sort is fine at this size.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j] < all[j-1]; j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
-	e.targets = []uint64{target}
-	e.kthClosest(g, 7)
-	if got := e.heaps[0]; got != all[6] {
-		t.Fatalf("kthClosest = %d, want %d", got, all[6])
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{{K: 1, Probes: 1}, {K: 2, Probes: 0}} {
 		func() {

@@ -427,10 +427,11 @@ func TestFig18CheapConfig(t *testing.T) {
 
 func TestTableIShape(t *testing.T) {
 	p := testParams()
-	tbl, rows, err := TableI(p)
+	rows, _, err := TableIRows(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := renderTableI(p, rows)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}

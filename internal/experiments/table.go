@@ -92,15 +92,7 @@ func makeRow(alg, heur string, qualities []float64, overhead float64) TableIRow 
 	}
 }
 
-// TableI renders the measured rows in the paper's layout.
-func TableI(p Params) (*plot.Table, []TableIRow, error) {
-	rows, _, err := TableIRows(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return renderTableI(p, rows), rows, nil
-}
-
+// renderTableI lays the measured rows out in the paper's Table I.
 func renderTableI(p Params, rows []TableIRow) *plot.Table {
 	t := &plot.Table{
 		Title: fmt.Sprintf("Table I: overhead and accuracy for an estimation on a %d node overlay", p.N100k),

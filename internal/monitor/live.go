@@ -1,13 +1,15 @@
 package monitor
 
 // Live-cluster monitoring: the same loop as RunScheduled, but driven
-// against ONE shared overlay whose membership is owned by real node
-// daemons rather than a replayed trace. There is no clone — the overlay
-// mirrors the cluster, so all instances must observe the same membership
-// at the same tick and interleave on a single timeline. The Timeline
-// reconciles daemon liveness into the overlay ahead of every tick (the
-// coordinator's pings every daemon and Leaves the ones that stopped
-// answering; tests can script departures); with a nil one the
+// against ONE shared overlay whose membership is owned by node daemons
+// rather than a replayed trace. Its one caller is internal/cluster's
+// coordinator (p2psize.RunCluster), whose daemons run in the same
+// process on loopback UDP sockets. There is no clone — the overlay
+// mirrors the cluster, so all instances must observe the same
+// membership at the same tick and interleave on a single timeline. The
+// Timeline reconciles daemon liveness into the overlay ahead of every
+// tick (the coordinator pings every daemon and Leaves the ones that
+// stopped answering; tests can script departures); with a nil one the
 // membership is static and RunLive on a transport-free overlay is the
 // simulated oracle the coordinator cross-validates the live run against
 // (identical estimator seeds then give bit-equal raw estimates, because

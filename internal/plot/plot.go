@@ -1,8 +1,8 @@
-// Package plot renders experiment output in the three forms the
-// repository uses: gnuplot-compatible .dat files (one block per curve,
-// the layout the paper's figures were plotted from), CSV for spreadsheet
-// work, terminal ASCII charts for quick inspection, and markdown tables
-// for the NOTES.md that cmd/figures writes.
+// Package plot renders experiment output in the forms the repository
+// uses: gnuplot-compatible .dat files (one block per curve, the layout
+// the paper's figures were plotted from), CSV for spreadsheet work,
+// terminal ASCII charts for quick inspection, and aligned text tables
+// for the notes cmd/figures writes to NOTES.md.
 package plot
 
 import (
@@ -168,26 +168,6 @@ func (t *Table) AddRow(cells ...string) {
 		panic(fmt.Sprintf("plot: row width %d, header width %d", len(cells), len(t.Headers)))
 	}
 	t.Rows = append(t.Rows, cells)
-}
-
-// Markdown renders the table as GitHub-flavored markdown.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	if len(t.Headers) > 0 {
-		b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-		sep := make([]string, len(t.Headers))
-		for i := range sep {
-			sep[i] = "---"
-		}
-		b.WriteString("| " + strings.Join(sep, " | ") + " |\n")
-	}
-	for _, row := range t.Rows {
-		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return b.String()
 }
 
 // Text renders the table with aligned columns for terminal output.

@@ -137,19 +137,13 @@ func TestASCIIMultipleGlyphs(t *testing.T) {
 	}
 }
 
-func TestTableMarkdownAndText(t *testing.T) {
+func TestTableText(t *testing.T) {
 	tb := &Table{
 		Title:   "Table I",
 		Headers: []string{"Algorithm", "Overhead"},
 	}
 	tb.AddRow("S&C", "0.5M")
 	tb.AddRow("Aggregation", "10M")
-	md := tb.Markdown()
-	for _, want := range []string{"**Table I**", "| Algorithm | Overhead |", "| --- | --- |", "| S&C | 0.5M |"} {
-		if !strings.Contains(md, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, md)
-		}
-	}
 	txt := tb.Text()
 	for _, want := range []string{"Table I", "Algorithm", "Aggregation", "10M"} {
 		if !strings.Contains(txt, want) {

@@ -103,11 +103,10 @@ func TestCompositorCanonical(t *testing.T) {
 }
 
 // TestCompositorMergesInPlace bounds what a crowd of 100k sessions on a
-// trace of a million events may allocate: the one growth of the event
-// slice (at most 1.2 times the events it ends up holding) and one copy
-// of the tail — two under the race detector, whose build materialises
-// the slice slices.Grow appends. A merge into a second slice would take
-// twice the events, not 1.2 times.
+// trace of a million events may allocate: the one exact growth of the
+// event slice, the departures' own run and one copy of the tail (each at
+// most the appended events). A merge into a second slice, or a growth
+// by append's factor, would take more.
 func TestCompositorMergesInPlace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a million-event trace")
@@ -130,12 +129,56 @@ func TestCompositorMergesInPlace(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	const eventBytes = uint64(unsafe.Sizeof(Event{}))
 	appended := uint64(len(tr.Events) - before)
-	budget := 12*uint64(len(tr.Events))*eventBytes/10 + 2*appended*eventBytes
+	budget := uint64(len(tr.Events))*eventBytes + 2*appended*eventBytes
 	if got := m1.TotalAlloc - m0.TotalAlloc; got > budget {
 		t.Fatalf("AddFlashCrowd allocated %d bytes for %d appended events on %d; budget %d", got, appended, before, budget)
 	}
 	if !slices.IsSortedFunc(tr.Events, eventCmp) {
 		t.Fatal("events out of canonical order")
+	}
+}
+
+// TestFlashCrowdGrowsExactly: a crowd composed onto the exactly sized
+// trace GenerateParallel returns leaves no spare capacity behind (it
+// used to grow by append's factor, and the slack stayed live for the
+// whole run), and a trace with room for the crowd keeps its array. Both
+// compose the same events. A mass failure composed next grows no more
+// than it must either.
+func TestFlashCrowdGrowsExactly(t *testing.T) {
+	cfg := Config{Initial: genChunk + 5, Horizon: 100, Session: SessionDist{Kind: Exponential, Mean: 50}}
+	tr, err := GenerateParallel(cfg, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slack := cap(tr.Events) - len(tr.Events); slack != 0 {
+		t.Fatalf("fixture: GenerateParallel left %d events of spare capacity", slack)
+	}
+	const count = 2000
+	roomy := &Trace{Initial: tr.Initial, Horizon: tr.Horizon, Events: slices.Grow(slices.Clone(tr.Events), 2*count)}
+	array := unsafe.SliceData(roomy.Events)
+	crowd := SessionDist{Kind: Exponential, Mean: 20}
+	if err := tr.AddFlashCrowd(40, count, crowd, xrand.New(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := roomy.AddFlashCrowd(40, count, crowd, xrand.New(4)); err != nil {
+		t.Fatal(err)
+	}
+	if slack := cap(tr.Events) - len(tr.Events); slack != 0 {
+		t.Fatalf("%d events of spare capacity after composing %d joins and their departures", slack, count)
+	}
+	if unsafe.SliceData(roomy.Events) != array {
+		t.Fatal("a trace with room for the crowd was copied")
+	}
+	if !slices.Equal(tr.Events, roomy.Events) {
+		t.Fatal("the two traces composed different events")
+	}
+	// A mass failure after it either fits in place or grows exactly.
+	before := len(tr.Events)
+	if err := tr.AddMassFailure(70, 0.25, xrand.New(5)); err != nil {
+		t.Fatal(err)
+	}
+	if want := max(before, len(tr.Events)); cap(tr.Events) != want {
+		t.Fatalf("capacity %d after a mass failure took %d events to %d; want %d", cap(tr.Events), before, len(tr.Events), want)
 	}
 }
 

@@ -265,31 +265,43 @@ func (t *Trace) AddFlashCrowd(at float64, count int, d SessionDist, rng *xrand.R
 	if err := d.validate(); err != nil {
 		return err
 	}
-	// Room for the joins first, then the departures, in draw order.
-	from := len(t.Events)
-	t.Events = slices.Grow(t.Events, 2*count)[:from+count]
+	// The departures first, in draw order, into a run of their own, so
+	// the trace grows by exactly the crowd's events.
+	deps := make([]Event, 0, count)
 	for i := 0; i < count; i++ {
 		if end := at + d.Draw(rng); end < t.Horizon {
-			t.Events = append(t.Events, Event{T: end, Session: int32(first + i), Op: Leave})
+			deps = append(deps, Event{T: end, Session: int32(first + i), Op: Leave})
 		}
 	}
+	slices.SortFunc(deps, eventCmp)
+	from := len(t.Events)
+	t.Events = growExact(t.Events, count+len(deps))[:from+count+len(deps)]
 	// The joins (one instant, ascending sessions) are in order already:
-	// sort the departures alone and merge the two runs forward into the
-	// room; the write index k never passes the next departure's, l.
-	tail, j, l := t.Events[from:], 0, count
-	slices.SortFunc(tail[count:], eventCmp)
+	// merge them and the sorted departures forward into the room.
+	tail, j, l := t.Events[from:], 0, 0
 	for k := range tail {
 		join := Event{T: at, Session: int32(first + j), Op: Join}
-		if j < count && (l == len(tail) || eventCmp(join, tail[l]) < 0) {
+		if j < count && (l == len(deps) || eventCmp(join, deps[l]) < 0) {
 			tail[k] = join
 			j++
 		} else {
-			tail[k] = tail[l]
+			tail[k] = deps[l]
 			l++
 		}
 	}
 	t.mergeTail(from)
 	return nil
+}
+
+// growExact returns events with room for n more, and when that takes a
+// new array, one of exactly that size: a composed trace is replayed for
+// the rest of a run, so the slack append's growth factor leaves would
+// stay allocated all that time.
+func growExact(events []Event, n int) []Event {
+	if cap(events)-len(events) >= n {
+		return events
+	}
+	return append(make([]Event, 0, len(events)+n), events...)
 }
 
 // victims rejects a fraction outside [0, 1] (NaN included) for the named
@@ -332,7 +344,7 @@ func (t *Trace) AddMassFailure(at, fraction float64, rng *xrand.Rand) error {
 		}
 		kept = append(kept, ev)
 	}
-	t.Events = slices.Grow(kept, k)
+	t.Events = growExact(kept, k)
 	for s, v := range victim {
 		if v {
 			t.Events = append(t.Events, Event{T: at, Session: int32(s), Op: Leave})
@@ -379,7 +391,7 @@ func (t *Trace) AddPartitionHeal(splitAt, healAt, fraction float64, rng *xrand.R
 		}
 		kept = append(kept, ev)
 	}
-	t.Events = slices.Grow(kept, 3*k)
+	t.Events = growExact(kept, 3*k)
 	next := int32(len(victim))
 	for s, v := range victim {
 		if !v {
