@@ -88,8 +88,12 @@ func New(cfg Config, rng *xrand.Rand) *Protocol {
 
 // NewEstimator builds the one-shot adapter (epidemic.Estimator).
 func NewEstimator(cfg Config, rng *xrand.Rand) *epidemic.Estimator[float64, pair] {
-	return epidemic.NewEstimator(&New(cfg, rng).Epoch)
+	return epidemic.NewEstimator(&New(cfg, rng).Epoch, idle)
 }
+
+// idle lends one-shot epochs' buffers from a finished estimate to the
+// next.
+var idle = epidemic.NewIdle[float64, pair]()
 
 // sweep returns the engine callbacks of one round (RunRound): one
 // synchronous push-pull cycle in which every live node, in fresh random
@@ -151,7 +155,7 @@ func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.Fault
 			net.SendN(metrics.KindPush, sh.Meters[0])
 			net.SendN(metrics.KindPull, sh.Meters[1])
 		},
-		Resolve: func(pr pair, _ *xrand.Rand) error {
+		Resolve: func(_ int, pr pair, _ *xrand.Rand) error {
 			p.exchange(pr.u, pr.v, pr.fate)
 			return nil
 		},

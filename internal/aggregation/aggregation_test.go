@@ -252,7 +252,7 @@ func TestOneShotEstimatorAdapter(t *testing.T) {
 	const n = 2000
 	net := hetNet(n, 24)
 	p := New(Config{RoundsPerEpoch: 50}, xrand.New(25))
-	e := epidemic.NewEstimator(&p.Epoch)
+	e := epidemic.NewEstimator(&p.Epoch, idle)
 	if e.Name() != "aggregation(rounds=50)" {
 		t.Fatalf("Name = %q", e.Name())
 	}

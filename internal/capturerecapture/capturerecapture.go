@@ -29,11 +29,13 @@ package capturerecapture
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
 	"p2psize/internal/samplecollide"
+	"p2psize/internal/scratch"
 	"p2psize/internal/xrand"
 )
 
@@ -73,8 +75,12 @@ type Estimator struct {
 	cfg     Config
 	rng     *xrand.Rand
 	sampler *samplecollide.Estimator
-	marked  map[graph.NodeID]struct{} // scratch, reset per estimation
 }
+
+// idle lends a finished estimate's marked set to the next, on any
+// estimator; a set that held more peers ranks larger (a cleared map
+// keeps its room).
+var idle = scratch.NewList(func(m map[graph.NodeID]struct{}) int { return len(m) })
 
 // New builds an Estimator; it panics on invalid configuration.
 func New(cfg Config, rng *xrand.Rand) *Estimator {
@@ -122,10 +128,12 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	if !net.Alive(initiator) {
 		return 0, fmt.Errorf("capturerecapture: initiator %d is not alive", initiator)
 	}
-	if e.marked == nil {
-		e.marked = make(map[graph.NodeID]struct{}, e.cfg.Marks)
+	marked, ok := idle.Get(math.MaxInt) // the largest set: the fewest regrowths
+	if !ok {
+		marked = make(map[graph.NodeID]struct{}, e.cfg.Marks)
 	}
-	clear(e.marked)
+	defer idle.Put(marked)
+	clear(marked)
 	// Capture: draw Marks uniform samples; the distinct ones form the
 	// marked set (each new mark is one control message to the peer).
 	for i := 0; i < e.cfg.Marks; i++ {
@@ -133,8 +141,8 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 		if err != nil {
 			return 0, err
 		}
-		if _, dup := e.marked[s]; !dup {
-			e.marked[s] = struct{}{}
+		if _, dup := marked[s]; !dup {
+			marked[s] = struct{}{}
 			net.Send(metrics.KindControl)
 		}
 	}
@@ -147,11 +155,11 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 		if err != nil {
 			return 0, err
 		}
-		if _, hit := e.marked[s]; hit {
+		if _, hit := marked[s]; hit {
 			m++
 		}
 	}
-	n1 := float64(len(e.marked))
+	n1 := float64(len(marked))
 	n2 := float64(e.cfg.Recaptures)
 	return Chapman(n1, n2, float64(m)), nil
 }

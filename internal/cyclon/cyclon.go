@@ -101,6 +101,27 @@ type Protocol struct {
 	counter *metrics.Counter
 
 	engine parallel.RoundEngine[deferred] // owns all sharded-sweep scratch
+	bufs   []shuffleBuf                   // scratch: one per shard, for its exchanges
+}
+
+// shuffleBuf is one shard's scratch for the exchanges it runs, in its
+// sweep and in the tournament meetings it hosts: the index permutation
+// a side draws its subset from, and the two subsets.
+type shuffleBuf struct {
+	idx       []int
+	out, back []entry
+}
+
+// perm returns a uniformly random permutation of [0, n) in b's index
+// buffer: an identity prefix shuffled in place, which draws exactly what
+// rng.Perm(n) draws.
+func (b *shuffleBuf) perm(rng *xrand.Rand, n int) []int {
+	b.idx = b.idx[:0]
+	for i := range n {
+		b.idx = append(b.idx, i)
+	}
+	xrand.Shuffle(rng, b.idx)
+	return b.idx
 }
 
 // deferred is one cross-shard shuffle: id initiated, q is its (live)
@@ -207,6 +228,9 @@ func (p *Protocol) RunRound() {
 	if n == 0 {
 		return
 	}
+	if s := parallel.Shards(p.cfg.Shards, n); len(p.bufs) < s {
+		p.bufs = append(p.bufs, make([]shuffleBuf, s-len(p.bufs))...)
+	}
 	sw := parallel.Sweep[deferred]{
 		N:       n,
 		NumKeys: len(p.views),
@@ -228,7 +252,7 @@ func (p *Protocol) RunRound() {
 			}
 			if t := sh.Owner(q); t == sh.Index {
 				sh.Meters[0]++ // shuffle reply
-				p.completeShuffle(id, q, rng)
+				p.completeShuffle(id, q, rng, &p.bufs[sh.Index])
 			} else {
 				sh.Defer(t, deferred{id: id, q: q})
 			}
@@ -240,8 +264,8 @@ func (p *Protocol) RunRound() {
 		Merge: func(sh *parallel.Shard[deferred]) {
 			p.counter.Add(metrics.KindControl, sh.Meters[0]+uint64(sh.DeferredTotal()))
 		},
-		Resolve: func(d deferred, rng *xrand.Rand) error {
-			p.completeShuffle(d.id, d.q, rng)
+		Resolve: func(host int, d deferred, rng *xrand.Rand) error {
+			p.completeShuffle(d.id, d.q, rng, &p.bufs[host])
 			return nil
 		},
 	}
@@ -273,15 +297,14 @@ func (p *Protocol) beginShuffle(id graph.NodeID) (graph.NodeID, bool) {
 }
 
 // completeShuffle runs the exchange between initiator id and its live
-// target q: both draw their outgoing subsets from rng and merge what
-// they received.
-func (p *Protocol) completeShuffle(id, q graph.NodeID, rng *xrand.Rand) {
+// target q on the scratch b of the shard running it: both draw their
+// outgoing subsets from rng and merge what they received.
+func (p *Protocol) completeShuffle(id, q graph.NodeID, rng *xrand.Rand, b *shuffleBuf) {
 	view := p.views[id]
 	// Build the outgoing subset: fresh self-pointer + up to
 	// ShuffleLen-1 random entries from the (q-less) view.
-	out := []entry{{node: id, age: 0}}
-	idxs := rng.Perm(len(view))
-	for _, i := range idxs {
+	out := append(b.out[:0], entry{node: id, age: 0})
+	for _, i := range b.perm(rng, len(view)) {
 		if len(out) == p.cfg.ShuffleLen {
 			break
 		}
@@ -289,17 +312,18 @@ func (p *Protocol) completeShuffle(id, q graph.NodeID, rng *xrand.Rand) {
 	}
 	// q answers with a random subset of its own view.
 	qView := p.views[q]
-	back := make([]entry, 0, p.cfg.ShuffleLen)
-	qIdxs := rng.Perm(len(qView))
-	for _, i := range qIdxs {
+	back := b.back[:0]
+	for _, i := range b.perm(rng, len(qView)) {
 		if len(back) == p.cfg.ShuffleLen {
 			break
 		}
 		back = append(back, qView[i])
 	}
-	// Both merge what they received.
+	// Both merge what they received; merge copies entries, so the
+	// subsets stay the shard's to reuse.
 	p.views[q] = p.merge(q, qView, out, back)
 	p.views[id] = p.merge(id, p.views[id], back, out)
+	b.out, b.back = out, back
 }
 
 // merge folds received entries into view for owner: self-pointers and

@@ -297,7 +297,7 @@ func TestGrowAllocatesOnce(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	final := uint64(n * (24 + 1))
 	budget := final * 11 / 10
-	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+	if raceEnabled() {
 		budget *= 2 // the race detector keeps append's make([]T, k) temporary from being elided
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
@@ -306,6 +306,79 @@ func TestGrowAllocatesOnce(t *testing.T) {
 	if p.grow(n + 3); len(p.views) != n+3 || len(p.member) != n+3 {
 		t.Fatalf("tables hold %d and %d ids, want %d", len(p.views), len(p.member), n+3)
 	}
+}
+
+// TestRoundAllocatesNoPerExchangeScratch: an exchange draws and ships
+// its subsets in its shard's buffers, so a warm round allocates only the
+// engine's per-round bookkeeping, where Perm and append once made about
+// five allocations a node.
+func TestRoundAllocatesNoPerExchangeScratch(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	p := bootstrapped(20000, 3) // four shards
+	p.RunRound()
+	if allocs := testing.AllocsPerRun(3, p.RunRound); allocs > 100 {
+		t.Fatalf("a warm round on 20000 peers allocates %.0f times", allocs)
+	}
+}
+
+// TestExchangeMatchesPermReference: an exchange on a shard's reused
+// buffers draws and merges exactly what the exchange spelled out with
+// rng.Perm and fresh subsets does — the same views and the same
+// generator state — exchange after exchange, as views shrink and grow.
+func TestExchangeMatchesPermReference(t *testing.T) {
+	p := bootstrapped(300, 41)
+	ref := make([][]entry, len(p.views))
+	for id, v := range p.views {
+		ref[id] = slices.Clone(v)
+	}
+	// refShuffle is completeShuffle as spelled out with Perm, on ref.
+	refShuffle := func(id, q graph.NodeID, rng *xrand.Rand) {
+		out := []entry{{node: id}}
+		for _, i := range rng.Perm(len(ref[id])) {
+			if len(out) == p.cfg.ShuffleLen {
+				break
+			}
+			out = append(out, ref[id][i])
+		}
+		back := make([]entry, 0, p.cfg.ShuffleLen)
+		for _, i := range rng.Perm(len(ref[q])) {
+			if len(back) == p.cfg.ShuffleLen {
+				break
+			}
+			back = append(back, ref[q][i])
+		}
+		ref[q] = p.merge(q, slices.Clone(ref[q]), out, back)
+		ref[id] = p.merge(id, slices.Clone(ref[id]), back, out)
+	}
+	var buf shuffleBuf
+	rng, refRNG, pick := xrand.New(42), xrand.New(42), xrand.New(43)
+	for n := 0; n < 3000; n++ {
+		id := graph.NodeID(pick.Intn(len(p.views)))
+		q, ok := p.beginShuffle(id)
+		if !ok || !p.Alive(q) || q == id {
+			continue
+		}
+		ref[id] = slices.Clone(p.views[id]) // beginShuffle's age bump and eviction
+		p.completeShuffle(id, q, rng, &buf)
+		refShuffle(id, q, refRNG)
+		if *rng != *refRNG {
+			t.Fatalf("exchange %d: generators diverged", n)
+		}
+		for _, v := range []graph.NodeID{id, q} {
+			if !slices.Equal(p.views[v], ref[v]) {
+				t.Fatalf("exchange %d: view of %d is %v, reference %v", n, v, p.views[v], ref[v])
+			}
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, whose instrumentation allocates.
+func raceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // Join adds a fresh peer whose view is seeded with up to ViewSize random

@@ -89,7 +89,7 @@ var families = []family{
 func wrap[S, D any](start, round func(*overlay.Network) error, estimate func(*overlay.Network) (float64, bool), e *epidemic.Epoch[S, D]) instance {
 	return instance{
 		StartEpoch: start, RunRound: round, Estimate: estimate,
-		oneShot: epidemic.NewEstimator(e),
+		oneShot: epidemic.NewEstimator(e, epidemic.NewIdle[S, D]()),
 		grow:    e.Grow,
 		snap: func() snapshot {
 			member := make([]bool, len(e.State))

@@ -30,6 +30,7 @@ import (
 	"p2psize/internal/graph"
 	"p2psize/internal/overlay"
 	"p2psize/internal/parallel"
+	"p2psize/internal/scratch"
 	"p2psize/internal/xrand"
 )
 
@@ -203,11 +204,45 @@ func (e *Epoch[S, D]) Estimate(net *overlay.Network) (float64, bool) {
 
 // Estimator adapts an Epoch to the one-shot core.Estimator contract:
 // each Estimate call runs a full epoch (StartEpoch + RoundsPerEpoch
-// rounds) and reads the initiator's estimate.
-type Estimator[S, D any] struct{ e *Epoch[S, D] }
+// rounds) and reads the initiator's estimate. The epoch's state vector
+// and round engine are borrowed from the family's free list for the
+// length of one Estimate, and handed back for the next one.
+type Estimator[S, D any] struct {
+	e    *Epoch[S, D]
+	idle *scratch.List[Buffers[S, D]]
+}
 
-// NewEstimator builds the one-shot adapter around a family's epoch.
-func NewEstimator[S, D any](e *Epoch[S, D]) *Estimator[S, D] { return &Estimator[S, D]{e: e} }
+// Buffers is what a one-shot epoch borrows: the state vector and the
+// round engine with its scratch.
+type Buffers[S, D any] struct {
+	state  []S
+	engine parallel.RoundEngine[D]
+}
+
+// NewIdle returns the free list a family's one-shot estimators share.
+func NewIdle[S, D any]() *scratch.List[Buffers[S, D]] {
+	return scratch.NewList(func(b Buffers[S, D]) int { return cap(b.state) })
+}
+
+// NewEstimator builds the one-shot adapter around a family's epoch,
+// borrowing from the family's free list idle.
+func NewEstimator[S, D any](e *Epoch[S, D], idle *scratch.List[Buffers[S, D]]) *Estimator[S, D] {
+	return &Estimator[S, D]{e: e, idle: idle}
+}
+
+// borrow gives the epoch buffers for an overlay of numIDs ids (none
+// when the list is empty). The state vector starts empty: StartEpoch
+// grows it to numIDs and fills it with Absent, as it does a fresh one.
+func (o *Estimator[S, D]) borrow(numIDs int) {
+	b, _ := o.idle.Get(numIDs)
+	o.e.State, o.e.engine = b.state[:0], b.engine
+}
+
+// release hands the epoch's buffers back to the free list.
+func (o *Estimator[S, D]) release() {
+	o.idle.Put(Buffers[S, D]{state: o.e.State, engine: o.e.engine})
+	o.e.State, o.e.engine = nil, parallel.RoundEngine[D]{}
+}
 
 // Name identifies the estimator in reports.
 func (o *Estimator[S, D]) Name() string {
@@ -225,6 +260,8 @@ func (o *Estimator[S, D]) MutatesOverlay() bool { return true }
 // not a finite positive size: a liar's overflowing report drives
 // Aggregation's value to +Inf (a ratio of 0) and push-sum's sum to +Inf.
 func (o *Estimator[S, D]) Estimate(net *overlay.Network) (float64, error) {
+	o.borrow(net.Graph().NumIDs())
+	defer o.release()
 	if err := o.e.StartEpoch(net); err != nil {
 		return 0, err
 	}

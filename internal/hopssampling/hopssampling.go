@@ -43,6 +43,7 @@ import (
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
+	"p2psize/internal/scratch"
 	"p2psize/internal/xrand"
 )
 
@@ -124,18 +125,28 @@ type Estimator struct {
 	cfg Config
 	rng *xrand.Rand
 
-	// Per-run scratch, reused across estimations to avoid re-allocating
-	// million-entry slices: one slot per node ID, versioned by gen so
-	// clearing is O(1), and the spread's two round queues.
-	slots        []slot
-	gen          uint32
-	active, next []graph.NodeID
+	// tables is the poll's working set, borrowed from idle for the
+	// length of one poll (empty between polls).
+	tables
 	// pow memoizes inversePow(GossipTo, x) by exponent x.
 	pow []float64
 	// warmed accumulates what the read-aheads loaded, so that the
 	// compiler keeps the loads; nothing reads it.
 	warmed uint64
 }
+
+// tables is what a poll needs per node: one slot per node ID, versioned
+// by gen so clearing is O(1), and the spread's two round queues. Its gen
+// travels with it: every stamp in slots[:cap(slots)] is a gen at or
+// below it, so a poll on borrowed tables reads none of them as its own.
+type tables struct {
+	slots        []slot
+	gen          uint32
+	active, next []graph.NodeID
+}
+
+// idle lends tables from a finished poll to the next, on any estimator.
+var idle = scratch.NewList(func(t tables) int { return cap(t.slots) })
 
 // slot is everything a poll keeps about one node, in one 12-byte record
 // so that a visit costs one cache miss, not one per field. A slot whose
@@ -188,26 +199,32 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	if !net.Alive(initiator) {
 		return 0, Diagnostics{}, fmt.Errorf("hopssampling: initiator %d is not alive", initiator)
 	}
-	e.resetScratch(net.Graph().NumIDs())
+	e.borrow(net.Graph().NumIDs())
+	defer e.release()
 	rounds := e.spread(net, initiator)
 	est, reached, replies := e.collect(net, initiator)
 	d := Diagnostics{Reached: reached, Rounds: rounds, Replies: replies, Estimate: est}
 	return est, d, nil
 }
 
-func (e *Estimator) resetScratch(numIDs int) {
-	if len(e.slots) < numIDs {
-		// Under churn every join adds an ID, so a vector sized to this
-		// poll would be re-made at the next one: leave a quarter spare.
-		e.slots = make([]slot, numIDs+numIDs/4)
-		e.gen = 0
-	}
-	e.gen++
-	if e.gen == 0 {
+// borrow takes tables for an overlay of numIDs ids from idle (empty ones
+// when it has none) and opens a new poll on them.
+func (e *Estimator) borrow(numIDs int) {
+	t, _ := idle.Get(numIDs)
+	t.slots = scratch.Fit(t.slots, numIDs)
+	t.gen++
+	if t.gen == 0 {
 		// The stamps wrapped: every old stamp could now read as seen.
-		clear(e.slots)
-		e.gen = 1
+		clear(t.slots[:cap(t.slots)])
+		t.gen = 1
 	}
+	e.tables = t
+}
+
+// release hands the poll's tables back to idle.
+func (e *Estimator) release() {
+	idle.Put(e.tables)
+	e.tables = tables{}
 }
 
 // maxActivations bounds how many times one node is re-armed to gossip
@@ -422,7 +439,8 @@ func (e *Estimator) ReachedFraction(net *overlay.Network, initiator graph.NodeID
 	if !net.Alive(initiator) {
 		return 0, fmt.Errorf("hopssampling: initiator %d is not alive", initiator)
 	}
-	e.resetScratch(net.Graph().NumIDs())
+	e.borrow(net.Graph().NumIDs())
+	defer e.release()
 	e.spread(net, initiator)
 	g := net.Graph()
 	reached := 0

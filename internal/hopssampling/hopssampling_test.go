@@ -326,7 +326,8 @@ func (e *Estimator) EstimateWithOracleDistances(net *overlay.Network, initiator 
 	if !net.Alive(initiator) {
 		return 0, fmt.Errorf("hopssampling: initiator %d is not alive", initiator)
 	}
-	e.resetScratch(net.Graph().NumIDs())
+	e.borrow(net.Graph().NumIDs())
+	defer e.release()
 	dist := graph.BFSDistances(net.Graph(), initiator)
 	for id, d := range dist {
 		if d >= 0 {

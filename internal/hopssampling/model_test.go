@@ -9,6 +9,7 @@ import (
 	"p2psize/internal/graph"
 	"p2psize/internal/model"
 	"p2psize/internal/overlay"
+	"p2psize/internal/scratch"
 	"p2psize/internal/xrand"
 )
 
@@ -140,21 +141,26 @@ func TestStagedMatchesReferenceAcrossGrowth(t *testing.T) {
 	}
 }
 
-// TestStampWrap: when the poll counter wraps, slots stamped by earlier
-// polls must not read as reached by the new one.
+// TestStampWrap: when the poll counter of the tables a poll borrows
+// wraps, slots stamped by earlier polls must not read as reached by the
+// new one.
 func TestStampWrap(t *testing.T) {
 	net := hetNet(2000, 9)
 	e := New(Default(), xrand.New(10))
+	scratch.Drop()
 	if _, err := e.Estimate(net); err != nil {
 		t.Fatal(err)
 	}
-	e.gen = math.MaxUint32
+	used, _ := idle.Get(0) // the only idle tables: the poll's
+	used.gen = math.MaxUint32
+	idle.Put(used)
 	fresh := New(Default(), xrand.New(0))
 	*fresh.rng = *e.rng
 	a, da, err := e.EstimateFrom(net, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scratch.Drop()
 	b, db, err := fresh.EstimateFrom(net, 0)
 	if err != nil {
 		t.Fatal(err)

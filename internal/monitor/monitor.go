@@ -299,26 +299,38 @@ func (s *smoother) add(est, t float64) {
 	}
 }
 
-// maxSamples bounds one instance's schedule length. A pathologically
-// tiny (but positive and finite) cadence would otherwise overflow the
-// float→int conversion below — int(1e300) is undefined and lands on
-// minInt, turning a bad input into a makeslice panic instead of an
-// error. Any real run is orders of magnitude below this.
-const maxSamples = 1 << 30
+// maxGrid bounds a run's sample times, summed over its instances'
+// schedules, which bounds the union grid they merge into. Every instance
+// records its raw estimate, its served value and its staleness at every
+// grid time, so a legal but tiny cadence would otherwise ask for slices
+// of gigabytes (an out-of-memory kill, not an error) or a float→int
+// conversion out of range (int(1e300) lands on minInt). Any real run is
+// orders of magnitude below it: 2^24 times are 128 MB a series.
+const maxGrid = 1 << 24
+
+// samples returns how many sample times t = c, 2c, ... fall within the
+// horizon, as a float that may exceed any int. The epsilon absorbs float
+// division error (0.3/0.1 < 3) so an exact-multiple horizon never loses
+// its final sample.
+func samples(cadence, horizon float64) (float64, error) {
+	// RunLive takes its horizon from the caller, so it is checked here:
+	// a NaN or infinite one would reach the conversion in schedule.
+	if !(horizon >= 0) || math.IsInf(horizon, 1) {
+		return 0, fmt.Errorf("monitor: horizon %g must be finite and >= 0", horizon)
+	}
+	return math.Floor(horizon/cadence + 1e-9), nil
+}
 
 // schedule returns one instance's sample times t = c, 2c, ... up to the
-// horizon. The epsilon absorbs float division error (0.3/0.1 < 3) so an
-// exact-multiple horizon never loses its final sample.
+// horizon.
 func schedule(cadence, horizon float64) ([]float64, error) {
-	// RunLive takes its horizon from the caller, so it is checked here:
-	// a NaN or infinite one would reach the conversion below.
-	if !(horizon >= 0) || math.IsInf(horizon, 1) {
-		return nil, fmt.Errorf("monitor: horizon %g must be finite and >= 0", horizon)
+	f, err := samples(cadence, horizon)
+	if err != nil {
+		return nil, err
 	}
-	f := horizon/cadence + 1e-9
-	if f > maxSamples {
+	if f > maxGrid {
 		return nil, fmt.Errorf("monitor: cadence %g yields %.3g samples over horizon %g (max %d)",
-			cadence, f, horizon, maxSamples)
+			cadence, f, horizon, maxGrid)
 	}
 	out := make([]float64, int(f))
 	for i := range out {
@@ -351,14 +363,16 @@ func unionGrid(schedules [][]float64) []float64 {
 }
 
 // resolveSchedules validates the instances and resolves each one's
-// cadence, smoothing policy and sample schedule over the horizon.
+// cadence, smoothing policy and sample schedule over the horizon. The
+// schedules are made only once their summed length is known to fit
+// maxGrid.
 func resolveSchedules(instances []Instance, cfg Config, horizon float64) (cadences []float64, policies []Policy, schedules [][]float64, err error) {
 	if len(instances) == 0 {
 		return nil, nil, nil, errors.New("monitor: Run needs at least one estimator")
 	}
 	cadences = make([]float64, len(instances))
 	policies = make([]Policy, len(instances))
-	schedules = make([][]float64, len(instances))
+	total := 0.0
 	for k, in := range instances {
 		if in.Estimator == nil {
 			return nil, nil, nil, fmt.Errorf("monitor: instance %d has a nil estimator", k)
@@ -376,15 +390,15 @@ func resolveSchedules(instances []Instance, cfg Config, horizon float64) (cadenc
 				k, in.Estimator.Name(), c)
 		}
 		cadences[k] = c
-		sched, err := schedule(c, horizon)
+		f, err := samples(c, horizon)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		schedules[k] = sched
-		if len(schedules[k]) == 0 {
+		if f == 0 {
 			return nil, nil, nil, fmt.Errorf("monitor: instance %d (%s) cadence %g longer than the trace horizon %g",
 				k, in.Estimator.Name(), c, horizon)
 		}
+		total += f
 		if in.Policy != nil {
 			policies[k] = *in.Policy
 		} else {
@@ -393,6 +407,16 @@ func resolveSchedules(instances []Instance, cfg Config, horizon float64) (cadenc
 		if sm := policies[k].Smoothing; sm < None || sm > EWMA {
 			return nil, nil, nil, fmt.Errorf("monitor: instance %d (%s) has unknown smoothing %d",
 				k, in.Estimator.Name(), int(sm))
+		}
+	}
+	if total > maxGrid {
+		return nil, nil, nil, fmt.Errorf("monitor: cadences %v yield %.3g sample times over horizon %g (max %d)",
+			cadences, total, horizon, maxGrid)
+	}
+	schedules = make([][]float64, len(instances))
+	for k, c := range cadences {
+		if schedules[k], err = schedule(c, horizon); err != nil {
+			return nil, nil, nil, err
 		}
 	}
 	return cadences, policies, schedules, nil

@@ -3,6 +3,7 @@ package monitor
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -455,6 +456,40 @@ func TestTinyCadenceErrorsInsteadOfPanicking(t *testing.T) {
 	for _, c := range []float64{1e-300, 1e-12} {
 		if _, err := Run([]core.Estimator{truthEstimator{}}, net, tr, Config{Cadence: c}, rng, 1); err == nil {
 			t.Fatalf("cadence %g accepted", c)
+		}
+	}
+}
+
+// TestOversizedGridErrorsBeforeAllocating: a run whose schedules sum
+// past maxGrid — one tiny cadence, or instances each within the bound
+// that together exceed it — is an error, returned before any schedule
+// or series is made (the 1e8-tick spec once ran for minutes toward an
+// out-of-memory kill).
+func TestOversizedGridErrorsBeforeAllocating(t *testing.T) {
+	net := testNet(100, 58)
+	tr := testTrace(t, 100) // horizon 100
+	rng := func() *xrand.Rand { return xrand.New(1) }
+	third := tr.Horizon / (maxGrid/3 + 10) // three of these sum past the bound
+	for _, c := range []struct {
+		name      string
+		instances []Instance
+	}{
+		{"one tiny cadence", []Instance{{Estimator: truthEstimator{}, Cadence: 1e-6}}},
+		{"three within the bound", []Instance{
+			{Estimator: truthEstimator{}, Cadence: third},
+			{Estimator: truthEstimator{}, Cadence: third},
+			{Estimator: truthEstimator{}, Cadence: third},
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RunScheduled(c.instances, net, tr, Config{}, rng, 1)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "sample") {
+			t.Fatalf("%s: err = %v, want the grid bound's error", c.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: allocated %d bytes before failing", c.name, grew)
 		}
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"slices"
 
 	"p2psize/internal/prefetch"
+	"p2psize/internal/scratch"
 	"p2psize/internal/xrand"
 )
 
@@ -76,9 +77,10 @@ type Shard[D any] struct {
 	// ownerOf is the round's shared ownership table (nil when the round
 	// runs on a single shard and every key is trivially owned).
 	ownerOf []uint8
-	// pair is the stream of the tournament meetings this shard hosts as
-	// their lower-numbered side, re-seeded in place for each meeting.
-	pair *xrand.Rand
+	// rng is the shard's sweep stream and pair the stream of the
+	// tournament meetings it hosts as their lower-numbered side; both
+	// are re-seeded in place for each round and meeting.
+	rng, pair *xrand.Rand
 }
 
 // Owner returns the shard owning the given dense key this round.
@@ -172,22 +174,26 @@ type Sweep[D any] struct {
 	// overlay.Network.PerMessage; without a listener, one flush per
 	// round meters the same totals by kind.
 	MergeEach bool
-	// Resolve applies one deferred payload during the tournament. rng is
-	// the meeting {a, b}'s own deterministic stream (stream index
+	// Resolve applies one deferred payload during the tournament on the
+	// meeting {a, b}'s host, shard a: no other meeting of its tournament
+	// round touches a, so a family may keep per-shard scratch by host.
+	// rng is the meeting's own deterministic stream (stream index
 	// Shards + a·Shards + b), shared by both directions of the meeting;
 	// families whose deferred work draws nothing ignore it.
-	Resolve func(d D, rng *xrand.Rand) error
+	Resolve func(host int, d D, rng *xrand.Rand) error
 }
 
 // RoundEngine drives a family's sharded rounds. The zero value is ready
 // to use; the engine owns the scratch buffers (sweep order, ownership
-// table, shard states, deferral buckets, tournament schedule) and keeps
-// them at their high-water size. A buffer that must grow grows with
-// spare room — a quarter for the sweep order and the ownership table, a
-// segment's expected share and then geometric steps for the buckets
-// (resetBuckets) — so a round on a warm engine of unchanged size
-// allocates no scratch, and an overlay that grows between rounds
-// re-makes a buffer only once that room is used up.
+// table, shard states and streams, deferral buckets, tournament
+// schedule) and keeps them at their high-water size. A buffer that must
+// grow grows with spare room — a quarter for the sweep order and the
+// ownership table (scratch.Fit), a segment's expected share and then
+// geometric steps for the buckets (resetBuckets) — so a round on a warm
+// engine of unchanged size allocates no scratch, and an overlay that
+// grows between rounds re-makes a buffer only once that room is used
+// up. An engine may move between owners by value between rounds: no
+// round reads what an earlier one left in its buffers.
 //
 // An engine is not safe for concurrent rounds; each protocol instance
 // owns one.
@@ -218,12 +224,7 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	if n == 0 {
 		return nil
 	}
-	if cap(e.order) < n {
-		// Under a growing overlay every round adds keys, so a buffer sized
-		// to this round would be re-made at the next: leave a quarter spare.
-		e.order = make([]int32, n+n/4)
-	}
-	e.order = e.order[:n]
+	e.order = scratch.Fit(e.order, n)
 	sw.Keys(e.order)
 	shards := Shards(cfg.Shards, n)
 	// The serial prefix: every per-shard draw below comes from streams
@@ -233,7 +234,7 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	roundSeed := rng.Uint64()
 
 	for len(e.shards) < shards {
-		e.shards = append(e.shards, Shard[D]{pair: xrand.New(0)})
+		e.shards = append(e.shards, Shard[D]{rng: xrand.New(0), pair: xrand.New(0)})
 	}
 	e.hinting = sw.Hint != nil && n >= hintMinKeys
 	if e.hinting && len(e.hints) < shards {
@@ -249,8 +250,8 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		for t := range sh.def {
 			sh.def[t] = sh.def[t][:0]
 		}
-		srng := xrand.NewStream(roundSeed, 0)
-		if err := sw.visit(sh, e.order, srng, sw.MergeEach, e.batch(0)); err != nil {
+		sh.rng.SeedStream(roundSeed, 0)
+		if err := sw.visit(sh, e.order, sh.rng, sw.MergeEach, e.batch(0)); err != nil {
 			return err
 		}
 		if !sw.MergeEach && sw.Merge != nil {
@@ -259,10 +260,7 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		return nil
 	}
 
-	if k := sw.NumKeys; cap(e.ownerOf) < k {
-		e.ownerOf = make([]uint8, k+k/4)
-	}
-	e.ownerOf = e.ownerOf[:sw.NumKeys]
+	e.ownerOf = scratch.Fit(e.ownerOf, sw.NumKeys)
 	// Ownership prepass, parallel: each shard stamps the keys of its own
 	// segment (distinct entries, so no write is shared).
 	if err := ForEach(cfg.Workers, shards, func(s int) error {
@@ -279,13 +277,13 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	// state is read or written by two shards and Workers only shape
 	// scheduling.
 	if err := ForEach(cfg.Workers, shards, func(s int) error {
-		srng := xrand.NewStream(roundSeed, uint64(s))
 		sh := &e.shards[s]
 		sh.Index = s
 		sh.ownerOf = e.ownerOf
+		sh.rng.SeedStream(roundSeed, uint64(s))
 		seg := e.order[s*n/shards : (s+1)*n/shards]
 		sh.resetBuckets(shards, len(seg))
-		return sw.visit(sh, seg, srng, false, e.batch(s))
+		return sw.visit(sh, seg, sh.rng, false, e.batch(s))
 	}); err != nil {
 		return err
 	}
@@ -312,10 +310,10 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 			// shard.
 			prng := e.shards[a].pair
 			prng.SeedStream(roundSeed, uint64(shards+a*shards+b))
-			if err := sw.resolve(e.shards[a].def[b], prng, e.batch(a)); err != nil {
+			if err := sw.resolve(a, e.shards[a].def[b], prng, e.batch(a)); err != nil {
 				return err
 			}
-			return sw.resolve(e.shards[b].def[a], prng, e.batch(a))
+			return sw.resolve(a, e.shards[b].def[a], prng, e.batch(a))
 		}); err != nil {
 			return err
 		}
@@ -397,10 +395,10 @@ func (sw *Sweep[D]) visit(sh *Shard[D], keys []int32, rng *xrand.Rand, mergeEach
 	return nil
 }
 
-// resolve applies one meeting's share of deferred payloads in order,
-// hinting into b (unless nil) the payloads hintDistance ahead the way
-// visit hints keys.
-func (sw *Sweep[D]) resolve(ds []D, rng *xrand.Rand, b *prefetch.Batch) error {
+// resolve applies one meeting's share of deferred payloads in order on
+// its host shard, hinting into b (unless nil) the payloads hintDistance
+// ahead the way visit hints keys.
+func (sw *Sweep[D]) resolve(host int, ds []D, rng *xrand.Rand, b *prefetch.Batch) error {
 	for lo := 0; lo < len(ds); lo += hintGroup {
 		if b != nil {
 			for from, to := hintSpan(lo, len(ds)); from < to; from += hintGroup {
@@ -409,7 +407,7 @@ func (sw *Sweep[D]) resolve(ds []D, rng *xrand.Rand, b *prefetch.Batch) error {
 			}
 		}
 		for _, d := range ds[lo:min(lo+hintGroup, len(ds))] {
-			if err := sw.Resolve(d, rng); err != nil {
+			if err := sw.Resolve(host, d, rng); err != nil {
 				return err
 			}
 		}

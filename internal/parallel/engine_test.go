@@ -81,7 +81,7 @@ func (f *toyFamily) sweep(visited *[]int32) *Sweep[toyPair] {
 		},
 		Merge:     func(sh *Shard[toyPair]) { f.msgs += sh.Meters[0] },
 		MergeEach: f.mergeEach,
-		Resolve: func(d toyPair, _ *xrand.Rand) error {
+		Resolve: func(_ int, d toyPair, _ *xrand.Rand) error {
 			f.apply(d.u, d.v)
 			return nil
 		},
@@ -242,7 +242,7 @@ func TestEngineErrorAborts(t *testing.T) {
 		}
 		f = newToy(100)
 		sw = f.sweep(nil)
-		sw.Resolve = func(d toyPair, _ *xrand.Rand) error { return boom }
+		sw.Resolve = func(int, toyPair, *xrand.Rand) error { return boom }
 		if err := f.engine.Round(xrand.New(1), EngineConfig{Shards: 4, Workers: workers}, sw); !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: Resolve error not propagated: %v", workers, err)
 		}
@@ -425,8 +425,8 @@ func TestEngineSingleShardDrainsStaleDeferrals(t *testing.T) {
 }
 
 // TestEnginePairStreams checks the tournament stream plumbing: every
-// meeting {a, b}'s Resolve calls share one non-nil stream, seeded as
-// NewStream(roundSeed, Shards + a·Shards + b).
+// meeting {a, b}'s Resolve calls run on host a and share one non-nil
+// stream, seeded as NewStream(roundSeed, Shards + a·Shards + b).
 func TestEnginePairStreams(t *testing.T) {
 	const n, shards, seed = 1000, 4, 23
 	f := newToy(n)
@@ -439,18 +439,21 @@ func TestEnginePairStreams(t *testing.T) {
 	var mu sync.Mutex
 	streams := map[[2]int]*xrand.Rand{}
 	base := sw.Resolve
-	sw.Resolve = func(d toyPair, rng *xrand.Rand) error {
+	sw.Resolve = func(host int, d toyPair, rng *xrand.Rand) error {
 		a, b := int(f.engine.ownerOf[d.u]), int(f.engine.ownerOf[d.v])
 		a, b = min(a, b), max(a, b)
 		mu.Lock()
 		defer mu.Unlock()
+		if host != a {
+			t.Errorf("meeting {%d, %d}: Resolve ran on host %d", a, b, host)
+		}
 		if rng == nil || *rng != *xrand.NewStream(roundSeed, uint64(shards+a*shards+b)) {
 			t.Errorf("meeting {%d, %d}: Resolve got %p, not the meeting's stream", a, b, rng)
 		} else if first, ok := streams[[2]int{a, b}]; ok && first != rng {
 			t.Errorf("meeting {%d, %d}: Resolve calls got two streams", a, b)
 		}
 		streams[[2]int{a, b}] = rng
-		return base(d, rng)
+		return base(host, d, rng)
 	}
 	if err := f.engine.Round(xrand.New(seed), EngineConfig{Shards: shards, Workers: 2}, sw); err != nil {
 		t.Fatal(err)
@@ -765,14 +768,14 @@ func TestEngineHintsEveryPayloadBeforeItsResolve(t *testing.T) {
 			sw := f.sweep(nil)
 			resolved := 0
 			resolve := sw.Resolve
-			sw.Resolve = func(d toyPair, rng *xrand.Rand) error {
+			sw.Resolve = func(host int, d toyPair, rng *xrand.Rand) error {
 				mu.Lock()
 				if hinted[d] != 1 {
 					t.Errorf("%s: payload %v resolved after %d hints", tag, d, hinted[d])
 				}
 				resolved++
 				mu.Unlock()
-				return resolve(d, rng)
+				return resolve(host, d, rng)
 			}
 			if err := f.engine.Round(xrand.New(9), EngineConfig{Shards: shards, Workers: workers}, sw); err != nil {
 				t.Fatal(err)

@@ -161,67 +161,93 @@ func (p WorkerPanic) String() string {
 // re-raised on the calling goroutine as a WorkerPanic.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	if n == 0 {
-		return out, nil
-	}
-	errs := make([]error, n)
-	panics := make([]*WorkerPanic, n)
-	runIndex := func(i int) {
-		defer func() {
-			if v := recover(); v != nil {
-				panics[i] = &WorkerPanic{Index: i, Value: v, Stack: string(debug.Stack())}
-			}
-		}()
-		out[i], errs[i] = fn(i)
-	}
-	workers = Resolve(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			runIndex(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					runIndex(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, p := range panics {
-		if p != nil {
-			panic(*p)
-		}
-	}
-	return out, firstError(errs)
+	err := ForEach(workers, n, func(i int) (err error) {
+		out[i], err = fn(i)
+		return err
+	})
+	return out, err
 }
 
 // ForEach runs fn(i) for every i in [0, n) on a pool of workers
 // goroutines, with the same contract as Map but no collected results.
+// On the success path it allocates nothing at one worker and only the
+// pool's goroutines and their shared bookkeeping otherwise.
 func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
+	workers = min(Resolve(workers), n)
+	if workers <= 1 {
+		var f failures
+		for i := 0; i < n; i++ {
+			if p, err := call(fn, i); p != nil || err != nil {
+				f.record(i, p, err)
+			}
+		}
+		return f.result()
+	}
+	p := new(pool)
+	p.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go p.work(fn, n)
+	}
+	p.wg.Wait()
+	return p.result()
 }
 
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
+// call runs fn(i) and returns its panic, if it panicked, or its error.
+func call(fn func(i int) error, i int) (p *WorkerPanic, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			p = &WorkerPanic{Index: i, Value: v, Stack: string(debug.Stack())}
+		}
+	}()
+	return nil, fn(i)
+}
+
+// failures keeps the lowest panicking index's panic and the lowest
+// failing index's error of one Map or ForEach call.
+type failures struct {
+	panic, err int // the indices of firstPanic and firstErr, when set
+	firstPanic *WorkerPanic
+	firstErr   error
+}
+
+// record keeps p and err where i is below the index already held.
+func (f *failures) record(i int, p *WorkerPanic, err error) {
+	if p != nil && (f.firstPanic == nil || i < f.panic) {
+		f.panic, f.firstPanic = i, p
+	}
+	if err != nil && (f.firstErr == nil || i < f.err) {
+		f.err, f.firstErr = i, err
+	}
+}
+
+// result re-raises the lowest panic, or returns the lowest error.
+func (f *failures) result() error {
+	if f.firstPanic != nil {
+		panic(*f.firstPanic)
+	}
+	return f.firstErr
+}
+
+// pool is the bookkeeping the goroutines of one call share.
+type pool struct {
+	mu sync.Mutex
+	failures
+	next atomic.Int64
+	wg   sync.WaitGroup
+}
+
+// work runs indices off the shared counter until none is left.
+func (p *pool) work(fn func(i int) error, n int) {
+	defer p.wg.Done()
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= n {
+			return
+		}
+		if wp, err := call(fn, i); wp != nil || err != nil {
+			p.mu.Lock()
+			p.record(i, wp, err)
+			p.mu.Unlock()
 		}
 	}
-	return nil
 }

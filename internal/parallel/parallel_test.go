@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -192,4 +194,35 @@ func TestRoundRobinPairs(t *testing.T) {
 			t.Fatalf("n=%d: %d pairs scheduled, want %d", n, len(met), want)
 		}
 	}
+}
+
+// TestForEachAllocatesNothingPerIndex: on the success path a call makes
+// no per-index slice — nothing at one worker, and otherwise only one
+// goroutine a worker and the bookkeeping they share — and Map adds only
+// its result slice and the closure that fills it.
+func TestForEachAllocatesNothingPerIndex(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	nop := func(int) error { return nil }
+	for _, c := range []struct {
+		workers int
+		max     float64
+	}{{1, 0}, {2, 3}, {8, 9}} {
+		if got := testing.AllocsPerRun(100, func() { _ = ForEach(c.workers, 1000, nop) }); got > c.max {
+			t.Errorf("ForEach(%d, 1000): %.0f allocations a call, want at most %.0f", c.workers, got, c.max)
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			_, _ = Map(c.workers, 1000, func(i int) (int, error) { return i, nil })
+		}); got > c.max+2 {
+			t.Errorf("Map(%d, 1000): %.0f allocations a call, want at most %.0f", c.workers, got, c.max+2)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, whose instrumentation allocates.
+func raceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }

@@ -24,6 +24,7 @@ import (
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
+	"p2psize/internal/scratch"
 	"p2psize/internal/xrand"
 )
 
@@ -53,14 +54,20 @@ type Estimator struct {
 	cfg Config
 	rng *xrand.Rand
 
-	// Flood scratch kept across estimations: hop distances by node ID
-	// and the BFS queue, both a million entries at paper scale.
-	dist  []int32
-	queue []graph.NodeID
 	// warmed accumulates what the flood's read-ahead loaded, so that
 	// the compiler keeps the loads; nothing reads it.
 	warmed int32
 }
+
+// flood is what a poll needs per node: hop distances by node ID and the
+// BFS queue, both a million entries at paper scale.
+type flood struct {
+	dist  []int32
+	queue []graph.NodeID
+}
+
+// idle lends a finished poll's flood to the next, on any estimator.
+var idle = scratch.NewList(func(f *flood) int { return cap(f.dist) })
 
 // stageBlock is how many queued nodes the flood stages at a time.
 const stageBlock = 64
@@ -115,12 +122,13 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	// the initiator's probe established. Benign policies answer false
 	// with zero extra draws.
 	pol := net.FaultPolicy()
-	if n := g.NumIDs(); len(e.dist) < n {
-		// Under churn every join adds an ID, so a vector sized to this
-		// poll would be re-made at the next one: leave a quarter spare.
-		e.dist = make([]int32, n+n/4)
+	f, ok := idle.Get(g.NumIDs())
+	if !ok {
+		f = new(flood)
 	}
-	dist := e.dist
+	defer idle.Put(f)
+	f.dist = scratch.Fit(f.dist, g.NumIDs())
+	dist := f.dist
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -128,7 +136,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	// The queue ends up holding every reached node: reserve the live
 	// count up front rather than walk append's regrowth chain, and let
 	// slices.Grow keep later growth under churn geometric.
-	queue := append(slices.Grow(e.queue[:0], g.NumAlive()), initiator)
+	queue := append(slices.Grow(f.queue[:0], g.NumAlive()), initiator)
 	for head := 0; head < len(queue); {
 		// A block is what is queued when it starts (the visit only
 		// appends behind it). Its records, then its neighbours' dist
@@ -155,7 +163,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 			}
 		}
 	}
-	e.queue = queue
+	f.queue = queue
 	// Probabilistic replies.
 	total := 1.0
 	p := e.cfg.ResponseProb

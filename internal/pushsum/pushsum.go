@@ -77,8 +77,12 @@ func New(cfg Config, rng *xrand.Rand) *Protocol {
 
 // NewEstimator builds the one-shot adapter (epidemic.Estimator).
 func NewEstimator(cfg Config, rng *xrand.Rand) *epidemic.Estimator[state, push] {
-	return epidemic.NewEstimator(&New(cfg, rng).Epoch)
+	return epidemic.NewEstimator(&New(cfg, rng).Epoch, idle)
 }
+
+// idle lends one-shot epochs' buffers from a finished estimate to the
+// next.
+var idle = epidemic.NewIdle[state, push]()
 
 // in reports whether a node's pair belongs to a member of the epoch.
 func in(st state) bool { return !epidemic.IsNegZero(st.weight) }
@@ -162,7 +166,7 @@ func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.Fault
 		Merge: func(sh *parallel.Shard[push]) {
 			net.SendN(metrics.KindPush, sh.Meters[0])
 		},
-		Resolve: func(pr push, _ *xrand.Rand) error {
+		Resolve: func(_ int, pr push, _ *xrand.Rand) error {
 			p.deliver(pr.v, pr.s, pr.w)
 			return nil
 		},

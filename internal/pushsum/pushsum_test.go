@@ -91,7 +91,7 @@ func TestInitiatorSurvivesRedraw(t *testing.T) {
 	// redraws one instead of failing — the monitoring contract.
 	net := hetNet(200, 7)
 	p := New(Config{RoundsPerEpoch: 30}, xrand.New(8))
-	e := epidemic.NewEstimator(&p.Epoch)
+	e := epidemic.NewEstimator(&p.Epoch, idle)
 	if _, err := e.Estimate(net); err != nil {
 		t.Fatal(err)
 	}

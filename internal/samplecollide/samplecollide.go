@@ -33,6 +33,7 @@ import (
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
+	"p2psize/internal/scratch"
 	"p2psize/internal/xrand"
 )
 
@@ -91,14 +92,20 @@ type Estimator struct {
 	cfg Config
 	rng *xrand.Rand
 
-	// Estimation scratch kept across estimations at its high-water size
-	// and cleared per estimate: the distinct nodes sampled so far and,
-	// for MLE, how many were known at each draw.
-	seen              map[graph.NodeID]struct{}
-	distinctWhenDrawn []int32
 	// timer is the walk's clock, kept for its draw history.
 	timer xrand.Countdown
 }
+
+// draws is what an estimate records of its samples: the distinct nodes
+// sampled so far and, for MLE, how many were known at each draw.
+type draws struct {
+	seen              map[graph.NodeID]struct{}
+	distinctWhenDrawn []int32
+}
+
+// idle lends a finished estimate's draws to the next, on any estimator;
+// a set that held more nodes ranks larger (a cleared map keeps its room).
+var idle = scratch.NewList(func(d *draws) int { return len(d.seen) })
 
 // New builds an Estimator; it panics on invalid configuration (programmer
 // error, caught in tests).
@@ -144,12 +151,14 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	if !net.Alive(initiator) {
 		return 0, fmt.Errorf("samplecollide: initiator %d is not alive", initiator)
 	}
-	if e.seen == nil {
-		e.seen = make(map[graph.NodeID]struct{}, 4*e.cfg.L)
+	d, ok := idle.Get(math.MaxInt) // the largest set: the fewest regrowths
+	if !ok {
+		d = &draws{seen: make(map[graph.NodeID]struct{}, 4*e.cfg.L)}
 	}
-	seen := e.seen
+	defer idle.Put(d)
+	seen := d.seen
 	clear(seen)
-	e.distinctWhenDrawn = e.distinctWhenDrawn[:0]
+	d.distinctWhenDrawn = d.distinctWhenDrawn[:0]
 	collisions := 0
 	samples := 0
 	budget := e.cfg.maxSamples()
@@ -160,7 +169,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 		s := e.sample(net, initiator)
 		samples++
 		if e.cfg.Kind == MLE {
-			e.distinctWhenDrawn = append(e.distinctWhenDrawn, int32(len(seen)))
+			d.distinctWhenDrawn = append(d.distinctWhenDrawn, int32(len(seen)))
 		}
 		if _, dup := seen[s]; dup {
 			collisions++
@@ -170,7 +179,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	}
 	switch e.cfg.Kind {
 	case MLE:
-		return mleEstimate(e.distinctWhenDrawn, len(seen)), nil
+		return mleEstimate(d.distinctWhenDrawn, len(seen)), nil
 	default:
 		x := float64(samples)
 		return x * x / (2 * float64(e.cfg.L)), nil

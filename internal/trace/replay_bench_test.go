@@ -38,9 +38,12 @@ func flashCrowd(b *testing.B, n int) *Trace {
 // and reports ns per replayed event. The clone's first-touch page copies
 // are part of the cost, as they are in a run. The join-hint windows and
 // gate (graph.hintRecords, hintSlots, hintMinAlive) and stageBlock were
-// chosen from it; the sizes sit either side of the gate. On 2 vCPUs it
-// reads ≈ 185 ns/event at 32k (no join hints), ≈ 210 at 100k and
-// ≈ 295 at 1M.
+// chosen from it; the sizes sit either side of the gate. Its reading
+// depends on the host: on the 2-vCPU host the windows were chosen on it
+// read ≈ 185 ns/event at 32k (no join hints), ≈ 210 at 100k and ≈ 295
+// at 1M; on a shared 2-vCPU Intel Xeon VM ("Intel(R) Xeon(R)
+// Processor", model 207) it reads ≈ 545–620, 555–730 and 895–995. Read
+// it only beside the parent's binary, on one host.
 func BenchmarkPlayerAdvance(b *testing.B) {
 	for _, n := range []int{32_000, 100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

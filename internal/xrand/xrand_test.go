@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -219,6 +220,26 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShuffleOfIdentityIsPerm: shuffling an identity prefix in place
+// draws and yields exactly what Perm does, so a caller may keep the
+// index buffer (CYCLON's exchanges do).
+func TestShuffleOfIdentityIsPerm(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		for n := 0; n <= 20; n++ {
+			a, b := New(seed), New(seed)
+			want := a.Perm(n)
+			got := make([]int, n)
+			for i := range got {
+				got[i] = i
+			}
+			Shuffle(b, got)
+			if !slices.Equal(got, want) || *a != *b {
+				t.Fatalf("seed %d n %d: Shuffle of the identity %v, Perm %v", seed, n, got, want)
+			}
+		}
 	}
 }
 
