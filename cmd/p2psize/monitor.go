@@ -214,11 +214,9 @@ func runMonitor(o monitorOpts, specs []estimatorSpec) error {
 		fmt.Println()
 	}
 	fmt.Printf("\n%s", res)
-	// The monitor replays the trace on clones of net — one per replay
-	// group — so net itself still holds the initial topology, only its
-	// meter accumulated.
-	fmt.Printf("\ntotal message cost: %d across %d estimators (%d replay groups)\n",
-		net.Messages(), len(ests), res.Groups())
+	// The monitor replays the trace on one clone of net, so net itself
+	// still holds the initial topology, only its meter accumulated.
+	fmt.Printf("\ntotal message cost: %d across %d estimators\n", net.Messages(), len(ests))
 	return nil
 }
 

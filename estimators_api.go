@@ -156,9 +156,9 @@ func (w coreWrap) Estimate(n *Network) (float64, error) {
 	return w.e.Estimate(n.net)
 }
 
-// MutatesOverlay surfaces the wrapped internal estimator's capability,
-// so a built-in family handed out by NewEstimatorByName keeps its
-// shared-replay eligibility when it comes back through RunMonitor.
+// MutatesOverlay surfaces the wrapped internal estimator's declaration,
+// so a built-in family handed out by NewEstimatorByName counts the same
+// in MonitorResult.Groups when it comes back through RunMonitor.
 func (w coreWrap) MutatesOverlay() bool { return core.MutatesOverlay(w.e) }
 
 type publicWrap struct{ e Estimator }
@@ -166,8 +166,9 @@ type publicWrap struct{ e Estimator }
 func (w publicWrap) Name() string { return w.e.Name() }
 
 // Estimate hands the estimator a read-only Network over o: a churn
-// method called on it writes nothing and comes back as this estimate's
-// error, which wraps core.ErrReadOnly (a monitoring run fails on it).
+// method or ApplyAdversary called on it writes nothing and comes back
+// as this estimate's error, which wraps core.ErrReadOnly (a monitoring
+// run fails on it).
 func (w publicWrap) Estimate(o *overlay.Network) (est float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -183,10 +184,7 @@ func (w publicWrap) Estimate(o *overlay.Network) (est float64, err error) {
 
 // MutatesOverlay forwards the public estimator's own declaration when
 // it makes one (a MutatesOverlay() bool method), and otherwise reports
-// true — an undeclared estimator is conservatively assumed to rewire
-// the overlay, which keeps it on a clone of its own.
-// Reporting false promises both that the overlay is only read and that
-// Estimate may run beside other observe-only estimators reading it.
+// true. The answer only feeds the MonitorResult.Groups count.
 func (w publicWrap) MutatesOverlay() bool {
 	if m, ok := w.e.(interface{ MutatesOverlay() bool }); ok {
 		return m.MutatesOverlay()
@@ -209,25 +207,17 @@ func toCore(e Estimator) core.Estimator {
 
 // CustomEstimator registers a user-supplied estimator family.
 //
-// An estimator type declares that it never rewires the overlay by
-// implementing MutatesOverlay() bool and returning false, which makes
-// it eligible for RunMonitor's shared-replay grouping (see
-// MonitorResult.Groups). Observe-only estimators estimate concurrently
-// at each tick, each through its own *Network (own message meter) over
-// the one replayed overlay, so the promise includes being safe beside
-// other observe-only estimators reading the same overlay: keep all
-// mutable state on the instance, none in package variables shared
-// between instances. A type without the method is assumed to mutate:
-// RunMonitor replays the trace once whatever the roster, and hands such
-// an estimator a copy-on-write clone of the replayed overlay at each of
-// its ticks, which costs page pointers only and is dropped afterwards.
-// An estimate that writes that clone (through ApplyAdversary, say)
-// fails the run with an error, because every estimator of a run reads
-// the one replayed trajectory. The Network an Estimate is handed is
-// read-only besides: its churn methods (Join, JoinMany, LeaveRandom,
-// LeaveFraction) change nothing and fail the estimate with an error
-// wrapping the refusal, which fails a RunMonitor run and a RunParallel
-// call alike.
+// Estimators only read. RunMonitor and RunParallel run several
+// estimates at once, each through its own *Network (own message meter)
+// over one overlay, so an estimator must be safe beside others reading
+// the same overlay: keep all mutable state on the instance, none in
+// package variables shared between instances. The Network an Estimate
+// is handed is read-only: its churn methods (Join, JoinMany,
+// LeaveRandom, LeaveFraction) and ApplyAdversary change nothing and
+// fail the estimate with an error wrapping the refusal, which fails a
+// RunMonitor run and a RunParallel call alike. A MutatesOverlay() bool
+// method, if the type has one, changes nothing but the count
+// MonitorResult.Groups reports.
 type CustomEstimator struct {
 	// Name is the canonical selector. Required, unique.
 	Name string

@@ -200,10 +200,10 @@ func TestRunMonitorPerEstimatorCadences(t *testing.T) {
 	}
 }
 
-// silencer writes the overlay it is handed through the public API:
-// every estimate silences a tenth of the peers (ApplyAdversary severs
-// their links) and reports the size. It declares nothing, so RunMonitor
-// treats it as a mutator.
+// silencer tries to write the overlay it is handed through the public
+// API: every estimate silences a tenth of the peers (ApplyAdversary
+// severs their links) and reports the size. It declares nothing;
+// declaredSilencer is the same estimator declaring itself observe-only.
 type silencer struct{}
 
 func (silencer) Name() string { return "silencer" }
@@ -213,6 +213,10 @@ func (silencer) Estimate(n *Network) (float64, error) {
 	}
 	return float64(n.Size()), nil
 }
+
+type declaredSilencer struct{ silencer }
+
+func (declaredSilencer) MutatesOverlay() bool { return false }
 
 // churner calls one of the Network's churn methods inside Estimate,
 // where the Network is read-only. It declares itself observe-only, so
@@ -236,10 +240,11 @@ func (c churner) Estimate(n *Network) (float64, error) {
 }
 
 // TestRunMonitorRejectsAnOverlayWriter: an undeclared custom estimator
-// that only reads runs on its per-tick clones, while one that writes
-// them fails the run with an error naming it, at every worker count,
-// and leaves the network as it was. So does one that calls a churn
-// method of its read-only Network, through RunMonitor and RunParallel.
+// that only reads runs like any other, while one that calls
+// ApplyAdversary or a churn method of its read-only Network — declared
+// observe-only or not — fails RunMonitor and RunParallel with an error
+// naming it and the method, at every worker count, and leaves the
+// network as it was.
 func TestRunMonitorRejectsAnOverlayWriter(t *testing.T) {
 	build := func() (*Network, *Trace) {
 		net, err := NewNetwork(NetworkOptions{Nodes: 600, Seed: 3})
@@ -261,15 +266,22 @@ func TestRunMonitorRejectsAnOverlayWriter(t *testing.T) {
 		t.Fatalf("an undeclared reader: %d groups, MAE %g", res.Groups(), res.Tracking(0).MAE)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		net, tr := build()
-		ests := []Estimator{mustEstimator(t, "hopssampling", EstimatorConfig{Seed: 5}), silencer{}, truthByNameEstimator{}}
-		_, err := RunMonitor(net, tr, ests, MonitorOptions{Cadence: 10, Workers: workers})
-		if err == nil || !strings.Contains(err.Error(), "silencer wrote the overlay at t=10") {
-			t.Fatalf("workers %d: err = %v, want the silencer's write at t=10", workers, err)
-		}
-		if net.Size() != 600 || net.LargestComponent() != 600 {
-			t.Fatalf("workers %d: the network changed: size %d, largest component %d",
-				workers, net.Size(), net.LargestComponent())
+		const want = "silencer called Network.ApplyAdversary inside Estimate"
+		for _, s := range []Estimator{silencer{}, declaredSilencer{}} {
+			net, tr := build()
+			ests := []Estimator{mustEstimator(t, "hopssampling", EstimatorConfig{Seed: 5}), s, truthByNameEstimator{}}
+			_, err := RunMonitor(net, tr, ests, MonitorOptions{Cadence: 10, Workers: workers})
+			if err == nil || !strings.Contains(err.Error(), "at t=10: "+want) {
+				t.Fatalf("workers %d: RunMonitor err = %v, want %q at t=10", workers, err, want)
+			}
+			_, err = RunParallel(func(int) Estimator { return s }, net, 4, workers)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("workers %d: RunParallel err = %v, want %q", workers, err, want)
+			}
+			if net.Size() != 600 || net.LargestComponent() != 600 {
+				t.Fatalf("workers %d: the network changed: size %d, largest component %d",
+					workers, net.Size(), net.LargestComponent())
+			}
 		}
 		for _, method := range []string{"Join", "JoinMany", "LeaveRandom", "LeaveFraction"} {
 			want := "churner called Network." + method + " inside Estimate"

@@ -85,8 +85,10 @@ func ApplyFaults(e Estimator, f FaultOptions, seed uint64) (Estimator, error) {
 // It returns how many peers were silenced and how many sybils joined.
 // The surgery is deterministic in seed and mutates the network, so
 // apply it once, before estimating; message-level fields are ignored
-// here (see ApplyFaults).
+// here (see ApplyFaults). Like the churn methods it is unavailable
+// inside an Estimator's Estimate (see Join).
 func (n *Network) ApplyAdversary(f FaultOptions, seed uint64) (silenced, sybils int, err error) {
+	n.churn("ApplyAdversary")
 	if err := f.Validate(); err != nil {
 		return 0, 0, fmt.Errorf("p2psize: %w", err)
 	}

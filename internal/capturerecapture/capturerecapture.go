@@ -105,7 +105,7 @@ func (e *Estimator) Name() string {
 }
 
 // MutatesOverlay reports false: marking and recapturing only walk the
-// overlay (core.OverlayMutator), so the monitor may use a shared clone.
+// overlay (core.OverlayMutator).
 func (e *Estimator) MutatesOverlay() bool { return false }
 
 // ErrEmptyOverlay is returned when no live peer can initiate.

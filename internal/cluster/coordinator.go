@@ -247,13 +247,13 @@ func Run(cfg Config) (*Report, error) {
 	// Two overlays on the identical assembled topology: the live one
 	// hands every metered send to the coordinator transport, the
 	// simulated oracle keeps everything in-process. Same seeds, same
-	// adjacency order, so benign estimates are bit-equal. Both are
-	// copy-on-write clones of the assembled graph: the ping source
-	// Leaves on the live overlay, and a base must not be written while a
-	// clone of it is alive.
+	// adjacency order, so benign estimates are bit-equal. The live one
+	// is a copy-on-write clone of the assembled graph, its trunk: the
+	// ping source Leaves on it, and the oracle, which nothing writes,
+	// reads the assembled graph itself.
 	liveNet := overlay.New(live.CloneCOW(), maxDeg, nil)
 	liveNet.SetTransport(coord)
-	simNet := overlay.New(live.CloneCOW(), maxDeg, nil)
+	simNet := overlay.New(live, maxDeg, nil)
 	liveIns, err := roster(cfg, liveNet)
 	if err != nil {
 		return nil, err
@@ -264,8 +264,8 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	// The oracle runs beside the live run. The two share only the
-	// assembled graph, which neither writes; the oracle owns its clone,
-	// roster and streams, installs no transport and logs nothing, so logf
+	// assembled graph, which neither writes; the oracle owns its roster
+	// and streams, installs no transport and logs nothing, so logf
 	// keeps one caller at a time. Map joins both on every path and returns
 	// the live run's error ahead of the oracle's.
 	horizon := cadence * float64(samples)

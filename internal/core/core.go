@@ -15,14 +15,15 @@ import (
 )
 
 // ErrReadOnly marks an estimate that tried to change the overlay it was
-// handed through the public Network's churn methods, which refuse
-// inside Estimate. A monitoring run fails on it, since every estimator
-// of a run reads one replayed trajectory.
+// handed through the public Network's churn methods or ApplyAdversary,
+// which refuse inside Estimate. A monitoring run fails on it, since
+// every estimator of a run reads one replayed trajectory.
 var ErrReadOnly = errors.New("an estimator may not change the overlay")
 
 // Estimator is the contract shared by the three candidates: one call
 // produces one size estimate for the overlay's current state, metering
-// all traffic it generates on the network's counter.
+// all traffic it generates on the network's counter. Estimate only
+// reads the overlay, and may run beside other estimates reading it.
 type Estimator interface {
 	// Name identifies the estimator (and its headline parameters).
 	Name() string
@@ -31,26 +32,22 @@ type Estimator interface {
 	Estimate(net *overlay.Network) (float64, error)
 }
 
-// OverlayMutator is the optional capability interface an Estimator
-// implements to declare whether its Estimate calls mutate the overlay
-// graph (rewire links, as a deployed cyclon-backed epidemic family
-// would) or only observe it (walks, polls, probes). A monitoring run
-// replays its trace once, on one overlay: read-only estimators estimate
-// concurrently at a tick, each on its own view of it, while a mutator
-// estimates on a copy-on-write clone of it taken at that tick and
-// dropped afterwards; an estimate that actually writes that clone
-// fails the run, since every estimator reads the one trajectory. So
-// reporting false promises two things: Estimate only reads the graph,
-// and it is safe beside other read-only estimators reading the same
-// graph — all mutable state lives on the estimator instance.
+// OverlayMutator is the optional declaration an Estimator makes of
+// whether a deployment of it would rewire the overlay (as a
+// cyclon-backed epidemic family would) or only observe it (walks,
+// polls, probes). It chooses nothing: every estimator only reads the
+// overlay it is handed and is safe beside other estimators reading the
+// same one, and a monitoring run puts every instance on its own view
+// of one replayed overlay. The declaration only feeds the replay-group
+// count a monitoring run reports (monitor.Result.Groups), which goes
+// with the benchmark's next re-pin.
 type OverlayMutator interface {
 	// MutatesOverlay reports whether Estimate mutates the overlay.
 	MutatesOverlay() bool
 }
 
 // MutatesOverlay reports whether e declares itself overlay-mutating.
-// Estimators that do not implement OverlayMutator are conservatively
-// treated as mutating: an unknown estimator never rides a shared clone.
+// Estimators that do not implement OverlayMutator count as mutating.
 func MutatesOverlay(e Estimator) bool {
 	if m, ok := e.(OverlayMutator); ok {
 		return m.MutatesOverlay()

@@ -106,7 +106,7 @@ func (e *Estimator) Name() string {
 }
 
 // MutatesOverlay reports false: density probes only route and measure
-// (core.OverlayMutator), so the monitor may run them on a shared clone.
+// (core.OverlayMutator).
 func (e *Estimator) MutatesOverlay() bool { return false }
 
 // ErrEmptyOverlay is returned when no live peer can be looked up.

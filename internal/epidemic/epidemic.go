@@ -250,9 +250,9 @@ func (o *Estimator[S, D]) Name() string {
 }
 
 // MutatesOverlay reports true (core.OverlayMutator): the epidemic class
-// is cyclon-backed in deployment, where every exchange rewires views —
-// the monitor gives it a clone of the replayed overlay at each estimate,
-// which the simulated rounds here leave untouched.
+// is cyclon-backed in deployment, where every exchange rewires views.
+// The simulated rounds here only read the overlay; the declaration
+// feeds nothing but the monitor's replay-group count.
 func (o *Estimator[S, D]) MutatesOverlay() bool { return true }
 
 // Estimate runs one full epoch and returns the initiator's estimate. An

@@ -30,8 +30,8 @@ func init() {
 
 // sampleDynamic is the shared body of Figs 9-14: three concurrent
 // processes of one family sampled every `every` churn steps on the
-// monitor's step clock — observe-only and on one cadence, so they share
-// one overlay clone and one replay of the scenario — laid out as the
+// monitor's step clock — each on its own view of the one trunk the
+// scenario steps, as every monitoring run estimates — laid out as the
 // paper's dynamic figures: the real size curve plus one "Estimation #k"
 // curve per process, its lastKruns mean (lastK = 1 is the raw oneShot
 // curve). The tracking notes are computed from the curves as drawn.
@@ -152,10 +152,10 @@ func fig14(p Params) (*Figure, error) {
 // aggDynamic is the shared body of Figs 15-17: three concurrent epoch-
 // restarted Aggregation processes; churn advances every round; estimates
 // are read at each epoch boundary (every EpochLen rounds). One overlay,
-// one churn trajectory: the processes only read the topology, so they
-// run on three metering views of one COW clone that a single runner
-// steps alone, and fork within each round (the rule of fig05/06's views
-// and fig09-14's shared replay). This is a protocol-stepping loop — one
+// one churn trajectory: estimators only read, so the processes run on
+// three metering views of one COW clone (the trunk) that a single
+// runner steps alone, and fork within each round (the rule of
+// fig05/06's views and of every monitoring run). This is a protocol-stepping loop — one
 // churn step, one round, the real size drawn per round — not a sampling
 // loop, which is why it does not ride monitor.RunScenario.
 func aggDynamic(id, title string, scenario churn.Scenario, p Params, stream uint64) (*Figure, error) {

@@ -112,7 +112,7 @@ func TestCadenceMixDeterminismAndTradeoff(t *testing.T) {
 		t.Fatalf("slowing aggregation kept the message budget: %d vs %d", ref.Messages, base.Messages)
 	}
 	// ... and must not perturb the other families' series — they keep
-	// their own streams and their own clones.
+	// their own streams and their own views.
 	for _, s := range base.Series {
 		if strings.Contains(strings.ToLower(s.Name), "aggregation") {
 			continue

@@ -246,7 +246,7 @@ type Estimator struct {
 // clock around the inner estimation. The estimator surface is unchanged,
 // so any family — current or future, built-in or custom — runs under
 // faults unmodified. Safe under the parallel harnesses because each run
-// or instance estimates on its own view or clone.
+// or instance estimates on its own view.
 func Decorate(e core.Estimator, inj *Injector) *Estimator {
 	if e == nil {
 		panic("fault: Decorate of nil estimator")
@@ -260,10 +260,10 @@ func Decorate(e core.Estimator, inj *Injector) *Estimator {
 // Name identifies the inner estimator in reports.
 func (f *Estimator) Name() string { return f.inner.Name() }
 
-// MutatesOverlay forwards the wrapped estimator's overlay-mutation
-// capability (core.OverlayMutator): fault injection perturbs message
-// fates, not the graph, so decoration must not demote a read-only
-// estimator to the conservative mutating default.
+// MutatesOverlay forwards the wrapped estimator's declaration
+// (core.OverlayMutator): fault injection perturbs message fates, not
+// the graph, so decoration leaves the monitor's replay-group count
+// as it was.
 func (f *Estimator) MutatesOverlay() bool { return core.MutatesOverlay(f.inner) }
 
 // Estimate runs the inner estimation under the fault policy.

@@ -173,12 +173,16 @@ func TestCloneCOWRemovedNodeCannotScribbleBase(t *testing.T) {
 	}
 }
 
-// TestCloneCOWUnwrittenPredicate holds Unwritten to what the monitor
-// rests its write check on: every mutator, from a fresh clone, flips
-// it, and no reader does. The base gives node 0 a full record (inlineCap
+// TestCloneCOWUnwrittenPredicate holds copy-on-write to its first rule:
+// every write owns its page first (pages.slot, pages.append, and a
+// spilled list only after its node's record). So a clone that still
+// shares every page (SharedPages() == TotalPages()) has not been
+// written: every mutator, from a fresh clone, un-shares a page, and no
+// reader does. The base gives node 0 a full record (inlineCap
 // neighbours, so one more spills the list) and node 1 an already
 // spilled list.
 func TestCloneCOWUnwrittenPredicate(t *testing.T) {
+	unwritten := func(g *Graph) bool { return g.SharedPages() == g.TotalPages() }
 	base := Heterogeneous(3000, 10, xrand.New(4))
 	for _, hub := range []NodeID{0, 1} {
 		for v := NodeID(2000); base.Degree(hub) < inlineCap+int(hub); v++ {
@@ -188,7 +192,7 @@ func TestCloneCOWUnwrittenPredicate(t *testing.T) {
 	if base.Degree(0) != inlineCap || base.Degree(1) <= inlineCap {
 		t.Fatalf("hub degrees %d, %d", base.Degree(0), base.Degree(1))
 	}
-	if base.Unwritten() {
+	if unwritten(base) {
 		t.Fatal("a graph that is not a clone reports itself unwritten")
 	}
 	edge := func(g *Graph) (NodeID, NodeID) { return 5, g.Neighbors(5)[0] }
@@ -229,15 +233,15 @@ func TestCloneCOWUnwrittenPredicate(t *testing.T) {
 		{"HintRemove", false, func(g *Graph) { g.HintRemove(1) }},
 	} {
 		c := base.CloneCOW()
-		if !c.Unwritten() {
+		if !unwritten(c) {
 			t.Fatalf("%s: a fresh clone reports itself written", tc.name)
 		}
 		tc.op(c)
-		if got := !c.Unwritten(); got != tc.writes {
+		if got := !unwritten(c); got != tc.writes {
 			t.Errorf("%s: written = %v, want %v", tc.name, got, tc.writes)
 		}
 	}
-	if !base.CloneCOW().CloneCOW().Unwritten() {
+	if !unwritten(base.CloneCOW().CloneCOW()) {
 		t.Fatal("a fresh clone of a clone reports itself written")
 	}
 }

@@ -1,12 +1,11 @@
 package monitor
 
 // Tick-fork tests: the instances due at a tick estimate concurrently,
-// the read-only ones each on a private view of the trunk. These pin
-// what that must not change (every series and message count, at every
-// worker count, against the alone layout, where each instance reads a
-// clone of its own), that it happens at all (two members inside
-// Estimate at once), and what a view keeps private (its counter and its
-// fault-policy slot). CI runs them under -race -count=10.
+// each on a private view of the trunk. These pin what that must not
+// change (every series and message count, at every worker count,
+// against the roster run inline), that it happens at all (two members
+// inside Estimate at once), and what a view keeps private (its counter
+// and its fault-policy slot). CI runs them under -race -count=10.
 
 import (
 	"errors"
@@ -43,9 +42,10 @@ func observeOnlyRoster(t *testing.T, seed uint64) []Instance {
 	return ins
 }
 
-// TestTickForkBitEqualObserveOnlyFamilies: one clone per family, run
-// inline, is the reference; the shared group must reproduce it bit for
-// bit whether its ticks run on one worker, two or eight.
+// TestTickForkBitEqualObserveOnlyFamilies: the roster run inline, each
+// family counted a group of its own (alone), is the reference; the one
+// group must reproduce it bit for bit whether its ticks run on one
+// worker, two or eight.
 func TestTickForkBitEqualObserveOnlyFamilies(t *testing.T) {
 	want, wantMsgs := runReplay(t, alone(observeOnlyRoster(t, 500)), 1)
 	for _, workers := range []int{1, 2, 8} {
@@ -176,7 +176,7 @@ func faultRoster(faulty bool) []Instance {
 }
 
 // TestTickForkFaultPolicyStaysOnItsView: a fault.Decorate'd member of a
-// shared group meters and estimates exactly as on a clone of its own, at
+// shared group meters and estimates exactly as in the inline run, at
 // every worker count, and its neighbours read exactly what they read
 // beside an undecorated one.
 func TestTickForkFaultPolicyStaysOnItsView(t *testing.T) {

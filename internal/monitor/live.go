@@ -32,9 +32,7 @@ func RunLive(instances []Instance, net *overlay.Network, src Timeline, horizon f
 	if !(horizon > 0) || math.IsInf(horizon, 1) {
 		return nil, fmt.Errorf("monitor: live horizon %g must be positive and finite", horizon)
 	}
-	// Not replayed: a live overlay is one real deployment, not a
-	// replayable simulation, so there is no clone and no replay.
-	return sample(instances, cfg, horizon, net, func() (*overlay.Network, Timeline, error) {
-		return net, src, nil
-	}, false, 1)
+	// A live overlay is one real deployment, not a replayable
+	// simulation: it is its own trunk, and no groups are counted.
+	return sample(instances, cfg, horizon, net, net, src, 1)
 }

@@ -19,17 +19,11 @@
 //
 // A run replays its membership trajectory once, on one trunk: a
 // copy-on-write clone of the base overlay that the Timeline alone
-// writes, one grid tick at a time. The instances due at a tick then
-// estimate concurrently on the deterministic worker pool: read-only
-// ones on private views of the trunk, and each estimator that may
-// mutate the overlay on a COW clone of the trunk taken at that tick (a
-// copy of the page pointers), dropped after the estimate. An estimate
-// that writes its clone fails the run: one trajectory serves every
-// instance, so an estimator that changes the membership it measures
-// has no place in it. Runs still report replay groups (see
-// replayGroups): a cadence class of read-only estimators, or one
-// estimator that may mutate. Results are byte-identical at every
-// worker count.
+// writes, one grid tick at a time. Estimators only read. The instances
+// due at a tick estimate concurrently on the deterministic worker
+// pool, each on its own view of the trunk (the same paged graph, a
+// private message counter and a private fault-policy slot). Results
+// are byte-identical at every worker count.
 //
 // The package owns the only sampling loop in the tree (sample). What
 // moves the membership between ticks is a Timeline, and the three entry
@@ -45,7 +39,6 @@ import (
 
 	"p2psize/internal/churn"
 	"p2psize/internal/core"
-	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
 	"p2psize/internal/parallel"
 	"p2psize/internal/trace"
@@ -189,11 +182,12 @@ type Result struct {
 	Restarts []int
 	// Messages[k] is instance k's total metered protocol traffic.
 	Messages []uint64
-	// Groups is the number of replay groups RunScheduled or RunScenario
-	// counted (replayGroups): the number of read-only cadence classes
-	// plus one per mutating (or undeclared) instance. Every group reads
-	// the run's one replay. RunLive samples the live overlay (no clones,
-	// no replay) and leaves it 0.
+	// Groups is a count RunScheduled and RunScenario report and nothing
+	// reads to choose a path (replayGroups): the read-only cadence
+	// classes plus one per instance that declares, or does not deny,
+	// core.OverlayMutator. It goes with the benchmark's next re-pin,
+	// whose gossip event count is Groups times the trace's events.
+	// RunLive leaves it 0.
 	Groups int
 }
 
@@ -437,14 +431,9 @@ type member struct {
 	sched []float64 // its own sample times
 	next  int       // cursor into sched
 	sm    *smoother
-	// view is the instance's own view of the trunk, and its counter
-	// the instance's traffic there. It is nil for an instance that may
-	// mutate a replayed overlay, which estimates on a COW clone of the
-	// trunk taken at each due tick.
-	view *overlay.Network
-	// msgs totals the traffic metered on those per-tick clones; the
-	// view's counter is added at the end of the run.
-	msgs                     metrics.Counter
+	// view is the instance's own view of the trunk; its counter is the
+	// instance's traffic.
+	view                     *overlay.Network
 	raw, smoothed, staleness []float64
 	scheduled, failures      int
 }
@@ -458,29 +447,16 @@ type estimate struct {
 	err   error
 }
 
-// estimateAt runs m's estimation at tick t if t is on its schedule. An
-// instance that may mutate the overlay estimates on a fresh COW clone
-// of the trunk (page pointers only), which is dropped afterwards. An
-// estimate that wrote it (graph.Unwritten, exact), or that a read-only
-// public Network refused a churn call (core.ErrReadOnly), is an error
-// of the run, not a failure of the instance.
-func (m *member) estimateAt(e core.Estimator, trunk *overlay.Network, t float64) (estimate, error) {
+// estimateAt runs m's estimation on its view at tick t if t is on its
+// schedule. An estimate whose write a read-only public Network refused
+// (core.ErrReadOnly) is an error of the run, not a failure of the
+// instance.
+func (m *member) estimateAt(e core.Estimator, t float64) (estimate, error) {
 	if m.next == len(m.sched) || m.sched[m.next] != t {
 		return estimate{}, nil
 	}
 	m.next++
-	net := m.view
-	if net == nil {
-		net = trunk.CloneCOW()
-	}
-	v, err := e.Estimate(net)
-	if m.view == nil {
-		m.msgs.Merge(net.Counter())
-		if !net.Graph().Unwritten() {
-			return estimate{}, fmt.Errorf("monitor: %s wrote the overlay at t=%g: every instance of a run reads one replayed trajectory, so an estimator may not change it",
-				e.Name(), t)
-		}
-	}
+	v, err := e.Estimate(m.view)
 	if errors.Is(err, core.ErrReadOnly) {
 		return estimate{}, fmt.Errorf("monitor: at t=%g: %w", t, err)
 	}
@@ -508,49 +484,35 @@ func (m *member) fold(e estimate, t float64) {
 }
 
 // sample is the sampling loop under RunScheduled, RunScenario and
-// RunLive. open supplies the trunk — the one overlay the run's Timeline
-// writes — with that Timeline. replayed says the trunk is a clone the
-// run replays on; a live overlay (RunLive) is not, so every instance
-// reads and writes it through a view, and the run counts no replay
-// groups. Every instance records the true size, its served value and
-// its staleness at every tick of the union grid, but estimates only at
-// its own scheduled times — so mixed cadences stay directly comparable,
-// point for point.
+// RunLive. trunk is the one overlay the run's timeline writes (a nil
+// timeline keeps its membership static); net is the overlay the caller
+// handed in, whose counter receives the run's traffic. Every instance
+// records the true size, its served value and its staleness at every
+// tick of the union grid, but estimates only at its own scheduled
+// times — so mixed cadences stay directly comparable, point for point.
 //
 // A tick is one fork-join over every instance. The timeline advances
 // the trunk alone — it is the only writer, and it replays the trace
 // once per run — and then one parallel.Map runs the instances due at
-// that tick (member.estimateAt): read-only ones on views of the trunk
-// (the same paged graph, a private metrics.Counter and a private
-// fault-policy slot), and declared mutators on a COW clone of the
-// trunk. Their results are folded into smoothers and series serially
-// in instance order, so nothing depends on which finished first.
-// Messages[k] is the total of instance k's counters — the same alone
-// or in company, since the timeline itself meters nothing — and the
-// totals are merged into net's counter. With workers == 1 each
-// Estimate runs inline, in instance order.
-func sample(instances []Instance, cfg Config, horizon float64, net *overlay.Network,
-	open func() (trunk *overlay.Network, timeline Timeline, err error), replayed bool, workers int) (*Result, error) {
+// that tick (member.estimateAt), each on its own view of the trunk.
+// Their results are folded into smoothers and series serially in
+// instance order, so nothing depends on which finished first.
+// Messages[k] is the total of instance k's view counter — the same
+// alone or in company, since the timeline itself meters nothing — and
+// the counters are merged into net's in instance order. With
+// workers == 1 each Estimate runs inline, in instance order.
+func sample(instances []Instance, cfg Config, horizon float64, net, trunk *overlay.Network, timeline Timeline, workers int) (*Result, error) {
 	cadences, policies, schedules, err := resolveSchedules(instances, cfg, horizon)
 	if err != nil {
 		return nil, err
 	}
 	grid := unionGrid(schedules)
-	trunk, timeline, err := open()
-	if err != nil {
-		return nil, err
-	}
 	members := make([]member, len(instances))
-	for k, in := range instances {
-		members[k] = member{sched: schedules[k], sm: newSmoother(policies[k]),
+	for k := range instances {
+		members[k] = member{sched: schedules[k], sm: newSmoother(policies[k]), view: trunk.View(),
 			raw:       make([]float64, 0, len(grid)),
 			smoothed:  make([]float64, 0, len(grid)),
 			staleness: make([]float64, 0, len(grid))}
-		// On a live overlay every instance estimates on a view of the
-		// trunk itself.
-		if !replayed || !core.MutatesOverlay(in.Estimator) {
-			members[k].view = trunk.View()
-		}
 	}
 	trueSizes := make([]float64, 0, len(grid))
 	for _, t := range grid {
@@ -561,9 +523,9 @@ func sample(instances []Instance, cfg Config, horizon float64, net *overlay.Netw
 		}
 		trueSizes = append(trueSizes, float64(trunk.Size()))
 		// Fan out: the trunk is quiescent until the next AdvanceTo, and
-		// index k touches only member k's cursor, clone and estimator.
+		// index k touches only member k's cursor, view and estimator.
 		ests, err := parallel.Map(workers, len(members), func(k int) (estimate, error) {
-			return members[k].estimateAt(instances[k].Estimator, trunk, t)
+			return members[k].estimateAt(instances[k].Estimator, t)
 		})
 		if err != nil {
 			return nil, err
@@ -589,9 +551,6 @@ func sample(instances []Instance, cfg Config, horizon float64, net *overlay.Netw
 		Restarts:  make([]int, len(instances)),
 		Messages:  make([]uint64, len(instances)),
 	}
-	if replayed {
-		res.Groups = replayGroups(instances, cadences)
-	}
 	for k := range members {
 		m := &members[k]
 		res.Names[k] = instances[k].Estimator.Name()
@@ -602,11 +561,8 @@ func sample(instances []Instance, cfg Config, horizon float64, net *overlay.Netw
 		res.Staleness[k] = m.staleness
 		res.Failures[k] = m.failures
 		res.Restarts[k] = m.sm.restarts
-		if m.view != nil {
-			m.msgs.Merge(m.view.Counter())
-		}
-		res.Messages[k] = m.msgs.Total()
-		net.Counter().Merge(&m.msgs)
+		res.Messages[k] = m.view.Counter().Total()
+		net.Counter().Merge(m.view.Counter())
 	}
 	return res, nil
 }
@@ -627,25 +583,25 @@ func (p tracePlayer) AdvanceTo(net *overlay.Network, t float64) error {
 // (the trunk; net is the immutable base and is left unmutated, and the
 // trunk pays only for the churn it replays), and samples every instance
 // on its own cadence (see sample for the tick). The result's time grid
-// is the union of all instance schedules.
-//
-// Instances are counted in replay groups — read-only instances folded
-// by cadence, mutating ones alone (see replayGroups) — but every group
-// reads the one replay: read-only instances estimate on views of the
-// trunk, side by side, which is safe because they all declare
-// MutatesOverlay() == false. An instance that mutates, or does not say,
-// estimates on a COW clone of the trunk taken at its tick, which costs
-// page pointers only; if its estimate wrote the clone the run fails.
+// is the union of all instance schedules. Every instance estimates on
+// its own view of the trunk, side by side with the others: estimators
+// only read the overlay. The result's Groups is a count only (see
+// replayGroups).
 //
 // newRNG is called once, for the generator that wires the replay's
 // joins. Output is byte-identical at every worker count, and to what
 // every instance produces in a run of its own.
 func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, cfg Config, newRNG func() *xrand.Rand, workers int) (*Result, error) {
-	return sample(instances, cfg, tr.Horizon, net, func() (*overlay.Network, Timeline, error) {
-		trunk := net.CloneCOW()
-		player, err := trace.NewPlayer(tr, trunk)
-		return trunk, tracePlayer{player, newRNG()}, err
-	}, true, workers)
+	trunk := net.CloneCOW()
+	player, err := trace.NewPlayer(tr, trunk)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sample(instances, cfg, tr.Horizon, net, trunk, tracePlayer{player, newRNG()}, workers)
+	if err == nil {
+		res.Groups = replayGroups(instances, res.Cadences)
+	}
+	return res, err
 }
 
 // RunScenario is RunScheduled on a step clock: the scenario's churn is
@@ -656,9 +612,11 @@ func RunScheduled(instances []Instance, net *overlay.Network, tr *trace.Trace, c
 // continues: fragmented, shrunken overlays are precisely the regime the
 // dynamic comparison is about.
 func RunScenario(instances []Instance, net *overlay.Network, sc churn.Scenario, cfg Config, newRNG func() *xrand.Rand, workers int) (*Result, error) {
-	return sample(instances, cfg, float64(sc.TotalSteps), net, func() (*overlay.Network, Timeline, error) {
-		return net.CloneCOW(), churn.NewRunner(sc, newRNG()), nil
-	}, true, workers)
+	res, err := sample(instances, cfg, float64(sc.TotalSteps), net, net.CloneCOW(), churn.NewRunner(sc, newRNG()), workers)
+	if err == nil {
+		res.Groups = replayGroups(instances, res.Cadences)
+	}
+	return res, err
 }
 
 // MAE returns instance k's mean absolute tracking error |served − true|

@@ -2,7 +2,7 @@ package monitor_test
 
 // The tick fork seen from the public boundary: an observe-only custom
 // estimator is handed a *p2psize.Network that wraps its private view of
-// the replay group's clone.
+// the run's trunk.
 
 import (
 	"testing"

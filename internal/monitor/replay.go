@@ -2,14 +2,14 @@ package monitor
 
 import "p2psize/internal/core"
 
-// replayGroups counts the replay groups a replayed run reports
-// (Result.Groups): one per cadence class of read-only instances
-// (core.MutatesOverlay reports false; bit-equal cadences produce
-// bit-equal schedules, so a class is due at exactly the same ticks),
-// and one per instance that mutates the overlay or does not declare
-// the core.OverlayMutator capability. Every group reads the run's one
-// replay: read-only instances on views of the trunk, each mutator on a
-// per-tick COW clone of it, which its estimate may not write.
+// replayGroups is the count RunScheduled and RunScenario report as
+// Result.Groups: one per cadence class of instances that deny the
+// core.OverlayMutator capability (bit-equal cadences produce bit-equal
+// schedules), and one per instance that declares it or does not say.
+// It chooses nothing — every instance estimates on a view of the run's
+// one trunk — and stays only because the benchmark's pinned gossip
+// event count is Groups times the trace's events; it goes with that
+// re-pin.
 func replayGroups(instances []Instance, cadences []float64) int {
 	groups := 0
 	readOnly := make(map[float64]bool) // cadence classes seen

@@ -63,15 +63,15 @@ func scenarioSequential(instances []core.Estimator, net *overlay.Network, sc chu
 }
 
 // TestRunScenarioMatchesSequential pins the strongest guarantee of the
-// step-clock entry: grouped clones, forked ticks and all, it reproduces
-// the sequential loop bit for bit, because every group replays the
-// identical trajectory and every instance's own rng consumes the same
-// draws as in the sequential interleaving.
+// step-clock entry: one trunk, forked ticks and all, it reproduces the
+// sequential loop bit for bit, because every instance reads the
+// identical trajectory and its own rng consumes the same draws as in
+// the sequential interleaving.
 func TestRunScenarioMatchesSequential(t *testing.T) {
 	const n = 800
 	sc := churn.Catastrophic(n, 63)
-	// Three observe-only instances (one failing on a schedule) fold into
-	// one group; Aggregation declares itself mutating and replays alone.
+	// Three observe-only instances (one failing on a schedule) count as
+	// one group; Aggregation declares itself mutating and counts alone.
 	build := func() []core.Estimator {
 		return []core.Estimator{
 			samplecollide.New(samplecollide.Config{T: 10, L: 20}, xrand.New(100)),

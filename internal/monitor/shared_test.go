@@ -1,11 +1,12 @@
 package monitor
 
-// Shared-replay tests: folding read-only cadence classes onto views of
-// the trunk must be a pure layout change — series, metrics and message
-// attribution byte-identical to the same instances each on a COW clone
-// of its own (the alone layout below), across worker counts and seeds —
-// while actually sharing (group accounting and allocation-footprint
-// assertions against solo runs, which replay once per instance).
+// Shared-replay tests: every instance estimates on a view of the one
+// trunk, whatever it declares, so the replay-group count is only a
+// count — series, metrics and message attribution byte-identical with
+// every instance declared a mutator (the alone roster below), across
+// worker counts and seeds — and the run really shares one replay (group
+// accounting and allocation-footprint assertions against solo runs,
+// which replay once per instance).
 
 import (
 	"math"
@@ -22,9 +23,9 @@ import (
 	"p2psize/internal/xrand"
 )
 
-// roTruth is truthEstimator plus the observe-only capability marker —
-// eligible for shared-replay grouping, unlike the unmarked (and
-// therefore conservatively mutating) truthEstimator.
+// roTruth is truthEstimator plus the observe-only declaration — counted
+// in its cadence class's group, unlike the undeclared truthEstimator,
+// which counts as a mutator.
 type roTruth struct{ name string }
 
 func (e roTruth) Name() string { return e.name }
@@ -33,15 +34,14 @@ func (e roTruth) Estimate(net *overlay.Network) (float64, error) {
 }
 func (roTruth) MutatesOverlay() bool { return false }
 
-// private is the test-only second layout: it declares its estimator
-// mutating, so replayGroups gives it a group of its own and the tick a
-// COW clone of the trunk to estimate on, in the same run, on the same
-// grid. No estimator below writes its clone.
+// private declares its estimator mutating, so replayGroups counts it a
+// group of its own; it estimates on a view of the trunk like every
+// instance.
 type private struct{ core.Estimator }
 
 func (private) MutatesOverlay() bool { return true }
 
-// alone puts every instance on a clone of its own.
+// alone counts every instance a group of its own.
 func alone(instances []Instance) []Instance {
 	for k := range instances {
 		instances[k].Estimator = private{instances[k].Estimator}
@@ -247,8 +247,8 @@ func TestSharedReplayStatisticalEnvelope(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Three same-cadence Sample&Collide instances: grouped they
-			// ride one clone, alone three.
+			// Three same-cadence Sample&Collide instances: one group,
+			// or three alone; one trunk either way.
 			ins := make([]Instance, 3)
 			for k := range ins {
 				ins[k] = Instance{Estimator: samplecollide.New(
@@ -318,10 +318,10 @@ func soloAllocDelta(t *testing.T, net *overlay.Network, tr *trace.Trace, instanc
 // TestMonitorFootprintSharedGroups asserts the memory claim directly:
 // six read-only instances in one run allocate a small fraction of what
 // they do in six solo runs — one replay's churn instead of six. A
-// declared mutator that never writes costs its tick clones' page
-// pointers and nothing more: beside a read-only instance it allocates
-// within 10 % of a second read-only one. Zero-cost truth estimators
-// keep estimator allocations out of the measurement.
+// declared mutator estimates on a view like any instance: beside a
+// read-only instance it allocates within 10 % of a second read-only
+// one. Zero-cost truth estimators keep estimator allocations out of the
+// measurement.
 func TestMonitorFootprintSharedGroups(t *testing.T) {
 	const n = 20000
 	net := testNet(n, 60)
@@ -349,7 +349,7 @@ func TestMonitorFootprintSharedGroups(t *testing.T) {
 	twoRO := monitorAllocDelta(t, net, tr, []Instance{{Estimator: roTruth{"ro"}}, {Estimator: roTruth{"ro"}}})
 	withMut := monitorAllocDelta(t, net, tr, []Instance{{Estimator: roTruth{"ro"}}, {Estimator: &mutatingTruth{}}})
 	if withMut*10 > twoRO*11 {
-		t.Fatalf("a declared, non-writing mutator beside a read-only instance allocated %d bytes vs %d for two read-only; want within 10%%",
+		t.Fatalf("a declared mutator beside a read-only instance allocated %d bytes vs %d for two read-only; want within 10%%",
 			withMut, twoRO)
 	}
 }

@@ -1,57 +1,38 @@
 package monitor
 
-// Trunk tests: one timeline per run, read-only instances on views of
-// the trunk, declared mutators on a per-tick COW clone of the trunk
-// that is dropped after the estimate, and an estimate that writes its
-// clone fails the run. The references share no layout with the run
-// they check: solo runs (each instance in a monitor call of its own, on
-// the same inputs), and a sequential private replay that shares no code
-// with sample at all. CI runs them under -race -count=10.
+// Trunk tests: one timeline per run, and every instance — declared
+// mutators too — on its own view of the trunk. The references share no
+// layout with the run they check: solo runs (each instance in a monitor
+// call of its own, on the same inputs), and a sequential private replay
+// that shares no code with sample at all. CI runs them under -race
+// -count=10.
 
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"p2psize/internal/aggregation"
 	"p2psize/internal/churn"
 	"p2psize/internal/core"
 	"p2psize/internal/hopssampling"
-	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
 	"p2psize/internal/samplecollide"
 	"p2psize/internal/trace"
 	"p2psize/internal/xrand"
 )
 
-// joiner really writes its overlay: each estimate joins one peer, wired
-// with its own generator, meters one control message and reports the
-// size. It declares nothing, so the monitor treats it as a mutator.
-type joiner struct{ rng *xrand.Rand }
-
-func (*joiner) Name() string { return "joiner" }
-func (j *joiner) Estimate(net *overlay.Network) (float64, error) {
-	net.Join(3, j.rng)
-	net.Send(metrics.KindControl)
-	return float64(net.Size()), nil
-}
-
-// trunkRoster mixes observe-only families, a truth probe, two declared
-// mutators that never write (a cheap one and Aggregation) and, with
-// writer set, a joiner in the middle of the roster.
-func trunkRoster(writer bool) []Instance {
-	ins := []Instance{
+// trunkRoster mixes observe-only families, a truth probe and two
+// declared mutators, which only read like every estimator (a cheap one
+// and Aggregation).
+func trunkRoster() []Instance {
+	return []Instance{
 		{Estimator: samplecollide.New(samplecollide.Config{T: 5, L: 20}, xrand.New(91))},
 		{Estimator: &mutatingTruth{}},
 		{Estimator: roTruth{"ro"}},
 		{Estimator: aggregation.NewEstimator(aggregation.Config{RoundsPerEpoch: 8, Workers: 1}, xrand.New(92))},
 		{Estimator: hopssampling.New(hopssampling.Default(), xrand.New(93))},
 	}
-	if writer {
-		ins = append(ins[:2:2], append([]Instance{{Estimator: &joiner{rng: xrand.New(94)}}}, ins[2:]...)...)
-	}
-	return ins
 }
 
 // soloRuns runs instance k of every fresh roster mk() in a monitor call
@@ -123,7 +104,7 @@ func assertTrunkRun(t *testing.T, solo *Result, soloMsgs uint64, got *Result, go
 }
 
 // TestTrunkMatchesSoloRuns: a roster that mixes read-only members and
-// declared mutators that never write reproduces, at every worker count,
+// declared mutators reproduces, at every worker count,
 // what each instance produces in a RunScheduled call of its own — and
 // each solo run reproduces the sequential private replay.
 func TestTrunkMatchesSoloRuns(t *testing.T) {
@@ -140,9 +121,8 @@ func TestTrunkMatchesSoloRuns(t *testing.T) {
 			return res, net.Counter().Total()
 		}
 	}
-	mk := func() []Instance { return trunkRoster(false) }
-	solo, soloMsgs := soloRuns(t, mk, run(1))
-	for k, in := range mk() {
+	solo, soloMsgs := soloRuns(t, trunkRoster, run(1))
+	for k, in := range trunkRoster() {
 		raw, msgs := replaySequential(t, in.Estimator, testNet(n, 22), tr, cadence, xrand.New(23))
 		if !sameSeries(raw, solo.Raw[k]) || msgs != solo.Messages[k] {
 			t.Fatalf("%s alone reads %v (%d messages), its private replay %v (%d)",
@@ -154,7 +134,7 @@ func TestTrunkMatchesSoloRuns(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got, gotMsgs := run(workers)(mk())
+			got, gotMsgs := run(workers)(trunkRoster())
 			assertTrunkRun(t, solo, soloMsgs, got, gotMsgs)
 		})
 	}
@@ -177,9 +157,8 @@ func TestTrunkScenarioMatchesSoloRuns(t *testing.T) {
 			return res, net.Counter().Total()
 		}
 	}
-	mk := func() []Instance { return trunkRoster(false) }
-	solo, soloMsgs := soloRuns(t, mk, run(1))
-	for k, in := range mk() {
+	solo, soloMsgs := soloRuns(t, trunkRoster, run(1))
+	for k, in := range trunkRoster() {
 		seq := scenarioSequential([]core.Estimator{in.Estimator}, testNet(n, 6), sc, every, xrand.New(55))
 		if !sameSeries(seq.Raw[0], solo.Raw[k]) || seq.Messages[0] != solo.Messages[k] {
 			t.Fatalf("%s alone reads %v (%d messages), its sequential run %v (%d)",
@@ -188,48 +167,8 @@ func TestTrunkScenarioMatchesSoloRuns(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got, gotMsgs := run(workers)(mk())
+			got, gotMsgs := run(workers)(trunkRoster())
 			assertTrunkRun(t, solo, soloMsgs, got, gotMsgs)
 		})
-	}
-}
-
-// TestTrunkWriterFailsTheRun: an estimate that writes its clone fails
-// RunScheduled and RunScenario at its first tick, with the same error
-// at every worker count, alone or among readers, and the base overlay
-// is left as it was.
-func TestTrunkWriterFailsTheRun(t *testing.T) {
-	const n = 3000
-	tr := testTrace(t, n)
-	entries := []struct {
-		name, at string
-		run      func(ins []Instance, net *overlay.Network, workers int) (*Result, error)
-	}{
-		{"RunScheduled", "t=20", func(ins []Instance, net *overlay.Network, workers int) (*Result, error) {
-			return RunScheduled(ins, net, tr, Config{Cadence: 20}, func() *xrand.Rand { return xrand.New(23) }, workers)
-		}},
-		{"RunScenario", "t=7", func(ins []Instance, net *overlay.Network, workers int) (*Result, error) {
-			return RunScenario(ins, net, churn.Catastrophic(n, 63), Config{Cadence: 7}, func() *xrand.Rand { return xrand.New(55) }, workers)
-		}},
-	}
-	rosters := map[string]func() []Instance{
-		"alone": func() []Instance { return []Instance{{Estimator: &joiner{rng: xrand.New(94)}}} },
-		"mixed": func() []Instance { return trunkRoster(true) },
-	}
-	for _, e := range entries {
-		for name, mk := range rosters {
-			for _, workers := range []int{1, 2, 8} {
-				net := testNet(n, 22)
-				pages := net.Graph().TotalPages()
-				res, err := e.run(mk(), net, workers)
-				if err == nil || !strings.Contains(err.Error(), "joiner wrote the overlay at "+e.at) {
-					t.Fatalf("%s %s, workers %d: err = %v (result %v), want the joiner's write at %s",
-						e.name, name, workers, err, res != nil, e.at)
-				}
-				if net.Size() != n || net.Graph().TotalPages() != pages {
-					t.Fatalf("%s %s, workers %d: the base overlay changed", e.name, name, workers)
-				}
-			}
-		}
 	}
 }

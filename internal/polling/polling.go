@@ -89,7 +89,7 @@ func (e *Estimator) Name() string {
 }
 
 // MutatesOverlay reports false: polling only broadcasts and counts
-// (core.OverlayMutator), so the monitor may run it on a shared clone.
+// (core.OverlayMutator).
 func (e *Estimator) MutatesOverlay() bool { return false }
 
 // ErrEmptyOverlay is returned when no live peer can initiate.

@@ -77,7 +77,7 @@ func (e *Estimator) Name() string {
 }
 
 // MutatesOverlay reports false: random tours only walk the overlay
-// (core.OverlayMutator), so the monitor may run them on a shared clone.
+// (core.OverlayMutator).
 func (e *Estimator) MutatesOverlay() bool { return false }
 
 // ErrEmptyOverlay is returned when no live peer can initiate.

@@ -110,8 +110,9 @@ func init() {
 		SupportsMonitoring: true,
 		SupportsTransport:  true,
 		InDefaultSet:       true,
-		// Cyclon-backed in deployment: exchanges rewire views, so the
-		// shared-replay monitor keeps it on a clone of its own.
+		// Cyclon-backed in deployment, where exchanges rewire views;
+		// it declares so (MutatesOverlay), which only the monitor's
+		// replay-group count reads.
 		StreamOffset: 13,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
 			cfg := aggregation.Default()
@@ -172,7 +173,7 @@ func init() {
 		SupportsDynamic:    true,
 		SupportsMonitoring: true,
 		SupportsTransport:  true,
-		// Same cyclon-backed epidemic class as aggregation: a clone of its own.
+		// Same cyclon-backed epidemic class as aggregation.
 		StreamOffset: 16,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
 			cfg := pushsum.Default()

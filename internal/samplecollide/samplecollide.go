@@ -125,7 +125,7 @@ func (e *Estimator) Name() string {
 }
 
 // MutatesOverlay reports false: sample & collide only walks the overlay
-// (core.OverlayMutator), so the monitor may run it on a shared clone.
+// (core.OverlayMutator).
 func (e *Estimator) MutatesOverlay() bool { return false }
 
 // ErrEmptyOverlay is returned when no live peer can initiate.

@@ -56,9 +56,9 @@ type MonitorOptions struct {
 	ReplaySeed uint64
 	// Replay has no effect.
 	//
-	// Deprecated: it used to choose between one clone per estimator and
-	// the grouping RunMonitor now always applies (see Groups); both
-	// produced bit-identical results.
+	// Deprecated: it used to choose between one replay per estimator
+	// and the one replay RunMonitor now always makes; both produced
+	// bit-identical results.
 	Replay string
 	// Workers is the run's goroutine budget (0 = all CPUs): the
 	// estimators due at a tick estimate concurrently on up to Workers
@@ -107,15 +107,11 @@ func (r *MonitorResult) TrueSizes() []float64 { return r.res.TrueSizes }
 // Names returns the estimator names, in instance order.
 func (r *MonitorResult) Names() []string { return r.res.Names }
 
-// Groups returns how many replay groups the run counted: observe-only
-// estimators sharing a cadence share a group, and an estimator that may
-// rewire the overlay — including any custom estimator that does not
-// declare otherwise — is a group of its own. The run replays the trace
-// once whatever the count: observe-only estimators read views of the
-// one replayed overlay, and an estimator that may rewire it estimates
-// on a per-tick copy-on-write clone of it (page pointers only). An
-// estimate that actually writes its clone fails the run: every
-// estimator of a run reads the one replayed trajectory.
+// Groups returns a count that chooses nothing: one per cadence shared
+// by estimators that declare MutatesOverlay() false, plus one per other
+// estimator. Every estimator of the run estimates on its own view of
+// the one replayed overlay whatever the count. It is kept until the
+// benchmark's next re-pin, which deletes it.
 func (r *MonitorResult) Groups() int { return r.res.Groups }
 
 // check validates an instance index before it reaches the internal
@@ -173,12 +169,13 @@ func (r *MonitorResult) String() string {
 
 // RunMonitor replays the trace once, on a copy-on-write clone of net,
 // and samples every estimator each opts.Cadence time units under the
-// chosen smoothing policy (see Groups for how estimators that may
-// rewire the overlay are kept apart). The network must hold exactly
+// chosen smoothing policy. The network must hold exactly
 // tr.InitialNodes() peers. The estimators due at a tick estimate
-// concurrently on a worker pool; equal seeds give byte-identical
-// results at every worker count. The network itself is left unmutated,
-// with all metered traffic merged into Messages().
+// concurrently on a worker pool, each on its own read-only view of the
+// replayed overlay: an estimate that calls a churn method or
+// ApplyAdversary fails the run (see CustomEstimator). Equal seeds give
+// byte-identical results at every worker count. The network itself is
+// left unmutated, with all metered traffic merged into Messages().
 func RunMonitor(net *Network, tr *Trace, estimators []Estimator, opts MonitorOptions) (*MonitorResult, error) {
 	if net == nil {
 		return nil, errors.New("p2psize: RunMonitor needs a network")

@@ -117,13 +117,13 @@ type Network struct {
 	rng *xrand.Rand
 }
 
-// readOnlyWrite is the panic a churn method raises on a read-only
-// Network, naming the method; the estimator wrapper (publicWrap)
-// returns it as the estimate's error.
+// readOnlyWrite is the panic a churn method or ApplyAdversary raises
+// on a read-only Network, naming the method; the estimator wrapper
+// (publicWrap) returns it as the estimate's error.
 type readOnlyWrite string
 
-// churn returns n's churn randomness, or refuses the named churn method
-// on a read-only Network before it writes anything.
+// churn returns n's churn randomness, or refuses the named writing
+// method on a read-only Network before it writes anything.
 func (n *Network) churn(method string) *xrand.Rand {
 	if n.rng == nil {
 		panic(readOnlyWrite(method))
@@ -236,9 +236,10 @@ func (n *Network) DegreeCounts() (degrees, counts []int) {
 // Join adds one peer with a random target degree (uniform in
 // [1, MaxDegree], as in the paper's construction) and returns the new
 // overlay size. Like the other churn methods (JoinMany, LeaveRandom,
-// LeaveFraction) it is unavailable inside an Estimator's Estimate,
-// whose Network is read-only: the call changes nothing and fails that
-// estimate with an error naming the estimator and the method.
+// LeaveFraction) and ApplyAdversary it is unavailable inside an
+// Estimator's Estimate, whose Network is read-only: the call changes
+// nothing and fails that estimate with an error naming the estimator
+// and the method.
 func (n *Network) Join() int {
 	n.net.JoinRandomDegree(n.churn("Join"))
 	return n.Size()

@@ -110,14 +110,14 @@ func TestMonitorWorkerInvariance(t *testing.T) {
 }
 
 // undeclared hides an estimator's MutatesOverlay declaration, so
-// RunMonitor conservatively gives it a clone of its own: the reference
-// layout the default grouping must reproduce bit for bit.
+// RunMonitor counts it a replay group of its own: the reference roster
+// the default grouping must reproduce bit for bit.
 type undeclared struct{ Estimator }
 
 // TestRunMonitorGroupsByDefault: with no option set, three observe-only
 // families on one cadence share a replay group, aggregation (which
-// rewires the overlay) keeps its own, and every series equals the one
-// the same estimator produces on a private clone — for a roster of
+// declares it rewires the overlay) counts its own, and every series
+// equals the one the same estimator produces undeclared — for a roster of
 // default configurations and for one with tuned knobs.
 func TestRunMonitorGroupsByDefault(t *testing.T) {
 	t.Run("by-name", func(t *testing.T) {
