@@ -91,9 +91,19 @@ func NewEstimator(cfg Config, rng *xrand.Rand) *epidemic.Estimator[float64, pair
 	return epidemic.NewEstimator(&New(cfg, rng).Epoch, idle)
 }
 
-// idle lends one-shot epochs' buffers from a finished estimate to the
-// next.
+// idle lends epochs' buffers from a finished estimate to the next.
 var idle = epidemic.NewIdle[float64, pair]()
+
+// Borrow gives p the state vector and round engine a finished epoch of
+// the family handed back (the free list the one-shot estimators share),
+// for net's ids; Release hands them back. A caller that steps a
+// Protocol itself borrows before its first StartEpoch and releases
+// after its last round, so that consecutive runs make these buffers
+// once.
+func (p *Protocol) Borrow(net *overlay.Network) { p.BorrowFrom(idle, net.Graph().IDCeiling()) }
+
+// Release hands p's buffers back for the next epoch to borrow.
+func (p *Protocol) Release() { p.ReleaseTo(idle) }
 
 // sweep returns the engine callbacks of one round (RunRound): one
 // synchronous push-pull cycle in which every live node, in fresh random

@@ -105,6 +105,7 @@ type Runner struct {
 	events     []Event
 	totalJoins int
 	totalDrops int
+	reserved   bool // Reserve has run
 }
 
 // NewRunner prepares a runner; events are sorted by step.
@@ -119,6 +120,9 @@ func NewRunner(s Scenario, rng *xrand.Rand) *Runner {
 // first any discrete events scheduled at that step, then the continuous
 // arrival/departure rates. Returns the net change in size.
 func (r *Runner) Step(net *overlay.Network, step int) int {
+	if !r.reserved {
+		r.Reserve(net)
+	}
 	before := net.Size()
 	for r.nextEvent < len(r.events) && r.events[r.nextEvent].Step <= step {
 		ev := r.events[r.nextEvent]
@@ -145,6 +149,38 @@ func (r *Runner) Step(net *overlay.Network, step int) int {
 	}
 	r.removeN(net, drops)
 	return net.Size() - before
+}
+
+// Reserve records on net's graph the ids the runner will add over the
+// scenario's TotalSteps (graph.ReserveIDs), so that tables indexed by
+// id are made once. Step calls it before the runner's first step; a
+// caller that sizes such tables before then calls it first. It draws
+// nothing.
+func (r *Runner) Reserve(net *overlay.Network) {
+	r.reserved = true
+	g := net.Graph()
+	g.ReserveIDs(g.NumIDs() + r.S.joins())
+}
+
+// joins returns the number of peers the scenario adds over TotalSteps:
+// the AddCount of every shock that fires on one of its steps, and the
+// arrivals its accumulator yields, counted with Step's own arithmetic.
+func (s Scenario) joins() int {
+	n := 0
+	for _, ev := range s.Events {
+		if ev.Step < s.TotalSteps {
+			n += max(ev.AddCount, 0)
+		}
+	}
+	acc := 0.0
+	for range s.TotalSteps {
+		acc += s.ArrivalsPerStep
+		for acc >= 1 {
+			acc--
+			n++
+		}
+	}
+	return n
 }
 
 // AdvanceTo applies Step for every whole step below t that it has not

@@ -228,3 +228,38 @@ func TestStepReturnsNetChange(t *testing.T) {
 		t.Fatalf("Step delta = %d, want 3", d)
 	}
 }
+
+// TestRunnerReservesItsJoins: the ids a runner reserves before its first
+// step are exactly the ids it adds over TotalSteps — counted without a
+// draw, for whole and fractional arrival rates, shocks that add peers,
+// and a shock past the horizon, which never fires — and Step reserves
+// them itself when its caller did not.
+func TestRunnerReservesItsJoins(t *testing.T) {
+	scenarios := []Scenario{
+		Growing(1000, 50, 0.5),
+		Growing(1000, 70, 0.5), // 7.142857… arrivals a step
+		Catastrophic(1000, 50),
+		AggregationCatastrophic(1000, 400),
+		{Name: "mixed", TotalSteps: 90, ArrivalsPerStep: 0.3, DeparturesPerStep: 1.7, Events: []Event{
+			{Step: 0, AddCount: 25}, {Step: 40, RemoveFraction: 0.2, AddCount: 11}, {Step: 90, AddCount: 1000},
+		}},
+	}
+	for _, s := range scenarios {
+		for _, explicit := range []bool{true, false} {
+			net := newNet(1000, 5)
+			g := net.Graph()
+			before := g.NumIDs()
+			r := NewRunner(s, xrand.New(6))
+			if explicit {
+				r.Reserve(net)
+			} else {
+				r.AdvanceTo(net, 1) // the first step
+			}
+			ceil := g.IDCeiling()
+			r.AdvanceTo(net, float64(s.TotalSteps))
+			if added := g.NumIDs() - before; ceil-before != added || r.totalJoins != added {
+				t.Fatalf("%s (explicit %v): reserved %d ids, added %d (%d joins)", s.Name, explicit, ceil-before, added, r.totalJoins)
+			}
+		}
+	}
+}

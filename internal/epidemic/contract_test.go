@@ -33,7 +33,7 @@ type instance struct {
 	Estimate   func(*overlay.Network) (float64, bool)
 	// oneShot is the one-shot adapter over the same epoch.
 	oneShot core.Estimator
-	grow    func(numIDs int)
+	grow    func(numIDs, ceil int)
 	// snap copies the per-node state and membership.
 	snap func() snapshot
 }
@@ -247,25 +247,41 @@ func TestEmptyOverlay(t *testing.T) {
 // TestGrowAllocatesOnce: extending the one per-node vector to a million
 // ids allocates it once, not along append's 1.25x regrowth chain (which
 // cost five times the final size, resident until the next GC), and the
-// new ids start outside the epoch.
+// new ids start outside the epoch. Under an id reservation — a ceiling
+// beyond the ids — the vector is made once at the ceiling, and growing
+// on up to it allocates no second one.
 func TestGrowAllocatesOnce(t *testing.T) {
 	const n = 1000000
+	race := false
+	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		race = true // the race detector keeps append's make([]T, k) temporary from being elided
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
 	for _, f := range families {
 		t.Run(f.name, func(t *testing.T) {
-			p := f.new(epidemic.Default(), xrand.New(1))
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			p.grow(n)
-			runtime.ReadMemStats(&after)
 			final := n * f.nodeBytes
 			budget := final * 11 / 10
-			if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
-				budget *= 2 // the race detector keeps append's make([]T, k) temporary from being elided
+			if race {
+				budget *= 2
 			}
-			if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+			p := f.new(epidemic.Default(), xrand.New(1))
+			if got := allocated(func() { p.grow(n, n) }); got > budget {
 				t.Fatalf("growing to %d ids allocated %d bytes for %d bytes of state", n, got, final)
 			}
-			p.grow(n + 3)
+			reserved := f.new(epidemic.Default(), xrand.New(1))
+			if got := allocated(func() { reserved.grow(n/2, n) }); got < final || got > budget {
+				t.Fatalf("growing to %d of %d reserved ids allocated %d bytes, want the ceiling's %d once", n/2, n, got, final)
+			}
+			if got := allocated(func() { reserved.grow(n, n) }); !race && got >= final/2 {
+				t.Fatalf("growing on to the reserved %d ids allocated %d bytes: the vector was made again", n, got)
+			}
+			p.grow(n+3, n)
 			s := p.snap()
 			if len(s.words) != (n+3)*s.perNode {
 				t.Fatalf("the vector holds %d states, want %d", len(s.words)/s.perNode, n+3)

@@ -134,7 +134,7 @@ func (e *Epoch[S, D]) StartEpoch(net *overlay.Network) error {
 		}
 		e.Initiator = id
 	}
-	e.grow(net.Graph().NumIDs())
+	e.grow(net.Graph().NumIDs(), net.Graph().IDCeiling())
 	e.Tag++
 	fill(e.State, e.fam.Absent)
 	e.State[e.Initiator] = e.fam.Start
@@ -143,9 +143,15 @@ func (e *Epoch[S, D]) StartEpoch(net *overlay.Network) error {
 
 // grow extends the state vector to numIDs in one step (an append per
 // node walks the 1.25x regrowth chain and allocates five times the
-// final size on a million-node overlay). New IDs start Absent.
-func (e *Epoch[S, D]) grow(numIDs int) {
+// final size on a million-node overlay). A vector that must grow while
+// the graph's IDCeiling, ceil, lies beyond numIDs — its writer reserved
+// the ids it will add — is made once, at ceil; otherwise append picks
+// its capacity. New IDs start Absent.
+func (e *Epoch[S, D]) grow(numIDs, ceil int) {
 	if k := numIDs - len(e.State); k > 0 {
+		if cap(e.State) < numIDs && ceil > numIDs {
+			e.State = append(make([]S, 0, ceil), e.State...)
+		}
 		e.State = append(e.State, make([]S, k)...)
 		fill(e.State[numIDs-k:], e.fam.Absent)
 	}
@@ -174,7 +180,7 @@ func (e *Epoch[S, D]) RunRound(net *overlay.Network) error {
 		return e.fam.ErrNoEpoch
 	}
 	g := net.Graph()
-	e.grow(g.NumIDs())
+	e.grow(g.NumIDs(), g.IDCeiling())
 	n := g.NumAlive()
 	if n == 0 {
 		return nil
@@ -219,7 +225,7 @@ type Buffers[S, D any] struct {
 	engine parallel.RoundEngine[D]
 }
 
-// NewIdle returns the free list a family's one-shot estimators share.
+// NewIdle returns the free list a family's epochs share.
 func NewIdle[S, D any]() *scratch.List[Buffers[S, D]] {
 	return scratch.NewList(func(b Buffers[S, D]) int { return cap(b.state) })
 }
@@ -230,18 +236,23 @@ func NewEstimator[S, D any](e *Epoch[S, D], idle *scratch.List[Buffers[S, D]]) *
 	return &Estimator[S, D]{e: e, idle: idle}
 }
 
-// borrow gives the epoch buffers for an overlay of numIDs ids (none
-// when the list is empty). The state vector starts empty: StartEpoch
-// grows it to numIDs and fills it with Absent, as it does a fresh one.
-func (o *Estimator[S, D]) borrow(numIDs int) {
-	b, _ := o.idle.Get(numIDs)
-	o.e.State, o.e.engine = b.state[:0], b.engine
+// BorrowFrom gives the epoch the buffers a finished epoch handed back
+// to idle, for an overlay whose IDCeiling is ceil (none when the list
+// is empty). The state vector starts empty: StartEpoch grows it to the
+// overlay's ids and fills it with Absent, as it does a fresh one. A
+// family lends through it, for a one-shot Estimate or for the whole run
+// of a Protocol that its caller steps.
+func (e *Epoch[S, D]) BorrowFrom(idle *scratch.List[Buffers[S, D]], ceil int) {
+	b, _ := idle.Get(ceil)
+	e.State, e.engine = b.state[:0], b.engine
 }
 
-// release hands the epoch's buffers back to the free list.
-func (o *Estimator[S, D]) release() {
-	o.idle.Put(Buffers[S, D]{state: o.e.State, engine: o.e.engine})
-	o.e.State, o.e.engine = nil, parallel.RoundEngine[D]{}
+// ReleaseTo hands the epoch's buffers back to idle. The epoch then
+// holds none: a later StartEpoch makes fresh ones unless it borrows
+// again first.
+func (e *Epoch[S, D]) ReleaseTo(idle *scratch.List[Buffers[S, D]]) {
+	idle.Put(Buffers[S, D]{state: e.State, engine: e.engine})
+	e.State, e.engine = nil, parallel.RoundEngine[D]{}
 }
 
 // Name identifies the estimator in reports.
@@ -260,8 +271,8 @@ func (o *Estimator[S, D]) MutatesOverlay() bool { return true }
 // not a finite positive size: a liar's overflowing report drives
 // Aggregation's value to +Inf (a ratio of 0) and push-sum's sum to +Inf.
 func (o *Estimator[S, D]) Estimate(net *overlay.Network) (float64, error) {
-	o.borrow(net.Graph().NumIDs())
-	defer o.release()
+	o.e.BorrowFrom(o.idle, net.Graph().IDCeiling())
+	defer o.e.ReleaseTo(o.idle)
 	if err := o.e.StartEpoch(net); err != nil {
 		return 0, err
 	}

@@ -155,7 +155,10 @@ func fig14(p Params) (*Figure, error) {
 // one churn trajectory: estimators only read, so the processes run on
 // three metering views of one COW clone (the trunk) that a single
 // runner steps alone, and fork within each round (the rule of
-// fig05/06's views and of every monitoring run). This is a protocol-stepping loop — one
+// fig05/06's views and of every monitoring run). The runner reserves
+// its joins on the clone before the first epoch, and each process
+// borrows its state and round engine from the family's free list for
+// the run, so each is made once. This is a protocol-stepping loop — one
 // churn step, one round, the real size drawn per round — not a sampling
 // loop, which is why it does not ride monitor.RunScenario.
 func aggDynamic(id, title string, scenario churn.Scenario, p Params, stream uint64) (*Figure, error) {
@@ -171,6 +174,7 @@ func aggDynamic(id, title string, scenario churn.Scenario, p Params, stream uint
 	}
 	clone := net.CloneCOW()
 	runner := churn.NewRunner(scenario, xrand.New(p.Seed+stream+1))
+	runner.Reserve(clone)
 	outer, inner := parallel.Split(p.Workers, instances)
 	procs := make([]process, instances)
 	for k := range procs {
@@ -179,6 +183,14 @@ func aggDynamic(id, title string, scenario churn.Scenario, p Params, stream uint
 			proto: aggregation.New(aggConfig(p, inner), xrand.New(p.Seed+stream+10+uint64(k))),
 			est:   &metrics.Series{Name: fmt.Sprintf("Estimation #%d", k+1)},
 		}
+		procs[k].proto.Borrow(procs[k].view)
+	}
+	defer func() {
+		for k := range procs {
+			procs[k].proto.Release()
+		}
+	}()
+	for k := range procs {
 		if err := procs[k].proto.StartEpoch(procs[k].view); err != nil {
 			return nil, fmt.Errorf("%s: %w", id, err)
 		}

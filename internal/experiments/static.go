@@ -138,8 +138,10 @@ func fig04(p Params) (*Figure, error) {
 
 // aggStatic is the shared body of Figs 5 and 6: three independent
 // estimations, quality against round number. Each estimation owns an
-// Aggregation protocol instance; the three run concurrently on metering
-// views of the shared (static, read-only) overlay.
+// Aggregation protocol instance, whose state and round engine it
+// borrows from the family's free list for the run; the three run
+// concurrently on metering views of the shared (static, read-only)
+// overlay.
 func aggStatic(id, title string, n int, p Params, stream uint64) (*Figure, error) {
 	net := hetNet(n, p, stream)
 	fig := &Figure{
@@ -160,6 +162,8 @@ func aggStatic(id, title string, n int, p Params, stream uint64) (*Figure, error
 		view := net.View()
 		proto := aggregation.New(aggConfig(p, inner),
 			xrand.New(p.Seed+stream+10+uint64(k)))
+		proto.Borrow(view)
+		defer proto.Release()
 		if err := proto.StartEpoch(view); err != nil {
 			return estOut{}, fmt.Errorf("%s: %w", id, err)
 		}

@@ -77,6 +77,7 @@ func (g *Graph) Clone() *Graph {
 		aliveIDs: g.aliveIDs.clone(),
 		edges:    g.edges,
 		spill:    make([][]NodeID, len(g.spill)),
+		reserved: g.reserved,
 	}
 	for i, a := range g.spill {
 		ng.spill[i] = slices.Clone(a)

@@ -65,6 +65,10 @@ type Graph struct {
 	// on their first write (0 for a graph that is not a clone).
 	spill     [][]NodeID
 	spillBase int
+
+	// reserved is the id count the graph's writer expects to reach
+	// (ReserveIDs): a hint for tables indexed by id, never a limit.
+	reserved int
 }
 
 // New returns an empty graph with capacity hint n.
@@ -287,6 +291,17 @@ func (g *Graph) NumEdges() int { return g.edges }
 // NumIDs returns the total number of IDs ever allocated (alive + dead).
 func (g *Graph) NumIDs() int { return g.nodes.len() }
 
+// ReserveIDs records that the graph's writer will have allocated n ids
+// by the end of its run: a trace replay or a churn scenario knows its
+// joins before the first one. It allocates nothing and limits nothing;
+// it only lets a table indexed by id be made once, at IDCeiling, rather
+// than re-made as the ids grow past it.
+func (g *Graph) ReserveIDs(n int) { g.reserved = n }
+
+// IDCeiling returns the most ids the graph is expected to hold: the
+// larger of NumIDs and the last ReserveIDs.
+func (g *Graph) IDCeiling() int { return max(g.nodes.len(), g.reserved) }
+
 // AliveIDs returns a copy of the live node list.
 func (g *Graph) AliveIDs() []NodeID {
 	out := make([]NodeID, g.aliveIDs.len())
@@ -370,7 +385,9 @@ func (g *Graph) AliveAt(i int) NodeID { return *g.aliveIDs.at(i) }
 // pages the churn touches — at most one flat copy, 64 bytes per node
 // plus the alive list, once churn has spread over the whole id range —
 // the contract the parallel run loops rely on when they fan one clone
-// per estimation instance at paper scale.
+// per estimation instance at paper scale. The clone starts with g's id
+// reservation (ReserveIDs), and a replay reserves on the clone, so
+// reserving never touches the base.
 //
 // The receiver acts as the immutable base: it must not be mutated while
 // any COW clone of it is alive (clones of clones extend the freeze to
@@ -383,6 +400,7 @@ func (g *Graph) CloneCOW() *Graph {
 		edges:     g.edges,
 		spill:     append([][]NodeID(nil), g.spill...),
 		spillBase: len(g.spill),
+		reserved:  g.reserved,
 	}
 }
 

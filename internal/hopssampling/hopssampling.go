@@ -199,7 +199,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	if !net.Alive(initiator) {
 		return 0, Diagnostics{}, fmt.Errorf("hopssampling: initiator %d is not alive", initiator)
 	}
-	e.borrow(net.Graph().NumIDs())
+	e.borrow(net.Graph())
 	defer e.release()
 	rounds := e.spread(net, initiator)
 	est, reached, replies := e.collect(net, initiator)
@@ -207,11 +207,12 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	return est, d, nil
 }
 
-// borrow takes tables for an overlay of numIDs ids from idle (empty ones
-// when it has none) and opens a new poll on them.
-func (e *Estimator) borrow(numIDs int) {
-	t, _ := idle.Get(numIDs)
-	t.slots = scratch.Fit(t.slots, numIDs)
+// borrow takes tables for g's ids from idle (empty ones when it has
+// none) and opens a new poll on them. Tables that must grow are made at
+// g's IDCeiling.
+func (e *Estimator) borrow(g *graph.Graph) {
+	t, _ := idle.Get(g.IDCeiling())
+	t.slots = scratch.Fit(t.slots, g.NumIDs(), g.IDCeiling())
 	t.gen++
 	if t.gen == 0 {
 		// The stamps wrapped: every old stamp could now read as seen.
@@ -439,7 +440,7 @@ func (e *Estimator) ReachedFraction(net *overlay.Network, initiator graph.NodeID
 	if !net.Alive(initiator) {
 		return 0, fmt.Errorf("hopssampling: initiator %d is not alive", initiator)
 	}
-	e.borrow(net.Graph().NumIDs())
+	e.borrow(net.Graph())
 	defer e.release()
 	e.spread(net, initiator)
 	g := net.Graph()

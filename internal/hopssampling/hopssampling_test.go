@@ -9,6 +9,7 @@ import (
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
+	"p2psize/internal/scratch"
 	"p2psize/internal/xrand"
 )
 
@@ -268,18 +269,49 @@ func TestScratchReuseAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestScratchGrowsWithJoins: polls before and after 500 joins on a
+// 100-node overlay. When the graph reserved those ids, the first poll
+// makes its slot table at the ceiling and the second reuses it; when it
+// did not, the table holds a quarter spare and the joins outgrow it.
+// The estimates are the same either way.
 func TestScratchGrowsWithJoins(t *testing.T) {
-	net := hetNet(100, 26)
-	e := New(Default(), xrand.New(27))
-	if _, err := e.Estimate(net); err != nil {
-		t.Fatal(err)
+	const n, joins = 100, 500
+	// poll estimates on net and returns the estimate and the idle slot
+	// table the poll handed back (the only one: the list was emptied).
+	poll := func(e *Estimator, net *overlay.Network) (float64, []slot) {
+		est, err := e.Estimate(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, _ := idle.Get(0)
+		idle.Put(tb)
+		return est, tb.slots
 	}
-	rng := xrand.New(28)
-	for i := 0; i < 500; i++ {
-		net.JoinRandomDegree(rng)
+	var ests [2][2]float64
+	for i, reserve := range []bool{true, false} {
+		scratch.Drop()
+		net := hetNet(n, 26)
+		if reserve {
+			net.Graph().ReserveIDs(n + joins)
+		}
+		e := New(Default(), xrand.New(27))
+		est, before := poll(e, net)
+		rng := xrand.New(28)
+		for range joins {
+			net.JoinRandomDegree(rng)
+		}
+		again, after := poll(e, net)
+		ests[i] = [2]float64{est, again}
+		switch {
+		case reserve && (cap(before) != n+joins || &after[0] != &before[0]):
+			t.Fatalf("reserved: tables of cap %d then %d (same: %v), want one of the ceiling's %d",
+				cap(before), cap(after), &after[0] == &before[0], n+joins)
+		case !reserve && (cap(before) != n+n/4 || cap(after) != (n+joins)*5/4):
+			t.Fatalf("unreserved: tables of cap %d then %d, want %d then %d", cap(before), cap(after), n+n/4, (n+joins)*5/4)
+		}
 	}
-	if _, err := e.Estimate(net); err != nil {
-		t.Fatal(err)
+	if ests[0] != ests[1] {
+		t.Fatalf("estimates %v reserved, %v unreserved", ests[0], ests[1])
 	}
 }
 
@@ -326,7 +358,7 @@ func (e *Estimator) EstimateWithOracleDistances(net *overlay.Network, initiator 
 	if !net.Alive(initiator) {
 		return 0, fmt.Errorf("hopssampling: initiator %d is not alive", initiator)
 	}
-	e.borrow(net.Graph().NumIDs())
+	e.borrow(net.Graph())
 	defer e.release()
 	dist := graph.BFSDistances(net.Graph(), initiator)
 	for id, d := range dist {

@@ -224,7 +224,7 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	if n == 0 {
 		return nil
 	}
-	e.order = scratch.Fit(e.order, n)
+	e.order = scratch.Fit(e.order, n, 0)
 	sw.Keys(e.order)
 	shards := Shards(cfg.Shards, n)
 	// The serial prefix: every per-shard draw below comes from streams
@@ -260,7 +260,7 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		return nil
 	}
 
-	e.ownerOf = scratch.Fit(e.ownerOf, sw.NumKeys)
+	e.ownerOf = scratch.Fit(e.ownerOf, sw.NumKeys, 0)
 	// Ownership prepass, parallel: each shard stamps the keys of its own
 	// segment (distinct entries, so no write is shared).
 	if err := ForEach(cfg.Workers, shards, func(s int) error {

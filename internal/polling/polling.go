@@ -122,12 +122,12 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	// the initiator's probe established. Benign policies answer false
 	// with zero extra draws.
 	pol := net.FaultPolicy()
-	f, ok := idle.Get(g.NumIDs())
+	f, ok := idle.Get(g.IDCeiling())
 	if !ok {
 		f = new(flood)
 	}
 	defer idle.Put(f)
-	f.dist = scratch.Fit(f.dist, g.NumIDs())
+	f.dist = scratch.Fit(f.dist, g.NumIDs(), g.IDCeiling())
 	dist := f.dist
 	for i := range dist {
 		dist[i] = -1

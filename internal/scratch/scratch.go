@@ -12,10 +12,12 @@
 //
 // Retention is bounded: a List keeps at most one idle value per
 // GOMAXPROCS, the largest ones, for the life of the process. That is
-// one table of the largest overlay a family served per processor (about
-// 15 MB for Hops Sampling at a million ids). Unlike sync.Pool, a List
-// never drops a value at a garbage collection, so whether a table is
-// re-made never depends on GC timing.
+// one table of the largest id space a family served per processor, and
+// a table is as long as the ids its graph reserved (Fit): Hops
+// Sampling's 12-byte slots hold about 18 MB after a replay that grows a
+// million ids by half. Unlike sync.Pool, a List never drops a value at
+// a garbage collection, so whether a table is re-made never depends on
+// GC timing.
 package scratch
 
 import (
@@ -118,13 +120,19 @@ func Drop() {
 }
 
 // Fit returns s with length n. When s is too short it returns a new,
-// zeroed slice with a quarter of n spare: a table sized to an overlay
-// that gains ids between uses is then re-made only once that room is
+// zeroed slice. Its capacity is ceil when ceil exceeds n: the caller
+// knows the most it will ask for, as graph.IDCeiling does once a
+// replay has reserved its ids, and the table is made once, exactly.
+// Otherwise it holds a quarter of n spare, so that a table sized to an
+// overlay that gains ids between uses is re-made only once that room is
 // used up, not at every use. A resliced s keeps its old elements; the
 // caller resets what it reads.
-func Fit[E any](s []E, n int) []E {
-	if cap(s) < n {
-		return make([]E, n, n+n/4)
+func Fit[E any](s []E, n, ceil int) []E {
+	if cap(s) >= n {
+		return s[:n]
 	}
-	return s[:n]
+	if ceil <= n {
+		ceil = n + n/4
+	}
+	return make([]E, n, ceil)
 }

@@ -88,7 +88,7 @@ func TestListHandsEachValueToOneBorrower(t *testing.T) {
 				if !ok {
 					p = new([]int)
 				}
-				*p = Fit(*p, i%64)
+				*p = Fit(*p, i%64, 0)
 				for j := range *p {
 					(*p)[j] = w // a second holder would race here
 				}
@@ -103,17 +103,33 @@ func TestListHandsEachValueToOneBorrower(t *testing.T) {
 }
 
 // TestFitReslicesOrGrowsWithAQuarterSpare: Fit keeps a slice that holds
-// n (and its elements), and makes one with a quarter spare otherwise.
+// n (and its elements). One that does not is made afresh, on two
+// branches: under a ceiling beyond n (the graph's ids were reserved) at
+// exactly the ceiling, so that it serves every later n up to it, and
+// otherwise with a quarter of n spare.
 func TestFitReslicesOrGrowsWithAQuarterSpare(t *testing.T) {
-	s := Fit[int](nil, 8)
-	if len(s) != 8 || cap(s) != 10 {
-		t.Fatalf("Fit(nil, 8): len %d cap %d, want 8 and 10", len(s), cap(s))
+	for _, unreserved := range []int{0, 8} { // no ceiling, and one at n
+		s := Fit[int](nil, 8, unreserved)
+		if len(s) != 8 || cap(s) != 10 {
+			t.Fatalf("Fit(nil, 8, %d): len %d cap %d, want 8 and 10", unreserved, len(s), cap(s))
+		}
+		s[7] = 7
+		if r := Fit(s, 10, unreserved); &r[0] != &s[0] || len(r) != 10 || r[7] != 7 {
+			t.Fatal("Fit within the capacity did not reslice in place")
+		}
+		if r := Fit(s, 11, unreserved); &r[0] == &s[0] || len(r) != 11 || cap(r) != 13 || r[7] != 0 {
+			t.Fatalf("Fit past the capacity: len %d cap %d, want a fresh zeroed 11 with cap 13", len(r), cap(r))
+		}
+	}
+	s := Fit[int](nil, 8, 20)
+	if len(s) != 8 || cap(s) != 20 {
+		t.Fatalf("Fit(nil, 8, 20): len %d cap %d, want 8 and the ceiling 20", len(s), cap(s))
 	}
 	s[7] = 7
-	if r := Fit(s, 10); &r[0] != &s[0] || len(r) != 10 || r[7] != 7 {
-		t.Fatal("Fit within the capacity did not reslice in place")
+	if r := Fit(s, 20, 20); &r[0] != &s[0] || len(r) != 20 || r[7] != 7 {
+		t.Fatal("Fit up to the ceiling made the table again")
 	}
-	if r := Fit(s, 11); &r[0] == &s[0] || len(r) != 11 || cap(r) != 13 || r[7] != 0 {
-		t.Fatalf("Fit past the capacity: len %d cap %d, want a fresh zeroed 11 with cap 13", len(r), cap(r))
+	if r := Fit(s, 21, 20); &r[0] == &s[0] || len(r) != 21 || cap(r) != 26 {
+		t.Fatalf("Fit past a ceiling: len %d cap %d, want a fresh 21 with a quarter spare, cap 26", len(r), cap(r))
 	}
 }

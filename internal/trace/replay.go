@@ -38,7 +38,11 @@ const stageBlock = 16
 
 // NewPlayer validates the trace against the overlay and binds the
 // initial sessions: session i maps to the overlay's i-th live peer, so
-// the overlay must hold exactly tr.Initial peers.
+// the overlay must hold exactly tr.Initial peers. It reserves on the
+// overlay's graph the ids the replay will add (graph.ReserveIDs): one
+// per join up to the horizon, the last time a run samples, so that
+// tables indexed by id are made once at the ids of the replay's last
+// tick.
 func NewPlayer(tr *Trace, net *overlay.Network) (*Player, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -49,8 +53,11 @@ func NewPlayer(tr *Trace, net *overlay.Network) (*Player, error) {
 	}
 	// Validate bounds every session id by Initial + Joins, so one flat
 	// table indexed by session replaces a map probe per event.
-	p := &Player{tr: tr, nodes: make([]graph.NodeID, tr.Initial+tr.Joins()), hintRemove: (*graph.Graph).HintRemove}
-	net.Graph().CopyAlive(p.nodes[:tr.Initial])
+	joins := tr.Joins()
+	p := &Player{tr: tr, nodes: make([]graph.NodeID, tr.Initial+joins), hintRemove: (*graph.Graph).HintRemove}
+	g := net.Graph()
+	g.ReserveIDs(g.NumIDs() + joins)
+	g.CopyAlive(p.nodes[:tr.Initial])
 	for s := tr.Initial; s < len(p.nodes); s++ {
 		p.nodes[s] = graph.None
 	}

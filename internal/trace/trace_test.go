@@ -288,3 +288,49 @@ func TestPlayerRejectsSizeMismatch(t *testing.T) {
 		t.Fatal("player accepted an overlay smaller than the initial population")
 	}
 }
+
+// TestPlayerReservesTheLastTicksIDs: a player reserves, on the clone it
+// replays onto, the ids its overlay will have allocated at the horizon,
+// the last tick of a run: dead ids already there plus one per join. The
+// ceiling holds at every tick and is met exactly at the horizon, on a
+// Weibull trace and on a flash crowd plus a mass failure. The base the
+// clone was taken from keeps its own ceiling.
+func TestPlayerReservesTheLastTicksIDs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tr   *Trace
+	}{
+		{"weibull", mustGenerate(t, testConfig(), 40)},
+		{"flashcrowd+fails", composed(t, 400, 41)},
+	} {
+		name, tr := c.name, c.tr
+		const dead = 7
+		base := newNet(tr.Initial+dead, 42)
+		for range dead {
+			base.Leave(base.Graph().AliveAt(0))
+		}
+		baseCeil := base.Graph().IDCeiling()
+		net := base.CloneCOW()
+		p, err := NewPlayer(tr, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := net.Graph()
+		if want := tr.Initial + dead + tr.Joins(); g.IDCeiling() != want {
+			t.Fatalf("%s: ceiling %d, want %d ids and %d joins", name, g.IDCeiling(), tr.Initial+dead, tr.Joins())
+		}
+		rng := xrand.New(43)
+		for _, at := range []float64{tr.Horizon / 4, tr.Horizon / 2, 3 * tr.Horizon / 4, tr.Horizon} {
+			p.AdvanceTo(net, at, rng)
+			if g.NumIDs() > g.IDCeiling() {
+				t.Fatalf("%s: %d ids at t=%g, past the reserved %d", name, g.NumIDs(), at, g.IDCeiling())
+			}
+		}
+		if g.NumIDs() != g.IDCeiling() {
+			t.Fatalf("%s: %d ids at the horizon, reserved %d", name, g.NumIDs(), g.IDCeiling())
+		}
+		if got := base.Graph().IDCeiling(); got != baseCeil || got != base.Graph().NumIDs() {
+			t.Fatalf("%s: the base's ceiling moved from %d to %d", name, baseCeil, got)
+		}
+	}
+}
