@@ -93,10 +93,9 @@ func TestAbsentArithmetic(t *testing.T) {
 		for _, fate := range path.fates {
 			for _, a := range table {
 				for _, b := range table {
-					p.pol = path.pol
 					p.State[0], p.State[1] = a, b
 					ref := toModel(a, b)
-					p.exchange(0, 1, fate)
+					p.exchange(path.pol, 0, 1, fate)
 					if fate&fatePushLost == 0 {
 						ref.Exchange(path.pol, 0, 1, fate&fatePullLost != 0)
 					}

@@ -45,8 +45,6 @@ func Default() Config { return epidemic.Default() }
 // instances can share an overlay (each owns its values, the epoch's State).
 type Protocol struct {
 	epidemic.Epoch[float64, pair]
-	pol overlay.FaultPolicy // scratch: this round's fault policy
-	g   *graph.Graph        // scratch: this round's graph, for the hint callback
 }
 
 // Message fates under an installed fault policy. Push/pull traffic is
@@ -105,24 +103,21 @@ func (p *Protocol) Borrow(net *overlay.Network) { p.BorrowFrom(idle, net.Graph()
 // Release hands p's buffers back for the next epoch to borrow.
 func (p *Protocol) Release() { p.ReleaseTo(idle) }
 
-// sweep returns the engine callbacks of one round (RunRound): one
-// synchronous push-pull cycle in which every live node, in fresh random
-// order, exchanges with one uniformly random neighbor (the epidemic
-// substrate runs on all nodes — the paper prices a round at exactly 2
-// messages per node). When either endpoint participates in the current
-// epoch, the other joins with initial value 0 ("a node which is reached
-// by a counting message with a new tag will create a 0 initial value")
-// and the pair averages its values.
+// sweep binds the engine callbacks every round runs (RunRound) to the
+// round's inputs r: one synchronous push-pull cycle in which every live
+// node, in fresh random order, exchanges with one uniformly random
+// neighbor (the epidemic substrate runs on all nodes — the paper prices
+// a round at exactly 2 messages per node). When either endpoint
+// participates in the current epoch, the other joins with initial value
+// 0 ("a node which is reached by a counting message with a new tag will
+// create a 0 initial value") and the pair averages its values.
 //
 //go:noinline
-func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.FaultPolicy, dropP float64) parallel.Sweep[pair] {
-	p.pol, p.g = pol, g
+func (p *Protocol) sweep(r *epidemic.Round) parallel.Sweep[pair] {
 	return parallel.Sweep[pair]{
-		// An exchange reads both endpoints' values. The graph comes
-		// from p.g rather than a capture, so that the closure holds one
-		// pointer and allocates 16 bytes a round.
+		// An exchange reads both endpoints' values.
 		Hint: func(b *prefetch.Batch, keys []graph.NodeID, prs []pair) {
-			g := p.g
+			g := r.G
 			for _, u := range keys {
 				b.Add(g.RecordAddr(u))
 			}
@@ -132,13 +127,13 @@ func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.Fault
 			}
 		},
 		Visit: func(sh *parallel.Shard[pair], u graph.NodeID, rng *xrand.Rand) error {
-			v, ok := g.RandomNeighbor(u, rng)
+			v, ok := r.G.RandomNeighbor(u, rng)
 			if !ok {
 				return nil
 			}
 			var fate uint8
-			if dropP > 0 {
-				fate = drawFate(rng, dropP)
+			if r.DropP > 0 {
+				fate = drawFate(rng, r.DropP)
 			}
 			// Asymmetric (NAT-limited) connectivity folds into the push
 			// fate: a push to a fated target is sent — and metered — but
@@ -147,7 +142,8 @@ func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.Fault
 			// opened, riding the established path). Pure salted-hash
 			// consultation: no draws, so benign and NAT-free streams are
 			// untouched.
-			if p.pol != nil && p.pol.Unreachable(v) {
+			pol := r.Pol
+			if pol != nil && pol.Unreachable(v) {
 				fate |= fatePushLost
 			}
 			sh.Meters[0]++ // push sent
@@ -155,18 +151,18 @@ func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.Fault
 				sh.Meters[1]++ // pull answered
 			}
 			if t := sh.Owner(v); t == sh.Index {
-				p.exchange(u, v, fate)
+				p.exchange(pol, u, v, fate)
 			} else {
 				sh.Defer(t, pair{u: u, v: v, fate: fate})
 			}
 			return nil
 		},
 		Merge: func(sh *parallel.Shard[pair]) {
-			net.SendN(metrics.KindPush, sh.Meters[0])
-			net.SendN(metrics.KindPull, sh.Meters[1])
+			r.Net.SendN(metrics.KindPush, sh.Meters[0])
+			r.Net.SendN(metrics.KindPull, sh.Meters[1])
 		},
 		Resolve: func(_ int, pr pair, _ *xrand.Rand) error {
-			p.exchange(pr.u, pr.v, pr.fate)
+			p.exchange(r.Pol, pr.u, pr.v, pr.fate)
 			return nil
 		},
 	}
@@ -185,7 +181,8 @@ func drawFate(rng *xrand.Rand, dropP float64) uint8 {
 	return fate
 }
 
-// exchange performs one push-pull averaging between u and v: when either
+// exchange performs one push-pull averaging between u and v under the
+// round's fault policy pol (nil without one): when either
 // endpoint participates in the current epoch the other joins with value
 // 0 and the pair averages. With no fault policy that is one branch-free
 // average: an absent endpoint's -0 adds as 0 (x + -0 = x for every x,
@@ -195,9 +192,9 @@ func drawFate(rng *xrand.Rand, dropP float64) uint8 {
 // value after v already averaged (breaking mass conservation), and a
 // lying endpoint's value is scaled as seen by its peer while its own
 // copy stays honest.
-func (p *Protocol) exchange(u, v graph.NodeID, fate uint8) {
+func (p *Protocol) exchange(pol overlay.FaultPolicy, u, v graph.NodeID, fate uint8) {
 	vu, vv := p.State[u], p.State[v]
-	if p.pol == nil {
+	if pol == nil {
 		avg := (vu + vv) / 2
 		p.State[u] = avg
 		p.State[v] = avg
@@ -214,9 +211,9 @@ func (p *Protocol) exchange(u, v graph.NodeID, fate uint8) {
 	if absentV {
 		vv, p.State[v] = 0, 0
 	}
-	p.State[v] = (p.pol.ReportScale(u)*vu + vv) / 2
+	p.State[v] = (pol.ReportScale(u)*vu + vv) / 2
 	if fate&fatePullLost == 0 {
-		p.State[u] = (vu + p.pol.ReportScale(v)*vv) / 2
+		p.State[u] = (vu + pol.ReportScale(v)*vv) / 2
 	}
 }
 

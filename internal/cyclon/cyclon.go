@@ -101,6 +101,7 @@ type Protocol struct {
 	counter *metrics.Counter
 
 	engine parallel.RoundEngine[deferred] // owns all sharded-sweep scratch
+	sweep  parallel.Sweep[deferred]       // bound once by New; RunRound re-sets its size
 	bufs   []shuffleBuf                   // scratch: one per shard, for its exchanges
 }
 
@@ -141,7 +142,9 @@ func New(cfg Config, rng *xrand.Rand, counter *metrics.Counter) *Protocol {
 	if counter == nil {
 		counter = &metrics.Counter{}
 	}
-	return &Protocol{cfg: cfg, rng: rng, counter: counter}
+	p := &Protocol{cfg: cfg, rng: rng, counter: counter}
+	p.sweep = p.bind()
+	return p
 }
 
 // Counter returns the message meter (shuffle request/reply pairs).
@@ -231,9 +234,16 @@ func (p *Protocol) RunRound() {
 	if s := parallel.Shards(p.cfg.Shards, n); len(p.bufs) < s {
 		p.bufs = append(p.bufs, make([]shuffleBuf, s-len(p.bufs))...)
 	}
-	sw := parallel.Sweep[deferred]{
-		N:       n,
-		NumKeys: len(p.views),
+	p.sweep.N, p.sweep.NumKeys = n, len(p.views)
+	if err := p.engine.Round(p.rng, p.cfg.engine(), &p.sweep); err != nil {
+		panic(fmt.Sprintf("cyclon: round sweep failed: %v", err))
+	}
+}
+
+// bind returns the engine callbacks every round runs (RunRound); the
+// round sets only their size.
+func (p *Protocol) bind() parallel.Sweep[deferred] {
+	return parallel.Sweep[deferred]{
 		// The engine shuffles the member ids from this fixed ascending
 		// base order, straight in its own scratch (dst holds exactly
 		// p.count ids). Membership is frozen mid-round, so Alive reads
@@ -268,9 +278,6 @@ func (p *Protocol) RunRound() {
 			p.completeShuffle(d.id, d.q, rng, &p.bufs[host])
 			return nil
 		},
-	}
-	if err := p.engine.Round(p.rng, p.cfg.engine(), &sw); err != nil {
-		panic(fmt.Sprintf("cyclon: round sweep failed: %v", err))
 	}
 }
 
@@ -397,6 +404,21 @@ func (p *Protocol) ExportGraph(maxID int) *graph.Graph {
 			g.RemoveNode(id)
 		}
 	}
+	// Size each list that will leave its record once. A pair in each
+	// other's views is one edge, counted at its lower id's view.
+	deg := make([]int32, maxID)
+	for id := graph.NodeID(0); int(id) < maxID && int(id) < len(p.views); id++ {
+		if !p.member[id] {
+			continue
+		}
+		for _, e := range p.views[id] {
+			if p.Alive(e.node) && (e.node > id || !containsNode(p.views[e.node], id)) {
+				deg[id]++
+				deg[e.node]++
+			}
+		}
+	}
+	g.ReserveDegrees(deg)
 	// Add edges in id order: adjacency order decides every later
 	// RandomNeighbor draw, so identically seeded runs must export
 	// identical orders.

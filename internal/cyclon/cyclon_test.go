@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"p2psize/internal/graph"
+	"p2psize/internal/parallel"
 	"p2psize/internal/samplecollide"
 	"p2psize/internal/xrand"
 )
@@ -285,6 +286,68 @@ func TestExportGraphRunToRunDeterminism(t *testing.T) {
 	}
 }
 
+// TestExportGraphMatchesAddEdgeExport pins ExportGraph, which sizes
+// each spilled list once, to the export that adds every live view
+// entry with AddEdge alone: after rounds, departures and joins, every
+// node holds the same neighbours in the same order, the edge and alive
+// counts agree, and each list too long for its record holds exactly
+// its neighbours.
+func TestExportGraphMatchesAddEdgeExport(t *testing.T) {
+	p := bootstrapped(3000, 11)
+	rng := xrand.New(12)
+	for r := 0; r < 5; r++ {
+		p.RunRound()
+	}
+	for range 300 {
+		if id := graph.NodeID(rng.Intn(3000)); p.Alive(id) {
+			p.Leave(id)
+		}
+	}
+	for id := graph.NodeID(3000); id < 3100; id++ {
+		p.Join(id)
+	}
+	p.RunRound()
+	const maxID = 3200
+	ref := graph.NewWithNodes(maxID)
+	for id := graph.NodeID(0); id < maxID; id++ {
+		if !p.Alive(id) {
+			ref.RemoveNode(id)
+		}
+	}
+	for id := graph.NodeID(0); int(id) < len(p.views); id++ {
+		if p.member[id] {
+			for _, e := range p.views[id] {
+				if p.Alive(e.node) {
+					ref.AddEdge(id, e.node)
+				}
+			}
+		}
+	}
+	g := p.ExportGraph(maxID)
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() != ref.NumEdges() || g.NumAlive() != ref.NumAlive() {
+		t.Fatalf("%d edges over %d live nodes, AddEdge export %d over %d", g.NumEdges(), g.NumAlive(), ref.NumEdges(), ref.NumAlive())
+	}
+	spilled := 0
+	for id := graph.NodeID(0); id < maxID; id++ {
+		nb := g.Neighbors(id)
+		if !slices.Equal(nb, ref.Neighbors(id)) {
+			t.Fatalf("node %d: neighbours %v, AddEdge export %v", id, nb, ref.Neighbors(id))
+		}
+		if len(nb) > 13 { // a graph record holds 13 neighbours
+			spilled++
+			if cap(nb) != len(nb) {
+				t.Fatalf("node %d: a list of %d neighbours has room for %d", id, len(nb), cap(nb))
+			}
+		}
+	}
+	if spilled == 0 {
+		t.Fatal("no list left its record; the test exercises nothing")
+	}
+}
+
 // TestGrowAllocatesOnce: extending the per-node view table to a million
 // ids allocates them once, not along append's 1.25x regrowth chain
 // (which cost five times the final size, resident until the next GC).
@@ -320,6 +383,26 @@ func TestRoundAllocatesNoPerExchangeScratch(t *testing.T) {
 	p.RunRound()
 	if allocs := testing.AllocsPerRun(3, p.RunRound); allocs > 100 {
 		t.Fatalf("a warm round on 20000 peers allocates %.0f times", allocs)
+	}
+}
+
+// TestWarmRoundAllocatesNothing: the round's callbacks are bound once,
+// by New, and an exchange works in its shard's buffers, so a warm round
+// at one worker makes nothing, on two shards and on sixteen.
+func TestWarmRoundAllocatesNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, n := range []int{8300, 83000} {
+		g := graph.Heterogeneous(n, 10, xrand.New(5))
+		p := New(Config{ViewSize: 8, ShuffleLen: 4, Workers: 1}, xrand.New(6), nil)
+		p.Bootstrap(g)
+		for range 3 {
+			p.RunRound()
+		}
+		if allocs := testing.AllocsPerRun(1, p.RunRound); allocs != 0 {
+			t.Errorf("a warm round on %d peers (%d shards) allocates %.0f times", n, parallel.Shards(0, n), allocs)
+		}
 	}
 }
 

@@ -252,10 +252,7 @@ func TestEmptyOverlay(t *testing.T) {
 // on up to it allocates no second one.
 func TestGrowAllocatesOnce(t *testing.T) {
 	const n = 1000000
-	race := false
-	if info, ok := debug.ReadBuildInfo(); ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
-		race = true // the race detector keeps append's make([]T, k) temporary from being elided
-	}
+	race := raceEnabled() // the race detector keeps append's make([]T, k) temporary from being elided
 	allocated := func(f func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -320,6 +317,47 @@ func TestWarmShardedRoundAllocatesNoVector(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWarmRoundAllocatesNothing: a family binds its round's callbacks
+// once, when the protocol is made, so a warm round at one worker makes
+// nothing — on the figure suite's two sizes, one of two shards and one
+// of sixteen that the engine hints. Thirty rounds first carry the epoch
+// over the overlay and grow the deferral buckets to what the measured
+// rounds defer.
+func TestWarmRoundAllocatesNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, n := range []int{8300, 83000} {
+		net := hetNet(n, 3)
+		for _, f := range families {
+			t.Run(fmt.Sprintf("%s/%d", f.name, n), func(t *testing.T) {
+				p := f.new(epidemic.Config{RoundsPerEpoch: 50, Workers: 1}, xrand.New(4))
+				if err := p.StartEpoch(net); err != nil {
+					t.Fatal(err)
+				}
+				rounds := func(k int) {
+					for range k {
+						if err := p.RunRound(net); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				rounds(30)
+				if allocs := testing.AllocsPerRun(1, func() { rounds(3) }); allocs != 0 {
+					t.Fatalf("three warm rounds on %d nodes (%d shards) allocates %.0f times", n, parallel.Shards(0, n), allocs)
+				}
+			})
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, whose instrumentation allocates.
+func raceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // passThrough is a fault policy that changes nothing: no extra

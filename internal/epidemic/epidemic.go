@@ -82,6 +82,18 @@ type Family[S any] struct {
 // that marks a family's state Absent, bit for bit (+0 is not).
 func IsNegZero(x float64) bool { return math.Float64bits(x) == 1<<63 }
 
+// Round is what a round's callbacks read of the round they run in: the
+// overlay, its graph, and the fault policy with its drop probability
+// (0 without one). RunRound sets it before the engine's round and
+// clears it after, so a family binds its callbacks once, to a *Round,
+// and they never read a graph or a policy of an earlier round.
+type Round struct {
+	Net   *overlay.Network
+	G     *graph.Graph
+	Pol   overlay.FaultPolicy
+	DropP float64
+}
+
 // Epoch is a running instance of a family, generic over the per-node
 // state S and the engine's deferred payload D; a family's Protocol
 // embeds it. Several instances can share an overlay; each owns its state.
@@ -98,17 +110,21 @@ type Epoch[S, D any] struct {
 	fam        *Family[S]
 	cfg        Config
 	rng        *xrand.Rand
-	sweep      func(*overlay.Network, *graph.Graph, overlay.FaultPolicy, float64) parallel.Sweep[D]
+	round      Round             // the running round's inputs, zero between rounds
+	sweep      parallel.Sweep[D] // bound once by Init; RunRound re-sets its size and MergeEach
 	estimateAt func(*overlay.Network, graph.NodeID) (float64, bool)
 	engine     parallel.RoundEngine[D] // owns all sharded-sweep scratch
 }
 
 // Init readies the epoch of a new instance of fam; it panics on invalid
-// configuration. Each round runs the engine callbacks sweep builds (see
-// RunRound), and a node reads its estimate with estimateAt. A family
-// marks sweep go:noinline: inlined into its method value's wrapper, its
-// closures lose their own inlining, and every visit pays for the calls.
-func (e *Epoch[S, D]) Init(fam *Family[S], cfg Config, rng *xrand.Rand, sweep func(net *overlay.Network, g *graph.Graph, pol overlay.FaultPolicy, dropP float64) parallel.Sweep[D],
+// configuration. bind returns the engine callbacks every round runs
+// (see RunRound), reading the round's inputs from the *Round it is
+// given; Init calls it once, so a warm round makes no closure. A node
+// reads its estimate with estimateAt. A family marks bind go:noinline:
+// inlined into its method value's wrapper, its closures lose their own
+// inlining, and every visit pays for the calls. An Epoch must not be
+// copied after Init: its callbacks hold its address.
+func (e *Epoch[S, D]) Init(fam *Family[S], cfg Config, rng *xrand.Rand, bind func(r *Round) parallel.Sweep[D],
 	estimateAt func(*overlay.Network, graph.NodeID) (float64, bool)) {
 	if cfg.RoundsPerEpoch < 1 {
 		panic(fmt.Errorf("%s: RoundsPerEpoch must be >= 1", fam.Pkg))
@@ -119,7 +135,9 @@ func (e *Epoch[S, D]) Init(fam *Family[S], cfg Config, rng *xrand.Rand, sweep fu
 	if rng == nil {
 		panic(fam.Pkg + ": nil rng")
 	}
-	e.fam, e.cfg, e.rng, e.sweep, e.estimateAt, e.Initiator = fam, cfg, rng, sweep, estimateAt, graph.None
+	e.fam, e.cfg, e.rng, e.estimateAt, e.Initiator = fam, cfg, rng, estimateAt, graph.None
+	e.sweep = bind(&e.round)
+	e.sweep.Keys = func(dst []int32) { e.round.G.CopyAlive(dst) }
 }
 
 // StartEpoch begins a new counting process: every node's state is reset
@@ -170,11 +188,11 @@ func (e *Epoch[S, D]) Participant(id graph.NodeID) bool {
 }
 
 // RunRound executes one round of the family's protocol over the live
-// nodes, with the callbacks the family's sweep builds from the round's
-// overlay, graph, fault policy and drop probability. It returns the
-// family's ErrNoEpoch if called before StartEpoch. Mutating churn never
-// happens mid-round, so a Hint callback may fetch ahead the record a
-// visit draws its neighbour from.
+// nodes, with the callbacks Init bound reading the round's overlay,
+// graph, fault policy and drop probability. It returns the family's
+// ErrNoEpoch if called before StartEpoch. Mutating churn never happens
+// mid-round, so a Hint callback may fetch ahead the record a visit
+// draws its neighbour from.
 func (e *Epoch[S, D]) RunRound(net *overlay.Network) error {
 	if e.Tag == 0 {
 		return e.fam.ErrNoEpoch
@@ -187,14 +205,14 @@ func (e *Epoch[S, D]) RunRound(net *overlay.Network) error {
 	}
 	// Fate draws happen only under a positive drop probability, so the
 	// benign draw sequence is untouched by the fault layer's existence.
-	pol := net.FaultPolicy()
-	dropP := 0.0
-	if pol != nil {
-		dropP = pol.DropProb()
+	e.round = Round{Net: net, G: g, Pol: net.FaultPolicy()}
+	if e.round.Pol != nil {
+		e.round.DropP = e.round.Pol.DropProb()
 	}
-	sw := e.sweep(net, g, pol, dropP)
-	sw.N, sw.NumKeys, sw.Keys, sw.MergeEach = n, g.NumIDs(), g.CopyAlive, net.PerMessage()
-	if err := e.engine.Round(e.rng, e.cfg.engine(), &sw); err != nil {
+	e.sweep.N, e.sweep.NumKeys, e.sweep.MergeEach = n, g.NumIDs(), net.PerMessage()
+	err := e.engine.Round(e.rng, e.cfg.engine(), &e.sweep)
+	e.round = Round{}
+	if err != nil {
 		return fmt.Errorf("%s: round sweep failed: %w", e.fam.Pkg, err)
 	}
 	return nil

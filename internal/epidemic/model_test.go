@@ -38,39 +38,74 @@ func churned(n int, seed uint64) *overlay.Network {
 // at 2000 nodes, each with and without a drop+lie+NAT fault policy, on
 // one and four shards. The first node that differs is named. The 20k
 // overlay at 16 shards is each family's TestRoundStatePinned.
+//
+// A third row changes what a round runs on in the middle of one epoch,
+// at workers 1, 2 and 8: after round 7 the network's fault policy is
+// swapped for another, and after round 13 the epoch moves to a churned
+// COW clone, which carries no policy. The callbacks are bound once, so
+// a round that read the graph or the policy of an earlier one would
+// part from the model here.
 func TestRoundMatchesReference(t *testing.T) {
+	spec := fault.Spec{Drop: 0.1, LieFrac: 0.2, LieScale: 3, NATFrac: 0.2}
 	cases := []struct {
-		name   string
-		net    func() *overlay.Network
-		gen    uint64
-		faults []bool
-		shards []int
+		name    string
+		net     func() *overlay.Network
+		gen     uint64
+		faults  []bool
+		shards  []int
+		workers []int
+		// swap, when set, returns the network round r runs on.
+		swap func(net *overlay.Network, r int) *overlay.Network
 	}{
-		{"static", func() *overlay.Network { return hetNet(2000, 40) }, 44, []bool{false, true}, []int{1, 4}},
-		{"churned COW clone", func() *overlay.Network { return churned(2000, 41) }, 44, []bool{false, true}, []int{1, 4}},
+		{"static", func() *overlay.Network { return hetNet(2000, 40) }, 44, []bool{false, true}, []int{1, 4}, []int{2}, nil},
+		{"churned COW clone", func() *overlay.Network { return churned(2000, 41) }, 44, []bool{false, true}, []int{1, 4}, []int{2}, nil},
+		{"swapped mid-epoch", func() *overlay.Network { return hetNet(2000, 42) }, 44, []bool{true}, []int{1, 4}, []int{1, 2, 8},
+			func(net *overlay.Network, r int) *overlay.Network {
+				switch r {
+				case 8:
+					net.SetFaultPolicy(fault.NewInjector(fault.Spec{Drop: 0.3, LieFrac: 0.5, LieScale: 0.5, NATFrac: 0.4}, xrand.New(45)))
+				case 14:
+					net = net.CloneCOW()
+					rng := xrand.New(46)
+					for range 100 {
+						net.LeaveRandom(rng)
+						net.JoinRandomDegree(rng)
+					}
+				}
+				return net
+			}},
 	}
 	for _, f := range families {
 		for _, c := range cases {
 			for _, faulty := range c.faults {
 				for _, shards := range c.shards {
-					where := fmt.Sprintf("%s, %s, %d shards, faults %v", f.name, c.name, shards, faulty)
-					net := c.net()
-					if faulty {
-						net.SetFaultPolicy(fault.NewInjector(fault.Spec{Drop: 0.1, LieFrac: 0.2, LieScale: 3, NATFrac: 0.2}, xrand.New(43)))
-					}
-					p := f.new(epidemic.Config{RoundsPerEpoch: 50, Shards: shards, Workers: 2}, xrand.New(c.gen))
-					ref := &model.Epoch{PushSum: f.name == "pushsum", Rng: xrand.New(c.gen)}
-					if err := p.StartEpoch(net); err != nil {
-						t.Fatal(err)
-					}
-					ref.Start(net)
-					for r := 1; r <= 20; r++ {
-						if err := p.RunRound(net); err != nil {
+					for _, workers := range c.workers {
+						where := fmt.Sprintf("%s, %s, %d shards, faults %v, workers %d", f.name, c.name, shards, faulty, workers)
+						net := c.net()
+						if faulty {
+							net.SetFaultPolicy(fault.NewInjector(spec, xrand.New(43)))
+						}
+						p := f.new(epidemic.Config{RoundsPerEpoch: 50, Shards: shards, Workers: workers}, xrand.New(c.gen))
+						ref := &model.Epoch{PushSum: f.name == "pushsum", Rng: xrand.New(c.gen)}
+						if err := p.StartEpoch(net); err != nil {
 							t.Fatal(err)
 						}
-						ref.Round(net, shards, parallel.RoundRobinPairs(shards))
-						if err := sameAsModel(p.snap(), ref, net); err != nil {
-							t.Fatalf("%s, round %d: %v", where, r, err)
+						ref.Start(net)
+						sent := metrics.Counter{}
+						for r := 1; r <= 20; r++ {
+							if c.swap != nil {
+								if next := c.swap(net, r); next != net {
+									sent.Merge(net.Counter())
+									net = next
+								}
+							}
+							if err := p.RunRound(net); err != nil {
+								t.Fatal(err)
+							}
+							ref.Round(net, shards, parallel.RoundRobinPairs(shards))
+							if err := sameAsModel(p.snap(), ref, net, &sent); err != nil {
+								t.Fatalf("%s, round %d: %v", where, r, err)
+							}
 						}
 					}
 				}
@@ -81,8 +116,9 @@ func TestRoundMatchesReference(t *testing.T) {
 
 // sameAsModel reports the first node whose membership or state differs
 // from the model's, a member holding -0 (the absent marker, one sign
-// flip from leaving), or a message count that differs.
-func sameAsModel(s snapshot, ref *model.Epoch, net *overlay.Network) error {
+// flip from leaving), or a message count that differs: net's, plus
+// those metered on networks the epoch has left (before).
+func sameAsModel(s snapshot, ref *model.Epoch, net *overlay.Network, before *metrics.Counter) error {
 	if len(s.member) != net.Graph().NumIDs() {
 		return fmt.Errorf("%d states for %d ids", len(s.member), net.Graph().NumIDs())
 	}
@@ -98,7 +134,7 @@ func sameAsModel(s snapshot, ref *model.Epoch, net *overlay.Network) error {
 		}
 	}
 	for _, kind := range []metrics.Kind{metrics.KindPush, metrics.KindPull} {
-		if got := net.Counter().Count(kind); got != ref.Sent[kind] {
+		if got := before.Count(kind) + net.Counter().Count(kind); got != ref.Sent[kind] {
 			return fmt.Errorf("%d %v messages metered, model %d", got, kind, ref.Sent[kind])
 		}
 	}

@@ -186,6 +186,41 @@ func (g *Graph) addHalfEdge(u, v NodeID) {
 	n.deg++
 }
 
+// ReserveDegrees makes room for deg[id] neighbours in the list of each
+// live node id below len(deg), for a writer that knows every final
+// degree before it adds the edges: each list that will not fit in its
+// record moves to the spill table now, with room for exactly deg[id],
+// rather than at its (inlineCap+1)-th neighbour with twice that room.
+// The lists that move are cut from one array, and the spill table
+// grows once. Every list keeps its neighbours and their order.
+func (g *Graph) ReserveDegrees(deg []int32) {
+	total, lists := 0, 0
+	for id, d := range deg {
+		if d > inlineCap && g.nodes.at(id).spill < 0 {
+			total += int(d)
+			lists++
+		}
+	}
+	g.spill = slices.Grow(g.spill, lists)
+	room := make([]NodeID, total)
+	for id, d := range deg {
+		if d <= inlineCap {
+			continue
+		}
+		g.mustAlive(NodeID(id))
+		n := g.writable(NodeID(id))
+		if n.spill >= 0 {
+			g.spill[n.spill] = slices.Grow(g.spill[n.spill], int(d-n.deg))
+			continue
+		}
+		l := room[:n.deg:d]
+		room = room[d:]
+		copy(l, n.nb[:n.deg])
+		n.spill = int32(len(g.spill))
+		g.spill = append(g.spill, l)
+	}
+}
+
 // AddEdge links u and v bidirectionally. It reports false (and does
 // nothing) for self-loops and already-present edges. Dead endpoints panic.
 func (g *Graph) AddEdge(u, v NodeID) bool {

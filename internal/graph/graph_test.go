@@ -405,3 +405,49 @@ func TestCopyAliveAndDegreeSum(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveDegrees: a reservation beyond the record moves an inline
+// list to the spill table with exactly the room asked, grows a list
+// already spilled,
+// and leaves a list that fits, the neighbours, their order and a COW
+// clone's base untouched; a reserved node then takes its edges without
+// its list being made again.
+func TestReserveDegrees(t *testing.T) {
+	base := NewWithNodes(60)
+	for v := NodeID(3); v <= 7; v++ {
+		base.AddEdge(0, v)
+	}
+	for v := NodeID(3); v <= 20; v++ {
+		base.AddEdge(1, v) // spilled at its 14th neighbour
+	}
+	base.ReserveDegrees([]int32{inlineCap})
+	if base.nodes.at(0).spill >= 0 {
+		t.Fatal("a reservation that fits the record spilled the list")
+	}
+	g := base.CloneCOW()
+	g.ReserveDegrees([]int32{30, 50, 20})
+	nb := g.Neighbors(0)
+	if len(nb) != 5 || cap(nb) != 30 || nb[0] != 3 || nb[4] != 7 {
+		t.Fatalf("reserved list %v with room %d, want [3 4 5 6 7] with room 30", nb, cap(nb))
+	}
+	if l := g.Neighbors(2); len(l) != 0 || cap(l) != 20 {
+		t.Fatalf("node 2's empty list has room %d, want 20", cap(l))
+	}
+	if l := g.Neighbors(1); len(l) != 18 || cap(l) < 50 || l[0] != 3 || l[17] != 20 {
+		t.Fatalf("a spilled list reserved for 50 holds %v with room %d", l, cap(l))
+	}
+	for v := NodeID(8); v <= 32; v++ {
+		g.AddEdge(0, v)
+	}
+	if got := g.Neighbors(0); &got[0] != &nb[0] || len(got) != 30 {
+		t.Fatalf("30 edges on a list reserved for 30: %d neighbours, list re-made %v", len(got), &got[0] != &nb[0])
+	}
+	for _, x := range []*Graph{g, base} {
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if base.Degree(0) != 5 || base.Degree(1) != 18 || g.Degree(0) != 30 {
+		t.Fatalf("base degrees %d and %d, clone %d; want 5, 18 and 30", base.Degree(0), base.Degree(1), g.Degree(0))
+	}
+}

@@ -39,6 +39,7 @@ package hopssampling
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
@@ -85,6 +86,10 @@ func (c *Config) validate() error {
 	}
 	if c.GossipFor < 1 {
 		return errors.New("hopssampling: GossipFor must be >= 1")
+	}
+	// A node's remaining gossip rounds are kept in one signed byte.
+	if c.GossipFor > math.MaxInt8 {
+		return fmt.Errorf("hopssampling: GossipFor %d exceeds %d", c.GossipFor, math.MaxInt8)
 	}
 	if c.GossipUntil < 1 {
 		return errors.New("hopssampling: GossipUntil must be >= 1")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"p2psize/internal/graph"
@@ -24,6 +25,7 @@ func TestConfigValidation(t *testing.T) {
 		{GossipTo: 2, GossipFor: 1, GossipUntil: 0, MinHopsReporting: 5},
 		{GossipTo: 2, GossipFor: 1, GossipUntil: 1, MinHopsReporting: 0},
 		{GossipTo: 2, GossipFor: 1, GossipUntil: 1, MinHopsReporting: 5, MaxRounds: -1},
+		{GossipTo: 2, GossipFor: 128, GossipUntil: 1, MinHopsReporting: 5},
 	}
 	for _, cfg := range bad {
 		func() {
@@ -43,6 +45,17 @@ func TestConfigValidation(t *testing.T) {
 		}()
 		New(Default(), nil)
 	}()
+}
+
+// TestGossipForBoundIsNamed: a node's remaining gossip rounds fit one
+// signed byte, and GossipFor 128 is refused with the bound named, where
+// it used to wrap and poll as GossipFor 1 would.
+func TestGossipForBoundIsNamed(t *testing.T) {
+	cfg := Default()
+	cfg.GossipFor = 128
+	if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "GossipFor 128 exceeds 127") {
+		t.Fatalf("GossipFor 128: error %v, want one naming the bound 127", err)
+	}
 }
 
 func TestDefaultMatchesPaper(t *testing.T) {

@@ -94,11 +94,17 @@ func pollBoth(t *testing.T, label string, e *Estimator, ref *xrand.Rand, a, b *o
 func TestStagedMatchesReference(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		for _, c := range diffCases(seed) {
-			for _, fan := range []int{1, 2, 3} {
+			// The last row gossips for the most rounds a node's budget
+			// holds, five times the messages of a default poll: on the
+			// first seed only.
+			for _, gossip := range []struct{ to, rounds int }{{1, 1}, {2, 1}, {3, 1}, {2, math.MaxInt8}} {
+				if gossip.rounds > 1 && seed > 1 {
+					continue
+				}
 				for _, routed := range []bool{true, false} {
 					cfg := Default()
-					cfg.GossipTo, cfg.RoutedReplies = fan, routed
-					label := fmt.Sprintf("seed=%d/%s/gossipTo=%d/routed=%v", seed, c.name, fan, routed)
+					cfg.GossipTo, cfg.GossipFor, cfg.RoutedReplies = gossip.to, gossip.rounds, routed
+					label := fmt.Sprintf("seed=%d/%s/gossipTo=%d/gossipFor=%d/routed=%v", seed, c.name, gossip.to, gossip.rounds, routed)
 					e, ref := New(cfg, xrand.New(seed+7)), xrand.New(seed+7)
 					a, b := c.views()
 					for call := 0; call < 3; call++ {

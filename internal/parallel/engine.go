@@ -189,11 +189,14 @@ type Sweep[D any] struct {
 // schedule) and keeps them at their high-water size. A buffer that must
 // grow grows with spare room — a quarter for the sweep order and the
 // ownership table (scratch.Fit), a segment's expected share and then
-// geometric steps for the buckets (resetBuckets) — so a round on a warm
-// engine of unchanged size allocates no scratch, and an overlay that
+// geometric steps for the buckets (resetBuckets) — so an overlay that
 // grows between rounds re-makes a buffer only once that room is used
-// up. An engine may move between owners by value between rounds: no
-// round reads what an earlier one left in its buffers.
+// up, and a round on a warm engine of unchanged size allocates nothing
+// at one worker: its phases run as the engine's own run method, not as
+// closures, so at more workers only the pool's goroutines and their
+// bookkeeping are made. An engine may move between owners by value
+// between rounds: no round reads what an earlier one left in its
+// buffers, and nothing keeps the engine's address once Round returns.
 //
 // An engine is not safe for concurrent rounds; each protocol instance
 // owns one.
@@ -206,7 +209,28 @@ type RoundEngine[D any] struct {
 
 	schedN   int        // shard count the memoized schedule was built for
 	schedule [][][2]int // memoized RoundRobinPairs(schedN)
+
+	cur phase[D] // the running round's phase, read by run; zero between rounds
 }
+
+// phase is what one parallel phase of a round hands to each index of
+// its forEach: which step runs, on which sweep, over how many shards.
+type phase[D any] struct {
+	step   step
+	sw     *Sweep[D]
+	shards int
+	seed   uint64   // the round seed every shard and meeting stream derives from
+	meets  [][2]int // stepMeet: the tournament round's meetings
+}
+
+// step names the parallel phases of a sharded round.
+type step uint8
+
+const (
+	stepOwn   step = iota // stamp each shard's keys in the ownership table
+	stepVisit             // sweep each shard's segment
+	stepMeet              // resolve one tournament round's meetings
+)
 
 // Round executes one sharded round: deterministic partition of the
 // sweep, ownership prepass, parallel in-shard sweep, ordered meter
@@ -261,14 +285,12 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	}
 
 	e.ownerOf = scratch.Fit(e.ownerOf, sw.NumKeys, 0)
+	e.cur = phase[D]{sw: sw, shards: shards, seed: roundSeed}
+	defer func() { e.cur = phase[D]{} }()
 	// Ownership prepass, parallel: each shard stamps the keys of its own
 	// segment (distinct entries, so no write is shared).
-	if err := ForEach(cfg.Workers, shards, func(s int) error {
-		for _, key := range e.order[s*n/shards : (s+1)*n/shards] {
-			e.ownerOf[key] = uint8(s)
-		}
-		return nil
-	}); err != nil {
+	e.cur.step = stepOwn
+	if err := forEach(cfg.Workers, shards, e); err != nil {
 		return err
 	}
 	// Phase 1, parallel: each shard sweeps its segment on its own
@@ -276,15 +298,8 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	// application requires every endpoint to be shard-owned), so no
 	// state is read or written by two shards and Workers only shape
 	// scheduling.
-	if err := ForEach(cfg.Workers, shards, func(s int) error {
-		sh := &e.shards[s]
-		sh.Index = s
-		sh.ownerOf = e.ownerOf
-		sh.rng.SeedStream(roundSeed, uint64(s))
-		seg := e.order[s*n/shards : (s+1)*n/shards]
-		sh.resetBuckets(shards, len(seg))
-		return sw.visit(sh, seg, sh.rng, false, e.batch(s))
-	}); err != nil {
+	e.cur.step = stepVisit
+	if err := forEach(cfg.Workers, shards, e); err != nil {
 		return err
 	}
 	// Meter merge in shard order (the totals are order-independent, the
@@ -302,23 +317,46 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 		e.schedule = RoundRobinPairs(shards)
 		e.schedN = shards
 	}
+	e.cur.step = stepMeet
 	for _, round := range e.schedule {
-		if err := ForEach(cfg.Workers, len(round), func(i int) error {
-			a, b := round[i][0], round[i][1]
-			// The meeting draws from a's pair stream and hints into a's
-			// batch: no two meetings of one tournament round share a
-			// shard.
-			prng := e.shards[a].pair
-			prng.SeedStream(roundSeed, uint64(shards+a*shards+b))
-			if err := sw.resolve(a, e.shards[a].def[b], prng, e.batch(a)); err != nil {
-				return err
-			}
-			return sw.resolve(a, e.shards[b].def[a], prng, e.batch(a))
-		}); err != nil {
+		e.cur.meets = round
+		if err := forEach(cfg.Workers, len(round), e); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// run executes index i of the current phase: shard i's ownership stamps
+// or sweep, or the tournament round's meeting i.
+func (e *RoundEngine[D]) run(i int) error {
+	c := &e.cur
+	n := c.sw.N
+	switch c.step {
+	case stepOwn:
+		for _, key := range e.order[i*n/c.shards : (i+1)*n/c.shards] {
+			e.ownerOf[key] = uint8(i)
+		}
+		return nil
+	case stepVisit:
+		sh := &e.shards[i]
+		sh.Index = i
+		sh.ownerOf = e.ownerOf
+		sh.rng.SeedStream(c.seed, uint64(i))
+		seg := e.order[i*n/c.shards : (i+1)*n/c.shards]
+		sh.resetBuckets(c.shards, len(seg))
+		return c.sw.visit(sh, seg, sh.rng, false, e.batch(i))
+	default:
+		a, b := c.meets[i][0], c.meets[i][1]
+		// The meeting draws from a's pair stream and hints into a's
+		// batch: no two meetings of one tournament round share a shard.
+		prng := e.shards[a].pair
+		prng.SeedStream(c.seed, uint64(c.shards+a*c.shards+b))
+		if err := c.sw.resolve(a, e.shards[a].def[b], prng, e.batch(a)); err != nil {
+			return err
+		}
+		return c.sw.resolve(a, e.shards[b].def[a], prng, e.batch(a))
+	}
 }
 
 // Hints run hintDistance items ahead of the visits, hintGroup items to

@@ -292,15 +292,43 @@ func TestEngineWarmBuffersStable(t *testing.T) {
 			}
 		}
 	}
-	// And the per-round allocation count is O(shards), never O(n): only
-	// the per-shard streams and the worker pool's bookkeeping allocate.
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := f.engine.Round(rng, cfg, sw); err != nil {
-			t.Fatal(err)
+}
+
+// TestEngineWarmRoundAllocatesNothing: a warm round at one worker makes
+// nothing, on one shard and on several — the ownership prepass, the
+// visits and every tournament round run as the engine's own method, not
+// as closures made per round — and with hints on, at a size the engine
+// hints.
+func TestEngineWarmRoundAllocatesNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, n := range []int{20000, 2 * hintMinKeys} {
+		for _, shards := range []int{1, 2, 16} {
+			f := newToy(n)
+			f.hintDeferred = func([]toyPair) {}
+			rng := xrand.New(3)
+			cfg := EngineConfig{Shards: shards, Workers: 1}
+			sw := f.sweep(nil)
+			round := func() {
+				if err := f.engine.Round(rng, cfg, sw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			round()
+			// A bucket grows whenever a round defers more to it than
+			// it ever held (TestEngineDeferralBucketsFitFirstRound
+			// prices that); here each holds a whole segment already.
+			for s := range f.engine.shards {
+				for t, b := range f.engine.shards[s].def {
+					f.engine.shards[s].def[t] = slices.Grow(b[:0], n/shards+1)
+				}
+			}
+			round()
+			if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
+				t.Errorf("n=%d, %d shards: a warm round allocates %.0f times", n, shards, allocs)
+			}
 		}
-	})
-	if allocs > 64 {
-		t.Fatalf("warm round allocates %.0f times; scratch buffers are leaking", allocs)
 	}
 }
 

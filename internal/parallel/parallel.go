@@ -173,11 +173,27 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 // On the success path it allocates nothing at one worker and only the
 // pool's goroutines and their shared bookkeeping otherwise.
 func ForEach(workers, n int, fn func(i int) error) error {
+	return forEach(workers, n, indexFunc(fn))
+}
+
+// job is the work of one forEach call, run once for every index: a
+// ForEach callback, or a round engine whose phase state says what the
+// index does. An engine is handed over as a pointer for the length of
+// one call, so its phases need no closure made per call.
+type job interface{ run(i int) error }
+
+// indexFunc is a ForEach callback as a job.
+type indexFunc func(i int) error
+
+func (f indexFunc) run(i int) error { return f(i) }
+
+// forEach is ForEach over a job.
+func forEach(workers, n int, j job) error {
 	workers = min(Resolve(workers), n)
 	if workers <= 1 {
 		var f failures
 		for i := 0; i < n; i++ {
-			if p, err := call(fn, i); p != nil || err != nil {
+			if p, err := call(j, i); p != nil || err != nil {
 				f.record(i, p, err)
 			}
 		}
@@ -186,20 +202,21 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	p := new(pool)
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go p.work(fn, n)
+		go p.work(j, n)
 	}
 	p.wg.Wait()
 	return p.result()
 }
 
-// call runs fn(i) and returns its panic, if it panicked, or its error.
-func call(fn func(i int) error, i int) (p *WorkerPanic, err error) {
+// call runs j.run(i) and returns its panic, if it panicked, or its
+// error.
+func call(j job, i int) (p *WorkerPanic, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			p = &WorkerPanic{Index: i, Value: v, Stack: string(debug.Stack())}
 		}
 	}()
-	return nil, fn(i)
+	return nil, j.run(i)
 }
 
 // failures keeps the lowest panicking index's panic and the lowest
@@ -237,14 +254,14 @@ type pool struct {
 }
 
 // work runs indices off the shared counter until none is left.
-func (p *pool) work(fn func(i int) error, n int) {
+func (p *pool) work(j job, n int) {
 	defer p.wg.Done()
 	for {
 		i := int(p.next.Add(1)) - 1
 		if i >= n {
 			return
 		}
-		if wp, err := call(fn, i); wp != nil || err != nil {
+		if wp, err := call(j, i); wp != nil || err != nil {
 			p.mu.Lock()
 			p.record(i, wp, err)
 			p.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"p2psize/internal/epidemic"
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/model"
@@ -124,11 +125,11 @@ func TestAbsentArithmetic(t *testing.T) {
 		{"NAT", policy{liar: graph.None, unreachable: 1}, true},
 	}
 	for _, path := range paths {
-		dropP := 0.0
+		r := epidemic.Round{Net: net, G: net.Graph(), Pol: path.pol}
 		if path.pol != nil {
-			dropP = path.pol.DropProb()
+			r.DropP = path.pol.DropProb()
 		}
-		sw := p.sweep(net, net.Graph(), path.pol, dropP)
+		sw := p.sweep(&r)
 		for _, a := range states {
 			for _, b := range states {
 				p.State[0], p.State[1] = a, b

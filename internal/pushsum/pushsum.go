@@ -105,14 +105,15 @@ func (p *Protocol) halve(u graph.NodeID) (s, w float64) {
 	return s, w
 }
 
-// sweep returns the engine callbacks of one round (RunRound): one
-// synchronous push cycle in which every live node, in fresh random
-// order, draws one uniformly random neighbor (the epidemic substrate
-// runs on all nodes — a round is priced at exactly one push message per
-// node); participants of the current epoch send half of their pair to
-// the drawn neighbor, which joins the epoch on first contact. A shard
-// debits and delivers immediately when the drawn neighbor lies in its
-// own segment and defers the (already debited) delivery otherwise.
+// sweep binds the engine callbacks every round runs (RunRound) to the
+// round's inputs r: one synchronous push cycle in which every live
+// node, in fresh random order, draws one uniformly random neighbor (the
+// epidemic substrate runs on all nodes — a round is priced at exactly
+// one push message per node); participants of the current epoch send
+// half of their pair to the drawn neighbor, which joins the epoch on
+// first contact. A shard debits and delivers immediately when the drawn
+// neighbor lies in its own segment and defers the (already debited)
+// delivery otherwise.
 //
 // Pushes are fire-and-forget: under a fault policy a lost push is still
 // metered and the sender still halves, but the half-pair evaporates in
@@ -120,12 +121,13 @@ func (p *Protocol) halve(u graph.NodeID) (s, w float64) {
 // scales the sum it pushes; its own half stays honest.
 //
 //go:noinline
-func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.FaultPolicy, dropP float64) parallel.Sweep[push] {
+func (p *Protocol) sweep(r *epidemic.Round) parallel.Sweep[push] {
 	return parallel.Sweep[push]{
 		// The visitor's record comes with its own pair, which every
 		// visit reads (its weight says whether it is a member). A
 		// delivery reads the target's pair.
 		Hint: func(b *prefetch.Batch, keys []graph.NodeID, prs []push) {
+			g := r.G
 			for _, u := range keys {
 				b.Add(g.RecordAddr(u))
 				b.Add(prefetch.Addr(p.State, int(u)))
@@ -135,7 +137,7 @@ func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.Fault
 			}
 		},
 		Visit: func(sh *parallel.Shard[push], u graph.NodeID, rng *xrand.Rand) error {
-			v, ok := g.RandomNeighbor(u, rng)
+			v, ok := r.G.RandomNeighbor(u, rng)
 			if !ok {
 				return nil
 			}
@@ -144,7 +146,8 @@ func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.Fault
 			// same evaporation as a dropped push. Pure salted-hash
 			// consultation: no draws, so benign and NAT-free streams are
 			// untouched.
-			lost := (dropP > 0 && rng.Bernoulli(dropP)) || (pol != nil && pol.Unreachable(v))
+			pol := r.Pol
+			lost := (r.DropP > 0 && rng.Bernoulli(r.DropP)) || (pol != nil && pol.Unreachable(v))
 			sh.Meters[0]++ // push sent
 			if !in(p.State[u]) {
 				return nil
@@ -164,7 +167,7 @@ func (p *Protocol) sweep(net *overlay.Network, g *graph.Graph, pol overlay.Fault
 			return nil
 		},
 		Merge: func(sh *parallel.Shard[push]) {
-			net.SendN(metrics.KindPush, sh.Meters[0])
+			r.Net.SendN(metrics.KindPush, sh.Meters[0])
 		},
 		Resolve: func(_ int, pr push, _ *xrand.Rand) error {
 			p.deliver(pr.v, pr.s, pr.w)

@@ -91,16 +91,15 @@ func (c *Config) maxSamples() int {
 type Estimator struct {
 	cfg Config
 	rng *xrand.Rand
-
-	// timer is the walk's clock, kept for its draw history.
-	timer xrand.Countdown
 }
 
 // draws is what an estimate records of its samples: the distinct nodes
-// sampled so far and, for MLE, how many were known at each draw.
+// sampled so far and, for MLE, how many were known at each draw. It
+// carries the walks' clock too, lent with its draw history.
 type draws struct {
 	seen              map[graph.NodeID]struct{}
 	distinctWhenDrawn []int32
+	timer             xrand.Countdown
 }
 
 // idle lends a finished estimate's draws to the next, on any estimator;
@@ -151,10 +150,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	if !net.Alive(initiator) {
 		return 0, fmt.Errorf("samplecollide: initiator %d is not alive", initiator)
 	}
-	d, ok := idle.Get(math.MaxInt) // the largest set: the fewest regrowths
-	if !ok {
-		d = &draws{seen: make(map[graph.NodeID]struct{}, 4*e.cfg.L)}
-	}
+	d := e.borrow()
 	defer idle.Put(d)
 	seen := d.seen
 	clear(seen)
@@ -166,7 +162,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 		if samples >= budget {
 			return 0, ErrBudgetExhausted
 		}
-		s := e.sample(net, initiator)
+		s := e.sample(net, initiator, &d.timer)
 		samples++
 		if e.cfg.Kind == MLE {
 			d.distinctWhenDrawn = append(d.distinctWhenDrawn, int32(len(seen)))
@@ -186,13 +182,22 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	}
 }
 
-// sample performs one timer-driven random walk from the initiator and
+// borrow takes draws off the free list, or makes them.
+func (e *Estimator) borrow() *draws {
+	d, ok := idle.Get(math.MaxInt) // the largest set: the fewest regrowths
+	if !ok {
+		d = &draws{seen: make(map[graph.NodeID]struct{}, 4*e.cfg.L)}
+	}
+	return d
+}
+
+// sample performs one random walk from the initiator, on timer, and
 // returns the sampled node. An isolated initiator samples itself (the
 // walk cannot leave), which keeps degenerate overlays well-defined.
 // Hops are addressed sends, so a live transport routes each one to the
 // next peer's real socket; the sample return rides the walk's reverse
 // path back to the initiator.
-func (e *Estimator) sample(net *overlay.Network, initiator graph.NodeID) graph.NodeID {
+func (e *Estimator) sample(net *overlay.Network, initiator graph.NodeID, timer *xrand.Countdown) graph.NodeID {
 	cur, ok := net.RandomNeighbor(initiator, e.rng)
 	if !ok {
 		net.SendTo(initiator, metrics.KindSampleReturn)
@@ -200,9 +205,9 @@ func (e *Estimator) sample(net *overlay.Network, initiator graph.NodeID) graph.N
 	}
 	cur = net.NATHop(graph.None, initiator, cur, e.rng)
 	net.SendTo(cur, metrics.KindWalk)
-	e.timer.Reset(e.cfg.T)
+	timer.Reset(e.cfg.T)
 	// Arriving via an edge guarantees degree >= 1 here.
-	for !e.timer.Step(e.rng, float64(net.Degree(cur))) {
+	for !timer.Step(e.rng, float64(net.Degree(cur))) {
 		next, _ := net.RandomNeighbor(cur, e.rng)
 		next = net.NATHop(graph.None, cur, next, e.rng)
 		net.SendTo(next, metrics.KindWalk)
@@ -219,7 +224,9 @@ func (e *Estimator) Sample(net *overlay.Network, initiator graph.NodeID) (graph.
 	if !net.Alive(initiator) {
 		return graph.None, fmt.Errorf("samplecollide: initiator %d is not alive", initiator)
 	}
-	return e.sample(net, initiator), nil
+	d := e.borrow()
+	defer idle.Put(d)
+	return e.sample(net, initiator, &d.timer), nil
 }
 
 // mleEstimate solves the likelihood equation for N given the collision

@@ -3,6 +3,8 @@ package samplecollide
 import (
 	"errors"
 	"math"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"p2psize/internal/graph"
@@ -332,4 +334,41 @@ func TestScratchReuseMatchesFreshEstimators(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWarmEstimateAllocatesNothing: an estimate borrows its seen set,
+// its draw record and its walks' clock with the clock's draw history,
+// so once one estimate has run, an estimate by a fresh estimator makes
+// nothing. Each estimator starts from the same generator state, so no
+// estimate outgrows the tables the first one left.
+func TestWarmEstimateAllocatesNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	net := hetNet(3000, 34)
+	for _, kind := range []EstimatorKind{Basic, MLE} {
+		cfg := Config{T: 10, L: 20, Kind: kind}
+		ests := make([]*Estimator, 3)
+		for i := range ests {
+			ests[i] = New(cfg, xrand.New(35))
+		}
+		next := 0
+		estimate := func() {
+			if _, err := ests[next].Estimate(net); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		estimate()
+		if allocs := testing.AllocsPerRun(1, estimate); allocs != 0 {
+			t.Fatalf("kind=%d: a warm estimate by a fresh estimator allocates %.0f times", kind, allocs)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, whose instrumentation allocates.
+func raceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"compress/gzip"
 	"encoding/json"
@@ -111,13 +112,18 @@ func (t *Trace) load(evs []fileEvent) (*Trace, error) {
 // names is an error here: it could alias a renumbered session, which
 // Validate would then accept.
 func densify(initial int, evs []fileEvent) ([]Event, error) {
-	var ids []int
-	top := -1
+	joins, top := 0, -1
+	for _, ev := range evs {
+		if ev.Op == Join && ev.Session >= initial {
+			joins++
+		}
+		top = max(top, ev.Session)
+	}
+	ids := make([]int, 0, joins)
 	for _, ev := range evs {
 		if ev.Op == Join && ev.Session >= initial {
 			ids = append(ids, ev.Session)
 		}
-		top = max(top, ev.Session)
 	}
 	if top < initial+len(ids) {
 		ids = nil // dense already
@@ -161,21 +167,23 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 
 // ReadCSV parses a trace written by WriteCSV, normalizes and validates
 // it. Unknown "#" metadata lines are ignored so exporters can annotate
-// files freely.
+// files freely. An event line is parsed in the scanner's own buffer:
+// its fields are cut out of the line, not copied out of it.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	var evs []fileEvent
+	comma := []byte{','}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text == "t,session,op" {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 || string(text) == "t,session,op" {
 			continue
 		}
-		if strings.HasPrefix(text, "#") {
-			key, val, _ := strings.Cut(strings.TrimPrefix(text, "#"), " ")
+		if text[0] == '#' {
+			key, val, _ := strings.Cut(string(text[1:]), " ")
 			var err error
 			switch key {
 			case "name":
@@ -190,21 +198,29 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			}
 			continue
 		}
-		fields := strings.Split(text, ",")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("trace: line %d: want 3 fields, got %d", line, len(fields))
+		if n := bytes.Count(text, comma) + 1; n != 3 {
+			return nil, fmt.Errorf("trace: line %d: want 3 fields, got %d", line, n)
 		}
-		ts, err := strconv.ParseFloat(fields[0], 64)
+		f0, rest, _ := bytes.Cut(text, comma)
+		f1, f2, _ := bytes.Cut(rest, comma)
+		ts, err := strconv.ParseFloat(string(f0), 64)
 		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad time %q: %w", line, fields[0], err)
+			return nil, fmt.Errorf("trace: line %d: bad time %q: %w", line, f0, err)
 		}
-		session, err := strconv.Atoi(fields[1])
+		session, err := strconv.Atoi(string(f1))
 		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad session %q: %w", line, fields[1], err)
+			return nil, fmt.Errorf("trace: line %d: bad session %q: %w", line, f1, err)
 		}
-		op, err := parseOp(fields[2])
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+		var op Op
+		switch string(f2) { // the forms WriteCSV writes, without a copy
+		case "join":
+			op = Join
+		case "leave":
+			op = Leave
+		default:
+			if op, err = parseOp(string(f2)); err != nil {
+				return nil, fmt.Errorf("trace: line %d: %w", line, err)
+			}
 		}
 		evs = append(evs, fileEvent{T: ts, Session: session, Op: op})
 	}
