@@ -34,6 +34,7 @@ type instance struct {
 	// oneShot is the one-shot adapter over the same epoch.
 	oneShot core.Estimator
 	grow    func(numIDs, ceil int)
+	reserve func(n int) // Epoch.ReserveDeferrals
 	// snap copies the per-node state and membership.
 	snap func() snapshot
 }
@@ -91,6 +92,7 @@ func wrap[S, D any](start, round func(*overlay.Network) error, estimate func(*ov
 		StartEpoch: start, RunRound: round, Estimate: estimate,
 		oneShot: epidemic.NewEstimator(e, epidemic.NewIdle[S, D]()),
 		grow:    e.Grow,
+		reserve: e.ReserveDeferrals,
 		snap: func() snapshot {
 			member := make([]bool, len(e.State))
 			for id := range member {
@@ -323,8 +325,8 @@ func TestWarmShardedRoundAllocatesNoVector(t *testing.T) {
 // once, when the protocol is made, so a warm round at one worker makes
 // nothing — on the figure suite's two sizes, one of two shards and one
 // of sixteen that the engine hints. Thirty rounds first carry the epoch
-// over the overlay and grow the deferral buckets to what the measured
-// rounds defer.
+// over the overlay; then every deferral bucket gets room for a whole
+// segment, so no measured round can overfill one by chance.
 func TestWarmRoundAllocatesNothing(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's instrumentation allocates")
@@ -345,6 +347,7 @@ func TestWarmRoundAllocatesNothing(t *testing.T) {
 					}
 				}
 				rounds(30)
+				p.reserve(n/parallel.Shards(0, n) + 1)
 				if allocs := testing.AllocsPerRun(1, func() { rounds(3) }); allocs != 0 {
 					t.Fatalf("three warm rounds on %d nodes (%d shards) allocates %.0f times", n, parallel.Shards(0, n), allocs)
 				}

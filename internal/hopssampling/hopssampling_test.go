@@ -19,22 +19,31 @@ func hetNet(n int, seed uint64) *overlay.Network {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{GossipTo: 0, GossipFor: 1, GossipUntil: 1, MinHopsReporting: 5},
-		{GossipTo: 2, GossipFor: 0, GossipUntil: 1, MinHopsReporting: 5},
-		{GossipTo: 2, GossipFor: 1, GossipUntil: 0, MinHopsReporting: 5},
-		{GossipTo: 2, GossipFor: 1, GossipUntil: 1, MinHopsReporting: 0},
-		{GossipTo: 2, GossipFor: 1, GossipUntil: 1, MinHopsReporting: 5, MaxRounds: -1},
-		{GossipTo: 2, GossipFor: 128, GossipUntil: 1, MinHopsReporting: 5},
+	bad := []struct {
+		cfg  Config
+		want string // a substring of the panic, when it matters
+	}{
+		{cfg: Config{GossipTo: 0, GossipFor: 1, GossipUntil: 1, MinHopsReporting: 5}},
+		{cfg: Config{GossipTo: 2, GossipFor: 0, GossipUntil: 1, MinHopsReporting: 5}},
+		{cfg: Config{GossipTo: 2, GossipFor: 1, GossipUntil: 0, MinHopsReporting: 5}},
+		{cfg: Config{GossipTo: 2, GossipFor: 1, GossipUntil: 1, MinHopsReporting: 0}},
+		{cfg: Config{GossipTo: 2, GossipFor: 1, GossipUntil: 1, MinHopsReporting: 5, MaxRounds: -1}},
+		// A node's remaining gossip rounds fit one signed byte: 128
+		// used to wrap and poll as GossipFor 1 would.
+		{cfg: Config{GossipTo: 2, GossipFor: 128, GossipUntil: 1, MinHopsReporting: 5}, want: "GossipFor 128 exceeds 127"},
 	}
-	for _, cfg := range bad {
+	for _, c := range bad {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("New(%+v) did not panic", cfg)
+				r := recover()
+				if r == nil {
+					t.Fatalf("New(%+v) did not panic", c.cfg)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, c.want) {
+					t.Fatalf("New(%+v) panicked with %q, want it to name %q", c.cfg, msg, c.want)
 				}
 			}()
-			New(cfg, xrand.New(1))
+			New(c.cfg, xrand.New(1))
 		}()
 	}
 	func() {
@@ -45,17 +54,6 @@ func TestConfigValidation(t *testing.T) {
 		}()
 		New(Default(), nil)
 	}()
-}
-
-// TestGossipForBoundIsNamed: a node's remaining gossip rounds fit one
-// signed byte, and GossipFor 128 is refused with the bound named, where
-// it used to wrap and poll as GossipFor 1 would.
-func TestGossipForBoundIsNamed(t *testing.T) {
-	cfg := Default()
-	cfg.GossipFor = 128
-	if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "GossipFor 128 exceeds 127") {
-		t.Fatalf("GossipFor 128: error %v, want one naming the bound 127", err)
-	}
 }
 
 func TestDefaultMatchesPaper(t *testing.T) {

@@ -327,6 +327,22 @@ func (e *RoundEngine[D]) Round(rng *xrand.Rand, cfg EngineConfig, sw *Sweep[D]) 
 	return nil
 }
 
+// ReserveDeferrals makes room for n payloads in every deferral bucket
+// the engine holds, so that no round grows one whose shards' segments
+// hold at most n keys: a visit defers at most one payload, and rounds
+// never shrink a bucket. Without it a bucket that a round happens to
+// overfill grows in that round, which an allocation count of warm
+// rounds would read as a regression.
+//
+//detlint:allow testonly used by the parallel, epidemic and cyclon tests
+func (e *RoundEngine[D]) ReserveDeferrals(n int) {
+	for s := range e.shards {
+		for t, b := range e.shards[s].def {
+			e.shards[s].def[t] = slices.Grow(b[:0], n)
+		}
+	}
+}
+
 // run executes index i of the current phase: shard i's ownership stamps
 // or sweep, or the tournament round's meeting i.
 func (e *RoundEngine[D]) run(i int) error {

@@ -319,11 +319,7 @@ func TestEngineWarmRoundAllocatesNothing(t *testing.T) {
 			// A bucket grows whenever a round defers more to it than
 			// it ever held (TestEngineDeferralBucketsFitFirstRound
 			// prices that); here each holds a whole segment already.
-			for s := range f.engine.shards {
-				for t, b := range f.engine.shards[s].def {
-					f.engine.shards[s].def[t] = slices.Grow(b[:0], n/shards+1)
-				}
-			}
+			f.engine.ReserveDeferrals(n/shards + 1)
 			round()
 			if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
 				t.Errorf("n=%d, %d shards: a warm round allocates %.0f times", n, shards, allocs)

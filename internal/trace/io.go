@@ -211,16 +211,9 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad session %q: %w", line, f1, err)
 		}
-		var op Op
-		switch string(f2) { // the forms WriteCSV writes, without a copy
-		case "join":
-			op = Join
-		case "leave":
-			op = Leave
-		default:
-			if op, err = parseOp(string(f2)); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", line, err)
-			}
+		op, err := parseOp(string(f2))
+		if err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 		evs = append(evs, fileEvent{T: ts, Session: session, Op: op})
 	}
@@ -299,6 +292,9 @@ func firstContentByte(br *bufio.Reader) byte {
 	}
 }
 
+// parseOp reads an op in any case and spacing. The error holds a clone
+// of s, so that s does not escape and ReadCSV's conversion stays off the
+// heap.
 func parseOp(s string) (Op, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "join", "j":
@@ -306,6 +302,6 @@ func parseOp(s string) (Op, error) {
 	case "leave", "l":
 		return Leave, nil
 	default:
-		return 0, fmt.Errorf("unknown op %q (want join or leave)", s)
+		return 0, fmt.Errorf("unknown op %q (want join or leave)", strings.Clone(s))
 	}
 }
