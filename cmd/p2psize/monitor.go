@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"p2psize"
-	"p2psize/internal/parallel"
 )
 
 type monitorOpts struct {
@@ -52,8 +51,8 @@ func buildTrace(o monitorOpts) (*p2psize.Trace, error) {
 		Seed:    o.seed + 1000,
 		Name:    o.traceSpec,
 		// Per-session streams on the worker pool: ~3x faster on large
-		// traces, byte-identical at every positive worker count.
-		Workers: parallel.Resolve(o.workers),
+		// traces, byte-identical at every worker count.
+		Workers: o.workers,
 	}
 	switch strings.ToLower(o.traceSpec) {
 	case "exponential", "exp":

@@ -2,6 +2,7 @@ package p2psize
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -219,12 +220,10 @@ type declaredSilencer struct{ silencer }
 func (declaredSilencer) MutatesOverlay() bool { return false }
 
 // churner calls one of the Network's churn methods inside Estimate,
-// where the Network is read-only. It declares itself observe-only, so
-// RunMonitor hands it a view of the one replayed overlay.
+// where the Network is read-only.
 type churner struct{ method string }
 
-func (churner) Name() string         { return "churner" }
-func (churner) MutatesOverlay() bool { return false }
+func (churner) Name() string { return "churner" }
 func (c churner) Estimate(n *Network) (float64, error) {
 	switch c.method {
 	case "Join":
@@ -301,21 +300,24 @@ func TestRunMonitorRejectsAnOverlayWriter(t *testing.T) {
 	}
 }
 
-// TestGenerateTraceParallelWorkers pins the public parallel-generation
-// contract: any positive Workers value gives byte-identical traces.
+// TestGenerateTraceParallelWorkers pins the public generation contract:
+// every Workers value, 0 (all CPUs) included, gives the same events.
 func TestGenerateTraceParallelWorkers(t *testing.T) {
 	opts := TraceOptions{Nodes: 5000, Horizon: 500, Sessions: WeibullSessions, Seed: 9}
-	opts.Workers = 1
-	a, err := GenerateTrace(opts)
-	if err != nil {
-		t.Fatal(err)
+	var want *Trace
+	for _, workers := range []int{0, 1, 8} {
+		opts.Workers = workers
+		got, err := GenerateTrace(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got.tr.Events, want.tr.Events) {
+			t.Fatalf("Workers=%d changed the generated trace", workers)
+		}
 	}
-	opts.Workers = 8
-	b, err := GenerateTrace(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Joins() != b.Joins() || a.Leaves() != b.Leaves() || a.SizeAt(250) != b.SizeAt(250) {
-		t.Fatal("Workers changed the generated trace")
+	if len(want.tr.Events) == 0 {
+		t.Fatal("the trace has no events")
 	}
 }

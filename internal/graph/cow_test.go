@@ -3,16 +3,24 @@ package graph
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
 	"p2psize/internal/xrand"
 )
 
+// churner is what churnSequence drives: a Graph, or the naive model's.
+type churner interface {
+	RandomAlive(rng *xrand.Rand) (NodeID, bool)
+	AddNode() NodeID
+	AddEdge(u, v NodeID) bool
+	RemoveEdge(u, v NodeID) bool
+	RemoveNode(id NodeID)
+}
+
 // churnSequence applies a deterministic mix of removals, additions and
 // re-wirings to g — the same operations overlay churn replay performs.
-func churnSequence(g *Graph, seed uint64, ops int) {
+func churnSequence(g churner, seed uint64, ops int) {
 	rng := xrand.New(seed)
 	for i := 0; i < ops; i++ {
 		switch rng.Intn(3) {
@@ -67,67 +75,6 @@ func graphsEqual(a, b *Graph) error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy of g sharing no mutable state with it: the
-// reference the tests hold CloneCOW against.
-func (g *Graph) Clone() *Graph {
-	ng := &Graph{
-		nodes:    g.nodes.clone(),
-		aliveIDs: g.aliveIDs.clone(),
-		edges:    g.edges,
-		spill:    make([][]NodeID, len(g.spill)),
-		reserved: g.reserved,
-	}
-	for i, a := range g.spill {
-		ng.spill[i] = slices.Clone(a)
-	}
-	return ng
-}
-
-// clone returns a deep, fully owned copy.
-func (p *pages[T]) clone() pages[T] {
-	tbl := make([]*[pageSize]T, len(p.tbl))
-	for i, page := range p.tbl {
-		np := *page
-		tbl[i] = &np
-	}
-	return pages[T]{tbl: tbl, n: p.n}
-}
-
-func TestCloneCOWEquivalentToClone(t *testing.T) {
-	base := Heterogeneous(2000, 10, xrand.New(1))
-	deep := base.Clone()
-	cow := base.CloneCOW()
-	churnSequence(deep, 42, 1500)
-	churnSequence(cow, 42, 1500)
-	if err := graphsEqual(deep, cow); err != nil {
-		t.Fatalf("COW clone diverged from deep clone: %v", err)
-	}
-	if err := cow.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCloneCOWIsolation(t *testing.T) {
-	base := Heterogeneous(1000, 10, xrand.New(2))
-	want := base.Clone() // frozen reference copy of the base
-	a := base.CloneCOW()
-	b := base.CloneCOW()
-	churnSequence(a, 7, 800)
-	churnSequence(b, 8, 800)
-	if err := graphsEqual(base, want); err != nil {
-		t.Fatalf("mutating COW clones leaked into the base: %v", err)
-	}
-	if err := graphsEqual(a, b); err == nil {
-		t.Fatal("differently churned clones ended identical — isolation test is vacuous")
-	}
-	if err := a.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestCloneCOWConcurrentClones(t *testing.T) {
@@ -269,17 +216,13 @@ func TestCloneCOWFootprint100k(t *testing.T) {
 	base := Heterogeneous(n, 10, xrand.New(4))
 
 	before := heapInUse()
-	deep := base.Clone()
-	deepBytes := heapInUse() - before
-
-	before = heapInUse()
 	cow := base.CloneCOW()
 	cowBytes := heapInUse() - before
 
-	// The deep clone duplicates every record; the COW clone pays only
-	// the page tables, in a handful of allocations.
-	if cowBytes > deepBytes*7/10 {
-		t.Fatalf("COW clone costs %d bytes, deep clone %d; base not shared", cowBytes, deepBytes)
+	// A flat copy duplicates every record; the COW clone pays only the
+	// page tables, in a handful of allocations.
+	if flat := flatCopyBytes(base); cowBytes > flat*7/10 {
+		t.Fatalf("COW clone costs %d bytes, a flat copy %d; base not shared", cowBytes, flat)
 	}
 	if allocs := testing.AllocsPerRun(1, func() { base.CloneCOW() }); allocs > 10 {
 		t.Fatalf("CloneCOW made %.0f allocations; want O(1), not one per node", allocs)
@@ -299,9 +242,6 @@ func TestCloneCOWFootprint100k(t *testing.T) {
 	if err := cow.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Keep both clones reachable so the GC between measurements cannot
-	// collect the one measured first.
-	runtime.KeepAlive(deep)
 	runtime.KeepAlive(base)
 }
 

@@ -5,3 +5,7 @@ const (
 	InlineCap    = inlineCap
 	HintMinAlive = hintMinAlive
 )
+
+// ChurnSequence drives a Graph or the naive model's with one stream of
+// removals, additions and re-wirings.
+var ChurnSequence = churnSequence

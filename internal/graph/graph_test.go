@@ -309,60 +309,6 @@ func TestCheckInvariantsDetectsSelfLoop(t *testing.T) {
 	}
 }
 
-func TestCloneDeepAndIndependent(t *testing.T) {
-	g := Heterogeneous(500, 10, xrand.New(42))
-	g.RemoveNode(g.AliveAt(0)) // a dead node must survive the copy
-	c := g.Clone()
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if c.NumAlive() != g.NumAlive() || c.NumEdges() != g.NumEdges() || c.NumIDs() != g.NumIDs() {
-		t.Fatalf("clone shape differs: alive %d/%d edges %d/%d ids %d/%d",
-			c.NumAlive(), g.NumAlive(), c.NumEdges(), g.NumEdges(), c.NumIDs(), g.NumIDs())
-	}
-	for id := NodeID(0); int(id) < g.NumIDs(); id++ {
-		if g.Alive(id) != c.Alive(id) {
-			t.Fatalf("alive bit differs at %d", id)
-		}
-		if g.Degree(id) != c.Degree(id) {
-			t.Fatalf("degree differs at %d", id)
-		}
-	}
-	// Mutating the clone must not touch the original, and vice versa.
-	beforeAlive, beforeEdges := g.NumAlive(), g.NumEdges()
-	c.RemoveNode(c.AliveAt(0))
-	if g.NumAlive() != beforeAlive || g.NumEdges() != beforeEdges {
-		t.Fatal("clone mutation leaked into original")
-	}
-	g.RemoveNode(g.AliveAt(1))
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatalf("original mutation corrupted clone: %v", err)
-	}
-	if err := g.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCloneReplaysIdentically(t *testing.T) {
-	// The property the parallel dynamic engine relies on: the same churn
-	// applied with identically seeded rngs to a graph and its clone gives
-	// identical trajectories.
-	g := Heterogeneous(300, 10, xrand.New(7))
-	c := g.Clone()
-	ra, rb := xrand.New(99), xrand.New(99)
-	for i := 0; i < 100; i++ {
-		if a, ok := g.RandomAlive(ra); ok {
-			g.RemoveNode(a)
-		}
-		if b, ok := c.RandomAlive(rb); ok {
-			c.RemoveNode(b)
-		}
-		if g.NumAlive() != c.NumAlive() || g.NumEdges() != c.NumEdges() {
-			t.Fatalf("step %d: trajectories diverged", i)
-		}
-	}
-}
-
 // TestCopyAliveAndDegreeSum: the two block accessors a round sweep reads
 // the graph through agree with the per-entry ones — across page
 // boundaries, for short and over-long buffers, on a COW clone, and with

@@ -198,8 +198,8 @@ func FuzzBuilders(f *testing.F) {
 }
 
 // TestRecordStoreMatchesReference drives the model's graph, a Graph and
-// — from the split on — a deep clone and a CloneCOW of it with one
-// operation stream, comparing everything a caller can observe, list
+// — from the split on — a CloneCOW of it and a CloneCOW of a clone with
+// one operation stream, comparing everything a caller can observe, list
 // order included, after every step. The scripted prefix walks a hub
 // across the inline boundary; the random tail keeps a small dense graph
 // hovering around it.
@@ -255,9 +255,10 @@ func TestRecordStoreMatchesReference(t *testing.T) {
 	}
 
 	// Split: the graph so far becomes a frozen base, re-read after every
-	// later step, while a deep clone and a COW clone of it carry on.
+	// later step, while a COW clone of it and a COW clone of a clone of
+	// it carry on.
 	base, frozen := graphs[0], model.FromGraph(graphs[0])
-	graphs = []*graph.Graph{base.Clone(), base.CloneCOW()}
+	graphs = []*graph.Graph{base.CloneCOW(), base.CloneCOW().CloneCOW()}
 	baseIntact := func(when string) {
 		t.Helper()
 		if err := frozen.Diff(base); err != nil {
@@ -298,5 +299,42 @@ func TestRecordStoreMatchesReference(t *testing.T) {
 	baseIntact("the random tail")
 	if spills < 20 {
 		t.Fatalf("the random tail crossed the inline boundary only %d times; the test lost its coverage", spills)
+	}
+}
+
+// TestCloneCOWEquivalentToClone: a COW clone carries a churn stream
+// exactly as the model copied from its base does, alive-list and
+// adjacency order included (later seeded draws depend on both).
+func TestCloneCOWEquivalentToClone(t *testing.T) {
+	base := graph.Heterogeneous(2000, 10, xrand.New(1))
+	ref, cow := model.FromGraph(base), base.CloneCOW()
+	graph.ChurnSequence(ref, 42, 1500)
+	graph.ChurnSequence(cow, 42, 1500)
+	if err := ref.Diff(cow); err != nil {
+		t.Fatalf("COW clone diverged from the model: %v", err)
+	}
+	if err := cow.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloneCOWIsolation: two clones of one base, churned differently,
+// leave the base as the model froze it and end apart.
+func TestCloneCOWIsolation(t *testing.T) {
+	base := graph.Heterogeneous(1000, 10, xrand.New(2))
+	frozen := model.FromGraph(base)
+	a, b := base.CloneCOW(), base.CloneCOW()
+	graph.ChurnSequence(a, 7, 800)
+	graph.ChurnSequence(b, 8, 800)
+	if err := frozen.Diff(base); err != nil {
+		t.Fatalf("mutating COW clones leaked into the base: %v", err)
+	}
+	if model.FromGraph(a).Diff(b) == nil {
+		t.Fatal("differently churned clones ended identical — isolation test is vacuous")
+	}
+	for _, g := range []*graph.Graph{a, b} {
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

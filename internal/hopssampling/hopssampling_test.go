@@ -258,28 +258,6 @@ func TestSpreadStaysInComponent(t *testing.T) {
 	}
 }
 
-func TestScratchReuseAcrossRuns(t *testing.T) {
-	// Two estimations on the same estimator must not contaminate each
-	// other through the versioned scratch arrays.
-	net := hetNet(2000, 24)
-	e := New(Default(), xrand.New(25))
-	a, err := e.Estimate(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.Estimate(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both estimates must be plausible (within a factor 2 of the truth);
-	// stale state would typically produce near-zero or absurd values.
-	for _, est := range []float64{a, b} {
-		if est < 500 || est > 5000 {
-			t.Fatalf("implausible estimate %g on 2000-node overlay", est)
-		}
-	}
-}
-
 // TestScratchGrowsWithJoins: polls before and after 500 joins on a
 // 100-node overlay. When the graph reserved those ids, the first poll
 // makes its slot table at the ceiling and the second reuses it; when it

@@ -1,11 +1,10 @@
 package monitor
 
-// Tick-fork tests: the instances due at a tick estimate concurrently,
-// each on a private view of the trunk. These pin what that must not
-// change (every series and message count, at every worker count,
-// against the roster run inline), that it happens at all (two members
-// inside Estimate at once), and what a view keeps private (its counter
-// and its fault-policy slot). CI runs them under -race -count=10.
+// Concurrent-estimate tests: the instances due at a tick estimate at
+// the same moment (two members inside Estimate at once), each on a view
+// of its own, whose counter and fault-policy slot no neighbour sees; an
+// estimator's error stays its own counted failure, and its panic fails
+// the run. CI runs them under -race -count=10.
 
 import (
 	"errors"
@@ -24,41 +23,6 @@ import (
 	"p2psize/internal/samplecollide"
 	"p2psize/internal/xrand"
 )
-
-// observeOnlyRoster is monitorRoster without the families that rewire
-// the overlay — the class replayGroups counts as one group, all of it
-// on views of the trunk.
-func observeOnlyRoster(t *testing.T, seed uint64) []Instance {
-	t.Helper()
-	var ins []Instance
-	for _, in := range monitorRoster(t, seed) {
-		if !core.MutatesOverlay(in.Estimator) {
-			ins = append(ins, in)
-		}
-	}
-	if len(ins) < 5 {
-		t.Fatalf("only %d observe-only families in the registry", len(ins))
-	}
-	return ins
-}
-
-// TestTickForkBitEqualObserveOnlyFamilies: the roster run inline, each
-// family counted a group of its own (alone), is the reference; the one
-// group must reproduce it bit for bit whether its ticks run on one
-// worker, two or eight.
-func TestTickForkBitEqualObserveOnlyFamilies(t *testing.T) {
-	want, wantMsgs := runReplay(t, alone(observeOnlyRoster(t, 500)), 1)
-	for _, workers := range []int{1, 2, 8} {
-		got, gotMsgs := runReplay(t, observeOnlyRoster(t, 500), workers)
-		if got.Groups != 1 {
-			t.Fatalf("workers=%d: %d groups, want the whole roster in one", workers, got.Groups)
-		}
-		assertSameResult(t, want, got)
-		if gotMsgs != wantMsgs {
-			t.Fatalf("workers=%d: merged base counter %d != %d", workers, gotMsgs, wantMsgs)
-		}
-	}
-}
 
 // barrier is a reusable rendezvous: await returns true once n callers
 // are waiting in it together, false if the others never come.
@@ -103,8 +67,7 @@ type gated struct {
 	g    *gate
 }
 
-func (e gated) Name() string       { return e.name }
-func (gated) MutatesOverlay() bool { return false }
+func (e gated) Name() string { return e.name }
 
 func (e gated) Estimate(net *overlay.Network) (float64, error) {
 	in := e.g.inside.Add(1)
@@ -122,7 +85,7 @@ func (e gated) Estimate(net *overlay.Network) (float64, error) {
 }
 
 // TestTickForkRunsMembersConcurrently: with two workers or more, both
-// members of a group are inside Estimate at the same moment — each one
+// members of a run are inside Estimate at the same moment — each one
 // is held there until the other arrives, so a sequential tick could not
 // finish. With one worker the high-water mark is exactly 1.
 func TestTickForkRunsMembersConcurrently(t *testing.T) {
@@ -132,9 +95,6 @@ func TestTickForkRunsMembersConcurrently(t *testing.T) {
 		g := &gate{together: newBarrier(tc.party)}
 		res, _ := runReplay(t, []Instance{{Estimator: gated{"a", g}}, {Estimator: gated{"b", g}}},
 			tc.workers)
-		if res.Groups != 1 {
-			t.Fatalf("workers=%d: %d groups, want 1", tc.workers, res.Groups)
-		}
 		if f := res.Failures[0] + res.Failures[1]; f != 0 {
 			t.Fatalf("workers=%d: %d estimations never met their partner", tc.workers, f)
 		}
@@ -148,8 +108,7 @@ func TestTickForkRunsMembersConcurrently(t *testing.T) {
 // policy: an undecorated member must never see a neighbour's.
 type policyProbe struct{}
 
-func (policyProbe) Name() string         { return "policy-probe" }
-func (policyProbe) MutatesOverlay() bool { return false }
+func (policyProbe) Name() string { return "policy-probe" }
 func (policyProbe) Estimate(net *overlay.Network) (float64, error) {
 	if net.FaultPolicy() != nil {
 		return 0, errors.New("policy-probe: a neighbour's fault policy is installed on this view")
@@ -159,8 +118,7 @@ func (policyProbe) Estimate(net *overlay.Network) (float64, error) {
 
 // faultRoster is a Sample&Collide, a Hops Sampling — decorated with a
 // lossy, duplicating, NAT-limited injector when faulty is set — a
-// polling flood and a policy probe, all observe-only and all on the
-// default cadence.
+// polling flood and a policy probe, all on the default cadence.
 func faultRoster(faulty bool) []Instance {
 	var hops core.Estimator = hopssampling.New(hopssampling.Default(), xrand.New(72))
 	if faulty {
@@ -175,23 +133,23 @@ func faultRoster(faulty bool) []Instance {
 	}
 }
 
-// TestTickForkFaultPolicyStaysOnItsView: a fault.Decorate'd member of a
-// shared group meters and estimates exactly as in the inline run, at
-// every worker count, and its neighbours read exactly what they read
-// beside an undecorated one.
+// TestTickForkFaultPolicyStaysOnItsView: a fault.Decorate'd member
+// meters and estimates at workers 2 and 8 exactly as at workers 1, where
+// its injector changes its traffic, and its neighbours read exactly
+// what they read beside an undecorated one.
 func TestTickForkFaultPolicyStaysOnItsView(t *testing.T) {
 	const decorated = 1
-	want, _ := runReplay(t, alone(faultRoster(true)), 1)
+	want, _ := runReplay(t, faultRoster(true), 1)
 	benign, _ := runReplay(t, faultRoster(false), 1)
 	if want.Messages[decorated] == benign.Messages[decorated] {
 		t.Fatalf("the injector changed nothing: %d messages with and without faults", want.Messages[decorated])
 	}
 	for _, workers := range []int{1, 2, 8} {
-		got, _ := runReplay(t, faultRoster(true), workers)
-		if got.Groups != 1 {
-			t.Fatalf("workers=%d: %d groups, want 1", workers, got.Groups)
+		got := want
+		if workers > 1 {
+			got, _ = runReplay(t, faultRoster(true), workers)
+			assertSameResult(t, want, got)
 		}
-		assertSameResult(t, want, got)
 		for k := range got.Names {
 			if got.Failures[k] != 0 {
 				t.Fatalf("workers=%d: %s failed %d times", workers, got.Names[k], got.Failures[k])
@@ -209,8 +167,7 @@ func TestTickForkFaultPolicyStaysOnItsView(t *testing.T) {
 // failsAt errors on its n-th estimation and reports the truth otherwise.
 type failsAt struct{ n, calls int }
 
-func (*failsAt) Name() string         { return "fails-once" }
-func (*failsAt) MutatesOverlay() bool { return false }
+func (*failsAt) Name() string { return "fails-once" }
 func (e *failsAt) Estimate(net *overlay.Network) (float64, error) {
 	if e.calls++; e.calls == e.n {
 		return 0, errors.New("fails-once: no answer this tick")
@@ -249,8 +206,7 @@ func TestTickForkMemberErrorIsItsOwnFailure(t *testing.T) {
 
 type panics struct{}
 
-func (panics) Name() string         { return "panics" }
-func (panics) MutatesOverlay() bool { return false }
+func (panics) Name() string { return "panics" }
 func (panics) Estimate(*overlay.Network) (float64, error) {
 	panic("estimator bug: boom")
 }

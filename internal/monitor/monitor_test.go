@@ -11,7 +11,6 @@ import (
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
-	"p2psize/internal/samplecollide"
 	"p2psize/internal/trace"
 	"p2psize/internal/xrand"
 )
@@ -64,21 +63,13 @@ func (meteredTruth) Estimate(net *overlay.Network) (float64, error) {
 	return float64(net.Size()), nil
 }
 
-// Run is RunScheduled with every estimator on the shared Config cadence
-// and policy (all-zero Instance overrides).
-func Run(instances []core.Estimator, net *overlay.Network, tr *trace.Trace, cfg Config, newRNG func() *xrand.Rand, workers int) (*Result, error) {
-	sched := make([]Instance, len(instances))
-	for k, e := range instances {
-		sched[k] = Instance{Estimator: e}
-	}
-	return RunScheduled(sched, net, tr, cfg, newRNG, workers)
-}
-
-func run(t *testing.T, instances []core.Estimator, cfg Config, workers int) *Result {
+// run monitors one estimator on the run's cadence and policy against a
+// fresh 400-node overlay and the shared test trace.
+func run(t *testing.T, e core.Estimator, cfg Config) *Result {
 	t.Helper()
 	const n = 400
 	net := testNet(n, 22)
-	res, err := Run(instances, net, testTrace(t, n), cfg, func() *xrand.Rand { return xrand.New(23) }, workers)
+	res, err := RunScheduled([]Instance{{Estimator: e}}, net, testTrace(t, n), cfg, func() *xrand.Rand { return xrand.New(23) }, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +77,7 @@ func run(t *testing.T, instances []core.Estimator, cfg Config, workers int) *Res
 }
 
 func TestTruthTracksExactly(t *testing.T) {
-	res := run(t, []core.Estimator{truthEstimator{}}, Config{Cadence: 10}, 1)
+	res := run(t, truthEstimator{}, Config{Cadence: 10})
 	if len(res.Times) != 10 {
 		t.Fatalf("expected 10 samples, got %d", len(res.Times))
 	}
@@ -102,8 +93,7 @@ func TestTruthTracksExactly(t *testing.T) {
 }
 
 func TestWindowSmoothingLagsAndAges(t *testing.T) {
-	res := run(t, []core.Estimator{truthEstimator{}},
-		Config{Cadence: 10, Policy: Policy{Smoothing: Window, Window: 4}}, 1)
+	res := run(t, truthEstimator{}, Config{Cadence: 10, Policy: Policy{Smoothing: Window, Window: 4}})
 	// A full 4-entry window at cadence 10 holds data aged 0,10,20,30 →
 	// mean 15; early samples have smaller windows.
 	last := res.Staleness[0][len(res.Staleness[0])-1]
@@ -116,8 +106,7 @@ func TestWindowSmoothingLagsAndAges(t *testing.T) {
 }
 
 func TestEWMAStaleness(t *testing.T) {
-	res := run(t, []core.Estimator{truthEstimator{}},
-		Config{Cadence: 10, Policy: Policy{Smoothing: EWMA, Alpha: 0.5}}, 1)
+	res := run(t, truthEstimator{}, Config{Cadence: 10, Policy: Policy{Smoothing: EWMA, Alpha: 0.5}})
 	// Steady-state EWMA age with alpha 0.5 and dt 10 converges to
 	// dt·(1-a)/a = 10; check it is between fresh and window-like.
 	last := res.Staleness[0][len(res.Staleness[0])-1]
@@ -127,7 +116,7 @@ func TestEWMAStaleness(t *testing.T) {
 }
 
 func TestFailuresHoldLastValueAndAge(t *testing.T) {
-	res := run(t, []core.Estimator{&flakyEstimator{}}, Config{Cadence: 10}, 1)
+	res := run(t, &flakyEstimator{}, Config{Cadence: 10})
 	if res.Failures[0] != 5 {
 		t.Fatalf("failures = %d, want 5", res.Failures[0])
 	}
@@ -155,7 +144,7 @@ func TestRestartOnShock(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Cadence: 10, Policy: Policy{Smoothing: Window, Window: 8, RestartJump: 0.3}}
-	res, err := Run([]core.Estimator{truthEstimator{}}, net, tr, cfg,
+	res, err := RunScheduled([]Instance{{Estimator: truthEstimator{}}}, net, tr, cfg,
 		func() *xrand.Rand { return xrand.New(26) }, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -172,38 +161,10 @@ func TestRestartOnShock(t *testing.T) {
 	}
 }
 
-func TestWorkerCountInvariance(t *testing.T) {
-	mk := func() []core.Estimator {
-		out := make([]core.Estimator, 3)
-		for k := range out {
-			out[k] = samplecollide.New(samplecollide.Config{T: 10, L: 50},
-				xrand.New(uint64(30+k)))
-		}
-		return out
-	}
-	cfg := Config{Cadence: 10, Policy: Policy{Smoothing: Window, Window: 5}}
-	seq := run(t, mk(), cfg, 1)
-	par := run(t, mk(), cfg, 8)
-	if len(seq.Times) != len(par.Times) {
-		t.Fatalf("sample counts differ: %d vs %d", len(seq.Times), len(par.Times))
-	}
-	for k := range seq.Names {
-		if seq.Messages[k] != par.Messages[k] {
-			t.Fatalf("instance %d messages differ: %d vs %d", k, seq.Messages[k], par.Messages[k])
-		}
-		for i := range seq.Times {
-			if math.Float64bits(seq.Smoothed[k][i]) != math.Float64bits(par.Smoothed[k][i]) ||
-				math.Float64bits(seq.Raw[k][i]) != math.Float64bits(par.Raw[k][i]) {
-				t.Fatalf("instance %d diverges at sample %d", k, i)
-			}
-		}
-	}
-}
-
 func TestMessagesMeteredPerInstance(t *testing.T) {
 	const n = 400
 	net := testNet(n, 27)
-	res, err := Run([]core.Estimator{meteredTruth{}, meteredTruth{}}, net, testTrace(t, n),
+	res, err := RunScheduled([]Instance{{Estimator: meteredTruth{}}, {Estimator: meteredTruth{}}}, net, testTrace(t, n),
 		Config{Cadence: 10}, func() *xrand.Rand { return xrand.New(28) }, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -225,60 +186,19 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	net := testNet(100, 29)
 	tr := testTrace(t, 100)
 	rng := func() *xrand.Rand { return xrand.New(1) }
-	if _, err := Run(nil, net, tr, Config{Cadence: 1}, rng, 1); err == nil {
+	truth := []Instance{{Estimator: truthEstimator{}}}
+	if _, err := RunScheduled(nil, net, tr, Config{Cadence: 1}, rng, 1); err == nil {
 		t.Fatal("no estimators accepted")
 	}
-	if _, err := Run([]core.Estimator{truthEstimator{}}, net, tr, Config{}, rng, 1); err == nil {
+	if _, err := RunScheduled(truth, net, tr, Config{}, rng, 1); err == nil {
 		t.Fatal("zero cadence accepted")
 	}
-	if _, err := Run([]core.Estimator{truthEstimator{}}, net, tr, Config{Cadence: 1e9}, rng, 1); err == nil {
+	if _, err := RunScheduled(truth, net, tr, Config{Cadence: 1e9}, rng, 1); err == nil {
 		t.Fatal("cadence past the horizon accepted")
 	}
 }
 
 // --- Per-instance cadence/policy (RunScheduled) --------------------------
-
-// TestScheduledUniformMatchesRun pins the compatibility contract: a
-// RunScheduled call whose instances all inherit the Config cadence and
-// policy is byte-identical to the single-cadence Run entry point.
-func TestScheduledUniformMatchesRun(t *testing.T) {
-	const n = 400
-	mk := func() []core.Estimator {
-		return []core.Estimator{
-			samplecollide.New(samplecollide.Config{T: 10, L: 50}, xrand.New(40)),
-			&flakyEstimator{},
-		}
-	}
-	cfg := Config{Cadence: 10, Policy: Policy{Smoothing: Window, Window: 5}}
-	legacy, err := Run(mk(), testNet(n, 41), testTrace(t, n), cfg,
-		func() *xrand.Rand { return xrand.New(42) }, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ests := mk()
-	sched, err := RunScheduled([]Instance{
-		{Estimator: ests[0], Cadence: 10},
-		{Estimator: ests[1]}, // inherits
-	}, testNet(n, 41), testTrace(t, n), cfg, func() *xrand.Rand { return xrand.New(42) }, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy.Times) != len(sched.Times) {
-		t.Fatalf("grid sizes differ: %d vs %d", len(legacy.Times), len(sched.Times))
-	}
-	for k := range legacy.Names {
-		if legacy.Messages[k] != sched.Messages[k] || legacy.Failures[k] != sched.Failures[k] {
-			t.Fatalf("instance %d bookkeeping differs", k)
-		}
-		for i := range legacy.Times {
-			if math.Float64bits(legacy.Raw[k][i]) != math.Float64bits(sched.Raw[k][i]) ||
-				math.Float64bits(legacy.Smoothed[k][i]) != math.Float64bits(sched.Smoothed[k][i]) ||
-				math.Float64bits(legacy.Staleness[k][i]) != math.Float64bits(sched.Staleness[k][i]) {
-				t.Fatalf("instance %d diverges from the legacy path at tick %d", k, i)
-			}
-		}
-	}
-}
 
 // TestMixedCadencesSchedule checks the union grid and the off-schedule
 // hold behavior: a 2x-slower instance estimates at every other tick,
@@ -327,48 +247,6 @@ func TestMixedCadencesSchedule(t *testing.T) {
 	}
 	if fast, slow := res.MsgsPerTime(0), res.MsgsPerTime(1); slow >= fast {
 		t.Fatalf("msgs/time fast %g vs slow %g: halving the cadence must cut the budget", fast, slow)
-	}
-}
-
-// TestScheduledWorkerCountInvariance is the determinism contract for
-// mixed cadences and per-instance policies at workers 1, 2 and 8.
-func TestScheduledWorkerCountInvariance(t *testing.T) {
-	const n = 400
-	ewma := Policy{Smoothing: EWMA, Alpha: 0.5}
-	mk := func() []Instance {
-		return []Instance{
-			{Estimator: samplecollide.New(samplecollide.Config{T: 10, L: 50}, xrand.New(50)), Cadence: 5},
-			{Estimator: samplecollide.New(samplecollide.Config{T: 10, L: 50}, xrand.New(51)), Cadence: 25, Policy: &ewma},
-			{Estimator: samplecollide.New(samplecollide.Config{T: 10, L: 50}, xrand.New(52))},
-		}
-	}
-	cfg := Config{Cadence: 10, Policy: Policy{Smoothing: Window, Window: 5}}
-	var ref *Result
-	for _, workers := range []int{1, 2, 8} {
-		res, err := RunScheduled(mk(), testNet(n, 53), testTrace(t, n), cfg,
-			func() *xrand.Rand { return xrand.New(54) }, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if len(res.Times) != len(ref.Times) {
-			t.Fatalf("workers=%d: grid size %d vs %d", workers, len(res.Times), len(ref.Times))
-		}
-		for k := range ref.Names {
-			if res.Messages[k] != ref.Messages[k] {
-				t.Fatalf("workers=%d: instance %d messages %d vs %d", workers, k, res.Messages[k], ref.Messages[k])
-			}
-			for i := range ref.Times {
-				if math.Float64bits(res.Raw[k][i]) != math.Float64bits(ref.Raw[k][i]) ||
-					math.Float64bits(res.Smoothed[k][i]) != math.Float64bits(ref.Smoothed[k][i]) ||
-					math.Float64bits(res.Staleness[k][i]) != math.Float64bits(ref.Staleness[k][i]) {
-					t.Fatalf("workers=%d: instance %d diverges at tick %d", workers, k, i)
-				}
-			}
-		}
 	}
 }
 
@@ -454,7 +332,7 @@ func TestTinyCadenceErrorsInsteadOfPanicking(t *testing.T) {
 	tr := testTrace(t, 100)
 	rng := func() *xrand.Rand { return xrand.New(1) }
 	for _, c := range []float64{1e-300, 1e-12} {
-		if _, err := Run([]core.Estimator{truthEstimator{}}, net, tr, Config{Cadence: c}, rng, 1); err == nil {
+		if _, err := RunScheduled([]Instance{{Estimator: truthEstimator{}}}, net, tr, Config{Cadence: c}, rng, 1); err == nil {
 			t.Fatalf("cadence %g accepted", c)
 		}
 	}

@@ -1,8 +1,8 @@
 package monitor_test
 
-// The tick fork seen from the public boundary: an observe-only custom
-// estimator is handed a *p2psize.Network that wraps its private view of
-// the run's trunk.
+// The monitor seen from the public boundary: a custom estimator is
+// handed a *p2psize.Network that wraps its own view of the run's trunk,
+// and is billed exactly what it sent through it.
 
 import (
 	"testing"
@@ -10,16 +10,15 @@ import (
 	"p2psize"
 )
 
-// relay is a custom observe-only estimator: it runs a Sample&Collide on
-// the network it is handed and keeps its own tally of what that
-// network's meter advanced by.
+// relay is a custom estimator: it runs a Sample&Collide on the network
+// it is handed and keeps its own tally of what that network's meter
+// advanced by.
 type relay struct {
 	inner p2psize.Estimator
 	sent  uint64
 }
 
-func (r *relay) Name() string         { return "relay(" + r.inner.Name() + ")" }
-func (r *relay) MutatesOverlay() bool { return false }
+func (r *relay) Name() string { return "relay(" + r.inner.Name() + ")" }
 func (r *relay) Estimate(n *p2psize.Network) (float64, error) {
 	before := n.Messages()
 	v, err := r.inner.Estimate(n)
@@ -28,9 +27,9 @@ func (r *relay) Estimate(n *p2psize.Network) (float64, error) {
 }
 
 // TestTickForkPublicObserveOnlyMessages: the traffic the monitor
-// attributes to a custom observe-only estimator is exactly what it sent
-// through its own *Network — at every worker count, with neighbours
-// metering beside it in the same group.
+// attributes to a custom estimator is exactly what it sent through its
+// own *Network — at every worker count, with neighbours metering beside
+// it in the same run.
 func TestTickForkPublicObserveOnlyMessages(t *testing.T) {
 	const nodes, horizon = 500, 100.0
 	for _, workers := range []int{1, 2, 8} {
@@ -60,9 +59,6 @@ func TestTickForkPublicObserveOnlyMessages(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if res.Groups() != 1 {
-			t.Fatalf("workers=%d: %d groups, want 1", workers, res.Groups())
 		}
 		var total uint64
 		for i, k := range []int{0, 2} {

@@ -1,12 +1,11 @@
 package monitor
 
-// Shared-replay tests: every instance estimates on a view of the one
-// trunk, whatever it declares, so the replay-group count is only a
-// count — series, metrics and message attribution byte-identical with
-// every instance declared a mutator (the alone roster below), across
-// worker counts and seeds — and the run really shares one replay (group
-// accounting and allocation-footprint assertions against solo runs,
-// which replay once per instance).
+// Shared-replay tests: a run replays its timeline once, whatever its
+// instances declare. This file holds the helpers the monitor tests
+// compare results with, the Groups count (it chooses nothing, and stays
+// only until the benchmark re-pins it), and what one replay saves over
+// solo runs, which replay once per instance: allocation footprints at
+// 20k and 1M nodes, and a 10M smoke.
 
 import (
 	"math"
@@ -14,11 +13,9 @@ import (
 	"runtime"
 	"testing"
 
-	"p2psize/internal/core"
 	"p2psize/internal/graph"
 	"p2psize/internal/overlay"
 	"p2psize/internal/registry"
-	"p2psize/internal/samplecollide"
 	"p2psize/internal/trace"
 	"p2psize/internal/xrand"
 )
@@ -33,44 +30,6 @@ func (e roTruth) Estimate(net *overlay.Network) (float64, error) {
 	return float64(net.Size()), nil
 }
 func (roTruth) MutatesOverlay() bool { return false }
-
-// private declares its estimator mutating, so replayGroups counts it a
-// group of its own; it estimates on a view of the trunk like every
-// instance.
-type private struct{ core.Estimator }
-
-func (private) MutatesOverlay() bool { return true }
-
-// alone counts every instance a group of its own.
-func alone(instances []Instance) []Instance {
-	for k := range instances {
-		instances[k].Estimator = private{instances[k].Estimator}
-	}
-	return instances
-}
-
-// monitorRoster builds one fresh instance of every monitoring-capable
-// registry family (both sharing classes: the observe-only walkers and
-// the cyclon-backed gossip families), each on the default cadence so
-// the whole read-only class folds into one group.
-func monitorRoster(t *testing.T, seed uint64) []Instance {
-	t.Helper()
-	var ins []Instance
-	for _, d := range registry.All() {
-		if !d.SupportsMonitoring {
-			continue
-		}
-		e, err := d.Build(nil, xrand.New(seed+d.StreamOffset), registry.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", d.Name, err)
-		}
-		ins = append(ins, Instance{Estimator: e})
-	}
-	if len(ins) < 4 {
-		t.Fatalf("roster too small to exercise grouping: %d families", len(ins))
-	}
-	return ins
-}
 
 // runReplay runs instances against a fresh 400-node overlay and the
 // shared test trace, returning the result and the base overlay's merged
@@ -106,97 +65,67 @@ func sameSeries(a, b []float64) bool {
 func assertSameResult(t *testing.T, want, got *Result) {
 	t.Helper()
 	if !sameSeries(want.Times, got.Times) || !sameSeries(want.TrueSizes, got.TrueSizes) {
-		t.Fatal("time grid or true-size trajectory diverged between replay layouts")
+		t.Fatalf("time grid or true sizes %v %v, want %v %v", got.Times, got.TrueSizes, want.Times, want.TrueSizes)
 	}
 	for k := range want.Names {
-		if want.Names[k] != got.Names[k] {
-			t.Fatalf("instance %d name %q != %q", k, got.Names[k], want.Names[k])
-		}
-		if !sameSeries(want.Raw[k], got.Raw[k]) {
-			t.Errorf("%s: raw series diverged", want.Names[k])
-		}
-		if !sameSeries(want.Smoothed[k], got.Smoothed[k]) {
-			t.Errorf("%s: smoothed series diverged", want.Names[k])
-		}
-		if !sameSeries(want.Staleness[k], got.Staleness[k]) {
-			t.Errorf("%s: staleness series diverged", want.Names[k])
-		}
-		if want.Scheduled[k] != got.Scheduled[k] || want.Failures[k] != got.Failures[k] ||
-			want.Restarts[k] != got.Restarts[k] {
-			t.Errorf("%s: scheduled/failures/restarts %d/%d/%d != %d/%d/%d", want.Names[k],
-				got.Scheduled[k], got.Failures[k], got.Restarts[k],
-				want.Scheduled[k], want.Failures[k], want.Restarts[k])
-		}
-		if want.Messages[k] != got.Messages[k] {
-			t.Errorf("%s: message attribution %d != %d", want.Names[k], got.Messages[k], want.Messages[k])
-		}
+		assertSameInstance(t, want, k, got, k)
 	}
 }
 
-// TestSharedReplayBitEqualAllFamilies is the equivalence proof over the
-// real catalog: every monitoring-capable family runs grouped, alone and
-// in solo runs, and every per-instance series, metric and message count
-// must be bitwise identical — shared replay is a memory layout, never
-// an output change.
-func TestSharedReplayBitEqualAllFamilies(t *testing.T) {
-	perRes, perMsgs := runReplay(t, alone(monitorRoster(t, 400)), 4)
-	shRes, shMsgs := runReplay(t, monitorRoster(t, 400), 4)
-	assertSameResult(t, perRes, shRes)
-	if perMsgs != shMsgs {
-		t.Fatalf("merged base-counter totals diverged: %d != %d", shMsgs, perMsgs)
+// assertSameInstance asserts instance gk of got is bitwise identical to
+// instance wk of want at every time of got's grid, which must be a
+// subset of want's (a solo run on a slower cadence samples fewer), and
+// in its counts and message total.
+func assertSameInstance(t *testing.T, want *Result, wk int, got *Result, gk int) {
+	t.Helper()
+	name := want.Names[wk]
+	if got.Names[gk] != name {
+		t.Fatalf("instance %d is %q, want %q", gk, got.Names[gk], name)
 	}
-	solo, soloMsgs := soloRuns(t, func() []Instance { return monitorRoster(t, 400) },
-		func(ins []Instance) (*Result, uint64) { return runReplay(t, ins, 1) })
-	assertSameResult(t, solo, shRes)
-	if soloMsgs != shMsgs {
-		t.Fatalf("merged totals %d vs %d over solo runs", shMsgs, soloMsgs)
-	}
-	if perRes.Groups != len(perRes.Names) {
-		t.Fatalf("the alone reference used %d groups for %d instances", perRes.Groups, len(perRes.Names))
-	}
-	// All read-only families fold into ONE group (uniform cadence);
-	// each mutating family stays alone.
-	mutating := 0
-	for _, in := range monitorRoster(t, 400) {
-		if core.MutatesOverlay(in.Estimator) {
-			mutating++
+	j := 0
+	for i, at := range want.Times {
+		if j == len(got.Times) || got.Times[j] != at {
+			continue
 		}
+		w := []float64{want.TrueSizes[i], want.Raw[wk][i], want.Smoothed[wk][i], want.Staleness[wk][i]}
+		g := []float64{got.TrueSizes[j], got.Raw[gk][j], got.Smoothed[gk][j], got.Staleness[gk][j]}
+		if !sameSeries(w, g) {
+			t.Errorf("%s at t=%g: true size, raw, smoothed, staleness %v, want %v", name, at, g, w)
+			return
+		}
+		j++
 	}
-	if want := mutating + 1; shRes.Groups != want {
-		t.Fatalf("grouped run used %d groups, want %d (%d mutating + 1 read-only class)",
-			shRes.Groups, want, mutating)
+	if j != len(got.Times) {
+		t.Errorf("%s: only %d of its %d times are on the reference grid", name, j, len(got.Times))
+	}
+	if want.Scheduled[wk] != got.Scheduled[gk] || want.Failures[wk] != got.Failures[gk] ||
+		want.Restarts[wk] != got.Restarts[gk] || want.Messages[wk] != got.Messages[gk] {
+		t.Errorf("%s: scheduled/failures/restarts/messages %d/%d/%d/%d, want %d/%d/%d/%d", name,
+			got.Scheduled[gk], got.Failures[gk], got.Restarts[gk], got.Messages[gk],
+			want.Scheduled[wk], want.Failures[wk], want.Restarts[wk], want.Messages[wk])
 	}
 }
 
-// TestSharedReplayGroupAccounting pins the grouping rules: equal-cadence
-// read-only instances share, distinct cadences split, and mutating or
-// capability-less estimators stay in singleton groups.
+// TestSharedReplayGroupAccounting pins the count Groups reports:
+// equal-cadence read-only instances count once, distinct cadences
+// apart, and mutating or capability-less estimators once each.
 func TestSharedReplayGroupAccounting(t *testing.T) {
-	instances := func() []Instance {
-		return []Instance{
-			{Estimator: roTruth{"ro-a"}},                 // cadence 20 (config)
-			{Estimator: roTruth{"ro-b"}},                 // shares ro-a's group
-			{Estimator: roTruth{"ro-slow"}, Cadence: 40}, // own cadence, own group
-			{Estimator: truthEstimator{}},                // no capability: conservative singleton
-			{Estimator: roTruth{"ro-c"}},                 // joins the first group
-			{Estimator: &mutatingTruth{}},                // declared mutating: singleton
-		}
+	res, _ := runReplay(t, []Instance{
+		{Estimator: roTruth{"ro-a"}},                 // cadence 20 (config)
+		{Estimator: roTruth{"ro-b"}},                 // ro-a's class
+		{Estimator: roTruth{"ro-slow"}, Cadence: 40}, // a class of its own
+		{Estimator: truthEstimator{}},                // no capability: counted by itself
+		{Estimator: roTruth{"ro-c"}},                 // ro-a's class
+		{Estimator: &mutatingTruth{}},                // declared mutating: counted by itself
+	}, 1)
+	// {ro-a, ro-b, ro-c}, {ro-slow}, {truth}, {mutating} = 4.
+	if res.Groups != 4 {
+		t.Fatalf("groups = %d, want 4", res.Groups)
 	}
-	perRes, _ := runReplay(t, alone(instances()), 1)
-	shRes, _ := runReplay(t, instances(), 1)
-	if perRes.Groups != 6 {
-		t.Fatalf("alone groups = %d, want 6", perRes.Groups)
-	}
-	// {ro-a, ro-b, ro-c}, {ro-slow}, {truth}, {mutating} = 4 groups.
-	if shRes.Groups != 4 {
-		t.Fatalf("shared groups = %d, want 4", shRes.Groups)
-	}
-	assertSameResult(t, perRes, shRes)
 }
 
-// mutatingTruth declares the mutating capability explicitly (the
-// cyclon-backed families' shape) without actually rewiring anything, so
-// grouping decisions stay observable on a cheap estimator.
+// mutatingTruth declares the mutating capability (the cyclon-backed
+// families' shape) without writing anything.
 type mutatingTruth struct{}
 
 func (*mutatingTruth) Name() string { return "mutating-truth" }
@@ -204,89 +133,6 @@ func (*mutatingTruth) Estimate(net *overlay.Network) (float64, error) {
 	return float64(net.Size()), nil
 }
 func (*mutatingTruth) MutatesOverlay() bool { return true }
-
-// TestSharedReplayWorkerInvariance re-proves the monitor's worker
-// contract over mixed groups: groups land on the pool in any order, output
-// never moves.
-func TestSharedReplayWorkerInvariance(t *testing.T) {
-	mk := func() []Instance {
-		return []Instance{
-			{Estimator: roTruth{"ro-a"}},
-			{Estimator: roTruth{"ro-b"}, Cadence: 40},
-			{Estimator: roTruth{"ro-c"}},
-			{Estimator: &mutatingTruth{}},
-		}
-	}
-	base, baseMsgs := runReplay(t, mk(), 1)
-	for _, workers := range []int{2, 8} {
-		res, msgs := runReplay(t, mk(), workers)
-		assertSameResult(t, base, res)
-		if msgs != baseMsgs {
-			t.Fatalf("workers=%d merged totals diverged: %d != %d", workers, msgs, baseMsgs)
-		}
-	}
-}
-
-// TestSharedReplayStatisticalEnvelope runs a real (noisy) estimator over
-// 30 seeds in both layouts. Bit-equality per seed is the hard guarantee;
-// the aggregated error envelope (mean/stddev of MAPE) is additionally
-// compared, which is what a statistics-level reviewer would check if
-// the layouts were merely "equivalent" rather than identical.
-func TestSharedReplayStatisticalEnvelope(t *testing.T) {
-	const runs = 30
-	envelope := func(layout func([]Instance) []Instance) (mean, std float64) {
-		mapes := make([]float64, 0, runs)
-		for seed := uint64(1); seed <= runs; seed++ {
-			net := testNet(300, seed)
-			tr, err := trace.Generate(trace.Config{
-				Name:    "envelope",
-				Initial: 300,
-				Horizon: 100,
-				Session: trace.SessionDist{Kind: trace.Weibull, Mean: 150, Shape: 0.7},
-			}, xrand.New(seed+100))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Three same-cadence Sample&Collide instances: one group,
-			// or three alone; one trunk either way.
-			ins := make([]Instance, 3)
-			for k := range ins {
-				ins[k] = Instance{Estimator: samplecollide.New(
-					samplecollide.Config{T: 5, L: 30}, xrand.New(seed+200+uint64(k)))}
-			}
-			res, err := RunScheduled(layout(ins), net, tr, Config{Cadence: 25},
-				func() *xrand.Rand { return xrand.New(seed + 300) }, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := range ins {
-				if m := res.MAPE(k); !math.IsNaN(m) {
-					mapes = append(mapes, m)
-				}
-			}
-		}
-		if len(mapes) == 0 {
-			t.Fatal("no usable estimates in the envelope sweep")
-		}
-		for _, m := range mapes {
-			mean += m
-		}
-		mean /= float64(len(mapes))
-		for _, m := range mapes {
-			std += (m - mean) * (m - mean)
-		}
-		return mean, math.Sqrt(std / float64(len(mapes)))
-	}
-	perMean, perStd := envelope(alone)
-	shMean, shStd := envelope(func(ins []Instance) []Instance { return ins })
-	// The layouts are bit-equal run for run, so the envelopes must agree
-	// exactly — any drift means the grouping leaked into the estimates.
-	if math.Float64bits(perMean) != math.Float64bits(shMean) ||
-		math.Float64bits(perStd) != math.Float64bits(shStd) {
-		t.Fatalf("error envelopes diverged: alone %.6g±%.6g, shared %.6g±%.6g",
-			perMean, perStd, shMean, shStd)
-	}
-}
 
 // monitorAllocDelta measures the process TotalAlloc growth of one
 // monitoring run. net and tr are built by the caller, outside the

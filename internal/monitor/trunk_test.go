@@ -1,174 +1,225 @@
 package monitor
 
-// Trunk tests: one timeline per run, and every instance — declared
-// mutators too — on its own view of the trunk. The references share no
-// layout with the run they check: solo runs (each instance in a monitor
-// call of its own, on the same inputs), and a sequential private replay
-// that shares no code with sample at all. CI runs them under -race
-// -count=10.
+// Trunk tests: a run replays its timeline once, on one trunk, and the
+// instances due at a tick estimate side by side, each on its own view
+// of it. One roster — every monitoring-capable registry family, a
+// member that fails on a schedule, a fault-decorated member and a
+// member on its own cadence and EWMA policy — is held bit for bit, at
+// workers 1, 2 and 8, on the trace clock and on the step clock, to two
+// references: sequential, where the instances estimate in turn on one
+// overlay the timeline mutates in place — no trunk, no views, no pool —
+// and solo runs, each instance in a monitor call of its own. CI runs
+// them under -race -count=10.
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
-	"p2psize/internal/aggregation"
 	"p2psize/internal/churn"
 	"p2psize/internal/core"
+	"p2psize/internal/fault"
 	"p2psize/internal/hopssampling"
+	"p2psize/internal/model"
 	"p2psize/internal/overlay"
+	"p2psize/internal/registry"
 	"p2psize/internal/samplecollide"
 	"p2psize/internal/trace"
 	"p2psize/internal/xrand"
 )
 
-// trunkRoster mixes observe-only families, a truth probe and two
-// declared mutators, which only read like every estimator (a cheap one
-// and Aggregation).
-func trunkRoster() []Instance {
-	return []Instance{
-		{Estimator: samplecollide.New(samplecollide.Config{T: 5, L: 20}, xrand.New(91))},
-		{Estimator: &mutatingTruth{}},
-		{Estimator: roTruth{"ro"}},
-		{Estimator: aggregation.NewEstimator(aggregation.Config{RoundsPerEpoch: 8, Workers: 1}, xrand.New(92))},
-		{Estimator: hopssampling.New(hopssampling.Default(), xrand.New(93))},
-	}
+// failEvery fails every n-th call without consulting the wrapped
+// estimator.
+type failEvery struct {
+	core.Estimator
+	n, calls int
 }
 
-// soloRuns runs instance k of every fresh roster mk() in a monitor call
-// of its own (run), and splices the solo results into one Result in
-// instance order, with the base overlays' merged message total. Every
-// solo run must report the same grid and true sizes.
-func soloRuns(t *testing.T, mk func() []Instance, run func([]Instance) (*Result, uint64)) (*Result, uint64) {
+func (e *failEvery) Estimate(net *overlay.Network) (float64, error) {
+	if e.calls++; e.calls%e.n == 0 {
+		return 0, errors.New("scheduled failure")
+	}
+	return e.Estimator.Estimate(net)
+}
+
+// monitorRoster builds one fresh instance of every monitoring-capable
+// registry family, each on the run's cadence.
+func monitorRoster(t *testing.T, seed uint64) []Instance {
 	t.Helper()
-	n := len(mk())
-	out := &Result{
+	var ins []Instance
+	for _, d := range registry.All() {
+		if !d.SupportsMonitoring {
+			continue
+		}
+		e, err := d.Build(nil, xrand.New(seed+d.StreamOffset), registry.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		ins = append(ins, Instance{Estimator: e})
+	}
+	if len(ins) < 5 {
+		t.Fatalf("only %d monitoring families in the registry", len(ins))
+	}
+	return ins
+}
+
+// trunkRoster is monitorRoster plus three members that carry a claim
+// of their own, for a run on cadence: one that fails every third
+// estimate, a Hops Sampling under a lossy, duplicating, NAT-limited
+// injector, and a Sample&Collide with its own EWMA policy on 1.5 times
+// the cadence, so the union grid holds times the others are not due
+// at.
+func trunkRoster(t *testing.T, cadence float64) []Instance {
+	ewma := Policy{Smoothing: EWMA, Alpha: 0.5, RestartJump: 0.2}
+	inj := fault.NewInjector(fault.Spec{Drop: 0.2, Dup: 0.1, NATFrac: 0.1}, xrand.New(73))
+	return append(monitorRoster(t, 500),
+		Instance{Estimator: &failEvery{Estimator: samplecollide.New(samplecollide.Config{T: 5, L: 10}, xrand.New(102)), n: 3}},
+		Instance{Estimator: fault.Decorate(hopssampling.New(hopssampling.Default(), xrand.New(72)), inj)},
+		Instance{Estimator: samplecollide.New(samplecollide.Config{T: 5, L: 20}, xrand.New(71)),
+			Cadence: 1.5 * cadence, Policy: &ewma},
+	)
+}
+
+// sequential is the reference a run is held to: at each time of the
+// union grid, timeline advances net itself, and the instances due then
+// estimate on it in turn, in instance order, each one's traffic read as
+// the counter delta around its call. It shares no code with sample but
+// the schedule arithmetic and the smoother. It returns net's counter
+// total beside the result.
+func sequential(t *testing.T, instances []Instance, cfg Config, horizon float64, net *overlay.Network, timeline Timeline) (*Result, uint64) {
+	t.Helper()
+	n := len(instances)
+	res := &Result{
 		Names: make([]string, n), Raw: make([][]float64, n), Smoothed: make([][]float64, n),
 		Staleness: make([][]float64, n), Scheduled: make([]int, n), Failures: make([]int, n),
 		Restarts: make([]int, n), Messages: make([]uint64, n),
 	}
-	var total uint64
-	for k := range n {
-		res, msgs := run(mk()[k : k+1])
-		if k == 0 {
-			out.Times, out.TrueSizes = res.Times, res.TrueSizes
-		} else if !sameSeries(res.Times, out.Times) || !sameSeries(res.TrueSizes, out.TrueSizes) {
-			t.Fatalf("solo run %d (%s) saw another trajectory", k, res.Names[0])
+	scheds := make([][]float64, n)
+	sms := make([]*smoother, n)
+	for k, in := range instances {
+		c, p := cfg.Cadence, cfg.Policy
+		if in.Cadence != 0 {
+			c = in.Cadence
 		}
-		out.Names[k], out.Raw[k], out.Smoothed[k], out.Staleness[k] = res.Names[0], res.Raw[0], res.Smoothed[0], res.Staleness[0]
-		out.Scheduled[k], out.Failures[k], out.Restarts[k], out.Messages[k] = res.Scheduled[0], res.Failures[0], res.Restarts[0], res.Messages[0]
-		total += msgs
-	}
-	return out, total
-}
-
-// replaySequential is the reference with no code in common with
-// sample: one instance alone on a private overlay that a trace.Player
-// mutates in place, estimating on that overlay itself after every
-// advance, its traffic read as the counter delta around the call.
-func replaySequential(t *testing.T, e core.Estimator, net *overlay.Network, tr *trace.Trace, cadence float64, rng *xrand.Rand) (raw []float64, msgs uint64) {
-	t.Helper()
-	player, err := trace.NewPlayer(tr, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	times, err := schedule(cadence, tr.Horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, at := range times {
-		player.AdvanceTo(net, at, rng)
-		before := net.Counter().Total()
-		v, err := e.Estimate(net)
-		msgs += net.Counter().Total() - before
-		if err != nil {
-			raw = append(raw, math.NaN())
-			continue
+		if in.Policy != nil {
+			p = *in.Policy
 		}
-		raw = append(raw, v)
+		var err error
+		if scheds[k], err = schedule(c, horizon); err != nil {
+			t.Fatal(err)
+		}
+		sms[k] = newSmoother(p)
+		res.Names[k] = in.Estimator.Name()
 	}
-	return raw, msgs
+	res.Times = unionGrid(scheds)
+	for _, at := range res.Times {
+		if err := timeline.AdvanceTo(net, at); err != nil {
+			t.Fatal(err)
+		}
+		res.TrueSizes = append(res.TrueSizes, float64(net.Size()))
+		for k, in := range instances {
+			raw := math.NaN()
+			if slices.Contains(scheds[k], at) {
+				res.Scheduled[k]++
+				before := net.Counter().Total()
+				v, err := in.Estimator.Estimate(net)
+				res.Messages[k] += net.Counter().Total() - before
+				if err != nil {
+					res.Failures[k]++
+				} else {
+					raw = v
+					sms[k].add(v, at)
+				}
+			}
+			served, stale := sms[k].current(at)
+			res.Raw[k] = append(res.Raw[k], raw)
+			res.Smoothed[k] = append(res.Smoothed[k], served)
+			res.Staleness[k] = append(res.Staleness[k], stale)
+		}
+	}
+	for k, sm := range sms {
+		res.Restarts[k] = sm.restarts
+	}
+	return res, net.Counter().Total()
 }
 
-// assertTrunkRun holds a mixed run to the solo runs bit for bit, the
-// group count to the roster and the merged traffic to the solo total.
-func assertTrunkRun(t *testing.T, solo *Result, soloMsgs uint64, got *Result, gotMsgs uint64) {
-	t.Helper()
-	assertSameResult(t, solo, got)
-	if gotMsgs != soloMsgs {
-		t.Fatalf("merged base counter %d != %d over the solo runs", gotMsgs, soloMsgs)
-	}
-	if got.Groups != 3 {
-		t.Fatalf("%d groups, want 3", got.Groups)
-	}
-}
-
-// TestTrunkMatchesSoloRuns: a roster that mixes read-only members and
-// declared mutators reproduces, at every worker count,
-// what each instance produces in a RunScheduled call of its own — and
-// each solo run reproduces the sequential private replay.
+// TestTrunkMatchesSoloRuns: the roster reproduces the sequential
+// reference bit for bit at workers 1, 2 and 8 — on the trace clock, and
+// on the step clock at cadences 1 and 7 — every series and count, and
+// the merged base counter, and it leaves its input overlay as it was.
+// Each instance's solo run reproduces the reference at the times of its
+// own schedule.
 func TestTrunkMatchesSoloRuns(t *testing.T) {
-	const n, cadence = 3000, 20
+	const n = 400
 	tr := testTrace(t, n)
-	run := func(workers int) func([]Instance) (*Result, uint64) {
-		return func(ins []Instance) (*Result, uint64) {
-			net := testNet(n, 22)
-			res, err := RunScheduled(ins, net, tr, Config{Cadence: cadence},
-				func() *xrand.Rand { return xrand.New(23) }, workers)
+	sc := churn.Catastrophic(n, 28)
+	window := Policy{Smoothing: Window, Window: 3}
+	type clock struct {
+		name    string
+		cfg     Config
+		horizon float64
+		run     func(ins []Instance, net *overlay.Network, cfg Config, workers int) (*Result, error)
+		// timeline is the reference's timeline, on the overlay it mutates.
+		timeline func(net *overlay.Network) Timeline
+	}
+	traceClock := clock{"trace", Config{Cadence: 20, Policy: window}, tr.Horizon,
+		func(ins []Instance, net *overlay.Network, cfg Config, workers int) (*Result, error) {
+			return RunScheduled(ins, net, tr, cfg, func() *xrand.Rand { return xrand.New(23) }, workers)
+		},
+		func(net *overlay.Network) Timeline {
+			p, err := trace.NewPlayer(tr, net)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res, net.Counter().Total()
-		}
+			return tracePlayer{p, xrand.New(23)}
+		}}
+	clocks := []clock{traceClock}
+	for _, every := range []float64{1, 7} {
+		clocks = append(clocks, clock{fmt.Sprintf("steps-every=%g", every), Config{Cadence: every, Policy: window},
+			float64(sc.TotalSteps),
+			func(ins []Instance, net *overlay.Network, cfg Config, workers int) (*Result, error) {
+				return RunScenario(ins, net, sc, cfg, func() *xrand.Rand { return xrand.New(55) }, workers)
+			},
+			func(*overlay.Network) Timeline { return churn.NewRunner(sc, xrand.New(55)) }})
 	}
-	solo, soloMsgs := soloRuns(t, trunkRoster, run(1))
-	for k, in := range trunkRoster() {
-		raw, msgs := replaySequential(t, in.Estimator, testNet(n, 22), tr, cadence, xrand.New(23))
-		if !sameSeries(raw, solo.Raw[k]) || msgs != solo.Messages[k] {
-			t.Fatalf("%s alone reads %v (%d messages), its private replay %v (%d)",
-				solo.Names[k], solo.Raw[k], solo.Messages[k], raw, msgs)
+	input := model.FromGraph(testNet(n, 22).Graph())
+	refs := make([]*Result, len(clocks))
+	refMsgs := make([]uint64, len(clocks))
+	for c, ck := range clocks {
+		net := testNet(n, 22)
+		refs[c], refMsgs[c] = sequential(t, trunkRoster(t, ck.cfg.Cadence), ck.cfg, ck.horizon, net, ck.timeline(net))
+		ref := refs[c]
+		if ref.Failures[len(ref.Names)-3] == 0 {
+			t.Fatalf("%s: the scheduled failures never fired", ck.name)
 		}
-		if solo.Failures[k] != 0 {
-			t.Fatalf("%s failed %d times alone", solo.Names[k], solo.Failures[k])
+		for k := range ref.Names {
+			solo, err := ck.run(trunkRoster(t, ck.cfg.Cadence)[k:k+1], testNet(n, 22), ck.cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameInstance(t, ref, k, solo, 0)
 		}
 	}
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got, gotMsgs := run(workers)(trunkRoster())
-			assertTrunkRun(t, solo, soloMsgs, got, gotMsgs)
-		})
-	}
-}
-
-// TestTrunkScenarioMatchesSoloRuns is the same proof on the step clock:
-// RunScenario's one churn.Runner against solo RunScenario calls and the
-// single-instance sequential loop.
-func TestTrunkScenarioMatchesSoloRuns(t *testing.T) {
-	const n, every = 3000, 7
-	sc := churn.Catastrophic(n, 63)
-	run := func(workers int) func([]Instance) (*Result, uint64) {
-		return func(ins []Instance) (*Result, uint64) {
-			net := testNet(n, 6)
-			res, err := RunScenario(ins, net, sc, Config{Cadence: every},
-				func() *xrand.Rand { return xrand.New(55) }, workers)
-			if err != nil {
-				t.Fatal(err)
+			for c, ck := range clocks {
+				t.Run(ck.name, func(t *testing.T) {
+					net := testNet(n, 22)
+					got, err := ck.run(trunkRoster(t, ck.cfg.Cadence), net, ck.cfg, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameResult(t, refs[c], got)
+					if msgs := net.Counter().Total(); msgs != refMsgs[c] {
+						t.Fatalf("merged base counter %d, the reference's %d", msgs, refMsgs[c])
+					}
+					if err := input.Diff(net.Graph()); err != nil {
+						t.Fatalf("the input overlay changed: %v", err)
+					}
+				})
 			}
-			return res, net.Counter().Total()
-		}
-	}
-	solo, soloMsgs := soloRuns(t, trunkRoster, run(1))
-	for k, in := range trunkRoster() {
-		seq := scenarioSequential([]core.Estimator{in.Estimator}, testNet(n, 6), sc, every, xrand.New(55))
-		if !sameSeries(seq.Raw[0], solo.Raw[k]) || seq.Messages[0] != solo.Messages[k] {
-			t.Fatalf("%s alone reads %v (%d messages), its sequential run %v (%d)",
-				solo.Names[k], solo.Raw[k], solo.Messages[k], seq.Raw[0], seq.Messages[0])
-		}
-	}
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got, gotMsgs := run(workers)(trunkRoster())
-			assertTrunkRun(t, solo, soloMsgs, got, gotMsgs)
 		})
 	}
 }

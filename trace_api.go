@@ -57,13 +57,9 @@ type TraceOptions struct {
 	Seed uint64
 	// Name labels the trace in reports (default: the session family).
 	Name string
-	// Workers selects the parallel generator: per-session random
-	// streams fanned across up to Workers goroutines and sorted
-	// deterministically, ~3x faster on million-session traces and
-	// byte-identical at every positive setting. 0 keeps the sequential
-	// reference generator — a different (equally distributed) draw
-	// scheme, so the two settings produce different traces for the same
-	// seed; pick one and stay with it.
+	// Workers bounds the goroutines generation fans its per-session
+	// random streams across (0 = all CPUs). The trace is byte-identical
+	// at every setting.
 	Workers int
 }
 
@@ -105,15 +101,7 @@ func GenerateTrace(opts TraceOptions) (*Trace, error) {
 		DiurnalAmplitude: opts.DiurnalAmplitude,
 		DiurnalPeriod:    opts.DiurnalPeriod,
 	}
-	var (
-		tr  *trace.Trace
-		err error
-	)
-	if opts.Workers != 0 {
-		tr, err = trace.GenerateParallel(cfg, opts.Seed, opts.Workers)
-	} else {
-		tr, err = trace.Generate(cfg, xrand.New(opts.Seed))
-	}
+	tr, err := trace.GenerateParallel(cfg, opts.Seed, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
