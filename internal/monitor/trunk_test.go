@@ -5,11 +5,12 @@ package monitor
 // of it. One roster — every monitoring-capable registry family, a
 // member that fails on a schedule, a fault-decorated member and a
 // member on its own cadence and EWMA policy — is held bit for bit, at
-// workers 1, 2 and 8, on the trace clock and on the step clock, to two
-// references: sequential, where the instances estimate in turn on one
-// overlay the timeline mutates in place — no trunk, no views, no pool —
-// and solo runs, each instance in a monitor call of its own. CI runs
-// them under -race -count=10.
+// workers 1, 2 and 8, on the trace clock (TestTrunkMatchesSoloRuns) and
+// on the step clock (TestRunScenarioMatchesSequential,
+// TestTrunkScenarioMatchesSoloRuns), to sequential, where the instances
+// estimate in turn on one overlay the timeline mutates in place — no
+// trunk, no views, no pool — and each instance's solo run, in a monitor
+// call of its own, to it. CI runs them under -race -count=10.
 
 import (
 	"errors"
@@ -145,27 +146,26 @@ func sequential(t *testing.T, instances []Instance, cfg Config, horizon float64,
 	return res, net.Counter().Total()
 }
 
-// TestTrunkMatchesSoloRuns: the roster reproduces the sequential
-// reference bit for bit at workers 1, 2 and 8 — on the trace clock, and
-// on the step clock at cadences 1 and 7 — every series and count, and
-// the merged base counter, and it leaves its input overlay as it was.
-// Each instance's solo run reproduces the reference at the times of its
-// own schedule.
-func TestTrunkMatchesSoloRuns(t *testing.T) {
-	const n = 400
-	tr := testTrace(t, n)
-	sc := churn.Catastrophic(n, 28)
-	window := Policy{Smoothing: Window, Window: 3}
-	type clock struct {
-		name    string
-		cfg     Config
-		horizon float64
-		run     func(ins []Instance, net *overlay.Network, cfg Config, workers int) (*Result, error)
-		// timeline is the reference's timeline, on the overlay it mutates.
-		timeline func(net *overlay.Network) Timeline
-	}
-	traceClock := clock{"trace", Config{Cadence: 20, Policy: window}, tr.Horizon,
-		func(ins []Instance, net *overlay.Network, cfg Config, workers int) (*Result, error) {
+// clock is one of the two ways a run advances: how the monitor runs a
+// roster on it, and the timeline the reference advances its own overlay
+// with. Every run starts from testNet(trunkN, 22).
+type clock struct {
+	cfg      Config
+	horizon  float64
+	run      func(ins []Instance, net *overlay.Network, workers int) (*Result, error)
+	timeline func(net *overlay.Network) Timeline
+}
+
+const trunkN = 400
+
+var trunkWindow = Policy{Smoothing: Window, Window: 3}
+
+// traceClock replays a generated trace, sampled every 20 time units.
+func traceClock(t *testing.T) clock {
+	tr := testTrace(t, trunkN)
+	cfg := Config{Cadence: 20, Policy: trunkWindow}
+	return clock{cfg, tr.Horizon,
+		func(ins []Instance, net *overlay.Network, workers int) (*Result, error) {
 			return RunScheduled(ins, net, tr, cfg, func() *xrand.Rand { return xrand.New(23) }, workers)
 		},
 		func(net *overlay.Network) Timeline {
@@ -175,50 +175,107 @@ func TestTrunkMatchesSoloRuns(t *testing.T) {
 			}
 			return tracePlayer{p, xrand.New(23)}
 		}}
-	clocks := []clock{traceClock}
-	for _, every := range []float64{1, 7} {
-		clocks = append(clocks, clock{fmt.Sprintf("steps-every=%g", every), Config{Cadence: every, Policy: window},
-			float64(sc.TotalSteps),
-			func(ins []Instance, net *overlay.Network, cfg Config, workers int) (*Result, error) {
-				return RunScenario(ins, net, sc, cfg, func() *xrand.Rand { return xrand.New(55) }, workers)
-			},
-			func(*overlay.Network) Timeline { return churn.NewRunner(sc, xrand.New(55)) }})
+}
+
+// stepClock runs a catastrophic churn scenario, sampled every `every`
+// steps.
+func stepClock(every float64) clock {
+	sc := churn.Catastrophic(trunkN, 28)
+	cfg := Config{Cadence: every, Policy: trunkWindow}
+	return clock{cfg, float64(sc.TotalSteps),
+		func(ins []Instance, net *overlay.Network, workers int) (*Result, error) {
+			return RunScenario(ins, net, sc, cfg, func() *xrand.Rand { return xrand.New(55) }, workers)
+		},
+		func(*overlay.Network) Timeline { return churn.NewRunner(sc, xrand.New(55)) }}
+}
+
+// reference runs the roster through sequential and checks that its
+// scheduled failures fire.
+func (ck clock) reference(t *testing.T) (*Result, uint64) {
+	t.Helper()
+	net := testNet(trunkN, 22)
+	ref, msgs := sequential(t, trunkRoster(t, ck.cfg.Cadence), ck.cfg, ck.horizon, net, ck.timeline(net))
+	if ref.Failures[len(ref.Names)-3] == 0 {
+		t.Fatal("the scheduled failures never fired")
 	}
-	input := model.FromGraph(testNet(n, 22).Graph())
+	return ref, msgs
+}
+
+// assertJoint runs the whole roster at workers and holds it to the
+// reference bit for bit — every series and count, and the merged base
+// counter — and checks that it leaves its input overlay as it was.
+func (ck clock) assertJoint(t *testing.T, ref *Result, refMsgs uint64, workers int) {
+	t.Helper()
+	input := model.FromGraph(testNet(trunkN, 22).Graph())
+	net := testNet(trunkN, 22)
+	got, err := ck.run(trunkRoster(t, ck.cfg.Cadence), net, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResult(t, ref, got)
+	if msgs := net.Counter().Total(); msgs != refMsgs {
+		t.Fatalf("merged base counter %d, the reference's %d", msgs, refMsgs)
+	}
+	if err := input.Diff(net.Graph()); err != nil {
+		t.Fatalf("the input overlay changed: %v", err)
+	}
+}
+
+// assertSolo runs each instance of the roster alone at workers and holds
+// it to the reference at the times of its own schedule.
+func (ck clock) assertSolo(t *testing.T, ref *Result, workers int) {
+	t.Helper()
+	for k := range ref.Names {
+		solo, err := ck.run(trunkRoster(t, ck.cfg.Cadence)[k:k+1], testNet(trunkN, 22), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameInstance(t, ref, k, solo, 0)
+	}
+}
+
+// TestTrunkMatchesSoloRuns: on the trace clock, the roster reproduces
+// the sequential reference at workers 1, 2 and 8, and each instance's
+// solo run reproduces it at the times of its own schedule.
+func TestTrunkMatchesSoloRuns(t *testing.T) {
+	ck := traceClock(t)
+	ref, refMsgs := ck.reference(t)
+	ck.assertSolo(t, ref, 1)
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ck.assertJoint(t, ref, refMsgs, workers)
+		})
+	}
+}
+
+// TestRunScenarioMatchesSequential: on the step clock, every 1 and 7
+// steps, the roster reproduces the sequential reference at workers 1, 2
+// and 8.
+func TestRunScenarioMatchesSequential(t *testing.T) {
+	for _, every := range []float64{1, 7} {
+		ck := stepClock(every)
+		ref, refMsgs := ck.reference(t)
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("every=%g/workers=%d", every, workers), func(t *testing.T) {
+				ck.assertJoint(t, ref, refMsgs, workers)
+			})
+		}
+	}
+}
+
+// TestTrunkScenarioMatchesSoloRuns: on the step clock, every 1 and 7
+// steps, each instance's solo run at workers 1, 2 and 8 reproduces the
+// sequential reference at the times of its own schedule.
+func TestTrunkScenarioMatchesSoloRuns(t *testing.T) {
+	clocks := []clock{stepClock(1), stepClock(7)}
 	refs := make([]*Result, len(clocks))
-	refMsgs := make([]uint64, len(clocks))
 	for c, ck := range clocks {
-		net := testNet(n, 22)
-		refs[c], refMsgs[c] = sequential(t, trunkRoster(t, ck.cfg.Cadence), ck.cfg, ck.horizon, net, ck.timeline(net))
-		ref := refs[c]
-		if ref.Failures[len(ref.Names)-3] == 0 {
-			t.Fatalf("%s: the scheduled failures never fired", ck.name)
-		}
-		for k := range ref.Names {
-			solo, err := ck.run(trunkRoster(t, ck.cfg.Cadence)[k:k+1], testNet(n, 22), ck.cfg, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameInstance(t, ref, k, solo, 0)
-		}
+		refs[c], _ = ck.reference(t)
 	}
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			for c, ck := range clocks {
-				t.Run(ck.name, func(t *testing.T) {
-					net := testNet(n, 22)
-					got, err := ck.run(trunkRoster(t, ck.cfg.Cadence), net, ck.cfg, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameResult(t, refs[c], got)
-					if msgs := net.Counter().Total(); msgs != refMsgs[c] {
-						t.Fatalf("merged base counter %d, the reference's %d", msgs, refMsgs[c])
-					}
-					if err := input.Diff(net.Graph()); err != nil {
-						t.Fatalf("the input overlay changed: %v", err)
-					}
-				})
+				ck.assertSolo(t, refs[c], workers)
 			}
 		})
 	}
