@@ -23,7 +23,7 @@ type ClusterOptions struct {
 	// Seed fixes the plan construction and every estimator stream.
 	Seed uint64
 	// Estimators selects families by registry name/alias; empty means
-	// every transport-capable family of the default monitoring roster.
+	// the default monitoring roster.
 	Estimators []string
 	// Samples is the estimations per family (0 = 3; negative is
 	// rejected).
@@ -71,9 +71,8 @@ func (o ClusterOptions) Validate() error {
 // RunCluster wires a cluster of real node daemons into the requested
 // topology and runs the selected estimator families over actual UDP
 // sockets, cross-validating each live estimate against a simulated run
-// on the identical topology. Snapshot-based families that cannot run
-// over a live transport are rejected when named explicitly and skipped
-// when implied by a roster selector.
+// on the identical topology. A snapshot-based family cannot run over a
+// live transport and is rejected.
 func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -120,26 +119,18 @@ func RunCluster(opts ClusterOptions) (*ClusterReport, error) {
 	return out, nil
 }
 
-// clusterRoster resolves estimator selectors for the live runtime:
-// roster selectors ("", "default", "all") silently keep only the
-// transport-capable families, while an explicitly named family that
-// cannot run live is an error the caller should see.
+// clusterRoster resolves estimator selectors for the live runtime (none
+// = the default roster); a snapshot-based family is an error the caller
+// should see.
 func clusterRoster(names []string) ([]registry.Descriptor, error) {
-	explicit := len(names) > 0
 	descs, err := registry.Resolve(names)
 	if err != nil {
 		return nil, err
 	}
-	out := descs[:0]
 	for _, d := range descs {
-		if d.SupportsTransport {
-			out = append(out, d)
-		} else if explicit {
+		if d.Snapshot {
 			return nil, fmt.Errorf("p2psize: estimator %q cannot run over a live transport (snapshot-based)", d.Name)
 		}
 	}
-	if len(out) == 0 {
-		return nil, errors.New("p2psize: no transport-capable estimators selected")
-	}
-	return out, nil
+	return descs, nil
 }

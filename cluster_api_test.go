@@ -6,6 +6,25 @@ import (
 	"testing"
 )
 
+// TestClusterRosterRejectsSnapshot: a snapshot-based family named in a
+// live roster is an error naming it; no selector means the default
+// roster.
+func TestClusterRosterRejectsSnapshot(t *testing.T) {
+	const want = `p2psize: estimator "idspace" cannot run over a live transport (snapshot-based)`
+	if _, err := clusterRoster([]string{"sc", "ids"}); err == nil || err.Error() != want {
+		t.Errorf("clusterRoster(sc, ids) err = %v, want %q", err, want)
+	}
+	ds, err := clusterRoster(nil)
+	if err != nil || len(ds) != len(DefaultEstimators()) {
+		t.Fatalf("clusterRoster(nil) = %v, %v; want the default roster", ds, err)
+	}
+	for i, d := range ds {
+		if d.Name != DefaultEstimators()[i] {
+			t.Errorf("clusterRoster(nil)[%d] = %s, want %s", i, d.Name, DefaultEstimators()[i])
+		}
+	}
+}
+
 // TestRunClusterRejectsBadOptions: an option out of range fails before
 // the plan is built or any daemon starts (no progress line is logged),
 // with an error that names the field.

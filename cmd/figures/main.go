@@ -10,7 +10,7 @@
 // -workers only changes wall time.
 //
 // By default it runs at 1/10 of the paper's scale (the shapes are already
-// stable there); -full switches to the paper's 100,000 / 1,000,000 node
+// stable there); -scale 1 runs the paper's 100,000 / 1,000,000 node
 // workloads, which takes considerably longer.
 //
 // Examples:
@@ -18,7 +18,7 @@
 //	figures                        # all experiments, 1/10 scale, ./out
 //	figures -only fig05,table1     # a subset
 //	figures -workers 8             # cap the worker pool
-//	figures -full -out paperout    # paper-scale reproduction
+//	figures -scale 1 -out paperout # paper-scale reproduction
 //	figures -tracefile churn.csv   # monitor an empirical churn trace too
 package main
 
@@ -41,8 +41,7 @@ import (
 func main() {
 	var (
 		outDir     = flag.String("out", "out", "output directory")
-		scale      = flag.Int("scale", 10, "divide the paper's node counts by this factor")
-		full       = flag.Bool("full", false, "run at the paper's full scale (overrides -scale)")
+		scale      = flag.Int("scale", 10, "divide the paper's node counts by this factor (1 = the paper's full scale)")
 		only       = flag.String("only", "", "comma-separated experiment ids (default: all)")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
 		workers    = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential); output is identical at any setting")
@@ -55,6 +54,10 @@ func main() {
 	)
 	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "figures: -scale %d must be at least 1 (1 = the paper's full scale)\nrun figures -h for usage\n", *scale)
+		os.Exit(2)
+	}
 	stop, err := profiles.Start()
 	if err != nil {
 		fatal(err)
@@ -70,9 +73,6 @@ func main() {
 	}
 
 	params := experiments.Scaled(*scale)
-	if *full {
-		params = experiments.Defaults()
-	}
 	params.Seed = *seed
 	params.Workers = *workers
 	if *estimators != "" {

@@ -28,19 +28,47 @@ func TestMain(m *testing.M) {
 // process it starts the command line to run.
 const mainArgsEnv = "FIGURES_TEST_MAIN_ARGS"
 
+// runMain runs the command with args in a child process and returns its
+// exit status and combined output; a run past a minute fails the test.
+func runMain(t *testing.T, args string) (int, string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0])
+	cmd.Env = append(os.Environ(), mainArgsEnv+"=-out "+t.TempDir()+" -only fig01 "+args)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	switch {
+	case ctx.Err() != nil:
+		t.Fatalf("figures %s did not return within a minute", args)
+	case err == nil:
+		return 0, string(out)
+	case errors.As(err, &exit):
+		return exit.ExitCode(), string(out)
+	}
+	t.Fatal(err)
+	return 0, ""
+}
+
 // TestRemovedFlagsExit2: the shard count and the shuffle mode are the
-// engine's to derive, not options; naming either is an unknown flag,
-// rejected before any experiment runs.
+// engine's to derive, not options, and -scale 1 is the paper's full
+// scale; naming any of their flags is an unknown flag, rejected before
+// any experiment runs.
 func TestRemovedFlagsExit2(t *testing.T) {
-	for _, args := range []string{"-shards 4", "-shuffle global"} {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		cmd := exec.CommandContext(ctx, os.Args[0])
-		cmd.Env = append(os.Environ(), mainArgsEnv+"=-out "+t.TempDir()+" -only fig01 "+args)
-		out, err := cmd.CombinedOutput()
-		cancel()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined") {
-			t.Errorf("%s: err %v, want exit status 2 with an unknown-flag error; output:\n%s", args, err, out)
+	for _, args := range []string{"-shards 4", "-shuffle global", "-full"} {
+		if code, out := runMain(t, args); code != 2 || !strings.Contains(out, "flag provided but not defined") {
+			t.Errorf("%s: exit status %d, want 2 with an unknown-flag error; output:\n%s", args, code, out)
+		}
+	}
+}
+
+// TestScaleBelowOneExits2: -scale 0 or a negative scale is a usage
+// error, not a silent run at the paper's full scale.
+func TestScaleBelowOneExits2(t *testing.T) {
+	for _, scale := range []string{"0", "-3"} {
+		code, out := runMain(t, "-scale "+scale)
+		if code != 2 || !strings.Contains(out, "-scale "+scale+" must be at least 1") {
+			t.Errorf("-scale %s: exit status %d, want 2 with a usage error; output:\n%s", scale, code, out)
 		}
 	}
 }

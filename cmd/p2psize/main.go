@@ -3,10 +3,10 @@
 //
 // Examples:
 //
-//	p2psize -nodes 100000 -algo sc -l 200 -runs 10
-//	p2psize -nodes 100000 -algo hops -runs 10 -smooth
-//	p2psize -nodes 100000 -algo agg -rounds 50
-//	p2psize -nodes 100000 -algo all -runs 5
+//	p2psize -nodes 100000 -estimators sc -l 200 -runs 10
+//	p2psize -nodes 100000 -estimators hops -runs 10 -smooth
+//	p2psize -nodes 100000 -estimators agg -rounds 50
+//	p2psize -nodes 100000 -runs 5
 //
 // With -trace the command switches from repeated static estimations to
 // continuous monitoring: the overlay evolves under a churn trace
@@ -14,16 +14,14 @@
 // algorithm is sampled each -cadence time units, reporting tracking
 // error, staleness and message budget.
 //
-//	p2psize -nodes 100000 -algo all -trace weibull -horizon 1000
-//	p2psize -nodes 50000 -algo sc -trace flashcrowd -policy window -restart-jump 0.5
-//	p2psize -algo all -trace measured.csv -cadence 5
+//	p2psize -nodes 100000 -trace weibull -horizon 1000
+//	p2psize -nodes 50000 -estimators sc -trace flashcrowd -policy window -restart-jump 0.5
+//	p2psize -trace measured.csv.gz -cadence 5
 //
 // -estimators selects algorithms from the estimator registry by name or
-// alias ("sc,hops,agg", "all", "default"). -algo is shorthand for such a
-// spec — any registry name or alias, "all" for the paper's three
-// candidates (sc,hops,agg), "everything" for sc,hops,agg,tour,poll — and
-// prints exactly what the equivalent -estimators spec prints; -estimators
-// wins when both are given. -cadence accepts a per-estimator spec in
+// alias: a list ("sc,hops,agg", the paper's three candidates and the
+// flag's default), "all" (every registered family) or "default" (the
+// registry's monitoring roster). -cadence accepts a per-estimator spec in
 // monitoring mode, a base tick plus name=value overrides, so cheap
 // estimators can sample often while expensive ones sample rarely in the
 // same run:
@@ -61,7 +59,6 @@ func main() {
 		nodes    = flag.Int("nodes", 10000, "overlay size")
 		topology = flag.String("topology", "heterogeneous", "heterogeneous (het) | homogeneous (hom) | scale-free (scalefree, ba) | ring | small-world")
 		maxDeg   = flag.Int("maxdeg", 0, "degree cap (0 = paper default)")
-		algo     = flag.String("algo", "all", "shorthand for an -estimators spec: a registry name or alias (sc | hops | agg | tour | poll | ...), all (= sc,hops,agg) or everything (= sc,hops,agg,tour,poll)")
 		l        = flag.Int("l", 200, "Sample&Collide collision target")
 		timer    = flag.Float64("T", 10, "Sample&Collide walk timer")
 		mle      = flag.Bool("mle", false, "use the MLE refinement for Sample&Collide")
@@ -72,7 +69,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential): estimation runs, or under -trace the estimators due at a tick, after the one replay has advanced; output is identical at any setting")
 
-		estSel = flag.String("estimators", "", "select algorithms from the estimator registry (comma-separated names/aliases, \"all\", \"default\", or \"list\" to print the catalog); wins over -algo")
+		estSel = flag.String("estimators", candidates, "select algorithms from the estimator registry (comma-separated names/aliases, \"all\", \"default\", or \"list\" to print the catalog)")
 
 		faults = flag.String("faults", "", "fault scenario every selected algorithm runs under, e.g. \"drop=0.05,delay=2x,lie=10@0.05\"; silent=/sybil= reshape the overlay, partition@lo-hi folds onto the -trace timeline")
 
@@ -102,24 +99,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Split the CPU budget between the run-level fan-out and the sweep
-	// inside each Aggregation round, mirroring the experiments layer:
-	// repeated static runs saturate the pool themselves, so their epochs
-	// sweep sequentially; the monitor runs a handful of concurrent
-	// instances, so epochs shard on the leftover budget.
-	aggWorkers := parallel.Resolve(*workers)
-	if *traceSpec == "" && *runs > 1 {
-		aggWorkers = 1
-	} else if *traceSpec != "" {
-		aggWorkers = max(1, aggWorkers/4)
-	}
 	cfg := p2psize.EstimatorConfig{
 		SCTimer: *timer, SCL: *l, SCMLE: *mle,
 		// Random Tour cost is Θ(N) per tour: average 10 in one-shot runs,
 		// but 3 per sample when monitoring.
 		Tours:   10,
 		MinHops: *minHops,
-		Rounds:  *rounds, Workers: aggWorkers,
+		Rounds:  *rounds,
 	}
 	if *traceSpec != "" {
 		cfg.Tours = 3
@@ -132,10 +118,18 @@ func main() {
 		fatalUsage(err)
 	}
 
-	roster, err := registry.Parse(rosterSpec(*estSel, *algo))
+	roster, err := registry.Parse(*estSel)
 	if err != nil {
 		fatal(err)
 	}
+	// Split the CPU budget between the fan-out (static runs, or the
+	// roster's instances under -trace) and the sweep inside each
+	// Aggregation round, as the experiments layer does.
+	width := *runs
+	if *traceSpec != "" {
+		width = len(roster)
+	}
+	_, cfg.Workers = parallel.Split(*workers, width)
 
 	if *traceSpec != "" {
 		baseCadence, perCadence, err := registry.ParseCadenceSpec(*cadence, 10)
@@ -269,34 +263,22 @@ type estimatorSpec struct {
 	make func(run int) p2psize.Estimator
 }
 
+// candidates is -estimators' default: the paper's three candidates, one
+// per counting family (§IV).
+const candidates = "sc,hops,agg"
+
 // listEstimators prints the registry catalog (-estimators list).
 func listEstimators() {
-	fmt.Printf("%-28s %-22s %-9s %-8s %-6s %s\n", "name (aliases)", "class", "dynamic", "monitor", "live", "summary")
+	fmt.Printf("%-28s %-22s %-9s %s\n", "name (aliases)", "class", "snapshot", "summary")
 	for _, in := range p2psize.Estimators() {
 		name := in.Name
 		if len(in.Aliases) > 0 {
 			name += " (" + strings.Join(in.Aliases, ", ") + ")"
 		}
-		fmt.Printf("%-28s %-22s %-9v %-8v %-6v %s\n", name, in.Class, in.SupportsDynamic, in.SupportsMonitoring, in.SupportsTransport, in.Summary)
+		fmt.Printf("%-28s %-22s %-9v %s\n", name, in.Class, in.Snapshot, in.Summary)
 	}
-	fmt.Printf("\ndefault roster: %s\n", strings.Join(p2psize.DefaultEstimators(), ", "))
-}
-
-// rosterSpec turns the two roster flags into one registry spec:
-// -estimators wins when set; otherwise -algo is shorthand — "all" is the
-// paper's three candidates, "everything" adds the two baselines, and
-// any other value is a registry name or alias.
-func rosterSpec(estSel, algo string) string {
-	if sel := strings.TrimSpace(estSel); sel != "" {
-		return sel
-	}
-	switch strings.ToLower(strings.TrimSpace(algo)) {
-	case "all":
-		return "sc,hops,agg"
-	case "everything":
-		return "sc,hops,agg,tour,poll"
-	}
-	return algo
+	fmt.Printf("\n-estimators default: %s\n", strings.Join(p2psize.DefaultEstimators(), ", "))
+	fmt.Printf("no -estimators flag: %s\n", candidates)
 }
 
 // selectEstimators builds the roster's per-run factories through the

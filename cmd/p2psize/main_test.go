@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,91 +22,96 @@ import (
 	"p2psize/internal/registry"
 )
 
-// TestRosterSpec: the two roster flags resolve to one registry spec, and
-// every spelling the pre-registry -algo accepted is a registry selector.
-func TestRosterSpec(t *testing.T) {
-	for _, c := range []struct {
-		estSel, algo string
-		want         []string
-	}{
-		{"", "all", []string{"samplecollide", "hopssampling", "aggregation"}},
-		{"", "everything", []string{"samplecollide", "hopssampling", "aggregation", "randomtour", "polling"}},
-		{"", "Everything", []string{"samplecollide", "hopssampling", "aggregation", "randomtour", "polling"}},
-		{"", "sc", []string{"samplecollide"}},
-		{"", "samplecollide", []string{"samplecollide"}},
-		{"", "sample-collide", []string{"samplecollide"}},
-		{"", "hops", []string{"hopssampling"}},
-		{"", "hopssampling", []string{"hopssampling"}},
-		{"", "agg", []string{"aggregation"}},
-		{"", "aggregation", []string{"aggregation"}},
-		{"", "tour", []string{"randomtour"}},
-		{"", "randomtour", []string{"randomtour"}},
-		{"", "poll", []string{"polling"}},
-		{"", "polling", []string{"polling"}},
-		{"", "dht", []string{"dht"}}, // any registry name passes through
-		{"poll,sc", "agg", []string{"polling", "samplecollide"}},
-		{" default ", "everything", registry.DefaultSet()},
-		{"all", "sc", registry.Names()}, // -estimators all is the whole catalog, unlike -algo all
+// TestDefaultRoster: with no roster flag the command runs the paper's
+// three candidates, one per counting family, and "all" is the whole
+// catalog.
+func TestDefaultRoster(t *testing.T) {
+	for spec, want := range map[string][]string{
+		candidates: {"samplecollide", "hopssampling", "aggregation"},
+		"all":      registry.Names(),
+		"default":  registry.DefaultSet(),
 	} {
-		ds, err := registry.Parse(rosterSpec(c.estSel, c.algo))
+		ds, err := registry.Parse(spec)
 		if err != nil {
-			t.Fatalf("-estimators %q -algo %q: %v", c.estSel, c.algo, err)
+			t.Fatalf("-estimators %q: %v", spec, err)
 		}
 		var got []string
 		for _, d := range ds {
 			got = append(got, d.Name)
 		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("-estimators %q -algo %q = %v, want %v", c.estSel, c.algo, got, c.want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("-estimators %q = %v, want %v", spec, got, want)
 		}
-	}
-	_, err := registry.Parse(rosterSpec("", "bogus"))
-	if err == nil || !strings.Contains(err.Error(), `"bogus"`) ||
-		!strings.Contains(err.Error(), strings.Join(registry.Names(), ", ")) {
-		t.Fatalf("unknown -algo: err = %v, want the catalog listed", err)
 	}
 }
 
-// TestAlgoMatchesEstimators: one request, one answer — -algo X builds
-// the very estimators the equivalent -estimators spec builds.
-func TestAlgoMatchesEstimators(t *testing.T) {
-	net, err := p2psize.NewNetwork(p2psize.NetworkOptions{Nodes: 2000, Seed: 1})
+// TestListMarksSnapshot: -estimators list marks idspace, and only
+// idspace, as snapshot-based, and names what "default" selects.
+func TestListMarksSnapshot(t *testing.T) {
+	code, out, stderr := runMain(t, "-estimators list")
+	if code != 0 {
+		t.Fatalf("exit status %d; stderr:\n%s", code, stderr)
+	}
+	lines := strings.Split(out, "\n")
+	if f := strings.Fields(lines[0]); len(f) != 5 || f[3] != "snapshot" {
+		t.Fatalf("header %q: want a snapshot column", lines[0])
+	}
+	for _, d := range registry.All() {
+		i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, d.Name+" ") })
+		if i < 0 {
+			t.Fatalf("%s missing from the list:\n%s", d.Name, out)
+		}
+		want := fmt.Sprintf(" %-9v ", d.Name == "idspace")
+		if !strings.Contains(lines[i], want) {
+			t.Errorf("%s: line %q, want snapshot %q", d.Name, lines[i], want)
+		}
+	}
+	if want := "-estimators default: " + strings.Join(registry.DefaultSet(), ", "); !strings.Contains(out, want) {
+		t.Errorf("list output lacks %q:\n%s", want, out)
+	}
+}
+
+// TestGzippedTraceReplays: -trace reads a gzipped CSV or JSON trace
+// file (t.csv.gz, t.json.gz) to the plain file's report, and a spec
+// that is neither a workload nor such a file is still an unknown trace.
+func TestGzippedTraceReplays(t *testing.T) {
+	tr, err := p2psize.GenerateTrace(p2psize.TraceOptions{Nodes: 300, Horizon: 60, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := p2psize.EstimatorConfig{SCL: 50, Tours: 10, Rounds: 20, Workers: 1}
-	build := func(estSel, algo string) []estimatorSpec {
-		roster, err := registry.Parse(rosterSpec(estSel, algo))
-		if err != nil {
+	dir := t.TempDir()
+	for form, write := range map[string]func(io.Writer) error{"csv": tr.WriteCSV, "json": tr.WriteJSON} {
+		var plain, zipped bytes.Buffer
+		if err := write(&plain); err != nil {
 			t.Fatal(err)
 		}
-		specs, err := selectEstimators(roster, cfg, net, 1)
-		if err != nil {
+		zw := gzip.NewWriter(&zipped)
+		if _, err := zw.Write(plain.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		return specs
-	}
-	byAlgo, byEst := build("", "all"), build("sc,hops,agg", "")
-	if len(byAlgo) != 3 || len(byEst) != 3 {
-		t.Fatalf("rosters of %d and %d specs, want 3 and 3", len(byAlgo), len(byEst))
-	}
-	for i := range byAlgo {
-		if byAlgo[i].name != byEst[i].name {
-			t.Fatalf("slot %d: -algo builds %q, -estimators %q", i, byAlgo[i].name, byEst[i].name)
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
 		}
-		for run := 0; run < 2; run++ {
-			a, err := byAlgo[i].make(run).Estimate(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := byEst[i].make(run).Estimate(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(a) != math.Float64bits(e) {
-				t.Fatalf("%s run %d: -algo estimates %v, -estimators %v", byAlgo[i].name, run, a, e)
-			}
+		path := filepath.Join(dir, "t."+form)
+		if err := os.WriteFile(path, plain.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(path+".gz", zipped.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := "-estimators sc,dht -cadence 20 -workers 1 -trace "
+		code, want, stderr := runMain(t, args+path)
+		if code != 0 {
+			t.Fatalf("%s: exit status %d; stderr:\n%s", path, code, stderr)
+		}
+		code, got, stderr := runMain(t, args+path+".gz")
+		if code != 0 || got != want {
+			t.Errorf("%s.gz: exit status %d, report\n%s\nwant the plain file's\n%s\nstderr:\n%s", path, code, got, want, stderr)
+		}
+	}
+	code, _, stderr := runMain(t, "-nodes 200 -trace weibull.gz")
+	if code != 1 || !strings.Contains(stderr, `unknown trace "weibull.gz"`) {
+		t.Errorf("-trace weibull.gz: exit status %d, stderr %q; want an unknown-trace error", code, stderr)
 	}
 }
 
@@ -239,35 +248,35 @@ func TestMain(m *testing.M) {
 const mainArgsEnv = "P2PSIZE_TEST_MAIN_ARGS"
 
 // runMain runs the command with args in a child process and returns its
-// exit status and stderr. A child still running after a minute is
-// killed and fails the test: a command line that never returns.
-func runMain(t *testing.T, args string) (int, string) {
+// exit status, stdout and stderr. A child still running after a minute
+// is killed and fails the test: a command line that never returns.
+func runMain(t *testing.T, args string) (code int, stdout, stderr string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, os.Args[0])
 	cmd.Env = append(os.Environ(), mainArgsEnv+"="+args)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
 	case ctx.Err() != nil:
 		t.Fatalf("p2psize %s did not return within a minute", args)
 	case err == nil:
-		return 0, stderr.String()
+		return 0, out.String(), errOut.String()
 	case errors.As(err, &exit):
-		return exit.ExitCode(), stderr.String()
+		return exit.ExitCode(), out.String(), errOut.String()
 	}
 	t.Fatal(err)
-	return 0, ""
+	return 0, "", ""
 }
 
 // TestNonFiniteHorizonExits2: -horizon NaN under -trace is a usage
 // error — exit status 2 and one "p2psize:" line — not the panic a NaN
 // schedule used to end in.
 func TestNonFiniteHorizonExits2(t *testing.T) {
-	code, stderr := runMain(t, "-nodes 200 -estimators sc -trace weibull -horizon NaN")
+	code, _, stderr := runMain(t, "-nodes 200 -estimators sc -trace weibull -horizon NaN")
 	if code != 2 {
 		t.Fatalf("exit status %d, want 2; stderr:\n%s", code, stderr)
 	}
@@ -281,7 +290,7 @@ func TestNonFiniteHorizonExits2(t *testing.T) {
 // and -T NaN or -T -3 ran silently with the default T = 10.
 func TestBadTimerFails(t *testing.T) {
 	for _, T := range []string{"+Inf", "NaN", "-3"} {
-		code, stderr := runMain(t, "-nodes 1000 -algo sc -runs 1 -T "+T)
+		code, _, stderr := runMain(t, "-nodes 1000 -estimators sc -runs 1 -T "+T)
 		if code == 0 {
 			t.Errorf("-T %s: exit status 0; stderr:\n%s", T, stderr)
 			continue
@@ -295,7 +304,7 @@ func TestBadTimerFails(t *testing.T) {
 // TestNegativeKnobFails: a negative integer knob is an error naming
 // its option. -rounds -5 used to run silently with the paper's 50.
 func TestNegativeKnobFails(t *testing.T) {
-	code, stderr := runMain(t, "-nodes 500 -algo agg -rounds -5 -runs 1")
+	code, _, stderr := runMain(t, "-nodes 500 -estimators agg -rounds -5 -runs 1")
 	if code == 0 {
 		t.Fatalf("exit status 0; stderr:\n%s", stderr)
 	}
@@ -305,15 +314,16 @@ func TestNegativeKnobFails(t *testing.T) {
 }
 
 // TestRemovedFlagsExit2: the shard count and the shuffle mode are the
-// engine's to derive, not options, and the live-cluster mode is a
-// library call (p2psize.RunCluster), not a mode of the command; naming
-// any of their flags is an unknown flag.
+// engine's to derive, not options, the live-cluster mode is a library
+// call (p2psize.RunCluster), not a mode of the command, and -estimators
+// is the one roster flag; naming any of their flags is an unknown flag.
 func TestRemovedFlagsExit2(t *testing.T) {
 	for _, args := range []string{
 		"-shards 4", "-shuffle global",
 		"-cluster 4", "-cluster-addrs a:1", "-tolerance 0.1", "-teardown",
+		"-algo all",
 	} {
-		code, stderr := runMain(t, "-nodes 200 -algo agg -runs 1 "+args)
+		code, _, stderr := runMain(t, "-nodes 200 -estimators agg -runs 1 "+args)
 		if code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
 			t.Errorf("%s: exit status %d, want 2 with an unknown-flag error; stderr:\n%s", args, code, stderr)
 		}

@@ -39,10 +39,11 @@ type monitorOpts struct {
 }
 
 // buildTrace generates a named synthetic workload or loads a trace file
-// (.json/.csv). Generated workloads derive everything else from the
-// option set; the initial population of a loaded trace overrides -nodes.
+// (.json/.csv, optionally .gz). Generated workloads derive everything
+// else from the option set; the initial population of a loaded trace
+// overrides -nodes.
 func buildTrace(o monitorOpts) (*p2psize.Trace, error) {
-	if ext := filepath.Ext(o.traceSpec); strings.EqualFold(ext, ".json") || strings.EqualFold(ext, ".csv") {
+	if ext := filepath.Ext(strings.TrimSuffix(strings.ToLower(o.traceSpec), ".gz")); ext == ".json" || ext == ".csv" {
 		return p2psize.ReadTraceFile(o.traceSpec)
 	}
 	base := p2psize.TraceOptions{

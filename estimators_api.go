@@ -27,17 +27,11 @@ type EstimatorInfo struct {
 	Class string
 	// Summary is a one-line description.
 	Summary string
-	// CostHint ranks families by relative message cost per estimation.
-	CostHint int
-	// SupportsDynamic marks families sound on a churning overlay.
-	SupportsDynamic bool
-	// SupportsMonitoring marks families the continuous monitor may
-	// sample.
-	SupportsMonitoring bool
-	// SupportsTransport marks families whose estimates stay sound when
-	// the overlay's sends are carried by a real transport — the families
-	// RunCluster may drive.
-	SupportsTransport bool
+	// Snapshot marks a family that derives its state from a frozen
+	// membership view (id-density): the monitoring roster (p2psize
+	// -trace, the trace experiments) and RunCluster reject it. Every
+	// other family follows the overlay it is handed.
+	Snapshot bool
 }
 
 // Estimators returns every registered estimator family, built-ins and
@@ -47,14 +41,11 @@ func Estimators() []EstimatorInfo {
 	out := make([]EstimatorInfo, len(all))
 	for i, d := range all {
 		out[i] = EstimatorInfo{
-			Name:               d.Name,
-			Aliases:            append([]string(nil), d.Aliases...),
-			Class:              d.Class,
-			Summary:            d.Summary,
-			CostHint:           d.CostHint,
-			SupportsDynamic:    d.SupportsDynamic,
-			SupportsMonitoring: d.SupportsMonitoring,
-			SupportsTransport:  d.SupportsTransport,
+			Name:     d.Name,
+			Aliases:  append([]string(nil), d.Aliases...),
+			Class:    d.Class,
+			Summary:  d.Summary,
+			Snapshot: d.Snapshot,
 		}
 	}
 	return out
@@ -225,13 +216,11 @@ type CustomEstimator struct {
 	Aliases []string
 	// Summary is a one-line description for listings.
 	Summary string
-	// SupportsDynamic / SupportsMonitoring declare where the family may
-	// be scheduled; see EstimatorInfo.
-	SupportsDynamic    bool
-	SupportsMonitoring bool
 	// New builds one instance; it must derive all randomness from seed
 	// (equal seeds, equal estimators) for the harness's determinism
-	// guarantees to hold.
+	// guarantees to hold. It never sees an overlay, so a custom family
+	// is never snapshot-based: it may be monitored and named in
+	// RunCluster.
 	New func(seed uint64) (Estimator, error)
 }
 
@@ -245,21 +234,18 @@ func init() { customOffset.Store(1 << 20) }
 
 // RegisterEstimator adds a custom estimator family to the catalog. The
 // family becomes selectable everywhere built-ins are: Estimators()
-// listings, NewEstimatorByName, the -estimators CLI flags and the
-// monitoring roster (when SupportsMonitoring is set).
+// listings, NewEstimatorByName, the -estimators CLI flags, the
+// monitoring roster and RunCluster.
 func RegisterEstimator(c CustomEstimator) error {
 	if c.New == nil {
 		return errors.New("p2psize: CustomEstimator.New must not be nil")
 	}
 	mk := c.New
 	return registry.Register(registry.Descriptor{
-		Name:               c.Name,
-		Aliases:            append([]string(nil), c.Aliases...),
-		Class:              "custom",
-		Summary:            c.Summary,
-		CostHint:           50, // unknown: schedule mid-pack
-		SupportsDynamic:    c.SupportsDynamic,
-		SupportsMonitoring: c.SupportsMonitoring,
+		Name:    c.Name,
+		Aliases: append([]string(nil), c.Aliases...),
+		Class:   "custom",
+		Summary: c.Summary,
 		// Custom families draw offsets from an atomic counter far above
 		// the built-ins' frozen block (1<<20), so a static collision with
 		// a literal offset is impossible; the cost is that reproducible

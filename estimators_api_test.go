@@ -15,6 +15,9 @@ func TestEstimatorsCatalog(t *testing.T) {
 	names := map[string]bool{}
 	for _, in := range infos {
 		names[in.Name] = true
+		if in.Snapshot != (in.Name == "idspace") {
+			t.Errorf("%s: Snapshot = %v; only idspace is snapshot-based", in.Name, in.Snapshot)
+		}
 	}
 	for _, want := range []string{"samplecollide", "randomtour", "hopssampling", "aggregation", "idspace", "polling"} {
 		if !names[want] {
@@ -95,12 +98,10 @@ func (truthByNameEstimator) Estimate(n *Network) (float64, error) {
 
 func TestRegisterEstimatorEndToEnd(t *testing.T) {
 	err := RegisterEstimator(CustomEstimator{
-		Name:               "truthcustom",
-		Aliases:            []string{"tc"},
-		Summary:            "exact size oracle for tests",
-		SupportsDynamic:    true,
-		SupportsMonitoring: true,
-		New:                func(seed uint64) (Estimator, error) { return truthByNameEstimator{}, nil },
+		Name:    "truthcustom",
+		Aliases: []string{"tc"},
+		Summary: "exact size oracle for tests",
+		New:     func(seed uint64) (Estimator, error) { return truthByNameEstimator{}, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +110,15 @@ func TestRegisterEstimatorEndToEnd(t *testing.T) {
 	found := false
 	for _, in := range Estimators() {
 		if in.Name == "truthcustom" {
-			found = in.SupportsMonitoring && in.Class == "custom"
+			found = !in.Snapshot && in.Class == "custom"
 		}
 	}
 	if !found {
 		t.Fatal("custom family missing (or mis-flagged) in the catalog")
+	}
+	// Never snapshot-based, so a live roster may name it.
+	if ds, err := clusterRoster([]string{"tc"}); err != nil || len(ds) != 1 || ds[0].Name != "truthcustom" {
+		t.Fatalf("clusterRoster(tc) = %v, %v; want the custom family", ds, err)
 	}
 	// Buildable by alias.
 	net, err := NewNetwork(NetworkOptions{Nodes: 500, Seed: 2})

@@ -97,15 +97,13 @@ func AggregationCatastrophic(n0, totalSteps int) Scenario {
 type Runner struct {
 	S Scenario
 
-	rng        *xrand.Rand
-	nextStep   int // AdvanceTo's cursor
-	arriveAcc  float64
-	departAcc  float64
-	nextEvent  int
-	events     []Event
-	totalJoins int
-	totalDrops int
-	reserved   bool // Reserve has run
+	rng       *xrand.Rand
+	nextStep  int // AdvanceTo's cursor
+	arriveAcc float64
+	departAcc float64
+	nextEvent int
+	events    []Event
+	reserved  bool // Reserve has run
 }
 
 // NewRunner prepares a runner; events are sorted by step.
@@ -118,12 +116,11 @@ func NewRunner(s Scenario, rng *xrand.Rand) *Runner {
 
 // Step applies the churn due at the given step to the network:
 // first any discrete events scheduled at that step, then the continuous
-// arrival/departure rates. Returns the net change in size.
-func (r *Runner) Step(net *overlay.Network, step int) int {
+// arrival/departure rates.
+func (r *Runner) Step(net *overlay.Network, step int) {
 	if !r.reserved {
 		r.Reserve(net)
 	}
-	before := net.Size()
 	for r.nextEvent < len(r.events) && r.events[r.nextEvent].Step <= step {
 		ev := r.events[r.nextEvent]
 		r.nextEvent++
@@ -132,14 +129,12 @@ func (r *Runner) Step(net *overlay.Network, step int) int {
 		}
 		for i := 0; i < ev.AddCount; i++ {
 			net.JoinRandomDegree(r.rng)
-			r.totalJoins++
 		}
 	}
 	r.arriveAcc += r.S.ArrivalsPerStep
 	for r.arriveAcc >= 1 {
 		r.arriveAcc--
 		net.JoinRandomDegree(r.rng)
-		r.totalJoins++
 	}
 	r.departAcc += r.S.DeparturesPerStep
 	drops := 0
@@ -148,7 +143,6 @@ func (r *Runner) Step(net *overlay.Network, step int) int {
 		drops++
 	}
 	r.removeN(net, drops)
-	return net.Size() - before
 }
 
 // Reserve records on net's graph the ids the runner will add over the
@@ -200,6 +194,5 @@ func (r *Runner) removeN(net *overlay.Network, n int) {
 			return
 		}
 		net.Leave(id)
-		r.totalDrops++
 	}
 }

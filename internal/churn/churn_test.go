@@ -13,12 +13,19 @@ func newNet(n int, seed uint64) *overlay.Network {
 	return overlay.New(graph.Heterogeneous(n, 10, xrand.New(seed)), 10, nil)
 }
 
-func runAll(s Scenario, net *overlay.Network, seed uint64) *Runner {
+func runAll(s Scenario, net *overlay.Network, seed uint64) {
 	r := NewRunner(s, xrand.New(seed))
 	for step := 0; step < s.TotalSteps; step++ {
 		r.Step(net, step)
 	}
-	return r
+}
+
+// joinsAndDrops counts the peers a runner added to and removed from a
+// fresh overlay of n0 peers: every join allocates a new id, and every
+// id not alive has left.
+func joinsAndDrops(net *overlay.Network, n0 int) (joins, drops int) {
+	ids := net.Graph().NumIDs()
+	return ids - n0, ids - net.Size()
 }
 
 func TestStaticScenario(t *testing.T) {
@@ -32,13 +39,13 @@ func TestStaticScenario(t *testing.T) {
 func TestGrowingReachesTarget(t *testing.T) {
 	const n0, steps = 1000, 100
 	net := newNet(n0, 3)
-	r := runAll(Growing(n0, steps, 0.5), net, 4)
+	runAll(Growing(n0, steps, 0.5), net, 4)
 	want := int(1.5 * n0)
 	if math.Abs(float64(net.Size()-want)) > 0.02*float64(want) {
 		t.Fatalf("grew to %d, want ≈%d", net.Size(), want)
 	}
-	if r.totalDrops != 0 {
-		t.Fatalf("growing scenario dropped %d peers", r.totalDrops)
+	if _, drops := joinsAndDrops(net, n0); drops != 0 {
+		t.Fatalf("growing scenario dropped %d peers", drops)
 	}
 	if err := net.Graph().CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -48,13 +55,13 @@ func TestGrowingReachesTarget(t *testing.T) {
 func TestShrinkingReachesTarget(t *testing.T) {
 	const n0, steps = 1000, 100
 	net := newNet(n0, 5)
-	r := runAll(Shrinking(n0, steps, 0.5), net, 6)
+	runAll(Shrinking(n0, steps, 0.5), net, 6)
 	want := n0 / 2
 	if math.Abs(float64(net.Size()-want)) > 0.02*float64(want) {
 		t.Fatalf("shrank to %d, want ≈%d", net.Size(), want)
 	}
-	if r.totalJoins != 0 {
-		t.Fatalf("shrinking scenario joined %d peers", r.totalJoins)
+	if joins, _ := joinsAndDrops(net, n0); joins != 0 {
+		t.Fatalf("shrinking scenario joined %d peers", joins)
 	}
 }
 
@@ -177,8 +184,8 @@ func TestFractionalRatesNonDividing(t *testing.T) {
 	for step := 0; step < 11; step++ {
 		r2.Step(net2, step)
 	}
-	if r2.totalJoins != 7 || r2.totalDrops != 4 {
-		t.Fatalf("joins/drops = %d/%d, want 7/4", r2.totalJoins, r2.totalDrops)
+	if joins, drops := joinsAndDrops(net2, 100); joins != 7 || drops != 4 {
+		t.Fatalf("joins/drops = %d/%d, want 7/4", joins, drops)
 	}
 	if net2.Size() != 103 {
 		t.Fatalf("size = %d, want 103", net2.Size())
@@ -190,10 +197,7 @@ func TestShockAtStepZero(t *testing.T) {
 	// churn, on the untouched initial overlay.
 	net := newNet(100, 25)
 	s := Scenario{TotalSteps: 10, Events: []Event{{Step: 0, RemoveFraction: 0.25}}}
-	r := NewRunner(s, xrand.New(26))
-	if d := r.Step(net, 0); d != -25 {
-		t.Fatalf("step-0 shock delta = %d, want -25", d)
-	}
+	NewRunner(s, xrand.New(26)).Step(net, 0)
 	if net.Size() != 75 {
 		t.Fatalf("size after step-0 shock = %d, want 75", net.Size())
 	}
@@ -215,17 +219,17 @@ func TestRemoveToEmptyFloorsAtOne(t *testing.T) {
 	if net.Size() != 1 {
 		t.Fatalf("size = %d, want exactly 1 after remove-to-empty", net.Size())
 	}
-	if r.totalDrops != 49 {
-		t.Fatalf("drops = %d, want 49", r.totalDrops)
+	if _, drops := joinsAndDrops(net, 50); drops != 49 {
+		t.Fatalf("drops = %d, want 49", drops)
 	}
 }
 
-func TestStepReturnsNetChange(t *testing.T) {
+func TestStepAddsShockPeers(t *testing.T) {
 	net := newNet(100, 19)
 	s := Scenario{TotalSteps: 1, Events: []Event{{Step: 0, AddCount: 3}}}
-	r := NewRunner(s, xrand.New(20))
-	if d := r.Step(net, 0); d != 3 {
-		t.Fatalf("Step delta = %d, want 3", d)
+	NewRunner(s, xrand.New(20)).Step(net, 0)
+	if joins, drops := joinsAndDrops(net, 100); joins != 3 || drops != 0 || net.Size() != 103 {
+		t.Fatalf("joins/drops = %d/%d, size %d; want 3/0, 103", joins, drops, net.Size())
 	}
 }
 
@@ -257,8 +261,8 @@ func TestRunnerReservesItsJoins(t *testing.T) {
 			}
 			ceil := g.IDCeiling()
 			r.AdvanceTo(net, float64(s.TotalSteps))
-			if added := g.NumIDs() - before; ceil-before != added || r.totalJoins != added {
-				t.Fatalf("%s (explicit %v): reserved %d ids, added %d (%d joins)", s.Name, explicit, ceil-before, added, r.totalJoins)
+			if added := g.NumIDs() - before; ceil-before != added {
+				t.Fatalf("%s (explicit %v): reserved %d ids, added %d", s.Name, explicit, ceil-before, added)
 			}
 		}
 	}

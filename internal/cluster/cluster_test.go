@@ -147,8 +147,7 @@ func TestClusterConservesMessages(t *testing.T) {
 // few milliseconds each and are counted in done.
 func slowFamily(done *atomic.Int64) registry.Descriptor {
 	return registry.Descriptor{
-		Name:              "slow",
-		SupportsTransport: true,
+		Name: "slow",
 		New: func(*overlay.Network, *xrand.Rand, registry.Options) (core.Estimator, error) {
 			return slowEstimator{done}, nil
 		},

@@ -34,8 +34,8 @@ type Config struct {
 	Plan *graph.Graph
 	// MaxDeg is the overlay degree cap for joins (0 = 10).
 	MaxDeg int
-	// Estimators is the roster; every descriptor must have
-	// SupportsTransport. Required.
+	// Estimators is the roster; no descriptor may be Snapshot.
+	// Required.
 	Estimators []registry.Descriptor
 	// Opts carries the families' tunable knobs.
 	Opts registry.Options
@@ -145,7 +145,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, errors.New("cluster: Config.Estimators is required")
 	}
 	for _, d := range cfg.Estimators {
-		if !d.SupportsTransport {
+		if d.Snapshot {
 			return nil, fmt.Errorf("cluster: estimator %q does not support the live transport (snapshot-based); drop it from the roster", d.Name)
 		}
 	}

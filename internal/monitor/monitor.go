@@ -197,10 +197,7 @@ type smoother struct {
 	policy Policy
 	// Window state: a fixed-size ring over the last Policy.Window
 	// estimates, allocated once on first use. vals[(head+i)%W] is the
-	// i-th oldest retained estimate. The previous implementation
-	// evicted with vals = vals[1:], which kept the dropped prefix
-	// reachable in the backing array and re-allocated by append on
-	// every eviction — a steady leak-and-churn on long monitor runs.
+	// i-th oldest retained estimate.
 	vals  []float64
 	times []float64
 	head  int

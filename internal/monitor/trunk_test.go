@@ -51,7 +51,7 @@ func monitorRoster(t *testing.T, seed uint64) []Instance {
 	t.Helper()
 	var ins []Instance
 	for _, d := range registry.All() {
-		if !d.SupportsMonitoring {
+		if d.Snapshot {
 			continue
 		}
 		e, err := d.Build(nil, xrand.New(seed+d.StreamOffset), registry.Options{})

@@ -34,12 +34,8 @@ func init() {
 		Class:   "random-walk",
 		Summary: "uniform sampling by continuous-time random walk + inverted birthday paradox (§III-A)",
 		// Θ(√(2lN)·T·d̄) messages per estimation.
-		CostHint:           30,
-		SupportsDynamic:    true,
-		SupportsMonitoring: true,
-		SupportsTransport:  true,
-		InDefaultSet:       true,
-		StreamOffset:       10,
+		InDefaultSet: true,
+		StreamOffset: 10,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
 			cfg := samplecollide.Default()
 			switch {
@@ -63,12 +59,8 @@ func init() {
 		Class:   "random-walk",
 		Summary: "return-time random walk (§II) — the baseline Sample&Collide was chosen over",
 		// Θ(N·d̄/deg) messages per tour: the costliest family by far.
-		CostHint:           100,
-		SupportsDynamic:    true,
-		SupportsMonitoring: true,
-		SupportsTransport:  true,
-		InDefaultSet:       true,
-		StreamOffset:       11,
+		InDefaultSet: true,
+		StreamOffset: 11,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
 			cfg := randomtour.Default()
 			if err := knob(&cfg.Tours, "Tours", o.Tours); err != nil {
@@ -83,12 +75,8 @@ func init() {
 		Class:   "probabilistic-polling",
 		Summary: "gossip a poll, count replies weighted by hop distance (§III-B)",
 		// One gossip spread plus routed replies: ~4N messages.
-		CostHint:           20,
-		SupportsDynamic:    true,
-		SupportsMonitoring: true,
-		SupportsTransport:  true,
-		InDefaultSet:       true,
-		StreamOffset:       12,
+		InDefaultSet: true,
+		StreamOffset: 12,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
 			cfg := hopssampling.Default()
 			if err := knob(&cfg.MinHopsReporting, "MinHops", o.MinHops); err != nil {
@@ -105,11 +93,7 @@ func init() {
 		// N·rounds·2 messages per epoch — cheap per node, huge per
 		// estimate, which is why its suggested monitoring cadence is 10x
 		// the base tick.
-		CostHint:           200,
-		SupportsDynamic:    true,
-		SupportsMonitoring: true,
-		SupportsTransport:  true,
-		InDefaultSet:       true,
+		InDefaultSet: true,
 		// Cyclon-backed in deployment, where exchanges rewire views;
 		// it declares so (MutatesOverlay), which only the monitor's
 		// replay-group count reads.
@@ -130,11 +114,9 @@ func init() {
 		Summary: "identifier-density estimation on a structured ring (§II's interval-density class)",
 		// k probes against a precomputed ring: the cheapest family, but
 		// the ring is a membership snapshot, so it is unsound the moment
-		// the overlay churns — hence no dynamic/monitoring support.
-		CostHint:           5,
-		SupportsDynamic:    false,
-		SupportsMonitoring: false,
-		StreamOffset:       14,
+		// the overlay churns: it is snapshot-based.
+		Snapshot:     true,
+		StreamOffset: 14,
 		New: func(net *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
 			ring := o.Ring
 			if ring == nil {
@@ -152,11 +134,7 @@ func init() {
 		Class:   "probabilistic-polling",
 		Summary: "flood a probe, count replies sent with fixed probability (§II's plain polling)",
 		// One flood plus ~pN routed replies.
-		CostHint:           15,
-		SupportsDynamic:    true,
-		SupportsMonitoring: true,
-		SupportsTransport:  true,
-		StreamOffset:       15,
+		StreamOffset: 15,
 		New: func(_ *overlay.Network, rng *xrand.Rand, _ Options) (core.Estimator, error) {
 			return polling.New(polling.Default(), rng), nil
 		},
@@ -169,10 +147,6 @@ func init() {
 		// N·rounds messages per epoch — half of push-pull's round price,
 		// still an epoch per estimate, so it shares Aggregation's slow
 		// suggested monitoring cadence.
-		CostHint:           150,
-		SupportsDynamic:    true,
-		SupportsMonitoring: true,
-		SupportsTransport:  true,
 		// Same cyclon-backed epidemic class as aggregation.
 		StreamOffset: 16,
 		New: func(_ *overlay.Network, rng *xrand.Rand, o Options) (core.Estimator, error) {
@@ -191,11 +165,7 @@ func init() {
 		Summary: "mark a walk-sampled set, re-sample, extrapolate from the overlap (Lincoln–Petersen, Chapman-corrected)",
 		// (capture + recapture draws)·T·d̄ walk hops per estimation —
 		// fixed cost, accuracy degrades (instead of cost growing) with N.
-		CostHint:           25,
-		SupportsDynamic:    true,
-		SupportsMonitoring: true,
-		SupportsTransport:  true,
-		StreamOffset:       17,
+		StreamOffset: 17,
 		New: func(_ *overlay.Network, rng *xrand.Rand, _ Options) (core.Estimator, error) {
 			return capturerecapture.New(capturerecapture.Default(), rng), nil
 		},
@@ -208,11 +178,7 @@ func init() {
 		// Probes·(log₂N + k) messages per estimation: cheap, and —
 		// unlike idspace's snapshot ring — sound under churn, because
 		// identifiers are hashed from stable node IDs.
-		CostHint:           10,
-		SupportsDynamic:    true,
-		SupportsMonitoring: true,
-		SupportsTransport:  true,
-		StreamOffset:       18,
+		StreamOffset: 18,
 		New: func(_ *overlay.Network, rng *xrand.Rand, _ Options) (core.Estimator, error) {
 			return dhtext.New(dhtext.Default(), rng), nil
 		},

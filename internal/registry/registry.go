@@ -1,8 +1,8 @@
 // Package registry is the estimator catalog: every size-estimation
-// family the repo implements is described once — name, factory,
-// capability flags, relative cost — and every other layer (the
-// experiment harness, the monitor, both CLIs, the public API) selects
-// estimators from the catalog instead of hard-wiring constructor calls.
+// family the repo implements is described once — name, factory, whether
+// it is snapshot-based — and every other layer (the experiment harness,
+// the monitor, both CLIs, the public API) selects estimators from the
+// catalog instead of hard-wiring constructor calls.
 // Adding an estimator family therefore means registering one Descriptor;
 // the comparative figures, the monitoring roster and the -estimators
 // flags pick it up without touching their code.
@@ -82,24 +82,12 @@ type Descriptor struct {
 	Class string
 	// Summary is a one-line description for listings.
 	Summary string
-	// CostHint ranks families by relative message cost per estimation
-	// (1 = cheapest). Scheduling and documentation only — never output.
-	CostHint int
-	// SupportsDynamic marks families that stay sound on a churning
-	// overlay (snapshot-based families like id-density do not: their
-	// precomputed state goes stale the moment membership changes).
-	SupportsDynamic bool
-	// SupportsMonitoring marks families the continuous monitor may
-	// sample; implies SupportsDynamic-style robustness plus a bounded
-	// per-estimate cost.
-	SupportsMonitoring bool
-	// SupportsTransport marks families whose estimates stay sound when
-	// the overlay's metered sends are carried by a real transport (the
-	// live-cluster runtime). Snapshot-based families that precompute
-	// state from a frozen membership view (id-density) do not qualify:
-	// a live cluster's membership is owned by the daemons, not the
-	// snapshot.
-	SupportsTransport bool
+	// Snapshot marks a family that derives its state from a frozen
+	// membership view (id-density's identifier ring): it goes stale the
+	// moment the overlay churns, so neither the continuous monitor nor
+	// the live-cluster runtime may run it. The zero value is a family
+	// that follows the overlay it is handed.
+	Snapshot bool
 	// InDefaultSet marks the paper's head-to-head monitoring roster
 	// (Sample&Collide, Random Tour, HopsSampling, Aggregation).
 	InDefaultSet bool
@@ -316,8 +304,8 @@ func ParseCadenceSpec(spec string, base float64) (float64, map[string]float64, e
 }
 
 // MonitoringCadences is the monitoring-roster rule, applied by every
-// layer that hands a roster to the monitor: each family must support
-// continuous monitoring, ParseCadenceSpec's per-family overrides are
+// layer that hands a roster to the monitor: no family may be
+// snapshot-based, ParseCadenceSpec's per-family overrides are
 // laid out per roster slot (0 = the base cadence), and an override
 // naming a family outside the roster is rejected — it would silently
 // measure a configuration the caller never asked for. Orphans are
@@ -326,7 +314,7 @@ func MonitoringCadences(roster []Descriptor, overrides map[string]float64) ([]fl
 	cadences := make([]float64, len(roster))
 	selected := make(map[string]bool, len(roster))
 	for i, d := range roster {
-		if !d.SupportsMonitoring {
+		if d.Snapshot {
 			return nil, fmt.Errorf("registry: estimator %q does not support continuous monitoring (snapshot-based)", d.Name)
 		}
 		selected[d.Name] = true

@@ -102,8 +102,8 @@ func TestDefaultSetIsTheMonitoringRoster(t *testing.T) {
 			t.Fatalf("DefaultSet()[%d] = %q, want %q (order is part of the stream-offset contract)", i, got[i], want[i])
 		}
 		d, _ := Get(want[i])
-		if !d.SupportsMonitoring {
-			t.Fatalf("%s is in the default set but does not support monitoring", want[i])
+		if d.Snapshot {
+			t.Fatalf("%s is in the default set but is snapshot-based", want[i])
 		}
 	}
 }
@@ -124,7 +124,7 @@ func TestStreamOffsetsAreFrozen(t *testing.T) {
 }
 
 // TestNewFamilyDescriptors pins the PR-5 families' contract: fresh
-// frozen offsets (asserted above), churn-capable capability flags, and
+// frozen offsets (asserted above), none of them snapshot-based, and
 // — critically — absence from the paper's default head-to-head roster,
 // which is what keeps the default-roster experiment checksums
 // byte-identical across the registry growth.
@@ -136,8 +136,8 @@ func TestNewFamilyDescriptors(t *testing.T) {
 		if d.InDefaultSet {
 			t.Fatalf("%s must not join the default roster (frozen checksums)", name)
 		}
-		if !d.SupportsDynamic || !d.SupportsMonitoring {
-			t.Fatalf("%s must support dynamic overlays and monitoring", name)
+		if d.Snapshot {
+			t.Fatalf("%s must follow a churning overlay, not be snapshot-based", name)
 		}
 		if d.Class != class {
 			t.Fatalf("%s class = %q, want %q", name, d.Class, class)
@@ -354,7 +354,7 @@ func TestIDSpaceNeedsRingOrOverlay(t *testing.T) {
 	if _, err := d.New(nil, xrand.New(1), Options{}); err == nil {
 		t.Fatal("nil overlay without a ring accepted")
 	}
-	if d.SupportsMonitoring || d.SupportsDynamic {
-		t.Fatal("idspace is snapshot-based; it must not advertise churn support")
+	if !d.Snapshot {
+		t.Fatal("idspace is snapshot-based; it must say so")
 	}
 }

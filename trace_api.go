@@ -183,9 +183,10 @@ func ReadTraceCSV(r io.Reader) (*Trace, error) {
 	return &Trace{tr: tr}, nil
 }
 
-// ReadTraceFile loads a trace from a file, dispatching on the
-// extension: ".csv" (any case) reads the CSV form, everything else the
-// JSON form.
+// ReadTraceFile loads a trace from a file. Gzip is detected from the
+// content, and so is the CSV or JSON form; the extension (a trailing
+// ".gz" stripped) breaks the tie only for content neither form opens
+// with: ".csv" reads CSV, everything else JSON.
 func ReadTraceFile(path string) (*Trace, error) {
 	tr, err := trace.ReadFile(path)
 	if err != nil {
