@@ -22,8 +22,9 @@ type ClusterOptions struct {
 	MaxDegree int
 	// Seed fixes the plan construction and every estimator stream.
 	Seed uint64
-	// Estimators selects families by registry name/alias; empty means
-	// the default monitoring roster.
+	// Estimators selects families by registry name or alias only; nil
+	// or empty selects the default monitoring roster. The CLIs' "all"
+	// and "default" selectors are not names and are rejected here.
 	Estimators []string
 	// Samples is the estimations per family (0 = 3; negative is
 	// rejected).

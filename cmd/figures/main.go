@@ -13,13 +13,16 @@
 // stable there); -scale 1 runs the paper's 100,000 / 1,000,000 node
 // workloads, which takes considerably longer.
 //
+// Every experiment is a fixed comparison: the same candidates on the
+// same inputs at every run. A custom roster, per-family cadences, a fault
+// scenario or an empirical trace file is a run of p2psize -trace.
+//
 // Examples:
 //
 //	figures                        # all experiments, 1/10 scale, ./out
 //	figures -only fig05,table1     # a subset
 //	figures -workers 8             # cap the worker pool
 //	figures -scale 1 -out paperout # paper-scale reproduction
-//	figures -tracefile churn.csv   # monitor an empirical churn trace too
 package main
 
 import (
@@ -28,29 +31,21 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"p2psize/internal/experiments"
-	"p2psize/internal/fault"
 	"p2psize/internal/plot"
 	"p2psize/internal/prof"
-	"p2psize/internal/registry"
-	"p2psize/internal/trace"
 )
 
 func main() {
 	var (
-		outDir     = flag.String("out", "out", "output directory")
-		scale      = flag.Int("scale", 10, "divide the paper's node counts by this factor (1 = the paper's full scale)")
-		only       = flag.String("only", "", "comma-separated experiment ids (default: all)")
-		seed       = flag.Uint64("seed", 1, "simulation seed")
-		workers    = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential); output is identical at any setting")
-		ascii      = flag.Bool("ascii", true, "print ASCII previews")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		traceFile  = flag.String("tracefile", "", "also run the continuous monitor on this empirical churn trace (.json or .csv, optionally .gz), reported as experiment trace-file")
-		estimators = flag.String("estimators", "", "estimator roster of the trace-* monitoring experiments: comma-separated registry names/aliases, \"all\" or \"default\" (empty = default roster); part of the output")
-		cadences   = flag.String("cadences", "", "monitor cadence spec for the trace-* experiments: base tick and/or name=value overrides, e.g. \"agg=100\" or \"5,agg=50\"; part of the output")
-		faults     = flag.String("faults", "", "fault scenario every estimator runs under, e.g. \"drop=0.05,delay=2x,partition@40-60\" (empty = benign; the robustness-* experiments keep their own scenarios); part of the output")
+		outDir  = flag.String("out", "out", "output directory")
+		scale   = flag.Int("scale", 10, "divide the paper's node counts by this factor (1 = the paper's full scale)")
+		only    = flag.String("only", "", "comma-separated experiment ids (default: all)")
+		seed    = flag.Uint64("seed", 1, "simulation seed")
+		workers = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential); output is identical at any setting")
+		ascii   = flag.Bool("ascii", true, "print ASCII previews")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
@@ -75,30 +70,6 @@ func main() {
 	params := experiments.Scaled(*scale)
 	params.Seed = *seed
 	params.Workers = *workers
-	if *estimators != "" {
-		roster, err := registry.Parse(*estimators)
-		if err != nil {
-			fatal(err)
-		}
-		for _, d := range roster {
-			params.Estimators = append(params.Estimators, d.Name)
-		}
-	}
-	if *cadences != "" {
-		base, per, err := registry.ParseCadenceSpec(*cadences, params.TraceCadence)
-		if err != nil {
-			fatal(err)
-		}
-		params.TraceCadence = base
-		params.Cadences = per
-	}
-	if *faults != "" {
-		spec, err := fault.ParseSpec(*faults)
-		if err != nil {
-			fatal(err)
-		}
-		params.Faults = spec
-	}
 
 	var ids []string
 	if *only != "" {
@@ -109,41 +80,10 @@ func main() {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatal(err)
 	}
-	// Load and validate the empirical trace up front: a typo in the path
-	// or a horizon too short for the monitor cadence must fail fast, not
-	// after hours of suite experiments.
-	var loadedTrace *trace.Trace
-	if *traceFile != "" {
-		var err error
-		if loadedTrace, err = trace.ReadFile(*traceFile); err != nil {
-			fatal(err)
-		}
-		if loadedTrace.Horizon < params.TraceCadence {
-			fatal(fmt.Errorf("trace %s: horizon %g is shorter than the monitor cadence %g; no sample would be taken",
-				*traceFile, loadedTrace.Horizon, params.TraceCadence))
-		}
-	}
-
 	report, figs, runErr := experiments.RunSuite(ids, params)
 	if len(ids) == 0 {
 		ids = experiments.IDs()
 	}
-	if loadedTrace != nil {
-		// The empirical-trace monitor runs after the suite (its input is
-		// external, so it is not in the registry) and is appended to the
-		// report like any other experiment.
-		start := time.Now()
-		fig, err := experiments.RunTraceFigure("trace-file", loadedTrace, params)
-		if err != nil {
-			fatal(err)
-		}
-		wall := time.Since(start)
-		ids = append(ids, fig.ID)
-		figs[fig.ID] = fig
-		report.Experiments = append(report.Experiments, experiments.Summarize(fig, wall))
-		report.TotalWallMS += float64(wall.Microseconds()) / 1000
-	}
-
 	var notes strings.Builder
 	fmt.Fprintf(&notes, "# Measured notes (seed %d, N100k=%d, N1M=%d)\n\n",
 		params.Seed, params.N100k, params.N1M)

@@ -51,11 +51,15 @@ func runMain(t *testing.T, args string) (int, string) {
 }
 
 // TestRemovedFlagsExit2: the shard count and the shuffle mode are the
-// engine's to derive, not options, and -scale 1 is the paper's full
-// scale; naming any of their flags is an unknown flag, rejected before
-// any experiment runs.
+// engine's to derive, not options, -scale 1 is the paper's full scale,
+// and a custom roster, cadence mix, fault scenario or trace file is a
+// run of p2psize -trace; naming any of their flags is an unknown flag,
+// rejected before any experiment runs.
 func TestRemovedFlagsExit2(t *testing.T) {
-	for _, args := range []string{"-shards 4", "-shuffle global", "-full"} {
+	for _, args := range []string{
+		"-shards 4", "-shuffle global", "-full",
+		"-faults drop=0.1", "-estimators sc", "-cadences 5", "-tracefile x.csv",
+	} {
 		if code, out := runMain(t, args); code != 2 || !strings.Contains(out, "flag provided but not defined") {
 			t.Errorf("%s: exit status %d, want 2 with an unknown-flag error; output:\n%s", args, code, out)
 		}

@@ -80,7 +80,7 @@ func main() {
 		window    = flag.Int("window", 10, "window smoothing length")
 		alpha     = flag.Float64("alpha", 0.3, "EWMA smoothing weight")
 		restart   = flag.Float64("restart-jump", 0, "restart smoothing when a raw estimate jumps by this relative fraction (0 = off)")
-		saveTrace = flag.String("save-trace", "", "write the trace to this path (.json or .csv) before monitoring")
+		saveTrace = flag.String("save-trace", "", "write the trace to this path (.json or .csv, optionally .gz) before monitoring")
 	)
 	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()

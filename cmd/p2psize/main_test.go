@@ -72,8 +72,10 @@ func TestListMarksSnapshot(t *testing.T) {
 }
 
 // TestGzippedTraceReplays: -trace reads a gzipped CSV or JSON trace
-// file (t.csv.gz, t.json.gz) to the plain file's report, and a spec
-// that is neither a workload nor such a file is still an unknown trace.
+// file (t.csv.gz, t.json.gz) to the plain file's report, -save-trace
+// x.csv.gz and x.json.gz write gzip streams that replay to the same
+// report, and a spec that is neither a workload nor such a file is
+// still an unknown trace.
 func TestGzippedTraceReplays(t *testing.T) {
 	tr, err := p2psize.GenerateTrace(p2psize.TraceOptions{Nodes: 300, Horizon: 60, Seed: 3})
 	if err != nil {
@@ -107,6 +109,21 @@ func TestGzippedTraceReplays(t *testing.T) {
 		code, got, stderr := runMain(t, args+path+".gz")
 		if code != 0 || got != want {
 			t.Errorf("%s.gz: exit status %d, report\n%s\nwant the plain file's\n%s\nstderr:\n%s", path, code, got, want, stderr)
+		}
+		saved := filepath.Join(dir, "x."+form+".gz")
+		if code, _, stderr := runMain(t, args+path+" -save-trace "+saved); code != 0 {
+			t.Fatalf("-save-trace %s: exit status %d; stderr:\n%s", saved, code, stderr)
+		}
+		b, err := os.ReadFile(saved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+			t.Errorf("-save-trace %s starts % x, want the gzip magic 1f 8b", saved, b[:min(len(b), 2)])
+		}
+		code, got, stderr = runMain(t, args+saved)
+		if code != 0 || got != want {
+			t.Errorf("%s: exit status %d, report\n%s\nwant the plain file's\n%s\nstderr:\n%s", saved, code, got, want, stderr)
 		}
 	}
 	code, _, stderr := runMain(t, "-nodes 200 -trace weibull.gz")
@@ -156,6 +173,9 @@ func TestErrLine(t *testing.T) {
 	}
 }
 
+// TestValidateModes: the fault scenarios each mode accepts. A row with
+// prints set is also run, at -workers 1 and 8: both runs print that
+// line, and the same bytes.
 func TestValidateModes(t *testing.T) {
 	parse := func(spec string) p2psize.FaultOptions {
 		f, err := p2psize.ParseFaults(spec)
@@ -169,11 +189,12 @@ func TestValidateModes(t *testing.T) {
 		trace, faults string
 		horizon       float64 // 0 = the flag's default
 		want          string  // substring of the error; "" = accepted
+		prints        string  // a line the run prints; "" = not run
 	}{
 		{name: "static"},
 		{name: "monitoring", trace: "weibull", faults: "drop=0.05,silent=0.1"},
 		{name: "partition without -trace", faults: "partition=0.5@0.4-0.6", want: "needs a timeline"},
-		{name: "partition on a trace", trace: "weibull", faults: "partition=0.5@0.4-0.6"},
+		{name: "partition on a trace", trace: "weibull", faults: "partition=0.5@40-60", prints: "partition folded onto trace"},
 		{name: "sybils while monitoring", trace: "weibull", faults: "sybil=0.1", want: "sybil inflation conflicts"},
 		{name: "sybils, static", faults: "sybil=0.1"},
 		{name: "NaN horizon", trace: "weibull", horizon: math.NaN(), want: "-horizon NaN must be positive and finite"},
@@ -191,6 +212,17 @@ func TestValidateModes(t *testing.T) {
 			t.Errorf("%s: rejected: %v", c.name, err)
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+		if c.prints == "" {
+			continue
+		}
+		args := "-nodes 300 -estimators sc,hops,agg -horizon 100 -trace " + c.trace + " -faults " + c.faults + " -workers "
+		code, want, stderr := runMain(t, args+"1")
+		if code != 0 || !strings.Contains(want, c.prints) {
+			t.Errorf("%s: exit status %d, output lacks %q:\n%s\nstderr:\n%s", c.name, code, c.prints, want, stderr)
+		}
+		if code, got, stderr := runMain(t, args+"8"); code != 0 || got != want {
+			t.Errorf("%s: -workers 8: exit status %d, output\n%s\nwant the -workers 1 output\n%s\nstderr:\n%s", c.name, code, got, want, stderr)
 		}
 	}
 }

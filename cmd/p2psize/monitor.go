@@ -5,7 +5,9 @@ package main
 // a cadence, reporting per-estimator tracking metrics.
 
 import (
+	"compress/gzip"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,7 +45,7 @@ type monitorOpts struct {
 // else from the option set; the initial population of a loaded trace
 // overrides -nodes.
 func buildTrace(o monitorOpts) (*p2psize.Trace, error) {
-	if ext := filepath.Ext(strings.TrimSuffix(strings.ToLower(o.traceSpec), ".gz")); ext == ".json" || ext == ".csv" {
+	if ext, _ := traceFormat(o.traceSpec); ext == ".json" || ext == ".csv" {
 		return p2psize.ReadTraceFile(o.traceSpec)
 	}
 	base := p2psize.TraceOptions{
@@ -106,6 +108,43 @@ func buildTrace(o monitorOpts) (*p2psize.Trace, error) {
 	return p2psize.GenerateTrace(base)
 }
 
+// traceFormat is the naming rule of both -trace files and -save-trace:
+// a trailing ".gz" (any case) marks a gzip stream, and the extension
+// before it, lower-cased, names the form.
+func traceFormat(path string) (ext string, gzipped bool) {
+	name := strings.ToLower(path)
+	base := strings.TrimSuffix(name, ".gz")
+	return filepath.Ext(base), base != name
+}
+
+// saveTrace writes tr to path in the form traceFormat reads off the
+// name: CSV for ".csv", JSON for any other name, gzipped under ".gz".
+func saveTrace(tr *p2psize.Trace, path string) error {
+	ext, gzipped := traceFormat(path)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	var w io.Writer = f
+	var zw *gzip.Writer
+	if gzipped {
+		zw = gzip.NewWriter(f)
+		w = zw
+	}
+	if ext == ".csv" {
+		err = tr.WriteCSV(w)
+	} else {
+		err = tr.WriteJSON(w)
+	}
+	if zw != nil && err == nil {
+		err = zw.Close()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 func parsePolicy(s string) (p2psize.SmoothingPolicy, error) {
 	switch strings.ToLower(s) {
 	case "none", "oneshot":
@@ -144,19 +183,7 @@ func runMonitor(o monitorOpts, specs []estimatorSpec) error {
 		return fmt.Errorf("-restart-jump needs smoothing state to discard; use -policy window or -policy ewma")
 	}
 	if o.saveTrace != "" {
-		f, err := os.Create(o.saveTrace)
-		if err != nil {
-			return err
-		}
-		if strings.HasSuffix(o.saveTrace, ".csv") {
-			err = tr.WriteCSV(f)
-		} else {
-			err = tr.WriteJSON(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := saveTrace(tr, o.saveTrace); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s\n", o.saveTrace)

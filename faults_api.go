@@ -29,8 +29,8 @@ import (
 // and the "partition" trace workload realize them.
 type FaultOptions = fault.Spec
 
-// ParseFaults parses the comma-separated fault scenario grammar both
-// CLIs accept:
+// ParseFaults parses the comma-separated fault scenario grammar
+// p2psize -faults accepts:
 //
 //	drop=0.05            5% of messages are lost
 //	delay=2x             message delays doubled ("2" works too)

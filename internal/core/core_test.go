@@ -40,28 +40,28 @@ func (f *fakeEstimator) Estimate(net *overlay.Network) (float64, error) {
 // runStatic drives one stateful estimator through RunStaticParallel on a
 // single worker: the runs execute in index order, so a scripted
 // estimator sees them as consecutive calls.
-func runStatic(e Estimator, net *overlay.Network, runs, lastK int) (*StaticResult, error) {
-	return RunStaticParallel(func(int) Estimator { return e }, net, runs, lastK, 1)
+func runStatic(e Estimator, net *overlay.Network, runs int) (*StaticResult, error) {
+	return RunStaticParallel(func(int) Estimator { return e }, net, runs, 1)
 }
 
 func TestRunStaticSmoothingAndOverhead(t *testing.T) {
 	net := hetNet(100, 1)
 	fe := &fakeEstimator{name: "fake", vals: []float64{80, 120, 100}, cost: 7}
-	res, err := runStatic(fe, net, 6, 3)
+	res, err := runStatic(fe, net, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Name != "fake" || res.TrueSize != 100 {
 		t.Fatalf("header: %+v", res)
 	}
-	wantRaw := []float64{80, 120, 100, 80, 120, 100}
-	for i, w := range wantRaw {
-		if res.Estimates[i] != w {
-			t.Fatalf("Estimates[%d] = %g", i, res.Estimates[i])
+	for i, e := range res.Estimates {
+		if w := fe.vals[i%3]; e != w {
+			t.Fatalf("Estimates[%d] = %g, want %g", i, e, w)
 		}
 	}
-	// Window of 3: entry 4 averages {100, 80, 120} = 100.
-	if res.Smoothed[0] != 80 || math.Abs(res.Smoothed[1]-100) > 1e-12 || math.Abs(res.Smoothed[4]-100) > 1e-12 {
+	// The paper's window of LastK = 10: entry 9 averages all ten runs so
+	// far (980/10), entry 10 drops run 0's 80 (1020/10).
+	if res.Smoothed[0] != 80 || math.Abs(res.Smoothed[9]-98) > 1e-12 || math.Abs(res.Smoothed[10]-102) > 1e-12 {
 		t.Fatalf("Smoothed = %v", res.Smoothed)
 	}
 	for i, o := range res.Overheads {
@@ -77,7 +77,7 @@ func TestRunStaticSmoothingAndOverhead(t *testing.T) {
 func TestRunStaticQualityPct(t *testing.T) {
 	net := hetNet(200, 2)
 	fe := &fakeEstimator{name: "fake", vals: []float64{100, 300}}
-	res, err := runStatic(fe, net, 2, 10)
+	res, err := runStatic(fe, net, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +95,14 @@ func TestRunStaticPropagatesError(t *testing.T) {
 	net := hetNet(10, 3)
 	boom := errors.New("boom")
 	fe := &fakeEstimator{name: "fake", vals: []float64{1}, errs: []error{nil, boom}}
-	if _, err := runStatic(fe, net, 5, 10); !errors.Is(err, boom) {
+	if _, err := runStatic(fe, net, 5); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestRunStaticValidation(t *testing.T) {
 	net := hetNet(10, 4)
-	if _, err := runStatic(&fakeEstimator{name: "f", vals: []float64{1}}, net, 0, 10); err == nil {
+	if _, err := runStatic(&fakeEstimator{name: "f", vals: []float64{1}}, net, 0); err == nil {
 		t.Fatal("runs=0 accepted")
 	}
 }
@@ -111,7 +111,7 @@ func TestRunStaticWithRealEstimator(t *testing.T) {
 	const n = 1000
 	net := hetNet(n, 5)
 	e := samplecollide.New(samplecollide.Config{T: 10, L: 30}, xrand.New(6))
-	res, err := runStatic(e, net, 15, LastK)
+	res, err := runStatic(e, net, 15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,16 +23,13 @@ import (
 // instance.
 //
 // Runs are statistically independent streams rather than one
-// estimator's rng threading through all of them; the lastK smoothing is
-// applied to the collected estimates in run order, preserving the paper's
-// heuristic exactly. Per-run message counts are merged into the overlay's
-// counter in run order afterwards.
-func RunStaticParallel(newEstimator func(run int) Estimator, net *overlay.Network, runs, lastK, workers int) (*StaticResult, error) {
+// estimator's rng threading through all of them; the paper's last-K
+// smoothing (K = LastK) is applied to the collected estimates in run
+// order, preserving its heuristic exactly. Per-run message counts are
+// merged into the overlay's counter in run order afterwards.
+func RunStaticParallel(newEstimator func(run int) Estimator, net *overlay.Network, runs, workers int) (*StaticResult, error) {
 	if runs < 1 {
 		return nil, errors.New("core: RunStaticParallel needs runs >= 1")
-	}
-	if lastK < 1 {
-		lastK = LastK
 	}
 	type runOut struct {
 		name    string // run 0 only
@@ -65,7 +62,7 @@ func RunStaticParallel(newEstimator func(run int) Estimator, net *overlay.Networ
 		Smoothed:  make([]float64, 0, runs),
 		Overheads: make([]uint64, 0, runs),
 	}
-	w := stats.NewWindow(lastK)
+	w := stats.NewWindow(LastK)
 	for _, o := range outs {
 		w.Add(o.est)
 		res.Estimates = append(res.Estimates, o.est)

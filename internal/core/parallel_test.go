@@ -29,7 +29,7 @@ func TestRunStaticParallelWorkerInvariance(t *testing.T) {
 	var counters []uint64
 	for _, workers := range []int{1, 4, 16} {
 		net := parallelTestNet(1000, 5)
-		res, err := RunStaticParallel(scFactory(77), net, runs, LastK, workers)
+		res, err := RunStaticParallel(scFactory(77), net, runs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestRunStaticParallelWorkerInvariance(t *testing.T) {
 
 func TestRunStaticParallelSmoothingMatchesSequentialWindow(t *testing.T) {
 	net := parallelTestNet(800, 9)
-	res, err := RunStaticParallel(scFactory(12), net, 25, 10, 8)
+	res, err := RunStaticParallel(scFactory(12), net, 25, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRunStaticParallelPropagatesLowestRunError(t *testing.T) {
 			xrand.NewStream(4, uint64(run)))
 	}
 	for _, workers := range []int{1, 8} {
-		_, err := RunStaticParallel(factory, net, 10, LastK, workers)
+		_, err := RunStaticParallel(factory, net, 10, workers)
 		if err == nil {
 			t.Fatal("expected budget error")
 		}
@@ -95,7 +95,7 @@ func TestRunStaticParallelPropagatesLowestRunError(t *testing.T) {
 			t.Fatalf("workers=%d: err %q does not name run 0", workers, err)
 		}
 	}
-	if _, err := RunStaticParallel(scFactory(1), net, 0, LastK, 1); err == nil {
+	if _, err := RunStaticParallel(scFactory(1), net, 0, 1); err == nil {
 		t.Fatal("runs=0 must error")
 	}
 }
@@ -111,7 +111,7 @@ func TestRunStaticParallelCallsFactoryOncePerRun(t *testing.T) {
 		res, err := RunStaticParallel(func(run int) Estimator {
 			calls.Add(1)
 			return inner(run)
-		}, parallelTestNet(300, 4), runs, LastK, workers)
+		}, parallelTestNet(300, 4), runs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

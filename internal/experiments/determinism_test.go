@@ -155,11 +155,11 @@ func TestCompareMatchesHandRolledLoop(t *testing.T) {
 	wantNets := []*overlay.Network{build(), build().View()}
 	want := make([]*core.StaticResult, len(cands))
 	for ci, c := range cands {
-		mk, err := perRun("by hand", c.family, wantNets[ci], p, c.seed, c.opts)
+		mk, err := perRun("by hand", c.family, wantNets[ci], c.seed, c.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want[ci], err = core.RunStaticParallel(mk, wantNets[ci], c.runs, core.LastK, 1); err != nil {
+		if want[ci], err = core.RunStaticParallel(mk, wantNets[ci], c.runs, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

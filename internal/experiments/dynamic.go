@@ -11,7 +11,6 @@ import (
 	"p2psize/internal/monitor"
 	"p2psize/internal/overlay"
 	"p2psize/internal/parallel"
-	"p2psize/internal/registry"
 	"p2psize/internal/stats"
 	"p2psize/internal/xrand"
 )
@@ -42,7 +41,7 @@ func init() {
 // is in the figures' frozen checksums.
 func sampleDynamic(fig *Figure, family string, scenario churn.Scenario, every, lastK int, p Params, stream uint64) (*Figure, error) {
 	net := hetNet(p.N100k, p, stream)
-	ins, err := instances(fig.ID, family, 3, p, stream, registry.Options{})
+	ins, err := instances(fig.ID, family, 3, p, stream)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,6 @@ import (
 
 	"p2psize/internal/aggregation"
 	"p2psize/internal/core"
-	"p2psize/internal/fault"
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
@@ -69,24 +68,6 @@ type Params struct {
 	// runtime.NumCPU(), 1 forces sequential execution. Output is
 	// byte-identical at every setting; Workers only changes wall time.
 	Workers int
-	// Estimators optionally restricts the monitored roster of the
-	// trace-* experiments to the named registry families (names or
-	// aliases; nil/empty = the registry's default head-to-head set:
-	// Sample&Collide, Random Tour, HopsSampling, Aggregation). Every
-	// family keeps its own fixed seed-stream offset, so a subset's
-	// series are byte-identical to the same series of a full run.
-	Estimators []string
-	// Cadences optionally gives trace-* estimators their own monitor
-	// sampling cadence, keyed by canonical registry name (e.g.
-	// {"aggregation": 100}); families not listed sample every
-	// TraceCadence time units. Unlike Workers this is part of the
-	// output, not a scheduling knob.
-	Cadences map[string]float64
-	// Faults selects the fault scenario every registry-built estimator
-	// runs under (zero Spec = benign; see fault.ParseSpec for the CLI
-	// grammar). The robustness-* experiments carry their own scenarios
-	// and ignore this. Part of the output, like Cadences.
-	Faults fault.Spec
 	// Transport, when non-nil, carries every overlay's metered sends
 	// (see overlay.SetTransport). The seam is one-way — metering happens
 	// before delivery and delivery errors are ignored — so any transport
@@ -245,26 +226,15 @@ func estimator(id, name string) (registry.Descriptor, error) {
 	return d, nil
 }
 
-// withFaults folds the experiment-wide fault scenario into a family's
-// options; options that already carry their own scenario win (the
-// robustness experiments set them per candidate).
-func withFaults(p Params, opts registry.Options) registry.Options {
-	if !opts.Faults.Enabled() {
-		opts.Faults = p.Faults
-	}
-	return opts
-}
-
 // perRun builds a run-indexed estimator factory for the static run
 // loops: run i draws from the (seed, i) stream regardless of worker
-// scheduling (see registry.Descriptor.PerRun). Params.Faults is folded
-// into the options, so -faults reaches every static experiment.
-func perRun(id, name string, net *overlay.Network, p Params, seed uint64, opts registry.Options) (func(run int) core.Estimator, error) {
+// scheduling (see registry.Descriptor.PerRun).
+func perRun(id, name string, net *overlay.Network, seed uint64, opts registry.Options) (func(run int) core.Estimator, error) {
 	d, err := estimator(id, name)
 	if err != nil {
 		return nil, err
 	}
-	mk, err := d.PerRun(net, seed, withFaults(p, opts))
+	mk, err := d.PerRun(net, seed, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", id, err)
 	}
@@ -305,11 +275,11 @@ func compare(id string, cands []candidate, on func(ci int) *overlay.Network, p P
 	results, err := parallel.Map(outer, len(cands), func(ci int) (*core.StaticResult, error) {
 		c := cands[ci]
 		nets[ci] = on(ci)
-		mk, err := perRun(id+" "+c.name, c.family, nets[ci], p, c.seed, c.opts)
+		mk, err := perRun(id+" "+c.name, c.family, nets[ci], c.seed, c.opts)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.RunStaticParallel(mk, nets[ci], c.runs, core.LastK, inner)
+		res, err := core.RunStaticParallel(mk, nets[ci], c.runs, inner)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", id, c.name, err)
 		}
@@ -320,17 +290,15 @@ func compare(id string, cands []candidate, on func(ci int) *overlay.Network, p P
 
 // instances builds count concurrent instances of one registry family on
 // the streams seed+stream+10+k — the layout every dynamic figure uses
-// for its three side-by-side estimation processes. Params.Faults is
-// folded into the options, like perRun.
-func instances(id, name string, count int, p Params, stream uint64, opts registry.Options) ([]core.Estimator, error) {
+// for its three side-by-side estimation processes.
+func instances(id, name string, count int, p Params, stream uint64) ([]core.Estimator, error) {
 	d, err := estimator(id, name)
 	if err != nil {
 		return nil, err
 	}
-	opts = withFaults(p, opts)
 	out := make([]core.Estimator, count)
 	for k := range out {
-		e, err := d.Build(nil, xrand.New(p.Seed+stream+10+uint64(k)), opts)
+		e, err := d.Build(nil, xrand.New(p.Seed+stream+10+uint64(k)), registry.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", id, err)
 		}

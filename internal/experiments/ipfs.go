@@ -13,9 +13,8 @@ package experiments
 // The trace ships as testdata/ipfs.csv.gz (the standard trace CSV,
 // gzipped) and is embedded so the experiment runs identically from any
 // working directory. Unlike the synthetic trace-* workloads it is a
-// fixed, checked-in input: Params scaling changes the estimator roster
-// and cadences, never the workload, which makes it the stable yardstick
-// for comparing estimator rosters PR over PR.
+// fixed, checked-in input: Params scaling never changes the workload,
+// which makes it the stable yardstick for comparing estimator rosters.
 
 import (
 	"bytes"
@@ -25,6 +24,7 @@ import (
 
 	"p2psize/internal/core"
 	"p2psize/internal/monitor"
+	"p2psize/internal/registry"
 	"p2psize/internal/trace"
 )
 
@@ -57,5 +57,5 @@ func traceIPFS(p Params) (*Figure, error) {
 	}
 	return runTrace("trace-ipfs",
 		"Continuous monitoring under IPFS-calibrated churn (Weibull k=0.45 sessions, diurnal arrivals)",
-		tr, monitor.Policy{Smoothing: monitor.Window, Window: core.LastK}, p, 0x4400)
+		tr, monitor.Policy{Smoothing: monitor.Window, Window: core.LastK}, registry.DefaultSet(), p, 0x4400)
 }

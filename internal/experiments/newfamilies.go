@@ -84,11 +84,9 @@ func traceIPFSAll(p Params) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The full monitoring roster, regardless of Params.Estimators: this
-	// experiment IS the all-families comparison. The stream matches
-	// trace-ipfs, so every family shared with it keeps bit-equal series.
-	p.Estimators = append([]string(nil), monitoringRoster...)
+	// The stream matches trace-ipfs, so every family shared with it
+	// keeps bit-equal series.
 	return runTrace("trace-ipfs-all",
 		"Continuous monitoring under IPFS-calibrated churn: every monitoring-capable family side by side",
-		tr, monitor.Policy{Smoothing: monitor.Window, Window: core.LastK}, p, 0x4400)
+		tr, monitor.Policy{Smoothing: monitor.Window, Window: core.LastK}, monitoringRoster, p, 0x4400)
 }

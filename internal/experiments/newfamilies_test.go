@@ -98,16 +98,4 @@ func TestTraceIPFSAllSideBySide(t *testing.T) {
 			t.Fatalf("no series for family %s", name)
 		}
 	}
-	// The roster override is unconditional: a Params.Estimators subset
-	// must not shrink this experiment.
-	p2 := determinismParams(0)
-	p2.Estimators = []string{"sc"}
-	again, err := Run("trace-ipfs-all", p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again.Series) != len(all.Series) {
-		t.Fatalf("Params.Estimators leaked into trace-ipfs-all: %d vs %d series",
-			len(again.Series), len(all.Series))
-	}
 }

@@ -125,7 +125,7 @@ func runRobustness(id, title string, spec fault.Spec, p Params) (*Figure, error)
 		} else {
 			net = baseNet.View()
 		}
-		mkInner, err := perRun(id+" "+c.family, c.family, net, p, p.Seed+c.seed, c.opts)
+		mkInner, err := perRun(id+" "+c.family, c.family, net, p.Seed+c.seed, c.opts)
 		if err != nil {
 			return candOut{}, err
 		}
@@ -210,7 +210,7 @@ func (t tolerant) Estimate(net *overlay.Network) (float64, error) {
 // run keeps its (stream, injector) identity wherever the cut falls.
 func robustEstimates(mk func(run int) core.Estimator, net *overlay.Network, runs int, spec fault.Spec, salt uint64, workers int) ([]float64, error) {
 	if spec.PartitionFrac <= 0 {
-		res, err := core.RunStaticParallel(mk, net, runs, core.LastK, workers)
+		res, err := core.RunStaticParallel(mk, net, runs, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -224,7 +224,7 @@ func robustEstimates(mk func(run int) core.Estimator, net *overlay.Network, runs
 			return nil
 		}
 		mkOff := func(run int) core.Estimator { return mk(run + off) }
-		res, err := core.RunStaticParallel(mkOff, net, count, core.LastK, workers)
+		res, err := core.RunStaticParallel(mkOff, net, count, workers)
 		if err != nil {
 			return err
 		}

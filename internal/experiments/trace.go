@@ -5,11 +5,15 @@ package experiments
 // size of a live, churning network. These experiments replay realistic
 // churn traces (heavy-tailed session lengths, diurnal load, flash
 // crowds, and the IPFS-calibrated empirical workload) through the
-// monitor subsystem and compare how well the selected estimator roster
-// (Params.Estimators; default: Sample&Collide, Random Tour,
-// HopsSampling, Aggregation) tracks the true size, at what message
-// budget and staleness — each family optionally on its own sampling
-// cadence (Params.Cadences).
+// monitor subsystem and compare how well a fixed roster (the registry's
+// default set: Sample&Collide, Random Tour, HopsSampling, Aggregation;
+// every monitoring family for trace-ipfs-all) tracks the true size, at
+// what message budget and staleness, every family on one cadence. The
+// default set adds Random Tour, the walk baseline the study rejected on
+// overhead grounds, to the paper's three candidates: continuous
+// monitoring is exactly the regime where that overhead gap matters. A
+// custom roster, per-family cadences, faults or a trace file are runs of
+// p2psize -trace, not experiments.
 
 import (
 	"fmt"
@@ -30,23 +34,10 @@ func init() {
 	register("trace-flashcrowd", traceFlashcrowd)
 }
 
-// traceInstances builds the monitored roster from the registry: the
-// families named by Params.Estimators (default: the paper's three
-// head-to-head algorithms plus Random Tour, the random-walk baseline
-// the study rejected on overhead grounds — continuous monitoring is
-// exactly the regime where that overhead gap matters). Each family's
-// rng derives from its fixed StreamOffset and each carries its
-// Params.Cadences override, so both the selection and the cadence mix
-// leave every other family's series untouched.
-func traceInstances(p Params, stream uint64) ([]monitor.Instance, error) {
-	roster, err := registry.Resolve(p.Estimators)
-	if err != nil {
-		return nil, err
-	}
-	cadences, err := registry.MonitoringCadences(roster, p.Cadences)
-	if err != nil {
-		return nil, err
-	}
+// traceInstances builds the monitored roster from the registry. Each
+// family's rng derives from its fixed StreamOffset, so a family's series
+// is the same in every roster it appears in.
+func traceInstances(id string, roster []string, p Params, stream uint64) ([]monitor.Instance, error) {
 	// The instances fan out inside the monitor; the Aggregation epochs
 	// shard their sweeps with the leftover budget.
 	_, inner := parallel.Split(p.Workers, len(roster))
@@ -56,39 +47,29 @@ func traceInstances(p Params, stream uint64) ([]monitor.Instance, error) {
 		Workers: inner,
 	}
 	out := make([]monitor.Instance, len(roster))
-	for i, d := range roster {
-		e, err := d.Build(nil, xrand.New(p.Seed+stream+d.StreamOffset), withFaults(p, opts))
+	for i, name := range roster {
+		d, err := estimator(id, name)
 		if err != nil {
-			return nil, fmt.Errorf("estimator %q: %w", d.Name, err)
+			return nil, err
 		}
-		out[i] = monitor.Instance{Estimator: e, Cadence: cadences[i]}
+		e, err := d.Build(nil, xrand.New(p.Seed+stream+d.StreamOffset), opts)
+		if err != nil {
+			return nil, fmt.Errorf("%s: estimator %q: %w", id, d.Name, err)
+		}
+		out[i] = monitor.Instance{Estimator: e}
 	}
 	return out, nil
 }
 
 // runTrace is the shared body of the trace experiments: replay tr on
-// per-estimator clones of a fresh heterogeneous overlay, sample each
-// roster member on its cadence under the given policy, and report
-// tracking series plus per-estimator metrics.
-func runTrace(id, title string, tr *trace.Trace, policy monitor.Policy, p Params, stream uint64) (*Figure, error) {
-	// A Params.Faults partition clause composes onto ANY trace workload:
-	// the spec's lo-hi window scales to the trace's own horizon. Folded
-	// onto a copy — callers may share one trace across experiments, and
-	// AddPartitionHeal rewrites the event list in place.
-	if f := p.Faults; f.PartitionFrac > 0 {
-		cp := *tr
-		cp.Events = append([]trace.Event(nil), tr.Events...)
-		if err := cp.AddPartitionHeal(f.PartitionLo*tr.Horizon, f.PartitionHi*tr.Horizon,
-			f.PartitionFrac, xrand.New(p.Seed+stream+2)); err != nil {
-			return nil, fmt.Errorf("%s: %w", id, err)
-		}
-		cp.Name += "+partition"
-		tr = &cp
-	}
+// one fresh heterogeneous overlay, sample each roster member every
+// TraceCadence under the given policy, and report tracking series plus
+// per-estimator metrics.
+func runTrace(id, title string, tr *trace.Trace, policy monitor.Policy, roster []string, p Params, stream uint64) (*Figure, error) {
 	net := hetNet(tr.Initial, p, stream)
-	ins, err := traceInstances(p, stream)
+	ins, err := traceInstances(id, roster, p, stream)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
+		return nil, err
 	}
 	res, err := monitor.RunScheduled(ins, net, tr, monitor.Config{
 		Cadence: p.TraceCadence,
@@ -117,12 +98,6 @@ func runTrace(id, title string, tr *trace.Trace, policy monitor.Policy, p Params
 				res.Failures[k], res.Restarts[k])
 		}
 	}
-	for k, name := range res.Names {
-		if res.Cadences[k] != p.TraceCadence {
-			fig.AddNote("%s sampled every %g time units (%d estimations; base cadence %g)",
-				name, res.Cadences[k], res.Scheduled[k], p.TraceCadence)
-		}
-	}
 	fig.AddNote("trace %q: %d initial, %d joins, %d leaves over horizon %g; policy %s, cadence %g",
 		tr.Name, tr.Initial, tr.Joins(), tr.Leaves(), tr.Horizon, res.Policy, p.TraceCadence)
 	fig.Messages = net.Counter().Total()
@@ -144,7 +119,7 @@ func traceWeibull(p Params) (*Figure, error) {
 	}
 	return runTrace("trace-weibull",
 		"Continuous monitoring under heavy-tailed (Weibull k=0.5) session churn",
-		tr, monitor.Policy{Smoothing: monitor.Window, Window: core.LastK}, p, 0x4000)
+		tr, monitor.Policy{Smoothing: monitor.Window, Window: core.LastK}, registry.DefaultSet(), p, 0x4000)
 }
 
 func traceDiurnal(p Params) (*Figure, error) {
@@ -161,7 +136,7 @@ func traceDiurnal(p Params) (*Figure, error) {
 	}
 	return runTrace("trace-diurnal",
 		"Continuous monitoring under diurnal arrivals with lognormal sessions",
-		tr, monitor.Policy{Smoothing: monitor.EWMA, Alpha: 0.3}, p, 0x4100)
+		tr, monitor.Policy{Smoothing: monitor.EWMA, Alpha: 0.3}, registry.DefaultSet(), p, 0x4100)
 }
 
 func traceFlashcrowd(p Params) (*Figure, error) {
@@ -186,20 +161,5 @@ func traceFlashcrowd(p Params) (*Figure, error) {
 	}
 	return runTrace("trace-flashcrowd",
 		"Continuous monitoring through a +50% flash crowd and a -25% mass failure",
-		tr, monitor.Policy{Smoothing: monitor.Window, Window: core.LastK, RestartJump: 0.5}, p, 0x4200)
-}
-
-// RunTraceFigure monitors an externally supplied (e.g. empirical) trace
-// with the standard estimator set and the default window policy,
-// producing a figure in the same shape as the registered trace-*
-// experiments. The overlay is built to the trace's initial population;
-// Params supplies seed, degree cap, cadence and worker budget.
-func RunTraceFigure(id string, tr *trace.Trace, p Params) (*Figure, error) {
-	if tr.Initial < 2 {
-		return nil, fmt.Errorf("experiments: trace %q has %d initial sessions; need >= 2 to build an overlay",
-			tr.Name, tr.Initial)
-	}
-	return runTrace(id,
-		fmt.Sprintf("Continuous monitoring of empirical trace %q", tr.Name),
-		tr, monitor.Policy{Smoothing: monitor.Window, Window: core.LastK}, p, 0x4300)
+		tr, monitor.Policy{Smoothing: monitor.Window, Window: core.LastK, RestartJump: 0.5}, registry.DefaultSet(), p, 0x4200)
 }

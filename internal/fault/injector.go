@@ -54,10 +54,10 @@ type Injector struct {
 
 	liarSalt uint64
 
-	clock     float64 // sequential + timeout latency of the open estimate
-	concMsgs  float64 // concurrent-kind messages of the open estimate
-	aliveAt0  float64 // population at BeginEstimate
-	latencies []float64
+	clock    float64 // sequential + timeout latency of the open estimate
+	concMsgs float64 // concurrent-kind messages of the open estimate
+	aliveAt0 float64 // population at BeginEstimate
+	last     float64 // latency of the last closed estimate
 }
 
 // NewInjector builds an injector for the spec, drawing its delay model
@@ -221,18 +221,13 @@ func (inj *Injector) EndEstimate() float64 {
 	if inj.spec.DelayFactor > 0 {
 		lat *= inj.spec.DelayFactor
 	}
-	inj.latencies = append(inj.latencies, lat)
+	inj.last = lat
 	return lat
 }
 
 // LastLatency returns the most recent estimate's latency (0 before the
 // first EndEstimate).
-func (inj *Injector) LastLatency() float64 {
-	if len(inj.latencies) == 0 {
-		return 0
-	}
-	return inj.latencies[len(inj.latencies)-1]
-}
+func (inj *Injector) LastLatency() float64 { return inj.last }
 
 // Estimator wraps an inner estimator so every Estimate runs under an
 // injector's faults; build one with Decorate.

@@ -5,8 +5,8 @@
 // duplicated traffic, network partitions, and misbehaving peers — so the
 // robustness experiments can rank every estimator family per scenario.
 //
-// A scenario is a Spec, parsed from the compact grammar both CLIs accept
-// ("drop=0.05,delay=2x,partition@40-60"). Message-level faults (drop,
+// A scenario is a Spec, parsed from the compact grammar p2psize -faults
+// accepts ("drop=0.05,delay=2x,partition@40-60"). Message-level faults (drop,
 // delay, duplicate) are enforced by an Injector installed on the overlay
 // as its fault policy: every metered Send/SendN consults it, so every
 // current and future estimator family runs unmodified under faults.

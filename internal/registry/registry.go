@@ -4,8 +4,8 @@
 // the monitor, both CLIs, the public API) selects estimators from the
 // catalog instead of hard-wiring constructor calls.
 // Adding an estimator family therefore means registering one Descriptor;
-// the comparative figures, the monitoring roster and the -estimators
-// flags pick it up without touching their code.
+// the comparative figures, the monitoring roster and p2psize's
+// -estimators flag pick it up without touching their code.
 //
 // Determinism contract: a Factory must derive all randomness from the
 // *xrand.Rand it is handed (one per run or per instance, derived from

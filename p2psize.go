@@ -349,7 +349,7 @@ func RunParallel(newEstimator func(run int) Estimator, n *Network, runs, workers
 		return nil, errors.New("p2psize: RunParallel needs an estimator factory and a network")
 	}
 	res, err := core.RunStaticParallel(func(run int) core.Estimator { return toCore(newEstimator(run)) },
-		n.net, runs, core.LastK, workers)
+		n.net, runs, workers)
 	if err != nil {
 		return nil, fmt.Errorf("p2psize: RunParallel: %w", err)
 	}
