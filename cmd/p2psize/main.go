@@ -75,7 +75,7 @@ func main() {
 
 		traceSpec = flag.String("trace", "", "monitor under churn: weibull | lognormal | exponential | pareto | diurnal | flashcrowd | partition, or a trace file (.json/.csv, optionally .gz)")
 		horizon   = flag.Float64("horizon", 1000, "trace duration in simulated time units (generated traces)")
-		cadence   = flag.String("cadence", "10", "monitor sampling spec: a base tick and/or per-estimator name=value overrides, e.g. \"10\", \"5,agg=50\", \"hops=1,agg=10\"")
+		cadence   = flag.String("cadence", fmt.Sprint(defaultCadence), "monitor sampling spec: a base tick and/or per-estimator name=value overrides, e.g. \"10\", \"5,agg=50\", \"hops=1,agg=10\"")
 		policy    = flag.String("policy", "none", "monitor smoothing: none | window | ewma")
 		window    = flag.Int("window", 10, "window smoothing length")
 		alpha     = flag.Float64("alpha", 0.3, "EWMA smoothing weight")
@@ -132,19 +132,21 @@ func main() {
 	_, cfg.Workers = parallel.Split(*workers, width)
 
 	if *traceSpec != "" {
-		baseCadence, perCadence, err := registry.ParseCadenceSpec(*cadence, 10)
+		baseCadence, perCadence, err := registry.ParseCadenceSpec(*cadence)
 		if err != nil {
 			fatal(err)
+		}
+		if baseCadence == 0 {
+			baseCadence = defaultCadence
 		}
 		cadences, err := registry.MonitoringCadences(roster, perCadence)
 		if err != nil {
 			fatal(err)
 		}
-		specs, err := selectEstimators(roster, cfg, nil, *seed)
+		specs, err := selectEstimators(roster, cfg, nil, fopts, *seed)
 		if err != nil {
 			fatal(err)
 		}
-		specs = withFaultSpecs(specs, fopts, *seed)
 		if err := runMonitor(monitorOpts{
 			traceSpec: *traceSpec, topo: topo, maxDeg: *maxDeg, nodes: *nodes,
 			horizon: *horizon, cadence: baseCadence, cadences: cadences,
@@ -184,11 +186,10 @@ func main() {
 
 	// The registry path hands the overlay to the factories so snapshot-
 	// based families (id-density) can derive their state from it.
-	specs, err := selectEstimators(roster, cfg, net, *seed)
+	specs, err := selectEstimators(roster, cfg, net, fopts, *seed)
 	if err != nil {
 		fatal(err)
 	}
-	specs = withFaultSpecs(specs, fopts, *seed)
 
 	for _, spec := range specs {
 		net.ResetMessages()
@@ -205,32 +206,6 @@ func main() {
 		}
 		reportRun(name, vals, honest, net)
 	}
-}
-
-// withFaultSpecs decorates every spec's per-run factory with the
-// scenario's fault injector when the scenario carries message-level
-// faults. Run r of roster slot i draws its fates from the
-// (seed+5000+i, r) stream, so neither runs nor families ever share a
-// fault stream regardless of worker scheduling.
-func withFaultSpecs(specs []estimatorSpec, f p2psize.FaultOptions, seed uint64) []estimatorSpec {
-	if !f.MessageFaults() {
-		return specs
-	}
-	fmt.Printf("fault scenario: %s\n\n", f)
-	out := make([]estimatorSpec, len(specs))
-	for i, s := range specs {
-		inner := s.make
-		base := seed + 5000 + uint64(i)
-		out[i] = s
-		out[i].make = func(run int) p2psize.Estimator {
-			e, err := p2psize.ApplyFaults(inner(run), f, xrand.NewStream(base, uint64(run)).Uint64())
-			if err != nil {
-				fatal(err) // unreachable: the spec was validated at parse time
-			}
-			return e
-		}
-	}
-	return out
 }
 
 // topologyAliases are the short spellings -topology accepts beside each
@@ -254,14 +229,15 @@ func parseTopology(s string) (p2psize.Topology, error) {
 }
 
 // estimatorSpec names an algorithm and builds one independent estimator
-// per run index; run i's seed is drawn from the (base+offset, i) xrand
-// stream, so runs never share a random stream regardless of worker
-// scheduling and no (seed, run) pair collides with another invocation's
-// (the additive base+offset+f(i) scheme would).
+// per run index (see selectEstimators for its streams).
 type estimatorSpec struct {
 	name string
 	make func(run int) p2psize.Estimator
 }
+
+// defaultCadence is -cadence's default, and the base tick of a spec
+// that names none.
+const defaultCadence = 10
 
 // candidates is -estimators' default: the paper's three candidates, one
 // per counting family (§IV).
@@ -282,10 +258,14 @@ func listEstimators() {
 }
 
 // selectEstimators builds the roster's per-run factories through the
-// registry (net lets snapshot-based families build their state). Run i
-// of a family draws its seed from the (seed+1000+StreamOffset, i)
-// stream.
-func selectEstimators(roster []registry.Descriptor, cfg p2psize.EstimatorConfig, net *p2psize.Network, seed uint64) ([]estimatorSpec, error) {
+// registry (net lets snapshot-based families build their state), under
+// the scenario's message-level faults if it has any. Every stream is
+// keyed by family, never by roster slot, so a family's numbers do not
+// depend on the families beside it: run r draws its estimator seed from
+// the (seed+1000+StreamOffset, r) stream and its fault seed from the
+// (seed+5000+StreamOffset, r) stream. Runs never share a stream,
+// whatever the worker scheduling. A monitored instance is run 0.
+func selectEstimators(roster []registry.Descriptor, cfg p2psize.EstimatorConfig, net *p2psize.Network, f p2psize.FaultOptions, seed uint64) ([]estimatorSpec, error) {
 	specs := make([]estimatorSpec, 0, len(roster))
 	for _, d := range roster {
 		// Validate the configuration once, eagerly — a bad option or a
@@ -297,18 +277,23 @@ func selectEstimators(roster []registry.Descriptor, cfg p2psize.EstimatorConfig,
 		if err != nil {
 			return nil, err
 		}
-		seedBase := seed + 1000 + d.StreamOffset
-		name := d.Name
+		name, seedBase, faultBase := d.Name, seed+1000+d.StreamOffset, seed+5000+d.StreamOffset
 		mk := func(run int) p2psize.Estimator {
 			c := cfg
 			c.Seed = xrand.NewStream(seedBase, uint64(run)).Uint64()
 			e, err := p2psize.NewEstimatorByName(name, c, net)
+			if err == nil && f.MessageFaults() {
+				e, err = p2psize.ApplyFaults(e, f, xrand.NewStream(faultBase, uint64(run)).Uint64())
+			}
 			if err != nil {
-				fatal(err) // unreachable: validated above
+				fatal(err) // unreachable: validated above, and the spec at parse time
 			}
 			return e
 		}
 		specs = append(specs, estimatorSpec{name: probe.Name(), make: mk})
+	}
+	if f.MessageFaults() {
+		fmt.Printf("fault scenario: %s\n\n", f)
 	}
 	return specs, nil
 }

@@ -159,7 +159,7 @@ func TestErrLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := selectEstimators(roster, p2psize.EstimatorConfig{Tours: 10, Workers: 1}, net, 1)
+	specs, err := selectEstimators(roster, p2psize.EstimatorConfig{Tours: 10, Workers: 1}, net, p2psize.FaultOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,4 +360,91 @@ func TestRemovedFlagsExit2(t *testing.T) {
 			t.Errorf("%s: exit status %d, want 2 with an unknown-flag error; stderr:\n%s", args, code, stderr)
 		}
 	}
+}
+
+// TestRosterSlotChangesNothing: a family's numbers do not depend on the
+// families beside it. Every rotation of a roster puts each family in
+// every slot, first and last included, and each family's numbers must
+// be bit-equal to its run alone: monitored (the raw series and message
+// count of RunMonitor on the instances runMonitor builds, every
+// monitoring family) and static (the estimates and message count of
+// RunParallel, every family). The roster comes from selectEstimators,
+// at workers 1 and 8, fault-free and under drop=0.2.
+func TestRosterSlotChangesNothing(t *testing.T) {
+	const nodes, seed = 300, 5
+	net, err := p2psize.NewNetwork(p2psize.NetworkOptions{Nodes: nodes, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := p2psize.GenerateTrace(p2psize.TraceOptions{Nodes: nodes, Horizon: 60, Seed: seed + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop, err := p2psize.ParseFaults("drop=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := registry.All()
+	monitoring := slices.DeleteFunc(slices.Clone(all), func(d registry.Descriptor) bool { return d.Snapshot })
+	for _, f := range []p2psize.FaultOptions{{}, drop} {
+		for _, workers := range []int{1, 8} {
+			cfg := p2psize.EstimatorConfig{Tours: 3, Workers: 1}
+			monitor := func(order []registry.Descriptor) []string {
+				specs, err := selectEstimators(order, cfg, nil, f, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := p2psize.RunMonitor(net, tr, instances(specs), p2psize.MonitorOptions{Cadence: 10, ReplaySeed: seed, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := make([]string, len(order))
+				for k := range order {
+					out[k] = fmt.Sprintf("raw %x, %v messages a time unit", bits(res.RawEstimates(k)), res.Tracking(k).MsgsPerTimeUnit)
+				}
+				return out
+			}
+			static := func(order []registry.Descriptor) []string {
+				specs, err := selectEstimators(order, cfg, net, f, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := make([]string, len(order))
+				for k, spec := range specs {
+					net.ResetMessages()
+					vals, err := p2psize.RunParallel(spec.make, net, 2, workers)
+					out[k] = fmt.Sprintf("estimates %x (%v), %d messages", bits(vals), err, net.Messages())
+				}
+				return out
+			}
+			for mode, c := range map[string]struct {
+				roster []registry.Descriptor
+				run    func([]registry.Descriptor) []string
+			}{"monitored": {monitoring, monitor}, "static": {all, static}} {
+				alone := map[string]string{}
+				for _, d := range c.roster {
+					alone[d.Name] = c.run([]registry.Descriptor{d})[0]
+				}
+				for k := range c.roster {
+					order := append(slices.Clone(c.roster[k:]), c.roster[:k]...)
+					for slot, got := range c.run(order) {
+						if d := order[slot]; got != alone[d.Name] {
+							t.Fatalf("faults %q, workers %d, %s: %s in slot %d of %d reads\n%s\nalone\n%s",
+								f, workers, mode, d.Name, slot, len(order), got, alone[d.Name])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// bits returns the bit patterns of vals, so NaNs compare equal to
+// themselves.
+func bits(vals []float64) []uint64 {
+	out := make([]uint64, len(vals))
+	for i, v := range vals {
+		out[i] = math.Float64bits(v)
+	}
+	return out
 }

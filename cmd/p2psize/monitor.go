@@ -207,10 +207,7 @@ func runMonitor(o monitorOpts, specs []estimatorSpec) error {
 	fmt.Printf("trace %q: %d joins, %d leaves over horizon %g; sampling every %g time units\n\n",
 		tr.Name(), tr.Joins(), tr.Leaves(), tr.Horizon(), o.cadence)
 
-	ests := make([]p2psize.Estimator, len(specs))
-	for k, spec := range specs {
-		ests[k] = spec.make(k)
-	}
+	ests := instances(specs)
 	res, err := p2psize.RunMonitor(net, tr, ests, p2psize.MonitorOptions{
 		Cadence:     o.cadence,
 		Cadences:    o.cadences,
@@ -245,6 +242,16 @@ func runMonitor(o monitorOpts, specs []estimatorSpec) error {
 	// still holds the initial topology, only its meter accumulated.
 	fmt.Printf("\ntotal message cost: %d across %d estimators\n", net.Messages(), len(ests))
 	return nil
+}
+
+// instances builds one monitoring instance per spec: its family's run
+// 0 (see selectEstimators).
+func instances(specs []estimatorSpec) []p2psize.Estimator {
+	ests := make([]p2psize.Estimator, len(specs))
+	for k, spec := range specs {
+		ests[k] = spec.make(0)
+	}
+	return ests
 }
 
 func truncate(s string, n int) string {

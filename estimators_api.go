@@ -79,11 +79,6 @@ type EstimatorConfig struct {
 	Rounds int
 	// Workers caps the goroutines sweeping one Aggregation round.
 	Workers int
-	// Faults runs the estimator under a fault scenario: the built
-	// instance is decorated so every Estimate call enforces the
-	// scenario's message-level faults (see ApplyFaults). The zero value
-	// is benign.
-	Faults FaultOptions
 	// Seed drives the estimator's randomness.
 	Seed uint64
 }
@@ -100,22 +95,27 @@ func (c EstimatorConfig) registryOptions() registry.Options {
 		MinHops: c.MinHops,
 		Rounds:  c.Rounds,
 		Workers: c.Workers,
-		Faults:  c.Faults,
 	}
 }
 
 // NewEstimatorByName builds an estimator by registry name or alias.
 // net supplies the overlay snapshot-based families derive state from
 // (id-density builds its identifier ring from it); families that need
-// no snapshot accept a nil net. A non-zero cfg.Faults decorates the
-// instance with the scenario's fault injector.
+// no snapshot accept a nil net. Faults are not a configuration: wrap
+// the result with ApplyFaults.
+//
+// The estimator's draws depend on cfg.Seed alone. So that a family's
+// numbers do not depend on which families run beside it, or in which
+// order, derive each family's Seed, and its ApplyFaults seed, from the
+// family and the run, never from a position in a roster. p2psize keys
+// run r of a family by its fixed per-family stream offset o: the
+// estimator seed is the first draw of the (seed+1000+o, r) stream and
+// the fault seed that of (seed+5000+o, r); a monitored estimator is
+// run 0.
 func NewEstimatorByName(name string, cfg EstimatorConfig, net *Network) (Estimator, error) {
 	d, ok := registry.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("p2psize: unknown estimator %q (have %v)", name, registry.Names())
-	}
-	if err := cfg.Faults.Validate(); err != nil {
-		return nil, err
 	}
 	var inner *overlay.Network
 	if net != nil {
@@ -208,7 +208,9 @@ func toCore(e Estimator) core.Estimator {
 // fail the estimate with an error wrapping the refusal, which fails a
 // RunMonitor run and a RunParallel call alike. A MutatesOverlay() bool
 // method, if the type has one, changes nothing but the count
-// MonitorResult.Groups reports.
+// MonitorResult.Groups reports. Faults reach a custom family as they
+// reach a built-in one, through ApplyFaults, whose fate draws leave the
+// family's own stream alone.
 type CustomEstimator struct {
 	// Name is the canonical selector. Required, unique.
 	Name string
@@ -218,9 +220,10 @@ type CustomEstimator struct {
 	Summary string
 	// New builds one instance; it must derive all randomness from seed
 	// (equal seeds, equal estimators) for the harness's determinism
-	// guarantees to hold. It never sees an overlay, so a custom family
-	// is never snapshot-based: it may be monitored and named in
-	// RunCluster.
+	// guarantees to hold. NewEstimatorByName passes the first draw of
+	// EstimatorConfig.Seed's generator, so its stream rule holds here
+	// too. It never sees an overlay, so a custom family is never
+	// snapshot-based: it may be monitored and named in RunCluster.
 	New func(seed uint64) (Estimator, error)
 }
 

@@ -21,12 +21,13 @@ import (
 // zero value is the benign no-fault scenario; fields compose freely.
 //
 // Drop, DelayFactor, Dup, LieScale, LieFrac and NATFrac are
-// message-level faults, enforced by the injector ApplyFaults (or
-// EstimatorConfig.Faults) installs: they apply to any estimator on any
-// overlay. SilentFrac and SybilFrac reshape the overlay itself — apply
-// them with Network.ApplyAdversary. PartitionFrac and its window need a
-// run timeline to split and heal across; the robustness-* experiments
-// and the "partition" trace workload realize them.
+// message-level faults, enforced by the injector ApplyFaults installs,
+// the one route by which faults reach an estimator: they apply to any
+// estimator on any overlay. SilentFrac and SybilFrac reshape the
+// overlay itself — apply them with Network.ApplyAdversary.
+// PartitionFrac and its window need a run timeline to split and heal
+// across; the robustness-* experiments and the "partition" trace
+// workload realize them.
 type FaultOptions = fault.Spec
 
 // ParseFaults parses the comma-separated fault scenario grammar

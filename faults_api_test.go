@@ -1,8 +1,12 @@
 package p2psize
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"p2psize/internal/fault"
+	"p2psize/internal/metrics"
 )
 
 func TestParseFaultsRoundTrip(t *testing.T) {
@@ -135,5 +139,76 @@ func TestMonitorResultBounds(t *testing.T) {
 			}()
 			res.Tracking(k)
 		}()
+	}
+}
+
+// TestReliableFaultsChangeOnlyTheBill: a family whose traffic is all
+// request/response kinds (fault.Reliable) retransmits what drop loses,
+// and a duplicate carries nothing new, so under ApplyFaults drop=p and
+// dup=q leave every estimate bit-equal to the fault-free run's and move
+// only the bill. A message dropped with probability p is sent a
+// geometric number of times, so base messages cost base/(1-p) with
+// standard deviation sqrt(base·p)/(1-p); duplicates are binomial, so
+// base·(1+q) with standard deviation sqrt(base·q·(1-q)). Each count
+// must fall within six standard deviations of its mean.
+func TestReliableFaultsChangeOnlyTheBill(t *testing.T) {
+	const p, q, estimates = 0.2, 0.3, 3
+	net, err := NewNetwork(NetworkOptions{Nodes: 2000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(name string, f FaultOptions) (ests []uint64, msgs uint64) {
+		net.ResetMessages()
+		e, err := NewEstimatorByName(name, EstimatorConfig{SCL: 50, Tours: 1, Seed: 42}, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, err = ApplyFaults(e, f, 99); err != nil {
+			t.Fatal(err)
+		}
+		for range estimates {
+			v, err := e.Estimate(net)
+			if err != nil {
+				t.Fatalf("%s under %q: %v", name, f, err)
+			}
+			ests = append(ests, math.Float64bits(v))
+		}
+		return ests, net.Messages()
+	}
+	var checked []string
+	for _, in := range Estimators() {
+		want, base := run(in.Name, FaultOptions{})
+		reliable := true
+		for _, k := range metrics.AllKinds() {
+			reliable = reliable && (net.net.Counter().Count(k) == 0 || fault.Reliable(k))
+		}
+		if !reliable {
+			continue
+		}
+		checked = append(checked, in.Name)
+		b := float64(base)
+		for _, c := range []struct {
+			f        FaultOptions
+			mean, sd float64
+		}{
+			{FaultOptions{Drop: p}, b / (1 - p), math.Sqrt(b*p) / (1 - p)},
+			{FaultOptions{Dup: q}, b * (1 + q), math.Sqrt(b * q * (1 - q))},
+		} {
+			got, msgs := run(in.Name, c.f)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s under %q: estimate %d is %v, fault-free %v", in.Name, c.f,
+						i, math.Float64frombits(got[i]), math.Float64frombits(want[i]))
+				}
+			}
+			if d := math.Abs(float64(msgs) - c.mean); d > 6*c.sd {
+				t.Errorf("%s under %q: %d messages, want %.0f ± %.0f (6 sd) from a fault-free %d",
+					in.Name, c.f, msgs, c.mean, 6*c.sd, base)
+			}
+		}
+	}
+	t.Logf("all-reliable families: %v", checked)
+	if len(checked) < 5 {
+		t.Fatalf("only %v send reliable kinds alone; the claim covers too few families", checked)
 	}
 }

@@ -91,12 +91,12 @@ func (inj *Injector) drawDelay() float64 {
 	return inj.model.Delay(int32(u), int32(v))
 }
 
-// reliable reports whether the kind has request/response semantics: a
+// Reliable reports whether the kind has request/response semantics: a
 // dropped message is retransmitted until it arrives. Epidemic push/pull
 // is fire-and-forget — a loss costs the payload, not a resend — which is
 // exactly the asymmetry that makes mass-conservation families fragile
 // under drop while sampling families just pay more messages.
-func reliable(kind metrics.Kind) bool {
+func Reliable(kind metrics.Kind) bool {
 	return kind != metrics.KindPush && kind != metrics.KindPull
 }
 
@@ -115,7 +115,7 @@ func sequential(kind metrics.Kind) bool {
 // duplicates) to meter on top.
 func (inj *Injector) OnSend(kind metrics.Kind, count uint64) uint64 {
 	var extra uint64
-	if inj.spec.Drop > 0 && reliable(kind) {
+	if inj.spec.Drop > 0 && Reliable(kind) {
 		// Retransmit-until-delivered: each round resends the losses of
 		// the previous one and costs a timeout.
 		pend := inj.binomial(count, inj.spec.Drop)

@@ -125,13 +125,12 @@ type Config struct {
 	// (> 0) for every instance that does not carry its own. Samples
 	// happen at t = Cadence, 2·Cadence, ... up to the trace horizon.
 	Cadence float64
-	// Policy is the smoothing policy applied to every instance that
-	// does not carry its own.
+	// Policy is the smoothing policy of every instance.
 	Policy Policy
 }
 
-// Instance pairs an estimator with its own sampling cadence and
-// smoothing policy; the zero values inherit the run Config's.
+// Instance pairs an estimator with its own sampling cadence; the zero
+// value inherits the run Config's.
 type Instance struct {
 	// Estimator produces the raw estimates.
 	Estimator core.Estimator
@@ -139,19 +138,14 @@ type Instance struct {
 	// (0 = Config.Cadence). Like the shard count it is part of the
 	// output, not a scheduling knob.
 	Cadence float64
-	// Policy overrides the smoothing policy (nil = Config.Policy).
-	Policy *Policy
 }
 
 // Result holds the tracking series and metrics of one monitoring run.
 type Result struct {
 	// Names of the estimator instances.
 	Names []string
-	// Policy is the run's base smoothing policy (Config.Policy);
-	// Policies holds the per-instance resolution.
+	// Policy is the smoothing policy every instance ran (Config.Policy).
 	Policy Policy
-	// Policies[k] is the smoothing policy instance k actually ran.
-	Policies []Policy
 	// Cadences[k] is the cadence instance k actually sampled at.
 	Cadences []float64
 	// Scheduled[k] is the number of estimations instance k made (its
@@ -353,20 +347,22 @@ func unionGrid(schedules [][]float64) []float64 {
 	return dedup
 }
 
-// resolveSchedules validates the instances and resolves each one's
-// cadence, smoothing policy and sample schedule over the horizon. The
-// schedules are made only once their summed length is known to fit
-// maxGrid.
-func resolveSchedules(instances []Instance, cfg Config, horizon float64) (cadences []float64, policies []Policy, schedules [][]float64, err error) {
+// resolveSchedules validates the instances and the run's policy and
+// resolves each instance's cadence and sample schedule over the
+// horizon. The schedules are made only once their summed length is
+// known to fit maxGrid.
+func resolveSchedules(instances []Instance, cfg Config, horizon float64) (cadences []float64, schedules [][]float64, err error) {
 	if len(instances) == 0 {
-		return nil, nil, nil, errors.New("monitor: Run needs at least one estimator")
+		return nil, nil, errors.New("monitor: Run needs at least one estimator")
+	}
+	if sm := cfg.Policy.Smoothing; sm < None || sm > EWMA {
+		return nil, nil, fmt.Errorf("monitor: unknown smoothing %d", int(sm))
 	}
 	cadences = make([]float64, len(instances))
-	policies = make([]Policy, len(instances))
 	total := 0.0
 	for k, in := range instances {
 		if in.Estimator == nil {
-			return nil, nil, nil, fmt.Errorf("monitor: instance %d has a nil estimator", k)
+			return nil, nil, fmt.Errorf("monitor: instance %d has a nil estimator", k)
 		}
 		c := in.Cadence
 		if c == 0 {
@@ -377,40 +373,31 @@ func resolveSchedules(instances []Instance, cfg Config, horizon float64) (cadenc
 		// positive value explicitly (the same class of check
 		// trace.Validate applies to event times).
 		if !(c > 0) || math.IsInf(c, 1) {
-			return nil, nil, nil, fmt.Errorf("monitor: instance %d (%s) cadence %g must be positive and finite",
+			return nil, nil, fmt.Errorf("monitor: instance %d (%s) cadence %g must be positive and finite",
 				k, in.Estimator.Name(), c)
 		}
 		cadences[k] = c
 		f, err := samples(c, horizon)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		if f == 0 {
-			return nil, nil, nil, fmt.Errorf("monitor: instance %d (%s) cadence %g longer than the trace horizon %g",
+			return nil, nil, fmt.Errorf("monitor: instance %d (%s) cadence %g longer than the trace horizon %g",
 				k, in.Estimator.Name(), c, horizon)
 		}
 		total += f
-		if in.Policy != nil {
-			policies[k] = *in.Policy
-		} else {
-			policies[k] = cfg.Policy
-		}
-		if sm := policies[k].Smoothing; sm < None || sm > EWMA {
-			return nil, nil, nil, fmt.Errorf("monitor: instance %d (%s) has unknown smoothing %d",
-				k, in.Estimator.Name(), int(sm))
-		}
 	}
 	if total > maxGrid {
-		return nil, nil, nil, fmt.Errorf("monitor: cadences %v yield %.3g sample times over horizon %g (max %d)",
+		return nil, nil, fmt.Errorf("monitor: cadences %v yield %.3g sample times over horizon %g (max %d)",
 			cadences, total, horizon, maxGrid)
 	}
 	schedules = make([][]float64, len(instances))
 	for k, c := range cadences {
 		if schedules[k], err = schedule(c, horizon); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
-	return cadences, policies, schedules, nil
+	return cadences, schedules, nil
 }
 
 // Timeline is the single writer of a sampling run: whatever moves the
@@ -499,14 +486,14 @@ func (m *member) fold(e estimate, t float64) {
 // the counters are merged into net's in instance order. With
 // workers == 1 each Estimate runs inline, in instance order.
 func sample(instances []Instance, cfg Config, horizon float64, net, trunk *overlay.Network, timeline Timeline, workers int) (*Result, error) {
-	cadences, policies, schedules, err := resolveSchedules(instances, cfg, horizon)
+	cadences, schedules, err := resolveSchedules(instances, cfg, horizon)
 	if err != nil {
 		return nil, err
 	}
 	grid := unionGrid(schedules)
 	members := make([]member, len(instances))
 	for k := range instances {
-		members[k] = member{sched: schedules[k], sm: newSmoother(policies[k]), view: trunk.View(),
+		members[k] = member{sched: schedules[k], sm: newSmoother(cfg.Policy), view: trunk.View(),
 			raw:       make([]float64, 0, len(grid)),
 			smoothed:  make([]float64, 0, len(grid)),
 			staleness: make([]float64, 0, len(grid))}
@@ -535,7 +522,6 @@ func sample(instances []Instance, cfg Config, horizon float64, net, trunk *overl
 	res := &Result{
 		Names:     make([]string, len(instances)),
 		Policy:    cfg.Policy.normalized(),
-		Policies:  make([]Policy, len(instances)),
 		Cadences:  cadences,
 		Scheduled: make([]int, len(instances)),
 		Horizon:   horizon,
@@ -551,7 +537,6 @@ func sample(instances []Instance, cfg Config, horizon float64, net, trunk *overl
 	for k := range members {
 		m := &members[k]
 		res.Names[k] = instances[k].Estimator.Name()
-		res.Policies[k] = policies[k].normalized()
 		res.Scheduled[k] = m.scheduled
 		res.Raw[k] = m.raw
 		res.Smoothed[k] = m.smoothed

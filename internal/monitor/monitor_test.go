@@ -305,16 +305,11 @@ func TestScheduledRejectsBadInstances(t *testing.T) {
 		Config{Cadence: 1}, rng, 1); err == nil {
 		t.Fatal("cadence past the horizon accepted")
 	}
-	// An out-of-range smoothing is an error, whether it comes from the
-	// run's base policy or an instance's own, not a silent None.
+	// An out-of-range smoothing is an error, not a silent None.
 	for _, sm := range []Smoothing{-1, EWMA + 1} {
 		if _, err := RunScheduled([]Instance{{Estimator: truthEstimator{}}}, net, tr,
 			Config{Cadence: 1, Policy: Policy{Smoothing: sm}}, rng, 1); err == nil || !strings.Contains(err.Error(), "unknown smoothing") {
-			t.Fatalf("base smoothing %d: err = %v, want an unknown-smoothing error", int(sm), err)
-		}
-		if _, err := RunScheduled([]Instance{{Estimator: truthEstimator{}, Policy: &Policy{Smoothing: sm}}}, net, tr,
-			Config{Cadence: 1}, rng, 1); err == nil || !strings.Contains(err.Error(), "unknown smoothing") {
-			t.Fatalf("instance smoothing %d: err = %v, want an unknown-smoothing error", int(sm), err)
+			t.Fatalf("smoothing %d: err = %v, want an unknown-smoothing error", int(sm), err)
 		}
 	}
 	// A run where every instance carries its own cadence needs no base.

@@ -4,7 +4,7 @@ package monitor
 // instances due at a tick estimate side by side, each on its own view
 // of it. One roster — every monitoring-capable registry family, a
 // member that fails on a schedule, a fault-decorated member and a
-// member on its own cadence and EWMA policy — is held bit for bit, at
+// member on its own cadence — is held bit for bit, at
 // workers 1, 2 and 8, on the trace clock (TestTrunkMatchesSoloRuns) and
 // on the step clock (TestRunScenarioMatchesSequential,
 // TestTrunkScenarioMatchesSoloRuns), to sequential, where the instances
@@ -69,17 +69,14 @@ func monitorRoster(t *testing.T, seed uint64) []Instance {
 // trunkRoster is monitorRoster plus three members that carry a claim
 // of their own, for a run on cadence: one that fails every third
 // estimate, a Hops Sampling under a lossy, duplicating, NAT-limited
-// injector, and a Sample&Collide with its own EWMA policy on 1.5 times
-// the cadence, so the union grid holds times the others are not due
-// at.
+// injector, and a Sample&Collide on 1.5 times the cadence, so the union
+// grid holds times the others are not due at.
 func trunkRoster(t *testing.T, cadence float64) []Instance {
-	ewma := Policy{Smoothing: EWMA, Alpha: 0.5, RestartJump: 0.2}
 	inj := fault.NewInjector(fault.Spec{Drop: 0.2, Dup: 0.1, NATFrac: 0.1}, xrand.New(73))
 	return append(monitorRoster(t, 500),
 		Instance{Estimator: &failEvery{Estimator: samplecollide.New(samplecollide.Config{T: 5, L: 10}, xrand.New(102)), n: 3}},
 		Instance{Estimator: fault.Decorate(hopssampling.New(hopssampling.Default(), xrand.New(72)), inj)},
-		Instance{Estimator: samplecollide.New(samplecollide.Config{T: 5, L: 20}, xrand.New(71)),
-			Cadence: 1.5 * cadence, Policy: &ewma},
+		Instance{Estimator: samplecollide.New(samplecollide.Config{T: 5, L: 20}, xrand.New(71)), Cadence: 1.5 * cadence},
 	)
 }
 
@@ -100,18 +97,15 @@ func sequential(t *testing.T, instances []Instance, cfg Config, horizon float64,
 	scheds := make([][]float64, n)
 	sms := make([]*smoother, n)
 	for k, in := range instances {
-		c, p := cfg.Cadence, cfg.Policy
+		c := cfg.Cadence
 		if in.Cadence != 0 {
 			c = in.Cadence
-		}
-		if in.Policy != nil {
-			p = *in.Policy
 		}
 		var err error
 		if scheds[k], err = schedule(c, horizon); err != nil {
 			t.Fatal(err)
 		}
-		sms[k] = newSmoother(p)
+		sms[k] = newSmoother(cfg.Policy)
 		res.Names[k] = in.Estimator.Name()
 	}
 	res.Times = unionGrid(scheds)

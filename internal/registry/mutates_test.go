@@ -43,9 +43,12 @@ func TestTrunkEveryFamilyOnlyReads(t *testing.T) {
 		var ests []core.Estimator
 		for _, d := range All() {
 			for _, faults := range []fault.Spec{{}, drop} {
-				e, err := d.Build(trunk, xrand.New(d.StreamOffset+9), Options{SCL: 20, Rounds: 20, Workers: 1, Faults: faults})
+				e, err := d.Build(trunk, xrand.New(d.StreamOffset+9), Options{SCL: 20, Rounds: 20, Workers: 1})
 				if err != nil {
 					t.Fatalf("%s: %v", d.Name, err)
+				}
+				if faults.Enabled() {
+					e = fault.Decorate(e, fault.NewInjector(faults, xrand.New(d.StreamOffset+5009)))
 				}
 				ests = append(ests, e)
 			}

@@ -25,7 +25,6 @@ import (
 	"sync"
 
 	"p2psize/internal/core"
-	"p2psize/internal/fault"
 	"p2psize/internal/idspace"
 	"p2psize/internal/overlay"
 	"p2psize/internal/xrand"
@@ -57,12 +56,6 @@ type Options struct {
 	// id-density instances; nil builds one from the overlay and rng the
 	// factory is handed.
 	Ring *idspace.Ring
-	// Faults selects the fault scenario every built estimator runs
-	// under (the zero Spec is benign). Honored by Descriptor.Build, not
-	// by the factories themselves: the estimator is wrapped in the fault
-	// layer's decorator, so families need no fault awareness of their
-	// own.
-	Faults fault.Spec
 }
 
 // Factory builds one estimator instance. net is the overlay the
@@ -247,16 +240,15 @@ func Parse(spec string) ([]Descriptor, error) {
 //
 //	"10"            -> base 10, no overrides
 //	"5,agg=50"      -> base 5, aggregation every 50
-//	"hops=1,agg=10" -> base unchanged, two overrides
+//	"hops=1,agg=10" -> base 0 (unset), two overrides
 //
-// The incoming base is returned unchanged when the spec never sets it.
+// The base is 0 when the spec never sets it: the caller's default.
 // Repeating the bare base or naming one estimator twice (under any
 // alias) is rejected: a spec like "5,agg=50,10" almost certainly pastes
 // two intents together, and silently letting the later entry win would
 // measure a configuration the caller never asked for.
-func ParseCadenceSpec(spec string, base float64) (float64, map[string]float64, error) {
-	overrides := map[string]float64{}
-	baseSet := false
+func ParseCadenceSpec(spec string) (base float64, overrides map[string]float64, err error) {
+	overrides = map[string]float64{}
 	for _, f := range strings.Split(spec, ",") {
 		f = strings.TrimSpace(f)
 		if f == "" {
@@ -273,10 +265,9 @@ func ParseCadenceSpec(spec string, base float64) (float64, map[string]float64, e
 			if !(v > 0) || math.IsInf(v, 1) {
 				return 0, nil, fmt.Errorf("registry: cadence %q must be positive and finite", f)
 			}
-			if baseSet {
+			if base != 0 {
 				return 0, nil, fmt.Errorf("registry: duplicate base cadence %q in spec %q (base already set to %g)", f, spec, base)
 			}
-			baseSet = true
 			base = v
 			continue
 		}
@@ -333,24 +324,12 @@ func MonitoringCadences(roster []Descriptor, overrides map[string]float64) ([]fl
 	return cadences, nil
 }
 
-// Build constructs one estimator instance, honoring every option the
-// factories do not see themselves: when opts.Faults is enabled the
-// estimator is wrapped in the fault layer's decorator, with an injector
-// seeded from one draw of rng. This is the single chokepoint between
-// the catalog and the fault layer — every call site that builds through
-// it (the experiment harness, the monitor, both CLIs, the public API)
-// runs every family under faults unmodified. The benign path takes no
-// rng draw, so fault-free streams are untouched by the layer's
-// existence. An out-of-range opts.Faults is an error.
+// Build constructs one estimator instance with the family's factory.
+// Faults are not an option: a caller that wants them decorates the
+// result (fault.Decorate, or p2psize.ApplyFaults), on a fate stream of
+// its own, so the estimator's draws are the fault-free run's.
 func (d Descriptor) Build(net *overlay.Network, rng *xrand.Rand, opts Options) (core.Estimator, error) {
-	if err := opts.Faults.Validate(); err != nil {
-		return nil, err
-	}
-	e, err := d.New(net, rng, opts)
-	if err != nil || !opts.Faults.Enabled() {
-		return e, err
-	}
-	return fault.Decorate(e, fault.NewInjector(opts.Faults, xrand.New(rng.Uint64()))), nil
+	return d.New(net, rng, opts)
 }
 
 // PerRun returns a run-indexed estimator builder for the static run

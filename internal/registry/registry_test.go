@@ -237,7 +237,7 @@ func TestResolveAndParse(t *testing.T) {
 }
 
 func TestParseCadenceSpec(t *testing.T) {
-	base, per, err := ParseCadenceSpec("5, agg=50 ,hops=1", 10)
+	base, per, err := ParseCadenceSpec("5, agg=50 ,hops=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,16 +247,16 @@ func TestParseCadenceSpec(t *testing.T) {
 	if len(per) != 2 || per["aggregation"] != 50 || per["hopssampling"] != 1 {
 		t.Fatalf("overrides = %v", per)
 	}
-	if base, per, err = ParseCadenceSpec("agg=50", 10); err != nil || base != 10 || per["aggregation"] != 50 {
-		t.Fatalf("base fallback broken: base %g per %v err %v", base, per, err)
+	if base, per, err = ParseCadenceSpec("agg=50"); err != nil || base != 0 || per["aggregation"] != 50 {
+		t.Fatalf("unset base: base %g per %v err %v", base, per, err)
 	}
-	if base, per, err = ParseCadenceSpec("", 10); err != nil || base != 10 || per != nil {
+	if base, per, err = ParseCadenceSpec(""); err != nil || base != 0 || per != nil {
 		t.Fatalf("empty spec: base %g per %v err %v", base, per, err)
 	}
 	// NaN passes naive `v <= 0` validation and would crash the monitor's
 	// schedule sizing; Inf would make the schedule empty.
 	for _, bad := range []string{"x=1", "agg=zero", "agg=-1", "-3", "0", "NaN", "agg=NaN", "Inf", "agg=+Inf"} {
-		if _, _, err := ParseCadenceSpec(bad, 10); err == nil {
+		if _, _, err := ParseCadenceSpec(bad); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		}
 	}
@@ -273,13 +273,13 @@ func TestParseCadenceSpecRejectsDuplicates(t *testing.T) {
 		"agg=50,agg=50",        // repeated override, same value
 		"agg=50,aggregation=2", // aliases resolve to the same family
 	} {
-		if _, _, err := ParseCadenceSpec(bad, 10); err == nil ||
+		if _, _, err := ParseCadenceSpec(bad); err == nil ||
 			!strings.Contains(err.Error(), "duplicate") {
 			t.Fatalf("spec %q: err = %v, want duplicate rejection", bad, err)
 		}
 	}
 	// A base plus distinct overrides is still fine.
-	base, per, err := ParseCadenceSpec("5,agg=50,hops=1", 10)
+	base, per, err := ParseCadenceSpec("5,agg=50,hops=1")
 	if err != nil || base != 5 || len(per) != 2 {
 		t.Fatalf("valid mixed spec rejected: base %g per %v err %v", base, per, err)
 	}
@@ -293,7 +293,7 @@ func TestMonitoringCadences(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "ps" is not in the roster; "agg" reaches its slot through the alias.
-	_, per, err := ParseCadenceSpec("5,agg=50", 10)
+	_, per, err := ParseCadenceSpec("5,agg=50")
 	if err != nil {
 		t.Fatal(err)
 	}

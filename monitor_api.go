@@ -174,8 +174,11 @@ func (r *MonitorResult) String() string {
 // concurrently on a worker pool, each on its own read-only view of the
 // replayed overlay: an estimate that calls a churn method or
 // ApplyAdversary fails the run (see CustomEstimator). Equal seeds give
-// byte-identical results at every worker count. The network itself is
-// left unmutated, with all metered traffic merged into Messages().
+// byte-identical results at every worker count. Estimator k's series
+// and messages depend on its own seeds only, not on k or on the other
+// estimators, so seed each one by family, not by slot, as
+// NewEstimatorByName's stream rule says. The network itself is left
+// unmutated, with all metered traffic merged into Messages().
 func RunMonitor(net *Network, tr *Trace, estimators []Estimator, opts MonitorOptions) (*MonitorResult, error) {
 	if net == nil {
 		return nil, errors.New("p2psize: RunMonitor needs a network")
