@@ -4,7 +4,7 @@
 // Examples:
 //
 //	p2psize -nodes 100000 -estimators sc -l 200 -runs 10
-//	p2psize -nodes 100000 -estimators hops -runs 10 -smooth
+//	p2psize -nodes 100000 -estimators hops -runs 10 -policy window
 //	p2psize -nodes 100000 -estimators agg -rounds 50
 //	p2psize -nodes 100000 -runs 5
 //
@@ -40,6 +40,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -48,9 +49,14 @@ import (
 	"strings"
 
 	"p2psize"
+	"p2psize/internal/core"
+	"p2psize/internal/epidemic"
+	"p2psize/internal/hopssampling"
+	"p2psize/internal/monitor"
 	"p2psize/internal/parallel"
 	"p2psize/internal/prof"
 	"p2psize/internal/registry"
+	"p2psize/internal/samplecollide"
 	"p2psize/internal/xrand"
 )
 
@@ -59,13 +65,12 @@ func main() {
 		nodes    = flag.Int("nodes", 10000, "overlay size")
 		topology = flag.String("topology", "heterogeneous", "heterogeneous (het) | homogeneous (hom) | scale-free (scalefree, ba) | ring | small-world")
 		maxDeg   = flag.Int("maxdeg", 0, "degree cap (0 = paper default)")
-		l        = flag.Int("l", 200, "Sample&Collide collision target")
-		timer    = flag.Float64("T", 10, "Sample&Collide walk timer")
+		l        = flag.Int("l", samplecollide.DefaultL, "Sample&Collide collision target")
+		timer    = flag.Float64("T", samplecollide.DefaultT, "Sample&Collide walk timer")
 		mle      = flag.Bool("mle", false, "use the MLE refinement for Sample&Collide")
-		rounds   = flag.Int("rounds", 50, "Aggregation rounds per estimation")
-		minHops  = flag.Int("minhops", 5, "HopsSampling minHopsReporting")
+		rounds   = flag.Int("rounds", epidemic.DefaultRounds, "Aggregation rounds per estimation")
+		minHops  = flag.Int("minhops", hopssampling.DefaultMinHops, "HopsSampling minHopsReporting")
 		runs     = flag.Int("runs", 5, "estimations per algorithm")
-		smooth   = flag.Bool("smooth", false, "apply the last10runs heuristic")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = all CPUs, 1 = sequential): estimation runs, or under -trace the estimators due at a tick, after the one replay has advanced; output is identical at any setting")
 
@@ -76,9 +81,9 @@ func main() {
 		traceSpec = flag.String("trace", "", "monitor under churn: weibull | lognormal | exponential | pareto | diurnal | flashcrowd | partition, or a trace file (.json/.csv, optionally .gz)")
 		horizon   = flag.Float64("horizon", 1000, "trace duration in simulated time units (generated traces)")
 		cadence   = flag.String("cadence", fmt.Sprint(defaultCadence), "monitor sampling spec: a base tick and/or per-estimator name=value overrides, e.g. \"10\", \"5,agg=50\", \"hops=1,agg=10\"")
-		policy    = flag.String("policy", "none", "monitor smoothing: none | window | ewma")
-		window    = flag.Int("window", 10, "window smoothing length")
-		alpha     = flag.Float64("alpha", 0.3, "EWMA smoothing weight")
+		policy    = flag.String("policy", "none", "smoothing: none | window (static runs: the lastKruns heuristic) | ewma (needs -trace)")
+		window    = flag.Int("window", core.LastK, "window smoothing length")
+		alpha     = flag.Float64("alpha", monitor.DefaultAlpha, "EWMA smoothing weight")
 		restart   = flag.Float64("restart-jump", 0, "restart smoothing when a raw estimate jumps by this relative fraction (0 = off)")
 		saveTrace = flag.String("save-trace", "", "write the trace to this path (.json or .csv, optionally .gz) before monitoring")
 	)
@@ -114,7 +119,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := validateModes(*traceSpec, *horizon, fopts); err != nil {
+	pol, err := parsePolicy(*policy)
+	if err != nil {
+		fatal(err)
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := validateModes(set, *traceSpec, pol, *window, *horizon, fopts); err != nil {
 		fatalUsage(err)
 	}
 
@@ -150,7 +161,7 @@ func main() {
 		if err := runMonitor(monitorOpts{
 			traceSpec: *traceSpec, topo: topo, maxDeg: *maxDeg, nodes: *nodes,
 			horizon: *horizon, cadence: baseCadence, cadences: cadences,
-			policy: *policy, window: *window, alpha: *alpha, restart: *restart,
+			policy: pol, window: *window, alpha: *alpha, restart: *restart,
 			saveTrace: *saveTrace, seed: *seed, workers: *workers,
 			faults: fopts,
 		}, specs); err != nil {
@@ -200,9 +211,9 @@ func main() {
 			fatal(err) // the run loop's error already names the estimator
 		}
 		name := spec.name
-		if *smooth {
-			vals = p2psize.SmoothLastK(vals, 10)
-			name += "/last10runs"
+		if pol == p2psize.WindowSmoothing {
+			vals = p2psize.SmoothLastK(vals, *window)
+			name += fmt.Sprintf("/last%druns", *window)
 		}
 		reportRun(name, vals, honest, net)
 	}
@@ -334,16 +345,40 @@ func formatVals(vals []float64) string {
 	return strings.Join(parts, " ")
 }
 
-// validateModes is the single chokepoint for mutually exclusive mode
-// combinations: every flag pairing the command cannot honor is rejected
-// here, before any work starts, through one usage-error path.
-func validateModes(traceSpec string, horizon float64, f p2psize.FaultOptions) error {
+// validateModes is the single chokepoint for flag combinations the
+// command cannot honor: every one is rejected here, before any work
+// starts, through one usage-error path. set holds the flags the command
+// line names (flag.Visit): a flag the chosen mode would ignore is an
+// error, not a silent no-op. -nodes beside a trace file is not one: the
+// file's population overrides it by design.
+func validateModes(set map[string]bool, traceSpec string, pol p2psize.SmoothingPolicy, window int, horizon float64, f p2psize.FaultOptions) error {
+	monitoring := traceSpec != ""
+	if monitoring && set["runs"] {
+		return errors.New("-runs counts static estimations; under -trace, -cadence sets how often each algorithm estimates")
+	}
+	if !monitoring {
+		for _, name := range []string{"horizon", "cadence", "alpha", "restart-jump", "save-trace"} {
+			if set[name] {
+				return fmt.Errorf("-%s applies only to monitoring; add -trace", name)
+			}
+		}
+	}
 	switch {
-	case traceSpec != "" && (!(horizon > 0) || math.IsInf(horizon, 1)):
+	case monitoring && (!(horizon > 0) || math.IsInf(horizon, 1)):
 		return fmt.Errorf("-horizon %g must be positive and finite", horizon)
-	case traceSpec == "" && f.PartitionFrac > 0:
+	case !monitoring && pol == p2psize.EWMASmoothing:
+		return errors.New("-policy ewma needs -trace; static runs smooth with -policy window")
+	case set["window"] && pol != p2psize.WindowSmoothing:
+		return errors.New("-window sets the length of -policy window; add it")
+	case set["alpha"] && pol != p2psize.EWMASmoothing:
+		return errors.New("-alpha sets the weight of -policy ewma; add it")
+	case pol == p2psize.WindowSmoothing && window < 1:
+		return fmt.Errorf("-window %d must be at least 1", window)
+	case set["restart-jump"] && pol == p2psize.NoSmoothing:
+		return errors.New("-restart-jump needs smoothing state to discard; use -policy window or -policy ewma")
+	case !monitoring && f.PartitionFrac > 0:
 		return fmt.Errorf("-faults: a partition needs a timeline to split and heal across; add -trace (the partition@lo-hi window folds onto any trace workload)")
-	case traceSpec != "" && f.SybilFrac > 0:
+	case monitoring && f.SybilFrac > 0:
 		return fmt.Errorf("-faults: sybil inflation conflicts with the trace's population accounting in monitoring mode; use cmd/figures -only robustness-adversary")
 	}
 	return nil

@@ -173,56 +173,72 @@ func TestErrLine(t *testing.T) {
 	}
 }
 
-// TestValidateModes: the fault scenarios each mode accepts. A row with
-// prints set is also run, at -workers 1 and 8: both runs print that
-// line, and the same bytes.
+// TestValidateModes: the flag combinations each mode accepts, run as
+// command lines. A rejected row exits 2 with its error; an accepted row
+// exits 0, and when prints is set it runs at -workers 1 and 8: both
+// runs print that line, and the same bytes. A flag the chosen mode
+// would ignore is rejected; -nodes beside a trace file is not, since
+// the file's population overrides it by design.
 func TestValidateModes(t *testing.T) {
-	parse := func(spec string) p2psize.FaultOptions {
-		f, err := p2psize.ParseFaults(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
+	tr, err := p2psize.GenerateTrace(p2psize.TraceOptions{Nodes: 200, Horizon: 50, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
+	file := filepath.Join(t.TempDir(), "t.csv")
+	var buf bytes.Buffer
+	if err := tr.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const weibull = "-trace weibull -horizon 100 "
 	for _, c := range []struct {
-		name          string
-		trace, faults string
-		horizon       float64 // 0 = the flag's default
-		want          string  // substring of the error; "" = accepted
-		prints        string  // a line the run prints; "" = not run
+		name, args string
+		want       string // substring of the error; "" = accepted
+		prints     string // a line an accepted run prints; "" = not checked
 	}{
-		{name: "static"},
-		{name: "monitoring", trace: "weibull", faults: "drop=0.05,silent=0.1"},
-		{name: "partition without -trace", faults: "partition=0.5@0.4-0.6", want: "needs a timeline"},
-		{name: "partition on a trace", trace: "weibull", faults: "partition=0.5@40-60", prints: "partition folded onto trace"},
-		{name: "sybils while monitoring", trace: "weibull", faults: "sybil=0.1", want: "sybil inflation conflicts"},
-		{name: "sybils, static", faults: "sybil=0.1"},
-		{name: "NaN horizon", trace: "weibull", horizon: math.NaN(), want: "-horizon NaN must be positive and finite"},
-		{name: "infinite horizon", trace: "flashcrowd", horizon: math.Inf(1), want: "-horizon +Inf"},
-		{name: "negative horizon", trace: "weibull", horizon: -5, want: "-horizon -5"},
-		{name: "NaN horizon, static", horizon: math.NaN()},
+		{name: "static", args: "-runs 1"},
+		{name: "monitoring", args: weibull + "-faults drop=0.05,silent=0.1"},
+		{name: "partition without -trace", args: "-runs 1 -faults partition=0.5@0.4-0.6", want: "needs a timeline"},
+		{name: "partition on a trace", args: weibull + "-faults partition=0.5@40-60", prints: "partition folded onto trace"},
+		{name: "sybils while monitoring", args: weibull + "-faults sybil=0.1", want: "sybil inflation conflicts"},
+		{name: "sybils, static", args: "-runs 1 -faults sybil=0.1"},
+		{name: "NaN horizon", args: "-trace weibull -horizon NaN", want: "-horizon NaN must be positive and finite"},
+		{name: "infinite horizon", args: "-trace flashcrowd -horizon +Inf", want: "-horizon +Inf"},
+		{name: "negative horizon", args: "-trace weibull -horizon -5", want: "-horizon -5"},
+		{name: "NaN horizon, static", args: "-runs 1 -horizon NaN", want: "-horizon applies only to monitoring"},
+		{name: "-runs under -trace", args: weibull + "-runs 3", want: "-runs counts static estimations"},
+		{name: "-cadence, static", args: "-runs 1 -cadence 5", want: "-cadence applies only to monitoring"},
+		{name: "-alpha, static", args: "-runs 1 -alpha 0.5", want: "-alpha applies only to monitoring"},
+		{name: "-restart-jump, static", args: "-runs 1 -restart-jump 0.5", want: "-restart-jump applies only to monitoring"},
+		{name: "-save-trace, static", args: "-runs 1 -save-trace " + file + ".json", want: "-save-trace applies only to monitoring"},
+		{name: "-window without -policy window, static", args: "-runs 1 -window 5", want: "-window sets the length of -policy window"},
+		{name: "-window without -policy window", args: weibull + "-window 5", want: "-window sets the length of -policy window"},
+		{name: "-alpha without -policy ewma", args: weibull + "-policy window -alpha 0.5", want: "-alpha sets the weight of -policy ewma"},
+		{name: "-policy ewma, static", args: "-runs 1 -policy ewma", want: "-policy ewma needs -trace"},
+		{name: "-restart-jump without smoothing", args: weibull + "-restart-jump 0", want: "-restart-jump needs smoothing state"},
+		{name: "-window 0, static", args: "-runs 1 -policy window -window 0", want: "-window 0 must be at least 1"},
+		{name: "window smoothing, static", args: "-runs 3 -policy window -window 2", prints: "sample&collide(l=200)/last2runs"},
+		{name: "ewma smoothing", args: weibull + "-policy ewma -alpha 0.5 -restart-jump 0.5"},
+		{name: "-nodes beside a trace file", args: "-trace " + file},
 	} {
-		horizon := c.horizon
-		if horizon == 0 {
-			horizon = 1000
-		}
-		err := validateModes(c.trace, horizon, parse(c.faults))
+		args := "-nodes 300 -estimators sc,hops,agg " + c.args + " -workers "
+		code, out, stderr := runMain(t, args+"1")
 		switch {
-		case c.want == "" && err != nil:
-			t.Errorf("%s: rejected: %v", c.name, err)
-		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
-			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
-		}
-		if c.prints == "" {
+		case c.want != "":
+			if code != 2 || strings.Count(stderr, "p2psize:") != 1 || !strings.Contains(stderr, c.want) {
+				t.Errorf("%s: exit status %d, stderr %q; want 2 and one p2psize: error naming %q", c.name, code, stderr, c.want)
+			}
+			continue
+		case code != 0 || !strings.Contains(out, c.prints):
+			t.Errorf("%s: exit status %d, output lacks %q:\n%s\nstderr:\n%s", c.name, code, c.prints, out, stderr)
+			continue
+		case c.prints == "":
 			continue
 		}
-		args := "-nodes 300 -estimators sc,hops,agg -horizon 100 -trace " + c.trace + " -faults " + c.faults + " -workers "
-		code, want, stderr := runMain(t, args+"1")
-		if code != 0 || !strings.Contains(want, c.prints) {
-			t.Errorf("%s: exit status %d, output lacks %q:\n%s\nstderr:\n%s", c.name, code, c.prints, want, stderr)
-		}
-		if code, got, stderr := runMain(t, args+"8"); code != 0 || got != want {
-			t.Errorf("%s: -workers 8: exit status %d, output\n%s\nwant the -workers 1 output\n%s\nstderr:\n%s", c.name, code, got, want, stderr)
+		if code, got, stderr := runMain(t, args+"8"); code != 0 || got != out {
+			t.Errorf("%s: -workers 8: exit status %d, output\n%s\nwant the -workers 1 output\n%s\nstderr:\n%s", c.name, code, got, out, stderr)
 		}
 	}
 }
@@ -347,13 +363,14 @@ func TestNegativeKnobFails(t *testing.T) {
 
 // TestRemovedFlagsExit2: the shard count and the shuffle mode are the
 // engine's to derive, not options, the live-cluster mode is a library
-// call (p2psize.RunCluster), not a mode of the command, and -estimators
-// is the one roster flag; naming any of their flags is an unknown flag.
+// call (p2psize.RunCluster), not a mode of the command, -estimators is
+// the one roster flag, and -policy window is the one smoothing flag;
+// naming any of their flags is an unknown flag.
 func TestRemovedFlagsExit2(t *testing.T) {
 	for _, args := range []string{
 		"-shards 4", "-shuffle global",
 		"-cluster 4", "-cluster-addrs a:1", "-tolerance 0.1", "-teardown",
-		"-algo all",
+		"-algo all", "-smooth",
 	} {
 		code, _, stderr := runMain(t, "-nodes 200 -estimators agg -runs 1 "+args)
 		if code != 2 || !strings.Contains(stderr, "flag provided but not defined") {

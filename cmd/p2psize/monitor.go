@@ -25,7 +25,7 @@ type monitorOpts struct {
 	// cadences holds the -cadence name=value overrides per roster slot
 	// (registry.MonitoringCadences); 0 samples every cadence time units.
 	cadences  []float64
-	policy    string
+	policy    p2psize.SmoothingPolicy
 	window    int
 	alpha     float64
 	restart   float64
@@ -175,13 +175,6 @@ func runMonitor(o monitorOpts, specs []estimatorSpec) error {
 		fmt.Printf("partition folded onto trace %q: %.0f%% of peers split at t=%g, heal at t=%g\n",
 			tr.Name(), f.PartitionFrac*100, f.PartitionLo*h, f.PartitionHi*h)
 	}
-	pol, err := parsePolicy(o.policy)
-	if err != nil {
-		return err
-	}
-	if o.restart > 0 && pol == p2psize.NoSmoothing {
-		return fmt.Errorf("-restart-jump needs smoothing state to discard; use -policy window or -policy ewma")
-	}
 	if o.saveTrace != "" {
 		if err := saveTrace(tr, o.saveTrace); err != nil {
 			return err
@@ -211,7 +204,7 @@ func runMonitor(o monitorOpts, specs []estimatorSpec) error {
 	res, err := p2psize.RunMonitor(net, tr, ests, p2psize.MonitorOptions{
 		Cadence:     o.cadence,
 		Cadences:    o.cadences,
-		Policy:      pol,
+		Policy:      o.policy,
 		Window:      o.window,
 		Alpha:       o.alpha,
 		RestartJump: o.restart,

@@ -22,7 +22,7 @@
 // grows as √N to hold accuracy. That contrast is exactly what the
 // comparative figures put side by side.
 //
-// Cost per estimation: (Marks + Recaptures) walks of ~T·d̄ hops each,
+// Cost per estimation: (marks + recaptures) walks of ~T·d̄ hops each,
 // plus one control message per newly marked peer.
 package capturerecapture
 
@@ -39,40 +39,21 @@ import (
 	"p2psize/internal/xrand"
 )
 
-// Config parameterizes the capture–recapture estimator.
-type Config struct {
-	// T is the sampling walk timer, shared semantics with
-	// Sample&Collide (0 is invalid; Default uses the paper's 10).
-	T float64
-	// Marks is the number of capture-phase walk draws; the marked set
+// The 300/300 setting: at the study's smaller scales E[m] stays in the
+// tens, keeping single-estimate error near 1/√m ≈ 15%, at a
+// per-estimate cost two orders below Random Tour. This repo's choice;
+// the paper does not run the method.
+const (
+	// marks is the number of capture-phase walk draws; the marked set
 	// holds the distinct peers among them.
-	Marks int
-	// Recaptures is the number of recapture-phase walk draws.
-	Recaptures int
-}
-
-// Default returns the 300/300 configuration: at the study's smaller
-// scales E[m] stays in the tens, keeping single-estimate error near
-// 1/√m ≈ 15%, at a per-estimate cost two orders below Random Tour.
-func Default() Config { return Config{T: 10, Marks: 300, Recaptures: 300} }
-
-func (c *Config) validate() error {
-	if c.T <= 0 {
-		return errors.New("capturerecapture: T must be > 0")
-	}
-	if c.Marks < 1 {
-		return errors.New("capturerecapture: Marks must be >= 1")
-	}
-	if c.Recaptures < 1 {
-		return errors.New("capturerecapture: Recaptures must be >= 1")
-	}
-	return nil
-}
+	marks = 300
+	// recaptures is the number of recapture-phase walk draws.
+	recaptures = 300
+)
 
 // Estimator runs capture–recapture estimations on an overlay. It
 // satisfies the core.Estimator contract.
 type Estimator struct {
-	cfg     Config
 	rng     *xrand.Rand
 	sampler *samplecollide.Estimator
 }
@@ -82,26 +63,23 @@ type Estimator struct {
 // keeps its room).
 var idle = scratch.NewList(func(m map[graph.NodeID]struct{}) int { return len(m) })
 
-// New builds an Estimator; it panics on invalid configuration.
-func New(cfg Config, rng *xrand.Rand) *Estimator {
-	if err := cfg.validate(); err != nil {
-		panic(err)
-	}
+// New builds an Estimator; it panics on a nil rng.
+func New(rng *xrand.Rand) *Estimator {
 	if rng == nil {
 		panic("capturerecapture: nil rng")
 	}
 	// The sampler shares this estimator's rng so one seed fixes the
-	// whole draw sequence; its L is irrelevant (only Sample is used).
+	// whole draw sequence. Its walks time out at the paper's T, as
+	// Sample&Collide's do; its L is irrelevant (only Sample is used).
 	return &Estimator{
-		cfg:     cfg,
 		rng:     rng,
-		sampler: samplecollide.New(samplecollide.Config{T: cfg.T, L: 1}, rng),
+		sampler: samplecollide.New(samplecollide.Config{T: samplecollide.DefaultT, L: 1}, rng),
 	}
 }
 
 // Name identifies the estimator in reports.
 func (e *Estimator) Name() string {
-	return fmt.Sprintf("capture-recapture(marks=%d,recaptures=%d)", e.cfg.Marks, e.cfg.Recaptures)
+	return fmt.Sprintf("capture-recapture(marks=%d,recaptures=%d)", marks, recaptures)
 }
 
 // MutatesOverlay reports false: marking and recapturing only walk the
@@ -130,13 +108,13 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	}
 	marked, ok := idle.Get(math.MaxInt) // the largest set: the fewest regrowths
 	if !ok {
-		marked = make(map[graph.NodeID]struct{}, e.cfg.Marks)
+		marked = make(map[graph.NodeID]struct{}, marks)
 	}
 	defer idle.Put(marked)
 	clear(marked)
-	// Capture: draw Marks uniform samples; the distinct ones form the
+	// Capture: draw marks uniform samples; the distinct ones form the
 	// marked set (each new mark is one control message to the peer).
-	for i := 0; i < e.cfg.Marks; i++ {
+	for range marks {
 		s, err := e.sampler.Sample(net, initiator)
 		if err != nil {
 			return 0, err
@@ -150,7 +128,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	// peers simply cannot be re-drawn, which under churn shrinks m and
 	// biases the estimate up — the honest failure mode of the method.
 	m := 0
-	for i := 0; i < e.cfg.Recaptures; i++ {
+	for range recaptures {
 		s, err := e.sampler.Sample(net, initiator)
 		if err != nil {
 			return 0, err
@@ -160,7 +138,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 		}
 	}
 	n1 := float64(len(marked))
-	n2 := float64(e.cfg.Recaptures)
+	n2 := float64(recaptures)
 	return Chapman(n1, n2, float64(m)), nil
 }
 

@@ -29,7 +29,7 @@ func TestChapmanFormula(t *testing.T) {
 func TestEstimatePlausible(t *testing.T) {
 	const n = 2000
 	net := hetNet(n, 1)
-	e := New(Default(), xrand.New(2))
+	e := New(xrand.New(2))
 	est, err := e.Estimate(net)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestStatisticalEnvelope(t *testing.T) {
 	var r stats.Running
 	for i := 0; i < runs; i++ {
 		net := hetNet(n, uint64(400+i))
-		e := New(Default(), xrand.New(uint64(800+i)))
+		e := New(xrand.New(uint64(800 + i)))
 		est, err := e.Estimate(net)
 		if err != nil {
 			t.Fatal(err)
@@ -70,11 +70,11 @@ func TestStatisticalEnvelope(t *testing.T) {
 }
 
 func TestDeterministicForEqualSeeds(t *testing.T) {
-	a, err := New(Default(), xrand.New(9)).Estimate(hetNet(1000, 3))
+	a, err := New(xrand.New(9)).Estimate(hetNet(1000, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Default(), xrand.New(9)).Estimate(hetNet(1000, 3))
+	b, err := New(xrand.New(9)).Estimate(hetNet(1000, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDeterministicForEqualSeeds(t *testing.T) {
 
 func TestMessagesMetered(t *testing.T) {
 	net := hetNet(500, 4)
-	e := New(Config{T: 10, Marks: 50, Recaptures: 50}, xrand.New(5))
+	e := New(xrand.New(5))
 	if _, err := e.Estimate(net); err != nil {
 		t.Fatal(err)
 	}
@@ -94,49 +94,44 @@ func TestMessagesMetered(t *testing.T) {
 		t.Fatal("no walk hops metered")
 	}
 	// One sample-return per walk draw.
-	if got := c.Count(metrics.KindSampleReturn); got != 100 {
-		t.Fatalf("sample returns = %d, want 100", got)
+	if got := c.Count(metrics.KindSampleReturn); got != marks+recaptures {
+		t.Fatalf("sample returns = %d, want %d", got, marks+recaptures)
 	}
-	// One control message per distinct mark; marks <= capture draws.
-	if got := c.Count(metrics.KindControl); got == 0 || got > 50 {
-		t.Fatalf("mark control messages = %d, want in (0, 50]", got)
+	// One control message per distinct mark: at most one per capture
+	// draw, and on 500 peers fewer (300 draws collide).
+	if got := c.Count(metrics.KindControl); got == 0 || got >= marks {
+		t.Fatalf("mark control messages = %d, want in (0, %d)", got, marks)
 	}
 }
 
 func TestEmptyOverlayErrors(t *testing.T) {
 	net := overlay.New(graph.New(0), 10, nil)
-	if _, err := New(Default(), xrand.New(1)).Estimate(net); err != ErrEmptyOverlay {
+	if _, err := New(xrand.New(1)).Estimate(net); err != ErrEmptyOverlay {
 		t.Fatalf("err = %v, want ErrEmptyOverlay", err)
 	}
 }
 
 func TestSingletonOverlay(t *testing.T) {
 	// A lone isolated peer samples itself in both phases: n1 = 1,
-	// m = Recaptures, and Chapman collapses to ~1.
+	// m = recaptures, and Chapman collapses to exactly 1.
 	g := graph.NewWithNodes(1)
 	net := overlay.New(g, 10, nil)
-	est, err := New(Config{T: 10, Marks: 20, Recaptures: 20}, xrand.New(6)).Estimate(net)
+	est, err := New(xrand.New(6)).Estimate(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(est-1) > 1 {
-		t.Fatalf("singleton estimate = %g, want ~1", est)
+	if est != 1 {
+		t.Fatalf("singleton estimate = %g, want 1", est)
 	}
 }
 
+// TestConfigValidation: the one invalid input left to New is a nil
+// generator.
 func TestConfigValidation(t *testing.T) {
-	for _, cfg := range []Config{
-		{T: 0, Marks: 1, Recaptures: 1},
-		{T: 10, Marks: 0, Recaptures: 1},
-		{T: 10, Marks: 1, Recaptures: 0},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("config %+v did not panic", cfg)
-				}
-			}()
-			New(cfg, xrand.New(1))
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nil rng did not panic")
+		}
+	}()
+	New(nil)
 }

@@ -32,7 +32,6 @@
 package cyclon
 
 import (
-	"errors"
 	"fmt"
 
 	"p2psize/internal/graph"
@@ -42,14 +41,18 @@ import (
 	"p2psize/internal/xrand"
 )
 
-// Config parameterizes the protocol.
+const (
+	// viewSize is the partial-view capacity c. The CYCLON paper uses
+	// 20-50 for large networks; the comparative study's overlays
+	// average ~7 links, so this repo uses 8.
+	viewSize = 8
+	// shuffleLen is how many entries travel per shuffle (at most
+	// viewSize): half a view, this repo's choice.
+	shuffleLen = 4
+)
+
+// Config parameterizes the protocol's sharded rounds.
 type Config struct {
-	// ViewSize is the partial-view capacity c (CYCLON paper: 20-50 for
-	// large networks; the comparative study's overlays average ~7 links,
-	// so the default is 8).
-	ViewSize int
-	// ShuffleLen is how many entries travel per shuffle (<= ViewSize).
-	ShuffleLen int
 	// Shards splits each round's shuffled initiator order into this many
 	// segments on per-round xrand streams; cross-shard shuffles are
 	// deferred to an ordered fix-up pass. Like the Aggregation sweep,
@@ -68,16 +71,10 @@ func (c Config) engine() parallel.EngineConfig {
 	return parallel.EngineConfig{Shards: c.Shards, Workers: c.Workers}
 }
 
-// Default returns ViewSize 8, ShuffleLen 4.
-func Default() Config { return Config{ViewSize: 8, ShuffleLen: 4} }
+// Default returns auto-sized shards on all CPUs.
+func Default() Config { return Config{} }
 
 func (c *Config) validate() error {
-	if c.ViewSize < 1 {
-		return errors.New("cyclon: ViewSize must be >= 1")
-	}
-	if c.ShuffleLen < 1 || c.ShuffleLen > c.ViewSize {
-		return errors.New("cyclon: ShuffleLen must be in [1, ViewSize]")
-	}
 	if err := c.engine().Validate(); err != nil {
 		return fmt.Errorf("cyclon: %w", err)
 	}
@@ -174,15 +171,15 @@ func (p *Protocol) appendMemberIDs(dst []graph.NodeID) []graph.NodeID {
 
 // Bootstrap populates views from an existing overlay graph: each node's
 // initial view is a random subset of its graph neighbors (capped at
-// ViewSize), age zero.
+// viewSize), age zero.
 func (p *Protocol) Bootstrap(g *graph.Graph) {
 	p.grow(g.NumIDs())
 	g.ForEachAlive(func(id graph.NodeID) {
 		nbrs := g.Neighbors(id)
-		view := make([]entry, 0, p.cfg.ViewSize)
+		view := make([]entry, 0, viewSize)
 		order := p.rng.Perm(len(nbrs))
 		for _, i := range order {
-			if len(view) == p.cfg.ViewSize {
+			if len(view) == viewSize {
 				break
 			}
 			view = append(view, entry{node: nbrs[i]})
@@ -309,10 +306,10 @@ func (p *Protocol) beginShuffle(id graph.NodeID) (graph.NodeID, bool) {
 func (p *Protocol) completeShuffle(id, q graph.NodeID, rng *xrand.Rand, b *shuffleBuf) {
 	view := p.views[id]
 	// Build the outgoing subset: fresh self-pointer + up to
-	// ShuffleLen-1 random entries from the (q-less) view.
+	// shuffleLen-1 random entries from the (q-less) view.
 	out := append(b.out[:0], entry{node: id, age: 0})
 	for _, i := range b.perm(rng, len(view)) {
-		if len(out) == p.cfg.ShuffleLen {
+		if len(out) == shuffleLen {
 			break
 		}
 		out = append(out, view[i])
@@ -321,7 +318,7 @@ func (p *Protocol) completeShuffle(id, q graph.NodeID, rng *xrand.Rand, b *shuff
 	qView := p.views[q]
 	back := b.back[:0]
 	for _, i := range b.perm(rng, len(qView)) {
-		if len(back) == p.cfg.ShuffleLen {
+		if len(back) == shuffleLen {
 			break
 		}
 		back = append(back, qView[i])
@@ -338,7 +335,7 @@ func (p *Protocol) completeShuffle(id, q graph.NodeID, rng *xrand.Rand, b *shuff
 // away (sent) are evicted first, then the oldest.
 //
 // Membership is checked by scanning the view directly: views hold at
-// most ViewSize (~8) entries, where a linear pass over the live slice
+// most viewSize (8) entries, where a linear pass over the live slice
 // beats building a map — the map was one allocation per exchange, the
 // dominant allocation of a shuffle round, and scanning the mutating
 // view needs no bookkeeping to stay exact.
@@ -347,7 +344,7 @@ func (p *Protocol) merge(owner graph.NodeID, view, received, sent []entry) []ent
 		if e.node == owner || containsNode(view, e.node) {
 			continue
 		}
-		if len(view) < p.cfg.ViewSize {
+		if len(view) < viewSize {
 			view = append(view, e)
 			continue
 		}

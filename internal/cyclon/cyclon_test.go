@@ -21,12 +21,7 @@ func bootstrapped(n int, seed uint64) *Protocol {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{ViewSize: 0, ShuffleLen: 1},
-		{ViewSize: 4, ShuffleLen: 0},
-		{ViewSize: 4, ShuffleLen: 5},
-	}
-	for _, cfg := range bad {
+	for _, cfg := range []Config{{Shards: -1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -66,8 +61,8 @@ func TestViewCapacityInvariant(t *testing.T) {
 	}
 	for _, id := range p.appendMemberIDs(nil) {
 		view := p.views[id]
-		if len(view) > p.cfg.ViewSize {
-			t.Fatalf("view of %d has %d entries, cap %d", id, len(view), p.cfg.ViewSize)
+		if len(view) > viewSize {
+			t.Fatalf("view of %d has %d entries, cap %d", id, len(view), viewSize)
 		}
 		seen := map[graph.NodeID]bool{}
 		for _, e := range view {
@@ -255,8 +250,8 @@ func TestDegreeStaysBalanced(t *testing.T) {
 		p.RunRound()
 	}
 	g := p.ExportGraph(500)
-	if max := graph.MaxDegree(g); max > 4*p.cfg.ViewSize {
-		t.Fatalf("max undirected degree %d for view size %d", max, p.cfg.ViewSize)
+	if max := graph.MaxDegree(g); max > 4*viewSize {
+		t.Fatalf("max undirected degree %d for view size %d", max, viewSize)
 	}
 }
 
@@ -397,7 +392,7 @@ func TestWarmRoundAllocatesNothing(t *testing.T) {
 	}
 	for _, n := range []int{8300, 83000} {
 		g := graph.Heterogeneous(n, 10, xrand.New(5))
-		p := New(Config{ViewSize: 8, ShuffleLen: 4, Workers: 1}, xrand.New(6), nil)
+		p := New(Config{Workers: 1}, xrand.New(6), nil)
 		p.Bootstrap(g)
 		for range 3 {
 			p.RunRound()
@@ -423,14 +418,14 @@ func TestExchangeMatchesPermReference(t *testing.T) {
 	refShuffle := func(id, q graph.NodeID, rng *xrand.Rand) {
 		out := []entry{{node: id}}
 		for _, i := range rng.Perm(len(ref[id])) {
-			if len(out) == p.cfg.ShuffleLen {
+			if len(out) == shuffleLen {
 				break
 			}
 			out = append(out, ref[id][i])
 		}
-		back := make([]entry, 0, p.cfg.ShuffleLen)
+		back := make([]entry, 0, shuffleLen)
 		for _, i := range rng.Perm(len(ref[q])) {
-			if len(back) == p.cfg.ShuffleLen {
+			if len(back) == shuffleLen {
 				break
 			}
 			back = append(back, ref[q][i])
@@ -467,7 +462,7 @@ func raceEnabled() bool {
 	return ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
-// Join adds a fresh peer whose view is seeded with up to ViewSize random
+// Join adds a fresh peer whose view is seeded with up to viewSize random
 // existing participants (the introducer mechanism). Joining twice
 // panics.
 func (p *Protocol) Join(id graph.NodeID) {
@@ -479,9 +474,9 @@ func (p *Protocol) Join(id graph.NodeID) {
 	// identical runs seed identical views.
 	ids := p.appendMemberIDs(nil)
 	xrand.Shuffle(p.rng, ids)
-	view := make([]entry, 0, p.cfg.ViewSize)
+	view := make([]entry, 0, viewSize)
 	for _, other := range ids {
-		if len(view) == p.cfg.ViewSize {
+		if len(view) == viewSize {
 			break
 		}
 		view = append(view, entry{node: other})

@@ -91,8 +91,8 @@ func TestShardsBeyondCapPanics(t *testing.T) {
 }
 
 func TestShardCountIsPartOfTheAlgorithm(t *testing.T) {
-	a, _ := roundState(t, 2000, Config{ViewSize: 8, ShuffleLen: 4, Shards: 1, Workers: 1}, 301, 5)
-	b, _ := roundState(t, 2000, Config{ViewSize: 8, ShuffleLen: 4, Shards: 4, Workers: 1}, 301, 5)
+	a, _ := roundState(t, 2000, Config{Shards: 1, Workers: 1}, 301, 5)
+	b, _ := roundState(t, 2000, Config{Shards: 4, Workers: 1}, 301, 5)
 	if _, same := viewsEqual(a, b); same {
 		t.Fatal("1-shard and 4-shard rounds produced identical views")
 	}
@@ -139,7 +139,7 @@ func TestShardedDegreeDistribution(t *testing.T) {
 	if math.Abs(shSD-seqSD) > 0.25*seqSD {
 		t.Fatalf("degree spread diverged: seq %.2f vs sharded %.2f", seqSD, shSD)
 	}
-	if shMax > 4*Default().ViewSize || seqMax > 4*Default().ViewSize {
+	if shMax > 4*viewSize || seqMax > 4*viewSize {
 		t.Fatalf("in-degree balance lost: max degree seq %d, sharded %d", seqMax, shMax)
 	}
 	if seqStale > 0.02 != (shStale > 0.02) {
@@ -167,8 +167,8 @@ func TestShardedViewInvariants(t *testing.T) {
 	}
 	for _, id := range p.appendMemberIDs(nil) {
 		view := p.views[id]
-		if len(view) > cfg.ViewSize {
-			t.Fatalf("view of %d has %d entries, cap %d", id, len(view), cfg.ViewSize)
+		if len(view) > viewSize {
+			t.Fatalf("view of %d has %d entries, cap %d", id, len(view), viewSize)
 		}
 		seen := map[graph.NodeID]bool{}
 		for _, e := range view {

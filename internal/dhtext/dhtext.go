@@ -15,8 +15,8 @@
 //	N̂ = (k−1)·2^64 / d(k)
 //
 // is therefore exactly unbiased, with relative error ~1/√(k−2).
-// Averaging Probes independent lookups tightens it to
-// ~1/√(Probes·(k−2)). Each probe routes iteratively like a real
+// Averaging an estimate's 16 independent lookups tightens it to
+// ~1/√(16·(k−2)). Each probe routes iteratively like a real
 // Kademlia lookup: starting from a peer derived from the target, every
 // hop halves the XOR distance to the target and sends one routed
 // message, until the distance enters the closest set; then the k
@@ -50,34 +50,20 @@ import (
 	"p2psize/internal/xrand"
 )
 
-// Config parameterizes the DHT extrapolator.
-type Config struct {
-	// K is the closest-set size a lookup returns (Kademlia's bucket
-	// width; >= 2 so the order-statistic estimator is defined).
-	K int
-	// Probes is the number of independent lookups averaged per
-	// estimation.
-	Probes int
-}
-
-// Default returns the Kademlia-flavored configuration: k = 20 closest
-// peers per lookup, 16 lookups per estimate (~6% relative error).
-func Default() Config { return Config{K: 20, Probes: 16} }
-
-func (c *Config) validate() error {
-	if c.K < 2 {
-		return errors.New("dhtext: K must be >= 2")
-	}
-	if c.Probes < 1 {
-		return errors.New("dhtext: Probes must be >= 1")
-	}
-	return nil
-}
+const (
+	// bucketK is the closest-set size a lookup returns: Kademlia's
+	// bucket width k = 20, the width the IPFS crawlers measure against
+	// (arXiv:2205.14927). It is a property of the network modelled, not
+	// a setting; the order-statistic estimator needs k >= 2.
+	bucketK = 20
+	// lookups is how many independent lookups an estimate averages:
+	// 16 puts its relative error near 1/√(16·18) ≈ 6%.
+	lookups = 16
+)
 
 // Estimator runs k-closest density estimations on an overlay. It
 // satisfies the core.Estimator contract.
 type Estimator struct {
-	cfg  Config
 	rng  *xrand.Rand
 	salt uint64 // per-instance identifier-space salt
 
@@ -87,22 +73,19 @@ type Estimator struct {
 	heaps   []uint64
 }
 
-// New builds an Estimator; it panics on invalid configuration. The
-// identifier space is salted from the instance rng, so equal seeds give
-// equal identifier assignments and byte-identical estimates.
-func New(cfg Config, rng *xrand.Rand) *Estimator {
-	if err := cfg.validate(); err != nil {
-		panic(err)
-	}
+// New builds an Estimator; it panics on a nil rng. The identifier
+// space is salted from the instance rng, so equal seeds give equal
+// identifier assignments and byte-identical estimates.
+func New(rng *xrand.Rand) *Estimator {
 	if rng == nil {
 		panic("dhtext: nil rng")
 	}
-	return &Estimator{cfg: cfg, rng: rng, salt: rng.Uint64()}
+	return &Estimator{rng: rng, salt: rng.Uint64()}
 }
 
 // Name identifies the estimator in reports.
 func (e *Estimator) Name() string {
-	return fmt.Sprintf("dht-density(k=%d,probes=%d)", e.cfg.K, e.cfg.Probes)
+	return fmt.Sprintf("dht-density(k=%d,probes=%d)", bucketK, lookups)
 }
 
 // MutatesOverlay reports false: density probes only route and measure
@@ -122,7 +105,7 @@ func (e *Estimator) id64(id graph.NodeID) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Estimate averages Probes lookups toward fresh random targets and
+// Estimate averages lookups toward fresh random targets and
 // returns the extrapolated size. Lookup routing hops and closest-set
 // replies are metered on the network's counter.
 func (e *Estimator) Estimate(net *overlay.Network) (float64, error) {
@@ -131,10 +114,7 @@ func (e *Estimator) Estimate(net *overlay.Network) (float64, error) {
 	if n == 0 {
 		return 0, ErrEmptyOverlay
 	}
-	k := e.cfg.K
-	if k > n {
-		k = n
-	}
+	k := min(bucketK, n)
 	if k < 2 {
 		// One- or two-peer overlays leave no order statistic to
 		// extrapolate from; the lookup trivially enumerates the
@@ -147,7 +127,7 @@ func (e *Estimator) Estimate(net *overlay.Network) (float64, error) {
 	// the estimate stream. Drawing them all first lets one sweep of the
 	// alive list serve every probe.
 	e.targets = e.targets[:0]
-	for p := 0; p < e.cfg.Probes; p++ {
+	for range lookups {
 		e.targets = append(e.targets, e.rng.Uint64())
 	}
 	e.kthClosest(g, k)
@@ -176,7 +156,7 @@ func (e *Estimator) Estimate(net *overlay.Network) (float64, error) {
 		// aside) and a zero distance would need id == target exactly.
 		sum += float64(k-1) * math.Ldexp(1, 64) / float64(dk)
 	}
-	return sum / float64(e.cfg.Probes), nil
+	return sum / lookups, nil
 }
 
 // start picks the lookup initiator for a probe: a peer indexed by the

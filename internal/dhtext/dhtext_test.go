@@ -6,6 +6,7 @@ import (
 
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
+	"p2psize/internal/model"
 	"p2psize/internal/overlay"
 	"p2psize/internal/stats"
 	"p2psize/internal/xrand"
@@ -18,7 +19,7 @@ func hetNet(n int, seed uint64) *overlay.Network {
 func TestEstimatePlausible(t *testing.T) {
 	const n = 2000
 	net := hetNet(n, 1)
-	e := New(Default(), xrand.New(2))
+	e := New(xrand.New(2))
 	est, err := e.Estimate(net)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +33,7 @@ func TestEstimatePlausible(t *testing.T) {
 // estimator (k−1)·2^64/d(k) is exactly unbiased for uniform
 // identifiers, so over 30 seeded estimations on fresh overlays (fresh
 // salts, fresh targets) the mean must sit within a few percent of the
-// truth, with spread near 1/√(Probes·(k−2)).
+// truth, with spread near 1/√(16·(k−2)).
 func TestStatisticalEnvelope(t *testing.T) {
 	if testing.Short() {
 		t.Skip("30 estimations at n=2000")
@@ -41,7 +42,7 @@ func TestStatisticalEnvelope(t *testing.T) {
 	var r stats.Running
 	for i := 0; i < runs; i++ {
 		net := hetNet(n, uint64(500+i))
-		e := New(Default(), xrand.New(uint64(900+i)))
+		e := New(xrand.New(uint64(900 + i)))
 		est, err := e.Estimate(net)
 		if err != nil {
 			t.Fatal(err)
@@ -60,11 +61,11 @@ func TestStatisticalEnvelope(t *testing.T) {
 }
 
 func TestDeterministicForEqualSeeds(t *testing.T) {
-	a, err := New(Default(), xrand.New(7)).Estimate(hetNet(1200, 3))
+	a, err := New(xrand.New(7)).Estimate(hetNet(1200, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Default(), xrand.New(7)).Estimate(hetNet(1200, 3))
+	b, err := New(xrand.New(7)).Estimate(hetNet(1200, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestSoundUnderChurn(t *testing.T) {
 	// goes stale when membership changes — the property that lets the
 	// family monitor (unlike the snapshot-based idspace ring).
 	net := hetNet(1000, 4)
-	e := New(Default(), xrand.New(5))
+	e := New(xrand.New(5))
 	if _, err := e.Estimate(net); err != nil {
 		t.Fatal(err)
 	}
@@ -106,22 +107,27 @@ func TestSoundUnderChurn(t *testing.T) {
 func TestMessagesMetered(t *testing.T) {
 	const n = 512
 	net := hetNet(n, 8)
-	cfg := Config{K: 10, Probes: 4}
-	if _, err := New(cfg, xrand.New(9)).Estimate(net); err != nil {
+	ref := net.View()
+	rng := xrand.New(9)
+	if _, err := New(rng).Estimate(net); err != nil {
 		t.Fatal(err)
 	}
 	c := net.Counter()
 	// Iterative routing sends one message per distance-halving hop: at
-	// least one per probe, and for 512 peers well under the 64-hop cap.
-	// The exact count is a deterministic function of the seed (golden).
+	// least one per lookup, and for 512 peers well under the 64-hop
+	// cap. The exact count is the model's for the same draws.
 	walks := c.Count(metrics.KindWalk)
-	if walks < 4 || walks > 4*64 {
-		t.Fatalf("routing hops = %d, want within [4, %d]", walks, 4*64)
+	if walks < lookups || walks > lookups*64 {
+		t.Fatalf("routing hops = %d, want within [%d, %d]", walks, lookups, lookups*64)
 	}
-	if got, want := walks, uint64(21); got != want {
-		t.Fatalf("routing hops = %d, want golden %d (seed 9)", got, want)
+	mrng := xrand.New(9)
+	if _, ok := model.DHT(ref, mrng.Uint64(), bucketK, lookups, mrng); !ok {
+		t.Fatal("model: no estimate")
 	}
-	if got, want := c.Count(metrics.KindReply), uint64(4*10); got != want {
+	if got, want := walks, ref.Counter().Count(metrics.KindWalk); got != want {
+		t.Fatalf("routing hops = %d, model %d", got, want)
+	}
+	if got, want := c.Count(metrics.KindReply), uint64(lookups*bucketK); got != want {
 		t.Fatalf("closest-set replies = %d, want %d", got, want)
 	}
 }
@@ -133,7 +139,7 @@ func TestTinyOverlays(t *testing.T) {
 			g.AddEdge(graph.NodeID(0), graph.NodeID(i))
 		}
 		net := overlay.New(g, 10, nil)
-		est, err := New(Default(), xrand.New(uint64(n))).Estimate(net)
+		est, err := New(xrand.New(uint64(n))).Estimate(net)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -142,22 +148,20 @@ func TestTinyOverlays(t *testing.T) {
 		}
 	}
 	net := overlay.New(graph.New(0), 10, nil)
-	if _, err := New(Default(), xrand.New(1)).Estimate(net); err != ErrEmptyOverlay {
+	if _, err := New(xrand.New(1)).Estimate(net); err != ErrEmptyOverlay {
 		t.Fatalf("empty overlay err = %v", err)
 	}
 }
 
+// TestConfigValidation: the one invalid input left to New is a nil
+// generator.
 func TestConfigValidation(t *testing.T) {
-	for _, cfg := range []Config{{K: 1, Probes: 1}, {K: 2, Probes: 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("config %+v did not panic", cfg)
-				}
-			}()
-			New(cfg, xrand.New(1))
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nil rng did not panic")
+		}
+	}()
+	New(nil)
 }
 
 // TestDegenerateInputs: a clone all but one peer left, and one emptied,
@@ -165,7 +169,7 @@ func TestConfigValidation(t *testing.T) {
 func TestDegenerateInputs(t *testing.T) {
 	net := hetNet(300, 43).CloneCOW()
 	rng := xrand.New(44)
-	e := New(Default(), xrand.New(45))
+	e := New(xrand.New(45))
 	for net.Size() > 0 {
 		est, err := e.Estimate(net)
 		if err != nil || math.IsNaN(est) || math.IsInf(est, 0) || est <= 0 {

@@ -59,8 +59,12 @@ type Config struct {
 	Workers int
 }
 
-// Default returns the paper's dynamic-setting configuration (50 rounds).
-func Default() Config { return Config{RoundsPerEpoch: 50} }
+// DefaultRounds is the paper's epoch length: 50 rounds per estimation
+// in the dynamic setting.
+const DefaultRounds = 50
+
+// Default returns the paper's dynamic-setting configuration.
+func Default() Config { return Config{RoundsPerEpoch: DefaultRounds} }
 
 // engine projects the sharded-round knobs onto the engine's config.
 func (c Config) engine() parallel.EngineConfig {

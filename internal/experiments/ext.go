@@ -147,7 +147,7 @@ func extDelay(p Params) (*Figure, error) {
 	outs, err := parallel.Map(p.Workers, len(sizes), func(si int) (sizeOut, error) {
 		n := sizes[si]
 		net := hetNet(n, p, 0x3200+uint64(n))
-		model := latency.NewEuclidean(net.Graph().NumIDs(), 0.01, xrand.New(p.Seed+0x3201))
+		model := latency.NewEuclidean(net.Graph().NumIDs(), xrand.New(p.Seed+0x3201))
 		c, err := latency.CompareAll(net, model, 200, p.EpochLen, xrand.New(p.Seed+0x3202))
 		if err != nil {
 			return sizeOut{}, fmt.Errorf("ext-delay: %w", err)

@@ -378,11 +378,11 @@ func TestDecorateForwardsOverlayCapability(t *testing.T) {
 		{"randomtour", randomtour.New(randomtour.Default(), rng), false},
 		{"hopssampling", hopssampling.New(hopssampling.Default(), rng), false},
 		{"aggregation", aggregation.NewEstimator(aggregation.Default(), rng), true},
-		{"idspace", idspace.New(idspace.NewRing(net, rng), 200, rng), false},
-		{"polling", polling.New(polling.Default(), rng), false},
+		{"idspace", idspace.New(idspace.NewRing(net, rng), rng), false},
+		{"polling", polling.New(rng), false},
 		{"pushsum", pushsum.NewEstimator(pushsum.Default(), rng), true},
-		{"capturerecapture", capturerecapture.New(capturerecapture.Default(), rng), false},
-		{"dht", dhtext.New(dhtext.Default(), rng), false},
+		{"capturerecapture", capturerecapture.New(rng), false},
+		{"dht", dhtext.New(rng), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := core.MutatesOverlay(tc.e); got != tc.mutates {

@@ -71,7 +71,7 @@ func NewInjector(spec Spec, rng *xrand.Rand) *Injector {
 		panic("fault: nil rng")
 	}
 	inj := &Injector{spec: spec, rng: rng, liarSalt: rng.Uint64()}
-	inj.model = latency.NewEuclidean(virtualPeers, 0.01, rng)
+	inj.model = latency.NewEuclidean(virtualPeers, rng)
 	samples := make([]float64, delaySamples)
 	var sum float64
 	for i := range samples {

@@ -25,21 +25,19 @@
 // out of 100,000") — the extrapolation itself is unbiased, which
 // Diagnostics lets tests verify directly.
 //
-// Reply transport is configurable because the paper is ambiguous about
-// it: the text prices an estimation at O(2N) messages (direct replies)
-// while Table I's 5M figure and the "message flood towards the
-// initiator ... may overload the initiator's neighbors" remark imply
-// replies routed hop-by-hop through the overlay. RoutedReplies selects
-// the Table I behaviour and is the default in the experiments. Nothing
-// records the gossip path and no reply walks one: a routed reply from a
-// node at recorded distance h is priced at h messages, metered in one
-// batch.
+// Replies are routed, the Table I behaviour. The paper's text prices
+// an estimation at O(2N) messages, which fits direct replies, but Table
+// I's 5M figure and its warning that the "message flood towards the
+// initiator ... may overload the initiator's neighbors" only fit
+// replies relayed hop by hop through the overlay, so every figure and
+// table here prices them that way. Nothing records the gossip path and
+// no reply walks one: a reply from a node at recorded distance h is
+// priced at h messages, metered in one batch.
 package hopssampling
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
@@ -48,66 +46,41 @@ import (
 	"p2psize/internal/xrand"
 )
 
-// Config parameterizes HopsSampling. Zero values are invalid; use
+// The paper's gossip setting ([17], [16]), fixed for every poll.
+const (
+	// GossipTo is the gossip fan-out per round (paper: gossipTo 2). It
+	// is also the base of the reporting probability GossipTo^-x.
+	GossipTo = 2
+	// gossipFor is how many rounds an infected node gossips (paper:
+	// gossipFor 1). A node's remaining rounds are kept in one signed
+	// byte, which this value fits.
+	gossipFor = 1
+	// gossipUntil is how many consecutive rounds without any new
+	// infection the spread tolerates before stopping (paper:
+	// gossipUntil 1).
+	gossipUntil = 1
+	// maxRounds bounds the spread phase (a safety valve).
+	maxRounds = 10000
+	// DefaultMinHops is the paper's minHopsReporting, 5.
+	DefaultMinHops = 5
+)
+
+// Config parameterizes HopsSampling. The zero value is invalid; use
 // Default() for the paper's setting.
 type Config struct {
-	// GossipTo is the gossip fan-out per round (paper: 2).
-	GossipTo int
-	// GossipFor is how many rounds an infected node gossips (paper: 1).
-	GossipFor int
-	// GossipUntil is how many consecutive rounds without any new
-	// infection the spread tolerates before stopping (paper: 1).
-	GossipUntil int
 	// MinHopsReporting is the distance below which nodes always reply
 	// (paper: 5).
 	MinHopsReporting int
-	// RoutedReplies prices each response at its hop distance h — the h
-	// messages a reply relayed back toward the initiator costs — instead
-	// of one direct message. No path is recorded or walked.
-	RoutedReplies bool
-	// MaxRounds bounds the spread phase (safety valve; 0 means 10000).
-	MaxRounds int
 }
 
-// Default returns the paper's configuration with routed replies.
-func Default() Config {
-	return Config{
-		GossipTo:         2,
-		GossipFor:        1,
-		GossipUntil:      1,
-		MinHopsReporting: 5,
-		RoutedReplies:    true,
-	}
-}
+// Default returns the paper's configuration.
+func Default() Config { return Config{MinHopsReporting: DefaultMinHops} }
 
 func (c *Config) validate() error {
-	if c.GossipTo < 1 {
-		return errors.New("hopssampling: GossipTo must be >= 1")
-	}
-	if c.GossipFor < 1 {
-		return errors.New("hopssampling: GossipFor must be >= 1")
-	}
-	// A node's remaining gossip rounds are kept in one signed byte.
-	if c.GossipFor > math.MaxInt8 {
-		return fmt.Errorf("hopssampling: GossipFor %d exceeds %d", c.GossipFor, math.MaxInt8)
-	}
-	if c.GossipUntil < 1 {
-		return errors.New("hopssampling: GossipUntil must be >= 1")
-	}
 	if c.MinHopsReporting < 1 {
 		return errors.New("hopssampling: MinHopsReporting must be >= 1")
 	}
-	if c.MaxRounds < 0 {
-		return errors.New("hopssampling: MaxRounds must be >= 0")
-	}
 	return nil
-}
-
-func (c *Config) maxRounds() int {
-	if c.MaxRounds > 0 {
-		return c.MaxRounds
-	}
-	return 10000
 }
 
 // Diagnostics reports per-estimation internals used by the evaluation
@@ -248,7 +221,7 @@ const maxActivations = 2
 const stageBlock = 64
 
 // spread runs the bounded gossip dissemination and returns the number of
-// rounds executed. A node gossips for GossipFor rounds after its first
+// rounds executed. A node gossips for gossipFor rounds after its first
 // receipt and re-arms when its recorded hop count improves ("the lowest
 // hopCount value received by a node is remembered"): relaying
 // improvements relaxes recorded distances toward BFS distances, which
@@ -258,7 +231,7 @@ const stageBlock = 64
 // inverse-probability weights explode. Relaxation also flows backward:
 // links are bidirectional, so a contacted node holding a better distance
 // corrects the sender with one response message. The spread stops once
-// GossipUntil consecutive rounds infect no new node.
+// gossipUntil consecutive rounds infect no new node.
 func (e *Estimator) spread(net *overlay.Network, initiator graph.NodeID) int {
 	// Asymmetric (NAT-limited) connectivity: a gossip message to a fated
 	// peer is sent — and metered — but lost at the NAT, so the peer is
@@ -269,7 +242,7 @@ func (e *Estimator) spread(net *overlay.Network, initiator graph.NodeID) int {
 	// policies answer false with zero extra draws.
 	pol := net.FaultPolicy()
 	g := net.Graph()
-	slots, gen, gossipFor := e.slots, e.gen, int8(e.cfg.GossipFor)
+	slots, gen := e.slots, e.gen
 	slots[initiator] = slot{dist: 0, stamp: gen, budget: gossipFor, acts: 1}
 	active, next := append(e.active[:0], initiator), e.next
 	enqueue := func(id graph.NodeID, s *slot) {
@@ -288,7 +261,7 @@ func (e *Estimator) spread(net *overlay.Network, initiator graph.NodeID) int {
 	}
 	quiet := 0
 	rounds := 0
-	for len(active) > 0 && quiet < e.cfg.GossipUntil && rounds < e.cfg.maxRounds() {
+	for len(active) > 0 && quiet < gossipUntil && rounds < maxRounds {
 		rounds++
 		next = next[:0]
 		infected := 0
@@ -297,7 +270,7 @@ func (e *Estimator) spread(net *overlay.Network, initiator graph.NodeID) int {
 			e.stage(g, blk)
 			for _, id := range blk {
 				src := &slots[id]
-				for k := 0; k < e.cfg.GossipTo; k++ {
+				for k := 0; k < GossipTo; k++ {
 					h := src.dist
 					target, ok := g.RandomNeighbor(id, e.rng)
 					if !ok {
@@ -338,7 +311,7 @@ func (e *Estimator) spread(net *overlay.Network, initiator graph.NodeID) int {
 			slots[id].queued = false
 		}
 		// Quiescence counts only new infections: once no fresh node was
-		// reached for GossipUntil rounds the poll stops, even though
+		// reached for gossipUntil rounds the poll stops, even though
 		// distance improvements may still be circulating.
 		if infected == 0 {
 			quiet++
@@ -362,7 +335,7 @@ func (e *Estimator) stage(g *graph.Graph, blk []graph.NodeID) {
 	}
 	ahead := *e.rng
 	for _, id := range blk {
-		for k := 0; k < e.cfg.GossipTo; k++ {
+		for k := 0; k < GossipTo; k++ {
 			target, ok := g.RandomNeighbor(id, &ahead)
 			if !ok {
 				break
@@ -407,12 +380,8 @@ func (e *Estimator) collect(net *overlay.Network, initiator graph.NodeID) (est f
 				continue
 			}
 			replies++
-			if e.cfg.RoutedReplies {
-				// A routed reply costs one message per hop back.
-				net.SendN(metrics.KindReply, uint64(h))
-			} else {
-				net.Send(metrics.KindReply)
-			}
+			// A routed reply costs one message per hop back.
+			net.SendN(metrics.KindReply, uint64(h))
 			total += 1 / p
 		}
 	}
@@ -424,7 +393,7 @@ func (e *Estimator) collect(net *overlay.Network, initiator graph.NodeID) (est f
 // inversePow itself, so the values are bit-equal to calling it.
 func (e *Estimator) reportProb(x int) float64 {
 	for len(e.pow) <= x {
-		e.pow = append(e.pow, inversePow(e.cfg.GossipTo, len(e.pow)))
+		e.pow = append(e.pow, inversePow(GossipTo, len(e.pow)))
 	}
 	return e.pow[x]
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"p2psize/internal/graph"
@@ -19,31 +18,14 @@ func hetNet(n int, seed uint64) *overlay.Network {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []struct {
-		cfg  Config
-		want string // a substring of the panic, when it matters
-	}{
-		{cfg: Config{GossipTo: 0, GossipFor: 1, GossipUntil: 1, MinHopsReporting: 5}},
-		{cfg: Config{GossipTo: 2, GossipFor: 0, GossipUntil: 1, MinHopsReporting: 5}},
-		{cfg: Config{GossipTo: 2, GossipFor: 1, GossipUntil: 0, MinHopsReporting: 5}},
-		{cfg: Config{GossipTo: 2, GossipFor: 1, GossipUntil: 1, MinHopsReporting: 0}},
-		{cfg: Config{GossipTo: 2, GossipFor: 1, GossipUntil: 1, MinHopsReporting: 5, MaxRounds: -1}},
-		// A node's remaining gossip rounds fit one signed byte: 128
-		// used to wrap and poll as GossipFor 1 would.
-		{cfg: Config{GossipTo: 2, GossipFor: 128, GossipUntil: 1, MinHopsReporting: 5}, want: "GossipFor 128 exceeds 127"},
-	}
-	for _, c := range bad {
+	for _, cfg := range []Config{{MinHopsReporting: 0}, {MinHopsReporting: -1}} {
 		func() {
 			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("New(%+v) did not panic", c.cfg)
-				}
-				if msg := fmt.Sprint(r); !strings.Contains(msg, c.want) {
-					t.Fatalf("New(%+v) panicked with %q, want it to name %q", c.cfg, msg, c.want)
+				if recover() == nil {
+					t.Fatalf("New(%+v) did not panic", cfg)
 				}
 			}()
-			New(c.cfg, xrand.New(1))
+			New(cfg, xrand.New(1))
 		}()
 	}
 	func() {
@@ -57,22 +39,20 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDefaultMatchesPaper(t *testing.T) {
-	cfg := Default()
-	if cfg.GossipTo != 2 || cfg.GossipFor != 1 || cfg.GossipUntil != 1 || cfg.MinHopsReporting != 5 {
-		t.Fatalf("defaults = %+v, want the paper's gossipTo=2 gossipFor=1 gossipUntil=1 minHops=5", cfg)
+	if cfg := Default(); cfg.MinHopsReporting != 5 {
+		t.Fatalf("defaults = %+v, want the paper's minHops=5", cfg)
 	}
-	if !cfg.RoutedReplies {
-		t.Fatal("default should use routed replies (Table I accounting)")
+	if GossipTo != 2 || gossipFor != 1 || gossipUntil != 1 {
+		t.Fatalf("gossipTo=%d gossipFor=%d gossipUntil=%d, want the paper's 2, 1, 1", GossipTo, gossipFor, gossipUntil)
 	}
 }
 
 func TestName(t *testing.T) {
-	e := New(Default(), xrand.New(1))
-	if e.Name() != "hops-sampling(minHops=5)" {
-		t.Fatalf("Name = %q", e.Name())
+	if got := New(Default(), xrand.New(1)).Name(); got != "hops-sampling(minHops=5)" {
+		t.Fatalf("Name = %q", got)
 	}
-	if e.cfg.GossipTo != 2 {
-		t.Fatal("Config not returned")
+	if got := New(Config{MinHopsReporting: 3}, xrand.New(1)).Name(); got != "hops-sampling(minHops=3)" {
+		t.Fatalf("Name = %q", got)
 	}
 }
 
@@ -159,43 +139,19 @@ func TestCloseNodesAlwaysReply(t *testing.T) {
 	}
 }
 
-func TestReplyCostRoutedVsDirect(t *testing.T) {
-	// Routed replies must cost strictly more than direct ones on a graph
-	// with diameter > minHops... any graph with distances >= 2 works.
-	const n = 10000
-	run := func(routed bool) uint64 {
-		net := hetNet(n, 12)
-		cfg := Default()
-		cfg.RoutedReplies = routed
-		e := New(cfg, xrand.New(13))
-		initiator, _ := net.RandomPeer(xrand.New(14))
-		if _, _, err := e.EstimateFrom(net, initiator); err != nil {
-			t.Fatal(err)
-		}
-		return net.Counter().Count(metrics.KindReply)
-	}
-	direct := run(false)
-	routed := run(true)
-	if routed <= direct {
-		t.Fatalf("routed reply cost %d not above direct %d", routed, direct)
-	}
-}
-
 func TestOverheadOrderN(t *testing.T) {
 	// Text: a single shot costs O(2N) with direct replies. Check the
 	// spread alone stays within a small multiple of N.
 	const n = 20000
 	net := hetNet(n, 15)
-	cfg := Default()
-	cfg.RoutedReplies = false
-	e := New(cfg, xrand.New(16))
+	e := New(Default(), xrand.New(16))
 	initiator, _ := net.RandomPeer(xrand.New(17))
 	if _, _, err := e.EstimateFrom(net, initiator); err != nil {
 		t.Fatal(err)
 	}
-	total := float64(net.Counter().Total())
-	if total < 0.5*n || total > 4*n {
-		t.Fatalf("single-shot cost = %.0f messages, want O(2N) with N=%d", total, n)
+	spread := float64(net.Counter().Count(metrics.KindGossipSpread))
+	if spread < 0.5*n || spread > 4*n {
+		t.Fatalf("spread cost = %.0f messages, want O(2N) with N=%d", spread, n)
 	}
 }
 
@@ -315,25 +271,6 @@ func TestInversePow(t *testing.T) {
 		if got := inversePow(c.base, c.exp); math.Abs(got-c.want) > 1e-12 {
 			t.Fatalf("inversePow(%d,%d) = %g, want %g", c.base, c.exp, got, c.want)
 		}
-	}
-}
-
-func TestHigherFanoutReachesMore(t *testing.T) {
-	const n = 5000
-	frac := func(fanout int) float64 {
-		net := hetNet(n, 29)
-		cfg := Default()
-		cfg.GossipTo = fanout
-		e := New(cfg, xrand.New(30))
-		initiator, _ := net.RandomPeer(xrand.New(31))
-		f, err := e.ReachedFraction(net, initiator)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	if f2, f4 := frac(2), frac(4); f4 <= f2 {
-		t.Fatalf("fanout 4 reached %.2f, not above fanout 2's %.2f", f4, f2)
 	}
 }
 

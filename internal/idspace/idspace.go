@@ -101,30 +101,32 @@ func (r *Ring) Successor(node graph.NodeID) (graph.NodeID, bool) {
 	return r.sorted[(i+1)%len(r.sorted)].node, true
 }
 
+// successors is how many successors k an estimate walks: 200, the
+// count of Sample&Collide's l = 200, which puts the relative error near
+// 1/√200 ≈ 7%. This repo's choice; the paper runs no identifier-density
+// estimator.
+const successors = 200
+
 // Estimator computes density-based size estimates over a Ring. It
 // satisfies the core.Estimator contract when bound to a ring via New.
 type Estimator struct {
 	ring *Ring
-	k    int
 	rng  *xrand.Rand
 }
 
 // New builds a density estimator reading k successors per estimate.
-func New(ring *Ring, k int, rng *xrand.Rand) *Estimator {
+func New(ring *Ring, rng *xrand.Rand) *Estimator {
 	if ring == nil {
 		panic("idspace: nil ring")
-	}
-	if k < 1 {
-		panic("idspace: k must be >= 1")
 	}
 	if rng == nil {
 		panic("idspace: nil rng")
 	}
-	return &Estimator{ring: ring, k: k, rng: rng}
+	return &Estimator{ring: ring, rng: rng}
 }
 
 // Name identifies the estimator in reports.
-func (e *Estimator) Name() string { return fmt.Sprintf("id-density(k=%d)", e.k) }
+func (e *Estimator) Name() string { return fmt.Sprintf("id-density(k=%d)", successors) }
 
 // MutatesOverlay reports false: identifier-density estimation reads its
 // own ring, never the overlay graph (core.OverlayMutator).
@@ -153,10 +155,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, start graph.NodeID) (floa
 	if e.ring.Size() == 1 {
 		return 1, nil
 	}
-	k := e.k
-	if k > e.ring.Size()-1 {
-		k = e.ring.Size() - 1
-	}
+	k := min(successors, e.ring.Size()-1)
 	cur := start
 	var last uint64
 	for i := 0; i < k; i++ {

@@ -32,6 +32,7 @@ import (
 	"math"
 
 	"p2psize/internal/graph"
+	"p2psize/internal/hopssampling"
 	"p2psize/internal/overlay"
 	"p2psize/internal/samplecollide"
 	"p2psize/internal/stats"
@@ -44,27 +45,27 @@ type Model interface {
 	Delay(u, v graph.NodeID) float64
 }
 
+// baseDelay is the propagation floor every message pays on top of its
+// Euclidean distance: 0.01, against the unit square's mean distance
+// ≈ 0.52, so delays resemble a LAN floor plus wide-area spread. This
+// repo's choice; the paper models no physical network.
+const baseDelay = 0.01
+
 // Euclidean places peers uniformly at random in the unit square and
-// prices a message at Base + distance. With Base 0.01 and the square's
-// mean distance ≈ 0.52, delays resemble a LAN floor plus wide-area
-// spread.
+// prices a message at baseDelay + distance.
 type Euclidean struct {
-	base float64
 	x, y []float64
 }
 
 // NewEuclidean builds coordinates for ids [0, numIDs).
-func NewEuclidean(numIDs int, base float64, rng *xrand.Rand) *Euclidean {
+func NewEuclidean(numIDs int, rng *xrand.Rand) *Euclidean {
 	if numIDs < 0 {
 		panic("latency: negative numIDs")
-	}
-	if base < 0 {
-		panic("latency: negative base delay")
 	}
 	if rng == nil {
 		panic("latency: nil rng")
 	}
-	m := &Euclidean{base: base, x: make([]float64, numIDs), y: make([]float64, numIDs)}
+	m := &Euclidean{x: make([]float64, numIDs), y: make([]float64, numIDs)}
 	for i := 0; i < numIDs; i++ {
 		m.x[i] = rng.Float64()
 		m.y[i] = rng.Float64()
@@ -72,11 +73,11 @@ func NewEuclidean(numIDs int, base float64, rng *xrand.Rand) *Euclidean {
 	return m
 }
 
-// Delay returns base + Euclidean distance between u and v.
+// Delay returns baseDelay + the Euclidean distance between u and v.
 func (m *Euclidean) Delay(u, v graph.NodeID) float64 {
 	dx := m.x[u] - m.x[v]
 	dy := m.y[u] - m.y[v]
-	return m.base + math.Sqrt(dx*dx+dy*dy)
+	return baseDelay + math.Sqrt(dx*dx+dy*dy)
 }
 
 // ShortestDelays runs Dijkstra over the overlay's links with delays from
@@ -234,9 +235,9 @@ func Aggregation(net *overlay.Network, m Model, rounds int, quantile float64) (f
 	return float64(rounds) * period, nil
 }
 
-// Compare bundles the three latencies on one overlay with the paper's
-// parameters (T=10, l, gossipTo=2, minHops=5, rounds), using independent
-// rng streams per algorithm.
+// Comparison bundles the three latencies on one overlay with the
+// paper's parameters (T=10, l, gossipTo=2, minHops=5, rounds), using
+// independent rng streams per algorithm.
 type Comparison struct {
 	SampleCollide float64
 	HopsSampling  float64
@@ -247,11 +248,10 @@ type Comparison struct {
 func CompareAll(net *overlay.Network, m Model, l, rounds int, rng *xrand.Rand) (Comparison, error) {
 	var c Comparison
 	var err error
-	cfg := samplecollide.Default()
-	if c.SampleCollide, err = SampleCollide(net, m, cfg.T, l, rng.Split()); err != nil {
+	if c.SampleCollide, err = SampleCollide(net, m, samplecollide.DefaultT, l, rng.Split()); err != nil {
 		return c, err
 	}
-	if c.HopsSampling, err = HopsSampling(net, m, 2, 5, rng.Split()); err != nil {
+	if c.HopsSampling, err = HopsSampling(net, m, hopssampling.GossipTo, hopssampling.DefaultMinHops, rng.Split()); err != nil {
 		return c, err
 	}
 	if c.Aggregation, err = Aggregation(net, m, rounds, 0.99); err != nil {

@@ -19,7 +19,7 @@ func hetNet(n int, seed uint64) *overlay.Network {
 }
 
 func TestEuclideanProperties(t *testing.T) {
-	m := NewEuclidean(100, 0.01, xrand.New(1))
+	m := NewEuclidean(100, xrand.New(1))
 	for u := graph.NodeID(0); u < 100; u++ {
 		for v := graph.NodeID(0); v < 100; v += 7 {
 			d := m.Delay(u, v)
@@ -29,22 +29,21 @@ func TestEuclideanProperties(t *testing.T) {
 			if got := m.Delay(v, u); got != d {
 				t.Fatalf("asymmetric delay %g vs %g", d, got)
 			}
-			// Bounded by base + diagonal of the unit square.
-			if d > 0.01+math.Sqrt2+1e-9 {
+			// Bounded by the base delay + the unit square's diagonal.
+			if d > baseDelay+math.Sqrt2+1e-9 {
 				t.Fatalf("delay %g beyond the square diagonal", d)
 			}
 		}
 	}
-	if m.Delay(3, 3) != 0.01 {
+	if m.Delay(3, 3) != baseDelay {
 		t.Fatalf("self-delay should equal base, got %g", m.Delay(3, 3))
 	}
 }
 
 func TestEuclideanValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"negative n":    func() { NewEuclidean(-1, 0.01, xrand.New(1)) },
-		"negative base": func() { NewEuclidean(10, -0.5, xrand.New(1)) },
-		"nil rng":       func() { NewEuclidean(10, 0.01, nil) },
+		"negative n": func() { NewEuclidean(-1, xrand.New(1)) },
+		"nil rng":    func() { NewEuclidean(10, nil) },
 	} {
 		func() {
 			defer func() {
@@ -59,7 +58,7 @@ func TestEuclideanValidation(t *testing.T) {
 
 func TestEuclideanGrow(t *testing.T) {
 	rng := xrand.New(2)
-	m := NewEuclidean(5, 0.01, rng)
+	m := NewEuclidean(5, rng)
 	m.Grow(10, rng)
 	if d := m.Delay(2, 9); d <= 0 {
 		t.Fatalf("Delay after Grow = %g", d)
@@ -122,7 +121,7 @@ func TestShortestDelaysMatchBruteForce(t *testing.T) {
 	// On a small random graph, Dijkstra must agree with Floyd-Warshall.
 	const n = 40
 	net := hetNet(n, 3)
-	m := NewEuclidean(n, 0.01, xrand.New(4))
+	m := NewEuclidean(n, xrand.New(4))
 	g := net.Graph()
 	const inf = math.MaxFloat64 / 4
 	fw := make([][]float64, n)
@@ -169,7 +168,7 @@ func TestPaperDelayConjecture(t *testing.T) {
 	// Aggregation and the 200 sequential samples of Sample&Collide.
 	const n = 5000
 	net := hetNet(n, 5)
-	m := NewEuclidean(net.Graph().NumIDs(), 0.01, xrand.New(6))
+	m := NewEuclidean(net.Graph().NumIDs(), xrand.New(6))
 	c, err := CompareAll(net, m, 200, 50, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +188,7 @@ func TestPaperDelayConjecture(t *testing.T) {
 
 func TestAggregationLatencyScalesWithRounds(t *testing.T) {
 	net := hetNet(500, 8)
-	m := NewEuclidean(net.Graph().NumIDs(), 0.01, xrand.New(9))
+	m := NewEuclidean(net.Graph().NumIDs(), xrand.New(9))
 	a10, err := Aggregation(net, m, 10, 0.99)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +206,7 @@ func TestEmptyOverlayErrors(t *testing.T) {
 	g := graph.NewWithNodes(1)
 	g.RemoveNode(0)
 	net := overlay.New(g, 10, nil)
-	m := NewEuclidean(1, 0.01, xrand.New(10))
+	m := NewEuclidean(1, xrand.New(10))
 	if _, err := SampleCollide(net, m, 10, 5, xrand.New(11)); !errors.Is(err, ErrEmptyOverlay) {
 		t.Fatalf("sc err = %v", err)
 	}
@@ -223,7 +222,7 @@ func TestEmptyOverlayErrors(t *testing.T) {
 // finite is an error, not a walk that never ends.
 func TestSampleCollideRejectsBadTimer(t *testing.T) {
 	net := hetNet(100, 17)
-	m := NewEuclidean(net.Graph().NumIDs(), 0.01, xrand.New(18))
+	m := NewEuclidean(net.Graph().NumIDs(), xrand.New(18))
 	for _, T := range []float64{0, -3, math.NaN(), math.Inf(1)} {
 		if _, err := SampleCollide(net, m, T, 5, xrand.New(19)); err == nil {
 			t.Errorf("T = %g accepted", T)
@@ -238,7 +237,7 @@ func TestSampleCollideRejectsBadTimer(t *testing.T) {
 // hop.
 func TestTimedWalkMatchesLiteralTimer(t *testing.T) {
 	net := hetNet(500, 20)
-	m := NewEuclidean(net.Graph().NumIDs(), 0.01, xrand.New(21))
+	m := NewEuclidean(net.Graph().NumIDs(), xrand.New(21))
 	var timer xrand.Countdown
 	for _, T := range []float64{10, 0.05} {
 		rng, ref := xrand.New(22), xrand.New(22)
@@ -260,7 +259,7 @@ func TestTimedWalkMatchesLiteralTimer(t *testing.T) {
 func TestAggregationNoLinks(t *testing.T) {
 	g := graph.NewWithNodes(3)
 	net := overlay.New(g, 10, nil)
-	m := NewEuclidean(3, 0.01, xrand.New(13))
+	m := NewEuclidean(3, xrand.New(13))
 	if _, err := Aggregation(net, m, 50, 0.99); err == nil {
 		t.Fatal("linkless overlay accepted")
 	}
@@ -268,7 +267,7 @@ func TestAggregationNoLinks(t *testing.T) {
 
 func TestSampleCollideLatencyGrowsWithL(t *testing.T) {
 	net := hetNet(2000, 14)
-	m := NewEuclidean(net.Graph().NumIDs(), 0.01, xrand.New(15))
+	m := NewEuclidean(net.Graph().NumIDs(), xrand.New(15))
 	l10, err := SampleCollide(net, m, 10, 10, xrand.New(16))
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +287,7 @@ func TestSampleCollideLatencyGrowsWithL(t *testing.T) {
 func TestGrowAllocatesOnce(t *testing.T) {
 	const n = 1000000
 	rng := xrand.New(1)
-	m := NewEuclidean(5, 0.01, rng)
+	m := NewEuclidean(5, rng)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	m.Grow(n, rng)

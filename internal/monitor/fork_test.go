@@ -128,7 +128,7 @@ func faultRoster(faulty bool) []Instance {
 	return []Instance{
 		{Estimator: samplecollide.New(samplecollide.Config{T: 5, L: 20}, xrand.New(71))},
 		{Estimator: hops},
-		{Estimator: polling.New(polling.Default(), xrand.New(74))},
+		{Estimator: polling.New(xrand.New(74))},
 		{Estimator: policyProbe{}},
 	}
 }
@@ -183,7 +183,7 @@ func TestTickForkMemberErrorIsItsOwnFailure(t *testing.T) {
 		return []Instance{
 			{Estimator: samplecollide.New(samplecollide.Config{T: 5, L: 20}, xrand.New(81))},
 			middle,
-			{Estimator: polling.New(polling.Default(), xrand.New(82))},
+			{Estimator: polling.New(xrand.New(82))},
 		}
 	}
 	want, _ := runReplay(t, roster(Instance{Estimator: roTruth{"never-fails"}}), 1)

@@ -74,6 +74,10 @@ func (s Smoothing) String() string {
 	}
 }
 
+// DefaultAlpha is the EWMA weight when none is given: 0.3, this repo's
+// choice (the paper smooths only by window).
+const DefaultAlpha = 0.3
+
 // Policy is a complete smoothing policy.
 type Policy struct {
 	// Smoothing selects the base policy.
@@ -81,7 +85,8 @@ type Policy struct {
 	// Window is the sliding-window length (Window smoothing only;
 	// default core.LastK = 10).
 	Window int
-	// Alpha is the EWMA weight in (0, 1] (EWMA only; default 0.3).
+	// Alpha is the EWMA weight in (0, 1] (EWMA only; default
+	// DefaultAlpha).
 	Alpha float64
 	// RestartJump > 0 enables restart-on-shock: when a raw estimate
 	// deviates from the current smoothed value by more than this
@@ -96,7 +101,7 @@ func (p Policy) normalized() Policy {
 		p.Window = core.LastK
 	}
 	if !(p.Alpha > 0 && p.Alpha <= 1) {
-		p.Alpha = 0.3
+		p.Alpha = DefaultAlpha
 	}
 	return p
 }

@@ -66,7 +66,7 @@ func TestReplayMakesEachTableOnce(t *testing.T) {
 		bytes := make([][]uint64, 2)
 		instances := []Instance{
 			{Estimator: metered{hopssampling.New(hopssampling.Default(), xrand.New(1)), &bytes[0]}},
-			{Estimator: metered{polling.New(polling.Default(), xrand.New(2)), &bytes[1]}},
+			{Estimator: metered{polling.New(xrand.New(2)), &bytes[1]}},
 		}
 		net := testNet(n, 3)
 		res, err := RunScheduled(instances, net, tr, Config{Cadence: 10},

@@ -17,8 +17,8 @@ import (
 // model's hop distances, meters the same messages by kind, returns the
 // same estimate and leaves the generator where the model does — on
 // plain overlays and churned COW clones, with and without a nat=
-// policy, with routed and direct replies, across polls that reuse the
-// scratch and polls that outgrow it.
+// policy, across polls that reuse the scratch and polls that outgrow
+// it.
 func TestStagedFloodMatchesReference(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		for _, n := range []int{1, 2, 50, 5000} {
@@ -32,17 +32,15 @@ func TestStagedFloodMatchesReference(t *testing.T) {
 			}
 			for kind, net := range []*overlay.Network{hetNet(n, seed), clone} {
 				for _, nat := range []bool{false, true} {
-					for _, routed := range []bool{true, false} {
-						label := fmt.Sprintf("seed=%d/n=%d/churned=%v/nat=%v/routed=%v", seed, n, kind == 1, nat, routed)
-						diffFlood(t, label, Config{ResponseProb: 0.3, RoutedReplies: routed}, net, nat, seed)
-					}
+					label := fmt.Sprintf("seed=%d/n=%d/churned=%v/nat=%v", seed, n, kind == 1, nat)
+					diffFlood(t, label, net, nat, seed)
 				}
 			}
 		}
 	}
 }
 
-func diffFlood(t *testing.T, label string, cfg Config, net *overlay.Network, nat bool, seed uint64) {
+func diffFlood(t *testing.T, label string, net *overlay.Network, nat bool, seed uint64) {
 	t.Helper()
 	net = net.CloneCOW() // the growth below stays private to this case
 	a, b := net.View(), net.View()
@@ -50,7 +48,7 @@ func diffFlood(t *testing.T, label string, cfg Config, net *overlay.Network, nat
 		a.SetFaultPolicy(fault.NewInjector(fault.Spec{NATFrac: 0.2}, xrand.New(99)))
 		b.SetFaultPolicy(fault.NewInjector(fault.Spec{NATFrac: 0.2}, xrand.New(99)))
 	}
-	e, ref := New(cfg, xrand.New(seed+7)), xrand.New(seed+7)
+	e, ref := New(xrand.New(seed+7)), xrand.New(seed+7)
 	grow := xrand.New(seed + 8)
 	scratch.Drop() // every call below polls on the one flood it hands back
 	for call := 0; call < 3; call++ {
@@ -67,7 +65,7 @@ func diffFlood(t *testing.T, label string, cfg Config, net *overlay.Network, nat
 		if err != nil {
 			t.Fatalf("%s: %v", at, err)
 		}
-		want, dist := model.Poll(b, ib, cfg.ResponseProb, cfg.RoutedReplies, ref)
+		want, dist := model.Poll(b, ib, responseProb, true, ref)
 		if math.Float64bits(est) != math.Float64bits(want) || math.IsNaN(est) {
 			t.Fatalf("%s: staged %v, model %v", at, est, want)
 		}

@@ -12,8 +12,8 @@
 // The broadcast is a flood over the overlay links (every node forwards
 // once to all neighbors), so unlike the HopsSampling gossip it reaches
 // the initiator's entire component, at a cost of 2|E| spread messages.
-// Replies cost their hop distance when routed (the default, comparable
-// to HopsSampling's accounting) or one message when direct.
+// Replies are routed: each costs its hop distance, as HopsSampling's do,
+// so the two polling families are priced alike.
 package polling
 
 import (
@@ -28,30 +28,14 @@ import (
 	"p2psize/internal/xrand"
 )
 
-// Config parameterizes the polling estimator.
-type Config struct {
-	// ResponseProb is the probability p with which every probed node
-	// replies (0 < p <= 1).
-	ResponseProb float64
-	// RoutedReplies prices each reply at its hop distance instead of 1.
-	RoutedReplies bool
-}
-
-// Default returns a 1% response probability with routed replies — a
-// light-touch poll for large overlays.
-func Default() Config { return Config{ResponseProb: 0.01, RoutedReplies: true} }
-
-func (c *Config) validate() error {
-	if c.ResponseProb <= 0 || c.ResponseProb > 1 {
-		return errors.New("polling: ResponseProb must be in (0, 1]")
-	}
-	return nil
-}
+// responseProb is the probability p with which every probed node
+// replies: 1%, a light-touch poll for large overlays. This repo's
+// choice; the paper does not run plain polling.
+const responseProb = 0.01
 
 // Estimator runs probabilistic-polling estimations. It satisfies the
 // core.Estimator contract.
 type Estimator struct {
-	cfg Config
 	rng *xrand.Rand
 
 	// warmed accumulates what the flood's read-ahead loaded, so that
@@ -72,20 +56,17 @@ var idle = scratch.NewList(func(f *flood) int { return cap(f.dist) })
 // stageBlock is how many queued nodes the flood stages at a time.
 const stageBlock = 64
 
-// New builds an Estimator; it panics on invalid configuration.
-func New(cfg Config, rng *xrand.Rand) *Estimator {
-	if err := cfg.validate(); err != nil {
-		panic(err)
-	}
+// New builds an Estimator; it panics on a nil rng.
+func New(rng *xrand.Rand) *Estimator {
 	if rng == nil {
 		panic("polling: nil rng")
 	}
-	return &Estimator{cfg: cfg, rng: rng}
+	return &Estimator{rng: rng}
 }
 
 // Name identifies the estimator in reports.
 func (e *Estimator) Name() string {
-	return fmt.Sprintf("polling(p=%g)", e.cfg.ResponseProb)
+	return fmt.Sprintf("polling(p=%g)", responseProb)
 }
 
 // MutatesOverlay reports false: polling only broadcasts and counts
@@ -166,7 +147,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 	f.queue = queue
 	// Probabilistic replies.
 	total := 1.0
-	p := e.cfg.ResponseProb
+	p := responseProb
 	for i := 0; i < g.NumAlive(); i++ {
 		id := g.AliveAt(i)
 		if id == initiator || dist[id] < 0 {
@@ -175,11 +156,7 @@ func (e *Estimator) EstimateFrom(net *overlay.Network, initiator graph.NodeID) (
 		if !e.rng.Bernoulli(p) {
 			continue
 		}
-		if e.cfg.RoutedReplies {
-			net.SendN(metrics.KindReply, uint64(dist[id]))
-		} else {
-			net.Send(metrics.KindReply)
-		}
+		net.SendN(metrics.KindReply, uint64(dist[id]))
 		total += 1 / p
 	}
 	return total, nil

@@ -125,7 +125,7 @@ func init() {
 				}
 				ring = idspace.NewRing(net, rng)
 			}
-			return idspace.New(ring, 200, rng), nil
+			return idspace.New(ring, rng), nil
 		},
 	})
 	MustRegister(Descriptor{
@@ -136,7 +136,7 @@ func init() {
 		// One flood plus ~pN routed replies.
 		StreamOffset: 15,
 		New: func(_ *overlay.Network, rng *xrand.Rand, _ Options) (core.Estimator, error) {
-			return polling.New(polling.Default(), rng), nil
+			return polling.New(rng), nil
 		},
 	})
 	MustRegister(Descriptor{
@@ -167,7 +167,7 @@ func init() {
 		// fixed cost, accuracy degrades (instead of cost growing) with N.
 		StreamOffset: 17,
 		New: func(_ *overlay.Network, rng *xrand.Rand, _ Options) (core.Estimator, error) {
-			return capturerecapture.New(capturerecapture.Default(), rng), nil
+			return capturerecapture.New(rng), nil
 		},
 	})
 	MustRegister(Descriptor{
@@ -180,7 +180,7 @@ func init() {
 		// identifiers are hashed from stable node IDs.
 		StreamOffset: 18,
 		New: func(_ *overlay.Network, rng *xrand.Rand, _ Options) (core.Estimator, error) {
-			return dhtext.New(dhtext.Default(), rng), nil
+			return dhtext.New(rng), nil
 		},
 	})
 }

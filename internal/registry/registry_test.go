@@ -143,29 +143,42 @@ func TestNewFamilyDescriptors(t *testing.T) {
 			t.Fatalf("%s class = %q, want %q", name, d.Class, class)
 		}
 	}
-	// Capture-recapture and dht run their family defaults; push-sum
-	// honors the gossip knobs.
+	// Push-sum honors the gossip knobs (TestBuiltinNames holds every
+	// family's defaults).
 	net := testNet(400, 9)
-	e, err := mustGet(t, "capturerecapture").New(net, xrand.New(1), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Name(); !strings.Contains(got, "marks=300") || !strings.Contains(got, "recaptures=300") {
-		t.Fatalf("capture-recapture defaults not applied: %s", got)
-	}
-	e, err = mustGet(t, "dht").New(net, xrand.New(1), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Name(); !strings.Contains(got, "k=20") || !strings.Contains(got, "probes=16") {
-		t.Fatalf("dht defaults not applied: %s", got)
-	}
-	e, err = mustGet(t, "pushsum").New(net, xrand.New(1), Options{Rounds: 7})
+	e, err := mustGet(t, "pushsum").New(net, xrand.New(1), Options{Rounds: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Name(); !strings.Contains(got, "rounds=7") {
 		t.Fatalf("pushsum rounds option ignored: %s", got)
+	}
+}
+
+// TestBuiltinNames: every built-in family, built with zero Options,
+// prints the name every CLI report and REPORT.json carry, which spells
+// out its fixed parameters.
+func TestBuiltinNames(t *testing.T) {
+	want := map[string]string{
+		"samplecollide":    "sample&collide(l=200)",
+		"randomtour":       "random-tour(tours=1)",
+		"hopssampling":     "hops-sampling(minHops=5)",
+		"aggregation":      "aggregation(rounds=50)",
+		"idspace":          "id-density(k=200)",
+		"polling":          "polling(p=0.01)",
+		"pushsum":          "push-sum(rounds=50)",
+		"capturerecapture": "capture-recapture(marks=300,recaptures=300)",
+		"dht":              "dht-density(k=20,probes=16)",
+	}
+	net := testNet(50, 3)
+	for _, name := range Names() {
+		e, err := mustGet(t, name).New(net, xrand.New(1), Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := e.Name(); got != want[name] {
+			t.Errorf("%s: Name() = %q, want %q", name, got, want[name])
+		}
 	}
 }
 

@@ -63,8 +63,16 @@ type Config struct {
 	Kind EstimatorKind
 }
 
-// Default returns the paper's configuration (T=10, l=200).
-func Default() Config { return Config{T: 10, L: 200} }
+// The paper's setting (Figs 1, 2, 8-11).
+const (
+	// DefaultT is the walk timer T.
+	DefaultT = 10
+	// DefaultL is the collision target l.
+	DefaultL = 200
+)
+
+// Default returns the paper's configuration.
+func Default() Config { return Config{T: DefaultT, L: DefaultL} }
 
 func (c *Config) validate() error {
 	if !(c.T > 0) || math.IsInf(c.T, 1) {

@@ -359,10 +359,11 @@ func RunParallel(newEstimator func(run int) Estimator, n *Network, runs, workers
 // SmoothLastK applies the paper's lastKruns heuristic to a raw estimate
 // sequence after the fact: out[i] is the mean of vals[max(0,i-k+1) .. i].
 // Applied to the values of RunRepeated or RunParallel (where runs
-// complete out of order), it gives the lastKruns series.
+// complete out of order), it gives the lastKruns series. k < 1 means
+// the paper's 10.
 func SmoothLastK(vals []float64, k int) []float64 {
 	if k < 1 {
-		k = 10
+		k = core.LastK
 	}
 	w := stats.NewWindow(k)
 	out := make([]float64, len(vals))
