@@ -125,7 +125,8 @@ func main() {
 	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := validateModes(set, *traceSpec, pol, *window, *horizon, fopts); err != nil {
+	smoothing := p2psize.MonitorOptions{Policy: pol, Window: *window, Alpha: *alpha, RestartJump: *restart}
+	if err := validateModes(set, *traceSpec, smoothing, *horizon, fopts); err != nil {
 		fatalUsage(err)
 	}
 
@@ -161,7 +162,7 @@ func main() {
 		if err := runMonitor(monitorOpts{
 			traceSpec: *traceSpec, topo: topo, maxDeg: *maxDeg, nodes: *nodes,
 			horizon: *horizon, cadence: baseCadence, cadences: cadences,
-			policy: pol, window: *window, alpha: *alpha, restart: *restart,
+			smoothing: smoothing,
 			saveTrace: *saveTrace, seed: *seed, workers: *workers,
 			faults: fopts,
 		}, specs); err != nil {
@@ -351,8 +352,8 @@ func formatVals(vals []float64) string {
 // line names (flag.Visit): a flag the chosen mode would ignore is an
 // error, not a silent no-op. -nodes beside a trace file is not one: the
 // file's population overrides it by design.
-func validateModes(set map[string]bool, traceSpec string, pol p2psize.SmoothingPolicy, window int, horizon float64, f p2psize.FaultOptions) error {
-	monitoring := traceSpec != ""
+func validateModes(set map[string]bool, traceSpec string, sm p2psize.MonitorOptions, horizon float64, f p2psize.FaultOptions) error {
+	monitoring, pol := traceSpec != "", sm.Policy
 	if monitoring && set["runs"] {
 		return errors.New("-runs counts static estimations; under -trace, -cadence sets how often each algorithm estimates")
 	}
@@ -364,6 +365,8 @@ func validateModes(set map[string]bool, traceSpec string, pol p2psize.SmoothingP
 		}
 	}
 	switch {
+	case set["horizon"] && traceFile(traceSpec):
+		return errors.New("-horizon sets a generated trace's duration; a trace file keeps its own")
 	case monitoring && (!(horizon > 0) || math.IsInf(horizon, 1)):
 		return fmt.Errorf("-horizon %g must be positive and finite", horizon)
 	case !monitoring && pol == p2psize.EWMASmoothing:
@@ -372,10 +375,14 @@ func validateModes(set map[string]bool, traceSpec string, pol p2psize.SmoothingP
 		return errors.New("-window sets the length of -policy window; add it")
 	case set["alpha"] && pol != p2psize.EWMASmoothing:
 		return errors.New("-alpha sets the weight of -policy ewma; add it")
-	case pol == p2psize.WindowSmoothing && window < 1:
-		return fmt.Errorf("-window %d must be at least 1", window)
+	case pol == p2psize.WindowSmoothing && sm.Window < 1:
+		return fmt.Errorf("-window %d must be at least 1", sm.Window)
+	case pol == p2psize.EWMASmoothing && !(sm.Alpha > 0 && sm.Alpha <= 1):
+		return fmt.Errorf("-alpha %g must be in (0, 1]", sm.Alpha)
 	case set["restart-jump"] && pol == p2psize.NoSmoothing:
 		return errors.New("-restart-jump needs smoothing state to discard; use -policy window or -policy ewma")
+	case !(sm.RestartJump >= 0):
+		return fmt.Errorf("-restart-jump %g must be >= 0 (0 is off)", sm.RestartJump)
 	case !monitoring && f.PartitionFrac > 0:
 		return fmt.Errorf("-faults: a partition needs a timeline to split and heal across; add -trace (the partition@lo-hi window folds onto any trace workload)")
 	case monitoring && f.SybilFrac > 0:

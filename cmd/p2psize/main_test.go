@@ -222,6 +222,12 @@ func TestValidateModes(t *testing.T) {
 		{name: "window smoothing, static", args: "-runs 3 -policy window -window 2", prints: "sample&collide(l=200)/last2runs"},
 		{name: "ewma smoothing", args: weibull + "-policy ewma -alpha 0.5 -restart-jump 0.5"},
 		{name: "-nodes beside a trace file", args: "-trace " + file},
+		{name: "-horizon beside a trace file", args: "-trace " + file + " -horizon 50", want: "-horizon sets a generated trace's duration"},
+		{name: "-alpha above 1", args: weibull + "-policy ewma -alpha 7", want: "-alpha 7 must be in (0, 1]"},
+		{name: "-alpha 0", args: weibull + "-policy ewma -alpha 0", want: "-alpha 0 must be in (0, 1]"},
+		{name: "NaN -alpha", args: weibull + "-policy ewma -alpha NaN", want: "-alpha NaN must be in (0, 1]"},
+		{name: "negative -restart-jump", args: weibull + "-policy window -restart-jump -0.5", want: "-restart-jump -0.5 must be >= 0"},
+		{name: "NaN -restart-jump", args: weibull + "-policy ewma -restart-jump NaN", want: "-restart-jump NaN must be >= 0"},
 	} {
 		args := "-nodes 300 -estimators sc,hops,agg " + c.args + " -workers "
 		code, out, stderr := runMain(t, args+"1")

@@ -24,11 +24,10 @@ type monitorOpts struct {
 	cadence   float64
 	// cadences holds the -cadence name=value overrides per roster slot
 	// (registry.MonitoringCadences); 0 samples every cadence time units.
-	cadences  []float64
-	policy    p2psize.SmoothingPolicy
-	window    int
-	alpha     float64
-	restart   float64
+	cadences []float64
+	// smoothing holds the -policy, -window, -alpha and -restart-jump
+	// fields of the monitor's options.
+	smoothing p2psize.MonitorOptions
 	saveTrace string
 	seed      uint64
 	workers   int
@@ -45,7 +44,7 @@ type monitorOpts struct {
 // else from the option set; the initial population of a loaded trace
 // overrides -nodes.
 func buildTrace(o monitorOpts) (*p2psize.Trace, error) {
-	if ext, _ := traceFormat(o.traceSpec); ext == ".json" || ext == ".csv" {
+	if traceFile(o.traceSpec) {
 		return p2psize.ReadTraceFile(o.traceSpec)
 	}
 	base := p2psize.TraceOptions{
@@ -115,6 +114,13 @@ func traceFormat(path string) (ext string, gzipped bool) {
 	name := strings.ToLower(path)
 	base := strings.TrimSuffix(name, ".gz")
 	return filepath.Ext(base), base != name
+}
+
+// traceFile reports whether a -trace spec names a trace file rather
+// than a generated workload.
+func traceFile(spec string) bool {
+	ext, _ := traceFormat(spec)
+	return ext == ".json" || ext == ".csv"
 }
 
 // saveTrace writes tr to path in the form traceFormat reads off the
@@ -201,16 +207,10 @@ func runMonitor(o monitorOpts, specs []estimatorSpec) error {
 		tr.Name(), tr.Joins(), tr.Leaves(), tr.Horizon(), o.cadence)
 
 	ests := instances(specs)
-	res, err := p2psize.RunMonitor(net, tr, ests, p2psize.MonitorOptions{
-		Cadence:     o.cadence,
-		Cadences:    o.cadences,
-		Policy:      o.policy,
-		Window:      o.window,
-		Alpha:       o.alpha,
-		RestartJump: o.restart,
-		ReplaySeed:  o.seed + 1003,
-		Workers:     o.workers,
-	})
+	opts := o.smoothing
+	opts.Cadence, opts.Cadences = o.cadence, o.cadences
+	opts.ReplaySeed, opts.Workers = o.seed+1003, o.workers
+	res, err := p2psize.RunMonitor(net, tr, ests, opts)
 	if err != nil {
 		return err
 	}

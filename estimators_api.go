@@ -156,21 +156,10 @@ type publicWrap struct{ e Estimator }
 
 func (w publicWrap) Name() string { return w.e.Name() }
 
-// Estimate hands the estimator a read-only Network over o: a churn
-// method or ApplyAdversary called on it writes nothing and comes back
-// as this estimate's error, which wraps core.ErrReadOnly (a monitoring
-// run fails on it).
-func (w publicWrap) Estimate(o *overlay.Network) (est float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			method, ok := r.(readOnlyWrite)
-			if !ok {
-				panic(r)
-			}
-			est, err = 0, fmt.Errorf("%s called Network.%s inside Estimate: %w", w.e.Name(), string(method), core.ErrReadOnly)
-		}
-	}()
-	return w.e.Estimate(&Network{net: o})
+// Estimate hands the estimator a read-only Network over o, on which
+// ApplyAdversary writes nothing and returns an error.
+func (w publicWrap) Estimate(o *overlay.Network) (float64, error) {
+	return w.e.Estimate(&Network{net: o, readOnly: true})
 }
 
 // MutatesOverlay forwards the public estimator's own declaration when
@@ -203,14 +192,14 @@ func toCore(e Estimator) core.Estimator {
 // over one overlay, so an estimator must be safe beside others reading
 // the same overlay: keep all mutable state on the instance, none in
 // package variables shared between instances. The Network an Estimate
-// is handed is read-only: its churn methods (Join, JoinMany,
-// LeaveRandom, LeaveFraction) and ApplyAdversary change nothing and
-// fail the estimate with an error wrapping the refusal, which fails a
-// RunMonitor run and a RunParallel call alike. A MutatesOverlay() bool
-// method, if the type has one, changes nothing but the count
-// MonitorResult.Groups reports. Faults reach a custom family as they
-// reach a built-in one, through ApplyFaults, whose fate draws leave the
-// family's own stream alone.
+// is handed is read-only: ApplyAdversary on it changes nothing and
+// returns an error. Returned from Estimate, that error is an ordinary
+// estimate error: RunMonitor counts it as a failure of the estimator,
+// and RunParallel fails on it. A MutatesOverlay() bool method, if the
+// type has one, changes nothing but the count MonitorResult.Groups
+// reports. Faults reach a custom family as they reach a built-in one,
+// through ApplyFaults, whose fate draws leave the family's own stream
+// alone.
 type CustomEstimator struct {
 	// Name is the canonical selector. Required, unique.
 	Name string

@@ -224,31 +224,13 @@ type declaredSilencer struct{ silencer }
 
 func (declaredSilencer) MutatesOverlay() bool { return false }
 
-// churner calls one of the Network's churn methods inside Estimate,
-// where the Network is read-only.
-type churner struct{ method string }
-
-func (churner) Name() string { return "churner" }
-func (c churner) Estimate(n *Network) (float64, error) {
-	switch c.method {
-	case "Join":
-		n.Join()
-	case "JoinMany":
-		n.JoinMany(3)
-	case "LeaveRandom":
-		n.LeaveRandom()
-	default:
-		n.LeaveFraction(0.5)
-	}
-	return float64(n.Size()), nil
-}
-
 // TestRunMonitorRejectsAnOverlayWriter: an undeclared custom estimator
 // that only reads runs like any other, while one that calls
-// ApplyAdversary or a churn method of its read-only Network — declared
-// observe-only or not — fails RunMonitor and RunParallel with an error
-// naming it and the method, at every worker count, and leaves the
-// network as it was.
+// ApplyAdversary on its read-only Network — declared observe-only or
+// not — writes nothing. At every worker count each of its estimates is
+// a counted failure of that estimator, the estimators beside it read
+// exactly what they read without it, and RunParallel fails naming it;
+// the network is left as it was.
 func TestRunMonitorRejectsAnOverlayWriter(t *testing.T) {
 	build := func() (*Network, *Trace) {
 		net, err := NewNetwork(NetworkOptions{Nodes: 600, Seed: 3})
@@ -269,37 +251,42 @@ func TestRunMonitorRejectsAnOverlayWriter(t *testing.T) {
 	if res.Groups() != 1 || res.Tracking(0).MAE != 0 {
 		t.Fatalf("an undeclared reader: %d groups, MAE %g", res.Groups(), res.Tracking(0).MAE)
 	}
+	readers := func() []Estimator {
+		return []Estimator{mustEstimator(t, "hopssampling", EstimatorConfig{Seed: 5}), truthByNameEstimator{}}
+	}
+	net, tr = build()
+	alone, err := RunMonitor(net, tr, readers(), MonitorOptions{Cadence: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 2, 8} {
-		const want = "silencer called Network.ApplyAdversary inside Estimate"
 		for _, s := range []Estimator{silencer{}, declaredSilencer{}} {
 			net, tr := build()
-			ests := []Estimator{mustEstimator(t, "hopssampling", EstimatorConfig{Seed: 5}), s, truthByNameEstimator{}}
-			_, err := RunMonitor(net, tr, ests, MonitorOptions{Cadence: 10, Workers: workers})
-			if err == nil || !strings.Contains(err.Error(), "at t=10: "+want) {
-				t.Fatalf("workers %d: RunMonitor err = %v, want %q at t=10", workers, err, want)
+			r := readers()
+			ests := []Estimator{r[0], s, r[1]}
+			res, err := RunMonitor(net, tr, ests, MonitorOptions{Cadence: 10, Workers: workers})
+			if err != nil {
+				t.Fatalf("workers %d: RunMonitor err = %v, want the refusal counted as a failure", workers, err)
+			}
+			if m := res.Tracking(1); m.Estimations != 10 || m.Failures != 10 {
+				t.Fatalf("workers %d: the silencer made %d estimations with %d failures, want 10 and 10",
+					workers, m.Estimations, m.Failures)
+			}
+			for k, want := range []int{0, 2} {
+				got, base := res.RawEstimates(want), alone.RawEstimates(k)
+				if !slices.EqualFunc(got, base, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) ||
+					res.Tracking(want).Failures != 0 {
+					t.Fatalf("workers %d: %s read %v beside the silencer, %v without it",
+						workers, res.Names()[want], got, base)
+				}
 			}
 			_, err = RunParallel(func(int) Estimator { return s }, net, 4, workers)
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("workers %d: RunParallel err = %v, want %q", workers, err, want)
+			if err == nil || !strings.Contains(err.Error(), "of silencer") || !strings.Contains(err.Error(), "ApplyAdversary inside Estimate") {
+				t.Fatalf("workers %d: RunParallel err = %v, want the silencer's refused ApplyAdversary", workers, err)
 			}
 			if net.Size() != 600 || net.LargestComponent() != 600 {
 				t.Fatalf("workers %d: the network changed: size %d, largest component %d",
 					workers, net.Size(), net.LargestComponent())
-			}
-		}
-		for _, method := range []string{"Join", "JoinMany", "LeaveRandom", "LeaveFraction"} {
-			want := "churner called Network." + method + " inside Estimate"
-			net, tr := build()
-			_, err := RunMonitor(net, tr, []Estimator{truthByNameEstimator{}, churner{method}}, MonitorOptions{Cadence: 10, Workers: workers})
-			if err == nil || !strings.Contains(err.Error(), "at t=10: "+want) {
-				t.Fatalf("workers %d: RunMonitor err = %v, want %q at t=10", workers, err, want)
-			}
-			_, err = RunParallel(func(int) Estimator { return churner{method} }, net, 4, workers)
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("workers %d: RunParallel err = %v, want %q", workers, err, want)
-			}
-			if net.Size() != 600 || net.LargestComponent() != 600 {
-				t.Fatalf("workers %d, %s: the network changed", workers, method)
 			}
 		}
 	}

@@ -65,14 +65,39 @@ func ExampleSmoothLastK() {
 	// last10runs: 3264 of 3000 peers
 }
 
-// Churn operations model the paper's dynamic scenarios.
-func ExampleNetwork_LeaveFraction() {
+// The paper's dynamic scenarios are traces replayed by RunMonitor.
+// Here a quarter of the peers fail at once (§IV-D's catastrophic
+// failure) under an otherwise quiet trace, and Aggregation, sampled
+// every 25 time units, follows the drop.
+func ExampleTrace_AddMassFailure() {
 	net, err := p2psize.NewNetwork(p2psize.NetworkOptions{Nodes: 1000, Seed: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
-	removed := net.LeaveFraction(0.25) // catastrophic failure
-	fmt.Printf("removed %d peers, %d remain\n", removed, net.Size())
+	// Sessions far longer than the horizon: no background churn.
+	tr, err := p2psize.GenerateTrace(p2psize.TraceOptions{Nodes: 1000, Horizon: 100, MeanSession: 1e9, Seed: 9})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := tr.AddMassFailure(40, 0.25, 10); err != nil {
+		log.Fatal(err)
+	}
+	est, err := p2psize.NewEstimatorByName("aggregation", p2psize.EstimatorConfig{Seed: 11}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := p2psize.RunMonitor(net, tr, []p2psize.Estimator{est}, p2psize.MonitorOptions{Cadence: 25})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, t := range res.Times() {
+		fmt.Printf("t=%3.0f  true %4.0f  estimate %4.0f\n", t, res.TrueSizes()[i], res.Estimates(0)[i])
+	}
+	fmt.Printf("the network still holds %d peers\n", net.Size())
 	// Output:
-	// removed 250 peers, 750 remain
+	// t= 25  true 1000  estimate 1000
+	// t= 50  true  750  estimate  746
+	// t= 75  true  750  estimate  746
+	// t=100  true  750  estimate  746
+	// the network still holds 1000 peers
 }

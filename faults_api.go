@@ -86,10 +86,13 @@ func ApplyFaults(e Estimator, f FaultOptions, seed uint64) (Estimator, error) {
 // It returns how many peers were silenced and how many sybils joined.
 // The surgery is deterministic in seed and mutates the network, so
 // apply it once, before estimating; message-level fields are ignored
-// here (see ApplyFaults). Like the churn methods it is unavailable
-// inside an Estimator's Estimate (see Join).
+// here (see ApplyFaults). It is the one method that changes a Network's
+// membership. Inside an Estimator's Estimate, whose Network is
+// read-only, it writes nothing and returns an error.
 func (n *Network) ApplyAdversary(f FaultOptions, seed uint64) (silenced, sybils int, err error) {
-	n.churn("ApplyAdversary")
+	if n.readOnly {
+		return 0, 0, errors.New("p2psize: ApplyAdversary inside Estimate: an estimator may not change the overlay")
+	}
 	if err := f.Validate(); err != nil {
 		return 0, 0, fmt.Errorf("p2psize: %w", err)
 	}

@@ -8,17 +8,9 @@
 package core
 
 import (
-	"errors"
-
 	"p2psize/internal/overlay"
 	"p2psize/internal/stats"
 )
-
-// ErrReadOnly marks an estimate that tried to change the overlay it was
-// handed through the public Network's churn methods or ApplyAdversary,
-// which refuse inside Estimate. A monitoring run fails on it, since
-// every estimator of a run reads one replayed trajectory.
-var ErrReadOnly = errors.New("an estimator may not change the overlay")
 
 // Estimator is the contract shared by the three candidates: one call
 // produces one size estimate for the overlay's current state, metering

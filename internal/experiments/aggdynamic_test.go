@@ -19,7 +19,7 @@ func perCloneAggDynamic(t *testing.T, scenario churn.Scenario, p Params, stream 
 	net := hetNet(p.N100k, p, stream)
 	for k := 0; k < 3; k++ {
 		clone := net.CloneCOW()
-		proto := aggregation.New(aggConfig(p, 1), xrand.New(p.Seed+stream+10+uint64(k)))
+		proto := aggregation.New(aggConfig(1), xrand.New(p.Seed+stream+10+uint64(k)))
 		if err := proto.StartEpoch(clone); err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func perCloneAggDynamic(t *testing.T, scenario churn.Scenario, p Params, stream 
 			}
 			proto.RunRound(clone)
 			real.Append(float64(round+1), float64(clone.Size()))
-			if (round+1)%p.EpochLen != 0 {
+			if (round+1)%epochLen != 0 {
 				continue
 			}
 			v, ok := proto.Estimate(clone)

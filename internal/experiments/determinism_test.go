@@ -149,7 +149,7 @@ func TestCompareMatchesHandRolledLoop(t *testing.T) {
 	p := determinismParams(1)
 	cands := []candidate{
 		{"s&c", "samplecollide", p.Seed + 0x7701, 6, registry.Options{SCL: 20}},
-		{"agg", "aggregation", p.Seed + 0x7702, 3, epochOpts(p)},
+		{"agg", "aggregation", p.Seed + 0x7702, 3, epochOpts()},
 	}
 	build := func() *overlay.Network { return hetNet(p.N100k, p, 0x7700) }
 	wantNets := []*overlay.Network{build(), build().View()}

@@ -150,7 +150,7 @@ func fig14(p Params) (*Figure, error) {
 
 // aggDynamic is the shared body of Figs 15-17: three concurrent epoch-
 // restarted Aggregation processes; churn advances every round; estimates
-// are read at each epoch boundary (every EpochLen rounds). One overlay,
+// are read at each epoch boundary (every epochLen rounds). One overlay,
 // one churn trajectory: estimators only read, so the processes run on
 // three metering views of one COW clone (the trunk) that a single
 // runner steps alone, and fork within each round (the rule of
@@ -179,7 +179,7 @@ func aggDynamic(id, title string, scenario churn.Scenario, p Params, stream uint
 	for k := range procs {
 		procs[k] = process{
 			view:  clone.View(),
-			proto: aggregation.New(aggConfig(p, inner), xrand.New(p.Seed+stream+10+uint64(k))),
+			proto: aggregation.New(aggConfig(inner), xrand.New(p.Seed+stream+10+uint64(k))),
 			est:   &metrics.Series{Name: fmt.Sprintf("Estimation #%d", k+1)},
 		}
 		procs[k].proto.Borrow(procs[k].view)
@@ -201,7 +201,7 @@ func aggDynamic(id, title string, scenario churn.Scenario, p Params, stream uint
 			break
 		}
 		x, truth := float64(round+1), float64(clone.Size())
-		boundary := (round+1)%p.EpochLen == 0
+		boundary := (round+1)%epochLen == 0
 		err := parallel.ForEach(outer, instances, func(k int) error {
 			o := &procs[k]
 			if err := o.proto.RunRound(o.view); err != nil {

@@ -16,6 +16,7 @@ import (
 
 	"p2psize/internal/aggregation"
 	"p2psize/internal/core"
+	"p2psize/internal/epidemic"
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
@@ -23,6 +24,18 @@ import (
 	"p2psize/internal/registry"
 	"p2psize/internal/xrand"
 )
+
+// maxDeg is the heterogeneous graph's degree cap (§IV-A: degrees
+// uniform in [1, 10]).
+const maxDeg = 10
+
+// epochLen is the rounds-per-epoch of Aggregation, static and dynamic
+// (§IV: 50 rounds).
+const epochLen = epidemic.DefaultRounds
+
+// traceCadence is the simulated time between monitor samples in the
+// trace-driven experiments.
+const traceCadence float64 = 10
 
 // Params sets the workload sizes of the evaluation. Protocol parameters
 // (T, l, gossipTo, rounds, ...) are fixed by the paper and live in the
@@ -34,8 +47,6 @@ type Params struct {
 	N100k int
 	// N1M is the "1,000,000 node network" size.
 	N1M int
-	// MaxDeg is the heterogeneous graph's degree cap (paper: 10).
-	MaxDeg int
 	// SCRuns is the estimation count of Fig 1 (and the dynamic S&C figs).
 	SCRuns int
 	// SCRuns1M is the estimation count of Fig 2.
@@ -52,17 +63,12 @@ type Params struct {
 	HopsHorizon int
 	// AggHorizon is the dynamic Aggregation round range (Figs 15-17).
 	AggHorizon int
-	// EpochLen is the rounds-per-epoch of dynamic Aggregation (paper: 50).
-	EpochLen int
 	// TableRuns is the number of estimations averaged per Table I row.
 	TableRuns int
 	// TraceHorizon is the duration, in simulated time units, of the
-	// trace-driven monitoring experiments (trace-*).
+	// trace-driven monitoring experiments (trace-*); each estimator makes
+	// TraceHorizon/traceCadence estimations.
 	TraceHorizon float64
-	// TraceCadence is the simulated time between monitor samples in the
-	// trace-driven experiments; TraceHorizon/TraceCadence estimations
-	// are made per estimator.
-	TraceCadence float64
 	// Workers caps the worker pool that fans independent estimation runs
 	// (and whole experiments, via RunSuite) across cores: 0 means
 	// runtime.NumCPU(), 1 forces sequential execution. Output is
@@ -82,7 +88,6 @@ func Defaults() Params {
 		Seed:            1,
 		N100k:           100000,
 		N1M:             1000000,
-		MaxDeg:          10,
 		SCRuns:          100,
 		SCRuns1M:        18,
 		HopsRuns:        100,
@@ -91,10 +96,8 @@ func Defaults() Params {
 		Fig18Runs:       50,
 		HopsHorizon:     1000,
 		AggHorizon:      10000,
-		EpochLen:        50,
 		TableRuns:       20,
 		TraceHorizon:    1000,
-		TraceCadence:    10,
 	}
 }
 
@@ -108,8 +111,7 @@ func Scaled(k int) Params {
 	}
 	p.N100k = max(1000, p.N100k/k)
 	p.N1M = max(2000, p.N1M/k)
-	p.AggHorizon = max(20*p.EpochLen, p.AggHorizon/k)
-	p.HopsHorizon = max(100, p.HopsHorizon)
+	p.AggHorizon = max(20*epochLen, p.AggHorizon/k)
 	return p
 }
 
@@ -205,10 +207,10 @@ func Run(id string, p Params) (*Figure, error) {
 }
 
 // hetNet builds the paper's default test overlay: heterogeneous random
-// graph with the given size, degree cap MaxDeg, on a seeded stream.
+// graph with the given size, degree cap maxDeg, on a seeded stream.
 func hetNet(n int, p Params, stream uint64) *overlay.Network {
 	rng := xrand.New(p.Seed + stream)
-	net := overlay.New(graph.Heterogeneous(n, p.MaxDeg, rng), p.MaxDeg, nil)
+	net := overlay.New(graph.Heterogeneous(n, maxDeg, rng), maxDeg, nil)
 	if p.Transport != nil {
 		net.SetTransport(p.Transport)
 	}
@@ -245,8 +247,8 @@ func perRun(id, name string, net *overlay.Network, seed uint64, opts registry.Op
 // (Aggregation, push-sum) wherever they are one candidate among several:
 // the paper's epoch length, and Workers 1 because the estimator already
 // sits two fan-out levels deep.
-func epochOpts(p Params) registry.Options {
-	return registry.Options{Rounds: p.EpochLen, Workers: 1}
+func epochOpts() registry.Options {
+	return registry.Options{Rounds: epochLen, Workers: 1}
 }
 
 // candidate is one row of a static head-to-head: a registry family
@@ -312,8 +314,8 @@ func instances(id, name string, count int, p Params, stream uint64) ([]core.Esti
 // from the overlay. workers is the intra-round goroutine budget for this
 // call site — pass 1 where the estimator already sits under a wide
 // run-level fan-out.
-func aggConfig(p Params, workers int) aggregation.Config {
-	return aggregation.Config{RoundsPerEpoch: p.EpochLen, Workers: workers}
+func aggConfig(workers int) aggregation.Config {
+	return aggregation.Config{RoundsPerEpoch: epochLen, Workers: workers}
 }
 
 // scaleFreeNet builds the Fig 7/8 topology: Barabási–Albert with m = 3.

@@ -28,7 +28,7 @@ func TestScaledFloors(t *testing.T) {
 	if p.N100k < 1000 || p.N1M < 2000 {
 		t.Fatalf("floors not applied: %+v", p)
 	}
-	if p.AggHorizon < 20*p.EpochLen {
+	if p.AggHorizon < 20*epochLen {
 		t.Fatalf("agg horizon too short: %d", p.AggHorizon)
 	}
 	if d := Scaled(1); d.N100k != 100000 {
@@ -476,7 +476,7 @@ func TestTableIShape(t *testing.T) {
 		t.Fatalf("S&C oneShot overhead %.0f not below Hops' %.0f",
 			scOne.OverheadPerEstimate, hops.OverheadPerEstimate)
 	}
-	wantAgg := float64(p.N100k * p.EpochLen * 2)
+	wantAgg := float64(p.N100k * epochLen * 2)
 	if math.Abs(agg.OverheadPerEstimate-wantAgg)/wantAgg > 0.05 {
 		t.Fatalf("Aggregation overhead %.0f, want ≈N·rounds·2 = %.0f",
 			agg.OverheadPerEstimate, wantAgg)

@@ -97,7 +97,7 @@ func extClasses(p Params) (*Figure, error) {
 	cands := []candidate{
 		{"sample&collide(l=200)", "samplecollide", p.Seed + 0x3102, runs, registry.Options{}},
 		{"hops-sampling", "hopssampling", p.Seed + 0x3103, runs, registry.Options{}},
-		{"aggregation(50)", "aggregation", p.Seed + 0x3104, runs, epochOpts(p)},
+		{"aggregation(50)", "aggregation", p.Seed + 0x3104, runs, epochOpts()},
 		{"polling(p=0.01)", "polling", p.Seed + 0x3105, runs, registry.Options{}},
 		{"id-density(k=200)", "idspace", p.Seed + 0x3106, runs, registry.Options{Ring: ring}},
 	}
@@ -148,7 +148,7 @@ func extDelay(p Params) (*Figure, error) {
 		n := sizes[si]
 		net := hetNet(n, p, 0x3200+uint64(n))
 		model := latency.NewEuclidean(net.Graph().NumIDs(), xrand.New(p.Seed+0x3201))
-		c, err := latency.CompareAll(net, model, 200, p.EpochLen, xrand.New(p.Seed+0x3202))
+		c, err := latency.CompareAll(net, model, 200, epochLen, xrand.New(p.Seed+0x3202))
 		if err != nil {
 			return sizeOut{}, fmt.Errorf("ext-delay: %w", err)
 		}
@@ -183,7 +183,7 @@ func extCyclon(p Params) (*Figure, error) {
 		YLabel: "Stale view entries %",
 	}
 	n := p.N100k
-	g := graph.Heterogeneous(n, p.MaxDeg, xrand.New(p.Seed+0x3300))
+	g := graph.Heterogeneous(n, maxDeg, xrand.New(p.Seed+0x3300))
 	// The shuffle rounds are this experiment's hot loop: shard them on
 	// the full worker budget (CYCLON runs alone here, no outer fan-out).
 	ccfg := cyclon.Default()
@@ -226,7 +226,7 @@ func extCyclon(p Params) (*Figure, error) {
 	// refinement is used because at reduced scale l=200 is not small
 	// against the survivor count, where the basic X²/(2l) formula
 	// saturates high.
-	net := proto.ExportOverlay(n, p.MaxDeg)
+	net := proto.ExportOverlay(n, maxDeg)
 	scDesc, err := estimator("ext-cyclon", "samplecollide")
 	if err != nil {
 		return nil, err

@@ -55,7 +55,7 @@ func staticNew(p Params) (*Figure, error) {
 	// Aggregation's — noted below.
 	cands := []candidate{
 		{"Sample&collide", "samplecollide", p.Seed + 0x1901, p.SCRuns, registry.Options{}},
-		{"Push-sum", "pushsum", p.Seed + 0x1902, min(20, p.SCRuns), epochOpts(p)},
+		{"Push-sum", "pushsum", p.Seed + 0x1902, min(20, p.SCRuns), epochOpts()},
 		{"Capture-recapture", "capturerecapture", p.Seed + 0x1903, p.SCRuns, registry.Options{}},
 		{"DHT density", "dht", p.Seed + 0x1904, p.SCRuns, registry.Options{}},
 	}
@@ -68,7 +68,7 @@ func staticNew(p Params) (*Figure, error) {
 	}
 	for ci, c := range cands {
 		if c.runs < p.SCRuns {
-			fig.AddNote("%s plotted for %d estimations (flat curve, epoch cost N·%d)", c.name, c.runs, p.EpochLen)
+			fig.AddNote("%s plotted for %d estimations (flat curve, epoch cost N·%d)", c.name, c.runs, epochLen)
 		}
 		s, signed := qualityCurve(c.name, res[ci].QualityPct(false))
 		fig.Series = append(fig.Series, s)

@@ -93,10 +93,10 @@ func runRobustness(id, title string, spec fault.Spec, p Params) (*Figure, error)
 		{"samplecollide", 0x5210, registry.Options{}},
 		{"randomtour", 0x5211, registry.Options{Tours: 3}},
 		{"hopssampling", 0x5212, registry.Options{}},
-		{"aggregation", 0x5213, epochOpts(p)},
+		{"aggregation", 0x5213, epochOpts()},
 		{"idspace", 0x5214, registry.Options{Ring: ring}},
 		{"polling", 0x5215, registry.Options{}},
-		{"pushsum", 0x5216, epochOpts(p)},
+		{"pushsum", 0x5216, epochOpts()},
 		{"capturerecapture", 0x5217, registry.Options{}},
 		{"dht", 0x5218, registry.Options{}},
 	}

@@ -160,7 +160,7 @@ func aggStatic(id, title string, n int, p Params, stream uint64) (*Figure, error
 	outer, inner := parallel.Split(p.Workers, 3)
 	outs, err := parallel.Map(outer, 3, func(k int) (estOut, error) {
 		view := net.View()
-		proto := aggregation.New(aggConfig(p, inner),
+		proto := aggregation.New(aggConfig(inner),
 			xrand.New(p.Seed+stream+10+uint64(k)))
 		proto.Borrow(view)
 		defer proto.Release()
@@ -248,7 +248,7 @@ func fig08(p Params) (*Figure, error) {
 	// curve is flat after convergence, so its points are capped at paper
 	// scale — noted on the figure.
 	cands := []candidate{
-		{"Aggregation", "aggregation", p.Seed + 0x0801, min(20, p.SCRuns), epochOpts(p)},
+		{"Aggregation", "aggregation", p.Seed + 0x0801, min(20, p.SCRuns), epochOpts()},
 		{"Sample&collide", "samplecollide", p.Seed + 0x0802, p.SCRuns, registry.Options{}},
 		{"HopsSampling", "hopssampling", p.Seed + 0x0803, p.SCRuns, registry.Options{}},
 	}
@@ -262,7 +262,7 @@ func fig08(p Params) (*Figure, error) {
 	}
 	for ci, c := range cands {
 		if c.runs < p.SCRuns {
-			fig.AddNote("%s plotted for %d estimations (flat curve, epoch cost N·%d·2)", c.name, c.runs, p.EpochLen)
+			fig.AddNote("%s plotted for %d estimations (flat curve, epoch cost N·%d·2)", c.name, c.runs, epochLen)
 		}
 		s, signed := qualityCurve(c.name, res[ci].QualityPct(smoothed[ci]))
 		fig.Series = append(fig.Series, s)

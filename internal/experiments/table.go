@@ -44,7 +44,7 @@ func TableIRows(p Params) ([]TableIRow, uint64, error) {
 	cands := []candidate{
 		{"sample&collide", "samplecollide", p.Seed + 0x2001, p.TableRuns, registry.Options{}},
 		{"hops-sampling", "hopssampling", p.Seed + 0x2101, p.TableRuns, registry.Options{}},
-		{"aggregation", "aggregation", p.Seed + 0x2201, min(3, p.TableRuns), epochOpts(p)},
+		{"aggregation", "aggregation", p.Seed + 0x2201, min(3, p.TableRuns), epochOpts()},
 	}
 	res, nets, err := compare("table1", cands,
 		func(ci int) *overlay.Network { return hetNet(p.N100k, p, 0x2000+0x100*uint64(ci)) }, p)
@@ -61,7 +61,7 @@ func TableIRows(p Params) ([]TableIRow, uint64, error) {
 		// Sample&Collide last10runs (same measurements, smoothed heuristic).
 		makeRow("Sample&Collide (l=200)", "last10runs",
 			smoothedTail(scRes), float64(core.LastK)*scRes.MeanOverhead()),
-		makeRow("Aggregation", fmt.Sprintf("%d rounds", p.EpochLen),
+		makeRow("Aggregation", fmt.Sprintf("%d rounds", epochLen),
 			aggRes.QualityPct(false), aggRes.MeanOverhead()),
 	}
 	return rows, msgs, nil

@@ -43,7 +43,7 @@ func traceInstances(id string, roster []string, p Params, stream uint64) ([]moni
 	_, inner := parallel.Split(p.Workers, len(roster))
 	opts := registry.Options{
 		Tours:   3, // Random Tour's monitoring setting: one tour is far too noisy to track with
-		Rounds:  p.EpochLen,
+		Rounds:  epochLen,
 		Workers: inner,
 	}
 	out := make([]monitor.Instance, len(roster))
@@ -63,7 +63,7 @@ func traceInstances(id string, roster []string, p Params, stream uint64) ([]moni
 
 // runTrace is the shared body of the trace experiments: replay tr on
 // one fresh heterogeneous overlay, sample each roster member every
-// TraceCadence under the given policy, and report tracking series plus
+// traceCadence under the given policy, and report tracking series plus
 // per-estimator metrics.
 func runTrace(id, title string, tr *trace.Trace, policy monitor.Policy, roster []string, p Params, stream uint64) (*Figure, error) {
 	net := hetNet(tr.Initial, p, stream)
@@ -72,7 +72,7 @@ func runTrace(id, title string, tr *trace.Trace, policy monitor.Policy, roster [
 		return nil, err
 	}
 	res, err := monitor.RunScheduled(ins, net, tr, monitor.Config{
-		Cadence: p.TraceCadence,
+		Cadence: traceCadence,
 		Policy:  policy,
 	}, func() *xrand.Rand { return xrand.New(p.Seed + stream + 1) }, p.Workers)
 	if err != nil {
@@ -99,7 +99,7 @@ func runTrace(id, title string, tr *trace.Trace, policy monitor.Policy, roster [
 		}
 	}
 	fig.AddNote("trace %q: %d initial, %d joins, %d leaves over horizon %g; policy %s, cadence %g",
-		tr.Name, tr.Initial, tr.Joins(), tr.Leaves(), tr.Horizon, res.Policy, p.TraceCadence)
+		tr.Name, tr.Initial, tr.Joins(), tr.Leaves(), tr.Horizon, res.Policy, traceCadence)
 	fig.Messages = net.Counter().Total()
 	return fig, nil
 }

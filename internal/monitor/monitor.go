@@ -83,24 +83,42 @@ type Policy struct {
 	// Smoothing selects the base policy.
 	Smoothing Smoothing
 	// Window is the sliding-window length (Window smoothing only;
-	// default core.LastK = 10).
+	// 0 selects core.LastK = 10, a negative length is an error).
 	Window int
-	// Alpha is the EWMA weight in (0, 1] (EWMA only; default
-	// DefaultAlpha).
+	// Alpha is the EWMA weight in (0, 1] (EWMA only; 0 selects
+	// DefaultAlpha, any other value outside (0, 1] is an error).
 	Alpha float64
 	// RestartJump > 0 enables restart-on-shock: when a raw estimate
 	// deviates from the current smoothed value by more than this
 	// relative fraction, the smoothing state is discarded and restarted
 	// from the raw value. Shocks (mass failures, flash crowds) then
-	// re-converge in one sample instead of one window.
+	// re-converge in one sample instead of one window. A negative or
+	// NaN jump is an error.
 	RestartJump float64
 }
 
+// validate rejects a value outside its field's range; a zero value is
+// not one, it selects the default.
+func (p Policy) validate() error {
+	switch {
+	case p.Smoothing < None || p.Smoothing > EWMA:
+		return fmt.Errorf("monitor: unknown smoothing %d", int(p.Smoothing))
+	case p.Window < 0:
+		return fmt.Errorf("monitor: smoothing window %d is negative (0 selects %d)", p.Window, core.LastK)
+	case p.Alpha != 0 && !(p.Alpha > 0 && p.Alpha <= 1):
+		return fmt.Errorf("monitor: EWMA alpha %g must be in (0, 1] (0 selects %g)", p.Alpha, DefaultAlpha)
+	case !(p.RestartJump >= 0):
+		return fmt.Errorf("monitor: restart jump %g must be >= 0 (0 is off)", p.RestartJump)
+	}
+	return nil
+}
+
+// normalized fills the zero values validate leaves with the defaults.
 func (p Policy) normalized() Policy {
-	if p.Window < 1 {
+	if p.Window == 0 {
 		p.Window = core.LastK
 	}
-	if !(p.Alpha > 0 && p.Alpha <= 1) {
+	if p.Alpha == 0 {
 		p.Alpha = DefaultAlpha
 	}
 	return p
@@ -360,8 +378,8 @@ func resolveSchedules(instances []Instance, cfg Config, horizon float64) (cadenc
 	if len(instances) == 0 {
 		return nil, nil, errors.New("monitor: Run needs at least one estimator")
 	}
-	if sm := cfg.Policy.Smoothing; sm < None || sm > EWMA {
-		return nil, nil, fmt.Errorf("monitor: unknown smoothing %d", int(sm))
+	if err := cfg.Policy.validate(); err != nil {
+		return nil, nil, err
 	}
 	cadences = make([]float64, len(instances))
 	total := 0.0
@@ -437,19 +455,14 @@ type estimate struct {
 }
 
 // estimateAt runs m's estimation on its view at tick t if t is on its
-// schedule. An estimate whose write a read-only public Network refused
-// (core.ErrReadOnly) is an error of the run, not a failure of the
-// instance.
-func (m *member) estimateAt(e core.Estimator, t float64) (estimate, error) {
+// schedule.
+func (m *member) estimateAt(e core.Estimator, t float64) estimate {
 	if m.next == len(m.sched) || m.sched[m.next] != t {
-		return estimate{}, nil
+		return estimate{}
 	}
 	m.next++
 	v, err := e.Estimate(m.view)
-	if errors.Is(err, core.ErrReadOnly) {
-		return estimate{}, fmt.Errorf("monitor: at t=%g: %w", t, err)
-	}
-	return estimate{due: true, value: v, err: err}, nil
+	return estimate{due: true, value: v, err: err}
 }
 
 // fold records m's outcome at tick t: its raw estimate (NaN off its
@@ -512,13 +525,11 @@ func sample(instances []Instance, cfg Config, horizon float64, net, trunk *overl
 		}
 		trueSizes = append(trueSizes, float64(trunk.Size()))
 		// Fan out: the trunk is quiescent until the next AdvanceTo, and
-		// index k touches only member k's cursor, view and estimator.
-		ests, err := parallel.Map(workers, len(members), func(k int) (estimate, error) {
-			return members[k].estimateAt(instances[k].Estimator, t)
+		// index k touches only member k's cursor, view and estimator. An
+		// estimator's error travels in its estimate, so no index fails.
+		ests, _ := parallel.Map(workers, len(members), func(k int) (estimate, error) {
+			return members[k].estimateAt(instances[k].Estimator, t), nil
 		})
-		if err != nil {
-			return nil, err
-		}
 		// Join: fold in instance order.
 		for k := range members {
 			members[k].fold(ests[k], t)

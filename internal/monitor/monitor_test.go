@@ -312,6 +312,33 @@ func TestScheduledRejectsBadInstances(t *testing.T) {
 			t.Fatalf("smoothing %d: err = %v, want an unknown-smoothing error", int(sm), err)
 		}
 	}
+	// A smoothing value outside its range is an error, not a silent
+	// default; zero still selects the default.
+	for _, c := range []struct {
+		pol  Policy
+		want string // "" = accepted
+	}{
+		{Policy{Smoothing: EWMA, Alpha: 7}, "alpha 7 must be in (0, 1]"},
+		{Policy{Smoothing: EWMA, Alpha: -0.5}, "alpha -0.5 must be in (0, 1]"},
+		{Policy{Smoothing: EWMA, Alpha: math.NaN()}, "alpha NaN must be in (0, 1]"},
+		{Policy{Smoothing: EWMA, Alpha: math.Inf(1)}, "alpha +Inf must be in (0, 1]"},
+		{Policy{Smoothing: Window, Window: -3}, "window -3 is negative"},
+		{Policy{Smoothing: Window, RestartJump: -0.5}, "restart jump -0.5 must be >= 0"},
+		{Policy{Smoothing: EWMA, RestartJump: math.NaN()}, "restart jump NaN must be >= 0"},
+		{Policy{Smoothing: EWMA, Alpha: 1}, ""},
+		{Policy{Smoothing: EWMA}, ""},
+		{Policy{Smoothing: Window, RestartJump: 0.5}, ""},
+	} {
+		res, err := RunScheduled([]Instance{{Estimator: truthEstimator{}}}, net, tr, Config{Cadence: 1, Policy: c.pol}, rng, 1)
+		switch {
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Fatalf("%+v: err = %v, want %q", c.pol, err, c.want)
+		case c.want == "" && err != nil:
+			t.Fatalf("%+v rejected: %v", c.pol, err)
+		case c.want == "" && res.Policy != c.pol.normalized():
+			t.Fatalf("%+v ran as %+v", c.pol, res.Policy)
+		}
+	}
 	// A run where every instance carries its own cadence needs no base.
 	if _, err := RunScheduled([]Instance{{Estimator: truthEstimator{}, Cadence: 10}}, net, tr,
 		Config{}, rng, 1); err != nil {

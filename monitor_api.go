@@ -43,13 +43,16 @@ type MonitorOptions struct {
 	Cadences []float64
 	// Policy selects the smoothing (default NoSmoothing).
 	Policy SmoothingPolicy
-	// Window is the WindowSmoothing length (default 10).
+	// Window is the WindowSmoothing length (0 = 10; a negative length
+	// is an error).
 	Window int
-	// Alpha is the EWMASmoothing weight in (0, 1] (default 0.3).
+	// Alpha is the EWMASmoothing weight in (0, 1] (0 = 0.3; any other
+	// value outside (0, 1], NaN included, is an error).
 	Alpha float64
 	// RestartJump > 0 restarts the smoothing state when a raw estimate
 	// deviates from the served value by more than this relative
-	// fraction — fast re-convergence after shocks.
+	// fraction — fast re-convergence after shocks. A negative or NaN
+	// jump is an error.
 	RestartJump float64
 	// ReplaySeed drives the replay's join wiring (default: the zero
 	// stream). Equal seeds give byte-identical runs.
@@ -172,8 +175,10 @@ func (r *MonitorResult) String() string {
 // chosen smoothing policy. The network must hold exactly
 // tr.InitialNodes() peers. The estimators due at a tick estimate
 // concurrently on a worker pool, each on its own read-only view of the
-// replayed overlay: an estimate that calls a churn method or
-// ApplyAdversary fails the run (see CustomEstimator). Equal seeds give
+// replayed overlay. An estimate's error, ApplyAdversary's refusal
+// inside Estimate included (see CustomEstimator), is a failure of that
+// estimator at that tick, counted in its Failures; the run goes on.
+// Equal seeds give
 // byte-identical results at every worker count. Estimator k's series
 // and messages depend on its own seeds only, not on k or on the other
 // estimators, so seed each one by family, not by slot, as

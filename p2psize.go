@@ -25,6 +25,13 @@
 // metered so accuracy/overhead trade-offs can be compared — the paper's
 // methodology, packaged as a library.
 //
+// Churn is a Trace: generate one (GenerateTrace) or read one
+// (ReadTraceFile), compose the paper's dynamic scenarios onto it
+// (AddFlashCrowd for growth, AddMassFailure for a catastrophic
+// failure), and RunMonitor replays it on a copy of the Network while
+// sampling the estimators. The Network itself never churns; its one
+// writer is ApplyAdversary, which reshapes it before estimating.
+//
 // # Quick start
 //
 //	net, _ := p2psize.NewNetwork(p2psize.NetworkOptions{Nodes: 10000, Seed: 1})
@@ -103,8 +110,7 @@ type NetworkOptions struct {
 	// RewireProb is the SmallWorld rewiring probability beta (default
 	// 0.1); ignored by other topologies.
 	RewireProb float64
-	// Seed drives construction and subsequent churn. Same options, same
-	// network.
+	// Seed drives construction. Same options, same network.
 	Seed uint64
 }
 
@@ -112,23 +118,9 @@ type NetworkOptions struct {
 // It is not safe for concurrent use.
 type Network struct {
 	net *overlay.Network
-	// rng is the churn randomness. The Network an estimator's Estimate
-	// is handed has none: it is read-only, and its churn methods refuse.
-	rng *xrand.Rand
-}
-
-// readOnlyWrite is the panic a churn method or ApplyAdversary raises
-// on a read-only Network, naming the method; the estimator wrapper
-// (publicWrap) returns it as the estimate's error.
-type readOnlyWrite string
-
-// churn returns n's churn randomness, or refuses the named writing
-// method on a read-only Network before it writes anything.
-func (n *Network) churn(method string) *xrand.Rand {
-	if n.rng == nil {
-		panic(readOnlyWrite(method))
-	}
-	return n.rng
+	// readOnly marks the Network an estimator's Estimate is handed:
+	// ApplyAdversary refuses to write it.
+	readOnly bool
 }
 
 // NewNetwork builds an overlay per the options.
@@ -190,7 +182,7 @@ func NewNetwork(opts NetworkOptions) (*Network, error) {
 	default:
 		return nil, fmt.Errorf("p2psize: unknown topology %v", opts.Topology)
 	}
-	return &Network{net: overlay.New(g, maxDeg, nil), rng: rng.Split()}, nil
+	return &Network{net: overlay.New(g, maxDeg, nil)}, nil
 }
 
 // Size returns the true current number of live peers — what the
@@ -233,55 +225,6 @@ func (n *Network) DegreeCounts() (degrees, counts []int) {
 	return graph.DegreeHistogram(n.net.Graph()).NonZero()
 }
 
-// Join adds one peer with a random target degree (uniform in
-// [1, MaxDegree], as in the paper's construction) and returns the new
-// overlay size. Like the other churn methods (JoinMany, LeaveRandom,
-// LeaveFraction) and ApplyAdversary it is unavailable inside an
-// Estimator's Estimate, whose Network is read-only: the call changes
-// nothing and fails that estimate with an error naming the estimator
-// and the method.
-func (n *Network) Join() int {
-	n.net.JoinRandomDegree(n.churn("Join"))
-	return n.Size()
-}
-
-// JoinMany adds k peers. It is unavailable inside Estimate (see Join).
-func (n *Network) JoinMany(k int) {
-	rng := n.churn("JoinMany")
-	for i := 0; i < k; i++ {
-		n.net.JoinRandomDegree(rng)
-	}
-}
-
-// LeaveRandom removes one uniformly random peer (no neighbor rewiring,
-// per the paper's churn rule) and reports whether a peer was removed.
-// It is unavailable inside Estimate (see Join).
-func (n *Network) LeaveRandom() bool {
-	_, ok := n.net.LeaveRandom(n.churn("LeaveRandom"))
-	return ok
-}
-
-// LeaveFraction removes the given fraction of current peers (0..1),
-// uniformly at random — a catastrophic failure. Returns the number
-// removed. It is unavailable inside Estimate (see Join).
-func (n *Network) LeaveFraction(f float64) int {
-	n.churn("LeaveFraction")
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
-	}
-	k := int(f * float64(n.Size()))
-	removed := 0
-	for i := 0; i < k && n.Size() > 1; i++ {
-		if n.LeaveRandom() {
-			removed++
-		}
-	}
-	return removed
-}
-
 // WriteSnapshot serializes the overlay topology for later reuse.
 func (n *Network) WriteSnapshot(w io.Writer) error {
 	_, err := n.net.Graph().WriteTo(w)
@@ -289,9 +232,9 @@ func (n *Network) WriteSnapshot(w io.Writer) error {
 }
 
 // LoadNetwork rebuilds a Network from a snapshot produced by
-// WriteSnapshot. Seed drives subsequent churn; maxDegree caps joins
-// (0 = the paper's 10).
-func LoadNetwork(r io.Reader, maxDegree int, seed uint64) (*Network, error) {
+// WriteSnapshot. maxDegree caps the degree of peers that join it
+// (sybils, a monitored trace's arrivals; 0 = the paper's 10).
+func LoadNetwork(r io.Reader, maxDegree int) (*Network, error) {
 	g, err := graph.Read(r)
 	if err != nil {
 		return nil, err
@@ -302,7 +245,7 @@ func LoadNetwork(r io.Reader, maxDegree int, seed uint64) (*Network, error) {
 	if maxDegree < 0 {
 		return nil, fmt.Errorf("p2psize: LoadNetwork maxDegree %d is negative (0 selects 10)", maxDegree)
 	}
-	return &Network{net: overlay.New(g, maxDegree, nil), rng: xrand.New(seed)}, nil
+	return &Network{net: overlay.New(g, maxDegree, nil)}, nil
 }
 
 // Estimator produces decentralized size estimates for a Network.

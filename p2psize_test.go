@@ -111,30 +111,6 @@ func TestDeterministicConstruction(t *testing.T) {
 	}
 }
 
-func TestChurnOperations(t *testing.T) {
-	n := mustNet(t, NetworkOptions{Nodes: 1000, Seed: 3})
-	if got := n.Join(); got != 1001 {
-		t.Fatalf("Join -> %d", got)
-	}
-	n.JoinMany(99)
-	if n.Size() != 1100 {
-		t.Fatalf("after JoinMany: %d", n.Size())
-	}
-	if !n.LeaveRandom() {
-		t.Fatal("LeaveRandom failed")
-	}
-	removed := n.LeaveFraction(0.25)
-	if removed < 270 || removed > 280 {
-		t.Fatalf("LeaveFraction removed %d", removed)
-	}
-	if n.LeaveFraction(-1) != 0 {
-		t.Fatal("negative fraction removed peers")
-	}
-	if n.LargestComponent() < 1 {
-		t.Fatal("no component left")
-	}
-}
-
 func TestAllEstimatorsOnStaticNetwork(t *testing.T) {
 	const size = 3000
 	cases := []struct {
@@ -281,19 +257,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := n.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadNetwork(&buf, 0, 99)
+	loaded, err := LoadNetwork(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Size() != 800 || loaded.AvgDegree() != n.AvgDegree() {
 		t.Fatalf("loaded size %d avg %.2f", loaded.Size(), loaded.AvgDegree())
 	}
-	// Churn still works on a loaded network.
-	loaded.JoinMany(5)
-	if loaded.Size() != 805 {
-		t.Fatal("join on loaded network failed")
-	}
-	if _, err := LoadNetwork(strings.NewReader("garbage"), 0, 1); err == nil {
+	if _, err := LoadNetwork(strings.NewReader("garbage"), 0); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
 }
@@ -391,7 +362,7 @@ func TestLoadNetworkRejectsNegativeMaxDegree(t *testing.T) {
 	if err := mustNet(t, NetworkOptions{Nodes: 50, Seed: 1}).WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadNetwork(&buf, -5, 1); err == nil || !strings.Contains(err.Error(), "maxDegree") {
+	if _, err := LoadNetwork(&buf, -5); err == nil || !strings.Contains(err.Error(), "maxDegree") {
 		t.Fatalf("LoadNetwork(maxDegree -5) = %v, want an error naming maxDegree", err)
 	}
 }
@@ -409,25 +380,37 @@ func TestSmallWorldRejectsNaNRewireProb(t *testing.T) {
 	}
 }
 
-// TestEWMANaNAlphaFallsBack: a NaN alpha is out of range like any other
-// and selects the default 0.3, instead of turning every smoothed
-// estimate after the first into NaN.
-func TestEWMANaNAlphaFallsBack(t *testing.T) {
+// TestEWMAOutOfRangeAlphaIsAnError: a NaN or out-of-range alpha fails
+// RunMonitor with an error naming it, instead of running under another
+// weight than the one asked for; 0 selects the default 0.3.
+func TestEWMAOutOfRangeAlphaIsAnError(t *testing.T) {
 	tr, err := GenerateTrace(TraceOptions{Nodes: 300, Horizon: 100, Sessions: WeibullSessions, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(alpha float64) []float64 {
+	run := func(alpha float64) ([]float64, error) {
 		net := mustNet(t, NetworkOptions{Nodes: 300, Seed: 2})
 		ests := []Estimator{mustEstimator(t, "samplecollide", EstimatorConfig{SCL: 20, Seed: 3})}
 		res, err := RunMonitor(net, tr, ests, MonitorOptions{Cadence: 20, Policy: EWMASmoothing, Alpha: alpha, ReplaySeed: 4})
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		return res.Estimates(0)
+		return res.Estimates(0), nil
 	}
-	got, want := run(math.NaN()), run(0.3)
+	for _, alpha := range []float64{math.NaN(), 7, -0.3} {
+		if _, err := run(alpha); err == nil || !strings.Contains(err.Error(), "alpha") {
+			t.Errorf("Alpha %g: err = %v, want an error naming alpha", alpha, err)
+		}
+	}
+	got, err := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := run(0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) < 2 || !slices.Equal(got, want) {
-		t.Fatalf("Alpha NaN smoothed to %v, the default 0.3 to %v", got, want)
+		t.Fatalf("Alpha 0 smoothed to %v, the default 0.3 to %v", got, want)
 	}
 }
