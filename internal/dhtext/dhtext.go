@@ -43,10 +43,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"p2psize/internal/graph"
 	"p2psize/internal/metrics"
 	"p2psize/internal/overlay"
+	"p2psize/internal/scratch"
 	"p2psize/internal/xrand"
 )
 
@@ -59,7 +61,25 @@ const (
 	// lookups is how many independent lookups an estimate averages:
 	// 16 puts its relative error near 1/√(16·18) ≈ 6%.
 	lookups = 16
+	// prefixBits is the width of the identifier prefix kthClosest keys
+	// its narrowed probes by: a 4096-entry table, 8 KB, that stays in
+	// L1. A probe narrows after about k·2^prefixBits identifiers
+	// (≈ 82k), so above ≈ 100k live peers most of a sweep reads one
+	// table entry per identifier instead of 16 heap roots.
+	prefixBits = 12
 )
+
+// prefixTable is kthClosest's table of narrowed probes: entry b has bit
+// p set when probe p's k-th distance is below 2^(64−prefixBits) and its
+// target's top prefixBits bits are b. It is all zero between sweeps.
+type prefixTable [1 << prefixBits]uint16
+
+// An entry must hold a bit for every lookup.
+var _ [16 - lookups]struct{}
+
+// idle lends a finished sweep's table to the next, on any estimator:
+// the static comparison builds a fresh estimator for every run.
+var idle = scratch.NewList(func(t *prefixTable) int { return len(t) })
 
 // Estimator runs k-closest density estimations on an overlay. It
 // satisfies the core.Estimator contract.
@@ -169,8 +189,20 @@ func start(g *graph.Graph, target uint64, n int) graph.NodeID {
 // of the k smallest XOR distances from it to any alive identifier at
 // e.heaps[p*k:(p+1)*k], whose root is the k-th smallest. One
 // deterministic sweep of the alive list hashes each identifier once and
-// offers it to every probe's heap. The caller guarantees k <= NumAlive.
+// offers it to the probes whose heap it could enter. The caller
+// guarantees k <= NumAlive.
+//
+// A probe starts wide: offered every identifier. Once its root drops
+// below 2^(64−prefixBits) it narrows: it moves to a prefixTable, keyed
+// by its target's top prefixBits bits, and is offered only the
+// identifiers with that prefix. This is exact: an identifier with
+// another prefix differs from the target in a bit at or above
+// 64−prefixBits, so its distance is at least the root and the heap
+// would refuse it. Each heap sees the same identifiers undercut its
+// root in the same order as a sweep offering all of them, so it ends
+// bit-identical.
 func (e *Estimator) kthClosest(g *graph.Graph, k int) {
+	const shift = 64 - prefixBits
 	probes := len(e.targets)
 	if cap(e.heaps) < probes*k {
 		e.heaps = make([]uint64, probes*k)
@@ -186,16 +218,50 @@ func (e *Estimator) kthClosest(g *graph.Graph, k int) {
 			siftUp(h, i)
 		}
 	}
+	narrow, ok := idle.Get(0)
+	if !ok {
+		narrow = new(prefixTable)
+	}
+	// The wide probes, packed at [0, nw): target, root and probe index.
+	var wt, wr [lookups]uint64
+	var wp [lookups]int
+	nw := probes
+	for p, target := range e.targets {
+		wt[p], wr[p], wp[p] = target, heaps[p*k], p
+	}
 	for i, n := k, g.NumAlive(); i < n; i++ {
 		x := e.id64(g.AliveAt(i))
-		for p, target := range e.targets {
-			if d := x ^ target; d < heaps[p*k] {
+		// Read before the wide probes run: one narrowed on x must not
+		// be offered x again.
+		narrowed := narrow[x>>shift]
+		for j := 0; j < nw; j++ {
+			if d := x ^ wt[j]; d < wr[j] {
+				p := wp[j]
+				h := heaps[p*k : (p+1)*k]
+				h[0] = d
+				siftDown(h, 0)
+				wr[j] = h[0]
+				if h[0] < 1<<shift {
+					narrow[wt[j]>>shift] |= 1 << p
+					nw--
+					wt[j], wr[j], wp[j] = wt[nw], wr[nw], wp[nw]
+					j--
+				}
+			}
+		}
+		for m := narrowed; m != 0; m &= m - 1 {
+			p := bits.TrailingZeros16(m)
+			if d := x ^ e.targets[p]; d < heaps[p*k] {
 				h := heaps[p*k : (p+1)*k]
 				h[0] = d
 				siftDown(h, 0)
 			}
 		}
 	}
+	for _, target := range e.targets {
+		narrow[target>>shift] = 0
+	}
+	idle.Put(narrow)
 }
 
 func siftUp(h []uint64, i int) {

@@ -1,7 +1,10 @@
 package dhtext
 
 import (
+	"fmt"
 	"math"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"p2psize/internal/graph"
@@ -183,5 +186,55 @@ func TestDegenerateInputs(t *testing.T) {
 	}
 	if _, err := e.Estimate(net); err != ErrEmptyOverlay {
 		t.Fatalf("emptied clone: err %v, want ErrEmptyOverlay", err)
+	}
+}
+
+// TestWarmEstimateAllocatesNothing: once an estimator has made its
+// heaps, an estimate allocates nothing, on a 200k overlay where every
+// probe narrows: the prefix table is borrowed, not made.
+func TestWarmEstimateAllocatesNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	net := hetNet(200_000, 3)
+	e := New(xrand.New(4))
+	if allocs := testing.AllocsPerRun(3, func() {
+		if _, err := e.Estimate(net); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm estimate made %v allocations", allocs)
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, whose instrumentation allocates.
+func raceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// BenchmarkKthClosest times one estimate's sweep (kthClosest: 16
+// probes, k = 20) over n alive identifiers and reports ns per
+// identifier. Past about k·2^prefixBits identifiers every probe is
+// narrowed, so the 1M row reads mostly the one-table-entry path and the
+// 100k row mostly the wide one. The 1M row is skipped under -short.
+func BenchmarkKthClosest(b *testing.B) {
+	for _, n := range []int{100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("alive=%d", n), func(b *testing.B) {
+			if n > 100_000 && testing.Short() {
+				b.Skip("1M identifiers under -short")
+			}
+			g := graph.NewWithNodes(n)
+			e := New(xrand.New(1))
+			for b.Loop() {
+				e.targets = e.targets[:0]
+				for range lookups {
+					e.targets = append(e.targets, e.rng.Uint64())
+				}
+				e.kthClosest(g, bucketK)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/id")
+		})
 	}
 }

@@ -115,23 +115,34 @@ const (
 // choosing partners uniformly among nodes with degree < maxDeg: the
 // wiring rule of §IV-A, as overlay.Join applies it to a live overlay
 // (churned, possibly a COW clone). The builders run the same rule, draw
-// for draw, in wireFresh. A draw is two dependent misses (the
+// for draw, in wireFresh. u must be alive: a dead or unallocated u
+// panics before the first draw. A draw is two dependent misses (the
 // alive-list entry, then that peer's record), so before looping it
 // hints the draws ahead of it in the generator's stream (hintDraws) on
 // a copy of the generator; only the loop advances rng.
+//
+// Each draw is decided once, on the two records the degree check
+// loads: v is alive (RandomAlive drew it), v ≠ u, deg(v) < maxDeg, and
+// the shorter of the two lists does not hold the other end (linked, as
+// HasEdge scans). An accepted partner is then linked directly, where
+// AddEdge would check both ends alive and scan for the edge again.
 func (g *Graph) WireUpTo(u NodeID, target, maxDeg int, rng *xrand.Rand) {
+	g.mustAlive(u)
 	g.hintDraws(rng)
-	attempts := 0
-	for g.Degree(u) < target && attempts < maxWireAttempts {
+	nu := g.nodes.at(int(u))
+	for attempts := 0; int(nu.deg) < target && attempts < maxWireAttempts; {
 		v, ok := g.RandomAlive(rng)
 		if !ok {
 			return
 		}
-		if v == u || g.Degree(v) >= maxDeg || g.HasEdge(u, v) {
+		if nv := g.nodes.at(int(v)); v == u || int(nv.deg) >= maxDeg || g.linked(u, nu, v, nv) {
 			attempts++
 			continue
 		}
-		g.AddEdge(u, v)
+		g.addHalfEdge(u, v)
+		g.addHalfEdge(v, u)
+		g.edges++
+		nu = g.nodes.at(int(u)) // the first link may have copied u's page
 	}
 }
 

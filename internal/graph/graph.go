@@ -223,6 +223,8 @@ func (g *Graph) ReserveDegrees(deg []int32) {
 
 // AddEdge links u and v bidirectionally. It reports false (and does
 // nothing) for self-loops and already-present edges. Dead endpoints panic.
+// The join loop (WireUpTo) has made these checks on each draw already
+// and links without it.
 func (g *Graph) AddEdge(u, v NodeID) bool {
 	g.mustAlive(u)
 	g.mustAlive(v)
@@ -255,16 +257,17 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	if !g.valid(u) || !g.valid(v) {
 		return false
 	}
-	nu, nv := g.nodes.at(int(u)), g.nodes.at(int(v))
+	return g.linked(u, g.nodes.at(int(u)), v, g.nodes.at(int(v)))
+}
+
+// linked reports whether u and v, whose records are nu and nv, are
+// linked: it scans the shorter of the two lists for the other end (u's
+// list on a tie), so a scale-free hub costs its partner's degree.
+func (g *Graph) linked(u NodeID, nu *node, v NodeID, nv *node) bool {
 	if nu.deg > nv.deg {
-		nu, v = nv, u
+		return contains(g.list(nv), u)
 	}
-	for _, w := range g.list(nu) {
-		if w == v {
-			return true
-		}
-	}
-	return false
+	return contains(g.list(nu), v)
 }
 
 // Degree returns the number of live links of id (0 for dead nodes and

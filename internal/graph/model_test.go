@@ -81,6 +81,24 @@ var wireCases = []wireCase{
 			return [][3]int{{0, 3 * c, 4 * c}, {g.NumIDs() / 2, 2 * c, 4 * c}, {0, 4 * c, 4 * c}}
 		},
 	},
+	{
+		// A spilled hub drawing partners it already holds: its list is
+		// longer than each partner's, so whether the edge is present is
+		// read off the partner's one-entry list. At 50 nodes four draws
+		// in five hit a partner.
+		name: "hub-relinks",
+		build: func(n int, _ uint64) *graph.Graph {
+			g := graph.NewWithNodes(n)
+			for v := 1; v < min(n, 3*graph.InlineCap); v++ {
+				g.AddEdge(0, graph.NodeID(v))
+			}
+			return g
+		},
+		calls: func(g *graph.Graph) [][3]int {
+			c := graph.InlineCap
+			return [][3]int{{0, 3*c + 2, 4 * c}}
+		},
+	},
 }
 
 // TestWireDifferential holds WireUpTo to the model's wiring loop

@@ -42,8 +42,11 @@ func flashCrowd(b *testing.B, n int) *Trace {
 // depends on the host: on the 2-vCPU host the windows were chosen on it
 // read ≈ 185 ns/event at 32k (no join hints), ≈ 210 at 100k and ≈ 295
 // at 1M; on a shared 2-vCPU Intel Xeon VM ("Intel(R) Xeon(R)
-// Processor", model 207) it reads ≈ 545–620, 555–730 and 895–995. Read
-// it only beside the parent's binary, on one host.
+// Processor", model 207) it has read ≈ 545–620, 555–730 and 895–995 in
+// one session and 285–495, 370–570 and 600–860 in another, where
+// WireUpTo's linking on its own checks read 6–25 % below the parent's
+// at 100k and 1–12 % at 1M, pair by pair. Read it only beside the
+// parent's binary, on one host.
 func BenchmarkPlayerAdvance(b *testing.B) {
 	for _, n := range []int{32_000, 100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -3,7 +3,11 @@ package trace
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"p2psize/internal/graph"
 	"p2psize/internal/overlay"
@@ -180,6 +184,51 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracesEqual(t, tr, back)
+}
+
+// TestReadCSVSizesItsEventsOnce reads back an 8k-event trace, the size
+// of the embedded IPFS one, and holds ReadCSV to about twice its
+// 24-byte file events (the parse blocks and the exact slice) plus the
+// 16-byte events densify makes, 16 bytes an event for the join ranks,
+// the validation table and the block list, the scanner's 64 KB buffer
+// and two blocks' slack: 0.77 MB. Growing the file events by append
+// took 1.07 MB.
+func TestReadCSVSizesItsEventsOnce(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg := testConfig()
+	cfg.Initial = 800
+	tr := mustGenerate(t, cfg, 12)
+	var buf bytes.Buffer
+	if err := tr.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	back, err := ReadCSV(&buf)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracesEqual(t, tr, back)
+	n := uint64(len(back.Events))
+	if n < 6000 {
+		t.Fatalf("fixture has only %d events", n)
+	}
+	fileBytes := n * uint64(unsafe.Sizeof(fileEvent{}))
+	budget := 2*fileBytes + n*uint64(unsafe.Sizeof(Event{})) + 16*n + 64<<10 + 2*csvBlock*uint64(unsafe.Sizeof(fileEvent{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("ReadCSV allocated %d bytes for %d events (%d bytes of file events); budget %d", got, n, fileBytes, budget)
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, whose instrumentation allocates.
+func raceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 func tracesEqual(t *testing.T, a, b *Trace) {
